@@ -7,8 +7,10 @@ module routes *arrays* of lookups through the same continuous-discrete
 scheme:
 
 * the segment decomposition is frozen into sorted NumPy arrays (id
-  points, segment bounds, midpoints, a CSR neighbour table), so a cover
-  query for a whole batch is one ``np.searchsorted``;
+  points, segment bounds, midpoints, a CSR neighbour table) plus the
+  bucket-grid :class:`~repro.core.segments.CoverIndex` derived from the
+  point column, so a cover query for a whole batch is one table read
+  plus O(ρ) compares per point — no binary search;
 * the walk functions of §2.2 are evaluated in closed form per *routing
   level* instead of per hop per lookup — level ``t`` of the fast lookup
   is ``w(σ(z)_t, y) = (y + ⌊z·Δ^t⌋) / Δ^t`` for every pending lookup at
@@ -48,7 +50,7 @@ from typing import Iterable, List, Optional, Set
 import numpy as np
 
 from .lookup import MAX_WALK_STEPS, compress_path
-from .segments import cover_indices, fold_unit, normalize_array
+from .segments import CoverIndex, check_finite, fold_unit, normalize_array
 from .snapshot import ColumnarSnapshot, SnapshotRefreshStats
 
 __all__ = ["BatchRouter", "BatchLookupResult", "RouterRefreshStats",
@@ -124,15 +126,20 @@ def levels_to_csr(size: int, level_mats) -> tuple:
     return vals[keep].astype(np.int32), offsets
 
 
-def _normalize_array(values, size: Optional[int] = None) -> np.ndarray:
+def _normalize_array(values, size: Optional[int] = None,
+                     what: str = "targets") -> np.ndarray:
     """:func:`~repro.core.segments.normalize_array` with scalar broadcast.
 
     Scalars broadcast to ``size`` when given; arrays are flattened.
+    Non-finite values raise ``ValueError`` naming ``what`` and the first
+    offending lane (they have no cover).
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(size if size is not None else 1, float(arr))
-    return normalize_array(arr.ravel())
+    arr = arr.ravel()
+    check_finite(arr, what)
+    return normalize_array(arr)
 
 
 @dataclass
@@ -296,6 +303,8 @@ class BatchRouter(ColumnarSnapshot):
     #: Frozen aligned arrays the snapshot layer registers and the shard
     #: backend exports (the variable-length ``_edge_keys`` table rides
     #: along separately — see :meth:`shard_spec` in the shard module).
+    #: ``cover_index`` is a derived column of ``points`` (not n-aligned,
+    #: so not registered): rebuilt and patched with it, never on its own.
     COLUMNS = ("points", "seg_start", "seg_end", "midpoints")
 
     def __init__(self, net, build_adjacency: bool = False,
@@ -330,7 +339,8 @@ class BatchRouter(ColumnarSnapshot):
         self.delta = int(net.delta)
         self.with_ring = bool(net.with_ring)
         self.n = int(net.n)
-        self.points = net.segments.as_array()
+        self.cover_index = CoverIndex(net.segments.as_array())
+        self.points = self.cover_index.points
         starts, ends = net.segments.bounds_arrays()
         self.seg_start = starts
         self.seg_end = ends
@@ -381,15 +391,16 @@ class BatchRouter(ColumnarSnapshot):
         """Patch the arrays by replaying ``pending``; False to bail to full.
 
         Per op the point/bound/midpoint arrays get one ``np.insert`` /
-        ``np.delete`` and the adjacency table (when built) drops the
-        keys incident to the affected region — {ring predecessor, ring
-        successor, the touched point} plus the predecessor's neighbour
-        row — with the surviving keys renumbered in place.  Affected
-        rows are only *recomputed* once, after the whole suffix is
-        applied, against the live (final) decomposition; correctness
-        rests on the §2.1 locality argument: a neighbour set can only
-        change if one of its covering arcs intersects the split/merged
-        segment, which makes its server a logged point's neighbour.
+        ``np.delete``, the cover grid one slice add, and the adjacency
+        table (when built) drops the keys incident to the affected
+        region — {ring predecessor, ring successor, the touched point}
+        plus the predecessor's neighbour row — with the surviving keys
+        renumbered in place.  Affected rows are only *recomputed* once,
+        after the whole suffix is applied, against the live (final)
+        decomposition; correctness rests on the §2.1 locality argument:
+        a neighbour set can only change if one of its covering arcs
+        intersects the split/merged segment, which makes its server a
+        logged point's neighbour.
         """
         n = self.n
         for kind, _p, _idx in pending:
@@ -399,13 +410,16 @@ class BatchRouter(ColumnarSnapshot):
         if n < 4:
             return False
 
-        points = self.points
+        # the point column is edited with its cover-index sentinel attached
+        # (indices stay below it), so index and column share one copy per op
+        ext = self.cover_index.ext
         mids = self.midpoints
         keys = self._edge_keys
         dirty_rows: Set[int] = set()
         dirty_mids: Set[int] = set()
+        moved = []  # (float64 id as stored, ±1) for the cover index
         for kind, p, idx in pending:
-            n_old = len(points)
+            n_old = len(ext) - 1
             if kind == "join":
                 n_new = n_old + 1
                 if keys is not None:
@@ -417,7 +431,8 @@ class BatchRouter(ColumnarSnapshot):
                     dirty_rows = {d + (d >= idx) for d in dirty_rows}
                     dirty_rows.update(a + (a >= idx) for a in affected)
                     dirty_rows.add(idx)
-                points = np.insert(points, idx, p)
+                ext = np.insert(ext, idx, p)
+                moved.append((ext[idx], 1))
                 mids = np.insert(mids, idx, 0.0)
                 dirty_mids = {d + (d >= idx) for d in dirty_mids}
                 dirty_mids.update({idx, (idx - 1) % n_new})
@@ -432,12 +447,15 @@ class BatchRouter(ColumnarSnapshot):
                                   if d != idx}
                     dirty_rows.update(a - (a > idx) for a in affected
                                       if a != idx)
-                points = np.delete(points, idx)
+                moved.append((ext[idx], -1))
+                ext = np.delete(ext, idx)
                 mids = np.delete(mids, idx)
                 dirty_mids = {d - (d > idx) for d in dirty_mids if d != idx}
                 dirty_mids.add((idx - 1) % n_new)
 
         net = self._net
+        self.cover_index.follow(ext, moved)
+        points = self.cover_index.points
         self.points = points
         self.n = len(points)
         self.seg_start = points
@@ -585,33 +603,58 @@ class BatchRouter(ColumnarSnapshot):
 
     # ---------------------------------------------------------------- cover
     def cover(self, ys: np.ndarray) -> np.ndarray:
-        """Indices of the segments covering each point (one searchsorted).
+        """Indices of the segments covering each point (O(1) per point).
 
-        ``ys`` must already lie in ``[0, 1)`` (the engine normalizes at
-        entry and folds after every walk step).  Under that precondition
-        it matches ``SegmentMap.cover`` exactly: greatest ``x_i <= y``,
-        wrapping below ``x_0`` to the last server.  For raw ring points
-        use :meth:`SegmentMap.cover_array`, which normalizes first.
+        ``ys`` must lie in ``[0, 1)`` — anything else (NaN included)
+        raises ``ValueError``; for raw ring points use
+        :meth:`SegmentMap.cover_array`, which normalizes first.  Matches
+        ``SegmentMap.cover`` exactly: greatest ``x_i <= y``, wrapping
+        below ``x_0`` to the last server.  The engine's own per-level
+        calls go straight to :attr:`cover_index` (they normalize at
+        entry and fold after every walk step, so they skip this check).
         """
         self._ensure_fresh()
-        return cover_indices(self.points, ys)
+        ys = np.asarray(ys, dtype=np.float64)
+        bad = ~((ys >= 0.0) & (ys < 1.0))
+        if bad.any():
+            lane = int(np.argmax(bad))
+            raise ValueError(
+                f"cover: ys[{lane}] is {float(ys.flat[lane])!r}, outside "
+                "[0, 1); normalize raw ring points first "
+                "(SegmentMap.cover_array does)"
+            )
+        return self.cover_index.cover(ys)
 
     def cover_points(self, ys: np.ndarray) -> np.ndarray:
         return self.points[self.cover(ys)]
 
-    def _in_segment(self, p: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Vector version of ``p in segment(idx)`` (wrap-aware half-open)."""
+    def _segment_test(self, idx: np.ndarray):
+        """``p -> (p in segment(idx))`` with the bounds gathered once.
+
+        Vector version of the wrap-aware half-open membership test; the
+        returned callable reuses the gathered bounds, so a loop over
+        walk levels with fixed ``idx`` pays for them once.
+        """
         if self.n == 1:
-            return np.ones(p.shape, dtype=bool)
+            return lambda p: np.ones(p.shape, dtype=bool)
         start = self.seg_start[idx]
         end = self.seg_end[idx]
-        inseg = (p >= start) & (p < end)
         # only the seam-crossing last segment has start > end; for those
         # lanes the half-open test is a disjunction instead
-        wraps = start > end
-        if wraps.any():
-            inseg[wraps] = (p[wraps] >= start[wraps]) | (p[wraps] < end[wraps])
-        return inseg
+        wraps = np.flatnonzero(start > end)
+        w_start, w_end = start[wraps], end[wraps]
+
+        def in_segment(p: np.ndarray) -> np.ndarray:
+            inseg = (p >= start) & (p < end)
+            if wraps.size:
+                inseg[wraps] = (p[wraps] >= w_start) | (p[wraps] < w_end)
+            return inseg
+
+        return in_segment
+
+    def _in_segment(self, p: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Vector version of ``p in segment(idx)`` (wrap-aware half-open)."""
+        return self._segment_test(idx)(p)
 
     # ---------------------------------------------------------- fast lookup
     def batch_fast_lookup(
@@ -626,7 +669,7 @@ class BatchRouter(ColumnarSnapshot):
         ``sources`` and ``targets`` are arrays of points in ``[0, 1)``
         (scalars broadcast), in the same order as the scalar
         ``fast_lookup(net, source_point, target)``.  One routing level
-        costs one closed-form walk evaluation plus one ``searchsorted``
+        costs one closed-form walk evaluation plus one cover-index read
         over the whole batch; per Corollary 2.5 at most
         ``log_Δ n + log_Δ ρ + 1`` levels run.  ``keep_paths`` selects the
         path representation: ``True`` for per-lookup reconstruction via
@@ -645,13 +688,15 @@ class BatchRouter(ColumnarSnapshot):
         """
         _check_keep_paths(keep_paths)
         self._ensure_fresh()
+        cover = self.cover_index.cover
         y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size)
+        src = _normalize_array(sources, size=y.size, what="sources")
         if src.size != y.size:
             raise ValueError("sources and targets must have the same length")
         size = y.size
-        ci = self.cover(src)
+        ci = cover(src)
         z = self.midpoints[ci]
+        in_own = self._segment_test(ci)  # ci is fixed over the levels
 
         t = np.zeros(size, dtype=np.int64)
         s_final = np.zeros(size, dtype=np.float64)  # ⌊z·Δ^t⌋ at the chosen t
@@ -668,7 +713,7 @@ class BatchRouter(ColumnarSnapshot):
                 scale = float(self.delta) ** level
                 s_level = np.trunc(z * scale)
                 p = fold_unit((y + s_level) / scale)
-            inseg = self._in_segment(p, ci)
+            inseg = in_own(p)
             newly = pending & inseg
             t[newly] = level
             if s_level is not None:
@@ -679,7 +724,7 @@ class BatchRouter(ColumnarSnapshot):
         else:  # pragma: no cover - beyond every Corollary 2.5 bound
             raise RuntimeError("batch_fast_lookup failed to converge")
 
-        owner_idx = self.cover(y)
+        owner_idx = cover(y)
         hops = np.zeros(size, dtype=np.int64)
         cur = ci.copy()
         tmax = int(t.max()) if size else 0
@@ -691,7 +736,7 @@ class BatchRouter(ColumnarSnapshot):
             scale_j = float(self.delta) ** j
             off = np.mod(s_final, scale_j)
             p = fold_unit((y + off) / scale_j)
-            c = self.cover(p)
+            c = cover(p)
             live = t > j
             hops += live & (c != cur)
             cur = np.where(live, c, cur)
@@ -743,8 +788,9 @@ class BatchRouter(ColumnarSnapshot):
         """
         _check_keep_paths(keep_paths)
         self._ensure_fresh()
+        cover = self.cover_index.cover
         y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size)
+        src = _normalize_array(sources, size=y.size, what="sources")
         if src.size != y.size:
             raise ValueError("sources and targets must have the same length")
         if rng is None and tau is None:
@@ -761,7 +807,7 @@ class BatchRouter(ColumnarSnapshot):
                 raise ValueError(f"tau digits out of range for delta={self.delta}")
 
         delta = self.delta
-        cur = self.cover(src)
+        cur = cover(src)
         src_idx = cur.copy()
         pos = src.copy()
         image = y.copy()
@@ -786,7 +832,7 @@ class BatchRouter(ColumnarSnapshot):
             rem = active & ~done
             row = None
             if rem.any():
-                holder = self.cover(image)
+                holder = cover(image)
                 via_neighbor = rem & self._edge_member(cur, holder)
                 # the holder covers a point outside s(cur), so it is a
                 # distinct server: appending it always costs one hop
@@ -812,7 +858,7 @@ class BatchRouter(ColumnarSnapshot):
                     )
                     off = np.where(cont, off + d * float(delta) ** step, off)
                     t += cont
-                    c = self.cover(pos)
+                    c = cover(pos)
                     hops1 += cont & (c != cur)
                     if row is not None:
                         row[cont] = c[cont]
@@ -852,7 +898,8 @@ class BatchRouter(ColumnarSnapshot):
         """
         delta = self.delta
         size = y.size
-        owner_idx = self.cover(y)
+        cover = self.cover_index.cover
+        owner_idx = cover(y)
         hops = hops1.copy()
         last = cur.copy()
         tmax = int(t.max()) if size else 0
@@ -861,7 +908,7 @@ class BatchRouter(ColumnarSnapshot):
             scale_j = float(delta) ** j
             off_j = np.mod(off, scale_j)
             p = fold_unit((y + off_j) / scale_j)
-            c = self.cover(p)
+            c = cover(p)
             live = t >= j
             hops += live & (c != last)
             last = np.where(live, c, last)
@@ -930,8 +977,9 @@ class BatchRouter(ColumnarSnapshot):
         check_policy(policy)
         self._ensure_fresh()
         self._cost_state()  # fail early on a plain (cost-less) router
+        cover = self.cover_index.cover
         y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size)
+        src = _normalize_array(sources, size=y.size, what="sources")
         if src.size != y.size:
             raise ValueError("sources and targets must have the same length")
         size = y.size
@@ -949,7 +997,7 @@ class BatchRouter(ColumnarSnapshot):
 
         delta = self.delta
         digs = np.arange(delta, dtype=np.float64)
-        cur = self.cover(src)
+        cur = cover(src)
         src_idx = cur.copy()
         pos = src.copy()
         image = y.copy()
@@ -972,7 +1020,7 @@ class BatchRouter(ColumnarSnapshot):
             rem = active & ~done
             row = None
             if rem.any():
-                holder = self.cover(image)
+                holder = cover(image)
                 via_neighbor = rem & self._edge_member(cur, holder)
                 hops1 += via_neighbor
                 if keep_paths:
@@ -989,7 +1037,7 @@ class BatchRouter(ColumnarSnapshot):
                     cand_pos = fold_unit(
                         pos[lanes][None, :] / delta + digs[:, None] / delta
                     )
-                    cand_cov = self.cover(cand_pos.ravel()).reshape(
+                    cand_cov = cover(cand_pos.ravel()).reshape(
                         delta, lanes.size
                     )
                     costs = self._edge_cost_matrix(cur[lanes], cand_cov)
@@ -1016,7 +1064,7 @@ class BatchRouter(ColumnarSnapshot):
                     )
                     off = np.where(cont, off + d * float(delta) ** step, off)
                     t += cont
-                    c = self.cover(pos)
+                    c = cover(pos)
                     hops1 += cont & (c != cur)
                     if row is not None:
                         row[cont] = c[cont]

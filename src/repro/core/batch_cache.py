@@ -56,7 +56,7 @@ from .batch import _isin_sorted
 from .caching import salt_indices, salted_key
 from .continuous import Digits
 from .network import DistanceHalvingNetwork
-from .segments import cover_indices, normalize_array
+from .segments import check_finite, normalize_array
 
 __all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key",
            "encode_node_key"]
@@ -330,7 +330,9 @@ class BatchCacheEngine:
         :class:`~repro.core.routing_stats.BatchCongestion`.
         """
         items = np.asarray(item_idx, dtype=np.int64).ravel()
-        src = normalize_array(np.asarray(sources, dtype=np.float64))
+        src = np.asarray(sources, dtype=np.float64).ravel()
+        check_finite(src, "sources")
+        src = normalize_array(src)
         if items.size != src.size:
             raise ValueError("item_idx and sources must have the same length")
         if items.size and (items.min() < 0 or items.max() >= self.n_items):
@@ -397,7 +399,8 @@ class BatchCacheEngine:
         # commit epoch counters and per-server hits
         idx = np.searchsorted(self._keys, node)
         np.add.at(self._counts, idx, 1)
-        serving_idx = cover_indices(points, self._pos[idx]).astype(np.int32)
+        cover = self._router.cover_index.cover
+        serving_idx = cover(self._pos[idx]).astype(np.int32)
         np.add.at(self._hits, serving_idx, 1)
         self._touched[np.unique(trees)] = True
         self.requests_served += size
@@ -419,7 +422,7 @@ class BatchCacheEngine:
         val = (np.where(is_p1, src[lane], targets[lane]) + OFF[lane, j])
         val /= scales[j]
         val[val == 1.0] = 0.0
-        serv = cover_indices(points, val)
+        serv = cover(val)
         keep = np.ones(total, dtype=bool)   # consecutive-dup compression
         keep[1:] = (lane[1:] != lane[:-1]) | (serv[1:] != serv[:-1])
         servers = serv[keep].astype(np.int32)
@@ -453,7 +456,7 @@ class BatchCacheEngine:
         size = lanes.size
         delta = self.delta
         c = self.c
-        points = self._router.points
+        cover = self._router.cover_index.cover
         while True:
             order = np.lexsort((lanes, node))
             sk = node[order]
@@ -508,7 +511,7 @@ class BatchCacheEngine:
             self._pos = np.insert(self._pos, ins, child_pos)
             self._depths = np.insert(self._depths, ins, child_depth)
             np.add.at(self._tree_replications, f_tree, delta)
-            np.add.at(self._msgs, cover_indices(points, child_pos), 1)
+            np.add.at(self._msgs, cover(child_pos), 1)
 
     # ---------------------------------------------------------------- epochs
     def advance_epoch(self) -> int:
@@ -569,7 +572,7 @@ class BatchCacheEngine:
         mask = self._touched[tree_ids]
         if not mask.any():
             return np.zeros(self._router.n, np.int64)
-        servers = cover_indices(self._router.points, self._pos[mask])
+        servers = self._router.cover_index.cover(self._pos[mask])
         pair = servers.astype(np.int64) * self.n_trees + tree_ids[mask]
         distinct = np.unique(pair)
         return np.bincount((distinct // self.n_trees).astype(np.int64),

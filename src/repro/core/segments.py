@@ -11,7 +11,9 @@ insertions split a segment) and leaves (removals merge a segment into its
 ring predecessor), and answers the queries every protocol in the paper
 needs:
 
-* ``cover(y)``          — which segment covers a point (binary search);
+* ``cover(y)``          — which segment covers a point (binary search;
+  the batch layers answer the same query through :class:`CoverIndex`,
+  a uniform bucket grid that is exact and O(ρ) per point);
 * ``covering(arc)``     — all segments intersecting an arc (used to build
   the discrete graph's edges from continuous edges);
 * ``smoothness()``      — ``ρ(x) = max_i |s(x_i)| / min_j |s(x_j)|``
@@ -35,7 +37,15 @@ import numpy as np
 
 from .interval import Arc, Number, normalize
 
-__all__ = ["SegmentMap", "cover_indices", "fold_unit", "normalize_array"]
+__all__ = ["CoverIndex", "SegmentMap", "check_finite", "cover_grid",
+           "cover_indices", "fold_unit", "normalize_array"]
+
+#: Linear advances a :class:`CoverIndex` query makes past the grid's
+#: answer before the lanes still moving finish with a binary search.  On
+#: smooth ids (Definition 1: every segment ≥ 1/(ρn)) a bucket of width
+#: ≤ 1/(2n) holds O(ρ) id points and no lane gets this far; clustered
+#: ids do, and stay O(log n).
+_ADVANCE_CAP = 8
 
 
 def fold_unit(x: np.ndarray) -> np.ndarray:
@@ -59,18 +69,131 @@ def normalize_array(ys) -> np.ndarray:
     return fold_unit(np.atleast_1d(np.mod(np.asarray(ys, dtype=np.float64), 1.0)))
 
 
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first non-finite lane of ``values``.
+
+    The entry guard of the batch engines: a NaN or infinite ring point
+    has no cover, and past this check it would index the cover grid with
+    garbage instead of failing.
+    """
+    bad = ~np.isfinite(values)
+    if bad.any():
+        lane = int(np.argmax(bad))
+        raise ValueError(
+            f"{what}[{lane}] is {float(values[lane])!r}: ring points must "
+            "be finite"
+        )
+
+
 def cover_indices(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Vectorised cover query over a sorted point vector.
 
     ``ys`` must already lie in ``[0, 1)``.  Matches :meth:`SegmentMap.cover`
     exactly: greatest ``x_i <= y``, wrapping below ``x_0`` to the last
-    server.  Shared by :meth:`SegmentMap.cover_array` and the batch
-    engine's :meth:`~repro.core.batch.BatchRouter.cover` so the two can
-    never drift.
+    server.  This is the binary-search *oracle*: it backs
+    :meth:`SegmentMap.cover_array`, and :class:`CoverIndex` (what the
+    batch engines query) must agree with it bit-for-bit on every input.
     """
     idx = np.searchsorted(points, ys, side="right") - 1
     idx[idx < 0] = len(points) - 1
     return idx
+
+
+def cover_grid(points: np.ndarray, size: int) -> np.ndarray:
+    """``grid[b] = #{x_i <= b/size} - 1`` for ``b`` in ``[0, size)``.
+
+    ``size`` must be a power of two, so every bucket edge ``b/size`` is
+    an exact float64.  Entry ``b`` is the cover of the bucket's left
+    edge, ``-1`` where the edge lies below ``x_0``.
+    """
+    edges = np.arange(size) / size
+    return (np.searchsorted(points, edges, side="right") - 1).astype(np.int32)
+
+
+class CoverIndex:
+    """O(1) cover queries over a sorted point column (a bucket grid).
+
+    The unit ring is cut into ``G`` equal buckets, ``G`` the smallest
+    power of two ≥ 2n, and :attr:`grid` stores the cover of each
+    bucket's left edge (:func:`cover_grid`).  A query ``y`` reads
+    ``grid[⌊y·G⌋]`` — exact, because ``G`` is a power of two and
+    ``y < 1``, so ``y·G`` only shifts the exponent — which can only
+    undershoot the true cover by the id points inside ``[b/G, y]``, and
+    steps right while the next point is still ``<= y``.  Definition 1's
+    smoothness ρ bounds every segment below by 1/(ρn), so a bucket holds
+    O(ρ) points (a constant under §4's Multiple-Choice ids) and the walk
+    is O(1); on clustered ids the walk is capped and the lanes still
+    moving finish with one ``searchsorted`` over just those lanes.
+
+    Results equal :func:`cover_indices` bit-for-bit on *every* point
+    set: the grid only chooses where the comparison against the points
+    starts, never its outcome.  :attr:`ext` is the point column with a
+    trailing ``+inf`` so "the next point" needs no bound check;
+    :attr:`points` is the view of it without the sentinel.
+    """
+
+    def __init__(self, points: np.ndarray) -> None:
+        self.rebuild(points)
+
+    def rebuild(self, points: np.ndarray) -> None:
+        """Index ``points`` from scratch, choosing the resolution anew."""
+        size = 1 << max(1, (2 * len(points) - 1).bit_length())
+        self.ext = np.append(points, np.inf)
+        self.grid = cover_grid(points, size)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The indexed point column (a view of :attr:`ext`)."""
+        return self.ext[:-1]
+
+    def follow(self, ext: np.ndarray, moved) -> None:
+        """Adopt ``ext``, the column after joins and leaves, sentinel kept.
+
+        The caller edits a copy of :attr:`ext` (``np.insert`` /
+        ``np.delete`` below the trailing ``+inf``) and lists in
+        ``moved`` one ``(p, +1)`` per joined and ``(p, -1)`` per left id,
+        ``p`` the float64 stored in the column.  Each op shifts the
+        buckets whose left edge is at or past ``p`` — one slice add —
+        and the resolution is re-chosen (a rebuild) only when n has left
+        ``[G/8, G/2]``.
+        """
+        size = len(self.grid)
+        if not size // 8 <= len(ext) - 1 <= size // 2:
+            self.rebuild(ext[:-1])
+            return
+        for p, step in moved:
+            self.grid[math.ceil(p * size):] += step
+        self.ext = ext
+
+    def cover(self, ys: np.ndarray) -> np.ndarray:
+        """:func:`cover_indices` of ``ys`` (already in ``[0, 1)``)."""
+        ext = self.ext
+        idx = self.grid[(ys * len(self.grid)).astype(np.intp)].astype(np.intp)
+        lanes = np.flatnonzero(ext[idx + 1] <= ys)
+        steps = 0
+        while lanes.size:
+            if steps == _ADVANCE_CAP:
+                idx[lanes] = cover_indices(ext[:-1], ys[lanes])
+                break
+            idx[lanes] += 1
+            lanes = lanes[ext[idx[lanes] + 1] <= ys[lanes]]
+            steps += 1
+        idx[idx < 0] = len(ext) - 2
+        return idx
+
+    def audit(self, points: np.ndarray) -> str:
+        """The grid's consistency with ``points``, as a one-line report."""
+        n, size = len(points), len(self.grid)
+        fresh = cover_grid(points, size)
+        return (
+            f"cover grid len={size} for n={n} "
+            f"(n in [G/8, G/2]: {size // 8 <= n <= size // 2}), "
+            f"grid[-1]={int(self.grid[-1])} (fresh: {int(fresh[-1])}), "
+            f"monotone={bool((np.diff(self.grid) >= 0).all())}, "
+            f"{int((self.grid != fresh).sum())} buckets differ from a fresh "
+            f"grid, ext follows points: "
+            f"{np.array_equal(self.ext[:-1], points)}"
+        )
 
 
 class SegmentMap:

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .batch import BatchLookupResult, BatchRouter, _normalize_array
+from .segments import CoverIndex
 
 __all__ = ["ShardedExecutor", "available_workers", "merge_results",
            "slice_bounds"]
@@ -181,6 +182,8 @@ def _init_worker(spec: Dict) -> None:
         setattr(router, attr, value)
     if not hasattr(router, "_edge_keys"):
         router._edge_keys = None
+    # derived from the shared point column, like in the parent (~0.5 ms)
+    router.cover_index = CoverIndex(router.points)
     _WORKER["router"] = router
     _WORKER["blocks"] = blocks
 
@@ -339,7 +342,7 @@ class ShardedExecutor:
         self._check(keep_paths)
         self.sync()
         y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size)
+        src = _normalize_array(sources, size=y.size, what="sources")
         if src.size != y.size:
             raise ValueError("sources and targets must have the same length")
         bounds = slice_bounds(y.size, self.workers)
@@ -368,7 +371,7 @@ class ShardedExecutor:
             self.version = None
             self.sync()
         y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size)
+        src = _normalize_array(sources, size=y.size, what="sources")
         if src.size != y.size:
             raise ValueError("sources and targets must have the same length")
         tau_arr = np.asarray(tau, dtype=np.int64)
@@ -411,7 +414,7 @@ class ShardedExecutor:
             self.version = None
             self.sync()
         y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size)
+        src = _normalize_array(sources, size=y.size, what="sources")
         if src.size != y.size:
             raise ValueError("sources and targets must have the same length")
         u_mat = None

@@ -147,6 +147,12 @@ class ColumnarSnapshot:
       full rebuild.  The default always bails, so a subclass without a
       patch rule still gets correct (if slower) refresh semantics.
 
+    A subclass may also keep *derived columns* — arrays computed from a
+    registered column but not aligned with it (the router's adjacency
+    keys, the :class:`~repro.core.segments.CoverIndex` grid over its
+    point column).  They share the snapshot's lifetime: ``_rebuild``
+    rebuilds them and ``_patch`` keeps them current, never on their own.
+
     The base class owns everything the three pre-extraction copies
     duplicated: the version counter against the journal, the
     stale-or-refresh entry guard (:meth:`ensure_fresh`), the refresh

@@ -2,7 +2,7 @@
 
 Not a paper artefact: an extension experiment for the roadmap's scaling
 goal.  The continuous-discrete scheme routes a batch of lookups with one
-closed-form walk evaluation plus one ``np.searchsorted`` per routing
+closed-form walk evaluation plus one cover-index read per routing
 level (:mod:`repro.core.batch`), so lookups/sec should exceed the scalar
 per-hop Python loop by an order of magnitude while remaining
 *bit-identical* — owners, walk parameters and hop counts are
@@ -187,7 +187,7 @@ def run(seed: int = 16, quick: bool = False) -> ExperimentResult:
         return ExperimentResult(
             experiment="X3",
             title="Batch-lookup throughput (vectorized engine)",
-            paper_claim="extension: bulk routing, one searchsorted per level; "
+            paper_claim="extension: bulk routing, one O(1) cover read per level; "
             "bit-identical to the scalar §2.2 algorithms",
             rows=rows,
             checks=checks,

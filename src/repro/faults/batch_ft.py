@@ -10,7 +10,7 @@ of :mod:`repro.core.batch`:
 * the §6.2 overlapping cover structure is consumed through the
   network's array-backed cover tables
   (:meth:`~repro.faults.overlap.OverlappingDHNetwork.cover_table`): one
-  ``searchsorted`` plus a ``(max α, B)`` gather answers "all covers of
+  cover-index read plus a ``(max α, B)`` gather answers "all covers of
   every path point of the batch";
 * the §6.3 canonical path is computed per *level* in closed form,
   exactly like the fast-lookup engine — level ``j`` of every walk is

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.continuous import ContinuousGraph
 from ..core.interval import normalize
-from ..core.segments import cover_indices, normalize_array
+from ..core.segments import CoverIndex, normalize_array
 from ..core.snapshot import ColumnarSnapshot
 from ..hashing.kwise import Key, PointHasher
 
@@ -42,8 +42,8 @@ class OverlappingDHNetwork(ColumnarSnapshot):
     decomposition into **array-backed cover tables** (sorted id points,
     per-server overlap length ``α_i``, segment length and midpoint) so
     the batch fault-tolerance engine (:mod:`repro.faults.batch_ft`) can
-    answer "all covers of each of these B points" with one
-    ``searchsorted`` plus a ``(max α, B)`` gather — no per-point scan.
+    answer "all covers of each of these B points" with one cover-index
+    read plus a ``(max α, B)`` gather — no per-point scan.
 
     The tables are the *static* instance of the shared
     :class:`~repro.core.snapshot.ColumnarSnapshot` layer: membership
@@ -89,6 +89,8 @@ class OverlappingDHNetwork(ColumnarSnapshot):
         n = len(self.points)
         #: sorted id points, aligned with every per-server array below
         self.points_array = np.asarray(self.points, dtype=np.float64)
+        #: bucket-grid cover index derived from the point column
+        self.cover_index = CoverIndex(self.points_array)
         #: overlap parameter α_i per server (how many successors it covers)
         self.alpha_array = np.array(
             [self.alpha[x] for x in self.points], dtype=np.int64)
@@ -150,7 +152,7 @@ class OverlappingDHNetwork(ColumnarSnapshot):
         first for raw ring points.
         """
         ys = np.asarray(ys, dtype=np.float64)
-        i = cover_indices(self.points_array, ys)
+        i = self.cover_index.cover(ys)
         k = np.arange(self.max_back, dtype=np.int64)
         cand = (i[None, :] - k[:, None]) % self.n
         mask = (np.mod(ys[None, :] - self.points_array[cand], 1.0)

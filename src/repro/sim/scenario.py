@@ -507,7 +507,11 @@ class ScenarioEngine:
 
         * **owners**: the auto-refresh router agrees with a from-scratch
           ``compile_router()`` and with the live segment map on sampled
-          targets (a stale router cannot hide behind the journal);
+          targets (a stale router cannot hide behind the journal) — the
+          router answers through its bucket-grid cover index, the
+          segment map through the ``searchsorted`` oracle, so this is
+          also the grid-vs-oracle audit; a failure reports the grid's
+          own consistency;
         * **merge**: re-merging every per-phase :class:`SoakStats`
           snapshot reproduces the running total bit-identically;
         * **erasure**: every stored item that is still recoverable
@@ -531,9 +535,11 @@ class ScenarioEngine:
             and np.array_equal(self.router.cover(ys),
                                self.net.segments.cover_array(ys))
         )
-        add("owners", owners_ok,
-            f"router v{self.router.version} vs fresh compile, "
-            f"{ys.size} sampled targets")
+        detail = (f"router v{self.router.version} vs fresh compile, "
+                  f"{ys.size} sampled targets")
+        if not owners_ok:
+            detail += "; " + self.router.cover_index.audit(self.router.points)
+        add("owners", owners_ok, detail)
 
         merged = SoakStats()
         for _, snap in self.phase_snapshots:

@@ -54,6 +54,37 @@ class TestSnapshot:
         router = net.compile_router()
         assert (router.cover(np.array([0.1])) == [1]).all()
 
+    def test_cover_rejects_points_outside_the_unit_interval(self):
+        """The grid would index garbage; the oracle silently said n-1."""
+        router = make_net(16, seed=1)[0].compile_router()
+        for lane, value in enumerate([1.0, -0.1, 1.5, float("nan")]):
+            ys = np.full(lane + 1, 0.5)
+            ys[lane] = value
+            with pytest.raises(ValueError, match=rf"ys\[{lane}\] is .*"
+                                                 r"outside \[0, 1\)"):
+                router.cover(ys)
+
+    def test_segment_map_cover_array_is_the_searchsorted_oracle(self,
+                                                               monkeypatch):
+        """cover_array never touches the grid: the audits that compare a
+        router against it compare grid against binary search."""
+        from repro.core import segments
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("cover_array must not use the cover index")
+
+        monkeypatch.setattr(segments.CoverIndex, "cover", boom)
+        calls = []
+        oracle = segments.cover_indices
+        monkeypatch.setattr(
+            segments, "cover_indices",
+            lambda points, ys: calls.append(ys.size) or oracle(points, ys))
+        net, _ = make_net(33, seed=3)
+        ys = np.random.default_rng(4).random(50)
+        expect = np.array([net.segments.cover(y) for y in ys])
+        assert (net.segments.cover_array(ys) == expect).all()
+        assert calls == [50]
+
     def test_midpoints_match_arcs(self):
         net, _ = make_net(50, seed=5)
         router = net.compile_router()
@@ -126,6 +157,27 @@ class TestBatchFastLookup:
         router = net.compile_router()
         with pytest.raises(ValueError):
             router.batch_fast_lookup(np.zeros(4), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_points_rejected_by_lane(self, bad):
+        """A NaN target used to spin 512 levels, then 'failed to converge'."""
+        net, _ = make_net(16, seed=2)
+        router = net.compile_router(with_adjacency=True)
+        src, tgt = workload(net, 8, seed=3)
+        poisoned = tgt.copy()
+        poisoned[5] = bad
+        with pytest.raises(ValueError, match=r"targets\[5\] is .*finite"):
+            router.batch_fast_lookup(src, poisoned)
+        with pytest.raises(ValueError, match=r"targets\[5\] is .*finite"):
+            router.batch_dh_lookup(src, poisoned,
+                                   rng=np.random.default_rng(0))
+        poisoned = src.copy()
+        poisoned[2] = bad
+        with pytest.raises(ValueError, match=r"sources\[2\] is .*finite"):
+            router.batch_fast_lookup(poisoned, tgt)
+        with pytest.raises(ValueError, match=r"sources\[2\] is .*finite"):
+            router.batch_dh_lookup(poisoned, tgt,
+                                   rng=np.random.default_rng(0))
 
     def test_paths_require_keep_paths(self):
         net, _ = make_net(8, seed=36)

@@ -139,6 +139,14 @@ class TestDegenerateBatches:
         with pytest.raises(IndexError):
             eng.serve_batch([1], [0.25], rng=np.random.default_rng(0))
 
+    def test_non_finite_source_rejected_by_lane(self):
+        net = make_net(32)
+        eng = BatchCacheEngine(net, ["a"])
+        with pytest.raises(ValueError, match=r"sources\[1\] is nan.*finite"):
+            eng.serve_batch([0, 0], [0.25, float("nan")],
+                            rng=np.random.default_rng(0))
+        assert eng.requests_served == 0
+
     def test_mismatched_lengths_rejected(self):
         net = make_net(32)
         eng = BatchCacheEngine(net, ["a"])

@@ -109,6 +109,37 @@ class TestShardedExecutor:
             sharded = ex.batch_fast_lookup(src, tgt, keep_paths="csr")
         assert_results_equal(sharded, single)
 
+    def test_workers_answer_through_their_own_cover_index(self):
+        """Sharded owners equal the searchsorted oracle, before and after
+        a re-export (each worker derives the grid from the shared points)."""
+        from repro.core.segments import cover_indices
+
+        net = make_net()
+        router = net.router(auto_refresh=True, with_adjacency=True)
+        src, tgt = make_workload(net)
+        tau = np.random.default_rng(5).integers(0, 2, size=(BATCH, 80))
+        with ShardedExecutor(router, workers=2) as ex:
+            for joiner in (0.123456789, None):
+                fast = ex.batch_fast_lookup(src, tgt, keep_paths="csr")
+                dh = ex.batch_dh_lookup(src, tgt, tau=tau, keep_paths="csr")
+                expect = cover_indices(router.points, tgt)
+                np.testing.assert_array_equal(fast.owner_idx, expect)
+                np.testing.assert_array_equal(dh.owner_idx, expect)
+                assert_results_equal(
+                    dh, router.batch_dh_lookup(src, tgt, tau=tau,
+                                               keep_paths="csr"))
+                if joiner is not None:
+                    net.join(joiner)
+
+    def test_non_finite_target_rejected_in_the_parent(self):
+        net = make_net()
+        router = net.router(auto_refresh=True)
+        src, tgt = make_workload(net, size=64)
+        tgt[40] = np.inf
+        with ShardedExecutor(router, workers=2) as ex:
+            with pytest.raises(ValueError, match=r"targets\[40\] is inf"):
+                ex.batch_fast_lookup(src, tgt)
+
     def test_resync_after_churn(self):
         net = make_net()
         router = net.router(auto_refresh=True)

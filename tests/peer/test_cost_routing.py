@@ -238,6 +238,12 @@ class TestCoreEngine:
         with pytest.raises(ValueError, match="CostAwareBatchRouter"):
             plain.batch_cost_dh_lookup(self.src, self.tgt, policy="greedy")
 
+    def test_non_finite_target_rejected_by_lane(self):
+        tgt = self.tgt.copy()
+        tgt[7] = np.nan
+        with pytest.raises(ValueError, match=r"targets\[7\] is nan.*finite"):
+            self.router.batch_cost_dh_lookup(self.src, tgt, policy="greedy")
+
     def test_weighted_needs_uniform_source(self):
         with pytest.raises(ValueError):
             self.router.batch_cost_dh_lookup(self.src, self.tgt,

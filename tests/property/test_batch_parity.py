@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.balance import MultipleChoice
 from repro.core import DistanceHalvingNetwork, lookup_many
+from repro.core.segments import cover_grid, cover_indices
 
 unit_float = st.floats(min_value=0.0, max_value=1.0, exclude_max=False,
                        allow_nan=False, allow_infinity=False)
@@ -223,6 +224,13 @@ def _assert_router_equals_fresh(net, router, seed):
     assert np.array_equal(router.seg_start, fresh.seg_start)
     assert np.array_equal(router.seg_end, fresh.seg_end)
     assert np.array_equal(router.midpoints, fresh.midpoints)
+    # the cover index is a derived column: the patched grid equals one
+    # built from scratch at its resolution, which stays within the band
+    index = router.cover_index
+    size = len(index.grid)
+    assert size // 8 <= router.n <= size // 2
+    assert np.array_equal(index.grid, cover_grid(router.points, size))
+    assert np.array_equal(index.ext, np.append(router.points, np.inf))
     if router._edge_keys is None:
         router._build_adjacency()
     assert np.array_equal(router._edge_keys, fresh._edge_keys)
@@ -280,6 +288,44 @@ class TestIncrementalRefreshParity:
             _assert_router_equals_fresh(net, router, 7000 + chunk)
         assert router.refresh_stats.incremental == 300
         assert router.refresh_stats.full_rebuilds == 0
+
+    def test_grid_follows_across_resolution_changes(self):
+        """n grows past G/2 and shrinks below G/8 under per-op refresh:
+        the grid is re-chosen both times, never by a full rebuild."""
+        rng = np.random.default_rng(4242)
+        net = DistanceHalvingNetwork(rng=rng)
+        net.populate(16)
+        router = net.router(auto_refresh=True, churn_budget=10**9)
+        sizes = {len(router.cover_index.grid)}
+        for target in (70, 6):
+            while net.n != target:
+                if net.n < target:
+                    net.join(float(rng.random()))
+                else:
+                    pts = list(net.points())
+                    net.leave(pts[int(rng.integers(len(pts)))])
+                router.refresh()
+                sizes.add(len(router.cover_index.grid))
+            _assert_router_equals_fresh(net, router, 4242 + target)
+        assert sizes == {16, 32, 64, 128, 256}
+        assert router.refresh_stats.full_rebuilds == 0
+
+    def test_grid_after_budget_overflow_full_rebuild(self):
+        """Past the churn budget the refresh recompiles; the index with it."""
+        rng = np.random.default_rng(99)
+        net = DistanceHalvingNetwork(rng=rng)
+        net.populate(64)
+        router = net.router(auto_refresh=True, churn_budget=4)
+        _apply_random_churn(net, rng, 3, 0.5)
+        router.refresh()
+        _apply_random_churn(net, rng, 40, 0.2)
+        router.refresh()
+        assert router.refresh_stats.incremental == 1
+        assert router.refresh_stats.full_rebuilds == 1
+        _assert_router_equals_fresh(net, router, 99)
+        ys = rng.random(256)
+        assert np.array_equal(router.cover(ys),
+                              cover_indices(router.points, ys))
 
     def test_mass_departure_trace_matches_fresh_compile(self):
         """The §4.1 stress (half the servers leave) through run_churn."""

@@ -211,6 +211,23 @@ class TestInvariantChecker(SmallSoak):
         bad = [r for r in rows if r["check"] == "cache"]
         assert bad and not bad[0]["ok"]
 
+    def test_owner_audit_checks_grid_against_oracle(self):
+        """A corrupted cover grid cannot hide: the audit compares the
+        router's index with SegmentMap.cover_array (searchsorted) and
+        reports the grid's own consistency."""
+        eng = self.make_engine(strict=False)
+        eng.run("lookups,churn:16")
+        owners = [r for r in eng.check_invariants("clean")
+                  if r["check"] == "owners"]
+        assert owners[0]["ok"] and "cover grid" not in owners[0]["detail"]
+        eng.router.cover_index.grid[:] = eng.router.cover_index.grid[::-1]
+        owners = [r for r in eng.check_invariants("tampered")
+                  if r["check"] == "owners"]
+        assert not owners[0]["ok"]
+        detail = owners[0]["detail"]
+        assert "cover grid len=" in detail and "grid[-1]=" in detail
+        assert "monotone=False" in detail and "buckets differ" in detail
+
     def test_strict_mode_raises(self):
         eng = self.make_engine(strict=True)
         eng.run("lookups")
