@@ -50,7 +50,8 @@ from typing import Iterable, List, Optional, Set
 import numpy as np
 
 from .lookup import MAX_WALK_STEPS, compress_path
-from .segments import CoverIndex, check_finite, fold_unit, normalize_array
+from .segments import (CoverIndex, SegmentMap, arc_cover_ranges, check_finite,
+                       fold_unit, normalize_array)
 from .snapshot import ColumnarSnapshot, SnapshotRefreshStats
 
 __all__ = ["BatchRouter", "BatchLookupResult", "RouterRefreshStats",
@@ -340,11 +341,15 @@ class BatchRouter(ColumnarSnapshot):
         self.with_ring = bool(net.with_ring)
         self.n = int(net.n)
         self.cover_index = CoverIndex(net.segments.as_array())
-        self.points = self.cover_index.points
-        starts, ends = net.segments.bounds_arrays()
-        self.seg_start = starts
-        self.seg_end = ends
-        self.midpoints = net.segments.midpoints_array()
+        self.points = points = self.cover_index.points
+        self.seg_start = points
+        self.seg_end = np.roll(points, -1)
+        # float ids compile from the point column alone; exact (Fraction)
+        # ids go through the scalar oracles, whose exact comparisons the
+        # float column cannot replay
+        self.midpoints = (SegmentMap.midpoints_from_array(points)
+                          if net.segments.is_float()
+                          else net.segments.midpoints_array())
         had_adjacency = getattr(self, "_edge_keys", None) is not None
         self._edge_keys: Optional[np.ndarray] = None
         if had_adjacency:
@@ -355,10 +360,67 @@ class BatchRouter(ColumnarSnapshot):
         self.ensure_fresh()
 
     def _build_adjacency(self) -> None:
-        """Sorted ``i·STRIDE + j`` keys of every directed neighbour pair."""
-        indptr, indices = self._net.adjacency_arrays()
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-        self._edge_keys = np.sort(rows * _ROW_STRIDE + indices.astype(np.int64))
+        """Sorted ``i·STRIDE + j`` keys of every directed neighbour pair.
+
+        Row ``i`` is ``neighbor_points(x_i)`` of §2.1: the servers whose
+        segments meet an image ``f_d(s(x_i))`` or the preimage
+        ``b(s(x_i))``, plus the ring neighbours, self excluded.  Every
+        image of a segment piece is an arc, so its covering set is a
+        contiguous index range of the sorted point column
+        (:func:`~repro.core.segments.arc_cover_ranges`); the arc ends
+        are computed with the float operations of
+        ``ContinuousGraph.image_arcs`` / ``preimage_arcs``, which keeps
+        the table bit-identical to the one encoded from the scalar
+        oracle ``net.adjacency_arrays()``.
+        """
+        if not self._net.segments.is_float():
+            indptr, indices = self._net.adjacency_arrays()
+            rows = np.repeat(np.arange(self.n, dtype=np.int64),
+                             np.diff(indptr))
+            self._edge_keys = np.sort(rows * _ROW_STRIDE + indices)
+            return
+        pts, n, delta = self.points, self.n, self.delta
+        if n == 1:  # the only server covers every image itself
+            self._edge_keys = np.zeros(0, dtype=np.int64)
+            return
+        # Arc.pieces of every segment: row i is [x_i, x_{i+1}); the seam
+        # row is [x_{n-1}, 1) plus [0, x_0) when that is not empty
+        row = np.arange(n)
+        a, b = pts, np.append(pts[1:], 1.0)
+        if pts[0] > 0.0:
+            row = np.append(row, n - 1)
+            a, b = np.append(a, 0.0), np.append(b, pts[0])
+        ranges = []  # (row, first, count): cols (first + k) % n, k < count
+        factor = 1.0 / delta
+        for d in range(delta):
+            offset = d / delta
+            arc, first, count = arc_cover_ranges(
+                pts, normalize_array(a * factor + offset),
+                normalize_array(b * factor + offset))
+            ranges.append((row[arc], first, count))
+        # b(s): one piece of length >= 1/Δ pulls the whole row back to the
+        # full ring, which an arc spells start == end
+        length = (b - a) * delta
+        full = np.zeros(n, dtype=bool)
+        full[row[length >= 1]] = True
+        start = normalize_array(a * delta)
+        arc, first, count = arc_cover_ranges(
+            pts, start,
+            np.where(full[row], start, normalize_array(start + length)))
+        ranges.append((row[arc], first, count))
+        if self.with_ring:  # predecessor, (self,) successor
+            ranges.append((np.arange(n), np.arange(n) - 1, np.full(n, 3)))
+        rows, first, count = (np.concatenate(col) for col in zip(*ranges))
+        ends = np.cumsum(count)
+        cols = np.repeat(first - (ends - count), count) + np.arange(ends[-1])
+        cols %= n
+        rows = np.repeat(rows, count)
+        other = rows != cols
+        keys = np.sort(rows[other] * _ROW_STRIDE + cols[other])
+        # an image range, the preimage range and the ring can name a pair twice
+        keep = np.ones(keys.size, dtype=bool)
+        keep[1:] = keys[1:] != keys[:-1]
+        self._edge_keys = keys[keep]
 
     def _edge_member(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
         """Vectorized ``col[i] in neighbours(row[i])`` membership test."""
@@ -853,10 +915,11 @@ class BatchRouter(ColumnarSnapshot):
                     else:
                         d = rng.integers(0, delta, size=size).astype(np.float64)
                     pos = fold_unit(np.where(cont, pos / delta + d / delta, pos))
-                    image = fold_unit(
-                        np.where(cont, image / delta + d / delta, image)
-                    )
                     off = np.where(cont, off + d * float(delta) ** step, off)
+                    # w(τ_t, y) in phase II's closed form, so the hand-off
+                    # tests the very point the descent starts from
+                    image = fold_unit(np.where(
+                        cont, (y + off) / float(delta) ** (step + 1), image))
                     t += cont
                     c = cover(pos)
                     hops1 += cont & (c != cur)
@@ -1059,10 +1122,11 @@ class BatchRouter(ColumnarSnapshot):
                     tau_rows.append(d_step)
                     d = d_step.astype(np.float64)
                     pos = fold_unit(np.where(cont, pos / delta + d / delta, pos))
-                    image = fold_unit(
-                        np.where(cont, image / delta + d / delta, image)
-                    )
                     off = np.where(cont, off + d * float(delta) ** step, off)
+                    # w(τ_t, y) in phase II's closed form, so the hand-off
+                    # tests the very point the descent starts from
+                    image = fold_unit(np.where(
+                        cont, (y + off) / float(delta) ** (step + 1), image))
                     t += cont
                     c = cover(pos)
                     hops1 += cont & (c != cur)

@@ -217,7 +217,10 @@ def dh_lookup(
         taus.append(d)
         t += 1
         pos = g.child(pos, d)
-        image = g.child(image, d)
+        # the closed form phase II starts from: stepping child(image, d)
+        # instead can round to 1.0, fold to 0.0 and stay there, so the
+        # hand-off would test another point than phase II descends from
+        image = g.walk(taus, y)
         phase1_servers.append(net.segments.cover_point(pos))
     else:  # pragma: no cover
         raise RuntimeError("dh_lookup phase I failed to converge")

@@ -411,6 +411,8 @@ class DistanceHalvingNetwork:
         self.segments.check_invariants()
         assert set(self.servers) == set(self.segments), "server/point mismatch"
         for p, srv in self.servers.items():
+            if not srv.store:
+                continue
             seg = self.segments.segment_of(p)
             for key, (pos, _v) in srv.store.items():
                 assert pos in seg, f"item {key!r} at {pos} outside {seg} of {p}"

@@ -37,8 +37,8 @@ import numpy as np
 
 from .interval import Arc, Number, normalize
 
-__all__ = ["CoverIndex", "SegmentMap", "check_finite", "cover_grid",
-           "cover_indices", "fold_unit", "normalize_array"]
+__all__ = ["CoverIndex", "SegmentMap", "arc_cover_ranges", "check_finite",
+           "cover_grid", "cover_indices", "fold_unit", "normalize_array"]
 
 #: Linear advances a :class:`CoverIndex` query makes past the grid's
 #: answer before the lanes still moving finish with a binary search.  On
@@ -108,6 +108,36 @@ def cover_grid(points: np.ndarray, size: int) -> np.ndarray:
     """
     edges = np.arange(size) / size
     return (np.searchsorted(points, edges, side="right") - 1).astype(np.int32)
+
+
+def arc_cover_ranges(points: np.ndarray, starts: np.ndarray,
+                     ends: np.ndarray) -> tuple:
+    """Vectorised :meth:`SegmentMap.covering` as contiguous index ranges.
+
+    ``points`` is a sorted float64 column of ``n >= 2`` ids; arc ``k`` is
+    ``[starts[k], ends[k])`` with both ends already normalised, read like
+    :class:`~repro.core.interval.Arc` reads them (``start == end`` is the
+    full ring, ``start > end`` wraps through the seam).  Returns
+    ``(arc, first, count)``: the segments meeting arc ``arc[r]`` are
+    ``(first[r] + k) % n`` for ``k < count[r]`` (``first`` is ``-1`` when
+    the cover of a piece's left end wraps to the last server).  One range
+    per non-wrapping piece — the same comparisons ``covering`` makes with
+    ``bisect``, so the index sets are equal on every input.
+    """
+    full = starts == ends
+    wraps = starts > ends
+    part = np.flatnonzero(~full)
+    tail = np.flatnonzero(wraps & (ends > 0.0))  # second piece [0, end)
+    whole = np.flatnonzero(full)
+    a = np.concatenate([starts[part], np.zeros(tail.size)])
+    b = np.concatenate([np.where(wraps[part], 1.0, ends[part]), ends[tail]])
+    # {cover(a)} ∪ {i : a < x_i < b}, and cover(a) = lo - 1
+    lo = np.searchsorted(points, a, side="right")
+    hi = np.searchsorted(points, b, side="left")
+    return (np.concatenate([part, tail, whole]),
+            np.concatenate([lo - 1, np.zeros(whole.size, dtype=lo.dtype)]),
+            np.concatenate([hi - lo + 1,
+                            np.full(whole.size, len(points), dtype=lo.dtype)]))
 
 
 class CoverIndex:
@@ -226,6 +256,14 @@ class SegmentMap:
         """Points as a float64 NumPy array (for vectorised analytics)."""
         return np.asarray([float(p) for p in self._points], dtype=np.float64)
 
+    def is_float(self) -> bool:
+        """True when every id is a float, i.e. :meth:`as_array` is lossless.
+
+        Exact (:class:`~fractions.Fraction`) ids decide edges and
+        midpoints by exact comparisons a float column cannot replay.
+        """
+        return all(issubclass(t, float) for t in set(map(type, self._points)))
+
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-segment ``(starts, ends)`` as float64 arrays, in ring order.
 
@@ -334,7 +372,22 @@ class SegmentMap:
         return self.segment(self.index_of(point))
 
     def segment_length(self, i: int) -> Number:
-        return self.segment(i).length
+        """``|s(x_i)|`` from the two bounding points (no :class:`Arc` built).
+
+        The same operations as :attr:`Arc.length` on :meth:`segment`, in
+        the points' own numeric type — the id strategies probe dozens of
+        segments per join through this.
+        """
+        pts = self._points
+        n = len(pts)
+        if n == 0:
+            raise LookupError("empty segment map has no segments")
+        start, end = pts[i % n], pts[(i + 1) % n]
+        if n == 1:
+            return 1 if isinstance(start, int) else type(start)(1)
+        if start > end:
+            return 1 - start + end
+        return end - start
 
     def predecessor(self, point: Number) -> Number:
         """Ring predecessor of an existing point."""
@@ -393,6 +446,17 @@ class SegmentMap:
         wrap = 1.0 - pts[-1] + pts[0]
         return np.append(diffs, wrap)
 
+    @staticmethod
+    def midpoints_from_array(pts: np.ndarray) -> np.ndarray:
+        """Segment midpoints of a frozen sorted float64 point array.
+
+        ``normalize(start + length / 2)`` per segment — the IEEE-754 ops
+        of :attr:`Arc.midpoint` on arrays, so the result is bit-identical
+        to :meth:`midpoints_array` on every float point set (``n = 1``
+        included: the full ring's midpoint is ``start + 0.5``).
+        """
+        return normalize_array(pts + SegmentMap.lengths_from_array(pts) / 2)
+
     def lengths(self) -> np.ndarray:
         """All segment lengths as a float64 array (sums to 1)."""
         return self.lengths_from_array(self.as_array())
@@ -429,5 +493,5 @@ class SegmentMap:
         assert all(a < b for a, b in zip(pts, pts[1:])), "points not strictly sorted"
         assert all(0 <= p < 1 for p in pts), "point outside [0,1)"
         if pts:
-            total = sum(self.segment(i).length for i in range(len(pts)))
+            total = self.lengths().sum()
             assert abs(float(total) - 1.0) < 1e-9, f"segment lengths sum to {total}"

@@ -101,7 +101,8 @@ class AsyncServer:
                 msg.tau.append(d)
             msg.t += 1
             msg.position = g.child(msg.position, d)
-            msg.image = g.child(msg.image, d)
+            # closed form, as phase II recomputes it (see core.lookup.dh_lookup)
+            msg.image = g.walk(tuple(msg.tau[: msg.t]), msg.target)
             nxt = self._local_cover(msg.position)
             if nxt is None:  # neighbour tables stale — cannot happen when static
                 msg.done.set_exception(RuntimeError("routing hole"))

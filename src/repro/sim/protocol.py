@@ -95,7 +95,8 @@ class DHProtocolNode(SimNode):
             st["tau"] = st["tau"] + [d]
             st["t"] += 1
             st["position"] = g.child(st["position"], d)
-            st["image"] = g.child(st["image"], d)
+            # closed form, as phase 2 recomputes it (see core.lookup.dh_lookup)
+            st["image"] = g.walk(tuple(st["tau"]), st["target"])
             nxt = self.local_cover(st["position"])
             if nxt is None:  # pragma: no cover
                 return "error", None, st

@@ -117,6 +117,22 @@ class TestMultipleChoice:
         with pytest.raises(ValueError):
             MultipleChoice(t=0)
 
+    def test_select_draws_and_choice_unchanged(self):
+        """One ``rng.random(probes)`` call, the longest probed segment's
+        midpoint — as spelled through per-probe ``Arc`` objects."""
+        strategy = MultipleChoice(t=4)
+        sm = grow(strategy, 300, seed=21)
+        for seed in range(40):
+            rng, ref = (np.random.default_rng(seed) for _ in range(2))
+            probes = 4 * math.ceil(math.log2(len(sm)))
+            lengths = {}
+            for z in ref.random(probes):
+                i = sm.cover(float(z))
+                lengths.setdefault(i, float(sm.segment(i).length))
+            best = max(lengths, key=lengths.get)  # first of the longest
+            assert strategy.select(sm, rng) == float(sm.segment(best).midpoint)
+            assert rng.random() == ref.random()  # same stream position
+
 
 class TestNetworkIntegration:
     @pytest.mark.parametrize("strategy", [SingleChoice(), ImprovedSingleChoice(), MultipleChoice()])

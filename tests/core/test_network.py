@@ -114,6 +114,25 @@ class TestJoinLeave:
                 net.leave(pts[int(rng.integers(len(pts)))])
             net.check_invariants()
 
+    def test_audit_catches_a_misplaced_item(self):
+        """Servers with nothing stored skip the segment lookup; one with
+        an item outside its segment still fails the audit."""
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(4))
+        net.populate(50)
+        net.check_invariants()
+        victim = net.server_at(list(net.points())[10])
+        pos = float(net.segments.point_at(30))
+        victim.store["stray"] = (pos, "value")
+        with pytest.raises(AssertionError, match="stray"):
+            net.check_invariants()
+
+    def test_audit_catches_server_point_mismatch(self):
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(4))
+        net.populate(20)
+        del net.servers[list(net.points())[3]]
+        with pytest.raises(AssertionError, match="mismatch"):
+            net.check_invariants()
+
     def test_items_survive_churn(self):
         rng = np.random.default_rng(9)
         net = DistanceHalvingNetwork(rng=rng)

@@ -77,6 +77,32 @@ class TestSegments:
         assert sm.lengths().sum() == pytest.approx(1.0)
         assert len(sm.lengths()) == 100
 
+    @pytest.mark.parametrize("points", [
+        [0.3], [0.0, 0.25, 0.5, 0.75], [0.1, 0.7, 0.9999999999999999],
+        [Fraction(1, 3)], [Fraction(1, 7), Fraction(1, 3), Fraction(6, 7)],
+    ])
+    def test_segment_length_equals_arc_length(self, points, monkeypatch):
+        """Same value and type as ``segment(i).length``, wrap and n = 1
+        included — computed from the two points, without an ``Arc``."""
+        sm = SegmentMap(points)
+        expect = [sm.segment(i).length for i in range(len(sm))]
+        monkeypatch.setattr(Arc, "__post_init__", None)  # any Arc() raises
+        for i, length in enumerate(expect):
+            got = sm.segment_length(i)
+            assert got == length and type(got) is type(length)
+
+    def test_segment_length_of_empty_map_raises(self):
+        with pytest.raises(LookupError):
+            SegmentMap().segment_length(0)
+
+    def test_midpoints_from_array_equals_arc_midpoints(self):
+        rng = np.random.default_rng(3)
+        for pts in ([0.3], [0.0, 0.9999999999999999], rng.random(200)):
+            sm = SegmentMap(pts)
+            assert np.array_equal(
+                SegmentMap.midpoints_from_array(sm.as_array()),
+                sm.midpoints_array())
+
     def test_predecessor_successor_ring(self, quarters):
         assert quarters.predecessor(0.0) == 0.75
         assert quarters.successor(0.75) == 0.0
@@ -128,6 +154,33 @@ class TestMutation:
                 sm.remove(p)
             if len(sm):
                 sm.check_invariants()
+
+
+class TestCheckInvariants:
+    """The audit reads lengths off neighbouring points; every assertion
+    it made through per-segment ``Arc`` objects still fires."""
+
+    def test_unsorted_points_fail(self, quarters):
+        quarters._points[1], quarters._points[2] = 0.5, 0.25
+        with pytest.raises(AssertionError, match="sorted"):
+            quarters.check_invariants()
+
+    def test_duplicate_points_fail(self, quarters):
+        quarters._points[2] = 0.25
+        with pytest.raises(AssertionError, match="sorted"):
+            quarters.check_invariants()
+
+    def test_point_outside_unit_interval_fails(self, quarters):
+        quarters._points.append(1.5)
+        with pytest.raises(AssertionError, match="outside"):
+            quarters.check_invariants()
+
+    def test_exact_fraction_map_passes(self):
+        SegmentMap([Fraction(k, 7) for k in range(7)]).check_invariants()
+
+    def test_builds_no_arc(self, quarters, monkeypatch):
+        monkeypatch.setattr(Arc, "__post_init__", None)  # any Arc() raises
+        quarters.check_invariants()
 
 
 class TestCovering:

@@ -7,13 +7,14 @@ hold on *every* instance, not just the seeds unit tests chose.
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CacheSystem, DistanceHalvingNetwork, dh_lookup, fast_lookup
 from repro.core.caching import ActiveTree
 from repro.core.pathtree import PathTree
 from repro.hashing.kwise import KWiseHash
+from repro.peer import CostAwareBatchRouter, CostMap
 
 net_sizes = st.integers(min_value=2, max_value=48)
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -50,12 +51,49 @@ class TestLookupProperties:
 
     @SLOW
     @given(n=net_sizes, seed=seeds, target=unit_float)
+    @example(n=45, seed=4031, target=1 - 2**-53)
     def test_dh_lookup_total_correctness(self, n, seed, target):
         net, rng = build_net(n, seed)
         src = list(net.points())[int(rng.integers(n))]
         res = dh_lookup(net, src, target, rng)
         assert res.server_path[-1] == net.segments.cover_point(target)
         assert res.verify_adjacent(net)
+
+    def test_dh_handoff_at_the_float_boundary(self):
+        """Phase I must hand off to the point phase II descends from.
+
+        For ``y = 1 − 2⁻⁵³`` and first digit 1 the image stepped through
+        ``child`` rounds to 1.0, folds to 0.0 and stays there, while the
+        closed form ``w(τ_t, y)`` is 0.125 after (1, 0, 0, 0): testing
+        the one and starting phase II from the other made a hop that is
+        no edge of ``G_x``.  Scalar, batch and cost-aware twins agree on
+        the fixed walk and every consecutive pair is an edge.
+        """
+        net, rng = build_net(45, 4031)
+        src = list(net.points())[int(rng.integers(45))]
+        target = 1 - 2**-53
+        tau = (1, 0, 0, 0) + (0, 1) * 24
+        res = dh_lookup(net, src, target, rng, tau=tau)
+        assert res.verify_adjacent(net)
+        assert res.server_path[-1] == net.segments.cover_point(target)
+
+        def assert_matches_scalar(router, batch):
+            assert batch.server_path(0) == res.server_path
+            assert (int(batch.t[0]), int(batch.hops[0])) == (res.t, res.hops)
+            path = batch.path_servers.astype(np.int64)
+            assert router._edge_member(path[:-1], path[1:]).all()
+
+        router = net.compile_router(with_adjacency=True)
+        assert_matches_scalar(router, router.batch_dh_lookup(
+            [src], [target], tau=np.array([tau]), keep_paths="csr"))
+        # uniform policy: digit ⌊u·Δ⌋, so these uniforms spell the same τ
+        cost_router = CostAwareBatchRouter(
+            net, CostMap.synthetic(n_isps=3, rng=np.random.default_rng(0)))
+        cost = cost_router.batch_cost_dh_lookup(
+            [src], [target], choices=(np.array([tau]) + 0.5) / 2,
+            policy="uniform", keep_paths="csr")
+        assert tuple(cost.tau_used[0]) == tau[:res.t]
+        assert_matches_scalar(cost_router, cost)
 
     @SLOW
     @given(n=net_sizes, seed=seeds, target=unit_float)
