@@ -14,7 +14,9 @@ scheme:
 * the walk functions of §2.2 are evaluated in closed form per *routing
   level* instead of per hop per lookup — level ``t`` of the fast lookup
   is ``w(σ(z)_t, y) = (y + ⌊z·Δ^t⌋) / Δ^t`` for every pending lookup at
-  once, and the backward descent reuses ``⌊z·Δ^t⌋ mod Δ^j``;
+  once, and the backward descent (:meth:`BatchRouter._descend`) reuses
+  ``⌊z·Δ^t⌋ mod Δ^j`` over the lanes still that deep, writing every
+  cover straight into the ragged CSR path buffer;
 * the two-phase Distance Halving lookup advances every in-flight message
   one level per iteration (`pos/Δ + d/Δ` elementwise) and resolves the
   "target image covered by me or a neighbour" test with a binary search
@@ -23,7 +25,7 @@ scheme:
 Every float operation mirrors the scalar implementation ULP-for-ULP (same
 order of IEEE-754 operations), so batch results are *bit-identical* to
 :func:`repro.core.lookup.fast_lookup` — owners, walk parameters ``t``,
-hop counts, and (with ``keep_paths=True``) full server paths — and to
+hop counts, and (with ``keep_paths``) full server paths — and to
 :func:`repro.core.lookup.dh_lookup` when both are driven by the same
 digit strings ``tau``.  That parity is what the property tests and the
 built-in scalar-subsample cross-check of ``repro.cli bench-throughput``
@@ -44,12 +46,12 @@ snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
-from .lookup import MAX_WALK_STEPS, compress_path
+from .lookup import MAX_WALK_STEPS
 from .segments import (CoverIndex, SegmentMap, arc_cover_ranges, check_finite,
                        fold_unit, normalize_array)
 from .snapshot import ColumnarSnapshot, SnapshotRefreshStats
@@ -105,10 +107,10 @@ def levels_to_csr(size: int, level_mats) -> tuple:
     ``path_servers[path_offsets[i]:path_offsets[i + 1]]``.
 
     One transpose + ``flatnonzero`` + shifted-compare does the whole
-    batch — no per-lookup Python loop.  Shared by this module's
-    ``keep_paths`` modes and the fault-tolerant batch engine
-    (:mod:`repro.faults.batch_ft`), whose level matrices use the same
-    convention.
+    batch — no per-lookup Python loop.  For the engines whose matrices
+    have interior holes (:mod:`repro.faults.batch_ft`,
+    :mod:`repro.baselines.base`); this module's own walks are hole-free
+    and write their ragged paths directly (:meth:`BatchRouter._descend`).
     """
     offsets = np.zeros(size + 1, dtype=np.int64)
     mats = [m for m in level_mats if m is not None and m.size]
@@ -143,6 +145,22 @@ def _normalize_array(values, size: Optional[int] = None,
     return normalize_array(arr)
 
 
+def _normalize_pair(sources, targets) -> tuple:
+    """Normalized ``(sources, targets)`` of one common length.
+
+    The entry preamble of every batch lookup: a scalar on either side
+    broadcasts to the other side's length, both sides are checked finite
+    and folded into ``[0, 1)``, and two arrays must agree in length.
+    """
+    src = np.asarray(sources, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    y = _normalize_array(y, size=src.size)
+    src = _normalize_array(src, size=y.size, what="sources")
+    if src.size != y.size:
+        raise ValueError("sources and targets must have the same length")
+    return src, y
+
+
 @dataclass
 class BatchLookupResult:
     """Array-of-structs outcome of a routed batch of lookups.
@@ -152,24 +170,16 @@ class BatchLookupResult:
     ``owner_idx``/``source_idx`` index into ``points`` (the router's
     sorted id vector).
 
-    Paths come in two representations, chosen by the ``keep_paths``
-    argument of the batch calls:
-
-    * ``keep_paths=True`` keeps the internal per-level matrices and
-      :meth:`server_path` reconstructs the compressed server path of any
-      single lookup for cross-checking against the scalar engine;
-    * ``keep_paths="csr"`` flattens all paths into two arrays —
-      ``path_servers`` (``int32``, one entry per path segment, indices
-      into ``points``) and ``path_offsets`` (``int64``, length
-      ``size + 1``) — the storage the vectorized accounting layer
-      (:class:`~repro.core.routing_stats.BatchCongestion`) consumes with
-      one ``np.bincount`` per batch.  Lookup ``i``'s path is
-      ``path_servers[path_offsets[i]:path_offsets[i + 1]]``; decode to
-      id points with :meth:`path_points`.
-
-    :meth:`to_csr` converts lazily from the first representation to the
-    second (the two are lossless re-encodings of each other and of the
-    scalar ``LookupResult.server_path``).
+    Paths are stored flattened (CSR) whenever the batch call was asked
+    to keep them (``keep_paths="csr"``, or ``True``, which means the
+    same): ``path_servers`` (``int32``, one entry per path segment,
+    indices into ``points``) and ``path_offsets`` (``int64``, length
+    ``size + 1``) — the storage the vectorized accounting layer
+    (:class:`~repro.core.routing_stats.BatchCongestion`) consumes with
+    one ``np.bincount`` per batch.  Lookup ``i``'s path is
+    ``path_servers[path_offsets[i]:path_offsets[i + 1]]`` — a lossless
+    re-encoding of the scalar ``LookupResult.server_path``; decode to id
+    points with :meth:`path_points` or :meth:`server_path`.
     """
 
     algorithm: str
@@ -187,12 +197,9 @@ class BatchLookupResult:
     #: routed paths bit-for-bit; ``policy`` names the selection rule
     tau_used: Optional[np.ndarray] = None
     policy: Optional[str] = None
-    # CSR path representation (filled by keep_paths="csr" or to_csr())
+    # CSR path representation (None when routed with keep_paths=False)
     path_servers: Optional[np.ndarray] = None
     path_offsets: Optional[np.ndarray] = None
-    # internal path matrices (levels × size); -1 marks "no server recorded"
-    _phase1_levels: Optional[np.ndarray] = field(default=None, repr=False)
-    _phase2_levels: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -205,23 +212,16 @@ class BatchLookupResult:
 
     @property
     def keeps_paths(self) -> bool:
-        return self._phase2_levels is not None or self.path_servers is not None
+        return self.path_servers is not None
 
     def to_csr(self) -> tuple:
-        """The ``(path_servers, path_offsets)`` CSR arrays (cached).
+        """The ``(path_servers, path_offsets)`` CSR arrays.
 
         Requires the batch to have been routed with paths
-        (``keep_paths=True`` or ``"csr"``); with ``True`` the conversion
-        happens on first call and is cached on the result.
+        (``keep_paths=True`` or ``"csr"``).
         """
         if self.path_servers is None:
-            if self._phase2_levels is None:
-                raise ValueError("batch was routed with keep_paths=False")
-            # phase-2 rows are indexed by level j and read backwards
-            # (j = t_i .. 0), hence the reversal before stacking
-            self.path_servers, self.path_offsets = levels_to_csr(
-                self.size, [self._phase1_levels, self._phase2_levels[::-1]]
-            )
+            raise ValueError("batch was routed with keep_paths=False")
         return self.path_servers, self.path_offsets
 
     def path_points(self, i: int) -> np.ndarray:
@@ -240,24 +240,7 @@ class BatchLookupResult:
         for the same (source, target) — the parity tests compare them
         element-wise.
         """
-        if self.path_servers is not None:
-            lo, hi = self.path_offsets[i], self.path_offsets[i + 1]
-            return [float(self.points[k]) for k in self.path_servers[lo:hi]]
-        if not self.keeps_paths:
-            raise ValueError("batch was routed with keep_paths=False")
-        seq: List[int] = []
-        if self._phase1_levels is not None:
-            for row in self._phase1_levels:
-                v = int(row[i])
-                if v >= 0:
-                    seq.append(v)
-        ti = int(self.t[i])
-        back = self._phase2_levels
-        for j in range(ti, -1, -1):
-            v = int(back[j, i])
-            if v >= 0:
-                seq.append(v)
-        return compress_path([float(self.points[k]) for k in seq])
+        return self.path_points(i).tolist()
 
     def mean_hops(self) -> float:
         return float(self.hops.mean()) if self.size else 0.0
@@ -354,10 +337,6 @@ class BatchRouter(ColumnarSnapshot):
         self._edge_keys: Optional[np.ndarray] = None
         if had_adjacency:
             self._build_adjacency()
-
-    def _ensure_fresh(self) -> None:
-        """Entry guard of every batch call: sync or fail actionably."""
-        self.ensure_fresh()
 
     def _build_adjacency(self) -> None:
         """Sorted ``i·STRIDE + j`` keys of every directed neighbour pair.
@@ -638,8 +617,7 @@ class BatchRouter(ColumnarSnapshot):
         ``workers=1`` (the default) is exactly
         :meth:`batch_fast_lookup`; ``workers>=2`` routes contiguous
         slices through the cached sharded executor and merges — the
-        result is bit-identical either way (sharded batches report
-        paths as ``"csr"`` only).
+        result is bit-identical either way.
 
         Passing ``policy=`` ("uniform", "greedy", "weighted") switches
         to the cost-aware two-phase lookup
@@ -675,7 +653,7 @@ class BatchRouter(ColumnarSnapshot):
         calls go straight to :attr:`cover_index` (they normalize at
         entry and fold after every walk step, so they skip this check).
         """
-        self._ensure_fresh()
+        self.ensure_fresh()
         ys = np.asarray(ys, dtype=np.float64)
         bad = ~((ys >= 0.0) & (ys < 1.0))
         if bad.any():
@@ -718,6 +696,69 @@ class BatchRouter(ColumnarSnapshot):
         """Vector version of ``p in segment(idx)`` (wrap-aware half-open)."""
         return self._segment_test(idx)(p)
 
+    # ------------------------------------------------------- shared pieces
+    def _enter(self, sources, targets, keep_paths) -> tuple:
+        """Entry guard of every batch lookup; the normalized pair."""
+        _check_keep_paths(keep_paths)
+        self.ensure_fresh()
+        return _normalize_pair(sources, targets)
+
+    def _descend(self, y, off, depth, order, head_rows) -> tuple:
+        """Backward descent ``w(σ[:j], y)``, ``j = depth_i − 1 … 0``, as CSR.
+
+        The one kernel under every walk.  Lane ``i``'s raw path is its
+        head — entry ``s`` from ``head_rows[s]``, each a per-lane row
+        with ``-1`` past the lane's end, so hole-free per lane — then
+        ``cover((y_i + off_i mod Δ^j) / Δ^j)`` for ``j`` descending.
+        ``off`` holds integer-valued floats, ``order`` lists the lanes by
+        ``depth`` descending: the lanes live at level ``j`` are then a
+        prefix of the sorted arrays — no mask — and each level's covers
+        are scattered to their final slot of a lane-major ragged buffer.
+        One shifted compare over that buffer merges repeated servers
+        (the vectorized :func:`~repro.core.lookup.compress_path`) and
+        gives ``(path_servers, path_offsets)``.
+        """
+        delta = self.delta
+        cover = self.cover_index.cover
+        lens = depth.copy()
+        for row in head_rows:
+            lens += row >= 0
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        buf = np.empty(ends[-1] if ends.size else 0, dtype=np.int32)
+        for s, row in enumerate(head_rows):
+            held = np.flatnonzero(row >= 0)
+            buf[starts[held] + s] = row[held]
+
+        ys, offs, deep = y[order], off[order], depth[order]
+        level0 = ends[order] - 1  # slot of each lane's last (j = 0) cover
+        tmax = int(deep[0]) if deep.size else 0
+        live = np.searchsorted(-deep, -np.arange(tmax))  # lanes deeper than j
+        exact_float = delta & (delta - 1) == 0
+        if not exact_float:
+            # the callers' level caps keep every offset below 2^53
+            offs = offs.astype(np.int64)
+        for j in range(tmax - 1, -1, -1):
+            o = offs[:live[j]]
+            scale = float(delta) ** j
+            if exact_float:
+                # a power-of-two scale only shifts exponents, so the low
+                # digits come out exact at any depth (offsets pass 2^63
+                # on segments shorter than 2^-63)
+                low = o - scale * np.floor(o / scale)
+            else:
+                low = (o % delta ** j).astype(np.float64)
+            p = fold_unit((ys[:o.size] + low) / scale)
+            buf.put(level0[:o.size] - j, cover(p))
+
+        first = np.zeros(buf.size, dtype=bool)
+        first[starts] = True
+        keep = first.copy()
+        keep[1:] |= buf[1:] != buf[:-1]
+        kept = np.flatnonzero(keep)
+        # the kept entries that open a lane are the CSR row starts
+        return buf[kept], np.append(np.flatnonzero(first[kept]), kept.size)
+
     # ---------------------------------------------------------- fast lookup
     def batch_fast_lookup(
         self,
@@ -729,15 +770,15 @@ class BatchRouter(ColumnarSnapshot):
         """Vectorized Fast (greedy) Lookup (§2.2.1) for a batch of pairs.
 
         ``sources`` and ``targets`` are arrays of points in ``[0, 1)``
-        (scalars broadcast), in the same order as the scalar
-        ``fast_lookup(net, source_point, target)``.  One routing level
-        costs one closed-form walk evaluation plus one cover-index read
-        over the whole batch; per Corollary 2.5 at most
-        ``log_Δ n + log_Δ ρ + 1`` levels run.  ``keep_paths`` selects the
-        path representation: ``True`` for per-lookup reconstruction via
-        :meth:`BatchLookupResult.server_path`, ``"csr"`` for the
-        flattened ``path_servers``/``path_offsets`` arrays the
-        vectorized accounting layer consumes.
+        (a scalar on either side broadcasts), in the same order as the
+        scalar ``fast_lookup(net, source_point, target)``.  One routing
+        level costs one closed-form walk evaluation plus one cover-index
+        read over the lanes still walking; per Corollary 2.5 at most
+        ``log_Δ n + log_Δ ρ + 1`` levels run.  ``keep_paths`` (``"csr"``
+        or ``True``, synonyms) keeps the flattened
+        ``path_servers``/``path_offsets`` arrays the vectorized
+        accounting layer consumes and
+        :meth:`BatchLookupResult.server_path` decodes.
 
         For power-of-two ``Δ`` the ``Δ^t`` scaling is exact in float64 at
         every level, so the level budget is the scalar engine's
@@ -748,77 +789,64 @@ class BatchRouter(ColumnarSnapshot):
         ``RuntimeError`` rather than silently diverging from the
         (integer-exact) scalar engine.
         """
-        _check_keep_paths(keep_paths)
-        self._ensure_fresh()
+        src, y = self._enter(sources, targets, keep_paths)
         cover = self.cover_index.cover
-        y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size, what="sources")
-        if src.size != y.size:
-            raise ValueError("sources and targets must have the same length")
         size = y.size
         ci = cover(src)
-        z = self.midpoints[ci]
-        in_own = self._segment_test(ci)  # ci is fixed over the levels
-
         t = np.zeros(size, dtype=np.int64)
         s_final = np.zeros(size, dtype=np.float64)  # ⌊z·Δ^t⌋ at the chosen t
-        pending = np.ones(size, dtype=bool)
         if self.delta & (self.delta - 1) == 0:
             level_cap = max_levels
         else:
             level_cap = min(max_levels, int(52 / math.log2(self.delta)))
+
+        # forward search over the carried lanes: a lane that finds its
+        # level retires with z = NaN, so its later walk points fail the
+        # segment test, and once half the carried lanes have retired the
+        # rest are compacted — the work follows Σ t_i, not size · max t
+        lanes = np.arange(size)
+        yp, zp, in_own = y, self.midpoints[ci], self._segment_test(ci)
+        finished = []  # lanes per level, in the order the levels ran
+        retired = 0
         for level in range(level_cap + 1):
-            if level == 0:
-                p = y
-                s_level = None
-            else:
-                scale = float(self.delta) ** level
-                s_level = np.trunc(z * scale)
-                p = fold_unit((y + s_level) / scale)
-            inseg = in_own(p)
-            newly = pending & inseg
-            t[newly] = level
-            if s_level is not None:
-                s_final[newly] = s_level[newly]
-            pending &= ~inseg
-            if not pending.any():
+            if retired == lanes.size:
                 break
-        else:  # pragma: no cover - beyond every Corollary 2.5 bound
+            scale = float(self.delta) ** level
+            s_level = np.trunc(zp * scale)
+            p = fold_unit((yp + s_level) / scale)
+            hit = np.flatnonzero(in_own(p))
+            if not hit.size:
+                continue
+            newly = lanes[hit]
+            t[newly] = level
+            s_final[newly] = s_level[hit]
+            finished.append(newly)
+            retired += hit.size
+            zp[hit] = np.nan
+            if retired < lanes.size <= 2 * retired:
+                rest = np.flatnonzero(zp == zp)
+                lanes, yp, zp = lanes[rest], yp[rest], zp[rest]
+                in_own = self._segment_test(ci[lanes])
+                retired = 0
+        if retired < lanes.size:
             raise RuntimeError("batch_fast_lookup failed to converge")
 
-        owner_idx = cover(y)
-        hops = np.zeros(size, dtype=np.int64)
-        cur = ci.copy()
-        tmax = int(t.max()) if size else 0
-        back = None
-        if keep_paths:
-            back = np.full((tmax + 1, size), -1, dtype=np.int64)
-            back[t, np.arange(size)] = ci
-        for j in range(tmax - 1, -1, -1):
-            scale_j = float(self.delta) ** j
-            off = np.mod(s_final, scale_j)
-            p = fold_unit((y + off) / scale_j)
-            c = cover(p)
-            live = t > j
-            hops += live & (c != cur)
-            cur = np.where(live, c, cur)
-            if back is not None:
-                back[j, live] = c[live]
-        result = BatchLookupResult(
+        # levels ran shallow to deep, so reversed they list the lanes by
+        # depth descending — the order the descent walks prefixes of
+        order = np.concatenate(finished[::-1] or [lanes])
+        servers, offsets = self._descend(y, s_final, t, order, [ci])
+        return BatchLookupResult(
             algorithm="fast",
             points=self.points,
             targets=y,
             sources=src,
             source_idx=ci,
-            owner_idx=owner_idx,
+            owner_idx=cover(y),
             t=t,
-            hops=hops,
-            _phase2_levels=back,
+            hops=np.diff(offsets) - 1,
+            path_servers=servers if keep_paths else None,
+            path_offsets=offsets if keep_paths else None,
         )
-        if keep_paths == "csr":
-            result.to_csr()
-            result._phase2_levels = None  # CSR replaces the level matrices
-        return result
 
     # ------------------------------------------------------------ dh lookup
     def batch_dh_lookup(
@@ -848,13 +876,8 @@ class BatchRouter(ColumnarSnapshot):
         generator.  ``keep_paths`` behaves as in
         :meth:`batch_fast_lookup` (``"csr"`` for flattened paths).
         """
-        _check_keep_paths(keep_paths)
-        self._ensure_fresh()
+        src, y = self._enter(sources, targets, keep_paths)
         cover = self.cover_index.cover
-        y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size, what="sources")
-        if src.size != y.size:
-            raise ValueError("sources and targets must have the same length")
         if rng is None and tau is None:
             raise ValueError("batch_dh_lookup needs an rng or explicit tau")
         size = y.size
@@ -930,9 +953,9 @@ class BatchRouter(ColumnarSnapshot):
                 p1_rows.append(row)
             step += 1
 
-        owner_idx, hops, back = self._dh_phase2(y, t, off, hops1, cur,
-                                                keep_paths)
-        result = BatchLookupResult(
+        owner_idx, hops, servers, offsets = self._dh_phase2(
+            y, t, off, hops1, p1_rows or [cur], keep_paths)
+        return BatchLookupResult(
             algorithm="dh",
             points=self.points,
             targets=y,
@@ -942,42 +965,27 @@ class BatchRouter(ColumnarSnapshot):
             t=t,
             hops=hops,
             phase1_hops=hops1,
-            _phase1_levels=np.vstack(p1_rows) if keep_paths else None,
-            _phase2_levels=back,
+            path_servers=servers,
+            path_offsets=offsets,
         )
-        if keep_paths == "csr":
-            result.to_csr()
-            result._phase1_levels = None  # CSR replaces the level matrices
-            result._phase2_levels = None
-        return result
 
-    def _dh_phase2(self, y, t, off, hops1, cur, keep_paths):
+    def _dh_phase2(self, y, t, off, hops1, head_rows, keep_paths):
         """Phase II: closed-form backward descent w(τ[:j], y) for j = t_i..0.
 
-        Shared verbatim (same IEEE-754 operation order) by the random
-        and the cost-aware phase-I variants, so their phase-II halves
-        are trivially bit-comparable.  Returns
-        ``(owner_idx, hops, back)``.
+        Shared by the random and the cost-aware phase-I variants, so
+        their phase-II halves are trivially bit-comparable.
+        ``head_rows`` is what phase I hands the descent: every row it
+        recorded when paths are kept, else only the server it stopped
+        at — the hops before that one are then ``hops1``'s to add.
+        Returns ``(owner_idx, hops, path_servers, path_offsets)``.
         """
-        delta = self.delta
-        size = y.size
-        cover = self.cover_index.cover
-        owner_idx = cover(y)
-        hops = hops1.copy()
-        last = cur.copy()
-        tmax = int(t.max()) if size else 0
-        back = np.full((tmax + 1, size), -1, dtype=np.int64) if keep_paths else None
-        for j in range(tmax, -1, -1):
-            scale_j = float(delta) ** j
-            off_j = np.mod(off, scale_j)
-            p = fold_unit((y + off_j) / scale_j)
-            c = cover(p)
-            live = t >= j
-            hops += live & (c != last)
-            last = np.where(live, c, last)
-            if back is not None:
-                back[j, live] = c[live]
-        return owner_idx, hops, back
+        order = np.argsort(-t.astype(np.int16), kind="stable")
+        servers, offsets = self._descend(y, off, t + 1, order, head_rows)
+        owner_idx = self.cover_index.cover(y)
+        hops = np.diff(offsets) - 1
+        if keep_paths:
+            return owner_idx, hops, servers, offsets
+        return owner_idx, hops1 + hops, None, None
 
     # ------------------------------------------------------- cost-aware dh
     def _cost_state(self):
@@ -1036,15 +1044,10 @@ class BatchRouter(ColumnarSnapshot):
         """
         from ..peer.policy import check_policy, select_rows
 
-        _check_keep_paths(keep_paths)
         check_policy(policy)
-        self._ensure_fresh()
+        src, y = self._enter(sources, targets, keep_paths)
         self._cost_state()  # fail early on a plain (cost-less) router
         cover = self.cover_index.cover
-        y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size, what="sources")
-        if src.size != y.size:
-            raise ValueError("sources and targets must have the same length")
         size = y.size
         u_mat: Optional[np.ndarray] = None
         if choices is not None:
@@ -1141,9 +1144,9 @@ class BatchRouter(ColumnarSnapshot):
             np.ascontiguousarray(np.vstack(tau_rows).T)
             if tau_rows else np.zeros((size, 0), dtype=np.int64)
         )
-        owner_idx, hops, back = self._dh_phase2(y, t, off, hops1, cur,
-                                                keep_paths)
-        result = BatchLookupResult(
+        owner_idx, hops, servers, offsets = self._dh_phase2(
+            y, t, off, hops1, p1_rows or [cur], keep_paths)
+        return BatchLookupResult(
             algorithm="dh-cost",
             points=self.points,
             targets=y,
@@ -1155,11 +1158,6 @@ class BatchRouter(ColumnarSnapshot):
             phase1_hops=hops1,
             tau_used=tau_used,
             policy=policy,
-            _phase1_levels=np.vstack(p1_rows) if keep_paths else None,
-            _phase2_levels=back,
+            path_servers=servers,
+            path_offsets=offsets,
         )
-        if keep_paths == "csr":
-            result.to_csr()
-            result._phase1_levels = None  # CSR replaces the level matrices
-            result._phase2_levels = None
-        return result

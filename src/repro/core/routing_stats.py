@@ -195,8 +195,7 @@ class BatchCongestion(_CongestionStatsMixin):
         :meth:`~repro.core.batch.BatchLookupResult.to_csr` here.
         """
         servers, _offsets = result.to_csr()
-        counts = np.bincount(servers,
-                             minlength=len(result.points)).astype(np.int64)
+        counts = np.bincount(servers, minlength=len(result.points))
         nz = counts > 0
         self._merge_sorted(
             np.asarray(result.points, dtype=np.float64)[nz], counts[nz])
@@ -231,7 +230,12 @@ class BatchCongestion(_CongestionStatsMixin):
             return
         if self._points.size == 0:
             self._points = points.copy()
-            self._counts = counts.copy()
+            self._counts = counts.astype(np.int64)
+            return
+        if np.array_equal(points, self._points):
+            # same visited set — a batch routed on the snapshot already
+            # held: the keys stay, the counts add in place
+            self._counts += counts
             return
         allp = np.concatenate([self._points, points])
         allc = np.concatenate([self._counts, counts])

@@ -32,11 +32,9 @@ stale — :meth:`ShardedExecutor.sync` re-exports and restarts the pool
 (the router's journal/patch machinery keeps *its* arrays fresh; the
 executor only mirrors the result).
 
-Two batch kinds are deliberately **not** sharded: ``keep_paths=True``
-(the per-level matrices are an internal debugging representation — use
-``"csr"``) and the caching engine's ``serve_batch`` (its replication
-fixpoint is order-dependent across the whole batch, so slicing would
-change results).
+One batch kind is deliberately **not** sharded: the caching engine's
+``serve_batch`` (its replication fixpoint is order-dependent across the
+whole batch, so slicing would change results).
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import BatchLookupResult, BatchRouter, _normalize_array
+from .batch import BatchLookupResult, BatchRouter, _normalize_pair
 from .segments import CoverIndex
 
 __all__ = ["ShardedExecutor", "available_workers", "merge_results",
@@ -322,11 +320,7 @@ class ShardedExecutor:
             pass
 
     # ---------------------------------------------------------------- routing
-    def _check(self, keep_paths) -> None:
-        if keep_paths is True:
-            raise ValueError(
-                "sharded batches do not support keep_paths=True (per-level "
-                "matrices are per-shard internals); use keep_paths='csr'")
+    def _check(self) -> None:
         if self._pool is None:
             raise RuntimeError("executor is closed")
 
@@ -339,12 +333,9 @@ class ShardedExecutor:
         it commutes with slicing); each worker routes one contiguous
         slice and the merged result preserves lane order.
         """
-        self._check(keep_paths)
+        self._check()
         self.sync()
-        y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size, what="sources")
-        if src.size != y.size:
-            raise ValueError("sources and targets must have the same length")
+        src, y = _normalize_pair(sources, targets)
         bounds = slice_bounds(y.size, self.workers)
         if len(bounds) <= 1:
             res = self.router.batch_fast_lookup(src, y, keep_paths=keep_paths)
@@ -362,7 +353,7 @@ class ShardedExecutor:
         digits batch-wise, which is inherently order-dependent across
         the whole batch and would break shard parity.
         """
-        self._check(keep_paths)
+        self._check()
         self.sync()
         if not self._exported_adjacency:
             # adjacency must exist in the export; rebuild the pool with it
@@ -370,10 +361,7 @@ class ShardedExecutor:
                 self.router._build_adjacency()
             self.version = None
             self.sync()
-        y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size, what="sources")
-        if src.size != y.size:
-            raise ValueError("sources and targets must have the same length")
+        src, y = _normalize_pair(sources, targets)
         tau_arr = np.asarray(tau, dtype=np.int64)
         if tau_arr.ndim == 1:
             tau_arr = np.broadcast_to(tau_arr, (y.size, tau_arr.size))
@@ -405,7 +393,7 @@ class ShardedExecutor:
         extra array, so the merged result is bit-identical to the
         single-process call, ``tau_used`` included.
         """
-        self._check(keep_paths)
+        self._check()
         self.sync()
         self.router._cost_state()  # actionable error on a cost-less router
         if not self._exported_adjacency:
@@ -413,10 +401,7 @@ class ShardedExecutor:
                 self.router._build_adjacency()
             self.version = None
             self.sync()
-        y = _normalize_array(targets)
-        src = _normalize_array(sources, size=y.size, what="sources")
-        if src.size != y.size:
-            raise ValueError("sources and targets must have the same length")
+        src, y = _normalize_pair(sources, targets)
         u_mat = None
         if choices is not None:
             u_mat = np.asarray(choices, dtype=np.float64)

@@ -386,7 +386,8 @@ class ScenarioEngine:
         done = 0
         while done < count:
             b = min(self.chunk, count - done)
-            pts = self.net.segments.as_array()
+            # the refreshed snapshot's column is the live point list
+            pts = self.router.refresh().points
             sources = pts[rng.integers(0, pts.size, size=b)]
             targets = rng.random(b)
             res = self.router.lookup_batch(sources, targets,

@@ -143,14 +143,37 @@ class TestBatchFastLookup:
         for i, r in enumerate(lookup_many(net, src, tgt)):
             assert [float(p) for p in r.server_path] == batch.server_path(i)
 
-    def test_scalar_sources_broadcast(self):
+    @pytest.mark.parametrize("entry", ["fast", "dh", "cost"])
+    @pytest.mark.parametrize("scalar_side", ["sources", "targets"])
+    def test_scalar_broadcasts_on_either_side(self, entry, scalar_side):
+        """A scalar target used to raise 'must have the same length'."""
+        from repro.peer import CostAwareBatchRouter, CostMap
+
         net, _ = make_net(32, seed=33)
-        router = net.compile_router()
-        src = float(net.segments.as_array()[0])
-        tgt = np.random.default_rng(34).random(50)
-        batch = router.batch_fast_lookup(src, tgt)
+        cost_map = CostMap.synthetic(n_isps=3, rng=np.random.default_rng(5))
+        router = CostAwareBatchRouter(net, cost_map)
+        many = np.random.default_rng(34).random(50)
+        one = float(net.segments.as_array()[3])
+        call = {
+            "fast": router.batch_fast_lookup,
+            "dh": lambda s, t, **kw: router.batch_dh_lookup(
+                s, t, tau=np.zeros(64, dtype=np.int64), **kw),
+            "cost": lambda s, t, **kw: router.batch_cost_dh_lookup(
+                s, t, policy="greedy", **kw),
+        }[entry]
+        pair = (one, many) if scalar_side == "sources" else (many, one)
+        batch = call(*pair, keep_paths="csr")
+        full = call(*np.broadcast_arrays(*pair), keep_paths="csr")
         assert batch.size == 50
-        assert (batch.sources == src).all()
+        assert (getattr(batch, scalar_side) == one).all()
+        assert np.array_equal(batch.owner_idx, full.owner_idx)
+        assert np.array_equal(batch.path_servers, full.path_servers)
+        assert np.array_equal(batch.path_offsets, full.path_offsets)
+
+    def test_scalar_pair_is_a_batch_of_one(self):
+        net, _ = make_net(8, seed=35)
+        batch = net.compile_router().lookup_batch(0.2, 0.3)
+        assert batch.size == 1 and batch.hops.shape == (1,)
 
     def test_mismatched_lengths_rejected(self):
         net, _ = make_net(8, seed=35)
@@ -272,14 +295,20 @@ class TestCsrPaths:
         for i in range(100):
             assert obj.server_path(i) == csr.server_path(i)
 
-    def test_csr_mode_drops_level_matrices(self):
+    def test_keep_paths_true_means_csr(self):
         net, _ = make_net(16, seed=72)
         router = net.compile_router()
-        res = router.batch_fast_lookup(np.array([0.1]), np.array([0.7]),
-                                       keep_paths="csr")
-        assert res._phase2_levels is None
-        assert res.keeps_paths
-        assert res.path_servers is not None
+        src, tgt = workload(net, 30, 72)
+        res = router.batch_fast_lookup(src, tgt, keep_paths="csr")
+        obj = router.batch_fast_lookup(src, tgt, keep_paths=True)
+        assert res.keeps_paths and obj.keeps_paths
+        assert res.path_servers.dtype == np.int32
+        assert np.array_equal(res.path_servers, obj.path_servers)
+        assert np.array_equal(res.path_offsets, obj.path_offsets)
+        bare = router.batch_fast_lookup(src, tgt)
+        assert not bare.keeps_paths and bare.path_offsets is None
+        with pytest.raises(ValueError, match="keep_paths=False"):
+            bare.server_path(0)
 
     def test_path_lengths_are_hops_plus_one(self):
         net, _ = make_net(64, seed=73)

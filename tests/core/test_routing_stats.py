@@ -287,3 +287,69 @@ class TestBatchCongestion:
         via_csr.record_batch(router.batch_fast_lookup(src, tgt,
                                                       keep_paths="csr"))
         assert via_true.summary(net.n) == via_csr.summary(net.n)
+
+
+class TestSameSnapshotAccumulation:
+    """Batches whose visited set is the one already held add in place;
+    any other merge takes the keyed path — both match the scalar counter."""
+
+    @staticmethod
+    def round_(net, router, rng, total, scal, size=400):
+        pts = net.segments.as_array()
+        src = pts[rng.integers(0, net.n, size=size)]
+        tgt = rng.random(size)
+        total.record_batch(router.batch_fast_lookup(src, tgt,
+                                                    keep_paths="csr"))
+        for r in lookup_many(net, src, tgt):
+            scal.record(r)
+
+    def test_same_snapshot_adds_in_place(self):
+        net, router = routed_net(16, seed=40)
+        rng = np.random.default_rng(41)
+        total, scal = BatchCongestion(), CongestionCounter()
+        self.round_(net, router, rng, total, scal)
+        keys = total.visited_points
+        assert keys.size == net.n  # 400 lookups visit all 16 servers
+        for _ in range(3):
+            self.round_(net, router, rng, total, scal)
+            assert total.visited_points is keys
+        assert total.summary(net.n) == scal.summary(net.n)
+        assert np.array_equal(total.loads(keys), scal.loads(keys))
+
+    def test_in_place_add_does_not_alias_the_merged_accumulator(self):
+        net, router = routed_net(16, seed=42)
+        rng = np.random.default_rng(43)
+        a, b, scal = BatchCongestion(), BatchCongestion(), CongestionCounter()
+        self.round_(net, router, rng, a, scal)
+        b.merge(a)  # b starts as a copy of a's totals
+        before = a.summary(net.n)
+        self.round_(net, router, rng, b, CongestionCounter())
+        assert a.summary(net.n) == before
+
+    def test_partial_visit_takes_the_keyed_path(self):
+        """Same snapshot, but a batch too small to visit every server."""
+        net, router = routed_net(64, seed=44)
+        rng = np.random.default_rng(45)
+        total, scal = BatchCongestion(), CongestionCounter()
+        for size in (5, 300, 7, 300, 300, 3):
+            self.round_(net, router, rng, total, scal, size=size)
+        assert total.summary(net.n) == scal.summary(net.n)
+        pts = net.segments.as_array()
+        assert np.array_equal(total.loads(pts), scal.loads(pts))
+
+    def test_alternating_same_and_cross_snapshot(self):
+        net, router = routed_net(24, seed=46)
+        rng = np.random.default_rng(47)
+        total, scal = BatchCongestion(), CongestionCounter()
+        for step in range(6):
+            self.round_(net, router, rng, total, scal)
+            self.round_(net, router, rng, total, scal)  # same snapshot
+            if step % 2:
+                net.leave(net.segments.as_array()[int(rng.integers(net.n))])
+            else:
+                net.join(float(rng.random()))
+        self.round_(net, router, rng, total, scal)
+        assert total.summary(net.n) == scal.summary(net.n)
+        seen = total.visited_points
+        assert np.array_equal(total.loads(seen), scal.loads(seen))
+        assert total.lookups == scal.lookups == 13 * 400

@@ -187,12 +187,14 @@ class TestShardedExecutor:
             res = ex.batch_fast_lookup([0.1], [0.9])
             assert res.size == 1
 
-    def test_keep_paths_true_rejected(self):
+    def test_keep_paths_true_means_csr(self):
         net = make_net(64)
         router = net.router(auto_refresh=True)
+        src, tgt = make_workload(net)
         with ShardedExecutor(router, workers=2) as ex:
-            with pytest.raises(ValueError, match="csr"):
-                ex.batch_fast_lookup([0.1], [0.9], keep_paths=True)
+            sharded = ex.batch_fast_lookup(src, tgt, keep_paths=True)
+        single = router.batch_fast_lookup(src, tgt, keep_paths="csr")
+        assert_results_equal(sharded, single)
 
     def test_close_is_idempotent_and_final(self):
         net = make_net(64)
