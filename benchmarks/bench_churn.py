@@ -56,7 +56,7 @@ def test_incremental_refresh_with_adjacency_kernel(benchmark, churn_net_4096):
 
     benchmark(one_op)
     assert router.refresh_stats.full_rebuilds == 0
-    assert router._edge_keys is not None
+    assert router.adj_first.shape == (router.delta + 2, router.n + 1)
 
 
 def test_full_compile_baseline(benchmark, churn_net_4096):

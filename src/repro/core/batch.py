@@ -7,10 +7,10 @@ module routes *arrays* of lookups through the same continuous-discrete
 scheme:
 
 * the segment decomposition is frozen into sorted NumPy arrays (id
-  points, segment bounds, midpoints, a CSR neighbour table) plus the
-  bucket-grid :class:`~repro.core.segments.CoverIndex` derived from the
-  point column, so a cover query for a whole batch is one table read
-  plus O(ρ) compares per point — no binary search;
+  points, segment bounds, midpoints, per-row neighbour index ranges)
+  plus the bucket-grid :class:`~repro.core.segments.CoverIndex` derived
+  from the point column, so a cover query for a whole batch is one
+  table read plus O(ρ) compares per point — no binary search;
 * the walk functions of §2.2 are evaluated in closed form per *routing
   level* instead of per hop per lookup — level ``t`` of the fast lookup
   is ``w(σ(z)_t, y) = (y + ⌊z·Δ^t⌋) / Δ^t`` for every pending lookup at
@@ -19,8 +19,9 @@ scheme:
   cover straight into the ragged CSR path buffer;
 * the two-phase Distance Halving lookup advances every in-flight message
   one level per iteration (`pos/Δ + d/Δ` elementwise) and resolves the
-  "target image covered by me or a neighbour" test with a binary search
-  over a sorted edge-key table.
+  "target image covered by me or a neighbour" test with Δ+2 interval
+  compares: §2.1's neighbours are the covers of Δ+1 arcs plus the ring,
+  each a contiguous index range of the sorted point column.
 
 Every float operation mirrors the scalar implementation ULP-for-ULP (same
 order of IEEE-754 operations), so batch results are *bit-identical* to
@@ -36,9 +37,10 @@ the first membership change: every network keeps a membership version
 counter plus a bounded op journal, and a router obtained from
 ``net.router(auto_refresh=True)`` re-syncs *incrementally* before each
 batch — pending joins/leaves are replayed as O(affected-region) patches
-to the sorted point/segment/midpoint arrays and the touched adjacency
-rows, falling back to a full recompile only past a configurable churn
-budget.  A plain ``net.compile_router()`` handle instead raises an
+to the sorted point/segment/midpoint arrays, and the columns derived
+from the point column (cover grid, neighbour ranges) follow once per
+refresh, falling back to a full recompile only past a configurable
+churn budget.  A plain ``net.compile_router()`` handle instead raises an
 actionable stale-router error rather than silently serving an outdated
 snapshot.
 """
@@ -47,14 +49,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
 from .lookup import MAX_WALK_STEPS
 from .segments import (CoverIndex, SegmentMap, arc_cover_ranges, check_finite,
                        fold_unit, normalize_array)
-from .snapshot import ColumnarSnapshot, SnapshotRefreshStats
+from .snapshot import (ColumnarSnapshot, SnapshotRefreshStats,
+                       StaleSnapshotError)
 
 __all__ = ["BatchRouter", "BatchLookupResult", "RouterRefreshStats",
            "levels_to_csr"]
@@ -63,11 +66,6 @@ __all__ = ["BatchRouter", "BatchLookupResult", "RouterRefreshStats",
 #: kept under its historical name for the churn-soak experiment and
 #: the refresh test suite.
 RouterRefreshStats = SnapshotRefreshStats
-
-#: Fixed row stride of the sorted adjacency keys ``row·STRIDE + col``.
-#: Independent of ``n`` so incremental insertions/deletions only have to
-#: shift indices, never re-encode the whole table (requires n < 2^31).
-_ROW_STRIDE = np.int64(1) << 31
 
 #: One message for every stale-router raise site, so the guidance and the
 #: substrings tests match on ("stale", "rebuild", "auto_refresh") cannot drift.
@@ -79,13 +77,30 @@ _STALE_ROUTER_ERROR = (
 )
 
 
-def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Vectorized membership of ``values`` in a *sorted* int table."""
-    if len(table) == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(table, values)
-    pos_c = np.minimum(pos, len(table) - 1)
-    return (pos < len(table)) & (table[pos_c] == values)
+def _range_columns(n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """Run-length encode CSR neighbour rows into ``(first, count)`` columns.
+
+    The route exact-id networks take into the layout
+    :meth:`BatchRouter._build_adjacency` documents: row ``i``'s sorted
+    neighbour indices plus ``i`` itself (which keeps the ring run
+    ``i-1, i, i+1`` in one piece) are cut into maximal runs of
+    consecutive indices, one slot per run; the slot count is the widest
+    row's, and the virtual column ``n`` stays empty.
+    """
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    keys = np.sort(np.concatenate([rows * n + indices,
+                                   np.arange(n) * (n + 1)]))
+    row, col = keys // n, keys % n
+    opens = np.ones(keys.size, dtype=bool)  # entries that open a run
+    opens[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1] + 1)
+    at = np.flatnonzero(opens)
+    run_row = row[at]
+    slot = np.arange(at.size) - np.searchsorted(run_row, run_row)
+    first = np.zeros((slot.max() + 1, n + 1), dtype=np.int32)
+    count = np.zeros_like(first)
+    first[slot, run_row] = col[at]
+    count[slot, run_row] = np.diff(np.append(at, keys.size))
+    return first, count
 
 
 def _check_keep_paths(keep_paths) -> None:
@@ -268,10 +283,12 @@ class BatchRouter(ColumnarSnapshot):
         scalar engine as long as the ids are dyadic (e.g. the equally
         spaced De Bruijn instance).
     build_adjacency:
-        Precompute the neighbour table needed by
-        :meth:`batch_dh_lookup`.  Costs one pass over all segment images
-        (O(n·Δ) cover queries); skipped by default because
-        :meth:`batch_fast_lookup` never consults adjacency.
+        Precompute the neighbour ranges :meth:`batch_dh_lookup` needs
+        (``adj_first`` / ``adj_count``; ``None`` until built).  Costs
+        one pass over all segment images (Δ+1 sorted searches over the
+        point column) at compile and again per ``refresh()``; skipped by
+        default because :meth:`batch_fast_lookup` never consults
+        adjacency.
     auto_refresh:
         Follow membership changes: before every batch, pending
         joins/leaves are replayed from the network's membership log as
@@ -285,10 +302,11 @@ class BatchRouter(ColumnarSnapshot):
     """
 
     #: Frozen aligned arrays the snapshot layer registers and the shard
-    #: backend exports (the variable-length ``_edge_keys`` table rides
-    #: along separately — see :meth:`shard_spec` in the shard module).
-    #: ``cover_index`` is a derived column of ``points`` (not n-aligned,
-    #: so not registered): rebuilt and patched with it, never on its own.
+    #: backend exports.  ``cover_index`` and the neighbour ranges
+    #: ``adj_first`` / ``adj_count`` are derived columns of ``points``
+    #: (not n-aligned, so not registered): rebuilt and patched with it,
+    #: never on their own; the shard export ships the two range arrays
+    #: beside the registered columns.
     COLUMNS = ("points", "seg_start", "seg_end", "midpoints")
 
     def __init__(self, net, build_adjacency: bool = False,
@@ -296,9 +314,9 @@ class BatchRouter(ColumnarSnapshot):
                  churn_budget: Optional[int] = None) -> None:
         if net.n == 0:
             raise LookupError("cannot compile a router over an empty network")
-        if net.n >= int(_ROW_STRIDE):  # pragma: no cover - 2^31 servers
-            raise ValueError("network too large for the adjacency encoding")
         self._net = net
+        self.adj_first: Optional[np.ndarray] = None
+        self.adj_count: Optional[np.ndarray] = None
         super().__init__(journal=net.membership_log,
                          auto_refresh=auto_refresh,
                          budget=churn_budget,
@@ -333,83 +351,89 @@ class BatchRouter(ColumnarSnapshot):
         self.midpoints = (SegmentMap.midpoints_from_array(points)
                           if net.segments.is_float()
                           else net.segments.midpoints_array())
-        had_adjacency = getattr(self, "_edge_keys", None) is not None
-        self._edge_keys: Optional[np.ndarray] = None
-        if had_adjacency:
+        if self.adj_first is not None:
             self._build_adjacency()
 
     def _build_adjacency(self) -> None:
-        """Sorted ``i·STRIDE + j`` keys of every directed neighbour pair.
+        """The neighbour relation as per-row index ranges of the point column.
 
         Row ``i`` is ``neighbor_points(x_i)`` of §2.1: the servers whose
         segments meet an image ``f_d(s(x_i))`` or the preimage
-        ``b(s(x_i))``, plus the ring neighbours, self excluded.  Every
-        image of a segment piece is an arc, so its covering set is a
-        contiguous index range of the sorted point column
-        (:func:`~repro.core.segments.arc_cover_ranges`); the arc ends
-        are computed with the float operations of
+        ``b(s(x_i))``, plus the ring neighbours.  Every one of those is
+        an arc, so its covering set is one modular index range
+        (:func:`~repro.core.segments.arc_cover_ranges`): slot ``d < Δ``
+        of ``adj_first`` / ``adj_count`` (int32, ``first`` in ``[0, n)``)
+        holds image ``f_d``'s, slot Δ the preimage's, slot Δ+1 the ring
+        ``i-1 .. i+1``.  Column ``i`` describes ``[x_i, x_{i+1})``
+        (``[x_{n-1}, 1)`` for the seam row); the seam segment's second
+        piece ``[0, x_0)`` is the virtual column ``n``, empty when
+        ``x_0 == 0``.  The arc ends are computed with the float
+        operations of
         ``ContinuousGraph.image_arcs`` / ``preimage_arcs``, which keeps
-        the table bit-identical to the one encoded from the scalar
-        oracle ``net.adjacency_arrays()``.
+        the relation identical to the scalar oracle
+        ``net.adjacency_arrays()`` — the path exact (``Fraction``) ids
+        still take, run-length encoded into the same columns.
         """
-        if not self._net.segments.is_float():
-            indptr, indices = self._net.adjacency_arrays()
-            rows = np.repeat(np.arange(self.n, dtype=np.int64),
-                             np.diff(indptr))
-            self._edge_keys = np.sort(rows * _ROW_STRIDE + indices)
-            return
         pts, n, delta = self.points, self.n, self.delta
-        if n == 1:  # the only server covers every image itself
-            self._edge_keys = np.zeros(0, dtype=np.int64)
+        if not self._net.segments.is_float():
+            self.adj_first, self.adj_count = _range_columns(
+                n, *self._net.adjacency_arrays())
             return
-        # Arc.pieces of every segment: row i is [x_i, x_{i+1}); the seam
-        # row is [x_{n-1}, 1) plus [0, x_0) when that is not empty
-        row = np.arange(n)
-        a, b = pts, np.append(pts[1:], 1.0)
-        if pts[0] > 0.0:
-            row = np.append(row, n - 1)
-            a, b = np.append(a, 0.0), np.append(b, pts[0])
-        ranges = []  # (row, first, count): cols (first + k) % n, k < count
+        self.adj_first = first = np.zeros((delta + 2, n + 1), dtype=np.int32)
+        self.adj_count = count = np.zeros((delta + 2, n + 1), dtype=np.int32)
+        if n == 1:  # the only server covers every image itself
+            return
+        pieces = n + (pts[0] > 0.0)
+        a = np.append(pts, 0.0)[:pieces]
+        b = np.concatenate([pts[1:], [1.0, pts[0]]])[:pieces]
         factor = 1.0 / delta
         for d in range(delta):
             offset = d / delta
-            arc, first, count = arc_cover_ranges(
+            first[d, :pieces], count[d, :pieces] = arc_cover_ranges(
                 pts, normalize_array(a * factor + offset),
                 normalize_array(b * factor + offset))
-            ranges.append((row[arc], first, count))
-        # b(s): one piece of length >= 1/Δ pulls the whole row back to the
-        # full ring, which an arc spells start == end
+        # b(s): a piece of length >= 1/Δ pulls back to the full ring, which
+        # an arc spells start == end
         length = (b - a) * delta
-        full = np.zeros(n, dtype=bool)
-        full[row[length >= 1]] = True
         start = normalize_array(a * delta)
-        arc, first, count = arc_cover_ranges(
+        first[delta, :pieces], count[delta, :pieces] = arc_cover_ranges(
             pts, start,
-            np.where(full[row], start, normalize_array(start + length)))
-        ranges.append((row[arc], first, count))
-        if self.with_ring:  # predecessor, (self,) successor
-            ranges.append((np.arange(n), np.arange(n) - 1, np.full(n, 3)))
-        rows, first, count = (np.concatenate(col) for col in zip(*ranges))
-        ends = np.cumsum(count)
-        cols = np.repeat(first - (ends - count), count) + np.arange(ends[-1])
-        cols %= n
-        rows = np.repeat(rows, count)
-        other = rows != cols
-        keys = np.sort(rows[other] * _ROW_STRIDE + cols[other])
-        # an image range, the preimage range and the ring can name a pair twice
-        keep = np.ones(keys.size, dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        self._edge_keys = keys[keep]
+            np.where(length >= 1, start, normalize_array(start + length)))
+        if self.with_ring:  # predecessor, self, successor
+            first[delta + 1, :n] = np.arange(-1, n - 1) % n
+            count[delta + 1, :n] = min(3, n)
 
     def _edge_member(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
-        """Vectorized ``col[i] in neighbours(row[i])`` membership test."""
-        if self._edge_keys is None:
+        """Vectorized ``col[i] in neighbours(row[i])`` membership test.
+
+        One gather and one modular interval compare per slot — O(Δ) per
+        lane, no search; the lanes on the seam row also test its second
+        piece, the virtual column ``n``.
+        """
+        if self.adj_first is None:
             self._build_adjacency()
-        keys = self._edge_keys
-        if len(keys) == 0:
-            return np.zeros(row.shape, dtype=bool)
-        q = row.astype(np.int64) * _ROW_STRIDE + col.astype(np.int64)
-        return _isin_sorted(q, keys)
+        first, count = self.adj_first, self.adj_count
+        n = len(self.points)
+        if first.shape[1] != n + 1:
+            # columns older than the point column: a patch that died
+            # half-way, a shard worker attached to a half-written export
+            raise StaleSnapshotError(_STALE_ROUTER_ERROR)
+        def within(col, first, count):
+            # first < n, so (col - first) mod n is one add on the lanes
+            # below zero: n masked by the sign bits
+            gap = col - first
+            gap += n & (gap >> 31)
+            return gap < count
+
+        col = col.astype(np.int32)
+        hit = np.zeros(row.shape, dtype=bool)
+        for k in range(len(first)):
+            hit |= within(col, first[k].take(row), count[k].take(row))
+        seam = np.flatnonzero(row == n - 1)
+        if seam.size:
+            hit[seam] |= within(col[seam], first[:, n, None],
+                                count[:, n, None]).any(axis=0)
+        return hit & (row != col)
 
     # -------------------------------------------------- incremental refresh
     def refresh(self, force_full: bool = False) -> "BatchRouter":
@@ -431,17 +455,14 @@ class BatchRouter(ColumnarSnapshot):
     def _patch(self, pending) -> bool:
         """Patch the arrays by replaying ``pending``; False to bail to full.
 
-        Per op the point/bound/midpoint arrays get one ``np.insert`` /
-        ``np.delete``, the cover grid one slice add, and the adjacency
-        table (when built) drops the keys incident to the affected
-        region — {ring predecessor, ring successor, the touched point}
-        plus the predecessor's neighbour row — with the surviving keys
-        renumbered in place.  Affected rows are only *recomputed* once,
-        after the whole suffix is applied, against the live (final)
-        decomposition; correctness rests on the §2.1 locality argument:
-        a neighbour set can only change if one of its covering arcs
-        intersects the split/merged segment, which makes its server a
-        logged point's neighbour.
+        Per op the point and midpoint columns get one ``np.insert`` /
+        ``np.delete`` and the touched midpoints are re-read from the
+        live decomposition once the whole suffix is applied.  The cover
+        grid and the adjacency ranges (when built) are derived columns
+        of ``points``: each is brought up to date once per refresh from
+        the patched column, whatever the number of pending ops — the
+        ranges are Δ+1 sorted searches over the column, cheaper than
+        finding out which rows an op touched.
         """
         n = self.n
         for kind, _p, _idx in pending:
@@ -455,128 +476,35 @@ class BatchRouter(ColumnarSnapshot):
         # (indices stay below it), so index and column share one copy per op
         ext = self.cover_index.ext
         mids = self.midpoints
-        keys = self._edge_keys
-        dirty_rows: Set[int] = set()
         dirty_mids: Set[int] = set()
         moved = []  # (float64 id as stored, ±1) for the cover index
         for kind, p, idx in pending:
-            n_old = len(ext) - 1
             if kind == "join":
-                n_new = n_old + 1
-                if keys is not None:
-                    pred_old = (idx - 1) % n_old
-                    affected = {pred_old, idx % n_old}
-                    affected.update(self._row_cols(keys, pred_old))
-                    keys = self._drop_keys(keys, affected)
-                    keys = self._renumber_join(keys, idx)
-                    dirty_rows = {d + (d >= idx) for d in dirty_rows}
-                    dirty_rows.update(a + (a >= idx) for a in affected)
-                    dirty_rows.add(idx)
                 ext = np.insert(ext, idx, p)
                 moved.append((ext[idx], 1))
                 mids = np.insert(mids, idx, 0.0)
                 dirty_mids = {d + (d >= idx) for d in dirty_mids}
-                dirty_mids.update({idx, (idx - 1) % n_new})
+                dirty_mids.update({idx, (idx - 1) % (len(ext) - 1)})
             else:
-                n_new = n_old - 1
-                if keys is not None:
-                    affected = {idx, (idx - 1) % n_old, (idx + 1) % n_old}
-                    affected.update(self._row_cols(keys, idx))
-                    keys = self._drop_keys(keys, affected)
-                    keys = self._renumber_leave(keys, idx)
-                    dirty_rows = {d - (d > idx) for d in dirty_rows
-                                  if d != idx}
-                    dirty_rows.update(a - (a > idx) for a in affected
-                                      if a != idx)
                 moved.append((ext[idx], -1))
                 ext = np.delete(ext, idx)
                 mids = np.delete(mids, idx)
                 dirty_mids = {d - (d > idx) for d in dirty_mids if d != idx}
-                dirty_mids.add((idx - 1) % n_new)
+                dirty_mids.add((idx - 1) % (len(ext) - 1))
 
-        net = self._net
         self.cover_index.follow(ext, moved)
         points = self.cover_index.points
         self.points = points
         self.n = len(points)
         self.seg_start = points
         self.seg_end = np.roll(points, -1)
-        segs = net.segments
+        segs = self._net.segments
         for i in dirty_mids:
             mids[i] = float(segs.segment(i).midpoint)
         self.midpoints = mids
-        if keys is not None:
-            keys = self._recompute_rows(keys, dirty_rows)
-        self._edge_keys = keys
+        if self.adj_first is not None:
+            self._build_adjacency()
         return True
-
-    @staticmethod
-    def _row_cols(keys: np.ndarray, row: int) -> np.ndarray:
-        """Neighbour columns of one row in the sorted key table."""
-        lo = np.searchsorted(keys, np.int64(row) * _ROW_STRIDE)
-        hi = np.searchsorted(keys, np.int64(row + 1) * _ROW_STRIDE)
-        return (keys[lo:hi] & (_ROW_STRIDE - 1)).astype(np.int64)
-
-    @staticmethod
-    def _drop_keys(keys: np.ndarray, affected: Iterable[int]) -> np.ndarray:
-        """Delete every key incident to an affected row (either endpoint).
-
-        By symmetry of the undirected neighbour relation this only ever
-        removes keys *between* affected rows' sets, so unaffected rows
-        stay complete — the invariant the replay loop relies on when it
-        reads the next op's neighbour row from the shrinking table.
-        """
-        aff = np.fromiter(affected, dtype=np.int64)
-        aff.sort()
-        rows = keys >> 31
-        cols = keys & (_ROW_STRIDE - 1)
-        keep = ~(_isin_sorted(rows, aff) | _isin_sorted(cols, aff))
-        return keys[keep]
-
-    @staticmethod
-    def _renumber_join(keys: np.ndarray, idx: int) -> np.ndarray:
-        """Shift indices ≥ idx up by one (order-preserving, in bulk)."""
-        rows = keys >> 31
-        cols = keys & (_ROW_STRIDE - 1)
-        rows = rows + (rows >= idx)
-        cols = cols + (cols >= idx)
-        return rows * _ROW_STRIDE + cols
-
-    @staticmethod
-    def _renumber_leave(keys: np.ndarray, idx: int) -> np.ndarray:
-        """Shift indices > idx down by one (idx itself is already gone)."""
-        rows = keys >> 31
-        cols = keys & (_ROW_STRIDE - 1)
-        rows = rows - (rows > idx)
-        cols = cols - (cols > idx)
-        return rows * _ROW_STRIDE + cols
-
-    def _recompute_rows(self, keys: np.ndarray, dirty: Set[int]) -> np.ndarray:
-        """Rebuild the dirty rows against the live net and merge them in.
-
-        Every key incident to a dirty row was dropped during the replay,
-        so inserting ``(r, c)`` for each recomputed neighbour — plus the
-        mirror ``(c, r)`` when ``c`` itself is clean — restores exactly
-        the table a fresh ``_build_adjacency`` would produce.
-        """
-        if not dirty:
-            return keys
-        segs = self._net.segments
-        stride = int(_ROW_STRIDE)
-        fresh: List[int] = []
-        for r in sorted(dirty):
-            for q in self._net.neighbor_points(segs.point_at(r)):
-                c = segs.index_of(q)
-                fresh.append(r * stride + c)
-                if c not in dirty:
-                    fresh.append(c * stride + r)
-        fresh_arr = np.asarray(fresh, dtype=np.int64)
-        fresh_arr.sort()
-        if (np.diff(fresh_arr) == 0).any() or _isin_sorted(fresh_arr, keys).any():
-            raise AssertionError(
-                "incremental adjacency patch produced duplicate edges"
-            )  # pragma: no cover - guarded invariant
-        return np.insert(keys, np.searchsorted(keys, fresh_arr), fresh_arr)
 
     # ------------------------------------------------------------- sharding
     def sharded_executor(self, workers: int):
@@ -691,10 +619,6 @@ class BatchRouter(ColumnarSnapshot):
             return inseg
 
         return in_segment
-
-    def _in_segment(self, p: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Vector version of ``p in segment(idx)`` (wrap-aware half-open)."""
-        return self._segment_test(idx)(p)
 
     # ------------------------------------------------------- shared pieces
     def _enter(self, sources, targets, keep_paths) -> tuple:
@@ -863,10 +787,10 @@ class BatchRouter(ColumnarSnapshot):
         Phase I advances every unresolved lookup one random digit per
         iteration (``pos/Δ + d/Δ``, the same elementwise IEEE ops as the
         scalar ``child``); the stop test "target image covered by me or
-        by a neighbour" is a segment-bound comparison plus one binary
-        search in the sorted edge-key table.  Phase II descends the
-        closed-form backward walk one level per iteration, exactly like
-        the fast path.
+        by a neighbour" is a segment-bound comparison plus one interval
+        compare per neighbour range (:meth:`_edge_member`).  Phase II
+        descends the closed-form backward walk one level per iteration,
+        exactly like the fast path.
 
         Supply ``tau`` (shape ``(size, L)`` or ``(L,)``, digits in
         ``[0, Δ)``) to fix the random strings — with the same ``tau`` the
@@ -877,7 +801,6 @@ class BatchRouter(ColumnarSnapshot):
         :meth:`batch_fast_lookup` (``"csr"`` for flattened paths).
         """
         src, y = self._enter(sources, targets, keep_paths)
-        cover = self.cover_index.cover
         if rng is None and tau is None:
             raise ValueError("batch_dh_lookup needs an rng or explicit tau")
         size = y.size
@@ -891,7 +814,34 @@ class BatchRouter(ColumnarSnapshot):
             if tau_arr.size and ((tau_arr < 0) | (tau_arr >= self.delta)).any():
                 raise ValueError(f"tau digits out of range for delta={self.delta}")
 
-        delta = self.delta
+        def pick(step, lanes, pos, cur):
+            if tau_arr is None:
+                return rng.integers(0, self.delta, size=size)
+            if step >= tau_arr.shape[1]:
+                raise ValueError("supplied tau exhausted before lookup finished")
+            return tau_arr[:, step]
+
+        return self._dh_walk("dh", src, y, keep_paths, max_steps, pick)
+
+    def _dh_walk(self, algorithm, src, y, keep_paths, max_steps,
+                 pick) -> BatchLookupResult:
+        """Both phases of §2.2.2 under one phase-I digit rule.
+
+        ``pick(step, lanes, pos, cur)`` names the digit each lane takes
+        at ``step`` (an int array over all lanes, read at the indices
+        ``lanes`` still walking) — the one thing the random and the cost-aware
+        lookups differ in, so everything else is trivially
+        bit-comparable between them.  A lane leaves phase I when its
+        target image lies in its own segment, or in a neighbour's —
+        then it hops there, which always costs one hop: the holder
+        covers a point outside ``s(cur)``, so it is a distinct server.
+        Phase II is the closed-form backward descent
+        ``w(τ[:j], y)``, ``j = t_i … 0``, handed every row phase I
+        recorded when paths are kept, else only the server it stopped
+        at — the hops before that one are then ``hops1``'s to add.
+        """
+        cover = self.cover_index.cover
+        delta, size = self.delta, y.size
         cur = cover(src)
         src_idx = cur.copy()
         pos = src.copy()
@@ -911,81 +861,59 @@ class BatchRouter(ColumnarSnapshot):
         step = 0
         while not done.all():
             if step > step_cap:  # pragma: no cover - beyond Theorem 2.8
-                raise RuntimeError("batch_dh_lookup phase I failed to converge")
+                raise RuntimeError(
+                    f"batch {algorithm} lookup phase I failed to converge")
             active = ~done
-            done |= active & self._in_segment(image, cur)
-            rem = active & ~done
+            done |= active & self._segment_test(cur)(image)
+            lanes = np.flatnonzero(active & ~done)
             row = None
-            if rem.any():
-                holder = cover(image)
-                via_neighbor = rem & self._edge_member(cur, holder)
-                # the holder covers a point outside s(cur), so it is a
-                # distinct server: appending it always costs one hop
-                hops1 += via_neighbor
+            if lanes.size:
+                holder = cover(image[lanes])
+                near = self._edge_member(cur[lanes], holder)
+                via, holder = lanes[near], holder[near]
+                hops1[via] += 1
+                done[via] = True
+                cur[via] = holder
                 if keep_paths:
                     row = np.full(size, -1, dtype=np.int64)
-                    row[via_neighbor] = holder[via_neighbor]
-                cur = np.where(via_neighbor, holder, cur)
-                done |= via_neighbor
-                cont = rem & ~via_neighbor
-                if cont.any():
-                    if tau_arr is not None:
-                        if step >= tau_arr.shape[1]:
-                            raise ValueError(
-                                "supplied tau exhausted before lookup finished"
-                            )
-                        d = tau_arr[:, step].astype(np.float64)
-                    else:
-                        d = rng.integers(0, delta, size=size).astype(np.float64)
-                    pos = fold_unit(np.where(cont, pos / delta + d / delta, pos))
-                    off = np.where(cont, off + d * float(delta) ** step, off)
-                    # w(τ_t, y) in phase II's closed form, so the hand-off
-                    # tests the very point the descent starts from
-                    image = fold_unit(np.where(
-                        cont, (y + off) / float(delta) ** (step + 1), image))
-                    t += cont
-                    c = cover(pos)
-                    hops1 += cont & (c != cur)
-                    if row is not None:
-                        row[cont] = c[cont]
-                    cur = np.where(cont, c, cur)
-            if keep_paths and row is not None:
-                p1_rows.append(row)
+                    row[via] = holder
+                    p1_rows.append(row)
+                lanes = lanes[~near]
+            if lanes.size:
+                cont = np.zeros(size, dtype=bool)
+                cont[lanes] = True
+                d = pick(step, lanes, pos, cur).astype(np.float64)
+                pos = fold_unit(np.where(cont, pos / delta + d / delta, pos))
+                off = np.where(cont, off + d * float(delta) ** step, off)
+                # w(τ_t, y) in phase II's closed form, so the hand-off
+                # tests the very point the descent starts from
+                image = fold_unit(np.where(
+                    cont, (y + off) / float(delta) ** (step + 1), image))
+                t += cont
+                c = cover(pos)
+                hops1 += cont & (c != cur)
+                if row is not None:
+                    row[cont] = c[cont]
+                cur = np.where(cont, c, cur)
             step += 1
 
-        owner_idx, hops, servers, offsets = self._dh_phase2(
-            y, t, off, hops1, p1_rows or [cur], keep_paths)
+        order = np.argsort(-t.astype(np.int16), kind="stable")
+        servers, offsets = self._descend(y, off, t + 1, order,
+                                         p1_rows or [cur])
+        hops = np.diff(offsets) - 1
         return BatchLookupResult(
-            algorithm="dh",
+            algorithm=algorithm,
             points=self.points,
             targets=y,
             sources=src,
             source_idx=src_idx,
-            owner_idx=owner_idx,
+            owner_idx=cover(y),
             t=t,
-            hops=hops,
+            hops=hops if keep_paths else hops1 + hops,
             phase1_hops=hops1,
-            path_servers=servers,
-            path_offsets=offsets,
+            path_servers=servers if keep_paths else None,
+            path_offsets=offsets if keep_paths else None,
         )
-
-    def _dh_phase2(self, y, t, off, hops1, head_rows, keep_paths):
-        """Phase II: closed-form backward descent w(τ[:j], y) for j = t_i..0.
-
-        Shared by the random and the cost-aware phase-I variants, so
-        their phase-II halves are trivially bit-comparable.
-        ``head_rows`` is what phase I hands the descent: every row it
-        recorded when paths are kept, else only the server it stopped
-        at — the hops before that one are then ``hops1``'s to add.
-        Returns ``(owner_idx, hops, path_servers, path_offsets)``.
-        """
-        order = np.argsort(-t.astype(np.int16), kind="stable")
-        servers, offsets = self._descend(y, off, t + 1, order, head_rows)
-        owner_idx = self.cover_index.cover(y)
-        hops = np.diff(offsets) - 1
-        if keep_paths:
-            return owner_idx, hops, servers, offsets
-        return owner_idx, hops1 + hops, None, None
 
     # ------------------------------------------------------- cost-aware dh
     def _cost_state(self):
@@ -1063,101 +991,37 @@ class BatchRouter(ColumnarSnapshot):
 
         delta = self.delta
         digs = np.arange(delta, dtype=np.float64)
-        cur = cover(src)
-        src_idx = cur.copy()
-        pos = src.copy()
-        image = y.copy()
-        t = np.zeros(size, dtype=np.int64)
-        off = np.zeros(size, dtype=np.float64)  # Σ d_k Δ^k, exact in float64
-        hops1 = np.zeros(size, dtype=np.int64)
-        done = np.zeros(size, dtype=bool)
-        p1_rows: List[np.ndarray] = [cur.copy()] if keep_paths else []
         tau_rows: List[np.ndarray] = []
 
-        step_cap = min(max_steps, int(52 / math.log2(delta)))
-        step = 0
-        while not done.all():
-            if step > step_cap:  # pragma: no cover - beyond Theorem 2.8
-                raise RuntimeError(
-                    "batch_cost_dh_lookup phase I failed to converge"
-                )
-            active = ~done
-            done |= active & self._in_segment(image, cur)
-            rem = active & ~done
-            row = None
-            if rem.any():
-                holder = cover(image)
-                via_neighbor = rem & self._edge_member(cur, holder)
-                hops1 += via_neighbor
-                if keep_paths:
-                    row = np.full(size, -1, dtype=np.int64)
-                    row[via_neighbor] = holder[via_neighbor]
-                cur = np.where(via_neighbor, holder, cur)
-                done |= via_neighbor
-                cont = rem & ~via_neighbor
-                if cont.any():
-                    lanes = np.flatnonzero(cont)
-                    # candidate next position per digit — the same float
-                    # expression the digit update below applies, so the
-                    # scored candidate is exactly where the message goes
-                    cand_pos = fold_unit(
-                        pos[lanes][None, :] / delta + digs[:, None] / delta
+        def pick(step, lanes, pos, cur):
+            # candidate next position per digit — the same float
+            # expression the walk's digit update applies, so the scored
+            # candidate is exactly where the message goes
+            cand_pos = fold_unit(
+                pos[lanes][None, :] / delta + digs[:, None] / delta
+            )
+            cand_cov = cover(cand_pos.ravel()).reshape(delta, lanes.size)
+            costs = self._edge_cost_matrix(cur[lanes], cand_cov)
+            if u_mat is not None:
+                if step >= u_mat.shape[1]:
+                    raise ValueError(
+                        "supplied choices exhausted before lookup finished"
                     )
-                    cand_cov = cover(cand_pos.ravel()).reshape(
-                        delta, lanes.size
-                    )
-                    costs = self._edge_cost_matrix(cur[lanes], cand_cov)
-                    if u_mat is not None:
-                        if step >= u_mat.shape[1]:
-                            raise ValueError(
-                                "supplied choices exhausted before lookup "
-                                "finished"
-                            )
-                        u_row = u_mat[lanes, step]
-                    elif rng is not None:
-                        u_row = rng.random(size)[lanes]
-                    else:
-                        u_row = None
-                    ok = np.ones((delta, lanes.size), dtype=bool)
-                    sel = select_rows(costs, ok, u_row, policy, temperature)
-                    d_step = np.zeros(size, dtype=np.int64)
-                    d_step[lanes] = sel
-                    tau_rows.append(d_step)
-                    d = d_step.astype(np.float64)
-                    pos = fold_unit(np.where(cont, pos / delta + d / delta, pos))
-                    off = np.where(cont, off + d * float(delta) ** step, off)
-                    # w(τ_t, y) in phase II's closed form, so the hand-off
-                    # tests the very point the descent starts from
-                    image = fold_unit(np.where(
-                        cont, (y + off) / float(delta) ** (step + 1), image))
-                    t += cont
-                    c = cover(pos)
-                    hops1 += cont & (c != cur)
-                    if row is not None:
-                        row[cont] = c[cont]
-                    cur = np.where(cont, c, cur)
-            if keep_paths and row is not None:
-                p1_rows.append(row)
-            step += 1
+                u_row = u_mat[lanes, step]
+            elif rng is not None:
+                u_row = rng.random(size)[lanes]
+            else:
+                u_row = None
+            ok = np.ones((delta, lanes.size), dtype=bool)
+            d_step = np.zeros(size, dtype=np.int64)
+            d_step[lanes] = select_rows(costs, ok, u_row, policy, temperature)
+            tau_rows.append(d_step)
+            return d_step
 
-        tau_used = (
+        res = self._dh_walk("dh-cost", src, y, keep_paths, max_steps, pick)
+        res.tau_used = (
             np.ascontiguousarray(np.vstack(tau_rows).T)
             if tau_rows else np.zeros((size, 0), dtype=np.int64)
         )
-        owner_idx, hops, servers, offsets = self._dh_phase2(
-            y, t, off, hops1, p1_rows or [cur], keep_paths)
-        return BatchLookupResult(
-            algorithm="dh-cost",
-            points=self.points,
-            targets=y,
-            sources=src,
-            source_idx=src_idx,
-            owner_idx=owner_idx,
-            t=t,
-            hops=hops,
-            phase1_hops=hops1,
-            tau_used=tau_used,
-            policy=policy,
-            path_servers=servers,
-            path_offsets=offsets,
-        )
+        res.policy = policy
+        return res

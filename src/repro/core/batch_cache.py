@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hashing.kwise import Key
-from .batch import _isin_sorted
 from .caching import salt_indices, salted_key
 from .continuous import Digits
 from .network import DistanceHalvingNetwork
@@ -64,6 +63,15 @@ __all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key",
 #: Digits generated per request when ``serve_batch`` draws its own tau —
 #: matches the experiments' ``DH_TAU_DIGITS`` headroom.
 _TAU_DIGITS = 64
+
+
+def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Vectorized membership of ``values`` in a *sorted* int table."""
+    if len(table) == 0:
+        return np.zeros(values.shape, dtype=bool)
+    pos = np.searchsorted(table, values)
+    pos_c = np.minimum(pos, len(table) - 1)
+    return (pos < len(table)) & (table[pos_c] == values)
 
 
 def encode_node_key(address: Sequence[int], delta: int) -> int:

@@ -379,10 +379,10 @@ class DistanceHalvingNetwork:
         With ``auto_refresh=True`` (the default) every batch call first
         syncs the router to :attr:`membership_version`: pending ops are
         replayed from the membership log with O(affected-region) patches
-        to the sorted point/segment arrays and the touched adjacency
-        rows, falling back to a full recompile only when more than
-        ``churn_budget`` ops are pending (default ``max(16, n // 16)``)
-        or the log window was exceeded.  With ``auto_refresh=False``
+        to the sorted point/segment arrays (the adjacency ranges are
+        re-derived from them once per refresh), falling back to a full
+        recompile only when more than ``churn_budget`` ops are pending
+        (default ``max(16, n // 16)``) or the log window was exceeded.  With ``auto_refresh=False``
         this is exactly :meth:`compile_router`.
         """
         from .batch import BatchRouter

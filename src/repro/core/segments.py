@@ -118,26 +118,25 @@ def arc_cover_ranges(points: np.ndarray, starts: np.ndarray,
     ``[starts[k], ends[k])`` with both ends already normalised, read like
     :class:`~repro.core.interval.Arc` reads them (``start == end`` is the
     full ring, ``start > end`` wraps through the seam).  Returns
-    ``(arc, first, count)``: the segments meeting arc ``arc[r]`` are
-    ``(first[r] + k) % n`` for ``k < count[r]`` (``first`` is ``-1`` when
-    the cover of a piece's left end wraps to the last server).  One range
-    per non-wrapping piece — the same comparisons ``covering`` makes with
-    ``bisect``, so the index sets are equal on every input.
+    ``(first, count)``: the segments meeting arc ``k`` are
+    ``(first[k] + j) % n`` for ``j < count[k]``, ``first`` the cover of
+    the arc's left end.  One modular range per arc — the same
+    comparisons ``covering`` makes with ``bisect``, so the index sets are
+    equal on every input: a wrapping arc's piece ``[start, 1)`` ends at
+    index ``n - 1`` and its piece ``[0, end)`` starts there or at 0, so
+    the two run on as one range.
     """
-    full = starts == ends
+    n = len(points)
     wraps = starts > ends
-    part = np.flatnonzero(~full)
+    # {cover(start)} ∪ {i : start < x_i < end}; cover(start) = lo - 1,
+    # wrapping to the last server below x_0
+    lo = np.searchsorted(points, starts, side="right")
+    count = np.searchsorted(points, np.where(wraps, 1.0, ends),
+                            side="left") - lo + 1
     tail = np.flatnonzero(wraps & (ends > 0.0))  # second piece [0, end)
-    whole = np.flatnonzero(full)
-    a = np.concatenate([starts[part], np.zeros(tail.size)])
-    b = np.concatenate([np.where(wraps[part], 1.0, ends[part]), ends[tail]])
-    # {cover(a)} ∪ {i : a < x_i < b}, and cover(a) = lo - 1
-    lo = np.searchsorted(points, a, side="right")
-    hi = np.searchsorted(points, b, side="left")
-    return (np.concatenate([part, tail, whole]),
-            np.concatenate([lo - 1, np.zeros(whole.size, dtype=lo.dtype)]),
-            np.concatenate([hi - lo + 1,
-                            np.full(whole.size, len(points), dtype=lo.dtype)]))
+    count[tail] += np.searchsorted(points, ends[tail], side="left")
+    count[starts == ends] = n
+    return (lo - 1) % n, np.minimum(count, n)
 
 
 class CoverIndex:
@@ -183,16 +182,22 @@ class CoverIndex:
         ``np.delete`` below the trailing ``+inf``) and lists in
         ``moved`` one ``(p, +1)`` per joined and ``(p, -1)`` per left id,
         ``p`` the float64 stored in the column.  Each op shifts the
-        buckets whose left edge is at or past ``p`` — one slice add —
-        and the resolution is re-chosen (a rebuild) only when n has left
-        ``[G/8, G/2]``.
+        buckets whose left edge is at or past ``p``; between two
+        consecutive such edges the shifts of a whole refresh sum to one
+        constant, so the grid is passed over once — one slice add per
+        stretch — however many ops are pending.  The resolution is
+        re-chosen (a rebuild) only when n has left ``[G/8, G/2]``.
         """
         size = len(self.grid)
         if not size // 8 <= len(ext) - 1 <= size // 2:
             self.rebuild(ext[:-1])
             return
-        for p, step in moved:
-            self.grid[math.ceil(p * size):] += step
+        edges = sorted((math.ceil(p * size), step) for p, step in moved)
+        shift = 0
+        for (lo, step), (hi, _) in zip(edges, edges[1:] + [(size, 0)]):
+            shift += step
+            if shift:
+                self.grid[lo:hi] += shift
         self.ext = ext
 
     def cover(self, ys: np.ndarray) -> np.ndarray:

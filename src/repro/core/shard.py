@@ -8,7 +8,7 @@ that lets benches scale past n=2^20": a :class:`ShardedExecutor` that
 * exports the router's frozen snapshot **pickle-free** into
   ``multiprocessing.shared_memory`` blocks — exactly the arrays the
   :class:`~repro.core.snapshot.ColumnarSnapshot` column registry
-  enumerates, plus the sorted adjacency keys when built and any
+  enumerates, plus the two adjacency range columns when built and any
   ``shard_extra_arrays()`` a router subclass declares (the cost-aware
   router ships its k×k ISP matrix this way) — so every worker process
   routes against the *same physical pages*, not a copy;
@@ -178,8 +178,8 @@ def _init_worker(spec: Dict) -> None:
         setattr(router, attr, view)
     for attr, value in spec["scalars"].items():
         setattr(router, attr, value)
-    if not hasattr(router, "_edge_keys"):
-        router._edge_keys = None
+    if not hasattr(router, "adj_first"):
+        router.adj_first = router.adj_count = None
     # derived from the shared point column, like in the parent (~0.5 ms)
     router.cover_index = CoverIndex(router.points)
     _WORKER["router"] = router
@@ -256,9 +256,10 @@ class ShardedExecutor:
         router = self.router
         columns = []
         arrays = dict(router.snapshot_columns())
-        self._exported_adjacency = router._edge_keys is not None
+        self._exported_adjacency = router.adj_first is not None
         if self._exported_adjacency:
-            arrays["_edge_keys"] = router._edge_keys
+            arrays["adj_first"] = router.adj_first
+            arrays["adj_count"] = router.adj_count
         # non-column extras (e.g. the cost-aware router's k×k ISP cost
         # matrix, which is not n-aligned and so not a registered column)
         extra = getattr(router, "shard_extra_arrays", None)
@@ -302,6 +303,14 @@ class ShardedExecutor:
         self.version = self.router.version
         self.syncs += 1
         return self
+
+    def _export_adjacency(self) -> None:
+        """Make sure the workers hold the adjacency range columns."""
+        if not self._exported_adjacency:
+            if self.router.adj_first is None:
+                self.router._build_adjacency()
+            self.version = None  # restart the pool on an export with them
+            self.sync()
 
     def close(self) -> None:
         """Terminate the pool and release every shared-memory block."""
@@ -355,12 +364,7 @@ class ShardedExecutor:
         """
         self._check()
         self.sync()
-        if not self._exported_adjacency:
-            # adjacency must exist in the export; rebuild the pool with it
-            if self.router._edge_keys is None:
-                self.router._build_adjacency()
-            self.version = None
-            self.sync()
+        self._export_adjacency()
         src, y = _normalize_pair(sources, targets)
         tau_arr = np.asarray(tau, dtype=np.int64)
         if tau_arr.ndim == 1:
@@ -396,11 +400,7 @@ class ShardedExecutor:
         self._check()
         self.sync()
         self.router._cost_state()  # actionable error on a cost-less router
-        if not self._exported_adjacency:
-            if self.router._edge_keys is None:
-                self.router._build_adjacency()
-            self.version = None
-            self.sync()
+        self._export_adjacency()
         src, y = _normalize_pair(sources, targets)
         u_mat = None
         if choices is not None:

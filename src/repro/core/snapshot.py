@@ -149,7 +149,7 @@ class ColumnarSnapshot:
 
     A subclass may also keep *derived columns* — arrays computed from a
     registered column but not aligned with it (the router's adjacency
-    keys, the :class:`~repro.core.segments.CoverIndex` grid over its
+    ranges, the :class:`~repro.core.segments.CoverIndex` grid over its
     point column).  They share the snapshot's lifetime: ``_rebuild``
     rebuilds them and ``_patch`` keeps them current, never on their own.
 

@@ -12,6 +12,7 @@ rebuild per example).
 
 import numpy as np
 import pytest
+from adjacency_oracle import edge_keys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,9 +232,11 @@ def _assert_router_equals_fresh(net, router, seed):
     assert size // 8 <= router.n <= size // 2
     assert np.array_equal(index.grid, cover_grid(router.points, size))
     assert np.array_equal(index.ext, np.append(router.points, np.inf))
-    if router._edge_keys is None:
+    if router.adj_first is None:
         router._build_adjacency()
-    assert np.array_equal(router._edge_keys, fresh._edge_keys)
+    assert np.array_equal(router.adj_first, fresh.adj_first)
+    assert np.array_equal(router.adj_count, fresh.adj_count)
+    assert np.array_equal(edge_keys(router), edge_keys(fresh))
 
     route = np.random.default_rng(seed)
     size = 64

@@ -1,7 +1,7 @@
 """Property tests: the columnar full compile equals the scalar oracles.
 
 ``BatchRouter`` compiles a float network from its sorted point column
-alone — adjacency keys from index ranges, midpoints from array
+alone — adjacency as per-row index ranges, midpoints from array
 arithmetic.  ``DistanceHalvingNetwork.adjacency_arrays`` and
 ``SegmentMap.midpoints_array`` walk the same definitions server by
 server through ``Arc`` objects and stay as the oracles.  The contract is
@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from adjacency_oracle import csr_keys, edge_keys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cover_index import BELOW_ONE, point_sets
 
-from repro.core.batch import _ROW_STRIDE
 from repro.core.interval import Arc
 from repro.core.network import DistanceHalvingNetwork
 
@@ -37,16 +37,12 @@ def build(points, delta=2, with_ring=True) -> DistanceHalvingNetwork:
 
 def oracle_keys(net) -> np.ndarray:
     """The edge-key table encoded from the scalar neighbour sets."""
-    indptr, indices = net.adjacency_arrays()
-    rows = np.repeat(np.arange(net.n, dtype=np.int64), np.diff(indptr))
-    return np.sort(rows * _ROW_STRIDE + indices)
+    return csr_keys(*net.adjacency_arrays())
 
 
 def assert_compile_equals_oracle(net) -> None:
     router = net.compile_router(with_adjacency=True)
-    expect = oracle_keys(net)
-    assert router._edge_keys.dtype == expect.dtype
-    assert np.array_equal(router._edge_keys, expect)
+    assert np.array_equal(edge_keys(router), oracle_keys(net))
     assert np.array_equal(router.midpoints, net.segments.midpoints_array())
     starts, ends = net.segments.bounds_arrays()
     assert np.array_equal(router.seg_start, starts)
@@ -97,7 +93,7 @@ class TestColumnarCompileEqualsOracle:
         net.populate(8)
         router.refresh()
         assert router.refresh_stats.full_rebuilds == 1
-        assert np.array_equal(router._edge_keys, oracle_keys(net))
+        assert np.array_equal(edge_keys(router), oracle_keys(net))
         assert np.array_equal(router.midpoints,
                               net.segments.midpoints_array())
 
@@ -125,4 +121,4 @@ class TestObjectLayerStaysOffTheCompilePath:
         monkeypatch.setattr(Arc, "__post_init__", counting)
         router = net.compile_router(with_adjacency=True)
         assert len(built) <= 8
-        assert router.n == 4096 and router._edge_keys.size > 4096
+        assert router.n == 4096 and edge_keys(router).size > 4096

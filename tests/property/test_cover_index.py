@@ -139,6 +139,31 @@ class TestFollow:
             assert np.array_equal(index.points, points)
             assert index.ext[-1] == np.inf
 
+    @settings(max_examples=100, deadline=None)
+    @given(start=point_sets(),
+           ops=st.lists(st.tuples(st.booleans(), unit), max_size=40),
+           chunk=st.integers(2, 12))
+    def test_several_ops_in_one_follow(self, start, ops, chunk):
+        """A refresh's shifts land as one pass, in any order of ops."""
+        points = start
+        index = CoverIndex(points)
+        moved = []
+        for k, (leave, value) in enumerate(ops):
+            if leave and points.size > 1:
+                at = int(value * points.size)
+                moved.append((points[at], -1))
+                points = np.delete(points, at)
+            elif value not in points:
+                at = int(np.searchsorted(points, value))
+                points = np.insert(points, at, value)
+                moved.append((points[at], 1))
+            if len(moved) >= chunk or k == len(ops) - 1:
+                index.follow(np.append(points, np.inf), moved)
+                moved = []
+                size = len(index.grid)
+                assert np.array_equal(index.grid, cover_grid(points, size))
+                assert np.array_equal(index.points, points)
+
     def test_resolution_rechosen_when_n_leaves_the_band(self):
         points = np.arange(16) / 16
         index = CoverIndex(points)
