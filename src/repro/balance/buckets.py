@@ -25,7 +25,6 @@ import numpy as np
 
 from ..core.interval import normalize
 from ..core.segments import SegmentMap
-from ..core.snapshot import ColumnarSnapshot, OpJournal
 
 __all__ = ["BucketBalancer", "Bucket"]
 
@@ -42,35 +41,6 @@ class Bucket:
 
     def size(self) -> int:
         return len(self.points)
-
-
-class _PointsSnapshot(ColumnarSnapshot):
-    """Frozen sorted id-point column following the balancer's SegmentMap.
-
-    Pre-extraction, every :meth:`BucketBalancer.smoothness` query
-    re-froze the whole sorted point list (``SegmentMap.as_array`` is an
-    O(n) Python-float walk).  Now the balancer journals each
-    insert/remove it performs and this snapshot replays the suffix as
-    one ``np.insert``/``np.delete`` per op — the analytics of a long
-    churn trace touch only the affected rows.
-    """
-
-    COLUMNS = ("points",)
-
-    def __init__(self, segments: SegmentMap, journal: OpJournal) -> None:
-        self._segments = segments
-        super().__init__(journal=journal, auto_refresh=True)
-
-    def _rebuild(self) -> None:
-        self.points = self._segments.as_array()
-
-    def _patch(self, pending) -> bool:
-        for kind, point, idx in pending:
-            if kind == "insert":
-                self.insert_row(idx, points=point)
-            else:
-                self.delete_row(idx)
-        return True
 
 
 class BucketBalancer:
@@ -104,17 +74,6 @@ class BucketBalancer:
         self._next_handle = 0
         self._location: dict[int, float] = {}
         self._handle_at: dict[float, int] = {}
-        # Every insert/remove is journaled so the analytics snapshot can
-        # patch its frozen sorted column instead of re-freezing the map.
-        self._journal = OpJournal()
-        self._points_snapshot = _PointsSnapshot(self.segments, self._journal)
-
-    # ---------------------------------------------------- journaled mutation
-    def _insert_point(self, p: float) -> None:
-        self._journal.append(("insert", float(p), self.segments.insert(p)))
-
-    def _remove_point(self, p: float) -> None:
-        self._journal.append(("remove", float(p), self.segments.remove(p)))
 
     # ------------------------------------------------------------- internals
     @property
@@ -177,13 +136,13 @@ class BucketBalancer:
         new_points = [normalize(start + j * width) for j in range(k)]
         handles = [self._handle_at.pop(p) for p in bucket.points]
         for p in bucket.points:
-            self._remove_point(p)
+            self.segments.remove(p)
         placed: List[float] = []
         for p in new_points:
             q = p
             while q in self.segments:  # avoid collisions with other buckets
                 q = normalize(q + width * 1e-6)
-            self._insert_point(q)
+            self.segments.insert(q)
             placed.append(q)
         bucket.points = placed
         for h, q in zip(handles, placed):
@@ -245,13 +204,13 @@ class BucketBalancer:
         handle = self._next_handle
         self._next_handle += 1
         if not self.buckets:
-            self._insert_point(z)
+            self.segments.insert(z)
             self.buckets.append(Bucket([z]))
             self._handle_at[z] = handle
             self._location[handle] = z
             return handle
         i = self._bucket_index_covering(z)
-        self._insert_point(z)
+        self.segments.insert(z)
         self._handle_at[z] = handle
         self._location[handle] = z
         start, _ = self._territory(i)
@@ -276,7 +235,7 @@ class BucketBalancer:
         for i, b in enumerate(self.buckets):
             if point in b.points:
                 b.points.remove(point)
-                self._remove_point(point)
+                self.segments.remove(point)
                 if b.size() == 0:
                     del self.buckets[i]
                     return
@@ -290,28 +249,13 @@ class BucketBalancer:
 
     # ------------------------------------------------------------- analytics
     def smoothness(self) -> float:
-        """``ρ`` over the patched frozen column (no per-query re-freeze).
-
-        Same IEEE-754 ops as :meth:`SegmentMap.smoothness` via the
-        shared :meth:`SegmentMap.lengths_from_array`, so the result is
-        bit-identical to the pre-snapshot delegation.
-        """
-        lens = SegmentMap.lengths_from_array(
-            self._points_snapshot.refresh().points)
-        if len(lens) == 0:
-            raise LookupError("empty segment map has no smoothness")
-        mn = lens.min()
-        if mn <= 0:
-            return math.inf
-        return float(lens.max() / mn)
+        """``ρ`` of the balancer's decomposition (Definition 1)."""
+        return self.segments.smoothness()
 
     def check_invariants(self) -> None:
         """Buckets partition the point set and stay in ring order."""
         all_pts = sorted(p for b in self.buckets for p in b.points)
         assert all_pts == list(self.segments.points), "bucket/segment mismatch"
-        assert np.array_equal(
-            self._points_snapshot.refresh().points, self.segments.as_array()
-        ), "points snapshot out of sync with the segment map"
         assert sorted(self._handle_at) == all_pts, "handle map out of sync"
         assert sorted(self._location.values()) == all_pts, "location map out of sync"
         starts = [b.points[0] for b in self.buckets]

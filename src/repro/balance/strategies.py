@@ -27,6 +27,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
+from ..core.interval import normalize
 from ..core.segments import SegmentMap
 
 __all__ = [
@@ -162,10 +163,26 @@ class MultipleChoice:
         return estimate_log_n(segments, segments.cover_point(z))
 
     def select(self, segments: SegmentMap, rng: np.random.Generator) -> float:
-        if len(segments) == 0:
+        n = len(segments)
+        if n == 0:
             return float(rng.random())
-        probes = self.t * self._log_n(segments, rng)
-        samples = rng.random(probes)
+        samples = rng.random(self.t * self._log_n(segments, rng))
+        if segments.is_float():
+            # every probe at once over the float64 column, with the IEEE
+            # ops of ``segment_length`` / ``Arc.midpoint``; ``argmax``
+            # takes the first maximum, as the loop's strict ``>`` does
+            col = segments.column
+            if n == 1:  # the full ring, whatever the probes hit
+                return normalize(float(col[0]) + 0.5)
+            # cover(z) = above - 1; index -1 and ``mode="wrap"`` close the
+            # ring, and the seam row is the one whose end lies below its start
+            above = col.searchsorted(samples, side="right")
+            start = col[above - 1]
+            length = col.take(above, mode="wrap") - start
+            length[length < 0] = 1.0 - float(col[-1]) + float(col[0])
+            k = int(length.argmax())
+            return normalize(float(start[k]) + float(length[k]) / 2)
+        # exact (Fraction) ids: lengths compare exactly, probe by probe
         best_idx = None
         best_len = -1.0
         seen: set[int] = set()

@@ -340,19 +340,27 @@ class BatchRouter(ColumnarSnapshot):
         net = self._net
         self.delta = int(net.delta)
         self.with_ring = bool(net.with_ring)
-        self.n = int(net.n)
-        self.cover_index = CoverIndex(net.segments.as_array())
-        self.points = points = self.cover_index.points
-        self.seg_start = points
-        self.seg_end = np.roll(points, -1)
+        # CoverIndex copies the live column into ``ext``: the frozen
+        # arrays never alias the map's buffer
+        self.cover_index = CoverIndex(net.segments.column)
+        self._adopt_points()
         # float ids compile from the point column alone; exact (Fraction)
         # ids go through the scalar oracles, whose exact comparisons the
         # float column cannot replay
-        self.midpoints = (SegmentMap.midpoints_from_array(points)
+        self.midpoints = (SegmentMap.midpoints_from_array(self.points)
                           if net.segments.is_float()
                           else net.segments.midpoints_array())
         if self.adj_first is not None:
             self._build_adjacency()
+
+    def _adopt_points(self) -> None:
+        """Point the n-aligned point columns at the cover index's column."""
+        self.points = points = self.cover_index.points
+        self.n = len(points)
+        self.seg_start = points
+        self.seg_end = seg_end = np.empty_like(points)
+        seg_end[:-1] = points[1:]
+        seg_end[-1] = points[0]
 
     def _build_adjacency(self) -> None:
         """The neighbour relation as per-row index ranges of the point column.
@@ -455,50 +463,44 @@ class BatchRouter(ColumnarSnapshot):
     def _patch(self, pending) -> bool:
         """Patch the arrays by replaying ``pending``; False to bail to full.
 
-        Per op the point and midpoint columns get one ``np.insert`` /
-        ``np.delete`` and the touched midpoints are re-read from the
-        live decomposition once the whole suffix is applied.  The cover
-        grid and the adjacency ranges (when built) are derived columns
-        of ``points``: each is brought up to date once per refresh from
-        the patched column, whatever the number of pending ops — the
-        ranges are Δ+1 sorted searches over the column, cheaper than
-        finding out which rows an op touched.
+        The point column is not replayed: the live map keeps it current,
+        so the cover index adopts one copy of ``segments.column`` per
+        refresh.  Only the midpoints are replayed — per op a fresh array
+        filled by two slice copies (nothing of ``self`` is touched until
+        the replay is through, so it can still bail) — and the touched
+        ones re-read from the live decomposition once the whole suffix
+        is applied.  The cover grid and the adjacency
+        ranges (when built) are derived columns of ``points``: each is
+        brought up to date once per refresh from the adopted column,
+        whatever the number of pending ops — the ranges are Δ+1 sorted
+        searches over the column, cheaper than finding out which rows an
+        op touched.  Frozen arrays are replaced, never edited in place.
         """
-        n = self.n
-        for kind, _p, _idx in pending:
-            if n < 4:
-                return False
-            n += 1 if kind == "join" else -1
-        if n < 4:
-            return False
-
-        # the point column is edited with its cover-index sentinel attached
-        # (indices stay below it), so index and column share one copy per op
-        ext = self.cover_index.ext
         mids = self.midpoints
         dirty_mids: Set[int] = set()
-        moved = []  # (float64 id as stored, ±1) for the cover index
-        for kind, p, idx in pending:
+        for kind, _p, idx in pending:
+            if len(mids) < 4:  # a tiny ring on the way: not worth the care
+                return False
+            size = len(mids) + (1 if kind == "join" else -1)
+            old, mids = mids, np.empty(size)
+            mids[:idx] = old[:idx]
             if kind == "join":
-                ext = np.insert(ext, idx, p)
-                moved.append((ext[idx], 1))
-                mids = np.insert(mids, idx, 0.0)
+                mids[idx + 1:] = old[idx:]
                 dirty_mids = {d + (d >= idx) for d in dirty_mids}
-                dirty_mids.update({idx, (idx - 1) % (len(ext) - 1)})
+                dirty_mids.update({idx, (idx - 1) % size})
             else:
-                moved.append((ext[idx], -1))
-                ext = np.delete(ext, idx)
-                mids = np.delete(mids, idx)
+                mids[idx:] = old[idx + 1:]
                 dirty_mids = {d - (d > idx) for d in dirty_mids if d != idx}
-                dirty_mids.add((idx - 1) % (len(ext) - 1))
+                dirty_mids.add((idx - 1) % size)
+        if len(mids) < 4:
+            return False
 
-        self.cover_index.follow(ext, moved)
-        points = self.cover_index.points
-        self.points = points
-        self.n = len(points)
-        self.seg_start = points
-        self.seg_end = np.roll(points, -1)
         segs = self._net.segments
+        # the journal's p is the float64 the column stores
+        self.cover_index.follow(
+            segs.column,
+            [(p, 1 if kind == "join" else -1) for kind, p, _ in pending])
+        self._adopt_points()
         for i in dirty_mids:
             mids[i] = float(segs.segment(i).midpoint)
         self.midpoints = mids

@@ -21,6 +21,7 @@ Key theorem hooks exposed here:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -105,7 +106,10 @@ class DistanceHalvingNetwork:
         return self.n
 
     def points(self) -> Sequence[float]:
-        """Sorted id points of all servers."""
+        """Sorted id points of all servers, as a tuple (an O(n) copy per call).
+
+        One id: ``segments.point_at(i)``; all as float64: ``segments.column``.
+        """
         return self.segments.points
 
     def server_at(self, point: Number) -> Server:
@@ -153,25 +157,21 @@ class DistanceHalvingNetwork:
             else:
                 point = float(self._rng.random())
         # Preserve exact (Fraction) coordinates; cast everything else to float.
-        from fractions import Fraction
-
         p = normalize(point if isinstance(point, Fraction) else float(point))
-        if self.n == 0:
-            idx = self.segments.insert(p)
-            srv = Server(point=p, name=name)
-            self.servers[p] = srv
-            self.membership_log.record("join", float(p), idx)
-            return srv
-        previous_owner = self.owner_of(p)
         idx = self.segments.insert(p)
         srv = Server(point=p, name=name)
         self.servers[p] = srv
         self.membership_log.record("join", float(p), idx)
-        # Move items that fall inside the newcomer's segment (step 3).
-        new_seg = self.segments.segment_of(p)
-        moved = [k for k, (pos, _v) in previous_owner.store.items() if pos in new_seg]
-        for k in moved:
-            srv.store[k] = previous_owner.store.pop(k)
+        if self.n > 1:
+            # Move items that fall inside the newcomer's segment (step 3);
+            # the server that covered p is now its ring predecessor.
+            previous_owner = self.servers[self.segments.point_at(idx - 1)]
+            if previous_owner.store:
+                new_seg = self.segments.segment(idx)
+                moved = [k for k, (pos, _v) in previous_owner.store.items()
+                         if pos in new_seg]
+                for k in moved:
+                    srv.store[k] = previous_owner.store.pop(k)
         return srv
 
     def leave(self, point: Number) -> None:
@@ -182,16 +182,11 @@ class DistanceHalvingNetwork:
         p = normalize(point)
         if p not in self.servers:
             raise KeyError(f"no server at {p!r}")
-        if self.n == 1:
-            del self.servers[p]
-            idx = self.segments.remove(p)
-            self.membership_log.record("leave", float(p), idx)
-            return
-        pred_point = self.segments.predecessor(p)
-        pred = self.servers[pred_point]
-        departing = self.servers.pop(p)
-        pred.store.update(departing.store)
         idx = self.segments.remove(p)
+        departing = self.servers.pop(p)
+        if self.n:  # what is at idx - 1 now was the ring predecessor
+            pred = self.servers[self.segments.point_at(idx - 1)]
+            pred.store.update(departing.store)
         self.membership_log.record("leave", float(p), idx)
 
     def populate(self, n: int, selector: Optional[IdSelector] = None) -> None:
@@ -409,7 +404,11 @@ class DistanceHalvingNetwork:
     def check_invariants(self) -> None:
         """Structural sanity: segment map is consistent with the server dict."""
         self.segments.check_invariants()
-        assert set(self.servers) == set(self.segments), "server/point mismatch"
+        # the ids are distinct (asserted just above), so equal counts and
+        # every id a key make the two sets equal
+        assert len(self.servers) == len(self.segments) and all(
+            map(self.servers.__contains__, self.segments)
+        ), "server/point mismatch"
         for p, srv in self.servers.items():
             if not srv.store:
                 continue

@@ -20,17 +20,25 @@ needs:
   (Definition 1), the parameter controlling degree, path length and
   congestion throughout the paper.
 
-The map is deliberately simple — a sorted list with ``bisect`` — because
-network sizes in the experiments are ≤ 2^14 and the guide's advice is
-"make it work, make it right, then profile".  Bulk analytics (lengths,
-smoothness) are exposed as NumPy arrays for vectorised use by the
-experiment harness.
+The map keeps its ids twice, in lockstep.  A sorted Python list is the
+source of truth: scalar queries ``bisect`` it, and it holds every id in
+its own numeric type, exact :class:`~fractions.Fraction` ids included.
+Beside it lives one float64 mirror of the same ids — a growable buffer
+(capacity doubling) that ``insert`` / ``remove`` edit with one in-place
+slice shift — read through :attr:`SegmentMap.column`.  Everything that
+wants numbers reads that column instead of walking the list: the bulk
+analytics (``lengths``, ``smoothness``, ``cover_array``), the §4 id
+strategies' probes, and the batch router's compile and refresh.  Profiled
+at n = 2^14, the per-element walks the column replaced were over half of
+a soak day (docs/BENCHMARKS.md, PR 17); :meth:`SegmentMap.check_invariants`
+ties the column back to the list on every audit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -175,22 +183,23 @@ class CoverIndex:
         """The indexed point column (a view of :attr:`ext`)."""
         return self.ext[:-1]
 
-    def follow(self, ext: np.ndarray, moved) -> None:
-        """Adopt ``ext``, the column after joins and leaves, sentinel kept.
+    def follow(self, points: np.ndarray, moved) -> None:
+        """Adopt ``points``, the column after joins and leaves.
 
-        The caller edits a copy of :attr:`ext` (``np.insert`` /
-        ``np.delete`` below the trailing ``+inf``) and lists in
-        ``moved`` one ``(p, +1)`` per joined and ``(p, -1)`` per left id,
-        ``p`` the float64 stored in the column.  Each op shifts the
-        buckets whose left edge is at or past ``p``; between two
-        consecutive such edges the shifts of a whole refresh sum to one
-        constant, so the grid is passed over once — one slice add per
-        stretch — however many ops are pending.  The resolution is
-        re-chosen (a rebuild) only when n has left ``[G/8, G/2]``.
+        ``points`` is copied (the sentinel goes onto the copy), so the
+        live map's :attr:`SegmentMap.column` view can be passed as is.
+        ``moved`` lists one ``(p, +1)`` per joined and ``(p, -1)`` per
+        left id since the indexed state, ``p`` the float64 stored in the
+        column.  Each op shifts the buckets whose left edge is at or
+        past ``p``; between two consecutive such edges the shifts of a
+        whole refresh sum to one constant, so the grid is passed over
+        once — one slice add per stretch — however many ops are
+        pending.  The resolution is re-chosen (a rebuild) only when n
+        has left ``[G/8, G/2]``.
         """
         size = len(self.grid)
-        if not size // 8 <= len(ext) - 1 <= size // 2:
-            self.rebuild(ext[:-1])
+        if not size // 8 <= len(points) <= size // 2:
+            self.rebuild(points)
             return
         edges = sorted((math.ceil(p * size), step) for p, step in moved)
         shift = 0
@@ -198,7 +207,7 @@ class CoverIndex:
             shift += step
             if shift:
                 self.grid[lo:hi] += shift
-        self.ext = ext
+        self.ext = np.append(points, np.inf)
 
     def cover(self, ys: np.ndarray) -> np.ndarray:
         """:func:`cover_indices` of ``ys`` (already in ``[0, 1)``)."""
@@ -240,6 +249,17 @@ class SegmentMap:
             if a == b:
                 raise ValueError(f"duplicate point {a!r}")
         self._points: list[Number] = pts
+        # the float64 mirror of ``_points``: ``_buf[:n]`` is the column,
+        # the rest spare capacity; ``_exact`` counts the non-float ids
+        self._buf = np.empty(max(16, len(pts)), dtype=np.float64)
+        self._buf[:len(pts)] = [float(p) for p in pts]
+        self._exact = sum(not isinstance(p, float) for p in pts)
+
+    def __getstate__(self) -> dict:
+        """Pickle / deepcopy state: the buffer trimmed to the ids it holds."""
+        state = self.__dict__.copy()
+        state["_buf"] = self._buf[:len(self._points)].copy()
+        return state
 
     # ------------------------------------------------------------- basic ops
     def __len__(self) -> int:
@@ -249,25 +269,41 @@ class SegmentMap:
         return iter(self._points)
 
     def __contains__(self, point: Number) -> bool:
-        i = bisect_left(self._points, normalize(point))
-        return i < len(self._points) and self._points[i] == normalize(point)
+        p = normalize(point)
+        i = bisect_left(self._points, p)
+        return i < len(self._points) and self._points[i] == p
 
     @property
     def points(self) -> Sequence[Number]:
-        """The sorted point vector ``x`` (read-only view)."""
+        """The sorted point vector ``x`` as a tuple — an O(n) copy per call.
+
+        One id: :meth:`point_at`; all of them as float64: :attr:`column`.
+        """
         return tuple(self._points)
 
+    @property
+    def column(self) -> np.ndarray:
+        """The sorted ids as float64: a read-only view of the live mirror.
+
+        O(1) — no copy.  Valid until the next :meth:`insert` or
+        :meth:`remove`, which edit the buffer underneath in place; take
+        :meth:`as_array` to keep the values.
+        """
+        view = self._buf[:len(self._points)]
+        view.flags.writeable = False
+        return view
+
     def as_array(self) -> np.ndarray:
-        """Points as a float64 NumPy array (for vectorised analytics)."""
-        return np.asarray([float(p) for p in self._points], dtype=np.float64)
+        """Points as a fresh float64 array (one copy of :attr:`column`)."""
+        return self.column.copy()
 
     def is_float(self) -> bool:
-        """True when every id is a float, i.e. :meth:`as_array` is lossless.
+        """True when every id is a float, i.e. :attr:`column` is lossless.
 
         Exact (:class:`~fractions.Fraction`) ids decide edges and
         midpoints by exact comparisons a float column cannot replay.
         """
-        return all(issubclass(t, float) for t in set(map(type, self._points)))
+        return self._exact == 0
 
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-segment ``(starts, ends)`` as float64 arrays, in ring order.
@@ -305,7 +341,7 @@ class SegmentMap:
         """
         if not self._points:
             raise LookupError("empty segment map covers nothing")
-        return cover_indices(self.as_array(), normalize_array(ys))
+        return cover_indices(self.column, normalize_array(ys))
 
     def insert(self, point: Number) -> int:
         """Insert a new point (a server join); returns its index.
@@ -315,10 +351,19 @@ class SegmentMap:
         Duplicate points are rejected — two servers may not share an id.
         """
         p = normalize(point)
-        if p in self:
+        pts = self._points
+        n = len(pts)
+        i = bisect_left(pts, p)
+        if i < n and pts[i] == p:
             raise ValueError(f"point {p!r} already present")
-        insort(self._points, p)
-        return bisect_left(self._points, p)
+        pts.insert(i, p)
+        buf = self._buf
+        if n == len(buf):
+            self._buf = buf = np.concatenate([buf, np.empty(max(16, n))])
+        buf[i + 1:n + 1] = buf[i:n]
+        buf[i] = float(p)
+        self._exact += not isinstance(p, float)
+        return i
 
     def remove(self, point: Number) -> int:
         """Remove a point (a server leave); returns its former index.
@@ -328,11 +373,10 @@ class SegmentMap:
         what incremental router maintenance needs to patch its sorted
         arrays without a search.
         """
-        p = normalize(point)
-        i = bisect_left(self._points, p)
-        if i >= len(self._points) or self._points[i] != p:
-            raise KeyError(f"point {p!r} not present")
-        del self._points[i]
+        i = self.index_of(point)
+        n = len(self._points)
+        self._exact -= not isinstance(self._points.pop(i), float)
+        self._buf[i:n - 1] = self._buf[i + 1:n]
         return i
 
     # --------------------------------------------------------------- queries
@@ -439,9 +483,8 @@ class SegmentMap:
     def lengths_from_array(pts: np.ndarray) -> np.ndarray:
         """Segment lengths of a frozen sorted point array (sums to 1).
 
-        Shared with snapshot holders of the sorted column (the bucket
-        balancer) so their analytics use the exact IEEE-754 ops of
-        :meth:`lengths` — bit-parity by construction, not by test.
+        The IEEE-754 ops of :meth:`lengths` for any holder of a sorted
+        column (:meth:`midpoints_from_array`, the router's compile).
         """
         if len(pts) == 0:
             return np.zeros(0)
@@ -464,7 +507,7 @@ class SegmentMap:
 
     def lengths(self) -> np.ndarray:
         """All segment lengths as a float64 array (sums to 1)."""
-        return self.lengths_from_array(self.as_array())
+        return self.lengths_from_array(self.column)
 
     def smoothness(self) -> float:
         """``ρ(x) = max_i |s(x_i)| / min_j |s(x_j)|`` (Definition 1)."""
@@ -493,10 +536,22 @@ class SegmentMap:
         return self.smoothness() <= bound
 
     def check_invariants(self) -> None:
-        """Assert structural invariants (sortedness, lengths summing to 1)."""
+        """Assert structural invariants of the id list and its mirror.
+
+        Sortedness and range are read off the list (the source of
+        truth); then the float64 column must equal it id for id, so that
+        whatever was compiled from the column was compiled from the
+        truth; the lengths (read from the column) must sum to 1.
+        """
         pts = self._points
-        assert all(a < b for a, b in zip(pts, pts[1:])), "points not strictly sorted"
-        assert all(0 <= p < 1 for p in pts), "point outside [0,1)"
+        assert all(map(lt, pts, pts[1:])), "points not strictly sorted"
+        assert not pts or (0 <= pts[0] and pts[-1] < 1), "point outside [0,1)"
+        exact = sum(not isinstance(p, float) for p in pts)
+        assert self.column.tolist() == (
+            [float(p) for p in pts] if exact else pts
+        ), "float64 column out of step with the id list"
+        assert self._exact == exact, (
+            f"{self._exact} non-float ids counted, the id list holds {exact}")
         if pts:
             total = self.lengths().sum()
             assert abs(float(total) - 1.0) < 1e-9, f"segment lengths sum to {total}"

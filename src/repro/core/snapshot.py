@@ -1,21 +1,18 @@
 """Shared columnar-snapshot + op-journal layer.
 
-Three subsystems grew the same pattern independently — freeze a sorted
-decomposition into NumPy arrays, follow the live structure through a
-bounded journal of ops, patch the arrays in O(affected region) per op,
-and fall back to a full rebuild when the replay would cost more than a
-recompile:
+Two subsystems share one pattern — freeze a sorted decomposition into
+NumPy arrays, follow the live structure through a bounded journal of
+ops, patch the arrays in O(affected region) per op, and fall back to a
+full rebuild when the replay would cost more than a recompile:
 
 * the batch-lookup router (:class:`~repro.core.batch.BatchRouter`)
   following :class:`~repro.core.network.DistanceHalvingNetwork`
   membership;
 * the §6.2 cover tables of
   :class:`~repro.faults.overlap.OverlappingDHNetwork` (static
-  membership — a snapshot that is never stale);
-* the §4.1 :class:`~repro.balance.buckets.BucketBalancer`, whose
-  analytics re-froze its sorted point list on every query.
+  membership — a snapshot that is never stale).
 
-This module extracts the pattern once.  :class:`ColumnarSnapshot` owns
+This module holds the pattern once.  :class:`ColumnarSnapshot` owns
 the *frozen sorted columns* (aligned NumPy arrays registered by name),
 the version counter, the refresh decision (incremental patch within a
 churn budget and journal window, full rebuild otherwise), the
@@ -153,13 +150,12 @@ class ColumnarSnapshot:
     point column).  They share the snapshot's lifetime: ``_rebuild``
     rebuilds them and ``_patch`` keeps them current, never on their own.
 
-    The base class owns everything the three pre-extraction copies
+    The base class owns everything the pre-extraction copies
     duplicated: the version counter against the journal, the
-    stale-or-refresh entry guard (:meth:`ensure_fresh`), the refresh
+    stale-or-refresh entry guard (:meth:`ensure_fresh`), and the refresh
     decision (incremental within ``budget`` and the journal window,
     full rebuild otherwise, with :class:`SnapshotRefreshStats`
-    accounting), and generic sorted-row edit helpers
-    (:meth:`insert_row` / :meth:`delete_row`).
+    accounting).
 
     A snapshot constructed with ``journal=None`` is *static*: it can
     never go stale (the §6.2 cover tables).
@@ -203,23 +199,6 @@ class ColumnarSnapshot:
         if not self.COLUMNS:
             return 0
         return int(len(getattr(self, self.COLUMNS[0])))
-
-    def insert_row(self, idx: int, **values) -> None:
-        """``np.insert`` one row at ``idx`` across every registered column.
-
-        Missing columns get a zero of their dtype — callers recompute
-        derived entries afterwards (the affected region is theirs to
-        know).
-        """
-        for name in self.COLUMNS:
-            col = getattr(self, name)
-            fill = values.get(name, col.dtype.type(0))
-            setattr(self, name, np.insert(col, idx, fill))
-
-    def delete_row(self, idx: int) -> None:
-        """``np.delete`` one row at ``idx`` across every registered column."""
-        for name in self.COLUMNS:
-            setattr(self, name, np.delete(getattr(self, name), idx))
 
     # ------------------------------------------------------------ freshness
     def _journal_version(self) -> int:

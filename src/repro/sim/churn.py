@@ -132,8 +132,7 @@ def run_churn(
             else:
                 net.join(selector=selector)
         else:
-            pts = list(net.points())
-            victim = pts[op.victim % len(pts)]
+            victim = net.segments.point_at(op.victim % net.n)
             if measure:
                 region = [victim] + net.neighbor_points(victim)
                 affected_before = {q: frozenset(net.neighbor_points(q))

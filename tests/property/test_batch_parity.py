@@ -221,6 +221,8 @@ def _assert_router_equals_fresh(net, router, seed):
     compile — arrays, adjacency keys, and both lookup algorithms."""
     fresh = net.compile_router(with_adjacency=True)
     assert router.n == fresh.n == net.n
+    # both read the map's float64 column: tie it to the id list first
+    assert router.points.tolist() == [float(p) for p in net.segments]
     assert np.array_equal(router.points, fresh.points)
     assert np.array_equal(router.seg_start, fresh.seg_start)
     assert np.array_equal(router.seg_end, fresh.seg_end)
@@ -277,6 +279,45 @@ class TestIncrementalRefreshParity:
         _apply_random_churn(net, rng, steps, leave_prob)
         router.refresh()
         _assert_router_equals_fresh(net, router, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.integers(min_value=1, max_value=9),
+           ops=st.lists(st.tuples(st.booleans(), unit_float, st.booleans()),
+                        min_size=1, max_size=40))
+    def test_any_refresh_grouping_matches_fresh_compile(self, start, ops):
+        """Joins and leaves refreshed in arbitrary groups, from sizes on
+        both sides of the n < 4 bail: the adopted column, the replayed
+        midpoints and the followed grid equal a fresh compile's, and the
+        scalar oracles', after every refresh."""
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(start))
+        net.populate(start)
+        router = net.router(auto_refresh=True, churn_budget=10**9)
+        for leave, value, sync in ops + [(False, 0.5, True)]:
+            if leave and net.n > 1:
+                net.leave(net.segments.point_at(int(value * net.n) % net.n))
+            elif value % 1.0 not in net.segments:
+                net.join(value)
+            if not sync:
+                continue
+            before = router.points, router.midpoints, router.seg_end
+            frozen = [a.copy() for a in before]
+            router.refresh()
+            # frozen arrays are replaced, never edited in place
+            assert all(np.array_equal(a, b) for a, b in zip(before, frozen))
+            fresh = net.compile_router()
+            assert router.points.tolist() == list(net.segments)
+            assert np.array_equal(router.points, fresh.points)
+            assert np.array_equal(router.seg_end, fresh.seg_end)
+            assert np.array_equal(router.midpoints, fresh.midpoints)
+            assert np.array_equal(router.midpoints,
+                                  net.segments.midpoints_array())
+            # a followed grid may sit at another resolution than a fresh
+            # one (the [G/8, G/2] band); at its own it must be exact
+            grid = router.cover_index.grid
+            assert np.array_equal(grid, cover_grid(router.points, len(grid)))
+            assert not np.shares_memory(router.points, net.segments.column)
+        stats = router.refresh_stats
+        assert stats.ops_synced() == net.membership_version - start
 
     def test_per_op_refresh_long_trace(self):
         """300 ops re-synced one at a time, checked at every 50th op."""

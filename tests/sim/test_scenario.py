@@ -228,6 +228,20 @@ class TestInvariantChecker(SmallSoak):
         assert "cover grid len=" in detail and "grid[-1]=" in detail
         assert "monotone=False" in detail and "buckets differ" in detail
 
+    def test_column_behind_the_maps_back_fails_the_network_audit(self):
+        """The auto-refresh router and the audit's fresh compile both
+        read ``SegmentMap.column``; the network check ties that column
+        to the id list, so a corrupted mirror fails by name."""
+        eng = self.make_engine(strict=False)
+        eng.run("lookups,churn:16")
+        assert all(r["ok"] for r in eng.check_invariants("clean"))
+        segs = eng.net.segments
+        segs._buf[5] = np.nextafter(segs._buf[5], 1.0)  # one ulp, still sorted
+        rows = {r["check"]: r for r in eng.check_invariants("tampered")}
+        assert not rows["network"]["ok"]
+        assert "column out of step with the id list" in rows["network"]["detail"]
+        assert not rows["owners"]["ok"]  # frozen copy vs corrupted compile
+
     def test_strict_mode_raises(self):
         eng = self.make_engine(strict=True)
         eng.run("lookups")
