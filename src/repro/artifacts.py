@@ -13,6 +13,7 @@ regression.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, Optional
 
@@ -59,19 +60,41 @@ def artifact_payload(command: str, result: Dict, ok: bool,
     }
 
 
+def _non_finite(value, where: str):
+    """Yield ``"<key path> = <value>"`` for every NaN / infinite leaf."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{where}[{i}]")
+    else:
+        if hasattr(value, "item"):  # NumPy scalar
+            value = value.item()
+        if isinstance(value, float) and not math.isfinite(value):
+            yield f"{where} = {value}"
+
+
 def write_artifact(path: Optional[str], command: str, result: Dict,
                    ok: bool, workers: int = 1) -> None:
     """Dump one bench measurement as a JSON artifact (NumPy-safe).
 
     No-op without a path.  The parent directory is created on demand and
     the file ends in a newline (byte-stable artifacts diff cleanly).
+    ``NaN`` / ``Infinity`` are not JSON: a result holding one raises
+    ``ValueError`` naming the key, before anything is written.
     """
     if not path:
         return
+    payload = artifact_payload(command, result, ok, workers=workers)
+    try:
+        text = json.dumps(payload, indent=2, default=json_default,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(", ".join(_non_finite(result, "result"))
+                         or str(exc)) from None
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    payload = artifact_payload(command, result, ok, workers=workers)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(f"wrote {path}")

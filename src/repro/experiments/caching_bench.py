@@ -14,8 +14,8 @@ same stream, with three verdicts attached:
   salted mitigation mode must cut the hottest server's cache-hit load
   below the unsalted path-caching protocol's.
 
-Shared by ``benchmarks/bench_caching.py``, the ``bench-caching`` CLI
-subcommand, and the CI bench-artifact smoke step.
+Run by the ``bench-caching`` CLI subcommand (and so by the CI
+bench-artifact smoke step).
 """
 
 from __future__ import annotations

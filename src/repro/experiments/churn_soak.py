@@ -10,8 +10,7 @@ traces (including a §4.1-style 50% mass departure) interleave with
 100k-lookup batches.
 
 The measurement helper :func:`measure_churn_soak` is shared by this
-experiment, ``benchmarks/bench_churn.py`` and the ``bench-churn`` CLI
-subcommand.
+experiment and the ``bench-churn`` CLI subcommand.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ summaries must agree **bit-for-bit** (same ``max_load`` / ``mean_load``
 / ``max_congestion`` / ``total_messages``).
 
 The measurement helper :func:`measure_congestion` is shared by this
-experiment, ``benchmarks/bench_congestion.py`` and the
-``bench-congestion`` CLI subcommand.
+experiment and the ``bench-congestion`` CLI subcommand.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ digits through the plain ``tau=`` hook — the recorded ``tau_used`` must
 reproduce the routed paths bit-for-bit.
 
 The measurement helper :func:`measure_cost_routing` is shared by this
-experiment, ``benchmarks/bench_cost.py`` and the ``bench-cost`` CLI
-subcommand.
+experiment and the ``bench-cost`` CLI subcommand.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ sets (see :meth:`~repro.faults.batch_ft.FTBatchEngine
 column and the same scalar bit-parity cross-check at the smallest size.
 
 The measurement helper :func:`measure_faults` is shared by this
-experiment, ``benchmarks/bench_faults.py`` and the ``bench-faults`` CLI
-subcommand.
+experiment and the ``bench-faults`` CLI subcommand.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ least ``workers`` CPUs, so the measurement reports
 when it is set.  On a 1-CPU container the parity gate still runs at full
 strength while the gain number is recorded as informational.
 
-Shared by ``benchmarks/bench_shard.py`` and the ``bench-shard`` CLI
-subcommand.
+Run by the ``bench-shard`` CLI subcommand.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ per-hop Python loop by an order of magnitude while remaining
 parity-checked on a scalar subsample in the same run.
 
 The measurement helper :func:`measure_throughput` is shared by this
-experiment, ``benchmarks/bench_throughput.py`` and the
-``bench-throughput`` CLI subcommand.
+experiment and the ``bench-throughput`` CLI subcommand.
 """
 
 from __future__ import annotations

@@ -156,6 +156,8 @@ class TestShardedExecutor:
             assert ex.syncs == 2  # churn forced a re-export
             assert ex.version == router.version
             assert_results_equal(sharded, single)
+            ex.batch_fast_lookup(src, tgt)
+            assert ex.syncs == 2  # ... once per membership version
 
     def test_dh_lookup_with_explicit_tau(self):
         net = make_net(128)

@@ -203,3 +203,214 @@ class TestCli:
         assert main(["bench-compare", "--run-dir", str(tmp_path / "none"),
                      "--ref-dir", str(ref)]) == 1
         assert "MISSING" in capsys.readouterr().out
+
+
+# ------------------------------------------------- the bench table contract
+#: sizes small enough for tier-1; a new row must add its own (see the test)
+TINY = {
+    "bench-throughput": ["--n", "128", "--lookups", "2000",
+                         "--scalar-sample", "50"],
+    "bench-churn": ["--n", "128", "--lookups", "2000", "--churn-ops", "16",
+                    "--mass-n", "64"],
+    "bench-congestion": ["--n", "128", "--lookups", "2000",
+                         "--scalar-sample", "50"],
+    "bench-faults": ["--n", "128", "--pairs", "2000", "--scalar-sample", "50"],
+    "bench-caching": ["--n", "128", "--requests", "3000",
+                      "--scalar-sample", "100", "--parity-n", "64",
+                      "--hotspot-requests", "3000"],
+    "bench-baselines": ["--n", "64", "--lookups", "400",
+                        "--scalar-sample", "60", "--schemes", "chord,koorde"],
+    "soak": ["--n", "128", "--lookups", "2000", "--chunk", "1024",
+             "--items", "6"],
+    "bench-shard": ["--n", "128", "--lookups", "2000", "--workers", "2",
+                    "--chunk", "1024"],
+    "bench-cost": ["--n", "128", "--pairs", "2000", "--scalar-sample", "50",
+                   "--core-n", "64", "--core-pairs", "500"],
+}
+
+#: ``{subcommand: {flag: default}}`` read off the parser by argparse
+#: introspection at the commit before the table (PR 17), minus the four
+#: "recorded only" ``--workers`` of churn / faults / caching / baselines
+FLAG_SURFACE = {
+    "bench-throughput": {
+        "--n": 4096, "--lookups": 100000, "--scalar-sample": 1000,
+        "--algorithm": "fast", "--delta": 2, "--seed": 0, "--workers": 1,
+        "--min-speedup": 10.0, "--json-out": None},
+    "bench-churn": {
+        "--n": 16384, "--lookups": 100000, "--churn-ops": 256, "--phases": 2,
+        "--leave-prob": 0.3, "--mass-n": None, "--churn-budget": None,
+        "--seed": 0, "--max-refresh-us": 250.0, "--json-out": None},
+    "bench-congestion": {
+        "--n": 16384, "--lookups": 100000, "--scalar-sample": 1000,
+        "--algorithm": "fast", "--delta": 2, "--seed": 0, "--workers": 1,
+        "--min-speedup": 10.0, "--json-out": None},
+    "bench-faults": {
+        "--n": 16384, "--pairs": 100000, "--p-fail": 0.2,
+        "--scalar-sample": 200, "--seed": 0, "--min-speedup": 10.0,
+        "--json-out": None},
+    "bench-caching": {
+        "--n": 16384, "--requests": 1000000, "--items": 64, "--salts": 4,
+        "--scalar-sample": 1500, "--parity-n": 512,
+        "--hotspot-requests": None, "--seed": 1, "--min-speedup": 10.0,
+        "--json-out": None},
+    "bench-baselines": {
+        "--n": 16384, "--lookups": 100000, "--scalar-sample": 400,
+        "--schemes": None, "--chunk": 8192, "--seed": 0, "--min-speedup": 5.0,
+        "--json-out": None},
+    "soak": {
+        "--n": 16384, "--lookups": 1000000, "--phases": None, "--chunk": None,
+        "--seed": 0, "--workers": 1, "--items": 24, "--no-invariants": False,
+        "--min-ft-success": 0.9, "--json-out": None},
+    "bench-shard": {
+        "--n": 262144, "--lookups": 1000000, "--workers": 4,
+        "--chunk": 131072, "--seed": 0, "--min-speedup": 2.0,
+        "--json-out": None},
+    "bench-cost": {
+        "--n": 16384, "--pairs": 100000, "--isps": 8, "--temperature": 1.0,
+        "--scalar-sample": 200, "--core-n": 4096, "--core-pairs": 50000,
+        "--seed": 0, "--workers": 1, "--min-xisp-reduction": 0.3,
+        "--max-stretch": 1.5, "--min-speedup": 10.0, "--json-out": None},
+}
+
+
+def _bound_violations():
+    """One ``(subcommand, flag, offending text)`` per declared bound."""
+    from repro.cli import BENCHES
+
+    for bench in BENCHES.values():
+        for flag in bench.flags:
+            if flag.bound is None:
+                continue
+            for text in ("-1", "0", "1", "1000000", "bogus"):
+                try:
+                    value = flag.type(text)
+                except ValueError:
+                    continue
+                if flag.bound(value):
+                    yield bench.name, flag.flag, text
+                    break
+            else:  # pragma: no cover
+                raise AssertionError(f"{bench.name} {flag.flag}: no probe "
+                                     "value violates the declared bound")
+
+
+def _subparsers():
+    import argparse
+
+    from repro.cli import build_parser
+
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestBenchTable:
+    """The CLI contract of every ``bench-*`` / ``soak`` row, off the table."""
+
+    def test_every_row_has_a_tiny_case(self):
+        from repro.cli import BENCHES
+
+        assert set(TINY) == set(BENCHES)
+
+    @pytest.mark.parametrize("name", sorted(TINY))
+    def test_tiny_run_passes_and_writes_a_valid_artifact(self, name, tmp_path,
+                                                         capsys):
+        from artifact_schema import validate_artifact
+
+        from repro.cli import BENCHES, main
+
+        relaxed = [f.flag + ("=1e9" if f.flag.startswith("--max") else "=-1e9")
+                   for f in BENCHES[name].flags if f.gate]
+        path = tmp_path / "BENCH.json"
+        assert main([name, *TINY[name], *relaxed, "--json-out", str(path)]) == 0
+        assert "[PASS]" in capsys.readouterr().out
+        payload = validate_artifact(path)
+        assert payload["command"] == name and payload["ok"] is True
+        assert payload["workers"] == (2 if name == "bench-shard" else 1)
+
+    @pytest.mark.parametrize("name,flag,text", list(_bound_violations()),
+                             ids=lambda v: str(v).lstrip("-"))
+    def test_violated_bound_exits_2_with_one_line(self, name, flag, text,
+                                                  tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "BENCH.json"
+        assert main([name, flag, text, "--json-out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{name}: {flag} must ")
+        assert captured.err.count("\n") == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name,flag,text", [
+        ("bench-cost", "--scalar-sample", "0"),       # wrote scalar_rate Infinity
+        ("bench-caching", "--hotspot-requests", "0"),  # salted_reduction Infinity
+        ("bench-caching", "--items", "0"),             # NumPy traceback
+        ("bench-caching", "--parity-n", "4096"),       # measure's ValueError
+    ])
+    def test_bad_inputs_the_hand_copies_let_through(self, name, flag, text,
+                                                    tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "BENCH.json"
+        assert main([name, *TINY[name], flag, text,
+                     "--json-out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"{name}: {flag} must be")
+        assert not path.exists()
+
+    def test_flag_surface_is_pinned(self):
+        surface = {
+            name: {a.option_strings[0]: a.default for a in sp._actions
+                   if a.option_strings and a.option_strings[0] != "-h"}
+            for name, sp in _subparsers().items() if name in FLAG_SURFACE}
+        assert surface == FLAG_SURFACE
+        assert sum(map(len, surface.values())) == 83
+
+    def test_top_level_help_names_every_row(self, capsys):
+        from repro.cli import BENCHES, main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        # undo argparse's wrapping, which also breaks lines after a hyphen
+        text = " ".join(capsys.readouterr().out.split()).replace("- ", "-")
+        subparsers = _subparsers()
+        for bench in BENCHES.values():
+            assert bench.name in text
+            assert bench.help in text
+            assert subparsers[bench.name].description == bench.help
+
+    def test_non_finite_result_fails_without_writing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        from repro.cli import main
+        from repro.experiments import throughput
+
+        monkeypatch.setattr(throughput, "measure_throughput", lambda **kw: {
+            "parity_ok": True, "speedup": float("inf"), "rows": [float("nan")]})
+        monkeypatch.setattr(throughput, "format_throughput_report", str)
+        path = tmp_path / "BENCH.json"
+        assert main(["bench-throughput", "--json-out", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "bench-throughput: non-finite value in result "
+            "(result.speedup = inf, result.rows[0] = nan)\n")
+        assert not path.exists()
+
+    def test_bench_compare_reports_an_unreadable_artifact(self, tmp_path,
+                                                          capsys):
+        from repro.cli import main
+
+        ref, run = tmp_path / "refs", tmp_path / "run"
+        ref.mkdir(), run.mkdir()
+        good = json.dumps({"ok": True, "result": {"parity_ok": True}})
+        (ref / "BENCH_a.json").write_text(good)
+        (run / "BENCH_a.json").write_text(good[: len(good) // 2])  # truncated
+        (ref / "BENCH_b.json").write_text("[]")                    # no envelope
+        (run / "BENCH_b.json").write_text(good)
+        (ref / "BENCH_c.json").write_text(good)
+        (run / "BENCH_c.json").write_text(good)
+        assert main(["bench-compare", "--run-dir", str(run),
+                     "--ref-dir", str(ref)]) == 1
+        out = capsys.readouterr().out
+        assert f"BENCH_a.json: UNREADABLE ({run / 'BENCH_a.json'}: " in out
+        assert f"BENCH_b.json: UNREADABLE ({ref / 'BENCH_b.json'}: " in out
+        assert "BENCH_c.json: ok" in out
+        assert "3 artifact(s), 2 gated values, 2 regression(s)" in out

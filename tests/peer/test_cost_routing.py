@@ -187,6 +187,11 @@ class TestFTPolicyParity:
                                    g.path_offsets).mean()
         assert cross_g < cross_u
         assert np.array_equal(u.parallel_time, g.parallel_time)
+        # the softmin policy sits between the two (X6's third claim)
+        _, _, _, w = self._route("weighted")
+        cross_w = cross_isp_counts(_ORACLE.isp, w.path_servers,
+                                   w.path_offsets).mean()
+        assert cross_g <= cross_w <= cross_u
 
     def test_policy_needs_oracle(self):
         with pytest.raises(ValueError, match="CostOracle"):
