@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.batch import levels_to_csr
 from ..core.routing_stats import BatchCongestion
+from ..core.walk import PathResult, ragged_to_csr
 
 __all__ = [
     "BaselineBatchResult",
@@ -111,24 +111,24 @@ class MeasuredRow:
 
 
 @dataclass
-class BaselineBatchResult:
+class BaselineBatchResult(PathResult):
     """Array-of-structs outcome of one batch of baseline lookups.
 
     The baseline counterpart of
     :class:`~repro.core.batch.BatchLookupResult`: paths live in the same
     CSR representation (``path_servers`` holds node *indices*,
-    ``path_offsets`` is the length-``size + 1`` prefix sum), so
-    :class:`~repro.core.routing_stats.BatchCongestion` books a whole
-    batch with one ``np.bincount`` via :meth:`to_csr` — the duck
-    interface ``record_batch`` consumes is ``to_csr()`` / ``points`` /
-    ``size`` / ``hops``.
+    ``path_offsets`` is the length-``size + 1`` prefix sum), always kept
+    and read through the same :class:`~repro.core.walk.PathResult`
+    contract, so :class:`~repro.core.routing_stats.BatchCongestion`
+    books a whole batch with one ``np.bincount``.
 
     ``points`` maps node index → congestion key: the ring id for the
     float-identified schemes (Chord, Koorde, Viceroy, DH), or simply
     ``float(index)`` for the integer-identified ones (CAN, Kleinberg,
     Tapestry) — the same keys the scalar
     :meth:`~repro.core.routing_stats.CongestionCounter.record_path`
-    sees, so summaries match bit-for-bit.
+    sees, so summaries match bit-for-bit and ``server_path(i)`` is
+    scalar-comparable.
     """
 
     scheme: str
@@ -147,42 +147,35 @@ class BaselineBatchResult:
         """Per-lookup hop count (compressed path length − 1)."""
         return np.diff(self.path_offsets) - 1
 
-    def to_csr(self) -> tuple:
-        return self.path_servers, self.path_offsets
-
-    def path_lengths(self) -> np.ndarray:
-        return np.diff(self.path_offsets)
-
-    def server_path(self, i: int) -> List[float]:
-        """Congestion keys of lookup ``i``'s path (scalar-comparable)."""
-        lo, hi = self.path_offsets[i], self.path_offsets[i + 1]
-        return [float(self.points[k]) for k in self.path_servers[lo:hi]]
-
 
 class _PathRecorder:
-    """Accumulates one row of node indices per batch hop level.
+    """Accumulates the ``(lane, node index)`` pairs of a batch, hop by hop.
 
-    Rows are full-batch-width with ``-1`` marking "lane recorded
-    nothing this level"; :meth:`to_csr` hands the stack to the public
-    :func:`~repro.core.batch.levels_to_csr`, which drops the ``-1``
-    entries and compresses consecutive duplicates per lane — exactly
-    the scalar ``compress_path`` semantics, vectorized.
+    A lane records nothing at a level it is not handed at (or is handed
+    at with ``-1``); :meth:`to_csr` brings the pairs lane-major with one
+    stable sort — hops stay in recording order — and the shared writer
+    :func:`~repro.core.walk.ragged_to_csr` compresses consecutive
+    duplicates per lane: exactly the scalar ``compress_path`` semantics,
+    vectorized.
     """
 
     def __init__(self, size: int, first_row: np.ndarray):
         self.size = size
-        self._rows: List[np.ndarray] = [
-            np.asarray(first_row, dtype=np.int32).copy()
-        ]
+        self._lanes: List[np.ndarray] = [np.arange(size)]
+        self._values: List[np.ndarray] = [np.array(first_row)]
 
     def append(self, lanes: np.ndarray, values: np.ndarray) -> None:
         """Record ``values`` for the batch positions ``lanes``."""
-        row = np.full(self.size, -1, dtype=np.int32)
-        row[lanes] = values
-        self._rows.append(row)
+        held = values >= 0
+        self._lanes.append(lanes[held])
+        self._values.append(values[held])
 
     def to_csr(self) -> tuple:
-        return levels_to_csr(self.size, [np.vstack(self._rows)])
+        lane = np.concatenate(self._lanes)
+        counts = np.bincount(lane, minlength=self.size)
+        order = np.argsort(lane, kind="stable")
+        return ragged_to_csr(np.concatenate(self._values)[order],
+                             np.cumsum(counts) - counts)
 
 
 class BaselineBatchRouter(abc.ABC):

@@ -14,9 +14,10 @@ scheme:
 * the walk functions of §2.2 are evaluated in closed form per *routing
   level* instead of per hop per lookup — level ``t`` of the fast lookup
   is ``w(σ(z)_t, y) = (y + ⌊z·Δ^t⌋) / Δ^t`` for every pending lookup at
-  once, and the backward descent (:meth:`BatchRouter._descend`) reuses
-  ``⌊z·Δ^t⌋ mod Δ^j`` over the lanes still that deep, writing every
-  cover straight into the ragged CSR path buffer;
+  once, and the backward descent reuses ``⌊z·Δ^t⌋ mod Δ^j`` over the
+  lanes still that deep, writing every cover straight into the ragged
+  CSR path buffer — the kernels of :mod:`repro.core.walk`, which the
+  cache, fault-tolerant and baseline engines share;
 * the two-phase Distance Halving lookup advances every in-flight message
   one level per iteration (`pos/Δ + d/Δ` elementwise) and resolves the
   "target image covered by me or a neighbour" test with Δ+2 interval
@@ -54,13 +55,14 @@ from typing import List, Optional, Set
 import numpy as np
 
 from .lookup import MAX_WALK_STEPS
-from .segments import (CoverIndex, SegmentMap, arc_cover_ranges, check_finite,
-                       fold_unit, normalize_array)
+from .segments import (CoverIndex, SegmentMap, arc_cover_ranges, fold_unit,
+                       normalize_array)
 from .snapshot import (ColumnarSnapshot, SnapshotRefreshStats,
                        StaleSnapshotError)
+from .walk import (PathResult, check_keep_paths, descend, forward_levels,
+                   normalize_pair, per_lane_matrix)
 
-__all__ = ["BatchRouter", "BatchLookupResult", "RouterRefreshStats",
-           "levels_to_csr"]
+__all__ = ["BatchRouter", "BatchLookupResult", "RouterRefreshStats"]
 
 #: The router's refresh accounting is the shared snapshot layer's —
 #: kept under its historical name for the churn-soak experiment and
@@ -103,81 +105,8 @@ def _range_columns(n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple:
     return first, count
 
 
-def _check_keep_paths(keep_paths) -> None:
-    """Reject anything but the three supported path-recording modes."""
-    if keep_paths not in (False, True, "csr"):
-        raise ValueError(
-            f"keep_paths must be False, True, or 'csr'; got {keep_paths!r}"
-        )
-
-
-def levels_to_csr(size: int, level_mats) -> tuple:
-    """Flatten per-level server matrices into CSR path arrays.
-
-    ``level_mats`` lists ``(levels × size)`` int matrices whose rows are
-    in path order for every lookup (column); ``-1`` marks "no server
-    recorded at this level".  The result is the vectorized equivalent of
-    running :func:`~repro.core.lookup.compress_path` per column: lookup
-    ``i``'s compressed server-index path is
-    ``path_servers[path_offsets[i]:path_offsets[i + 1]]``.
-
-    One transpose + ``flatnonzero`` + shifted-compare does the whole
-    batch — no per-lookup Python loop.  For the engines whose matrices
-    have interior holes (:mod:`repro.faults.batch_ft`,
-    :mod:`repro.baselines.base`); this module's own walks are hole-free
-    and write their ragged paths directly (:meth:`BatchRouter._descend`).
-    """
-    offsets = np.zeros(size + 1, dtype=np.int64)
-    mats = [m for m in level_mats if m is not None and m.size]
-    if not mats or size == 0:
-        return np.zeros(0, dtype=np.int32), offsets
-    stacked = np.concatenate(mats, axis=0)
-    depth = stacked.shape[0]
-    flat = stacked.T.ravel()  # lookup-major; rows keep path order inside
-    at = np.flatnonzero(flat >= 0)
-    vals = flat[at]
-    lane = at // depth
-    keep = np.ones(vals.size, dtype=bool)
-    if vals.size > 1:
-        keep[1:] = (vals[1:] != vals[:-1]) | (lane[1:] != lane[:-1])
-    np.cumsum(np.bincount(lane[keep], minlength=size), out=offsets[1:])
-    return vals[keep].astype(np.int32), offsets
-
-
-def _normalize_array(values, size: Optional[int] = None,
-                     what: str = "targets") -> np.ndarray:
-    """:func:`~repro.core.segments.normalize_array` with scalar broadcast.
-
-    Scalars broadcast to ``size`` when given; arrays are flattened.
-    Non-finite values raise ``ValueError`` naming ``what`` and the first
-    offending lane (they have no cover).
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(size if size is not None else 1, float(arr))
-    arr = arr.ravel()
-    check_finite(arr, what)
-    return normalize_array(arr)
-
-
-def _normalize_pair(sources, targets) -> tuple:
-    """Normalized ``(sources, targets)`` of one common length.
-
-    The entry preamble of every batch lookup: a scalar on either side
-    broadcasts to the other side's length, both sides are checked finite
-    and folded into ``[0, 1)``, and two arrays must agree in length.
-    """
-    src = np.asarray(sources, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    y = _normalize_array(y, size=src.size)
-    src = _normalize_array(src, size=y.size, what="sources")
-    if src.size != y.size:
-        raise ValueError("sources and targets must have the same length")
-    return src, y
-
-
 @dataclass
-class BatchLookupResult:
+class BatchLookupResult(PathResult):
     """Array-of-structs outcome of a routed batch of lookups.
 
     Mirrors :class:`repro.core.lookup.LookupResult` field-for-field, but
@@ -187,14 +116,9 @@ class BatchLookupResult:
 
     Paths are stored flattened (CSR) whenever the batch call was asked
     to keep them (``keep_paths="csr"``, or ``True``, which means the
-    same): ``path_servers`` (``int32``, one entry per path segment,
-    indices into ``points``) and ``path_offsets`` (``int64``, length
-    ``size + 1``) — the storage the vectorized accounting layer
-    (:class:`~repro.core.routing_stats.BatchCongestion`) consumes with
-    one ``np.bincount`` per batch.  Lookup ``i``'s path is
-    ``path_servers[path_offsets[i]:path_offsets[i + 1]]`` — a lossless
-    re-encoding of the scalar ``LookupResult.server_path``; decode to id
-    points with :meth:`path_points` or :meth:`server_path`.
+    same) and read through the :class:`~repro.core.walk.PathResult`
+    contract — a lossless re-encoding of the scalar
+    ``LookupResult.server_path``.
     """
 
     algorithm: str
@@ -224,38 +148,6 @@ class BatchLookupResult:
     def owner(self) -> np.ndarray:
         """Id points of the servers owning each target."""
         return self.points[self.owner_idx]
-
-    @property
-    def keeps_paths(self) -> bool:
-        return self.path_servers is not None
-
-    def to_csr(self) -> tuple:
-        """The ``(path_servers, path_offsets)`` CSR arrays.
-
-        Requires the batch to have been routed with paths
-        (``keep_paths=True`` or ``"csr"``).
-        """
-        if self.path_servers is None:
-            raise ValueError("batch was routed with keep_paths=False")
-        return self.path_servers, self.path_offsets
-
-    def path_points(self, i: int) -> np.ndarray:
-        """Id points of lookup ``i``'s compressed server path (CSR decode)."""
-        servers, offsets = self.to_csr()
-        return self.points[servers[offsets[i]:offsets[i + 1]]]
-
-    def path_lengths(self) -> np.ndarray:
-        """Servers on each compressed path; the hop count is this minus 1."""
-        return np.diff(self.to_csr()[1])
-
-    def server_path(self, i: int) -> List[float]:
-        """Compressed server path of lookup ``i`` (requires ``keep_paths``).
-
-        Identical to ``LookupResult.server_path`` of the scalar engine
-        for the same (source, target) — the parity tests compare them
-        element-wise.
-        """
-        return self.path_points(i).tolist()
 
     def mean_hops(self) -> float:
         return float(self.hops.mean()) if self.size else 0.0
@@ -625,65 +517,14 @@ class BatchRouter(ColumnarSnapshot):
     # ------------------------------------------------------- shared pieces
     def _enter(self, sources, targets, keep_paths) -> tuple:
         """Entry guard of every batch lookup; the normalized pair."""
-        _check_keep_paths(keep_paths)
+        check_keep_paths(keep_paths)
         self.ensure_fresh()
-        return _normalize_pair(sources, targets)
+        return normalize_pair(sources, targets)
 
     def _descend(self, y, off, depth, order, head_rows) -> tuple:
-        """Backward descent ``w(σ[:j], y)``, ``j = depth_i − 1 … 0``, as CSR.
-
-        The one kernel under every walk.  Lane ``i``'s raw path is its
-        head — entry ``s`` from ``head_rows[s]``, each a per-lane row
-        with ``-1`` past the lane's end, so hole-free per lane — then
-        ``cover((y_i + off_i mod Δ^j) / Δ^j)`` for ``j`` descending.
-        ``off`` holds integer-valued floats, ``order`` lists the lanes by
-        ``depth`` descending: the lanes live at level ``j`` are then a
-        prefix of the sorted arrays — no mask — and each level's covers
-        are scattered to their final slot of a lane-major ragged buffer.
-        One shifted compare over that buffer merges repeated servers
-        (the vectorized :func:`~repro.core.lookup.compress_path`) and
-        gives ``(path_servers, path_offsets)``.
-        """
-        delta = self.delta
-        cover = self.cover_index.cover
-        lens = depth.copy()
-        for row in head_rows:
-            lens += row >= 0
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        buf = np.empty(ends[-1] if ends.size else 0, dtype=np.int32)
-        for s, row in enumerate(head_rows):
-            held = np.flatnonzero(row >= 0)
-            buf[starts[held] + s] = row[held]
-
-        ys, offs, deep = y[order], off[order], depth[order]
-        level0 = ends[order] - 1  # slot of each lane's last (j = 0) cover
-        tmax = int(deep[0]) if deep.size else 0
-        live = np.searchsorted(-deep, -np.arange(tmax))  # lanes deeper than j
-        exact_float = delta & (delta - 1) == 0
-        if not exact_float:
-            # the callers' level caps keep every offset below 2^53
-            offs = offs.astype(np.int64)
-        for j in range(tmax - 1, -1, -1):
-            o = offs[:live[j]]
-            scale = float(delta) ** j
-            if exact_float:
-                # a power-of-two scale only shifts exponents, so the low
-                # digits come out exact at any depth (offsets pass 2^63
-                # on segments shorter than 2^-63)
-                low = o - scale * np.floor(o / scale)
-            else:
-                low = (o % delta ** j).astype(np.float64)
-            p = fold_unit((ys[:o.size] + low) / scale)
-            buf.put(level0[:o.size] - j, cover(p))
-
-        first = np.zeros(buf.size, dtype=bool)
-        first[starts] = True
-        keep = first.copy()
-        keep[1:] |= buf[1:] != buf[:-1]
-        kept = np.flatnonzero(keep)
-        # the kept entries that open a lane are the CSR row starts
-        return buf[kept], np.append(np.flatnonzero(first[kept]), kept.size)
+        """:func:`~repro.core.walk.descend` through this router's cover."""
+        return descend(y, off, depth, order, head_rows, self.delta,
+                       self.cover_index.cover)
 
     # ---------------------------------------------------------- fast lookup
     def batch_fast_lookup(
@@ -717,49 +558,14 @@ class BatchRouter(ColumnarSnapshot):
         """
         src, y = self._enter(sources, targets, keep_paths)
         cover = self.cover_index.cover
-        size = y.size
         ci = cover(src)
-        t = np.zeros(size, dtype=np.int64)
-        s_final = np.zeros(size, dtype=np.float64)  # ⌊z·Δ^t⌋ at the chosen t
         if self.delta & (self.delta - 1) == 0:
             level_cap = max_levels
         else:
             level_cap = min(max_levels, int(52 / math.log2(self.delta)))
-
-        # forward search over the carried lanes: a lane that finds its
-        # level retires with z = NaN, so its later walk points fail the
-        # segment test, and once half the carried lanes have retired the
-        # rest are compacted — the work follows Σ t_i, not size · max t
-        lanes = np.arange(size)
-        yp, zp, in_own = y, self.midpoints[ci], self._segment_test(ci)
-        finished = []  # lanes per level, in the order the levels ran
-        retired = 0
-        for level in range(level_cap + 1):
-            if retired == lanes.size:
-                break
-            scale = float(self.delta) ** level
-            s_level = np.trunc(zp * scale)
-            p = fold_unit((yp + s_level) / scale)
-            hit = np.flatnonzero(in_own(p))
-            if not hit.size:
-                continue
-            newly = lanes[hit]
-            t[newly] = level
-            s_final[newly] = s_level[hit]
-            finished.append(newly)
-            retired += hit.size
-            zp[hit] = np.nan
-            if retired < lanes.size <= 2 * retired:
-                rest = np.flatnonzero(zp == zp)
-                lanes, yp, zp = lanes[rest], yp[rest], zp[rest]
-                in_own = self._segment_test(ci[lanes])
-                retired = 0
-        if retired < lanes.size:
-            raise RuntimeError("batch_fast_lookup failed to converge")
-
-        # levels ran shallow to deep, so reversed they list the lanes by
-        # depth descending — the order the descent walks prefixes of
-        order = np.concatenate(finished[::-1] or [lanes])
+        t, s_final, order = forward_levels(
+            y, self.midpoints[ci], self.delta,
+            lambda lanes: self._segment_test(ci[lanes]), level_cap)
         servers, offsets = self._descend(y, s_final, t, order, [ci])
         return BatchLookupResult(
             algorithm="fast",
@@ -808,11 +614,7 @@ class BatchRouter(ColumnarSnapshot):
         size = y.size
         tau_arr: Optional[np.ndarray] = None
         if tau is not None:
-            tau_arr = np.asarray(tau, dtype=np.int64)
-            if tau_arr.ndim == 1:
-                tau_arr = np.broadcast_to(tau_arr, (size, tau_arr.size))
-            if tau_arr.shape[0] != size:
-                raise ValueError("tau must have one digit string per lookup")
+            tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
             if tau_arr.size and ((tau_arr < 0) | (tau_arr >= self.delta)).any():
                 raise ValueError(f"tau digits out of range for delta={self.delta}")
 
@@ -981,11 +783,7 @@ class BatchRouter(ColumnarSnapshot):
         size = y.size
         u_mat: Optional[np.ndarray] = None
         if choices is not None:
-            u_mat = np.asarray(choices, dtype=np.float64)
-            if u_mat.ndim == 1:
-                u_mat = np.broadcast_to(u_mat, (size, u_mat.size))
-            if u_mat.shape[0] != size:
-                raise ValueError("choices must have one uniform row per lookup")
+            u_mat = per_lane_matrix(choices, size, np.float64, "choices")
         elif rng is None and policy != "greedy":
             raise ValueError(
                 f"policy {policy!r} needs shared uniforms: pass choices= or rng="

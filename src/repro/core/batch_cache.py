@@ -22,10 +22,10 @@ a time through Python sets and Counters; this module serves whole request
   collapse (steps 2–3) is a vectorized sibling-group reduction applied
   as set patches until it reaches the same fixpoint as the scalar
   while-changed loop;
-* cache-shortened paths are emitted as CSR (a ragged cache-truncated
-  specialisation of :func:`~repro.core.batch.levels_to_csr` sized by
-  the true per-request path lengths), so cached batches book straight
-  into :class:`~repro.core.routing_stats.BatchCongestion`.
+* cache-shortened paths are emitted as CSR (a ragged expansion sized by
+  the true per-request path lengths, compressed by the shared writer
+  :func:`~repro.core.walk.ragged_to_csr`), so cached batches book
+  straight into :class:`~repro.core.routing_stats.BatchCongestion`.
 
 Every float operation mirrors the scalar engine ULP-for-ULP (node
 positions are the closed-form walks ``(root + Σ d_k Δ^k) / Δ^j`` with the
@@ -55,7 +55,8 @@ from ..hashing.kwise import Key
 from .caching import salt_indices, salted_key
 from .continuous import Digits
 from .network import DistanceHalvingNetwork
-from .segments import check_finite, normalize_array
+from .segments import fold_unit
+from .walk import PathResult, normalize_points, per_lane_matrix, ragged_to_csr
 
 __all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key",
            "encode_node_key"]
@@ -96,7 +97,7 @@ def decode_node_key(key: int, delta: int) -> Digits:
 
 
 @dataclass
-class BatchCacheResult:
+class BatchCacheResult(PathResult):
     """Array-of-structs outcome of one served batch.
 
     Mirrors :class:`~repro.core.caching.CachedLookup` field-for-field as
@@ -104,8 +105,8 @@ class BatchCacheResult:
     node that supplied each request, ``hops`` counts the cache-shortened
     path, ``lookup_hops`` the full Distance Halving route it truncated.
     ``path_servers``/``path_offsets`` is the CSR encoding of the
-    shortened server paths (indices into ``points``) —
-    :meth:`to_csr`/``size``/``hops`` give the exact duck-type
+    shortened server paths, always kept and read through the
+    :class:`~repro.core.walk.PathResult` contract
     :meth:`~repro.core.routing_stats.BatchCongestion.record_batch`
     consumes.
     """
@@ -137,18 +138,9 @@ class BatchCacheResult:
         """Hops avoided relative to routing all the way to the owner."""
         return np.maximum(0, self.lookup_hops - self.hops)
 
-    def to_csr(self) -> tuple:
-        """``(path_servers, path_offsets)`` of the shortened paths."""
-        return self.path_servers, self.path_offsets
-
     def serving_node(self, i: int) -> Digits:
         """Digit address of the cache node that served request ``i``."""
         return decode_node_key(int(self.serving_node_key[i]), self.delta)
-
-    def server_path(self, i: int) -> List[float]:
-        """Compressed server path of request ``i`` (CSR decode)."""
-        lo, hi = self.path_offsets[i], self.path_offsets[i + 1]
-        return [float(self.points[k]) for k in self.path_servers[lo:hi]]
 
 
 class BatchCacheEngine:
@@ -322,7 +314,6 @@ class BatchCacheEngine:
         sources,
         tau: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
-        congestion=None,
     ) -> BatchCacheResult:
         """Serve one batch of requests, in array order (= arrival order).
 
@@ -333,14 +324,10 @@ class BatchCacheEngine:
 
         ``tau`` fixes the per-request digit strings (shape ``(B, L)`` or
         ``(L,)``; required for bit-parity against a scalar replay);
-        without it fresh digits are drawn from ``rng``.  ``congestion``
-        optionally books the shortened CSR paths into a
-        :class:`~repro.core.routing_stats.BatchCongestion`.
+        without it fresh digits are drawn from ``rng``.
         """
         items = np.asarray(item_idx, dtype=np.int64).ravel()
-        src = np.asarray(sources, dtype=np.float64).ravel()
-        check_finite(src, "sources")
-        src = normalize_array(src)
+        src = normalize_points(sources, what="sources")
         if items.size != src.size:
             raise ValueError("item_idx and sources must have the same length")
         if items.size and (items.min() < 0 or items.max() >= self.n_items):
@@ -368,11 +355,7 @@ class BatchCacheEngine:
             if rng is None:
                 raise ValueError("serve_batch needs an rng or explicit tau")
             tau = rng.integers(0, delta, size=(size, _TAU_DIGITS))
-        tau_arr = np.asarray(tau, dtype=np.int64)
-        if tau_arr.ndim == 1:
-            tau_arr = np.broadcast_to(tau_arr, (size, tau_arr.size))
-        if tau_arr.shape[0] != size:
-            raise ValueError("tau must have one digit string per request")
+        tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
 
         res = self._router.batch_dh_lookup(src, targets, tau=tau_arr,
                                            keep_paths=False)
@@ -415,10 +398,11 @@ class BatchCacheEngine:
 
         # cache-shortened paths: phase-I walk covers j = 0..t, then
         # phase-II covers j = t..serving depth — the exact closed-form
-        # trajectory the scalar engine books.  Built ragged (a flat
-        # (lane, level) expansion sized by the true path lengths, not a
-        # dense level matrix) and compressed to CSR in one pass, the
-        # cache-truncated specialisation of ``levels_to_csr``.
+        # trajectory the scalar engine books (not the dh route, so not
+        # the shared descent; OFF already holds each level's offset, so
+        # not ``level_points`` either).  Built ragged (a flat (lane,
+        # level) expansion sized by the true path lengths) and
+        # compressed by the shared CSR writer.
         raw_len = 2 * t - depth + 2          # (t+1) phase-I + (t-m+1) phase-II
         starts = np.concatenate(([0], np.cumsum(raw_len)))
         total = int(starts[-1])
@@ -429,24 +413,16 @@ class BatchCacheEngine:
         j = np.where(is_p1, k, 2 * tl + 1 - k)
         val = (np.where(is_p1, src[lane], targets[lane]) + OFF[lane, j])
         val /= scales[j]
-        val[val == 1.0] = 0.0
-        serv = cover(val)
-        keep = np.ones(total, dtype=bool)   # consecutive-dup compression
-        keep[1:] = (lane[1:] != lane[:-1]) | (serv[1:] != serv[:-1])
-        servers = serv[keep].astype(np.int32)
-        counts = np.bincount(lane[keep], minlength=size)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+        servers, offsets = ragged_to_csr(
+            cover(fold_unit(val)).astype(np.int32), starts[:-1])
         np.add.at(self._msgs, servers, 1)
-        hops = counts - 1
 
-        result = BatchCacheResult(
+        return BatchCacheResult(
             points=points, items=items, trees=trees, t=t,
             serving_depth=depth, serving_node_key=node - trees * self._K,
-            serving_server_idx=serving_idx, hops=hops, lookup_hops=res.hops,
-            path_servers=servers, path_offsets=offsets, delta=delta)
-        if congestion is not None:
-            congestion.record_batch(result)
-        return result
+            serving_server_idx=serving_idx, hops=np.diff(offsets) - 1,
+            lookup_hops=res.hops, path_servers=servers, path_offsets=offsets,
+            delta=delta)
 
     def _replication_fixpoint(self, node, depth, t, CK, OFF, trees, lanes):
         """Step-1 replication with sequential semantics, vectorized.

@@ -46,8 +46,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import BatchLookupResult, BatchRouter, _normalize_pair
+from .batch import BatchLookupResult, BatchRouter
 from .segments import CoverIndex
+from .walk import normalize_pair, per_lane_matrix
 
 __all__ = ["ShardedExecutor", "available_workers", "merge_results",
            "slice_bounds"]
@@ -344,7 +345,7 @@ class ShardedExecutor:
         """
         self._check()
         self.sync()
-        src, y = _normalize_pair(sources, targets)
+        src, y = normalize_pair(sources, targets)
         bounds = slice_bounds(y.size, self.workers)
         if len(bounds) <= 1:
             res = self.router.batch_fast_lookup(src, y, keep_paths=keep_paths)
@@ -365,12 +366,8 @@ class ShardedExecutor:
         self._check()
         self.sync()
         self._export_adjacency()
-        src, y = _normalize_pair(sources, targets)
-        tau_arr = np.asarray(tau, dtype=np.int64)
-        if tau_arr.ndim == 1:
-            tau_arr = np.broadcast_to(tau_arr, (y.size, tau_arr.size))
-        if tau_arr.shape[0] != y.size:
-            raise ValueError("tau must have one digit string per lookup")
+        src, y = normalize_pair(sources, targets)
+        tau_arr = per_lane_matrix(tau, y.size, np.int64, "tau")
         bounds = slice_bounds(y.size, self.workers)
         if len(bounds) <= 1:
             return self.router.batch_dh_lookup(src, y, tau=tau_arr,
@@ -401,14 +398,10 @@ class ShardedExecutor:
         self.sync()
         self.router._cost_state()  # actionable error on a cost-less router
         self._export_adjacency()
-        src, y = _normalize_pair(sources, targets)
+        src, y = normalize_pair(sources, targets)
         u_mat = None
         if choices is not None:
-            u_mat = np.asarray(choices, dtype=np.float64)
-            if u_mat.ndim == 1:
-                u_mat = np.broadcast_to(u_mat, (y.size, u_mat.size))
-            if u_mat.shape[0] != y.size:
-                raise ValueError("choices must have one uniform row per lookup")
+            u_mat = per_lane_matrix(choices, y.size, np.float64, "choices")
         elif policy != "greedy":
             raise ValueError(
                 f"sharded policy {policy!r} needs explicit choices= uniforms")

@@ -10,16 +10,16 @@ healing, Multiple-Choice rebalancing, and a §4.1 mass departure — with
 the cross-subsystem invariant checker running between phases.
 
 The measurement helper :func:`measure_soak` is shared by this
-experiment, ``benchmarks/bench_soak.py`` and the ``soak`` CLI
-subcommand.  Timing wraps *around* the deterministic scenario result:
-the artifact stays byte-reproducible per seed, wall-clock lives in
-separate keys the CLI strips from ``--json-out``.
+experiment and the ``soak`` CLI subcommand.  Timing wraps *around* the
+deterministic scenario result: the artifact stays byte-reproducible per
+seed, wall-clock lives in separate keys the CLI strips from
+``--json-out``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from ..artifacts import to_jsonable
 from ..sim.scenario import DEFAULT_CHUNK, DEFAULT_PHASES, ScenarioEngine

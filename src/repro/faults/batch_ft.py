@@ -12,9 +12,11 @@ of :mod:`repro.core.batch`:
   (:meth:`~repro.faults.overlap.OverlappingDHNetwork.cover_table`): one
   cover-index read plus a ``(max α, B)`` gather answers "all covers of
   every path point of the batch";
-* the §6.3 canonical path is computed per *level* in closed form,
-  exactly like the fast-lookup engine — level ``j`` of every walk is
-  ``(y + ⌊z·2^t⌋ mod 2^j) / 2^j`` — so a whole batch shares one walk
+* the §6.3 canonical path is the fast-lookup engine's walk read
+  through overlapping covers: the same forward search and closed-form
+  level point (:func:`~repro.core.walk.forward_levels`,
+  :func:`~repro.core.walk.level_points` — level ``j`` of every walk is
+  ``(y + ⌊z·2^t⌋ mod 2^j) / 2^j``), so a whole batch shares one walk
   evaluation per level;
 * :class:`~repro.faults.models.FaultPlan` fail-stop/Byzantine sets are
   encoded as boolean masks keyed by server id, making per-hop survival
@@ -22,7 +24,7 @@ of :mod:`repro.core.batch`:
   counting over covers instead of flooding Python dicts;
 * Simple-Lookup server choices come from explicit per-hop uniforms (or
   an ``rng``), and the chosen servers are emitted as the same flattened
-  CSR path arrays (:func:`~repro.core.batch.levels_to_csr`) the
+  CSR path arrays (:func:`~repro.core.walk.ragged_to_csr`) the
   congestion accounting layer consumes — a
   :class:`~repro.core.routing_stats.BatchCongestion` can book a routed
   fault batch directly.
@@ -39,14 +41,16 @@ cross-check replay of ``repro.cli bench-faults`` assert this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.batch import _check_keep_paths, levels_to_csr
 from ..core.lookup import MAX_WALK_STEPS
-from ..core.segments import fold_unit, normalize_array
+from ..core.segments import check_finite
+from ..core.walk import (PathResult, check_keep_paths, forward_levels,
+                         level_points, normalize_points, per_lane_matrix,
+                         ragged_to_csr)
 from .models import FaultPlan
 from .overlap import OverlappingDHNetwork
 
@@ -54,7 +58,7 @@ __all__ = ["FTBatchResult", "FTBatchEngine"]
 
 
 @dataclass
-class FTBatchResult:
+class FTBatchResult(PathResult):
     """Array-of-structs outcome of a batch of fault-tolerant lookups.
 
     Mirrors :class:`~repro.faults.lookup_ft.FTLookupResult`
@@ -62,10 +66,11 @@ class FTBatchResult:
     quantity.  ``parallel_time`` counts the relay levels *actually
     traversed* (on failure: up to the point the walk died), matching the
     scalar semantics.  For Simple Lookup batches routed with
-    ``keep_paths``, the chosen server walks are available as CSR arrays
-    with the :mod:`repro.core.batch` conventions — ``path_servers``
-    (int32 indices into :attr:`points`, consecutive duplicates
-    compressed) and ``path_offsets`` (int64, length ``size + 1``) — so
+    ``keep_paths``, the chosen server walks are read through the
+    :class:`~repro.core.walk.PathResult` contract (a failed walk's path
+    ends where it died; ``server_path(i)`` equals
+    ``compress_path(FTLookupResult.servers)`` of the scalar engine for
+    the same lookup and choice uniforms), so
     :class:`~repro.core.routing_stats.BatchCongestion.record_batch`
     accepts the result as-is.
     """
@@ -84,7 +89,6 @@ class FTBatchResult:
     #: covering-edge selection rule the batch was routed with
     #: (see :mod:`repro.peer.policy`); "uniform" is the paper's rule
     policy: str = "uniform"
-    _levels: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -112,37 +116,6 @@ class FTBatchResult:
 
     def success_rate(self) -> float:
         return float(self.success.mean()) if self.size else 0.0
-
-    # ------------------------------------------------------------- paths
-    @property
-    def keeps_paths(self) -> bool:
-        return self._levels is not None or self.path_servers is not None
-
-    def to_csr(self) -> tuple:
-        """The ``(path_servers, path_offsets)`` CSR arrays (cached)."""
-        if self.path_servers is None:
-            if self._levels is None:
-                raise ValueError("batch was routed with keep_paths=False")
-            self.path_servers, self.path_offsets = levels_to_csr(
-                self.size, [self._levels])
-        return self.path_servers, self.path_offsets
-
-    def path_points(self, i: int) -> np.ndarray:
-        """Id points of lookup ``i``'s compressed server walk."""
-        servers, offsets = self.to_csr()
-        return self.points[servers[offsets[i]:offsets[i + 1]]]
-
-    def server_path(self, i: int) -> List[float]:
-        """Compressed server walk of lookup ``i``, as id points.
-
-        Equals ``compress_path(FTLookupResult.servers)`` of the scalar
-        engine for the same lookup and choice uniforms.
-        """
-        return [float(p) for p in self.path_points(i)]
-
-    def path_lengths(self) -> np.ndarray:
-        """Servers on each compressed walk (``hops + 1`` when complete)."""
-        return np.diff(self.to_csr()[1])
 
 
 class FTBatchEngine:
@@ -183,6 +156,7 @@ class FTBatchEngine:
                 raise ValueError("source index out of range")
             return idx
         pts = np.atleast_1d(arr.astype(np.float64)).ravel()
+        check_finite(pts, "sources")
         if pts.size == 1 and size != 1:
             pts = np.full(size, pts[0])
         if pts.size != size:
@@ -192,6 +166,11 @@ class FTBatchEngine:
             raise ValueError("sources must be server id points of the network")
         return idx
 
+    def _enter(self, sources, targets) -> Tuple[np.ndarray, np.ndarray]:
+        """Entry check of both lookups: ``(src_idx, y)``, finite and aligned."""
+        y = normalize_points(targets, size=np.size(sources))
+        return self.source_indices(sources, y.size), y
+
     def canonical_walks(self, src_idx: np.ndarray, y: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized §6.3 canonical-path parameters ``(t, ⌊z·2^t⌋)``.
@@ -199,45 +178,21 @@ class FTBatchEngine:
         Mirrors :func:`~repro.faults.lookup_ft.canonical_path`: the
         smallest ``t`` whose approach walk from the source-segment
         midpoint ``z`` lands the target image inside the source's
-        overlapping segment.  Path point ``j`` (0 ≤ j ≤ t, target end at
-        ``j = 0``) of lookup ``b`` is then
-        ``(y_b + (s_b mod 2^j)) / 2^j`` folded to ``[0, 1)``.
+        overlapping segment — the shared forward search under §6.2's
+        closed cyclic segment test.  Path point ``j`` (0 ≤ j ≤ t, target
+        end at ``j = 0``) of lookup ``b`` is then
+        ``(y_b + (s_b mod 2^j)) / 2^j`` folded to ``[0, 1)``
+        (:func:`~repro.core.walk.level_points`).
         """
-        size = int(y.size)
-        a = self.points[src_idx]
-        seg_len = self.seg_len[src_idx]
-        z = self.mid[src_idx]
-        t = np.zeros(size, dtype=np.int64)
-        s_final = np.zeros(size, dtype=np.float64)
-        pending = np.ones(size, dtype=bool)
-        for level in range(MAX_WALK_STEPS + 1):
-            if level == 0:
-                p = y
-                s_level = None
-            else:
-                scale = float(1 << level)
-                s_level = np.trunc(z * scale)
-                p = fold_unit((y + s_level) / scale)
-            inseg = np.mod(p - a, 1.0) <= seg_len
-            newly = pending & inseg
-            t[newly] = level
-            if s_level is not None:
-                s_final[newly] = s_level[newly]
-            pending &= ~inseg
-            if not pending.any():
-                break
-        else:  # pragma: no cover - canonical_path raises identically
-            raise RuntimeError("batch canonical path failed to converge")
-        return t, s_final
+        start, seg_len = self.points[src_idx], self.seg_len[src_idx]
 
-    def _level_points(self, y: np.ndarray, s_final: np.ndarray,
-                      j: np.ndarray) -> np.ndarray:
-        """Canonical path points at (per-lookup) level ``j``."""
-        # int32 exponents: np.ldexp has no int64 loop where C long is
-        # 32-bit (Windows), and j ≤ MAX_WALK_STEPS = 512 anyway
-        scale = np.ldexp(1.0, j.astype(np.int32))
-        off = np.mod(s_final, scale)
-        return fold_unit((y + off) / scale)
+        def closed_segment(lanes):
+            a, length = start[lanes], seg_len[lanes]
+            return lambda p: np.mod(p - a, 1.0) <= length
+
+        t, s_final, _order = forward_levels(
+            y, self.mid[src_idx], 2, closed_segment, MAX_WALK_STEPS)
+        return t, s_final
 
     # ----------------------------------------------------- simple lookup
     def batch_simple_lookup(
@@ -274,7 +229,7 @@ class FTBatchEngine:
         all); ``policy="uniform"`` ignores the oracle and is
         byte-identical to the cost-less path.
         """
-        _check_keep_paths(keep_paths)
+        check_keep_paths(keep_paths)
         cost_aware = oracle is not None and policy != "uniform"
         if policy != "uniform":
             from ..peer.policy import check_policy
@@ -286,19 +241,14 @@ class FTBatchEngine:
             raise ValueError("batch_simple_lookup needs an rng or explicit choices")
         plan = plan if plan is not None else FaultPlan()
         alive, liar = self._masks(plan)
-        y = normalize_array(targets)
+        src_idx, y = self._enter(sources, targets)
         size = y.size
-        src_idx = self.source_indices(sources, size)
         t, s_final = self.canonical_walks(src_idx, y)
         tmax = int(t.max()) if size else 0
 
         u: Optional[np.ndarray] = None
         if choices is not None:
-            u = np.asarray(choices, dtype=np.float64)
-            if u.ndim == 1:
-                u = np.broadcast_to(u, (size, u.size))
-            if u.shape[0] != size:
-                raise ValueError("choices must have one uniform row per lookup")
+            u = per_lane_matrix(choices, size, np.float64, "choices")
             if u.shape[1] < tmax:
                 raise ValueError("supplied choices exhausted before lookup finished")
         elif rng is not None and tmax:
@@ -308,16 +258,22 @@ class FTBatchEngine:
         messages = np.zeros(size, dtype=np.int64)
         traversed = np.zeros(size, dtype=np.int64)
         failed = np.zeros(size, dtype=bool)
-        levels = None
         if keep_paths:
-            levels = np.full((tmax + 1, size), -1, dtype=np.int64)
-            levels[0] = src_idx
+            # lane-major ragged walk buffer: t+1 slots per lane, slot h
+            # holds the server chosen at hop h (slot 0 the source)
+            slots = t + 1
+            starts = np.cumsum(slots) - slots
+            buf = np.empty(slots.sum(), dtype=np.int32)
+            buf[starts] = src_idx
 
         for h in range(1, tmax + 1):
             lanes = np.flatnonzero((t >= h) & ~failed)
             if not lanes.size:
                 break
-            p = self._level_points(y[lanes], s_final[lanes], t[lanes] - h)
+            # int32 exponents: np.ldexp has no int64 loop where C long is
+            # 32-bit (Windows), and t ≤ MAX_WALK_STEPS = 512 anyway
+            scale = np.ldexp(1.0, (t[lanes] - h).astype(np.int32))
+            p = level_points(y[lanes], s_final[lanes], scale, 2)
             cand, mask = self.net.cover_table(p)
             ok = mask & alive[cand]
             cnt = ok.sum(axis=0)
@@ -340,11 +296,14 @@ class FTBatchEngine:
             messages[surv] += nxt != cur[surv]
             cur[surv] = nxt
             traversed[surv] = h
-            if levels is not None:
-                levels[h, surv] = nxt
+            if keep_paths:
+                buf[starts[surv] + h] = nxt
 
+        servers = offsets = None
+        if keep_paths:  # a failed walk's path ends at its last live hop
+            servers, offsets = ragged_to_csr(buf, starts, traversed + 1)
         success = alive[cur] & ~liar[cur] & ~failed
-        result = FTBatchResult(
+        return FTBatchResult(
             algorithm="simple",
             points=self.points,
             targets=y,
@@ -355,12 +314,9 @@ class FTBatchEngine:
             parallel_time=traversed,
             holder_idx=cur,
             policy=policy,
-            _levels=levels,
+            path_servers=servers,
+            path_offsets=offsets,
         )
-        if keep_paths == "csr":
-            result.to_csr()
-            result._levels = None  # CSR replaces the level matrix
-        return result
 
     # -------------------------------------------------- resistant lookup
     def batch_resistant_lookup(
@@ -384,9 +340,8 @@ class FTBatchEngine:
         """
         plan = plan if plan is not None else FaultPlan()
         alive, liar = self._masks(plan)
-        y = normalize_array(targets)
+        src_idx, y = self._enter(sources, targets)
         size = y.size
-        src_idx = self.source_indices(sources, size)
         t, s_final = self.canonical_walks(src_idx, y)
         tmax = int(t.max()) if size else 0
 
@@ -415,8 +370,7 @@ class FTBatchEngine:
             lanes = np.flatnonzero((t >= level) & ~failed)
             if not lanes.size:
                 break
-            p = self._level_points(y[lanes], s_final[lanes],
-                                   np.full(lanes.size, level, dtype=np.int64))
+            p = level_points(y[lanes], s_final[lanes], 2.0 ** level, 2)
             cand, mask = self.net.cover_table(p)
             amask = mask & alive[cand]
             recv_cnt = amask.sum(axis=0)

@@ -106,7 +106,8 @@ class TestDegenerateBatches:
         net = make_net(32, seed=1)
         eng = BatchCacheEngine(net, ["a"], threshold=3)
         cong = BatchCongestion()
-        res = eng.serve_batch([], [], congestion=cong)
+        res = eng.serve_batch([], [])
+        cong.record_batch(res)
         assert res.size == 0
         assert res.path_offsets.tolist() == [0]
         assert eng.requests_served == 0
@@ -346,7 +347,8 @@ class TestCongestionBooking:
         B = 250
         res = eng.serve_batch(np.zeros(B, np.int64),
                               pts[rng.integers(0, len(pts), size=B)],
-                              rng=rng, congestion=cong)
+                              rng=rng)
+        cong.record_batch(res)
         assert cong.lookups == B
         assert cong.total_messages == int(res.hops.sum())
         summ = cong.summary(net.n)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import BatchCongestion
 from repro.core.lookup import MAX_WALK_STEPS, compress_path
+from repro.core.walk import level_points
 from repro.faults import (
     FTBatchEngine,
     FaultPlan,
@@ -127,8 +128,8 @@ class TestCanonicalWalks:
             path = canonical_path(net, net.points[int(idx[b])], float(tgt[b]))
             assert len(path) - 1 == int(t[b])
             for level in range(int(t[b]) + 1):
-                p = engine._level_points(tgt[b:b + 1], s[b:b + 1],
-                                         np.array([level]))[0]
+                p = level_points(tgt[b:b + 1], s[b:b + 1],
+                                 2.0 ** level, 2)[0]
                 assert p == path[int(t[b]) - level]
 
     def test_walk_length_theorem_6_3(self, net, engine):
@@ -331,6 +332,45 @@ class TestByzantineEdgeCases:
         assert simple.success.all() and resist.success.all()
         assert (simple.t == resist.t).all()
         assert (simple.parallel_time == resist.parallel_time).all()
+
+
+class TestNonFiniteInputs:
+    """Non-finite points fail at entry, naming the lane, like every engine.
+
+    They used to pass the entry, warn ``invalid value encountered in
+    remainder`` and die 512 levels later with ``batch canonical path
+    failed to converge``.
+    """
+
+    @staticmethod
+    def _lookup(engine, algorithm, sources, targets):
+        if algorithm == "simple":
+            return engine.batch_simple_lookup(
+                sources, targets, rng=np.random.default_rng(0))
+        return engine.batch_resistant_lookup(sources, targets)
+
+    @pytest.mark.parametrize("algorithm", ["simple", "resistant"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_nonfinite_target_raises_at_entry(self, net, engine, algorithm,
+                                              bad):
+        with pytest.raises(ValueError, match=r"targets\[1\] is .*finite"):
+            self._lookup(engine, algorithm, net.points_array[:3],
+                         [0.1, bad, 0.3])
+
+    @pytest.mark.parametrize("algorithm", ["simple", "resistant"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_float_source_raises_at_entry(self, net, engine,
+                                                    algorithm, bad):
+        src = net.points_array[:3].copy()
+        src[2] = bad
+        with pytest.raises(ValueError, match=r"sources\[2\] is .*finite"):
+            self._lookup(engine, algorithm, src, [0.1, 0.2, 0.3])
+
+    def test_scalar_target_broadcasts(self, net, engine):
+        """The documented scalar broadcast, via the shared entry check."""
+        res = engine.batch_resistant_lookup(net.points_array[:4], 0.25)
+        assert res.size == 4 and (res.targets == 0.25).all()
 
 
 class TestParallelTimeLevelsTraversed:

@@ -6,9 +6,10 @@ digits of the offset without a float ``np.mod``, and scatters every
 cover straight into the CSR buffer.  The loop it replaced ran every
 level over all lanes under a boolean ``live`` mask, filled a dense
 ``-1``-padded level matrix and flattened it with
-:func:`~repro.core.batch.levels_to_csr`; that loop is kept here as the
-oracle.  The contract is equality — dtypes included — on every point
-set, and agreement of both with the scalar engine's ``server_path``.
+:func:`levels_to_csr`; that loop and that function (gone from ``src/``
+since every engine writes ragged) are kept here as the oracle.  The
+contract is equality — dtypes included — on every point set, and
+agreement of both with the scalar engine's ``server_path``.
 """
 
 import math
@@ -20,12 +21,39 @@ from hypothesis import strategies as st
 from test_cover_index import point_sets, unit
 
 from repro.core import DistanceHalvingNetwork, lookup_many
-from repro.core.batch import BatchRouter, levels_to_csr
+from repro.core.batch import BatchRouter
 from repro.core.lookup import MAX_WALK_STEPS
 from repro.core.segments import fold_unit
 
 FIELDS = ("owner_idx", "source_idx", "t", "hops", "path_servers",
           "path_offsets")
+
+
+def levels_to_csr(size: int, level_mats) -> tuple:
+    """Flatten per-level server matrices into CSR path arrays.
+
+    ``level_mats`` lists ``(levels × size)`` int matrices whose rows are
+    in path order for every lookup (column); ``-1`` marks "no server
+    recorded at this level".  The result is the vectorized equivalent of
+    running :func:`~repro.core.lookup.compress_path` per column: lookup
+    ``i``'s compressed server-index path is
+    ``path_servers[path_offsets[i]:path_offsets[i + 1]]``.
+    """
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    mats = [m for m in level_mats if m is not None and m.size]
+    if not mats or size == 0:
+        return np.zeros(0, dtype=np.int32), offsets
+    stacked = np.concatenate(mats, axis=0)
+    depth = stacked.shape[0]
+    flat = stacked.T.ravel()  # lookup-major; rows keep path order inside
+    at = np.flatnonzero(flat >= 0)
+    vals = flat[at]
+    lane = at // depth
+    keep = np.ones(vals.size, dtype=bool)
+    if vals.size > 1:
+        keep[1:] = (vals[1:] != vals[:-1]) | (lane[1:] != lane[:-1])
+    np.cumsum(np.bincount(lane[keep], minlength=size), out=offsets[1:])
+    return vals[keep].astype(np.int32), offsets
 
 
 def masked_descent(router, y, off, depth, head_rows):
