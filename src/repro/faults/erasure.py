@@ -21,14 +21,20 @@ storage win.  This module supplies that substrate:
   ``(k + m)/k·|item|``.
 
 Implemented from scratch (tables + Gaussian elimination) — no external
-dependency carries GF(256) arithmetic.
+dependency carries GF(256) arithmetic.  The scalar :class:`GF256` calls
+build the generator and invert share matrices (``O(k³)`` per code and
+per distinct share subset); every payload byte goes through one
+256 × 256 product table instead (:func:`_gf_matmul`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 
 __all__ = ["GF256", "ReedSolomonCode", "ErasureStore", "RepairReport"]
@@ -85,12 +91,22 @@ class GF256:
         return cls._EXP[(cls._LOG[a] * e) % 255]
 
 
-def _xor_dot(u: Sequence[int], v: Sequence[int]) -> int:
-    """Inner product over GF(256) (multiply then XOR-accumulate)."""
-    acc = 0
-    for a, b in zip(u, v):
-        acc ^= GF256.mul(a, b)
-    return acc
+def _product_table() -> np.ndarray:
+    """``table[a, b] = GF256.mul(a, b)`` for every byte pair (64 KiB)."""
+    GF256._init_tables()
+    exp = np.array(GF256._EXP, dtype=np.uint8)
+    log = np.array(GF256._LOG, dtype=np.intp)
+    table = exp[log[:, None] + log[None, :]]
+    table[0, :] = table[:, 0] = 0       # log 0 is a placeholder, not a log
+    return table
+
+
+_MUL = _product_table()
+
+
+def _gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over GF(256): ``(r, k)`` times ``(k, size)`` bytes."""
+    return np.bitwise_xor.reduce(_MUL[a[:, :, None], b[None, :, :]], axis=1)
 
 
 def _gf_mat_inv(m: List[List[int]]) -> List[List[int]]:
@@ -130,85 +146,71 @@ class ReedSolomonCode:
     have this property; mixed identity/parity subsets can be singular.)
     """
 
+    #: decode inverses kept per code, oldest evicted first (fault plans
+    #: produce few distinct share subsets; the cap only bounds a sweep
+    #: over all of them)
+    MAX_INVERSES = 64
+
     def __init__(self, k: int, n: int):
         if not 1 <= k <= n <= 255:
             raise ValueError("need 1 <= k <= n <= 255")
         self.k = k
         self.n = n
         vand = [[GF256.pow(i + 1, j) for j in range(k)] for i in range(n)]
-        top_inv = _gf_mat_inv(vand[:k])
-        self._parity_rows: List[List[int]] = [
-            [
-                _xor_dot(vand[i], [top_inv[j][c] for j in range(k)])
-                for c in range(k)
-            ]
-            for i in range(k, n)
-        ]
+        #: the ``(n, k)`` generator ``V · (V_top)⁻¹``: identity on top,
+        #: parity rows below
+        self._generator = _gf_matmul(
+            np.array(vand, dtype=np.uint8),
+            np.array(_gf_mat_inv(vand[:k]), dtype=np.uint8))
+        self._inverses: Dict[Tuple[int, ...], np.ndarray] = {}
 
     # ------------------------------------------------------------- encoding
-    def _chunks(self, data: bytes) -> List[bytes]:
-        pad = (-len(data)) % self.k
-        padded = data + b"\0" * pad
-        size = len(padded) // self.k
-        return [padded[i * size: (i + 1) * size] for i in range(self.k)]
-
     def encode(self, data: bytes) -> List[Tuple[int, bytes]]:
         """Split ``data`` into ``n`` shares ``(index, payload)``.
 
         The original length is prepended so decode can strip padding.
         """
         framed = len(data).to_bytes(8, "big") + data
-        chunks = self._chunks(framed)
-        shares: List[Tuple[int, bytes]] = [(i, chunks[i]) for i in range(self.k)]
-        size = len(chunks[0])
-        for r, row in enumerate(self._parity_rows):
-            payload = bytearray(size)
-            for j, coef in enumerate(row):
-                if coef == 0:
-                    continue
-                chunk = chunks[j]
-                for b in range(size):
-                    payload[b] ^= GF256.mul(coef, chunk[b])
-            shares.append((self.k + r, bytes(payload)))
-        return shares
+        framed += b"\0" * ((-len(framed)) % self.k)
+        chunks = np.frombuffer(framed, dtype=np.uint8).reshape(self.k, -1)
+        parity = _gf_matmul(self._generator[self.k:], chunks)
+        return [(i, row.tobytes())
+                for i, row in enumerate(np.concatenate([chunks, parity]))]
 
     # ------------------------------------------------------------- decoding
-    def _row_of(self, index: int) -> List[int]:
-        if index < self.k:
-            return [1 if j == index else 0 for j in range(self.k)]
-        return self._parity_rows[index - self.k]
+    def _inverse_of(self, indices: Tuple[int, ...]) -> np.ndarray:
+        """Inverse of the generator rows ``indices``, remembered per subset."""
+        inv = self._inverses.get(indices)
+        if inv is None:
+            if len(self._inverses) >= self.MAX_INVERSES:
+                del self._inverses[next(iter(self._inverses))]
+            inv = np.array(
+                _gf_mat_inv(self._generator[list(indices)].tolist()),
+                dtype=np.uint8)
+            self._inverses[indices] = inv
+        return inv
 
     def decode(self, shares: Sequence[Tuple[int, bytes]]) -> bytes:
-        """Reconstruct from any ``k`` distinct shares."""
-        if len({i for i, _ in shares}) < self.k:
+        """Reconstruct from any ``k`` distinct shares.
+
+        Raises ``ValueError`` when fewer than ``k`` distinct indices are
+        given or when the payloads it would combine differ in length.
+        """
+        distinct = {i: p for i, p in shares}
+        if len(distinct) < self.k:
             raise ValueError(f"need at least {self.k} distinct shares")
-        chosen = sorted({i: p for i, p in shares}.items())[: self.k]
-        size = len(chosen[0][1])
-        # solve M · data = payloads over GF(256) by Gaussian elimination
-        m = [list(self._row_of(i)) for i, _ in chosen]
-        payloads = [bytearray(p) for _, p in chosen]
-        for col in range(self.k):
-            pivot = next(
-                (r for r in range(col, self.k) if m[r][col] != 0), None
-            )
-            if pivot is None:  # pragma: no cover - Vandermonde is invertible
-                raise ValueError("singular share matrix")
-            m[col], m[pivot] = m[pivot], m[col]
-            payloads[col], payloads[pivot] = payloads[pivot], payloads[col]
-            inv = GF256.inv(m[col][col])
-            m[col] = [GF256.mul(inv, v) for v in m[col]]
-            payloads[col] = bytearray(GF256.mul(inv, b) for b in payloads[col])
-            for r in range(self.k):
-                if r == col or m[r][col] == 0:
-                    continue
-                factor = m[r][col]
-                m[r] = [GF256.add(v, GF256.mul(factor, w))
-                        for v, w in zip(m[r], m[col])]
-                payloads[r] = bytearray(
-                    GF256.add(b, GF256.mul(factor, c))
-                    for b, c in zip(payloads[r], payloads[col])
-                )
-        framed = b"".join(bytes(p) for p in payloads)
+        chosen = sorted(distinct.items())[: self.k]
+        first, size = chosen[0][0], len(chosen[0][1])
+        for i, p in chosen:
+            if len(p) != size:
+                raise ValueError(
+                    f"share {i} has {len(p)} bytes but share {first} has "
+                    f"{size}: payloads of one item must be equally long")
+        # solve M · data = payloads over GF(256): data = M⁻¹ · payloads
+        payloads = np.frombuffer(b"".join(p for _, p in chosen),
+                                 dtype=np.uint8).reshape(self.k, size)
+        inverse = self._inverse_of(tuple(i for i, _ in chosen))
+        framed = _gf_matmul(inverse, payloads).tobytes()
         length = int.from_bytes(framed[:8], "big")
         return framed[8: 8 + length]
 
@@ -216,6 +218,13 @@ class ReedSolomonCode:
         """Storage blow-up factor ``n/k`` (replication with the same fault
         tolerance would pay ``n − k + 1``)."""
         return self.n / self.k
+
+
+@lru_cache(maxsize=128)
+def _shared_code(k: int, n: int) -> ReedSolomonCode:
+    """The one ``(k, n)`` code every put and repair of that shape uses
+    (the generator depends on nothing else)."""
+    return ReedSolomonCode(k, n)
 
 
 @dataclass
@@ -262,7 +271,7 @@ class ErasureStore:
 
     def _code_for(self, group_size: int) -> ReedSolomonCode:
         k = max(1, int(round(group_size * self.data_fraction)))
-        return ReedSolomonCode(k, group_size)
+        return _shared_code(k, group_size)
 
     def put(self, key, data: bytes) -> int:
         """Encode and spread shares over the replica group; returns n shares."""
@@ -324,7 +333,10 @@ class ErasureStore:
             sh for srv, sh in item.share_at.items()
             if alive is None or srv in alive
         ]
-        data = item.code.decode(available)
+        try:
+            data = item.code.decode(available)
+        except ValueError:      # a share of the wrong length is corrupt
+            return False
         if hashlib.sha256(data).hexdigest() != item.digest:
             return False
         expected = item.code.encode(data)

@@ -32,7 +32,13 @@ from ..core.segments import CoverIndex, normalize_array
 from ..core.snapshot import ColumnarSnapshot
 from ..hashing.kwise import Key, PointHasher
 
-__all__ = ["OverlappingDHNetwork"]
+__all__ = ["OverlappingDHNetwork", "COVER_NEVER", "COVER_DEFINITE",
+           "COVER_BOUNDARY"]
+
+#: Entries of :attr:`OverlappingDHNetwork.cover_class` — does the ``k``-th
+#: ring predecessor of cell ``i`` cover the cell's points: none of them,
+#: all of them, or only those the float segment test accepts.
+COVER_NEVER, COVER_DEFINITE, COVER_BOUNDARY = 0, 1, 2
 
 
 class OverlappingDHNetwork(ColumnarSnapshot):
@@ -40,10 +46,12 @@ class OverlappingDHNetwork(ColumnarSnapshot):
 
     Besides the scalar dict-based API, the constructor freezes the
     decomposition into **array-backed cover tables** (sorted id points,
-    per-server overlap length ``α_i``, segment length and midpoint) so
-    the batch fault-tolerance engine (:mod:`repro.faults.batch_ft`) can
-    answer "all covers of each of these B points" with one cover-index
-    read plus a ``(max α, B)`` gather — no per-point scan.
+    per-server overlap length ``α_i``, segment length and midpoint, and
+    the per-cell :attr:`cover_class` table) so the batch fault-tolerance
+    engine (:mod:`repro.faults.batch_ft`) can answer "all covers of each
+    of these B points" with one cover-index read plus one
+    ``(max α, B)`` gather of the cell's classes — no per-point scan, and
+    the float segment test only where the cell alone cannot decide it.
 
     The tables are the *static* instance of the shared
     :class:`~repro.core.snapshot.ColumnarSnapshot` layer: membership
@@ -54,7 +62,8 @@ class OverlappingDHNetwork(ColumnarSnapshot):
     """
 
     #: The aligned cover-table arrays, registered with the snapshot layer
-    #: (``max_back`` is a derived scalar, recomputed by every rebuild).
+    #: (``max_back`` and ``cover_class`` are derived, recomputed by every
+    #: rebuild).
     COLUMNS = ("points_array", "alpha_array", "seg_len_array", "mid_array")
 
     def __init__(
@@ -106,6 +115,35 @@ class OverlappingDHNetwork(ColumnarSnapshot):
         #: how many ring predecessors a cover scan must visit (max α + 2,
         #: the same back-window the scalar ``covers`` walks)
         self.max_back = int(min(n, self.alpha_array.max() + 2))
+        self._classify_cells()
+
+    def _classify_cells(self) -> None:
+        """Decide the segment test per ``(k, cell)`` wherever the cell can.
+
+        Row ``k`` of :attr:`cover_class` is about server ``j = (i − k)
+        mod n`` and the points of cell ``i`` (``[x_i, x_{i+1})``; the
+        last cell runs through the seam to ``x_0``).  Along the ring
+        from ``x_j`` the test's left side ``f_j(y) = np.mod(y − x_j,
+        1.0)`` never decreases — the subtraction and the negative
+        branch's ``+ 1.0`` both round monotonically — and its right side
+        ``seg_len_j`` *is* ``f_j(end_j)``.  So ``k < α_j`` (the cell ends
+        at or before ``end_j``) passes every point of the cell, and
+        ``f_j(x_i) > seg_len_j`` fails every point from the cell's first
+        on.  What is left are the servers whose segment ends at ``x_i``
+        or float-ties with it (one per cell on average);
+        :meth:`cover_table` runs the float test on those alone.
+        """
+        pts, n = self.points_array, self.n
+        #: ``(max_back, n)`` uint8 of ``COVER_NEVER`` / ``COVER_DEFINITE`` /
+        #: ``COVER_BOUNDARY``; built one row at a time, O(n) temporaries
+        self.cover_class = np.empty((self.max_back, n), dtype=np.uint8)
+        for k in range(self.max_back):
+            # np.roll(col, k)[i] == col[(i - k) % n]: the columns of server j
+            beyond = (np.mod(pts - np.roll(pts, k), 1.0)
+                      > np.roll(self.seg_len_array, k))
+            row = np.where(beyond, COVER_NEVER, COVER_BOUNDARY)
+            row[k < np.roll(self.alpha_array, k)] = COVER_DEFINITE
+            self.cover_class[k] = row
 
     # ------------------------------------------------------------- geometry
     @property
@@ -131,8 +169,7 @@ class OverlappingDHNetwork(ColumnarSnapshot):
         n = self.n
         i = bisect_right(self.points, y) - 1
         out = []
-        max_back = min(n, max(self.alpha.values()) + 2)
-        for k in range(max_back):
+        for k in range(self.max_back):
             x = self.points[(i - k) % n]
             if self.covers_point(x, y):
                 if alive is None or x in alive:
@@ -147,17 +184,26 @@ class OverlappingDHNetwork(ColumnarSnapshot):
         ring predecessor of each query point, the exact scan order of the
         scalar :meth:`covers` — and ``mask`` flags the candidates that
         really cover their point (closed cyclic segment test, same float
-        ops as :meth:`covers_point`).  ``ys`` must already lie in
-        ``[0, 1)``; use :func:`~repro.core.segments.normalize_array`
-        first for raw ring points.
+        ops as :meth:`covers_point`).  The mask is the cell's column of
+        :attr:`cover_class`; only its boundary entries run the float
+        test.  ``ys`` must already lie in ``[0, 1)``; use
+        :func:`~repro.core.segments.normalize_array` first for raw ring
+        points.
         """
         ys = np.asarray(ys, dtype=np.float64)
         i = self.cover_index.cover(ys)
-        k = np.arange(self.max_back, dtype=np.int64)
-        cand = (i[None, :] - k[:, None]) % self.n
-        mask = (np.mod(ys[None, :] - self.points_array[cand], 1.0)
-                <= self.seg_len_array[cand])
-        return cand, mask
+        cand = i[None, :] - np.arange(self.max_back, dtype=np.int64)[:, None]
+        seam = np.flatnonzero(i < self.max_back - 1)
+        cand[:, seam] %= self.n
+        mask = np.take(self.cover_class, i, axis=1)
+        cls = mask.reshape(-1)
+        flat = np.flatnonzero(cls == COVER_BOUNDARY)
+        srv = cand.reshape(-1)[flat]
+        cls[flat] = (
+            np.mod(ys[flat % ys.size] - self.points_array[srv], 1.0)
+            <= self.seg_len_array[srv])
+        # every entry is now COVER_NEVER (0) or COVER_DEFINITE (1)
+        return cand, mask.view(np.bool_)
 
     def coverage_counts(self, probes: np.ndarray) -> np.ndarray:
         """Number of covers of each probe point (Θ(log n) whp)."""
