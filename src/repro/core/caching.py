@@ -43,7 +43,7 @@ import numpy as np
 from ..hashing.kwise import Key
 from .continuous import Digits
 from .interval import normalize
-from .lookup import LookupResult, dh_lookup
+from .lookup import LookupResult, compress_path, dh_lookup
 from .network import DistanceHalvingNetwork
 from .pathtree import PathTree
 
@@ -302,29 +302,18 @@ class CacheSystem:
         tree = self.tree_for(routed)
         digits = res.phase2_digits
         node, replicated = tree.serve(digits)
+        cover = self.net.segments.cover_point
         if replicated:
             # item copied to the Δ children: one message per covering server.
             for ch in tree.tree.children(node):
-                self.messages[self.net.segments.cover_point(tree.tree.position(ch))] += 1
+                self.messages[cover(tree.tree.position(ch))] += 1
 
-        serving_pos = tree.tree.position(node)
-        serving_server = self.net.segments.cover_point(serving_pos)
+        serving_server = cover(tree.tree.position(node))
 
-        # Reconstruct the message trajectory, truncating phase II at the
-        # serving node: phase I follows w(τ[:j], x_src); phase II visits
-        # prefixes τ[:t] … τ[:|node|] and stops where the cache answered.
-        g = self.net.graph
-        t = len(digits)
-        src = float(source_point) % 1.0
-        phase1_servers = [
-            self.net.segments.cover_point(g.walk(digits[:j], src)) for j in range(t + 1)
-        ]
-        phase2_points = [g.walk(digits[:j], res.target) for j in range(t, len(node) - 1, -1)]
-        phase2_servers = [self.net.segments.cover_point(p) for p in phase2_points]
-        path: List[float] = []
-        for s in phase1_servers + phase2_servers:
-            if not path or path[-1] != s:
-                path.append(s)
+        # The message's trajectory is the lookup's, cut where the cache
+        # answered: phase II stops at depth |node| instead of 0.
+        trajectory = res.continuous_path[: len(res.continuous_path) - len(node)]
+        path = compress_path([cover(p) for p in trajectory])
 
         for s in path:
             self.messages[s] += 1
@@ -335,7 +324,7 @@ class CacheSystem:
             lookup=res,
             serving_node=node,
             serving_server=serving_server,
-            entry_depth=t,
+            entry_depth=len(digits),
             server_path=path,
         )
 

@@ -1,43 +1,48 @@
-"""Lookup algorithms on the Distance Halving DHT (paper §2.2).
+"""Lookup algorithms on the Distance Halving DHT (paper §2.2): the scalar reference.
 
-Two algorithms are implemented, exactly as in the paper:
+The scalar twin of :mod:`repro.core.walk` — the single home of what the
+scalar runtimes share:
 
-**Fast Lookup** (§2.2.1; the text also calls it "Greedy Lookup" in
-Corollary 2.5/Theorem 2.7).  To find point ``y`` from server ``V`` with
-segment midpoint ``z``: pick the smallest ``t`` with
-``w(σ(z)_t, y) ∈ s(V)`` (Claim 2.4 guarantees ``t ≤ log n + log ρ + 1``
-for smooth decompositions), then walk *backwards* along ``b`` edges from
-that point to ``y``.  Each intermediate point is recomputed in closed form
-from the digit prefix, so no float error accumulates on the doubling
-steps.
+* :func:`approach_walk`: the forward search "smallest ``t`` with
+  ``w(σ(z)_t, y) ∈ s(V)``" (Claim 2.4: ``t ≤ log n + log ρ + 1`` on
+  smooth decompositions) plus the backward points, parameterised by the
+  segment test as :func:`~repro.core.walk.forward_levels` is.  **Fast
+  Lookup** (§2.2.1; "Greedy Lookup" in Corollary 2.5 / Theorem 2.7)
+  reads it through the half-open ``Arc``, §6.3's canonical path
+  (:mod:`repro.faults.lookup_ft`) through §6.2's closed segment.
+* :class:`DhHeader` + :func:`dh_step`: the **Distance Halving Lookup**
+  (§2.2.2) as the paper states it — a header and one rule per step.
+  Phase I walks the *source* forward under random digits ``τ`` until
+  the target's image ``w(τ_t, y)`` is covered by the current server or
+  a neighbour (Observation 2.3: the walks approach at rate ``Δ^{-t}``);
+  phase II walks back from ``w(τ_t, y)`` to ``y``.  Path length
+  ≤ ``2 log n + 2 log ρ`` (Theorem 2.8).
+* :class:`LocalView`: what one server knows, and what it does with a
+  header.  The message transports (:mod:`repro.sim.protocol`,
+  :mod:`repro.sim.asyncnet`) hold nothing else — that is what "routes
+  with purely local state" means here; :func:`dh_lookup` drives the
+  same step over the global cover map.
 
-**Distance Halving Lookup** (§2.2.2).  Valiant-style two-phase routing:
-phase I walks the *source* point forward under fresh random digits ``τ``
-until the image ``w(τ_t, y)`` of the target is covered by the current
-server or one of its neighbours (Observation 2.3: the two walks approach
-each other at rate ``Δ^{-t}``); phase II walks backwards from
-``w(τ_t, y)`` to ``y``.  Path length ≤ ``2 log n + 2 log ρ``
-(Theorem 2.8) and the randomness gives the permutation-routing and
-hot-spot properties of Theorems 2.10/2.11 and Section 3.
-
-Both functions return a :class:`LookupResult` carrying the full server
-path (for congestion accounting) and the continuous trajectory (for the
-caching protocol, which needs the path-tree nodes of phase II).
+Backward points are recomputed in closed form from the digit prefix (no
+float error accumulates on the doubling steps); results carry the server
+path for congestion accounting and the trajectory for the §3 cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continuous import Digits
-from .interval import normalize
+from .continuous import ContinuousGraph, Digits
+from .interval import Arc, normalize
 from .network import DistanceHalvingNetwork
 
 __all__ = ["LookupResult", "fast_lookup", "dh_lookup", "lookup_many",
-           "compress_path", "MAX_WALK_STEPS"]
+           "compress_path", "MAX_WALK_STEPS", "ring_point", "approach_walk",
+           "DhHeader", "dh_step", "LocalView"]
 
 #: Hard safety bound on walk length; Corollary 2.5 / Theorem 2.8 give
 #: ≈ 2(log n + log ρ) ≤ 4 log n for reasonable ρ, far below this.
@@ -95,6 +100,34 @@ def compress_path(points: Sequence[float]) -> List[float]:
     return out
 
 
+def ring_point(value, what: str) -> float:
+    """``value`` folded into ``[0, 1)``; the entry check of every scalar lookup.
+
+    A NaN or infinite point has no cover: ``ValueError``, worded as
+    :func:`~repro.core.segments.check_finite` words it for the batch engines.
+    """
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} is {x!r}: ring points must be finite")
+    return normalize(x)
+
+
+def approach_walk(graph: ContinuousGraph, z: float, y: float,
+                  in_segment: Callable[[float], bool]) -> Tuple[Digits, List[float]]:
+    """The approach walk of Claim 2.4 toward ``y`` from a segment around ``z``.
+
+    Finds the smallest ``t`` whose point ``w(σ(z)_t, y)`` passes the
+    source's segment test (it is within ``Δ^-t`` of ``z``, so
+    ``t ≈ -log |s(V)|`` suffices) and returns ``σ(z)_t`` with the points
+    the ``b`` edges then visit, ``[w(σ_t, y), …, w(σ_0, y) = y]``.
+    """
+    for t in range(MAX_WALK_STEPS + 1):
+        digits = graph.approach_digits(z, t)
+        if in_segment(graph.walk(digits, y)):
+            return digits, graph.walk_points(digits, y)[::-1]
+    raise RuntimeError("forward search failed to converge; degenerate segment?")
+
+
 def fast_lookup(
     net: DistanceHalvingNetwork,
     source_point: float,
@@ -107,35 +140,18 @@ def fast_lookup(
     (Corollary 2.5), congestion ``Θ(log n / n)`` for random pairs
     (Theorem 2.7).
     """
-    g = net.graph
-    y = normalize(float(target))
-    src = normalize(float(source_point))
+    cover = net.segments.cover_point
+    y = ring_point(target, "target")
     # the lookup is initiated by the server covering the source point
-    seg = net.segments.segment_of(net.segments.cover_point(src))
-    z = seg.midpoint
-
-    # Step 1: minimal t with w(σ(z)_t, y) ∈ s(V).  (Claim 2.4: distance to z
-    # after t steps is ≤ Δ^-t, so t ≈ -log |s(V)| suffices.)
-    t = 0
-    digits: Digits = ()
-    while t <= MAX_WALK_STEPS:
-        digits = g.approach_digits(z, t)
-        if g.walk(digits, y) in seg:
-            break
-        t += 1
-    else:  # pragma: no cover - MAX_WALK_STEPS is far beyond any theorem bound
-        raise RuntimeError("fast_lookup failed to converge; degenerate segment?")
-
-    # Step 2: move backwards along b edges; the point after k backward steps
-    # is w(digits[:t-k], y), computed in closed form for numeric stability.
-    continuous = [g.walk(digits[:j], y) for j in range(t, -1, -1)]
-    servers = compress_path([net.segments.cover_point(p) for p in continuous])
+    seg = net.segments.segment_of(cover(ring_point(source_point, "source")))
+    digits, continuous = approach_walk(net.graph, seg.midpoint, y,
+                                       seg.__contains__)
     return LookupResult(
         target=y,
-        owner=net.segments.cover_point(y),
-        server_path=servers,
+        owner=cover(y),
+        server_path=compress_path([cover(p) for p in continuous]),
         continuous_path=continuous,
-        t=t,
+        t=len(digits),
         phase2_digits=digits,
     )
 
@@ -171,6 +187,111 @@ def lookup_many(
     return out
 
 
+@dataclass
+class DhHeader:
+    """The §2.2.2 message header ``(τ, t, w(τ_t, x), w(τ_t, y))``.
+
+    ``tau`` holds the digits taken; ``t == len(tau)`` in phase I and
+    counts back to 0 in phase II ("each step the server handling the
+    message deletes the last bit in τ").  ``pinned`` is a caller-fixed
+    digit string: the walk reads it and may not outrun it.
+    """
+
+    target: float
+    position: float                 # w(τ_t, x) — forward-stable (phase I)
+    image: float                    # w(τ_t, y) — the target's image
+    pinned: Optional[Sequence[int]] = None
+    tau: List[int] = field(default_factory=list)
+    t: int = 0
+    phase: int = 1
+
+    @classmethod
+    def start(cls, source_point: float, target: float,
+              tau: Optional[Sequence[int]] = None) -> "DhHeader":
+        """Header of a fresh lookup; both points must be finite."""
+        y = ring_point(target, "target")
+        return cls(target=y, position=ring_point(source_point, "source"),
+                   image=y, pinned=tau)
+
+
+def dh_step(graph: ContinuousGraph, header: DhHeader,
+            local_cover: Callable[[float], Optional[float]],
+            rng: Optional[np.random.Generator]) -> Optional[float]:
+    """One step of the Distance Halving lookup (§2.2.2) on ``header``.
+
+    ``local_cover(p)`` is the handling server's "which of me and my
+    neighbours covers ``p``, if any".  Returns the point the message
+    moves to (whoever covers it takes the next step), ``None`` at ``y``.
+    Phase I: once ``w(τ_t, y)`` is covered here or next door, move there
+    and begin phase II; else take one more digit — of a pinned ``τ``,
+    which must not run out, else from ``rng`` — and move to
+    ``f_d(w(τ_t, x))``.  Phase II: delete a digit, move to ``w(τ_{t-1}, y)``.
+    """
+    h = header
+    if h.phase == 2:
+        if h.t == 0:
+            return None
+        h.t -= 1
+        h.image = graph.walk(h.tau[:h.t], h.target)
+        return h.image
+    if h.t > MAX_WALK_STEPS:
+        raise RuntimeError("dh_lookup phase I failed to converge")
+    if local_cover(h.image) is not None:
+        h.phase = 2
+        return h.image
+    if h.pinned is None:
+        d = int(rng.integers(0, graph.delta))
+    elif h.t < len(h.pinned):
+        d = int(h.pinned[h.t])
+    else:
+        raise ValueError("supplied tau exhausted before lookup finished")
+    h.tau.append(d)
+    h.t += 1
+    h.position = graph.child(h.position, d)
+    # the closed form phase II starts from: stepping child(image, d)
+    # instead can round to 1.0, fold to 0.0 and stay there, so the
+    # hand-off would test another point than phase II descends from
+    h.image = graph.walk(h.tau, h.target)
+    return h.position
+
+
+class LocalView:
+    """What one server knows: its segment and its neighbours' (a snapshot)."""
+
+    def __init__(self, net: DistanceHalvingNetwork, point: float):
+        self.point = point
+        self.graph = net.graph
+        self.segment: Arc = net.segments.segment_of(point)
+        self.neighbor_segments: Dict[float, Arc] = {
+            q: net.segments.segment_of(q) for q in net.neighbor_points(point)
+        }
+
+    def cover(self, y: float) -> Optional[float]:
+        """Which of this server and its neighbours covers ``y``, if any."""
+        if y in self.segment:
+            return self.point
+        for q, seg in self.neighbor_segments.items():
+            if y in seg:
+                return q
+        return None
+
+    def route(self, header: DhHeader,
+              rng: Optional[np.random.Generator]) -> Optional[float]:
+        """Step a message until it must leave this server.
+
+        Returns the neighbour to forward to, ``None`` when this server
+        owns the target.  A point no known segment covers means a stale
+        neighbour table (impossible on a static snapshot).
+        """
+        while (point := dh_step(self.graph, header, self.cover, rng)) is not None:
+            nxt = self.cover(point)
+            if nxt is None:
+                raise RuntimeError(f"routing hole: {self.point!r} cannot place {point!r}")
+            if nxt != self.point:
+                return nxt
+        return None
+
+
 def dh_lookup(
     net: DistanceHalvingNetwork,
     source_point: float,
@@ -180,67 +301,38 @@ def dh_lookup(
 ) -> LookupResult:
     """Distance Halving (two-phase, randomised) lookup (§2.2.2).
 
-    Phase I sends the message along the random walk of the *source* point
-    ``w(τ_t, x_i)`` until ``w(τ_t, y)`` is covered by the current server
-    or one of its neighbours; phase II descends the backward edges from
-    ``w(τ_t, y)`` to ``y``.  Supplying ``tau`` fixes the random digit
-    string (used by tests and by the caching experiments to steer the
-    path-tree branch).
+    Loops :func:`dh_step` over the global cover map.  Supplying ``tau``
+    fixes the random digit string (used by tests and by the caching
+    experiments to steer the path-tree branch); a lookup that outruns
+    it raises ``ValueError``.
     """
-    g = net.graph
-    y = normalize(float(target))
-    src = normalize(float(source_point))
+    g, segs = net.graph, net.segments
+    header = DhHeader.start(source_point, target, tau)
+    src, y = header.position, header.target
+    servers: List[float] = [segs.cover_point(src)]
 
-    def digit(i: int) -> int:
-        if tau is not None:
-            if i >= len(tau):
-                raise ValueError("supplied tau exhausted before lookup finished")
-            return int(tau[i])
-        return int(rng.integers(0, g.delta))
+    def here_or_next_door(p: float) -> Optional[float]:
+        cur = servers[-1]
+        if p in segs.segment_of(cur):
+            return cur
+        holder = segs.cover_point(p)
+        return holder if holder in net.neighbor_points(cur) else None
 
-    taus: List[int] = []
-    pos = src          # w(τ_t, x_i) — message position, forward-stable
-    image = y          # w(τ_t, y)  — target image moving with the message
-    t = 0
-    phase1_servers: List[float] = [net.segments.cover_point(src)]
+    back: List[float] = []        # w(τ_t, y), …, w(τ_0, y) = y
+    while (point := dh_step(g, header, here_or_next_door, rng)) is not None:
+        servers.append(segs.cover_point(point))
+        if header.phase == 2:
+            back.append(point)
 
-    while t <= MAX_WALK_STEPS:
-        cur = phase1_servers[-1]
-        if image in net.segments.segment_of(cur):
-            break
-        neigh = net.neighbor_points(cur)
-        holder = net.segments.cover_point(image)
-        if holder in neigh:
-            phase1_servers.append(holder)
-            break
-        d = digit(t)
-        taus.append(d)
-        t += 1
-        pos = g.child(pos, d)
-        # the closed form phase II starts from: stepping child(image, d)
-        # instead can round to 1.0, fold to 0.0 and stay there, so the
-        # hand-off would test another point than phase II descends from
-        image = g.walk(taus, y)
-        phase1_servers.append(net.segments.cover_point(pos))
-    else:  # pragma: no cover
-        raise RuntimeError("dh_lookup phase I failed to converge")
-
-    # Phase II: from w(τ_t, y) backwards to y, deleting the last digit each
-    # step (paper: "each step the server handling the message deletes the
-    # last bit in τ").  Closed-form recomputation per step.
-    digits = tuple(taus)
-    continuous_back = [g.walk(digits[:j], y) for j in range(len(digits), -1, -1)]
-    phase2_servers = [net.segments.cover_point(p) for p in continuous_back]
-
-    servers = compress_path(phase1_servers + phase2_servers)
-    continuous = [g.walk(digits[:j], src) for j in range(len(digits) + 1)]
-    continuous += continuous_back
+    digits = tuple(header.tau)
+    t = len(digits)
     return LookupResult(
         target=y,
-        owner=net.segments.cover_point(y),
-        server_path=servers,
-        continuous_path=continuous,
+        owner=segs.cover_point(y),
+        server_path=compress_path(servers),
+        continuous_path=g.walk_points(digits, src) + back,
         t=t,
         phase2_digits=digits,
-        phase1_hops=max(0, len(compress_path(phase1_servers)) - 1),
+        # phase I ends where w(τ_t, y) is covered: t moves and the hand-off
+        phase1_hops=len(compress_path(servers[: t + 2])) - 1,
     )

@@ -39,8 +39,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core import DistanceHalvingNetwork
-from ..core.lookup import compress_path
-from ..faults import FTBatchEngine, OverlappingDHNetwork, simple_lookup
+from ..faults import FTBatchEngine, OverlappingDHNetwork
 from ..peer import (
     CostAwareBatchRouter,
     CostMap,
@@ -51,25 +50,9 @@ from ..peer import (
 from ..sim.rng import spawn_many
 from ..sim.workload import DH_TAU_DIGITS
 from .common import ExperimentResult, register, timed
-from .faults_exp import FT_CHOICE_DIGITS
+from .faults_exp import FT_CHOICE_DIGITS, scalar_simple_replay
 
 __all__ = ["measure_cost_routing", "format_cost_report"]
-
-
-def _scalar_cost_replay(net, batch, sources, targets, choices, oracle,
-                        policy, temperature) -> bool:
-    """Replay a sub-workload through the scalar walk; True iff bit-equal."""
-    for i in range(targets.size):
-        res = simple_lookup(net, float(sources[i]), "probe",
-                            target=float(targets[i]),
-                            choices=list(choices[i]), oracle=oracle,
-                            policy=policy, temperature=temperature)
-        if not (bool(res.success) == bool(batch.success[i])
-                and res.messages == int(batch.messages[i])
-                and res.parallel_time == int(batch.parallel_time[i])
-                and compress_path(res.servers) == batch.server_path(i)):
-            return False
-    return True
 
 
 def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int, seed: int,
@@ -216,9 +199,9 @@ def measure_cost_routing(
     if m:
         t0 = time.perf_counter()
         for policy in ("greedy", "weighted"):
-            parity &= _scalar_cost_replay(
+            parity &= scalar_simple_replay(
                 net, batches[policy], sources[:m], targets[:m], choices[:m],
-                oracle, policy, temperature)
+                oracle=oracle, policy=policy, temperature=temperature)
         scalar_secs = time.perf_counter() - t0
 
     batch_secs = per_policy["weighted"]["secs"]

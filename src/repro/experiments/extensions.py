@@ -92,7 +92,7 @@ def iterative_vs_recursive(seed: int = 302, quick: bool = False) -> ExperimentRe
         rows: List[Dict] = []
         stats: Dict[str, Dict[str, float]] = {}
         for style in ("recursive", "iterative"):
-            msgs, hops, lat, ok = [], [], [], 0
+            msgs, hops, ok = [], [], 0
             for k in range(lookups):
                 src = pts[int(route.integers(n))]
                 out = run_protocol_lookup(sim, net, src, float(route.random()),
@@ -100,7 +100,6 @@ def iterative_vs_recursive(seed: int = 302, quick: bool = False) -> ExperimentRe
                 ok += out.done
                 msgs.append(out.messages)
                 hops.append(out.hops)
-                lat.append(out.completed_at - (0 if style == "recursive" else 0))
             stats[style] = {"msgs": float(np.mean(msgs)), "hops": float(np.mean(hops)),
                             "ok": ok / lookups}
             rows.append({"style": style, "success": ok / lookups,

@@ -42,7 +42,8 @@ from ..sim.rng import spawn_many
 from ..sim.workload import survivor_pairs
 from .common import ExperimentResult, register, timed
 
-__all__ = ["measure_faults", "format_faults_report", "FT_CHOICE_DIGITS"]
+__all__ = ["measure_faults", "format_faults_report", "FT_CHOICE_DIGITS",
+           "scalar_simple_replay"]
 
 #: Per-hop uniforms supplied per lookup for explicit-choice batches —
 #: far beyond the Theorem 6.3 walk length (log n + O(1)) at any tested
@@ -50,11 +51,13 @@ __all__ = ["measure_faults", "format_faults_report", "FT_CHOICE_DIGITS"]
 FT_CHOICE_DIGITS = 32
 
 
-def _scalar_simple_replay(net, batch, sources, targets, choices, plan):
-    """Replay a sub-workload through the scalar walk; True iff bit-equal."""
+def scalar_simple_replay(net, batch, sources, targets, choices, **how) -> bool:
+    """Replay a sub-workload through the scalar walk (``how``: the
+    ``simple_lookup`` keywords it was routed under); True iff bit-equal."""
     for i in range(targets.size):
-        res = simple_lookup(net, float(sources[i]), "probe", plan=plan,
-                            target=float(targets[i]), choices=list(choices[i]))
+        res = simple_lookup(net, float(sources[i]), "probe",
+                            target=float(targets[i]),
+                            choices=list(choices[i]), **how)
         if not (bool(res.success) == bool(batch.success[i])
                 and res.messages == int(batch.messages[i])
                 and res.parallel_time == int(batch.parallel_time[i])
@@ -114,8 +117,8 @@ def measure_faults(
     scalar_secs = 0.0
     if m:
         t0 = time.perf_counter()
-        parity = _scalar_simple_replay(net, batch, sources[:m],
-                                       targets[:m], choices[:m], plan)
+        parity = scalar_simple_replay(net, batch, sources[:m], targets[:m],
+                                      choices[:m], plan=plan)
         scalar_secs = time.perf_counter() - t0
 
     batch_rate = pairs / batch_secs if batch_secs > 0 else math.inf
@@ -252,9 +255,9 @@ def run_byzantine(seed: int = 14, quick: bool = False) -> ExperimentResult:
                                                     keep_paths="csr")
                 if n == sizes[0]:
                     m = min(sample, pairs)
-                    parity_ok &= _scalar_simple_replay(
+                    parity_ok &= scalar_simple_replay(
                         net, simple, sources[:m], targets[:m],
-                        choices[:m], plan)
+                        choices[:m], plan=plan)
                     for i in range(m):
                         ref = resistant_lookup(net, float(sources[i]), "probe",
                                                plan, target=float(targets[i]))

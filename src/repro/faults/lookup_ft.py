@@ -1,7 +1,9 @@
 """Fault-tolerant lookups on the overlapping DHT (paper §6.3).
 
 Both algorithms emulate the *canonical path* — the Claim 2.4 approach
-walk between the source's segment and the target — through the
+walk between the source's segment and the target
+(:func:`repro.core.lookup.approach_walk`, the forward search the fast
+lookup runs, read through §6.2's closed cyclic segment) — through the
 overlapping cover sets:
 
 * **Simple Lookup** (Theorem 6.3): forward through *one* randomly chosen
@@ -20,13 +22,11 @@ overlapping cover sets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.continuous import Digits
-from ..core.interval import normalize
-from ..core.lookup import MAX_WALK_STEPS
+from ..core.lookup import approach_walk, ring_point
 from ..hashing.kwise import Key
 from .models import FaultPlan
 from .overlap import OverlappingDHNetwork
@@ -55,25 +55,20 @@ def canonical_path(
     walk point enters the source's segment after ``t ≈ log n`` steps, and
     the backward traversal visits ``w(σ(z)_{t-k}, y)`` down to ``y``.
     """
-    g = net.graph
-    y = normalize(float(target))
-    a, b = net.segment_of(source)
+    a, b = net.segment_of(ring_point(source, "source"))
     seg_len = (b - a) % 1.0
     z = (a + seg_len / 2.0) % 1.0
+    return approach_walk(net.graph, z, ring_point(target, "target"),
+                         lambda p: (p - a) % 1.0 <= seg_len)[1]
 
-    def in_segment(p: float) -> bool:
-        return (p - a) % 1.0 <= seg_len
 
-    t = 0
-    digits: Digits = ()
-    while t <= MAX_WALK_STEPS:
-        digits = g.approach_digits(z, t)
-        if in_segment(g.walk(digits, y)):
-            break
-        t += 1
-    else:  # pragma: no cover
-        raise RuntimeError("canonical path failed to converge")
-    return [g.walk(digits[:j], y) for j in range(t, -1, -1)]
+def _majority(values: Sequence[object]) -> Tuple[object, bool]:
+    """The most frequent of ``values`` and whether it is a strict majority."""
+    counts: Dict[object, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    best, cnt = max(counts.items(), key=lambda kv: kv[1])
+    return best, cnt * 2 > len(values)
 
 
 def simple_lookup(
@@ -132,12 +127,11 @@ def simple_lookup(
         if not alive:
             return FTLookupResult(False, path_points=path, servers=servers,
                                   messages=messages, parallel_time=len(servers) - 1)
+        if choices is not None and hop >= len(choices):
+            raise ValueError("supplied choices exhausted before lookup finished")
         if cost_aware:
             from ..peer.policy import select_index
             if choices is not None:
-                if hop >= len(choices):
-                    raise ValueError(
-                        "supplied choices exhausted before lookup finished")
                 u_val = float(choices[hop])
             elif rng is not None:
                 u_val = float(rng.random())
@@ -146,8 +140,6 @@ def simple_lookup(
             costs = oracle.cost_between(servers[-1], alive)
             pick = select_index(costs, u_val, policy, temperature)
         elif choices is not None:
-            if hop >= len(choices):
-                raise ValueError("supplied choices exhausted before lookup finished")
             pick = min(int(choices[hop] * len(alive)), len(alive) - 1)
         else:
             pick = int(rng.integers(len(alive)))
@@ -218,11 +210,8 @@ def resistant_lookup(
             if not received:
                 continue
             # majority filter (Theorem 6.6: forward only the majority value)
-            counts: Dict[object, int] = {}
-            for v in received:
-                counts[v] = counts.get(v, 0) + 1
-            best, cnt = max(counts.items(), key=lambda kv: kv[1])
-            if cnt * 2 > len(received):
+            best, strict = _majority(received)
+            if strict:
                 nxt_values[r] = best
         current_values = nxt_values
         if not current_values:
@@ -234,10 +223,7 @@ def resistant_lookup(
         # zero-hop path (t = 0) whose replica group is entirely dead
         return FTLookupResult(False, path_points=path, messages=messages,
                               parallel_time=0)
-    counts: Dict[object, int] = {}
-    for v in current_values.values():
-        counts[v] = counts.get(v, 0) + 1
-    best, cnt = max(counts.items(), key=lambda kv: kv[1])
-    ok = best == true_value and cnt * 2 > len(current_values)
-    return FTLookupResult(ok, value=best, path_points=path, messages=messages,
+    best, strict = _majority(list(current_values.values()))
+    return FTLookupResult(best == true_value and strict, value=best,
+                          path_points=path, messages=messages,
                           parallel_time=len(layers) - 1)

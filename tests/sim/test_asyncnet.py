@@ -5,11 +5,13 @@ check the asyncio-routed paths coincide with the deterministic reference
 when the random digit strings are pinned.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro.core import DistanceHalvingNetwork, dh_lookup
-from repro.sim.asyncnet import run_async_lookups
+from repro.sim.asyncnet import AsyncDHNetwork, run_async_lookups
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +59,103 @@ class TestAsyncLookups:
 
     def test_local_knowledge_only(self, net):
         """Async servers never consult the global map during routing."""
+        from repro.core.lookup import LocalView
         from repro.sim.asyncnet import AsyncServer
 
         srv = AsyncServer(list(net.points())[0], net)
+        view = srv.view
+        assert type(view) is LocalView and view.point == srv.point
         # the server's world is its segment plus its neighbours' segments
-        assert srv._local_cover(float(srv.segment.midpoint)) == srv.point
+        assert view.cover(float(view.segment.midpoint)) == srv.point
+        for q, seg in view.neighbor_segments.items():
+            assert view.cover(float(seg.midpoint)) == q
         far = (srv.point + 0.431) % 1.0
-        if all(far not in s for s in srv._seg_of.values()) and far not in srv.segment:
-            assert srv._local_cover(far) is None
+        assert all(far not in s for s in view.neighbor_segments.values())
+        assert far not in view.segment and view.cover(far) is None
+
+
+BOUND = 20.0  # seconds; each of these takes milliseconds when the fabric is sound
+
+
+class TestFailuresStayLocal:
+    """An error while routing fails that lookup; the fabric serves on.
+
+    The server task used to die with the exception, leaving the
+    lookup's future unresolved: ``gather`` waited forever.
+    """
+
+    @staticmethod
+    def _queries(net, count, seed):
+        rng = np.random.default_rng(seed)
+        pts = list(net.points())
+        return [(pts[int(rng.integers(64))], float(rng.random()))
+                for _ in range(count)]
+
+    def test_bad_digit_raises_instead_of_hanging(self, net):
+        """``taus=[[5] * 30]`` at Δ=2: ``child`` rejects the digit."""
+        (src, tgt), = self._queries(net, 1, 5)
+        assert dh_lookup(net, src, tgt, None, tau=[1] * 64).t > 0
+
+        async def main():
+            fabric = AsyncDHNetwork(net, np.random.default_rng(0))
+            await fabric.start()
+            try:
+                with pytest.raises(ValueError, match="digit 5 out of range"):
+                    await asyncio.wait_for(
+                        fabric.lookup(src, tgt, tau=[5] * 30), BOUND)
+            finally:
+                await asyncio.wait_for(fabric.stop(), BOUND)
+            assert all(t.done() and t.exception() is None
+                       for t in fabric._tasks)
+
+        asyncio.run(main())
+        with pytest.raises(ValueError, match="digit 5 out of range"):
+            run_async_lookups(net, [(src, tgt)], np.random.default_rng(0),
+                              taus=[[5] * 30])
+
+    def test_good_lookups_complete_beside_a_bad_one(self, net):
+        good = self._queries(net, 20, 6)
+        (src, tgt), = self._queries(net, 1, 5)
+
+        async def main():
+            fabric = AsyncDHNetwork(net, np.random.default_rng(1))
+            await fabric.start()
+            try:
+                results = await asyncio.wait_for(asyncio.gather(
+                    fabric.lookup(src, tgt, tau=[5] * 30),
+                    *(fabric.lookup(s, t) for s, t in good),
+                    return_exceptions=True), BOUND)
+                # and the fabric is still whole afterwards
+                again = await asyncio.wait_for(fabric.lookup(src, tgt), BOUND)
+            finally:
+                await asyncio.wait_for(fabric.stop(), BOUND)
+            return results, again
+
+        results, again = asyncio.run(main())
+        assert isinstance(results[0], ValueError)
+        for (s, t), path in zip(good, results[1:]):
+            assert path[-1] == net.segments.cover_point(t)
+        assert again[-1] == net.segments.cover_point(tgt)
+
+    def test_a_cancelled_lookup_does_not_kill_its_servers(self, net):
+        """The caller gives up mid-route; the message is dropped, not fatal."""
+        cover = net.segments.cover_point
+        queries = [(s, t) for s, t in self._queries(net, 12, 7)
+                   if cover(s) != cover(t)]  # ≥ 1 hop: two sends > timeout
+        assert len(queries) >= 10
+
+        async def main():
+            fabric = AsyncDHNetwork(net, np.random.default_rng(2), latency=0.01)
+            await fabric.start()
+            try:
+                for s, t in queries:
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(fabric.lookup(s, t), 0.015)
+                fabric.latency = 0.0
+                return await asyncio.wait_for(asyncio.gather(
+                    *(fabric.lookup(s, t) for s, t in queries)), BOUND)
+            finally:
+                await asyncio.wait_for(fabric.stop(), BOUND)
+
+        for (s, t), path in zip(queries, asyncio.run(main())):
+            assert path[-1] == net.segments.cover_point(t)
