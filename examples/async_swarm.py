@@ -15,15 +15,14 @@ import asyncio
 
 import numpy as np
 
-from repro.balance import MultipleChoice
-from repro.core import DistanceHalvingNetwork, dh_lookup
+from repro.core import dh_lookup
 from repro.sim.asyncnet import AsyncDHNetwork
+from repro.sim.workload import balanced_network
 
 
 async def swarm() -> None:
     rng = np.random.default_rng(3)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(128, selector=MultipleChoice(t=4))
+    net = balanced_network(128, rng)
     pts = list(net.points())
 
     fabric = AsyncDHNetwork(net, rng, latency=0.0)

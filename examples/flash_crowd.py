@@ -17,9 +17,8 @@ import math
 
 import numpy as np
 
-from repro.balance import MultipleChoice
-from repro.core import BatchCacheEngine, DistanceHalvingNetwork
-from repro.sim.workload import demand_stream, zipf_demands
+from repro.core import BatchCacheEngine
+from repro.sim.workload import balanced_network, demand_stream, zipf_demands
 
 N = 16384
 REQUESTS = 1_000_000
@@ -39,8 +38,7 @@ def main() -> None:
     # where the salt-tree roots land relative to fat segments (see the note
     # in caching_single.py); this one shows the effect clearly (~2x).
     rng = np.random.default_rng(9)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(N, selector=MultipleChoice(t=4))
+    net = balanced_network(N, rng)
     pts = net.segments.as_array()
     c = max(2, int(math.ceil(math.log2(N))))
     logn2 = int(math.log2(N) ** 2)

@@ -15,15 +15,15 @@ import math
 import numpy as np
 
 from repro.balance import MultipleChoice
-from repro.core import DistanceHalvingNetwork, dh_lookup, fast_lookup
+from repro.core import dh_lookup, fast_lookup
+from repro.sim.workload import balanced_network
 
 
 def main() -> None:
     rng = np.random.default_rng(42)
-    net = DistanceHalvingNetwork(rng=rng)
 
     print("== joining 256 servers (Multiple Choice ids) ==")
-    net.populate(256, selector=MultipleChoice(t=4))
+    net = balanced_network(256, rng)
     print(f"n = {net.n}, smoothness ρ = {net.smoothness():.2f}, "
           f"max degree = {max(net.degree(p) for p in net.points())}")
     print(f"edges = {net.edge_count()} (Theorem 2.1 bound: {3 * net.n - 1})")

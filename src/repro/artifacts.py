@@ -2,7 +2,8 @@
 
 Every ``bench-*``/``soak`` subcommand used to carry its own copy of the
 "NumPy scalar → Python scalar" JSON dance; this module is the single
-implementation.  :func:`write_artifact` wraps one measurement dict into
+implementation (:func:`dumps` — the experiment results' ``to_json``
+goes through it too).  :func:`write_artifact` wraps one measurement dict into
 the artifact envelope CI uploads and ``bench-compare`` gates on — and
 stamps the **execution shape** (``workers`` + machine ``cpu_count``)
 into every artifact, so compares can refuse diffs across different
@@ -17,15 +18,7 @@ import math
 import os
 from typing import Dict, Optional
 
-__all__ = ["json_default", "to_jsonable", "artifact_payload",
-           "write_artifact"]
-
-
-def json_default(value):
-    """``json.dump(default=...)`` hook: NumPy scalars to Python scalars."""
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
+__all__ = ["to_jsonable", "dumps", "artifact_payload", "write_artifact"]
 
 
 def to_jsonable(value):
@@ -33,7 +26,7 @@ def to_jsonable(value):
 
     NumPy scalars go through ``.item()``, arrays through ``.tolist()``,
     tuples become lists; dict keys are stringified the way ``json.dump``
-    would.  Shared by the artifact writer and the soak experiment's
+    would.  Shared by :func:`dumps` and the soak experiment's
     deterministic payload, so "what the artifact holds" has exactly one
     definition.
     """
@@ -60,19 +53,30 @@ def artifact_payload(command: str, result: Dict, ok: bool,
     }
 
 
-def _non_finite(value, where: str):
+def _non_finite(value, where: str = ""):
     """Yield ``"<key path> = <value>"`` for every NaN / infinite leaf."""
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from _non_finite(item, f"{where}.{key}")
-    elif isinstance(value, (list, tuple)):
+            yield from _non_finite(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
         for i, item in enumerate(value):
             yield from _non_finite(item, f"{where}[{i}]")
-    else:
-        if hasattr(value, "item"):  # NumPy scalar
-            value = value.item()
-        if isinstance(value, float) and not math.isfinite(value):
-            yield f"{where} = {value}"
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield f"{where} = {value}"
+
+
+def dumps(value) -> str:
+    """The repository's one JSON form of a result tree (NumPy-safe).
+
+    Converts through :func:`to_jsonable` and indents by two.  ``NaN`` /
+    ``Infinity`` are not JSON: a tree holding one raises ``ValueError``
+    naming the key path of every such leaf.
+    """
+    doc = to_jsonable(value)
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(", ".join(_non_finite(doc)) or str(exc)) from None
 
 
 def write_artifact(path: Optional[str], command: str, result: Dict,
@@ -86,13 +90,7 @@ def write_artifact(path: Optional[str], command: str, result: Dict,
     """
     if not path:
         return
-    payload = artifact_payload(command, result, ok, workers=workers)
-    try:
-        text = json.dumps(payload, indent=2, default=json_default,
-                          allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(", ".join(_non_finite(result, "result"))
-                         or str(exc)) from None
+    text = dumps(artifact_payload(command, result, ok, workers=workers))
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

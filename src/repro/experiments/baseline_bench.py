@@ -11,8 +11,8 @@ element-for-element and the scalar :class:`CongestionCounter` summary
 must equal the :class:`BatchCongestion` summary bit-for-bit, so the
 reported speedup is for provably identical work.
 
-Shared by ``benchmarks/bench_table1.py`` and the ``bench-baselines``
-CLI subcommand (the CI smoke + regression-gate artifact).
+Run by the ``bench-baselines`` CLI subcommand (the CI smoke +
+regression-gate artifact).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from ..baselines import (
 )
 from ..core.routing_stats import BatchCongestion, CongestionCounter
 from ..sim.rng import spawn_many
+from ..sim.workload import rate_fields
 
 __all__ = [
     "SCHEME_BUILDERS",
@@ -122,17 +123,11 @@ def measure_baselines(
             scalar_paths[k] == replay.server_path(k) for k in range(m)
         ) and counter.summary(n) == replay_cong.summary(n)
 
-        batch_rate = lookups / batch_secs if batch_secs > 0 else math.inf
-        scalar_rate = m / scalar_secs if scalar_secs > 0 else math.inf
         per_scheme[name] = {
             "scheme": dht.name,
             "build_secs": build_secs,
             "compile_secs": compile_secs,
-            "batch_secs": batch_secs,
-            "scalar_secs": scalar_secs,
-            "batch_rate": batch_rate,
-            "scalar_rate": scalar_rate,
-            "speedup": batch_rate / scalar_rate if scalar_rate > 0 else math.inf,
+            **rate_fields(lookups, batch_secs, m, scalar_secs),
             "parity_ok": bool(parity),
             "mean_path": float(hops.mean()) if lookups else 0.0,
             "max_congestion": cong.max_congestion(),

@@ -26,10 +26,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..balance import MultipleChoice
-from ..core import BatchCacheEngine, CacheSystem, DistanceHalvingNetwork
+from ..core import BatchCacheEngine, CacheSystem
 from ..sim.rng import spawn_many
-from ..sim.workload import demand_stream, single_hotspot_demands, zipf_demands
+from ..sim.workload import (balanced_network, demand_stream, rate_fields,
+                            single_hotspot_demands, zipf_demands)
 
 __all__ = ["measure_caching", "format_caching_report", "drive_chunked",
            "trace_parity"]
@@ -111,11 +111,10 @@ def measure_caching(
     parity_requests: int = 1200,
     hotspot_requests: Optional[int] = None,
     chunk: int = DEFAULT_CHUNK,
-    net: Optional[DistanceHalvingNetwork] = None,
 ) -> Dict:
     """Serve ``requests`` Zipf(``exponent``) cache requests, batch vs scalar.
 
-    Builds (or reuses) an ``n``-server Multiple-Choice-balanced network,
+    Builds an ``n``-server Multiple-Choice-balanced network,
     expands a Zipf demand over ``n_items`` items into a shuffled arrival
     stream, and times the chunked batch drive (including the end-of-epoch
     collapse) against the scalar per-request loop on the stream's head.
@@ -127,12 +126,8 @@ def measure_caching(
         raise ValueError("measure_caching needs at least one request")
     if parity_n > 1024:
         raise ValueError("the parity replay is scalar-bound; keep parity_n <= 1024")
-    if net is not None:
-        n = net.n
     build_rng, route = spawn_many(seed * 29 + n, 2)
-    if net is None:
-        net = DistanceHalvingNetwork(rng=build_rng)
-        net.populate(n, selector=MultipleChoice(t=4))
+    net = balanced_network(n, build_rng)
 
     items = [f"item{i}" for i in range(n_items)]
     demands = zipf_demands(n_items, requests, route, exponent=exponent)
@@ -158,8 +153,7 @@ def measure_caching(
 
     # bit-parity replay: full trace on a scalar-affordable side network
     prng, proute = spawn_many(seed * 31 + parity_n, 2)
-    pnet = DistanceHalvingNetwork(rng=prng)
-    pnet.populate(parity_n, selector=MultipleChoice(t=4))
+    pnet = balanced_network(parity_n, prng)
     pq = min(parity_requests, requests)
     p_items = items[: min(n_items, 16)]
     p_idx = proute.integers(0, len(p_items), size=pq)
@@ -188,8 +182,6 @@ def measure_caching(
     salted_max = int(salted.server_cache_hits().max())
     salted_ok = salted_max < plain_max
 
-    batch_rate = requests / batch_secs if batch_secs > 0 else math.inf
-    scalar_rate = m / scalar_secs if scalar_secs > 0 else math.inf
     summary = engine.summary()
     return {
         "n": net.n,
@@ -200,11 +192,7 @@ def measure_caching(
         "zipf_exponent": exponent,
         "scalar_sample": m,
         "compile_secs": compile_secs,
-        "batch_secs": batch_secs,
-        "scalar_secs": scalar_secs,
-        "batch_rate": batch_rate,
-        "scalar_rate": scalar_rate,
-        "speedup": batch_rate / scalar_rate if scalar_rate > 0 else math.inf,
+        **rate_fields(requests, batch_secs, m, scalar_secs),
         "parity_n": parity_n,
         "parity_ok": bool(parity_ok),
         "salts": salts,

@@ -25,7 +25,8 @@ from ..balance import MultipleChoice
 from ..core import DistanceHalvingNetwork
 from ..sim.churn import ChurnTrace, run_churn
 from ..sim.rng import spawn_many
-from .common import ExperimentResult, register, timed
+from ..sim.workload import random_pairs
+from .common import ExperimentResult, register
 
 __all__ = ["measure_churn_soak", "format_churn_report", "MAX_REFRESH_US"]
 
@@ -47,9 +48,8 @@ def _time_full_compile(net: DistanceHalvingNetwork, reps: int = 3) -> float:
 
 def _route_batch(router, net, route_rng, lookups: int) -> Dict:
     """One bulk fast-lookup batch + owner cross-check against the oracle."""
-    pts = net.segments.as_array()
-    sources = pts[route_rng.integers(0, net.n, size=lookups)]
-    targets = route_rng.random(lookups)
+    sources, targets = random_pairs(net.segments.as_array(), route_rng,
+                                    lookups)
     t0 = time.perf_counter()
     res = router.batch_fast_lookup(sources, targets)
     secs = time.perf_counter() - t0
@@ -203,43 +203,40 @@ def format_churn_report(result: Dict) -> str:
 
 @register("X4")
 def run(seed: int = 23, quick: bool = False) -> ExperimentResult:
-    def body() -> ExperimentResult:
-        sizes = [1024] if quick else [4096, 16384]
-        lookups = 20_000 if quick else 100_000
-        churn_ops = 96 if quick else 256
-        rows = []
-        checks: Dict[str, bool] = {}
-        owners_ok = True
-        smooth_ok = True
-        retained = []
-        for n in sizes:
-            res = measure_churn_soak(
-                n=n, lookups=lookups, phases=2, churn_ops=churn_ops,
-                seed=seed, mass_n=min(n, 8192),
-            )
-            owners_ok &= res["owners_ok"]
-            refresh_us = 1e6 * res["refresh_secs_per_op"]  # the last size gates
-            smooth_ok &= math.isfinite(res["final_smoothness"])
-            retained.append(res["final_rate"] / res["baseline_rate"])
-            for row in res["rows"]:
-                rows.append({"n_start": n, **row})
-        checks["every batch's owners match the live segment map"] = owners_ok
-        checks["smoothness stays finite through mass departure"] = smooth_ok
-        checks[
-            f"incremental refresh ≤ {MAX_REFRESH_US:g}us per membership op "
-            f"at n={sizes[-1]} (got {refresh_us:.0f}us)"
-        ] = refresh_us <= MAX_REFRESH_US
-        checks[
-            f"post-soak throughput ≥ 0.2x baseline (got {min(retained):.2f}x)"
-        ] = min(retained) >= 0.2
-        return ExperimentResult(
-            experiment="X4",
-            title="Churn soak (incremental router under membership change)",
-            paper_claim="extension of §2.1 locality: joins/leaves patch the "
-            "batch router in O(affected region); lookups stay correct and "
-            "fast through churn incl. 50% mass departure (§4.1)",
-            rows=rows,
-            checks=checks,
+    sizes = [1024] if quick else [4096, 16384]
+    lookups = 20_000 if quick else 100_000
+    churn_ops = 96 if quick else 256
+    rows = []
+    checks: Dict[str, bool] = {}
+    owners_ok = True
+    smooth_ok = True
+    retained = []
+    for n in sizes:
+        res = measure_churn_soak(
+            n=n, lookups=lookups, phases=2, churn_ops=churn_ops,
+            seed=seed, mass_n=min(n, 8192),
         )
-
-    return timed(body)
+        owners_ok &= res["owners_ok"]
+        refresh_us = 1e6 * res["refresh_secs_per_op"]  # the last size gates
+        smooth_ok &= math.isfinite(res["final_smoothness"])
+        retained.append(res["final_rate"] / res["baseline_rate"])
+        for row in res["rows"]:
+            rows.append({"n_start": n, **row})
+    checks["every batch's owners match the live segment map"] = owners_ok
+    checks["smoothness stays finite through mass departure"] = smooth_ok
+    checks[
+        f"incremental refresh ≤ {MAX_REFRESH_US:g}us per membership op "
+        f"at n={sizes[-1]} (got {refresh_us:.0f}us)"
+    ] = refresh_us <= MAX_REFRESH_US
+    checks[
+        f"post-soak throughput ≥ 0.2x baseline (got {min(retained):.2f}x)"
+    ] = min(retained) >= 0.2
+    return ExperimentResult(
+        experiment="X4",
+        title="Churn soak (incremental router under membership change)",
+        paper_claim="extension of §2.1 locality: joins/leaves patch the "
+        "batch router in O(affected region); lookups stay correct and "
+        "fast through churn incl. 50% mass departure (§4.1)",
+        rows=rows,
+        checks=checks,
+    )

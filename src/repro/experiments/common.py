@@ -2,16 +2,21 @@
 
 Every experiment module registers a ``run(seed, quick)`` callable that
 returns an :class:`ExperimentResult` — a set of measured rows plus the
-paper's claim and a pass/fail verdict, so EXPERIMENTS.md can be
-regenerated mechanically (``python -m repro.cli run all``).
+paper's claim and a pass/fail verdict.  :func:`register` is the one
+shell around all of them: it keys the registry, times the run and hands
+back the timed callable; :meth:`ExperimentResult.to_json` is the one
+JSON form (``python -m repro.cli run all --out DIR``).  A committed,
+regenerated report over this registry is ROADMAP item 7.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
+
+from ..artifacts import dumps
 
 __all__ = ["ExperimentResult", "register", "get_experiment", "all_experiments",
            "format_rows"]
@@ -34,7 +39,11 @@ class ExperimentResult:
         return all(self.checks.values()) if self.checks else True
 
     def to_json(self) -> str:
-        return json.dumps(
+        """The result through :func:`repro.artifacts.dumps`, the writer of
+        the bench artifacts: a ``numpy.bool_`` verdict is written ``true``
+        (not ``"True"``) and a NaN / infinite value raises ``ValueError``
+        naming its key."""
+        return dumps(
             {
                 "experiment": self.experiment,
                 "title": self.title,
@@ -44,9 +53,7 @@ class ExperimentResult:
                 "passed": self.passed,
                 "notes": self.notes,
                 "seconds": round(self.seconds, 2),
-            },
-            indent=2,
-            default=str,
+            }
         )
 
     def render(self) -> str:
@@ -88,11 +95,22 @@ _REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {}
 
 
 def register(name: str):
-    """Decorator: register ``fn(seed=..., quick=...)`` under an id like E1."""
+    """Decorator: register ``fn(seed=..., quick=...)`` under an id like E1.
+
+    What is registered (and returned) is ``fn`` inside the timing shell:
+    every run stores its wall time on the result's ``seconds``.
+    """
 
     def deco(fn: Callable[..., ExperimentResult]):
-        _REGISTRY[name.upper()] = fn
-        return fn
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> ExperimentResult:
+            t0 = time.perf_counter()
+            res = fn(*args, **kwargs)
+            res.seconds = time.perf_counter() - t0
+            return res
+
+        _REGISTRY[name.upper()] = run
+        return run
 
     return deco
 
@@ -106,10 +124,3 @@ def get_experiment(name: str) -> Callable[..., ExperimentResult]:
 
 def all_experiments() -> Dict[str, Callable[..., ExperimentResult]]:
     return dict(sorted(_REGISTRY.items()))
-
-
-def timed(fn: Callable[[], ExperimentResult]) -> ExperimentResult:
-    t0 = time.perf_counter()
-    res = fn()
-    res.seconds = time.perf_counter() - t0
-    return res

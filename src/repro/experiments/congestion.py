@@ -30,22 +30,18 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..balance import MultipleChoice
-from ..core import (
-    BatchCongestion,
-    CongestionCounter,
-    DistanceHalvingNetwork,
-    lookup_many,
-)
+from ..core import BatchCongestion, CongestionCounter, lookup_many
 from ..sim.rng import spawn_many
-from ..sim.workload import DH_TAU_DIGITS, route_pairs
-from .common import ExperimentResult, register, timed
+from ..sim.workload import (DH_TAU_DIGITS, balanced_network, random_pairs,
+                            rate_fields, route_pairs)
+from .common import ExperimentResult, register
 
-__all__ = ["measure_congestion", "format_congestion_report"]
+__all__ = ["measure_congestion", "format_congestion_report",
+           "scalar_congestion"]
 
 
-def _scalar_congestion(net, sources, targets, algorithm: str,
-                       tau: Optional[np.ndarray]) -> CongestionCounter:
+def scalar_congestion(net, sources, targets, algorithm: str,
+                      tau: Optional[np.ndarray]) -> CongestionCounter:
     """The reference per-lookup loop: scalar engine + Counter accounting."""
     taus = None
     if algorithm == "dh":
@@ -64,12 +60,11 @@ def measure_congestion(
     scalar_sample: int = 1000,
     algorithm: str = "fast",
     delta: int = 2,
-    net: Optional[DistanceHalvingNetwork] = None,
     workers: int = 1,
 ) -> Dict:
     """Route-and-account ``lookups`` random pairs, batch vs scalar.
 
-    Builds (or reuses) an ``n``-server Multiple-Choice-balanced network,
+    Builds an ``n``-server Multiple-Choice-balanced network,
     routes the whole workload through an auto-refresh router with CSR
     paths into a :class:`BatchCongestion`, and replays the first
     ``scalar_sample`` pairs through the scalar engine + Counter loop.
@@ -87,24 +82,18 @@ def measure_congestion(
     """
     if algorithm not in ("fast", "dh"):
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'fast' or 'dh'")
-    if net is not None:
-        n = net.n
     if n < 2:
         raise ValueError("measure_congestion needs n >= 2 (cong_norm "
                          "divides by log2 n)")
     build_rng, route = spawn_many(seed * 29 + n, 2)
-    if net is None:
-        net = DistanceHalvingNetwork(delta=delta, rng=build_rng)
-        net.populate(n, selector=MultipleChoice(t=4))
+    net = balanced_network(n, build_rng, delta=delta)
 
     t0 = time.perf_counter()
     router = net.router(auto_refresh=True,
                         with_adjacency=(algorithm == "dh"))
     compile_secs = time.perf_counter() - t0
 
-    pts = net.segments.as_array()
-    sources = pts[route.integers(0, n, size=lookups)]
-    targets = route.random(lookups)
+    sources, targets = random_pairs(net.segments.as_array(), route, lookups)
     m = min(scalar_sample, lookups)
     tau = None
     if algorithm == "dh":
@@ -129,7 +118,7 @@ def measure_congestion(
         router.close_executor()
 
     t0 = time.perf_counter()
-    scalar_cong = _scalar_congestion(
+    scalar_cong = scalar_congestion(
         net, sources[:m], targets[:m], algorithm,
         tau[:m] if tau is not None else None)
     scalar_secs = time.perf_counter() - t0
@@ -140,8 +129,6 @@ def measure_congestion(
                 tau=tau[:m] if tau is not None else None, congestion=sub)
     parity = sub.summary(net.n) == scalar_cong.summary(net.n)
 
-    batch_rate = lookups / batch_secs if batch_secs > 0 else math.inf
-    scalar_rate = m / scalar_secs if scalar_secs > 0 else math.inf
     summary = batch_cong.summary(net.n)
     return {
         "algorithm": algorithm,
@@ -151,11 +138,7 @@ def measure_congestion(
         "workers": workers,
         "scalar_sample": m,
         "compile_secs": compile_secs,
-        "batch_secs": batch_secs,
-        "scalar_secs": scalar_secs,
-        "batch_rate": batch_rate,
-        "scalar_rate": scalar_rate,
-        "speedup": batch_rate / scalar_rate if scalar_rate > 0 else math.inf,
+        **rate_fields(lookups, batch_secs, m, scalar_secs),
         "parity_ok": bool(parity),
         "max_load": summary["max_load"],
         "mean_load": summary["mean_load"],
@@ -189,72 +172,67 @@ def format_congestion_report(result: Dict) -> str:
 
 @register("E4")
 def run(seed: int = 4, quick: bool = False) -> ExperimentResult:
-    def body() -> ExperimentResult:
-        sizes = [256, 1024] if quick else [1024, 4096, 16384]
-        lookups = 4000 if quick else 60_000
-        cross_check = 300 if quick else 500
-        rows: List[Dict] = []
-        norms = {"fast": [], "dh": []}
-        parity_ok = True
-        for n in sizes:
-            rng, route = spawn_many(seed * 17 + n, 2)
-            net = DistanceHalvingNetwork(rng=rng)
-            net.populate(n, selector=MultipleChoice(t=4))
-            router = net.router(auto_refresh=True, with_adjacency=True)
-            pts = net.segments.as_array()
-            sources = pts[route.integers(0, n, size=lookups)]
-            targets = route.random(lookups)
-            tau = route.integers(0, net.delta, size=(lookups, DH_TAU_DIGITS))
-            counters: Dict[str, BatchCongestion] = {}
-            for name in ("fast", "dh"):
-                cong = BatchCongestion()
-                route_pairs(router, (sources, targets), algorithm=name,
-                            tau=tau if name == "dh" else None,
-                            congestion=cong)
-                counters[name] = cong
-            if n == sizes[0]:
-                # scalar cross-check: identical sub-workload, identical stats
-                m = min(lookups, cross_check)
-                for name, _cong in counters.items():
-                    scal = _scalar_congestion(net, sources[:m], targets[:m],
-                                              name, tau[:m])
-                    sub = BatchCongestion()
-                    route_pairs(router, (sources[:m], targets[:m]),
-                                algorithm=name,
-                                tau=tau[:m] if name == "dh" else None,
-                                congestion=sub)
-                    parity_ok &= sub.summary(n) == scal.summary(n)
-            row: Dict = {"n": n, "rho": round(net.smoothness(), 2),
-                         "lookups": lookups}
-            for name, c in counters.items():
-                cong = c.max_congestion()
-                norm = cong * n / math.log2(n)
-                norms[name].append(norm)
-                row[f"{name}_maxcong"] = round(cong, 5)
-                row[f"{name}_cong*n/logn"] = round(norm, 2)
-            rows.append(row)
-        checks = {
-            "Thm 2.7: fast congestion·n/log n bounded": max(norms["fast"]) <= 12,
-            "Thm 2.9: DH congestion·n/log n bounded": max(norms["dh"]) <= 12,
-            "congestion really is Θ(log n/n), not o(·): norm ≥ 0.3": min(
-                norms["fast"] + norms["dh"]
-            )
-            >= 0.3,
-            "normalised congestion flat across sizes (±4x)": max(
-                max(v) / min(v) for v in norms.values()
-            )
-            <= 4.0,
-            f"batch CSR accounting bit-identical to scalar counters "
-            f"(n={sizes[0]})": parity_ok,
-        }
-        return ExperimentResult(
-            experiment="E4",
-            title="Congestion of random lookups (Thm 2.7 / 2.9)",
-            paper_claim="max congestion Θ(log n / n) for smooth ids",
-            rows=rows,
-            checks=checks,
-            notes="batch-routed with CSR path accounting "
-            "(BatchCongestion); scalar cross-check at the smallest size",
+    sizes = [256, 1024] if quick else [1024, 4096, 16384]
+    lookups = 4000 if quick else 60_000
+    cross_check = 300 if quick else 500
+    rows: List[Dict] = []
+    norms = {"fast": [], "dh": []}
+    parity_ok = True
+    for n in sizes:
+        rng, route = spawn_many(seed * 17 + n, 2)
+        net = balanced_network(n, rng)
+        router = net.router(auto_refresh=True, with_adjacency=True)
+        sources, targets = random_pairs(net.segments.as_array(), route,
+                                        lookups)
+        tau = route.integers(0, net.delta, size=(lookups, DH_TAU_DIGITS))
+        counters: Dict[str, BatchCongestion] = {}
+        for name in ("fast", "dh"):
+            cong = BatchCongestion()
+            route_pairs(router, (sources, targets), algorithm=name,
+                        tau=tau if name == "dh" else None,
+                        congestion=cong)
+            counters[name] = cong
+        if n == sizes[0]:
+            # scalar cross-check: identical sub-workload, identical stats
+            m = min(lookups, cross_check)
+            for name, _cong in counters.items():
+                scal = scalar_congestion(net, sources[:m], targets[:m],
+                                          name, tau[:m])
+                sub = BatchCongestion()
+                route_pairs(router, (sources[:m], targets[:m]),
+                            algorithm=name,
+                            tau=tau[:m] if name == "dh" else None,
+                            congestion=sub)
+                parity_ok &= sub.summary(n) == scal.summary(n)
+        row: Dict = {"n": n, "rho": round(net.smoothness(), 2),
+                     "lookups": lookups}
+        for name, c in counters.items():
+            cong = c.max_congestion()
+            norm = cong * n / math.log2(n)
+            norms[name].append(norm)
+            row[f"{name}_maxcong"] = round(cong, 5)
+            row[f"{name}_cong*n/logn"] = round(norm, 2)
+        rows.append(row)
+    checks = {
+        "Thm 2.7: fast congestion·n/log n bounded": max(norms["fast"]) <= 12,
+        "Thm 2.9: DH congestion·n/log n bounded": max(norms["dh"]) <= 12,
+        "congestion really is Θ(log n/n), not o(·): norm ≥ 0.3": min(
+            norms["fast"] + norms["dh"]
         )
-
-    return timed(body)
+        >= 0.3,
+        "normalised congestion flat across sizes (±4x)": max(
+            max(v) / min(v) for v in norms.values()
+        )
+        <= 4.0,
+        f"batch CSR accounting bit-identical to scalar counters "
+        f"(n={sizes[0]})": parity_ok,
+    }
+    return ExperimentResult(
+        experiment="E4",
+        title="Congestion of random lookups (Thm 2.7 / 2.9)",
+        paper_claim="max congestion Θ(log n / n) for smooth ids",
+        rows=rows,
+        checks=checks,
+        notes="batch-routed with CSR path accounting "
+        "(BatchCongestion); scalar cross-check at the smallest size",
+    )

@@ -32,9 +32,8 @@ experiment and the ``bench-cost`` CLI subcommand.
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -48,8 +47,8 @@ from ..peer import (
     path_cost_totals,
 )
 from ..sim.rng import spawn_many
-from ..sim.workload import DH_TAU_DIGITS
-from .common import ExperimentResult, register, timed
+from ..sim.workload import DH_TAU_DIGITS, random_pairs, rate_fields
+from .common import ExperimentResult, register
 from .faults_exp import FT_CHOICE_DIGITS, scalar_simple_replay
 
 __all__ = ["measure_cost_routing", "format_cost_report"]
@@ -62,9 +61,7 @@ def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int, seed: int,
     dnet = DistanceHalvingNetwork(rng=build_rng)
     dnet.populate(core_n)
     router = CostAwareBatchRouter(dnet, cost_map, auto_refresh=True)
-    pts = dnet.segments.as_array()
-    src = pts[route.integers(0, dnet.n, size=core_pairs)]
-    tgt = route.random(core_pairs)
+    src, tgt = random_pairs(dnet.segments.as_array(), route, core_pairs)
     u = route.random((core_pairs, DH_TAU_DIGITS))
 
     greedy = router.batch_cost_dh_lookup(src, tgt, policy="greedy",
@@ -127,12 +124,10 @@ def measure_cost_routing(
     core_n: int = 4096,
     core_pairs: int = 50_000,
     workers: int = 1,
-    net: Optional[OverlappingDHNetwork] = None,
-    engine: Optional[FTBatchEngine] = None,
 ) -> Dict:
     """Route one workload under all three covering-edge policies.
 
-    Builds (or reuses) an ``n``-server overlapping network plus a
+    Builds an ``n``-server overlapping network plus a
     ``isps``-ISP synthetic :class:`CostMap`, samples ``pairs``
     (source, target) pairs with shared per-hop uniforms, and routes the
     same batch under ``uniform`` / ``greedy`` / ``weighted`` selection
@@ -146,20 +141,13 @@ def measure_cost_routing(
     metrics, the greedy cross-ISP reduction and hop stretch vs uniform,
     throughput rates and every parity verdict.
     """
-    if net is None and engine is not None:
-        net = engine.net
-    if net is not None:
-        n = net.n
     build_rng, cost_rng, route = spawn_many(seed * 53 + n, 3)
-    if net is None:
-        net = OverlappingDHNetwork(n, build_rng)
-    if engine is None:
-        engine = FTBatchEngine(net)
+    net = OverlappingDHNetwork(n, build_rng)
+    engine = FTBatchEngine(net)
     cost_map = CostMap.synthetic(n_isps=isps, rng=cost_rng)
     oracle = CostOracle(net.points_array, cost_map)
 
-    sources = net.points_array[route.integers(0, n, size=pairs)]
-    targets = route.random(pairs)
+    sources, targets = random_pairs(net.points_array, route, pairs)
     choices = route.random((pairs, FT_CHOICE_DIGITS))
 
     # untimed warmup: first-touch page faults say nothing about steady state
@@ -204,10 +192,6 @@ def measure_cost_routing(
                 oracle=oracle, policy=policy, temperature=temperature)
         scalar_secs = time.perf_counter() - t0
 
-    batch_secs = per_policy["weighted"]["secs"]
-    batch_rate = pairs / batch_secs if batch_secs > 0 else math.inf
-    scalar_rate = 2 * m / scalar_secs if scalar_secs > 0 else math.inf
-
     out = {
         "n": n,
         "pairs": pairs,
@@ -220,11 +204,9 @@ def measure_cost_routing(
         "weighted_between": bool(cross_g <= cross_w + 1e-12
                                  and cross_w <= cross_u + 1e-12),
         "parity_ok": bool(parity),
-        "batch_secs": batch_secs,
-        "scalar_secs": scalar_secs,
-        "batch_rate": batch_rate,
-        "scalar_rate": scalar_rate,
-        "speedup": batch_rate / scalar_rate if scalar_rate > 0 else math.inf,
+        # batch leg: the weighted pass; scalar leg: both replayed policies
+        **rate_fields(pairs, per_policy["weighted"]["secs"], 2 * m,
+                      scalar_secs),
         "workers": workers,
     }
     out.update(_core_cell(cost_map, core_n, core_pairs, seed, workers))
@@ -269,55 +251,52 @@ def format_cost_report(result: Dict) -> str:
 @register("X6")
 def run_cost_routing(seed: int = 6, quick: bool = False) -> ExperimentResult:
     """Cost-aware covering-edge routing vs the paper's uniform rule."""
-    def body() -> ExperimentResult:
-        n = 256 if quick else 16384
-        pairs = 2000 if quick else 100_000
-        sample = 40 if quick else 200
-        core_n = 64 if quick else 4096
-        core_pairs = 500 if quick else 50_000
-        res = measure_cost_routing(
-            n=n, pairs=pairs, seed=seed, scalar_sample=sample,
-            core_n=core_n, core_pairs=core_pairs)
-        rows: List[Dict] = []
-        for policy, row in res["policies"].items():
-            rows.append({
-                "engine": "overlap", "policy": policy,
-                "cross_isp": round(row["cross_isp"], 3),
-                "path_cost": round(row["path_cost"], 3),
-                "hops": round(row["hops"], 2),
-                "max_load": row["max_load"],
-            })
-        for policy, row in res["core_rows"].items():
-            rows.append({
-                "engine": "core", "policy": policy,
-                "cross_isp": round(row["cross_isp"], 3),
-                "path_cost": "", "hops": round(row["hops"], 2),
-                "max_load": "",
-            })
-        checks = {
-            "greedy cuts mean cross-ISP traffic ≥ 30% vs uniform":
-                res["xisp_reduction"] >= 0.30,
-            "greedy hop stretch ≤ 1.5x (Obs 2.3: digit choice is free)":
-                res["stretch"] <= 1.5,
-            "weighted sits between greedy and uniform":
-                res["weighted_between"],
-            "batch bit-identical to scalar cost-aware replay":
-                res["parity_ok"],
-            "core engine: recorded tau_used replays bit-identically":
-                res["core_replay_ok"],
-            "core engine greedy also reduces cross-ISP traffic":
-                res["core_xisp_reduction"] > 0.0,
-        }
-        return ExperimentResult(
-            experiment="X6",
-            title="Cost-aware covering-edge routing (P4P/ALTO-style)",
-            paper_claim="Observation 2.3: the covering-edge choice is free — "
-            "cost-weighted selection keeps O(log n) hops",
-            rows=rows,
-            checks=checks,
-            notes=f"{pairs} pairs per policy over a synthetic "
-            f"{res['isps']}-ISP cost map; shared per-hop uniforms across "
-            "policies; scalar + tau-replay bit-parity cross-checks",
-        )
-
-    return timed(body)
+    n = 256 if quick else 16384
+    pairs = 2000 if quick else 100_000
+    sample = 40 if quick else 200
+    core_n = 64 if quick else 4096
+    core_pairs = 500 if quick else 50_000
+    res = measure_cost_routing(
+        n=n, pairs=pairs, seed=seed, scalar_sample=sample,
+        core_n=core_n, core_pairs=core_pairs)
+    rows: List[Dict] = []
+    for policy, row in res["policies"].items():
+        rows.append({
+            "engine": "overlap", "policy": policy,
+            "cross_isp": round(row["cross_isp"], 3),
+            "path_cost": round(row["path_cost"], 3),
+            "hops": round(row["hops"], 2),
+            "max_load": row["max_load"],
+        })
+    for policy, row in res["core_rows"].items():
+        rows.append({
+            "engine": "core", "policy": policy,
+            "cross_isp": round(row["cross_isp"], 3),
+            "path_cost": "", "hops": round(row["hops"], 2),
+            "max_load": "",
+        })
+    checks = {
+        "greedy cuts mean cross-ISP traffic ≥ 30% vs uniform":
+            res["xisp_reduction"] >= 0.30,
+        "greedy hop stretch ≤ 1.5x (Obs 2.3: digit choice is free)":
+            res["stretch"] <= 1.5,
+        "weighted sits between greedy and uniform":
+            res["weighted_between"],
+        "batch bit-identical to scalar cost-aware replay":
+            res["parity_ok"],
+        "core engine: recorded tau_used replays bit-identically":
+            res["core_replay_ok"],
+        "core engine greedy also reduces cross-ISP traffic":
+            res["core_xisp_reduction"] > 0.0,
+    }
+    return ExperimentResult(
+        experiment="X6",
+        title="Cost-aware covering-edge routing (P4P/ALTO-style)",
+        paper_claim="Observation 2.3: the covering-edge choice is free — "
+        "cost-weighted selection keeps O(log n) hops",
+        rows=rows,
+        checks=checks,
+        notes=f"{pairs} pairs per policy over a synthetic "
+        f"{res['isps']}-ISP cost map; shared per-hop uniforms across "
+        "policies; scalar + tau-replay bit-parity cross-checks",
+    )

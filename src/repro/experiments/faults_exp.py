@@ -39,8 +39,8 @@ from ..faults import (
     simple_lookup,
 )
 from ..sim.rng import spawn_many
-from ..sim.workload import survivor_pairs
-from .common import ExperimentResult, register, timed
+from ..sim.workload import random_pairs, rate_fields, survivor_pairs
+from .common import ExperimentResult, register
 
 __all__ = ["measure_faults", "format_faults_report", "FT_CHOICE_DIGITS",
            "scalar_simple_replay"]
@@ -121,19 +121,13 @@ def measure_faults(
                                       choices[:m], plan=plan)
         scalar_secs = time.perf_counter() - t0
 
-    batch_rate = pairs / batch_secs if batch_secs > 0 else math.inf
-    scalar_rate = m / scalar_secs if scalar_secs > 0 else math.inf
     return {
         "n": n,
         "p_fail": float(p_fail),
         "pairs": pairs,
         "scalar_sample": m,
         "alive_servers": int(alive.sum()),
-        "batch_secs": batch_secs,
-        "scalar_secs": scalar_secs,
-        "batch_rate": batch_rate,
-        "scalar_rate": scalar_rate,
-        "speedup": batch_rate / scalar_rate if scalar_rate > 0 else math.inf,
+        **rate_fields(pairs, batch_secs, m, scalar_secs),
         "parity_ok": bool(parity),
         "success_rate": batch.success_rate(),
         "failures": int(batch.size - batch.success.sum()),
@@ -167,140 +161,133 @@ def format_faults_report(result: Dict) -> str:
 
 @register("E13")
 def run_failstop(seed: int = 13, quick: bool = False) -> ExperimentResult:
-    def body() -> ExperimentResult:
-        sizes = [256] if quick else [4096, 16384]
-        ps = (0.05, 0.1, 0.2, 0.3, 0.5)
-        pairs = 2000 if quick else 100_000
-        sample = 60 if quick else 200
-        rows: List[Dict] = []
-        parity_ok = True
-        time_ok = True
-        reach_small_p: List[float] = []
-        rate_at: Dict[tuple, float] = {}
-        for n in sizes:
-            build_rng, _ = spawn_many(seed * 67 + n, 2)
-            net = OverlappingDHNetwork(n, build_rng)
-            engine = FTBatchEngine(net)
-            for p in ps:
-                res = measure_faults(
-                    n=n, pairs=pairs, p_fail=p, seed=seed,
-                    scalar_sample=sample if n == sizes[0] else 0,
-                    net=net, engine=engine)
-                parity_ok &= res["parity_ok"]
-                time_ok &= res["max_parallel_time"] <= res["logn_bound"]
-                rate_at[(n, p)] = res["success_rate"]
-                if p <= 0.1:
-                    reach_small_p.append(res["success_rate"])
-                rows.append({
-                    "n": n, "p_fail": p, "pairs": pairs,
-                    "alive": res["alive_servers"],
-                    "success_rate": round(res["success_rate"], 5),
-                    "failures": res["failures"],
-                    "max_time": res["max_parallel_time"],
-                    "log2n+O(1)": round(res["logn_bound"], 1),
-                })
-        checks = {
-            "Thm 6.3: parallel time ≤ log n + O(1) in every cell": time_ok,
-            "Thm 6.4: every sampled surviving pair reaches its item at "
-            "p ≤ 0.1": min(reach_small_p) == 1.0,
-            "graceful degradation: ≥ 99.9% of pairs still reach at p = 0.2":
-                min(rate_at[(n, 0.2)] for n in sizes) >= 0.999,
-            "degradation stays graceful even at p = 0.5 (≥ 60% reach)": min(
-                rate_at[(n, 0.5)] for n in sizes) >= 0.6,
-            f"batch bit-identical to scalar replay (n={sizes[0]}, all p)":
-                parity_ok,
-        }
-        return ExperimentResult(
-            experiment="E13",
-            title="Random fail-stop sweep at scale (Thm 6.3 / 6.4)",
-            paper_claim="for small p, w.h.p. every surviving server finds "
-            "every item",
-            rows=rows,
-            checks=checks,
-            notes=f"{pairs} sampled pairs per cell, batch-routed with CSR "
-            "paths; scalar bit-parity cross-check at the smallest size",
-        )
-
-    return timed(body)
+    sizes = [256] if quick else [4096, 16384]
+    ps = (0.05, 0.1, 0.2, 0.3, 0.5)
+    pairs = 2000 if quick else 100_000
+    sample = 60 if quick else 200
+    rows: List[Dict] = []
+    parity_ok = True
+    time_ok = True
+    reach_small_p: List[float] = []
+    rate_at: Dict[tuple, float] = {}
+    for n in sizes:
+        build_rng, _ = spawn_many(seed * 67 + n, 2)
+        net = OverlappingDHNetwork(n, build_rng)
+        engine = FTBatchEngine(net)
+        for p in ps:
+            res = measure_faults(
+                n=n, pairs=pairs, p_fail=p, seed=seed,
+                scalar_sample=sample if n == sizes[0] else 0,
+                net=net, engine=engine)
+            parity_ok &= res["parity_ok"]
+            time_ok &= res["max_parallel_time"] <= res["logn_bound"]
+            rate_at[(n, p)] = res["success_rate"]
+            if p <= 0.1:
+                reach_small_p.append(res["success_rate"])
+            rows.append({
+                "n": n, "p_fail": p, "pairs": pairs,
+                "alive": res["alive_servers"],
+                "success_rate": round(res["success_rate"], 5),
+                "failures": res["failures"],
+                "max_time": res["max_parallel_time"],
+                "log2n+O(1)": round(res["logn_bound"], 1),
+            })
+    checks = {
+        "Thm 6.3: parallel time ≤ log n + O(1) in every cell": time_ok,
+        "Thm 6.4: every sampled surviving pair reaches its item at "
+        "p ≤ 0.1": min(reach_small_p) == 1.0,
+        "graceful degradation: ≥ 99.9% of pairs still reach at p = 0.2":
+            min(rate_at[(n, 0.2)] for n in sizes) >= 0.999,
+        "degradation stays graceful even at p = 0.5 (≥ 60% reach)": min(
+            rate_at[(n, 0.5)] for n in sizes) >= 0.6,
+        f"batch bit-identical to scalar replay (n={sizes[0]}, all p)":
+            parity_ok,
+    }
+    return ExperimentResult(
+        experiment="E13",
+        title="Random fail-stop sweep at scale (Thm 6.3 / 6.4)",
+        paper_claim="for small p, w.h.p. every surviving server finds "
+        "every item",
+        rows=rows,
+        checks=checks,
+        notes=f"{pairs} sampled pairs per cell, batch-routed with CSR "
+        "paths; scalar bit-parity cross-check at the smallest size",
+    )
 
 
 @register("E14")
 def run_byzantine(seed: int = 14, quick: bool = False) -> ExperimentResult:
-    def body() -> ExperimentResult:
-        sizes = [256] if quick else [1024, 4096]
-        ps = (0.0, 0.05, 0.1, 0.2)
-        pairs = 400 if quick else 20_000
-        sample = 40 if quick else 100
-        rows: List[Dict] = []
-        parity_ok = True
-        msgs_ok = True
-        floods = True
-        resist_small_p: List[float] = []
-        resist_rate: Dict[tuple, float] = {}
-        simple_rate: Dict[tuple, float] = {}
-        for n in sizes:
-            build_rng, plan_rng, route = spawn_many(seed * 71 + n, 3)
-            net = OverlappingDHNetwork(n, build_rng)
-            engine = FTBatchEngine(net)
-            logn = math.log2(n)
-            for p in ps:
-                plan = random_byzantine(net.points, p, plan_rng)
-                sources = net.points_array[route.integers(0, n, size=pairs)]
-                targets = route.random(pairs)
-                choices = route.random((pairs, FT_CHOICE_DIGITS))
-                resist = engine.batch_resistant_lookup(sources, targets,
-                                                       plan=plan)
-                simple = engine.batch_simple_lookup(sources, targets,
-                                                    choices=choices, plan=plan,
-                                                    keep_paths="csr")
-                if n == sizes[0]:
-                    m = min(sample, pairs)
-                    parity_ok &= scalar_simple_replay(
-                        net, simple, sources[:m], targets[:m],
-                        choices[:m], plan=plan)
-                    for i in range(m):
-                        ref = resistant_lookup(net, float(sources[i]), "probe",
-                                               plan, target=float(targets[i]))
-                        parity_ok &= (
-                            bool(ref.success) == bool(resist.success[i])
-                            and ref.messages == int(resist.messages[i])
-                            and ref.parallel_time == int(resist.parallel_time[i]))
-                msgs_ok &= int(resist.messages.max()) <= 8 * logn**3
-                floods &= float(resist.messages.mean()) >= logn**2 / 4
-                resist_rate[(n, p)] = resist.success_rate()
-                simple_rate[(n, p)] = simple.success_rate()
-                if p <= 0.1:
-                    resist_small_p.append(resist.success_rate())
-                rows.append({
-                    "n": n, "p_byzantine": p,
-                    "resistant_success": round(resist.success_rate(), 4),
-                    "simple_success": round(simple.success_rate(), 4),
-                    "mean_msgs": round(float(resist.messages.mean()), 0),
-                    "8log³n": round(8 * logn**3, 0),
-                })
-        checks = {
-            "Thm 6.6: resistant lookup ≥ 99% correct at p ≤ 0.1": min(
-                resist_small_p) >= 0.99,
-            "message complexity O(log³ n)": msgs_ok,
-            "messages are Ω(log² n) on average (it actually floods)": floods,
-            # at p = 0.1 every point keeps an honest-majority cover whp —
-            # the Thm 6.6 precondition — so the resistant lookup is near
-            # perfect while the cheap lookup keeps trusting lone liars
-            "simple lookup *does* fail under liars (contrast at p = 0.1)": max(
-                simple_rate[(n, 0.1)] for n in sizes
-            ) < min(resist_rate[(n, 0.1)] for n in sizes),
-            f"batch bit-identical to scalar replay (n={sizes[0]}, all p)":
-                parity_ok,
-        }
-        return ExperimentResult(
-            experiment="E14",
-            title="False-message-resistant lookup at scale (Thm 6.6)",
-            paper_claim="log n parallel time, O(log³ n) messages, majority "
-            "survives",
-            rows=rows,
-            checks=checks,
-            notes=f"{pairs} pairs per cell, batched majority votes as counts "
-            "over cover sets; scalar cross-check at the smallest size",
-        )
-
-    return timed(body)
+    sizes = [256] if quick else [1024, 4096]
+    ps = (0.0, 0.05, 0.1, 0.2)
+    pairs = 400 if quick else 20_000
+    sample = 40 if quick else 100
+    rows: List[Dict] = []
+    parity_ok = True
+    msgs_ok = True
+    floods = True
+    resist_small_p: List[float] = []
+    resist_rate: Dict[tuple, float] = {}
+    simple_rate: Dict[tuple, float] = {}
+    for n in sizes:
+        build_rng, plan_rng, route = spawn_many(seed * 71 + n, 3)
+        net = OverlappingDHNetwork(n, build_rng)
+        engine = FTBatchEngine(net)
+        logn = math.log2(n)
+        for p in ps:
+            plan = random_byzantine(net.points, p, plan_rng)
+            sources, targets = random_pairs(net.points_array, route, pairs)
+            choices = route.random((pairs, FT_CHOICE_DIGITS))
+            resist = engine.batch_resistant_lookup(sources, targets,
+                                                   plan=plan)
+            simple = engine.batch_simple_lookup(sources, targets,
+                                                choices=choices, plan=plan,
+                                                keep_paths="csr")
+            if n == sizes[0]:
+                m = min(sample, pairs)
+                parity_ok &= scalar_simple_replay(
+                    net, simple, sources[:m], targets[:m],
+                    choices[:m], plan=plan)
+                for i in range(m):
+                    ref = resistant_lookup(net, float(sources[i]), "probe",
+                                           plan, target=float(targets[i]))
+                    parity_ok &= (
+                        bool(ref.success) == bool(resist.success[i])
+                        and ref.messages == int(resist.messages[i])
+                        and ref.parallel_time == int(resist.parallel_time[i]))
+            msgs_ok &= int(resist.messages.max()) <= 8 * logn**3
+            floods &= float(resist.messages.mean()) >= logn**2 / 4
+            resist_rate[(n, p)] = resist.success_rate()
+            simple_rate[(n, p)] = simple.success_rate()
+            if p <= 0.1:
+                resist_small_p.append(resist.success_rate())
+            rows.append({
+                "n": n, "p_byzantine": p,
+                "resistant_success": round(resist.success_rate(), 4),
+                "simple_success": round(simple.success_rate(), 4),
+                "mean_msgs": round(float(resist.messages.mean()), 0),
+                "8log³n": round(8 * logn**3, 0),
+            })
+    checks = {
+        "Thm 6.6: resistant lookup ≥ 99% correct at p ≤ 0.1": min(
+            resist_small_p) >= 0.99,
+        "message complexity O(log³ n)": msgs_ok,
+        "messages are Ω(log² n) on average (it actually floods)": floods,
+        # at p = 0.1 every point keeps an honest-majority cover whp —
+        # the Thm 6.6 precondition — so the resistant lookup is near
+        # perfect while the cheap lookup keeps trusting lone liars
+        "simple lookup *does* fail under liars (contrast at p = 0.1)": max(
+            simple_rate[(n, 0.1)] for n in sizes
+        ) < min(resist_rate[(n, 0.1)] for n in sizes),
+        f"batch bit-identical to scalar replay (n={sizes[0]}, all p)":
+            parity_ok,
+    }
+    return ExperimentResult(
+        experiment="E14",
+        title="False-message-resistant lookup at scale (Thm 6.6)",
+        paper_claim="log n parallel time, O(log³ n) messages, majority "
+        "survives",
+        rows=rows,
+        checks=checks,
+        notes=f"{pairs} pairs per cell, batched majority votes as counts "
+        "over cover sets; scalar cross-check at the smallest size",
+    )

@@ -26,23 +26,20 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..balance import MultipleChoice
-from ..core import (
-    BatchCongestion,
-    CongestionCounter,
-    DistanceHalvingNetwork,
-    lookup_many,
-)
+from ..core import BatchCongestion
 from ..hashing.kwise import KWiseHash
 from ..sim.workload import (
     DH_TAU_DIGITS,
+    balanced_network,
     bit_reversal_permutation,
+    pairs_to_arrays,
     random_permutation,
     route_pairs,
     shift_permutation,
 )
 from ..sim.rng import spawn_many
-from .common import ExperimentResult, register, timed
+from .common import ExperimentResult, register
+from .congestion import scalar_congestion
 
 
 def _route_all(router, pairs, route, algo: str, delta: int,
@@ -57,73 +54,61 @@ def _route_all(router, pairs, route, algo: str, delta: int,
 
 @register("E5")
 def run(seed: int = 5, quick: bool = False) -> ExperimentResult:
-    def body() -> ExperimentResult:
-        sizes = [128, 512] if quick else [1024, 4096, 16384]
-        rows: List[Dict] = []
-        norm_dh: List[float] = []
-        adversarial_gaps: List[float] = []
-        parity_ok = True
-        for n in sizes:
-            rng, route, hrng = spawn_many(seed * 19 + n, 3)
-            net = DistanceHalvingNetwork(rng=rng)
-            net.populate(n, selector=MultipleChoice(t=4))
-            router = net.router(auto_refresh=True, with_adjacency=True)
-            pts = list(net.points())
-            h = KWiseHash(max(8, int(math.log2(n))), hrng)
-            workloads = {
-                "random-perm": random_permutation(pts, route),
-                "bit-reversal": bit_reversal_permutation(pts),
-                "shift-half": shift_permutation(pts, 0.5),
-                "hashed-items": [(p, h(f"item-{i}")) for i, p in enumerate(pts)],
-            }
-            row: Dict = {"n": n, "log2n": round(math.log2(n), 1)}
-            for name, pairs in workloads.items():
-                tally = _route_all(router, pairs, route, "dh", net.delta)
-                load_dh = tally.max_load()
-                row[f"{name}_dh"] = load_dh
-                norm_dh.append(load_dh / math.log2(n))
-                if name == "bit-reversal":
-                    fast_tally = _route_all(router, pairs, route, "fast",
-                                            net.delta)
-                    load_fast = fast_tally.max_load()
-                    row["bit-reversal_fast"] = load_fast
-                    adversarial_gaps.append(load_fast / max(1, load_dh))
-                    if n == sizes[0]:
-                        # scalar cross-check: same pairs, same digit
-                        # strings, bit-identical accounting
-                        tau = route.integers(0, net.delta, size=(n, DH_TAU_DIGITS))
-                        batch = _route_all(router, pairs, route, "dh",
-                                           net.delta, tau=tau)
-                        scal = CongestionCounter()
-                        srcs = [p for p, _ in pairs]
-                        tgts = [t for _, t in pairs]
-                        for r in lookup_many(net, srcs, tgts, algorithm="dh",
-                                             taus=[list(t_) for t_ in tau]):
-                            scal.record(r)
-                        parity_ok &= batch.summary(n) == scal.summary(n)
-                        scal_f = CongestionCounter()
-                        for r in lookup_many(net, srcs, tgts):
-                            scal_f.record(r)
-                        parity_ok &= (fast_tally.summary(n)
-                                      == scal_f.summary(n))
-            rows.append(row)
-        checks = {
-            "Thm 2.10/2.11: DH max load ≤ c·log n on every workload": max(norm_dh)
-            <= 8.0,
-            "load is Ω(log n) too (averaging argument)": min(norm_dh) >= 0.5,
-            "randomisation value: deterministic fast lookup worse on ≥1 "
-            "adversarial size": max(adversarial_gaps) >= 1.2,
-            f"batch CSR accounting bit-identical to scalar counters "
-            f"(n={sizes[0]}, bit-reversal)": parity_ok,
+    sizes = [128, 512] if quick else [1024, 4096, 16384]
+    rows: List[Dict] = []
+    norm_dh: List[float] = []
+    adversarial_gaps: List[float] = []
+    parity_ok = True
+    for n in sizes:
+        rng, route, hrng = spawn_many(seed * 19 + n, 3)
+        net = balanced_network(n, rng)
+        router = net.router(auto_refresh=True, with_adjacency=True)
+        pts = list(net.points())
+        h = KWiseHash(max(8, int(math.log2(n))), hrng)
+        workloads = {
+            "random-perm": random_permutation(pts, route),
+            "bit-reversal": bit_reversal_permutation(pts),
+            "shift-half": shift_permutation(pts, 0.5),
+            "hashed-items": [(p, h(f"item-{i}")) for i, p in enumerate(pts)],
         }
-        return ExperimentResult(
-            experiment="E5",
-            title="Permutation routing load (Thm 2.10 / 2.11)",
-            paper_claim="max per-server load O(log n) w.h.p. for every permutation",
-            rows=rows,
-            checks=checks,
-            notes="columns: max messages handled by any server when all n "
-            "route at once; workloads batch-routed with CSR accounting",
-        )
-
-    return timed(body)
+        row: Dict = {"n": n, "log2n": round(math.log2(n), 1)}
+        for name, pairs in workloads.items():
+            tally = _route_all(router, pairs, route, "dh", net.delta)
+            load_dh = tally.max_load()
+            row[f"{name}_dh"] = load_dh
+            norm_dh.append(load_dh / math.log2(n))
+            if name == "bit-reversal":
+                fast_tally = _route_all(router, pairs, route, "fast",
+                                        net.delta)
+                load_fast = fast_tally.max_load()
+                row["bit-reversal_fast"] = load_fast
+                adversarial_gaps.append(load_fast / max(1, load_dh))
+                if n == sizes[0]:
+                    # scalar cross-check: same pairs, same digit
+                    # strings, bit-identical accounting
+                    tau = route.integers(0, net.delta, size=(n, DH_TAU_DIGITS))
+                    batch = _route_all(router, pairs, route, "dh",
+                                       net.delta, tau=tau)
+                    srcs, tgts = pairs_to_arrays(pairs)
+                    for tally, algo in ((batch, "dh"), (fast_tally, "fast")):
+                        scal = scalar_congestion(net, srcs, tgts, algo, tau)
+                        parity_ok &= tally.summary(n) == scal.summary(n)
+        rows.append(row)
+    checks = {
+        "Thm 2.10/2.11: DH max load ≤ c·log n on every workload": max(norm_dh)
+        <= 8.0,
+        "load is Ω(log n) too (averaging argument)": min(norm_dh) >= 0.5,
+        "randomisation value: deterministic fast lookup worse on ≥1 "
+        "adversarial size": max(adversarial_gaps) >= 1.2,
+        f"batch CSR accounting bit-identical to scalar counters "
+        f"(n={sizes[0]}, bit-reversal)": parity_ok,
+    }
+    return ExperimentResult(
+        experiment="E5",
+        title="Permutation routing load (Thm 2.10 / 2.11)",
+        paper_claim="max per-server load O(log n) w.h.p. for every permutation",
+        rows=rows,
+        checks=checks,
+        notes="columns: max messages handled by any server when all n "
+        "route at once; workloads batch-routed with CSR accounting",
+    )

@@ -48,12 +48,13 @@ def run_experiments(
         names = EXPERIMENT_IDS
     results: List[ExperimentResult] = []
     for name in names:
-        fn = get_experiment(name)
+        key = name.upper()  # the registry's spelling, however it was typed
+        fn = get_experiment(key)
         kwargs = {"quick": quick}
         if seed:
             # stable digest: builtin hash() is randomized per process,
             # which would break --seed reproducibility across runs
-            kwargs["seed"] = seed + zlib.crc32(name.encode()) % 1000
+            kwargs["seed"] = seed + zlib.crc32(key.encode()) % 1000
         res = fn(**kwargs)
         results.append(res)
         if echo:

@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from ..balance import MultipleChoice
-from ..core import BatchCongestion, DistanceHalvingNetwork
+from ..core import BatchCongestion
 from ..sim.rng import spawn_many
+from ..sim.workload import balanced_network, random_pairs
 
 __all__ = ["measure_shard", "format_shard_report"]
 
@@ -73,11 +73,10 @@ def measure_shard(
     workers: int = 4,
     seed: int = 0,
     chunk: int = 1 << 17,
-    net: Optional[DistanceHalvingNetwork] = None,
 ) -> Dict:
     """Route the same chunked workload single-process and sharded.
 
-    Builds (or reuses) an ``n``-server Multiple-Choice-balanced network,
+    Builds an ``n``-server Multiple-Choice-balanced network,
     compiles one router, and drives ``lookups`` random (server, point)
     pairs through ``router.batch_fast_lookup`` in-process and through
     ``router.lookup_batch(..., workers=workers)`` — the shared-memory
@@ -89,22 +88,16 @@ def measure_shard(
     """
     if workers < 2:
         raise ValueError("measure_shard needs workers >= 2")
-    if net is not None:
-        n = net.n
     if n < 8:
         raise ValueError("measure_shard needs n >= 8")
     build_rng, route = spawn_many(seed * 43 + n, 2)
-    if net is None:
-        net = DistanceHalvingNetwork(rng=build_rng)
-        net.populate(n, selector=MultipleChoice(t=4))
+    net = balanced_network(n, build_rng)
 
     t0 = time.perf_counter()
     router = net.router(auto_refresh=True)
     compile_secs = time.perf_counter() - t0
 
-    pts = net.segments.as_array()
-    sources = pts[route.integers(0, net.n, size=lookups)]
-    targets = route.random(lookups)
+    sources, targets = random_pairs(net.segments.as_array(), route, lookups)
 
     # spin up the pool + shared-memory export before any timing, and
     # warm both backends so neither pays cold-process page faults inside

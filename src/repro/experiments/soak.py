@@ -23,7 +23,7 @@ from typing import Dict
 
 from ..artifacts import to_jsonable
 from ..sim.scenario import DEFAULT_CHUNK, DEFAULT_PHASES, ScenarioEngine
-from .common import ExperimentResult, register, timed
+from .common import ExperimentResult, register
 
 __all__ = ["measure_soak", "format_soak_report", "NONDETERMINISTIC_KEYS"]
 
@@ -113,32 +113,29 @@ def format_soak_report(result: Dict) -> str:
 
 @register("X5")
 def run(seed: int = 29, quick: bool = False) -> ExperimentResult:
-    def body() -> ExperimentResult:
-        n = 1024 if quick else 4096
-        lookups = 20_000 if quick else 200_000
-        chunk = 1 << 13 if quick else 1 << 15
-        res = measure_soak(n=n, lookups=lookups, chunk=chunk, seed=seed,
-                           strict=False)
-        checks: Dict[str, bool] = {
-            "between-phase invariants all pass (owners, merge identity, "
-            "erasure recoverability, cache trees)": res["invariants_ok"],
-            "self-healing keeps every item decodable (0 lost)":
-                res["healing_ok"],
-            "scenario covers >= 6 phase kinds":
-                len(set(res["phases"])) >= 6,
-            "fault-tolerant success rate >= 0.9":
-                res["stats"]["ft_success_rate"] >= 0.9,
-            "accumulator memory stays O(chunk): requests >> chunk":
-                res["total_requests"] >= 3 * chunk,
-        }
-        return ExperimentResult(
-            experiment="X5",
-            title="Day-in-the-life soak (all subsystems, one live network)",
-            paper_claim="§1: the continuous-discrete approach stays correct "
-            "and balanced under dynamism — churn, faults, flash crowds and "
-            "rebalancing composed, with §6.2 erasure shares self-healing",
-            rows=res["rows"],
-            checks=checks,
-        )
-
-    return timed(body)
+    n = 1024 if quick else 4096
+    lookups = 20_000 if quick else 200_000
+    chunk = 1 << 13 if quick else 1 << 15
+    res = measure_soak(n=n, lookups=lookups, chunk=chunk, seed=seed,
+                       strict=False)
+    checks: Dict[str, bool] = {
+        "between-phase invariants all pass (owners, merge identity, "
+        "erasure recoverability, cache trees)": res["invariants_ok"],
+        "self-healing keeps every item decodable (0 lost)":
+            res["healing_ok"],
+        "scenario covers >= 6 phase kinds":
+            len(set(res["phases"])) >= 6,
+        "fault-tolerant success rate >= 0.9":
+            res["stats"]["ft_success_rate"] >= 0.9,
+        "accumulator memory stays O(chunk): requests >> chunk":
+            res["total_requests"] >= 3 * chunk,
+    }
+    return ExperimentResult(
+        experiment="X5",
+        title="Day-in-the-life soak (all subsystems, one live network)",
+        paper_claim="§1: the continuous-discrete approach stays correct "
+        "and balanced under dynamism — churn, faults, flash crowds and "
+        "rebalancing composed, with §6.2 erasure shares self-healing",
+        rows=res["rows"],
+        checks=checks,
+    )

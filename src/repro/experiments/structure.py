@@ -14,18 +14,18 @@ import math
 from typing import Dict, List
 
 
-from ..balance import MultipleChoice
 from ..core import DistanceHalvingNetwork
 from ..sim.rng import spawn_many
-from .common import ExperimentResult, register, timed
+from ..sim.workload import balanced_network
+from .common import ExperimentResult, register
 
 
 def _build(kind: str, n: int, rng) -> DistanceHalvingNetwork:
+    if kind == "balanced":
+        return balanced_network(n, rng)
     net = DistanceHalvingNetwork(rng=rng)
     if kind == "uniform":
         net.populate(n)
-    elif kind == "balanced":
-        net.populate(n, selector=MultipleChoice(t=4))
     else:  # clustered adversary: half the ids inside a tiny arc
         for i in range(n // 2):
             net.join(0.3 + i * 1e-7)
@@ -35,48 +35,45 @@ def _build(kind: str, n: int, rng) -> DistanceHalvingNetwork:
 
 @register("E2")
 def run(seed: int = 2, quick: bool = False) -> ExperimentResult:
-    def body() -> ExperimentResult:
-        sizes = [64, 256] if quick else [64, 256, 1024, 4096]
-        kinds = ["uniform", "balanced", "clustered"]
-        rows: List[Dict] = []
-        checks: Dict[str, bool] = {}
-        edge_ok = out_ok = in_ok = avg_ok = True
-        for n in sizes:
-            for k, kind in enumerate(kinds):
-                rng = spawn_many(seed * 31 + n + k, 1)[0]
-                net = _build(kind, n, rng)
-                rho = net.smoothness()
-                edges = net.edge_count()
-                mo, mi = net.max_out_degree(), net.max_in_degree()
-                avg = net.average_degree()
-                edge_ok &= edges <= 3 * n - 1
-                out_ok &= mo <= rho + 4
-                in_ok &= mi <= math.ceil(2 * rho) + 1
-                avg_ok &= avg <= 8.0  # ≤6 continuous + 2 ring
-                rows.append(
-                    {
-                        "n": n,
-                        "ids": kind,
-                        "rho": round(rho, 1),
-                        "edges": edges,
-                        "3n-1": 3 * n - 1,
-                        "max_out": mo,
-                        "rho+4": round(rho + 4, 1),
-                        "max_in": mi,
-                        "2rho+1": math.ceil(2 * rho) + 1,
-                        "avg_deg": round(avg, 2),
-                    }
-                )
-        checks["Thm 2.1: edges ≤ 3n−1 (all sizes, all id distributions)"] = edge_ok
-        checks["Thm 2.1 corollary: average degree ≤ 6 (+2 ring)"] = avg_ok
-        checks["Thm 2.2: max out-degree ≤ ρ+4"] = out_ok
-        checks["Thm 2.2: max in-degree ≤ ⌈2ρ⌉+1"] = in_ok
-        return ExperimentResult(
-            experiment="E2",
-            title="Structural bounds of G_x (Theorems 2.1, 2.2)",
-            paper_claim="≤3n−1 edges; out-deg ≤ ρ+4; in-deg ≤ ⌈2ρ⌉+1",
-            rows=rows,
-            checks=checks,
-        )
-
-    return timed(body)
+    sizes = [64, 256] if quick else [64, 256, 1024, 4096]
+    kinds = ["uniform", "balanced", "clustered"]
+    rows: List[Dict] = []
+    checks: Dict[str, bool] = {}
+    edge_ok = out_ok = in_ok = avg_ok = True
+    for n in sizes:
+        for k, kind in enumerate(kinds):
+            rng = spawn_many(seed * 31 + n + k, 1)[0]
+            net = _build(kind, n, rng)
+            rho = net.smoothness()
+            edges = net.edge_count()
+            mo, mi = net.max_out_degree(), net.max_in_degree()
+            avg = net.average_degree()
+            edge_ok &= edges <= 3 * n - 1
+            out_ok &= mo <= rho + 4
+            in_ok &= mi <= math.ceil(2 * rho) + 1
+            avg_ok &= avg <= 8.0  # ≤6 continuous + 2 ring
+            rows.append(
+                {
+                    "n": n,
+                    "ids": kind,
+                    "rho": round(rho, 1),
+                    "edges": edges,
+                    "3n-1": 3 * n - 1,
+                    "max_out": mo,
+                    "rho+4": round(rho + 4, 1),
+                    "max_in": mi,
+                    "2rho+1": math.ceil(2 * rho) + 1,
+                    "avg_deg": round(avg, 2),
+                }
+            )
+    checks["Thm 2.1: edges ≤ 3n−1 (all sizes, all id distributions)"] = edge_ok
+    checks["Thm 2.1 corollary: average degree ≤ 6 (+2 ring)"] = avg_ok
+    checks["Thm 2.2: max out-degree ≤ ρ+4"] = out_ok
+    checks["Thm 2.2: max in-degree ≤ ⌈2ρ⌉+1"] = in_ok
+    return ExperimentResult(
+        experiment="E2",
+        title="Structural bounds of G_x (Theorems 2.1, 2.2)",
+        paper_claim="≤3n−1 edges; out-deg ≤ ρ+4; in-deg ≤ ⌈2ρ⌉+1",
+        rows=rows,
+        checks=checks,
+    )

@@ -14,15 +14,14 @@ experiment and the ``bench-throughput`` CLI subcommand.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Dict, List, Optional
 
 
-from ..balance import MultipleChoice
-from ..core import DistanceHalvingNetwork, lookup_many
+from ..core import lookup_many
 from ..sim.rng import spawn_many
-from .common import ExperimentResult, register, timed
+from ..sim.workload import balanced_network, random_pairs, rate_fields
+from .common import ExperimentResult, register
 
 __all__ = ["measure_throughput", "format_throughput_report"]
 
@@ -34,12 +33,11 @@ def measure_throughput(
     scalar_sample: int = 2000,
     algorithm: str = "fast",
     delta: int = 2,
-    net: Optional[DistanceHalvingNetwork] = None,
     workers: int = 1,
 ) -> Dict:
     """Route ``lookups`` random pairs in bulk and a scalar subsample.
 
-    Builds (or reuses) an ``n``-server Multiple-Choice-balanced network,
+    Builds an ``n``-server Multiple-Choice-balanced network,
     compiles its :class:`~repro.core.batch.BatchRouter`, times the batch
     engine on the whole workload and the scalar engine on the first
     ``scalar_sample`` pairs, and cross-checks owner / walk parameter /
@@ -47,10 +45,6 @@ def measure_throughput(
     are driven by the same explicit digit strings so the comparison is
     bit-for-bit.  Returns a dict of rates, the speedup, and the parity
     verdict.
-
-    When a prebuilt ``net`` is supplied, the construction parameters
-    ``n``, ``delta`` and the Multiple-Choice selector are ignored — the
-    network is measured as-is (the reported ``n``/``rho`` come from it).
 
     ``workers > 1`` routes the bulk workload through the shared-memory
     sharded backend (:class:`~repro.core.shard.ShardedExecutor`); the
@@ -60,20 +54,14 @@ def measure_throughput(
     """
     if algorithm not in ("fast", "dh"):
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'fast' or 'dh'")
-    if net is not None:
-        n = net.n  # resolve before seeding so the dead param can't skew it
     build_rng, route = spawn_many(seed * 17 + n, 2)
-    if net is None:
-        net = DistanceHalvingNetwork(delta=delta, rng=build_rng)
-        net.populate(n, selector=MultipleChoice(t=4))
+    net = balanced_network(n, build_rng, delta=delta)
 
     t0 = time.perf_counter()
     router = net.compile_router(with_adjacency=(algorithm == "dh"))
     compile_secs = time.perf_counter() - t0
 
-    pts = net.segments.as_array()
-    sources = pts[route.integers(0, n, size=lookups)]
-    targets = route.random(lookups)
+    sources, targets = random_pairs(net.segments.as_array(), route, lookups)
     m = min(scalar_sample, lookups)
     taus: Optional[List[List[int]]] = None
     tau_arr = None
@@ -110,8 +98,6 @@ def measure_throughput(
         and r.hops == batch.hops[i]
         for i, r in enumerate(scalar)
     )
-    batch_rate = lookups / batch_secs if batch_secs > 0 else math.inf
-    scalar_rate = m / scalar_secs if scalar_secs > 0 else math.inf
     return {
         "algorithm": algorithm,
         "n": n,
@@ -120,11 +106,7 @@ def measure_throughput(
         "workers": workers,
         "scalar_sample": m,
         "compile_secs": compile_secs,
-        "batch_secs": batch_secs,
-        "scalar_secs": scalar_secs,
-        "batch_rate": batch_rate,
-        "scalar_rate": scalar_rate,
-        "speedup": batch_rate / scalar_rate if scalar_rate > 0 else math.inf,
+        **rate_fields(lookups, batch_secs, m, scalar_secs),
         "parity_ok": parity,
         "mean_hops": float(batch.hops.mean()),
         "max_t": int(batch.t.max()) if lookups else 0,
@@ -152,44 +134,41 @@ def format_throughput_report(result: Dict) -> str:
 
 @register("X3")
 def run(seed: int = 16, quick: bool = False) -> ExperimentResult:
-    def body() -> ExperimentResult:
-        sizes = [256, 1024] if quick else [256, 1024, 4096]
-        lookups = 20_000 if quick else 100_000
-        sample = 300 if quick else 1000
-        rows = []
-        checks: Dict[str, bool] = {}
-        parity_ok = True
-        speedups = []
-        for n in sizes:
-            res = measure_throughput(
-                n=n, lookups=lookups, seed=seed, scalar_sample=sample
-            )
-            parity_ok &= res["parity_ok"]
-            speedups.append(res["speedup"])
-            rows.append(
-                {
-                    "n": n,
-                    "lookups": lookups,
-                    "batch_rate": round(res["batch_rate"]),
-                    "scalar_rate": round(res["scalar_rate"]),
-                    "speedup": round(res["speedup"], 1),
-                    "mean_hops": round(res["mean_hops"], 2),
-                    "parity": "ok" if res["parity_ok"] else "MISMATCH",
-                }
-            )
-        checks["batch/scalar parity (owner, t, hops) at every size"] = parity_ok
-        floor = 2.0 if quick else 5.0
-        checks[
-            f"vectorized speedup ≥ {floor:g}x at n={sizes[-1]} "
-            f"(got {speedups[-1]:.1f}x)"
-        ] = speedups[-1] >= floor
-        return ExperimentResult(
-            experiment="X3",
-            title="Batch-lookup throughput (vectorized engine)",
-            paper_claim="extension: bulk routing, one O(1) cover read per level; "
-            "bit-identical to the scalar §2.2 algorithms",
-            rows=rows,
-            checks=checks,
+    sizes = [256, 1024] if quick else [256, 1024, 4096]
+    lookups = 20_000 if quick else 100_000
+    sample = 300 if quick else 1000
+    rows = []
+    checks: Dict[str, bool] = {}
+    parity_ok = True
+    speedups = []
+    for n in sizes:
+        res = measure_throughput(
+            n=n, lookups=lookups, seed=seed, scalar_sample=sample
         )
-
-    return timed(body)
+        parity_ok &= res["parity_ok"]
+        speedups.append(res["speedup"])
+        rows.append(
+            {
+                "n": n,
+                "lookups": lookups,
+                "batch_rate": round(res["batch_rate"]),
+                "scalar_rate": round(res["scalar_rate"]),
+                "speedup": round(res["speedup"], 1),
+                "mean_hops": round(res["mean_hops"], 2),
+                "parity": "ok" if res["parity_ok"] else "MISMATCH",
+            }
+        )
+    checks["batch/scalar parity (owner, t, hops) at every size"] = parity_ok
+    floor = 2.0 if quick else 5.0
+    checks[
+        f"vectorized speedup ≥ {floor:g}x at n={sizes[-1]} "
+        f"(got {speedups[-1]:.1f}x)"
+    ] = speedups[-1] >= floor
+    return ExperimentResult(
+        experiment="X3",
+        title="Batch-lookup throughput (vectorized engine)",
+        paper_claim="extension: bulk routing, one O(1) cover read per level; "
+        "bit-identical to the scalar §2.2 algorithms",
+        rows=rows,
+        checks=checks,
+    )

@@ -26,7 +26,6 @@ from .workload import (
     random_permutation,
     shift_permutation,
     single_hotspot_demands,
-    uniform_points,
     zipf_demands,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "spawn",
     "spawn_many",
     "summarize",
-    "uniform_points",
     "zipf_demands",
 ]

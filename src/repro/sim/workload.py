@@ -1,5 +1,10 @@
 """Request workload generators and the batch lookup driver.
 
+The experiments' kit: :func:`balanced_network` builds the network every
+§2–§3 experiment measures, :func:`random_pairs` draws Definition 3's
+lookup stream over it, :func:`route_pairs` routes one, and
+:func:`rate_fields` reports a batch-vs-scalar timing of it.
+
 Each generator is a deterministic function of its RNG, covering the
 demand patterns the paper analyses:
 
@@ -19,12 +24,16 @@ replacement for the per-lookup scalar loops E4/E5 used to run.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..balance import MultipleChoice
+from ..core.lookup import fast_lookup
+from ..core.network import DistanceHalvingNetwork
+
 __all__ = [
-    "uniform_points",
+    "balanced_network",
     "random_pairs",
     "survivor_pairs",
     "random_permutation",
@@ -36,6 +45,7 @@ __all__ = [
     "adversarial_point_demands",
     "pairs_to_arrays",
     "route_pairs",
+    "rate_fields",
     "DH_TAU_DIGITS",
 ]
 
@@ -136,18 +146,52 @@ def route_pairs(
     return res
 
 
-def uniform_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` i.i.d. uniform targets in ``[0, 1)``."""
-    return rng.random(count)
+def rate_fields(batch_ops: int, batch_secs: float, scalar_ops: int,
+                scalar_secs: float) -> Dict[str, float]:
+    """The five timing keys of a batch-vs-scalar measurement dict.
+
+    ``batch_secs`` / ``scalar_secs`` as given, the two ops-per-second
+    rates and ``speedup`` = batch rate over scalar rate.  A leg that took
+    zero seconds has an infinite rate, so a skipped scalar replay
+    (``scalar_ops = 0`` in zero seconds) reads ``inf`` with speedup 0.0.
+    """
+    batch_rate = batch_ops / batch_secs if batch_secs > 0 else math.inf
+    scalar_rate = scalar_ops / scalar_secs if scalar_secs > 0 else math.inf
+    return {
+        "batch_secs": batch_secs,
+        "scalar_secs": scalar_secs,
+        "batch_rate": batch_rate,
+        "scalar_rate": scalar_rate,
+        "speedup": batch_rate / scalar_rate if scalar_rate > 0 else math.inf,
+    }
+
+
+def balanced_network(n: int, rng: np.random.Generator,
+                     delta: int = 2) -> DistanceHalvingNetwork:
+    """An ``n``-server network whose ids come from ``MultipleChoice(t=4)``.
+
+    The smooth (ρ = O(1), Lemma 4.3) decomposition the §2–§3 bounds are
+    measured on; ``rng`` drives the id selection and stays the
+    network's own generator.
+    """
+    net = DistanceHalvingNetwork(delta=delta, rng=rng)
+    net.populate(n, selector=MultipleChoice(t=4))
+    return net
 
 
 def random_pairs(
     points: Sequence[float], rng: np.random.Generator, count: int
-) -> List[Tuple[float, float]]:
-    """Random (source server, target point) pairs — Definition 3's model."""
-    idx = rng.integers(0, len(points), size=count)
-    targets = rng.random(count)
-    return [(points[i], float(t)) for i, t in zip(idx, targets)]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Random (source server, target point) pairs — Definition 3's model.
+
+    Sources are drawn uniformly from ``points`` (one ``integers`` call),
+    then targets uniformly from the ring (one ``random`` call).  Returned
+    in the split ``(sources, targets)`` array form
+    :func:`pairs_to_arrays` accepts.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    src = pts[rng.integers(0, pts.size, size=count)]
+    return src, rng.random(count)
 
 
 def survivor_pairs(
@@ -254,8 +298,6 @@ def funnel_workload(net, c: float = 0.37, depth: int = 4) -> List[Tuple[float, f
     string depends on ``t``), candidate targets are verified against the
     real algorithm and the best-aligned one is kept per source.
     """
-    from ..core.lookup import fast_lookup  # local import to avoid a cycle
-
     g = net.graph
     pairs: List[Tuple[float, float]] = []
     scale = g.delta**depth

@@ -87,6 +87,13 @@ class TestMultipleChoice:
                 for n in (256, 512, 1024)]
         assert max(rhos) <= 32
 
+    def test_beats_improved_single_choice_on_rho(self):
+        """The §4 ladder's top rung: ρ(multiple) < ρ(improved) < ρ(single)."""
+        n = 1024
+        rho_improved = grow(ImprovedSingleChoice(), n, seed=9).smoothness()
+        rho_multiple = grow(MultipleChoice(t=4), n, seed=9).smoothness()
+        assert rho_multiple < rho_improved
+
     def test_theorem_4_4_self_correction(self):
         """Adversarial start: after n more inserts the max segment is O(1/n)."""
         rng = np.random.default_rng(10)

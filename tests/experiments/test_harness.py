@@ -1,19 +1,40 @@
 """Tests for the experiment harness (registry, rendering, quick runs)."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
+import repro.experiments
 from repro.experiments.common import ExperimentResult, format_rows, get_experiment
 from repro.experiments.runner import EXPERIMENT_IDS, run_experiments
 
 
 class TestRegistry:
-    def test_all_design_md_ids_registered(self):
+    def test_all_paper_ids_registered(self):
         expected = {"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E10",
                     "E11", "E12", "E13", "E14", "E15",
                     "F1", "F2", "F3", "F4", "A1", "A2", "A3", "A4"}
         assert expected <= set(EXPERIMENT_IDS)
+
+    def test_runner_imports_every_registering_module(self):
+        """A module whose ``@register`` nothing imports is a silent hole
+        in ``run all`` (and in the quick-run test below)."""
+        pkg = pathlib.Path(repro.experiments.__file__).parent
+        registering = {
+            path.stem for path in pkg.glob("*.py")
+            if any(isinstance(dec, ast.Call)
+                   and getattr(dec.func, "id", None) == "register"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)
+                   for dec in node.decorator_list)}
+        runner = ast.parse((pkg / "runner.py").read_text())
+        imported = {alias.name for node in ast.walk(runner)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is None for alias in node.names}
+        assert registering and registering <= imported
+        assert len(EXPERIMENT_IDS) == 28
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
@@ -21,6 +42,11 @@ class TestRegistry:
 
     def test_lookup_case_insensitive(self):
         assert get_experiment("e2") is get_experiment("E2")
+
+    def test_seed_does_not_depend_on_how_the_id_was_typed(self):
+        lower, upper = (run_experiments([name], seed=5, quick=True, echo=False)
+                        for name in ("e2", "E2"))
+        assert lower[0].rows == upper[0].rows
 
 
 class TestResultRendering:
@@ -41,6 +67,25 @@ class TestResultRendering:
         assert data["experiment"] == "EX"
         assert data["passed"] is True
 
+    def test_json_numpy_verdicts_are_booleans(self):
+        import numpy as np
+
+        res = ExperimentResult("EX", "t", "claim",
+                               rows=[{"n": np.int64(3), "x": np.float64(0.5)}],
+                               checks={"ok": np.bool_(True),
+                                       "bad": np.bool_(False)})
+        data = json.loads(res.to_json())
+        assert data["checks"] == {"ok": True, "bad": False}
+        assert data["checks"]["bad"] is False and data["passed"] is False
+        assert data["rows"] == [{"n": 3, "x": 0.5}]
+
+    def test_json_refuses_non_finite_values_by_key(self):
+        res = ExperimentResult("EX", "t", "claim",
+                               rows=[{"rate": float("inf")}, {"rate": 1.0}],
+                               checks={"ok": True})
+        with pytest.raises(ValueError, match=r"rows\[0\]\.rate = inf"):
+            res.to_json()
+
     def test_passed_logic(self):
         good = ExperimentResult("E", "t", "c", checks={"a": True})
         bad = ExperimentResult("E", "t", "c", checks={"a": True, "b": False})
@@ -55,68 +100,53 @@ class TestResultRendering:
         assert "[FAIL] other" in text
 
 
+@pytest.fixture(scope="module")
+def quick_run():
+    """``quick_run(id)``: the experiment's quick result, run once per module."""
+    results = {}
+
+    def run(name):
+        if name not in results:
+            results[name] = get_experiment(name)(quick=True)
+        return results[name]
+
+    return run
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-JSON constant {token} in an experiment result")
+
+
 class TestQuickRuns:
-    """Cheap experiments executed end-to-end in quick mode."""
+    """Every registered experiment executed end-to-end in quick mode."""
 
-    @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4"])
-    def test_figures_pass(self, name):
-        res = get_experiment(name)(quick=True)
+    @pytest.mark.parametrize("name", EXPERIMENT_IDS)
+    def test_every_experiment_passes_and_serialises(self, name, quick_run):
+        res = quick_run(name)
         assert res.passed, res.render()
+        assert res.seconds > 0.0  # register's timing shell ran
+        doc = json.loads(res.to_json(), parse_constant=_refuse_constant)
+        assert doc["experiment"] == name and doc["passed"] is True
+        assert doc["rows"] and doc["checks"]
+        for check, verdict in doc["checks"].items():
+            assert verdict is True or verdict is False, (check, verdict)
 
-    def test_structure_passes(self):
-        res = get_experiment("E2")(quick=True)
-        assert res.passed, res.render()
-
-    def test_table1_shootout_passes(self):
-        res = get_experiment("E1")(quick=True)
-        assert res.passed, res.render()
+    def test_table1_has_a_row_per_scheme(self, quick_run):
         # every scheme contributes a row with the three Table 1 columns
-        schemes = {row["scheme"] for row in res.rows}
-        assert len(schemes) == 8
+        path = {row["scheme"]: row["path@maxn"] for row in quick_run("E1").rows}
+        assert len(path) == 8
+        # CAN's n^{1/2} route is the longest pure-geometry one already here
+        assert path["can(d=2)"] > path["chord"]
 
-    def test_tradeoff_passes(self):
-        res = get_experiment("E6")(quick=True)
-        assert res.passed, res.render()
+    def test_tradeoff_has_the_frontier_rows(self, quick_run):
         # the Δ sweep plus the chord / small-world / viceroy frontier rows
-        schemes = [row["scheme"] for row in res.rows]
+        schemes = [row["scheme"] for row in quick_run("E6").rows]
         assert "chord" in schemes and "small-world" in schemes
-
-    def test_pathlen_passes(self):
-        res = get_experiment("E3")(quick=True)
-        assert res.passed, res.render()
-
-    def test_congestion_passes(self):
-        res = get_experiment("E4")(quick=True)
-        assert res.passed, res.render()
-
-    def test_permutation_passes(self):
-        res = get_experiment("E5")(quick=True)
-        assert res.passed, res.render()
-
-    def test_flash_crowd_caching_passes(self):
-        res = get_experiment("E7")(quick=True)
-        assert res.passed, res.render()
-
-    def test_multi_hotspot_caching_passes(self):
-        res = get_experiment("E8")(quick=True)
-        assert res.passed, res.render()
-
-    def test_emulation_passes(self):
-        res = get_experiment("E15")(quick=True)
-        assert res.passed, res.render()
-
-    def test_failstop_sweep_passes(self):
-        res = get_experiment("E13")(quick=True)
-        assert res.passed, res.render()
-
-    def test_byzantine_sweep_passes(self):
-        res = get_experiment("E14")(quick=True)
-        assert res.passed, res.render()
 
     def test_runner_writes_json(self, tmp_path):
         results = run_experiments(["F1"], quick=True, out_dir=str(tmp_path),
                                   echo=False)
-        assert (tmp_path / "F1.json").exists()
+        assert json.loads((tmp_path / "F1.json").read_text())["passed"] is True
         assert results[0].passed
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.balance import MultipleChoice
 from repro.core import DistanceHalvingNetwork
 from repro.sim import (
     ChurnOp,
@@ -20,22 +21,67 @@ from repro.sim import (
     single_hotspot_demands,
     spawn_many,
     summarize,
-    uniform_points,
     zipf_demands,
 )
+from repro.sim.workload import balanced_network, pairs_to_arrays, rate_fields
 
 
 class TestWorkloads:
-    def test_uniform_points_range(self):
-        pts = uniform_points(np.random.default_rng(0), 1000)
-        assert len(pts) == 1000
-        assert ((0 <= pts) & (pts < 1)).all()
-
     def test_random_pairs_sources_are_servers(self):
         rng = np.random.default_rng(1)
         servers = [0.1, 0.4, 0.9]
-        pairs = random_pairs(servers, rng, 50)
-        assert all(s in servers for s, _ in pairs)
+        sources, targets = random_pairs(servers, rng, 50)
+        assert set(sources.tolist()) <= set(servers)
+        assert ((0 <= targets) & (targets < 1)).all()
+
+    def test_random_pairs_is_the_inline_draw_it_replaced(self):
+        # one integers(0, n, size) then one random(size): every seeded
+        # experiment stream depends on exactly this order
+        pts = np.sort(np.random.default_rng(0).random(64))
+        sources, targets = random_pairs(pts, np.random.default_rng(7), 500)
+        ref = np.random.default_rng(7)
+        assert np.array_equal(sources, pts[ref.integers(0, 64, size=500)])
+        assert np.array_equal(targets, ref.random(500))
+        # the split array form survivor_pairs returns
+        assert sources.dtype == targets.dtype == np.float64
+        assert sources.shape == targets.shape == (500,)
+        again = pairs_to_arrays((sources, targets))
+        assert again[0] is sources and again[1] is targets
+
+    @pytest.mark.parametrize("delta", [2, 4])
+    def test_balanced_network_is_the_two_line_build(self, delta):
+        net = balanced_network(96, np.random.default_rng(5), delta=delta)
+        ref = DistanceHalvingNetwork(delta=delta, rng=np.random.default_rng(5))
+        ref.populate(96, selector=MultipleChoice(t=4))
+        assert net.delta == delta and net.n == 96
+        assert list(net.points()) == list(ref.points())
+        # rng stays the network's own generator: the next join agrees too
+        assert net.join().point == ref.join().point
+
+    def test_rate_fields(self):
+        fields = rate_fields(1000, 0.5, 10, 2.0)
+        assert fields == {"batch_secs": 0.5, "scalar_secs": 2.0,
+                          "batch_rate": 2000.0, "scalar_rate": 5.0,
+                          "speedup": 400.0}
+        assert list(fields) == ["batch_secs", "scalar_secs", "batch_rate",
+                                "scalar_rate", "speedup"]
+
+    def test_rate_fields_zero_seconds_and_skipped_scalar_leg(self):
+        instant = rate_fields(1000, 0.0, 10, 2.0)
+        assert instant["batch_rate"] == math.inf
+        assert instant["speedup"] == math.inf
+        # scalar_sample=0: nothing replayed, in zero seconds
+        skipped = rate_fields(1000, 0.5, 0, 0.0)
+        assert skipped["scalar_rate"] == math.inf
+        assert skipped["speedup"] == 0.0
+
+    def test_measure_faults_without_a_scalar_replay(self):
+        from repro.experiments.faults_exp import measure_faults
+
+        res = measure_faults(n=64, pairs=200, scalar_sample=0)
+        assert res["scalar_sample"] == 0 and res["scalar_secs"] == 0.0
+        assert res["scalar_rate"] == math.inf and res["speedup"] == 0.0
+        assert res["parity_ok"] is True
 
     def test_random_permutation_is_permutation(self):
         rng = np.random.default_rng(2)
