@@ -615,7 +615,8 @@ class BatchRouter(ColumnarSnapshot):
         tau_arr: Optional[np.ndarray] = None
         if tau is not None:
             tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
-            if tau_arr.size and ((tau_arr < 0) | (tau_arr >= self.delta)).any():
+            if tau_arr.size and (tau_arr.min() < 0
+                                 or tau_arr.max() >= self.delta):
                 raise ValueError(f"tau digits out of range for delta={self.delta}")
 
         def pick(step, lanes, pos, cur):

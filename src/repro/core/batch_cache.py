@@ -8,11 +8,11 @@ a time through Python sets and Counters; this module serves whole request
   of digit-prefix keys (``key(()) = 0``, ``key(s + (d,)) = key(s)·Δ + d
   + 1`` — a bijective base-Δ code), all trees packed into a single
   composite key space ``tree·K + node_key`` so one ``np.searchsorted``
-  answers membership for every request of a batch at once;
-* ``serving_node`` resolution is a gather: the prefix keys of a request's
-  digit string are membership-tested in bulk and the deepest active
-  prefix falls out of a row sum (prefix-closure makes the active depths
-  contiguous);
+  answers membership for requests of every tree at once;
+* ``serving_node`` resolution is a descent of each request's prefix
+  keys while they stay active — a running key / offset / depth per
+  request, never requests × levels, and one bulk membership test per
+  level (prefix-closure makes the first miss the answer);
 * replication (step 1 of the protocol) runs as a fixpoint over sorted
   request groups that reproduces the *sequential* semantics exactly —
   the ``(c+1)``-th hit of a leaf replicates, the triggering request is
@@ -22,10 +22,10 @@ a time through Python sets and Counters; this module serves whole request
   collapse (steps 2–3) is a vectorized sibling-group reduction applied
   as set patches until it reaches the same fixpoint as the scalar
   while-changed loop;
-* cache-shortened paths are emitted as CSR (a ragged expansion sized by
-  the true per-request path lengths, compressed by the shared writer
-  :func:`~repro.core.walk.ragged_to_csr`), so cached batches book
-  straight into :class:`~repro.core.routing_stats.BatchCongestion`.
+* cache-shortened paths are emitted as CSR — level by level over the
+  live requests into one ``int32`` buffer of the true path lengths,
+  which :func:`~repro.core.walk.ragged_to_csr` compresses — so cached
+  batches book into :class:`~repro.core.routing_stats.BatchCongestion`.
 
 Every float operation mirrors the scalar engine ULP-for-ULP (node
 positions are the closed-form walks ``(root + Σ d_k Δ^k) / Δ^j`` with the
@@ -56,7 +56,8 @@ from .caching import salt_indices, salted_key
 from .continuous import Digits
 from .network import DistanceHalvingNetwork
 from .segments import fold_unit
-from .walk import PathResult, normalize_points, per_lane_matrix, ragged_to_csr
+from .walk import (PathResult, integral_array, normalize_points,
+                   per_lane_matrix, ragged_to_csr)
 
 __all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key",
            "encode_node_key"]
@@ -126,6 +127,7 @@ class BatchCacheResult(PathResult):
 
     @property
     def size(self) -> int:
+        """Requests in the batch."""
         return int(self.t.size)
 
     @property
@@ -266,6 +268,7 @@ class BatchCacheEngine:
         return int(self._depths[sl].max()) if sl.size else 0
 
     def tree_replications(self, tree: int) -> int:
+        """Children one tree has activated since construction."""
         return int(self._tree_replications[tree])
 
     def served_counts(self, tree: int) -> Dict[Digits, int]:
@@ -326,7 +329,7 @@ class BatchCacheEngine:
         ``(L,)``; required for bit-parity against a scalar replay);
         without it fresh digits are drawn from ``rng``.
         """
-        items = np.asarray(item_idx, dtype=np.int64).ravel()
+        items = integral_array(item_idx, "item_idx").ravel()
         src = normalize_points(sources, what="sources")
         if items.size != src.size:
             raise ValueError("item_idx and sources must have the same length")
@@ -345,10 +348,7 @@ class BatchCacheEngine:
                 path_servers=np.zeros(0, np.int32),
                 path_offsets=np.zeros(1, np.int64), delta=delta)
 
-        if self.salts > 1:
-            trees = items * self.salts + salt_indices(src, self.salts)
-        else:
-            trees = items.copy()
+        trees = items * self.salts + salt_indices(src, self.salts)
         targets = self._roots[trees]
 
         if tau is None:
@@ -366,26 +366,26 @@ class BatchCacheEngine:
                 f"walk of {tmax} digits exceeds the engine's depth cap "
                 f"{self._depth_cap}; fewer trees or larger delta needed")
 
-        # prefix keys (composite) and exact walk offsets per depth
+        # serving node: descend the digit prefixes while they stay
+        # active — prefix-closure makes the first miss the answer, so a
+        # level tests only the lanes still walking.  ``off`` is the exact
+        # walk offset Σ d_k Δ^k of the prefix a lane stands on.
         scales = self._scales
-        P = np.empty((size, tmax + 1), dtype=np.int64)
-        OFF = np.empty((size, tmax + 1), dtype=np.float64)
-        P[:, 0] = 0
-        OFF[:, 0] = 0.0
-        for j in range(1, tmax + 1):
-            d = tau_arr[:, j - 1]
-            P[:, j] = P[:, j - 1] * delta + d + 1
-            OFF[:, j] = OFF[:, j - 1] + d * scales[j - 1]
-        CK = trees[:, None] * self._K + P
+        node = trees * self._K
+        off = np.zeros(size, dtype=np.float64)
+        depth = np.zeros(size, dtype=np.int64)
+        walking = np.flatnonzero(t > 0)
+        while walking.size:
+            d = tau_arr[walking, depth[walking]]
+            child = self._first_child(node[walking]) + d
+            hit = _isin_sorted(child, self._keys)
+            walking = walking[hit]
+            node[walking] = child[hit]
+            off[walking] += d[hit] * scales[depth[walking]]
+            depth[walking] += 1
+            walking = walking[t[walking] > depth[walking]]
 
-        # serving depth: active prefixes are depth-contiguous from the root
-        memb = _isin_sorted(CK.ravel(), self._keys).reshape(size, tmax + 1)
-        memb &= np.arange(tmax + 1)[None, :] <= t[:, None]
-        depth = memb.sum(axis=1).astype(np.int64) - 1
-        lanes = np.arange(size)
-        node = CK[lanes, depth]
-
-        self._replication_fixpoint(node, depth, t, CK, OFF, trees, lanes)
+        self._replication_fixpoint(node, off, depth, t, tau_arr, trees)
 
         # commit epoch counters and per-server hits
         idx = np.searchsorted(self._keys, node)
@@ -399,22 +399,28 @@ class BatchCacheEngine:
         # cache-shortened paths: phase-I walk covers j = 0..t, then
         # phase-II covers j = t..serving depth — the exact closed-form
         # trajectory the scalar engine books (not the dh route, so not
-        # the shared descent; OFF already holds each level's offset, so
-        # not ``level_points`` either).  Built ragged (a flat (lane,
-        # level) expansion sized by the true path lengths) and
-        # compressed by the shared CSR writer.
+        # the shared descent).  Emitted level by level: by t descending
+        # the lanes live at level j are a prefix, and every cover goes
+        # straight to its slot of one lane-major ragged buffer — phase I
+        # at start + j, phase II at start + 2t + 1 − j.
         raw_len = 2 * t - depth + 2          # (t+1) phase-I + (t-m+1) phase-II
-        starts = np.concatenate(([0], np.cumsum(raw_len)))
-        total = int(starts[-1])
-        lane = np.repeat(lanes, raw_len)
-        k = np.arange(total) - np.repeat(starts[:-1], raw_len)
-        tl = t[lane]
-        is_p1 = k <= tl
-        j = np.where(is_p1, k, 2 * tl + 1 - k)
-        val = (np.where(is_p1, src[lane], targets[lane]) + OFF[lane, j])
-        val /= scales[j]
-        servers, offsets = ragged_to_csr(
-            cover(fold_unit(val)).astype(np.int32), starts[:-1])
+        starts = np.cumsum(raw_len) - raw_len
+        buf = np.empty(raw_len.sum(), dtype=np.int32)
+        order = np.argsort(-t, kind="stable")
+        xs, ys, floor = src[order], targets[order], depth[order]
+        fwd = starts[order]
+        back = fwd + 2 * t[order] + 1
+        run = np.zeros(size, dtype=np.float64)   # Σ_{k<j} d_k Δ^k, sorted lanes
+        live = np.bincount(t)[::-1].cumsum()[::-1]    # lanes with t >= j
+        for j, m in enumerate(live):
+            o = run[:m]
+            if j:
+                o += tau_arr[order[:m], j - 1] * scales[j - 1]
+            buf[fwd[:m] + j] = cover(fold_unit((xs[:m] + o) / scales[j]))
+            home = np.flatnonzero(floor[:m] <= j)
+            buf[back[home] - j] = cover(
+                fold_unit((ys[home] + o[home]) / scales[j]))
+        servers, offsets = ragged_to_csr(buf, starts)
         np.add.at(self._msgs, servers, 1)
 
         return BatchCacheResult(
@@ -424,7 +430,11 @@ class BatchCacheEngine:
             lookup_hops=res.hops, path_servers=servers, path_offsets=offsets,
             delta=delta)
 
-    def _replication_fixpoint(self, node, depth, t, CK, OFF, trees, lanes):
+    def _first_child(self, keys):
+        """Composite key of each node's digit-0 child (siblings follow)."""
+        return keys + keys % self._K * (self.delta - 1) + 1
+
+    def _replication_fixpoint(self, node, off, depth, t, tau, trees):
         """Step-1 replication with sequential semantics, vectorized.
 
         Requests are grouped by their current node in batch order.  A
@@ -435,14 +445,18 @@ class BatchCacheEngine:
         children activate.  Groups at blocked (non-leaf) nodes never
         fire; rerouted requests keep their batch order, so a child group
         fires exactly when the scalar per-request loop would make it.
-        Terminates because every round strictly deepens some requests.
+        A rerouted lane lands in a child that did not exist before the
+        round, so only the lanes a round moved regroup in the next.
+        Terminates because every round strictly deepens them.
         """
-        size = lanes.size
         delta = self.delta
-        c = self.c
         cover = self._router.cover_index.cover
-        while True:
-            order = np.lexsort((lanes, node))
+        lanes = np.arange(node.size)
+        while lanes.size:
+            # lanes that share a node stand in batch order (moved lanes
+            # in their old group's), so a stable sort groups them
+            order = lanes[np.argsort(node[lanes], kind="stable")]
+            size = order.size
             sk = node[order]
             new_grp = np.ones(size, dtype=bool)
             new_grp[1:] = sk[1:] != sk[:-1]
@@ -452,48 +466,39 @@ class BatchCacheEngine:
             gsize = np.diff(np.append(grp_start, size))
             pos = np.arange(size) - grp_start[grp_id] + 1
 
-            local = u_keys % self._K
-            child_lo = u_keys + local * (delta - 1) + 1
+            child_lo = self._first_child(u_keys)
             has_child = (np.searchsorted(self._keys, child_lo + delta)
                          > np.searchsorted(self._keys, child_lo))
             base = self._counts[np.searchsorted(self._keys, u_keys)]
-            tpos = c + 1 - base
+            tpos = self.c + 1 - base
             fires = ~has_child & (gsize >= tpos)
             if not fires.any():
                 return
 
             # reroute strictly-later deep entries of fired groups
-            req_fire = fires[grp_id]
-            move_sorted = req_fire & (pos > tpos[grp_id])
-            moved = order[move_sorted]
-            moved = moved[t[moved] > depth[moved]]
-            node[moved] = CK[moved, depth[moved] + 1]
-            depth[moved] += 1
+            lanes = order[fires[grp_id] & (pos > tpos[grp_id])]
+            lanes = lanes[t[lanes] > depth[lanes]]
+            d = tau[lanes, depth[lanes]]
+            node[lanes] = self._first_child(node[lanes]) + d
+            off[lanes] += d * self._scales[depth[lanes]]
+            depth[lanes] += 1
 
-            # activate all Δ children of every fired node
-            f = np.flatnonzero(fires)
-            rep = order[grp_start[f]]          # first group member, in order
-            f_depth = depth[rep]
-            f_tree = trees[rep]
-            off_u = OFF[rep, f_depth]
-            pow_d = self._scales[f_depth]
-            ds = np.arange(delta, dtype=np.float64)
-            child_off = off_u[:, None] + ds[None, :] * pow_d[:, None]
+            # activate all Δ children of every fired node (groups are in
+            # key order and the child code is monotone: already sorted)
+            rep = order[grp_start[fires]]      # first group member, in order
+            f_depth, f_tree = depth[rep], trees[rep]
+            ds = np.arange(delta)
+            child_off = off[rep][:, None] + ds * self._scales[f_depth][:, None]
             child_pos = ((self._roots[f_tree][:, None] + child_off)
                          / self._scales[f_depth + 1][:, None]).ravel()
             child_pos[child_pos == 1.0] = 0.0
-            child_keys = (node[rep][:, None] * delta + 1
-                          + np.arange(delta, dtype=np.int64)[None, :]
-                          - (f_tree * self._K * (delta - 1))[:, None]).ravel()
-            csort = np.argsort(child_keys, kind="stable")
-            child_keys = child_keys[csort]
-            child_pos = child_pos[csort]
-            child_depth = np.repeat(f_depth + 1, delta)[csort]
+            child_keys = (self._first_child(node[rep])[:, None] + ds).ravel()
             ins = np.searchsorted(self._keys, child_keys)
             self._keys = np.insert(self._keys, ins, child_keys)
             self._counts = np.insert(self._counts, ins, 0)
             self._pos = np.insert(self._pos, ins, child_pos)
-            self._depths = np.insert(self._depths, ins, child_depth)
+            self._depths = np.insert(self._depths, ins,
+                                     np.repeat(f_depth + 1, delta))
             np.add.at(self._tree_replications, f_tree, delta)
             np.add.at(self._msgs, cover(child_pos), 1)
 
@@ -515,7 +520,7 @@ class BatchCacheEngine:
             nz = np.flatnonzero(local > 0)
             if nz.size == 0:
                 break
-            child_lo = keys + local * (delta - 1) + 1
+            child_lo = self._first_child(keys)
             has_child = (np.searchsorted(keys, child_lo + delta)
                          > np.searchsorted(keys, child_lo))
             cold = ~has_child & (self._counts < self.c)

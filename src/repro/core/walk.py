@@ -23,8 +23,8 @@ import numpy as np
 from .segments import check_finite, fold_unit, normalize_array
 
 __all__ = ["PathResult", "check_keep_paths", "descend", "forward_levels",
-           "level_points", "normalize_pair", "normalize_points",
-           "per_lane_matrix", "ragged_to_csr"]
+           "integral_array", "level_points", "normalize_pair",
+           "normalize_points", "per_lane_matrix", "ragged_to_csr"]
 
 
 # ---------------------------------------------------------------- entry checks
@@ -68,14 +68,35 @@ def normalize_pair(sources, targets) -> tuple:
     return src, y
 
 
+def integral_array(values, what: str) -> np.ndarray:
+    """``values`` as ``int64``, refusing what the cast would truncate.
+
+    Integer and bool arrays of any width pass, and so do integer-valued
+    floats (``1.0``); a fractional or non-finite entry raises
+    ``ValueError`` naming ``what`` — digit ``0.5`` is not digit ``0``.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iub":
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        as_int = arr.astype(np.int64)
+    if (as_int != arr).any():
+        raise ValueError(f"{what} must be integers")
+    return as_int
+
+
 def per_lane_matrix(values, size: int, dtype, what: str) -> np.ndarray:
     """``values`` as a ``(size, L)`` matrix of ``dtype``, one row per lane.
 
     The shape rule of every per-step input (``tau`` digit strings,
     ``choices`` uniforms): a 1-D row is shared by all lanes, anything
-    else must bring exactly one row per lane.
+    else must bring exactly one row per lane.  An integer ``dtype``
+    means digits, which must be integral (:func:`integral_array`).
     """
-    mat = np.asarray(values, dtype=dtype)
+    if np.issubdtype(dtype, np.integer):
+        mat = integral_array(values, f"{what} digits").astype(dtype, copy=False)
+    else:
+        mat = np.asarray(values, dtype=dtype)
     if mat.ndim == 1:
         mat = np.broadcast_to(mat, (size, mat.size))
     if mat.shape[0] != size:
@@ -236,6 +257,7 @@ class PathResult:
 
     @property
     def keeps_paths(self) -> bool:
+        """Whether the batch was routed with paths recorded."""
         return self.path_servers is not None
 
     def to_csr(self) -> tuple:

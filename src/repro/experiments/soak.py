@@ -18,6 +18,7 @@ seed, wall-clock lives in separate keys the CLI strips from
 
 from __future__ import annotations
 
+import resource
 import time
 from typing import Dict
 
@@ -27,10 +28,11 @@ from .common import ExperimentResult, register
 
 __all__ = ["measure_soak", "format_soak_report", "NONDETERMINISTIC_KEYS"]
 
-#: Result keys that vary across runs of the same seed (wall clock) —
-#: excluded from ``--json-out`` artifacts so soak artifacts are
-#: byte-reproducible and machine-independent.
-NONDETERMINISTIC_KEYS = ("wall_seconds", "krequests_per_sec")
+#: Result keys that vary across runs of the same seed (wall clock, the
+#: process's memory high-water mark) — excluded from ``--json-out``
+#: artifacts so soak artifacts are byte-reproducible and
+#: machine-independent.
+NONDETERMINISTIC_KEYS = ("wall_seconds", "krequests_per_sec", "peak_rss_mb")
 
 
 def measure_soak(
@@ -62,6 +64,10 @@ def measure_soak(
     result["wall_seconds"] = secs
     result["krequests_per_sec"] = (result["total_requests"] / secs / 1e3
                                    if secs > 0 else 0.0)
+    # the process's high-water mark (Linux reports KiB): what the run
+    # needed to fit, whichever phase set it
+    result["peak_rss_mb"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     return result
 
 
@@ -107,7 +113,8 @@ def format_soak_report(result: Dict) -> str:
     if "wall_seconds" in result:
         lines.append(
             f"wall: {result['wall_seconds']:.2f}s  "
-            f"{result['krequests_per_sec']:.1f}k requests/sec")
+            f"{result['krequests_per_sec']:.1f}k requests/sec  "
+            f"peak RSS {result['peak_rss_mb']:.0f} MB")
     return "\n".join(lines)
 
 

@@ -274,6 +274,44 @@ class TestBatchDHLookup:
             router.batch_dh_lookup(np.array([0.1]), np.array([0.5]),
                                    tau=np.array([[7, 0, 1]]))
 
+    @pytest.mark.parametrize("tau", [
+        np.array([[0, -1, 1]]),
+        np.array([0, 2, 1]),                      # a shared 1-D row
+        np.array([[0, 1, 1], [0, 1, 2]], dtype=np.int8),
+    ], ids=["negative", "shared-row", "last-lane"])
+    def test_tau_range_guard_runs_on_every_call(self, tau):
+        net, _ = make_net(8, seed=51)
+        router = net.compile_router(with_adjacency=True)
+        size = tau.shape[0] if tau.ndim == 2 else 3
+        with pytest.raises(ValueError,
+                           match="tau digits out of range for delta=2"):
+            router.batch_dh_lookup(np.full(size, 0.1), np.full(size, 0.5),
+                                   tau=tau)
+
+    @pytest.mark.parametrize("tau", [
+        [[0.5] * 64], np.full(64, 0.5), [[0.0] * 63 + [float("nan")]],
+        [[1e30] * 64],
+    ], ids=["half", "shared-row", "nan", "huge"])
+    def test_fractional_tau_digits_rejected(self, tau):
+        """``0.5`` used to truncate to digit 0 and route."""
+        net, _ = make_net(8, seed=51)
+        router = net.compile_router(with_adjacency=True)
+        with pytest.raises(ValueError, match="tau digits must be integers"):
+            router.batch_dh_lookup(np.array([0.1]), np.array([0.5]), tau=tau)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_,
+                                       np.uint8, np.int16, np.uint64])
+    def test_integer_valued_tau_of_any_dtype_accepted(self, dtype):
+        net, _ = make_net(64, seed=52)
+        router = net.compile_router(with_adjacency=True)
+        src, tgt = np.array([0.1, 0.7]), np.array([0.5, 0.2])
+        tau = np.random.default_rng(53).integers(0, 2, size=(2, 64))
+        want = router.batch_dh_lookup(src, tgt, tau=tau, keep_paths=True)
+        got = router.batch_dh_lookup(src, tgt, tau=tau.astype(dtype),
+                                     keep_paths=True)
+        assert np.array_equal(got.path_servers, want.path_servers)
+        assert np.array_equal(got.path_offsets, want.path_offsets)
+
     def test_single_server_zero_hops(self):
         net = DistanceHalvingNetwork()
         net.join(0.2)

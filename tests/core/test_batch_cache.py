@@ -154,6 +154,49 @@ class TestDegenerateBatches:
         with pytest.raises(ValueError):
             eng.serve_batch([0, 0], [0.25], rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(item_idx=[0] * 5, tau=np.full((5, 64), 0.5)),
+         "tau digits must be integers"),
+        (dict(item_idx=[0] * 5, tau=np.full(64, 0.5)),
+         "tau digits must be integers"),
+        (dict(item_idx=[0, 0, 0.7, 0, 0], tau=np.zeros((5, 64))),
+         "item_idx must be integers"),
+        (dict(item_idx=[0] * 5, tau=np.full((5, 64), 2)),
+         "tau digits out of range for delta=2"),
+    ], ids=["tau", "shared-tau", "item_idx", "tau-range"])
+    def test_bad_digits_and_indices_leave_the_engine_untouched(
+            self, kwargs, message):
+        """``tau=0.5`` used to serve digit 0, ``item_idx=0.7`` item 0."""
+        net = make_net(32)
+        eng = BatchCacheEngine(net, ["a", "b"], threshold=1)
+        pts = net.segments.as_array()
+        eng.serve_batch([0] * 8, pts[:8], rng=np.random.default_rng(0))
+        before = (eng.active_set(0), eng.served_counts(0),
+                  eng.server_messages(), eng.requests_served)
+        with pytest.raises(ValueError, match=message):
+            eng.serve_batch(sources=pts[:5], **kwargs)
+        after = (eng.active_set(0), eng.served_counts(0),
+                 eng.server_messages(), eng.requests_served)
+        assert before[:2] == after[:2] and before[3] == after[3] == 8
+        assert np.array_equal(before[2], after[2])
+
+    def test_integer_valued_floats_and_bools_accepted(self):
+        net = make_net(32)
+        pts = net.segments.as_array()
+        tau = np.random.default_rng(1).integers(0, 2, size=(6, 64))
+        idx = np.array([0, 1, 1, 0, 1, 1])
+        results = []
+        for cast_idx, cast_tau in ((np.int64, np.int64), (np.float64, np.float64),
+                                   (np.bool_, np.bool_), (np.uint8, np.int8)):
+            eng = BatchCacheEngine(net, ["a", "b"], threshold=1)
+            results.append(eng.serve_batch(idx.astype(cast_idx), pts[:6],
+                                           tau=tau.astype(cast_tau)))
+        for res in results[1:]:
+            assert np.array_equal(res.items, results[0].items)
+            assert np.array_equal(res.path_servers, results[0].path_servers)
+            assert np.array_equal(res.serving_node_key,
+                                  results[0].serving_node_key)
+
 
 class TestThresholdBoundary:
     """The c boundary, exactly: hit c keeps the leaf, hit c+1 splits it."""

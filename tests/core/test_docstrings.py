@@ -1,4 +1,4 @@
-"""Docstring lint gate for the snapshot/shard/peer invariant modules.
+"""Docstring lint gate for the snapshot/shard/peer/cache/walk modules.
 
 CI runs ``ruff check --select D100,D101,D102,D103,D104`` over these
 files (see ruff.toml); this test enforces the same D1xx subset locally
@@ -15,11 +15,14 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: The modules whose public surface must stay documented: they state the
-#: snapshot column invariants, the shard export/merge contract and the
-#: cost-model determinism rules other layers build on.
+#: snapshot column invariants, the shard export/merge contract, the
+#: cost-model determinism rules, the §3 batch-cache semantics and the
+#: shared walk kernels other layers build on.
 GATED = [
     SRC / "core" / "snapshot.py",
     SRC / "core" / "shard.py",
+    SRC / "core" / "batch_cache.py",
+    SRC / "core" / "walk.py",
     SRC / "peer" / "__init__.py",
     SRC / "peer" / "costmap.py",
     SRC / "peer" / "itracker.py",

@@ -55,6 +55,25 @@ class TestSoakReproducibility:
         for key in NONDETERMINISTIC_KEYS:
             assert key not in payload["result"]
 
+    def test_peak_memory_is_reported_but_never_recorded(self):
+        from repro.experiments.soak import (deterministic_payload,
+                                            format_soak_report, measure_soak)
+
+        result = measure_soak(n=128, lookups=2000, chunk=1024, seed=9, items=6)
+        assert result["peak_rss_mb"] > 1.0
+        assert "peak_rss_mb" not in deterministic_payload(result)
+        assert f"peak RSS {result['peak_rss_mb']:.0f} MB" in (
+            format_soak_report(result).splitlines()[-1])
+
+    def test_ci_smoke_soak_equals_the_committed_reference(self, tmp_path):
+        """The ``benchmarks/ci_smoke.sh`` soak line, byte for byte."""
+        fresh = tmp_path / "BENCH_soak.json"
+        assert main(["soak", "--n", "1024", "--lookups", "10000", "--chunk",
+                     "4096", "--seed", "0", "--json-out", str(fresh)]) == 0
+        committed = REPO / "benchmarks" / "baselines" / "BENCH_soak.json"
+        assert (json.dumps(json.loads(fresh.read_text())["result"])
+                == json.dumps(json.loads(committed.read_text())["result"]))
+
 
 class TestArtifactSchema:
     def test_committed_references_exist(self):
