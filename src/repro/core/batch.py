@@ -142,6 +142,7 @@ class BatchLookupResult(PathResult):
 
     @property
     def size(self) -> int:
+        """Number of lookups in the batch."""
         return int(self.targets.size)
 
     @property
@@ -150,6 +151,7 @@ class BatchLookupResult(PathResult):
         return self.points[self.owner_idx]
 
     def mean_hops(self) -> float:
+        """Mean hop count over the batch (0.0 for an empty batch)."""
         return float(self.hops.mean()) if self.size else 0.0
 
 
@@ -306,9 +308,10 @@ class BatchRouter(ColumnarSnapshot):
     def _edge_member(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
         """Vectorized ``col[i] in neighbours(row[i])`` membership test.
 
-        One gather and one modular interval compare per slot — O(Δ) per
-        lane, no search; the lanes on the seam row also test its second
-        piece, the virtual column ``n``.
+        One ``take`` gathers every lane's Δ+2 slots at once, then one
+        modular interval compare per slot — O(Δ) per lane, no search;
+        the lanes on the seam row also test its second piece, the
+        virtual column ``n``.
         """
         if self.adj_first is None:
             self._build_adjacency()
@@ -326,9 +329,8 @@ class BatchRouter(ColumnarSnapshot):
             return gap < count
 
         col = col.astype(np.int32)
-        hit = np.zeros(row.shape, dtype=bool)
-        for k in range(len(first)):
-            hit |= within(col, first[k].take(row), count[k].take(row))
+        hit = within(col, first.take(row, axis=1),
+                     count.take(row, axis=1)).any(axis=0)
         seam = np.flatnonzero(row == n - 1)
         if seam.size:
             hit[seam] |= within(col[seam], first[:, n, None],
@@ -488,6 +490,7 @@ class BatchRouter(ColumnarSnapshot):
         return self.cover_index.cover(ys)
 
     def cover_points(self, ys: np.ndarray) -> np.ndarray:
+        """Id points of the servers covering each point (see :meth:`cover`)."""
         return self.points[self.cover(ys)]
 
     def _segment_test(self, idx: np.ndarray):
@@ -619,12 +622,21 @@ class BatchRouter(ColumnarSnapshot):
                                  or tau_arr.max() >= self.delta):
                 raise ValueError(f"tau digits out of range for delta={self.delta}")
 
+        cover = self.cover_index.cover
+        delta = self.delta
+
         def pick(step, lanes, pos, cur):
             if tau_arr is None:
-                return rng.integers(0, self.delta, size=size)
-            if step >= tau_arr.shape[1]:
+                # one digit per lane of the batch, walking or not: the
+                # draw every seeded run replays
+                digits = rng.integers(0, delta, size=size)[lanes]
+            elif step >= tau_arr.shape[1]:
                 raise ValueError("supplied tau exhausted before lookup finished")
-            return tau_arr[:, step]
+            else:
+                digits = tau_arr[lanes, step]
+            digits = digits.astype(np.float64)
+            nxt = fold_unit(pos / delta + digits / delta)
+            return digits, nxt, cover(nxt)
 
         return self._dh_walk("dh", src, y, keep_paths, max_steps, pick)
 
@@ -632,30 +644,38 @@ class BatchRouter(ColumnarSnapshot):
                  pick) -> BatchLookupResult:
         """Both phases of §2.2.2 under one phase-I digit rule.
 
-        ``pick(step, lanes, pos, cur)`` names the digit each lane takes
-        at ``step`` (an int array over all lanes, read at the indices
-        ``lanes`` still walking) — the one thing the random and the cost-aware
-        lookups differ in, so everything else is trivially
-        bit-comparable between them.  A lane leaves phase I when its
-        target image lies in its own segment, or in a neighbour's —
-        then it hops there, which always costs one hop: the holder
-        covers a point outside ``s(cur)``, so it is a distinct server.
-        Phase II is the closed-form backward descent
-        ``w(τ[:j], y)``, ``j = t_i … 0``, handed every row phase I
-        recorded when paths are kept, else only the server it stopped
-        at — the hops before that one are then ``hops1``'s to add.
+        ``pick(step, lanes, pos, cur)`` moves the lanes still walking —
+        ``lanes`` their indices into the batch, ``pos`` / ``cur`` their
+        positions and servers — one digit: it returns ``(digits,
+        next_pos, next_cover)`` for exactly those lanes, the one thing
+        the random and the cost-aware lookups differ in, so everything
+        else is trivially bit-comparable between them.  Phase I keeps
+        its state for the walking lanes only and compacts it whenever
+        some stop, so a step costs O(lanes still walking).  A lane
+        leaves phase I when its target image lies in its own segment,
+        or in a neighbour's — then it hops there, which always costs one
+        hop: the holder covers a point outside ``s(cur)``, so it is a
+        distinct server.  A walking lane has taken a digit at every step
+        so far, so its ``t`` is the step it stops at.  Phase II is the
+        closed-form backward descent ``w(τ[:j], y)``, ``j = t_i … 0``,
+        handed every row phase I recorded when paths are kept, else only
+        the server it stopped at — the hops before that one are then
+        ``hops1``'s to add.
         """
         cover = self.cover_index.cover
         delta, size = self.delta, y.size
-        cur = cover(src)
-        src_idx = cur.copy()
-        pos = src.copy()
-        image = y.copy()
-        t = np.zeros(size, dtype=np.int64)
-        off = np.zeros(size, dtype=np.float64)  # Σ d_k Δ^k, exact in float64
-        hops1 = np.zeros(size, dtype=np.int64)
-        done = np.zeros(size, dtype=bool)
-        p1_rows: List[np.ndarray] = [cur.copy()] if keep_paths else []
+        src_idx = cover(src)
+        # per-lane results, written once as each lane stops
+        cur = np.empty_like(src_idx)
+        t = np.empty(size, dtype=np.int64)
+        off = np.empty(size, dtype=np.float64)  # Σ d_k Δ^k, exact in float64
+        hops1 = np.empty(size, dtype=np.int64)
+        p1_rows: List[np.ndarray] = [src_idx] if keep_paths else []
+        # the walking lanes' state, compacted as lanes stop
+        lanes = np.arange(size)
+        w_cur, w_pos, w_image = src_idx.copy(), src, y
+        w_off = np.zeros(size, dtype=np.float64)
+        w_hops = np.zeros(size, dtype=np.int64)
 
         # beyond ~52/log2(Δ) digits the float64 offset accumulator loses
         # exactness (the scalar engine carries exact integer offsets, so
@@ -664,42 +684,43 @@ class BatchRouter(ColumnarSnapshot):
         # Theorem 2.8 keeps real walks far below that
         step_cap = min(max_steps, int(52 / math.log2(delta)))
         step = 0
-        while not done.all():
+        while lanes.size:
             if step > step_cap:  # pragma: no cover - beyond Theorem 2.8
                 raise RuntimeError(
                     f"batch {algorithm} lookup phase I failed to converge")
-            active = ~done
-            done |= active & self._segment_test(cur)(image)
-            lanes = np.flatnonzero(active & ~done)
-            row = None
-            if lanes.size:
-                holder = cover(image[lanes])
-                near = self._edge_member(cur[lanes], holder)
-                via, holder = lanes[near], holder[near]
-                hops1[via] += 1
-                done[via] = True
-                cur[via] = holder
+            stop = self._segment_test(w_cur)(w_image)
+            seek = np.flatnonzero(~stop)
+            if seek.size:
+                holder = cover(w_image[seek])
+                near = self._edge_member(w_cur[seek], holder)
+                via = seek[near]
+                stop[via] = True
+                w_cur[via] = holder[near]
+                w_hops[via] += 1
                 if keep_paths:
                     row = np.full(size, -1, dtype=np.int64)
-                    row[via] = holder
+                    row[lanes[via]] = holder[near]
                     p1_rows.append(row)
-                lanes = lanes[~near]
+            if stop.any():
+                done = lanes[stop]
+                t[done] = step
+                cur[done] = w_cur[stop]
+                off[done] = w_off[stop]
+                hops1[done] = w_hops[stop]
+                go = ~stop
+                lanes, w_cur, w_pos, w_off, w_hops = (
+                    lanes[go], w_cur[go], w_pos[go], w_off[go], w_hops[go])
             if lanes.size:
-                cont = np.zeros(size, dtype=bool)
-                cont[lanes] = True
-                d = pick(step, lanes, pos, cur).astype(np.float64)
-                pos = fold_unit(np.where(cont, pos / delta + d / delta, pos))
-                off = np.where(cont, off + d * float(delta) ** step, off)
+                digits, w_pos, nxt = pick(step, lanes, w_pos, w_cur)
+                w_off += digits * float(delta) ** step
                 # w(τ_t, y) in phase II's closed form, so the hand-off
                 # tests the very point the descent starts from
-                image = fold_unit(np.where(
-                    cont, (y + off) / float(delta) ** (step + 1), image))
-                t += cont
-                c = cover(pos)
-                hops1 += cont & (c != cur)
-                if row is not None:
-                    row[cont] = c[cont]
-                cur = np.where(cont, c, cur)
+                w_image = fold_unit(
+                    (y[lanes] + w_off) / float(delta) ** (step + 1))
+                w_hops += nxt != w_cur
+                if keep_paths:
+                    row[lanes] = nxt
+                w_cur = nxt
             step += 1
 
         order = np.argsort(-t.astype(np.int16), kind="stable")
@@ -796,13 +817,13 @@ class BatchRouter(ColumnarSnapshot):
 
         def pick(step, lanes, pos, cur):
             # candidate next position per digit — the same float
-            # expression the walk's digit update applies, so the scored
-            # candidate is exactly where the message goes
-            cand_pos = fold_unit(
-                pos[lanes][None, :] / delta + digs[:, None] / delta
-            )
-            cand_cov = cover(cand_pos.ravel()).reshape(delta, lanes.size)
-            costs = self._edge_cost_matrix(cur[lanes], cand_cov)
+            # expression the uniform rule's digit update applies, so the
+            # chosen candidate's position and cover are where the
+            # message goes
+            cand_pos = fold_unit(pos[None, :] / delta + digs[:, None] / delta)
+            cand_cov = cover(cand_pos.ravel())
+            costs = self._edge_cost_matrix(cur,
+                                           cand_cov.reshape(delta, lanes.size))
             if u_mat is not None:
                 if step >= u_mat.shape[1]:
                     raise ValueError(
@@ -814,10 +835,13 @@ class BatchRouter(ColumnarSnapshot):
             else:
                 u_row = None
             ok = np.ones((delta, lanes.size), dtype=bool)
+            digits = select_rows(costs, ok, u_row, policy, temperature)
             d_step = np.zeros(size, dtype=np.int64)
-            d_step[lanes] = select_rows(costs, ok, u_row, policy, temperature)
+            d_step[lanes] = digits
             tau_rows.append(d_step)
-            return d_step
+            at = digits * lanes.size + np.arange(lanes.size)
+            return (digits.astype(np.float64), cand_pos.ravel().take(at),
+                    cand_cov.take(at))
 
         res = self._dh_walk("dh-cost", src, y, keep_paths, max_steps, pick)
         res.tau_used = (

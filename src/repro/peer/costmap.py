@@ -65,11 +65,19 @@ def pair_costs(isp_a, isp_b, xa, ya, xb, yb, isp_cost: np.ndarray):
 
     Broadcasts over any matching shapes; every engine (scalar walk,
     batch gather, shard worker) must come through here so the float64
-    operation sequence — and therefore bit-parity — is shared.
+    operation sequence — and therefore bit-parity — is shared.  The
+    matrix entry is one flat gather at ``isp_a·k + isp_b``, and the
+    distance term is chained through the two difference arrays in
+    place (on scalars the in-place operators just rebind).
     """
-    dx = xa - xb
-    dy = ya - yb
-    return isp_cost[isp_a, isp_b] + np.sqrt(dx * dx + dy * dy)
+    dx = np.subtract(xa, xb)
+    dy = np.subtract(ya, yb)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    cost = isp_cost.take(np.multiply(isp_a, isp_cost.shape[1]) + isp_b)
+    cost += np.sqrt(dx)
+    return cost
 
 
 @dataclass(frozen=True)

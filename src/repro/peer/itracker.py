@@ -11,9 +11,16 @@ alive-cover list, and both evaluate the same float64 expression
 policy picks bit-comparable.
 
 The module-level functions account traffic over the CSR path arrays
-(``path_servers``/``path_offsets``) every batch result emits: the
-transition list never crosses a row boundary, so per-lookup cross-ISP
-hop counts and summed path costs are one mask + one ``np.bincount``.
+(``path_servers``/``path_offsets``) every batch result emits.  The
+accountants gather each path entry's columns once and read transition
+``i`` as entries ``i → i+1``; the one transition per row boundary,
+``path_offsets[1:-1] − 1``, is zeroed instead of compacted out.
+Per-lookup cross-ISP counts are then one ``cumsum`` read at the row
+ends (exact in integers), and summed path costs one ``np.bincount``
+whose boundary weights are ``+0.0`` — it adds each row's costs in path
+order, so the totals keep their bits.  Every path holds at least its
+source, so malformed blocks (empty rows, offsets that miss the server
+array, negative server ids) raise ``ValueError`` up front.
 """
 
 from typing import Tuple
@@ -75,6 +82,35 @@ class CostOracle:
         )
 
 
+def _csr_block(path_servers, path_offsets) -> Tuple[np.ndarray, np.ndarray]:
+    """``(path_servers, path_offsets)`` as arrays, checked to be a CSR block.
+
+    O(lookups) plus one ``min`` over the servers; raises ``ValueError``
+    naming the argument when the offsets do not start at 0, do not end
+    at the server count, or describe an empty row (every path holds its
+    source), or when a server index is negative (a gather would wrap it
+    to the last server).  A zero-lookup block (offsets ``[0]``) is valid.
+    """
+    servers = np.asarray(path_servers)
+    offsets = np.asarray(path_offsets)
+    if offsets.ndim != 1 or offsets.size == 0:
+        raise ValueError("path_offsets must be 1-d with at least one entry")
+    if offsets[0] != 0:
+        raise ValueError(f"path_offsets[0] is {offsets[0]}, must be 0")
+    if offsets[-1] != servers.size:
+        raise ValueError(
+            f"path_offsets[-1] is {offsets[-1]}, but path_servers holds "
+            f"{servers.size} entries")
+    empty = np.flatnonzero(offsets[1:] <= offsets[:-1])
+    if empty.size:
+        raise ValueError(
+            f"path_offsets gives row {empty[0]} no entries; every path "
+            "holds at least its source")
+    if servers.size and servers.min() < 0:
+        raise ValueError("path_servers holds a negative server index")
+    return servers, offsets
+
+
 def csr_transitions(
     path_servers: np.ndarray, path_offsets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,11 +120,11 @@ def csr_transitions(
     (consecutive duplicates are already compressed out of CSR paths),
     with transitions that would span two lookups' rows removed.
     """
-    rows = np.repeat(
-        np.arange(path_offsets.size - 1), np.diff(path_offsets)
-    )
-    same = rows[:-1] == rows[1:] if rows.size else np.zeros(0, dtype=bool)
-    return path_servers[:-1][same], path_servers[1:][same], rows[:-1][same]
+    servers, offsets = _csr_block(path_servers, path_offsets)
+    within = np.ones(max(servers.size - 1, 0), dtype=bool)
+    within[offsets[1:-1] - 1] = False
+    rows = np.repeat(np.arange(offsets.size - 1), np.diff(offsets) - 1)
+    return servers[:-1][within], servers[1:][within], rows
 
 
 def hop_counts(path_offsets: np.ndarray) -> np.ndarray:
@@ -107,9 +143,14 @@ def cross_isp_counts(
     or ``CostAwareBatchRouter.cost_isp``) aligned with the server
     indices stored in the CSR path arrays.
     """
-    frm, to, row = csr_transitions(path_servers, path_offsets)
-    cross = isp_labels[frm] != isp_labels[to]
-    return np.bincount(row[cross], minlength=path_offsets.size - 1)
+    servers, offsets = _csr_block(path_servers, path_offsets)
+    lab = isp_labels.take(servers)
+    cross = np.not_equal(lab[1:], lab[:-1])
+    cross[offsets[1:-1] - 1] = False
+    # running[i]: the crossings among the transitions before entry i
+    running = np.zeros(lab.size, dtype=np.int64)
+    np.cumsum(cross, out=running[1:])
+    return np.diff(running.take(offsets[1:] - 1), prepend=0)
 
 
 def path_cost_totals(
@@ -118,8 +159,14 @@ def path_cost_totals(
     path_offsets: np.ndarray,
 ) -> np.ndarray:
     """Per-lookup total network cost of the routed path."""
-    frm, to, row = csr_transitions(path_servers, path_offsets)
-    costs = oracle.edge_costs(frm, to)
-    return np.bincount(
-        row, weights=costs, minlength=path_offsets.size - 1
-    )
+    servers, offsets = _csr_block(path_servers, path_offsets)
+    lab = oracle.isp.take(servers)
+    x = oracle.x.take(servers)
+    y = oracle.y.take(servers)
+    costs = pair_costs(lab[:-1], lab[1:], x[:-1], y[:-1], x[1:], y[1:],
+                       oracle.cost_map.isp_cost)
+    costs[offsets[1:-1] - 1] = 0.0
+    rows = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    totals = np.bincount(rows[:-1], weights=costs, minlength=offsets.size - 1)
+    # a bincount over no entries ignores its weights' dtype
+    return totals.astype(np.float64, copy=False)

@@ -16,9 +16,11 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: The modules whose public surface must stay documented: they state the
 #: snapshot column invariants, the shard export/merge contract, the
-#: cost-model determinism rules, the §3 batch-cache semantics and the
-#: shared walk kernels other layers build on.
+#: cost-model determinism rules, the §3 batch-cache semantics, the
+#: shared walk kernels other layers build on and the batch engine's
+#: phase-I rule contract.
 GATED = [
+    SRC / "core" / "batch.py",
     SRC / "core" / "snapshot.py",
     SRC / "core" / "shard.py",
     SRC / "core" / "batch_cache.py",

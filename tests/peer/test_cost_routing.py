@@ -136,9 +136,11 @@ class TestOracle:
                               _ORACLE.edge_costs(j, i))
 
     def test_csr_accounting(self):
+        assert hop_counts(np.array([0, 2, 2, 5])).tolist() == [1, 0, 2]
+        # every path holds its source: a one-entry row is a 0-hop lookup
         servers = np.array([0, 1, 1, 2, 5], dtype=np.int64)
-        offsets = np.array([0, 2, 2, 5], dtype=np.int64)
-        assert hop_counts(offsets).tolist() == [1, 0, 2]
+        offsets = np.array([0, 2, 3, 5], dtype=np.int64)
+        assert hop_counts(offsets).tolist() == [1, 0, 1]
         labels = _ORACLE.isp
         cross = cross_isp_counts(labels, servers, offsets)
         assert cross.shape == (3,)
