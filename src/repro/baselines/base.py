@@ -71,9 +71,11 @@ class BaselineDHT(abc.ABC):
 
     # ------------------------------------------------------------- derived
     def max_degree(self) -> int:
+        """Largest :meth:`degree` over all nodes."""
         return max(self.degree(v) for v in self.node_ids())
 
     def mean_degree(self) -> float:
+        """Average :meth:`degree` over all nodes."""
         ids = list(self.node_ids())
         return sum(self.degree(v) for v in ids) / len(ids)
 
@@ -98,6 +100,7 @@ class MeasuredRow:
     lookups: int
 
     def as_dict(self) -> Dict[str, float]:
+        """The row as a plain dict, in column order."""
         return {
             "scheme": self.scheme,
             "n": self.n,
@@ -140,6 +143,7 @@ class BaselineBatchResult(PathResult):
 
     @property
     def size(self) -> int:
+        """Number of lookups in the batch."""
         return int(self.source_idx.size)
 
     @property

@@ -105,6 +105,17 @@ def _range_columns(n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple:
     return first, count
 
 
+def _last_entries(servers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each CSR path's last server, as ``intp`` — the lookup's owner.
+
+    Exact for :func:`~repro.core.walk.descend`'s paths: the j = 0 point
+    is ``level_points(y, off, 1.0) = y``, and a lane that descends no
+    level (t = 0) holds only its source, which covers ``y``.  It saves
+    a second cover read over the batch.
+    """
+    return servers[offsets[1:] - 1].astype(np.intp)
+
+
 @dataclass
 class BatchLookupResult(PathResult):
     """Array-of-structs outcome of a routed batch of lookups.
@@ -576,7 +587,7 @@ class BatchRouter(ColumnarSnapshot):
             targets=y,
             sources=src,
             source_idx=ci,
-            owner_idx=cover(y),
+            owner_idx=_last_entries(servers, offsets),
             t=t,
             hops=np.diff(offsets) - 1,
             path_servers=servers if keep_paths else None,
@@ -733,7 +744,7 @@ class BatchRouter(ColumnarSnapshot):
             targets=y,
             sources=src,
             source_idx=src_idx,
-            owner_idx=cover(y),
+            owner_idx=_last_entries(servers, offsets),
             t=t,
             hops=hops if keep_paths else hops1 + hops,
             phase1_hops=hops1,

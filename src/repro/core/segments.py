@@ -520,12 +520,14 @@ class SegmentMap:
         return float(lens.max() / mn)
 
     def min_segment_length(self) -> float:
+        """Length of the shortest segment; ``LookupError`` when empty."""
         lens = self.lengths()
         if len(lens) == 0:
             raise LookupError("empty segment map")
         return float(lens.min())
 
     def max_segment_length(self) -> float:
+        """Length of the longest segment; ``LookupError`` when empty."""
         lens = self.lengths()
         if len(lens) == 0:
             raise LookupError("empty segment map")

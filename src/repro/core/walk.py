@@ -186,7 +186,9 @@ def descend(y, off, depth, order, head_rows, delta: int, cover) -> tuple:
     prefix of the sorted arrays — no mask — and each level's covers
     are scattered to their final slot of a lane-major ragged buffer,
     which :func:`ragged_to_csr` compresses into
-    ``(path_servers, path_offsets)``.
+    ``(path_servers, path_offsets)`` — almost always by handing the
+    buffer itself through, since consecutive covers rarely repeat.  A
+    path's last entry is ``cover(y_i)``: the ``j = 0`` point is ``y_i``.
     """
     lens = depth.copy()
     for row in head_rows:
@@ -215,24 +217,44 @@ def ragged_to_csr(buf, starts, lens=None) -> tuple:
     """Compress a lane-major ragged server buffer into CSR path arrays.
 
     Lane ``i`` owns the slots from ``starts[i]`` up to the next lane's
-    start, of which the first ``lens[i]`` were written (all of them
-    when ``lens`` is ``None``; every lane has at least its source).  One
-    shifted compare merges a lane's repeated servers — the vectorized
-    :func:`~repro.core.lookup.compress_path` — and the kept entries
-    that open a lane are the row starts: ``path_servers`` comes back
-    ``int32``, ``path_offsets`` ``int64`` of length ``lanes + 1``.
+    start (``starts[0] = 0``), of which the first ``lens[i]`` were
+    written (all of them when ``lens`` is ``None``; every lane has at
+    least its source).  A slot repeating its predecessor inside a lane
+    merges into it — the vectorized
+    :func:`~repro.core.lookup.compress_path` — and so does an unwritten
+    tail slot: ``path_servers`` comes back ``int32``, ``path_offsets``
+    ``int64`` of length ``lanes + 1``.
+
+    Repeats are rare (220 in 82.7M raw entries of fast routes at
+    n = 16384), so one shifted compare finds them sparsely and
+    everything after it costs O(lanes + dropped slots).  With nothing
+    to drop, ``buf`` itself comes back as ``path_servers`` when it
+    already is ``int32`` — every caller hands over a freshly allocated
+    buffer, so the result aliases nothing anyone else holds.
     """
-    first = np.zeros(buf.size, dtype=bool)
-    first[starts] = True
-    keep = first.copy()
-    keep[1:] |= buf[1:] != buf[:-1]
-    if lens is not None:
-        alloc = np.diff(np.append(starts, buf.size))
-        slot = np.arange(buf.size) - np.repeat(starts, alloc)
-        keep &= slot < np.repeat(lens, alloc)
-    kept = np.flatnonzero(keep)
-    return (buf[kept].astype(np.int32, copy=False),
-            np.append(np.flatnonzero(first[kept]), kept.size))
+    starts = np.asarray(starts, dtype=np.int64)
+    drop = np.flatnonzero(buf[1:] == buf[:-1]) + 1
+    lane = np.searchsorted(starts, drop, side="right") - 1
+    slot = drop - starts[lane]
+    if lens is None:
+        drop = drop[slot > 0]        # a lane's first slot never merges
+    else:
+        lens = np.asarray(lens, dtype=np.int64)
+        drop = drop[(slot > 0) & (slot < lens[lane])]
+        end = np.append(starts, buf.size)[1:]
+        first = starts + lens          # each lane's first unwritten slot
+        short = np.flatnonzero(first < end)
+        if short.size:
+            spare = end[short] - first[short]
+            tails = (np.repeat(first[short] - np.cumsum(spare) + spare, spare)
+                     + np.arange(spare.sum()))
+            drop = np.sort(np.concatenate([drop, tails]))
+    if not drop.size:
+        return (buf.astype(np.int32, copy=False),
+                np.append(starts, buf.size))
+    return (np.delete(buf, drop).astype(np.int32, copy=False),
+            np.append(starts - np.searchsorted(drop, starts),
+                      buf.size - drop.size))
 
 
 # ------------------------------------------------------------- result contract

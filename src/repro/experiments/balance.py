@@ -18,6 +18,7 @@ of m points, n Multiple-Choice inserts bring the max segment to O(1/n).
 from __future__ import annotations
 
 import math
+import zlib
 from typing import Dict, List
 
 import numpy as np
@@ -48,7 +49,9 @@ def run(seed: int = 10, quick: bool = False) -> ExperimentResult:
     ]:
         mins, maxs, rhos = [], [], []
         for r in range(reps):
-            rng = spawn_many(seed * 41 + r + hash(name) % 97, 1)[0]
+            # stable digest: builtin hash() is salted per process
+            rng = spawn_many(seed * 41 + r + zlib.crc32(name.encode()) % 97,
+                             1)[0]
             sm = _grow(strategy, n, rng)
             mins.append(sm.min_segment_length())
             maxs.append(sm.max_segment_length())

@@ -92,6 +92,7 @@ class FTBatchResult(PathResult):
 
     @property
     def size(self) -> int:
+        """Number of lookups in the batch."""
         return int(self.targets.size)
 
     @property
@@ -112,9 +113,11 @@ class FTBatchResult(PathResult):
 
     @property
     def sources(self) -> np.ndarray:
+        """Id points of the source servers, one per lookup."""
         return self.points[self.source_idx]
 
     def success_rate(self) -> float:
+        """Share of lookups that reached a live, honest holder (0 when empty)."""
         return float(self.success.mean()) if self.size else 0.0
 
 

@@ -1,4 +1,4 @@
-"""Docstring lint gate for the snapshot/shard/peer/cache/walk modules.
+"""Docstring lint gate for the invariant-bearing modules.
 
 CI runs ``ruff check --select D100,D101,D102,D103,D104`` over these
 files (see ruff.toml); this test enforces the same D1xx subset locally
@@ -17,14 +17,18 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: The modules whose public surface must stay documented: they state the
 #: snapshot column invariants, the shard export/merge contract, the
 #: cost-model determinism rules, the §3 batch-cache semantics, the
-#: shared walk kernels other layers build on and the batch engine's
-#: phase-I rule contract.
+#: shared walk kernels other layers build on, the batch engine's
+#: phase-I rule contract, and the cover index, fault-tolerant engine and
+#: baseline path recorder the CSR writer's tests pin.
 GATED = [
     SRC / "core" / "batch.py",
     SRC / "core" / "snapshot.py",
     SRC / "core" / "shard.py",
     SRC / "core" / "batch_cache.py",
     SRC / "core" / "walk.py",
+    SRC / "core" / "segments.py",
+    SRC / "faults" / "batch_ft.py",
+    SRC / "baselines" / "base.py",
     SRC / "peer" / "__init__.py",
     SRC / "peer" / "costmap.py",
     SRC / "peer" / "itracker.py",
