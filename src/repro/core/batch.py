@@ -615,7 +615,8 @@ class BatchRouter(ColumnarSnapshot):
         exactly like the fast path.
 
         Supply ``tau`` (shape ``(size, L)`` or ``(L,)``, digits in
-        ``[0, Δ)``) to fix the random strings — with the same ``tau`` the
+        ``[0, Δ)`` of any integer width, read without widening) to fix
+        the random strings — with the same ``tau`` the
         result is bit-identical to scalar ``dh_lookup``.  With ``rng``
         the *distribution* matches but digits are drawn batch-wise, so
         individual paths differ from a scalar replay of the same

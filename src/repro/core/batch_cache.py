@@ -66,6 +66,28 @@ __all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key",
 #: matches the experiments' ``DH_TAU_DIGITS`` headroom.
 _TAU_DIGITS = 64
 
+#: Rows of tau drawn per ``rng.integers`` call: the call's ``int64``
+#: block is the only wide copy a drawn tau ever has.
+_TAU_BLOCK = 4096
+
+
+def _draw_tau(rng: np.random.Generator, delta: int, size: int) -> np.ndarray:
+    """``rng.integers(0, Δ, size=(size, 64))``, stored narrow.
+
+    The same ``int64`` draw, made ``_TAU_BLOCK`` rows at a time and
+    written into a matrix of the smallest unsigned dtype that holds
+    ``Δ − 1`` (``uint8`` up to ``Δ = 256``).  The bounded-integer
+    generator consumes its bit stream one value at a time, so the blocks
+    yield the same digits, and leave ``rng`` in the same state, as one
+    call would — the seeded stream is unchanged, only its storage is
+    an eighth.
+    """
+    tau = np.empty((size, _TAU_DIGITS), dtype=np.min_scalar_type(delta - 1))
+    for lo in range(0, size, _TAU_BLOCK):
+        hi = min(lo + _TAU_BLOCK, size)
+        tau[lo:hi] = rng.integers(0, delta, size=(hi - lo, _TAU_DIGITS))
+    return tau
+
 
 def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Vectorized membership of ``values`` in a *sorted* int table."""
@@ -326,8 +348,9 @@ class BatchCacheEngine:
         exact sequential semantics, and books hit/message counters.
 
         ``tau`` fixes the per-request digit strings (shape ``(B, L)`` or
-        ``(L,)``; required for bit-parity against a scalar replay);
-        without it fresh digits are drawn from ``rng``.
+        ``(L,)``, any integer width; required for bit-parity against a
+        scalar replay); without it fresh digits are drawn from ``rng``
+        and stored in the narrowest unsigned dtype (:func:`_draw_tau`).
         """
         items = integral_array(item_idx, "item_idx").ravel()
         src = normalize_points(sources, what="sources")
@@ -354,7 +377,7 @@ class BatchCacheEngine:
         if tau is None:
             if rng is None:
                 raise ValueError("serve_batch needs an rng or explicit tau")
-            tau = rng.integers(0, delta, size=(size, _TAU_DIGITS))
+            tau = _draw_tau(rng, delta, size)
         tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
 
         res = self._router.batch_dh_lookup(src, targets, tau=tau_arr,

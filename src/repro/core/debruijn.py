@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Tuple
 
-import networkx as nx
-
 __all__ = [
     "debruijn_nodes",
     "debruijn_successors",
@@ -88,8 +86,14 @@ def debruijn_successors(node: Tuple[int, ...], delta: int = 2) -> List[Tuple[int
     return [node[1:] + (v,) for v in range(delta)]
 
 
-def debruijn_graph(r: int, delta: int = 2) -> nx.DiGraph:
-    """The ``r``-dimensional, degree-``Δ`` De Bruijn digraph (Def. 2/4)."""
+def debruijn_graph(r: int, delta: int = 2):
+    """The ``r``-dimensional, degree-``Δ`` De Bruijn digraph (Def. 2/4).
+
+    A ``networkx.DiGraph``; networkx loads on the first call, so routing
+    processes that never build one never import it.
+    """
+    import networkx as nx
+
     g = nx.DiGraph()
     for node in debruijn_nodes(r, delta):
         for nxt in debruijn_successors(node, delta):

@@ -86,17 +86,38 @@ def integral_array(values, what: str) -> np.ndarray:
 
 
 def per_lane_matrix(values, size: int, dtype, what: str) -> np.ndarray:
-    """``values`` as a ``(size, L)`` matrix of ``dtype``, one row per lane.
+    """``values`` as a ``(size, L)`` matrix, one row per lane.
 
     The shape rule of every per-step input (``tau`` digit strings,
-    ``choices`` uniforms): a 1-D row is shared by all lanes, anything
-    else must bring exactly one row per lane.  An integer ``dtype``
-    means digits, which must be integral (:func:`integral_array`).
+    ``choices`` uniforms): a 1-D row is shared by all lanes, a 2-D
+    matrix must bring exactly one row per lane, and any other rank is
+    refused.  An integer ``dtype`` means digits, which must be integral
+    (:func:`integral_array`); integer digits keep the width they came
+    in — a ``uint8`` string stays one byte a digit, since every reader
+    casts a digit to ``float64`` or adds it to an ``int64`` key — and
+    only floats, bools and ``uint64`` (which does not mix with
+    ``int64``) become ``dtype``.  A float ``dtype`` means uniforms,
+    which must be finite and in ``[0, 1)``.  Every refusal is a
+    ``ValueError`` naming ``what``, and for a bad uniform its lane.
     """
+    mat = np.asarray(values)
     if np.issubdtype(dtype, np.integer):
-        mat = integral_array(values, f"{what} digits").astype(dtype, copy=False)
+        if mat.dtype.kind not in "iu" or mat.dtype == np.uint64:
+            mat = integral_array(mat, f"{what} digits").astype(dtype, copy=False)
     else:
-        mat = np.asarray(values, dtype=dtype)
+        mat = mat.astype(dtype, copy=False)
+    if mat.ndim not in (1, 2):
+        raise ValueError(
+            f"{what} must be one row (1-d) or one row per lookup (2-d); "
+            f"got a {mat.ndim}-d array")
+    if mat.dtype.kind == "f" and mat.size and not (
+            mat.min() >= 0.0 and mat.max() < 1.0):  # NaN fails both
+        bad = ~((mat >= 0.0) & (mat < 1.0))
+        at = np.unravel_index(int(np.argmax(bad)), mat.shape)
+        lane = int(at[0]) if mat.ndim == 2 else 0
+        raise ValueError(
+            f"{what}: lane {lane} holds {float(mat[at])!r}; uniforms must "
+            "be finite and in [0, 1)")
     if mat.ndim == 1:
         mat = np.broadcast_to(mat, (size, mat.size))
     if mat.shape[0] != size:

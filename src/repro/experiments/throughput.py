@@ -160,10 +160,10 @@ def run(seed: int = 16, quick: bool = False) -> ExperimentResult:
         )
     checks["batch/scalar parity (owner, t, hops) at every size"] = parity_ok
     floor = 2.0 if quick else 5.0
-    checks[
-        f"vectorized speedup ≥ {floor:g}x at n={sizes[-1]} "
-        f"(got {speedups[-1]:.1f}x)"
-    ] = speedups[-1] >= floor
+    # the measured speedup lives in the rows, so the check set is the
+    # same on every run
+    checks[f"vectorized speedup ≥ {floor:g}x at n={sizes[-1]}"] = (
+        speedups[-1] >= floor)
     return ExperimentResult(
         experiment="X3",
         title="Batch-lookup throughput (vectorized engine)",

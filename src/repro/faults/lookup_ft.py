@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.lookup import approach_walk, ring_point
+from ..core.walk import per_lane_matrix
 from ..hashing.kwise import Key
 from .models import FaultPlan
 from .overlap import OverlappingDHNetwork
@@ -97,7 +98,9 @@ def simple_lookup(
     drawing from ``rng`` — with the same uniforms the scalar walk is
     bit-identical to :meth:`repro.faults.batch_ft.FTBatchEngine
     .batch_simple_lookup`, which is how the parity cross-checks replay
-    sub-workloads.  One of ``rng`` / ``choices`` is required.
+    sub-workloads, and it refuses what the batch refuses (a non-finite
+    uniform or one outside ``[0, 1)`` raises ``ValueError``).  One of
+    ``rng`` / ``choices`` is required.
 
     ``oracle``/``policy``/``temperature`` mirror the batch engine's
     cost-aware mode: with a :class:`~repro.peer.itracker.CostOracle` and
@@ -116,6 +119,8 @@ def simple_lookup(
     if rng is None and choices is None and not (
             cost_aware and policy == "greedy"):
         raise ValueError("simple_lookup needs an rng or explicit choices")
+    if choices is not None:
+        choices = per_lane_matrix(choices, 1, np.float64, "choices")[0]
     if target is None:
         target = net.item_hash(key)
     path = canonical_path(net, source, target)

@@ -87,9 +87,13 @@ def select_index(
 
     ``costs`` holds only the valid candidates, in the same scan order as
     the batch rows; returns the index into that vector.  Bit-identical
-    to the batch pick for the same costs and uniform.
+    to the batch pick for the same costs and uniform, and refuses the
+    uniforms the batch engines' ``choices=`` refuse: NaN, ±inf and
+    anything outside ``[0, 1)`` raise ``ValueError``.
     """
     check_policy(policy)
+    if u is not None and not 0.0 <= u < 1.0:
+        raise ValueError(f"uniform {u!r} must be finite and in [0, 1)")
     costs = np.asarray(costs, dtype=np.float64)
     cnt = int(costs.size)
     if cnt == 0:

@@ -1,6 +1,9 @@
-"""Simulation substrate: event engine, asyncio runtime, workloads, churn."""
+"""Simulation substrate: event engine, workloads, churn, soak scenarios.
 
-from .asyncnet import AsyncDHNetwork, run_async_lookups
+The asyncio runtime lives in :mod:`repro.sim.asyncnet` and is imported
+from there, so importing this package never loads ``asyncio``.
+"""
+
 from .churn import ChurnOp, ChurnReport, ChurnTrace, run_churn
 from .engine import Event, EventLoop, Message, SimNetwork, SimNode
 from .protocol import (
@@ -30,7 +33,6 @@ from .workload import (
 )
 
 __all__ = [
-    "AsyncDHNetwork",
     "ChurnOp",
     "DEFAULT_PHASES",
     "Phase",
@@ -57,7 +59,6 @@ __all__ = [
     "random_pairs",
     "random_permutation",
     "root_rng",
-    "run_async_lookups",
     "run_churn",
     "shift_permutation",
     "single_hotspot_demands",

@@ -171,9 +171,11 @@ class SoakStats:
         self.chunks += 1
 
     def record_repair(self, report: RepairReport) -> None:
+        """Fold one erasure heal's repair counts into the running report."""
         self.repair.merge(report)
 
     def record_churn(self, ops: int) -> None:
+        """Count ``ops`` membership operations (joins and leaves)."""
         self.churn_ops += int(ops)
 
     def observe_network(self, n: int, smoothness: float) -> None:
@@ -247,6 +249,7 @@ class SoakStats:
         return self.route.lookups + self.cache_requests + self.ft_pairs
 
     def mean_hops(self) -> float:
+        """Mean hops per routed lookup, from the hop histogram (0 if empty)."""
         total = int(self.hop_hist.sum())
         if total == 0:
             return 0.0

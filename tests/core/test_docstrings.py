@@ -18,8 +18,9 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: snapshot column invariants, the shard export/merge contract, the
 #: cost-model determinism rules, the §3 batch-cache semantics, the
 #: shared walk kernels other layers build on, the batch engine's
-#: phase-I rule contract, and the cover index, fault-tolerant engine and
-#: baseline path recorder the CSR writer's tests pin.
+#: phase-I rule contract, the cover index, fault-tolerant engine and
+#: baseline path recorder the CSR writer's tests pin, and the soak's
+#: scenario engine and workload generators.
 GATED = [
     SRC / "core" / "batch.py",
     SRC / "core" / "snapshot.py",
@@ -34,6 +35,8 @@ GATED = [
     SRC / "peer" / "itracker.py",
     SRC / "peer" / "policy.py",
     SRC / "peer" / "routing.py",
+    SRC / "sim" / "scenario.py",
+    SRC / "sim" / "workload.py",
 ]
 
 

@@ -138,6 +138,19 @@ class TestQuickRuns:
         # CAN's n^{1/2} route is the longest pure-geometry one already here
         assert path["can(d=2)"] > path["chord"]
 
+    @pytest.mark.parametrize("name, checks", [
+        ("X3", {"batch/scalar parity (owner, t, hops) at every size",
+                "vectorized speedup ≥ 2x at n=1024"}),
+        ("X4", {"every batch's owners match the live segment map",
+                "smoothness stays finite through mass departure",
+                "incremental refresh ≤ 250us per membership op at n=1024",
+                "post-soak throughput ≥ 0.2x baseline"}),
+    ])
+    def test_measured_rates_stay_out_of_check_names(self, name, checks,
+                                                    quick_run):
+        """The check set is a function of the code, not of the run."""
+        assert set(quick_run(name).checks) == checks
+
     def test_tradeoff_has_the_frontier_rows(self, quick_run):
         # the Δ sweep plus the chord / small-world / viceroy frontier rows
         schemes = [row["scheme"] for row in quick_run("E6").rows]

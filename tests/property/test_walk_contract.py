@@ -347,6 +347,73 @@ class TestPerLaneMatrix:
         with pytest.raises(ValueError, match="must have one row per lookup"):
             call(src, tgt)
 
+    @pytest.mark.parametrize("shape", [(), (5, 64, 2), (1, 5, 64)],
+                             ids=["0-d", "3-d", "3-d-leading-1"])
+    @pytest.mark.parametrize("dtype, what", [(np.int64, "tau"),
+                                             (np.float64, "choices")])
+    def test_other_ranks_are_refused(self, shape, dtype, what):
+        with pytest.raises(ValueError, match=f"^{what} must be one row "
+                           r"\(1-d\) or one row per lookup \(2-d\); got a "
+                           f"{len(shape)}-d array"):
+            per_lane_matrix(np.zeros(shape), 5, dtype, what)
+
+    @pytest.mark.parametrize("shape", [(), (5, 64, 2)], ids=["0-d", "3-d"])
+    def test_dh_refuses_them_at_entry(self, shape):
+        """The parent failed deep in the walk: an IndexError for 0-d, a
+        broadcast error for 3-d."""
+        src, tgt, _ = _pairs(5)
+        with pytest.raises(ValueError, match="^tau must be one row"):
+            ROUTER.batch_dh_lookup(src, tgt, tau=np.zeros(shape, np.int64))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, -0.5, np.nan, np.inf])
+    def test_uniforms_outside_the_unit_interval_name_their_lane(self, bad):
+        u = np.full((4, 8), 0.5)
+        u[2, 5] = bad
+        with pytest.raises(ValueError,
+                           match=rf"^choices: lane 2 holds {bad!r}; uniforms "
+                           r"must be finite and in \[0, 1\)$"):
+            per_lane_matrix(u, 4, np.float64, "choices")
+        row = np.full(8, 0.5)
+        row[3] = bad
+        with pytest.raises(ValueError, match="^choices: lane 0 holds"):
+            per_lane_matrix(row, 4, np.float64, "choices")
+
+    def test_unit_interval_edges_pass(self):
+        u = np.array([0.0, np.nextafter(1.0, 0.0), -0.0])
+        assert (per_lane_matrix(u, 2, np.float64, "choices") == u).all()
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+    @pytest.mark.parametrize("call", [
+        lambda src, tgt, u: ROUTER.batch_cost_dh_lookup(
+            src, tgt, choices=u, policy="weighted"),
+        lambda src, tgt, u: ROUTER.batch_cost_dh_lookup(
+            src, tgt, choices=u, policy="uniform"),
+        lambda src, tgt, u: FTBatchEngine(FT_NET).batch_simple_lookup(
+            np.zeros(6, np.int64), tgt, choices=u[:, :32]),
+    ], ids=["cost-weighted", "cost-uniform", "ft-simple"])
+    def test_engines_refuse_bad_uniforms(self, call, bad):
+        """The parent picked a candidate for each of these; NaN only
+        warned "invalid value encountered in cast"."""
+        src, tgt, _ = _pairs(6)
+        u = np.full((6, 64), 0.25)
+        u[3, 0] = bad
+        with pytest.raises(ValueError, match="^choices: lane 3 holds"):
+            call(src, tgt, u)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan, np.inf])
+    def test_scalar_twins_refuse_them_too(self, bad):
+        from repro.faults import simple_lookup
+        from repro.peer.policy import select_index
+
+        for policy in ("uniform", "greedy", "weighted"):
+            with pytest.raises(ValueError, match="must be finite and in"):
+                select_index(np.array([1.0, 2.0]), bad, policy)
+        choices = np.full(32, 0.25)
+        choices[1] = bad
+        with pytest.raises(ValueError, match="^choices: lane 0 holds"):
+            simple_lookup(FT_NET, FT_NET.points[0], "k", choices=choices,
+                          target=0.3)
+
 
 def descend_tail(buf, starts):
     """The parent's tail of ``BatchRouter._descend``, the hole-free oracle."""
