@@ -6,7 +6,6 @@ additionally survives deletions.
 
 from .buckets import Bucket, BucketBalancer
 from .strategies import (
-    HybridChoice,
     ImprovedSingleChoice,
     MultipleChoice,
     SingleChoice,
@@ -17,13 +16,11 @@ from .two_dim import (
     coarse_grid_side,
     fine_grid_side,
     is_smooth_2d,
-    smoothness_2d,
 )
 
 __all__ = [
     "Bucket",
     "BucketBalancer",
-    "HybridChoice",
     "ImprovedSingleChoice",
     "MultipleChoice",
     "SingleChoice",
@@ -32,5 +29,4 @@ __all__ = [
     "estimate_log_n",
     "fine_grid_side",
     "is_smooth_2d",
-    "smoothness_2d",
 ]

@@ -47,26 +47,23 @@ class BucketBalancer:
     """Maintains smooth ids under joins *and* leaves via bucket coordination.
 
     Parameters mirror §4.1: bucket sizes are kept within
-    ``[lo_factor·log2 n, hi_factor·log2 n]``; a bucket whose internal
-    smoothness (max/min gap within its territory) exceeds
-    ``rebalance_threshold`` re-spreads its members evenly — each such
-    rearrangement costs one id change per member, which the balancer
-    records in ``total_id_changes``.
+    ``[lo_factor·log2 n, hi_factor·log2 n]`` = ``[½ log2 n, 4 log2 n]``;
+    a bucket whose internal smoothness (max/min gap within its
+    territory) exceeds ``rebalance_threshold`` re-spreads its members
+    evenly — each such rearrangement costs one id change per member,
+    which the balancer records in ``total_id_changes``.
     """
 
-    def __init__(
-        self,
-        rebalance_threshold: float = 4.0,
-        lo_factor: float = 0.5,
-        hi_factor: float = 4.0,
-    ) -> None:
+    #: Bucket-size bounds as multiples of ``log2 n``.
+    lo_factor = 0.5
+    hi_factor = 4.0
+
+    def __init__(self, rebalance_threshold: float = 4.0) -> None:
         if rebalance_threshold < 1:
             raise ValueError("rebalance threshold must be >= 1")
         self.segments = SegmentMap()
         self.buckets: List[Bucket] = []
         self.rebalance_threshold = rebalance_threshold
-        self.lo_factor = lo_factor
-        self.hi_factor = hi_factor
         self.total_id_changes = 0
         self.rebalances = 0
         # Rebalancing relocates servers, so clients address them by a

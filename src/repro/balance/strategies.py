@@ -23,7 +23,6 @@ and also exposes ``select(segments, rng)`` for raw
 from __future__ import annotations
 
 import math
-from typing import Optional, Protocol
 
 import numpy as np
 
@@ -31,11 +30,9 @@ from ..core.interval import normalize
 from ..core.segments import SegmentMap
 
 __all__ = [
-    "IdStrategy",
     "SingleChoice",
     "ImprovedSingleChoice",
     "MultipleChoice",
-    "HybridChoice",
     "estimate_log_n",
 ]
 
@@ -59,23 +56,13 @@ def estimate_log_n(segments: SegmentMap, point: float) -> int:
     return max(1, round(math.log2(1.0 / gap)))
 
 
-class IdStrategy(Protocol):
-    """Interface of an id-selection strategy (step 1 of Algorithm Join)."""
-
-    def select(self, segments: SegmentMap, rng: np.random.Generator) -> float:
-        """Choose an id given the current decomposition."""
-        ...  # pragma: no cover
-
-    def __call__(self, net, rng: np.random.Generator) -> float:
-        ...  # pragma: no cover
-
-
 class SingleChoice:
     """Algorithm Single Choice: a uniformly random id (§4)."""
 
     name = "single"
 
     def select(self, segments: SegmentMap, rng: np.random.Generator) -> float:
+        """One uniform draw from ``rng``; ``segments`` is not consulted."""
         return float(rng.random())
 
     def __call__(self, net, rng: np.random.Generator) -> float:
@@ -88,50 +75,15 @@ class ImprovedSingleChoice:
     name = "improved"
 
     def select(self, segments: SegmentMap, rng: np.random.Generator) -> float:
+        """Midpoint of the segment covering one uniform probe.
+
+        With no segments yet the probe itself is the id.
+        """
         z = float(rng.random())
         if len(segments) == 0:
             return z
         seg = segments.segment(segments.cover(z))
         return float(seg.midpoint)
-
-    def __call__(self, net, rng: np.random.Generator) -> float:
-        return self.select(net.segments, rng)
-
-
-class HybridChoice:
-    """Local+random probing à la Kenthapadi–Manku (§4.2's pointer).
-
-    §4.2 cites [21]: the Multiple Choice analysis generalises to the
-    cheaper scheme probing *one* random location plus the ``r − 1``
-    segments following it in key space — the probes ride the existing
-    ring links instead of ``r`` independent lookups.  We implement it to
-    validate that remark: smoothness lands between Improved Single
-    Choice and full Multiple Choice at roughly one lookup per join.
-    """
-
-    name = "hybrid"
-
-    def __init__(self, r: Optional[int] = None):
-        if r is not None and r < 1:
-            raise ValueError("probe run length r must be >= 1")
-        self.r = r
-
-    def select(self, segments: SegmentMap, rng: np.random.Generator) -> float:
-        if len(segments) == 0:
-            return float(rng.random())
-        r = self.r if self.r is not None else max(
-            1, math.ceil(math.log2(max(2, len(segments))))
-        )
-        i = segments.cover(float(rng.random()))
-        n = len(segments)
-        best = i
-        best_len = float(segments.segment_length(i))
-        for k in range(1, min(r, n)):
-            j = (i + k) % n
-            length = float(segments.segment_length(j))
-            if length > best_len:
-                best, best_len = j, length
-        return float(segments.segment(best).midpoint)
 
     def __call__(self, net, rng: np.random.Generator) -> float:
         return self.select(net.segments, rng)
@@ -163,6 +115,11 @@ class MultipleChoice:
         return estimate_log_n(segments, segments.cover_point(z))
 
     def select(self, segments: SegmentMap, rng: np.random.Generator) -> float:
+        """Midpoint of the longest segment among ``t·log n`` uniform probes.
+
+        Ties go to the first probe that found the longest segment.  With
+        no segments yet one uniform draw is the id.
+        """
         n = len(segments)
         if n == 0:
             return float(rng.random())

@@ -36,7 +36,6 @@ __all__ = [
     "cell_of",
     "TwoDimMultipleChoice",
     "is_smooth_2d",
-    "smoothness_2d",
 ]
 
 Point2D = Tuple[float, float]
@@ -146,16 +145,3 @@ def is_smooth_2d(points: Sequence[Point2D], rho: float) -> bool:
             return False
     return True
 
-
-def smoothness_2d(points: Sequence[Point2D], max_rho: float = 64.0) -> float:
-    """Smallest ``ρ`` (on a geometric ladder) certifying Definition 7.
-
-    Returns ``inf`` when even ``max_rho`` fails — e.g. for i.i.d. uniform
-    points, which are badly 2D-smooth exactly like the 1D Single Choice.
-    """
-    rho = 1.0
-    while rho <= max_rho:
-        if is_smooth_2d(points, rho):
-            return rho
-        rho *= 1.5
-    return math.inf

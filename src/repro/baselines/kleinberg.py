@@ -6,7 +6,7 @@ inverse-distance (harmonic) distribution — the unique exponent at which
 greedy routing achieves polylogarithmic ``O(log² n)`` delivery time, with
 constant linkage.
 
-Construction draws all ``n·long_links`` harmonic distances in one
+Construction draws all ``n`` harmonic distances in one
 ``rng.choice`` call and all signs in one ``rng.random`` call (per-node
 scalar draws would dominate build time at n = 2^16).
 """
@@ -27,7 +27,7 @@ class KleinbergRing(BaselineDHT):
 
     name = "small-world"
 
-    def __init__(self, n: int, rng: np.random.Generator, long_links: int = 1):
+    def __init__(self, n: int, rng: np.random.Generator):
         if n < 3:
             raise ValueError("need at least three nodes")
         self.size = n
@@ -35,8 +35,8 @@ class KleinbergRing(BaselineDHT):
         dists = np.arange(1, n // 2 + 1, dtype=float)
         probs = 1.0 / dists
         probs /= probs.sum()
-        d = rng.choice(dists, size=(n, long_links), p=probs).astype(np.int64)
-        sign = np.where(rng.random((n, long_links)) < 0.5, 1, -1)
+        d = rng.choice(dists, size=(n, 1), p=probs).astype(np.int64)
+        sign = np.where(rng.random((n, 1)) < 0.5, 1, -1)
         self._long: np.ndarray = (
             np.arange(n, dtype=np.int64)[:, None] + sign * d
         ) % n

@@ -147,9 +147,10 @@ BENCHES = {bench.name: bench for bench in (
            Flag("--phases", int, 2, "phases before the mass departure", _ge(1)),
            Flag("--leave-prob", float, 0.3, "leave fraction of the traces",
                 _bound("in [0, 1]", lambda v: 0.0 <= v <= 1.0)),
-           Flag("--mass-n", int, None, "mass-departure cohort (default min(n, 2^14))"),
+           Flag("--mass-n", int, None, "mass-departure cohort (default min(n, 2^14))",
+                _ge(0)),
            Flag("--churn-budget", int, None, "pending ops before a refresh falls "
-                "back to a full rebuild (default max(16, n//16))"),
+                "back to a full rebuild (default max(16, n//16))", _ge(1)),
            Flag("--max-refresh-us", float, 250.0, "exit 1 when the incremental "
                 "refresh costs more microseconds per churn op", gate=True)),
           lambda r, a: (r["owners_ok"]
@@ -479,6 +480,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("\n".join(available))
         return 0
 
+    if args.seed < 0:
+        print("run: --seed must be >= 0", file=sys.stderr)
+        return 2
     names = args.names
     lowered = [n.lower() for n in names]
     if "all" in lowered and len(names) > 1:

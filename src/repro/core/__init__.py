@@ -4,30 +4,24 @@ The Distance Halving DHT — continuous graph, dynamic discretization,
 lookup algorithms, and the coupled dynamic-caching protocol.
 """
 
-from .batch import BatchLookupResult, BatchRouter, RouterRefreshStats
+from .batch import BatchLookupResult, BatchRouter
 from .batch_cache import (
     BatchCacheEngine,
     BatchCacheResult,
     decode_node_key,
-    encode_node_key,
 )
 from .caching import ActiveTree, CachedLookup, CacheSystem, salt_indices, salted_key
 from .continuous import ContinuousGraph, binary_digits, digits_to_point
 from .debruijn import (
     bit_reversal,
-    debruijn_diameter,
-    debruijn_graph,
     distance_halving_is_debruijn,
     equally_spaced_network,
 )
 from .interval import (
     Arc,
     arcs_cover_ring,
-    full_arc,
     linear_distance,
-    midpoint_between,
     normalize,
-    ring_distance,
 )
 from .lookup import (
     MAX_WALK_STEPS,
@@ -40,7 +34,7 @@ from .lookup import (
 from .network import DistanceHalvingNetwork
 from .node import Server
 from .pathtree import PathTree
-from .routing_stats import BatchCongestion, CongestionCounter, path_lengths
+from .routing_stats import BatchCongestion, CongestionCounter
 from .segments import SegmentMap
 
 __all__ = [
@@ -59,29 +53,21 @@ __all__ = [
     "LookupResult",
     "MAX_WALK_STEPS",
     "PathTree",
-    "RouterRefreshStats",
     "SegmentMap",
     "Server",
     "arcs_cover_ring",
     "binary_digits",
     "bit_reversal",
     "compress_path",
-    "debruijn_diameter",
-    "debruijn_graph",
     "decode_node_key",
     "dh_lookup",
     "digits_to_point",
     "distance_halving_is_debruijn",
-    "encode_node_key",
     "equally_spaced_network",
     "fast_lookup",
-    "full_arc",
     "linear_distance",
     "lookup_many",
-    "midpoint_between",
     "normalize",
-    "path_lengths",
-    "ring_distance",
     "salt_indices",
     "salted_key",
 ]

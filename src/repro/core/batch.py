@@ -57,17 +57,11 @@ import numpy as np
 from .lookup import MAX_WALK_STEPS
 from .segments import (CoverIndex, SegmentMap, arc_cover_ranges, fold_unit,
                        normalize_array)
-from .snapshot import (ColumnarSnapshot, SnapshotRefreshStats,
-                       StaleSnapshotError)
+from .snapshot import ColumnarSnapshot, StaleSnapshotError
 from .walk import (PathResult, check_keep_paths, descend, forward_levels,
                    normalize_pair, per_lane_matrix)
 
-__all__ = ["BatchRouter", "BatchLookupResult", "RouterRefreshStats"]
-
-#: The router's refresh accounting is the shared snapshot layer's —
-#: kept under its historical name for the churn-soak experiment and
-#: the refresh test suite.
-RouterRefreshStats = SnapshotRefreshStats
+__all__ = ["BatchRouter", "BatchLookupResult"]
 
 #: One message for every stale-router raise site, so the guidance and the
 #: substrings tests match on ("stale", "rebuild", "auto_refresh") cannot drift.
@@ -203,7 +197,8 @@ class BatchRouter(ColumnarSnapshot):
     churn_budget:
         Maximum number of pending ops an incremental refresh will
         replay; beyond it the router recompiles from scratch, which is
-        cheaper for bulk changes.  ``None`` means ``max(16, n // 16)``.
+        cheaper for bulk changes.  ``None`` means ``max(16, n // 16)``;
+        a negative budget raises ``ValueError``.
     """
 
     #: Frozen aligned arrays the snapshot layer registers and the shard
@@ -228,11 +223,6 @@ class BatchRouter(ColumnarSnapshot):
                          stale_error=_STALE_ROUTER_ERROR)
         if build_adjacency:
             self._build_adjacency()
-
-    @property
-    def churn_budget(self) -> Optional[int]:
-        """The refresh budget, under its membership-flavoured name."""
-        return self.budget
 
     # ------------------------------------------------------------- snapshot
     def _rebuild(self) -> None:
@@ -442,34 +432,14 @@ class BatchRouter(ColumnarSnapshot):
             self._executor = None
 
     def lookup_batch(self, sources, targets, workers: int = 1,
-                     keep_paths: "bool | str" = False,
-                     policy: Optional[str] = None,
-                     choices: Optional[np.ndarray] = None,
-                     rng: Optional[np.random.Generator] = None,
-                     temperature: float = 1.0) -> BatchLookupResult:
-        """Route a batch, optionally sharded and/or cost-aware.
+                     keep_paths: "bool | str" = False) -> BatchLookupResult:
+        """Route a batch of fast lookups, optionally sharded.
 
         ``workers=1`` (the default) is exactly
         :meth:`batch_fast_lookup`; ``workers>=2`` routes contiguous
         slices through the cached sharded executor and merges — the
         result is bit-identical either way.
-
-        Passing ``policy=`` ("uniform", "greedy", "weighted") switches
-        to the cost-aware two-phase lookup
-        (:meth:`batch_cost_dh_lookup`); it needs the cost columns of a
-        :class:`~repro.peer.routing.CostAwareBatchRouter` plus, for the
-        randomized policies, shared per-step uniforms via ``choices=``
-        (required when sharding) or an ``rng``.
         """
-        if policy is not None:
-            if workers <= 1:
-                return self.batch_cost_dh_lookup(
-                    sources, targets, choices=choices, rng=rng,
-                    policy=policy, temperature=temperature,
-                    keep_paths=keep_paths)
-            return self.sharded_executor(workers).batch_cost_dh_lookup(
-                sources, targets, choices, policy=policy,
-                temperature=temperature, keep_paths=keep_paths)
         if workers <= 1:
             return self.batch_fast_lookup(sources, targets,
                                           keep_paths=keep_paths)

@@ -59,8 +59,7 @@ from .segments import fold_unit
 from .walk import (PathResult, integral_array, normalize_points,
                    per_lane_matrix, ragged_to_csr)
 
-__all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key",
-           "encode_node_key"]
+__all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key"]
 
 #: Digits generated per request when ``serve_batch`` draws its own tau —
 #: matches the experiments' ``DH_TAU_DIGITS`` headroom.
@@ -98,18 +97,12 @@ def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (pos < len(table)) & (table[pos_c] == values)
 
 
-def encode_node_key(address: Sequence[int], delta: int) -> int:
-    """Bijective base-Δ code of a path-tree address (root ``()`` is 0)."""
-    key = 0
-    for d in address:
-        if not 0 <= d < delta:
-            raise ValueError(f"digit {d} out of range for delta={delta}")
-        key = key * delta + d + 1
-    return key
-
-
 def decode_node_key(key: int, delta: int) -> Digits:
-    """Inverse of :func:`encode_node_key`."""
+    """The path-tree address a node key codes.
+
+    Keys are the bijective base-Δ code of an address: the root ``()`` is
+    0 and a child's key is ``key·Δ + d + 1`` for digit ``d``.
+    """
     if key < 0:
         raise ValueError("node keys are non-negative")
     digits: List[int] = []

@@ -11,11 +11,7 @@ Distance Halving graph (without ring edges) is *isomorphic* to the
 ``v_1 … v_r  ↦  v_r … v_1``.  :func:`distance_halving_is_debruijn`
 checks that isomorphism explicitly — it is both a unit test of the whole
 edge machinery and the justification for calling the DHT a De Bruijn
-emulation.
-
-Also provided: diameter (``log_Δ n``, the Moore-bound optimality used in
-§2.3) and standard shortest-path routing on the static graph for the
-baseline comparisons.
+emulation; experiment E2 runs it as a named check.
 """
 
 from __future__ import annotations
@@ -25,8 +21,6 @@ from typing import Iterable, Iterator, List, Tuple
 __all__ = [
     "debruijn_nodes",
     "debruijn_successors",
-    "debruijn_graph",
-    "debruijn_diameter",
     "bit_reversal",
     "equally_spaced_network",
     "distance_halving_is_debruijn",
@@ -84,26 +78,6 @@ def string_to_value(s: Iterable[int], delta: int = 2) -> int:
 def debruijn_successors(node: Tuple[int, ...], delta: int = 2) -> List[Tuple[int, ...]]:
     """Out-neighbours ``u_2 … u_r v`` for each alphabet digit ``v``."""
     return [node[1:] + (v,) for v in range(delta)]
-
-
-def debruijn_graph(r: int, delta: int = 2):
-    """The ``r``-dimensional, degree-``Δ`` De Bruijn digraph (Def. 2/4).
-
-    A ``networkx.DiGraph``; networkx loads on the first call, so routing
-    processes that never build one never import it.
-    """
-    import networkx as nx
-
-    g = nx.DiGraph()
-    for node in debruijn_nodes(r, delta):
-        for nxt in debruijn_successors(node, delta):
-            g.add_edge(node, nxt)
-    return g
-
-
-def debruijn_diameter(r: int, delta: int = 2) -> int:
-    """Diameter is exactly ``r = log_Δ n`` — the Moore-bound optimum (§2.3)."""
-    return r
 
 
 def bit_reversal(node: Tuple[int, ...]) -> Tuple[int, ...]:

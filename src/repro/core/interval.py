@@ -5,9 +5,9 @@ continuous space ``I``; for the Distance Halving DHT this is the half-open
 unit interval treated as a ring.  This module provides the two primitives
 everything else is built on:
 
-* point arithmetic — normalisation, linear distance ``d(x, y) = |x - y|``
-  (the metric used by the distance-halving analysis, Observation 2.3) and
-  ring (wrap-around) distance;
+* point arithmetic — normalisation and linear distance
+  ``d(x, y) = |x - y|`` (the metric used by the distance-halving
+  analysis, Observation 2.3);
 * :class:`Arc` — a half-open arc ``[start, end)`` of the ring, possibly
   wrapping through 1.0, with containment, length, midpoint, splitting and
   intersection.
@@ -30,10 +30,7 @@ __all__ = [
     "Number",
     "normalize",
     "linear_distance",
-    "ring_distance",
-    "midpoint_between",
     "Arc",
-    "full_arc",
     "arcs_cover_ring",
 ]
 
@@ -62,25 +59,6 @@ def linear_distance(x: Number, y: Number) -> Number:
     one throughout §2.2.
     """
     return abs(x - y)
-
-
-def ring_distance(x: Number, y: Number) -> Number:
-    """Wrap-around distance on the unit ring: ``min(|x-y|, 1-|x-y|)``."""
-    d = abs(normalize(x) - normalize(y))
-    return min(d, 1 - d)
-
-
-def midpoint_between(a: Number, b: Number) -> Number:
-    """Midpoint of the clockwise arc from ``a`` to ``b`` on the ring.
-
-    If ``a <= b`` this is the ordinary midpoint; otherwise the arc wraps
-    through 1.0 and the midpoint is taken on the wrapped arc.
-    """
-    a = normalize(a)
-    b = normalize(b)
-    if a <= b:
-        return (a + b) / 2
-    return normalize((a + b + 1) / 2)
 
 
 @dataclass(frozen=True)
@@ -218,11 +196,6 @@ class Arc:
             normalize(self.start * factor + offset),
             normalize(self.end * factor + offset),
         )
-
-
-def full_arc() -> Arc:
-    """The arc covering all of ``[0, 1)`` (the single-server network)."""
-    return Arc(0.0, 0.0)
 
 
 def arcs_cover_ring(arcs: Sequence[Arc]) -> bool:

@@ -70,16 +70,16 @@ class DistanceHalvingNetwork:
     with_ring:
         Keep the ring edges ``(V_i, V_{i+1})`` (§2.1).  The ablation
         experiment switches them off to measure their contribution.
-    item_hash:
-        The system-wide item-to-point hash ``h``; defaults to a fresh
-        64-wise independent :class:`~repro.hashing.kwise.PointHasher`.
+
+    The system-wide item-to-point hash ``h`` is :attr:`item_hash`, a
+    64-wise independent :class:`~repro.hashing.kwise.PointHasher` drawn
+    from ``rng``.
     """
 
     def __init__(
         self,
         delta: int = 2,
         with_ring: bool = True,
-        item_hash: Optional[Callable[[Key], float]] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.graph = ContinuousGraph(delta)
@@ -87,9 +87,7 @@ class DistanceHalvingNetwork:
         self.segments = SegmentMap()
         self.servers: Dict[float, Server] = {}
         self._rng = rng if rng is not None else np.random.default_rng()
-        self.item_hash: Callable[[Key], float] = (
-            item_hash if item_hash is not None else PointHasher(self._rng)
-        )
+        self.item_hash: Callable[[Key], float] = PointHasher(self._rng)
         self.membership_log = MembershipLog()
 
     # ------------------------------------------------------------ properties

@@ -33,7 +33,7 @@ import numpy as np
 
 from .lookup import LookupResult, compress_path
 
-__all__ = ["CongestionCounter", "BatchCongestion", "path_lengths"]
+__all__ = ["CongestionCounter", "BatchCongestion"]
 
 
 def _lookup_sorted(keys: np.ndarray, vals: np.ndarray,
@@ -269,7 +269,3 @@ class BatchCongestion(_CongestionStatsMixin):
     def _visit_total(self) -> int:
         return int(self._counts.sum())
 
-
-def path_lengths(results: Iterable[LookupResult]) -> np.ndarray:
-    """Hop counts of a batch of lookups as an array (for table rows)."""
-    return np.asarray([r.hops for r in results], dtype=float)

@@ -227,24 +227,21 @@ class ShardedExecutor:
         :meth:`batch_dh_lookup`.
     workers:
         Worker process count (≥ 2; use the plain router for 1).
-    start_method:
-        ``multiprocessing`` start method; default ``fork`` where
-        available (cheapest on Linux), else the platform default.
+
+    Workers start with ``fork`` where available (cheapest on Linux),
+    else with the platform default.
 
     Use as a context manager, or call :meth:`close` — the executor owns
     the shared-memory blocks and must outlive every in-flight batch.
     """
 
-    def __init__(self, router: BatchRouter, workers: int,
-                 start_method: Optional[str] = None) -> None:
+    def __init__(self, router: BatchRouter, workers: int) -> None:
         if workers < 2:
             raise ValueError("a sharded executor needs workers >= 2")
         self.router = router
         self.workers = int(workers)
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = mp.get_context(start_method)
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else methods[0])
         self._pool = None
         self._blocks: List[shared_memory.SharedMemory] = []
         self.version: Optional[int] = None

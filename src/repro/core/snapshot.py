@@ -171,6 +171,9 @@ class ColumnarSnapshot:
         budget: Optional[int] = None,
         stale_error: Optional[str] = None,
     ) -> None:
+        if budget is not None and budget < 0:
+            raise ValueError("refresh budget must be >= 0 pending ops, "
+                             f"got {budget}")
         self._journal = journal
         self.auto_refresh = bool(auto_refresh)
         self.budget = budget

@@ -4,20 +4,16 @@ from .emulator import GraphEmulator
 from .families import (
     DeBruijnFamily,
     GraphFamily,
-    HypercubeFamily,
     RingFamily,
     ShuffleExchangeFamily,
     TorusFamily,
-    family_graph,
 )
 
 __all__ = [
     "DeBruijnFamily",
     "GraphEmulator",
     "GraphFamily",
-    "HypercubeFamily",
     "RingFamily",
     "ShuffleExchangeFamily",
     "TorusFamily",
-    "family_graph",
 ]

@@ -2,15 +2,12 @@
 
 Section 7 emulates any family where ``G_k`` has ``2^k`` vertices and
 maximum degree ``d``.  We provide the classical interconnection
-topologies (Leighton's menagerie) plus the hypercube as an unbounded-
-degree stress case:
+topologies (Leighton's menagerie):
 
 * :class:`RingFamily` — degree 2;
 * :class:`TorusFamily` — the 2D torus, degree 4;
 * :class:`DeBruijnFamily` — degree ≤ 4 (undirected), the §2 star;
-* :class:`ShuffleExchangeFamily` — degree ≤ 3;
-* :class:`HypercubeFamily` — degree ``k`` (the emulation still applies,
-  with the degree bound scaling accordingly).
+* :class:`ShuffleExchangeFamily` — degree ≤ 3.
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ __all__ = [
     "TorusFamily",
     "DeBruijnFamily",
     "ShuffleExchangeFamily",
-    "HypercubeFamily",
-    "family_graph",
 ]
 
 
@@ -132,29 +127,3 @@ class ShuffleExchangeFamily:
         out.discard(u)
         return sorted(out)
 
-
-class HypercubeFamily:
-    """The k-cube — degree ``k`` (the §7 bound scales with d = log n)."""
-
-    name = "hypercube"
-    max_degree_formula = "k"
-
-    def degree_bound(self, k: int) -> int:
-        return k
-
-    def neighbors(self, k: int, u: int) -> List[int]:
-        _validate(k, u)
-        return sorted(u ^ (1 << b) for b in range(k))
-
-
-def family_graph(family: GraphFamily, k: int):
-    """``G_k`` as a NetworkX graph (for reference computations in tests)."""
-    import networkx as nx
-
-    g = nx.Graph()
-    n = 1 << k
-    g.add_nodes_from(range(n))
-    for u in range(n):
-        for v in family.neighbors(k, u):
-            g.add_edge(u, v)
-    return g

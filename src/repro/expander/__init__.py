@@ -1,19 +1,11 @@
 """Gabber–Galil dynamic expander and 2D substrate (paper §5)."""
 
-from .applications import (
-    ProbabilisticQuorum,
-    balance_load_by_walks,
-    mixing_time_estimate,
-    random_walk,
-    walk_endpoint_distribution,
-)
 from .expansion import (
     cheeger_bounds,
     sampled_vertex_expansion,
     spectral_gap,
     vertex_expansion_of_set,
 )
-from .quorums import PathQuorumSystem
 from .gabber_galil import (
     GG_EXPANSION_CONSTANT,
     GabberGalilNetwork,
@@ -26,12 +18,6 @@ from .voronoi import TorusVoronoi
 
 __all__ = [
     "GG_EXPANSION_CONSTANT",
-    "PathQuorumSystem",
-    "ProbabilisticQuorum",
-    "balance_load_by_walks",
-    "mixing_time_estimate",
-    "random_walk",
-    "walk_endpoint_distribution",
     "GabberGalilNetwork",
     "TorusVoronoi",
     "cheeger_bounds",

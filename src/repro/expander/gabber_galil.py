@@ -84,8 +84,9 @@ class GabberGalilNetwork:
         which is what *certifies* the expansion (Corollary 5.2).
     samples_per_cell:
         Stratified sampling density for the edge relation.
-    include_delaunay:
-        Keep the tessellation edges (the 2D "ring").
+
+    The edge set also keeps the tessellation's Delaunay edges (the 2D
+    "ring").
     """
 
     def __init__(
@@ -94,7 +95,6 @@ class GabberGalilNetwork:
         rng: Optional[np.random.Generator] = None,
         points: Optional[Sequence[Tuple[float, float]]] = None,
         samples_per_cell: int = 24,
-        include_delaunay: bool = True,
     ):
         if points is None:
             if n is None or rng is None:
@@ -104,7 +104,6 @@ class GabberGalilNetwork:
             points = algo.points
         self.voronoi = TorusVoronoi(points)
         self.samples_per_cell = int(samples_per_cell)
-        self.include_delaunay = include_delaunay
         self._edges: Optional[Set[Tuple[int, int]]] = None
 
     @property
@@ -132,11 +131,10 @@ class GabberGalilNetwork:
             for a, b in zip(owners, img_owners):
                 if a != b:
                     pairs.add((min(a, b), max(a, b)))
-        if self.include_delaunay:
-            for i in range(self.n):
-                for j in self.voronoi.delaunay_neighbors(i):
-                    if i != j:
-                        pairs.add((min(i, j), max(i, j)))
+        for i in range(self.n):
+            for j in self.voronoi.delaunay_neighbors(i):
+                if i != j:
+                    pairs.add((min(i, j), max(i, j)))
         self._edges = pairs
         return pairs
 

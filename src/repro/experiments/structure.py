@@ -1,4 +1,4 @@
-"""E2 — structural theorems of the discrete DH graph (Thm 2.1, 2.2).
+"""E2 — structural theorems of the discrete DH graph (§2.1, Thm 2.1, 2.2).
 
 Measured at several sizes and id distributions (uniform, balanced,
 adversarially clustered):
@@ -6,6 +6,10 @@ adversarially clustered):
 * Theorem 2.1: distinct edges without ring edges ≤ 3n − 1 (and therefore
   average degree ≤ 6);
 * Theorem 2.2: max out-degree ≤ ρ + 4, max in-degree ≤ ⌈2ρ⌉ + 1.
+
+Plus §2.1's isomorphism claim, edge set for edge set: on the equally
+spaced ids ``x_i = i/Δ^r`` the graph without ring edges is the
+``r``-dimensional De Bruijn graph (:func:`distance_halving_is_debruijn`).
 """
 
 from __future__ import annotations
@@ -13,11 +17,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-
 from ..core import DistanceHalvingNetwork
+from ..core.debruijn import distance_halving_is_debruijn
 from ..sim.rng import spawn_many
 from ..sim.workload import balanced_network
 from .common import ExperimentResult, register
+
+#: ``(Δ, r)`` instances of the §2.1 isomorphism check (~0.1 s together).
+DEBRUIJN_CASES = ((2, 4), (2, 6), (2, 8), (3, 4))
 
 
 def _build(kind: str, n: int, rng) -> DistanceHalvingNetwork:
@@ -70,10 +77,15 @@ def run(seed: int = 2, quick: bool = False) -> ExperimentResult:
     checks["Thm 2.1 corollary: average degree ≤ 6 (+2 ring)"] = avg_ok
     checks["Thm 2.2: max out-degree ≤ ρ+4"] = out_ok
     checks["Thm 2.2: max in-degree ≤ ⌈2ρ⌉+1"] = in_ok
+    cases = ", ".join(f"({delta},{r})" for delta, r in DEBRUIJN_CASES)
+    checks["§2.1: G_x at x_i = i/Δ^r ≅ the r-dim De Bruijn graph, "
+           f"(Δ, r) ∈ {{{cases}}}"] = all(
+        distance_halving_is_debruijn(r, delta) for delta, r in DEBRUIJN_CASES)
     return ExperimentResult(
         experiment="E2",
-        title="Structural bounds of G_x (Theorems 2.1, 2.2)",
-        paper_claim="≤3n−1 edges; out-deg ≤ ρ+4; in-deg ≤ ⌈2ρ⌉+1",
+        title="Structural bounds of G_x (§2.1, Theorems 2.1, 2.2)",
+        paper_claim="≤3n−1 edges; out-deg ≤ ρ+4; in-deg ≤ ⌈2ρ⌉+1; "
+                    "G_x ≅ De Bruijn at x_i = i/Δ^r",
         rows=rows,
         checks=checks,
     )

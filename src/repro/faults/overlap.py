@@ -71,14 +71,13 @@ class OverlappingDHNetwork(ColumnarSnapshot):
         n: int,
         rng: np.random.Generator,
         coverage_factor: float = 1.0,
-        item_hash: Optional[PointHasher] = None,
     ):
         if n < 8:
             raise ValueError("need at least eight servers")
         self.graph = ContinuousGraph(2)
         self.points: List[float] = sorted(float(p) for p in rng.random(n))
         self.coverage_factor = float(coverage_factor)
-        self.item_hash = item_hash if item_hash is not None else PointHasher(rng)
+        self.item_hash = PointHasher(rng)
         # α_i: local log-n estimate from the predecessor gap (§6.2), scaled
         self.alpha: Dict[float, int] = {}
         self.end: Dict[float, float] = {}

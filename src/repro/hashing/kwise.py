@@ -62,15 +62,14 @@ class KWiseHash:
     precision remark (§2.2.3) sanctions.
     """
 
-    def __init__(self, k: int, rng: np.random.Generator, prime: int = MERSENNE_P):
+    def __init__(self, k: int, rng: np.random.Generator):
         if k < 1:
             raise ValueError("independence parameter k must be >= 1")
         self.k = int(k)
-        self.prime = int(prime)
         # rng.integers is limited to 64-bit; compose two draws for safety margin.
         self.coefficients: list[int] = [
             (int(rng.integers(0, 1 << 61)) ^ (int(rng.integers(0, 1 << 61)) << 1))
-            % self.prime
+            % MERSENNE_P
             for _ in range(self.k)
         ]
 
@@ -79,12 +78,12 @@ class KWiseHash:
         x = key_to_int(key)
         acc = 0
         for a in reversed(self.coefficients):
-            acc = (acc * x + a) % self.prime
+            acc = (acc * x + a) % MERSENNE_P
         return acc
 
     def __call__(self, key: Key) -> float:
         """Hash a key to a point of ``[0, 1)``."""
-        return self.hash_int(key) / self.prime
+        return self.hash_int(key) / MERSENNE_P
 
     def hash_many(self, keys: Iterable[Key]) -> np.ndarray:
         """Vectorised convenience: hash a sequence of keys to float64 points."""

@@ -16,7 +16,6 @@ from .costmap import CostMap, hash01, pair_costs
 from .itracker import (
     CostOracle,
     cross_isp_counts,
-    hop_counts,
     path_cost_totals,
 )
 from .policy import POLICIES, check_policy, select_index, select_rows
@@ -30,7 +29,6 @@ __all__ = [
     "check_policy",
     "cross_isp_counts",
     "hash01",
-    "hop_counts",
     "pair_costs",
     "path_cost_totals",
     "select_index",

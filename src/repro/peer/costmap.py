@@ -112,23 +112,22 @@ class CostMap:
         cls,
         n_isps: int = 8,
         rng: Optional[np.random.Generator] = None,
-        intra: float = 0.0,
-        inter_low: float = 1.0,
-        inter_high: float = 10.0,
         dist_scale: float = 0.25,
     ) -> "CostMap":
         """A random symmetric matrix: free intra-ISP, costly inter-ISP.
 
-        With the defaults the distance term is at most ``0.25·√2 < 1``,
-        strictly below any inter-ISP entry, so the greedy policy always
-        prefers an intra-ISP cover when one is available.
+        Intra-ISP entries are 0 and inter-ISP entries uniform in
+        ``[1, 10)``.  With the default ``dist_scale`` the distance term is
+        at most ``0.25·√2 < 1``, strictly below any inter-ISP entry, so
+        the greedy policy always prefers an intra-ISP cover when one is
+        available.
         """
         if n_isps < 1:
             raise ValueError("n_isps must be >= 1")
         rng = rng if rng is not None else np.random.default_rng()
         raw = rng.random((n_isps, n_isps))
-        mat = inter_low + (inter_high - inter_low) * (raw + raw.T) / 2.0
-        np.fill_diagonal(mat, intra)
+        mat = 1.0 + 9.0 * (raw + raw.T) / 2.0
+        np.fill_diagonal(mat, 0.0)
         return cls(isp_cost=mat, dist_scale=dist_scale)
 
     @classmethod

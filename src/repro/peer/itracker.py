@@ -111,27 +111,6 @@ def _csr_block(path_servers, path_offsets) -> Tuple[np.ndarray, np.ndarray]:
     return servers, offsets
 
 
-def csr_transitions(
-    path_servers: np.ndarray, path_offsets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Within-row transitions of a CSR path block.
-
-    Returns ``(frm, to, row)`` index arrays — one entry per message
-    (consecutive duplicates are already compressed out of CSR paths),
-    with transitions that would span two lookups' rows removed.
-    """
-    servers, offsets = _csr_block(path_servers, path_offsets)
-    within = np.ones(max(servers.size - 1, 0), dtype=bool)
-    within[offsets[1:-1] - 1] = False
-    rows = np.repeat(np.arange(offsets.size - 1), np.diff(offsets) - 1)
-    return servers[:-1][within], servers[1:][within], rows
-
-
-def hop_counts(path_offsets: np.ndarray) -> np.ndarray:
-    """Per-lookup hop counts implied by the CSR row lengths."""
-    return np.maximum(np.diff(path_offsets) - 1, 0)
-
-
 def cross_isp_counts(
     isp_labels: np.ndarray,
     path_servers: np.ndarray,

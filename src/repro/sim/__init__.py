@@ -13,7 +13,7 @@ from .protocol import (
     run_protocol_lookup,
 )
 from .metrics import Summary, log_slope, loglog_slope, summarize
-from .rng import root_rng, spawn, spawn_many
+from .rng import spawn, spawn_many
 from .scenario import (
     DEFAULT_PHASES,
     Phase,
@@ -22,8 +22,6 @@ from .scenario import (
     parse_phases,
 )
 from .workload import (
-    adversarial_point_demands,
-    funnel_workload,
     bit_reversal_permutation,
     random_pairs,
     random_permutation,
@@ -51,14 +49,11 @@ __all__ = [
     "SimNetwork",
     "SimNode",
     "Summary",
-    "adversarial_point_demands",
     "bit_reversal_permutation",
     "log_slope",
     "loglog_slope",
-    "funnel_workload",
     "random_pairs",
     "random_permutation",
-    "root_rng",
     "run_churn",
     "shift_permutation",
     "single_hotspot_demands",

@@ -12,12 +12,7 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["root_rng", "spawn", "spawn_many"]
-
-
-def root_rng(seed: int) -> np.random.Generator:
-    """The root generator of an experiment run."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
+__all__ = ["spawn", "spawn_many"]
 
 
 def spawn(rng: np.random.Generator, label: int) -> np.random.Generator:

@@ -324,7 +324,6 @@ class ScenarioEngine:
         seed: int = 0,
         items: int = 24,
         payload: int = 256,
-        zipf_exponent: float = 1.2,
         invariants: bool = True,
         strict: bool = True,
         workers: int = 1,
@@ -340,7 +339,6 @@ class ScenarioEngine:
         self.chunk = int(chunk)
         self.workers = int(workers)
         self.seed = int(seed)
-        self.zipf_exponent = float(zipf_exponent)
         self.invariants = bool(invariants)
         self.strict = bool(strict)
 
@@ -428,8 +426,7 @@ class ScenarioEngine:
         n_items = max(8, min(64, self.net.n // 64))
         items = [f"hot-{i}" for i in range(n_items)]
         engine = BatchCacheEngine(self.net, items)
-        demands = zipf_demands(n_items, requests, rng,
-                               exponent=self.zipf_exponent)
+        demands = zipf_demands(n_items, requests, rng)
         stream = demand_stream(demands, rng)
         pts = self.net.segments.as_array()
         for lo in range(0, stream.size, self.chunk):

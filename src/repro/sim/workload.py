@@ -11,7 +11,7 @@ demand patterns the paper analyses:
 * uniform random points (Theorems 2.7 / 2.9 congestion);
 * permutations, incl. the bit-reversal worst case (Theorem 2.10);
 * hashed distinct items (Theorem 2.11);
-* single/multiple hot spots with Zipf or adversarial skew (§3).
+* single/multiple hot spots with Zipf skew (§3).
 
 :func:`route_pairs` is the vectorized driver the experiments feed those
 workloads through: it routes a whole pair list as **one** batch over a
@@ -29,7 +29,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..balance import MultipleChoice
-from ..core.lookup import fast_lookup
 from ..core.network import DistanceHalvingNetwork
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "zipf_demands",
     "single_hotspot_demands",
     "demand_stream",
-    "adversarial_point_demands",
     "pairs_to_arrays",
     "route_pairs",
     "rate_fields",
@@ -283,50 +281,3 @@ def demand_stream(demands: Sequence[int], rng: np.random.Generator) -> np.ndarra
     stream = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     return rng.permutation(stream)
 
-
-def funnel_workload(net, c: float = 0.37, depth: int = 4) -> List[Tuple[float, float]]:
-    """Targets crafted so deterministic Fast-Lookup paths share one point.
-
-    For each server the adversary (who knows the ids, as §2.2.3 allows)
-    solves ``w(σ(z)_depth, y) = c`` for the target ``y``: the backward
-    path of the Fast Lookup then passes through ``c`` at depth ``depth``,
-    concentrating Ω(n) messages on the server covering ``c``.  The
-    randomised two-phase lookup is immune — its digits are fresh per
-    message — which is exactly the point of Theorem 2.10.
-
-    Because the algorithm picks its own walk length ``t`` (and its digit
-    string depends on ``t``), candidate targets are verified against the
-    real algorithm and the best-aligned one is kept per source.
-    """
-    g = net.graph
-    pairs: List[Tuple[float, float]] = []
-    scale = g.delta**depth
-    for p in net.points():
-        z = net.segments.segment_of(p).midpoint
-        chosen = None
-        for t in range(depth, depth + 24):
-            digits = g.approach_digits(z, t)[:depth]
-            off = sum(d * g.delta**k for k, d in enumerate(digits))
-            # walk(digits, y) = (y + off)/scale, so walk = c ⟺ y = c·scale − off
-            y = ((c * scale) - off) % 1.0
-            res = fast_lookup(net, p, y)
-            if any(abs(q - c) < 1e-9 for q in res.continuous_path):
-                chosen = y
-                break
-        pairs.append((p, chosen if chosen is not None else c))
-    return pairs
-
-
-def adversarial_point_demands(
-    points: Sequence[float], total: int
-) -> List[Tuple[float, int]]:
-    """Hot items placed exactly on the worst server boundary points.
-
-    Lemma 3.5 holds 'even if an adversary is allowed to choose h(i)';
-    this generator pins hot positions at segment boundaries to exercise
-    that case (positions, not hashed items).
-    """
-    k = max(1, len(points) // 8)
-    chosen = list(points)[:: max(1, len(points) // k)][:k]
-    per = total // len(chosen)
-    return [(p, per) for p in chosen]

@@ -1,7 +1,5 @@
 """Unit tests for 2D multiple choice and Definition 7 smoothness (§5.3)."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from repro.balance import (
     coarse_grid_side,
     fine_grid_side,
     is_smooth_2d,
-    smoothness_2d,
 )
 from repro.balance.two_dim import cell_of
 
@@ -37,12 +34,10 @@ class TestDefinition7:
         side = 16
         pts = [((i + 0.5) / side, (j + 0.5) / side) for i in range(side) for j in range(side)]
         assert is_smooth_2d(pts, 1.0)
-        assert smoothness_2d(pts) == 1.0
 
     def test_clustered_points_not_smooth(self):
         pts = [(0.5 + i * 1e-4, 0.5 + j * 1e-4) for i in range(8) for j in range(8)]
         assert not is_smooth_2d(pts, 4.0)
-        assert smoothness_2d(pts, max_rho=16) == math.inf
 
     def test_uniform_points_need_large_rho(self):
         """i.i.d. uniform 2D ids are badly smooth (the 2D analogue of Lemma 4.1)."""

@@ -19,8 +19,10 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: cost-model determinism rules, the §3 batch-cache semantics, the
 #: shared walk kernels other layers build on, the batch engine's
 #: phase-I rule contract, the cover index, fault-tolerant engine and
-#: baseline path recorder the CSR writer's tests pin, and the soak's
-#: scenario engine and workload generators.
+#: baseline path recorder the CSR writer's tests pin, the soak's
+#: scenario engine and workload generators, the ring geometry, the
+#: continuous graph and the De Bruijn isomorphism check, and the §4 id
+#: strategies.
 GATED = [
     SRC / "core" / "batch.py",
     SRC / "core" / "snapshot.py",
@@ -28,6 +30,10 @@ GATED = [
     SRC / "core" / "batch_cache.py",
     SRC / "core" / "walk.py",
     SRC / "core" / "segments.py",
+    SRC / "core" / "interval.py",
+    SRC / "core" / "continuous.py",
+    SRC / "core" / "debruijn.py",
+    SRC / "balance" / "strategies.py",
     SRC / "faults" / "batch_ft.py",
     SRC / "baselines" / "base.py",
     SRC / "peer" / "__init__.py",

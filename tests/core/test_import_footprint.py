@@ -1,9 +1,9 @@
 """Routing processes do not load the heavy optional dependencies.
 
-networkx (~18 MB resident) serves only graph analyses — the De Bruijn
-isomorphism check, expander spectra, the emulation families — and
-asyncio (~7 MB) only the asynchronous fabric in
-:mod:`repro.sim.asyncnet`.  Both load on first use, so a process that
+networkx (~18 MB resident) serves only graph analyses — expander
+spectra, ``to_networkx`` exports — and asyncio (~7 MB) only the
+asynchronous fabric in :mod:`repro.sim.asyncnet`.  Both load on first
+use, so a process that
 imports everything the spine benchmark imports routes without them.
 Checked in a fresh interpreter: this one has long since imported both.
 """
@@ -34,9 +34,12 @@ def test_spine_imports_leave_networkx_and_asyncio_unloaded():
     assert _run(code) == "[]"
 
 
-def test_debruijn_graph_still_builds_on_first_use():
-    code = ("import sys, repro.core\n"
+def test_expander_graph_still_builds_on_first_use():
+    code = ("import sys, numpy, repro.core\n"
             "before = 'networkx' in sys.modules\n"
-            "g = repro.core.debruijn_graph(3)\n"
-            "print(before, g.number_of_nodes(), g.number_of_edges())")
-    assert _run(code) == "False 8 16"
+            "from repro.expander import GabberGalilNetwork\n"
+            "net = GabberGalilNetwork(n=16, rng=numpy.random.default_rng(0))\n"
+            "g = net.to_networkx()\n"
+            "print(before, g.number_of_nodes(), "
+            "g.number_of_edges() == len(net.edges()) > 0)")
+    assert _run(code) == "False 16 True"

@@ -7,11 +7,8 @@ import pytest
 from repro.core.interval import (
     Arc,
     arcs_cover_ring,
-    full_arc,
     linear_distance,
-    midpoint_between,
     normalize,
-    ring_distance,
 )
 
 
@@ -43,20 +40,11 @@ class TestDistances:
     def test_linear_distance_is_absolute(self):
         assert linear_distance(0.1, 0.9) == pytest.approx(0.8)
 
-    def test_ring_distance_wraps(self):
-        assert ring_distance(0.1, 0.9) == pytest.approx(0.2)
-
-    def test_ring_distance_symmetry(self):
-        assert ring_distance(0.3, 0.8) == ring_distance(0.8, 0.3)
-
-    def test_ring_distance_max_half(self):
-        assert ring_distance(0.0, 0.5) == pytest.approx(0.5)
-
     def test_midpoint_plain(self):
-        assert midpoint_between(0.2, 0.4) == pytest.approx(0.3)
+        assert Arc(0.2, 0.4).midpoint == pytest.approx(0.3)
 
     def test_midpoint_wrapping(self):
-        assert midpoint_between(0.9, 0.1) == pytest.approx(0.0)
+        assert Arc(0.9, 0.1).midpoint == pytest.approx(0.0)
 
 
 class TestArcBasics:
@@ -67,7 +55,7 @@ class TestArcBasics:
         assert Arc(0.9, 0.1).length == pytest.approx(0.2)
 
     def test_full_ring_length(self):
-        assert full_arc().length == 1
+        assert Arc(0.0, 0.0).length == 1
 
     def test_contains_plain(self):
         a = Arc(0.2, 0.7)
@@ -163,7 +151,7 @@ class TestArcIntersection:
         assert Arc(0.1, 0.2).intersection_length(Arc(0.2, 0.3)) == 0
 
     def test_full_ring_intersection_is_other(self):
-        assert full_arc().intersection_length(Arc(0.2, 0.5)) == pytest.approx(0.3)
+        assert Arc(0.0, 0.0).intersection_length(Arc(0.2, 0.5)) == pytest.approx(0.3)
 
 
 class TestArcScaled:
@@ -200,7 +188,7 @@ class TestArcScaled:
         assert total == pytest.approx(0.1)
 
     def test_full_ring_contracts(self):
-        img = full_arc().scaled(0.5, 0.5)
+        img = Arc(0.0, 0.0).scaled(0.5, 0.5)
         assert img == Arc(0.5, 0.0)  # [0.5, 1)
         assert float(img.length) == pytest.approx(0.5)
 
@@ -212,7 +200,7 @@ class TestArcScaled:
 
 class TestCoverRing:
     def test_full_arc_covers(self):
-        assert arcs_cover_ring([full_arc()])
+        assert arcs_cover_ring([Arc(0.0, 0.0)])
 
     def test_two_halves_cover(self):
         assert arcs_cover_ring([Arc(0.0, 0.5), Arc(0.5, 0.0)])

@@ -37,6 +37,11 @@ class TestJoinLeave:
         assert net.n == 0
         assert len(net) == 0
 
+    def test_item_hash_is_64_wise_and_drawn_from_rng(self):
+        a, b = (DistanceHalvingNetwork(rng=np.random.default_rng(9)) for _ in "ab")
+        assert a.item_hash.k == 64
+        assert a.item_hash("item") == b.item_hash("item")
+
     def test_first_join_covers_ring(self):
         net = DistanceHalvingNetwork()
         net.join(0.3)

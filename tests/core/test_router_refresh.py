@@ -194,6 +194,14 @@ class TestRefreshModes:
         assert router.refresh_stats.incremental == 0
         assert np.array_equal(router.points, net.segments.as_array())
 
+    def test_negative_budget_rejected(self):
+        """A budget below zero used to be accepted and made every refresh
+        a full rebuild, so a refresh-cost gate measured nothing."""
+        net = make_net(32, seed=26)
+        with pytest.raises(ValueError, match="budget must be >= 0.* got -1"):
+            net.router(auto_refresh=True, churn_budget=-1)
+        assert net.router(auto_refresh=True, churn_budget=0).budget == 0
+
     def test_log_window_exceeded_falls_back_to_full(self):
         net = make_net(32, seed=23)
         net.membership_log.cap = 4

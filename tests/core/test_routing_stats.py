@@ -12,7 +12,6 @@ from repro.core import (
     lookup_many,
 )
 from repro.core.lookup import LookupResult
-from repro.core.routing_stats import path_lengths
 
 
 def fake_result(path):
@@ -79,10 +78,6 @@ class TestCongestionCounter:
         s = c.summary(2)
         assert set(s) == {"lookups", "max_load", "mean_load", "max_congestion",
                           "total_messages"}
-
-    def test_path_lengths_helper(self):
-        arr = path_lengths([fake_result([0.1, 0.2, 0.3]), fake_result([0.5])])
-        assert list(arr) == [2.0, 0.0]
 
     def test_integration_with_real_lookups(self):
         rng = np.random.default_rng(0)

@@ -8,6 +8,8 @@ own the shared-memory lifetime cleanly (close is idempotent; a closed
 executor refuses work).
 """
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,13 @@ class TestShardedExecutor:
         router = net.router(auto_refresh=True)
         with pytest.raises(ValueError):
             ShardedExecutor(router, workers=1)
+
+    def test_workers_fork_where_available(self):
+        methods = mp.get_all_start_methods()
+        router = make_net(64).router(auto_refresh=True)
+        with ShardedExecutor(router, workers=2) as ex:
+            assert ex._ctx.get_start_method() == (
+                "fork" if "fork" in methods else methods[0])
 
 
 class TestRouterIntegration:

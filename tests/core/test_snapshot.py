@@ -135,6 +135,14 @@ class TestBuildAndPatch:
         assert (st.incremental, st.full_rebuilds) == (0, 1)
         assert (st.ops_replayed, st.ops_absorbed) == (0, 5)
 
+    def test_negative_budget_rejected_zero_always_rebuilds(self):
+        with pytest.raises(ValueError, match="budget must be >= 0.* got -1"):
+            make(budget=-1)
+        source, journal, snap = make(budget=0)
+        insert(source, journal, 0.1)
+        snap.refresh()
+        assert (snap.patch_calls, snap.refresh_stats.full_rebuilds) == (0, 1)
+
     def test_journal_window_eviction_triggers_full_rebuild(self):
         source, journal, snap = make(cap=4, budget=1000)
         for i in range(6):  # > cap: the suffix since v0 is gone

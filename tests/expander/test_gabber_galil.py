@@ -104,6 +104,13 @@ class TestDiscreteExpander:
         pts = [tuple(p) for p in net.voronoi.points]
         assert is_smooth_2d(pts, rho=4.0) or is_smooth_2d(pts, rho=8.0)
 
+    def test_edges_keep_every_delaunay_pair(self, net):
+        """The tessellation's Delaunay edges are the 2D "ring"."""
+        edges = net.edges()
+        for i in range(net.n):
+            for j in net.voronoi.delaunay_neighbors(i):
+                assert i == j or (min(i, j), max(i, j)) in edges
+
     def test_explicit_points_accepted(self):
         side = 8
         pts = [((i + 0.5) / side, (j + 0.5) / side)

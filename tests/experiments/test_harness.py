@@ -145,6 +145,12 @@ class TestQuickRuns:
                 "smoothness stays finite through mass departure",
                 "incremental refresh ≤ 250us per membership op at n=1024",
                 "post-soak throughput ≥ 0.2x baseline"}),
+        ("E2", {"Thm 2.1: edges ≤ 3n−1 (all sizes, all id distributions)",
+                "Thm 2.1 corollary: average degree ≤ 6 (+2 ring)",
+                "Thm 2.2: max out-degree ≤ ρ+4",
+                "Thm 2.2: max in-degree ≤ ⌈2ρ⌉+1",
+                "§2.1: G_x at x_i = i/Δ^r ≅ the r-dim De Bruijn graph, "
+                "(Δ, r) ∈ {(2,4), (2,6), (2,8), (3,4)}"}),
     ])
     def test_measured_rates_stay_out_of_check_names(self, name, checks,
                                                     quick_run):
@@ -176,6 +182,17 @@ class TestCli:
 
         assert main(["run", "F2", "--quick"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["-1", "-5000"])
+    def test_run_refuses_a_negative_seed(self, seed, capsys):
+        """-5000 died in a NumPy traceback once the runner added its
+        per-experiment offset; -1 only ran because the offset covered it."""
+        from repro.cli import main
+
+        assert main(["run", "E2", "--quick", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "run: --seed must be >= 0\n"
 
     def test_bench_baselines_writes_artifact(self, capsys, tmp_path):
         from repro.cli import main
@@ -389,6 +406,8 @@ class TestBenchTable:
         ("bench-caching", "--hotspot-requests", "0"),  # salted_reduction Infinity
         ("bench-caching", "--items", "0"),             # NumPy traceback
         ("bench-caching", "--parity-n", "4096"),       # measure's ValueError
+        ("bench-churn", "--churn-budget", "-1"),       # 0 incremental refreshes
+        ("bench-churn", "--mass-n", "-1"),             # passed, no mass departure
     ])
     def test_bad_inputs_the_hand_copies_let_through(self, name, flag, text,
                                                     tmp_path, capsys):

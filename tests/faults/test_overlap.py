@@ -77,6 +77,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             OverlappingDHNetwork(4, np.random.default_rng(0))
 
+    def test_item_hash_is_64_wise_and_drawn_from_rng(self):
+        a, b = (OverlappingDHNetwork(16, np.random.default_rng(9)) for _ in "ab")
+        assert a.item_hash.k == 64
+        assert a.item_hash("item") == b.item_hash("item")
+
 
 class TestCanonicalPath:
     def test_ends_at_target(self, net):

@@ -83,6 +83,11 @@ class TestKWiseHash:
         x = 777
         assert h.hash_int(x) == (a * x + b) % MERSENNE_P
 
+    def test_field_is_the_mersenne_prime(self):
+        h = KWiseHash(5, np.random.default_rng(7))
+        assert all(0 <= a < MERSENNE_P for a in h.coefficients)
+        assert h("key") == h.hash_int("key") / MERSENNE_P
+
 
 class TestPointHasher:
     def test_memoisation(self):

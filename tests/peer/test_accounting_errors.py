@@ -1,22 +1,20 @@
 """Malformed CSR blocks fail loudly in every ISP accountant.
 
-``csr_transitions``, ``cross_isp_counts`` and ``path_cost_totals`` enter
-through one check: offsets must start at 0, end at the server count and
-give every row at least one entry (every path holds its source), and no
-server index may be negative.  Each violation raises ``ValueError``
-naming the argument.  On the commit before the check a negative id
-wrapped silently to the last server (``cross_isp_counts(lab, [0, -1],
-[0, 2])`` counted a crossing that no path made) and offsets past the
-block raised ``IndexError: boolean index did not match``.  Only public
-entry points are used, so every test here runs — and fails — on that
-commit.
+``cross_isp_counts`` and ``path_cost_totals`` enter through one check:
+offsets must start at 0, end at the server count and give every row at
+least one entry (every path holds its source), and no server index may
+be negative.  Each violation raises ``ValueError`` naming the argument.
+On the commit before the check a negative id wrapped silently to the
+last server (``cross_isp_counts(lab, [0, -1], [0, 2])`` counted a
+crossing that no path made) and offsets past the block raised
+``IndexError: boolean index did not match``.  Only public entry points
+are used, so every test here runs — and fails — on that commit.
 """
 
 import numpy as np
 import pytest
 
 from repro.peer import CostMap, CostOracle, cross_isp_counts, path_cost_totals
-from repro.peer.itracker import csr_transitions
 
 _ORACLE = CostOracle(np.linspace(0.0, 0.9, 4),
                      CostMap.synthetic(n_isps=2, rng=np.random.default_rng(5)))
@@ -24,7 +22,6 @@ _ORACLE = CostOracle(np.linspace(0.0, 0.9, 4),
 _LABELS = np.array([0, 0, 1, 1])
 
 ACCOUNTANTS = {
-    "csr_transitions": csr_transitions,
     "cross_isp_counts": lambda s, o: cross_isp_counts(_LABELS, s, o),
     "path_cost_totals": lambda s, o: path_cost_totals(_ORACLE, s, o),
 }
@@ -71,6 +68,4 @@ class TestMalformedBlocks:
 class TestValidBlocks:
     @EACH
     def test_zero_lookups(self, accountant):
-        out = ACCOUNTANTS[accountant](*_block([], [0]))
-        for arr in out if isinstance(out, tuple) else (out,):
-            assert arr.size == 0
+        assert ACCOUNTANTS[accountant](*_block([], [0])).size == 0

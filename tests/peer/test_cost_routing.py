@@ -21,12 +21,12 @@ from repro.peer import (
     check_policy,
     cross_isp_counts,
     hash01,
-    hop_counts,
     pair_costs,
     select_index,
     select_rows,
 )
 from repro.peer.costmap import _ISP_SALT
+from repro.sim.workload import route_pairs
 
 _NET = OverlappingDHNetwork(128, np.random.default_rng(1234))
 _ENGINE = FTBatchEngine(_NET)
@@ -58,6 +58,13 @@ class TestCostMap:
         assert np.array_equal(m.isp_cost, m.isp_cost.T)
         assert (np.diag(m.isp_cost) == 0.0).all()
         assert m.isp_cost[~np.eye(5, dtype=bool)].min() >= 1.0
+
+    def test_synthetic_inter_isp_band(self):
+        """Inter-ISP entries fill ``[1, 10)``, above any distance term."""
+        m = CostMap.synthetic(n_isps=64, rng=np.random.default_rng(3))
+        inter = m.isp_cost[~np.eye(64, dtype=bool)]
+        assert 1.0 <= inter.min() and 9.0 < inter.max() < 10.0
+        assert m.dist_scale * np.sqrt(2.0) < inter.min()
 
     def test_degenerate_map(self):
         m = CostMap.degenerate()
@@ -136,11 +143,9 @@ class TestOracle:
                               _ORACLE.edge_costs(j, i))
 
     def test_csr_accounting(self):
-        assert hop_counts(np.array([0, 2, 2, 5])).tolist() == [1, 0, 2]
         # every path holds its source: a one-entry row is a 0-hop lookup
         servers = np.array([0, 1, 1, 2, 5], dtype=np.int64)
         offsets = np.array([0, 2, 3, 5], dtype=np.int64)
-        assert hop_counts(offsets).tolist() == [1, 0, 1]
         labels = _ORACLE.isp
         cross = cross_isp_counts(labels, servers, offsets)
         assert cross.shape == (3,)
@@ -231,14 +236,17 @@ class TestCoreEngine:
         assert np.array_equal(res.path_servers, replay.path_servers)
         assert np.array_equal(res.path_offsets, replay.path_offsets)
 
-    def test_lookup_batch_policy_passthrough(self):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_route_pairs_drives_the_cost_path(self, policy):
+        """``lookup_batch`` has no cost keywords; ``route_pairs`` is the driver."""
         direct = self.router.batch_cost_dh_lookup(
-            self.src, self.tgt, choices=self.u, policy="weighted")
-        via = self.router.lookup_batch(self.src, self.tgt, policy="weighted",
-                                       choices=self.u)
+            self.src, self.tgt, choices=self.u, policy=policy,
+            keep_paths="csr")
+        via = route_pairs(self.router, (self.src, self.tgt), algorithm="cost",
+                          policy=policy, choices=self.u)
         assert via.algorithm == direct.algorithm == "dh-cost"
-        assert np.array_equal(direct.owner_idx, via.owner_idx)
-        assert np.array_equal(direct.tau_used, via.tau_used)
+        for field in ("owner_idx", "tau_used", "path_servers", "path_offsets"):
+            assert np.array_equal(getattr(via, field), getattr(direct, field))
 
     def test_plain_router_raises_actionably(self):
         plain = self.net.compile_router()

@@ -15,7 +15,6 @@ from repro.sim import (
     loglog_slope,
     random_pairs,
     random_permutation,
-    root_rng,
     run_churn,
     shift_permutation,
     single_hotspot_demands,
@@ -283,10 +282,6 @@ class TestMetrics:
 
 
 class TestRng:
-    def test_root_reproducible(self):
-        a, b = root_rng(7), root_rng(7)
-        assert a.random() == b.random()
-
     def test_spawn_many_independent(self):
         gens = spawn_many(3, 4)
         vals = [g.random() for g in gens]
