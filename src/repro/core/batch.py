@@ -37,20 +37,24 @@ The router snapshots the decomposition, but it is not doomed to die at
 the first membership change: every network keeps a membership version
 counter plus a bounded op journal, and a router obtained from
 ``net.router(auto_refresh=True)`` re-syncs *incrementally* before each
-batch — pending joins/leaves are replayed as O(affected-region) patches
-to the sorted point/segment/midpoint arrays, and the columns derived
-from the point column (cover grid, neighbour ranges) follow once per
-refresh, falling back to a full recompile only past a configurable
-churn budget.  A plain ``net.compile_router()`` handle instead raises an
-actionable stale-router error rather than silently serving an outdated
-snapshot.
+batch — each pending join/leave is replayed as an in-place edit of the
+router's growable point / segment-end / midpoint buffers (a one-slot
+shift of each buffer's tail plus the ≤ 2 rows whose segment changed),
+and the columns derived from the point column (cover grid, neighbour
+ranges) follow once per refresh, falling back to a full recompile only
+past a configurable churn budget.  Arrays the router hands out — its
+column attributes, a result's ``points`` — are read-only views that are
+never edited: handing one out marks the buffers shared, and the next
+refresh copies them once before it edits.  A plain
+``net.compile_router()`` handle instead raises an actionable
+stale-router error rather than silently serving an outdated snapshot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional
 
 import numpy as np
 
@@ -191,7 +195,7 @@ class BatchRouter(ColumnarSnapshot):
     auto_refresh:
         Follow membership changes: before every batch, pending
         joins/leaves are replayed from the network's membership log as
-        O(affected-region) array patches (see :meth:`refresh`).  When
+        in-place edits of the router's buffers (see :meth:`_patch`).  When
         ``False`` (the :meth:`~repro.core.network.DistanceHalvingNetwork
         .compile_router` default) a stale router raises instead.
     churn_budget:
@@ -201,8 +205,9 @@ class BatchRouter(ColumnarSnapshot):
         a negative budget raises ``ValueError``.
     """
 
-    #: Frozen aligned arrays the snapshot layer registers and the shard
-    #: backend exports.  ``cover_index`` and the neighbour ranges
+    #: Aligned arrays the snapshot layer registers and the shard backend
+    #: exports — read-only views of the router's row buffers (see
+    #: :meth:`_patch`).  ``cover_index`` and the neighbour ranges
     #: ``adj_first`` / ``adj_count`` are derived columns of ``points``
     #: (not n-aligned, so not registered): rebuilt and patched with it,
     #: never on their own; the shard export ships the two range arrays
@@ -226,7 +231,7 @@ class BatchRouter(ColumnarSnapshot):
 
     # ------------------------------------------------------------- snapshot
     def _rebuild(self) -> None:
-        """(Re)build every frozen array from the live network.
+        """(Re)build every column from the live network.
 
         Keeps the neighbour table through full rebuilds (when one was
         built) so the cost lands in ``refresh_stats``, not in the next
@@ -235,27 +240,85 @@ class BatchRouter(ColumnarSnapshot):
         net = self._net
         self.delta = int(net.delta)
         self.with_ring = bool(net.with_ring)
-        # CoverIndex copies the live column into ``ext``: the frozen
-        # arrays never alias the map's buffer
-        self.cover_index = CoverIndex(net.segments.column)
-        self._adopt_points()
+        # CoverIndex copies the live column into ``ext``: the router's
+        # buffers never alias the map's
+        index = CoverIndex(net.segments.column)
+        points = index.ext[:-1]
+        seg_end = np.empty_like(points)
+        seg_end[:-1] = points[1:]
+        seg_end[-1] = points[0]
         # float ids compile from the point column alone; exact (Fraction)
         # ids go through the scalar oracles, whose exact comparisons the
         # float column cannot replay
-        self.midpoints = (SegmentMap.midpoints_from_array(self.points)
-                          if net.segments.is_float()
-                          else net.segments.midpoints_array())
+        self._adopt(index, seg_end,
+                    SegmentMap.midpoints_from_array(points)
+                    if net.segments.is_float()
+                    else net.segments.midpoints_array())
         if self.adj_first is not None:
             self._build_adjacency()
 
-    def _adopt_points(self) -> None:
-        """Point the n-aligned point columns at the cover index's column."""
-        self.points = points = self.cover_index.points
-        self.n = len(points)
-        self.seg_start = points
-        self.seg_end = seg_end = np.empty_like(points)
-        seg_end[:-1] = points[1:]
-        seg_end[-1] = points[0]
+    def _adopt(self, index: CoverIndex, seg_end, midpoints) -> None:
+        """Take compiled columns as the row buffers, exactly n rows long.
+
+        The cover index's ``ext`` (the point column plus its ``+inf``
+        sentinel) becomes the point buffer the router and index share.
+        Room to grow is made only by :meth:`_patch`'s copy.
+        """
+        self.cover_index = index
+        self._ext, self._end, self._mid = index.ext, seg_end, midpoints
+        self.n = len(seg_end)
+        self._shared = False
+
+    # -------------------------------------------------------------- columns
+    def _rows(self, buf: np.ndarray) -> np.ndarray:
+        """Hand out a buffer's live rows: a read-only view, never edited.
+
+        Marks the buffers shared, so the next refresh edits a copy.
+        """
+        self._shared = True
+        view = buf[:self.n]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def points(self) -> np.ndarray:
+        """Sorted server ids ``x_i`` (float64), a read-only hand-out."""
+        return self._rows(self._ext)
+
+    #: ``s(x_i)`` starts at ``x_i``: the point column again
+    seg_start = points
+
+    @property
+    def seg_end(self) -> np.ndarray:
+        """Segment ends ``x_{i+1}`` (``x_0`` for the seam row), read-only."""
+        return self._rows(self._end)
+
+    @property
+    def midpoints(self) -> np.ndarray:
+        """Segment midpoints, ``Arc.midpoint`` bit for bit, read-only."""
+        return self._rows(self._mid)
+
+    @property
+    def n_rows(self) -> int:
+        """Rows of every registered column, without handing one out."""
+        return self.n
+
+    def __getstate__(self) -> dict:
+        """Pickle / deepcopy state: each buffer trimmed to its live rows.
+
+        The point buffer travels once, as the cover index's ``ext``;
+        :meth:`__setstate__` makes it the router's point buffer again.
+        """
+        state = self.__dict__.copy()
+        del state["_ext"]
+        state["_end"], state["_mid"] = self._end[:self.n], self._mid[:self.n]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore pickled state: one shared point buffer, none handed out."""
+        self.__dict__.update(state)
+        self._ext = self.cover_index.ext
+        self._shared = self.cover_index.shared = False
 
     def _build_adjacency(self) -> None:
         """The neighbour relation as per-row index ranges of the point column.
@@ -277,7 +340,8 @@ class BatchRouter(ColumnarSnapshot):
         ``net.adjacency_arrays()`` — the path exact (``Fraction``) ids
         still take, run-length encoded into the same columns.
         """
-        pts, n, delta = self.points, self.n, self.delta
+        n, delta = self.n, self.delta
+        pts = self._ext[:n]
         if not self._net.segments.is_float():
             self.adj_first, self.adj_count = _range_columns(
                 n, *self._net.adjacency_arrays())
@@ -317,7 +381,7 @@ class BatchRouter(ColumnarSnapshot):
         if self.adj_first is None:
             self._build_adjacency()
         first, count = self.adj_first, self.adj_count
-        n = len(self.points)
+        n = self.n
         if first.shape[1] != n + 1:
             # columns older than the point column: a patch that died
             # half-way, a shard worker attached to a half-written export
@@ -356,52 +420,100 @@ class BatchRouter(ColumnarSnapshot):
         return self
 
     def _patch(self, pending) -> bool:
-        """Patch the arrays by replaying ``pending``; False to bail to full.
+        """Replay ``pending`` as in-place buffer edits; False to bail to full.
 
-        The point column is not replayed: the live map keeps it current,
-        so the cover index adopts one copy of ``segments.column`` per
-        refresh.  Only the midpoints are replayed — per op a fresh array
-        filled by two slice copies (nothing of ``self`` is touched until
-        the replay is through, so it can still bail) — and the touched
-        ones re-read from the live decomposition once the whole suffix
-        is applied.  The cover grid and the adjacency
-        ranges (when built) are derived columns of ``points``: each is
-        brought up to date once per refresh from the adopted column,
-        whatever the number of pending ops — the ranges are Δ+1 sorted
-        searches over the column, cheaper than finding out which rows an
-        op touched.  Frozen arrays are replaced, never edited in place.
+        The router owns three growable float64 buffers: the point
+        column plus the cover index's ``+inf`` sentinel (one buffer the
+        index shares), the segment ends and the midpoints.  A join or
+        leave at index ``i`` shifts each buffer's tail one slot, writes
+        the joined id, and recomputes the ≤ 2 rows whose segment changed
+        (:meth:`_settle`) — whatever the number of pending ops, every op
+        is the same O(tail) edit.  Exact (``Fraction``) ids and rings
+        passing through n < 4 bail out before anything is touched.
+
+        Handed-out arrays are read-only and never edited; unshared
+        buffers are edited in place.  Every public read of a column
+        (:meth:`_rows`, ``cover_index.points``) marks the buffers
+        shared, and the next patch first copies them — once, with room
+        for ``max(16, n // 16)`` more rows — and edits the copy; so does
+        a patch that would outgrow them.  ``refresh_stats.copies``
+        counts those copies.  The cover grid and the adjacency ranges
+        (when built) are derived columns of the point column: each is
+        brought up to date once per refresh, whatever the number of
+        pending ops — the ranges are Δ+1 sorted searches over the
+        column, cheaper than finding out which rows an op touched.
         """
-        mids = self.midpoints
-        dirty_mids: Set[int] = set()
-        for kind, _p, idx in pending:
-            if len(mids) < 4:  # a tiny ring on the way: not worth the care
+        if not self._net.segments.is_float():
+            return False
+        n = peak = self.n
+        for kind, _p, _i in pending:
+            if n < 4:  # a tiny ring on the way: not worth the care
                 return False
-            size = len(mids) + (1 if kind == "join" else -1)
-            old, mids = mids, np.empty(size)
-            mids[:idx] = old[:idx]
-            if kind == "join":
-                mids[idx + 1:] = old[idx:]
-                dirty_mids = {d + (d >= idx) for d in dirty_mids}
-                dirty_mids.update({idx, (idx - 1) % size})
-            else:
-                mids[idx:] = old[idx + 1:]
-                dirty_mids = {d - (d > idx) for d in dirty_mids if d != idx}
-                dirty_mids.add((idx - 1) % size)
-        if len(mids) < 4:
+            n += 1 if kind == "join" else -1
+            peak = max(peak, n)
+        if n < 4:
             return False
 
-        segs = self._net.segments
+        if self._shared or self.cover_index.shared or peak >= len(self._ext):
+            self._copy(peak)
+        ext, end, mid = self._ext, self._end, self._mid
+        n = self.n
+        for kind, p, i in pending:
+            if kind == "join":
+                ext[i + 1:n + 2] = ext[i:n + 1]
+                end[i + 1:n + 1] = end[i:n]
+                mid[i + 1:n + 1] = mid[i:n]
+                ext[i] = p
+                n += 1
+                self._settle(i, n)
+            else:
+                ext[i:n] = ext[i + 1:n + 1]
+                end[i:n - 1] = end[i + 1:n]
+                mid[i:n - 1] = mid[i + 1:n]
+                n -= 1
+            self._settle((i - 1) % n, n)
+        self.n = n
         # the journal's p is the float64 the column stores
         self.cover_index.follow(
-            segs.column,
+            ext[:n + 1],
             [(p, 1 if kind == "join" else -1) for kind, p, _ in pending])
-        self._adopt_points()
-        for i in dirty_mids:
-            mids[i] = float(segs.segment(i).midpoint)
-        self.midpoints = mids
         if self.adj_first is not None:
             self._build_adjacency()
         return True
+
+    def _copy(self, rows: int) -> None:
+        """Copy-on-write: move the live rows into fresh, roomier buffers.
+
+        The old buffers stay behind as the arrays already handed out.
+        """
+        n, cap = self.n, rows + max(16, rows // 16)
+        ext, end, mid = np.empty(cap + 1), np.empty(cap), np.empty(cap)
+        ext[:n + 1] = self._ext[:n + 1]
+        end[:n] = self._end[:n]
+        mid[:n] = self._mid[:n]
+        self._ext, self._end, self._mid = ext, end, mid
+        self._shared = False
+        self.refresh_stats.copies += 1
+
+    def _settle(self, i: int, n: int) -> None:
+        """Recompute row ``i``'s segment end and midpoint, ``n >= 2`` rows.
+
+        The IEEE ops of :meth:`SegmentMap.midpoints_from_array` on one
+        row — ``normalize(start + length / 2)``, the seam row's length
+        ``1 - x_{n-1} + x_0`` — so the row is bit-identical to a fresh
+        compile's, with no ``Arc`` built.
+        """
+        ext = self._ext
+        start = ext.item(i)
+        if i + 1 < n:
+            stop = ext.item(i + 1)
+            length = stop - start
+        else:
+            stop = ext.item(0)
+            length = 1.0 - start + stop
+        mid = (start + length / 2) % 1.0
+        self._end[i] = stop
+        self._mid[i] = 0.0 if mid == 1.0 else mid
 
     # ------------------------------------------------------------- sharding
     def sharded_executor(self, workers: int):
@@ -472,7 +584,7 @@ class BatchRouter(ColumnarSnapshot):
 
     def cover_points(self, ys: np.ndarray) -> np.ndarray:
         """Id points of the servers covering each point (see :meth:`cover`)."""
-        return self.points[self.cover(ys)]
+        return self._ext[self.cover(ys)]
 
     def _segment_test(self, idx: np.ndarray):
         """``p -> (p in segment(idx))`` with the bounds gathered once.
@@ -483,8 +595,8 @@ class BatchRouter(ColumnarSnapshot):
         """
         if self.n == 1:
             return lambda p: np.ones(p.shape, dtype=bool)
-        start = self.seg_start[idx]
-        end = self.seg_end[idx]
+        start = self._ext[idx]
+        end = self._end[idx]
         # only the seam-crossing last segment has start > end; for those
         # lanes the half-open test is a disjunction instead
         wraps = np.flatnonzero(start > end)
@@ -548,7 +660,7 @@ class BatchRouter(ColumnarSnapshot):
         else:
             level_cap = min(max_levels, int(52 / math.log2(self.delta)))
         t, s_final, order = forward_levels(
-            y, self.midpoints[ci], self.delta,
+            y, self._mid[ci], self.delta,
             lambda lanes: self._segment_test(ci[lanes]), level_cap)
         servers, offsets = self._descend(y, s_final, t, order, [ci])
         return BatchLookupResult(

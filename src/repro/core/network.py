@@ -56,6 +56,7 @@ class MembershipLog(OpJournal):
     """
 
     def record(self, kind: str, point: float, index: int) -> None:
+        """Append one ``(kind, float(point), index)`` op; kind is join/leave."""
         self.append((kind, float(point), int(index)))
 
 
@@ -93,6 +94,7 @@ class DistanceHalvingNetwork:
     # ------------------------------------------------------------ properties
     @property
     def delta(self) -> int:
+        """Alphabet size Δ of the underlying continuous graph."""
         return self.graph.delta
 
     @property
@@ -154,9 +156,11 @@ class DistanceHalvingNetwork:
                 point = selector(self, self._rng)
             else:
                 point = float(self._rng.random())
-        # Preserve exact (Fraction) coordinates; cast everything else to float.
-        p = normalize(point if isinstance(point, Fraction) else float(point))
-        idx = self.segments.insert(p)
+        # Preserve exact (Fraction) coordinates; cast everything else to
+        # float.  The map normalizes (and refuses NaN / ±inf by name).
+        idx = self.segments.insert(
+            point if isinstance(point, Fraction) else float(point))
+        p = self.segments.point_at(idx)
         srv = Server(point=p, name=name)
         self.servers[p] = srv
         self.membership_log.record("join", float(p), idx)

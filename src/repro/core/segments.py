@@ -118,6 +118,11 @@ def cover_grid(points: np.ndarray, size: int) -> np.ndarray:
     return (np.searchsorted(points, edges, side="right") - 1).astype(np.int32)
 
 
+def _grid_size(n: int) -> int:
+    """A :class:`CoverIndex` resolution: the least power of two ≥ 2n."""
+    return 1 << max(1, (2 * n - 1).bit_length())
+
+
 def arc_cover_ranges(points: np.ndarray, starts: np.ndarray,
                      ends: np.ndarray) -> tuple:
     """Vectorised :meth:`SegmentMap.covering` as contiguous index ranges.
@@ -166,40 +171,48 @@ class CoverIndex:
     set: the grid only chooses where the comparison against the points
     starts, never its outcome.  :attr:`ext` is the point column with a
     trailing ``+inf`` so "the next point" needs no bound check;
-    :attr:`points` is the view of it without the sentinel.
+    :attr:`points` is the read-only view of it without the sentinel.
     """
 
     def __init__(self, points: np.ndarray) -> None:
-        self.rebuild(points)
-
-    def rebuild(self, points: np.ndarray) -> None:
-        """Index ``points`` from scratch, choosing the resolution anew."""
-        size = 1 << max(1, (2 * len(points) - 1).bit_length())
+        # a copy of exactly n + 1 rows: the index never aliases ``points``
         self.ext = np.append(points, np.inf)
-        self.grid = cover_grid(points, size)
+        self.grid = cover_grid(points, _grid_size(len(points)))
+        #: True once :attr:`points` handed the column out: whoever edits
+        #: the buffer under :attr:`ext` in place must copy it first
+        self.shared = False
 
     @property
     def points(self) -> np.ndarray:
-        """The indexed point column (a view of :attr:`ext`)."""
-        return self.ext[:-1]
+        """The indexed point column: a read-only view of :attr:`ext`.
 
-    def follow(self, points: np.ndarray, moved) -> None:
-        """Adopt ``points``, the column after joins and leaves.
+        Reading it hands the column out, so it sets :attr:`shared`.
+        """
+        self.shared = True
+        view = self.ext[:-1]
+        view.flags.writeable = False
+        return view
 
-        ``points`` is copied (the sentinel goes onto the copy), so the
-        live map's :attr:`SegmentMap.column` view can be passed as is.
+    def follow(self, ext: np.ndarray, moved) -> None:
+        """Adopt ``ext``, the column after joins and leaves plus ``+inf``.
+
+        ``ext`` is taken as is, not copied: the caller owns its buffer
+        (the router edits one in place and passes a view of it) and
+        hands over a column nobody else holds, so :attr:`shared` resets.
         ``moved`` lists one ``(p, +1)`` per joined and ``(p, -1)`` per
         left id since the indexed state, ``p`` the float64 stored in the
         column.  Each op shifts the buckets whose left edge is at or
         past ``p``; between two consecutive such edges the shifts of a
         whole refresh sum to one constant, so the grid is passed over
         once — one slice add per stretch — however many ops are
-        pending.  The resolution is re-chosen (a rebuild) only when n
-        has left ``[G/8, G/2]``.
+        pending.  The resolution is re-chosen (a fresh grid) only when
+        n has left ``[G/8, G/2]``.
         """
-        size = len(self.grid)
-        if not size // 8 <= len(points) <= size // 2:
-            self.rebuild(points)
+        self.ext = ext
+        self.shared = False
+        n, size = len(ext) - 1, len(self.grid)
+        if not size // 8 <= n <= size // 2:
+            self.grid = cover_grid(ext[:-1], _grid_size(n))
             return
         edges = sorted((math.ceil(p * size), step) for p, step in moved)
         shift = 0
@@ -207,7 +220,6 @@ class CoverIndex:
             shift += step
             if shift:
                 self.grid[lo:hi] += shift
-        self.ext = np.append(points, np.inf)
 
     def cover(self, ys: np.ndarray) -> np.ndarray:
         """:func:`cover_indices` of ``ys`` (already in ``[0, 1)``)."""
@@ -348,9 +360,12 @@ class SegmentMap:
 
         Splits the segment that covered ``point`` exactly as step 3 of
         Algorithm Join: the new server takes ``[point, old_end)``.
-        Duplicate points are rejected — two servers may not share an id.
+        Duplicate points are rejected — two servers may not share an id,
+        and so are NaN and ±inf, which have no place on the ring.
         """
         p = normalize(point)
+        if p != p:  # NaN, which ±inf reduce to as well
+            check_finite(np.array([point], dtype=np.float64), "id")
         pts = self._points
         n = len(pts)
         i = bisect_left(pts, p)

@@ -171,18 +171,24 @@ def _init_worker(spec: Dict) -> None:
     """
     blocks = []
     router = _ShardRouter.__new__(_ShardRouter)
+    views = {}
     for attr, name, dtype, shape in spec["columns"]:
         shm = shared_memory.SharedMemory(name=name)
         blocks.append(shm)
         view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
         view.flags.writeable = False
-        setattr(router, attr, view)
+        views[attr] = view
     for attr, value in spec["scalars"].items():
         setattr(router, attr, value)
+    # the routing columns become the row buffers; the cover index is
+    # derived from the shared point column, like in the parent (~0.5 ms)
+    router._adopt(CoverIndex(views.pop("points")), views.pop("seg_end"),
+                  views.pop("midpoints"))
+    del views["seg_start"]  # the point column again
+    for attr, view in views.items():
+        setattr(router, attr, view)
     if not hasattr(router, "adj_first"):
         router.adj_first = router.adj_count = None
-    # derived from the shared point column, like in the parent (~0.5 ms)
-    router.cover_index = CoverIndex(router.points)
     _WORKER["router"] = router
     _WORKER["blocks"] = blocks
 

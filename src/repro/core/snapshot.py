@@ -70,6 +70,10 @@ class SnapshotRefreshStats:
     must not masquerade as 10⁴ cheap incremental replays.  ``seconds``
     covers the patching itself (both modes); the churn-soak experiment
     divides it by :meth:`ops_synced` to report refresh cost per op.
+    ``copies`` counts the incremental patches that first copied the
+    columns into fresh buffers — a subclass that edits its columns in
+    place copies when they were handed out since its last edit, or have
+    no room left; every other patch edited in place.
     """
 
     refreshes: int = 0
@@ -78,6 +82,7 @@ class SnapshotRefreshStats:
     ops_replayed: int = 0
     ops_absorbed: int = 0
     seconds: float = 0.0
+    copies: int = 0
 
     def ops_synced(self) -> int:
         """Ops consumed by refreshes, over both buckets."""
@@ -133,9 +138,9 @@ class OpJournal:
 class ColumnarSnapshot:
     """Frozen sorted NumPy columns following a journaled live structure.
 
-    Subclasses declare their aligned arrays in :attr:`COLUMNS` (plain
-    instance attributes, one :class:`numpy.ndarray` per name, all the
-    same length) and implement:
+    Subclasses declare their aligned arrays in :attr:`COLUMNS` (instance
+    attributes or properties, one :class:`numpy.ndarray` per name, all
+    the same length) and implement:
 
     * :meth:`_rebuild` — fill every column from the source of truth
       (the full-recompile path);

@@ -72,7 +72,8 @@ class CostAwareBatchRouter(BatchRouter):
         whole churn-stability story: there is no per-column patch logic
         to drift out of sync with the point column.
         """
-        cols = self.cost_map.columns(self.points)
+        # the live rows, read without handing the column out
+        cols = self.cost_map.columns(self._ext[:self.n])
         self.cost_isp = cols["cost_isp"]
         self.cost_x = cols["cost_x"]
         self.cost_y = cols["cost_y"]

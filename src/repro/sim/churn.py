@@ -29,8 +29,13 @@ OpKind = Literal["join", "leave"]
 
 @dataclass(frozen=True)
 class ChurnOp:
+    """One trace step: a join, or a leave of the server at ``victim``.
+
+    ``victim`` indexes the then-alive sorted server list, reduced mod
+    its current size when the op is applied (unused by joins).
+    """
+
     kind: OpKind
-    # for leaves: index into the then-alive server list (mod current size)
     victim: int = 0
 
 
@@ -48,6 +53,7 @@ class ChurnTrace:
         leave_prob: float = 0.3,
         warmup: int = 16,
     ) -> "ChurnTrace":
+        """``warmup`` joins, then ``steps`` ops each a leave w.p. ``leave_prob``."""
         ops: List[ChurnOp] = [ChurnOp("join") for _ in range(warmup)]
         for _ in range(steps):
             if rng.random() < leave_prob:
@@ -75,14 +81,17 @@ class ChurnReport:
     final_n: int = 0
 
     def max_touched(self) -> int:
+        """Most servers one measured op touched (0 with none measured)."""
         return max(self.touched_per_op, default=0)
 
     def mean_touched(self) -> float:
+        """Mean servers touched per measured op (0.0 with none measured)."""
         if not self.touched_per_op:
             return 0.0
         return float(np.mean(self.touched_per_op))
 
     def final_smoothness(self) -> float:
+        """The last sampled ρ (``inf`` when nothing was sampled)."""
         return self.smoothness_series[-1] if self.smoothness_series else float("inf")
 
 

@@ -72,8 +72,17 @@ DEFAULT_CHUNK = 1 << 16
 DEFAULT_PHASES = ("lookups,churn,lookups,flash,failstop,byzantine,"
                   "rebalance,mass")
 
-_PHASE_KINDS = ("lookups", "churn", "flash", "failstop", "byzantine",
-                "rebalance", "mass")
+#: Each phase kind with the argument it takes: a predicate and the words
+#: a refusal names it by.
+_PHASE_KINDS = {
+    "lookups": (float.is_integer, "an integral count >= 0"),
+    "churn": (float.is_integer, "an integral count >= 0"),
+    "flash": (float.is_integer, "an integral count >= 0"),
+    "failstop": (lambda p: p < 1, "a probability in [0, 1)"),
+    "byzantine": (lambda p: p < 1, "a probability in [0, 1)"),
+    "rebalance": (float.is_integer, "an integral count >= 0"),
+    "mass": (lambda f: f <= 1, "a fraction in [0, 1]"),
+}
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,10 @@ def parse_phases(spec: str) -> List[Phase]:
 
     Known kinds: ``lookups[:count]``, ``churn[:ops]``,
     ``flash[:requests]``, ``failstop[:prob]``, ``byzantine[:prob]``,
-    ``rebalance[:joins]``, ``mass[:fraction]``.
+    ``rebalance[:joins]``, ``mass[:fraction]``.  Every argument is
+    checked here, before any phase runs: counts must be integral,
+    fail-stop / Byzantine probabilities in ``[0, 1)``, the mass
+    departure's fraction in ``[0, 1]`` (more would empty the network).
     """
     phases: List[Phase] = []
     for token in spec.split(","):
@@ -105,6 +117,9 @@ def parse_phases(spec: str) -> List[Phase]:
             arg = float(raw)
             if arg < 0:
                 raise ValueError(f"phase argument must be >= 0: {token!r}")
+            fits, what = _PHASE_KINDS[kind]
+            if not fits(arg):  # NaN and inf fail every predicate too
+                raise ValueError(f"{kind} takes {what}: {token!r}")
         phases.append(Phase(kind, arg))
     if not phases:
         raise ValueError("scenario script has no phases")

@@ -21,8 +21,9 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: phase-I rule contract, the cover index, fault-tolerant engine and
 #: baseline path recorder the CSR writer's tests pin, the soak's
 #: scenario engine and workload generators, the ring geometry, the
-#: continuous graph and the De Bruijn isomorphism check, and the §4 id
-#: strategies.
+#: continuous graph and the De Bruijn isomorphism check, the §4 id
+#: strategies, and the membership write path (join / leave, the op
+#: journal, churn traces).
 GATED = [
     SRC / "core" / "batch.py",
     SRC / "core" / "snapshot.py",
@@ -33,6 +34,9 @@ GATED = [
     SRC / "core" / "interval.py",
     SRC / "core" / "continuous.py",
     SRC / "core" / "debruijn.py",
+    SRC / "core" / "network.py",
+    SRC / "core" / "node.py",
+    SRC / "sim" / "churn.py",
     SRC / "balance" / "strategies.py",
     SRC / "faults" / "batch_ft.py",
     SRC / "baselines" / "base.py",

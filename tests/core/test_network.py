@@ -61,6 +61,19 @@ class TestJoinLeave:
         with pytest.raises(ValueError):
             net.join(0.2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_join_refuses_non_finite_ids(self, bad):
+        """NaN / ±inf used to land in the map; only a later audit saw it."""
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(3))
+        net.populate(8)
+        version = net.membership_version
+        with pytest.raises(ValueError,
+                           match=f"{bad!r}: ring points must be finite"):
+            net.join(bad)
+        assert net.n == len(net.servers) == 8
+        assert net.membership_version == version
+        net.check_invariants()
+
     def test_join_moves_items(self):
         net = DistanceHalvingNetwork()
         net.join(0.0)

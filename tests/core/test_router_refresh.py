@@ -252,6 +252,80 @@ class TestRefreshModes:
         assert stats.seconds_per_op() == pytest.approx(stats.seconds / 4)
 
 
+class TestCopyOnWrite:
+    """Handed-out arrays are read-only and never edited; unshared
+    buffers are edited in place, and a compile allocates no headroom."""
+
+    def test_unshared_buffers_are_edited_in_place(self):
+        net = make_net(64, seed=40)
+        router = net.router(auto_refresh=True)
+        rng = np.random.default_rng(41)
+        for _ in range(12):  # the first join outgrows the compile: 1 copy
+            net.join(float(rng.random()))
+            router.refresh()
+            net.leave(net.segments.point_at(int(rng.integers(net.n))))
+            router.refresh()
+        assert router.refresh_stats.copies == 1
+        points, ends, mids = router.points, router.seg_end, router.midpoints
+        kept = points.copy(), ends.copy(), mids.copy()
+        assert not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mids[0] = 0.5
+        for _ in range(3):  # one copy per hand-out, not per op
+            net.join(float(rng.random()))
+            router.refresh()
+        assert router.refresh_stats.copies == 2
+        for was, now in zip(kept, (points, ends, mids)):
+            assert np.array_equal(was, now)
+        assert router.refresh_stats.incremental == 27
+
+    def test_compiles_are_exactly_n_plus_one_rows(self):
+        from repro.core.batch_cache import BatchCacheEngine
+
+        net = make_net(40, seed=42)
+        for router in (net.compile_router(), net.router(auto_refresh=True),
+                       BatchCacheEngine(net, ["a", "b"])._router):
+            assert len(router._ext) == len(router.cover_index.ext) == 41
+            assert router._ext is router.cover_index.ext
+            assert len(router._end) == len(router._mid) == 40
+
+    def test_pickle_round_trip_shares_one_point_buffer(self):
+        import pickle
+
+        net = make_net(32, seed=43)
+        router = net.router(auto_refresh=True)
+        net.join(0.123)
+        router.refresh()
+        copy = pickle.loads(pickle.dumps(router))
+        assert copy._ext is copy.cover_index.ext
+        assert len(copy._ext) == copy.n + 1  # trimmed to the live rows
+        twin = copy._net  # the restored router follows the restored net
+        twin.join(0.456)
+        twin.leave(twin.segments.point_at(3))
+        copy.refresh()
+        fresh = twin.compile_router()
+        assert np.array_equal(copy.points, fresh.points)
+        assert np.array_equal(copy.seg_end, fresh.seg_end)
+        assert np.array_equal(copy.midpoints, fresh.midpoints)
+        assert np.array_equal(copy.cover(np.linspace(0, 0.99, 50)),
+                              twin.segments.cover_array(
+                                  np.linspace(0, 0.99, 50)))
+        assert router.n == 33  # the original is untouched
+
+    def test_exact_ids_refresh_by_full_rebuild(self):
+        from fractions import Fraction
+
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(44))
+        for k in range(8):
+            net.join(Fraction(2 * k + 1, 17))
+        router = net.router(auto_refresh=True, churn_budget=10**9)
+        net.join(Fraction(1, 3))
+        router.refresh()
+        assert router.refresh_stats.full_rebuilds == 1
+        assert np.array_equal(router.midpoints,
+                              net.segments.midpoints_array())
+
+
 class TestRefreshOpAccounting:
     """Regression (ISSUE 8): a fallback full rebuild must not book the
     ops it absorbed as incrementally *replayed* — that inflated the

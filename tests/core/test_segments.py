@@ -120,6 +120,14 @@ class TestMutation:
         with pytest.raises(ValueError):
             quarters.insert(0.25)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), np.float64("nan")])
+    def test_insert_non_finite_rejected(self, quarters, bad):
+        with pytest.raises(ValueError, match=f"id\\[0\\] is {float(bad)!r}"):
+            quarters.insert(bad)
+        assert quarters.points == (0.0, 0.25, 0.5, 0.75)
+        quarters.check_invariants()
+
     def test_insert_splits_segment(self, quarters):
         before = quarters.segment_of(0.25)
         quarters.insert(0.3)

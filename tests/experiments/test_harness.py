@@ -408,6 +408,9 @@ class TestBenchTable:
         ("bench-caching", "--parity-n", "4096"),       # measure's ValueError
         ("bench-churn", "--churn-budget", "-1"),       # 0 incremental refreshes
         ("bench-churn", "--mass-n", "-1"),             # passed, no mass departure
+        ("soak", "--phases", "churn:0.5"),             # passed after 0 churn ops
+        ("soak", "--phases", "mass:2"),                # LookupError traceback
+        ("soak", "--phases", "lookups,failstop:1.5"),  # raised after phase 1
     ])
     def test_bad_inputs_the_hand_copies_let_through(self, name, flag, text,
                                                     tmp_path, capsys):

@@ -372,7 +372,7 @@ class TestStaleColumnsFailLoudly:
     def test_shard_worker_with_mismatched_columns(self):
         router = build([0.1, 0.3, 0.5, 0.7, 0.9]).compile_router(True)
         worker = _ShardRouter.__new__(_ShardRouter)
-        worker.points = router.points[:-1]  # an export caught mid-write
+        worker.n = router.n - 1  # an export caught mid-write
         worker.adj_first, worker.adj_count = router.adj_first, router.adj_count
         with pytest.raises(StaleSnapshotError, match="auto_refresh"):
             worker._edge_member(np.array([0]), np.array([1]))

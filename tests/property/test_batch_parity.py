@@ -216,6 +216,25 @@ def _apply_random_churn(net, rng, steps, leave_prob, refresh=None):
             refresh()
 
 
+def _held_result(router, y):
+    """A routed batch's arrays, kept: its ``points`` and the owners."""
+    res = router.lookup_batch([y], [1.0 - y])
+    return [res.points, res.owner]
+
+
+#: Every way a router hands an array out, by index: the four registered
+#: columns, ``cover_index.points``, the shard export, a held result.
+HAND_OUTS = (
+    lambda router, y: [router.points],
+    lambda router, y: [router.seg_start],
+    lambda router, y: [router.seg_end],
+    lambda router, y: [router.midpoints],
+    lambda router, y: [router.cover_index.points],
+    lambda router, y: list(router.snapshot_columns().values()),
+    _held_result,
+)
+
+
 def _assert_router_equals_fresh(net, router, seed):
     """The incrementally maintained router is bit-identical to a fresh
     compile — arrays, adjacency keys, and both lookup algorithms."""
@@ -302,7 +321,7 @@ class TestIncrementalRefreshParity:
             before = router.points, router.midpoints, router.seg_end
             frozen = [a.copy() for a in before]
             router.refresh()
-            # frozen arrays are replaced, never edited in place
+            # handed-out arrays are never edited
             assert all(np.array_equal(a, b) for a, b in zip(before, frozen))
             fresh = net.compile_router()
             assert router.points.tolist() == list(net.segments)
@@ -384,3 +403,77 @@ class TestIncrementalRefreshParity:
         run_churn(net, trace, rng, on_op=lambda s, o: router.refresh())
         assert router.refresh_stats.full_rebuilds == 0
         _assert_router_equals_fresh(net, router, 999)
+
+    @pytest.mark.parametrize("pick", range(len(HAND_OUTS)))
+    def test_every_hand_out_survives_the_next_edits(self, pick):
+        """Each kind of hand-out, then a join and a leave refreshed in
+        place (room was made beforehand): the hand-out is unchanged."""
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(pick))
+        net.populate(32)
+        router = net.router(auto_refresh=True)
+        net.join(0.5)
+        router.refresh()  # outgrows the compile: the copy makes room
+        handed = HAND_OUTS[pick](router, 0.25)
+        kept = [a.copy() for a in handed]
+        copies = router.refresh_stats.copies
+        net.join(0.0625)
+        router.refresh()
+        net.leave(net.segments.point_at(0))
+        router.refresh()
+        assert router.refresh_stats.copies == copies + 1
+        assert all(np.array_equal(a, b) for a, b in zip(handed, kept))
+        _assert_router_equals_fresh(net, router, pick)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.integers(min_value=2, max_value=24),
+           steps=st.lists(st.tuples(
+               st.sampled_from(["join", "leave", "refresh", "hand-out"]),
+               unit_float, st.integers(min_value=0, max_value=6)),
+               min_size=1, max_size=60))
+    def test_copy_on_write_interleaving(self, start, steps):
+        """Joins, leaves, refreshes and hand-outs in any order.
+
+        A hand-out is a column read (each registered column, the shard
+        export's ``snapshot_columns()``, ``cover_index.points``) or a
+        held ``lookup_batch`` result.  After every step: every array
+        handed out still equals its value at hand-out; a fresh router
+        equals a fresh compile; and k ≤ 16 membership ops with no
+        hand-out (or full rebuild) between them made at most one copy —
+        a compile is exactly n + 1 rows, a copy leaves room for 16 more.
+        """
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(start))
+        net.populate(start)
+        router = net.router(auto_refresh=True, churn_budget=10**9)
+        stats = router.refresh_stats
+        held = []  # (hand-out, its value when handed out)
+        base = (stats.copies, stats.full_rebuilds)
+        ops = 0
+        for kind, value, pick in steps:
+            if kind == "join" and value % 1.0 not in net.segments:
+                net.join(value)
+                ops += 1
+            elif kind == "leave" and net.n > 1:
+                net.leave(net.segments.point_at(int(value * net.n) % net.n))
+                ops += 1
+            elif kind == "refresh":
+                router.refresh()
+            elif kind == "hand-out":
+                held.extend((a, a.copy())
+                            for a in HAND_OUTS[pick](router, value))
+                base, ops = (stats.copies, stats.full_rebuilds), 0
+            if stats.full_rebuilds != base[1]:
+                base, ops = (stats.copies, stats.full_rebuilds), 0
+            assert all(np.array_equal(a, was) for a, was in held)
+            if ops <= 16:
+                assert stats.copies - base[0] <= 1
+            if router.is_stale:
+                continue
+            # the live rows, read without handing them out
+            n, ext = router.n, router.cover_index.ext
+            fresh = net.compile_router()
+            assert n == fresh.n and len(ext) == n + 1 and ext[n] == np.inf
+            assert np.array_equal(ext[:n], fresh.points)
+            assert np.array_equal(router._end[:n], fresh.seg_end)
+            assert np.array_equal(router._mid[:n], fresh.midpoints)
+            grid = router.cover_index.grid
+            assert np.array_equal(grid, cover_grid(ext[:n], len(grid)))

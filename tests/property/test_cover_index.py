@@ -132,7 +132,7 @@ class TestFollow:
                 moved = [(points[at], 1)]
             else:
                 continue
-            index.follow(points, moved)
+            index.follow(np.append(points, np.inf), moved)
             size = len(index.grid)
             assert size // 8 <= points.size <= size // 2
             assert np.array_equal(index.grid, cover_grid(points, size))
@@ -158,7 +158,7 @@ class TestFollow:
                 points = np.insert(points, at, value)
                 moved.append((points[at], 1))
             if len(moved) >= chunk or k == len(ops) - 1:
-                index.follow(points, moved)
+                index.follow(np.append(points, np.inf), moved)
                 moved = []
                 size = len(index.grid)
                 assert np.array_equal(index.grid, cover_grid(points, size))
@@ -169,10 +169,10 @@ class TestFollow:
         index = CoverIndex(points)
         assert len(index.grid) == 32
         grown = np.arange(17) / 32          # n = 17 > G/2
-        index.follow(grown, [])
+        index.follow(np.append(grown, np.inf), [])
         assert len(index.grid) == 64
         shrunk = grown[:7]                  # n = 7 < G/8
-        index.follow(shrunk, [])
+        index.follow(np.append(shrunk, np.inf), [])
         assert len(index.grid) == 16
         assert np.array_equal(index.grid, cover_grid(shrunk, 16))
 

@@ -35,6 +35,25 @@ class TestParsePhases:
         with pytest.raises(ValueError, match=">= 0"):
             parse_phases("churn:-3")
 
+    @pytest.mark.parametrize("spec,what", [
+        # counts used to truncate to 0 (and the soak still passed)
+        ("churn:0.5", "integral count"), ("lookups:0.5", "integral count"),
+        ("flash:0.5", "integral count"), ("rebalance:0.5", "integral count"),
+        ("lookups:inf", "integral count"), ("churn:nan", "integral count"),
+        # probabilities used to raise only when their phase was reached
+        ("failstop:1.5", "probability"), ("byzantine:1", "probability"),
+        ("byzantine:nan", "probability"),
+        # a fraction above 1 emptied the network (LookupError)
+        ("mass:2", "fraction"), ("mass:inf", "fraction"),
+    ])
+    def test_arguments_a_phase_cannot_run_rejected(self, spec, what):
+        with pytest.raises(ValueError, match=f"takes an? {what}"):
+            parse_phases("lookups," + spec)
+
+    def test_boundary_arguments_accepted(self):
+        phases = parse_phases("churn:0,failstop:0,byzantine:0.99,mass:1")
+        assert [ph.arg for ph in phases] == [0.0, 0.0, 0.99, 1.0]
+
     def test_empty_script_rejected(self):
         with pytest.raises(ValueError, match="no phases"):
             parse_phases(" , ")
