@@ -617,9 +617,9 @@ class BatchRouter(ColumnarSnapshot):
         self.ensure_fresh()
         return normalize_pair(sources, targets)
 
-    def _descend(self, y, off, depth, order, head_rows) -> tuple:
+    def _descend(self, y, off, depth, order, head) -> tuple:
         """:func:`~repro.core.walk.descend` through this router's cover."""
-        return descend(y, off, depth, order, head_rows, self.delta,
+        return descend(y, off, depth, order, head, self.delta,
                        self.cover_index.cover)
 
     # ---------------------------------------------------------- fast lookup
@@ -662,7 +662,8 @@ class BatchRouter(ColumnarSnapshot):
         t, s_final, order = forward_levels(
             y, self._mid[ci], self.delta,
             lambda lanes: self._segment_test(ci[lanes]), level_cap)
-        servers, offsets = self._descend(y, s_final, t, order, [ci])
+        servers, offsets = self._descend(y, s_final, t, order,
+                                         (1, np.arange(y.size), 0, ci))
         return BatchLookupResult(
             algorithm="fast",
             points=self.points,
@@ -691,8 +692,9 @@ class BatchRouter(ColumnarSnapshot):
         Phase I advances every unresolved lookup one random digit per
         iteration (``pos/Δ + d/Δ``, the same elementwise IEEE ops as the
         scalar ``child``); the stop test "target image covered by me or
-        by a neighbour" is a segment-bound comparison plus one interval
-        compare per neighbour range (:meth:`_edge_member`).  Phase II
+        by a neighbour" compares the image's cover with the current
+        server, plus one interval compare per neighbour range
+        (:meth:`_edge_member`) on the lanes it does not stop.  Phase II
         descends the closed-form backward walk one level per iteration,
         exactly like the fast path.
 
@@ -745,16 +747,20 @@ class BatchRouter(ColumnarSnapshot):
         the random and the cost-aware lookups differ in, so everything
         else is trivially bit-comparable between them.  Phase I keeps
         its state for the walking lanes only and compacts it whenever
-        some stop, so a step costs O(lanes still walking).  A lane
-        leaves phase I when its target image lies in its own segment,
-        or in a neighbour's — then it hops there, which always costs one
-        hop: the holder covers a point outside ``s(cur)``, so it is a
-        distinct server.  A walking lane has taken a digit at every step
-        so far, so its ``t`` is the step it stops at.  Phase II is the
-        closed-form backward descent ``w(τ[:j], y)``, ``j = t_i … 0``,
-        handed every row phase I recorded when paths are kept, else only
-        the server it stopped at — the hops before that one are then
-        ``hops1``'s to add.
+        some stop, so a step costs O(lanes still walking).  Each step
+        covers every walking lane's target image; a lane leaves phase I
+        when that cover is its own server — the half-open test of
+        :meth:`_segment_test`, since the cover is the greatest
+        ``x_i ≤ p``, wrapping to ``n − 1`` — or a neighbour of it.  Then
+        it hops there, which always costs one hop: the holder covers a
+        point outside ``s(cur)``, so it is a distinct server.  A walking
+        lane has taken a digit at every step so far, so its ``t`` is the
+        step it stops at.  Phase II is the closed-form backward descent
+        ``w(τ[:j], y)``, ``j = t_i … 0``.  When paths are kept its head
+        is the source plus what phase I recorded compactly: per step,
+        ``(lanes, servers)`` of the lanes that moved, all in slot
+        ``step + 1``.  Otherwise the head is only the server each lane
+        stopped at, and the hops before it are ``hops1``'s to add.
         """
         cover = self.cover_index.cover
         delta, size = self.delta, y.size
@@ -764,10 +770,12 @@ class BatchRouter(ColumnarSnapshot):
         t = np.empty(size, dtype=np.int64)
         off = np.empty(size, dtype=np.float64)  # Σ d_k Δ^k, exact in float64
         hops1 = np.empty(size, dtype=np.int64)
-        p1_rows: List[np.ndarray] = [src_idx] if keep_paths else []
-        # the walking lanes' state, compacted as lanes stop
-        lanes = np.arange(size)
-        w_cur, w_pos, w_image = src_idx.copy(), src, y
+        # the walking lanes' state, compacted as lanes stop; nothing
+        # edits lanes or servers in place, so the records keep their values
+        lanes = every = np.arange(size)
+        w_cur, w_pos, w_image = src_idx, src, y
+        # phase I's path head as (slot, lanes, servers) records
+        moves: List[tuple] = [(0, every, src_idx)]
         w_off = np.zeros(size, dtype=np.float64)
         w_hops = np.zeros(size, dtype=np.int64)
 
@@ -782,23 +790,20 @@ class BatchRouter(ColumnarSnapshot):
             if step > step_cap:  # pragma: no cover - beyond Theorem 2.8
                 raise RuntimeError(
                     f"batch {algorithm} lookup phase I failed to converge")
-            stop = self._segment_test(w_cur)(w_image)
+            holder = cover(w_image)
+            stop = holder == w_cur
             seek = np.flatnonzero(~stop)
             if seek.size:
-                holder = cover(w_image[seek])
-                near = self._edge_member(w_cur[seek], holder)
+                near = self._edge_member(w_cur[seek], holder[seek])
                 via = seek[near]
                 stop[via] = True
-                w_cur[via] = holder[near]
                 w_hops[via] += 1
                 if keep_paths:
-                    row = np.full(size, -1, dtype=np.int64)
-                    row[lanes[via]] = holder[near]
-                    p1_rows.append(row)
+                    moves.append((step + 1, lanes[via], holder[via]))
             if stop.any():
                 done = lanes[stop]
                 t[done] = step
-                cur[done] = w_cur[stop]
+                cur[done] = holder[stop]
                 off[done] = w_off[stop]
                 hops1[done] = w_hops[stop]
                 go = ~stop
@@ -813,13 +818,20 @@ class BatchRouter(ColumnarSnapshot):
                     (y[lanes] + w_off) / float(delta) ** (step + 1))
                 w_hops += nxt != w_cur
                 if keep_paths:
-                    row[lanes] = nxt
+                    moves.append((step + 1, lanes, nxt))
                 w_cur = nxt
             step += 1
 
+        if keep_paths:
+            slots, movers, held = zip(*moves)
+            sizes = [m.size for m in movers]
+            movers = np.concatenate(movers)
+            head = (np.bincount(movers, minlength=size), movers,
+                    np.repeat(slots, sizes), np.concatenate(held))
+        else:
+            head = (1, every, 0, cur)
         order = np.argsort(-t.astype(np.int16), kind="stable")
-        servers, offsets = self._descend(y, off, t + 1, order,
-                                         p1_rows or [cur])
+        servers, offsets = self._descend(y, off, t + 1, order, head)
         hops = np.diff(offsets) - 1
         return BatchLookupResult(
             algorithm=algorithm,
@@ -928,8 +940,7 @@ class BatchRouter(ColumnarSnapshot):
                 u_row = rng.random(size)[lanes]
             else:
                 u_row = None
-            ok = np.ones((delta, lanes.size), dtype=bool)
-            digits = select_rows(costs, ok, u_row, policy, temperature)
+            digits = select_rows(costs, None, u_row, policy, temperature)
             d_step = np.zeros(size, dtype=np.int64)
             d_step[lanes] = digits
             tau_rows.append(d_step)

@@ -135,6 +135,7 @@ class CongestionCounter(_CongestionStatsMixin):
         return max(self.visits.values(), default=0)
 
     def load_of(self, point: float) -> int:
+        """Lookups server ``point`` handled, keyed as recorded (0 if none)."""
         return self.visits.get(point, 0)
 
     def loads(self, all_points: Iterable[float]) -> np.ndarray:
@@ -253,6 +254,7 @@ class BatchCongestion(_CongestionStatsMixin):
         return int(self._counts.max()) if self._counts.size else 0
 
     def load_of(self, point: float) -> int:
+        """Lookups server ``point`` handled, matched as float64 (0 if none)."""
         return int(_lookup_sorted(self._points, self._counts,
                                   np.asarray([float(point)]))[0])
 

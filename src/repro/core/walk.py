@@ -195,31 +195,35 @@ def level_points(y, off, scale, delta: int) -> np.ndarray:
     return fold_unit((y + low) / scale)
 
 
-def descend(y, off, depth, order, head_rows, delta: int, cover) -> tuple:
+def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
     """Backward descent ``w(σ[:j], y)``, ``j = depth_i − 1 … 0``, as CSR.
 
     The one kernel under every walk.  Lane ``i``'s raw path is its
-    head — entry ``s`` from ``head_rows[s]``, each a per-lane row
-    with ``-1`` past the lane's end, so hole-free per lane — then
-    ``cover((y_i + off_i mod Δ^j) / Δ^j)`` for ``j`` descending.
-    ``off`` holds integer-valued floats, ``order`` lists the lanes by
-    ``depth`` descending: the lanes live at level ``j`` are then a
-    prefix of the sorted arrays — no mask — and each level's covers
-    are scattered to their final slot of a lane-major ragged buffer,
-    which :func:`ragged_to_csr` compresses into
-    ``(path_servers, path_offsets)`` — almost always by handing the
-    buffer itself through, since consecutive covers rarely repeat.  A
-    path's last entry is ``cover(y_i)``: the ``j = 0`` point is ``y_i``.
+    head, then ``cover((y_i + off_i mod Δ^j) / Δ^j)`` for ``j``
+    descending.  The head comes compact, as ``(head_len, lane, slot,
+    server)``: lane ``i`` holds ``head_len[i]`` head entries (an int
+    serves every lane), and entry ``k`` of the three aligned arrays
+    puts ``server[k]`` in slot ``slot[k]`` of lane ``lane[k]`` (a
+    scalar ``slot`` serves every entry).  Every slot below a lane's
+    ``head_len`` is given exactly once, so the head is hole-free and
+    lands with one scatter.  A fast lookup's head is its source column
+    as one slot; a dh lookup's is the source plus the servers phase I
+    moved each lane to, step by step.  ``off`` holds integer-valued
+    floats, ``order`` lists the lanes by ``depth`` descending: the
+    lanes live at level ``j`` are then a prefix of the sorted arrays —
+    no mask — and each level's covers are scattered to their final
+    slot of a lane-major ragged buffer, which :func:`ragged_to_csr`
+    compresses into ``(path_servers, path_offsets)`` — almost always
+    by handing the buffer itself through, since consecutive covers
+    rarely repeat.  A path's last entry is ``cover(y_i)``: the
+    ``j = 0`` point is ``y_i``.
     """
-    lens = depth.copy()
-    for row in head_rows:
-        lens += row >= 0
+    head_len, lane, slot, server = head
+    lens = depth + head_len
     ends = np.cumsum(lens)
     starts = ends - lens
     buf = np.empty(ends[-1] if ends.size else 0, dtype=np.int32)
-    for s, row in enumerate(head_rows):
-        held = np.flatnonzero(row >= 0)
-        buf[starts[held] + s] = row[held]
+    buf[starts[lane] + slot] = server
 
     ys, offs, deep = y[order], off[order], depth[order]
     level0 = ends[order] - 1  # slot of each lane's last (j = 0) cover

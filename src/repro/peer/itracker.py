@@ -11,23 +11,32 @@ alive-cover list, and both evaluate the same float64 expression
 policy picks bit-comparable.
 
 The module-level functions account traffic over the CSR path arrays
-(``path_servers``/``path_offsets``) every batch result emits.  The
-accountants gather each path entry's columns once and read transition
-``i`` as entries ``i → i+1``; the one transition per row boundary,
-``path_offsets[1:-1] − 1``, is zeroed instead of compacted out.
-Per-lookup cross-ISP counts are then one ``cumsum`` read at the row
-ends (exact in integers), and summed path costs one ``np.bincount``
-whose boundary weights are ``+0.0`` — it adds each row's costs in path
-order, so the totals keep their bits.  Every path holds at least its
-source, so malformed blocks (empty rows, offsets that miss the server
-array, negative server ids) raise ``ValueError`` up front.
+(``path_servers``/``path_offsets``) every batch result emits.  They
+walk the block in row-aligned chunks of about :data:`_BLOCK` entries,
+so every temporary is chunk-sized whatever the batch.  Per chunk the
+servers are cast to ``intp`` once, each entry's columns are gathered
+once, and transition ``i`` is read as entries ``i → i+1``; the one
+transition per row boundary is zeroed instead of compacted out.
+Per-lookup cross-ISP counts are then one ``np.add.reduceat`` over the
+row starts (exact in integers), and summed path costs one
+``np.bincount`` — it adds each row's costs in path order, so the totals
+keep their bits.  Every path holds at least its source, so malformed
+blocks (non-integer or multi-dimensional arrays, empty rows, offsets
+that miss the server array, negative server ids) raise ``ValueError``
+up front.
 """
 
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .costmap import CostMap, pair_costs
+
+#: Path entries per accountant chunk.  A float64 temporary over a chunk
+#: is then 64 KB: under glibc's 128 KB mmap threshold, so the heap
+#: recycles it instead of every call faulting fresh pages in, and inside
+#: L2.  A row longer than this is a chunk of its own.
+_BLOCK = 8192
 
 
 class CostOracle:
@@ -86,14 +95,20 @@ def _csr_block(path_servers, path_offsets) -> Tuple[np.ndarray, np.ndarray]:
     """``(path_servers, path_offsets)`` as arrays, checked to be a CSR block.
 
     O(lookups) plus one ``min`` over the servers; raises ``ValueError``
-    naming the argument when the offsets do not start at 0, do not end
-    at the server count, or describe an empty row (every path holds its
-    source), or when a server index is negative (a gather would wrap it
-    to the last server).  A zero-lookup block (offsets ``[0]``) is valid.
+    naming the argument when either array is not a 1-d integer array (a
+    bool would read as server ids 1 / 0), when the offsets are empty, do
+    not start at 0, do not end at the server count, or describe an empty
+    row (every path holds its source), or when a server index is
+    negative (a gather would wrap it to the last server).  A zero-lookup
+    block (offsets ``[0]``) is valid.
     """
     servers = np.asarray(path_servers)
     offsets = np.asarray(path_offsets)
-    if offsets.ndim != 1 or offsets.size == 0:
+    for name, arr in (("path_servers", servers), ("path_offsets", offsets)):
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be a 1-d integer array; got a "
+                             f"{arr.ndim}-d {arr.dtype} array")
+    if offsets.size == 0:
         raise ValueError("path_offsets must be 1-d with at least one entry")
     if offsets[0] != 0:
         raise ValueError(f"path_offsets[0] is {offsets[0]}, must be 0")
@@ -111,6 +126,24 @@ def _csr_block(path_servers, path_offsets) -> Tuple[np.ndarray, np.ndarray]:
     return servers, offsets
 
 
+def _chunks(servers: np.ndarray, offsets: np.ndarray) -> Iterator[tuple]:
+    """``(lo, hi, ids, starts)`` per row-aligned chunk of a CSR block.
+
+    Rows ``lo .. hi − 1`` hold at most :data:`_BLOCK` entries together,
+    or are one row longer than that; ``ids`` are their servers cast to
+    ``intp`` once, ``starts`` the rows' first entries within ``ids``.
+    """
+    lookups = offsets.size - 1
+    lo = 0
+    while lo < lookups:
+        first = int(offsets[lo])
+        hi = int(np.searchsorted(offsets, first + _BLOCK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        ids = servers[first:offsets[hi]].astype(np.intp, copy=False)
+        yield lo, hi, ids, offsets[lo:hi] - first
+        lo = hi
+
+
 def cross_isp_counts(
     isp_labels: np.ndarray,
     path_servers: np.ndarray,
@@ -123,13 +156,16 @@ def cross_isp_counts(
     indices stored in the CSR path arrays.
     """
     servers, offsets = _csr_block(path_servers, path_offsets)
-    lab = isp_labels.take(servers)
-    cross = np.not_equal(lab[1:], lab[:-1])
-    cross[offsets[1:-1] - 1] = False
-    # running[i]: the crossings among the transitions before entry i
-    running = np.zeros(lab.size, dtype=np.int64)
-    np.cumsum(cross, out=running[1:])
-    return np.diff(running.take(offsets[1:] - 1), prepend=0)
+    counts = np.empty(offsets.size - 1, dtype=np.int64)
+    for lo, hi, ids, starts in _chunks(servers, offsets):
+        lab = isp_labels.take(ids)
+        # cross[i]: entries i → i+1 differ; each row's last slot stays
+        # False, so a row's slots sum to its crossings
+        cross = np.zeros(ids.size, dtype=bool)
+        np.not_equal(lab[1:], lab[:-1], out=cross[:-1])
+        cross[starts[1:] - 1] = False
+        np.add.reduceat(cross, starts, dtype=np.int64, out=counts[lo:hi])
+    return counts
 
 
 def path_cost_totals(
@@ -139,13 +175,16 @@ def path_cost_totals(
 ) -> np.ndarray:
     """Per-lookup total network cost of the routed path."""
     servers, offsets = _csr_block(path_servers, path_offsets)
-    lab = oracle.isp.take(servers)
-    x = oracle.x.take(servers)
-    y = oracle.y.take(servers)
-    costs = pair_costs(lab[:-1], lab[1:], x[:-1], y[:-1], x[1:], y[1:],
-                       oracle.cost_map.isp_cost)
-    costs[offsets[1:-1] - 1] = 0.0
-    rows = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    totals = np.bincount(rows[:-1], weights=costs, minlength=offsets.size - 1)
-    # a bincount over no entries ignores its weights' dtype
-    return totals.astype(np.float64, copy=False)
+    totals = np.empty(offsets.size - 1, dtype=np.float64)
+    for lo, hi, ids, starts in _chunks(servers, offsets):
+        lab = oracle.isp.take(ids)
+        x = oracle.x.take(ids)
+        y = oracle.y.take(ids)
+        costs = pair_costs(lab[:-1], lab[1:], x[:-1], y[:-1], x[1:], y[1:],
+                           oracle.cost_map.isp_cost)
+        costs[starts[1:] - 1] = 0.0
+        rows = np.repeat(np.arange(hi - lo), np.diff(offsets[lo:hi + 1]))
+        # boundary weights are +0.0, and each row adds in path order
+        totals[lo:hi] = np.bincount(rows[:-1], weights=costs,
+                                    minlength=hi - lo)
+    return totals

@@ -34,45 +34,58 @@ def check_policy(policy: str) -> None:
         )
 
 
+def _check_temperature(temperature: float) -> None:
+    """Refuse a temperature that is not > 0: zero, negatives and NaN.
+
+    ``inf`` passes: every valid weight is then ``exp(-0.0) = 1.0``.
+    """
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be > 0; got {temperature!r}")
+
+
 def select_rows(
     costs: np.ndarray,
-    ok: np.ndarray,
+    ok: Optional[np.ndarray],
     u: Optional[np.ndarray],
     policy: str,
     temperature: float = 1.0,
 ) -> np.ndarray:
     """Pick one candidate row per lane from (K, B) masked costs.
 
-    ``costs``/``ok`` are (K, B); ``u`` is the per-lane uniform in
-    ``[0, 1)`` (unused by ``greedy``).  Returns int64 row indices of
-    shape (B,).  Lanes with no valid row get an arbitrary index — the
-    caller is responsible for masking them out (the FT engine marks
-    them failed).
+    ``costs`` is (K, B) and finite; ``ok`` is its (K, B) validity mask,
+    or ``None`` when every candidate is valid (the core walk: all Δ
+    digits are candidates).  The mask is read once, into
+    ``masked = where(ok, costs, inf)``, and a row is valid where
+    ``masked`` is finite.  ``u`` is the per-lane uniform in ``[0, 1)``
+    (unused by ``greedy``).  Returns int64 row indices of shape (B,).
+    Lanes with no valid row get an arbitrary index — the caller is
+    responsible for masking them out (the FT engine marks them failed).
     """
     check_policy(policy)
     costs = np.asarray(costs, dtype=np.float64)
-    ok = np.asarray(ok, dtype=bool)
+    masked = costs if ok is None else np.where(ok, costs, np.inf)
     if policy == "greedy":
-        return np.argmin(np.where(ok, costs, np.inf), axis=0).astype(np.int64)
+        return np.argmin(masked, axis=0).astype(np.int64)
     if u is None:
         raise ValueError(f"policy {policy!r} needs per-lane uniforms")
     u = np.asarray(u, dtype=np.float64)
-    cnt = ok.sum(axis=0)
+    valid = masked < np.inf
     if policy == "uniform":
+        # the first row whose running count reaches pick + 1 is valid
+        cum = np.cumsum(valid, axis=0)
+        cnt = cum[-1]
         pick = np.minimum((u * cnt).astype(np.int64), np.maximum(cnt - 1, 0))
-        hit = ok & (np.cumsum(ok, axis=0) == pick + 1)
-        return np.argmax(hit, axis=0).astype(np.int64)
-    if temperature <= 0.0:
-        raise ValueError("temperature must be > 0")
-    lo = np.where(ok, costs, np.inf).min(axis=0)
+        return np.argmax(cum == pick + 1, axis=0).astype(np.int64)
+    _check_temperature(temperature)
+    lo = masked.min(axis=0)
     lo = np.where(np.isfinite(lo), lo, 0.0)  # all-invalid lanes
-    expo = np.where(ok, -(costs - lo[None, :]) / temperature, -np.inf)
+    expo = np.where(valid, -(costs - lo[None, :]) / temperature, -np.inf)
     w = np.exp(expo)  # exactly 0.0 on masked rows
     cum = np.cumsum(w, axis=0)
     x = u * cum[-1]
     found = cum > x[None, :]
     sel = np.argmax(found, axis=0)
-    last_valid = (ok.shape[0] - 1) - np.argmax(ok[::-1], axis=0)
+    last_valid = (valid.shape[0] - 1) - np.argmax(valid[::-1], axis=0)
     sel = np.where(found.any(axis=0), sel, np.maximum(last_valid, 0))
     return sel.astype(np.int64)
 
@@ -104,8 +117,7 @@ def select_index(
         raise ValueError(f"policy {policy!r} needs a uniform")
     if policy == "uniform":
         return min(int(u * cnt), cnt - 1)
-    if temperature <= 0.0:
-        raise ValueError("temperature must be > 0")
+    _check_temperature(temperature)
     w = np.exp(-(costs - costs.min()) / temperature)
     cum = np.cumsum(w)
     x = u * cum[-1]

@@ -22,10 +22,12 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: baseline path recorder the CSR writer's tests pin, the soak's
 #: scenario engine and workload generators, the ring geometry, the
 #: continuous graph and the De Bruijn isomorphism check, the §4 id
-#: strategies, and the membership write path (join / leave, the op
-#: journal, churn traces).
+#: strategies, the membership write path (join / leave, the op
+#: journal, churn traces), and the congestion accounting that books
+#: every routed batch.
 GATED = [
     SRC / "core" / "batch.py",
+    SRC / "core" / "routing_stats.py",
     SRC / "core" / "snapshot.py",
     SRC / "core" / "shard.py",
     SRC / "core" / "batch_cache.py",

@@ -1,9 +1,10 @@
 """Malformed CSR blocks fail loudly in every ISP accountant.
 
 ``cross_isp_counts`` and ``path_cost_totals`` enter through one check:
-offsets must start at 0, end at the server count and give every row at
-least one entry (every path holds its source), and no server index may
-be negative.  Each violation raises ``ValueError`` naming the argument.
+both arrays must be 1-d integer arrays, offsets must start at 0, end at
+the server count and give every row at least one entry (every path
+holds its source), and no server index may be negative.  Each
+violation raises ``ValueError`` naming the argument.
 On the commit before the check a negative id wrapped silently to the
 last server (``cross_isp_counts(lab, [0, -1], [0, 2])`` counted a
 crossing that no path made) and offsets past the block raised
@@ -63,6 +64,51 @@ class TestMalformedBlocks:
     def test_no_offsets(self, accountant):
         with pytest.raises(ValueError, match="path_offsets must be 1-d"):
             ACCOUNTANTS[accountant](*_block([], []))
+
+
+class TestNonIntegerOrMultiDimensional:
+    """Refused before any chunk runs, naming the argument.
+
+    On the commit before the check a bool block was read as server ids
+    1 / 0 (``cross_isp_counts(lab, [True, False], [0, 2])`` returned
+    ``[1]``), and float or 2-d arrays failed with numpy's ``TypeError``,
+    ``IndexError`` or broadcast messages.
+    """
+
+    @EACH
+    def test_bool_servers(self, accountant):
+        with pytest.raises(ValueError,
+                           match="path_servers must be a 1-d integer array; "
+                                 "got a 1-d bool array"):
+            ACCOUNTANTS[accountant]([True, False], np.array([0, 2]))
+
+    @EACH
+    def test_float_servers(self, accountant):
+        with pytest.raises(ValueError, match="path_servers .* float64"):
+            ACCOUNTANTS[accountant](np.array([0.0, 1.0]), np.array([0, 2]))
+
+    @EACH
+    def test_float_offsets(self, accountant):
+        with pytest.raises(ValueError, match="path_offsets .* float64"):
+            ACCOUNTANTS[accountant](np.array([0, 1]), np.array([0.0, 2.0]))
+
+    @EACH
+    def test_bool_offsets(self, accountant):
+        with pytest.raises(ValueError, match="path_offsets .* bool"):
+            ACCOUNTANTS[accountant](np.array([0]), np.array([False, True]))
+
+    @EACH
+    def test_two_dimensional_servers(self, accountant):
+        with pytest.raises(ValueError,
+                           match="path_servers must be a 1-d .* 2-d int"):
+            ACCOUNTANTS[accountant](np.array([[0, 1], [2, 3]]),
+                                    np.array([0, 2, 4]))
+
+    @EACH
+    def test_two_dimensional_offsets(self, accountant):
+        with pytest.raises(ValueError,
+                           match="path_offsets must be a 1-d .* 2-d int"):
+            ACCOUNTANTS[accountant](np.array([0, 1]), np.array([[0], [2]]))
 
 
 class TestValidBlocks:

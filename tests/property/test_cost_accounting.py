@@ -5,16 +5,20 @@ The ``_parent_*`` functions below are the previous ``cross_isp_counts``,
 read, *verbatim*: ``np.repeat`` row labels over every entry, a shifted compare
 and three boolean compactions to find the within-row transitions, then
 six gathers over them and a 2-D fancy index into the ISP matrix.  The
-accountants now gather each entry's label and coordinates once, zero the
-one transition per row boundary, read integer counts off a ``cumsum`` and
-keep ``np.bincount`` for the float totals; ``pair_costs`` reads the matrix
-with one flat gather.  Both sides must agree with ``array_equal`` on
-dtype and bits — float totals compared as ``uint64`` — on hypothesis CSR
-blocks, on real dh and cost-aware batches at Δ ∈ {2, 3, 4}, and on the
-scalar calls the per-hop walks make.
+accountants now walk the block in row-aligned chunks of about
+``itracker._BLOCK`` entries, gather each entry's label and coordinates
+once per chunk, zero the one transition per row boundary, read integer
+counts off one ``np.add.reduceat`` and keep ``np.bincount`` for the float
+totals; ``pair_costs`` reads the matrix with one flat gather.  Both sides
+must agree with ``array_equal`` on dtype and bits — float totals
+compared as ``uint64`` — on hypothesis CSR blocks, on blocks that put
+rows on every chunk edge, on real dh and cost-aware batches at
+Δ ∈ {2, 3, 4}, and on the scalar calls the per-hop walks make; a
+``tracemalloc`` pin keeps each accountant's peak at ≤ 2 B per entry.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistanceHalvingNetwork
-from repro.peer import CostAwareBatchRouter, CostMap, CostOracle
+from repro.peer import CostAwareBatchRouter, CostMap, CostOracle, itracker
 from repro.peer.costmap import pair_costs
 from repro.peer.itracker import cross_isp_counts, path_cost_totals
 
@@ -146,6 +150,60 @@ class TestCsrBlocks:
         offsets = np.zeros(1, dtype=np.int64)
         _check_block(_oracle(4, 2, 0), np.zeros(4, np.int64), servers, offsets)
         assert cross_isp_counts(np.zeros(4, np.int64), servers, offsets).size == 0
+
+
+# ------------------------------------------------------------ chunk edges
+_B = itracker._BLOCK
+
+#: row lengths that put a row, a chunk or a block end on every chunk edge
+CHUNK_EDGES = {
+    "row_straddles_edge": [_B - 3, 10, 5, _B, 2],
+    "row_longer_than_two_blocks": [7, 2 * _B + 5, 3, 1],
+    "first_row_longer_than_two_blocks": [2 * _B + 1, 1],
+    "nnz_exact_multiple": [_B // 4] * 8,
+    "rows_fill_blocks_exactly": [_B, _B, _B],
+    "single_entry_rows_at_chunk_ends": [_B - 1, 1, 1, _B - 2, 1, 1, 1],
+    "single_entry_rows_only": [1] * (2 * _B + 3),
+}
+
+
+class TestChunkEdges:
+    """Blocks sized from ``itracker._BLOCK``: the hypothesis blocks above
+    hold ≤ 120 entries and never reach a second chunk."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("case", CHUNK_EDGES)
+    def test_equal_to_parent(self, case, dtype):
+        lens = CHUNK_EDGES[case]
+        rng = np.random.default_rng(len(lens))
+        n_servers, k = 24, 3
+        servers = rng.integers(0, n_servers, size=sum(lens)).astype(dtype)
+        offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+        labels = rng.integers(0, k, size=n_servers)
+        _check_block(_oracle(n_servers, k, 1), labels, servers, offsets)
+
+
+@pytest.mark.parametrize("name", ["cross_isp_counts", "path_cost_totals"])
+def test_traced_peak_at_most_two_bytes_per_entry(name):
+    """~1M entries in rows of 1..48: each accountant's traced peak,
+    output included, is ≤ 2 B per entry (the parent's read 25 / 56)."""
+    rng = np.random.default_rng(11)
+    lens = rng.integers(1, 49, size=40_000)
+    servers = rng.integers(0, 1024, size=int(lens.sum())).astype(np.int32)
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    oracle = _oracle(1024, 8, 2)
+    call = {"cross_isp_counts": lambda: cross_isp_counts(oracle.isp, servers,
+                                                         offsets),
+            "path_cost_totals": lambda: path_cost_totals(oracle, servers,
+                                                         offsets)}[name]
+    call()  # warm: lazy numpy state is not the accountant's
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * servers.size, peak / servers.size
 
 
 # ------------------------------------------------------------ real batches

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from head_rows import head_to_rows
 from hypothesis import strategies as st
 from test_cover_index import point_sets, unit
 
@@ -134,13 +135,13 @@ class DescentSpy:
     def __init__(self, router):
         self.router, self.calls = router, 0
 
-    def __call__(self, y, off, depth, order, head_rows):
+    def __call__(self, y, off, depth, order, head):
         self.calls += 1
         assert np.array_equal(np.sort(order), np.arange(y.size))
         assert (np.diff(depth[order]) <= 0).all()
-        got = BatchRouter._descend(self.router, y, off, depth, order,
-                                   head_rows)
-        expect = masked_descent(self.router, y, off, depth, head_rows)
+        got = BatchRouter._descend(self.router, y, off, depth, order, head)
+        expect = masked_descent(self.router, y, off, depth,
+                                head_to_rows(head, y.size))
         for a, b in zip(got, expect):
             assert np.array_equal(a, b) and a.dtype == b.dtype
         return got

@@ -21,6 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 import pytest
+from head_rows import rows_to_head
 
 from repro.core import DistanceHalvingNetwork
 from repro.core.batch import _STALE_ROUTER_ERROR, BatchLookupResult
@@ -167,7 +168,7 @@ class AllLanesWalkOracle(CostAwareBatchRouter):
 
         order = np.argsort(-t.astype(np.int16), kind="stable")
         servers, offsets = self._descend(y, off, t + 1, order,
-                                         p1_rows or [cur])
+                                         rows_to_head(p1_rows or [cur]))
         hops = np.diff(offsets) - 1
         return BatchLookupResult(
             algorithm=algorithm,
