@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # The bench smoke gates CI runs, in one place (CI invokes this script;
-# run it locally to reproduce the exact CI measurement).
+# run it locally from the repo root to reproduce the exact CI check).
 #
 # Each subcommand exits non-zero when its parity check fails or its
-# speedup floor is missed, and writes its measurement dict as a JSON
-# artifact under $OUT_DIR — CI uploads those and diffs them against the
-# committed references in benchmarks/baselines/ via bench-compare.
+# in-process speedup floor is missed, and writes the seed-deterministic
+# part of its result (no wall-clock or machine readings) as a JSON
+# artifact under $OUT_DIR.  The script ends by byte-diffing those
+# artifacts against the committed benchmarks/baselines/: a changed path
+# length, load, congestion or fault count fails the run.
+#
+# Re-baseline after an intentional change of a result:
+#   benchmarks/ci_smoke.sh benchmarks/baselines
 #
 # Usage: benchmarks/ci_smoke.sh [OUT_DIR]   (default: bench-artifacts)
 set -euo pipefail
@@ -73,12 +78,12 @@ run python -m repro.cli bench-cost \
   --json-out "$OUT_DIR/BENCH_cost.json"
 
 # Day-in-the-life soak smoke: every subsystem composed on one live
-# network with all between-phase invariants on.  The artifact is
-# seed-deterministic (no wall-clock keys), so bench-compare gates its
-# booleans machine-independently.
+# network with all between-phase invariants on.
 run python -m repro.cli soak \
   --n 1024 --lookups 10000 --chunk 4096 --seed 0 \
   --json-out "$OUT_DIR/BENCH_soak.json"
 
 echo
-echo "all bench smokes passed; artifacts in $OUT_DIR/"
+echo "== diff -ru benchmarks/baselines $OUT_DIR"
+diff -ru benchmarks/baselines "$OUT_DIR"
+echo "all bench smokes passed; artifacts in $OUT_DIR/ equal the baselines"

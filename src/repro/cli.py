@@ -8,13 +8,17 @@ Examples::
 
 Every ``bench-*`` / ``soak`` subcommand is one row of :data:`BENCHES` (help,
 flags with their bounds, ``measure_*`` / ``format_*`` helpers, gate, verdict)
-run by the one handler :func:`_run_bench`; ``list``, ``run`` and
-``bench-compare`` are not measure → report → gate and stay hand-written.
+run by the one handler :func:`_run_bench`; ``list`` and ``run`` are not
+measure → report → gate and stay hand-written.  ``--json-out`` writes the
+seed-deterministic part of a result (:mod:`repro.artifacts`), which CI
+byte-diffs against ``benchmarks/baselines/``; re-baseline with
+``benchmarks/ci_smoke.sh benchmarks/baselines``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import import_module
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
@@ -39,8 +43,8 @@ class Flag(NamedTuple):
 
 class Bench(NamedTuple):
     """One measure → report → gate subcommand (a row of :data:`BENCHES`).
-    A ``str`` in ``measure`` / ``report`` / ``artifact`` is a ``module:function``
-    of :mod:`repro.experiments`, imported when the subcommand runs."""
+    A ``str`` in ``measure`` / ``report`` is a ``module:function`` of
+    :mod:`repro.experiments`, imported when the subcommand runs."""
 
     name: str
     help: str  # the one description: subcommand list and ``<cmd> --help``
@@ -49,9 +53,6 @@ class Bench(NamedTuple):
     flags: Tuple[Flag, ...]
     passed: Callable  # (result, args) -> bool
     verdict: Callable  # (result, args) -> the text after [PASS] / [FAIL]
-    #: result -> the dict ``--json-out`` writes (soak strips its wall-clock keys
-    #: so same-seed runs write identical bytes)
-    artifact: Optional[str] = None
 
 
 def _bound(text: str, ok: Callable) -> Callable:
@@ -60,6 +61,10 @@ def _bound(text: str, ok: Callable) -> Callable:
 
 def _ge(lo) -> Callable:
     return _bound(f">= {lo}", lambda v: v >= lo)
+
+
+#: a gate threshold: NaN compares false both ways, so its gate could never pass
+_NUMBER = _bound("a number", lambda v: not math.isnan(v))
 
 
 def _csv(text: str) -> Optional[List[str]]:
@@ -96,14 +101,14 @@ _PAIRS = _shared("--pairs", int, "(source, target) pairs per batch", _ge(1))
 _SAMPLE = _shared(
     "--scalar-sample", int, "lookups also routed through the scalar baseline; "
     "the batch replay of this subsample must match it bit-for-bit", _ge(1))
-_SEED = _shared("--seed", int, "seed of the network and the workload")
+_SEED = _shared("--seed", int, "seed of the network and the workload", _ge(0))
 _CHUNK = _shared("--chunk", int, "batch size of the chunked drive", _ge(1))
 _WORKERS = _shared(
     "--workers", int, "worker processes of the sharded execution backend "
-    "(1 = in-process; recorded in --json-out artifacts)", _ge(1))
+    "(1 = in-process)", _ge(1))
 _MIN_SPEEDUP = _shared(
     "--min-speedup", float, "exit 1 when the batch engine's gain over its "
-    "baseline is below this factor", gate=True)
+    "baseline is below this factor", _NUMBER, gate=True)
 _ALGORITHM = Flag("--algorithm", str, "fast", "fast (§2.2.1) or dh (§2.2.2)",
                   _bound("fast or dh", lambda v: v in ("fast", "dh")))
 _DELTA = Flag("--delta", int, 2, "graph degree Δ", _ge(2))
@@ -152,7 +157,7 @@ BENCHES = {bench.name: bench for bench in (
            Flag("--churn-budget", int, None, "pending ops before a refresh falls "
                 "back to a full rebuild (default max(16, n//16))", _ge(1)),
            Flag("--max-refresh-us", float, 250.0, "exit 1 when the incremental "
-                "refresh costs more microseconds per churn op", gate=True)),
+                "refresh costs more microseconds per churn op", _NUMBER, gate=True)),
           lambda r, a: (r["owners_ok"]
                         and 1e6 * r["refresh_secs_per_op"] <= a.max_refresh_us),
           lambda r, a: ("owners fresh and incremental refresh ≤ "
@@ -222,11 +227,10 @@ BENCHES = {bench.name: bench for bench in (
            Flag("--no-invariants", bool, False, "skip the between-phase "
                 "invariant checker (timing runs only)"),
            Flag("--min-ft-success", float, 0.9, "exit 1 when the fault-tolerant "
-                "lookup success rate drops below this", gate=True)),
+                "lookup success rate drops below this", _NUMBER, gate=True)),
           lambda r, a: (r["invariants_ok"] and r["healing_ok"]
                         and r["stats"]["ft_success_rate"] >= a.min_ft_success),
-          lambda r, a: f"invariants + healing + ft success ≥ {a.min_ft_success:g}",
-          artifact="soak:deterministic_payload"),
+          lambda r, a: f"invariants + healing + ft success ≥ {a.min_ft_success:g}"),
     Bench("bench-shard",
           "multicore shoot-out: the single-process batch engine vs the sharded "
           "shared-memory backend (--workers N) on one workload; merged congestion "
@@ -253,9 +257,9 @@ BENCHES = {bench.name: bench for bench in (
            _WORKERS(1, help="also route the core greedy cell on the sharded "
                     "backend with this many workers and require bit-parity"),
            Flag("--min-xisp-reduction", float, 0.3, "exit 1 when greedy cuts mean "
-                "cross-ISP traffic by less than this fraction", gate=True),
+                "cross-ISP traffic by less than this fraction", _NUMBER, gate=True),
            Flag("--max-stretch", float, 1.5, "exit 1 when greedy's mean hops "
-                "exceed uniform's by more than this factor", gate=True),
+                "exceed uniform's by more than this factor", _NUMBER, gate=True),
            _MIN_SPEEDUP(10.0)),
           lambda r, a: (_parity_and_speedup(r, a) and r["core_replay_ok"]
                         and r["core_shard_parity_ok"]
@@ -276,7 +280,7 @@ def _load(spec: Union[str, Callable]) -> Callable:
 
 def _run_bench(bench: Bench, args) -> int:
     """The one bench handler: validate → measure → report → gate → artifact."""
-    from .artifacts import write_artifact
+    from .artifacts import unwritable, write_artifact
 
     values = {f.dest: getattr(args, f.dest) for f in bench.flags}
     for f in bench.flags:
@@ -284,139 +288,23 @@ def _run_bench(bench: Bench, args) -> int:
         if f.bound and value is not None and (problem := f.bound(value)):
             print(f"{bench.name}: {f.flag} {problem}", file=sys.stderr)
             return 2
+    if args.json_out and (problem := unwritable(args.json_out)):
+        print(f"{bench.name}: --json-out {args.json_out} {problem}",
+              file=sys.stderr)
+        return 2
     result = _load(bench.measure)(**{
         f.dest: values[f.dest] for f in bench.flags
         if not f.gate and values[f.dest] is not None})
     print(_load(bench.report)(result))
     ok = bool(bench.passed(result, args))
     print(f"[{'PASS' if ok else 'FAIL'}] {bench.verdict(result, args)}")
-    payload = _load(bench.artifact)(result) if bench.artifact else result
     try:
-        write_artifact(args.json_out, bench.name, payload, ok,
-                       workers=values.get("workers", 1))
+        write_artifact(args.json_out, bench.name, result, ok)
     except ValueError as exc:
         print(f"{bench.name}: non-finite value in result ({exc})",
               file=sys.stderr)
         return 1
     return 0 if ok else 1
-
-
-def _compare_payload(ref, run, tolerance: float):
-    """Diff one reference artifact against the same run artifact.
-
-    Walks the nested dicts in parallel.  Gated leaves are (a) booleans —
-    a reference ``True`` (parity / verdict flag) may not flip off — and
-    (b) throughput numbers, i.e. keys containing ``speedup`` or ending in
-    ``_rate``, which must stay ≥ ``(1 - tolerance) ×`` the reference.
-    Everything else (sizes, seeds, path lengths, wall-clock seconds) is
-    informational and ignored.  Returns ``(findings, gated_count)``.
-    """
-    findings = []
-    gated = 0
-
-    def walk(prefix, r, c):
-        nonlocal gated
-        if isinstance(r, dict):
-            if not isinstance(c, dict):
-                findings.append((prefix or ".", "section missing from run"))
-                return
-            for key, rv in r.items():
-                walk(f"{prefix}.{key}" if prefix else key, rv, c.get(key))
-            return
-        leaf = prefix.rsplit(".", 1)[-1]
-        if isinstance(r, bool):
-            gated += 1
-            if r and c is not True:
-                findings.append((prefix, f"flag flipped: ref true, run {c!r}"))
-            return
-        if isinstance(r, (int, float)) and ("speedup" in leaf
-                                            or leaf.endswith("_rate")):
-            gated += 1
-            if not isinstance(c, (int, float)) or isinstance(c, bool):
-                findings.append((prefix, f"ref {r:g}, run {c!r}"))
-            elif c < r * (1.0 - tolerance):
-                findings.append((prefix, f"regression: ref {r:g}, run {c:g} "
-                                 f"({c / r:.0%} < {1.0 - tolerance:.0%} floor)"))
-
-    walk("", ref, run)
-    return findings, gated
-
-
-def _read_artifact(path: str) -> dict:
-    """Parse one artifact; ``ValueError`` naming the file when it is not one."""
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # truncated / non-JSON / undecodable bytes
-        raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: top level is not an object")
-    return payload
-
-
-def _bench_compare(args) -> int:
-    import glob
-    import os
-    import shutil
-
-    if not 0.0 <= args.tolerance < 1.0:
-        print("bench-compare: --tolerance must be in [0, 1)", file=sys.stderr)
-        return 2
-    run_files = sorted(glob.glob(os.path.join(args.run_dir, "BENCH_*.json")))
-    if args.update_refs:
-        if not run_files:
-            print(f"bench-compare: no BENCH_*.json under {args.run_dir} to "
-                  "re-baseline from", file=sys.stderr)
-            return 2
-        os.makedirs(args.ref_dir, exist_ok=True)
-        for path in run_files:
-            dst = os.path.join(args.ref_dir, os.path.basename(path))
-            shutil.copyfile(path, dst)
-            print(f"updated {dst}")
-        return 0
-
-    ref_files = sorted(glob.glob(os.path.join(args.ref_dir, "BENCH_*.json")))
-    if not ref_files:
-        print(f"bench-compare: no reference artifacts under {args.ref_dir}",
-              file=sys.stderr)
-        return 2
-    regressions = total_gated = 0
-    for ref_path in ref_files:
-        base = os.path.basename(ref_path)
-        run_path = os.path.join(args.run_dir, base)
-        if not os.path.exists(run_path):
-            regressions += 1
-            print(f"{base}: MISSING from {args.run_dir}")
-            continue
-        try:
-            ref, run = _read_artifact(ref_path), _read_artifact(run_path)
-        except ValueError as exc:
-            regressions += 1
-            print(f"{base}: UNREADABLE ({exc})")
-            continue
-        ref_workers = int(ref.get("workers", 1))
-        run_workers = int(run.get("workers", 1))
-        if ref_workers != run_workers:
-            # a sharding change is not a throughput regression (or gain);
-            # re-baseline with --update-refs instead of comparing across
-            regressions += 1
-            print(f"{base}: REFUSED (workers {ref_workers} vs {run_workers})")
-            continue
-        found, gated = _compare_payload(ref, run, args.tolerance)
-        total_gated += gated
-        regressions += len(found)
-        if found:
-            print(f"{base}: {len(found)} regression(s)")
-            for where, msg in found:
-                print(f"  {where}: {msg}")
-        else:
-            print(f"{base}: ok ({gated} gated values)")
-    print(f"[{'FAIL' if regressions else 'PASS'}] {len(ref_files)} artifact(s), "
-          f"{total_gated} gated values, {regressions} regression(s) at "
-          f"{args.tolerance:.0%} tolerance")
-    return 1 if regressions else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,22 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         benchp.add_argument("--json-out", default=None, metavar="FILE",
                             help="also write the result dict + verdict as JSON")
 
-    cmpp = sub.add_parser(
-        "bench-compare",
-        help="regression gate: diff this run's BENCH_*.json artifacts against "
-        "the committed references in benchmarks/baselines/; a throughput "
-        '("speedup" / "*_rate") value below (1 - tolerance) x reference or a '
-        "parity flag flipping off fails the build")
-    cmpp.add_argument("--run-dir", default="bench-artifacts",
-                      help="directory holding this run's BENCH_*.json artifacts")
-    cmpp.add_argument("--ref-dir", default="benchmarks/baselines",
-                      help="directory holding the committed reference artifacts")
-    cmpp.add_argument("--tolerance", type=float, default=0.30,
-                      help="allowed fractional throughput drop below the "
-                      "reference (default 0.30 = fail on >30%% regression)")
-    cmpp.add_argument("--update-refs", action="store_true",
-                      help="copy the run artifacts over the references instead "
-                      "of comparing (re-baseline after an intentional change)")
     return parser
 
 
@@ -469,8 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command in BENCHES:
         return _run_bench(BENCHES[args.command], args)
-    if args.command == "bench-compare":
-        return _bench_compare(args)
 
     from .experiments.common import all_experiments
     from .experiments.runner import run_experiments  # noqa: F401 (fills registry)

@@ -12,8 +12,8 @@ the cross-subsystem invariant checker running between phases.
 The measurement helper :func:`measure_soak` is shared by this
 experiment and the ``soak`` CLI subcommand.  Timing wraps *around* the
 deterministic scenario result: the artifact stays byte-reproducible per
-seed, wall-clock lives in separate keys the CLI strips from
-``--json-out``.
+seed, wall-clock and memory live in three top-level keys that
+:data:`repro.artifacts.VOLATILE_KEYS` strips from ``--json-out``.
 """
 
 from __future__ import annotations
@@ -22,17 +22,11 @@ import resource
 import time
 from typing import Dict
 
-from ..artifacts import to_jsonable
+from ..artifacts import strip_volatile
 from ..sim.scenario import DEFAULT_CHUNK, DEFAULT_PHASES, ScenarioEngine
 from .common import ExperimentResult, register
 
-__all__ = ["measure_soak", "format_soak_report", "NONDETERMINISTIC_KEYS"]
-
-#: Result keys that vary across runs of the same seed (wall clock, the
-#: process's memory high-water mark) — excluded from ``--json-out``
-#: artifacts so soak artifacts are byte-reproducible and
-#: machine-independent.
-NONDETERMINISTIC_KEYS = ("wall_seconds", "krequests_per_sec", "peak_rss_mb")
+__all__ = ["measure_soak", "format_soak_report", "deterministic_payload"]
 
 
 def measure_soak(
@@ -48,11 +42,11 @@ def measure_soak(
 ) -> Dict:
     """Run one scripted soak; returns the scenario dict plus timing.
 
-    Everything except the :data:`NONDETERMINISTIC_KEYS` entries is a
-    pure function of the arguments — including under ``workers > 1``,
-    which streams the lookup phases through the shared-memory sharded
-    backend with bit-identical results (``workers`` is recorded in the
-    artifact *envelope*, not the scenario dict, so the deterministic
+    Everything except ``wall_seconds``, ``krequests_per_sec`` and
+    ``peak_rss_mb`` is a pure function of the arguments — including
+    under ``workers > 1``, which streams the lookup phases through the
+    shared-memory sharded backend with bit-identical results (the
+    scenario dict does not record ``workers``, so the deterministic
     payload stays byte-identical across backend choices).
     """
     engine = ScenarioEngine(n=n, lookups=lookups, chunk=chunk, seed=seed,
@@ -72,14 +66,13 @@ def measure_soak(
 
 
 def deterministic_payload(result: Dict) -> Dict:
-    """The artifact view: the result minus its wall-clock keys.
+    """The artifact view: the result minus its wall-clock and memory keys.
 
-    Passed through :func:`repro.artifacts.to_jsonable` so NumPy scalars
-    and arrays serialize identically wherever the payload is dumped —
-    the same converter the shared artifact writer uses.
+    :func:`repro.artifacts.strip_volatile`, the rule ``--json-out`` applies
+    to every bench: NumPy values serialize identically wherever the
+    payload is dumped, and same-seed runs give the same bytes.
     """
-    return to_jsonable({k: v for k, v in result.items()
-                        if k not in NONDETERMINISTIC_KEYS})
+    return strip_volatile(result)
 
 
 def format_soak_report(result: Dict) -> str:

@@ -1,10 +1,12 @@
-"""E10's rows do not depend on the interpreter's hash salt.
+"""Every experiment's JSON is independent of the interpreter's hash salt.
 
 Builtin ``hash`` of a ``str`` is salted per process, so a seed derived
-from it makes a table that differs between two runs of the same command.
-E10 seeds each §4 strategy with a ``zlib.crc32`` digest of its name
-instead; two subprocesses with different ``PYTHONHASHSEED`` must write
-byte-equal rows.
+from it makes a table that differs between two runs of the same command
+(E10 once seeded its §4 strategies that way).  ``run all --quick --out``
+in two subprocesses with different ``PYTHONHASHSEED`` must write
+byte-equal files once the wall-clock leaves — the
+``repro.artifacts.VOLATILE_KEYS`` that ``--json-out`` also strips — are
+gone.
 """
 
 import json
@@ -13,19 +15,27 @@ import pathlib
 import subprocess
 import sys
 
+from repro.artifacts import dumps, strip_volatile
+from repro.experiments.runner import all_experiments
+
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
-def _e10_rows(tmp_path: pathlib.Path, hash_seed: str) -> str:
-    out = tmp_path / f"hash{hash_seed}"
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
-    subprocess.run(
-        [sys.executable, "-m", "repro.cli", "run", "e10", "--quick",
-         "--out", str(out)],
-        env=env, check=True, capture_output=True)
-    rows = json.loads((out / "E10.json").read_text())["rows"]
-    return json.dumps(rows, sort_keys=True)
-
-
-def test_e10_rows_equal_across_hash_seeds(tmp_path):
-    assert _e10_rows(tmp_path, "0") == _e10_rows(tmp_path, "1")
+def test_every_experiment_equal_across_hash_seeds(tmp_path):
+    runs = {}
+    for hash_seed in ("0", "1"):  # the two runs share the box concurrently
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+        runs[tmp_path / f"hash{hash_seed}"] = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "run", "all", "--quick",
+             "--out", str(tmp_path / f"hash{hash_seed}")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    for proc in runs.values():
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err.decode()
+    first, second = runs
+    names = sorted(p.name for p in first.glob("*.json"))
+    assert len(names) == len(all_experiments())
+    for name in names:
+        a, b = (dumps(strip_volatile(json.loads((d / name).read_text())))
+                for d in (first, second))
+        assert a == b, name

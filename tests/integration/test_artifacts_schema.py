@@ -4,7 +4,8 @@ Two contracts every machine-readable artifact must honor:
 
 * **Reproducibility** — ``repro.cli soak --seed S --json-out`` writes
   byte-identical files across runs (the scenario result is a pure
-  function of its arguments; wall-clock keys are stripped).
+  function of its arguments; ``repro.artifacts.VOLATILE_KEYS`` —
+  wall-clock and machine readings — are stripped).
 * **Schema** — every ``bench-*``/``soak`` payload has the shared
   ``{"command": str, "ok": bool, "result": {...}}`` shape with
   JSON-native, NumPy-free, *finite* leaves (``NaN``/``Infinity`` are
@@ -49,11 +50,14 @@ class TestSoakReproducibility:
         assert other.read_bytes() != soak_artifact.read_bytes()
 
     def test_no_wall_clock_keys_in_artifact(self, soak_artifact):
-        from repro.experiments.soak import NONDETERMINISTIC_KEYS
+        from repro.artifacts import VOLATILE_KEYS
 
-        payload = json.loads(soak_artifact.read_text())
-        for key in NONDETERMINISTIC_KEYS:
-            assert key not in payload["result"]
+        keys = set()  # every key at any depth
+        json.loads(soak_artifact.read_text(),
+                   object_hook=lambda obj: keys.update(obj) or obj)
+        assert {"wall_seconds", "krequests_per_sec", "peak_rss_mb"} <= (
+            VOLATILE_KEYS)
+        assert keys and not keys & VOLATILE_KEYS
 
     def test_peak_memory_is_reported_but_never_recorded(self):
         from repro.experiments.soak import (deterministic_payload,
@@ -104,9 +108,9 @@ class TestArtifactSchema:
     def test_fresh_churn_artifact_gates_an_absolute_refresh_bound(
             self, tmp_path):
         """``bench-churn`` gates microseconds per membership op, not a
-        ratio to the full compile, and ``bench-compare`` picks the
-        refresh up through its ``*_rate`` rule."""
-        from repro.cli import _compare_payload
+        ratio to the full compile; the artifact keeps the refresh counts
+        and none of the timings."""
+        from repro.artifacts import VOLATILE_KEYS
 
         path = tmp_path / "BENCH_churn.json"
         args = ["bench-churn", "--n", "128", "--lookups", "2000",
@@ -114,19 +118,8 @@ class TestArtifactSchema:
                 "--json-out", str(path)]
         assert main(args + ["--max-refresh-us", "1e9"]) == 0
         result = validate_artifact(path)["result"]
-        assert result["refresh_ops_rate"] == pytest.approx(
-            1.0 / result["refresh_secs_per_op"])
-        assert result["refresh_vs_compile"] == pytest.approx(
-            result["full_compile_secs"] / result["refresh_secs_per_op"])
-        assert "refresh_speedup" not in result
-        # a refresh ten times slower fails the compare; a compile ten
-        # times faster (a tenth of the ratio) does not
-        ref = {"result": result}
-        slow = dict(result, refresh_ops_rate=result["refresh_ops_rate"] / 10)
-        fast = dict(result,
-                    refresh_vs_compile=result["refresh_vs_compile"] / 10)
-        assert _compare_payload(ref, {"result": slow}, 0.3)[0]
-        assert not _compare_payload(ref, {"result": fast}, 0.3)[0]
+        assert result["incremental_refreshes"] > 0
+        assert not set(result) & (VOLATILE_KEYS | {"refresh_speedup"})
         assert main(args + ["--max-refresh-us", "0"]) == 1
         assert validate_artifact(path)["ok"] is False
         with pytest.raises(SystemExit):  # the ratio flag is gone, not aliased
