@@ -59,6 +59,21 @@ class MembershipLog(OpJournal):
         """Append one ``(kind, float(point), index)`` op; kind is join/leave."""
         self.append((kind, float(point), int(index)))
 
+    def record_joins(self, points: Sequence[float], indices: np.ndarray) -> None:
+        """One ``("join", p, i)`` op per pair, as that many :meth:`record` calls.
+
+        ``points`` are floats.  The ops the cap would trim anyway are
+        counted, not built: past ``cap`` joins they push every older op
+        out, so the journal restarts at their version.
+        """
+        skip = max(0, len(points) - self.cap)
+        if skip:
+            self.version += skip
+            self._ops.clear()
+            self._head = self.version
+        self.extend([("join", p, i) for p, i in zip(points[skip:],
+                                                    indices[skip:].tolist())])
+
 
 class DistanceHalvingNetwork:
     """A dynamic Distance Halving DHT over ``[0, 1)``.
@@ -191,10 +206,40 @@ class DistanceHalvingNetwork:
             pred.store.update(departing.store)
         self.membership_log.record("leave", float(p), idx)
 
-    def populate(self, n: int, selector: Optional[IdSelector] = None) -> None:
-        """Convenience: join ``n`` servers using ``selector`` (default uniform)."""
-        for _ in range(n):
-            self.join(selector=selector)
+    def populate(self, n: int, selector=None) -> None:
+        """Join ``n`` servers whose ids a §4 strategy chooses, in one step.
+
+        ``selector`` is a strategy of :mod:`repro.balance.strategies`
+        (default :class:`~repro.balance.strategies.SingleChoice`, the
+        uniform id :meth:`join` draws without one).  Its ``grow`` picks
+        all ``n`` ids; they are then committed at once, and the network
+        ends exactly as ``n`` :meth:`join` calls leave it: the same ids,
+        the same :class:`Server` objects created in join order (each
+        keyed by the float the id list holds), the same membership-log
+        ops, version and head, items moved to the same owners, and the
+        rng in the same state.  A duplicate id raises ``ValueError``
+        before anything is committed.
+        """
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"populate needs a server count >= 0, got {n!r}")
+        from ..balance.strategies import SingleChoice
+
+        strategy = SingleChoice() if selector is None else selector
+        if not hasattr(strategy, "grow"):
+            raise TypeError(
+                f"populate needs a §4 strategy with grow(), got {strategy!r}; "
+                "call join(selector=...) per server for a custom selector")
+        ids, at = strategy.grow(self.segments, self._rng, int(n))
+        holders = [srv for srv in self.servers.values() if srv.store]
+        stored = self.segments.merge(ids)
+        for p in stored:
+            self.servers[p] = Server(point=p)
+        self.membership_log.record_joins(stored, at)
+        for srv in holders:  # each item to the server now covering it
+            for key, (pos, _v) in list(srv.store.items()):
+                owner = self.owner_of(pos)
+                if owner is not srv:
+                    owner.store[key] = srv.store.pop(key)
 
     # -------------------------------------------------------------- topology
     def out_neighbor_points(self, point: Number) -> List[float]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from operator import lt
+from operator import eq, lt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -204,15 +204,23 @@ class CoverIndex:
         column.  Each op shifts the buckets whose left edge is at or
         past ``p``; between two consecutive such edges the shifts of a
         whole refresh sum to one constant, so the grid is passed over
-        once — one slice add per stretch — however many ops are
-        pending.  The resolution is re-chosen (a fresh grid) only when
-        n has left ``[G/8, G/2]``.
+        once — one slice add per stretch, or, past ``G / 1024`` ops, one
+        cumulative sum of the steps — however many ops are pending.  The
+        resolution is re-chosen (a fresh grid) only when n has left
+        ``[G/8, G/2]``.
         """
         self.ext = ext
         self.shared = False
         n, size = len(ext) - 1, len(self.grid)
         if not size // 8 <= n <= size // 2:
             self.grid = cover_grid(ext[:-1], _grid_size(n))
+            return
+        if len(moved) << 10 > size:
+            p, step = np.array(moved).T
+            shift = np.bincount(np.ceil(p * size).astype(np.intp),
+                                weights=step, minlength=size + 1)
+            shift = shift[:size].astype(np.int32)
+            self.grid += np.cumsum(shift, out=shift)
             return
         edges = sorted((math.ceil(p * size), step) for p, step in moved)
         shift = 0
@@ -379,6 +387,35 @@ class SegmentMap:
         buf[i] = float(p)
         self._exact += not isinstance(p, float)
         return i
+
+    def merge(self, ids: np.ndarray) -> list:
+        """Insert the float ids ``ids`` in one step; returns them as stored.
+
+        The list and its float64 mirror end as ``len(ids)`` :meth:`insert`
+        calls leave them, after one sort and one buffer write.  Entry
+        ``j`` of the result is the float object the list now holds for
+        ``ids[j]``.  An id that is not finite, lies outside ``[0, 1)`` or
+        is already present (here or earlier in ``ids``) raises
+        ``ValueError`` before anything changes.
+        """
+        ids = np.asarray(ids, dtype=np.float64)
+        check_finite(ids, "id")
+        outside = np.flatnonzero((ids < 0.0) | (ids >= 1.0))
+        if outside.size:
+            raise ValueError(f"id {float(ids[outside[0]])!r} lies outside [0, 1)")
+        stored = ids.tolist()
+        pts = self._points + stored
+        pts.sort()
+        if any(map(eq, pts, pts[1:])):
+            dup = next(a for a, b in zip(pts, pts[1:]) if a == b)
+            raise ValueError(f"point {dup!r} already present")
+        size = len(self._buf)
+        while size < len(pts):  # the capacity the inserts' doubling reaches
+            size += max(16, size)
+        buf = np.empty(size)
+        buf[:len(pts)] = pts
+        self._points, self._buf = pts, buf
+        return stored
 
     def remove(self, point: Number) -> int:
         """Remove a point (a server leave); returns its former index.

@@ -116,8 +116,16 @@ class OpJournal:
 
     def append(self, op: tuple) -> int:
         """Record one op; returns the new version."""
-        self._ops.append(op)
-        self.version += 1
+        return self.extend((op,))
+
+    def extend(self, ops: Sequence[tuple]) -> int:
+        """Record ``ops`` in order; returns the new version.
+
+        Version, head and retained ops end as ``len(ops)`` one-op
+        records leave them, with one trim instead of one per op.
+        """
+        self._ops.extend(ops)
+        self.version += len(ops)
         overflow = len(self._ops) - self.cap
         if overflow > 0:
             del self._ops[:overflow]

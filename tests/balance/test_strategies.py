@@ -1,6 +1,7 @@
 """Unit tests for the §4 id-selection strategies (Lemmas 4.1–4.3, Thm 4.4)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ class TestMultipleChoice:
     def test_t_validation(self):
         with pytest.raises(ValueError):
             MultipleChoice(t=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, False, "4", None])
+    def test_t_must_be_an_int(self, bad):
+        """``t=2.5`` used to become 2 and ``t=True`` 1, silently."""
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            MultipleChoice(t=bad)
+
+    def test_t_may_be_a_numpy_int(self):
+        strategy = MultipleChoice(t=np.int64(3))
+        assert strategy.t == 3 and type(strategy.t) is int
 
     def test_select_draws_and_choice_unchanged(self):
         """One ``rng.random(probes)`` call, the longest probed segment's

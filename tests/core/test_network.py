@@ -5,6 +5,7 @@ graph, and the structural Theorems 2.1 / 2.2.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,25 @@ class TestJoinLeave:
         net = DistanceHalvingNetwork(rng=rng)
         net.populate(100)
         assert net.n == 100
+        net.check_invariants()
+
+    @pytest.mark.parametrize("bad", [-5, -1, 2.5, 3.0, True, False, "3",
+                                     None])
+    def test_populate_refuses_a_bad_count(self, bad):
+        """``populate(-5)`` used to return silently with n = 0."""
+        rng = np.random.default_rng(0)
+        net = DistanceHalvingNetwork(rng=rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            net.populate(bad)
+        assert net.n == 0 and net.membership_version == 0
+        assert rng.bit_generator.state == state
+
+    def test_populate_takes_numpy_ints_and_zero(self):
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(0))
+        net.populate(np.int64(5))
+        net.populate(0)
+        assert net.n == 5 and net.membership_version == 5
         net.check_invariants()
 
     def test_join_leave_churn_keeps_invariants(self):

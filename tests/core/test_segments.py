@@ -276,6 +276,52 @@ class TestColumn:
         empty.check_invariants()
 
 
+class TestMerge:
+    """``merge``: a batch of float ids in one step, as inserts leave it."""
+
+    @pytest.mark.parametrize("start, count", [(0, 1), (0, 40), (5, 11),
+                                              (16, 1), (100, 333)])
+    def test_equals_one_insert_per_id(self, start, count):
+        rng = np.random.default_rng(start + count)
+        ids = rng.random(count)
+        merged = SegmentMap(rng.random(start).tolist())
+        inserted = SegmentMap(merged)
+        for p in ids.tolist():
+            inserted.insert(p)
+        stored = merged.merge(ids)
+        assert list(merged) == list(inserted)
+        assert np.array_equal(merged.column, inserted.column)
+        assert len(merged._buf) == len(inserted._buf)
+        assert stored == ids.tolist()
+        assert all(merged.point_at(merged.index_of(p)) is p for p in stored)
+        merged.check_invariants()
+
+    def test_into_exact_ids(self):
+        sm = SegmentMap([Fraction(k, 5) for k in range(5)])
+        ref = SegmentMap(sm)
+        for p in [0.1, 0.7, 0.3]:
+            ref.insert(p)
+        sm.merge(np.array([0.1, 0.7, 0.3]))
+        assert list(sm) == list(ref) and not sm.is_float()
+        sm.check_invariants()
+
+    @pytest.mark.parametrize("ids, message", [
+        ([0.3, 0.25], "0.25 already present"),      # an id already here
+        ([0.3, 0.6, 0.3], "0.3 already present"),   # twice in the batch
+        ([0.3, 1.0], "outside"),
+        ([-0.1], "outside"),
+        ([0.3, np.nan], "finite"),
+        ([np.inf], "finite"),
+    ])
+    def test_bad_ids_change_nothing(self, quarters, ids, message):
+        buf = quarters._buf.copy()
+        with pytest.raises(ValueError, match=message):
+            quarters.merge(np.array(ids))
+        assert list(quarters) == [0.0, 0.25, 0.5, 0.75]
+        assert np.array_equal(quarters._buf, buf)
+        quarters.check_invariants()
+
+
 class TestColumnAudit:
     """``check_invariants`` ties the column to the id list, by name."""
 

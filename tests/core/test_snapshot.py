@@ -95,6 +95,19 @@ class TestOpJournal:
         assert j.ops_since(6) == [("op", i) for i in range(6, 10)]
         assert j.ops_since(10) == []
 
+    @pytest.mark.parametrize("cap", [0, 1, 4, 100])
+    def test_extend_equals_one_append_per_op(self, cap):
+        batch, single = OpJournal(cap=cap), OpJournal(cap=cap)
+        ops = iter(("op", i) for i in range(100))
+        for size in [3, 0, 7, 1, 40, 2]:
+            chunk = [next(ops) for _ in range(size)]
+            for op in chunk:
+                single.append(op)
+            assert batch.extend(chunk) == single.version
+            assert (batch._head, batch._ops) == (single._head, single._ops)
+            for v in range(single.version + 1):
+                assert batch.ops_since(v) == single.ops_since(v)
+
     def test_future_version_rejected(self):
         j = OpJournal()
         j.append(("op",))

@@ -12,6 +12,7 @@ edges.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,6 +164,21 @@ class TestFollow:
                 size = len(index.grid)
                 assert np.array_equal(index.grid, cover_grid(points, size))
                 assert np.array_equal(index.points, points)
+
+    @pytest.mark.parametrize("joins", [1, 2, 3, 5, 40, 600])
+    def test_slice_adds_and_one_cumulative_sum_agree(self, joins):
+        """At G = 4096 up to four ops take slice adds, more one cumsum."""
+        rng = np.random.default_rng(joins)
+        points = np.sort(rng.random(1500))
+        index = CoverIndex(points)
+        assert len(index.grid) == 4096
+        joined = rng.random(joins)
+        left = points[rng.choice(points.size, joins // 2, replace=False)]
+        after = np.setdiff1d(np.union1d(points, joined), left)
+        index.follow(np.append(after, np.inf),
+                     [(p, 1) for p in joined] + [(p, -1) for p in left])
+        assert len(index.grid) == 4096
+        assert np.array_equal(index.grid, cover_grid(after, 4096))
 
     def test_resolution_rechosen_when_n_leaves_the_band(self):
         points = np.arange(16) / 16

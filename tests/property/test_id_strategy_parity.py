@@ -1,4 +1,4 @@
-"""Property tests: the vectorised Multiple-Choice probe equals the loop.
+"""Property tests: the vectorised §4 id rules equal their loops.
 
 :meth:`MultipleChoice.select` on float ids answers all ``t·log n``
 probes at once over ``SegmentMap.column`` (one ``searchsorted``, a
@@ -10,9 +10,17 @@ the same rng state afterwards, so every id a network ever chooses is
 bit-identical; the point sets are the adversarial ones of
 ``test_cover_index`` (clustered ids, ``x_0 == 0.0``, tiny n) plus pinned
 cases for the seam segment, exact length ties and n ∈ {1, 2, 3}.  Exact
-(``Fraction``) ids still take the loop.  Digests of whole ``populate``
-runs and of one soak, recorded on the commit before the vectorisation,
-pin the composed result.
+(``Fraction``) ids still take the loop.
+
+``grow`` (every strategy) chooses a whole batch of joins in windows; its
+oracle is :func:`loop_grow`, ``count`` rounds of ``select`` + ``insert``:
+same ids, same insertion indices, same rng state, and a duplicate id
+raises in both.  :meth:`DistanceHalvingNetwork.populate` commits a
+``grow`` in one step; its oracle is the parent's ``populate`` kept
+verbatim as :func:`loop_populate`, one ``join`` per server, compared on
+servers, ids, journal, router replay, items and rng.  Digests of whole
+``populate`` runs and of one soak, recorded on the commit before the
+vectorisation, pin the composed result.
 """
 
 import hashlib
@@ -25,7 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cover_index import BELOW_ONE, point_sets
 
-from repro.balance import MultipleChoice
+import repro.balance.strategies as strategies_module
+from repro.balance import ImprovedSingleChoice, MultipleChoice, SingleChoice
 from repro.core import DistanceHalvingNetwork
 from repro.core.segments import SegmentMap
 from repro.experiments.soak import deterministic_payload
@@ -145,6 +154,258 @@ class TestExactIdsTakeTheLoop:
         MultipleChoice().select(SegmentMap([0.1, 0.6]),
                                 np.random.default_rng(0))
         assert reads
+
+
+# -------------------------------------------------------------- grow oracle
+def loop_grow(strategy, segments: SegmentMap, rng, count: int):
+    """``count`` rounds of ``select`` + ``insert`` on a copy of ``segments``."""
+    work = SegmentMap(segments)
+    ids, at = [], []
+    for _ in range(count):
+        p = strategy.select(work, rng)
+        at.append(work.insert(p))
+        ids.append(p)
+    return ids, at
+
+
+def assert_same_growth(strategy, segments: SegmentMap, seed: int,
+                       count: int) -> None:
+    """``grow`` equals the loop: ids, indices and stream position.
+
+    When the loop's ``insert`` refuses a duplicate id, ``grow`` must
+    refuse too; ``segments`` is never changed.
+    """
+    rng, ref = (np.random.default_rng(seed) for _ in range(2))
+    before = segments.as_array()
+    try:
+        expect = loop_grow(strategy, segments, ref, count)
+    except ValueError:
+        with pytest.raises(ValueError, match="already present"):
+            strategy.grow(segments, rng, count)
+        return
+    ids, at = strategy.grow(segments, rng, count)
+    assert ids.dtype == np.float64 and len(ids) == len(at) == count
+    assert ids.tolist() == expect[0]
+    assert at.tolist() == expect[1]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(segments.as_array(), before)
+
+
+GROW_STRATEGIES = [SingleChoice(), ImprovedSingleChoice(), *STRATEGIES]
+grow_strategies = st.sampled_from(GROW_STRATEGIES)
+
+
+def _strategy_id(s) -> str:
+    return f"{s.name}-t{getattr(s, 't', '')}-est{int(s.estimate)}"
+
+
+class TestGrowEqualsLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(points=point_sets(), strategy=grow_strategies, seed=seeds,
+           count=st.integers(0, 300))
+    def test_adversarial_point_sets(self, points, strategy, seed, count):
+        assert_same_growth(strategy, SegmentMap(points.tolist()), seed, count)
+
+    @pytest.mark.parametrize("strategy", GROW_STRATEGIES, ids=_strategy_id)
+    @pytest.mark.parametrize("points", [
+        [],                                 # n = 0: the first id is a draw
+        [0.3],                              # n = 1: the full ring
+        [0.0],
+        [BELOW_ONE],
+        [0.2, 0.7],                         # n = 2
+        [0.1, 0.2, 0.3],                    # n = 3, the seam segment longest
+        [0.4, 0.5, 0.6],                    # seam longest, wraps through 0
+        [0.0, 0.001, 0.002],                # x_0 == 0.0, seam row longest
+        [0.0, BELOW_ONE],                   # a one-ulp seam segment
+        [k / 16 for k in range(16)],        # dyadic: every length equal
+        [0.5 + k * 1e-12 for k in range(40)],   # clustered in one bucket
+        [0.9 + k * 5e-4 for k in range(100)],   # a window splits the seam
+    ], ids=lambda p: f"n{len(p)}-x0_{p[0]:g}" if p else "n0")
+    def test_pinned_point_sets(self, strategy, points):
+        segments = SegmentMap(points)
+        for seed, count in [(0, 1), (1, 2), (2, 5), (3, 64), (4, 700)]:
+            assert_same_growth(strategy, segments, seed, count)
+
+    @pytest.mark.parametrize("t", [1, 4, 20])
+    def test_windows_reevaluate_and_stay_exact(self, t, monkeypatch):
+        """Some joins' choices are split earlier in their window."""
+        calls = []
+        reevaluate = strategies_module._reevaluate
+        monkeypatch.setattr(strategies_module, "_reevaluate",
+                            lambda *a: calls.append(1) or reevaluate(*a))
+        assert_same_growth(MultipleChoice(t=t), SegmentMap(), 7, 3000)
+        assert calls
+
+    @pytest.mark.parametrize("strategy", GROW_STRATEGIES, ids=_strategy_id)
+    def test_exact_ids(self, strategy):
+        segments = SegmentMap([Fraction(k, 7) for k in range(7)])
+        segments.insert(0.45)
+        for seed in range(3):
+            assert_same_growth(strategy, segments, seed, 40)
+
+    def test_duplicates_raise_as_the_loop_does(self):
+        """A drawn id already present, or drawn twice within one window."""
+
+        class Scripted:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self, size=None):
+                if size is None:
+                    return self.values.pop(0)
+                out, self.values = self.values[:size], self.values[size:]
+                return np.array(out)
+
+        segments = SegmentMap(np.arange(80) / 80)
+        fresh = (np.arange(40) + 0.5) / 800
+        # windows of five joins from n = 80: join 9 repeats an old id,
+        # then join 8's id, drawn in the same window
+        for script in ([*fresh[:9], 3 / 80, *fresh[9:]],
+                       [*fresh[:9], fresh[8], *fresh[9:]]):
+            with pytest.raises(ValueError, match="already present"):
+                loop_grow(SingleChoice(), segments, Scripted(script), 40)
+            with pytest.raises(ValueError, match="already present"):
+                SingleChoice().grow(segments, Scripted(script), 40)
+            assert segments.as_array().tolist() == (np.arange(80) / 80).tolist()
+
+    def test_probe_count_steps_at_powers_of_two(self):
+        for n in range(1, 5000):
+            assert strategies_module._ceil_log2(n) == max(
+                1, int(np.ceil(np.log2(max(2, n)))))
+        for k in range(1, 40):
+            assert strategies_module._ceil_log2(2**k) == k
+            assert strategies_module._ceil_log2(2**k + 1) == k + 1
+
+
+# ---------------------------------------------------------- populate oracle
+def loop_populate(net: DistanceHalvingNetwork, n: int, selector=None) -> None:
+    """The parent's ``populate``: one ``join`` per server."""
+    for _ in range(n):
+        net.join(selector=selector)
+
+
+def twin_networks(seed: int, setup=None):
+    """Two equal networks from cloned generators; ``setup(net)`` on each."""
+    nets = [DistanceHalvingNetwork(rng=np.random.default_rng(seed))
+            for _ in range(2)]
+    if setup is not None:
+        for net in nets:
+            setup(net)
+    return nets
+
+
+def assert_same_network(got: DistanceHalvingNetwork,
+                        expect: DistanceHalvingNetwork) -> None:
+    """Ids, servers (order, names, objects), journal, items and rng."""
+    got.check_invariants()
+    assert got.segments.points == expect.segments.points
+    assert np.array_equal(got.segments.column, expect.segments.column)
+    assert list(got.servers) == list(expect.servers)
+    for i, (p, srv) in enumerate(got.servers.items()):
+        twin = expect.servers[p]
+        assert srv.point is p and srv.name == twin.name
+        assert got.segments.point_at(got.segments.index_of(p)) is p
+        assert list(srv.store.items()) == list(twin.store.items())
+    log, ref = got.membership_log, expect.membership_log
+    assert (log.version, log._head, log.cap) == (ref.version, ref._head,
+                                                  ref.cap)
+    assert log._ops == ref._ops
+    assert all(type(op[1]) is float and type(op[2]) is int for op in log._ops)
+    assert got._rng.bit_generator.state == expect._rng.bit_generator.state
+
+
+class TestPopulateEqualsTheLoop:
+    @pytest.mark.parametrize("selector", [None, *GROW_STRATEGIES],
+                             ids=lambda s: "none" if s is None
+                             else _strategy_id(s))
+    @pytest.mark.parametrize("start", [0, 37])
+    def test_servers_ids_and_journal(self, selector, start):
+        got, expect = twin_networks(
+            5, lambda net: loop_populate(net, start, MultipleChoice()))
+        got.populate(700, selector=selector)
+        loop_populate(expect, 700, selector)
+        assert_same_network(got, expect)
+
+    def test_journal_past_its_cap(self):
+        """100 + 9000 + 400 joins: version, head and the kept 8192 ops."""
+        got, expect = twin_networks(
+            8, lambda net: loop_populate(net, 100, MultipleChoice()))
+        for net, populate in ((got, got.populate),
+                              (expect, lambda n, selector: loop_populate(
+                                  expect, n, selector))):
+            populate(9000, selector=MultipleChoice(t=4))
+            populate(400, selector=MultipleChoice(t=4))
+        assert got.membership_log.version == 9500
+        assert got.membership_log.ops_since(9500 - 8192 - 1) is None
+        assert_same_network(got, expect)
+
+    @pytest.mark.parametrize("count", [12, 200])
+    def test_auto_refresh_router_replays_the_same_ops(self, count):
+        """Within the churn budget a patch, past it a full rebuild."""
+        got, expect = twin_networks(
+            9, lambda net: loop_populate(net, 300, MultipleChoice()))
+        routers = [net.router(auto_refresh=True) for net in (got, expect)]
+        targets = np.random.default_rng(10).random(500)
+        for router in routers:
+            router.batch_fast_lookup(np.zeros(500), targets)
+        got.populate(count, selector=MultipleChoice())
+        loop_populate(expect, count, MultipleChoice())
+        results = [router.batch_fast_lookup(np.zeros(500), targets)
+                   for router in routers]
+        assert np.array_equal(results[0].owner_idx, results[1].owner_idx)
+        assert np.array_equal(results[0].owner_idx,
+                              got.segments.cover_array(targets))
+        assert np.array_equal(routers[0].points, routers[1].points)
+        stats = [r.refresh_stats for r in routers]
+        assert (stats[0].incremental, stats[0].full_rebuilds,
+                stats[0].ops_replayed) == (stats[1].incremental,
+                                           stats[1].full_rebuilds,
+                                           stats[1].ops_replayed)
+        assert stats[0].incremental == (count == 12)
+
+    def test_items_move_to_the_same_owners(self):
+        def setup(net):
+            loop_populate(net, 64, MultipleChoice())
+            for k in range(600):
+                net.store_item(f"item-{k}", k)
+
+        got, expect = twin_networks(11, setup)
+        got.populate(500, selector=MultipleChoice())
+        loop_populate(expect, 500, MultipleChoice())
+        assert_same_network(got, expect)
+        assert sum(len(s.store) for s in got.servers.values()) == 600
+
+    def test_exact_ids(self):
+        def setup(net):
+            for k in range(9):
+                net.join(Fraction(k, 9))
+
+        got, expect = twin_networks(12, setup)
+        got.populate(60, selector=MultipleChoice())
+        loop_populate(expect, 60, MultipleChoice())
+        assert_same_network(got, expect)
+
+    def test_a_duplicate_commits_nothing(self):
+        """The loop keeps the joins before a duplicate; populate keeps none."""
+        peek = DistanceHalvingNetwork(rng=np.random.default_rng(13))
+        draws = peek._rng.random(10)   # what SingleChoice will draw next
+        got, expect = twin_networks(13, lambda net: net.join(draws[6]))
+        with pytest.raises(ValueError, match="already present"):
+            loop_populate(expect, 10)
+        assert expect.n == 7           # the loop committed joins 1..6
+        column = got.segments.as_array()
+        with pytest.raises(ValueError, match="already present"):
+            got.populate(10)
+        assert got.n == 1 and list(got.servers) == [draws[6]]
+        assert np.array_equal(got.segments.column, column)
+        assert got.membership_log.version == 1
+        got.check_invariants()
+
+    def test_refuses_a_selector_without_grow(self):
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(14))
+        with pytest.raises(TypeError, match="grow"):
+            net.populate(3, selector=lambda net, rng: float(rng.random()))
+        assert net.n == 0
 
 
 # ------------------------------------------------------------------ digests
