@@ -27,14 +27,17 @@ choose, in join order, without touching ``segments`` — what
 in *windows* of joins.  A window draws all its probes with one
 ``rng.random`` (the stream per-join draws would read), covers them with
 one :class:`~repro.core.segments.CoverIndex` over the ids as they stood
-when the window opened, and takes each join's first-maximum probe.  It
-then walks the window in join order: a join keeps that choice unless an
-earlier join of the same window split the segment it chose, and such a
-join is re-evaluated against the pieces as they are by then.  This is
-exact because a split only shortens a segment (float subtraction is
-monotone): a probed segment that was split and not chosen can never
-overtake the chosen one, and a tie still goes to the first probe.
-Windows never span a change of ``t·⌈log₂ n⌉``.  Exact
+when the window opened, and takes each join's first-maximum probe, all
+as arrays.  The first join of the window to choose a segment keeps that
+choice: nothing earlier in the window split that segment, and a split
+elsewhere only shortens a segment it beat (float subtraction is
+monotone), so it is still the first maximum.  Every
+later join that chose the same segment is *displaced*; only these walk
+in Python, in join order, each against the ids the window put into the
+segments it probed.  A displaced join that re-chooses a segment some
+later join chose first splits it before that join, which is displaced
+in turn.  Insertion indices come from one blocked count over the
+window.  Windows never span a change of ``t·⌈log₂ n⌉``.  Exact
 (:class:`~fractions.Fraction`) ids and ``MultipleChoice(estimate=True)``
 — whose probe count reads the state each join — keep the per-join rule.
 """
@@ -42,8 +45,9 @@ Windows never span a change of ``t·⌈log₂ n⌉``.  Exact
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from typing import Callable, List, Tuple
+from bisect import bisect_right, insort
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +58,7 @@ __all__ = [
     "SingleChoice",
     "ImprovedSingleChoice",
     "MultipleChoice",
+    "check_count",
     "estimate_log_n",
 ]
 
@@ -77,18 +82,40 @@ def estimate_log_n(segments: SegmentMap, point: float) -> int:
     return max(1, round(math.log2(1.0 / gap)))
 
 
+def check_count(count, what: str) -> None:
+    """Raise ``ValueError`` naming ``count`` unless it is an int ``>= 0``.
+
+    Bool is refused; NumPy integers pass.
+    """
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or count < 0):
+        raise ValueError(f"{what} needs a count >= 0, got {count!r}")
+
+
 def _ceil_log2(n: int) -> int:
     """``⌈log₂ max(2, n)⌉``, exactly, for any int ``n``."""
     return (max(2, n) - 1).bit_length()
 
 
-#: A window's joins: at most n / 16 of them (more would re-evaluate more
+#: A window's joins: at most n / 16 of them (more would displace more
 #: joins), at most 2^18 probes in all (its probe, cover and length arrays
-#: stay ≤ 2 MB each at any n; 0.46 MB at n = 2^14) and at most 4096 (the
-#: walk ranks each id into a sorted list of them).
+#: stay ≤ 2 MB each at any n; 0.46 MB at n = 2^14) and at most 4096 (its
+#: ranks are int16 and its rank table grows with the window squared).
 _WINDOW_SHARE = 16
 _WINDOW_PROBES = 1 << 18
 _WINDOW_MAX = 4096
+#: ... but never fewer than 32 where the ⌈log₂ n⌉ step allows: below
+#: n = 512 a window's fixed cost outweighs the joins a larger one displaces.
+_WINDOW_MIN = 32
+
+#: A displaced join's longest probes listed up front; one that needs more
+#: lists them all (at n = 2^14, 32 of 2387 joins do).
+_CANDIDATES = 8
+
+#: Joins ranked per block by :func:`_earlier_below`: its count table has
+#: one row per block, its in-block comparison one block² per block.
+_RANK_BLOCK = 64
+_EARLIER = np.tri(_RANK_BLOCK, _RANK_BLOCK, -1, dtype=bool)  # [i, k]: k < i
 
 
 def _window(n: int, probes: int) -> int:
@@ -96,54 +123,188 @@ def _window(n: int, probes: int) -> int:
 
     Never past the last join before ``⌈log₂ n⌉`` steps up.
     """
-    return max(1, min(n // _WINDOW_SHARE, _WINDOW_PROBES // max(1, probes),
+    return max(1, min(max(_WINDOW_MIN, n // _WINDOW_SHARE),
+                      _WINDOW_PROBES // max(1, probes),
                       _WINDOW_MAX, (1 << _ceil_log2(n)) - n + 1))
 
 
-def _reevaluate(col: np.ndarray, lens: np.ndarray, z: np.ndarray,
-                cover: np.ndarray, split: np.ndarray,
-                added: List[float]) -> Tuple[float, int]:
-    """One join's id against the current pieces, and the segment it splits.
+def _piece(col: np.ndarray, g: int, y: float,
+           cut: List[float]) -> Tuple[float, float]:
+    """``(start, length)`` of the piece of segment ``g`` of ``col`` covering ``y``.
 
-    ``col`` holds the ids as the window opened and ``added`` (sorted)
-    the ids its joins chose since; ``z`` are the join's probes and
-    ``cover`` their segments in ``col``.  A probe in a segment marked in
-    ``split`` sees the piece of it that covers the probe now, measured
-    with :meth:`MultipleChoice.select`'s arithmetic over the union.
+    ``cut`` lists (sorted) the ids a window put inside the segment; the
+    arithmetic is :meth:`MultipleChoice.select`'s over the union.
     """
-    start = col[cover]
-    length = lens[cover]
-    hit = split[cover].nonzero()[0]
     last = len(col) - 1
-    for k, g, y in zip(hit.tolist(), cover[hit].tolist(), z[hit].tolist()):
-        s = col.item(g)
-        e = col.item(g + 1 if g < last else 0)
-        r = bisect_right(added, y)
-        lo = added[r - 1] if r else -1.0  # the ids beside y added since
-        hi = added[r] if r < len(added) else 2.0
-        if g < last:  # a segment inside the ring: no piece wraps
-            start[k] = a = max(s, lo)
-            length[k] = min(e, hi) - a
-        elif y >= s:  # the seam segment, at or above x_{n-1}
-            start[k] = a = max(s, lo)
-            length[k] = hi - a if hi < 2.0 else 1.0 - a + min(e, added[0])
-        elif lo >= 0.0:  # the seam segment, below x_0
-            start[k] = lo
-            length[k] = min(e, hi) - lo
+    s = col.item(g)
+    e = col.item(g + 1 if g < last else 0)
+    r = bisect_right(cut, y)
+    lo = cut[r - 1] if r else -1.0  # the ids beside y the window added
+    hi = cut[r] if r < len(cut) else 2.0
+    if g < last:  # a segment inside the ring: no piece wraps
+        a = max(s, lo)
+        return a, min(e, hi) - a
+    if y >= s:  # the seam segment, at or above x_{n-1}
+        a = max(s, lo)
+        return a, hi - a if hi < 2.0 else 1.0 - a + min(e, cut[0])
+    if lo >= 0.0:  # the seam segment, below x_0
+        return lo, min(e, hi) - lo
+    a = max(s, cut[-1])
+    return a, 1.0 - a + min(e, hi)
+
+
+def _reevaluate(col: np.ndarray, split: np.ndarray, j: int,
+                cuts: Dict[int, List[float]], got: np.ndarray,
+                probes: Tuple[list, list, list, list], rows: range,
+                whole: bool) -> Optional[Tuple[float, int]]:
+    """Join ``j``'s id against the pieces as they are, and the segment it splits.
+
+    ``probes`` are four flat lists, as :func:`_probe_lists` makes them;
+    entries ``rows`` of them are the join's probes, longest segment first
+    (ties in probe order): probe index, segment in ``col``, point and
+    segment length.  ``split[g] < j`` marks a segment an earlier join of
+    the window split; ``cuts[g]`` lists (sorted) the ids the window put
+    inside it, made here from its first chooser's id in ``got`` while
+    that join is the only one.  A piece is never longer than its
+    segment, so the walk stops at the first probe that cannot beat the
+    best piece so far.  Returns ``None`` when the entries end before that
+    probe and are not ``whole`` (they may hold only the longest few).
+    """
+    ks, gs, ys, ls = probes
+    best = -1.0
+    for t in rows:
+        full = ls[t]
+        k = ks[t]
+        if full < best or full == best and k > pick:
+            return normalize(a + best / 2), seg
+        g = gs[t]
+        f = split.item(g)
+        if f < j:
+            cut = cuts.get(g)
+            if cut is None:
+                cut = cuts[g] = [got.item(f)]
+            start, length = _piece(col, g, ys[t], cut)
         else:
-            start[k] = a = max(s, added[-1])
-            length[k] = 1.0 - a + min(e, hi)
-    k = int(length.argmax())
-    return normalize(float(start[k]) + float(length[k]) / 2), int(cover[k])
+            start, length = col.item(g), full
+        if length > best or length == best and k < pick:
+            best, pick, a, seg = length, k, start, g
+    return (normalize(a + best / 2), seg) if whole else None
 
 
-def _merge_sorted(col: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def _probe_lists(lengths: np.ndarray, cover: np.ndarray, z: np.ndarray,
+                 rows: np.ndarray, keep: int) -> Tuple[list, list, list, list]:
+    """The probes of joins ``rows``, each row's longest segment first.
+
+    Four flat lists, ``keep`` entries per row (ties in probe order), as
+    :func:`_reevaluate` takes them: probe index, segment, point and
+    segment length.
+    """
+    order = np.argsort(-lengths[rows], axis=1, kind="stable")[:, :keep]
+    flat = order + (rows * z.shape[1])[:, None]
+    return (order.ravel().tolist(), cover.take(flat).ravel().tolist(),
+            z.take(flat).ravel().tolist(), lengths.take(flat).ravel().tolist())
+
+
+def _row_lists(lengths: np.ndarray, cover: np.ndarray, z: np.ndarray,
+               j: int) -> Tuple[list, list, list, list]:
+    """:func:`_probe_lists` of the one join ``j``, every probe listed."""
+    row = lengths[j]
+    order = (-row).argsort(kind="stable")
+    return (order.tolist(), cover[j].take(order).tolist(),
+            z[j].take(order).tolist(), row.take(order).tolist())
+
+
+def _walk(col: np.ndarray, z: np.ndarray, cover: np.ndarray) -> np.ndarray:
+    """The ids of a window's joins, in join order, over the ids ``col``.
+
+    Row ``j`` of ``z`` holds join ``j``'s probes and of ``cover`` their
+    segments in ``col``.  Each join first takes its first-maximum probe
+    over the segments as the window opened.  The first join to choose a
+    segment keeps that choice; every later one is *displaced* and walks,
+    in join order, through :func:`_reevaluate`.  A displaced join that
+    re-chooses a segment some later join chose first splits it before
+    that join, which is displaced in turn.
+    """
+    w, per = z.shape
+    joins = np.arange(w)
+    lengths = SegmentMap.lengths_from_array(col)[cover]
+    pick = lengths.argmax(axis=1)
+    choice = cover[joins, pick]
+    got = normalize_array(col[choice] + lengths[joins, pick] / 2)
+    split = np.full(len(col), w)  # the join that splits each segment first
+    np.minimum.at(split, choice, joins)
+    rows = np.flatnonzero(split[choice] != joins)
+    if not rows.size:
+        return got
+    keep = min(_CANDIDATES, per)
+    slot = dict(zip(rows.tolist(), range(0, len(rows) * keep, keep)))
+    top = _probe_lists(lengths, cover, z, rows, keep)
+    queue = rows.tolist()  # sorted: a heap already
+    cuts: Dict[int, List[float]] = {}
+    while queue:
+        j = heappop(queue)
+        i = slot.get(j)
+        if i is None:  # a demoted first chooser
+            chosen = None
+        else:
+            chosen = _reevaluate(col, split, j, cuts, got, top,
+                                 range(i, i + keep), keep == per)
+        if chosen is None:  # ... or too few probes listed
+            chosen = _reevaluate(col, split, j, cuts, got,
+                                 _row_lists(lengths, cover, z, j),
+                                 range(per), True)
+        p, g = chosen
+        got[j] = p
+        k = split.item(g)
+        if k > j:  # j splits g first; its first chooser, if any, is displaced
+            if k < w:
+                heappush(queue, k)
+            split[g] = j
+            cuts[g] = [p]
+        else:
+            cut = cuts.get(g)
+            if cut is None:
+                cut = cuts[g] = [got.item(k)]
+            insort(cut, p)
+    return got
+
+
+def _earlier_below(ids: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Per entry of ``ids`` (distinct), how many earlier entries are smaller.
+
+    ``order`` is ``ids.argsort()``.  Counted by blocks of
+    :data:`_RANK_BLOCK` entries: the entries of earlier blocks by one
+    cumulative count over (block, rank), those of an entry's own block
+    by one comparison of the block with itself.  ``len(ids)`` must stay
+    below 2^15 (:data:`_WINDOW_MAX`): ranks and counts are int16.
+    """
+    w = len(ids)
+    rank = np.empty(w, dtype=np.int16)
+    rank[order] = np.arange(w, dtype=np.int16)
+    blocks = -(-w // _RANK_BLOCK)
+    tile = np.full(blocks * _RANK_BLOCK, w, dtype=np.int16)
+    tile[:w] = rank
+    tile = tile.reshape(blocks, _RANK_BLOCK)
+    inside = tile[:, None, :] < tile[:, :, None]
+    inside &= _EARLIER
+    below = inside.view(np.int8).sum(axis=2, dtype=np.int16).ravel()[:w]
+    if blocks > 1:
+        block = np.arange(w) // _RANK_BLOCK
+        # before[b, r]: entries of blocks < b whose rank is <= r
+        before = np.cumsum(block[order] < np.arange(blocks)[:, None], axis=1,
+                           dtype=np.int16)
+        below += before[block, rank]
+    return below
+
+
+def _merge_sorted(col: np.ndarray, ids: np.ndarray,
+                  slots: np.ndarray) -> np.ndarray:
     """Sorted ``col`` and sorted, disjoint ``ids`` as one sorted ``ext``.
 
-    ``ext`` is the union plus a trailing ``+inf``, the layout
+    ``slots[k]`` is ``ids[k]``'s index in the union.  ``ext`` is the
+    union plus a trailing ``+inf``, the layout
     :meth:`~repro.core.segments.CoverIndex.follow` takes.
     """
-    slots = col.searchsorted(ids) + np.arange(len(ids))
     ext = np.empty(len(col) + len(ids) + 1)
     rest = np.ones(len(ext), dtype=bool)
     rest[slots] = False
@@ -179,44 +340,25 @@ def _grow_windows(col: np.ndarray, rng: np.random.Generator, count: int,
             if index is None:
                 index = CoverIndex(col)
             z = rng.random(w * per).reshape(w, per)
-            cover = index.cover(z.ravel()).reshape(w, per)
-            lens = SegmentMap.lengths_from_array(col)
-            choice = cover[np.arange(w), lens[cover].argmax(axis=1)]
-            new = normalize_array(col[choice] + lens[choice] / 2).tolist()
-            seg = choice.tolist()
+            got = _walk(col, z, index.cover(z.ravel()).reshape(w, per))
         else:
-            new = rng.random(w).tolist()
-        split = bytearray(n)
-        flags = np.frombuffer(split, dtype=np.uint8)
-        added: List[float] = []
-        ranks = []
-        clash = w  # the first join whose id an earlier one already took
-        for j in range(w):
-            if per:
-                g = seg[j]
-                if split[g]:
-                    new[j], g = _reevaluate(col, lens, z[j], cover[j], flags,
-                                            added)
-                split[g] = 1
-            p = new[j]
-            r = bisect_left(added, p)
-            if r < len(added) and added[r] == p:
-                clash = min(clash, j)
-            added.insert(r, p)
-            ranks.append(r)
-        got = np.array(new)
+            got = rng.random(w)
         pos = col.searchsorted(got)
-        taken = np.flatnonzero(col[np.minimum(pos, n - 1)] == got)
-        if taken.size:
-            clash = min(clash, int(taken[0]))
-        if clash < w:
-            raise ValueError(f"point {new[clash]!r} already present")
+        order = got.argsort(kind="stable")
+        added = got[order]
+        slots = pos[order] + np.arange(w)
+        ext = _merge_sorted(col, added, slots)
+        if (ext[slots + 1] == added).any():  # a duplicate sits beside its twin
+            # the first join whose id an earlier join, or the column, took
+            clash = np.concatenate([
+                order[1:][added[1:] == added[:-1]],
+                np.flatnonzero(col[np.minimum(pos, n - 1)] == got)])
+            raise ValueError(f"point {got[clash.min()]!r} already present")
         ids[done:done + w] = got
-        at[done:done + w] = pos + ranks
-        ext = _merge_sorted(col, np.array(added))
+        at[done:done + w] = pos + _earlier_below(got, order)
         col = ext[:-1]
         if index is not None:
-            index.follow(ext, [(p, 1) for p in added])
+            index.follow(ext, added, np.ones(w, dtype=np.intp))
         done += w
     return ids, at
 
@@ -241,8 +383,10 @@ class _Strategy:
         ``p = select(segments, rng); segments.insert(p)`` would produce,
         and ``rng`` ends in the same state.  ``segments`` itself is not
         changed.  An id the loop's ``insert`` would refuse as a
-        duplicate raises that ``ValueError``.
+        duplicate raises that ``ValueError``, and so does a ``count``
+        that is not an int ``>= 0``.
         """
+        check_count(count, "grow")
         if self.estimate or not segments.is_float():
             return _grow_per_join(self, segments, rng, count)
         return _grow_windows(segments.column, rng, count, self._probes)
@@ -318,8 +462,10 @@ class MultipleChoice(_Strategy):
             raise ValueError(f"probe multiplier t must be an int, got {t!r}")
         if t < 1:
             raise ValueError("probe multiplier t must be >= 1")
+        if not isinstance(estimate, (bool, np.bool_)):
+            raise ValueError(f"estimate must be a bool, got {estimate!r}")
         self.t = int(t)
-        self.estimate = estimate
+        self.estimate = bool(estimate)
 
     def _log_n(self, segments: SegmentMap, rng: np.random.Generator) -> int:
         if not self.estimate:

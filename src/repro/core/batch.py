@@ -475,8 +475,8 @@ class BatchRouter(ColumnarSnapshot):
         self.n = n
         # the journal's p is the float64 the column stores
         self.cover_index.follow(
-            ext[:n + 1],
-            [(p, 1 if kind == "join" else -1) for kind, p, _ in pending])
+            ext[:n + 1], np.array([p for _, p, _ in pending]),
+            np.array([1 if kind == "join" else -1 for kind, _, _ in pending]))
         if self.adj_first is not None:
             self._build_adjacency()
         return True

@@ -21,6 +21,7 @@ Key theorem hooks exposed here:
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -218,13 +219,17 @@ class DistanceHalvingNetwork:
         keyed by the float the id list holds), the same membership-log
         ops, version and head, items moved to the same owners, and the
         rng in the same state.  A duplicate id raises ``ValueError``
-        before anything is committed.
+        before anything is committed; a bad count raises ``ValueError``
+        and a ``selector`` that is not a strategy instance ``TypeError``.
         """
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"populate needs a server count >= 0, got {n!r}")
-        from ..balance.strategies import SingleChoice
+        from ..balance.strategies import SingleChoice, check_count
 
+        check_count(n, "populate")
         strategy = SingleChoice() if selector is None else selector
+        if isinstance(strategy, type):
+            raise TypeError(
+                f"populate needs a §4 strategy instance, got the class "
+                f"{strategy.__name__}; pass {strategy.__name__}()")
         if not hasattr(strategy, "grow"):
             raise TypeError(
                 f"populate needs a §4 strategy with grow(), got {strategy!r}; "
@@ -232,8 +237,15 @@ class DistanceHalvingNetwork:
         ids, at = strategy.grow(self.segments, self._rng, int(n))
         holders = [srv for srv in self.servers.values() if srv.store]
         stored = self.segments.merge(ids)
-        for p in stored:
-            self.servers[p] = Server(point=p)
+        # n tracked objects in a row set off the cyclic collector's full
+        # passes over the whole heap; none of them can form a cycle yet
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            self.servers.update(zip(stored, map(Server, stored)))
+        finally:
+            if paused:
+                gc.enable()
         self.membership_log.record_joins(stored, at)
         for srv in holders:  # each item to the server now covering it
             for key, (pos, _v) in list(srv.store.items()):

@@ -193,21 +193,22 @@ class CoverIndex:
         view.flags.writeable = False
         return view
 
-    def follow(self, ext: np.ndarray, moved) -> None:
+    def follow(self, ext: np.ndarray, ids: np.ndarray,
+               steps: np.ndarray) -> None:
         """Adopt ``ext``, the column after joins and leaves plus ``+inf``.
 
         ``ext`` is taken as is, not copied: the caller owns its buffer
         (the router edits one in place and passes a view of it) and
         hands over a column nobody else holds, so :attr:`shared` resets.
-        ``moved`` lists one ``(p, +1)`` per joined and ``(p, -1)`` per
-        left id since the indexed state, ``p`` the float64 stored in the
-        column.  Each op shifts the buckets whose left edge is at or
-        past ``p``; between two consecutive such edges the shifts of a
-        whole refresh sum to one constant, so the grid is passed over
+        ``ids[k]`` is an id joined (``steps[k] == 1``) or left
+        (``steps[k] == -1``) since the indexed state, the float64 stored
+        in the column.  Each op shifts the buckets whose left edge is at
+        or past its id; between two consecutive such edges the shifts of
+        a whole refresh sum to one constant, so the grid is passed over
         once — one slice add per stretch, or, past ``G / 1024`` ops, one
-        cumulative sum of the steps — however many ops are pending.  The
-        resolution is re-chosen (a fresh grid) only when n has left
-        ``[G/8, G/2]``.
+        add of the stretches' shifts repeated out to the grid's length —
+        however many ops are pending.  The resolution is re-chosen (a
+        fresh grid) only when n has left ``[G/8, G/2]``.
         """
         self.ext = ext
         self.shared = False
@@ -215,14 +216,15 @@ class CoverIndex:
         if not size // 8 <= n <= size // 2:
             self.grid = cover_grid(ext[:-1], _grid_size(n))
             return
-        if len(moved) << 10 > size:
-            p, step = np.array(moved).T
-            shift = np.bincount(np.ceil(p * size).astype(np.intp),
-                                weights=step, minlength=size + 1)
-            shift = shift[:size].astype(np.int32)
-            self.grid += np.cumsum(shift, out=shift)
+        if len(ids) << 10 > size:
+            edges = np.ceil(ids * size).astype(np.intp)
+            order = edges.argsort(kind="stable")
+            stretch = np.diff(edges[order], prepend=0, append=size)
+            shifts = np.cumsum(steps[order]).astype(np.int32)
+            self.grid += np.repeat(np.append(np.int32(0), shifts), stretch)
             return
-        edges = sorted((math.ceil(p * size), step) for p, step in moved)
+        edges = sorted((math.ceil(p * size), step)
+                       for p, step in zip(ids.tolist(), steps.tolist()))
         shift = 0
         for (lo, step), (hi, _) in zip(edges, edges[1:] + [(size, 0)]):
             shift += step
@@ -403,7 +405,7 @@ class SegmentMap:
         outside = np.flatnonzero((ids < 0.0) | (ids >= 1.0))
         if outside.size:
             raise ValueError(f"id {float(ids[outside[0]])!r} lies outside [0, 1)")
-        stored = ids.tolist()
+        stored = (ids + 0.0).tolist()  # -0.0 + 0.0 is 0.0, as insert folds it
         pts = self._points + stored
         pts.sort()
         if any(map(eq, pts, pts[1:])):

@@ -131,6 +131,30 @@ class TestMultipleChoice:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             MultipleChoice(t=bad)
 
+    @pytest.mark.parametrize("bad", ["no", "", 1, 0, None, 1.0])
+    def test_estimate_must_be_a_bool(self, bad):
+        """``estimate="no"`` used to be kept as is: truthy, so it switched
+        §6.2's log-n estimation on."""
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            MultipleChoice(t=4, estimate=bad)
+
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True),
+                                      np.bool_(False)])
+    def test_estimate_takes_bools(self, flag):
+        assert MultipleChoice(t=4, estimate=flag).estimate is bool(flag)
+
+    @pytest.mark.parametrize("bad", [-1, -5, 2.5, True, "3", None])
+    def test_grow_refuses_a_bad_count(self, bad):
+        """``grow(count=-1)`` used to die inside NumPy on a negative size."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        segments = SegmentMap([0.1, 0.6])
+        for strategy in (SingleChoice(), MultipleChoice(t=4),
+                         MultipleChoice(t=4, estimate=True)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                strategy.grow(segments, rng, bad)
+        assert rng.bit_generator.state == state
+
     def test_t_may_be_a_numpy_int(self):
         strategy = MultipleChoice(t=np.int64(3))
         assert strategy.t == 3 and type(strategy.t) is int

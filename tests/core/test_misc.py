@@ -1,8 +1,12 @@
 """Edge-case coverage: small helpers and error paths across core modules."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.balance import MultipleChoice
 from repro.core import DistanceHalvingNetwork, dh_lookup, fast_lookup
 from repro.core.lookup import LookupResult
 from repro.core.node import Server
@@ -14,17 +18,58 @@ from repro.sim.metrics import summarize
 class TestServer:
     def test_default_name_from_point(self):
         s = Server(point=0.125)
-        assert "0.125" in s.name
+        assert s.name == "server@0.125000"
 
-    def test_reset_counters(self):
+    def test_explicit_name(self):
         s = Server(point=0.5, name="x")
-        s.messages_handled = 7
-        s.lookups_initiated = 3
-        s.reset_counters()
-        assert s.messages_handled == 0 and s.lookups_initiated == 0
+        assert s.name == "x"
+        s.name = "y"
+        assert s.name == "y"
 
     def test_hashable_by_point(self):
         assert hash(Server(point=0.25)) == hash(Server(point=0.25, name="other"))
+        assert hash(Server(point=0.25)) == hash(0.25)
+
+    def test_equality_compares_point_name_and_store(self):
+        assert Server(point=0.25) == Server(point=0.25)
+        assert Server(point=0.25) != Server(point=0.25, name="other")
+        assert Server(point=0.25) != Server(point=0.5)
+        s = Server(point=0.25)
+        s.store["k"] = (0.3, 1)
+        assert s != Server(point=0.25)
+        assert Server(point=0.25) != 0.25
+
+    def test_repr(self):
+        assert repr(Server(point=0.5)) == (
+            "Server(point=0.5, name='server@0.500000', store={})")
+
+    def test_pickle_round_trip(self):
+        for s in (Server(point=0.75), Server(point=0.25, name="x")):
+            s.store["k"] = (0.8, "v")
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s and back.name == s.name and back.store == s.store
+
+    def test_one_store_per_server_and_no_instance_dict(self):
+        a, b = Server(point=0.1), Server(point=0.2)
+        a.store["k"] = (0.15, 1)
+        assert b.store == {} and a.store is not b.store
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(AttributeError, match="messages_handled"):
+            a.messages_handled
+
+    def test_populate_holds_at_most_140_bytes_per_server(self):
+        """The Server objects of populate(16384): object, store and name."""
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            net.populate(16384, selector=MultipleChoice(t=4))
+            before = tracemalloc.get_traced_memory()[0]
+            for p in net.servers:  # same table, the Servers dropped
+                net.servers[p] = None
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed / 16384 <= 140
 
 
 class TestLookupResult:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.balance import MultipleChoice
 from repro.core import DistanceHalvingNetwork
 from repro.core.interval import Arc
 
@@ -129,6 +130,14 @@ class TestJoinLeave:
             net.populate(bad)
         assert net.n == 0 and net.membership_version == 0
         assert rng.bit_generator.state == state
+
+    def test_populate_refuses_a_strategy_class(self):
+        """``selector=MultipleChoice`` used to fail inside ``grow`` on a
+        missing ``count``."""
+        net = DistanceHalvingNetwork(rng=np.random.default_rng(0))
+        with pytest.raises(TypeError, match="MultipleChoice"):
+            net.populate(8, selector=MultipleChoice)
+        assert net.n == 0
 
     def test_populate_takes_numpy_ints_and_zero(self):
         net = DistanceHalvingNetwork(rng=np.random.default_rng(0))

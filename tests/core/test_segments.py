@@ -1,6 +1,7 @@
 """Unit tests for the dynamic segment decomposition (paper §2.1)."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -294,6 +295,19 @@ class TestMerge:
         assert len(merged._buf) == len(inserted._buf)
         assert stored == ids.tolist()
         assert all(merged.point_at(merged.index_of(p)) is p for p in stored)
+        merged.check_invariants()
+
+    def test_negative_zero_is_stored_as_zero(self):
+        """``insert(-0.0)`` stores 0.0; ``merge`` used to keep the sign bit."""
+        merged, inserted = SegmentMap([0.25]), SegmentMap([0.25])
+        inserted.insert(-0.0)
+        inserted.insert(0.5)
+        stored = merged.merge(np.array([-0.0, 0.5]))
+        for sm in (merged, inserted):
+            assert np.signbit(sm.column).tolist() == [False] * 3
+            assert math.copysign(1.0, sm.point_at(0)) == 1.0
+        assert merged.column.tobytes() == inserted.column.tobytes()
+        assert math.copysign(1.0, stored[0]) == 1.0
         merged.check_invariants()
 
     def test_into_exact_ids(self):

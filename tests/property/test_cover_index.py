@@ -113,6 +113,12 @@ class TestGridEqualsOracle:
         assert index.cover(np.zeros(0)).size == 0
 
 
+def _columns(moved):
+    """``[(p, step), ...]`` as the ``(ids, steps)`` arrays ``follow`` takes."""
+    ids, steps = zip(*moved) if moved else ((), ())
+    return np.array(ids, dtype=np.float64), np.array(steps, dtype=np.intp)
+
+
 class TestFollow:
     """``follow`` keeps grid and ext equal to a freshly built index."""
 
@@ -133,7 +139,7 @@ class TestFollow:
                 moved = [(points[at], 1)]
             else:
                 continue
-            index.follow(np.append(points, np.inf), moved)
+            index.follow(np.append(points, np.inf), *_columns(moved))
             size = len(index.grid)
             assert size // 8 <= points.size <= size // 2
             assert np.array_equal(index.grid, cover_grid(points, size))
@@ -159,7 +165,7 @@ class TestFollow:
                 points = np.insert(points, at, value)
                 moved.append((points[at], 1))
             if len(moved) >= chunk or k == len(ops) - 1:
-                index.follow(np.append(points, np.inf), moved)
+                index.follow(np.append(points, np.inf), *_columns(moved))
                 moved = []
                 size = len(index.grid)
                 assert np.array_equal(index.grid, cover_grid(points, size))
@@ -175,8 +181,8 @@ class TestFollow:
         joined = rng.random(joins)
         left = points[rng.choice(points.size, joins // 2, replace=False)]
         after = np.setdiff1d(np.union1d(points, joined), left)
-        index.follow(np.append(after, np.inf),
-                     [(p, 1) for p in joined] + [(p, -1) for p in left])
+        index.follow(np.append(after, np.inf), np.append(joined, left),
+                     np.repeat([1, -1], [joins, joins // 2]))
         assert len(index.grid) == 4096
         assert np.array_equal(index.grid, cover_grid(after, 4096))
 
@@ -185,10 +191,10 @@ class TestFollow:
         index = CoverIndex(points)
         assert len(index.grid) == 32
         grown = np.arange(17) / 32          # n = 17 > G/2
-        index.follow(np.append(grown, np.inf), [])
+        index.follow(np.append(grown, np.inf), np.zeros(0), np.zeros(0))
         assert len(index.grid) == 64
         shrunk = grown[:7]                  # n = 7 < G/8
-        index.follow(np.append(shrunk, np.inf), [])
+        index.follow(np.append(shrunk, np.inf), np.zeros(0), np.zeros(0))
         assert len(index.grid) == 16
         assert np.array_equal(index.grid, cover_grid(shrunk, 16))
 

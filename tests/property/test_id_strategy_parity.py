@@ -157,6 +157,19 @@ class TestExactIdsTakeTheLoop:
 
 
 # -------------------------------------------------------------- grow oracle
+class Scripted:
+    """An rng that hands out the given draws in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
 def loop_grow(strategy, segments: SegmentMap, rng, count: int):
     """``count`` rounds of ``select`` + ``insert`` on a copy of ``segments``."""
     work = SegmentMap(segments)
@@ -228,13 +241,48 @@ class TestGrowEqualsLoop:
 
     @pytest.mark.parametrize("t", [1, 4, 20])
     def test_windows_reevaluate_and_stay_exact(self, t, monkeypatch):
-        """Some joins' choices are split earlier in their window."""
+        """Some joins' choices are split earlier in their window.
+
+        With more probes than it lists up front, a displaced join that
+        runs off its short list is walked again over all its probes.
+        """
         calls = []
         reevaluate = strategies_module._reevaluate
-        monkeypatch.setattr(strategies_module, "_reevaluate",
-                            lambda *a: calls.append(1) or reevaluate(*a))
+
+        def spy(*args):
+            chosen = reevaluate(*args)
+            calls.append((args[-1], chosen is None))
+            return chosen
+
+        monkeypatch.setattr(strategies_module, "_reevaluate", spy)
         assert_same_growth(MultipleChoice(t=t), SegmentMap(), 7, 3000)
         assert calls
+        if t > 1:  # t·⌈log₂ n⌉ probes outnumber the short list from n = 5
+            assert (False, True) in calls and (True, False) in calls
+
+    def test_a_displaced_join_demotes_a_later_first_chooser(self, monkeypatch):
+        """The cascade, in one pinned window of three joins (t = 1).
+
+        Join 0 splits A, the longest segment.  Join 1 chose A too, so it
+        is displaced; A's halves now lose to B.  Join 2 chose B first,
+        but join 1 split B before it: join 2 is displaced in turn and
+        takes C.
+        """
+        col = [0.0, 0.3, 0.5, 0.62] + [0.62 + 0.38 * k / 30 for k in range(1, 30)]
+        segments = SegmentMap(col)  # n = 33: six probes a join, one window
+        tail = [0.7, 0.8, 0.9, 0.75]
+        probes = ([0.1, 0.7, 0.8, 0.9, 0.75, 0.85]     # A
+                  + [0.2, 0.4] + tail                   # A, then B
+                  + [0.45, 0.55] + tail)                # B, then C
+        walked = []
+        reevaluate = strategies_module._reevaluate
+        monkeypatch.setattr(strategies_module, "_reevaluate",
+                            lambda *a: walked.append(a[2]) or reevaluate(*a))
+        expect = loop_grow(MultipleChoice(t=1), segments, Scripted(probes), 3)
+        ids, at = MultipleChoice(t=1).grow(segments, Scripted(probes), 3)
+        assert expect[0] == [0.15, 0.4, 0.56]
+        assert (ids.tolist(), at.tolist()) == expect
+        assert walked == [1, 2]
 
     @pytest.mark.parametrize("strategy", GROW_STRATEGIES, ids=_strategy_id)
     def test_exact_ids(self, strategy):
@@ -245,21 +293,10 @@ class TestGrowEqualsLoop:
 
     def test_duplicates_raise_as_the_loop_does(self):
         """A drawn id already present, or drawn twice within one window."""
-
-        class Scripted:
-            def __init__(self, values):
-                self.values = list(values)
-
-            def random(self, size=None):
-                if size is None:
-                    return self.values.pop(0)
-                out, self.values = self.values[:size], self.values[size:]
-                return np.array(out)
-
         segments = SegmentMap(np.arange(80) / 80)
         fresh = (np.arange(40) + 0.5) / 800
-        # windows of five joins from n = 80: join 9 repeats an old id,
-        # then join 8's id, drawn in the same window
+        # one window of 40 joins from n = 80: join 9 repeats an old id,
+        # then join 8's id
         for script in ([*fresh[:9], 3 / 80, *fresh[9:]],
                        [*fresh[:9], fresh[8], *fresh[9:]]):
             with pytest.raises(ValueError, match="already present"):
