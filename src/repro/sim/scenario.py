@@ -23,10 +23,10 @@ Three layers:
   accumulation — the property the hypothesis suite asserts.
 * :class:`ScenarioEngine` — the phase-scripted driver.  A scenario is a
   comma-separated phase string (``"lookups,churn:192,flash,..."``,
-  see :func:`parse_phases`); each phase streams its requests in
-  ``chunk``-sized batches through the appropriate engine and books them
-  into per-phase :class:`SoakStats` snapshots that merge into a running
-  total.
+  see :func:`parse_phases`); one table gives each kind's argument rule,
+  default and body.  Each phase streams its requests in ``chunk``-sized
+  batches through the appropriate engine and books them into per-phase
+  :class:`SoakStats` snapshots that merge into a running total.
 * the invariant checker — :meth:`ScenarioEngine.check_invariants` runs
   between phases and audits owner consistency against a fresh compile,
   the congestion-accumulator merge identity, erasure-share
@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..balance import MultipleChoice
+from ..balance.strategies import MultipleChoice, check_count
 from ..core import DistanceHalvingNetwork
 from ..core.batch_cache import BatchCacheEngine
 from ..core.routing_stats import BatchCongestion
@@ -55,7 +55,7 @@ from ..faults.batch_ft import FTBatchEngine
 from ..faults.erasure import ErasureStore, RepairReport
 from ..faults.models import FaultPlan, random_byzantine, random_failstop
 from ..faults.overlap import OverlappingDHNetwork
-from ..sim.churn import ChurnTrace, run_churn
+from ..sim.churn import ChurnOp, ChurnTrace
 from ..sim.rng import spawn_many
 from ..sim.workload import demand_stream, survivor_pairs, zipf_demands
 
@@ -72,17 +72,14 @@ DEFAULT_CHUNK = 1 << 16
 DEFAULT_PHASES = ("lookups,churn,lookups,flash,failstop,byzantine,"
                   "rebalance,mass")
 
-#: Each phase kind with the argument it takes: a predicate and the words
-#: a refusal names it by.
-_PHASE_KINDS = {
-    "lookups": (float.is_integer, "an integral count >= 0"),
-    "churn": (float.is_integer, "an integral count >= 0"),
-    "flash": (float.is_integer, "an integral count >= 0"),
-    "failstop": (lambda p: p < 1, "a probability in [0, 1)"),
-    "byzantine": (lambda p: p < 1, "a probability in [0, 1)"),
-    "rebalance": (float.is_integer, "an integral count >= 0"),
-    "mass": (lambda f: f <= 1, "a fraction in [0, 1]"),
-}
+
+class _Kind(NamedTuple):
+    """One phase kind, as ``_PHASE_KINDS`` (below the engine) holds it."""
+
+    fits: Callable[[float], bool]  # the argument rule parse_phases applies
+    what: str  # the words a refusal names the argument by
+    default: Callable[["ScenarioEngine"], float]  # run()'s omitted argument
+    body: Callable[["ScenarioEngine", "SoakStats", float], None]
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,9 @@ def parse_phases(spec: str) -> List[Phase]:
             arg = float(raw)
             if arg < 0:
                 raise ValueError(f"phase argument must be >= 0: {token!r}")
-            fits, what = _PHASE_KINDS[kind]
-            if not fits(arg):  # NaN and inf fail every predicate too
-                raise ValueError(f"{kind} takes {what}: {token!r}")
+            rule = _PHASE_KINDS[kind]
+            if not rule.fits(arg):  # NaN and inf fail every predicate too
+                raise ValueError(f"{kind} takes {rule.what}: {token!r}")
         phases.append(Phase(kind, arg))
     if not phases:
         raise ValueError("scenario script has no phases")
@@ -310,8 +307,8 @@ class ScenarioEngine:
         :class:`~repro.faults.overlap.OverlappingDHNetwork` rides along
         as the §6 fault substrate with ``items`` erasure-coded blobs.
     lookups:
-        Total routed lookups the ``lookups`` phases share (split evenly;
-        an explicit ``lookups:COUNT`` phase keeps its own count).
+        The lookup budget: ``lookups`` phases without a count split what
+        the explicit ``lookups:COUNT`` phases leave of it, evenly.
     chunk:
         Streaming batch size — the peak number of in-flight requests
         (and the accumulator memory bound, O(chunk + n)).
@@ -343,12 +340,13 @@ class ScenarioEngine:
         strict: bool = True,
         workers: int = 1,
     ) -> None:
-        if n < 16:
-            raise ValueError("soak needs n >= 16")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        for what, count, least in (
+                ("n", n, 16), ("lookups", lookups, 0), ("chunk", chunk, 1),
+                ("items", items, 0), ("payload", payload, 0),
+                ("workers", workers, 1)):
+            check_count(count, what)
+            if count < least:
+                raise ValueError(f"soak needs {what} >= {least}")
         self.n0 = int(n)
         self.lookups_total = int(lookups)
         self.chunk = int(chunk)
@@ -376,9 +374,9 @@ class ScenarioEngine:
         self.ft_engine = FTBatchEngine(self.ft_net)
         self.store = ErasureStore(self.ft_net)
         self._blobs: Dict[str, bytes] = {}
-        for i in range(int(items)):
+        for i in range(items):
             key = f"item-{i}"
-            data = bytes(fault_rng.integers(0, 256, size=int(payload),
+            data = bytes(fault_rng.integers(0, 256, size=payload,
                                             dtype=np.uint8))
             self.store.put(key, data)
             self._blobs[key] = data
@@ -390,16 +388,13 @@ class ScenarioEngine:
         self.invariant_rows: List[Dict] = []
         self._last_cache_engine: Optional[BatchCacheEngine] = None
 
-    # --------------------------------------------------------------- helpers
-    def _observe(self, stats: SoakStats) -> None:
-        stats.observe_network(
-            self.net.n,
-            self.net.smoothness() if self.net.n >= 2 else math.inf)
-
-    def _route_stream(self, stats: SoakStats, count: int) -> None:
+    # ---------------------------------------------------------------- phases
+    # Each body takes its phase's explicit argument; _PHASE_KINDS, below
+    # the class, names the body, the default and the argument rule.
+    def _route_stream(self, stats: SoakStats, count: float) -> None:
         """Route ``count`` uniform lookups in chunk-sized CSR batches."""
         rng = self._route_rng
-        done = 0
+        done, count = 0, int(count)
         while done < count:
             b = min(self.chunk, count - done)
             # the refreshed snapshot's column is the live point list
@@ -411,37 +406,46 @@ class ScenarioEngine:
                                            keep_paths="csr")
             stats.record_route(res)
             done += b
-        self._observe(stats)
 
-    # ---------------------------------------------------------------- phases
-    def _phase_lookups(self, stats: SoakStats, arg: Optional[float],
-                       share: int) -> None:
-        self._route_stream(stats, int(arg) if arg is not None else share)
+    def _membership(self, stats: SoakStats, ops: List[ChurnOp],
+                    first_rng: Optional[np.random.Generator] = None) -> None:
+        """Apply join / leave ops, re-syncing the router after each.
 
-    def _phase_churn(self, stats: SoakStats, arg: Optional[float]) -> None:
-        ops = int(arg) if arg is not None else 192
-        trace = ChurnTrace.generate(self._churn_rng, steps=ops,
+        With ``first_rng``, a first op that is a join on n > 2 draws its
+        id from that stream through the selector: churn and mass traces
+        keep the draw ``run_churn`` makes for the step it measures, so
+        their ids, and the soak digests, stay those of that driver.
+        Every other join draws from the network's own stream.
+        """
+        net = self.net
+        for i, op in enumerate(ops):
+            if op.kind == "join" or net.n == 0:
+                if i == 0 and first_rng is not None and net.n > 2:
+                    net.join(point=float(self.selector(net, first_rng)))
+                else:
+                    net.join(selector=self.selector)
+            else:
+                net.leave(net.segments.point_at(op.victim % net.n))
+            self.router.refresh()
+        stats.record_churn(len(ops))
+
+    def _churn(self, stats: SoakStats, ops: float) -> None:
+        trace = ChurnTrace.generate(self._churn_rng, steps=int(ops),
                                     leave_prob=0.3, warmup=0)
-        run_churn(self.net, trace, self._churn_rng, selector=self.selector,
-                  sample_every=1 << 30,
-                  on_op=lambda step, op: self.router.refresh())
-        stats.record_churn(len(trace.ops))
-        self._observe(stats)
+        self._membership(stats, trace.ops, self._churn_rng)
 
-    def _phase_flash(self, stats: SoakStats, arg: Optional[float]) -> None:
+    def _flash(self, stats: SoakStats, requests: float) -> None:
         """Zipf flash crowd through the batch cache, streamed in chunks.
 
         The cache engine snapshots a frozen router, so each flash phase
         builds a fresh engine on the *current* membership (a stale
         engine under churn raises rather than serving wrong covers).
         """
-        requests = (int(arg) if arg is not None
-                    else min(2 * self.chunk, max(1, self.lookups_total // 8)))
         rng = self._cache_rng
         n_items = max(8, min(64, self.net.n // 64))
         items = [f"hot-{i}" for i in range(n_items)]
         engine = BatchCacheEngine(self.net, items)
-        demands = zipf_demands(n_items, requests, rng)
+        demands = zipf_demands(n_items, int(requests), rng)
         stream = demand_stream(demands, rng)
         pts = self.net.segments.as_array()
         for lo in range(0, stream.size, self.chunk):
@@ -451,10 +455,11 @@ class ScenarioEngine:
             stats.record_cache(res)
         engine.advance_epoch()
         self._last_cache_engine = engine
-        self._observe(stats)
 
     def _ft_stream(self, stats: SoakStats, count: int, plan,
                    resistant: bool) -> None:
+        if not self.alive:  # an emptied substrate has no source: 0 pairs
+            return
         alive_mask = np.isin(self._ft_points, list(self.alive))
         done = 0
         while done < count:
@@ -470,10 +475,8 @@ class ScenarioEngine:
             stats.record_ft(res)
             done += b
 
-    def _phase_failstop(self, stats: SoakStats,
-                        arg: Optional[float]) -> None:
+    def _failstop(self, stats: SoakStats, p: float) -> None:
         """Fail-stop wave + simple lookups + read-repair healing."""
-        p = float(arg) if arg is not None else 0.08
         plan = random_failstop(sorted(self.alive), p, self._fault_rng)
         self.alive -= plan.failed
         cumulative = FaultPlan(failed=set(self._ft_points.tolist())
@@ -481,39 +484,24 @@ class ScenarioEngine:
         self._ft_stream(stats, max(1, self.chunk // 2), cumulative,
                         resistant=False)
         stats.record_repair(self.store.heal(self.alive))
-        self._observe(stats)
 
-    def _phase_byzantine(self, stats: SoakStats,
-                         arg: Optional[float]) -> None:
+    def _byzantine(self, stats: SoakStats, p: float) -> None:
         """Byzantine liars + Theorem 6.6 resistant lookups."""
-        p = float(arg) if arg is not None else 0.05
         plan = random_byzantine(sorted(self.alive), p, self._fault_rng)
         plan.failed |= set(self._ft_points.tolist()) - self.alive
         self._ft_stream(stats, max(1, self.chunk // 4), plan,
                         resistant=True)
-        self._observe(stats)
 
-    def _phase_rebalance(self, stats: SoakStats,
-                         arg: Optional[float]) -> None:
+    def _rebalance(self, stats: SoakStats, joins: float) -> None:
         """A Multiple-Choice join cohort drives smoothness back down."""
-        joins = int(arg) if arg is not None else max(32, self.n0 // 32)
-        for _ in range(joins):
-            self.net.join(selector=self.selector)
-            self.router.refresh()
-        stats.record_churn(joins)
-        self._observe(stats)
+        self._membership(stats, [ChurnOp("join")] * int(joins))
 
-    def _phase_mass(self, stats: SoakStats, arg: Optional[float]) -> None:
+    def _mass(self, stats: SoakStats, fraction: float) -> None:
         """§4.1 stress: a cohort joins, then a fraction of the net leaves."""
-        fraction = float(arg) if arg is not None else 0.3
         m = min(self.net.n, max(64, self.n0 // 8))
         trace = ChurnTrace.mass_departure(self._churn_rng, n=m,
                                           fraction=fraction)
-        run_churn(self.net, trace, self._churn_rng, selector=self.selector,
-                  sample_every=1 << 30,
-                  on_op=lambda step, op: self.router.refresh())
-        stats.record_churn(len(trace.ops))
-        self._observe(stats)
+        self._membership(stats, trace.ops, self._churn_rng)
 
     # ------------------------------------------------------------ invariants
     def check_invariants(self, phase: str) -> List[Dict]:
@@ -605,40 +593,27 @@ class ScenarioEngine:
         caller, see ``experiments/soak.py``).
         """
         plan = parse_phases(phases) if isinstance(phases, str) else phases
-        free = [ph for ph in plan
+        args = [_PHASE_KINDS[ph.kind].default(self) if ph.arg is None
+                else ph.arg for ph in plan]
+        # free lookups phases split their default, the lookup budget, less
+        # the explicit counts; the first takes the remainder
+        free = [i for i, ph in enumerate(plan)
                 if ph.kind == "lookups" and ph.arg is None]
-        explicit = sum(int(ph.arg) for ph in plan
-                       if ph.kind == "lookups" and ph.arg is not None)
-        pool = max(0, self.lookups_total - explicit)
-        share = pool // len(free) if free else 0
-        shares = [share] * len(free)
         if free:
-            shares[0] += pool - share * len(free)
+            explicit = sum(int(ph.arg) for ph in plan
+                           if ph.kind == "lookups" and ph.arg is not None)
+            share, extra = divmod(max(0, args[free[0]] - explicit), len(free))
+            for i in free:
+                args[i], extra = share + extra, 0
 
         rows: List[Dict] = []
-        free_i = 0
         try:
-            for i, ph in enumerate(plan):
+            for ph, arg in zip(plan, args):
                 stats = SoakStats()
-                if ph.kind == "lookups":
-                    if ph.arg is None:
-                        self._phase_lookups(stats, None, shares[free_i])
-                        free_i += 1
-                    else:
-                        self._phase_lookups(stats, ph.arg, 0)
-                elif ph.kind == "churn":
-                    self._phase_churn(stats, ph.arg)
-                elif ph.kind == "flash":
-                    self._phase_flash(stats, ph.arg)
-                elif ph.kind == "failstop":
-                    self._phase_failstop(stats, ph.arg)
-                elif ph.kind == "byzantine":
-                    self._phase_byzantine(stats, ph.arg)
-                elif ph.kind == "rebalance":
-                    self._phase_rebalance(stats, ph.arg)
-                elif ph.kind == "mass":
-                    self._phase_mass(stats, ph.arg)
-                name = f"{i + 1}:{ph.kind}"
+                _PHASE_KINDS[ph.kind].body(self, stats, arg)
+                rho = self.net.smoothness() if self.net.n >= 2 else math.inf
+                stats.observe_network(self.net.n, rho)
+                name = f"{len(self.phase_snapshots) + 1}:{ph.kind}"
                 self.phase_snapshots.append((name, stats.snapshot()))
                 self.total.merge(stats)
                 if self.invariants:
@@ -646,8 +621,7 @@ class ScenarioEngine:
                 rows.append({
                     "phase": name,
                     "n": self.net.n,
-                    "rho": round(float(self.net.smoothness()), 2)
-                    if self.net.n >= 2 else math.inf,
+                    "rho": round(float(rho), 2),
                     "lookups": stats.route.lookups,
                     "cached": stats.cache_requests,
                     "ft": stats.ft_pairs,
@@ -661,8 +635,10 @@ class ScenarioEngine:
             # invariant failure mid-scenario
             self.router.close_executor()
 
-        invariants_ok = all(r["ok"] for r in self.invariant_rows)
-        alive_frac = len(self.alive) / self._ft_points.size
+        def passed(check: Optional[str] = None) -> bool:
+            return all(r["ok"] for r in self.invariant_rows
+                       if check in (None, r["check"]))
+
         return {
             "n": self.n0,
             "final_n": self.net.n,
@@ -672,17 +648,36 @@ class ScenarioEngine:
             "rows": rows,
             "stats": self.total.summary(self.net.n),
             "invariants": self.invariant_rows,
-            "invariants_ok": invariants_ok,
+            "invariants_ok": passed(),
             "invariant_checks": len(self.invariant_rows),
-            "owners_ok": all(r["ok"] for r in self.invariant_rows
-                             if r["check"] == "owners"),
-            "merge_ok": all(r["ok"] for r in self.invariant_rows
-                            if r["check"] == "merge"),
-            "healing_ok": all(r["ok"] for r in self.invariant_rows
-                              if r["check"] == "erasure")
-            and self.total.repair.lost == 0,
-            "cache_ok": all(r["ok"] for r in self.invariant_rows
-                            if r["check"] == "cache"),
-            "ft_alive_fraction": alive_frac,
+            "owners_ok": passed("owners"),
+            "merge_ok": passed("merge"),
+            "healing_ok": passed("erasure") and self.total.repair.lost == 0,
+            "cache_ok": passed("cache"),
+            "ft_alive_fraction": len(self.alive) / self._ft_points.size,
             "total_requests": self.total.total_requests,
         }
+
+
+_COUNT = (float.is_integer, "an integral count >= 0")
+_PROBABILITY = (lambda p: p < 1, "a probability in [0, 1)")
+
+#: The one phase table: each kind's argument rule and refusal words
+#: (:func:`parse_phases`), the default :meth:`ScenarioEngine.run` fills
+#: in for an omitted argument (for ``lookups`` the budget its free phases
+#: share) and the body it calls with the explicit argument.
+_PHASE_KINDS = {
+    "lookups": _Kind(*_COUNT, lambda e: e.lookups_total,
+                     ScenarioEngine._route_stream),
+    "churn": _Kind(*_COUNT, lambda e: 192, ScenarioEngine._churn),
+    "flash": _Kind(*_COUNT,
+                   lambda e: min(2 * e.chunk, max(1, e.lookups_total // 8)),
+                   ScenarioEngine._flash),
+    "failstop": _Kind(*_PROBABILITY, lambda e: 0.08, ScenarioEngine._failstop),
+    "byzantine": _Kind(*_PROBABILITY, lambda e: 0.05,
+                       ScenarioEngine._byzantine),
+    "rebalance": _Kind(*_COUNT, lambda e: max(32, e.n0 // 32),
+                       ScenarioEngine._rebalance),
+    "mass": _Kind(lambda f: f <= 1, "a fraction in [0, 1]", lambda e: 0.3,
+                  ScenarioEngine._mass),
+}

@@ -120,5 +120,9 @@ class SegmentMapMachine(RuleBasedStateMachine):
 
 
 TestSegmentMapMachine = SegmentMapMachine.TestCase
+# tier-1 pins its examples; --hypothesis-profile explore takes the profile's
 TestSegmentMapMachine.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None)
+    max_examples=(settings.default.max_examples
+                  if settings.get_current_profile_name() == "explore"
+                  else 60),
+    stateful_step_count=40, deadline=None)

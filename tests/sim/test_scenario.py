@@ -271,3 +271,65 @@ class TestInvariantChecker(SmallSoak):
     def test_rejects_tiny_network(self):
         with pytest.raises(ValueError, match="n >= 16"):
             ScenarioEngine(n=4)
+
+    @pytest.mark.parametrize("field,value", [
+        # each used to run truncated, empty or unchecked
+        ("chunk", 2.7), ("workers", 1.5), ("items", -3), ("lookups", -5),
+        ("payload", 8.0), ("n", 16.9), ("n", True), ("chunk", 0),
+        ("workers", 0),
+    ])
+    def test_refuses_a_bad_count_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            ScenarioEngine(**{"n": 16, field: value})
+
+
+class TestPhaseTable(SmallSoak):
+    def engine(self, **kw):
+        return ScenarioEngine(**{"n": self.N, "lookups": 3000, "chunk": 512,
+                                 "seed": 5, "items": 6, **kw})
+
+    def test_defaults_become_explicit_arguments(self):
+        """``run`` fills every omitted argument from the table before it
+        starts: the default script and its explicit twin end alike."""
+        a, b = self.engine(), self.engine()
+        a.run(DEFAULT_PHASES)
+        b.run("lookups:1500,churn:192,lookups:1500,flash:375,failstop:0.08,"
+              "byzantine:0.05,rebalance:32,mass:0.3")
+        assert b.total.equals(a.total)
+        assert np.array_equal(b.router.points, a.router.points)
+
+    def test_one_run_per_phase_replays_one_run(self):
+        """Phase names keep counting across ``run`` calls, so a script run
+        one phase at a time ends exactly as the one-call run does."""
+        script = ("lookups:700,churn:20,flash:300,failstop:0.3,byzantine:0.2,"
+                  "rebalance:8,mass:0.5,failstop:0.5,byzantine:0.1,"
+                  "lookups:200")
+        whole, steps = self.engine(), self.engine()
+        whole.run(script)
+        for token in script.split(","):
+            steps.run(token)
+        assert steps.total.equals(whole.total)
+        assert np.array_equal(steps.net.segments.as_array(),
+                              whole.net.segments.as_array())
+        assert np.array_equal(steps.router.points, whole.router.points)
+        assert steps.invariant_rows == whole.invariant_rows
+        assert [r["phase"] for r in whole.invariant_rows][-1] == "10:lookups"
+
+    def test_an_emptied_substrate_loses_its_items_without_crashing(self):
+        """A fail-stop wave that kills every substrate server books no FT
+        pairs (there is no live source), heals, and reports the loss."""
+        eng = ScenarioEngine(n=16, chunk=128, seed=0, items=4)
+        res = eng.run("failstop:0.99,byzantine:0.5,lookups:100")
+        assert not eng.alive and res["ft_alive_fraction"] == 0.0
+        assert [row["ft"] for row in res["rows"]] == [0, 0, 0]
+        assert res["stats"]["items_lost"] == 4.0
+        assert res["invariants_ok"] and not res["healing_ok"]
+        assert res["stats"]["route_lookups"] == 100.0
+
+    def test_the_soak_cli_fails_an_emptied_substrate(self, capsys):
+        from repro.cli import main
+
+        rc = main(["soak", "--n", "16", "--seed", "0", "--chunk", "128",
+                   "--items", "4", "--phases", "failstop:0.99"])
+        assert rc == 1
+        assert "[FAIL]" in capsys.readouterr().out
