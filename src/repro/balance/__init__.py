@@ -9,7 +9,6 @@ from .strategies import (
     ImprovedSingleChoice,
     MultipleChoice,
     SingleChoice,
-    estimate_log_n,
 )
 from .two_dim import (
     TwoDimMultipleChoice,
@@ -26,7 +25,6 @@ __all__ = [
     "SingleChoice",
     "TwoDimMultipleChoice",
     "coarse_grid_side",
-    "estimate_log_n",
     "fine_grid_side",
     "is_smooth_2d",
 ]

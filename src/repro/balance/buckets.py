@@ -219,10 +219,6 @@ class BucketBalancer:
         self._maybe_rebalance(i)
         return handle
 
-    def location(self, handle: int) -> float:
-        """Current id point of a server handle."""
-        return self._location[handle]
-
     def leave(self, handle: int, rng: np.random.Generator) -> None:
         """Remove a server by handle; merge/rebalance to preserve smoothness."""
         if handle not in self._location:

@@ -38,13 +38,11 @@ segments it probed.  A displaced join that re-chooses a segment some
 later join chose first splits it before that join, which is displaced
 in turn.  Insertion indices come from one blocked count over the
 window.  Windows never span a change of ``t·⌈log₂ n⌉``.  Exact
-(:class:`~fractions.Fraction`) ids and ``MultipleChoice(estimate=True)``
-— whose probe count reads the state each join — keep the per-join rule.
+(:class:`~fractions.Fraction`) ids keep the per-join rule.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right, insort
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
@@ -59,27 +57,7 @@ __all__ = [
     "ImprovedSingleChoice",
     "MultipleChoice",
     "check_count",
-    "estimate_log_n",
 ]
-
-
-def estimate_log_n(segments: SegmentMap, point: float) -> int:
-    """Estimate ``log2 n`` from the gap to the ring predecessor (§6.2).
-
-    Viceroy's lemma (quoted as the display before Lemma 6.2):
-    ``log n − log log n − 1 ≤ log(1/d(x_i, x_{i-1})) ≤ 3 log n`` w.h.p.,
-    so ``round(log2(1/gap))`` is a multiplicative estimate of ``log n``.
-    For the *current* point the predecessor gap is measured after its own
-    insertion.
-    """
-    n = len(segments)
-    if n <= 1:
-        return 1
-    pred = segments.predecessor(point)
-    gap = (point - pred) % 1.0
-    if gap <= 0:
-        return 1
-    return max(1, round(math.log2(1.0 / gap)))
 
 
 def check_count(count, what: str) -> None:
@@ -371,9 +349,6 @@ class _Strategy:
     draw itself is the id).
     """
 
-    #: per-join probe counts read the state (``MultipleChoice`` only)
-    estimate = False
-
     def grow(self, segments: SegmentMap, rng: np.random.Generator,
              count: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(ids, indices)`` of ``count`` joins over ``segments``, in join order.
@@ -387,7 +362,7 @@ class _Strategy:
         that is not an int ``>= 0``.
         """
         check_count(count, "grow")
-        if self.estimate or not segments.is_float():
+        if not segments.is_float():
             return _grow_per_join(self, segments, rng, count)
         return _grow_windows(segments.column, rng, count, self._probes)
 
@@ -449,29 +424,17 @@ class MultipleChoice(_Strategy):
 
     ``t`` is the paper's constant (Lemma 4.3 needs ``t ≥ 2``; the
     self-correction proof of Theorem 4.4 uses ``t = 20``; we default to 4
-    which already exhibits both behaviours at experiment sizes).  When
-    ``log n`` cannot be read off the decomposition size (a real system
-    would not know ``n``), :func:`estimate_log_n` on a random probe is
-    used — set ``estimate=True`` to exercise that mode.
+    which already exhibits both behaviours at experiment sizes).
     """
 
     name = "multiple"
 
-    def __init__(self, t: int = 4, estimate: bool = False):
+    def __init__(self, t: int = 4):
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
             raise ValueError(f"probe multiplier t must be an int, got {t!r}")
         if t < 1:
             raise ValueError("probe multiplier t must be >= 1")
-        if not isinstance(estimate, (bool, np.bool_)):
-            raise ValueError(f"estimate must be a bool, got {estimate!r}")
         self.t = int(t)
-        self.estimate = bool(estimate)
-
-    def _log_n(self, segments: SegmentMap, rng: np.random.Generator) -> int:
-        if not self.estimate:
-            return _ceil_log2(len(segments))
-        z = float(rng.random())
-        return estimate_log_n(segments, segments.cover_point(z))
 
     def _probes(self, n: int) -> int:
         return self.t * _ceil_log2(n)
@@ -485,10 +448,10 @@ class MultipleChoice(_Strategy):
         n = len(segments)
         if n == 0:
             return float(rng.random())
-        samples = rng.random(self.t * self._log_n(segments, rng))
+        samples = rng.random(self._probes(n))
         if segments.is_float():
             # every probe at once over the float64 column, with the IEEE
-            # ops of ``segment_length`` / ``Arc.midpoint``; ``argmax``
+            # ops of ``Arc.length`` / ``Arc.midpoint``; ``argmax``
             # takes the first maximum, as the loop's strict ``>`` does
             col = segments.column
             if n == 1:  # the full ring, whatever the probes hit
@@ -510,7 +473,7 @@ class MultipleChoice(_Strategy):
             if i in seen:
                 continue
             seen.add(i)
-            length = float(segments.segment_length(i))
+            length = float(segments.segment(i).length)
             if length > best_len:
                 best_len = length
                 best_idx = i

@@ -80,10 +80,6 @@ class TwoDimMultipleChoice:
         self._occ_coarse: Set[Tuple[int, int]] = set()
         self.failed = 0
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
     def _samples(self, rng: np.random.Generator) -> List[Point2D]:
         k = self.t * max(1, math.ceil(math.log2(max(2, self.n_target))))
         return [(float(a), float(b)) for a, b in rng.random((k, 2))]

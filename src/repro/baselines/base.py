@@ -79,11 +79,9 @@ class BaselineDHT(abc.ABC):
         ids = list(self.node_ids())
         return sum(self.degree(v) for v in ids) / len(ids)
 
+    @abc.abstractmethod
     def batch_router(self) -> "BaselineBatchRouter":
-        """Compile this scheme's vectorized batch router (if ported)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no batch router yet"
-        )
+        """Compile this scheme's vectorized batch router."""
 
 
 @dataclass

@@ -12,8 +12,8 @@ incrementally: a box adjacent to a fresh half either touches a face
 plane inherited from the parent box (so it was already a neighbour of
 the parent — per-dimension overlaps only shrink under splitting) or
 touches the new interior mid plane, which by disjointness only the
-sibling can do.  ``brute_force_neighbors`` keeps the quadratic
-definition as a validator for the equivalence test.
+sibling can do; the equivalence test checks it against the quadratic
+definition.
 
 Only the first coordinate participates in the 1D target interface of
 :class:`~repro.baselines.base.BaselineDHT`; full d-dimensional targets
@@ -44,9 +44,6 @@ class _Box:
         self.lo = lo
         self.hi = hi
         self.index = index
-
-    def contains(self, p: np.ndarray) -> bool:
-        return bool(np.all(self.lo <= p) and np.all(p < self.hi))
 
     def center(self) -> np.ndarray:
         return (self.lo + self.hi) / 2
@@ -156,16 +153,6 @@ class CanNetwork(BaselineDHT):
         self._tree_leaf = np.asarray(self._t_leaf, dtype=np.int64)
         self.box_lo = np.stack([b.lo for b in self.boxes])
         self.box_hi = np.stack([b.hi for b in self.boxes])
-
-    def brute_force_neighbors(self) -> List[List[int]]:
-        """The quadratic adjacency definition (validator for tests)."""
-        nb: List[set] = [set() for _ in self.boxes]
-        for i, a in enumerate(self.boxes):
-            for j in range(i + 1, len(self.boxes)):
-                if _face_adjacent(a, self.boxes[j], self.d):
-                    nb[i].add(j)
-                    nb[j].add(i)
-        return [sorted(s) for s in nb]
 
     # ------------------------------------------------------------- targets
     def point_to_coords(self, y: float) -> np.ndarray:

@@ -67,16 +67,18 @@ def _ge(lo) -> Callable:
 _NUMBER = _bound("a number", lambda v: not math.isnan(v))
 
 
-def _csv(text: str) -> Optional[List[str]]:
-    return [s.strip() for s in text.split(",") if s.strip()] or None
+def _csv(text: str) -> List[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
 def _known_schemes(schemes) -> Optional[str]:
     from .experiments.baseline_bench import SCHEME_BUILDERS
 
     unknown = ", ".join(s for s in schemes if s not in SCHEME_BUILDERS)
+    if schemes and not unknown:
+        return None
     known = ", ".join(sorted(SCHEME_BUILDERS))
-    return f"must name schemes among {known}; got {unknown}" if unknown else None
+    return f"must name schemes among {known}; got {unknown or 'none'}"
 
 
 def _scenario_script(spec: str) -> Optional[str]:

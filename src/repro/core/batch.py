@@ -159,10 +159,6 @@ class BatchLookupResult(PathResult):
         """Id points of the servers owning each target."""
         return self.points[self.owner_idx]
 
-    def mean_hops(self) -> float:
-        """Mean hop count over the batch (0.0 for an empty batch)."""
-        return float(self.hops.mean()) if self.size else 0.0
-
 
 class BatchRouter(ColumnarSnapshot):
     """Frozen NumPy snapshot of a network that routes lookups in bulk.
@@ -318,7 +314,7 @@ class BatchRouter(ColumnarSnapshot):
         """Restore pickled state: one shared point buffer, none handed out."""
         self.__dict__.update(state)
         self._ext = self.cover_index.ext
-        self._shared = self.cover_index.shared = False
+        self._shared = False
 
     def _build_adjacency(self) -> None:
         """The neighbour relation as per-row index ranges of the point column.
@@ -433,15 +429,15 @@ class BatchRouter(ColumnarSnapshot):
 
         Handed-out arrays are read-only and never edited; unshared
         buffers are edited in place.  Every public read of a column
-        (:meth:`_rows`, ``cover_index.points``) marks the buffers
-        shared, and the next patch first copies them — once, with room
-        for ``max(16, n // 16)`` more rows — and edits the copy; so does
-        a patch that would outgrow them.  ``refresh_stats.copies``
-        counts those copies.  The cover grid and the adjacency ranges
-        (when built) are derived columns of the point column: each is
-        brought up to date once per refresh, whatever the number of
-        pending ops — the ranges are Δ+1 sorted searches over the
-        column, cheaper than finding out which rows an op touched.
+        (:meth:`_rows`) marks the buffers shared, and the next patch
+        first copies them — once, with room for ``max(16, n // 16)``
+        more rows — and edits the copy; so does a patch that would
+        outgrow them.  ``refresh_stats.copies`` counts those copies.
+        The cover grid and the adjacency ranges (when built) are derived
+        columns of the point column: each is brought up to date once per
+        refresh, whatever the number of pending ops — the ranges are Δ+1
+        sorted searches over the column, cheaper than finding out which
+        rows an op touched.
         """
         if not self._net.segments.is_float():
             return False
@@ -454,7 +450,7 @@ class BatchRouter(ColumnarSnapshot):
         if n < 4:
             return False
 
-        if self._shared or self.cover_index.shared or peak >= len(self._ext):
+        if self._shared or peak >= len(self._ext):
             self._copy(peak)
         ext, end, mid = self._ext, self._end, self._mid
         n = self.n
@@ -581,10 +577,6 @@ class BatchRouter(ColumnarSnapshot):
                 "(SegmentMap.cover_array does)"
             )
         return self.cover_index.cover(ys)
-
-    def cover_points(self, ys: np.ndarray) -> np.ndarray:
-        """Id points of the servers covering each point (see :meth:`cover`)."""
-        return self._ext[self.cover(ys)]
 
     def _segment_test(self, idx: np.ndarray):
         """``p -> (p in segment(idx))`` with the bounds gathered once.

@@ -37,10 +37,8 @@ stream — the contract the parity test suite asserts.
 Salting (the mitigation mode of both engines): with ``salts = s > 1``
 each item is spread over ``s`` deterministic salt points — request
 sources pick a salt via :func:`~repro.core.caching.salt_indices`, the
-request routes to the salted tree rooted at ``h(salted_key(item, j))``,
-and per-item statistics merge the ``s`` per-salt trees
-(:meth:`BatchCacheEngine.item_replications` /
-:meth:`~BatchCacheEngine.item_copies`).
+and the request routes to the salted tree rooted at
+``h(salted_key(item, j))``.
 """
 
 from __future__ import annotations
@@ -144,11 +142,6 @@ class BatchCacheResult(PathResult):
     def size(self) -> int:
         """Requests in the batch."""
         return int(self.t.size)
-
-    @property
-    def serving_server(self) -> np.ndarray:
-        """Id points of the servers that supplied each request."""
-        return self.points[self.serving_server_idx]
 
     @property
     def saved_hops(self) -> np.ndarray:
@@ -286,32 +279,7 @@ class BatchCacheEngine:
         """Children one tree has activated since construction."""
         return int(self._tree_replications[tree])
 
-    def served_counts(self, tree: int) -> Dict[Digits, int]:
-        """This epoch's per-node served counters of one tree (non-zero)."""
-        sl = self._tree_slice(tree)
-        base = tree * self._K
-        return {decode_node_key(int(self._keys[i] - base), self.delta):
-                int(self._counts[i]) for i in sl if self._counts[i]}
-
-    def last_epoch_served(self, tree: int) -> Dict[Digits, int]:
-        """The counters the last ``advance_epoch`` snapshot preserved."""
-        base = tree * self._K
-        lo = np.searchsorted(self._prev_keys, base)
-        hi = np.searchsorted(self._prev_keys, base + self._K)
-        return {decode_node_key(int(self._prev_keys[i] - base), self.delta):
-                int(self._prev_counts[i]) for i in range(lo, hi)
-                if self._prev_counts[i]}
-
     # ------------------------------------------------------- item-level views
-    def item_replications(self, item_idx: int) -> int:
-        """Total child activations of an item, merged over its salts."""
-        lo = self.tree_index(item_idx, 0)
-        return int(self._tree_replications[lo:lo + self.salts].sum())
-
-    def item_copies(self, item_idx: int) -> int:
-        """Active copies beyond the roots, merged over the item's salts."""
-        lo = self.tree_index(item_idx, 0)
-        return sum(self.tree_size(t) - 1 for t in range(lo, lo + self.salts))
 
     def content_update(self, item_idx: int) -> Tuple[int, int]:
         """§3 Content Update cost ``(messages, parallel_time)``.

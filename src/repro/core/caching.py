@@ -107,16 +107,9 @@ class ActiveTree:
             ch in self.active for ch in self.tree.children(addr)
         )
 
-    def leaves(self) -> List[Digits]:
-        return [a for a in self.active if self.is_leaf(a)]
-
     def size(self) -> int:
         """Number of active nodes (Observation 3.1 bounds it by ``4q/c``)."""
         return len(self.active)
-
-    def depth(self) -> int:
-        """Depth of the deepest active node (Lemma 3.3: ``≤ log(q/c)+O(1)``)."""
-        return max((len(a) for a in self.active), default=0)
 
     def serving_node(self, tau: Sequence[int]) -> Digits:
         """Deepest active prefix of ``tau`` — where an entering request stops.
@@ -186,20 +179,6 @@ class ActiveTree:
         return removed
 
     # ----------------------------------------------------------------- stats
-    def nodes_covered_by(self, net: DistanceHalvingNetwork, server_point: float) -> int:
-        """How many active nodes fall in a server's segment (Lemma 3.5's B_v)."""
-        seg = net.segments.segment_of(server_point)
-        return sum(1 for a in self.active if self.tree.position(a) in seg)
-
-    def update_content(self, net: DistanceHalvingNetwork) -> Tuple[int, int]:
-        """Propagate a content change root-down (§3 "Content Update").
-
-        Returns ``(messages, parallel_time)``: one message per active tree
-        edge, time equal to the active depth — both ``O(log n)`` as the
-        paper claims.
-        """
-        messages = sum(1 for a in self.active if a != ())
-        return messages, self.depth()
 
 
 @dataclass
@@ -216,11 +195,6 @@ class CachedLookup:
     @property
     def hops(self) -> int:
         return max(0, len(self.server_path) - 1)
-
-    @property
-    def saved_hops(self) -> int:
-        """Hops avoided relative to routing all the way to the owner."""
-        return max(0, self.lookup.hops - self.hops)
 
 
 class CacheSystem:
@@ -264,21 +238,6 @@ class CacheSystem:
         src = normalize(float(source_point))
         salt = int(salt_indices(np.asarray([src]), self.salts)[0])
         return salted_key(item, salt)
-
-    def _salt_keys(self, item: Key) -> List[Key]:
-        if self.salts == 1:
-            return [item]
-        return [salted_key(item, j) for j in range(self.salts)]
-
-    def item_replications(self, item: Key) -> int:
-        """Total child activations of an item, merged over its salt trees."""
-        return sum(self.trees[k].replications for k in self._salt_keys(item)
-                   if k in self.trees)
-
-    def item_copies(self, item: Key) -> int:
-        """Active copies beyond the roots, merged over the item's salt trees."""
-        return sum(self.trees[k].size() - 1 for k in self._salt_keys(item)
-                   if k in self.trees)
 
     # -------------------------------------------------------------- requests
     def request(

@@ -127,17 +127,6 @@ class ContinuousGraph:
         """
         return normalize(normalize(y) * self.delta)
 
-    def out_neighbors(self, y: Number) -> list[Number]:
-        """All ``Δ`` forward neighbours ``f_0(y), …, f_{Δ-1}(y)``."""
-        return [self.child(y, i) for i in range(self.delta)]
-
-    def child_digit(self, y: Number) -> int:
-        """Which digit ``i`` satisfies ``y ∈ image(f_i)`` — i.e. ``floor(Δ·y)``.
-
-        The point ``y`` is ``f_i(b(y))`` for exactly this ``i``.
-        """
-        return int(normalize(y) * self.delta)
-
     # ----------------------------------------------------------------- walks
     def walk(self, digits: Sequence[int], y: Number) -> Number:
         """``w(σ_t, y)``: apply ``f_{digits[0]}`` first, ``f_{digits[-1]}`` last.
@@ -184,14 +173,6 @@ class ContinuousGraph:
         """
         return tuple(reversed(binary_digits(target, t, self.delta)))
 
-    def approach_error_bound(self, t: int) -> float:
-        """Upper bound ``Δ^{-t}`` of Claim 2.4 for a ``t``-step approach."""
-        return float(self.delta) ** (-t)
-
-    def halving_factor(self, t: int) -> float:
-        """Contraction factor ``Δ^{-t}`` of Observation 2.3."""
-        return float(self.delta) ** (-t)
-
     # ------------------------------------------------------------- intervals
     def image_arcs_by_digit(self, arc: Arc) -> list[list[Arc]]:
         """Images of a segment under every edge map, grouped per digit.
@@ -207,7 +188,8 @@ class ContinuousGraph:
             factor = Fraction(1, self.delta) if exact else 1.0 / self.delta
             offset = Fraction(i, self.delta) if exact else i / self.delta
             if arc.start == arc.end:  # full ring: one contiguous image
-                out.append([arc.scaled(factor, offset)])
+                s = normalize(arc.start * factor + offset)
+                out.append([Arc(s, normalize(s + factor))])
                 continue
             imgs = []
             for a, b in arc.pieces():
@@ -242,16 +224,3 @@ class ContinuousGraph:
             start = normalize(a * self.delta)
             pieces.append(Arc(start, normalize(start + length)))
         return pieces
-
-    # ---------------------------------------------------------------- meta
-    def diameter_steps(self, n: int, rho: float = 1.0) -> int:
-        """Steps after which an approach walk resolves to one smooth segment.
-
-        Corollary 2.5: ``t = ceil(log_Δ n + log_Δ ρ) + 1`` suffices when
-        the smallest segment has length ``>= 1/(ρ n)``.
-        """
-        import math
-
-        if n < 1:
-            raise ValueError("n must be positive")
-        return int(math.ceil(math.log(max(n, 2) * max(rho, 1.0), self.delta))) + 1

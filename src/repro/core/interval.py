@@ -9,7 +9,7 @@ everything else is built on:
   ``d(x, y) = |x - y|`` (the metric used by the distance-halving
   analysis, Observation 2.3);
 * :class:`Arc` — a half-open arc ``[start, end)`` of the ring, possibly
-  wrapping through 1.0, with containment, length, midpoint, splitting and
+  wrapping through 1.0, with containment, length, midpoint and
   intersection.
 
 All functions are generic over the numeric type: they work with ``float``
@@ -133,25 +133,6 @@ class Arc:
         else:
             yield (self.start, self.end)
 
-    def split(self, at: Number) -> tuple["Arc", "Arc"]:
-        """Split into ``[start, at)`` and ``[at, end)``.
-
-        This is exactly the Join operation's segment division (§2.1,
-        Algorithm Join step 3): the new server takes the suffix of the
-        old segment.  Raises :class:`ValueError` if ``at`` is not an
-        interior point of the arc.
-        """
-        at = normalize(at)
-        if at not in self or at == self.start:
-            raise ValueError(f"split point {at!r} not interior to {self!r}")
-        return Arc(self.start, at), Arc(at, self.end)
-
-    def overlaps(self, other: "Arc") -> bool:
-        """True when the two arcs share at least one point."""
-        return self.intersection_length(other) > 0 or any(
-            a in other for a, _ in self.pieces()
-        )
-
     def intersection_length(self, other: "Arc") -> Number:
         """Total length of the intersection with ``other``."""
         total = None
@@ -164,39 +145,6 @@ class Arc:
         if total is None:
             return 0 if isinstance(self.start, int) else type(self.start)(0)
         return total
-
-    def scaled(self, factor: Number, offset: Number) -> "Arc":
-        """Image of this arc under the affine contraction ``p -> p*factor + offset``.
-
-        Used to push a server's segment through the continuous-graph edge
-        maps ``f_i(y) = y/Δ + i/Δ`` (§2.3): the image of ``[a, b)`` is
-        ``[f_i(a), f_i(b))``.  Only meaningful for ``0 < factor <= 1``
-        where the image cannot self-overlap.
-        """
-        # The image of an arc that crosses the seam with mass on *both*
-        # sides is two disjoint arcs — not representable as one Arc; use
-        # :meth:`repro.core.continuous.ContinuousGraph.image_arcs`, which
-        # maps each piece separately.  An arc ending exactly at the seam
-        # (stored ``end == 0``) is a single piece: scale ``end + 1``.
-        if self.start == self.end:  # full ring contracts to one arc
-            s = normalize(self.start * factor + offset)
-            return Arc(s, normalize(s + factor))
-        if self.wraps:
-            zero = self.end - self.end
-            if self.end > zero:
-                raise ValueError(
-                    "image of a two-piece wrapping arc under a contraction is "
-                    "disconnected; scale each piece (see ContinuousGraph.image_arcs)"
-                )
-            return Arc(
-                normalize(self.start * factor + offset),
-                normalize((self.end + 1) * factor + offset),
-            )
-        return Arc(
-            normalize(self.start * factor + offset),
-            normalize(self.end * factor + offset),
-        )
-
 
 def arcs_cover_ring(arcs: Sequence[Arc]) -> bool:
     """Check whether the union of ``arcs`` covers every point of ``[0, 1)``.

@@ -74,10 +74,6 @@ class LookupResult:
         """Number of network hops (messages sent between distinct servers)."""
         return max(0, len(self.server_path) - 1)
 
-    @property
-    def source(self) -> float:
-        return self.server_path[0]
-
     def verify_adjacent(self, net: DistanceHalvingNetwork) -> bool:
         """Check every consecutive pair of path servers is a network edge."""
         return all(

@@ -10,7 +10,7 @@ the paper means by "think continuously, act discretely".
 
 Key theorem hooks exposed here:
 
-* :meth:`DistanceHalvingNetwork.typed_edge_count` — the edge count of
+* :meth:`DistanceHalvingNetwork.edge_count` — the edge count of
   Theorem 2.1 (``≤ 3n − 1`` without ring edges, for ``Δ = 2``);
 * :meth:`DistanceHalvingNetwork.max_out_degree` /
   :meth:`max_in_degree` — Theorem 2.2's smoothness-controlled bounds
@@ -29,7 +29,7 @@ import numpy as np
 
 from ..hashing.kwise import Key, PointHasher
 from .continuous import ContinuousGraph
-from .interval import Arc, Number, normalize
+from .interval import Number, normalize
 from .node import Server
 from .segments import SegmentMap
 from .snapshot import OpJournal
@@ -128,17 +128,9 @@ class DistanceHalvingNetwork:
         """
         return self.segments.points
 
-    def server_at(self, point: Number) -> Server:
-        """The server whose id point is exactly ``point``."""
-        return self.servers[normalize(point)]
-
     def owner_of(self, y: Number) -> Server:
         """The server covering point ``y`` (the lookup oracle)."""
         return self.servers[self.segments.cover_point(y)]
-
-    def segment_of(self, point: Number) -> Arc:
-        """The segment owned by the server with id ``point``."""
-        return self.segments.segment_of(point)
 
     def smoothness(self) -> float:
         """``ρ`` of the current decomposition (Definition 1)."""
@@ -329,23 +321,6 @@ class DistanceHalvingNetwork:
                 q = self.segments.successor(p)
                 pairs.add((p, q) if p <= q else (q, p))
         return len(pairs)
-
-    def typed_edge_count(self) -> int:
-        """Directed map-multiplicity edge count ``Σ_U Σ_i |covers(f_i(s(U)))|``.
-
-        A finer diagnostic than :meth:`edge_count`: it equals the sum of
-        out-degrees counted per edge map, i.e. the number of routing-table
-        entries the network maintains.
-        """
-        total = 0
-        for p in self.segments:
-            seg = self.segments.segment_of(p)
-            for per_digit in self.graph.image_arcs_by_digit(seg):
-                covered: set = set()
-                for img in per_digit:
-                    covered.update(self.segments.covering(img))
-                total += len(covered)
-        return total
 
     def max_out_degree(self) -> int:
         """``max_U |covers(∪_i f_i(s(U)))|`` — Theorem 2.2 bounds it by ρ+4."""

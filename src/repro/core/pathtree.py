@@ -48,15 +48,6 @@ class PathTree:
         base = tuple(address)
         return [base + (d,) for d in range(self.delta)]
 
-    def parent(self, address: Sequence[int]) -> Digits:
-        """Address of the parent (root's parent raises)."""
-        if not address:
-            raise ValueError("the root has no parent")
-        return tuple(address)[:-1]
-
-    def depth(self, address: Sequence[int]) -> int:
-        return len(address)
-
     def layer(self, j: int) -> Iterator[Digits]:
         """All ``Δ^j`` addresses at depth ``j`` (lexicographic)."""
         if j < 0:
@@ -70,16 +61,3 @@ class PathTree:
                 yield from rec(prefix + (d,))
 
         yield from rec(())
-
-    def min_layer_spacing(self, j: int) -> float:
-        """Observation 3.2's lower bound ``Δ^{-j}`` on intra-layer distance."""
-        return float(self.delta) ** (-j)
-
-    def entry_address(self, tau: Sequence[int]) -> Digits:
-        """The tree node through which a phase-II walk with digits ``tau`` enters."""
-        return tuple(tau)
-
-    def ascending_path(self, tau: Sequence[int]) -> list[Digits]:
-        """Node addresses visited walking up from ``τ[:t]`` to the root."""
-        t = len(tau)
-        return [tuple(tau)[:j] for j in range(t, -1, -1)]

@@ -17,9 +17,8 @@ Two accounting backends share one ``summary()`` schema:
 * :class:`BatchCongestion` — the vectorized spine: one ``np.bincount``
   over the flattened CSR ``path_servers`` of a
   :class:`~repro.core.batch.BatchLookupResult` per batch.  Accumulators
-  merge across batches (even batches routed on different snapshots of a
-  churning network) and across scalar counters, so experiments E4/E5 and
-  any message-accounting caller can mix both engines and still compare
+  merge across batches, even batches routed on different snapshots of a
+  churning network; for the same routed lookups both backends report
   ``max_load`` / ``mean_load`` / ``max_congestion`` bit-for-bit.
 """
 
@@ -27,48 +26,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from .lookup import LookupResult, compress_path
 
 __all__ = ["CongestionCounter", "BatchCongestion"]
-
-
-def _lookup_sorted(keys: np.ndarray, vals: np.ndarray,
-                   queries: np.ndarray) -> np.ndarray:
-    """``vals`` at each query's position in sorted ``keys`` (0 on miss)."""
-    out = np.zeros(queries.shape, dtype=vals.dtype if vals.size else float)
-    if keys.size == 0:
-        return out
-    pos = np.searchsorted(keys, queries)
-    pos_c = np.minimum(pos, keys.size - 1)
-    hit = (pos < keys.size) & (keys[pos_c] == queries)
-    out[hit] = vals[pos_c[hit]]
-    return out
-
-
-def _counter_arrays(visits: Counter) -> tuple:
-    """Sorted unique ``(points, counts)`` arrays of a visits Counter.
-
-    Exact (``Fraction``) server ids are cast to float64 — lossless for
-    the dyadic ids the library constructs, and the only way the scalar
-    and vectorized backends can share one key space.  Distinct exact ids
-    that collide after the cast have their counts summed, so no visit is
-    dropped from the shared key space.
-    """
-    keys = np.fromiter((float(k) for k in visits), dtype=np.float64,
-                       count=len(visits))
-    vals = np.fromiter(visits.values(), dtype=np.int64, count=len(visits))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = vals[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    if first.all():
-        return keys, vals
-    return keys[first], np.add.reduceat(vals, np.flatnonzero(first))
 
 
 class _CongestionStatsMixin:
@@ -134,27 +98,6 @@ class CongestionCounter(_CongestionStatsMixin):
         """Largest number of lookups any single server participated in."""
         return max(self.visits.values(), default=0)
 
-    def load_of(self, point: float) -> int:
-        """Lookups server ``point`` handled, keyed as recorded (0 if none)."""
-        return self.visits.get(point, 0)
-
-    def loads(self, all_points: Iterable[float]) -> np.ndarray:
-        """Load vector over a given universe of servers (zeros included).
-
-        One ``np.searchsorted`` over the sorted visited points instead
-        of a per-point dict probe; ids are matched as float64 (exact for
-        the library's dyadic ``Fraction`` ids).
-        """
-        queries = np.asarray(
-            all_points if isinstance(all_points, np.ndarray)
-            else [float(p) for p in all_points],
-            dtype=np.float64,
-        )
-        if not self.visits:
-            return np.zeros(queries.size)
-        keys, vals = _counter_arrays(self.visits)
-        return _lookup_sorted(keys, vals.astype(float), queries.ravel())
-
     def _visit_total(self) -> int:
         return sum(self.visits.values())
 
@@ -170,10 +113,9 @@ class BatchCongestion(_CongestionStatsMixin):
     Totals are kept as a sorted ``(points, counts)`` pair keyed by
     server id — not by snapshot index — so one accumulator can absorb
     batches routed on *different* snapshots of a churning network
-    (:meth:`merge`), fold in scalar counters (:meth:`merge_counter`),
-    and still report the exact quantities the scalar class reports:
-    ``summary()`` matches key-for-key and, for the same routed lookups,
-    bit-for-bit (the E4/E5 cross-check).
+    (:meth:`merge`) and still report the exact quantities the scalar
+    class reports: ``summary()`` matches key-for-key and, for the same
+    routed lookups, bit-for-bit (the E4/E5 cross-check).
     """
 
     lookups: int = 0
@@ -182,11 +124,6 @@ class BatchCongestion(_CongestionStatsMixin):
         default_factory=lambda: np.zeros(0, dtype=np.float64), repr=False)
     _counts: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False)
-
-    @property
-    def visited_points(self) -> np.ndarray:
-        """Sorted ids of the servers that handled at least one message."""
-        return self._points
 
     def record_batch(self, result) -> None:
         """Account one routed batch (CSR paths required).
@@ -208,22 +145,6 @@ class BatchCongestion(_CongestionStatsMixin):
         self._merge_sorted(other._points, other._counts)
         self.lookups += other.lookups
         self.total_messages += other.total_messages
-
-    def merge_counter(self, counter: CongestionCounter) -> None:
-        """Fold a scalar :class:`CongestionCounter` into this one."""
-        if counter.visits:
-            keys, vals = _counter_arrays(counter.visits)
-            self._merge_sorted(keys, vals)
-        self.lookups += counter.lookups
-        self.total_messages += counter.total_messages
-
-    def to_counter(self) -> CongestionCounter:
-        """Scalar view of the totals (for ``Counter``-based consumers)."""
-        c = CongestionCounter(lookups=self.lookups,
-                              total_messages=self.total_messages)
-        c.visits.update(dict(zip(self._points.tolist(),
-                                 self._counts.tolist())))
-        return c
 
     def _merge_sorted(self, points: np.ndarray, counts: np.ndarray) -> None:
         """Add ``counts`` keyed by sorted ``points`` into the totals."""
@@ -252,21 +173,6 @@ class BatchCongestion(_CongestionStatsMixin):
     def max_load(self) -> int:
         """Largest number of lookups any single server participated in."""
         return int(self._counts.max()) if self._counts.size else 0
-
-    def load_of(self, point: float) -> int:
-        """Lookups server ``point`` handled, matched as float64 (0 if none)."""
-        return int(_lookup_sorted(self._points, self._counts,
-                                  np.asarray([float(point)]))[0])
-
-    def loads(self, all_points: Iterable[float]) -> np.ndarray:
-        """Load vector over a given universe of servers (zeros included)."""
-        queries = np.asarray(
-            all_points if isinstance(all_points, np.ndarray)
-            else [float(p) for p in all_points],
-            dtype=np.float64,
-        )
-        return _lookup_sorted(self._points, self._counts.astype(float),
-                              queries.ravel())
 
     def _visit_total(self) -> int:
         return int(self._counts.sum())

@@ -170,36 +170,20 @@ class CoverIndex:
     Results equal :func:`cover_indices` bit-for-bit on *every* point
     set: the grid only chooses where the comparison against the points
     starts, never its outcome.  :attr:`ext` is the point column with a
-    trailing ``+inf`` so "the next point" needs no bound check;
-    :attr:`points` is the read-only view of it without the sentinel.
+    trailing ``+inf`` so "the next point" needs no bound check.
     """
 
     def __init__(self, points: np.ndarray) -> None:
         # a copy of exactly n + 1 rows: the index never aliases ``points``
         self.ext = np.append(points, np.inf)
         self.grid = cover_grid(points, _grid_size(len(points)))
-        #: True once :attr:`points` handed the column out: whoever edits
-        #: the buffer under :attr:`ext` in place must copy it first
-        self.shared = False
-
-    @property
-    def points(self) -> np.ndarray:
-        """The indexed point column: a read-only view of :attr:`ext`.
-
-        Reading it hands the column out, so it sets :attr:`shared`.
-        """
-        self.shared = True
-        view = self.ext[:-1]
-        view.flags.writeable = False
-        return view
 
     def follow(self, ext: np.ndarray, ids: np.ndarray,
                steps: np.ndarray) -> None:
         """Adopt ``ext``, the column after joins and leaves plus ``+inf``.
 
         ``ext`` is taken as is, not copied: the caller owns its buffer
-        (the router edits one in place and passes a view of it) and
-        hands over a column nobody else holds, so :attr:`shared` resets.
+        (the router edits one in place and passes a view of it).
         ``ids[k]`` is an id joined (``steps[k] == 1``) or left
         (``steps[k] == -1``) since the indexed state, the float64 stored
         in the column.  Each op shifts the buckets whose left edge is at
@@ -211,7 +195,6 @@ class CoverIndex:
         fresh grid) only when n has left ``[G/8, G/2]``.
         """
         self.ext = ext
-        self.shared = False
         n, size = len(ext) - 1, len(self.grid)
         if not size // 8 <= n <= size // 2:
             self.grid = cover_grid(ext[:-1], _grid_size(n))
@@ -326,19 +309,6 @@ class SegmentMap:
         midpoints by exact comparisons a float column cannot replay.
         """
         return self._exact == 0
-
-    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-segment ``(starts, ends)`` as float64 arrays, in ring order.
-
-        Segment ``i`` is ``[starts[i], ends[i])``; the last entry wraps
-        (``ends[-1] == starts[0]``).  With a single point both arrays are
-        equal — the full-ring segment, matching :class:`Arc`'s convention.
-        Used by the batch-lookup engine for vectorised membership tests.
-        """
-        pts = self.as_array()
-        if len(pts) == 0:
-            raise LookupError("empty segment map has no segments")
-        return pts, np.roll(pts, -1)
 
     def midpoints_array(self) -> np.ndarray:
         """Per-segment midpoints as a float64 array.
@@ -474,24 +444,6 @@ class SegmentMap:
         """The segment owned by the server whose id point is ``point``."""
         return self.segment(self.index_of(point))
 
-    def segment_length(self, i: int) -> Number:
-        """``|s(x_i)|`` from the two bounding points (no :class:`Arc` built).
-
-        The same operations as :attr:`Arc.length` on :meth:`segment`, in
-        the points' own numeric type — the id strategies probe dozens of
-        segments per join through this.
-        """
-        pts = self._points
-        n = len(pts)
-        if n == 0:
-            raise LookupError("empty segment map has no segments")
-        start, end = pts[i % n], pts[(i + 1) % n]
-        if n == 1:
-            return 1 if isinstance(start, int) else type(start)(1)
-        if start > end:
-            return 1 - start + end
-        return end - start
-
     def predecessor(self, point: Number) -> Number:
         """Ring predecessor of an existing point."""
         i = self.index_of(point)
@@ -586,10 +538,6 @@ class SegmentMap:
         if len(lens) == 0:
             raise LookupError("empty segment map")
         return float(lens.max())
-
-    def is_smooth(self, bound: float) -> bool:
-        """True when ``ρ(x) <= bound`` — the paper's "smooth" predicate."""
-        return self.smoothness() <= bound
 
     def check_invariants(self) -> None:
         """Assert structural invariants of the id list and its mirror.

@@ -155,7 +155,10 @@ class ColumnarSnapshot:
     * :meth:`_patch` *(optional)* — replay a pending-op suffix as
       O(affected-region) array edits; return ``False`` to bail out to a
       full rebuild.  The default always bails, so a subclass without a
-      patch rule still gets correct (if slower) refresh semantics.
+      patch rule still gets correct (if slower) refresh semantics.  A
+      subclass with a journal also supplies ``n_rows``, the length of its
+      columns read without handing one out: the default ``budget`` is a
+      sixteenth of it.
 
     A subclass may also keep *derived columns* — arrays computed from a
     registered column but not aligned with it (the router's adjacency
@@ -209,13 +212,6 @@ class ColumnarSnapshot:
         """The registered frozen arrays by name (the shard export surface)."""
         return {name: getattr(self, name) for name in self.COLUMNS}
 
-    @property
-    def n_rows(self) -> int:
-        """Rows shared by every registered column (0 with no columns)."""
-        if not self.COLUMNS:
-            return 0
-        return int(len(getattr(self, self.COLUMNS[0])))
-
     # ------------------------------------------------------------ freshness
     def _journal_version(self) -> int:
         return self._journal.version if self._journal is not None else 0
@@ -259,10 +255,10 @@ class ColumnarSnapshot:
         t0 = time.perf_counter()
         pending = (None if force_full or self._journal is None
                    else self._journal.ops_since(self._version))
-        budget = (self.budget if self.budget is not None
-                  else self._default_budget())
         ops = target - self._version
-        if (pending is not None and len(pending) <= budget
+        if (pending is not None and len(pending) <= (
+                self.budget if self.budget is not None
+                else self._default_budget())
                 and self._patch(pending)):
             self.refresh_stats.incremental += 1
             self.refresh_stats.ops_replayed += ops

@@ -302,11 +302,6 @@ class PathResult:
     path_servers: Optional[np.ndarray]
     path_offsets: Optional[np.ndarray]
 
-    @property
-    def keeps_paths(self) -> bool:
-        """Whether the batch was routed with paths recorded."""
-        return self.path_servers is not None
-
     def to_csr(self) -> tuple:
         """The ``(path_servers, path_offsets)`` CSR arrays.
 
@@ -321,10 +316,6 @@ class PathResult:
         """Id points of lookup ``i``'s compressed server path (CSR decode)."""
         servers, offsets = self.to_csr()
         return self.points[servers[offsets[i]:offsets[i + 1]]]
-
-    def path_lengths(self) -> np.ndarray:
-        """Servers on each compressed path; the hop count is this minus 1."""
-        return np.diff(self.to_csr()[1])
 
     def server_path(self, i: int) -> List[float]:
         """Compressed server path of lookup ``i``, as id points.

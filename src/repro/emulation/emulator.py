@@ -68,16 +68,6 @@ class GraphEmulator:
         return sorted(out)
 
     # ------------------------------------------------------------- topology
-    def host_edges(self) -> Set[Tuple[float, float]]:
-        """Distinct host pairs ``{Φ(u), Φ(v)}`` over guest edges (no loops)."""
-        pairs: Set[Tuple[float, float]] = set()
-        for u in range(1 << self.k):
-            hu = self.host_of(u)
-            for v in self.family.neighbors(self.k, u):
-                hv = self.host_of(v)
-                if hu != hv:
-                    pairs.add((hu, hv) if hu <= hv else (hv, hu))
-        return pairs
 
     def host_degree(self, server_point: float) -> int:
         """Degree of a server in the emulation overlay."""

@@ -138,9 +138,6 @@ class GabberGalilNetwork:
         self._edges = pairs
         return pairs
 
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges() if a == i or b == i)
-
     def max_degree(self) -> int:
         deg: Dict[int, int] = {}
         for a, b in self.edges():

@@ -8,10 +8,8 @@ cell is then finite and correct, and Delaunay adjacency wraps properly.
 
 Supported queries (all the §5 protocols need):
 
-* ``owner(p)`` — nearest generator (toroidal metric), via a KD-tree on
-  the tiling;
-* ``cell_area(i)`` — Lebesgue measure of cell ``i`` (smooth sets have
-  cells of area Θ(1/n), the fact Corollary 5.2 rests on);
+* ``owner_many(ps)`` — nearest generator (toroidal metric) of each
+  point, via a KD-tree on the tiling;
 * ``delaunay_neighbors(i)`` — the dual triangulation (degree 6 on
   average by Euler's formula, as §5.1 notes);
 * incremental ``insert`` — the paper's point that a Voronoi diagram can
@@ -24,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.spatial import Delaunay, Voronoi, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 __all__ = ["TorusVoronoi"]
 
@@ -55,9 +53,7 @@ class TorusVoronoi:
         center_block = _OFFSETS.index((0.0, 0.0))
         self._center_offset = center_block * n
         self._tree = cKDTree(self._tiled)
-        self._voronoi = Voronoi(self._tiled)
         self._delaunay = Delaunay(self._tiled)
-        self._areas: Dict[int, float] = {}
         self._neighbors: Dict[int, Set[int]] = {}
 
     # -------------------------------------------------------------- queries
@@ -65,35 +61,12 @@ class TorusVoronoi:
     def n(self) -> int:
         return len(self.points)
 
-    def owner(self, p: Point2D) -> int:
-        """Index of the generator whose cell contains ``p`` (torus metric)."""
-        q = np.array([p[0] % 1.0, p[1] % 1.0])
-        _, idx = self._tree.query(q)
-        return int(idx % self.n)
-
     def owner_many(self, ps: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`owner` for an (m, 2) array."""
+        """Index of the generator whose cell holds each row of an (m, 2)
+        array (torus metric)."""
         qs = np.mod(ps, 1.0)
         _, idx = self._tree.query(qs)
         return (idx % self.n).astype(int)
-
-    def cell_area(self, i: int) -> float:
-        """Area of generator ``i``'s cell (areas sum to 1 over the torus)."""
-        if i not in self._areas:
-            region_idx = self._voronoi.point_region[self._center_offset + i]
-            region = self._voronoi.regions[region_idx]
-            if -1 in region or len(region) < 3:  # pragma: no cover - guards
-                self._areas[i] = float("nan")
-            else:
-                poly = self._voronoi.vertices[region]
-                x, y = poly[:, 0], poly[:, 1]
-                self._areas[i] = float(
-                    0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(y, np.roll(x, 1)))
-                )
-        return self._areas[i]
-
-    def cell_areas(self) -> np.ndarray:
-        return np.array([self.cell_area(i) for i in range(self.n)])
 
     def delaunay_neighbors(self, i: int) -> List[int]:
         """Indices of cells adjacent to cell ``i`` in the dual triangulation."""
@@ -102,10 +75,6 @@ class TorusVoronoi:
             raw = indices[indptr[self._center_offset + i]: indptr[self._center_offset + i + 1]]
             self._neighbors[i] = {int(j % self.n) for j in raw} - {i}
         return sorted(self._neighbors[i])
-
-    def average_delaunay_degree(self) -> float:
-        """Euler's formula: always < 6 for planar triangulations."""
-        return float(np.mean([len(self.delaunay_neighbors(i)) for i in range(self.n)]))
 
     # ------------------------------------------------------------- updates
     def insert(self, p: Point2D) -> Set[int]:
@@ -119,10 +88,3 @@ class TorusVoronoi:
         self.points = np.vstack([self.points, [p[0] % 1.0, p[1] % 1.0]])
         self._build()
         return set(self.delaunay_neighbors(self.n - 1))
-
-    def remove(self, i: int) -> Set[int]:
-        """Remove generator ``i``; returns its former neighbours (who absorb)."""
-        affected = set(self.delaunay_neighbors(i))
-        self.points = np.delete(self.points, i, axis=0)
-        self._build()
-        return {j - 1 if j > i else j for j in affected}

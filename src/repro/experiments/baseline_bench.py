@@ -9,7 +9,9 @@ loop on a subsample of the identical pairs.  Each scheme's subsample is
 additionally *replayed*: batch server paths must equal the scalar paths
 element-for-element and the scalar :class:`CongestionCounter` summary
 must equal the :class:`BatchCongestion` summary bit-for-bit, so the
-reported speedup is for provably identical work.
+reported speedup is for provably identical work.  Every replayed path
+must also end at the node the scheme's ``owner`` makes responsible for
+its target.
 
 Run by the ``bench-baselines`` CLI subcommand (the CI smoke +
 regression-gate artifact).
@@ -72,7 +74,8 @@ def measure_baselines(
     (the timed batch leg), route the first ``scalar_sample`` of the same
     pairs through the scalar ``lookup_path`` + ``CongestionCounter``
     loop (the timed scalar leg), and verify the batch replay of that
-    subsample hop-for-hop and summary-for-summary.
+    subsample hop-for-hop and summary-for-summary, each path ending at
+    its target's owner.
     """
     names = list(schemes) if schemes is not None else list(SCHEME_BUILDERS)
     unknown = [s for s in names if s not in SCHEME_BUILDERS]
@@ -115,12 +118,15 @@ def measure_baselines(
         scalar_secs = time.perf_counter() - t0
 
         # replay the scalar subsample through the batch spine: paths and
-        # congestion summaries must agree exactly
+        # congestion summaries must agree exactly, and every path must
+        # arrive at the owner of its target
         replay = router.route_batch(src[:m], tgt[:m], rng=probe)
         replay_cong = BatchCongestion()
         replay_cong.record_batch(replay)
         parity = all(
-            scalar_paths[k] == replay.server_path(k) for k in range(m)
+            scalar_paths[k] == replay.server_path(k)
+            and scalar_paths[k][-1] == float(dht.owner(float(tgt[k])))
+            for k in range(m)
         ) and counter.summary(n) == replay_cong.summary(n)
 
         per_scheme[name] = {

@@ -111,11 +111,6 @@ class FTBatchResult(PathResult):
                 "floods report `messages` (Σ |senders|·|receivers|)")
         return self.messages
 
-    @property
-    def sources(self) -> np.ndarray:
-        """Id points of the source servers, one per lookup."""
-        return self.points[self.source_idx]
-
     def success_rate(self) -> float:
         """Share of lookups that reached a live, honest holder (0 when empty)."""
         return float(self.success.mean()) if self.size else 0.0

@@ -214,11 +214,6 @@ class ReedSolomonCode:
         length = int.from_bytes(framed[:8], "big")
         return framed[8: 8 + length]
 
-    def overhead(self) -> float:
-        """Storage blow-up factor ``n/k`` (replication with the same fault
-        tolerance would pay ``n − k + 1``)."""
-        return self.n / self.k
-
 
 @lru_cache(maxsize=128)
 def _shared_code(k: int, n: int) -> ReedSolomonCode:

@@ -70,22 +70,6 @@ class FaultPlan:
         """Boolean false-injection mask aligned with ``servers``."""
         return _member_mask(np.asarray(servers, dtype=np.float64), self.liars)
 
-    @classmethod
-    def from_masks(
-        cls,
-        servers: Sequence[float],
-        failed: "np.ndarray | None" = None,
-        liars: "np.ndarray | None" = None,
-    ) -> "FaultPlan":
-        """Build a plan from boolean arrays aligned with ``servers``."""
-        pts = np.asarray(servers, dtype=np.float64)
-        plan = cls()
-        if failed is not None:
-            plan.failed = {float(s) for s in pts[np.asarray(failed, dtype=bool)]}
-        if liars is not None:
-            plan.liars = {float(s) for s in pts[np.asarray(liars, dtype=bool)]}
-        return plan
-
 
 def random_failstop(
     servers: Sequence[float], p: float, rng: np.random.Generator

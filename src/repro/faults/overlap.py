@@ -21,7 +21,7 @@ Consequences (verified by the tests / experiment E13):
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -210,48 +210,6 @@ class OverlappingDHNetwork(ColumnarSnapshot):
         return mask.sum(axis=0)
 
     # ------------------------------------------------------------- topology
-    def neighbors(self, x: float) -> List[float]:
-        """Overlap edges plus continuous-graph edges (§6.2's edge set)."""
-        out: Dict[float, None] = {}
-        a, b = x, self.end[x]
-        seg_len = (b - a) % 1.0
-        # overlapping servers: those whose segment intersects [a, b]
-        for y in self.covers(a) + self.covers(b):
-            out.setdefault(y, None)
-        i = bisect_left(self.points, x)
-        k = i
-        while True:
-            k = (k + 1) % self.n
-            p = self.points[k]
-            if (p - a) % 1.0 <= seg_len:
-                out.setdefault(p, None)
-            else:
-                break
-            if k == i:
-                break
-        # continuous edges: covers of the images and preimage of [a, b]
-        for probe in self._image_probes(a, seg_len):
-            for y in self.covers(probe):
-                out.setdefault(y, None)
-        out.pop(x, None)
-        return list(out)
-
-    def _image_probes(self, a: float, seg_len: float) -> List[float]:
-        """Sample points of l/r/b images of the segment (edge probes)."""
-        ts = np.linspace(0.0, seg_len, 5)
-        pts = [(a + t) % 1.0 for t in ts]
-        probes: List[float] = []
-        for p in pts:
-            probes.append(p / 2.0)
-            probes.append(p / 2.0 + 0.5)
-            probes.append((2.0 * p) % 1.0)
-        return probes
-
-    def degree(self, x: float) -> int:
-        return len(self.neighbors(x))
-
-    def max_degree(self) -> int:
-        return max(self.degree(x) for x in self.points)
 
     # ------------------------------------------------------------ data items
     def store_item(self, key: Key, value) -> List[float]:

@@ -22,7 +22,7 @@ is a deterministic pure function of its coefficients).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -85,10 +85,6 @@ class KWiseHash:
         """Hash a key to a point of ``[0, 1)``."""
         return self.hash_int(key) / MERSENNE_P
 
-    def hash_many(self, keys: Iterable[Key]) -> np.ndarray:
-        """Vectorised convenience: hash a sequence of keys to float64 points."""
-        return np.asarray([self(k) for k in keys], dtype=np.float64)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KWiseHash(k={self.k}, coeffs[0]={self.coefficients[0]})"
 
@@ -108,16 +104,7 @@ class PointHasher:
         self._fn = KWiseHash(k, rng)
         self._memo: dict[Key, float] = {}
 
-    @property
-    def k(self) -> int:
-        """Independence of the underlying family."""
-        return self._fn.k
-
     def __call__(self, key: Key) -> float:
         if key not in self._memo:
             self._memo[key] = self._fn(key)
         return self._memo[key]
-
-    def clear_memo(self) -> None:
-        """Drop memoised positions (e.g. between experiment repetitions)."""
-        self._memo.clear()

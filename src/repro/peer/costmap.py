@@ -130,17 +130,6 @@ class CostMap:
         np.fill_diagonal(mat, 0.0)
         return cls(isp_cost=mat, dist_scale=dist_scale)
 
-    @classmethod
-    def degenerate(cls) -> "CostMap":
-        """The all-zero map: one ISP, collapsed coordinates, every cost 0.
-
-        Under it the temperature-weighted policy is provably
-        bit-identical to the uniform policy (equal weights make the
-        cumulative sums exact integers) — the degeneracy the parity
-        tests pin.
-        """
-        return cls(isp_cost=np.zeros((1, 1)), dist_scale=0.0)
-
     def isp_of(self, points) -> np.ndarray:
         """ISP label of each id point (pure hash, stable under churn)."""
         lab = (hash01(points, _ISP_SALT) * self.n_isps).astype(np.int64)

@@ -59,11 +59,6 @@ class CostOracle:
         self.isp = cost_map.isp_of(pts)
         self.x, self.y = cost_map.coords_of(pts)
 
-    @property
-    def isp_cost(self) -> np.ndarray:
-        """The k×k inter-ISP cost matrix."""
-        return self.cost_map.isp_cost
-
     def index_of(self, points) -> np.ndarray:
         """Exact indices of id points in the frozen array (raises if absent)."""
         pts = np.asarray(points, dtype=np.float64)

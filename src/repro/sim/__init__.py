@@ -13,7 +13,7 @@ from .protocol import (
     run_protocol_lookup,
 )
 from .metrics import Summary, log_slope, loglog_slope, summarize
-from .rng import spawn, spawn_many
+from .rng import spawn_many
 from .scenario import (
     DEFAULT_PHASES,
     Phase,
@@ -57,7 +57,6 @@ __all__ = [
     "run_churn",
     "shift_permutation",
     "single_hotspot_demands",
-    "spawn",
     "spawn_many",
     "summarize",
     "zipf_demands",

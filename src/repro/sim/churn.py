@@ -80,19 +80,11 @@ class ChurnReport:
     touched_per_op: List[int] = field(default_factory=list)
     final_n: int = 0
 
-    def max_touched(self) -> int:
-        """Most servers one measured op touched (0 with none measured)."""
-        return max(self.touched_per_op, default=0)
-
     def mean_touched(self) -> float:
         """Mean servers touched per measured op (0.0 with none measured)."""
         if not self.touched_per_op:
             return 0.0
         return float(np.mean(self.touched_per_op))
-
-    def final_smoothness(self) -> float:
-        """The last sampled ρ (``inf`` when nothing was sampled)."""
-        return self.smoothness_series[-1] if self.smoothness_series else float("inf")
 
 
 def run_churn(

@@ -62,9 +62,6 @@ class EventLoop:
             self.events_run += 1
             ev.action()
 
-    def pending(self) -> int:
-        return len(self._heap)
-
 
 @dataclass
 class Message:
@@ -123,10 +120,6 @@ class SimNetwork:
         node.network = self
         self.nodes[node.node_id] = node
         return node
-
-    def fail(self, node_id: Hashable) -> None:
-        """Mark a node fail-stop (it stops sending and receiving)."""
-        self.failed.add(node_id)
 
     def deliver(self, msg: Message) -> None:
         """Schedule delivery of a message (drops to/from failed nodes)."""

@@ -8,7 +8,7 @@ the paper's asymptotic claims (e.g. path length ~ log n, CAN ~ n^{1/d}).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,16 +25,6 @@ class Summary:
     p50: float
     p95: float
     max: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "std": self.std,
-            "p50": self.p50,
-            "p95": self.p95,
-            "max": self.max,
-        }
 
 
 def summarize(samples: Iterable[float]) -> Summary:

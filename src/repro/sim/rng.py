@@ -12,13 +12,7 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["spawn", "spawn_many"]
-
-
-def spawn(rng: np.random.Generator, label: int) -> np.random.Generator:
-    """A child generator independent of its siblings (by label)."""
-    seq = np.random.SeedSequence(entropy=int(rng.integers(0, 2**63)), spawn_key=(label,))
-    return np.random.default_rng(seq)
+__all__ = ["spawn_many"]
 
 
 def spawn_many(seed: int, count: int) -> List[np.random.Generator]:

@@ -250,10 +250,6 @@ class SoakStats:
         return SoakStats().merge(self)
 
     # --------------------------------------------------------------- digests
-    @property
-    def lookups(self) -> int:
-        """Routed lookups booked into the route accumulator."""
-        return self.route.lookups
 
     @property
     def total_requests(self) -> int:

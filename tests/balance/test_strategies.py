@@ -10,7 +10,6 @@ from repro.balance import (
     ImprovedSingleChoice,
     MultipleChoice,
     SingleChoice,
-    estimate_log_n,
 )
 from repro.core import DistanceHalvingNetwork
 from repro.core.segments import SegmentMap
@@ -117,10 +116,6 @@ class TestMultipleChoice:
             sm.insert(strategy.select(sm, rng))
         assert sm.min_segment_length() <= 1e-9
 
-    def test_estimated_log_n_mode(self):
-        sm = grow(MultipleChoice(t=4, estimate=True), 512, seed=12)
-        assert sm.smoothness() <= 64
-
     def test_t_validation(self):
         with pytest.raises(ValueError):
             MultipleChoice(t=0)
@@ -131,26 +126,14 @@ class TestMultipleChoice:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             MultipleChoice(t=bad)
 
-    @pytest.mark.parametrize("bad", ["no", "", 1, 0, None, 1.0])
-    def test_estimate_must_be_a_bool(self, bad):
-        """``estimate="no"`` used to be kept as is: truthy, so it switched
-        §6.2's log-n estimation on."""
-        with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            MultipleChoice(t=4, estimate=bad)
-
-    @pytest.mark.parametrize("flag", [True, False, np.bool_(True),
-                                      np.bool_(False)])
-    def test_estimate_takes_bools(self, flag):
-        assert MultipleChoice(t=4, estimate=flag).estimate is bool(flag)
-
     @pytest.mark.parametrize("bad", [-1, -5, 2.5, True, "3", None])
     def test_grow_refuses_a_bad_count(self, bad):
         """``grow(count=-1)`` used to die inside NumPy on a negative size."""
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         segments = SegmentMap([0.1, 0.6])
-        for strategy in (SingleChoice(), MultipleChoice(t=4),
-                         MultipleChoice(t=4, estimate=True)):
+        for strategy in (SingleChoice(), ImprovedSingleChoice(),
+                         MultipleChoice(t=4)):
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 strategy.grow(segments, rng, bad)
         assert rng.bit_generator.state == state
@@ -195,18 +178,3 @@ class TestNetworkIntegration:
         net_sc.populate(512, selector=SingleChoice())
         assert net_mc.max_out_degree() < net_sc.max_out_degree()
         assert net_mc.max_out_degree() <= 10  # ρ + 4 with ρ ≤ 6
-
-
-class TestEstimateLogN:
-    def test_estimates_within_multiplicative_factor(self):
-        rng = np.random.default_rng(15)
-        n = 4096
-        sm = SegmentMap(rng.random(n))
-        true = math.log2(n)
-        ests = [estimate_log_n(sm, p) for p in list(sm.points)[:200]]
-        # the paper's bound: log n − log log n − 1 ≤ est ≤ 3 log n
-        assert all(true - math.log2(true) - 2 <= e <= 3 * true + 1 for e in ests)
-
-    def test_tiny_network(self):
-        sm = SegmentMap([0.3])
-        assert estimate_log_n(sm, 0.3) == 1

@@ -58,7 +58,7 @@ class TestTwoDimMultipleChoice:
         algo = TwoDimMultipleChoice(256, t=3)
         rng = np.random.default_rng(1)
         algo.populate(rng=rng)
-        assert algo.n == 256
+        assert len(algo.points) == 256
 
     def test_lemma_5_3_smoothness(self):
         """After n joins the configuration is 2-smooth w.h.p.

@@ -20,7 +20,9 @@ from repro.baselines import (
     TapestryNetwork,
     ViceroyNetwork,
 )
+from repro.baselines.can import _face_adjacent
 from repro.core.routing_stats import BatchCongestion, CongestionCounter
+from repro.experiments.baseline_bench import SCHEME_BUILDERS, measure_baselines
 
 BUILDERS = {
     "chord": lambda n, rng: ChordNetwork(n, rng),
@@ -127,7 +129,11 @@ def test_zero_hop_lookup(name):
 @pytest.mark.parametrize("n", [2, 7, 33, 128])
 def test_can_incremental_neighbors_match_brute_force(d, n):
     net = CanNetwork(n, np.random.default_rng(41 + d), d=d)
-    assert net.neighbors == net.brute_force_neighbors()
+    # the quadratic definition: every pair of face-adjacent boxes
+    brute = [sorted(j for j, b in enumerate(net.boxes)
+                    if j != i and _face_adjacent(a, b, d))
+             for i, a in enumerate(net.boxes)]
+    assert net.neighbors == brute
 
 
 def test_measure_scheme_batch_matches_row_shape():
@@ -145,3 +151,26 @@ def test_measure_scheme_batch_matches_row_shape():
     assert batch.n == scalar.n == 64
     assert batch.mean_path == pytest.approx(scalar.mean_path, rel=0.35)
     assert batch.lookups == 400
+
+
+#: schemes whose routing never consults ``owner`` (Chord and Viceroy
+#: route towards it), so a wrong ``owner`` shows only in the bench check
+ROUTE_BLIND = ["can", "dh-fast", "koorde", "small-world", "tapestry"]
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_BUILDERS))
+def test_bench_replay_ends_at_each_owner(scheme):
+    result = measure_baselines(n=64, lookups=200, scalar_sample=40,
+                               schemes=[scheme])
+    assert result["schemes"][scheme]["parity_ok"]
+
+
+@pytest.mark.parametrize("scheme", ROUTE_BLIND)
+def test_bench_parity_fails_when_the_owner_disagrees(monkeypatch, scheme):
+    """``bench-baselines`` checks where paths end, not only that the batch
+    and scalar engines agree on them."""
+    cls = type(SCHEME_BUILDERS[scheme](64, np.random.default_rng(0)))
+    monkeypatch.setattr(cls, "owner", lambda self, target: -1.0)
+    result = measure_baselines(n=64, lookups=200, scalar_sample=40,
+                               schemes=[scheme])
+    assert not result["all_parity_ok"]

@@ -339,12 +339,12 @@ class TestCsrPaths:
         src, tgt = workload(net, 30, 72)
         res = router.batch_fast_lookup(src, tgt, keep_paths="csr")
         obj = router.batch_fast_lookup(src, tgt, keep_paths=True)
-        assert res.keeps_paths and obj.keeps_paths
+        assert res.path_servers is not None and obj.path_servers is not None
         assert res.path_servers.dtype == np.int32
         assert np.array_equal(res.path_servers, obj.path_servers)
         assert np.array_equal(res.path_offsets, obj.path_offsets)
         bare = router.batch_fast_lookup(src, tgt)
-        assert not bare.keeps_paths and bare.path_offsets is None
+        assert bare.path_servers is None and bare.path_offsets is None
         with pytest.raises(ValueError, match="keep_paths=False"):
             bare.server_path(0)
 
@@ -353,7 +353,7 @@ class TestCsrPaths:
         router = net.compile_router()
         src, tgt = workload(net, 80, 74)
         res = router.batch_fast_lookup(src, tgt, keep_paths="csr")
-        assert np.array_equal(res.path_lengths(), res.hops + 1)
+        assert np.array_equal(np.diff(res.path_offsets), res.hops + 1)
 
     def test_path_points_decode(self):
         net, _ = make_net(24, seed=75)
@@ -371,8 +371,6 @@ class TestCsrPaths:
         res = router.batch_fast_lookup(np.array([0.1]), np.array([0.5]))
         with pytest.raises(ValueError, match="keep_paths"):
             res.to_csr()
-        with pytest.raises(ValueError, match="keep_paths"):
-            res.path_lengths()
 
     def test_invalid_keep_paths_rejected(self):
         net, _ = make_net(8, seed=78)

@@ -9,6 +9,12 @@ where a replay is meaningful.
 
 import numpy as np
 import pytest
+from cache_state import (
+    engine_item_stats,
+    last_epoch_served,
+    scalar_item_stats,
+    served_counts,
+)
 
 from repro.core import (
     BatchCacheEngine,
@@ -176,11 +182,11 @@ class TestDegenerateBatches:
         eng = BatchCacheEngine(net, ["a", "b"], threshold=1)
         pts = net.segments.as_array()
         eng.serve_batch([0] * 8, pts[:8], rng=np.random.default_rng(0))
-        before = (eng.active_set(0), eng.served_counts(0),
+        before = (eng.active_set(0), served_counts(eng, 0),
                   eng.server_messages(), eng.requests_served)
         with pytest.raises(ValueError, match=message):
             eng.serve_batch(sources=pts[:5], **kwargs)
-        after = (eng.active_set(0), eng.served_counts(0),
+        after = (eng.active_set(0), served_counts(eng, 0),
                  eng.server_messages(), eng.requests_served)
         assert before[:2] == after[:2] and before[3] == after[3] == 8
         assert np.array_equal(before[2], after[2])
@@ -222,18 +228,18 @@ class TestThresholdBoundary:
         eng = self._drive(self.C)
         assert eng.tree_size(0) == 1
         assert eng.tree_replications(0) == 0
-        assert eng.served_counts(0) == {(): self.C}
+        assert served_counts(eng, 0) == {(): self.C}
 
     def test_c_plus_one_replicates_once(self):
         eng = self._drive(self.C + 1)
         assert eng.tree_size(0) == 1 + 2
         assert eng.tree_replications(0) == 2
         # the trigger request itself is still served at the root
-        assert eng.served_counts(0)[()] == self.C + 1
+        assert served_counts(eng, 0)[()] == self.C + 1
 
     def test_requests_after_trigger_serve_at_children(self):
         eng = self._drive(self.C + 3)
-        counts = eng.served_counts(0)
+        counts = served_counts(eng, 0)
         # c+1 root hits (trigger included), the two later deep entries
         # stop at the child on their digit string
         assert counts[()] == self.C + 1
@@ -261,7 +267,7 @@ class TestRootOnlyHitStorm:
         # (non-leaf) root absorbs everything else
         assert eng.tree_size(0) == 3
         assert eng.tree_replications(0) == 2
-        assert eng.served_counts(0) == {(): count}
+        assert served_counts(eng, 0) == {(): count}
         scal, _ = scalar_replay(net, items, c, 1, np.zeros(count, np.int64),
                                 sources, tau)
         assert eng.summary() == scal.summary()
@@ -300,7 +306,7 @@ class TestCollapseSplit:
 
     def test_counts_land_on_the_boundary(self):
         eng, _, _, _ = self._steered_engine()
-        counts = eng.served_counts(0)
+        counts = served_counts(eng, 0)
         assert counts[()] == self.C + 1
         assert counts[(1,)] == self.C
         assert counts[(0,)] == self.C - 1
@@ -311,7 +317,7 @@ class TestCollapseSplit:
         assert removed == 0
         assert eng.tree_size(0) == 3
         # the boundary epoch's counters survive as the snapshot
-        assert eng.last_epoch_served(0)[(1,)] == self.C
+        assert last_epoch_served(eng, 0)[(1,)] == self.C
         # a quiet epoch then collapses both children at once
         assert eng.advance_epoch() == 2
         assert eng.tree_size(0) == 1
@@ -345,13 +351,13 @@ class TestSaltedMode:
                         for j in range(4)]
         per_tree_cop = [eng.tree_size(eng.tree_index(0, j)) - 1
                         for j in range(4)]
-        assert eng.item_replications(0) == sum(per_tree_rep)
-        assert eng.item_copies(0) == sum(per_tree_cop)
+        assert engine_item_stats(eng, 0) == (sum(per_tree_rep),
+                                             sum(per_tree_cop))
         # the load actually spread: more than one salt tree served
         served = sum(1 for j in range(4)
-                     if eng.served_counts(eng.tree_index(0, j)))
+                     if served_counts(eng, eng.tree_index(0, j)))
         assert served > 1
-        assert eng.item_replications(1) == 0
+        assert engine_item_stats(eng, 1)[0] == 0
 
     def test_salted_parity_with_scalar(self):
         net = make_net(128, seed=8)
@@ -369,8 +375,7 @@ class TestSaltedMode:
             assert res.serving_node(i) == replay[i].serving_node
             assert res.server_path(i) == replay[i].server_path
         assert eng.summary() == scal.summary()
-        assert eng.item_replications(0) == scal.item_replications("hot")
-        assert eng.item_copies(0) == scal.item_copies("hot")
+        assert engine_item_stats(eng, 0) == scalar_item_stats(scal, "hot")
 
     def test_content_update_merges_salts(self):
         net = make_net(64, seed=10)
@@ -381,7 +386,7 @@ class TestSaltedMode:
         eng.serve_batch(np.zeros(B, np.int64),
                         pts[rng.integers(0, len(pts), size=B)], rng=rng)
         msgs, t = eng.content_update(0)
-        assert msgs == eng.item_copies(0)
+        assert msgs == engine_item_stats(eng, 0)[1]
         assert t == max(eng.tree_depth(eng.tree_index(0, j)) for j in range(2))
 
 
@@ -434,4 +439,4 @@ class TestSequentialSemantics:
         assert one.summary() == many.summary()
         for k in range(4):
             assert one.active_set(k) == many.active_set(k)
-            assert one.served_counts(k) == many.served_counts(k)
+            assert served_counts(one, k) == served_counts(many, k)

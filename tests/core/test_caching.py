@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from cache_state import scalar_item_stats
 
-from repro.core import CacheSystem, DistanceHalvingNetwork
+from repro.core import BatchCacheEngine, CacheSystem, DistanceHalvingNetwork
 from repro.core.caching import ActiveTree, salt_indices, salted_key
 from repro.core.pathtree import PathTree
 
@@ -235,9 +236,9 @@ class TestSaltedCacheSystem:
         cache = CacheSystem(net, threshold=2, salts=3)
         drive_requests(cache, net, rng, "hot", 150)
         assert all(isinstance(k, str) and "#salt" in k for k in cache.trees)
-        assert cache.item_replications("hot") == sum(
-            t.replications for t in cache.trees.values())
-        assert cache.item_copies("hot") == cache.total_copies()
+        assert scalar_item_stats(cache, "hot") == (
+            sum(t.replications for t in cache.trees.values()),
+            cache.total_copies())
 
     def test_salts_one_is_the_plain_protocol(self):
         net, rng = make_net(64, seed=21)
@@ -284,7 +285,7 @@ class TestLemma33:
         for _ in range(q):
             tau = tuple(int(d) for d in rng.integers(0, 2, size=16))
             tree.serve(tau)
-        assert tree.depth() <= math.log2(q / c) + 3
+        assert max(map(len, tree.active)) <= math.log2(q / c) + 3
 
 
 class TestCacheSystem:
@@ -348,22 +349,23 @@ class TestCacheSystem:
 
 
 class TestContentUpdate:
-    """§3 Content Update: O(log n) messages and time down the active tree."""
+    """§3 Content Update: O(log n) messages and time down the active tree
+    (the batch engine's ``content_update``)."""
 
     def test_update_cost_matches_tree(self):
         net, rng = make_net(64, seed=10)
-        cache = CacheSystem(net, threshold=2)
-        drive_requests(cache, net, rng, "hot", 300)
-        tree = cache.tree_for("hot")
-        messages, time = tree.update_content(net)
-        assert messages == tree.size() - 1
-        assert time == tree.depth()
         q, c = 300, 2
+        eng = BatchCacheEngine(net, ["hot"], threshold=c)
+        pts = net.segments.as_array()
+        eng.serve_batch(np.zeros(q, np.int64),
+                        pts[rng.integers(0, len(pts), size=q)], rng=rng)
+        messages, time = eng.content_update(0)
+        assert messages == eng.tree_size(0) - 1
+        assert time == eng.tree_depth(0)
         assert messages <= 4 * q / c
         assert time <= math.log2(q / c) + 3
 
     def test_update_on_cold_tree_is_free(self):
-        net, rng = make_net(32, seed=11)
-        cache = CacheSystem(net, threshold=5)
-        tree = cache.tree_for("x")
-        assert tree.update_content(net) == (0, 0)
+        net, _ = make_net(32, seed=11)
+        eng = BatchCacheEngine(net, ["x"], threshold=5)
+        assert eng.content_update(0) == (0, 0)

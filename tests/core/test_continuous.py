@@ -44,15 +44,6 @@ class TestEdgeMaps:
             for d in range(4):
                 assert g4.backward(g4.child(y, d)) == pytest.approx(y)
 
-    def test_child_digit_recovers_branch(self, g2, g4):
-        for g in (g2, g4):
-            for y in (0.1, 0.6, 0.9):
-                for d in range(g.delta):
-                    assert g.child_digit(g.child(y, d)) == d
-
-    def test_out_neighbors_count(self, g4):
-        assert len(g4.out_neighbors(0.3)) == 4
-
     def test_invalid_digit_rejected(self, g2):
         with pytest.raises(ValueError):
             g2.child(0.5, 2)
@@ -246,18 +237,3 @@ class TestIntervalImages:
         for img in g2.image_arcs(arc):
             mid = img.midpoint
             assert g2.backward(mid) in arc
-
-
-class TestDiameterSteps:
-    def test_matches_corollary_2_5(self, g2):
-        # t = ceil(log2(n * rho)) + 1
-        assert g2.diameter_steps(1024, 1.0) == 11
-        assert g2.diameter_steps(1024, 4.0) == 13
-
-    def test_delta_reduces_steps(self):
-        g16 = ContinuousGraph(16)
-        assert g16.diameter_steps(65536, 1.0) == 5  # log_16(65536) = 4, +1
-
-    def test_rejects_nonpositive_n(self, g2):
-        with pytest.raises(ValueError):
-            g2.diameter_steps(0)

@@ -109,34 +109,9 @@ class TestArcPieces:
             assert total == pytest.approx(float(arc.length))
 
 
-class TestArcSplit:
-    def test_split_plain(self):
-        left, right = Arc(0.2, 0.8).split(0.5)
-        assert left == Arc(0.2, 0.5)
-        assert right == Arc(0.5, 0.8)
-
-    def test_split_wrapping_at_low_side(self):
-        left, right = Arc(0.9, 0.2).split(0.1)
-        assert left == Arc(0.9, 0.1)
-        assert right == Arc(0.1, 0.2)
-
-    def test_split_rejects_exterior_point(self):
-        with pytest.raises(ValueError):
-            Arc(0.2, 0.4).split(0.5)
-
-    def test_split_rejects_start(self):
-        with pytest.raises(ValueError):
-            Arc(0.2, 0.4).split(0.2)
-
-    def test_split_preserves_total_length(self):
-        a, b = Arc(0.7, 0.3).split(0.9)
-        assert float(a.length + b.length) == pytest.approx(0.6)
-
-
 class TestArcIntersection:
     def test_disjoint(self):
         assert Arc(0.1, 0.2).intersection_length(Arc(0.3, 0.4)) == 0
-        assert not Arc(0.1, 0.2).overlaps(Arc(0.3, 0.4))
 
     def test_nested(self):
         assert Arc(0.1, 0.5).intersection_length(Arc(0.2, 0.3)) == pytest.approx(0.1)
@@ -154,46 +129,41 @@ class TestArcIntersection:
         assert Arc(0.0, 0.0).intersection_length(Arc(0.2, 0.5)) == pytest.approx(0.3)
 
 
-class TestArcScaled:
+class TestImageArcs:
+    """``f_i`` images of a segment, per digit (``ContinuousGraph(2)``)."""
+
+    @staticmethod
+    def images(arc, digit):
+        from repro.core.continuous import ContinuousGraph
+
+        return ContinuousGraph(2).image_arcs_by_digit(arc)[digit]
+
     def test_halving_map_left(self):
         # l(y) = y/2: image of [0.2, 0.6) is [0.1, 0.3)
-        img = Arc(0.2, 0.6).scaled(0.5, 0.0)
-        assert img == Arc(0.1, 0.3)
+        assert self.images(Arc(0.2, 0.6), 0) == [Arc(0.1, 0.3)]
 
     def test_halving_map_right(self):
-        img = Arc(0.2, 0.6).scaled(0.5, 0.5)
-        assert img == Arc(0.6, 0.8)
+        assert self.images(Arc(0.2, 0.6), 1) == [Arc(0.6, 0.8)]
 
     def test_wrapping_arc_scales_by_length(self):
         # [0.75, 1) under l must give [0.375, 0.5) — regression for the
         # endpoint-0.0 bug (end stored as 0.0 stands for 1.0).
-        img = Arc(0.75, 0.0).scaled(0.5, 0.0)
-        assert img == Arc(0.375, 0.5)
-
-    def test_two_piece_wrap_rejected(self):
-        # [0.9, 0.1) has mass on both sides of the seam: its l-image is
-        # [0.45, 0.5) ∪ [0, 0.05) — disconnected, so scaled() must refuse
-        # (ContinuousGraph.image_arcs maps the pieces separately).
-        with pytest.raises(ValueError):
-            Arc(0.9, 0.1).scaled(0.5, 0.0)
+        assert self.images(Arc(0.75, 0.0), 0) == [Arc(0.375, 0.5)]
 
     def test_image_arcs_handle_two_piece_wrap(self):
-        from repro.core.continuous import ContinuousGraph
-
-        g = ContinuousGraph(2)
-        imgs = g.image_arcs_by_digit(Arc(0.9, 0.1))[0]
+        imgs = self.images(Arc(0.9, 0.1), 0)
         assert Arc(0.45, 0.5) in imgs
         assert Arc(0.0, 0.05) in imgs
         total = sum(float(i.length) for i in imgs)
         assert total == pytest.approx(0.1)
 
     def test_full_ring_contracts(self):
-        img = Arc(0.0, 0.0).scaled(0.5, 0.5)
+        [img] = self.images(Arc(0.0, 0.0), 1)
         assert img == Arc(0.5, 0.0)  # [0.5, 1)
         assert float(img.length) == pytest.approx(0.5)
 
     def test_fraction_exactness(self):
-        img = Arc(Fraction(1, 3), Fraction(2, 3)).scaled(Fraction(1, 2), Fraction(1, 2))
+        [img] = self.images(Arc(Fraction(1, 3), Fraction(2, 3)), 1)
         assert img.start == Fraction(2, 3)
         assert img.end == Fraction(5, 6)
 

@@ -47,7 +47,7 @@ class TestFastLookupCorrectness:
     def test_local_target_zero_hops(self):
         net, _ = make_net(64, seed=3)
         src = list(net.points())[10]
-        seg = net.segment_of(src)
+        seg = net.segments.segment_of(src)
         res = fast_lookup(net, src, float(seg.midpoint))
         assert res.hops == 0
         assert res.t == 0
@@ -105,7 +105,7 @@ class TestFastLookupBound:
         res = fast_lookup(net, src, 0.777)
         # t is minimal: walking one step fewer must leave the segment
         g = net.graph
-        seg = net.segment_of(src)
+        seg = net.segments.segment_of(src)
         if res.t > 0:
             shorter = g.approach_digits(seg.midpoint, res.t - 1)
             assert g.walk(shorter, 0.777) not in seg

@@ -12,7 +12,6 @@ from repro.core.lookup import LookupResult
 from repro.core.node import Server
 from repro.core.segments import SegmentMap
 from repro.sim.engine import EventLoop
-from repro.sim.metrics import summarize
 
 
 class TestServer:
@@ -73,10 +72,9 @@ class TestServer:
 
 
 class TestLookupResult:
-    def test_source_property(self):
+    def test_hops_property(self):
         r = LookupResult(target=0.5, owner=0.4, server_path=[0.1, 0.4],
                          continuous_path=[], t=1)
-        assert r.source == 0.1
         assert r.hops == 1
 
     def test_zero_hop_result(self):
@@ -110,11 +108,11 @@ class TestSegmentMapExtras:
 
 
 class TestNetworkExtras:
-    def test_server_at_and_owner_of(self):
+    def test_servers_by_point_and_owner_of(self):
         net = DistanceHalvingNetwork()
         net.join(0.2)
         net.join(0.7)
-        assert net.server_at(0.2).point == 0.2
+        assert net.servers[0.2].point == 0.2
         assert net.owner_of(0.5).point == 0.2
         assert net.owner_of(0.9).point == 0.7
 
@@ -148,19 +146,6 @@ class TestEngineExtras:
         loop.schedule(1.0, reschedule)
         loop.run(max_events=25)
         assert loop.events_run == 25
-
-    def test_pending_count(self):
-        loop = EventLoop()
-        loop.schedule(1.0, lambda: None)
-        loop.schedule(2.0, lambda: None)
-        assert loop.pending() == 2
-
-
-class TestMetricsExtras:
-    def test_summary_as_dict(self):
-        d = summarize([1.0, 2.0, 3.0]).as_dict()
-        assert d["count"] == 3.0
-        assert d["mean"] == pytest.approx(2.0)
 
 
 class TestCliErrors:

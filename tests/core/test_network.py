@@ -41,7 +41,7 @@ class TestJoinLeave:
 
     def test_item_hash_is_64_wise_and_drawn_from_rng(self):
         a, b = (DistanceHalvingNetwork(rng=np.random.default_rng(9)) for _ in "ab")
-        assert a.item_hash.k == 64
+        assert a.item_hash._fn.k == 64
         assert a.item_hash("item") == b.item_hash("item")
 
     def test_first_join_covers_ring(self):
@@ -54,8 +54,8 @@ class TestJoinLeave:
         net = DistanceHalvingNetwork()
         net.join(0.2)
         net.join(0.6)
-        assert net.segment_of(0.2) == Arc(0.2, 0.6)
-        assert net.segment_of(0.6) == Arc(0.6, 0.2)
+        assert net.segments.segment_of(0.2) == Arc(0.2, 0.6)
+        assert net.segments.segment_of(0.6) == Arc(0.6, 0.2)
 
     def test_join_duplicate_rejected(self):
         net = DistanceHalvingNetwork()
@@ -83,10 +83,10 @@ class TestJoinLeave:
         net.item_hash = lambda k: {"a": 0.1, "b": 0.6}[k]
         net.store_item("a", "va")
         net.store_item("b", "vb")
-        assert net.server_at(0.0).store.keys() == {"a", "b"}
+        assert net.servers[0.0].store.keys() == {"a", "b"}
         net.join(0.5)
-        assert net.server_at(0.0).store.keys() == {"a"}
-        assert net.server_at(0.5).store.keys() == {"b"}
+        assert net.servers[0.0].store.keys() == {"a"}
+        assert net.servers[0.5].store.keys() == {"b"}
         assert net.get_item("b") == "vb"
 
     def test_leave_hands_items_to_predecessor(self):
@@ -95,9 +95,9 @@ class TestJoinLeave:
         net.join(0.0)
         net.join(0.5)
         net.store_item("x", 1)
-        assert "x" in net.server_at(0.5).store
+        assert "x" in net.servers[0.5].store
         net.leave(0.5)
-        assert "x" in net.server_at(0.0).store
+        assert "x" in net.servers[0.0].store
         assert net.get_item("x") == 1
 
     def test_leave_last_server(self):
@@ -167,7 +167,7 @@ class TestJoinLeave:
         net = DistanceHalvingNetwork(rng=np.random.default_rng(4))
         net.populate(50)
         net.check_invariants()
-        victim = net.server_at(list(net.points())[10])
+        victim = net.servers[list(net.points())[10]]
         pos = float(net.segments.point_at(30))
         victim.store["stray"] = (pos, "value")
         with pytest.raises(AssertionError, match="stray"):
@@ -209,7 +209,7 @@ class TestNeighbors:
         pts = list(net256.points())
         rng = np.random.default_rng(1)
         for p in rng.choice(pts, size=10, replace=False):
-            seg = net256.segment_of(p)
+            seg = net256.segments.segment_of(p)
             outs = set(net256.out_neighbor_points(p))
             for img in net256.graph.image_arcs(seg):
                 mid = img.midpoint

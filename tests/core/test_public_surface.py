@@ -15,13 +15,15 @@ each one to be referenced by at least one of:
   names its measure / report / artifact functions that way);
 * a ``@register(...)`` decorator (the experiment registry calls it).
 
-A name none of these reach must sit on :data:`ALLOWED` with a one-line
-reason, or be deleted.  Options that nothing set were folded into
-constants; :data:`FOLDED` keeps each out of its signature.
+A name none of these reach must be deleted, or sit on the reach gate's
+allowlist (``tools/reach.py``) with a one-line reason: :data:`ALLOWED`
+is that list's public top-level names.  Options that nothing set were
+folded into constants; :data:`FOLDED` keeps each out of its signature.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -32,15 +34,15 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 CALLER_TREES = (ROOT / "examples", ROOT / "benchmarks" / "spine")
 
-#: Names kept although nothing outside the tests calls them.
-ALLOWED = {
-    "measure_scheme": "scalar oracle of measure_scheme_batch",
-    "run_async_lookups": "the asyncio runtime's driver in the lookup "
-                         "contract suite",
-    "linear_distance": "Obs 2.3 / Claim 2.4 property API",
-    "digits_to_point": "Obs 2.3 / Claim 2.4 property API",
-    "arcs_cover_ring": "Claim 6.5 oracle in test_overlap.py",
-}
+_spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+#: Public top-level names kept although nothing outside the tests calls
+#: them: the reach allowlist's ``file:name`` keys whose name is one.
+ALLOWED = {name: why for key, why in reach.ALLOWLIST.items()
+           for name in [key.partition(":")[2]]
+           if name.isidentifier() and not name.startswith("_")}
 
 _ENTRY = re.compile(r"^[\w.]+:(\w+)$")
 
@@ -136,6 +138,12 @@ def test_every_public_name_has_a_caller():
         f"@register reaches — delete them or allowlist them: {unreached}")
 
 
+def test_allowed_is_the_five_oracles():
+    assert sorted(ALLOWED) == ["arcs_cover_ring", "digits_to_point",
+                               "linear_distance", "measure_scheme",
+                               "run_async_lookups"]
+
+
 def test_allowlist_is_not_stale():
     """An allowlisted name still exists and still has no caller."""
     defined = {name for name, _ in public_definitions()}
@@ -170,6 +178,7 @@ def test_string_annotations_are_reads():
 #: keywords ``lookup_batch`` dropped (``route_pairs`` calls the cost path).
 FOLDED = [
     ("core.network:DistanceHalvingNetwork", "item_hash"),
+    ("balance.strategies:MultipleChoice", "estimate"),
     ("faults.overlap:OverlappingDHNetwork", "item_hash"),
     ("balance.buckets:BucketBalancer", "lo_factor"),
     ("balance.buckets:BucketBalancer", "hi_factor"),

@@ -80,24 +80,6 @@ class TestSegments:
         assert sm.lengths().sum() == pytest.approx(1.0)
         assert len(sm.lengths()) == 100
 
-    @pytest.mark.parametrize("points", [
-        [0.3], [0.0, 0.25, 0.5, 0.75], [0.1, 0.7, 0.9999999999999999],
-        [Fraction(1, 3)], [Fraction(1, 7), Fraction(1, 3), Fraction(6, 7)],
-    ])
-    def test_segment_length_equals_arc_length(self, points, monkeypatch):
-        """Same value and type as ``segment(i).length``, wrap and n = 1
-        included — computed from the two points, without an ``Arc``."""
-        sm = SegmentMap(points)
-        expect = [sm.segment(i).length for i in range(len(sm))]
-        monkeypatch.setattr(Arc, "__post_init__", None)  # any Arc() raises
-        for i, length in enumerate(expect):
-            got = sm.segment_length(i)
-            assert got == length and type(got) is type(length)
-
-    def test_segment_length_of_empty_map_raises(self):
-        with pytest.raises(LookupError):
-            SegmentMap().segment_length(0)
-
     def test_midpoints_from_array_equals_arc_midpoints(self):
         rng = np.random.default_rng(3)
         for pts in ([0.3], [0.0, 0.9999999999999999], rng.random(200)):
@@ -219,9 +201,8 @@ class TestColumn:
         assert quarters.column.tolist() == [0.0, 0.25, 0.5, 0.75]
         quarters.check_invariants()
 
-    def test_bounds_arrays_do_not_alias_the_buffer(self, quarters):
-        starts, ends = quarters.bounds_arrays()
-        starts[:] = ends[:] = -1.0
+    def test_as_array_does_not_alias_the_buffer(self, quarters):
+        quarters.as_array()[:] = -1.0
         quarters.check_invariants()
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -408,11 +389,6 @@ class TestSmoothness:
     def test_definition_ratio(self):
         sm = SegmentMap([0.0, 0.1, 0.5])  # lengths 0.1, 0.4, 0.5
         assert sm.smoothness() == pytest.approx(5.0)
-
-    def test_is_smooth_predicate(self):
-        sm = SegmentMap([0.0, 0.1, 0.5])
-        assert sm.is_smooth(5.0)
-        assert not sm.is_smooth(4.9)
 
     def test_random_points_rho_grows(self):
         """Lemma 4.1: uniform ids give max ~ log n / n, min ~ 1/n²: ρ ≫ 1."""

@@ -1,8 +1,8 @@
 """Unused-import lint gate (ruff F401) for environments without ruff.
 
-CI runs ``ruff check`` over ``src/``, ``tests/`` and ``benchmarks/``
-with the pyflakes ``F`` family selected (see ruff.toml); an unused
-import there fails the lint job.  This test enforces the same rule
+CI runs ``ruff check`` over ``src/``, ``tests/``, ``benchmarks/`` and
+``tools/`` with the pyflakes ``F`` family selected (see ruff.toml); an
+unused import there fails the lint job.  This test enforces the same rule
 locally with the stdlib ``ast`` module, like ``test_docstrings.py`` does
 for the D1xx subset: every name an ``import`` / ``from … import``
 binds is read somewhere in its module, re-exported through ``__all__``,
@@ -14,7 +14,7 @@ import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
-TREES = ("src", "tests", "benchmarks")
+TREES = ("src", "tests", "benchmarks", "tools")
 
 
 def _annotation_names(tree: ast.Module) -> set:

@@ -213,6 +213,18 @@ class TestCli:
 
         assert main(["bench-baselines", "--schemes", "nope"]) == 2
 
+    @pytest.mark.parametrize("names", [",,,", "", " , "])
+    def test_bench_baselines_refuses_an_empty_scheme_list(self, capsys, names):
+        """No names is not "all seven": exit 2 before anything runs."""
+        from repro.cli import main
+
+        assert main(["bench-baselines", "--schemes", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "bench-baselines: --schemes must name schemes among can, chord, "
+            "dh-fast, koorde, small-world, tapestry, viceroy; got none\n")
+
 # ------------------------------------------------- the bench table contract
 #: sizes small enough for tier-1; a new row must add its own (see the test)
 TINY = {

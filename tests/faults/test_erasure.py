@@ -86,9 +86,6 @@ class TestReedSolomon:
         shares = code.encode(data)
         assert code.decode(shares[4:]) == data  # parity-heavy subset
 
-    def test_overhead(self):
-        assert ReedSolomonCode(4, 6).overhead() == pytest.approx(1.5)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ReedSolomonCode(0, 4)

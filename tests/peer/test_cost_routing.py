@@ -67,7 +67,7 @@ class TestCostMap:
         assert m.dist_scale * np.sqrt(2.0) < inter.min()
 
     def test_degenerate_map(self):
-        m = CostMap.degenerate()
+        m = CostMap(isp_cost=np.zeros((1, 1)), dist_scale=0.0)
         assert m.n_isps == 1
         pts = np.random.default_rng(3).random(10)
         x, y = m.coords_of(pts)
@@ -177,7 +177,8 @@ class TestFTPolicyParity:
 
     def test_zero_cost_weighted_equals_uniform(self):
         """The degenerate map collapses weighted onto uniform bit-for-bit."""
-        zero = CostOracle(_NET.points_array, CostMap.degenerate())
+        zero_map = CostMap(isp_cost=np.zeros((1, 1)), dist_scale=0.0)
+        zero = CostOracle(_NET.points_array, zero_map)
         _, _, _, w = self._route("weighted", oracle=zero)
         _, _, _, u = self._route("uniform", oracle=None)
         assert np.array_equal(w.success, u.success)

@@ -133,7 +133,7 @@ class TestCsrLosslessEncoding:
         assert batch.path_servers.dtype == np.int32
         assert batch.path_offsets.dtype == np.int64
         assert (np.diff(batch.path_offsets) >= 1).all()
-        assert np.array_equal(batch.path_lengths() - 1, batch.hops)
+        assert np.array_equal(np.diff(batch.path_offsets) - 1, batch.hops)
         for i, r in enumerate(lookup_many(net, src, tgt)):
             assert r.server_path == batch.server_path(i)
             assert r.server_path == batch.path_points(i).tolist()
@@ -147,7 +147,7 @@ class TestCsrLosslessEncoding:
         tgt = route.random(count)
         tau = route.integers(0, 2, size=(count, 80))
         batch = router.batch_dh_lookup(src, tgt, tau=tau, keep_paths="csr")
-        assert np.array_equal(batch.path_lengths() - 1, batch.hops)
+        assert np.array_equal(np.diff(batch.path_offsets) - 1, batch.hops)
         scalar = lookup_many(net, src, tgt, algorithm="dh",
                              taus=[list(row) for row in tau])
         for i, r in enumerate(scalar):
@@ -194,8 +194,8 @@ class TestCsrLosslessEncoding:
         tau = route.integers(0, net.delta, size=(size, 80))
         fast = router.batch_fast_lookup(src, tgt, keep_paths="csr")
         dh = router.batch_dh_lookup(src, tgt, tau=tau, keep_paths="csr")
-        assert np.array_equal(fast.path_lengths() - 1, fast.hops)
-        assert np.array_equal(dh.path_lengths() - 1, dh.hops)
+        assert np.array_equal(np.diff(fast.path_offsets) - 1, fast.hops)
+        assert np.array_equal(np.diff(dh.path_offsets) - 1, dh.hops)
         for i, r in enumerate(lookup_many(net, src, tgt)):
             assert r.server_path == fast.server_path(i)
         scalar = lookup_many(net, src, tgt, algorithm="dh",
@@ -223,13 +223,12 @@ def _held_result(router, y):
 
 
 #: Every way a router hands an array out, by index: the four registered
-#: columns, ``cover_index.points``, the shard export, a held result.
+#: columns, the shard export, a held result.
 HAND_OUTS = (
     lambda router, y: [router.points],
     lambda router, y: [router.seg_start],
     lambda router, y: [router.seg_end],
     lambda router, y: [router.midpoints],
-    lambda router, y: [router.cover_index.points],
     lambda router, y: list(router.snapshot_columns().values()),
     _held_result,
 )
@@ -428,14 +427,14 @@ class TestIncrementalRefreshParity:
     @given(start=st.integers(min_value=2, max_value=24),
            steps=st.lists(st.tuples(
                st.sampled_from(["join", "leave", "refresh", "hand-out"]),
-               unit_float, st.integers(min_value=0, max_value=6)),
+               unit_float, st.integers(min_value=0, max_value=len(HAND_OUTS) - 1)),
                min_size=1, max_size=60))
     def test_copy_on_write_interleaving(self, start, steps):
         """Joins, leaves, refreshes and hand-outs in any order.
 
         A hand-out is a column read (each registered column, the shard
-        export's ``snapshot_columns()``, ``cover_index.points``) or a
-        held ``lookup_batch`` result.  After every step: every array
+        export's ``snapshot_columns()``) or a held ``lookup_batch``
+        result.  After every step: every array
         handed out still equals its value at hand-out; a fresh router
         equals a fresh compile; and k ≤ 16 membership ops with no
         hand-out (or full rebuild) between them made at most one copy —

@@ -44,9 +44,10 @@ def assert_compile_equals_oracle(net) -> None:
     router = net.compile_router(with_adjacency=True)
     assert np.array_equal(edge_keys(router), oracle_keys(net))
     assert np.array_equal(router.midpoints, net.segments.midpoints_array())
-    starts, ends = net.segments.bounds_arrays()
+    # segment i is [x_i, x_{i+1}); the last one wraps to x_0
+    starts = net.segments.as_array()
     assert np.array_equal(router.seg_start, starts)
-    assert np.array_equal(router.seg_end, ends)
+    assert np.array_equal(router.seg_end, np.roll(starts, -1))
 
 
 class TestColumnarCompileEqualsOracle:

@@ -59,12 +59,6 @@ class TestContinuousIdentities:
         w = g.walk(g.approach_digits(y, t), z)
         assert linear_distance(w, y) <= Fraction(1, delta**t)
 
-    @given(y=unit_fraction, d=st.integers(min_value=0, max_value=7), delta=deltas)
-    def test_child_digit_recovers_branch(self, y, d, delta):
-        assume(d < delta)
-        g = ContinuousGraph(delta)
-        assert g.child_digit(g.child(y, d)) == d
-
     @given(digits=st.lists(st.integers(min_value=0, max_value=2), min_size=1,
                            max_size=20))
     def test_digits_roundtrip_base3(self, digits):
@@ -90,18 +84,6 @@ class TestArcProperties:
         assume(a != b)
         assert (p in Arc(a, b)) != (p in Arc(b, a))
 
-    @given(a=unit_float, b=unit_float, at=unit_float)
-    def test_split_preserves_membership(self, a, b, at):
-        assume(a != b)
-        arc = Arc(a, b)
-        assume(at in arc and at != a)
-        left, right = arc.split(at)
-        assert float(left.length + right.length) == pytest.approx(float(arc.length))
-        probe_rng = np.random.default_rng(0)
-        for _ in range(10):
-            p = float(probe_rng.random())
-            assert (p in arc) == ((p in left) or (p in right))
-
     @given(a=unit_float, b=unit_float)
     def test_pieces_reassemble(self, a, b):
         assume(a != b)
@@ -122,14 +104,6 @@ class TestArcProperties:
         for _ in range(10):
             p = Fraction(int(rng.integers(0, 1 << 20)), 1 << 20)
             assert (p in arc) == any(g.child(p, digit) in img for img in imgs)
-
-    @given(a=unit_fraction, b=unit_fraction)
-    def test_two_piece_wrap_scaled_raises(self, a, b):
-        """Arc.scaled refuses disconnected images (use image_arcs instead)."""
-        assume(a > b > 0)
-        with pytest.raises(ValueError):
-            Arc(a, b).scaled(0.5, 0.0)
-
 
 class TestSegmentMapProperties:
     @settings(max_examples=50)

@@ -66,7 +66,8 @@ class TestFTScalarParity:
     @given(seed=seeds)
     def test_degenerate_map_is_uniform(self, seed):
         """All-zero costs: weighted picks ≡ the inline uniform rule."""
-        oracle = CostOracle(_NET.points_array, CostMap.degenerate())
+        zero_map = CostMap(isp_cost=np.zeros((1, 1)), dist_scale=0.0)
+        oracle = CostOracle(_NET.points_array, zero_map)
         rng = np.random.default_rng(seed)
         pairs = 50
         src = _NET.points_array[rng.integers(_NET.n, size=pairs)]

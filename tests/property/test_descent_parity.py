@@ -154,7 +154,7 @@ def dh_three_way(net, src, tgt, tau):
     got = router.batch_dh_lookup(src, tgt, tau=tau, keep_paths="csr")
     bare = router.batch_dh_lookup(src, tgt, tau=tau)
     assert spy.calls == 2
-    assert np.array_equal(got.hops, bare.hops) and not bare.keeps_paths
+    assert np.array_equal(got.hops, bare.hops) and bare.path_servers is None
     refs = lookup_many(net, got.sources, got.targets, algorithm="dh",
                        taus=[list(row) for row in tau])
     for i, r in enumerate(refs):

@@ -58,6 +58,12 @@ class TestFaultFreeAgreement:
         assert (simple.t == resist.t).all()
 
 
+def plan_from_masks(servers, failed, liars) -> FaultPlan:
+    """A plan failing / corrupting the servers the boolean masks pick."""
+    return FaultPlan(failed={float(x) for x in servers[failed]},
+                     liars={float(x) for x in servers[liars]})
+
+
 class TestBatchScalarParity:
     @MED
     @given(seed=seeds,
@@ -65,9 +71,9 @@ class TestBatchScalarParity:
            p_liar=st.floats(min_value=0.0, max_value=0.5))
     def test_simple_bitwise_parity(self, seed, p_fail, p_liar):
         rng = np.random.default_rng(seed)
-        plan = FaultPlan.from_masks(_NET.points_array,
-                                    failed=rng.random(_NET.n) < p_fail,
-                                    liars=rng.random(_NET.n) < p_liar)
+        plan = plan_from_masks(_NET.points_array,
+                               rng.random(_NET.n) < p_fail,
+                               rng.random(_NET.n) < p_liar)
         src = _NET.points_array[rng.integers(0, _NET.n, size=15)]
         tgt = rng.random(15)
         u = rng.random((15, 32))
@@ -87,9 +93,9 @@ class TestBatchScalarParity:
            p_liar=st.floats(min_value=0.0, max_value=0.5))
     def test_resistant_accounting_parity(self, seed, p_fail, p_liar):
         rng = np.random.default_rng(seed)
-        plan = FaultPlan.from_masks(_NET.points_array,
-                                    failed=rng.random(_NET.n) < p_fail,
-                                    liars=rng.random(_NET.n) < p_liar)
+        plan = plan_from_masks(_NET.points_array,
+                               rng.random(_NET.n) < p_fail,
+                               rng.random(_NET.n) < p_liar)
         src = _NET.points_array[rng.integers(0, _NET.n, size=10)]
         tgt = rng.random(10)
         batch = _ENGINE.batch_resistant_lookup(src, tgt, plan=plan)

@@ -47,8 +47,7 @@ def scalar_select(strategy: MultipleChoice, segments: SegmentMap,
     """``MultipleChoice.select`` as the per-probe loop (the parent's body)."""
     if len(segments) == 0:
         return float(rng.random())
-    probes = strategy.t * strategy._log_n(segments, rng)
-    samples = rng.random(probes)
+    samples = rng.random(strategy._probes(len(segments)))
     best_idx = None
     best_len = -1.0
     seen = set()
@@ -57,7 +56,7 @@ def scalar_select(strategy: MultipleChoice, segments: SegmentMap,
         if i in seen:
             continue
         seen.add(i)
-        length = float(segments.segment_length(i))
+        length = float(segments.segment(i).length)
         if length > best_len:
             best_len = length
             best_idx = i
@@ -74,8 +73,7 @@ def assert_same_choice(strategy, segments, seed) -> float:
     return got
 
 
-STRATEGIES = [MultipleChoice(t=1), MultipleChoice(t=4), MultipleChoice(t=20),
-              MultipleChoice(t=4, estimate=True)]
+STRATEGIES = [MultipleChoice(t=1), MultipleChoice(t=4), MultipleChoice(t=20)]
 strategies = st.sampled_from(STRATEGIES)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -99,7 +97,7 @@ class TestVectorEqualsLoop:
         segments.check_invariants()
 
     @pytest.mark.parametrize("strategy", STRATEGIES,
-                             ids=lambda s: f"t{s.t}-est{int(s.estimate)}")
+                             ids=lambda s: f"t{s.t}")
     @pytest.mark.parametrize("points", [
         [0.3],                              # n = 1: the full ring
         [0.0],
@@ -209,7 +207,7 @@ grow_strategies = st.sampled_from(GROW_STRATEGIES)
 
 
 def _strategy_id(s) -> str:
-    return f"{s.name}-t{getattr(s, 't', '')}-est{int(s.estimate)}"
+    return f"{s.name}-t{getattr(s, 't', '')}"
 
 
 class TestGrowEqualsLoop:

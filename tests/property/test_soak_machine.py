@@ -120,7 +120,7 @@ class SoakMachine(RuleBasedStateMachine):
         eng.run([Phase(kind, arg)])
         stats = eng.phase_snapshots[-1][1]
         booked = Booked(
-            stats.lookups,
+            stats.route.lookups,
             stats.cache_requests,
             stats.ft_pairs,
             stats.churn_ops,

@@ -146,7 +146,7 @@ class TestContract:
     def test_csr_layout(self, name):
         res, source_idx = PRODUCERS[name](200, "csr")
         servers, offsets = res.to_csr()
-        assert res.keeps_paths and res.size == 200
+        assert res.size == 200
         assert servers is res.path_servers and offsets is res.path_offsets
         assert servers.dtype == np.int32 and offsets.dtype == np.int64
         assert offsets.shape == (201,) and offsets[0] == 0
@@ -154,7 +154,6 @@ class TestContract:
         assert (np.diff(offsets) >= 1).all()
         assert np.array_equal(servers[offsets[:-1]], source_idx)
         assert np.array_equal(res.hops, np.diff(offsets) - 1)
-        assert np.array_equal(res.path_lengths(), np.diff(offsets))
         for i in (0, 57, 199):
             row = servers[offsets[i]:offsets[i + 1]]
             assert (row[1:] != row[:-1]).all()  # compressed
@@ -179,10 +178,9 @@ class TestContract:
     @optional_paths
     def test_keep_paths_false(self, name):
         res, _ = PRODUCERS[name](50, False)
-        assert not res.keeps_paths
         assert res.path_servers is None and res.path_offsets is None
-        for read in (res.to_csr, res.path_lengths,
-                     lambda: res.path_points(0), lambda: res.server_path(0)):
+        for read in (res.to_csr, lambda: res.path_points(0),
+                     lambda: res.server_path(0)):
             with pytest.raises(ValueError, match="keep_paths=False"):
                 read()
         with pytest.raises(ValueError, match="keep_paths=False"):
@@ -217,8 +215,7 @@ class TestContract:
                                      BatchCacheResult, BaselineBatchResult])
     def test_one_definition_of_the_read_api(self, cls):
         assert issubclass(cls, PathResult)
-        for method in ("keeps_paths", "to_csr", "path_points",
-                       "path_lengths", "server_path"):
+        for method in ("to_csr", "path_points", "server_path"):
             assert method not in vars(cls), f"{cls.__name__}.{method}"
             assert getattr(cls, method) is getattr(PathResult, method)
 

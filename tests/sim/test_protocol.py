@@ -106,6 +106,6 @@ class TestTransportEffects:
         src = pts[0]
         # fail the owner of the target
         tgt = 0.555
-        sim.fail(net.segments.cover_point(tgt))
+        sim.failed.add(net.segments.cover_point(tgt))
         out = run_protocol_lookup(sim, net, src, tgt, rng, "recursive")
         assert not out.done

@@ -62,7 +62,7 @@ class TestParsePhases:
 class TestSoakStats:
     def test_fresh_stats_are_empty(self):
         s = SoakStats()
-        assert s.lookups == 0 and s.total_requests == 0
+        assert s.route.lookups == 0 and s.total_requests == 0
         assert s.mean_hops() == 0.0
         summary = s.summary(16)
         assert summary["total_requests"] == 0.0

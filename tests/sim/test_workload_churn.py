@@ -138,7 +138,7 @@ class TestChurn:
         report = run_churn(net, trace, rng, sample_every=2)
         # the affected set is the neighbourhood of the touched segment:
         # bounded by the degree bound ρ+4 + ⌈2ρ⌉+1 + ring ≈ O(ρ)
-        assert report.max_touched() <= 40
+        assert max(report.touched_per_op) <= 40
         assert report.mean_touched() <= 15
 
     def test_on_op_hook_sees_every_operation(self):
@@ -239,11 +239,11 @@ class TestChurnReproducibility:
         assert report.final_n == 100
         assert len(report.touched_per_op) == 57
         assert report.touched_per_op[:10] == [4, 3, 12, 4, 11, 6, 5, 5, 5, 6]
-        assert report.max_touched() == 21
+        assert max(report.touched_per_op) == 21
         assert report.mean_touched() == pytest.approx(7.631578947368421,
                                                       rel=1e-12)
-        assert report.final_smoothness() == pytest.approx(224.93698544694962,
-                                                          rel=1e-12)
+        assert report.smoothness_series[-1] == pytest.approx(
+            224.93698544694962, rel=1e-12)
 
     def test_report_identical_across_invocations(self):
         a, b = self._pinned_run(), self._pinned_run()
