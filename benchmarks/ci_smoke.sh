@@ -49,7 +49,8 @@ run python -m repro.cli bench-caching \
   --json-out "$OUT_DIR/BENCH_caching.json"
 
 # Table 1 shoot-out across all seven baseline overlays.  The ≥5x
-# acceptance floor is measured at n=16384 (docs/BENCHMARKS.md); at the
+# acceptance floor is measured at n=16384 (docs/BENCHMARKS.md
+# "The subcommands"); at the
 # smoke size the scalar loops are comparatively faster, so the smoke
 # gates the conservative 3x floor per topology.
 run python -m repro.cli bench-baselines \
@@ -61,14 +62,15 @@ run python -m repro.cli bench-baselines \
 # on every machine.  The throughput gain is informational here
 # (--min-speedup 0): CI runners routinely expose fewer CPUs than the
 # worker count, and the 2x/4-worker acceptance is measured at n=2^18
-# (docs/BENCHMARKS.md), not at smoke size.
+# (docs/BENCHMARKS.md "The subcommands"), not at smoke size.
 run python -m repro.cli bench-shard \
   --n 1024 --lookups 20000 --workers 2 --chunk 4096 --min-speedup 0 \
   --json-out "$OUT_DIR/BENCH_shard.json"
 
 # Cost-aware covering-edge routing smoke: the three selection policies
 # over a synthetic ISP map.  The ≥30% cross-ISP reduction and ≤1.5x
-# stretch acceptance is measured at n=16384 (docs/BENCHMARKS.md) but
+# stretch acceptance is measured at n=16384 (docs/BENCHMARKS.md
+# "The subcommands") but
 # holds with wide margin at smoke size too; the speedup floor is the
 # conservative 5x of the other smokes.  The 2-worker flag also gates
 # the sharded cost-dh bit-parity on every run.

@@ -1,9 +1,8 @@
 """Shared NumPy-safe JSON artifact helpers for the bench CLI.
 
-Every ``bench-*``/``soak`` subcommand used to carry its own copy of the
-"NumPy scalar → Python scalar" JSON dance; this module is the single
-implementation (:func:`dumps` — the experiment results' ``to_json``
-goes through it too).  :func:`write_artifact` writes one measurement as
+Every ``bench-*``/``soak`` subcommand and every experiment result's
+``to_json`` turns NumPy scalars into Python scalars through this one
+module (:func:`dumps`).  :func:`write_artifact` writes one measurement as
 ``{command, ok, result}`` minus the :data:`VOLATILE_KEYS` leaves, so an
 artifact is a pure function of its command line: CI byte-diffs the
 files ``benchmarks/ci_smoke.sh`` writes against the committed

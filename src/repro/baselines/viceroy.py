@@ -9,7 +9,8 @@ level-``ℓ+1`` nodes at ``x`` and ``x + 2^{-ℓ}``).  Routing proceeds in
 the three canonical phases: climb to level 1, descend the butterfly
 halving the distance scale per level, then walk the ring.
 
-This is the faithful-parameter simplification (ARCHITECTURE.md crosswalk):
+This is the faithful-parameter simplification (docs/ARCHITECTURE.md
+"Paper-section → module crosswalk", Table 1 row):
 it preserves Viceroy's constant degree and Θ(log n) routing, which is
 what the Table 1 comparison measures.
 """

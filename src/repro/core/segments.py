@@ -30,7 +30,7 @@ wants numbers reads that column instead of walking the list: the bulk
 analytics (``lengths``, ``smoothness``, ``cover_array``), the §4 id
 strategies' probes, and the batch router's compile and refresh.  Profiled
 at n = 2^14, the per-element walks the column replaced were over half of
-a soak day (docs/BENCHMARKS.md, PR 17); :meth:`SegmentMap.check_invariants`
+a soak day (``docs/perf-log/PR17.md``); :meth:`SegmentMap.check_invariants`
 ties the column back to the list on every audit.
 """
 

@@ -1,5 +1,5 @@
-"""A1–A4 — ablations of the design choices the paper calls out (see the
-crosswalk in docs/ARCHITECTURE.md).
+"""A1–A4 — ablations of the design choices the paper calls out (see
+docs/ARCHITECTURE.md "Paper-section → module crosswalk").
 
 * **A1 ring edges** — §2.1 adds ring edges "such that G_x contains a
   ring": without them, connectivity survives only while the

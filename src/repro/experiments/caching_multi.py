@@ -17,7 +17,7 @@ vectorized :class:`~repro.core.batch_cache.BatchCacheEngine` with an
   hottest item demanded in total;
 * a scalar bit-parity cell at n = 128 (salted, multi-item, two epochs):
   the engine must replay exactly on the scalar
-  :class:`~repro.core.caching.CacheSystem` (PR 4/5 recipe).
+  :class:`~repro.core.caching.CacheSystem`.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ one-request-per-server epoch ``q = n``):
   ≤ tree-size messages (both O(log n));
 * a scalar bit-parity cell at n = 128: the engine's served nodes,
   replication counts and ``summary()`` must replay exactly on the
-  scalar :class:`~repro.core.caching.CacheSystem` (PR 4/5 recipe).
+  scalar :class:`~repro.core.caching.CacheSystem`.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ sizes, the three columns the paper compares: expected path length,
 (max) congestion, and linkage.  All schemes route through their
 compiled :class:`~repro.baselines.base.BaselineBatchRouter` (the same
 vectorized spine the DH engine uses), which is what lets the full run
-execute 10^5-lookup cells at n = 2^16 — the scalar per-hop drivers
-previously capped the shoot-out at toy sizes.
+execute 10^5-lookup cells at n = 2^16.
 
 Because the paper reports *asymptotic classes*, we additionally fit
 growth exponents across sizes:

@@ -17,8 +17,8 @@ demand patterns the paper analyses:
 workloads through: it routes a whole pair list as **one** batch over a
 ``net.router(auto_refresh=True)`` handle with CSR path accounting,
 optionally booking the batch straight into a
-:class:`~repro.core.routing_stats.BatchCongestion` accumulator — the
-replacement for the per-lookup scalar loops E4/E5 used to run.
+:class:`~repro.core.routing_stats.BatchCongestion` accumulator.  E4
+and E5 route their whole workloads through it.
 """
 
 from __future__ import annotations
