@@ -63,7 +63,7 @@ from .segments import (CoverIndex, SegmentMap, arc_cover_ranges, fold_unit,
                        normalize_array)
 from .snapshot import ColumnarSnapshot, StaleSnapshotError
 from .walk import (PathResult, check_keep_paths, descend, forward_levels,
-                   normalize_pair, per_lane_matrix)
+                   normalize_pair, per_lane_matrix, replay)
 
 __all__ = ["BatchRouter", "BatchLookupResult"]
 
@@ -687,8 +687,8 @@ class BatchRouter(ColumnarSnapshot):
         by a neighbour" compares the image's cover with the current
         server, plus one interval compare per neighbour range
         (:meth:`_edge_member`) on the lanes it does not stop.  Phase II
-        descends the closed-form backward walk one level per iteration,
-        exactly like the fast path.
+        is the closed-form backward walk through the images phase I
+        covered, so it reuses their covers instead of taking them again.
 
         Supply ``tau`` (shape ``(size, L)`` or ``(L,)``, digits in
         ``[0, Δ)`` of any integer width, read without widening) to fix
@@ -747,29 +747,35 @@ class BatchRouter(ColumnarSnapshot):
         it hops there, which always costs one hop: the holder covers a
         point outside ``s(cur)``, so it is a distinct server.  A walking
         lane has taken a digit at every step so far, so its ``t`` is the
-        step it stops at.  Phase II is the closed-form backward descent
-        ``w(τ[:j], y)``, ``j = t_i … 0``.  When paths are kept its head
-        is the source plus what phase I recorded compactly: per step,
-        ``(lanes, servers)`` of the lanes that moved, all in slot
-        ``step + 1``.  Otherwise the head is only the server each lane
-        stopped at, and the hops before it are ``hops1``'s to add.
+        step it stops at.  Phase II walks ``w(τ[:j], y)`` for
+        ``j = t_i … 0``, the images phase I covered, so it covers
+        nothing: its hops are the changes between consecutive image
+        covers, counted on the way, and the owner is the step-0
+        image's cover.  Kept
+        paths come from :func:`~repro.core.walk.replay` of each step's
+        ``(lanes, image covers)`` after a head of the source plus, per
+        step, ``(lanes, servers)`` of the lanes that moved (slot
+        ``step + 1``).
         """
         cover = self.cover_index.cover
         delta, size = self.delta, y.size
         src_idx = cover(src)
         # per-lane results, written once as each lane stops
-        cur = np.empty_like(src_idx)
         t = np.empty(size, dtype=np.int64)
-        off = np.empty(size, dtype=np.float64)  # Σ d_k Δ^k, exact in float64
         hops1 = np.empty(size, dtype=np.int64)
+        turns = np.empty(size, dtype=np.int64)  # phase II's hops
         # the walking lanes' state, compacted as lanes stop; nothing
         # edits lanes or servers in place, so the records keep their values
         lanes = every = np.arange(size)
-        w_cur, w_pos, w_image = src_idx, src, y
-        # phase I's path head as (slot, lanes, servers) records
+        w_cur, w_pos = src_idx, src
+        holder = owner = cover(y)  # the cover of w(τ[:step], y)
+        # phase I's path head as (slot, lanes, servers) records, and
+        # phase II's covers as (lanes, servers), one record a level
         moves: List[tuple] = [(0, every, src_idx)]
-        w_off = np.zeros(size, dtype=np.float64)
+        levels: List[tuple] = [(every, owner)]
+        w_off = np.zeros(size, dtype=np.float64)  # Σ d_k Δ^k, exact in float64
         w_hops = np.zeros(size, dtype=np.int64)
+        w_turns = np.zeros(size, dtype=np.int64)
 
         # beyond ~52/log2(Δ) digits the float64 offset accumulator loses
         # exactness (the scalar engine carries exact integer offsets, so
@@ -779,10 +785,9 @@ class BatchRouter(ColumnarSnapshot):
         step_cap = min(max_steps, int(52 / math.log2(delta)))
         step = 0
         while lanes.size:
-            if step > step_cap:  # pragma: no cover - beyond Theorem 2.8
+            if step > step_cap:  # past max_steps, or beyond Theorem 2.8
                 raise RuntimeError(
                     f"batch {algorithm} lookup phase I failed to converge")
-            holder = cover(w_image)
             stop = holder == w_cur
             seek = np.flatnonzero(~stop)
             if seek.size:
@@ -795,48 +800,47 @@ class BatchRouter(ColumnarSnapshot):
             if stop.any():
                 done = lanes[stop]
                 t[done] = step
-                cur[done] = holder[stop]
-                off[done] = w_off[stop]
                 hops1[done] = w_hops[stop]
+                turns[done] = w_turns[stop]
                 go = ~stop
-                lanes, w_cur, w_pos, w_off, w_hops = (
-                    lanes[go], w_cur[go], w_pos[go], w_off[go], w_hops[go])
+                lanes, w_cur, w_pos, w_off, w_hops, w_turns, holder = (
+                    lanes[go], w_cur[go], w_pos[go], w_off[go], w_hops[go],
+                    w_turns[go], holder[go])
             if lanes.size:
                 digits, w_pos, nxt = pick(step, lanes, w_pos, w_cur)
                 w_off += digits * float(delta) ** step
-                # w(τ_t, y) in phase II's closed form, so the hand-off
-                # tests the very point the descent starts from
-                w_image = fold_unit(
-                    (y[lanes] + w_off) / float(delta) ** (step + 1))
+                # w(τ[:step + 1], y) in level_points' IEEE operations:
+                # the cover the descent would take at that level
+                image = cover(fold_unit(
+                    (y[lanes] + w_off) / float(delta) ** (step + 1)))
                 w_hops += nxt != w_cur
+                w_turns += image != holder
                 if keep_paths:
                     moves.append((step + 1, lanes, nxt))
-                w_cur = nxt
+                    levels.append((lanes, image))
+                w_cur, holder = nxt, image
             step += 1
 
+        servers = offsets = None
         if keep_paths:
             slots, movers, held = zip(*moves)
             sizes = [m.size for m in movers]
             movers = np.concatenate(movers)
             head = (np.bincount(movers, minlength=size), movers,
                     np.repeat(slots, sizes), np.concatenate(held))
-        else:
-            head = (1, every, 0, cur)
-        order = np.argsort(-t.astype(np.int16), kind="stable")
-        servers, offsets = self._descend(y, off, t + 1, order, head)
-        hops = np.diff(offsets) - 1
+            servers, offsets = replay(t + 1, head, levels)
         return BatchLookupResult(
             algorithm=algorithm,
             points=self.points,
             targets=y,
             sources=src,
             source_idx=src_idx,
-            owner_idx=_last_entries(servers, offsets),
+            owner_idx=owner,
             t=t,
-            hops=hops if keep_paths else hops1 + hops,
+            hops=hops1 + turns,
             phase1_hops=hops1,
-            path_servers=servers if keep_paths else None,
-            path_offsets=offsets if keep_paths else None,
+            path_servers=servers,
+            path_offsets=offsets,
         )
 
     # ------------------------------------------------------- cost-aware dh

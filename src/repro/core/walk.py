@@ -4,8 +4,8 @@ The paper derives the lookup (§2.2), the cache's path tree (§3) and the
 fault-tolerant canonical path (§6.3) from *one* continuous walk
 ``w(σ, y)`` read through a cover map.  This module is the single home
 of that walk's vectorized pieces — entry checks, the forward search,
-the closed-form level point, the backward descent, the CSR writer and
-the result base — so the engines (:mod:`~repro.core.batch`,
+the closed-form level point, the backward descent and its replay, the
+CSR writer and the result base — so the engines (:mod:`~repro.core.batch`,
 :mod:`~repro.core.batch_cache`, :mod:`~repro.faults.batch_ft`,
 :mod:`~repro.baselines.base`) differ only in their policy: which cover,
 which member of a cover set, where a cached copy stops the walk.
@@ -24,7 +24,7 @@ from .segments import check_finite, fold_unit, normalize_array
 
 __all__ = ["PathResult", "check_keep_paths", "descend", "forward_levels",
            "integral_array", "level_points", "normalize_pair",
-           "normalize_points", "per_lane_matrix", "ragged_to_csr"]
+           "normalize_points", "per_lane_matrix", "ragged_to_csr", "replay"]
 
 
 # ---------------------------------------------------------------- entry checks
@@ -198,9 +198,11 @@ def level_points(y, off, scale, delta: int) -> np.ndarray:
 def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
     """Backward descent ``w(σ[:j], y)``, ``j = depth_i − 1 … 0``, as CSR.
 
-    The one kernel under every walk.  Lane ``i``'s raw path is its
-    head, then ``cover((y_i + off_i mod Δ^j) / Δ^j)`` for ``j``
-    descending.  The head comes compact, as ``(head_len, lane, slot,
+    The kernel under every walk whose levels are still uncovered: the
+    fast lookup's, and the test oracles'.  A dh walk's phase I has
+    covered all of them, so it hands them to :func:`replay`.  Lane
+    ``i``'s raw path is its head, then ``cover((y_i + off_i mod Δ^j) /
+    Δ^j)`` for ``j`` descending.  The head comes compact, as ``(head_len, lane, slot,
     server)``: lane ``i`` holds ``head_len[i]`` head entries (an int
     serves every lane), and entry ``k`` of the three aligned arrays
     puts ``server[k]`` in slot ``slot[k]`` of lane ``lane[k]`` (a
@@ -218,13 +220,7 @@ def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
     rarely repeat.  A path's last entry is ``cover(y_i)``: the
     ``j = 0`` point is ``y_i``.
     """
-    head_len, lane, slot, server = head
-    lens = depth + head_len
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    buf = np.empty(ends[-1] if ends.size else 0, dtype=np.int32)
-    buf[starts[lane] + slot] = server
-
+    buf, starts, ends = _head_buffer(depth, head)
     ys, offs, deep = y[order], off[order], depth[order]
     level0 = ends[order] - 1  # slot of each lane's last (j = 0) cover
     tmax = int(deep[0]) if deep.size else 0
@@ -236,6 +232,31 @@ def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
         p = level_points(ys[:o.size], o, float(delta) ** j, delta)
         buf.put(level0[:o.size] - j, cover(p))
     return ragged_to_csr(buf, starts)
+
+
+def replay(depth, head, levels) -> tuple:
+    """:func:`descend`'s CSR from covers a walk has already taken.
+
+    ``levels[j]`` is ``(lanes, servers)``, level ``j``'s covers for
+    exactly the lanes with ``depth > j``: each lands in the slot
+    :func:`descend` writes at level ``j``, after the same head.
+    """
+    buf, starts, ends = _head_buffer(depth, head)
+    last = ends - 1
+    for j, (lanes, servers) in enumerate(levels):
+        buf[last[lanes] - j] = servers
+    return ragged_to_csr(buf, starts)
+
+
+def _head_buffer(depth, head) -> tuple:
+    """``(buf, starts, ends)``: ``head_len + depth`` slots a lane, head in."""
+    head_len, lane, slot, server = head
+    lens = depth + head_len
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    buf = np.empty(ends[-1] if ends.size else 0, dtype=np.int32)
+    buf[starts[lane] + slot] = server
+    return buf, starts, ends
 
 
 def ragged_to_csr(buf, starts, lens=None) -> tuple:

@@ -10,9 +10,11 @@ The walk now keeps phase I's state for the walking lanes only, and the
 rule hands back ``(digits, next_pos, next_cover)`` for them — the cost
 rule reads both off the candidates it already covered.  Driven with the
 same inputs and generator state, both must agree with ``array_equal`` on
-every result field and leave the generator in the same state; a
-counting test pins what the rewrite is *for*: phase I hands ``cover``
-O(Σ tᵢ) lanes, not ``size × max t``.
+every result field and leave the generator in the same state.  The
+counting tests pin what the rewrites are *for*: phase I hands ``cover``
+O(Σ tᵢ) lanes, not ``size × max t``, and phase II — which replays the
+image covers phase I took — hands it none, so a walk's covers after the
+source's are exactly Σ (2·tᵢ + 1) (Σ ((Δ+1)·tᵢ + 1) under the cost rule).
 """
 
 import functools
@@ -22,6 +24,7 @@ from typing import List, Optional
 import numpy as np
 import pytest
 from head_rows import rows_to_head
+from test_descent_parity import parent_walk
 
 from repro.core import DistanceHalvingNetwork
 from repro.core.batch import _STALE_ROUTER_ERROR, BatchLookupResult
@@ -351,24 +354,16 @@ def test_empty_batch():
 
 
 # ---------------------------------------------------------------- counting
-def _phase1_cover_lanes(router, monkeypatch, route):
-    """Lanes handed to ``cover`` between the source cover and phase II."""
+def _cover_lanes(router, monkeypatch, route):
+    """Lanes handed to ``cover`` after the source cover that opens a walk."""
     sizes: List[int] = []
-    in_phase1 = [True]
     real_cover = router.cover_index.cover
-    real_descend = router._descend
 
     def counting_cover(ys):
-        if in_phase1[0]:
-            sizes.append(int(np.size(ys)))
+        sizes.append(int(np.size(ys)))
         return real_cover(ys)
 
-    def descend(*args):
-        in_phase1[0] = False
-        return real_descend(*args)
-
     monkeypatch.setattr(router.cover_index, "cover", counting_cover)
-    monkeypatch.setattr(router, "_descend", descend)
     res = route()
     monkeypatch.undo()
     assert sizes[0] == res.size  # cover(sources) opens the walk
@@ -377,35 +372,47 @@ def _phase1_cover_lanes(router, monkeypatch, route):
 
 @pytest.mark.parametrize("delta", [2, 3, 4])
 def test_phase1_covers_only_walking_lanes(delta, monkeypatch):
-    """A walking lane is covered twice a step (image, next position) and
-    once more when it stops at a neighbour: Σ (2·tᵢ + 1) at most.  The
-    all-lanes walk covered every lane at every step, finished or not."""
+    """Phase I covers a walking lane twice a step (its target image and
+    its next position) and its image once more at the step it stops:
+    Σ (2·tᵢ + 1) exactly, and phase II covers nothing, with paths kept
+    or not.  The parent walk re-covered the tᵢ + 1 images in phase II;
+    the all-lanes walk covered every lane at every step, finished or
+    not."""
     router, oracle = _pair(delta, 1024, True)
     size = 2000
     src, tgt = _inputs(router, size, seed=delta)
     tau = np.random.default_rng(delta).integers(0, delta, (size, 64))
-    for walker in (router, oracle):
-        lanes, res = _phase1_cover_lanes(
-            walker, monkeypatch,
-            lambda: walker.batch_dh_lookup(src, tgt, tau=tau))
-        bound = int((2 * res.t + 1).sum())
-        if walker is router:
-            assert lanes <= bound
-        else:  # the test can tell the two walks apart
-            assert lanes > bound
+    for keep_paths in (False, "csr"):
+        def route(walker):
+            return walker.batch_dh_lookup(src, tgt, tau=tau,
+                                          keep_paths=keep_paths)
+
+        lanes, res = _cover_lanes(router, monkeypatch, lambda: route(router))
+        phase1 = int((2 * res.t + 1).sum())
+        assert lanes == phase1
+        # the test can tell the walks apart
+        parent, _ = _cover_lanes(router, monkeypatch,
+                                 lambda: parent_walk(router, route))
+        assert parent == phase1 + int((res.t + 1).sum())
+        oracle_lanes, _ = _cover_lanes(oracle, monkeypatch,
+                                       lambda: route(oracle))
+        assert oracle_lanes > parent
 
 
 @pytest.mark.parametrize("policy", ["greedy", "weighted"])
 def test_cost_rule_covers_only_walking_lanes(policy, monkeypatch):
     """The cost rule covers the Δ candidates of each walking lane and
-    takes the next cover from them: Σ ((Δ+1)·tᵢ + 1) at most."""
+    takes the next cover from them: Σ ((Δ+1)·tᵢ + 1) exactly, with
+    paths kept or not."""
     delta = 2
     router, _ = _pair(delta, 1024, True)
     size = 2000
     src, tgt = _inputs(router, size, seed=5)
     u = np.random.default_rng(5).random((size, 64))
-    lanes, res = _phase1_cover_lanes(
-        router, monkeypatch,
-        lambda: router.batch_cost_dh_lookup(src, tgt, choices=u,
-                                            policy=policy))
-    assert lanes <= int(((delta + 1) * res.t + 1).sum())
+    for keep_paths in (False, "csr"):
+        lanes, res = _cover_lanes(
+            router, monkeypatch,
+            lambda: router.batch_cost_dh_lookup(src, tgt, choices=u,
+                                                policy=policy,
+                                                keep_paths=keep_paths))
+        assert lanes == int(((delta + 1) * res.t + 1).sum())
