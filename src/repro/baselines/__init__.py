@@ -5,7 +5,6 @@ from .base import (
     BaselineBatchRouter,
     BaselineDHT,
     MeasuredRow,
-    measure_scheme,
     measure_scheme_batch,
 )
 from .can import CanBatchRouter, CanNetwork
@@ -35,6 +34,5 @@ __all__ = [
     "TapestryNetwork",
     "ViceroyBatchRouter",
     "ViceroyNetwork",
-    "measure_scheme",
     "measure_scheme_batch",
 ]

@@ -19,7 +19,6 @@ Koorde/DH     log_d n          (log_d n)/n         O(d)
 from __future__ import annotations
 
 import abc
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -33,7 +32,6 @@ __all__ = [
     "BaselineBatchRouter",
     "BaselineDHT",
     "MeasuredRow",
-    "measure_scheme",
     "measure_scheme_batch",
 ]
 
@@ -242,37 +240,6 @@ class BaselineBatchRouter(abc.ABC):
         )
 
 
-def measure_scheme(
-    dht: BaselineDHT, rng: np.random.Generator, lookups: int = 2000
-) -> MeasuredRow:
-    """Route ``lookups`` random (source, point) queries and aggregate.
-
-    This is Definition 3's experiment: sources uniform over nodes,
-    targets uniform over ``[0, 1)``; congestion is the max per-node visit
-    frequency.
-    """
-    ids = list(dht.node_ids())
-    visits: Counter = Counter()
-    lengths = np.empty(lookups)
-    for k in range(lookups):
-        src = ids[int(rng.integers(len(ids)))]
-        target = float(rng.random())
-        path = dht.lookup_path(src, target, rng)
-        lengths[k] = len(path) - 1
-        for v in path:
-            visits[v] += 1
-    return MeasuredRow(
-        scheme=dht.name,
-        n=dht.n,
-        mean_path=float(lengths.mean()),
-        max_path=float(lengths.max()),
-        max_congestion=max(visits.values()) / lookups,
-        mean_degree=dht.mean_degree(),
-        max_degree=dht.max_degree(),
-        lookups=lookups,
-    )
-
-
 def measure_scheme_batch(
     dht: BaselineDHT,
     rng: np.random.Generator,
@@ -282,9 +249,9 @@ def measure_scheme_batch(
 ) -> MeasuredRow:
     """Definition 3's experiment on the vectorized spine.
 
-    Same measurement as :func:`measure_scheme` — uniform sources,
-    uniform targets, max per-node visit frequency — but the whole
-    workload is batch-routed and accounted through
+    Sources uniform over nodes, targets uniform over ``[0, 1)``,
+    congestion the max per-node visit frequency; the whole workload is
+    batch-routed and accounted through
     :class:`~repro.core.routing_stats.BatchCongestion`, which is what
     lets E1/E6 run 10^5-lookup cells at n = 2^16.
     """

@@ -19,7 +19,6 @@ from .debruijn import (
 )
 from .interval import (
     Arc,
-    arcs_cover_ring,
     linear_distance,
     normalize,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "PathTree",
     "SegmentMap",
     "Server",
-    "arcs_cover_ring",
     "binary_digits",
     "bit_reversal",
     "compress_path",

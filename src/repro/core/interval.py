@@ -9,8 +9,8 @@ everything else is built on:
   ``d(x, y) = |x - y|`` (the metric used by the distance-halving
   analysis, Observation 2.3);
 * :class:`Arc` — a half-open arc ``[start, end)`` of the ring, possibly
-  wrapping through 1.0, with containment, length, midpoint and
-  intersection.
+  wrapping through 1.0, with containment, length, midpoint and its
+  non-wrapping pieces.
 
 All functions are generic over the numeric type: they work with ``float``
 coordinates (the fast path) and with :class:`fractions.Fraction` (the exact
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 Number = Union[int, float, Fraction]
 
@@ -31,7 +31,6 @@ __all__ = [
     "normalize",
     "linear_distance",
     "Arc",
-    "arcs_cover_ring",
 ]
 
 
@@ -132,46 +131,3 @@ class Arc:
                 yield (zero, self.end)
         else:
             yield (self.start, self.end)
-
-    def intersection_length(self, other: "Arc") -> Number:
-        """Total length of the intersection with ``other``."""
-        total = None
-        for a1, b1 in self.pieces():
-            for a2, b2 in other.pieces():
-                lo = max(a1, a2)
-                hi = min(b1, b2)
-                if hi > lo:
-                    total = (hi - lo) if total is None else total + (hi - lo)
-        if total is None:
-            return 0 if isinstance(self.start, int) else type(self.start)(0)
-        return total
-
-def arcs_cover_ring(arcs: Sequence[Arc]) -> bool:
-    """Check whether the union of ``arcs`` covers every point of ``[0, 1)``.
-
-    Used by the fault-tolerance experiments (§6, Claim 6.5) to verify that
-    after fail-stop deletions every point of ``I`` is still covered by at
-    least one surviving server's (overlapping) segment.
-    """
-    events: list[tuple[Number, int]] = []
-    for arc in arcs:
-        for a, b in arc.pieces():
-            events.append((a, 1))
-            events.append((b, -1))
-    if not events:
-        return False
-    events.sort(key=lambda e: (e[0], -e[1]))
-    # Sweep; coverage must stay positive over [0,1). Start coverage counts
-    # arcs that straddle 0 (their piece starting at 0 handles that).
-    depth = 0
-    prev = 0
-    for pos, delta in events:
-        if pos > prev and depth <= 0:
-            return False
-        prev = max(prev, pos)
-        depth += delta
-    # tail [last event, 1): covered iff some piece ends at 1 only when depth>0
-    last = max(pos for pos, _ in events)
-    if last < 1 and depth <= 0:
-        return False
-    return True

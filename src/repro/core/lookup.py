@@ -74,13 +74,6 @@ class LookupResult:
         """Number of network hops (messages sent between distinct servers)."""
         return max(0, len(self.server_path) - 1)
 
-    def verify_adjacent(self, net: DistanceHalvingNetwork) -> bool:
-        """Check every consecutive pair of path servers is a network edge."""
-        return all(
-            net.are_neighbors(a, b)
-            for a, b in zip(self.server_path, self.server_path[1:])
-        )
-
 
 def compress_path(points: Sequence[float]) -> List[float]:
     """Remove consecutive duplicates (same server handling several walk steps).

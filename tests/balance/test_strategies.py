@@ -5,13 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from oracles.inputs import populated
 
 from repro.balance import (
     ImprovedSingleChoice,
     MultipleChoice,
     SingleChoice,
 )
-from repro.core import DistanceHalvingNetwork
 from repro.core.segments import SegmentMap
 
 
@@ -162,19 +162,13 @@ class TestMultipleChoice:
 class TestNetworkIntegration:
     @pytest.mark.parametrize("strategy", [SingleChoice(), ImprovedSingleChoice(), MultipleChoice()])
     def test_usable_as_join_selector(self, strategy):
-        rng = np.random.default_rng(13)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(64, selector=strategy)
+        net = populated(64, 13, selector=strategy)
         assert net.n == 64
         net.check_invariants()
 
     def test_multiple_choice_gives_low_degree_network(self):
         """§4 intro: these techniques yield constant-degree DHTs w.h.p."""
-        rng = np.random.default_rng(14)
-        net_mc = DistanceHalvingNetwork(rng=rng)
-        net_mc.populate(512, selector=MultipleChoice(t=4))
-        rng2 = np.random.default_rng(14)
-        net_sc = DistanceHalvingNetwork(rng=rng2)
-        net_sc.populate(512, selector=SingleChoice())
+        net_mc = populated(512, 14, selector=MultipleChoice(t=4))
+        net_sc = populated(512, 14, selector=SingleChoice())
         assert net_mc.max_out_degree() < net_sc.max_out_degree()
         assert net_mc.max_out_degree() <= 10  # ρ + 4 with ρ ≤ 6

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles.baselines import measure_scheme
 
 from repro.baselines import (
     CanNetwork,
@@ -18,7 +19,6 @@ from repro.baselines import (
     KoordeNetwork,
     TapestryNetwork,
     ViceroyNetwork,
-    measure_scheme,
 )
 
 

@@ -10,6 +10,7 @@ match the brute-force recomputation at every dimension.
 
 import numpy as np
 import pytest
+from oracles.baselines import measure_scheme
 
 from repro.baselines import (
     CanNetwork,
@@ -137,7 +138,7 @@ def test_can_incremental_neighbors_match_brute_force(d, n):
 
 
 def test_measure_scheme_batch_matches_row_shape():
-    from repro.baselines import measure_scheme, measure_scheme_batch
+    from repro.baselines import measure_scheme_batch
 
     dht = ChordNetwork(64, np.random.default_rng(47))
     scalar = measure_scheme(dht, np.random.default_rng(53), lookups=400)

@@ -9,6 +9,7 @@ scale.
 
 import numpy as np
 import pytest
+from oracles.inputs import populated
 
 from repro.balance import MultipleChoice
 from repro.core import (
@@ -22,9 +23,8 @@ from repro.core import (
 
 def make_net(n, seed=0, delta=2, with_ring=True, balanced=False):
     rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(delta=delta, with_ring=with_ring, rng=rng)
-    net.populate(n, selector=MultipleChoice(t=4) if balanced else None)
-    return net, rng
+    return populated(n, rng, delta=delta, with_ring=with_ring,
+                     selector=MultipleChoice(t=4) if balanced else None), rng
 
 
 def workload(net, size, seed):

@@ -9,19 +9,15 @@ where a replay is meaningful.
 
 import numpy as np
 import pytest
-from cache_state import (
+from oracles.cache import (
     engine_item_stats,
     last_epoch_served,
     scalar_item_stats,
     served_counts,
 )
+from oracles.inputs import populated
 
-from repro.core import (
-    BatchCacheEngine,
-    CacheSystem,
-    DistanceHalvingNetwork,
-    decode_node_key,
-)
+from repro.core import BatchCacheEngine, CacheSystem, decode_node_key
 from repro.core.lookup import dh_lookup
 from repro.core.routing_stats import BatchCongestion
 
@@ -32,13 +28,6 @@ def encode_node_key(address, delta):
     for d in address:
         key = key * delta + d + 1
     return key
-
-
-def make_net(n=64, seed=0):
-    rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(n)
-    return net
 
 
 def deep_source(net, target, tau, min_t=1):
@@ -84,26 +73,26 @@ class TestNodeKeys:
 
 class TestConstruction:
     def test_empty_universe_rejected(self):
-        net = make_net(16)
+        net = populated(16, 0)
         with pytest.raises(ValueError):
             BatchCacheEngine(net, [])
 
     def test_bad_salts_rejected(self):
-        net = make_net(16)
+        net = populated(16, 0)
         with pytest.raises(ValueError):
             BatchCacheEngine(net, ["a"], salts=0)
 
     def test_bad_threshold_rejected(self):
-        net = make_net(16)
+        net = populated(16, 0)
         with pytest.raises(ValueError):
             BatchCacheEngine(net, ["a"], threshold=0)
 
     def test_default_threshold_is_log_n(self):
-        net = make_net(256)
+        net = populated(256, 0)
         assert BatchCacheEngine(net, ["a"]).c == 8
 
     def test_tree_index_bounds(self):
-        net = make_net(16)
+        net = populated(16, 0)
         eng = BatchCacheEngine(net, ["a", "b"], salts=2)
         assert eng.tree_index(1, 1) == 3
         with pytest.raises(IndexError):
@@ -114,7 +103,7 @@ class TestConstruction:
 
 class TestDegenerateBatches:
     def test_empty_batch(self):
-        net = make_net(32, seed=1)
+        net = populated(32, 1)
         eng = BatchCacheEngine(net, ["a"], threshold=3)
         cong = BatchCongestion()
         res = eng.serve_batch([], [])
@@ -126,7 +115,7 @@ class TestDegenerateBatches:
         assert eng.summary()["requests"] == 0.0
 
     def test_single_request_matches_scalar(self):
-        net = make_net(32, seed=1)
+        net = populated(32, 1)
         items = ["a"]
         tau = np.ones((1, 64), dtype=np.int64)
         src = np.asarray([deep_source(net, net.item_hash("a"),
@@ -140,19 +129,19 @@ class TestDegenerateBatches:
         assert eng.summary() == scal.summary()
 
     def test_missing_tau_and_rng_rejected(self):
-        net = make_net(32)
+        net = populated(32, 0)
         eng = BatchCacheEngine(net, ["a"])
         with pytest.raises(ValueError):
             eng.serve_batch([0], [0.25])
 
     def test_item_out_of_range_rejected(self):
-        net = make_net(32)
+        net = populated(32, 0)
         eng = BatchCacheEngine(net, ["a"])
         with pytest.raises(IndexError):
             eng.serve_batch([1], [0.25], rng=np.random.default_rng(0))
 
     def test_non_finite_source_rejected_by_lane(self):
-        net = make_net(32)
+        net = populated(32, 0)
         eng = BatchCacheEngine(net, ["a"])
         with pytest.raises(ValueError, match=r"sources\[1\] is nan.*finite"):
             eng.serve_batch([0, 0], [0.25, float("nan")],
@@ -160,7 +149,7 @@ class TestDegenerateBatches:
         assert eng.requests_served == 0
 
     def test_mismatched_lengths_rejected(self):
-        net = make_net(32)
+        net = populated(32, 0)
         eng = BatchCacheEngine(net, ["a"])
         with pytest.raises(ValueError):
             eng.serve_batch([0, 0], [0.25], rng=np.random.default_rng(0))
@@ -178,7 +167,7 @@ class TestDegenerateBatches:
     def test_bad_digits_and_indices_leave_the_engine_untouched(
             self, kwargs, message):
         """``tau=0.5`` used to serve digit 0, ``item_idx=0.7`` item 0."""
-        net = make_net(32)
+        net = populated(32, 0)
         eng = BatchCacheEngine(net, ["a", "b"], threshold=1)
         pts = net.segments.as_array()
         eng.serve_batch([0] * 8, pts[:8], rng=np.random.default_rng(0))
@@ -192,7 +181,7 @@ class TestDegenerateBatches:
         assert np.array_equal(before[2], after[2])
 
     def test_integer_valued_floats_and_bools_accepted(self):
-        net = make_net(32)
+        net = populated(32, 0)
         pts = net.segments.as_array()
         tau = np.random.default_rng(1).integers(0, 2, size=(6, 64))
         idx = np.array([0, 1, 1, 0, 1, 1])
@@ -215,7 +204,7 @@ class TestThresholdBoundary:
     C = 4
 
     def _drive(self, count, tau_digit=1):
-        net = make_net(64, seed=3)
+        net = populated(64, 3)
         items = ["hot"]
         tau = np.full((count, 64), tau_digit, dtype=np.int64)
         src = deep_source(net, net.item_hash("hot"), tuple(tau[0]))
@@ -251,7 +240,7 @@ class TestRootOnlyHitStorm:
     """Entries at depth 0 can replicate the root once but never descend."""
 
     def test_storm_matches_scalar(self):
-        net = make_net(64, seed=4)
+        net = populated(64, 4)
         items = ["hot"]
         root = net.item_hash("hot")
         # a source covering the root enters the tree at depth t = 0
@@ -279,7 +268,7 @@ class TestCollapseSplit:
     C = 4
 
     def _steered_engine(self):
-        net = make_net(64, seed=5)
+        net = populated(64, 5)
         items = ["hot"]
         root = net.item_hash("hot")
         tau0 = (0,) * 8
@@ -337,7 +326,7 @@ class TestCollapseSplit:
 
 class TestSaltedMode:
     def test_counters_merge_by_item(self):
-        net = make_net(128, seed=6)
+        net = populated(128, 6)
         items = ["hot", "cold"]
         rng = np.random.default_rng(7)
         B = 400
@@ -360,7 +349,7 @@ class TestSaltedMode:
         assert engine_item_stats(eng, 1)[0] == 0
 
     def test_salted_parity_with_scalar(self):
-        net = make_net(128, seed=8)
+        net = populated(128, 8)
         items = ["hot"]
         rng = np.random.default_rng(9)
         B = 300
@@ -378,7 +367,7 @@ class TestSaltedMode:
         assert engine_item_stats(eng, 0) == scalar_item_stats(scal, "hot")
 
     def test_content_update_merges_salts(self):
-        net = make_net(64, seed=10)
+        net = populated(64, 10)
         eng = BatchCacheEngine(net, ["hot"], threshold=1, salts=2)
         rng = np.random.default_rng(11)
         pts = net.segments.as_array()
@@ -392,7 +381,7 @@ class TestSaltedMode:
 
 class TestCongestionBooking:
     def test_cached_paths_book_into_batch_congestion(self):
-        net = make_net(64, seed=12)
+        net = populated(64, 12)
         eng = BatchCacheEngine(net, ["hot"], threshold=2)
         cong = BatchCongestion()
         rng = np.random.default_rng(13)
@@ -408,7 +397,7 @@ class TestCongestionBooking:
         assert summ["max_load"] >= 1.0
 
     def test_shortened_never_longer_than_lookup(self):
-        net = make_net(64, seed=14)
+        net = populated(64, 14)
         eng = BatchCacheEngine(net, ["hot"], threshold=2)
         rng = np.random.default_rng(15)
         pts = net.segments.as_array()
@@ -422,7 +411,7 @@ class TestCongestionBooking:
 class TestSequentialSemantics:
     def test_chunked_equals_one_batch(self):
         """Chunk boundaries are invisible: same stream, same final state."""
-        net = make_net(128, seed=16)
+        net = populated(128, 16)
         items = [f"i{k}" for k in range(4)]
         rng = np.random.default_rng(17)
         B = 500

@@ -11,18 +11,17 @@ import math
 
 import numpy as np
 import pytest
-from cache_state import scalar_item_stats
+from oracles.cache import scalar_item_stats
+from oracles.inputs import populated
 
-from repro.core import BatchCacheEngine, CacheSystem, DistanceHalvingNetwork
+from repro.core import BatchCacheEngine, CacheSystem
 from repro.core.caching import ActiveTree, salt_indices, salted_key
 from repro.core.pathtree import PathTree
 
 
 def make_net(n=64, seed=0):
     rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(n)
-    return net, rng
+    return populated(n, rng), rng
 
 
 def drive_requests(cache, net, rng, item, count):

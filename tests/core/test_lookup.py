@@ -10,19 +10,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles.inputs import joined, populated
+from oracles.lookup import verify_adjacent
 
 from repro.core import DistanceHalvingNetwork, dh_lookup, fast_lookup
 
 
 def make_net(n, seed=0, delta=2, smooth=False, with_ring=True):
     rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(delta=delta, with_ring=with_ring, rng=rng)
     if smooth:
-        for i in range(n):
-            net.join(Fraction(i, n))
-    else:
-        net.populate(n)
-    return net, rng
+        ids = [Fraction(i, n) for i in range(n)]
+        return joined(ids, delta, with_ring, rng), rng
+    return populated(n, rng, delta, with_ring), rng
 
 
 class TestFastLookupCorrectness:
@@ -42,7 +41,7 @@ class TestFastLookupCorrectness:
         for _ in range(50):
             src = pts[int(rng.integers(len(pts)))]
             res = fast_lookup(net, src, float(rng.random()))
-            assert res.verify_adjacent(net)
+            assert verify_adjacent(res, net)
 
     def test_local_target_zero_hops(self):
         net, _ = make_net(64, seed=3)
@@ -127,7 +126,7 @@ class TestDHLookupCorrectness:
         for _ in range(50):
             src = pts[int(rng.integers(len(pts)))]
             res = dh_lookup(net, src, float(rng.random()), rng)
-            assert res.verify_adjacent(net)
+            assert verify_adjacent(res, net)
 
     def test_fixed_tau_is_deterministic(self):
         net, rng = make_net(64, seed=12)

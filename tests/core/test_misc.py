@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles.inputs import joined, populated
 
 from repro.balance import MultipleChoice
 from repro.core import DistanceHalvingNetwork, dh_lookup, fast_lookup
@@ -117,9 +118,7 @@ class TestNetworkExtras:
         assert net.owner_of(0.9).point == 0.7
 
     def test_points_sorted_view(self):
-        net = DistanceHalvingNetwork()
-        for p in (0.9, 0.1, 0.5):
-            net.join(p)
+        net = joined((0.9, 0.1, 0.5))
         assert list(net.points()) == [0.1, 0.5, 0.9]
 
     def test_average_degree_empty(self):
@@ -128,8 +127,7 @@ class TestNetworkExtras:
     def test_lookup_from_non_server_point(self):
         """Sources may be arbitrary points; routing starts at their cover."""
         rng = np.random.default_rng(0)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(32)
+        net = populated(32, rng)
         res = fast_lookup(net, 0.123456, 0.9)
         assert res.server_path[0] == net.segments.cover_point(0.123456)
         res2 = dh_lookup(net, 0.123456, 0.9, rng)

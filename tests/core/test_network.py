@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles.inputs import joined, populated
 
 from repro.balance import MultipleChoice
 from repro.core import DistanceHalvingNetwork
@@ -18,18 +19,13 @@ from repro.core.interval import Arc
 
 @pytest.fixture
 def net256():
-    rng = np.random.default_rng(2023)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(256)
-    return net
+    return populated(256, 2023)
 
 
 @pytest.fixture
 def smooth_net():
     """Perfectly smooth 64-server network (equally spaced ids)."""
-    net = DistanceHalvingNetwork()
-    for i in range(64):
-        net.join(Fraction(i, 64))
+    net = joined([Fraction(i, 64) for i in range(64)])
     return net
 
 
@@ -66,8 +62,7 @@ class TestJoinLeave:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_join_refuses_non_finite_ids(self, bad):
         """NaN / ±inf used to land in the map; only a later audit saw it."""
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(3))
-        net.populate(8)
+        net = populated(8, 3)
         version = net.membership_version
         with pytest.raises(ValueError,
                            match=f"{bad!r}: ring points must be finite"):
@@ -164,8 +159,7 @@ class TestJoinLeave:
     def test_audit_catches_a_misplaced_item(self):
         """Servers with nothing stored skip the segment lookup; one with
         an item outside its segment still fails the audit."""
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(4))
-        net.populate(50)
+        net = populated(50, 4)
         net.check_invariants()
         victim = net.servers[list(net.points())[10]]
         pos = float(net.segments.point_at(30))
@@ -174,15 +168,13 @@ class TestJoinLeave:
             net.check_invariants()
 
     def test_audit_catches_server_point_mismatch(self):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(4))
-        net.populate(20)
+        net = populated(20, 4)
         del net.servers[list(net.points())[3]]
         with pytest.raises(AssertionError, match="mismatch"):
             net.check_invariants()
 
     def test_audit_catches_a_stray_server_at_equal_counts(self):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(4))
-        net.populate(20)
+        net = populated(20, 4)
         net.servers[0.123456] = net.servers.pop(net.segments.point_at(3))
         assert len(net.servers) == net.n
         with pytest.raises(AssertionError, match="mismatch"):
@@ -190,8 +182,7 @@ class TestJoinLeave:
 
     def test_items_survive_churn(self):
         rng = np.random.default_rng(9)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(20)
+        net = populated(20, rng)
         for i in range(50):
             net.store_item(f"k{i}", i)
         for step in range(100):
@@ -230,9 +221,7 @@ class TestNeighbors:
         assert net256.segments.successor(p) in neigh
 
     def test_no_ring_option(self):
-        rng = np.random.default_rng(3)
-        net = DistanceHalvingNetwork(with_ring=False, rng=rng)
-        net.populate(64)
+        net = populated(64, 3, with_ring=False)
         p = list(net.points())[5]
         # ring neighbours may still appear via continuous edges, but the
         # neighbour set must equal out ∪ in exactly.
@@ -262,9 +251,7 @@ class TestTheorem21:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_edge_bound_random_ids(self, seed):
-        rng = np.random.default_rng(seed)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(128)
+        net = populated(128, seed)
         assert net.edge_count() <= 3 * net.n - 1
 
     def test_edge_bound_holds_during_growth(self):
@@ -276,9 +263,7 @@ class TestTheorem21:
 
     def test_edge_bound_adversarial_clustered_ids(self):
         """Crowded ids in a tiny arc — smoothness is terrible, bound holds."""
-        net = DistanceHalvingNetwork()
-        for i in range(50):
-            net.join(0.5 + i * 1e-6)
+        net = joined([0.5 + i * 1e-6 for i in range(50)])
         assert net.edge_count() <= 3 * net.n - 1
 
     def test_average_degree_at_most_six_plus_ring(self, net256):
@@ -296,9 +281,7 @@ class TestTheorem22:
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_degree_bounds_random(self, seed):
-        rng = np.random.default_rng(seed)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(200)
+        net = populated(200, seed)
         rho = net.smoothness()
         assert net.max_out_degree() <= rho + 4
         assert net.max_in_degree() <= math.ceil(2 * rho) + 1
@@ -311,9 +294,7 @@ class TestTheorem22:
 
     def test_delta4_degrees_scale_with_delta(self):
         """Theorem 2.13: smooth degree-Δ discretization has degree Θ(Δ)."""
-        net = DistanceHalvingNetwork(delta=4)
-        for i in range(64):
-            net.join(Fraction(i, 64))
+        net = joined([Fraction(i, 64) for i in range(64)], delta=4)
         assert net.max_out_degree() <= 4 + 4  # Δ images + boundary effects
         assert net.max_out_degree() >= 4
 

@@ -11,21 +11,15 @@ snapshot.
 
 import numpy as np
 import pytest
-from adjacency_oracle import edge_keys
+from oracles.adjacency import edge_keys
+from oracles.inputs import joined, populated
 
 from repro.core import DistanceHalvingNetwork
 
 
-def make_net(n, seed=0):
-    rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(n)
-    return net
-
-
 class TestMembershipVersion:
     def test_join_and_leave_bump_version(self):
-        net = make_net(0, seed=1)
+        net = populated(0, 1)
         assert net.membership_version == 0
         net.join(0.25)
         net.join(0.75)
@@ -34,11 +28,11 @@ class TestMembershipVersion:
         assert net.membership_version == 3
 
     def test_populate_counts_every_join(self):
-        net = make_net(17, seed=2)
+        net = populated(17, 2)
         assert net.membership_version == 17
 
     def test_lookups_do_not_bump_version(self):
-        net = make_net(8, seed=3)
+        net = populated(8, 3)
         before = net.membership_version
         router = net.compile_router()
         router.batch_fast_lookup([0.1], [0.9])
@@ -57,12 +51,12 @@ class TestMembershipVersion:
         assert net.membership_log.ops_since(3) == [("leave", 0.25, 0)]
 
     def test_ops_since_future_version_rejected(self):
-        net = make_net(4, seed=5)
+        net = populated(4, 5)
         with pytest.raises(ValueError):
             net.membership_log.ops_since(99)
 
     def test_log_trim_returns_none(self):
-        net = make_net(4, seed=6)
+        net = populated(4, 6)
         net.membership_log.cap = 3
         for i in range(6):
             net.join(0.01 + i * 0.001)
@@ -74,7 +68,7 @@ class TestMembershipVersion:
 class TestStaleRouterRaises:
     @pytest.mark.parametrize("churn", ["join", "leave"])
     def test_fast_lookup_raises_after_churn(self, churn):
-        net = make_net(16, seed=7)
+        net = populated(16, 7)
         router = net.compile_router()
         if churn == "join":
             net.join(0.123456)
@@ -84,7 +78,7 @@ class TestStaleRouterRaises:
             router.batch_fast_lookup([0.1], [0.2])
 
     def test_dh_lookup_raises_after_churn(self):
-        net = make_net(16, seed=8)
+        net = populated(16, 8)
         router = net.compile_router(with_adjacency=True)
         net.join(0.654321)
         with pytest.raises(RuntimeError, match="rebuild"):
@@ -92,14 +86,14 @@ class TestStaleRouterRaises:
                                    tau=np.zeros((1, 32), dtype=np.int64))
 
     def test_cover_raises_after_churn(self):
-        net = make_net(16, seed=9)
+        net = populated(16, 9)
         router = net.compile_router()
         net.join(0.42)
         with pytest.raises(RuntimeError, match="stale"):
             router.cover(np.array([0.5]))
 
     def test_recompile_recovers(self):
-        net = make_net(16, seed=10)
+        net = populated(16, 10)
         net.join(0.42)
         router = net.compile_router()
         res = router.batch_fast_lookup([0.1], [0.42])
@@ -108,7 +102,7 @@ class TestStaleRouterRaises:
 
 class TestAutoRefresh:
     def test_never_serves_stale_owners(self):
-        net = make_net(64, seed=11)
+        net = populated(64, 11)
         router = net.router(auto_refresh=True)
         rng = np.random.default_rng(12)
         for step in range(25):
@@ -123,7 +117,7 @@ class TestAutoRefresh:
                                   net.segments.cover_array(targets))
 
     def test_dh_with_adjacency_tracks_churn(self):
-        net = make_net(48, seed=13)
+        net = populated(48, 13)
         router = net.router(auto_refresh=True, with_adjacency=True)
         rng = np.random.default_rng(14)
         for _ in range(6):
@@ -139,7 +133,7 @@ class TestAutoRefresh:
             assert np.array_equal(res.hops, ref.hops)
 
     def test_version_property_follows_network(self):
-        net = make_net(8, seed=15)
+        net = populated(8, 15)
         router = net.router(auto_refresh=True)
         assert router.version == net.membership_version
         net.join(0.9999)
@@ -149,13 +143,13 @@ class TestAutoRefresh:
         assert router.version == net.membership_version
 
     def test_refresh_noop_when_fresh(self):
-        net = make_net(8, seed=16)
+        net = populated(8, 16)
         router = net.router(auto_refresh=True)
         router.refresh()
         assert router.refresh_stats.refreshes == 0
 
     def test_explicit_force_full(self):
-        net = make_net(8, seed=17)
+        net = populated(8, 17)
         router = net.router(auto_refresh=True)
         net.join(0.33)
         router.refresh(force_full=True)
@@ -163,7 +157,7 @@ class TestAutoRefresh:
         assert router.version == net.membership_version
 
     def test_all_servers_leaving_raises_on_next_batch(self):
-        net = make_net(2, seed=18)
+        net = populated(2, 18)
         router = net.router(auto_refresh=True)
         for p in list(net.points()):
             net.leave(p)
@@ -173,7 +167,7 @@ class TestAutoRefresh:
 
 class TestRefreshModes:
     def test_small_churn_stays_incremental(self):
-        net = make_net(128, seed=19)
+        net = populated(128, 19)
         router = net.router(auto_refresh=True)
         rng = np.random.default_rng(20)
         for _ in range(5):
@@ -184,7 +178,7 @@ class TestRefreshModes:
         assert router.refresh_stats.ops_replayed == 5
 
     def test_exceeding_budget_falls_back_to_full(self):
-        net = make_net(128, seed=21)
+        net = populated(128, 21)
         router = net.router(auto_refresh=True, churn_budget=4)
         rng = np.random.default_rng(22)
         for _ in range(9):
@@ -197,13 +191,13 @@ class TestRefreshModes:
     def test_negative_budget_rejected(self):
         """A budget below zero used to be accepted and made every refresh
         a full rebuild, so a refresh-cost gate measured nothing."""
-        net = make_net(32, seed=26)
+        net = populated(32, 26)
         with pytest.raises(ValueError, match="budget must be >= 0.* got -1"):
             net.router(auto_refresh=True, churn_budget=-1)
         assert net.router(auto_refresh=True, churn_budget=0).budget == 0
 
     def test_log_window_exceeded_falls_back_to_full(self):
-        net = make_net(32, seed=23)
+        net = populated(32, 23)
         net.membership_log.cap = 4
         router = net.router(auto_refresh=True, churn_budget=10**9)
         rng = np.random.default_rng(24)
@@ -214,7 +208,7 @@ class TestRefreshModes:
         assert np.array_equal(router.points, net.segments.as_array())
 
     def test_tiny_network_falls_back_to_full(self):
-        net = make_net(5, seed=25)
+        net = populated(5, 25)
         router = net.router(auto_refresh=True, churn_budget=10**9)
         for p in list(net.points())[:3]:
             net.leave(p)
@@ -228,7 +222,7 @@ class TestRefreshModes:
     def test_full_rebuild_keeps_adjacency_table(self):
         """A budget-triggered full rebuild must not silently defer the
         neighbour-table rebuild into the next dh batch."""
-        net = make_net(64, seed=28)
+        net = populated(64, 28)
         router = net.router(auto_refresh=True, with_adjacency=True,
                             churn_budget=2)
         rng = np.random.default_rng(29)
@@ -240,7 +234,7 @@ class TestRefreshModes:
         assert np.array_equal(edge_keys(router), edge_keys(fresh))
 
     def test_seconds_per_op_accounting(self):
-        net = make_net(64, seed=26)
+        net = populated(64, 26)
         router = net.router(auto_refresh=True)
         rng = np.random.default_rng(27)
         for _ in range(4):
@@ -257,7 +251,7 @@ class TestCopyOnWrite:
     buffers are edited in place, and a compile allocates no headroom."""
 
     def test_unshared_buffers_are_edited_in_place(self):
-        net = make_net(64, seed=40)
+        net = populated(64, 40)
         router = net.router(auto_refresh=True)
         rng = np.random.default_rng(41)
         for _ in range(12):  # the first join outgrows the compile: 1 copy
@@ -282,7 +276,7 @@ class TestCopyOnWrite:
     def test_compiles_are_exactly_n_plus_one_rows(self):
         from repro.core.batch_cache import BatchCacheEngine
 
-        net = make_net(40, seed=42)
+        net = populated(40, 42)
         for router in (net.compile_router(), net.router(auto_refresh=True),
                        BatchCacheEngine(net, ["a", "b"])._router):
             assert len(router._ext) == len(router.cover_index.ext) == 41
@@ -292,7 +286,7 @@ class TestCopyOnWrite:
     def test_pickle_round_trip_shares_one_point_buffer(self):
         import pickle
 
-        net = make_net(32, seed=43)
+        net = populated(32, 43)
         router = net.router(auto_refresh=True)
         net.join(0.123)
         router.refresh()
@@ -315,9 +309,7 @@ class TestCopyOnWrite:
     def test_exact_ids_refresh_by_full_rebuild(self):
         from fractions import Fraction
 
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(44))
-        for k in range(8):
-            net.join(Fraction(2 * k + 1, 17))
+        net = joined([Fraction(2 * k + 1, 17) for k in range(8)], seed=44)
         router = net.router(auto_refresh=True, churn_budget=10**9)
         net.join(Fraction(1, 3))
         router.refresh()
@@ -333,7 +325,7 @@ class TestRefreshOpAccounting:
     whole churn wave look like thousands of cheap incremental patches."""
 
     def test_window_overflow_mid_chunk_books_ops_exactly_once(self):
-        net = make_net(256, seed=30)
+        net = populated(256, 30)
         net.membership_log.cap = 64
         router = net.router(auto_refresh=True)
         rng = np.random.default_rng(31)
@@ -361,7 +353,7 @@ class TestRefreshOpAccounting:
         assert stats.ops_synced() == 3 + wave
 
     def test_budget_fallback_books_ops_as_absorbed(self):
-        net = make_net(128, seed=32)
+        net = populated(128, 32)
         router = net.router(auto_refresh=True, churn_budget=4)
         rng = np.random.default_rng(33)
         for _ in range(9):
@@ -373,7 +365,7 @@ class TestRefreshOpAccounting:
         assert stats.seconds_per_op() == pytest.approx(stats.seconds / 9)
 
     def test_mixed_run_per_op_cost_uses_both_buckets(self):
-        net = make_net(128, seed=34)
+        net = populated(128, 34)
         router = net.router(auto_refresh=True, churn_budget=4)
         rng = np.random.default_rng(35)
         net.join(float(rng.random()))

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles.inputs import populated
 
 from repro.core import (
     BatchCongestion,
     CongestionCounter,
-    DistanceHalvingNetwork,
     compress_path,
     fast_lookup,
     lookup_many,
@@ -20,9 +20,7 @@ def fake_result(path):
 
 
 def routed_net(n=64, seed=0):
-    rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(n)
+    net = populated(n, seed)
     return net, net.router(auto_refresh=True, with_adjacency=True)
 
 
@@ -83,8 +81,7 @@ class TestCongestionCounter:
 
     def test_integration_with_real_lookups(self):
         rng = np.random.default_rng(0)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(32)
+        net = populated(32, rng)
         c = CongestionCounter()
         pts = list(net.points())
         for _ in range(50):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles.segments import intersection_length
 
 from repro.core.interval import Arc
 from repro.core.segments import SegmentMap
@@ -374,7 +375,7 @@ class TestCovering:
             # brute force: sample the arc densely and collect covers
             expect = set()
             for i in range(len(sm)):
-                if sm.segment(i).intersection_length(arc) > 0:
+                if intersection_length(sm.segment(i), arc) > 0:
                     expect.add(i)
                 elif any(pa in arc for pa, _ in sm.segment(i).pieces()):
                     expect.add(i)

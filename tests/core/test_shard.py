@@ -12,8 +12,9 @@ import multiprocessing as mp
 
 import numpy as np
 import pytest
+from oracles.compare import assert_same
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork
 from repro.core.shard import (
     ShardedExecutor,
     available_workers,
@@ -25,32 +26,15 @@ N = 256
 BATCH = 1500
 
 
-def make_net(n=N, seed=0):
-    rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(n)
-    return net
-
-
 def make_workload(net, size=BATCH, seed=1):
     rng = np.random.default_rng(seed)
     pts = net.segments.as_array()
     return pts[rng.integers(0, pts.size, size=size)], rng.random(size)
 
 
-def assert_results_equal(a, b, paths=True):
-    np.testing.assert_array_equal(a.sources, b.sources)
-    np.testing.assert_array_equal(a.targets, b.targets)
-    np.testing.assert_array_equal(a.source_idx, b.source_idx)
-    np.testing.assert_array_equal(a.owner_idx, b.owner_idx)
-    np.testing.assert_array_equal(a.t, b.t)
-    np.testing.assert_array_equal(a.hops, b.hops)
-    np.testing.assert_array_equal(a.points, b.points)
-    if a.phase1_hops is not None or b.phase1_hops is not None:
-        np.testing.assert_array_equal(a.phase1_hops, b.phase1_hops)
-    if paths:
-        np.testing.assert_array_equal(a.path_servers, b.path_servers)
-        np.testing.assert_array_equal(a.path_offsets, b.path_offsets)
+FIELDS = ("sources", "targets", "source_idx", "owner_idx", "t", "hops",
+          "points", "phase1_hops")
+PATH_FIELDS = ("path_servers", "path_offsets")
 
 
 class TestSliceBounds:
@@ -75,7 +59,7 @@ class TestSliceBounds:
 
 class TestMergeResults:
     def test_merge_of_slices_equals_unsliced(self):
-        net = make_net()
+        net = populated(N, 0)
         router = net.compile_router()
         src, tgt = make_workload(net)
         whole = router.batch_fast_lookup(src, tgt, keep_paths="csr")
@@ -83,10 +67,10 @@ class TestMergeResults:
                                           keep_paths="csr")
                  for lo, hi in slice_bounds(src.size, 4)]
         merged = merge_results(parts)
-        assert_results_equal(merged, whole)
+        assert_same(merged, whole, FIELDS + PATH_FIELDS)
 
     def test_merge_reattaches_points(self):
-        net = make_net(64)
+        net = populated(64, 0)
         router = net.compile_router()
         src, tgt = make_workload(net, size=40)
         parts = [router.batch_fast_lookup(src[:20], tgt[:20]),
@@ -103,20 +87,20 @@ class TestMergeResults:
 
 class TestShardedExecutor:
     def test_fast_lookup_bit_identical(self):
-        net = make_net()
+        net = populated(N, 0)
         router = net.router(auto_refresh=True)
         src, tgt = make_workload(net)
         single = router.batch_fast_lookup(src, tgt, keep_paths="csr")
         with ShardedExecutor(router, workers=2) as ex:
             sharded = ex.batch_fast_lookup(src, tgt, keep_paths="csr")
-        assert_results_equal(sharded, single)
+        assert_same(sharded, single, FIELDS + PATH_FIELDS)
 
     def test_workers_answer_through_their_own_cover_index(self):
         """Sharded owners equal the searchsorted oracle, before and after
         a re-export (each worker derives the grid from the shared points)."""
         from repro.core.segments import cover_indices
 
-        net = make_net()
+        net = populated(N, 0)
         router = net.router(auto_refresh=True, with_adjacency=True)
         src, tgt = make_workload(net)
         tau = np.random.default_rng(5).integers(0, 2, size=(BATCH, 80))
@@ -127,14 +111,13 @@ class TestShardedExecutor:
                 expect = cover_indices(router.points, tgt)
                 np.testing.assert_array_equal(fast.owner_idx, expect)
                 np.testing.assert_array_equal(dh.owner_idx, expect)
-                assert_results_equal(
-                    dh, router.batch_dh_lookup(src, tgt, tau=tau,
-                                               keep_paths="csr"))
+                assert_same(dh, router.batch_dh_lookup(
+                    src, tgt, tau=tau, keep_paths="csr"), FIELDS + PATH_FIELDS)
                 if joiner is not None:
                     net.join(joiner)
 
     def test_non_finite_target_rejected_in_the_parent(self):
-        net = make_net()
+        net = populated(N, 0)
         router = net.router(auto_refresh=True)
         src, tgt = make_workload(net, size=64)
         tgt[40] = np.inf
@@ -143,7 +126,7 @@ class TestShardedExecutor:
                 ex.batch_fast_lookup(src, tgt)
 
     def test_resync_after_churn(self):
-        net = make_net()
+        net = populated(N, 0)
         router = net.router(auto_refresh=True)
         src, tgt = make_workload(net)
         with ShardedExecutor(router, workers=2) as ex:
@@ -157,12 +140,12 @@ class TestShardedExecutor:
             sharded = ex.batch_fast_lookup(src, tgt, keep_paths="csr")
             assert ex.syncs == 2  # churn forced a re-export
             assert ex.version == router.version
-            assert_results_equal(sharded, single)
+            assert_same(sharded, single, FIELDS + PATH_FIELDS)
             ex.batch_fast_lookup(src, tgt)
             assert ex.syncs == 2  # ... once per membership version
 
     def test_dh_lookup_with_explicit_tau(self):
-        net = make_net(128)
+        net = populated(128, 0)
         router = net.router(auto_refresh=True, with_adjacency=True)
         src, tgt = make_workload(net, size=600, seed=3)
         tau = np.random.default_rng(4).integers(0, net.delta,
@@ -170,10 +153,10 @@ class TestShardedExecutor:
         single = router.batch_dh_lookup(src, tgt, tau=tau, keep_paths="csr")
         with ShardedExecutor(router, workers=2) as ex:
             sharded = ex.batch_dh_lookup(src, tgt, tau, keep_paths="csr")
-        assert_results_equal(sharded, single)
+        assert_same(sharded, single, FIELDS + PATH_FIELDS)
 
     def test_dh_exports_adjacency_on_demand(self):
-        net = make_net(64)
+        net = populated(64, 0)
         router = net.router(auto_refresh=True)  # no adjacency yet
         src, tgt = make_workload(net, size=200, seed=5)
         tau = np.random.default_rng(6).integers(0, net.delta, size=(200, 64))
@@ -182,26 +165,26 @@ class TestShardedExecutor:
             sharded = ex.batch_dh_lookup(src, tgt, tau)
             assert ex._exported_adjacency
         single = router.batch_dh_lookup(src, tgt, tau=tau)
-        assert_results_equal(sharded, single, paths=False)
+        assert_same(sharded, single, FIELDS)
 
     def test_tiny_batch_falls_back_in_process(self):
-        net = make_net(64)
+        net = populated(64, 0)
         router = net.router(auto_refresh=True)
         with ShardedExecutor(router, workers=4) as ex:
             res = ex.batch_fast_lookup([0.1], [0.9])
             assert res.size == 1
 
     def test_keep_paths_true_means_csr(self):
-        net = make_net(64)
+        net = populated(64, 0)
         router = net.router(auto_refresh=True)
         src, tgt = make_workload(net)
         with ShardedExecutor(router, workers=2) as ex:
             sharded = ex.batch_fast_lookup(src, tgt, keep_paths=True)
         single = router.batch_fast_lookup(src, tgt, keep_paths="csr")
-        assert_results_equal(sharded, single)
+        assert_same(sharded, single, FIELDS + PATH_FIELDS)
 
     def test_close_is_idempotent_and_final(self):
-        net = make_net(64)
+        net = populated(64, 0)
         router = net.router(auto_refresh=True)
         ex = ShardedExecutor(router, workers=2)
         ex.close()
@@ -210,14 +193,14 @@ class TestShardedExecutor:
             ex.batch_fast_lookup([0.1], [0.9])
 
     def test_workers_below_two_rejected(self):
-        net = make_net(64)
+        net = populated(64, 0)
         router = net.router(auto_refresh=True)
         with pytest.raises(ValueError):
             ShardedExecutor(router, workers=1)
 
     def test_workers_fork_where_available(self):
         methods = mp.get_all_start_methods()
-        router = make_net(64).router(auto_refresh=True)
+        router = populated(64, 0).router(auto_refresh=True)
         with ShardedExecutor(router, workers=2) as ex:
             assert ex._ctx.get_start_method() == (
                 "fork" if "fork" in methods else methods[0])
@@ -225,7 +208,7 @@ class TestShardedExecutor:
 
 class TestRouterIntegration:
     def test_lookup_batch_workers_parity(self):
-        net = make_net()
+        net = populated(N, 0)
         router = net.router(auto_refresh=True)
         src, tgt = make_workload(net)
         single = router.lookup_batch(src, tgt)  # workers=1 path
@@ -233,10 +216,10 @@ class TestRouterIntegration:
             sharded = router.lookup_batch(src, tgt, workers=2)
         finally:
             router.close_executor()
-        assert_results_equal(sharded, single, paths=False)
+        assert_same(sharded, single, FIELDS)
 
     def test_executor_cached_and_rebuilt_on_worker_change(self):
-        net = make_net(64)
+        net = populated(64, 0)
         router = net.router(auto_refresh=True)
         try:
             ex2 = router.sharded_executor(2)

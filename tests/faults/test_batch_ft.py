@@ -11,19 +11,12 @@ from repro.core.walk import level_points
 from repro.faults import (
     FTBatchEngine,
     FaultPlan,
-    OverlappingDHNetwork,
     canonical_path,
     random_byzantine,
     random_failstop,
     resistant_lookup,
     simple_lookup,
 )
-
-
-@pytest.fixture(scope="module")
-def net():
-    rng = np.random.default_rng(5)
-    return OverlappingDHNetwork(256, rng)
 
 
 @pytest.fixture(scope="module")

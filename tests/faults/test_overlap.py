@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles.segments import arcs_cover_ring
 
 from repro.faults import (
     FaultPlan,
@@ -14,13 +15,7 @@ from repro.faults import (
     resistant_lookup,
     simple_lookup,
 )
-from repro.core.interval import Arc, arcs_cover_ring
-
-
-@pytest.fixture(scope="module")
-def net():
-    rng = np.random.default_rng(5)
-    return OverlappingDHNetwork(256, rng)
+from repro.core.interval import Arc
 
 
 class TestStructure:

@@ -13,6 +13,7 @@ modules, matching the example applications:
 import math
 
 import numpy as np
+from oracles.inputs import joined, populated
 
 from repro.balance import BucketBalancer, MultipleChoice
 from repro.core import (
@@ -36,8 +37,7 @@ from repro.sim.asyncnet import run_async_lookups
 class TestDHTLifecycle:
     def test_full_lifecycle(self):
         rng = np.random.default_rng(1)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(128, selector=MultipleChoice(t=4))
+        net = populated(128, rng, selector=MultipleChoice(t=4))
 
         # store a library of items
         for i in range(64):
@@ -95,8 +95,7 @@ class TestFlashCrowdScenario:
         """Caching keeps serving while servers join (tree positions are
         re-resolved against the live decomposition on every request)."""
         rng = np.random.default_rng(4)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(64, selector=MultipleChoice(t=4))
+        net = populated(64, rng, selector=MultipleChoice(t=4))
         cache = CacheSystem(net, threshold=3)
         pts = list(net.points())
         for k in range(50):
@@ -150,8 +149,7 @@ class TestEmulationOnLiveNetwork:
     def test_emulate_debruijn_over_dht_decomposition(self):
         """§7 applied to the DHT's own segment map: compute a guest round."""
         rng = np.random.default_rng(7)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(100, selector=MultipleChoice(t=4))
+        net = populated(100, rng, selector=MultipleChoice(t=4))
         em = GraphEmulator(net.segments, DeBruijnFamily())
         assert all(em.check_properties().values())
         values = {u: float(rng.random()) for u in range(1 << em.k)}
@@ -159,9 +157,7 @@ class TestEmulationOnLiveNetwork:
         assert len(out) == 1 << em.k
 
     def test_emulation_tracks_churn(self):
-        rng = np.random.default_rng(8)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(64, selector=MultipleChoice(t=4))
+        net = populated(64, 8, selector=MultipleChoice(t=4))
         em = GraphEmulator(net.segments, DeBruijnFamily(), k=6)
         before = {p: em.guests_of(p) for p in net.points()}
         newcomer = net.join(selector=MultipleChoice(t=4))
@@ -176,8 +172,7 @@ class TestEmulationOnLiveNetwork:
 class TestAsyncIntegration:
     def test_async_batch_matches_reference(self):
         rng = np.random.default_rng(9)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(96, selector=MultipleChoice(t=4))
+        net = populated(96, rng, selector=MultipleChoice(t=4))
         pts = list(net.points())
         queries, taus, expected = [], [], []
         for _ in range(40):
@@ -201,9 +196,7 @@ class TestBucketBalancedDHT:
         rng.shuffle(handles)
         for h in handles[:150]:
             bb.leave(h, rng)
-        net = DistanceHalvingNetwork()
-        for p in bb.segments.points:
-            net.join(p)
+        net = joined(bb.segments.points)
         rho = net.smoothness()
         assert net.max_out_degree() <= rho + 4
         counter = CongestionCounter()

@@ -1,0 +1,38 @@
+"""The one equality the parity suites assert: dtype, shape and bits."""
+
+import numpy as np
+
+
+def assert_same(got, want, fields=(), what="value") -> None:
+    """``got`` equals ``want`` in dtype, shape and every bit.
+
+    Floats compare as their unsigned-integer view, so ``-0.0`` differs
+    from ``0.0`` and a NaN equals only its own bit pattern.  ``None``
+    passes only against ``None``; tuples and lists compare element by
+    element.  With ``fields``, each named attribute (or ``dict`` key) of
+    both sides in turn, and a failure names the field.
+    """
+    if fields:
+        for name in fields:
+            assert_same(_field(got, name), _field(want, name), what=name)
+        return
+    if got is None or want is None:
+        assert got is want, what
+        return
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want), what
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, what=f"{what}[{k}]")
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype, (what, got.dtype, want.dtype)
+    assert got.shape == want.shape, (what, got.shape, want.shape)
+    if got.dtype.kind == "f":
+        bits = f"u{got.dtype.itemsize}"
+        got = np.ascontiguousarray(got).view(bits)
+        want = np.ascontiguousarray(want).view(bits)
+    assert np.array_equal(got, want), what
+
+
+def _field(obj, name):
+    return obj[name] if isinstance(obj, dict) else getattr(obj, name)

@@ -1,0 +1,113 @@
+"""Oracles of :mod:`repro.core.walk`: the masked descent, the dense writer."""
+
+import math
+
+import numpy as np
+
+from repro.core.lookup import MAX_WALK_STEPS
+from repro.core.segments import fold_unit
+
+
+def levels_to_csr(size: int, level_mats) -> tuple:
+    """Flatten per-level server matrices into CSR path arrays.
+
+    ``level_mats`` lists ``(levels × size)`` int matrices whose rows are
+    in path order for every lookup (column); ``-1`` marks "no server
+    recorded at this level".  The result is the vectorized equivalent of
+    running :func:`~repro.core.lookup.compress_path` per column: lookup
+    ``i``'s compressed server-index path is
+    ``path_servers[path_offsets[i]:path_offsets[i + 1]]``.
+    """
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    mats = [m for m in level_mats if m is not None and m.size]
+    if not mats or size == 0:
+        return np.zeros(0, dtype=np.int32), offsets
+    stacked = np.concatenate(mats, axis=0)
+    depth = stacked.shape[0]
+    flat = stacked.T.ravel()  # lookup-major; rows keep path order inside
+    at = np.flatnonzero(flat >= 0)
+    vals = flat[at]
+    lane = at // depth
+    keep = np.ones(vals.size, dtype=bool)
+    if vals.size > 1:
+        keep[1:] = (vals[1:] != vals[:-1]) | (lane[1:] != lane[:-1])
+    np.cumsum(np.bincount(lane[keep], minlength=size), out=offsets[1:])
+    return vals[keep].astype(np.int32), offsets
+
+
+def masked_descent(router, y, off, depth, head_rows):
+    """The replaced backward loop on the kernel's arguments."""
+    cover = router.cover_index.cover
+    tmax = int(depth.max()) if y.size else 0
+    back = np.full((tmax, y.size), -1, dtype=np.int64)
+    for j in range(tmax - 1, -1, -1):
+        scale_j = float(router.delta) ** j
+        p = fold_unit((y + np.mod(off, scale_j)) / scale_j)
+        live = depth > j
+        back[j, live] = cover(p)[live]
+    return levels_to_csr(y.size, [np.vstack(head_rows), back[::-1]])
+
+
+def masked_fast_lookup(router, src, y, max_levels=MAX_WALK_STEPS):
+    """The replaced fast lookup: masked forward search, masked descent."""
+    delta = router.delta
+    ci = router.cover_index.cover(src)
+    z = router.midpoints[ci]
+    in_own = router._segment_test(ci)
+    t = np.zeros(y.size, dtype=np.int64)
+    s_final = np.zeros(y.size, dtype=np.float64)
+    pending = np.ones(y.size, dtype=bool)
+    cap = (max_levels if delta & (delta - 1) == 0
+           else min(max_levels, int(52 / math.log2(delta))))
+    for level in range(cap + 1):
+        scale = float(delta) ** level
+        s_level = np.trunc(z * scale) if level else np.zeros(y.size)
+        p = fold_unit((y + s_level) / scale) if level else y
+        newly = pending & in_own(p)
+        t[newly] = level
+        s_final[newly] = s_level[newly]
+        pending &= ~newly
+        if not pending.any():
+            break
+    else:
+        raise RuntimeError("masked_fast_lookup failed to converge")
+    servers, offsets = masked_descent(router, y, s_final, t, [ci])
+    return {"owner_idx": router.cover_index.cover(y), "source_idx": ci,
+            "t": t, "hops": np.diff(offsets) - 1,
+            "path_servers": servers, "path_offsets": offsets}
+
+
+def dense_ragged_to_csr(buf, starts, lens=None) -> tuple:
+    """The previous writer, kept verbatim as the oracle."""
+    first = np.zeros(buf.size, dtype=bool)
+    first[starts] = True
+    keep = first.copy()
+    keep[1:] |= buf[1:] != buf[:-1]
+    if lens is not None:
+        alloc = np.diff(np.append(starts, buf.size))
+        slot = np.arange(buf.size) - np.repeat(starts, alloc)
+        keep &= slot < np.repeat(lens, alloc)
+    kept = np.flatnonzero(keep)
+    return (buf[kept].astype(np.int32, copy=False),
+            np.append(np.flatnonzero(first[kept]), kept.size))
+
+
+def head_to_rows(head, size: int) -> list:
+    """The compact head as ``max(head_len)`` rows of ``size`` lanes.
+
+    At least one row, even for no lanes: every lane holds its source.
+    """
+    head_len, lane, slot, server = head
+    lane = np.asarray(lane)
+    rows = np.full((int(np.max(head_len, initial=1)), size), -1,
+                   dtype=np.int64)
+    rows[np.broadcast_to(slot, lane.shape), lane] = server
+    return list(rows)
+
+
+def rows_to_head(rows) -> tuple:
+    """Hole-free per-slot rows as the compact head."""
+    stacked = np.vstack(rows)
+    held = stacked >= 0
+    slot, lane = np.nonzero(held)
+    return held.sum(axis=0), lane, slot, stacked[slot, lane]

@@ -9,8 +9,9 @@ survive churn refresh and sharded execution bit-identically.
 
 import numpy as np
 import pytest
+from oracles.compare import assert_same
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork
 from repro.core.lookup import compress_path
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, simple_lookup
 from repro.peer import (
@@ -214,8 +215,7 @@ class TestFTPolicyParity:
 class TestCoreEngine:
     @classmethod
     def setup_class(cls):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(2024))
-        net.populate(128)
+        net = populated(128, 2024)
         cls.net = net
         cls.router = CostAwareBatchRouter(net, _MAP, auto_refresh=True)
         rng = np.random.default_rng(7)
@@ -246,8 +246,8 @@ class TestCoreEngine:
         via = route_pairs(self.router, (self.src, self.tgt), algorithm="cost",
                           policy=policy, choices=self.u)
         assert via.algorithm == direct.algorithm == "dh-cost"
-        for field in ("owner_idx", "tau_used", "path_servers", "path_offsets"):
-            assert np.array_equal(getattr(via, field), getattr(direct, field))
+        assert_same(via, direct, ("owner_idx", "tau_used", "path_servers",
+                                  "path_offsets"))
 
     def test_plain_router_raises_actionably(self):
         plain = self.net.compile_router()
@@ -270,8 +270,7 @@ class TestChurnAndShards:
     def test_cost_columns_survive_churn(self):
         """After churn + refresh the columns equal a fresh compile's."""
         rng = np.random.default_rng(31)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(96)
+        net = populated(96, rng)
         router = CostAwareBatchRouter(net, _MAP, auto_refresh=True,
                                       churn_budget=64)
         for _ in range(12):
@@ -281,13 +280,11 @@ class TestChurnAndShards:
         router.refresh()
         assert router.refresh_stats.incremental >= 1
         fresh = CostAwareBatchRouter(net, _MAP)
-        for name in ("cost_isp", "cost_x", "cost_y"):
-            assert np.array_equal(getattr(router, name), getattr(fresh, name))
-        assert np.array_equal(router._isp_cost, fresh._isp_cost)
+        assert_same(router, fresh,
+                    ("cost_isp", "cost_x", "cost_y", "_isp_cost"))
 
     def test_sharded_cost_lookup_parity(self):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(32))
-        net.populate(128)
+        net = populated(128, 32)
         router = CostAwareBatchRouter(net, _MAP, auto_refresh=True)
         rng = np.random.default_rng(8)
         pts = net.segments.as_array()
@@ -310,8 +307,7 @@ class TestChurnAndShards:
         assert local.policy == shard.policy == "weighted"
 
     def test_sharded_weighted_needs_choices(self):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(33))
-        net.populate(64)
+        net = populated(64, 33)
         router = CostAwareBatchRouter(net, _MAP, auto_refresh=True)
         pts = net.segments.as_array()
         try:

@@ -13,8 +13,8 @@ valid weight is then exactly 1.
 
 import numpy as np
 import pytest
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, simple_lookup
 from repro.peer import (CostAwareBatchRouter, CostMap, CostOracle,
                         select_index, select_rows)
@@ -66,8 +66,7 @@ class TestSelection:
 
 class TestEntryPoints:
     def test_core_cost_lookup(self):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(5))
-        net.populate(64)
+        net = populated(64, 5)
         router = CostAwareBatchRouter(
             net, CostMap.synthetic(n_isps=4, rng=np.random.default_rng(6)))
         rng = np.random.default_rng(8)

@@ -10,34 +10,28 @@ sweep covers n = 4096 (the throughput-scale instance, too expensive to
 rebuild per example).
 """
 
+import functools
+
 import numpy as np
 import pytest
-from adjacency_oracle import edge_keys
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.adjacency import edge_keys
+from oracles.inputs import populated
 
 from repro.balance import MultipleChoice
-from repro.core import DistanceHalvingNetwork, lookup_many
+from repro.core import lookup_many
 from repro.core.segments import cover_grid, cover_indices
 
 unit_float = st.floats(min_value=0.0, max_value=1.0, exclude_max=False,
                        allow_nan=False, allow_infinity=False)
 
 
-def _build(n, seed, balanced=False):
-    rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(n, selector=MultipleChoice(t=4) if balanced else None)
-    return net, net.compile_router(with_adjacency=True)
-
-
-NETS = {}
-
-
+@functools.lru_cache(maxsize=None)
 def net_and_router(n):
-    if n not in NETS:
-        NETS[n] = _build(n, seed=1000 + n, balanced=(n >= 4096))
-    return NETS[n]
+    net = populated(n, 1000 + n,
+                    selector=MultipleChoice(t=4) if n >= 4096 else None)
+    return net, net.compile_router(with_adjacency=True)
 
 
 class TestFastParityHypothesis:
@@ -180,8 +174,7 @@ class TestCsrLosslessEncoding:
         perturb the CSR encoding: paths still match a scalar replay on
         the live network, for both algorithms."""
         rng = np.random.default_rng(seed)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(24)
+        net = populated(24, rng)
         router = net.router(auto_refresh=True, with_adjacency=True,
                             churn_budget=10**9)
         _apply_random_churn(net, rng, steps, leave_prob,
@@ -290,8 +283,7 @@ class TestIncrementalRefreshParity:
     def test_any_interleaving_matches_fresh_compile(self, seed, steps,
                                                     leave_prob):
         rng = np.random.default_rng(seed)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(24)
+        net = populated(24, rng)
         router = net.router(auto_refresh=True, with_adjacency=True,
                             churn_budget=10**9)
         _apply_random_churn(net, rng, steps, leave_prob)
@@ -307,8 +299,7 @@ class TestIncrementalRefreshParity:
         both sides of the n < 4 bail: the adopted column, the replayed
         midpoints and the followed grid equal a fresh compile's, and the
         scalar oracles', after every refresh."""
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(start))
-        net.populate(start)
+        net = populated(start, start)
         router = net.router(auto_refresh=True, churn_budget=10**9)
         for leave, value, sync in ops + [(False, 0.5, True)]:
             if leave and net.n > 1:
@@ -340,8 +331,7 @@ class TestIncrementalRefreshParity:
     def test_per_op_refresh_long_trace(self):
         """300 ops re-synced one at a time, checked at every 50th op."""
         rng = np.random.default_rng(777)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(256)
+        net = populated(256, rng)
         router = net.router(auto_refresh=True, with_adjacency=True,
                             churn_budget=10**9)
         for chunk in range(6):
@@ -355,8 +345,7 @@ class TestIncrementalRefreshParity:
         """n grows past G/2 and shrinks below G/8 under per-op refresh:
         the grid is re-chosen both times, never by a full rebuild."""
         rng = np.random.default_rng(4242)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(16)
+        net = populated(16, rng)
         router = net.router(auto_refresh=True, churn_budget=10**9)
         sizes = {len(router.cover_index.grid)}
         for target in (70, 6):
@@ -375,8 +364,7 @@ class TestIncrementalRefreshParity:
     def test_grid_after_budget_overflow_full_rebuild(self):
         """Past the churn budget the refresh recompiles; the index with it."""
         rng = np.random.default_rng(99)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(64)
+        net = populated(64, rng)
         router = net.router(auto_refresh=True, churn_budget=4)
         _apply_random_churn(net, rng, 3, 0.5)
         router.refresh()
@@ -394,8 +382,7 @@ class TestIncrementalRefreshParity:
         from repro.sim.churn import ChurnTrace, run_churn
 
         rng = np.random.default_rng(31337)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(64)
+        net = populated(64, rng)
         router = net.router(auto_refresh=True, with_adjacency=True,
                             churn_budget=10**9)
         trace = ChurnTrace.mass_departure(rng, n=64, fraction=0.5)
@@ -407,8 +394,7 @@ class TestIncrementalRefreshParity:
     def test_every_hand_out_survives_the_next_edits(self, pick):
         """Each kind of hand-out, then a join and a leave refreshed in
         place (room was made beforehand): the hand-out is unchanged."""
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(pick))
-        net.populate(32)
+        net = populated(32, pick)
         router = net.router(auto_refresh=True)
         net.join(0.5)
         router.refresh()  # outgrows the compile: the copy makes room
@@ -440,8 +426,7 @@ class TestIncrementalRefreshParity:
         hand-out (or full rebuild) between them made at most one copy —
         a compile is exactly n + 1 rows, a copy leaves room for 16 more.
         """
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(start))
-        net.populate(start)
+        net = populated(start, start)
         router = net.router(auto_refresh=True, churn_budget=10**9)
         stats = router.refresh_stats
         held = []  # (hand-out, its value when handed out)

@@ -18,24 +18,20 @@ the same digit strings.  The contract checked on every trace:
   bound with the w.h.p. slack removed).
 """
 
+import functools
+
 import numpy as np
-from cache_state import served_counts
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.cache import served_counts
+from oracles.inputs import populated
 
-from repro.core import BatchCacheEngine, CacheSystem, DistanceHalvingNetwork
+from repro.core import BatchCacheEngine, CacheSystem
 from repro.core.caching import salted_key
 
-NETS = {}
-
-
+@functools.lru_cache(maxsize=None)
 def get_net(n):
-    if n not in NETS:
-        rng = np.random.default_rng(3000 + n)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(n)
-        NETS[n] = net
-    return NETS[n]
+    return populated(n, 3000 + n)
 
 
 N_ITEMS = 6

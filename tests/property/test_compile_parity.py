@@ -6,7 +6,7 @@ arithmetic.  ``DistanceHalvingNetwork.adjacency_arrays`` and
 ``SegmentMap.midpoints_array`` walk the same definitions server by
 server through ``Arc`` objects and stay as the oracles.  The contract is
 ``np.array_equal`` on every float point set, so the point sets are the
-adversarial ones of ``test_cover_index`` (clustered ids, adjacent
+adversarial ones of :mod:`oracles.inputs` (clustered ids, adjacent
 floats, dyadic points, 0.0 and ``nextafter(1, 0)``, tiny n — which
 always has a fat segment of length ≥ 1/Δ) plus pinned cases for each
 place the float images can fold.
@@ -16,23 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from adjacency_oracle import csr_keys, edge_keys
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cover_index import BELOW_ONE, point_sets
+from oracles.adjacency import csr_keys, edge_keys
+from oracles.inputs import BELOW_ONE, joined, point_sets, populated
 
 from repro.core.interval import Arc
-from repro.core.network import DistanceHalvingNetwork
 
 DELTAS = (2, 3, 4)
-
-
-def build(points, delta=2, with_ring=True) -> DistanceHalvingNetwork:
-    net = DistanceHalvingNetwork(delta=delta, with_ring=with_ring,
-                                 rng=np.random.default_rng(0))
-    for p in points:
-        net.join(p)
-    return net
 
 
 def oracle_keys(net) -> np.ndarray:
@@ -56,7 +47,7 @@ class TestColumnarCompileEqualsOracle:
            with_ring=st.booleans())
     def test_adversarial_point_sets(self, points, delta, with_ring):
         assert_compile_equals_oracle(
-            build(points.tolist(), delta, with_ring))
+            joined(points.tolist(), delta, with_ring, seed=0))
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("with_ring", [True, False])
@@ -77,18 +68,16 @@ class TestColumnarCompileEqualsOracle:
         [5e-324, 1e-320, 0.3],
     ])
     def test_pinned_boundary_cases(self, points, delta, with_ring):
-        assert_compile_equals_oracle(build(points, delta, with_ring))
+        assert_compile_equals_oracle(
+            joined(points, delta, with_ring, seed=0))
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_uniform_network(self, delta):
-        net = DistanceHalvingNetwork(delta=delta,
-                                     rng=np.random.default_rng(delta))
-        net.populate(300)
+        net = populated(300, delta, delta)
         assert_compile_equals_oracle(net)
 
     def test_full_rebuild_after_churn_is_columnar_too(self):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(11))
-        net.populate(64)
+        net = populated(64, 11)
         router = net.router(auto_refresh=True, with_adjacency=True,
                             churn_budget=1)
         net.populate(8)
@@ -102,7 +91,7 @@ class TestColumnarCompileEqualsOracle:
         """Exact ids: edges and midpoints come from exact comparisons."""
         ids = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 9),
                Fraction(1, 3) + Fraction(1, 10**30), Fraction(6, 7)]
-        net = build(ids)
+        net = joined(ids, seed=0)
         assert not net.segments.is_float()
         assert_compile_equals_oracle(net)
 
@@ -110,8 +99,7 @@ class TestColumnarCompileEqualsOracle:
 class TestObjectLayerStaysOffTheCompilePath:
     def test_full_compile_builds_no_arc_per_server(self, monkeypatch):
         """Count-based guard: a compile may build O(1) ``Arc`` objects."""
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(5))
-        net.populate(4096)
+        net = populated(4096, 5)
         built = []
         post_init = Arc.__post_init__
 

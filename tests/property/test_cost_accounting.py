@@ -1,20 +1,21 @@
 """The single-gather ISP accountants against the ones they replaced.
 
-The ``_parent_*`` functions below are the previous ``cross_isp_counts``,
-``path_cost_totals`` and ``pair_costs`` and the ``csr_transitions`` they
-read, *verbatim*: ``np.repeat`` row labels over every entry, a shifted compare
-and three boolean compactions to find the within-row transitions, then
-six gathers over them and a 2-D fancy index into the ISP matrix.  The
-accountants now walk the block in row-aligned chunks of about
-``itracker._BLOCK`` entries, gather each entry's label and coordinates
-once per chunk, zero the one transition per row boundary, read integer
-counts off one ``np.add.reduceat`` and keep ``np.bincount`` for the float
-totals; ``pair_costs`` reads the matrix with one flat gather.  Both sides
-must agree with ``array_equal`` on dtype and bits — float totals
-compared as ``uint64`` — on hypothesis CSR blocks, on blocks that put
-rows on every chunk edge, on real dh and cost-aware batches at
-Δ ∈ {2, 3, 4}, and on the scalar calls the per-hop walks make; a
-``tracemalloc`` pin keeps each accountant's peak at ≤ 2 B per entry.
+The ``_parent_*`` functions of :mod:`oracles.cost` are the previous
+``cross_isp_counts``, ``path_cost_totals`` and ``pair_costs`` and the
+``csr_transitions`` they read, *verbatim*: ``np.repeat`` row labels over
+every entry, a shifted compare and three boolean compactions to find the
+within-row transitions, then six gathers over them and a 2-D fancy
+index into the ISP matrix.  The accountants now walk the block in
+row-aligned chunks of about ``itracker._BLOCK`` entries, gather each
+entry's label and coordinates once per chunk, zero the one transition
+per row boundary, read integer counts off one ``np.add.reduceat`` and
+keep ``np.bincount`` for the float totals; ``pair_costs`` reads the
+matrix with one flat gather.  Both sides must agree in dtype, shape and
+bits — float totals compared as ``uint64`` — on hypothesis CSR blocks,
+on blocks that put rows on every chunk edge, on real dh and cost-aware
+batches at Δ ∈ {2, 3, 4}, and on the scalar calls the per-hop walks
+make; a ``tracemalloc`` pin keeps each accountant's peak at ≤ 2 B per
+entry.
 """
 
 import functools
@@ -24,75 +25,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.compare import assert_same
+from oracles.cost import (_parent_cross_isp_counts, _parent_edge_costs,
+                          _parent_pair_costs, _parent_path_cost_totals)
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork
 from repro.peer import CostAwareBatchRouter, CostMap, CostOracle, itracker
 from repro.peer.costmap import pair_costs
 from repro.peer.itracker import cross_isp_counts, path_cost_totals
 
 
-# ------------------------------------------------------------------ oracles
-def _parent_pair_costs(isp_a, isp_b, xa, ya, xb, yb, isp_cost: np.ndarray):
-    dx = xa - xb
-    dy = ya - yb
-    return isp_cost[isp_a, isp_b] + np.sqrt(dx * dx + dy * dy)
-
-
-def _parent_edge_costs(oracle, i_idx, j_idx):
-    i_idx = np.asarray(i_idx)
-    j_idx = np.asarray(j_idx)
-    return _parent_pair_costs(
-        oracle.isp[i_idx], oracle.isp[j_idx],
-        oracle.x[i_idx], oracle.y[i_idx],
-        oracle.x[j_idx], oracle.y[j_idx],
-        oracle.cost_map.isp_cost,
-    )
-
-
-def _parent_csr_transitions(path_servers, path_offsets):
-    rows = np.repeat(
-        np.arange(path_offsets.size - 1), np.diff(path_offsets)
-    )
-    same = rows[:-1] == rows[1:] if rows.size else np.zeros(0, dtype=bool)
-    return path_servers[:-1][same], path_servers[1:][same], rows[:-1][same]
-
-
-def _parent_cross_isp_counts(isp_labels, path_servers, path_offsets):
-    frm, to, row = _parent_csr_transitions(path_servers, path_offsets)
-    cross = isp_labels[frm] != isp_labels[to]
-    return np.bincount(row[cross], minlength=path_offsets.size - 1)
-
-
-def _parent_path_cost_totals(oracle, path_servers, path_offsets):
-    frm, to, row = _parent_csr_transitions(path_servers, path_offsets)
-    costs = _parent_edge_costs(oracle, frm, to)
-    return np.bincount(
-        row, weights=costs, minlength=path_offsets.size - 1
-    )
-
-
-# ------------------------------------------------------------------ helpers
-def _same(got, want):
-    """Equal dtype, shape and bits (floats compared as their uint64 view)."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    if got.dtype.kind == "f":
-        got = np.ascontiguousarray(got).view(np.uint64)
-        want = np.ascontiguousarray(want).view(np.uint64)
-    assert np.array_equal(got, want)
-
-
 def _check_block(oracle, labels, servers, offsets):
-    _same(cross_isp_counts(labels, servers, offsets),
-          _parent_cross_isp_counts(labels, servers, offsets))
+    assert_same(cross_isp_counts(labels, servers, offsets),
+                _parent_cross_isp_counts(labels, servers, offsets))
     want = _parent_path_cost_totals(oracle, servers, offsets)
     if servers.size - (offsets.size - 1) == 0:
         # no transitions at all: the parent's bincount saw no entries and
         # returned integer zeros; the totals are float64 on every block now
         assert want.dtype == np.int64 and not want.any()
         want = want.astype(np.float64)
-    _same(path_cost_totals(oracle, servers, offsets), want)
+    assert_same(path_cost_totals(oracle, servers, offsets), want)
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,9 +161,7 @@ def test_traced_peak_at_most_two_bytes_per_entry(name):
 # ------------------------------------------------------------ real batches
 @functools.lru_cache(maxsize=None)
 def _router(delta: int):
-    net = DistanceHalvingNetwork(delta=delta,
-                                 rng=np.random.default_rng(100 + delta))
-    net.populate(256)
+    net = populated(256, 100 + delta, delta)
     cost_map = CostMap.synthetic(n_isps=8, rng=np.random.default_rng(delta))
     router = CostAwareBatchRouter(net, cost_map)
     return router, CostOracle(router.points, cost_map)
@@ -234,7 +184,7 @@ def test_real_batches_equal_to_parent(delta, kind):
     assert res.path_servers.dtype == np.int32
     _check_block(oracle, router.cost_isp, res.path_servers, res.path_offsets)
     # the oracle's labels are the router's cost column
-    _same(oracle.isp, router.cost_isp)
+    assert_same(oracle.isp, router.cost_isp)
 
 
 # ------------------------------------------------------------ scalar calls
@@ -247,9 +197,9 @@ class TestPairCosts:
                     oracle.x[j], oracle.y[j], mat)
             got, want = pair_costs(*args), _parent_pair_costs(*args)
             assert type(got) is type(want)
-            _same(got, want)
+            assert_same(got, want)
             plain = tuple(a.item() for a in args[:-1]) + (mat,)
-            _same(pair_costs(*plain), _parent_pair_costs(*plain))
+            assert_same(pair_costs(*plain), _parent_pair_costs(*plain))
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_broadcast_candidates(self, k):
@@ -258,7 +208,7 @@ class TestPairCosts:
         rng = np.random.default_rng(k)
         i = rng.integers(64, size=50)
         j = rng.integers(64, size=(3, 50))
-        _same(oracle.edge_costs(i, j), _parent_edge_costs(oracle, i, j))
+        assert_same(oracle.edge_costs(i, j), _parent_edge_costs(oracle, i, j))
 
     def test_cost_between(self):
         """The scalar walks' one-source, many-covers call."""
@@ -267,4 +217,4 @@ class TestPairCosts:
         for a in (0, 7, 31):
             want = _parent_edge_costs(oracle, oracle.index_of(pts[a]),
                                       oracle.index_of(np.asarray(pts[::3])))
-            _same(oracle.cost_between(pts[a], list(pts[::3])), want)
+            assert_same(oracle.cost_between(pts[a], list(pts[::3])), want)

@@ -13,8 +13,8 @@ both engines and requires bit-parity everywhere the docs promise it:
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork
 from repro.core.lookup import compress_path
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, simple_lookup
 from repro.peer import CostAwareBatchRouter, CostMap, CostOracle
@@ -26,8 +26,7 @@ MED = settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow],
 _NET = OverlappingDHNetwork(128, np.random.default_rng(1234))
 _ENGINE = FTBatchEngine(_NET)
 
-_DNET = DistanceHalvingNetwork(rng=np.random.default_rng(4321))
-_DNET.populate(96)
+_DNET = populated(96, 4321)
 _DPTS = _DNET.segments.as_array()
 
 

@@ -4,8 +4,8 @@
 table ``cover_class`` and runs the float segment test on the boundary
 entries alone.  Two oracles, both on every query:
 
-* :func:`parent_cover_table` — the whole-window ``%`` / ``np.mod``
-  formula the method used before, kept verbatim;
+* ``parent_cover_table`` (:mod:`oracles.overlap`) — the whole-window
+  ``%`` / ``np.mod`` formula the method used before, kept verbatim;
 * the scalar :meth:`~repro.faults.overlap.OverlappingDHNetwork.covers`,
   column by column.
 
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.overlap import parent_cover_table
 
 from repro.faults.overlap import (
     COVER_BOUNDARY,
@@ -31,17 +32,6 @@ SIZES = (8, 9, 16, 64, 1024)
 FACTORS = (0.25, 1.0, 4.0, 50.0)
 CHUNK = 512                     # queries per call: bounds the (W, B) matrices
 SCALAR_SAMPLE = 400             # scalar-oracle columns per pinned case
-
-
-def parent_cover_table(net, ys):
-    """``cover_table`` as it was before the class table (the oracle)."""
-    ys = np.asarray(ys, dtype=np.float64)
-    i = net.cover_index.cover(ys)
-    k = np.arange(net.max_back, dtype=np.int64)
-    cand = (i[None, :] - k[:, None]) % net.n
-    mask = (np.mod(ys[None, :] - net.points_array[cand], 1.0)
-            <= net.seg_len_array[cand])
-    return cand, mask
 
 
 def adversarial_queries(net, fill):

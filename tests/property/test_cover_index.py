@@ -4,71 +4,28 @@
 table read plus a short linear advance;
 :func:`~repro.core.segments.cover_indices` answers it with a binary
 search.  The contract is equality on *every* sorted point set and every
-query in ``[0, 1)`` — no tolerance — so the point sets here are the
-ones a grid can get wrong: tiny n, every id inside one bucket, ids at
-0.0 and just below 1.0, ids exactly on bucket edges, adjacent floats;
-and the queries are id points, one ulp either side of them, and bucket
-edges.
+query in ``[0, 1)`` — no tolerance — so the point sets
+(:mod:`oracles.inputs`) are the ones a grid can get wrong: tiny n, every
+id inside one bucket, ids at 0.0 and just below 1.0, ids exactly on
+bucket edges, adjacent floats; and the queries are id points, one ulp
+either side of them, and bucket edges.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.compare import assert_same
+from oracles.inputs import BELOW_ONE, clip_unit, point_sets, unit
 
 from repro.core.segments import (_ADVANCE_CAP, CoverIndex, cover_grid,
                                  cover_indices)
-
-BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-unit = st.floats(min_value=0.0, max_value=BELOW_ONE, allow_nan=False)
-
-
-def _clip(values) -> np.ndarray:
-    """Distinct sorted float64 values of ``values`` inside ``[0, 1)``."""
-    arr = np.asarray(values, dtype=np.float64)
-    return np.unique(arr[(arr >= 0.0) & (arr < 1.0)])
-
-
-@st.composite
-def point_sets(draw) -> np.ndarray:
-    """Sorted distinct ids, biased toward what breaks a bucket grid."""
-    kind = draw(st.sampled_from(
-        ["tiny", "one_bucket", "edges", "adjacent", "ends", "uniform"]))
-    if kind == "tiny":
-        pts = draw(st.lists(unit, min_size=1, max_size=4))
-    elif kind == "one_bucket":
-        # many ids inside one narrow interval: the capped advance's tail
-        base = draw(unit)
-        width = draw(st.sampled_from([1e-3, 1e-9, 1e-15]))
-        offs = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
-                             min_size=2, max_size=3 * _ADVANCE_CAP))
-        pts = [base + width * o for o in offs]
-    elif kind == "edges":
-        # ids exactly on bucket edges k/G of plausible resolutions
-        size = draw(st.sampled_from([2, 4, 8, 16, 64]))
-        ks = draw(st.lists(st.integers(0, size - 1), min_size=1,
-                           max_size=12))
-        pts = [k / size for k in ks]
-    elif kind == "adjacent":
-        # runs of adjacent floats
-        base = draw(unit)
-        run = [base]
-        for _ in range(draw(st.integers(1, 2 * _ADVANCE_CAP))):
-            run.append(float(np.nextafter(run[-1], 2.0)))
-        pts = run + draw(st.lists(unit, max_size=4))
-    elif kind == "ends":
-        pts = [0.0, BELOW_ONE] + draw(st.lists(unit, max_size=6))
-    else:
-        pts = draw(st.lists(unit, min_size=1, max_size=40))
-    pts = _clip(pts)
-    return pts if pts.size else np.array([draw(unit)])
 
 
 def queries(points: np.ndarray, size: int, extra) -> np.ndarray:
     """Id points, one ulp either side of each, every bucket edge, extras."""
     edges = np.arange(size) / size
-    return _clip(np.concatenate([
+    return clip_unit(np.concatenate([
         points, np.nextafter(points, -1.0), np.nextafter(points, 2.0),
         edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
         np.asarray(extra, dtype=np.float64), [0.0, BELOW_ONE],
@@ -81,9 +38,7 @@ class TestGridEqualsOracle:
     def test_cover_equals_cover_indices(self, points, extra):
         index = CoverIndex(points)
         ys = queries(points, len(index.grid), extra)
-        got, expect = index.cover(ys), cover_indices(points, ys)
-        assert np.array_equal(got, expect)
-        assert got.dtype == expect.dtype
+        assert_same(index.cover(ys), cover_indices(points, ys))
 
     @settings(max_examples=100, deadline=None)
     @given(points=point_sets(), extra=st.lists(unit, max_size=16),
@@ -105,7 +60,8 @@ class TestGridEqualsOracle:
         """More ids in one bucket than the advance cap: still exact."""
         points = 0.5 + np.arange(4 * _ADVANCE_CAP) * 1e-12
         index = CoverIndex(points)
-        ys = _clip(np.concatenate([points, points + 5e-13, [0.0, 0.4, 0.6]]))
+        ys = clip_unit(np.concatenate([points, points + 5e-13,
+                                       [0.0, 0.4, 0.6]]))
         assert np.array_equal(index.cover(ys), cover_indices(points, ys))
 
     def test_empty_query(self):

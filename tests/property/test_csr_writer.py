@@ -1,12 +1,12 @@
 """The sparse CSR writer against the dense one it replaced.
 
-:func:`dense_ragged_to_csr` is the previous ``ragged_to_csr``
-*verbatim*: a bool mask over every slot, a shifted compare, an
-``arange`` / ``repeat`` slot index for the ``lens=`` form and an
-``int64`` ``kept`` index of every surviving entry.  The writer now finds
+``dense_ragged_to_csr`` (:mod:`oracles.walk`) is the previous
+``ragged_to_csr`` *verbatim*: a bool mask over every slot, a shifted
+compare, an ``arange`` / ``repeat`` slot index for the ``lens=`` form
+and an ``int64`` ``kept`` index of every surviving entry.  The writer now finds
 the rare repeated server with one compare and does O(lanes + dropped)
 work after it, handing the buffer through when nothing merges.  Both
-must agree on dtype and value of both CSR arrays — on generated ragged
+must agree in dtype and bits on both CSR arrays — on generated ragged
 buffers aimed at the corners (repeats across a lane boundary, runs
 inside a lane, garbage tails equal to their neighbours) and on the real
 buffers every engine emits.  One more test pins what the rewrite is
@@ -20,37 +20,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.compare import assert_same
+from oracles.inputs import populated
+from oracles.walk import dense_ragged_to_csr
 
 import repro.baselines.base as baselines_base
 import repro.core.batch_cache as batch_cache
 import repro.core.walk as walk
 import repro.faults.batch_ft as batch_ft
 from repro.baselines import ChordNetwork
-from repro.core import BatchCacheEngine, DistanceHalvingNetwork
+from repro.core import BatchCacheEngine
 from repro.core.walk import ragged_to_csr
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, random_failstop
 from repro.peer import CostAwareBatchRouter, CostMap
-
-
-def dense_ragged_to_csr(buf, starts, lens=None) -> tuple:
-    """The previous writer, kept verbatim as the oracle."""
-    first = np.zeros(buf.size, dtype=bool)
-    first[starts] = True
-    keep = first.copy()
-    keep[1:] |= buf[1:] != buf[:-1]
-    if lens is not None:
-        alloc = np.diff(np.append(starts, buf.size))
-        slot = np.arange(buf.size) - np.repeat(starts, alloc)
-        keep &= slot < np.repeat(lens, alloc)
-    kept = np.flatnonzero(keep)
-    return (buf[kept].astype(np.int32, copy=False),
-            np.append(np.flatnonzero(first[kept]), kept.size))
-
-
-def assert_same(got, want):
-    for a, b in zip(got, want, strict=True):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
 
 
 def check(buf, starts, lens=None):
@@ -169,9 +151,7 @@ def oracle_writer(monkeypatch):
 @lru_cache(maxsize=None)
 def cost_router(delta, n):
     """``(net, router)``: a populated network and its cost-aware router."""
-    net = DistanceHalvingNetwork(delta=delta,
-                                 rng=np.random.default_rng(100 * n + delta))
-    net.populate(n)
+    net = populated(n, 100 * n + delta, delta)
     return net, CostAwareBatchRouter(
         net, CostMap.synthetic(n_isps=4, rng=np.random.default_rng(n)))
 
@@ -200,9 +180,7 @@ class TestEngineBuffers:
         for res in (router.batch_fast_lookup(src, tgt, keep_paths=True),
                     router.batch_dh_lookup(src, tgt, rng=rng,
                                            keep_paths=True)):
-            want = router.cover_index.cover(res.targets)
-            assert res.owner_idx.dtype == want.dtype
-            assert np.array_equal(res.owner_idx, want)
+            assert_same(res.owner_idx, router.cover_index.cover(res.targets))
         assert len(oracle_writer) == 2
 
     def test_owner_without_paths(self, delta, n):

@@ -4,20 +4,20 @@
 probes at once over ``SegmentMap.column`` (one ``searchsorted``, a
 gathered ``end − start``, ``argmax``).  The per-probe loop it replaced —
 ``cover`` → ``segment_length`` → strict ``>`` in sample order → the
-winner's ``Arc.midpoint`` — is kept *here* as the oracle
-(:func:`scalar_select`).  The contract is the same returned id **and**
+winner's ``Arc.midpoint`` — is kept as the oracle ``scalar_select`` in
+:mod:`oracles.segments`.  The contract is the same returned id **and**
 the same rng state afterwards, so every id a network ever chooses is
 bit-identical; the point sets are the adversarial ones of
-``test_cover_index`` (clustered ids, ``x_0 == 0.0``, tiny n) plus pinned
+:mod:`oracles.inputs` (clustered ids, ``x_0 == 0.0``, tiny n) plus pinned
 cases for the seam segment, exact length ties and n ∈ {1, 2, 3}.  Exact
 (``Fraction``) ids still take the loop.
 
 ``grow`` (every strategy) chooses a whole batch of joins in windows; its
-oracle is :func:`loop_grow`, ``count`` rounds of ``select`` + ``insert``:
+oracle is ``loop_grow``, ``count`` rounds of ``select`` + ``insert``:
 same ids, same insertion indices, same rng state, and a duplicate id
 raises in both.  :meth:`DistanceHalvingNetwork.populate` commits a
 ``grow`` in one step; its oracle is the parent's ``populate`` kept
-verbatim as :func:`loop_populate`, one ``join`` per server, compared on
+verbatim as ``loop_populate``, one ``join`` per server, compared on
 servers, ids, journal, router replay, items and rng.  Digests of whole
 ``populate`` runs and of one soak, recorded on the commit before the
 vectorisation, pin the composed result.
@@ -31,7 +31,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cover_index import BELOW_ONE, point_sets
+from oracles.inputs import BELOW_ONE, point_sets, populated
+from oracles.segments import loop_grow, loop_populate, scalar_select
 
 import repro.balance.strategies as strategies_module
 from repro.balance import ImprovedSingleChoice, MultipleChoice, SingleChoice
@@ -39,28 +40,6 @@ from repro.core import DistanceHalvingNetwork
 from repro.core.segments import SegmentMap
 from repro.experiments.soak import deterministic_payload
 from repro.sim.scenario import ScenarioEngine
-
-
-# ------------------------------------------------------------------ oracle
-def scalar_select(strategy: MultipleChoice, segments: SegmentMap,
-                  rng: np.random.Generator) -> float:
-    """``MultipleChoice.select`` as the per-probe loop (the parent's body)."""
-    if len(segments) == 0:
-        return float(rng.random())
-    samples = rng.random(strategy._probes(len(segments)))
-    best_idx = None
-    best_len = -1.0
-    seen = set()
-    for z in samples:
-        i = segments.cover(float(z))
-        if i in seen:
-            continue
-        seen.add(i)
-        length = float(segments.segment(i).length)
-        if length > best_len:
-            best_len = length
-            best_idx = i
-    return float(segments.segment(best_idx).midpoint)
 
 
 def assert_same_choice(strategy, segments, seed) -> float:
@@ -166,17 +145,6 @@ class Scripted:
             return self.values.pop(0)
         out, self.values = self.values[:size], self.values[size:]
         return np.array(out)
-
-
-def loop_grow(strategy, segments: SegmentMap, rng, count: int):
-    """``count`` rounds of ``select`` + ``insert`` on a copy of ``segments``."""
-    work = SegmentMap(segments)
-    ids, at = [], []
-    for _ in range(count):
-        p = strategy.select(work, rng)
-        at.append(work.insert(p))
-        ids.append(p)
-    return ids, at
 
 
 def assert_same_growth(strategy, segments: SegmentMap, seed: int,
@@ -310,13 +278,6 @@ class TestGrowEqualsLoop:
         for k in range(1, 40):
             assert strategies_module._ceil_log2(2**k) == k
             assert strategies_module._ceil_log2(2**k + 1) == k + 1
-
-
-# ---------------------------------------------------------- populate oracle
-def loop_populate(net: DistanceHalvingNetwork, n: int, selector=None) -> None:
-    """The parent's ``populate``: one ``join`` per server."""
-    for _ in range(n):
-        net.join(selector=selector)
 
 
 def twin_networks(seed: int, setup=None):
@@ -458,8 +419,7 @@ class TestPinnedDigests:
              "38bbf436e89ec2645848c7f0a1cfb826"),
     ], ids=["seed2007", "seed11"])
     def test_populate_4096_ids(self, seed, digest):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(seed))
-        net.populate(4096, selector=MultipleChoice(t=4))
+        net = populated(4096, seed, selector=MultipleChoice(t=4))
         assert _sha256(net.segments.as_array().tobytes()) == digest
         net.check_invariants()
 

@@ -9,6 +9,8 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from oracles.inputs import populated
+from oracles.lookup import verify_adjacent
 
 from repro.core import CacheSystem, DistanceHalvingNetwork, dh_lookup, fast_lookup
 from repro.core.caching import ActiveTree
@@ -22,11 +24,9 @@ unit_float = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                        allow_nan=False)
 
 
-def build_net(n, seed, delta=2):
+def build_net(n, seed):
     rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(delta=delta, rng=rng)
-    net.populate(n)
-    return net, rng
+    return populated(n, rng), rng
 
 
 SLOW = settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow],
@@ -47,7 +47,7 @@ class TestLookupProperties:
         res = fast_lookup(net, src, target)
         assert res.server_path[-1] == net.segments.cover_point(target)
         assert res.server_path[0] == net.segments.cover_point(src)
-        assert res.verify_adjacent(net)
+        assert verify_adjacent(res, net)
 
     @SLOW
     @given(n=net_sizes, seed=seeds, target=unit_float)
@@ -57,7 +57,7 @@ class TestLookupProperties:
         src = list(net.points())[int(rng.integers(n))]
         res = dh_lookup(net, src, target, rng)
         assert res.server_path[-1] == net.segments.cover_point(target)
-        assert res.verify_adjacent(net)
+        assert verify_adjacent(res, net)
 
     def test_dh_handoff_at_the_float_boundary(self):
         """Phase I must hand off to the point phase II descends from.
@@ -74,7 +74,7 @@ class TestLookupProperties:
         target = 1 - 2**-53
         tau = (1, 0, 0, 0) + (0, 1) * 24
         res = dh_lookup(net, src, target, rng, tau=tau)
-        assert res.verify_adjacent(net)
+        assert verify_adjacent(res, net)
         assert res.server_path[-1] == net.segments.cover_point(target)
 
         def assert_matches_scalar(router, batch):

@@ -18,7 +18,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
-from test_cover_index import BELOW_ONE, unit
+from oracles.inputs import BELOW_ONE, unit
 
 from repro.core.segments import SegmentMap
 

@@ -1,11 +1,12 @@
 """``select_rows`` reading its mask once against the body it replaced.
 
-:func:`_parent_select_rows` is the previous ``select_rows`` *verbatim*:
-it read the ``ok`` mask up to four times (two ``np.where`` into the
-costs, a count and a reversed ``argmax``), and the core cost walk built
-an all-true ``np.ones((Δ, lanes))`` mask every step to feed it.  The
-new body reads the mask once, into ``masked = where(ok, costs, inf)``,
-and takes ``ok=None`` to mean every candidate is valid.  Both must
+``_parent_select_rows`` (:mod:`oracles.cost`) is the previous
+``select_rows`` *verbatim*: it read the ``ok`` mask up to four times
+(two ``np.where`` into the costs, a count and a reversed ``argmax``),
+and the core cost walk built an all-true ``np.ones((Δ, lanes))`` mask
+every step to feed it.  The new body reads the mask once, into
+``masked = where(ok, costs, inf)``, and takes ``ok=None`` to mean every
+candidate is valid.  Both must
 return the same int64 rows on hypothesis ``(K, B)`` finite costs under
 random masks — all-invalid and all-valid lanes included — for every
 policy and several temperatures, ``inf`` among them; and ``ok=None``
@@ -16,34 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.cost import _parent_select_rows
 
 from repro.peer.policy import POLICIES, select_rows
 
 TEMPERATURES = [1e-3, 0.5, 1.0, 7.0, np.inf]
-
-
-def _parent_select_rows(costs, ok, u, policy, temperature=1.0):
-    costs = np.asarray(costs, dtype=np.float64)
-    ok = np.asarray(ok, dtype=bool)
-    if policy == "greedy":
-        return np.argmin(np.where(ok, costs, np.inf), axis=0).astype(np.int64)
-    u = np.asarray(u, dtype=np.float64)
-    cnt = ok.sum(axis=0)
-    if policy == "uniform":
-        pick = np.minimum((u * cnt).astype(np.int64), np.maximum(cnt - 1, 0))
-        hit = ok & (np.cumsum(ok, axis=0) == pick + 1)
-        return np.argmax(hit, axis=0).astype(np.int64)
-    lo = np.where(ok, costs, np.inf).min(axis=0)
-    lo = np.where(np.isfinite(lo), lo, 0.0)  # all-invalid lanes
-    expo = np.where(ok, -(costs - lo[None, :]) / temperature, -np.inf)
-    w = np.exp(expo)  # exactly 0.0 on masked rows
-    cum = np.cumsum(w, axis=0)
-    x = u * cum[-1]
-    found = cum > x[None, :]
-    sel = np.argmax(found, axis=0)
-    last_valid = (ok.shape[0] - 1) - np.argmax(ok[::-1], axis=0)
-    sel = np.where(found.any(axis=0), sel, np.maximum(last_valid, 0))
-    return sel.astype(np.int64)
 
 
 @st.composite

@@ -18,8 +18,8 @@ pool itself is exercised in ``tests/core/test_shard.py``).
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork
 from repro.core.routing_stats import BatchCongestion
 from repro.core.shard import merge_results, slice_bounds
 from repro.sim.scenario import SoakStats
@@ -28,14 +28,7 @@ N = 128
 BATCH = 400
 
 
-def _build(seed=31):
-    rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(N)
-    return net
-
-
-NET = _build()
+NET = populated(N, 31)
 ROUTER = NET.router(auto_refresh=True)
 _rng = np.random.default_rng(8)
 _pts = NET.segments.as_array()
@@ -125,7 +118,7 @@ class TestShardParityAcrossRefresh:
         the executor's re-sync discipline), and the merged accumulator
         must equal the single-process run over the same two batches."""
         rng = np.random.default_rng(churn_seed)
-        net = _build(seed=77)
+        net = populated(N, 77)
         router = net.router(auto_refresh=True)
         pts = net.segments.as_array()
         src = pts[rng.integers(0, pts.size, size=BATCH)]
@@ -143,7 +136,7 @@ class TestShardParityAcrossRefresh:
 
         # sharded run on an identical network: batch 2 is sliced across
         # workers after the same churn point (post-refresh snapshot)
-        net2 = _build(seed=77)
+        net2 = populated(N, 77)
         router2 = net2.router(auto_refresh=True)
         merged = BatchCongestion()
         merged.record_batch(router2.batch_fast_lookup(

@@ -13,8 +13,8 @@ equality, never approximate.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork
 from repro.core.routing_stats import BatchCongestion
 from repro.sim.scenario import SoakStats
 
@@ -22,14 +22,7 @@ N = 128
 STREAM = 400
 
 
-def _build(seed=77):
-    rng = np.random.default_rng(seed)
-    net = DistanceHalvingNetwork(rng=rng)
-    net.populate(N)
-    return net
-
-
-NET = _build()
+NET = populated(N, 77)
 ROUTER = NET.router(auto_refresh=True)
 _rng = np.random.default_rng(5)
 _pts = NET.segments.as_array()
@@ -118,7 +111,7 @@ class TestSoakStatsSplitInvariance:
         snapshots (routing differs across snapshots, accounting must
         not)."""
         rng = np.random.default_rng(churn_seed)
-        net = _build(seed=churn_seed % 1000)
+        net = populated(N, churn_seed % 1000)
         router = net.router(auto_refresh=True)
         pts = net.segments.as_array()
         sources = pts[rng.integers(0, pts.size, size=STREAM)]

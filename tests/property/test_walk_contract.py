@@ -8,7 +8,7 @@ fault-tolerant simple (under a fail-stop plan that kills walks
 mid-path), cache serve, and the seven Table 1 baseline routers — and
 pins their outputs to sha256 digests recorded on the commit before the
 port (the engines still had their private copies then).
-:func:`~test_descent_parity.levels_to_csr`, deleted from ``src/`` by the
+``levels_to_csr`` (:mod:`oracles.walk`), deleted from ``src/`` by the
 port, is the oracle for the writer.
 """
 
@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_descent_parity import levels_to_csr
+from oracles.compare import assert_same
+from oracles.walk import levels_to_csr
+from oracles.inputs import populated
 
 from repro.baselines import (
     CanNetwork,
@@ -35,7 +37,6 @@ from repro.core import (
     BatchCacheResult,
     BatchCongestion,
     BatchLookupResult,
-    DistanceHalvingNetwork,
 )
 from repro.core.walk import (
     PathResult,
@@ -64,8 +65,7 @@ BASELINES = {
 }
 
 # ------------------------------------------------------------------ producers
-NET = DistanceHalvingNetwork(rng=np.random.default_rng(3))
-NET.populate(128)
+NET = populated(128, 3)
 ROUTER = CostAwareBatchRouter(
     NET, CostMap.synthetic(n_isps=4, rng=np.random.default_rng(7)))
 FT_NET = OverlappingDHNetwork(256, np.random.default_rng(5))
@@ -169,8 +169,7 @@ class TestContract:
     def test_true_means_csr(self, name):
         as_true, _ = PRODUCERS[name](150, True)
         as_csr, _ = PRODUCERS[name](150, "csr")
-        for got, want in zip(as_true.to_csr(), as_csr.to_csr()):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_same(as_true.to_csr(), as_csr.to_csr())
         for res in (as_true, as_csr):  # no level matrix left behind
             assert [k for k, v in vars(res).items()
                     if getattr(v, "ndim", 0) > 1 and k != "tau_used"] == []
@@ -264,8 +263,7 @@ class TestPinnedDigests:
 
     def test_cache_epoch_of_three_batches(self):
         rng = np.random.default_rng(31)
-        net = DistanceHalvingNetwork(rng=rng)
-        net.populate(1024)
+        net = populated(1024, rng)
         eng = BatchCacheEngine(net, list(range(16)), threshold=4)
         pts = net.segments.as_array()
         parts = []
@@ -444,8 +442,7 @@ class TestRaggedToCsr:
             dense[:len(r), i] = r
         for want in (descend_tail(buf, starts),
                      levels_to_csr(len(rows), [dense])):
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert_same(got, want)
 
     @given(ragged_lanes, st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
@@ -460,8 +457,7 @@ class TestRaggedToCsr:
             buf[starts[i]:starts[i] + len(written)] = written
             dense[:len(written), i] = written
         got = ragged_to_csr(buf, starts, lens)
-        for a, b in zip(got, levels_to_csr(len(lanes), [dense])):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same(got, levels_to_csr(len(lanes), [dense]))
 
     def test_casts_servers_to_int32(self):
         servers, offsets = ragged_to_csr(np.array([4, 4, 7], dtype=np.int64),

@@ -9,17 +9,15 @@ import asyncio
 
 import numpy as np
 import pytest
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork, dh_lookup
+from repro.core import dh_lookup
 from repro.sim.asyncnet import AsyncDHNetwork, run_async_lookups
 
 
 @pytest.fixture(scope="module")
 def net():
-    rng = np.random.default_rng(99)
-    n = DistanceHalvingNetwork(rng=rng)
-    n.populate(64)
-    return n
+    return populated(64, 99)
 
 
 class TestAsyncLookups:

@@ -11,8 +11,9 @@ and fails — on the commit before the fold.
 
 import numpy as np
 import pytest
+from oracles.inputs import populated
 
-from repro.core import DistanceHalvingNetwork, dh_lookup, fast_lookup
+from repro.core import dh_lookup, fast_lookup
 from repro.faults import OverlappingDHNetwork, canonical_path
 from repro.sim.asyncnet import run_async_lookups
 from repro.sim.protocol import build_protocol_network, run_protocol_lookup
@@ -20,9 +21,7 @@ from repro.sim.protocol import build_protocol_network, run_protocol_lookup
 
 @pytest.fixture(scope="module")
 def net64():
-    net = DistanceHalvingNetwork(rng=np.random.default_rng(99))
-    net.populate(64)
-    return net
+    return populated(64, 99)
 
 
 BAD = pytest.mark.parametrize("bad", [float("nan"), float("inf"),

@@ -4,18 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from oracles.inputs import populated
 
 from repro.balance import MultipleChoice
-from repro.core import DistanceHalvingNetwork
 from repro.sim.protocol import build_protocol_network, run_protocol_lookup
 
 
 @pytest.fixture(scope="module")
 def net():
-    rng = np.random.default_rng(0)
-    n = DistanceHalvingNetwork(rng=rng)
-    n.populate(64, selector=MultipleChoice(t=4))
-    return n
+    return populated(64, 0, selector=MultipleChoice(t=4))
 
 
 @pytest.fixture()

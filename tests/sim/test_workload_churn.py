@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles.inputs import joined, populated
 
 from repro.balance import MultipleChoice
 from repro.core import DistanceHalvingNetwork
@@ -50,8 +51,7 @@ class TestWorkloads:
     @pytest.mark.parametrize("delta", [2, 4])
     def test_balanced_network_is_the_two_line_build(self, delta):
         net = balanced_network(96, np.random.default_rng(5), delta=delta)
-        ref = DistanceHalvingNetwork(delta=delta, rng=np.random.default_rng(5))
-        ref.populate(96, selector=MultipleChoice(t=4))
+        ref = populated(96, 5, delta=delta, selector=MultipleChoice(t=4))
         assert net.delta == delta and net.n == 96
         assert list(net.points()) == list(ref.points())
         # rng stays the network's own generator: the next join agrees too
@@ -160,16 +160,9 @@ class TestMeasuredRegionFollowsSelector:
     POINTS = [0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 0.55, 0.6, 0.9, 0.95]
     LANDING = 0.93
 
-    @staticmethod
-    def _build(points):
-        net = DistanceHalvingNetwork(rng=np.random.default_rng(0))
-        for p in points:
-            net.join(p)
-        return net
-
     def _oracle_touched(self):
         """Touched count computed around the actual landing point."""
-        net = self._build(self.POINTS)
+        net = joined(self.POINTS, seed=0)
         owner = net.segments.cover_point(self.LANDING)
         region = [owner] + net.neighbor_points(owner)
         before = {q: frozenset(net.neighbor_points(q)) for q in region}
@@ -180,7 +173,7 @@ class TestMeasuredRegionFollowsSelector:
         )
 
     def test_touched_measured_around_actual_join_point(self):
-        net = self._build(self.POINTS)
+        net = joined(self.POINTS, seed=0)
         selector = lambda _net, _rng: self.LANDING  # noqa: E731
         trace = ChurnTrace(ops=[ChurnOp("join")])
         report = run_churn(net, trace, np.random.default_rng(123),
@@ -189,7 +182,7 @@ class TestMeasuredRegionFollowsSelector:
         assert report.touched_per_op == [self._oracle_touched()]
 
     def test_selector_receives_driver_rng(self):
-        net = self._build(self.POINTS)
+        net = joined(self.POINTS, seed=0)
         calls = []
 
         def selector(net_arg, rng_arg):
