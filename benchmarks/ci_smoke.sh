@@ -57,26 +57,15 @@ run python -m repro.cli bench-baselines \
   --n 1024 --lookups 20000 --scalar-sample 200 --min-speedup 3 \
   --json-out "$OUT_DIR/BENCH_baselines.json"
 
-# Multicore sharded backend smoke: the merged congestion summary + hop
-# histogram must be bit-identical to the single-process engine — gated
-# on every machine.  The throughput gain is informational here
-# (--min-speedup 0): CI runners routinely expose fewer CPUs than the
-# worker count, and the 2x/4-worker acceptance is measured at n=2^18
-# (docs/BENCHMARKS.md "The subcommands"), not at smoke size.
-run python -m repro.cli bench-shard \
-  --n 1024 --lookups 20000 --workers 2 --chunk 4096 --min-speedup 0 \
-  --json-out "$OUT_DIR/BENCH_shard.json"
-
 # Cost-aware covering-edge routing smoke: the three selection policies
 # over a synthetic ISP map.  The ≥30% cross-ISP reduction and ≤1.5x
 # stretch acceptance is measured at n=16384 (docs/BENCHMARKS.md
 # "The subcommands") but
 # holds with wide margin at smoke size too; the speedup floor is the
-# conservative 5x of the other smokes.  The 2-worker flag also gates
-# the sharded cost-dh bit-parity on every run.
+# conservative 5x of the other smokes.
 run python -m repro.cli bench-cost \
   --n 1024 --pairs 20000 --scalar-sample 100 --core-n 512 \
-  --core-pairs 10000 --workers 2 --min-speedup 5 \
+  --core-pairs 10000 --min-speedup 5 \
   --json-out "$OUT_DIR/BENCH_cost.json"
 
 # Day-in-the-life soak smoke: every subsystem composed on one live

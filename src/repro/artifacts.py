@@ -21,23 +21,21 @@ __all__ = ["VOLATILE_KEYS", "to_jsonable", "strip_volatile", "dumps",
            "unwritable", "write_artifact"]
 
 #: Leaf names whose value reads the clock or the machine — wall-clock
-#: times, rates and speedups derived from them, memory high-water marks,
-#: the CPU count and the gate it engages.  Everything else a bench or an
-#: experiment reports is a function of its arguments and seed.  A field
-#: that differs between same-seed runs for any other reason is a bug to
-#: fix, not a name to add here.
+#: times, rates and speedups derived from them, memory high-water marks.
+#: Everything else a bench or an experiment reports is a function of its
+#: arguments and seed.  A field that differs between same-seed runs for
+#: any other reason is a bug to fix, not a name to add here.
 VOLATILE_KEYS = frozenset({
     # wall clock
     "seconds", "secs", "wall_seconds", "batch_secs", "scalar_secs",
-    "build_secs", "compile_secs", "full_compile_secs", "single_secs",
-    "sharded_secs", "refresh_secs_per_op", "refresh_us_per_op",
+    "build_secs", "compile_secs", "full_compile_secs",
+    "refresh_secs_per_op", "refresh_us_per_op",
     # rates and ratios of wall-clock times
     "batch_rate", "scalar_rate", "baseline_rate", "final_rate",
-    "single_rate", "sharded_rate", "refresh_ops_rate", "klookups_per_sec",
-    "krequests_per_sec", "speedup", "min_speedup_measured", "shard_gain",
-    "refresh_vs_compile",
+    "refresh_ops_rate", "klookups_per_sec", "krequests_per_sec", "speedup",
+    "min_speedup_measured", "refresh_vs_compile",
     # the machine
-    "peak_rss_mb", "cpu_count", "speedup_gate_engaged",
+    "peak_rss_mb",
 })
 
 

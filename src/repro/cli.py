@@ -105,9 +105,6 @@ _SAMPLE = _shared(
     "the batch replay of this subsample must match it bit-for-bit", _ge(1))
 _SEED = _shared("--seed", int, "seed of the network and the workload", _ge(0))
 _CHUNK = _shared("--chunk", int, "batch size of the chunked drive", _ge(1))
-_WORKERS = _shared(
-    "--workers", int, "worker processes of the sharded execution backend "
-    "(1 = in-process)", _ge(1))
 _MIN_SPEEDUP = _shared(
     "--min-speedup", float, "exit 1 when the batch engine's gain over its "
     "baseline is below this factor", _NUMBER, gate=True)
@@ -123,14 +120,6 @@ def _measure_soak(no_invariants: bool, **kwargs):
     return measure_soak(invariants=not no_invariants, strict=False, **kwargs)
 
 
-def _shard_verdict(result, args) -> str:
-    if result["speedup_gate_engaged"] and args.min_speedup > 0:
-        return (f"shard parity and gain ≥ {args.min_speedup:g}x "
-                f"with {args.workers} workers")
-    return (f"shard parity (gain gate waived: {result['cpu_count']} CPU(s) < "
-            f"{args.workers} workers or --min-speedup 0)")
-
-
 def _parity_and_speedup(result, args) -> bool:
     return result["parity_ok"] and result["speedup"] >= args.min_speedup
 
@@ -141,7 +130,7 @@ BENCHES = {bench.name: bench for bench in (
           "network, with a bit-parity cross-check on the scalar subsample",
           "throughput:measure_throughput", "throughput:format_throughput_report",
           (_N(4096, _ge(1)), _LOOKUPS(100_000), _SAMPLE(1000), _ALGORITHM, _DELTA,
-           _SEED(0), _WORKERS(1), _MIN_SPEEDUP(10.0)),
+           _SEED(0), _MIN_SPEEDUP(10.0)),
           _parity_and_speedup,
           lambda r, a: f"parity and speedup ≥ {a.min_speedup:g}x"),
     Bench("bench-churn",
@@ -169,7 +158,7 @@ BENCHES = {bench.name: bench for bench in (
           "Counter loop; summaries must be bit-identical on a shared subsample",
           "congestion:measure_congestion", "congestion:format_congestion_report",
           (_N(16384, _ge(2)), _LOOKUPS(100_000), _SAMPLE(1000), _ALGORITHM, _DELTA,
-           _SEED(0), _WORKERS(1), _MIN_SPEEDUP(10.0)),
+           _SEED(0), _MIN_SPEEDUP(10.0)),
           _parity_and_speedup,
           lambda r, a: f"accounting parity and speedup ≥ {a.min_speedup:g}x"),
     Bench("bench-faults",
@@ -225,7 +214,7 @@ BENCHES = {bench.name: bench for bench in (
                 "flash,failstop:0.08,byzantine:0.05,rebalance,mass:0.3' (default: "
                 "the 8-phase day-in-the-life script)", _scenario_script),
            _CHUNK(None, help="peak in-flight requests (default 2^16)"), _SEED(0),
-           _WORKERS(1), Flag("--items", int, 24, "erasure-coded blobs", _ge(1)),
+           Flag("--items", int, 24, "erasure-coded blobs", _ge(1)),
            Flag("--no-invariants", bool, False, "skip the between-phase "
                 "invariant checker (timing runs only)"),
            Flag("--min-ft-success", float, 0.9, "exit 1 when the fault-tolerant "
@@ -233,17 +222,6 @@ BENCHES = {bench.name: bench for bench in (
           lambda r, a: (r["invariants_ok"] and r["healing_ok"]
                         and r["stats"]["ft_success_rate"] >= a.min_ft_success),
           lambda r, a: f"invariants + healing + ft success ≥ {a.min_ft_success:g}"),
-    Bench("bench-shard",
-          "multicore shoot-out: the single-process batch engine vs the sharded "
-          "shared-memory backend (--workers N) on one workload; merged congestion "
-          "summary and hop histogram must be bit-identical, and the gain must "
-          "hold --min-speedup when the machine has N CPUs (0 waives it)",
-          "shard_bench:measure_shard", "shard_bench:format_shard_report",
-          (_N(1 << 18, _ge(8)), _LOOKUPS(1_000_000), _WORKERS(4, _ge(2)),
-           _CHUNK(1 << 17), _SEED(0), _MIN_SPEEDUP(2.0)),
-          lambda r, a: r["parity_ok"] and (not r["speedup_gate_engaged"]
-                                           or r["shard_gain"] >= a.min_speedup),
-          _shard_verdict),
     Bench("bench-cost",
           "cost-aware covering-edge routing (P4P/ALTO-style): uniform / greedy / "
           "weighted cover selection over a synthetic ISP cost map; gates greedy's "
@@ -256,15 +234,12 @@ BENCHES = {bench.name: bench for bench in (
                 "weighted policy", _bound("> 0", lambda v: v > 0)),
            Flag("--core-n", int, 4096, "network size of the core-engine cell", _ge(8)),
            Flag("--core-pairs", int, 50_000, "pairs the core cell routes", _ge(1)),
-           _WORKERS(1, help="also route the core greedy cell on the sharded "
-                    "backend with this many workers and require bit-parity"),
            Flag("--min-xisp-reduction", float, 0.3, "exit 1 when greedy cuts mean "
                 "cross-ISP traffic by less than this fraction", _NUMBER, gate=True),
            Flag("--max-stretch", float, 1.5, "exit 1 when greedy's mean hops "
                 "exceed uniform's by more than this factor", _NUMBER, gate=True),
            _MIN_SPEEDUP(10.0)),
           lambda r, a: (_parity_and_speedup(r, a) and r["core_replay_ok"]
-                        and r["core_shard_parity_ok"]
                         and r["xisp_reduction"] >= a.min_xisp_reduction
                         and r["stretch"] <= a.max_stretch),
           lambda r, a: ("parity, cross-ISP reduction ≥ "

@@ -168,10 +168,9 @@ class BatchRouter(ColumnarSnapshot):
     owns the version counter against the network's membership journal,
     the stale-or-refresh entry guard, the incremental-vs-full refresh
     decision with its :class:`~repro.core.snapshot.SnapshotRefreshStats`
-    accounting, and the column registry the sharded execution backend
-    (:mod:`repro.core.shard`) exports into shared memory.  This class
-    contributes the routing math plus the membership-specific patch rule
-    (:meth:`_patch`) and rebuild (:meth:`_rebuild`).
+    accounting.  This class contributes the routing math plus the
+    membership-specific patch rule (:meth:`_patch`) and rebuild
+    (:meth:`_rebuild`).
 
     Parameters
     ----------
@@ -200,15 +199,6 @@ class BatchRouter(ColumnarSnapshot):
         cheaper for bulk changes.  ``None`` means ``max(16, n // 16)``;
         a negative budget raises ``ValueError``.
     """
-
-    #: Aligned arrays the snapshot layer registers and the shard backend
-    #: exports — read-only views of the router's row buffers (see
-    #: :meth:`_patch`).  ``cover_index`` and the neighbour ranges
-    #: ``adj_first`` / ``adj_count`` are derived columns of ``points``
-    #: (not n-aligned, so not registered): rebuilt and patched with it,
-    #: never on their own; the shard export ships the two range arrays
-    #: beside the registered columns.
-    COLUMNS = ("points", "seg_start", "seg_end", "midpoints")
 
     def __init__(self, net, build_adjacency: bool = False,
                  auto_refresh: bool = False,
@@ -281,9 +271,6 @@ class BatchRouter(ColumnarSnapshot):
         """Sorted server ids ``x_i`` (float64), a read-only hand-out."""
         return self._rows(self._ext)
 
-    #: ``s(x_i)`` starts at ``x_i``: the point column again
-    seg_start = points
-
     @property
     def seg_end(self) -> np.ndarray:
         """Segment ends ``x_{i+1}`` (``x_0`` for the seam row), read-only."""
@@ -296,7 +283,7 @@ class BatchRouter(ColumnarSnapshot):
 
     @property
     def n_rows(self) -> int:
-        """Rows of every registered column, without handing one out."""
+        """Rows of every column, without handing one out."""
         return self.n
 
     def __getstate__(self) -> dict:
@@ -380,7 +367,7 @@ class BatchRouter(ColumnarSnapshot):
         n = self.n
         if first.shape[1] != n + 1:
             # columns older than the point column: a patch that died
-            # half-way, a shard worker attached to a half-written export
+            # half-way
             raise StaleSnapshotError(_STALE_ROUTER_ERROR)
         def within(col, first, count):
             # first < n, so (col - first) mod n is one add on the lanes
@@ -520,9 +507,12 @@ class BatchRouter(ColumnarSnapshot):
         executor re-syncs its shared-memory snapshot against this
         router's version on every batch, so churn + ``auto_refresh``
         compose with sharding.  Call :meth:`close_executor` (or close
-        the returned handle) when done.
+        the returned handle) when done.  ``workers`` other than an
+        integer ``>= 2`` raises ``ValueError`` before the cached
+        executor is touched.
         """
-        from .shard import ShardedExecutor
+        from .shard import ShardedExecutor, worker_count
+        workers = worker_count(workers)
         ex = getattr(self, "_executor", None)
         if ex is not None and ex.workers != workers:
             ex.close()
@@ -544,11 +534,12 @@ class BatchRouter(ColumnarSnapshot):
         """Route a batch of fast lookups, optionally sharded.
 
         ``workers=1`` (the default) is exactly
-        :meth:`batch_fast_lookup`; ``workers>=2`` routes contiguous
-        slices through the cached sharded executor and merges — the
-        result is bit-identical either way.
+        :meth:`batch_fast_lookup`; an integer ``workers>=2`` routes
+        contiguous slices through the cached sharded executor and merges
+        — the result is bit-identical either way.  Any other value
+        raises ``ValueError``.
         """
-        if workers <= 1:
+        if workers == 1:
             return self.batch_fast_lookup(sources, targets,
                                           keep_paths=keep_paths)
         return self.sharded_executor(workers).batch_fast_lookup(

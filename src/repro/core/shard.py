@@ -1,45 +1,42 @@
-"""Opt-in multicore sharded execution backend for the batch engines.
+"""Sharded §2.2.1 fast lookups over a shared-memory snapshot.
 
 The batch spine is single-process by construction: one
 :class:`~repro.core.batch.BatchRouter` routes one NumPy batch on one
-core.  This module adds the parallel layer the ROADMAP calls "the piece
-that lets benches scale past n=2^20": a :class:`ShardedExecutor` that
+core.  This module routes the fast lookup of
+:meth:`~repro.core.batch.BatchRouter.lookup_batch` (``workers >= 2``)
+across worker processes — the one sharded path, measured by the spine's
+``route_sharded`` workload:
 
-* exports the router's frozen snapshot **pickle-free** into
-  ``multiprocessing.shared_memory`` blocks — exactly the arrays the
-  :class:`~repro.core.snapshot.ColumnarSnapshot` column registry
-  enumerates, plus the two adjacency range columns when built and any
-  ``shard_extra_arrays()`` a router subclass declares (the cost-aware
-  router ships its k×k ISP matrix this way) — so every worker process
-  routes against the *same physical pages*, not a copy;
-* splits a batch of lookups into ``workers`` contiguous slices and runs
-  them through a persistent process pool; the per-lane routing math is
+* :class:`ShardedExecutor` exports the router's snapshot **pickle-free**
+  into ``multiprocessing.shared_memory`` blocks — exactly the three
+  arrays :meth:`~repro.core.batch.BatchRouter._adopt` takes (``points``,
+  ``seg_end``, ``midpoints``) — so every worker routes against the
+  *same physical pages*, not a copy;
+* it splits a batch into ``workers`` contiguous slices and runs them
+  through a persistent process pool; the per-lane routing math is
   elementwise (every IEEE-754 op of a lane depends only on that lane and
   the shared snapshot), so the concatenation of per-shard results is
   **bit-identical** to the single-process run — the property the
   hypothesis shard-parity suite asserts;
-* merges per-shard results through the existing associative accumulator
-  semantics: :func:`merge_results` re-assembles one
+* :func:`merge_results` re-assembles one
   :class:`~repro.core.batch.BatchLookupResult` (CSR paths concatenate
-  with offset shifts), and downstream accumulators
-  (:class:`~repro.core.routing_stats.BatchCongestion`,
-  :class:`~repro.sim.scenario.SoakStats`) merge exactly.
+  with offset shifts), which downstream accumulators
+  (:class:`~repro.core.routing_stats.BatchCongestion`) book exactly.
 
 Ownership of the shared-memory lifetime is strictly the executor's: the
 parent creates and unlinks every block; workers only attach views and
 never outlive the pool.  After membership churn the exported snapshot is
 stale — :meth:`ShardedExecutor.sync` re-exports and restarts the pool
 (the router's journal/patch machinery keeps *its* arrays fresh; the
-executor only mirrors the result).
-
-One batch kind is deliberately **not** sharded: the caching engine's
-``serve_batch`` (its replication fixpoint is order-dependent across the
-whole batch, so slicing would change results).
+executor only mirrors the result).  A worker that dies mid-batch breaks
+the pool: the batch raises ``RuntimeError``, every block is unlinked,
+and the next batch (or :meth:`ShardedExecutor.sync`) starts a new pool.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import numbers
 import os
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,13 +45,29 @@ import numpy as np
 
 from .batch import BatchLookupResult, BatchRouter
 from .segments import CoverIndex
-from .walk import normalize_pair, per_lane_matrix
+from .walk import normalize_pair
 
 __all__ = ["ShardedExecutor", "available_workers", "merge_results",
-           "slice_bounds"]
+           "slice_bounds", "worker_count"]
 
-#: Scalar attributes a worker needs besides the shared columns.
+#: The row arrays a worker routes against, in ``BatchRouter._adopt`` order.
+_EXPORTED = ("points", "seg_end", "midpoints")
+
+#: Scalar attributes a worker needs besides the shared arrays.
 _SCALARS = ("delta", "with_ring", "n")
+
+
+def worker_count(workers) -> int:
+    """``workers`` as an int ``>= 2``; a ``ValueError`` naming it otherwise.
+
+    A float is refused even when integral: ``int(2.5)`` silently
+    truncating is what this check exists to stop.
+    """
+    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
+            or workers < 2):
+        raise ValueError("workers must be 1 (in-process) or an integer >= 2 "
+                         f"(sharded), got {workers!r}")
+    return int(workers)
 
 
 def slice_bounds(size: int, workers: int) -> List[Tuple[int, int]]:
@@ -75,7 +88,7 @@ def slice_bounds(size: int, workers: int) -> List[Tuple[int, int]]:
 
 def merge_results(parts: Sequence[BatchLookupResult],
                   points: Optional[np.ndarray] = None) -> BatchLookupResult:
-    """Concatenate per-shard results into one :class:`BatchLookupResult`.
+    """Concatenate per-shard fast-lookup results into one result.
 
     Pure re-assembly — lane order is preserved, CSR offsets are shifted
     by the running path-entry count, and no float is recomputed, so the
@@ -85,28 +98,9 @@ def merge_results(parts: Sequence[BatchLookupResult],
     """
     if not parts:
         raise ValueError("nothing to merge")
-    first = parts[0]
     if points is None:
-        points = first.points
+        points = parts[0].points
     cat = np.concatenate
-    phase1 = None
-    if all(p.phase1_hops is not None for p in parts):
-        phase1 = cat([p.phase1_hops for p in parts])
-    tau_used = None
-    if all(p.tau_used is not None for p in parts):
-        # shards stop at their own deepest phase-I step; right-pad the
-        # narrower digit matrices with zeros (digits past a lookup's
-        # ``t`` are never consumed by a replay) before stacking
-        width = max(p.tau_used.shape[1] for p in parts)
-        padded = []
-        for p in parts:
-            tu = p.tau_used
-            if tu.shape[1] < width:
-                pad = np.zeros((tu.shape[0], width - tu.shape[1]),
-                               dtype=tu.dtype)
-                tu = np.concatenate([tu, pad], axis=1)
-            padded.append(tu)
-        tau_used = cat(padded)
     servers = offsets = None
     if all(p.path_servers is not None for p in parts):
         servers = cat([p.path_servers for p in parts])
@@ -118,7 +112,7 @@ def merge_results(parts: Sequence[BatchLookupResult],
             at += p.size
             base += int(p.path_offsets[-1])
     return BatchLookupResult(
-        algorithm=first.algorithm,
+        algorithm=parts[0].algorithm,
         points=points,
         targets=cat([p.targets for p in parts]),
         sources=cat([p.sources for p in parts]),
@@ -126,9 +120,6 @@ def merge_results(parts: Sequence[BatchLookupResult],
         owner_idx=cat([p.owner_idx for p in parts]),
         t=cat([p.t for p in parts]),
         hops=cat([p.hops for p in parts]),
-        phase1_hops=phase1,
-        tau_used=tau_used,
-        policy=first.policy,
         path_servers=servers,
         path_offsets=offsets,
     )
@@ -141,7 +132,7 @@ class _ShardRouter(BatchRouter):
     it with ``__new__`` and wires the attributes straight onto the
     attached views.  There is no live network behind it — the snapshot
     is frozen for the lifetime of the pool — so the freshness guard is
-    a no-op and anything that would need the live object graph raises.
+    a no-op and a refresh raises.
     """
 
     def ensure_fresh(self) -> None:
@@ -152,10 +143,6 @@ class _ShardRouter(BatchRouter):
         """Always an error: refresh happens in the parent process."""
         raise RuntimeError("shard workers hold a frozen snapshot; "
                            "refresh happens in the parent process")
-
-    def _build_adjacency(self) -> None:
-        raise RuntimeError("shard workers cannot reach the live network; "
-                           "build adjacency before exporting the snapshot")
 
 
 #: Worker-global state: (router, attached SharedMemory blocks).
@@ -170,25 +157,21 @@ def _init_worker(spec: Dict) -> None:
     ``unlink`` unregisters them once — ownership stays with the parent.
     """
     blocks = []
-    router = _ShardRouter.__new__(_ShardRouter)
-    views = {}
-    for attr, name, dtype, shape in spec["columns"]:
+    views = []
+    for name, dtype, shape in spec["columns"]:
         shm = shared_memory.SharedMemory(name=name)
         blocks.append(shm)
         view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
         view.flags.writeable = False
-        views[attr] = view
+        views.append(view)
+    router = _ShardRouter.__new__(_ShardRouter)
     for attr, value in spec["scalars"].items():
         setattr(router, attr, value)
-    # the routing columns become the row buffers; the cover index is
-    # derived from the shared point column, like in the parent (~0.5 ms)
-    router._adopt(CoverIndex(views.pop("points")), views.pop("seg_end"),
-                  views.pop("midpoints"))
-    del views["seg_start"]  # the point column again
-    for attr, view in views.items():
-        setattr(router, attr, view)
-    if not hasattr(router, "adj_first"):
-        router.adj_first = router.adj_count = None
+    # the cover index is derived from the shared point column, like in
+    # the parent (~0.5 ms)
+    points, seg_end, midpoints = views
+    router._adopt(CoverIndex(points), seg_end, midpoints)
+    router.adj_first = router.adj_count = None
     _WORKER["router"] = router
     _WORKER["blocks"] = blocks
 
@@ -202,37 +185,17 @@ def _run_fast(task) -> BatchLookupResult:
     return result
 
 
-def _run_dh(task) -> BatchLookupResult:
-    sources, targets, tau, keep_paths = task
-    router: _ShardRouter = _WORKER["router"]  # type: ignore[assignment]
-    result = router.batch_dh_lookup(sources, targets, tau=tau,
-                                    keep_paths=keep_paths)
-    result.points = None
-    return result
-
-
-def _run_cost_dh(task) -> BatchLookupResult:
-    sources, targets, choices, policy, temperature, keep_paths = task
-    router: _ShardRouter = _WORKER["router"]  # type: ignore[assignment]
-    result = router.batch_cost_dh_lookup(
-        sources, targets, choices=choices, policy=policy,
-        temperature=temperature, keep_paths=keep_paths)
-    result.points = None
-    return result
-
-
 class ShardedExecutor:
-    """Persistent worker pool routing batch slices against a shared snapshot.
+    """Persistent worker pool routing fast-lookup slices on a shared snapshot.
 
     Parameters
     ----------
     router:
         The compiled :class:`~repro.core.batch.BatchRouter` to export.
         It must be fresh (the constructor and :meth:`sync` call its
-        ``ensure_fresh``); build adjacency first if the workload uses
-        :meth:`batch_dh_lookup`.
+        ``ensure_fresh``).
     workers:
-        Worker process count (≥ 2; use the plain router for 1).
+        Worker process count, an integer ≥ 2 (use the plain router for 1).
 
     Workers start with ``fork`` where available (cheapest on Linux),
     else with the platform default.
@@ -242,82 +205,75 @@ class ShardedExecutor:
     """
 
     def __init__(self, router: BatchRouter, workers: int) -> None:
-        if workers < 2:
-            raise ValueError("a sharded executor needs workers >= 2")
         self.router = router
-        self.workers = int(workers)
+        self.workers = worker_count(workers)
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else methods[0])
         self._pool = None
         self._blocks: List[shared_memory.SharedMemory] = []
+        self._closed = False
         self.version: Optional[int] = None
         self.syncs = 0
         self.sync()
 
     # ------------------------------------------------------------- lifecycle
     def _export(self) -> Dict:
-        """Copy the router's registered columns into fresh shm blocks."""
+        """Copy the router's row arrays into fresh shm blocks."""
         router = self.router
         columns = []
-        arrays = dict(router.snapshot_columns())
-        self._exported_adjacency = router.adj_first is not None
-        if self._exported_adjacency:
-            arrays["adj_first"] = router.adj_first
-            arrays["adj_count"] = router.adj_count
-        # non-column extras (e.g. the cost-aware router's k×k ISP cost
-        # matrix, which is not n-aligned and so not a registered column)
-        extra = getattr(router, "shard_extra_arrays", None)
-        if extra is not None:
-            arrays.update(extra())
-        for attr, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
+        for attr in _EXPORTED:
+            arr = np.ascontiguousarray(getattr(router, attr))
             shm = shared_memory.SharedMemory(
                 create=True, size=max(1, arr.nbytes))
+            self._blocks.append(shm)
             view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
             view[...] = arr
-            self._blocks.append(shm)
-            columns.append((attr, shm.name, arr.dtype.str, arr.shape))
+            columns.append((shm.name, arr.dtype.str, arr.shape))
         scalars = {attr: getattr(router, attr) for attr in _SCALARS}
         return {"columns": columns, "scalars": scalars}
 
     def _teardown(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        for shm in self._blocks:
+        """Stop the pool and unlink every block; the next sync restarts."""
+        pool, self._pool = self._pool, None
+        self.version = None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        blocks, self._blocks = self._blocks, []
+        for shm in blocks:
             shm.close()
             shm.unlink()
-        self._blocks = []
 
     def sync(self) -> "ShardedExecutor":
         """Re-export the snapshot if the router moved past the export.
 
-        Cheap no-op while versions agree; after churn it rebuilds the
-        shm blocks and restarts the pool (workers hold views into the
-        old blocks, so they cannot be reused).  Returns ``self``.
+        Cheap no-op while versions agree; after churn (or a broken
+        pool) it rebuilds the shm blocks and restarts the pool (workers
+        hold views into the old blocks, so they cannot be reused).
+        Returns ``self``.
         """
+        # imported here: concurrent.futures pulls in logging and the
+        # multiprocessing queues, which no unsharded run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         self.router.ensure_fresh()
         if self._pool is not None and self.version == self.router.version:
             return self
         self._teardown()
         spec = self._export()
-        self._pool = self._ctx.Pool(self.workers, initializer=_init_worker,
-                                    initargs=(spec,))
+        self._pool = ProcessPoolExecutor(
+            self.workers, mp_context=self._ctx, initializer=_init_worker,
+            initargs=(spec,))
+        # the first task forks every worker: start them now, not in the
+        # first batch
+        self._pool.submit(os.getpid).result()
+        self._closed = False
         self.version = self.router.version
         self.syncs += 1
         return self
 
-    def _export_adjacency(self) -> None:
-        """Make sure the workers hold the adjacency range columns."""
-        if not self._exported_adjacency:
-            if self.router.adj_first is None:
-                self.router._build_adjacency()
-            self.version = None  # restart the pool on an export with them
-            self.sync()
-
     def close(self) -> None:
-        """Terminate the pool and release every shared-memory block."""
+        """Stop the pool and release every shared-memory block."""
+        self._closed = True
         self._teardown()
 
     def __enter__(self) -> "ShardedExecutor":
@@ -333,10 +289,6 @@ class ShardedExecutor:
             pass
 
     # ---------------------------------------------------------------- routing
-    def _check(self) -> None:
-        if self._pool is None:
-            raise RuntimeError("executor is closed")
-
     def batch_fast_lookup(self, sources, targets,
                           keep_paths: "bool | str" = False,
                           ) -> BatchLookupResult:
@@ -344,80 +296,28 @@ class ShardedExecutor:
 
         Normalization happens once in the parent (it is elementwise, so
         it commutes with slicing); each worker routes one contiguous
-        slice and the merged result preserves lane order.
+        slice and the merged result preserves lane order.  A worker that
+        dies mid-batch raises ``RuntimeError`` after the pool is stopped
+        and every block unlinked; the next call starts a fresh pool.
         """
-        self._check()
+        if self._closed:
+            raise RuntimeError("executor is closed")
         self.sync()
         src, y = normalize_pair(sources, targets)
         bounds = slice_bounds(y.size, self.workers)
         if len(bounds) <= 1:
-            res = self.router.batch_fast_lookup(src, y, keep_paths=keep_paths)
-            return res
+            return self.router.batch_fast_lookup(src, y, keep_paths=keep_paths)
+        from concurrent.futures.process import BrokenProcessPool
+
         tasks = [(src[lo:hi], y[lo:hi], keep_paths) for lo, hi in bounds]
-        parts = self._pool.map(_run_fast, tasks)
-        return merge_results(parts, points=self.router.points)
-
-    def batch_dh_lookup(self, sources, targets, tau,
-                        keep_paths: "bool | str" = False,
-                        ) -> BatchLookupResult:
-        """Sharded §2.2.2 two-phase lookup (explicit ``tau`` only).
-
-        Random digit strings must be supplied: a shared ``rng`` draws
-        digits batch-wise, which is inherently order-dependent across
-        the whole batch and would break shard parity.
-        """
-        self._check()
-        self.sync()
-        self._export_adjacency()
-        src, y = normalize_pair(sources, targets)
-        tau_arr = per_lane_matrix(tau, y.size, np.int64, "tau")
-        bounds = slice_bounds(y.size, self.workers)
-        if len(bounds) <= 1:
-            return self.router.batch_dh_lookup(src, y, tau=tau_arr,
-                                               keep_paths=keep_paths)
-        tasks = [(src[lo:hi], y[lo:hi], tau_arr[lo:hi], keep_paths)
-                 for lo, hi in bounds]
-        parts = self._pool.map(_run_dh, tasks)
-        return merge_results(parts, points=self.router.points)
-
-    def batch_cost_dh_lookup(self, sources, targets, choices,
-                             policy: str = "weighted",
-                             temperature: float = 1.0,
-                             keep_paths: "bool | str" = False,
-                             ) -> BatchLookupResult:
-        """Sharded cost-aware dh lookup (explicit ``choices`` only).
-
-        Mirrors :meth:`~repro.core.batch.BatchRouter
-        .batch_cost_dh_lookup` over per-worker slices.  The per-step
-        uniforms must be supplied up front (an ``rng`` would be consumed
-        batch-wise and break shard parity, exactly like ``tau`` for the
-        plain dh path; ``policy="greedy"`` accepts ``choices=None``).
-        Requires a cost-aware router — the workers rebuild their shard
-        routers from the exported cost columns plus the ``_isp_cost``
-        extra array, so the merged result is bit-identical to the
-        single-process call, ``tau_used`` included.
-        """
-        self._check()
-        self.sync()
-        self.router._cost_state()  # actionable error on a cost-less router
-        self._export_adjacency()
-        src, y = normalize_pair(sources, targets)
-        u_mat = None
-        if choices is not None:
-            u_mat = per_lane_matrix(choices, y.size, np.float64, "choices")
-        elif policy != "greedy":
-            raise ValueError(
-                f"sharded policy {policy!r} needs explicit choices= uniforms")
-        bounds = slice_bounds(y.size, self.workers)
-        if len(bounds) <= 1:
-            return self.router.batch_cost_dh_lookup(
-                src, y, choices=u_mat, policy=policy,
-                temperature=temperature, keep_paths=keep_paths)
-        tasks = [(src[lo:hi], y[lo:hi],
-                  None if u_mat is None else u_mat[lo:hi],
-                  policy, temperature, keep_paths)
-                 for lo, hi in bounds]
-        parts = self._pool.map(_run_cost_dh, tasks)
+        try:
+            parts = list(self._pool.map(_run_fast, tasks))
+        except BrokenProcessPool as exc:
+            self._teardown()
+            raise RuntimeError(
+                "a shard worker died mid-batch; the pool is stopped and its "
+                "shared memory released, the next batch starts a new pool"
+            ) from exc
         return merge_results(parts, points=self.router.points)
 
 

@@ -1,41 +1,27 @@
 """Shared columnar-snapshot + op-journal layer.
 
-Two subsystems share one pattern — freeze a sorted decomposition into
-NumPy arrays, follow the live structure through a bounded journal of
-ops, patch the arrays in O(affected region) per op, and fall back to a
-full rebuild when the replay would cost more than a recompile:
+The pattern: freeze a sorted decomposition into NumPy arrays, follow
+the live structure through a bounded journal of ops, patch the arrays
+in O(affected region) per op, and fall back to a full rebuild when the
+replay would cost more than a recompile.  The batch-lookup router
+(:class:`~repro.core.batch.BatchRouter`) follows
+:class:`~repro.core.network.DistanceHalvingNetwork` membership this way.
 
-* the batch-lookup router (:class:`~repro.core.batch.BatchRouter`)
-  following :class:`~repro.core.network.DistanceHalvingNetwork`
-  membership;
-* the §6.2 cover tables of
-  :class:`~repro.faults.overlap.OverlappingDHNetwork` (static
-  membership — a snapshot that is never stale).
-
-This module holds the pattern once.  :class:`ColumnarSnapshot` owns
-the *frozen sorted columns* (aligned NumPy arrays registered by name),
-the version counter, the refresh decision (incremental patch within a
-churn budget and journal window, full rebuild otherwise), the
-:class:`SnapshotRefreshStats` accounting, and the stale-or-refresh
-entry guard.  :class:`OpJournal` owns the bounded op log.  Subclasses
-only say how to rebuild their columns from the source of truth
-(:meth:`ColumnarSnapshot._rebuild`) and — optionally — how to replay a
-pending-op suffix as array patches (:meth:`ColumnarSnapshot._patch`).
-
-The column registry doubles as the export surface of the sharded
-execution backend (:mod:`repro.core.shard`):
-:meth:`ColumnarSnapshot.snapshot_columns` enumerates exactly the arrays
-a worker process needs to route without the live Python object graph,
-which is what makes pickle-free ``shared_memory`` sharing possible.
+:class:`ColumnarSnapshot` owns the version counter, the refresh
+decision (incremental patch within a churn budget and journal window,
+full rebuild otherwise), the :class:`SnapshotRefreshStats` accounting,
+and the stale-or-refresh entry guard.  :class:`OpJournal` owns the
+bounded op log.  Subclasses only say how to rebuild their columns from
+the source of truth (:meth:`ColumnarSnapshot._rebuild`) and —
+optionally — how to replay a pending-op suffix as array patches
+(:meth:`ColumnarSnapshot._patch`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 __all__ = ["ColumnarSnapshot", "OpJournal", "SnapshotRefreshStats",
            "StaleSnapshotError"]
@@ -146,25 +132,23 @@ class OpJournal:
 class ColumnarSnapshot:
     """Frozen sorted NumPy columns following a journaled live structure.
 
-    Subclasses declare their aligned arrays in :attr:`COLUMNS` (instance
-    attributes or properties, one :class:`numpy.ndarray` per name, all
-    the same length) and implement:
+    Subclasses keep their aligned frozen arrays as attributes or
+    properties and implement:
 
     * :meth:`_rebuild` — fill every column from the source of truth
       (the full-recompile path);
     * :meth:`_patch` *(optional)* — replay a pending-op suffix as
       O(affected-region) array edits; return ``False`` to bail out to a
       full rebuild.  The default always bails, so a subclass without a
-      patch rule still gets correct (if slower) refresh semantics.  A
-      subclass with a journal also supplies ``n_rows``, the length of its
-      columns read without handing one out: the default ``budget`` is a
-      sixteenth of it.
+      patch rule still gets correct (if slower) refresh semantics;
+    * ``n_rows`` — the length of its columns read without handing one
+      out: the default ``budget`` is a sixteenth of it.
 
     A subclass may also keep *derived columns* — arrays computed from a
-    registered column but not aligned with it (the router's adjacency
-    ranges, the :class:`~repro.core.segments.CoverIndex` grid over its
-    point column).  They share the snapshot's lifetime: ``_rebuild``
-    rebuilds them and ``_patch`` keeps them current, never on their own.
+    column but not aligned with it (the router's adjacency ranges, the
+    :class:`~repro.core.segments.CoverIndex` grid over its point
+    column).  They share the snapshot's lifetime: ``_rebuild`` rebuilds
+    them and ``_patch`` keeps them current, never on their own.
 
     The base class owns everything the pre-extraction copies
     duplicated: the version counter against the journal, the
@@ -172,17 +156,11 @@ class ColumnarSnapshot:
     decision (incremental within ``budget`` and the journal window,
     full rebuild otherwise, with :class:`SnapshotRefreshStats`
     accounting).
-
-    A snapshot constructed with ``journal=None`` is *static*: it can
-    never go stale (the §6.2 cover tables).
     """
-
-    #: Names of the aligned frozen arrays; subclasses override.
-    COLUMNS: Tuple[str, ...] = ()
 
     def __init__(
         self,
-        journal: Optional[OpJournal] = None,
+        journal: OpJournal,
         auto_refresh: bool = False,
         budget: Optional[int] = None,
         stale_error: Optional[str] = None,
@@ -196,7 +174,7 @@ class ColumnarSnapshot:
         self.refresh_stats = SnapshotRefreshStats()
         self._stale_error = stale_error or _DEFAULT_STALE_ERROR
         self._rebuild()
-        self._version = self._journal_version()
+        self._version = journal.version
 
     # --------------------------------------------------- subclass contract
     def _rebuild(self) -> None:
@@ -207,15 +185,7 @@ class ColumnarSnapshot:
         """Replay ``pending`` as O(affected-region) edits; False = bail."""
         return False
 
-    # ------------------------------------------------------------- columns
-    def snapshot_columns(self) -> Dict[str, np.ndarray]:
-        """The registered frozen arrays by name (the shard export surface)."""
-        return {name: getattr(self, name) for name in self.COLUMNS}
-
     # ------------------------------------------------------------ freshness
-    def _journal_version(self) -> int:
-        return self._journal.version if self._journal is not None else 0
-
     @property
     def version(self) -> int:
         """The journal version this snapshot's arrays reflect."""
@@ -224,11 +194,11 @@ class ColumnarSnapshot:
     @property
     def is_stale(self) -> bool:
         """Whether the journal moved past the frozen columns."""
-        return self._version != self._journal_version()
+        return self._version != self._journal.version
 
     def ensure_fresh(self) -> None:
         """Entry guard of every query: sync or fail actionably."""
-        if self._version == self._journal_version():
+        if self._version == self._journal.version:
             return
         if not self.auto_refresh:
             raise StaleSnapshotError(self._stale_error)
@@ -249,11 +219,11 @@ class ColumnarSnapshot:
         (``ops_replayed`` vs ``ops_absorbed``).  Returns ``self`` so
         calls chain.
         """
-        target = self._journal_version()
+        target = self._journal.version
         if target == self._version and not force_full:
             return self
         t0 = time.perf_counter()
-        pending = (None if force_full or self._journal is None
+        pending = (None if force_full
                    else self._journal.ops_since(self._version))
         ops = target - self._version
         if (pending is not None and len(pending) <= (

@@ -60,7 +60,6 @@ def measure_congestion(
     scalar_sample: int = 1000,
     algorithm: str = "fast",
     delta: int = 2,
-    workers: int = 1,
 ) -> Dict:
     """Route-and-account ``lookups`` random pairs, batch vs scalar.
 
@@ -73,12 +72,6 @@ def measure_congestion(
     ``algorithm='dh'`` both engines are driven by the same explicit
     digit strings.  Returns rates, the end-to-end accounting speedup,
     the congestion stats, and the parity verdict.
-
-    ``workers > 1`` routes the timed bulk workload through the
-    shared-memory sharded backend (results — and therefore every parity
-    check — are bit-identical by construction); the warmup batch spins
-    the pool up outside the timed window, and the scalar subsample
-    replays stay in-process.
     """
     if algorithm not in ("fast", "dh"):
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'fast' or 'dh'")
@@ -100,22 +93,17 @@ def measure_congestion(
         tau = route.integers(0, net.delta, size=(lookups, DH_TAU_DIGITS))
 
     # untimed warmup: the first big batch of a cold process pays page
-    # faults and allocator growth (and, sharded, the pool spin-up +
-    # snapshot export) that say nothing about steady state
+    # faults and allocator growth that say nothing about steady state
     warm = min(2000, lookups)
     route_pairs(router, (sources[:warm], targets[:warm]),
                 algorithm=algorithm,
-                tau=tau[:warm] if tau is not None else None,
-                workers=workers)
+                tau=tau[:warm] if tau is not None else None)
 
-    try:
-        t0 = time.perf_counter()
-        batch_cong = BatchCongestion()
-        route_pairs(router, (sources, targets), algorithm=algorithm, tau=tau,
-                    congestion=batch_cong, workers=workers)
-        batch_secs = time.perf_counter() - t0
-    finally:
-        router.close_executor()
+    t0 = time.perf_counter()
+    batch_cong = BatchCongestion()
+    route_pairs(router, (sources, targets), algorithm=algorithm, tau=tau,
+                congestion=batch_cong)
+    batch_secs = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     scalar_cong = scalar_congestion(
@@ -135,7 +123,6 @@ def measure_congestion(
         "n": net.n,
         "rho": float(net.smoothness()),
         "lookups": lookups,
-        "workers": workers,
         "scalar_sample": m,
         "compile_secs": compile_secs,
         **rate_fields(lookups, batch_secs, m, scalar_secs),

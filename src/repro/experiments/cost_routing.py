@@ -54,8 +54,8 @@ from .faults_exp import FT_CHOICE_DIGITS, scalar_simple_replay
 __all__ = ["measure_cost_routing", "format_cost_report"]
 
 
-def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int, seed: int,
-               workers: int) -> Dict:
+def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int,
+               seed: int) -> Dict:
     """Route the core-engine cell: cost-dh vs uniform + tau replay."""
     build_rng, route = spawn_many(seed * 59 + core_n, 2)
     dnet = DistanceHalvingNetwork(rng=build_rng)
@@ -78,19 +78,6 @@ def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int, seed: int,
                  and np.array_equal(greedy.path_servers, replay.path_servers)
                  and np.array_equal(greedy.path_offsets, replay.path_offsets))
 
-    shard_ok = True
-    if workers > 1:
-        try:
-            sharded = router.sharded_executor(workers).batch_cost_dh_lookup(
-                src, tgt, None, policy="greedy", keep_paths="csr")
-            shard_ok = (
-                np.array_equal(greedy.owner_idx, sharded.owner_idx)
-                and np.array_equal(greedy.hops, sharded.hops)
-                and np.array_equal(greedy.tau_used, sharded.tau_used)
-                and np.array_equal(greedy.path_servers, sharded.path_servers))
-        finally:
-            router.close_executor()
-
     rows = {}
     for name, res in (("uniform", unif), ("greedy", greedy)):
         srv, off = res.path_servers, res.path_offsets
@@ -106,7 +93,6 @@ def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int, seed: int,
         "core_pairs": core_pairs,
         "core_rows": rows,
         "core_replay_ok": bool(replay_ok),
-        "core_shard_parity_ok": bool(shard_ok),
         "core_xisp_reduction": (1.0 - cross_g / cross_u) if cross_u > 0
         else 0.0,
         "core_stretch": (rows["greedy"]["hops"] / rows["uniform"]["hops"]
@@ -123,7 +109,6 @@ def measure_cost_routing(
     scalar_sample: int = 200,
     core_n: int = 4096,
     core_pairs: int = 50_000,
-    workers: int = 1,
 ) -> Dict:
     """Route one workload under all three covering-edge policies.
 
@@ -136,10 +121,10 @@ def measure_cost_routing(
     cost-aware walk and must match bit-for-bit.  A separate core-engine
     cell (``core_n`` servers, ``core_pairs`` pairs) runs
     ``batch_cost_dh_lookup`` and verifies the recorded ``tau_used``
-    digits replay bit-identically through the plain ``tau=`` hook —
-    sharded too, when ``workers > 1``.  Returns per-policy traffic
-    metrics, the greedy cross-ISP reduction and hop stretch vs uniform,
-    throughput rates and every parity verdict.
+    digits replay bit-identically through the plain ``tau=`` hook.
+    Returns per-policy traffic metrics, the greedy cross-ISP reduction
+    and hop stretch vs uniform, throughput rates and every parity
+    verdict.
     """
     build_rng, cost_rng, route = spawn_many(seed * 53 + n, 3)
     net = OverlappingDHNetwork(n, build_rng)
@@ -207,9 +192,8 @@ def measure_cost_routing(
         # batch leg: the weighted pass; scalar leg: both replayed policies
         **rate_fields(pairs, per_policy["weighted"]["secs"], 2 * m,
                       scalar_secs),
-        "workers": workers,
     }
-    out.update(_core_cell(cost_map, core_n, core_pairs, seed, workers))
+    out.update(_core_cell(cost_map, core_n, core_pairs, seed))
     return out
 
 
@@ -241,10 +225,6 @@ def format_cost_report(result: Dict) -> str:
         f"core tau_used replay bit-identical: "
         f"{'PASS' if result['core_replay_ok'] else 'FAIL'}",
     ]
-    if result["workers"] > 1:
-        lines.append(
-            f"sharded ({result['workers']} workers) bit-identical: "
-            f"{'PASS' if result['core_shard_parity_ok'] else 'FAIL'}")
     return "\n".join(lines)
 
 

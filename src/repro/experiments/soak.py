@@ -38,20 +38,15 @@ def measure_soak(
     items: int = 24,
     invariants: bool = True,
     strict: bool = True,
-    workers: int = 1,
 ) -> Dict:
     """Run one scripted soak; returns the scenario dict plus timing.
 
     Everything except ``wall_seconds``, ``krequests_per_sec`` and
-    ``peak_rss_mb`` is a pure function of the arguments — including
-    under ``workers > 1``, which streams the lookup phases through the
-    shared-memory sharded backend with bit-identical results (the
-    scenario dict does not record ``workers``, so the deterministic
-    payload stays byte-identical across backend choices).
+    ``peak_rss_mb`` is a pure function of the arguments.
     """
     engine = ScenarioEngine(n=n, lookups=lookups, chunk=chunk, seed=seed,
                             items=items, invariants=invariants,
-                            strict=strict, workers=workers)
+                            strict=strict)
     t0 = time.perf_counter()
     result = engine.run(phases)
     secs = time.perf_counter() - t0

@@ -33,7 +33,6 @@ def measure_throughput(
     scalar_sample: int = 2000,
     algorithm: str = "fast",
     delta: int = 2,
-    workers: int = 1,
 ) -> Dict:
     """Route ``lookups`` random pairs in bulk and a scalar subsample.
 
@@ -45,12 +44,6 @@ def measure_throughput(
     are driven by the same explicit digit strings so the comparison is
     bit-for-bit.  Returns a dict of rates, the speedup, and the parity
     verdict.
-
-    ``workers > 1`` routes the bulk workload through the shared-memory
-    sharded backend (:class:`~repro.core.shard.ShardedExecutor`); the
-    pool spin-up and snapshot export happen *before* the timed window,
-    and the results (and thus the scalar parity check) are bit-identical
-    to the in-process engine by construction.
     """
     if algorithm not in ("fast", "dh"):
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'fast' or 'dh'")
@@ -71,20 +64,12 @@ def measure_throughput(
         tau_arr = route.integers(0, net.delta, size=(lookups, 64))
         taus = [list(tau_arr[i]) for i in range(m)]
 
-    # pool spin-up + shared-memory export stay outside the timed window
-    executor = router.sharded_executor(workers) if workers > 1 else None
-    try:
-        t0 = time.perf_counter()
-        if algorithm == "fast":
-            batch = router.lookup_batch(sources, targets, workers=workers)
-        elif executor is not None:
-            batch = executor.batch_dh_lookup(sources, targets, tau_arr)
-        else:
-            batch = router.batch_dh_lookup(sources, targets, tau=tau_arr)
-        batch_secs = time.perf_counter() - t0
-    finally:
-        if executor is not None:
-            router.close_executor()
+    t0 = time.perf_counter()
+    if algorithm == "fast":
+        batch = router.lookup_batch(sources, targets)
+    else:
+        batch = router.batch_dh_lookup(sources, targets, tau=tau_arr)
+    batch_secs = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     scalar = lookup_many(
@@ -103,7 +88,6 @@ def measure_throughput(
         "n": n,
         "rho": float(net.smoothness()),
         "lookups": lookups,
-        "workers": workers,
         "scalar_sample": m,
         "compile_secs": compile_secs,
         **rate_fields(lookups, batch_secs, m, scalar_secs),

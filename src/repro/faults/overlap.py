@@ -29,7 +29,6 @@ import numpy as np
 from ..core.continuous import ContinuousGraph
 from ..core.interval import normalize
 from ..core.segments import CoverIndex, normalize_array
-from ..core.snapshot import ColumnarSnapshot
 from ..hashing.kwise import Key, PointHasher
 
 __all__ = ["OverlappingDHNetwork", "COVER_NEVER", "COVER_DEFINITE",
@@ -41,7 +40,7 @@ __all__ = ["OverlappingDHNetwork", "COVER_NEVER", "COVER_DEFINITE",
 COVER_NEVER, COVER_DEFINITE, COVER_BOUNDARY = 0, 1, 2
 
 
-class OverlappingDHNetwork(ColumnarSnapshot):
+class OverlappingDHNetwork:
     """Static overlapping-segment Distance Halving network.
 
     Besides the scalar dict-based API, the constructor freezes the
@@ -52,19 +51,9 @@ class OverlappingDHNetwork(ColumnarSnapshot):
     of these B points" with one cover-index read plus one
     ``(max α, B)`` gather of the cell's classes — no per-point scan, and
     the float segment test only where the cell alone cannot decide it.
-
-    The tables are the *static* instance of the shared
-    :class:`~repro.core.snapshot.ColumnarSnapshot` layer: membership
-    never changes after construction, so the snapshot is journal-less
-    and can never go stale — but it shares the column registry the
-    sharded execution backend (:mod:`repro.core.shard`) exports into
-    shared memory.
+    Membership never changes after construction, so the tables are
+    built once and never go stale.
     """
-
-    #: The aligned cover-table arrays, registered with the snapshot layer
-    #: (``max_back`` and ``cover_class`` are derived, recomputed by every
-    #: rebuild).
-    COLUMNS = ("points_array", "alpha_array", "seg_len_array", "mid_array")
 
     def __init__(
         self,
@@ -89,10 +78,9 @@ class OverlappingDHNetwork(ColumnarSnapshot):
             self.alpha[x] = a
             self.end[x] = self.points[(i + a) % n]
         self.store: Dict[Key, Set[float]] = {}
-        # journal-less: static membership, so the snapshot never goes stale
-        super().__init__(journal=None)
+        self._build_tables()
 
-    def _rebuild(self) -> None:
+    def _build_tables(self) -> None:
         """Freeze the array-backed cover tables from the scalar dicts."""
         n = len(self.points)
         #: sorted id points, aligned with every per-server array below

@@ -8,8 +8,8 @@ labels + coordinates hashed from the id point), an iTracker-like
 edges, the shared selection policies (uniform / greedy-cheapest /
 temperature-weighted) with bit-parity-proof scalar twins, and
 :class:`~repro.peer.routing.CostAwareBatchRouter`, a BatchRouter whose
-snapshot carries cost columns through churn refresh and sharded
-execution.  See ``docs/COST_MODEL.md`` for the determinism rules.
+snapshot carries cost columns through churn refresh.  See
+``docs/COST_MODEL.md`` for the determinism rules.
 """
 
 from .costmap import CostMap, hash01, pair_costs

@@ -5,9 +5,7 @@ A :class:`CostMap` assigns every server an ISP label and a point in a
 point** (a splitmix64 finalizer over the float64 bit pattern).  That
 purity is the column invariant the snapshot layer relies on: cost
 columns can be recomputed wholesale after any churn patch or full
-rebuild and are bit-identical to a fresh compile, and a shard worker
-reconstructing them from exported arrays sees exactly the parent's
-values.
+rebuild and are bit-identical to a fresh compile.
 
 The cost of sending a message from server ``a`` to server ``b`` is
 
@@ -64,7 +62,7 @@ def pair_costs(isp_a, isp_b, xa, ya, xb, yb, isp_cost: np.ndarray):
     """Cost of the edge a→b: ISP matrix entry + Euclidean coordinate gap.
 
     Broadcasts over any matching shapes; every engine (scalar walk,
-    batch gather, shard worker) must come through here so the float64
+    batch gather) must come through here so the float64
     operation sequence — and therefore bit-parity — is shared.  The
     matrix entry is one flat gather at ``isp_a·k + isp_b``, and the
     distance term is chained through the two difference arrays in
@@ -88,8 +86,8 @@ class CostMap:
     ``dist_scale`` scales the hashed unit-square coordinates, bounding
     the distance term by ``dist_scale·√2``.  Labels and coordinates are
     derived on demand from id points via :func:`hash01`, so a CostMap
-    is tiny and position-independent — shipping the matrix plus the
-    point array to a shard worker reproduces every cost bit-for-bit.
+    is tiny and position-independent — the matrix plus the point array
+    reproduce every cost bit-for-bit.
     """
 
     isp_cost: np.ndarray

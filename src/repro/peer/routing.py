@@ -1,23 +1,15 @@
-"""Cost-aware BatchRouter: snapshot cost columns that survive churn/shards.
+"""Cost-aware BatchRouter: snapshot cost columns that survive churn.
 
 :class:`CostAwareBatchRouter` extends the core
 :class:`~repro.core.batch.BatchRouter` with three snapshot columns —
 ``cost_isp`` (int64 label), ``cost_x``/``cost_y`` (pre-scaled float64
 coordinates) — plus the non-column ``_isp_cost`` matrix.
 
-Column invariants:
-
-* the cost columns are **pure functions of the sorted point column**
-  (hashes of the id points), so after any ``refresh()`` — incremental
-  patch or full rebuild — they are recomputed wholesale and are
-  bit-identical to a freshly compiled router over the same membership;
-* they ride the ``COLUMNS`` registry, so ``snapshot_columns()`` exports
-  them to shard workers over shared memory for free; the k×k
-  ``_isp_cost`` matrix (not n-aligned, hence not a column) ships via
-  the ``shard_extra_arrays()`` hook consumed by the executor's export.
+The cost columns are **pure functions of the sorted point column**
+(hashes of the id points), so after any ``refresh()`` — incremental
+patch or full rebuild — they are recomputed wholesale and are
+bit-identical to a freshly compiled router over the same membership.
 """
-
-from typing import Dict
 
 import numpy as np
 
@@ -34,8 +26,6 @@ class CostAwareBatchRouter(BatchRouter):
     a ``policy=``) requires these columns and raises an actionable
     error on a plain router.
     """
-
-    COLUMNS = BatchRouter.COLUMNS + ("cost_isp", "cost_x", "cost_y")
 
     def __init__(
         self,
@@ -80,7 +70,3 @@ class CostAwareBatchRouter(BatchRouter):
         self._isp_cost = np.ascontiguousarray(
             self.cost_map.isp_cost, dtype=np.float64
         )
-
-    def shard_extra_arrays(self) -> Dict[str, np.ndarray]:
-        """Non-column arrays the shard executor must export alongside."""
-        return {"_isp_cost": self._isp_cost}

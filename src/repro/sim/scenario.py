@@ -315,13 +315,6 @@ class ScenarioEngine:
         Run :meth:`check_invariants` between phases (``strict`` raises
         on the first violation; otherwise violations are reported in the
         result dict).
-    workers:
-        ``> 1`` routes the lookup stream through the shared-memory
-        sharded backend (``router.lookup_batch(..., workers=...)``).
-        Results are bit-identical to single-process by construction —
-        the merged :class:`SoakStats` and the byte-reproducibility of
-        the artifact are unaffected.  The engine owns the executor and
-        tears it down when :meth:`run` returns.
     """
 
     def __init__(
@@ -334,19 +327,16 @@ class ScenarioEngine:
         payload: int = 256,
         invariants: bool = True,
         strict: bool = True,
-        workers: int = 1,
     ) -> None:
         for what, count, least in (
                 ("n", n, 16), ("lookups", lookups, 0), ("chunk", chunk, 1),
-                ("items", items, 0), ("payload", payload, 0),
-                ("workers", workers, 1)):
+                ("items", items, 0), ("payload", payload, 0)):
             check_count(count, what)
             if count < least:
                 raise ValueError(f"soak needs {what} >= {least}")
         self.n0 = int(n)
         self.lookups_total = int(lookups)
         self.chunk = int(chunk)
-        self.workers = int(workers)
         self.seed = int(seed)
         self.invariants = bool(invariants)
         self.strict = bool(strict)
@@ -397,9 +387,7 @@ class ScenarioEngine:
             pts = self.router.refresh().points
             sources = pts[rng.integers(0, pts.size, size=b)]
             targets = rng.random(b)
-            res = self.router.lookup_batch(sources, targets,
-                                           workers=self.workers,
-                                           keep_paths="csr")
+            res = self.router.lookup_batch(sources, targets, keep_paths="csr")
             stats.record_route(res)
             done += b
 
@@ -603,33 +591,27 @@ class ScenarioEngine:
                 args[i], extra = share + extra, 0
 
         rows: List[Dict] = []
-        try:
-            for ph, arg in zip(plan, args):
-                stats = SoakStats()
-                _PHASE_KINDS[ph.kind].body(self, stats, arg)
-                rho = self.net.smoothness() if self.net.n >= 2 else math.inf
-                stats.observe_network(self.net.n, rho)
-                name = f"{len(self.phase_snapshots) + 1}:{ph.kind}"
-                self.phase_snapshots.append((name, stats.snapshot()))
-                self.total.merge(stats)
-                if self.invariants:
-                    self.check_invariants(name)
-                rows.append({
-                    "phase": name,
-                    "n": self.net.n,
-                    "rho": round(float(rho), 2),
-                    "lookups": stats.route.lookups,
-                    "cached": stats.cache_requests,
-                    "ft": stats.ft_pairs,
-                    "churn_ops": stats.churn_ops,
-                    "repairs": stats.repair.repaired,
-                    "mean_hops": round(stats.mean_hops(), 2),
-                })
-        finally:
-            # the engine owns the sharded executor's lifetime: release
-            # the worker pool + shared-memory blocks even on a strict
-            # invariant failure mid-scenario
-            self.router.close_executor()
+        for ph, arg in zip(plan, args):
+            stats = SoakStats()
+            _PHASE_KINDS[ph.kind].body(self, stats, arg)
+            rho = self.net.smoothness() if self.net.n >= 2 else math.inf
+            stats.observe_network(self.net.n, rho)
+            name = f"{len(self.phase_snapshots) + 1}:{ph.kind}"
+            self.phase_snapshots.append((name, stats.snapshot()))
+            self.total.merge(stats)
+            if self.invariants:
+                self.check_invariants(name)
+            rows.append({
+                "phase": name,
+                "n": self.net.n,
+                "rho": round(float(rho), 2),
+                "lookups": stats.route.lookups,
+                "cached": stats.cache_requests,
+                "ft": stats.ft_pairs,
+                "churn_ops": stats.churn_ops,
+                "repairs": stats.repair.repaired,
+                "mean_hops": round(stats.mean_hops(), 2),
+            })
 
         def passed(check: Optional[str] = None) -> bool:
             return all(r["ok"] for r in self.invariant_rows

@@ -88,7 +88,6 @@ def route_pairs(
     tau: "np.ndarray | None" = None,
     congestion=None,
     keep_paths="csr",
-    workers: int = 1,
     policy: "str | None" = None,
     choices: "np.ndarray | None" = None,
     temperature: float = 1.0,
@@ -103,39 +102,23 @@ def route_pairs(
     the batch into it.  Returns the
     :class:`~repro.core.batch.BatchLookupResult`.
 
-    ``workers > 1`` dispatches the batch over the router's cached
-    shared-memory sharded executor (bit-identical results; the caller
-    owns teardown via ``router.close_executor()``).  Sharded ``'dh'``
-    requires explicit ``tau`` digits — the workers draw no shared rng.
-
     ``algorithm="cost"`` routes the cost-aware two-phase lookup
     (requires a :class:`~repro.peer.routing.CostAwareBatchRouter`):
     ``policy`` picks the covering-edge rule (default ``"weighted"``),
-    ``choices`` supplies the shared per-step uniforms (required when
-    sharded, unless the policy is ``"greedy"``), ``temperature`` tunes
-    the softmin.
+    ``choices`` supplies the shared per-step uniforms, ``temperature``
+    tunes the softmin.
     """
     sources, targets = pairs_to_arrays(pairs)
     if algorithm == "fast":
-        res = router.lookup_batch(sources, targets, workers=workers,
-                                  keep_paths=keep_paths)
+        res = router.lookup_batch(sources, targets, keep_paths=keep_paths)
     elif algorithm == "dh":
-        if workers > 1:
-            res = router.sharded_executor(workers).batch_dh_lookup(
-                sources, targets, tau, keep_paths=keep_paths)
-        else:
-            res = router.batch_dh_lookup(sources, targets, rng=rng, tau=tau,
-                                         keep_paths=keep_paths)
+        res = router.batch_dh_lookup(sources, targets, rng=rng, tau=tau,
+                                     keep_paths=keep_paths)
     elif algorithm == "cost":
-        pol = policy if policy is not None else "weighted"
-        if workers > 1:
-            res = router.sharded_executor(workers).batch_cost_dh_lookup(
-                sources, targets, choices, policy=pol,
-                temperature=temperature, keep_paths=keep_paths)
-        else:
-            res = router.batch_cost_dh_lookup(
-                sources, targets, choices=choices, rng=rng, policy=pol,
-                temperature=temperature, keep_paths=keep_paths)
+        res = router.batch_cost_dh_lookup(
+            sources, targets, choices=choices, rng=rng,
+            policy=policy if policy is not None else "weighted",
+            temperature=temperature, keep_paths=keep_paths)
     else:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; use 'fast', 'dh' or 'cost'")

@@ -1,20 +1,26 @@
 """The multicore sharded execution backend (core/shard.py).
 
 A real 2-worker :class:`ShardedExecutor` over shared-memory snapshot
-columns must be **bit-identical** to the in-process engine on every
+columns must be **bit-identical** to the in-process fast lookup on every
 result field (including CSR paths), re-sync itself after membership
-churn, shard the two-phase algorithm under explicit ``tau`` digits, and
-own the shared-memory lifetime cleanly (close is idempotent; a closed
-executor refuses work).
+churn, and own the shared-memory lifetime cleanly: close is idempotent,
+a closed executor refuses work, no block outlives a close or a re-export,
+and a worker killed mid-batch surfaces as an error, not a hang.
 """
 
+import contextlib
 import multiprocessing as mp
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 from oracles.compare import assert_same
 from oracles.inputs import populated
 
+from repro.core import shard
 from repro.core.shard import (
     ShardedExecutor,
     available_workers,
@@ -24,6 +30,27 @@ from repro.core.shard import (
 
 N = 256
 BATCH = 1500
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block with ``TimeoutError`` instead of letting it hang."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def shm_names(ex):
+    """The ``/dev/shm`` paths of an executor's exported blocks."""
+    return [os.path.join("/dev/shm", b.name) for b in ex._blocks]
 
 
 def make_workload(net, size=BATCH, seed=1):
@@ -101,18 +128,13 @@ class TestShardedExecutor:
         from repro.core.segments import cover_indices
 
         net = populated(N, 0)
-        router = net.router(auto_refresh=True, with_adjacency=True)
+        router = net.router(auto_refresh=True)
         src, tgt = make_workload(net)
-        tau = np.random.default_rng(5).integers(0, 2, size=(BATCH, 80))
         with ShardedExecutor(router, workers=2) as ex:
             for joiner in (0.123456789, None):
                 fast = ex.batch_fast_lookup(src, tgt, keep_paths="csr")
-                dh = ex.batch_dh_lookup(src, tgt, tau=tau, keep_paths="csr")
                 expect = cover_indices(router.points, tgt)
                 np.testing.assert_array_equal(fast.owner_idx, expect)
-                np.testing.assert_array_equal(dh.owner_idx, expect)
-                assert_same(dh, router.batch_dh_lookup(
-                    src, tgt, tau=tau, keep_paths="csr"), FIELDS + PATH_FIELDS)
                 if joiner is not None:
                     net.join(joiner)
 
@@ -143,29 +165,6 @@ class TestShardedExecutor:
             assert_same(sharded, single, FIELDS + PATH_FIELDS)
             ex.batch_fast_lookup(src, tgt)
             assert ex.syncs == 2  # ... once per membership version
-
-    def test_dh_lookup_with_explicit_tau(self):
-        net = populated(128, 0)
-        router = net.router(auto_refresh=True, with_adjacency=True)
-        src, tgt = make_workload(net, size=600, seed=3)
-        tau = np.random.default_rng(4).integers(0, net.delta,
-                                                size=(600, 64))
-        single = router.batch_dh_lookup(src, tgt, tau=tau, keep_paths="csr")
-        with ShardedExecutor(router, workers=2) as ex:
-            sharded = ex.batch_dh_lookup(src, tgt, tau, keep_paths="csr")
-        assert_same(sharded, single, FIELDS + PATH_FIELDS)
-
-    def test_dh_exports_adjacency_on_demand(self):
-        net = populated(64, 0)
-        router = net.router(auto_refresh=True)  # no adjacency yet
-        src, tgt = make_workload(net, size=200, seed=5)
-        tau = np.random.default_rng(6).integers(0, net.delta, size=(200, 64))
-        with ShardedExecutor(router, workers=2) as ex:
-            assert not ex._exported_adjacency
-            sharded = ex.batch_dh_lookup(src, tgt, tau)
-            assert ex._exported_adjacency
-        single = router.batch_dh_lookup(src, tgt, tau=tau)
-        assert_same(sharded, single, FIELDS)
 
     def test_tiny_batch_falls_back_in_process(self):
         net = populated(64, 0)
@@ -205,6 +204,21 @@ class TestShardedExecutor:
             assert ex._ctx.get_start_method() == (
                 "fork" if "fork" in methods else methods[0])
 
+    def test_export_ships_the_three_adopt_columns(self):
+        """The shared blocks hold ``points``, ``seg_end``, ``midpoints``
+        — what ``BatchRouter._adopt`` takes — and nothing else."""
+        net = populated(N, 0)
+        router = net.router(auto_refresh=True)
+        with ShardedExecutor(router, workers=2) as ex:
+            assert len(ex._blocks) == 3
+            for shm, attr in zip(ex._blocks,
+                                 ("points", "seg_end", "midpoints")):
+                col = getattr(router, attr)
+                got = np.ndarray(col.shape, dtype=col.dtype,
+                                 buffer=shm.buf).copy()
+                np.testing.assert_array_equal(got, col)
+                assert shm.size >= col.nbytes
+
 
 class TestRouterIntegration:
     def test_lookup_batch_workers_parity(self):
@@ -230,5 +244,142 @@ class TestRouterIntegration:
         finally:
             router.close_executor()
 
+    @pytest.mark.parametrize("workers", [2.5, 2.0, 0, -3, "2", None,
+                                         float("nan"), float("inf")])
+    def test_bad_workers_refused_naming_the_value(self, workers):
+        """A non-integral or sub-1 ``workers`` raises; the cached
+        executor is neither rebuilt nor torn down."""
+        net = populated(64, 0)
+        router = net.router(auto_refresh=True)
+        src, tgt = make_workload(net, size=64)
+        try:
+            ex = router.sharded_executor(2)
+            with pytest.raises(ValueError, match=repr(workers)):
+                router.lookup_batch(src, tgt, workers=workers)
+            assert router.sharded_executor(2) is ex and ex._pool is not None
+            assert ex.syncs == 1
+        finally:
+            router.close_executor()
+
+    @pytest.mark.parametrize("workers", [np.int64(2), np.int32(2)],
+                             ids=["int64", "int32"])
+    def test_numpy_integer_workers_accepted(self, workers):
+        """A NumPy integer is an integer: it shards, and shares the
+        executor cached for the plain int."""
+        net = populated(64, 0)
+        router = net.router(auto_refresh=True)
+        src, tgt = make_workload(net, size=200)
+        try:
+            ex = router.sharded_executor(2)
+            got = router.lookup_batch(src, tgt, workers=workers)
+            assert router.sharded_executor(workers) is ex
+            assert type(ex.workers) is int and ex.syncs == 1
+        finally:
+            router.close_executor()
+        assert_same(got, router.batch_fast_lookup(src, tgt), FIELDS)
+
     def test_available_workers_positive(self):
         assert available_workers() >= 1
+
+
+def kill_one_idle_worker(ex, before):
+    """SIGKILL one of ``ex``'s workers and wait until the pool knows."""
+    victim = min((p for p in mp.active_children() if p.pid not in before),
+                 key=lambda p: p.pid)
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join()
+    while not ex._pool._broken:
+        time.sleep(0.01)
+
+
+def _stall(task):
+    """A worker task that is still running when the test kills it."""
+    time.sleep(60)
+
+
+class TestCrashPaths:
+    def test_worker_killed_mid_batch_raises_and_recovers(self, monkeypatch):
+        net = populated(N, 0)
+        router = net.router(auto_refresh=True)
+        src, tgt = make_workload(net)
+        single = router.batch_fast_lookup(src, tgt, keep_paths="csr")
+        monkeypatch.setattr(shard, "_run_fast", _stall)
+        before = {p.pid for p in mp.active_children()}
+        ex = router.sharded_executor(2)
+        try:
+            blocks = shm_names(ex)
+            victim = min(p.pid for p in mp.active_children()
+                         if p.pid not in before)
+            killer = threading.Timer(0.5, os.kill, (victim, signal.SIGKILL))
+            killer.start()
+            with deadline(30), pytest.raises(RuntimeError, match="died"):
+                ex.batch_fast_lookup(src, tgt, keep_paths="csr")
+            killer.join()
+            assert ex._pool is None and ex._blocks == []
+            if os.path.isdir("/dev/shm"):
+                assert not any(os.path.exists(b) for b in blocks)
+            monkeypatch.undo()
+            with deadline(30):
+                again = router.lookup_batch(src, tgt, workers=2,
+                                            keep_paths="csr")
+            assert router.sharded_executor(2) is ex and ex.syncs == 2
+            assert_same(again, single, FIELDS + PATH_FIELDS)
+        finally:
+            router.close_executor()
+
+    def test_worker_killed_between_batches_raises_and_recovers(self):
+        net = populated(N, 0)
+        router = net.router(auto_refresh=True)
+        src, tgt = make_workload(net)
+        single = router.batch_fast_lookup(src, tgt, keep_paths="csr")
+        before = {p.pid for p in mp.active_children()}
+        ex = router.sharded_executor(2)
+        try:
+            with deadline(30):
+                kill_one_idle_worker(ex, before)
+                with pytest.raises(RuntimeError, match="died"):
+                    router.lookup_batch(src, tgt, workers=2,
+                                        keep_paths="csr")
+            assert ex._pool is None and ex._blocks == []
+            with deadline(30):
+                again = router.lookup_batch(src, tgt, workers=2,
+                                            keep_paths="csr")
+            assert router.sharded_executor(2) is ex and ex.syncs == 2
+            assert_same(again, single, FIELDS + PATH_FIELDS)
+        finally:
+            router.close_executor()
+
+    def test_crashed_executor_closes_cleanly_and_for_good(self):
+        net = populated(N, 0)
+        router = net.router(auto_refresh=True)
+        src, tgt = make_workload(net)
+        before = {p.pid for p in mp.active_children()}
+        ex = ShardedExecutor(router, workers=2)
+        with deadline(30):
+            kill_one_idle_worker(ex, before)
+            with pytest.raises(RuntimeError, match="died"):
+                ex.batch_fast_lookup(src, tgt)
+        ex.close()
+        ex.close()  # a no-op after the crash's teardown, too
+        with pytest.raises(RuntimeError, match="closed"):
+            ex.batch_fast_lookup(src, tgt)
+        assert ex._pool is None and ex._blocks == []
+        assert not {p.pid for p in mp.active_children()} - before
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="no /dev/shm to inspect")
+    def test_no_block_outlives_a_close_or_a_reexport(self):
+        net = populated(N, 0)
+        router = net.router(auto_refresh=True)
+        src, tgt = make_workload(net)
+        with deadline(60):
+            ex = ShardedExecutor(router, workers=2)
+            first = shm_names(ex)
+            assert len(first) == 3 and all(map(os.path.exists, first))
+            net.join(0.123456789)
+            ex.batch_fast_lookup(src, tgt)  # churn: re-export
+            second = shm_names(ex)
+            assert not any(map(os.path.exists, first))
+            assert all(map(os.path.exists, second))
+            ex.close()
+        assert not any(map(os.path.exists, first + second))

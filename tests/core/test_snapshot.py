@@ -27,8 +27,6 @@ class ListSnapshot(ColumnarSnapshot):
     against the already-mutated ``source`` list.
     """
 
-    COLUMNS = ("vals",)
-
     def __init__(self, source, journal, **kwargs):
         self._source = source
         self.rebuild_calls = 0
@@ -223,27 +221,6 @@ class TestStaleness:
         snap.ensure_fresh()
         assert not snap.is_stale
         np.testing.assert_array_equal(snap.vals, sorted(source))
-
-    def test_static_snapshot_never_stale(self):
-        snap = ListSnapshot([0.5], journal=None)
-        assert not snap.is_stale
-        snap.ensure_fresh()  # no journal, no error
-        assert snap.version == 0
-
-
-class TestColumnRegistry:
-    class TwoCol(ColumnarSnapshot):
-        COLUMNS = ("a", "b")
-
-        def _rebuild(self):
-            self.a = np.array([1.0, 2.0, 3.0])
-            self.b = np.array([10, 20, 30], dtype=np.int64)
-
-    def test_snapshot_columns_is_the_export_surface(self):
-        snap = self.TwoCol()
-        cols = snap.snapshot_columns()
-        assert set(cols) == {"a", "b"}
-        assert cols["a"] is snap.a and cols["b"] is snap.b
 
 
 class TestStatsDataclass:

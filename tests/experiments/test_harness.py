@@ -242,19 +242,18 @@ TINY = {
                         "--scalar-sample", "60", "--schemes", "chord,koorde"],
     "soak": ["--n", "128", "--lookups", "2000", "--chunk", "1024",
              "--items", "6"],
-    "bench-shard": ["--n", "128", "--lookups", "2000", "--workers", "2",
-                    "--chunk", "1024"],
     "bench-cost": ["--n", "128", "--pairs", "2000", "--scalar-sample", "50",
                    "--core-n", "64", "--core-pairs", "500"],
 }
 
 #: ``{subcommand: {flag: default}}`` read off the parser by argparse
-#: introspection at the commit before the table (PR 17), minus the four
-#: "recorded only" ``--workers`` of churn / faults / caching / baselines
+#: introspection at the commit before the table (PR 17), minus every
+#: ``--workers`` and the ``bench-shard`` row: the sharded backend is
+#: reached only through ``BatchRouter.lookup_batch(workers=)``
 FLAG_SURFACE = {
     "bench-throughput": {
         "--n": 4096, "--lookups": 100000, "--scalar-sample": 1000,
-        "--algorithm": "fast", "--delta": 2, "--seed": 0, "--workers": 1,
+        "--algorithm": "fast", "--delta": 2, "--seed": 0,
         "--min-speedup": 10.0, "--json-out": None},
     "bench-churn": {
         "--n": 16384, "--lookups": 100000, "--churn-ops": 256, "--phases": 2,
@@ -262,7 +261,7 @@ FLAG_SURFACE = {
         "--seed": 0, "--max-refresh-us": 250.0, "--json-out": None},
     "bench-congestion": {
         "--n": 16384, "--lookups": 100000, "--scalar-sample": 1000,
-        "--algorithm": "fast", "--delta": 2, "--seed": 0, "--workers": 1,
+        "--algorithm": "fast", "--delta": 2, "--seed": 0,
         "--min-speedup": 10.0, "--json-out": None},
     "bench-faults": {
         "--n": 16384, "--pairs": 100000, "--p-fail": 0.2,
@@ -279,16 +278,12 @@ FLAG_SURFACE = {
         "--json-out": None},
     "soak": {
         "--n": 16384, "--lookups": 1000000, "--phases": None, "--chunk": None,
-        "--seed": 0, "--workers": 1, "--items": 24, "--no-invariants": False,
+        "--seed": 0, "--items": 24, "--no-invariants": False,
         "--min-ft-success": 0.9, "--json-out": None},
-    "bench-shard": {
-        "--n": 262144, "--lookups": 1000000, "--workers": 4,
-        "--chunk": 131072, "--seed": 0, "--min-speedup": 2.0,
-        "--json-out": None},
     "bench-cost": {
         "--n": 16384, "--pairs": 100000, "--isps": 8, "--temperature": 1.0,
         "--scalar-sample": 200, "--core-n": 4096, "--core-pairs": 50000,
-        "--seed": 0, "--workers": 1, "--min-xisp-reduction": 0.3,
+        "--seed": 0, "--min-xisp-reduction": 0.3,
         "--max-stretch": 1.5, "--min-speedup": 10.0, "--json-out": None},
 }
 
@@ -411,7 +406,7 @@ class TestBenchTable:
                    if a.option_strings and a.option_strings[0] != "-h"}
             for name, sp in _subparsers().items() if name in FLAG_SURFACE}
         assert surface == FLAG_SURFACE
-        assert sum(map(len, surface.values())) == 83
+        assert sum(map(len, surface.values())) == 72
 
     def test_top_level_help_names_every_row(self, capsys):
         from repro.cli import BENCHES, main

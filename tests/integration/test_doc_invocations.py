@@ -83,9 +83,9 @@ def test_every_documented_invocation_parses(path):
 
 
 def test_the_scan_is_not_vacuous():
-    """The scan is not vacuous: the smoke script alone has nine calls."""
+    """The scan is not vacuous: the smoke script alone has eight calls."""
     calls = list(invocations((ROOT / "benchmarks" / "ci_smoke.sh").read_text()))
-    assert len(calls) == 9
+    assert len(calls) == 8
     assert all("--json-out" in words for _, words in calls)
 
 

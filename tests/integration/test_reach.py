@@ -33,13 +33,13 @@ def _src_keys() -> frozenset:
 
 
 class TestCommands:
-    def test_smoke_parse_yields_its_nine_run_python_lines(self):
+    def test_smoke_parse_yields_its_eight_run_python_lines(self):
         argvs = reach.smoke_commands(SMOKE, "OUT")
-        assert len(argvs) == 9 == SMOKE.read_text().count("\nrun python ")
+        assert len(argvs) == 8 == SMOKE.read_text().count("\nrun python ")
         assert [a[3] for a in argvs] == [
             "bench-throughput", "bench-churn", "bench-congestion",
             "bench-faults", "bench-caching", "bench-baselines",
-            "bench-shard", "bench-cost", "soak"]
+            "bench-cost", "soak"]
         for argv in argvs:
             assert argv[:3] == ["python", "-m", "repro.cli"]
             out = argv[argv.index("--json-out") + 1]
@@ -64,8 +64,8 @@ class TestCommands:
         argvs = reach.commands("OUT")
         examples = sorted((ROOT / "examples").glob("*.py"))
         spine = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
-        assert argvs[:9] == reach.smoke_commands(SMOKE, "OUT")
-        assert argvs[9:-2] == [["python", f"examples/{p.name}"]
+        assert argvs[:8] == reach.smoke_commands(SMOKE, "OUT")
+        assert argvs[8:-2] == [["python", f"examples/{p.name}"]
                                for p in examples]
         assert argvs[-2] == ["python", "-m", "repro.cli", "run", "all",
                              "--quick", "--out", "OUT"]

@@ -4,7 +4,7 @@ Pins the determinism contracts the docs promise (docs/COST_MODEL.md):
 pure-hash cost columns, batch/scalar selection twins, the degenerate
 all-zero map collapsing ``weighted`` onto ``uniform`` bit-for-bit, the
 ``tau_used`` replay hook of the core engine, and cost columns that
-survive churn refresh and sharded execution bit-identically.
+survive churn refresh and a sharded fast lookup bit-identically.
 """
 
 import numpy as np
@@ -284,6 +284,9 @@ class TestChurnAndShards:
                     ("cost_isp", "cost_x", "cost_y", "_isp_cost"))
 
     def test_sharded_cost_lookup_parity(self):
+        """A cost router shards its fast lookup like any router: the
+        sharded answer equals the in-process one, and the export leaves
+        the cost columns and the cost-dh answers as they were."""
         net = populated(128, 32)
         router = CostAwareBatchRouter(net, _MAP, auto_refresh=True)
         rng = np.random.default_rng(8)
@@ -291,29 +294,26 @@ class TestChurnAndShards:
         src = pts[rng.integers(net.n, size=500)]
         tgt = rng.random(500)
         u = rng.random((500, 64))
+        cost_fields = ("owner_idx", "hops", "tau_used", "path_servers",
+                       "path_offsets")
+        before = router.batch_cost_dh_lookup(src, tgt, choices=u,
+                                             policy="weighted",
+                                             keep_paths="csr")
+        columns = [a.copy() for a in (router.cost_isp, router.cost_x,
+                                      router.cost_y)]
+        local = router.batch_fast_lookup(src, tgt, keep_paths="csr")
         try:
-            local = router.batch_cost_dh_lookup(src, tgt, choices=u,
-                                                policy="weighted",
-                                                keep_paths="csr")
-            shard = router.sharded_executor(2).batch_cost_dh_lookup(
-                src, tgt, u, policy="weighted", keep_paths="csr")
+            shard = router.lookup_batch(src, tgt, workers=2,
+                                        keep_paths="csr")
         finally:
             router.close_executor()
-        assert np.array_equal(local.owner_idx, shard.owner_idx)
-        assert np.array_equal(local.hops, shard.hops)
-        assert np.array_equal(local.tau_used, shard.tau_used)
-        assert np.array_equal(local.path_servers, shard.path_servers)
-        assert np.array_equal(local.path_offsets, shard.path_offsets)
-        assert local.policy == shard.policy == "weighted"
-
-    def test_sharded_weighted_needs_choices(self):
-        net = populated(64, 33)
-        router = CostAwareBatchRouter(net, _MAP, auto_refresh=True)
-        pts = net.segments.as_array()
-        try:
-            with pytest.raises(ValueError, match="choices"):
-                router.sharded_executor(2).batch_cost_dh_lookup(
-                    pts[:10], np.linspace(0.1, 0.9, 10), None,
-                    policy="weighted")
-        finally:
-            router.close_executor()
+        assert_same(shard, local, ("sources", "targets", "source_idx",
+                                   "owner_idx", "t", "hops", "points",
+                                   "path_servers", "path_offsets"))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            columns, (router.cost_isp, router.cost_x, router.cost_y)))
+        after = router.batch_cost_dh_lookup(src, tgt, choices=u,
+                                            policy="weighted",
+                                            keep_paths="csr")
+        assert_same(after, before, cost_fields)
+        assert after.policy == before.policy == "weighted"

@@ -25,7 +25,6 @@ from oracles.adjacency import (ROW_STRIDE, csr_keys, edge_keys, isin_sorted,
 from oracles.inputs import BELOW_ONE, joined, point_sets, populated, unit
 
 from repro.core.batch import _range_columns
-from repro.core.shard import _ShardRouter
 from repro.core.snapshot import StaleSnapshotError
 
 DELTAS = (2, 3, 4)
@@ -295,14 +294,6 @@ class TestStaleColumnsFailLoudly:
             router._edge_member(one, one + 1)
         router.refresh(force_full=True)  # the documented way out
         assert router._edge_member(one, one + 1).all()
-
-    def test_shard_worker_with_mismatched_columns(self):
-        router = joined([0.1, 0.3, 0.5, 0.7, 0.9], seed=0).compile_router(True)
-        worker = _ShardRouter.__new__(_ShardRouter)
-        worker.n = router.n - 1  # an export caught mid-write
-        worker.adj_first, worker.adj_count = router.adj_first, router.adj_count
-        with pytest.raises(StaleSnapshotError, match="auto_refresh"):
-            worker._edge_member(np.array([0]), np.array([1]))
 
 
 def test_below_one_id_keeps_the_relation_exact():

@@ -215,15 +215,23 @@ def _held_result(router, y):
     return [res.points, res.owner]
 
 
-#: Every way a router hands an array out, by index: the four registered
-#: columns, the shard export, a held result.
+def _held_dh_result(router, y):
+    """A routed two-phase batch's arrays, kept: the dh walk's hand-out."""
+    res = router.batch_dh_lookup([y], [1.0 - y],
+                                 rng=np.random.default_rng(0))
+    return [res.points, res.owner]
+
+
+#: Every way a router hands an array out, by index: the three columns,
+#: the three at once (what the shard export reads), a held fast result,
+#: a held dh result.
 HAND_OUTS = (
     lambda router, y: [router.points],
-    lambda router, y: [router.seg_start],
     lambda router, y: [router.seg_end],
     lambda router, y: [router.midpoints],
-    lambda router, y: list(router.snapshot_columns().values()),
+    lambda router, y: [router.points, router.seg_end, router.midpoints],
     _held_result,
+    _held_dh_result,
 )
 
 
@@ -235,7 +243,6 @@ def _assert_router_equals_fresh(net, router, seed):
     # both read the map's float64 column: tie it to the id list first
     assert router.points.tolist() == [float(p) for p in net.segments]
     assert np.array_equal(router.points, fresh.points)
-    assert np.array_equal(router.seg_start, fresh.seg_start)
     assert np.array_equal(router.seg_end, fresh.seg_end)
     assert np.array_equal(router.midpoints, fresh.midpoints)
     # the cover index is a derived column: the patched grid equals one
@@ -418,10 +425,9 @@ class TestIncrementalRefreshParity:
     def test_copy_on_write_interleaving(self, start, steps):
         """Joins, leaves, refreshes and hand-outs in any order.
 
-        A hand-out is a column read (each registered column, the shard
-        export's ``snapshot_columns()``) or a held ``lookup_batch``
-        result.  After every step: every array
-        handed out still equals its value at hand-out; a fresh router
+        A hand-out is a column read (each column, or the three the shard
+        export reads) or a held ``lookup_batch`` / ``batch_dh_lookup``
+        result.  After every step: every array handed out still equals its value at hand-out; a fresh router
         equals a fresh compile; and k ≤ 16 membership ops with no
         hand-out (or full rebuild) between them made at most one copy —
         a compile is exactly n + 1 rows, a copy leaves room for 16 more.

@@ -37,7 +37,7 @@ def assert_compile_equals_oracle(net) -> None:
     assert np.array_equal(router.midpoints, net.segments.midpoints_array())
     # segment i is [x_i, x_{i+1}); the last one wraps to x_0
     starts = net.segments.as_array()
-    assert np.array_equal(router.seg_start, starts)
+    assert np.array_equal(router.points, starts)
     assert np.array_equal(router.seg_end, np.roll(starts, -1))
 
 

