@@ -37,8 +37,10 @@ in Python, in join order, each against the ids the window put into the
 segments it probed.  A displaced join that re-chooses a segment some
 later join chose first splits it before that join, which is displaced
 in turn.  Insertion indices come from one blocked count over the
-window.  Windows never span a change of ``t·⌈log₂ n⌉``.  Exact
-(:class:`~fractions.Fraction`) ids keep the per-join rule.
+window.  Windows never span a change of ``t·⌈log₂ n⌉``.  ``grow`` and
+``MultipleChoice.select`` take float ids only: a map that holds an exact
+(:class:`~fractions.Fraction`) id raises ``ValueError``, as the batch
+router does; exact ids stay on the scalar side.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.interval import normalize
-from ..core.segments import CoverIndex, SegmentMap, normalize_array
+from ..core.segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
+                             normalize_array)
 
 __all__ = [
     "SingleChoice",
@@ -358,29 +361,16 @@ class _Strategy:
         ``p = select(segments, rng); segments.insert(p)`` would produce,
         and ``rng`` ends in the same state.  ``segments`` itself is not
         changed.  An id the loop's ``insert`` would refuse as a
-        duplicate raises that ``ValueError``, and so does a ``count``
-        that is not an int ``>= 0``.
+        duplicate raises that ``ValueError``, and so do a ``count``
+        that is not an int ``>= 0`` and a map that holds an exact id.
         """
         check_count(count, "grow")
         if not segments.is_float():
-            return _grow_per_join(self, segments, rng, count)
+            raise ValueError(FLOAT_IDS_ONLY)
         return _grow_windows(segments.column, rng, count, self._probes)
 
     def __call__(self, net, rng: np.random.Generator) -> float:
         return self.select(net.segments, rng)
-
-
-def _grow_per_join(strategy: _Strategy, segments: SegmentMap,
-                   rng: np.random.Generator,
-                   count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """:meth:`_Strategy.grow` one ``select`` at a time, on a copy."""
-    work = SegmentMap(segments)
-    ids = np.empty(count)
-    at = np.empty(count, dtype=np.intp)
-    for j in range(count):
-        ids[j] = p = strategy.select(work, rng)
-        at[j] = work.insert(p)
-    return ids, at
 
 
 class SingleChoice(_Strategy):
@@ -443,39 +433,26 @@ class MultipleChoice(_Strategy):
         """Midpoint of the longest segment among ``t·log n`` uniform probes.
 
         Ties go to the first probe that found the longest segment.  With
-        no segments yet one uniform draw is the id.
+        no segments yet one uniform draw is the id.  A map that holds an
+        exact id raises ``ValueError`` before ``rng`` is drawn from.
         """
+        if not segments.is_float():
+            raise ValueError(FLOAT_IDS_ONLY)
         n = len(segments)
         if n == 0:
             return float(rng.random())
         samples = rng.random(self._probes(n))
-        if segments.is_float():
-            # every probe at once over the float64 column, with the IEEE
-            # ops of ``Arc.length`` / ``Arc.midpoint``; ``argmax``
-            # takes the first maximum, as the loop's strict ``>`` does
-            col = segments.column
-            if n == 1:  # the full ring, whatever the probes hit
-                return normalize(float(col[0]) + 0.5)
-            # cover(z) = above - 1; index -1 and ``mode="wrap"`` close the
-            # ring, and the seam row is the one whose end lies below its start
-            above = col.searchsorted(samples, side="right")
-            start = col[above - 1]
-            length = col.take(above, mode="wrap") - start
-            length[length < 0] = 1.0 - float(col[-1]) + float(col[0])
-            k = int(length.argmax())
-            return normalize(float(start[k]) + float(length[k]) / 2)
-        # exact (Fraction) ids: lengths compare exactly, probe by probe
-        best_idx = None
-        best_len = -1.0
-        seen: set[int] = set()
-        for z in samples:
-            i = segments.cover(float(z))
-            if i in seen:
-                continue
-            seen.add(i)
-            length = float(segments.segment(i).length)
-            if length > best_len:
-                best_len = length
-                best_idx = i
-        assert best_idx is not None
-        return float(segments.segment(best_idx).midpoint)
+        # every probe at once over the float64 column, with the IEEE ops
+        # of ``Arc.length`` / ``Arc.midpoint``; ``argmax`` takes the first
+        # maximum, as a per-probe loop's strict ``>`` does
+        col = segments.column
+        if n == 1:  # the full ring, whatever the probes hit
+            return normalize(float(col[0]) + 0.5)
+        # cover(z) = above - 1; index -1 and ``mode="wrap"`` close the
+        # ring, and the seam row is the one whose end lies below its start
+        above = col.searchsorted(samples, side="right")
+        start = col[above - 1]
+        length = col.take(above, mode="wrap") - start
+        length[length < 0] = 1.0 - float(col[-1]) + float(col[0])
+        k = int(length.argmax())
+        return normalize(float(start[k]) + float(length[k]) / 2)

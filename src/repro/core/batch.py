@@ -59,8 +59,8 @@ from typing import List, Optional
 import numpy as np
 
 from .lookup import MAX_WALK_STEPS
-from .segments import (CoverIndex, SegmentMap, arc_cover_ranges, fold_unit,
-                       normalize_array)
+from .segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
+                       arc_cover_ranges, fold_unit, normalize_array)
 from .snapshot import ColumnarSnapshot, StaleSnapshotError
 from .walk import (PathResult, check_keep_paths, descend, forward_levels,
                    normalize_pair, per_lane_matrix, replay)
@@ -75,32 +75,6 @@ _STALE_ROUTER_ERROR = (
     "(net.compile_router()) after joins or leaves, or compile with "
     "net.router(auto_refresh=True) to follow churn automatically"
 )
-
-
-def _range_columns(n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple:
-    """Run-length encode CSR neighbour rows into ``(first, count)`` columns.
-
-    The route exact-id networks take into the layout
-    :meth:`BatchRouter._build_adjacency` documents: row ``i``'s sorted
-    neighbour indices plus ``i`` itself (which keeps the ring run
-    ``i-1, i, i+1`` in one piece) are cut into maximal runs of
-    consecutive indices, one slot per run; the slot count is the widest
-    row's, and the virtual column ``n`` stays empty.
-    """
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    keys = np.sort(np.concatenate([rows * n + indices,
-                                   np.arange(n) * (n + 1)]))
-    row, col = keys // n, keys % n
-    opens = np.ones(keys.size, dtype=bool)  # entries that open a run
-    opens[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1] + 1)
-    at = np.flatnonzero(opens)
-    run_row = row[at]
-    slot = np.arange(at.size) - np.searchsorted(run_row, run_row)
-    first = np.zeros((slot.max() + 1, n + 1), dtype=np.int32)
-    count = np.zeros_like(first)
-    first[slot, run_row] = col[at]
-    count[slot, run_row] = np.diff(np.append(at, keys.size))
-    return first, count
 
 
 def _last_entries(servers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -176,10 +150,12 @@ class BatchRouter(ColumnarSnapshot):
     ----------
     net:
         The :class:`~repro.core.network.DistanceHalvingNetwork` to
-        snapshot.  Coordinates are cast to ``float64``; networks built on
-        exact :class:`~fractions.Fraction` ids keep bit-parity with the
-        scalar engine as long as the ids are dyadic (e.g. the equally
-        spaced De Bruijn instance).
+        snapshot.  Float ids only: compiling over a network that holds
+        an exact :class:`~fractions.Fraction` id raises ``ValueError``,
+        and so does refreshing onto one.  Exact ids stay on the scalar
+        side (:mod:`repro.core.lookup`); a dyadic id ``i/2^r`` converts
+        to float exactly, so such a network is built with
+        ``net.join(i / n)``.
     build_adjacency:
         Precompute the neighbour ranges :meth:`batch_dh_lookup` needs
         (``adj_first`` / ``adj_count``; ``None`` until built).  Costs
@@ -224,6 +200,8 @@ class BatchRouter(ColumnarSnapshot):
         dh batch.
         """
         net = self._net
+        if not net.segments.is_float():
+            raise ValueError(FLOAT_IDS_ONLY)
         self.delta = int(net.delta)
         self.with_ring = bool(net.with_ring)
         # CoverIndex copies the live column into ``ext``: the router's
@@ -233,13 +211,7 @@ class BatchRouter(ColumnarSnapshot):
         seg_end = np.empty_like(points)
         seg_end[:-1] = points[1:]
         seg_end[-1] = points[0]
-        # float ids compile from the point column alone; exact (Fraction)
-        # ids go through the scalar oracles, whose exact comparisons the
-        # float column cannot replay
-        self._adopt(index, seg_end,
-                    SegmentMap.midpoints_from_array(points)
-                    if net.segments.is_float()
-                    else net.segments.midpoints_array())
+        self._adopt(index, seg_end, SegmentMap.midpoints_from_array(points))
         if self.adj_first is not None:
             self._build_adjacency()
 
@@ -319,16 +291,10 @@ class BatchRouter(ColumnarSnapshot):
         ``x_0 == 0``.  The arc ends are computed with the float
         operations of
         ``ContinuousGraph.image_arcs`` / ``preimage_arcs``, which keeps
-        the relation identical to the scalar oracle
-        ``net.adjacency_arrays()`` — the path exact (``Fraction``) ids
-        still take, run-length encoded into the same columns.
+        the relation identical to the scalar ``neighbor_points``.
         """
         n, delta = self.n, self.delta
         pts = self._ext[:n]
-        if not self._net.segments.is_float():
-            self.adj_first, self.adj_count = _range_columns(
-                n, *self._net.adjacency_arrays())
-            return
         self.adj_first = first = np.zeros((delta + 2, n + 1), dtype=np.int32)
         self.adj_count = count = np.zeros((delta + 2, n + 1), dtype=np.int32)
         if n == 1:  # the only server covers every image itself
@@ -411,8 +377,9 @@ class BatchRouter(ColumnarSnapshot):
         leave at index ``i`` shifts each buffer's tail one slot, writes
         the joined id, and recomputes the ≤ 2 rows whose segment changed
         (:meth:`_settle`) — whatever the number of pending ops, every op
-        is the same O(tail) edit.  Exact (``Fraction``) ids and rings
-        passing through n < 4 bail out before anything is touched.
+        is the same O(tail) edit.  Rings passing through n < 4 bail out
+        before anything is touched; a live network that now holds an
+        exact id raises ``ValueError`` first, as a compile over it does.
 
         Handed-out arrays are read-only and never edited; unshared
         buffers are edited in place.  Every public read of a column
@@ -427,7 +394,7 @@ class BatchRouter(ColumnarSnapshot):
         rows an op touched.
         """
         if not self._net.segments.is_float():
-            return False
+            raise ValueError(FLOAT_IDS_ONLY)
         n = peak = self.n
         for kind, _p, _i in pending:
             if n < 4:  # a tiny ring on the way: not worth the care

@@ -153,6 +153,18 @@ class BatchCacheResult(PathResult):
         return decode_node_key(int(self.serving_node_key[i]), self.delta)
 
 
+def _positive_int(value, what: str) -> int:
+    """``value`` as an int ``>= 1``, else ``ValueError`` naming it.
+
+    Bool and non-int values are refused, not truncated (``2.5`` is not
+    2, ``True`` is not 1); NumPy integers pass.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{what} must be an int >= 1, got {value!r}")
+    return int(value)
+
+
 class BatchCacheEngine:
     """Batch server for the Continuous Hot Spots Protocol (§3.1).
 
@@ -172,6 +184,8 @@ class BatchCacheEngine:
     salts:
         ``1`` reproduces the paper's protocol exactly; ``s > 1`` spreads
         each item over ``s`` salted trees (hot-key mitigation mode).
+        ``threshold`` and ``salts`` must be ints ``>= 1``: anything else,
+        a bool or ``2.5`` included, raises ``ValueError``.
     router:
         Optionally reuse an existing adjacency-enabled router snapshot.
     """
@@ -186,16 +200,12 @@ class BatchCacheEngine:
     ) -> None:
         if len(items) == 0:
             raise ValueError("BatchCacheEngine needs a non-empty item universe")
-        if int(salts) < 1:
-            raise ValueError("salts must be >= 1")
+        self.salts = _positive_int(salts, "salts")
+        self.c = (_positive_int(threshold, "threshold c")
+                  if threshold is not None
+                  else int(np.ceil(np.log2(max(2, net.n)))))
         self.net = net
         self.items: List[Key] = list(items)
-        self.salts = int(salts)
-        n = max(2, net.n)
-        c = int(threshold) if threshold is not None else int(np.ceil(np.log2(n)))
-        if c < 1:
-            raise ValueError("threshold c must be >= 1")
-        self.c = c
         self._router = router if router is not None else net.compile_router(
             with_adjacency=True)
         self.delta = int(self._router.delta)

@@ -32,10 +32,10 @@ def equally_spaced_network(r: int, delta: int = 2, with_ring: bool = False):
 
     Ids are the exact dyadic/``Δ``-adic rationals ``x_i = i/Δ^r``
     (smoothness ``ρ = 1``), the instance on which §2.1 proves the DHT
-    isomorphic to the ``r``-dimensional De Bruijn graph.  Besides the
-    isomorphism check below it serves as the ``ρ = 1`` reference network
-    for the lookup and batch-throughput experiments: every bound of
-    Corollary 2.5 / Theorem 2.8 is tight-modulo-constants here.
+    isomorphic to the ``r``-dimensional De Bruijn graph; experiment E2
+    checks that isomorphism on it.  Its ids stay exact, so it lives on
+    the scalar side: the batch router and the §4 strategies refuse it
+    (float ids only).
     """
     from fractions import Fraction
 

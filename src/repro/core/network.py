@@ -368,25 +368,6 @@ class DistanceHalvingNetwork:
         return self.owner_of(self.item_hash(key))
 
     # ------------------------------------------------------------- exports
-    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style ``(indptr, indices)`` of the undirected neighbour sets.
-
-        Row ``i`` (servers in sorted id order) holds the sorted indices of
-        ``neighbor_points(x_i)`` — forward, backward and (when enabled)
-        ring neighbours, self excluded.  This is the routing table the
-        batch engine consults for the Distance Halving lookup's
-        "covered by a neighbour" test.
-        """
-        pts = list(self.segments)
-        index = {p: i for i, p in enumerate(pts)}
-        indptr = np.zeros(len(pts) + 1, dtype=np.int64)
-        indices: List[int] = []
-        for i, p in enumerate(pts):
-            row = sorted(index[q] for q in self.neighbor_points(p))
-            indices.extend(row)
-            indptr[i + 1] = len(indices)
-        return indptr, np.asarray(indices, dtype=np.int64)
-
     def compile_router(self, with_adjacency: bool = False):
         """Freeze the current decomposition into a vectorised BatchRouter.
 

@@ -55,6 +55,14 @@ __all__ = ["CoverIndex", "SegmentMap", "arc_cover_ranges", "check_finite",
 #: ids do, and stay O(log n).
 _ADVANCE_CAP = 8
 
+#: The one refusal of every batch-side entry point — a router's compile
+#: and refresh, a §4 strategy's ``grow`` and ``MultipleChoice.select`` —
+#: on a map that holds an exact id.  Exact ids stay on the scalar side.
+FLOAT_IDS_ONLY = (
+    "the batch side takes float ids only, and this network holds an exact "
+    "(Fraction) id: build the network on float ids; a dyadic id i/2^r "
+    "converts exactly, e.g. net.join(i / n) for n a power of two")
+
 
 def fold_unit(x: np.ndarray) -> np.ndarray:
     """In-place ``1.0 → 0.0`` fold on an array of ring points.
@@ -306,23 +314,11 @@ class SegmentMap:
         """True when every id is a float, i.e. :attr:`column` is lossless.
 
         Exact (:class:`~fractions.Fraction`) ids decide edges and
-        midpoints by exact comparisons a float column cannot replay.
+        midpoints by exact comparisons a float column cannot replay, so
+        the batch side refuses a map that holds one
+        (:data:`FLOAT_IDS_ONLY`).
         """
         return self._exact == 0
-
-    def midpoints_array(self) -> np.ndarray:
-        """Per-segment midpoints as a float64 array.
-
-        Computed through :attr:`Arc.midpoint` segment by segment so the
-        values are bit-identical to what the scalar lookup engine sees —
-        the batch fast lookup derives its approach digits from these.
-        """
-        n = len(self._points)
-        if n == 0:
-            raise LookupError("empty segment map has no segments")
-        return np.asarray(
-            [float(self.segment(i).midpoint) for i in range(n)], dtype=np.float64
-        )
 
     def cover_array(self, ys) -> np.ndarray:
         """Vectorised :meth:`cover`: one ``np.searchsorted`` for a batch.
@@ -506,8 +502,8 @@ class SegmentMap:
 
         ``normalize(start + length / 2)`` per segment — the IEEE-754 ops
         of :attr:`Arc.midpoint` on arrays, so the result is bit-identical
-        to :meth:`midpoints_array` on every float point set (``n = 1``
-        included: the full ring's midpoint is ``start + 0.5``).
+        to each float segment's ``midpoint`` (``n = 1`` included: the
+        full ring's midpoint is ``start + 0.5``).
         """
         return normalize_array(pts + SegmentMap.lengths_from_array(pts) / 2)
 

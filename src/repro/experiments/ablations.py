@@ -146,8 +146,6 @@ def phase_ablation(seed: int = 204, quick: bool = False) -> ExperimentResult:
     bound for deterministic oblivious routing — while the Valiant-style
     two-phase lookup stays at O(log n) (Theorem 2.10)."""
 
-    from fractions import Fraction
-
     from ..sim.metrics import loglog_slope
 
     sizes = [256, 1024] if quick else [256, 1024, 4096]
@@ -156,9 +154,9 @@ def phase_ablation(seed: int = 204, quick: bool = False) -> ExperimentResult:
     fast_loads, dh_loads = [], []
     for n in sizes:
         net = DistanceHalvingNetwork()
-        for i in range(n):
-            net.join(Fraction(i, n))
-        pts = [float(p) for p in net.points()]
+        for i in range(n):  # i/n is dyadic: exact in float64
+            net.join(i / n)
+        pts = list(net.points())
         pairs = bit_reversal_permutation(pts)
         router = net.router(auto_refresh=True, with_adjacency=True)
         cf, cd = BatchCongestion(), BatchCongestion()

@@ -227,15 +227,14 @@ class FTBatchEngine:
         all); ``policy="uniform"`` ignores the oracle and is
         byte-identical to the cost-less path.
         """
+        from ..peer.policy import check_policy, select_rows
+
         check_keep_paths(keep_paths)
-        cost_aware = oracle is not None and policy != "uniform"
-        if policy != "uniform":
-            from ..peer.policy import check_policy
-            check_policy(policy)
-            if oracle is None:
-                raise ValueError(f"cost policy {policy!r} needs a CostOracle")
-        if rng is None and choices is None and not (
-                cost_aware and policy == "greedy"):
+        check_policy(policy)
+        cost_aware = policy != "uniform"
+        if cost_aware and oracle is None:
+            raise ValueError(f"cost policy {policy!r} needs a CostOracle")
+        if rng is None and choices is None and policy != "greedy":
             raise ValueError("batch_simple_lookup needs an rng or explicit choices")
         plan = plan if plan is not None else FaultPlan()
         alive, liar = self._masks(plan)
@@ -274,19 +273,13 @@ class FTBatchEngine:
             p = level_points(y[lanes], s_final[lanes], scale, 2)
             cand, mask = self.net.cover_table(p)
             ok = mask & alive[cand]
-            cnt = ok.sum(axis=0)
-            dead = cnt == 0
-            if cost_aware:
-                from ..peer.policy import select_rows
-                costs = oracle.edge_costs(cur[lanes], cand)
-                u_row = u[lanes, h - 1] if u is not None else None
-                sel = select_rows(costs, ok, u_row, policy, temperature)
-            else:
-                # the (⌊u·cnt⌋+1)-th alive cover, in the scalar scan order
-                pick = np.minimum((u[lanes, h - 1] * cnt).astype(np.int64),
-                                  cnt - 1)
-                sel = np.argmax(ok & (np.cumsum(ok, axis=0) == pick + 1),
-                                axis=0)
+            dead = ~ok.any(axis=0)
+            # uniform picks the (⌊u·cnt⌋+1)-th alive cover, in the scalar
+            # scan order, and reads no cost
+            costs = (oracle.edge_costs(cur[lanes], cand) if cost_aware
+                     else None)
+            u_row = u[lanes, h - 1] if u is not None else None
+            sel = select_rows(costs, ok, u_row, policy, temperature)
             nxt = cand[sel, np.arange(lanes.size)]
             failed[lanes[dead]] = True
             surv = lanes[~dead]

@@ -134,7 +134,7 @@ def simple_lookup(
                                   messages=messages, parallel_time=len(servers) - 1)
         if choices is not None and hop >= len(choices):
             raise ValueError("supplied choices exhausted before lookup finished")
-        if cost_aware:
+        if cost_aware or choices is not None:
             from ..peer.policy import select_index
             if choices is not None:
                 u_val = float(choices[hop])
@@ -142,10 +142,10 @@ def simple_lookup(
                 u_val = float(rng.random())
             else:
                 u_val = None
-            costs = oracle.cost_between(servers[-1], alive)
+            # uniform picks alive cover ⌊u·|alive|⌋ and reads no cost
+            costs = (oracle.cost_between(servers[-1], alive) if cost_aware
+                     else np.zeros(len(alive)))
             pick = select_index(costs, u_val, policy, temperature)
-        elif choices is not None:
-            pick = min(int(choices[hop] * len(alive)), len(alive) - 1)
         else:
             pick = int(rng.integers(len(alive)))
         nxt = alive[pick]

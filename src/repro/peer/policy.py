@@ -2,8 +2,7 @@
 
 Three policies choose among K masked candidates per lane:
 
-* ``uniform``  — the paper's rule: the ⌊u·cnt⌋-th valid candidate,
-  byte-compatible with the inline selection in ``faults/batch_ft.py``;
+* ``uniform``  — the paper's rule: the ⌊u·cnt⌋-th valid candidate;
 * ``greedy``   — argmin cost among valid candidates (first-minimum
   tie-break, i.e. scan order = ring-predecessor order);
 * ``weighted`` — softmin: weight ``exp(-(cost - min_cost)/temperature)``
@@ -44,7 +43,7 @@ def _check_temperature(temperature: float) -> None:
 
 
 def select_rows(
-    costs: np.ndarray,
+    costs: Optional[np.ndarray],
     ok: Optional[np.ndarray],
     u: Optional[np.ndarray],
     policy: str,
@@ -54,28 +53,32 @@ def select_rows(
 
     ``costs`` is (K, B) and finite; ``ok`` is its (K, B) validity mask,
     or ``None`` when every candidate is valid (the core walk: all Δ
-    digits are candidates).  The mask is read once, into
-    ``masked = where(ok, costs, inf)``, and a row is valid where
-    ``masked`` is finite.  ``u`` is the per-lane uniform in ``[0, 1)``
-    (unused by ``greedy``).  Returns int64 row indices of shape (B,).
+    digits are candidates).  ``uniform`` reads only the mask, so it
+    takes ``costs=None`` beside a mask; the other policies read the
+    mask once, into ``masked = where(ok, costs, inf)``, and a row is
+    valid where ``masked`` is finite.  ``u`` is the per-lane uniform in
+    ``[0, 1)`` (unused by ``greedy``).  Returns int64 row indices of
+    shape (B,).
     Lanes with no valid row get an arbitrary index — the caller is
     responsible for masking them out (the FT engine marks them failed).
     """
     check_policy(policy)
-    costs = np.asarray(costs, dtype=np.float64)
-    masked = costs if ok is None else np.where(ok, costs, np.inf)
-    if policy == "greedy":
-        return np.argmin(masked, axis=0).astype(np.int64)
-    if u is None:
-        raise ValueError(f"policy {policy!r} needs per-lane uniforms")
-    u = np.asarray(u, dtype=np.float64)
-    valid = masked < np.inf
+    if policy != "greedy":
+        if u is None:
+            raise ValueError(f"policy {policy!r} needs per-lane uniforms")
+        u = np.asarray(u, dtype=np.float64)
     if policy == "uniform":
+        valid = np.ones(np.shape(costs), dtype=bool) if ok is None else ok
         # the first row whose running count reaches pick + 1 is valid
         cum = np.cumsum(valid, axis=0)
         cnt = cum[-1]
         pick = np.minimum((u * cnt).astype(np.int64), np.maximum(cnt - 1, 0))
         return np.argmax(cum == pick + 1, axis=0).astype(np.int64)
+    costs = np.asarray(costs, dtype=np.float64)
+    masked = costs if ok is None else np.where(ok, costs, np.inf)
+    if policy == "greedy":
+        return np.argmin(masked, axis=0).astype(np.int64)
+    valid = masked < np.inf
     _check_temperature(temperature)
     lo = masked.min(axis=0)
     lo = np.where(np.isfinite(lo), lo, 0.0)  # all-invalid lanes

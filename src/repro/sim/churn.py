@@ -20,11 +20,21 @@ from typing import Callable, List, Literal, Optional
 
 import numpy as np
 
+from ..balance.strategies import check_count
 from ..core.network import DistanceHalvingNetwork
 
 __all__ = ["ChurnOp", "ChurnTrace", "run_churn", "ChurnReport"]
 
 OpKind = Literal["join", "leave"]
+
+
+def _check_share(share: float, what: str) -> None:
+    """Raise ``ValueError`` naming ``share`` unless it lies in ``[0, 1]``.
+
+    NaN fails the compare, so it is refused too.
+    """
+    if not 0.0 <= share <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1], got {share!r}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,14 @@ class ChurnTrace:
         leave_prob: float = 0.3,
         warmup: int = 16,
     ) -> "ChurnTrace":
-        """``warmup`` joins, then ``steps`` ops each a leave w.p. ``leave_prob``."""
+        """``warmup`` joins, then ``steps`` ops each a leave w.p. ``leave_prob``.
+
+        ``steps`` and ``warmup`` must be ints ``>= 0`` and ``leave_prob``
+        a probability; anything else raises ``ValueError``.
+        """
+        check_count(steps, "ChurnTrace.generate steps")
+        check_count(warmup, "ChurnTrace.generate warmup")
+        _check_share(leave_prob, "leave_prob")
         ops: List[ChurnOp] = [ChurnOp("join") for _ in range(warmup)]
         for _ in range(steps):
             if rng.random() < leave_prob:
@@ -65,7 +82,14 @@ class ChurnTrace:
     @classmethod
     def mass_departure(cls, rng: np.random.Generator, n: int, fraction: float = 0.5
                        ) -> "ChurnTrace":
-        """Join n servers then delete a random ``fraction`` of them (§4.1)."""
+        """Join n servers then delete a random ``fraction`` of them (§4.1).
+
+        ``n`` must be an int ``>= 0`` and ``fraction`` lie in ``[0, 1]``
+        (more leaves than the cohort would delete servers outside it);
+        anything else raises ``ValueError``.
+        """
+        check_count(n, "ChurnTrace.mass_departure n")
+        _check_share(fraction, "fraction")
         ops: List[ChurnOp] = [ChurnOp("join") for _ in range(n)]
         for _ in range(int(n * fraction)):
             ops.append(ChurnOp("leave", victim=int(rng.integers(1 << 30))))

@@ -9,7 +9,8 @@ scale.
 
 import numpy as np
 import pytest
-from oracles.inputs import populated
+from oracles.adjacency import adjacency_arrays
+from oracles.inputs import joined, populated
 
 from repro.balance import MultipleChoice
 from repro.core import (
@@ -98,12 +99,21 @@ class TestSnapshot:
 
     def test_adjacency_arrays_match_neighbor_points(self):
         net, _ = make_net(40, seed=6)
-        indptr, indices = net.adjacency_arrays()
+        indptr, indices = adjacency_arrays(net)
         pts = list(net.segments)
         index = {p: i for i, p in enumerate(pts)}
         for i, p in enumerate(pts):
             row = set(indices[indptr[i]:indptr[i + 1]].tolist())
             assert row == {index[q] for q in net.neighbor_points(p)}
+
+    def test_exact_ids_are_refused(self):
+        """The batch side takes float ids only; E2's network is exact."""
+        net = equally_spaced_network(3)
+        for with_adjacency in (False, True):
+            with pytest.raises(ValueError, match="float ids only"):
+                net.compile_router(with_adjacency=with_adjacency)
+            with pytest.raises(ValueError, match="float ids only"):
+                net.router(with_adjacency=with_adjacency)
 
     def test_snapshot_ignores_later_churn(self):
         net, _ = make_net(32, seed=7)
@@ -135,10 +145,12 @@ class TestBatchFastLookup:
                 batch.owner[i], batch.t[i], batch.hops[i])
 
     def test_parity_equally_spaced_dyadic(self):
-        # Fraction ids, but dyadic, so the float snapshot is exact
+        # the exact ids are dyadic, so their float twin routes alike
         net = equally_spaced_network(6)
-        router = net.compile_router()
-        src, tgt = workload(net, 150, 32)
+        twin = joined([float(p) for p in net.points()], with_ring=False,
+                      seed=0)
+        router = twin.compile_router()
+        src, tgt = workload(twin, 150, 32)
         batch = router.batch_fast_lookup(src, tgt, keep_paths=True)
         for i, r in enumerate(lookup_many(net, src, tgt)):
             assert [float(p) for p in r.server_path] == batch.server_path(i)

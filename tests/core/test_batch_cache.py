@@ -7,6 +7,8 @@ against the scalar :class:`~repro.core.caching.CacheSystem` reference
 where a replay is meaningful.
 """
 
+import re
+
 import numpy as np
 import pytest
 from oracles.cache import (
@@ -86,6 +88,25 @@ class TestConstruction:
         net = populated(16, 0)
         with pytest.raises(ValueError):
             BatchCacheEngine(net, ["a"], threshold=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"salts": 2.5}, {"salts": True}, {"salts": 2.0},
+        {"threshold": 2.7}, {"threshold": False}, {"threshold": 3.0},
+    ])
+    def test_non_int_salts_and_threshold_refused(self, kwargs):
+        """Truncation built 2 salts from 2.5 and took True as 1."""
+        net = populated(64, 0)
+        [(what, value)] = kwargs.items()
+        with pytest.raises(ValueError,
+                           match=f"{what}.*got {re.escape(repr(value))}"):
+            BatchCacheEngine(net, ["a"], **kwargs)
+
+    def test_numpy_ints_pass(self):
+        net = populated(64, 0)
+        engine = BatchCacheEngine(net, ["a"], threshold=np.int64(3),
+                                  salts=np.int32(2))
+        assert (engine.c, engine.salts) == (3, 2)
+        assert type(engine.c) is int and type(engine.salts) is int
 
     def test_default_threshold_is_log_n(self):
         net = populated(256, 0)

@@ -306,16 +306,21 @@ class TestCopyOnWrite:
                                   np.linspace(0, 0.99, 50)))
         assert router.n == 33  # the original is untouched
 
-    def test_exact_ids_refresh_by_full_rebuild(self):
+    @pytest.mark.parametrize("budget", [10**9, 0])
+    def test_refresh_onto_an_exact_id_raises(self, budget):
+        """Patch or full rebuild: an exact id refuses, nothing changes."""
         from fractions import Fraction
 
-        net = joined([Fraction(2 * k + 1, 17) for k in range(8)], seed=44)
-        router = net.router(auto_refresh=True, churn_budget=10**9)
+        net = joined([(2 * k + 1) / 17 for k in range(8)], seed=44)
+        router = net.router(auto_refresh=True, churn_budget=budget)
+        before = router.points.copy()
         net.join(Fraction(1, 3))
+        with pytest.raises(ValueError, match="float ids only"):
+            router.batch_fast_lookup(before[:2], [0.1, 0.9])
+        assert router.is_stale and np.array_equal(router.points, before)
+        net.leave(Fraction(1, 3))  # float ids again: the router follows
         router.refresh()
-        assert router.refresh_stats.full_rebuilds == 1
-        assert np.array_equal(router.midpoints,
-                              net.segments.midpoints_array())
+        assert np.array_equal(router.points, before)
 
 
 class TestRefreshOpAccounting:

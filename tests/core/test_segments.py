@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles.segments import intersection_length
+from oracles.segments import intersection_length, midpoints_array
 
 from repro.core.interval import Arc
 from repro.core.segments import SegmentMap
@@ -87,7 +87,7 @@ class TestSegments:
             sm = SegmentMap(pts)
             assert np.array_equal(
                 SegmentMap.midpoints_from_array(sm.as_array()),
-                sm.midpoints_array())
+                midpoints_array(sm))
 
     def test_predecessor_successor_ring(self, quarters):
         assert quarters.predecessor(0.0) == 0.75

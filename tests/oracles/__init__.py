@@ -37,9 +37,13 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
 - cost._parent_select_rows, frozen: ``select_rows`` → test_select_mask
 - adjacency.key_table / isin_sorted, frozen: adjacency as index ranges
   → test_adjacency_ranges
+- adjacency.adjacency_arrays, scalar: the neighbour sets as CSR rows →
+  test_adjacency_ranges, test_compile_parity, test_batch
 - adjacency.csr_keys / edge_keys: relations as key tables →
   test_adjacency_ranges, test_compile_parity, test_batch_parity,
   test_router_refresh
+- segments.midpoints_array, scalar: segment midpoints via ``Arc`` →
+  test_compile_parity, test_batch_parity, test_segments
 - segments.scalar_select, frozen: ``MultipleChoice.select`` →
   test_id_strategy_parity
 - segments.loop_grow / loop_populate, frozen: ``grow`` and ``populate``

@@ -1,5 +1,7 @@
 """Oracles of the §2.1 neighbour relation, as sorted key tables."""
 
+from typing import List
+
 import numpy as np
 
 from repro.core.segments import normalize_array
@@ -7,8 +9,28 @@ from repro.core.segments import normalize_array
 ROW_STRIDE = np.int64(1) << 31
 
 
+def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    """CSR-style ``(indptr, indices)`` of the undirected neighbour sets.
+
+    Row ``i`` (servers in sorted id order) holds the sorted indices of
+    ``neighbor_points(x_i)`` — forward, backward and (when enabled)
+    ring neighbours, self excluded.  This is the routing table the
+    batch engine consults for the Distance Halving lookup's
+    "covered by a neighbour" test.
+    """
+    pts = list(self.segments)
+    index = {p: i for i, p in enumerate(pts)}
+    indptr = np.zeros(len(pts) + 1, dtype=np.int64)
+    indices: List[int] = []
+    for i, p in enumerate(pts):
+        row = sorted(index[q] for q in self.neighbor_points(p))
+        indices.extend(row)
+        indptr[i + 1] = len(indices)
+    return indptr, np.asarray(indices, dtype=np.int64)
+
+
 def csr_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Sorted keys of CSR neighbour rows (``net.adjacency_arrays()``)."""
+    """Sorted keys of CSR neighbour rows (:func:`adjacency_arrays`)."""
     rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
                      np.diff(indptr))
     return np.sort(rows * ROW_STRIDE + indices)

@@ -10,6 +10,21 @@ from repro.core.interval import Arc, Number
 from repro.core.segments import SegmentMap
 
 
+def midpoints_array(self: SegmentMap) -> np.ndarray:
+    """Per-segment midpoints as a float64 array.
+
+    Computed through :attr:`Arc.midpoint` segment by segment so the
+    values are bit-identical to what the scalar lookup engine sees —
+    the batch fast lookup derives its approach digits from these.
+    """
+    n = len(self._points)
+    if n == 0:
+        raise LookupError("empty segment map has no segments")
+    return np.asarray(
+        [float(self.segment(i).midpoint) for i in range(n)], dtype=np.float64
+    )
+
+
 def scalar_select(strategy: MultipleChoice, segments: SegmentMap,
                   rng: np.random.Generator) -> float:
     """``MultipleChoice.select`` as the per-probe loop (the parent's body)."""

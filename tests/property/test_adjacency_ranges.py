@@ -6,25 +6,21 @@ of the sorted point column (``adj_first`` / ``adj_count``) and answers
 replaced — every directed pair expanded into a sorted ``row·2³¹ + col``
 table, membership by binary search — is kept as the oracle
 (``key_table``, ``isin_sorted`` in :mod:`oracles.adjacency`), beside the
-scalar oracle ``net.adjacency_arrays()``.  The contract is equality on
-every point set, so the point sets are the adversarial ones of
+scalar oracle ``adjacency_arrays``.  The contract is equality on every
+point set, so the point sets are the adversarial ones of
 :mod:`oracles.inputs` (clustered ids, ``x_0 == 0.0``, tiny n — which
 always has a segment of length ≥ 1/Δ, i.e. a full-ring preimage) plus
-pinned cases for the seam virtual row, the merged wrap range and the
-exact-id encoder.
+pinned cases for the seam virtual row and the merged wrap range.
 """
-
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.adjacency import (ROW_STRIDE, csr_keys, edge_keys, isin_sorted,
-                               key_table)
+from oracles.adjacency import (ROW_STRIDE, adjacency_arrays, csr_keys,
+                               edge_keys, isin_sorted, key_table)
 from oracles.inputs import BELOW_ONE, joined, point_sets, populated, unit
 
-from repro.core.batch import _range_columns
 from repro.core.snapshot import StaleSnapshotError
 
 DELTAS = (2, 3, 4)
@@ -35,19 +31,17 @@ def all_pairs(n: int) -> tuple:
     return row, col
 
 
-def assert_ranges_equal_oracles(net, exact: bool = False) -> None:
+def assert_ranges_equal_oracles(net) -> None:
     """(i) expanded ranges == scalar oracle; (ii) membership on all n² pairs."""
     router = net.compile_router(with_adjacency=True)
-    oracle = csr_keys(*net.adjacency_arrays())
+    oracle = csr_keys(*adjacency_arrays(net))
     assert router.adj_first.dtype == router.adj_count.dtype == np.int32
     assert router.adj_first.shape == router.adj_count.shape
-    assert router.adj_first.shape[1] == net.n + 1
+    assert router.adj_first.shape == (net.delta + 2, net.n + 1)
     assert ((router.adj_first >= 0) & (router.adj_first < net.n)).all()
     assert np.array_equal(edge_keys(router), oracle)
-    if not exact:
-        assert router.adj_first.shape[0] == net.delta + 2
-        assert np.array_equal(
-            key_table(router.points, net.delta, net.with_ring), oracle)
+    assert np.array_equal(
+        key_table(router.points, net.delta, net.with_ring), oracle)
     row, col = all_pairs(net.n)
     assert np.array_equal(router._edge_member(row, col),
                           isin_sorted(row * ROW_STRIDE + col, oracle))
@@ -60,16 +54,6 @@ class TestRangesEqualKeyTable:
     def test_adversarial_point_sets(self, points, delta, with_ring):
         assert_ranges_equal_oracles(
             joined(points.tolist(), delta, with_ring, seed=0))
-
-    @settings(max_examples=60, deadline=None)
-    @given(points=point_sets(), delta=st.sampled_from(DELTAS),
-           with_ring=st.booleans())
-    def test_exact_ids_take_the_run_length_encoder(self, points, delta,
-                                                   with_ring):
-        net = joined([Fraction(p) for p in points.tolist()], delta,
-                     with_ring, seed=0)
-        assert not net.segments.is_float()
-        assert_ranges_equal_oracles(net, exact=True)
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("with_ring", [True, False])
@@ -177,46 +161,6 @@ class TestPinnedColumns:
         assert res.hops.tolist() == [0, 0]
 
 
-class TestExactIdEncoder:
-    def test_runs_keep_self_inside_the_ring_run(self):
-        # row 1 of a 6-ring: neighbours {0, 2} plus a far one {4}
-        indptr = np.array([0, 0, 3, 3, 3, 3, 3])
-        indices = np.array([0, 2, 4])
-        first, count = _range_columns(6, indptr, indices)
-        assert first.shape == count.shape == (2, 7)
-        assert (first[:, 1].tolist(), count[:, 1].tolist()) == ([0, 4],
-                                                                [3, 1])
-        # every other row is just itself; the virtual column stays empty
-        assert count[0, [0, 2, 3, 4, 5]].tolist() == [1] * 5
-        assert not count[1, [0, 2, 3, 4, 5]].any()
-        assert not count[:, 6].any()
-
-    def test_slot_count_is_the_widest_row(self):
-        ids = [Fraction(k, 16) for k in (0, 1, 2, 5, 8, 11, 13)]
-        net = joined(ids, delta=3, seed=0)
-        router = net.compile_router(with_adjacency=True)
-        indptr, indices = net.adjacency_arrays()
-        widest = 0
-        for i in range(net.n):
-            members = np.sort(np.append(indices[indptr[i]:indptr[i + 1]], i))
-            widest = max(widest, 1 + int((np.diff(members) != 1).sum()))
-        assert router.adj_first.shape == (widest, net.n + 1)
-        assert_ranges_equal_oracles(net, exact=True)
-
-    def test_dyadic_fraction_network_routes_like_its_float_twin(self):
-        ids = [Fraction(k, 32) for k in range(32)]
-        exact = joined(ids, seed=0).compile_router(with_adjacency=True)
-        twin = joined([float(p) for p in ids], seed=0).compile_router(True)
-        assert np.array_equal(edge_keys(exact), edge_keys(twin))
-        rng = np.random.default_rng(3)
-        src, tgt = rng.random(200), rng.random(200)
-        tau = rng.integers(0, 2, size=(200, 64))
-        a = exact.batch_dh_lookup(src, tgt, tau=tau, keep_paths=True)
-        b = twin.batch_dh_lookup(src, tgt, tau=tau, keep_paths=True)
-        assert np.array_equal(a.path_servers, b.path_servers)
-        assert np.array_equal(a.hops, b.hops)
-
-
 class TestRefreshRederivesTheColumns:
     @settings(max_examples=60, deadline=None)
     @given(start=point_sets(), delta=st.sampled_from(DELTAS),
@@ -241,7 +185,7 @@ class TestRefreshRederivesTheColumns:
         assert np.array_equal(router.adj_first, fresh.adj_first)
         assert np.array_equal(router.adj_count, fresh.adj_count)
         assert np.array_equal(edge_keys(router),
-                              csr_keys(*net.adjacency_arrays()))
+                              csr_keys(*adjacency_arrays(net)))
 
     def test_columns_are_rebuilt_once_per_refresh(self, monkeypatch):
         net = populated(256, 8)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.adjacency import edge_keys
 from oracles.inputs import populated
+from oracles.segments import midpoints_array
 
 from repro.balance import MultipleChoice
 from repro.core import lookup_many
@@ -326,7 +327,7 @@ class TestIncrementalRefreshParity:
             assert np.array_equal(router.seg_end, fresh.seg_end)
             assert np.array_equal(router.midpoints, fresh.midpoints)
             assert np.array_equal(router.midpoints,
-                                  net.segments.midpoints_array())
+                                  midpoints_array(net.segments))
             # a followed grid may sit at another resolution than a fresh
             # one (the [G/8, G/2] band); at its own it must be exact
             grid = router.cover_index.grid

@@ -2,9 +2,10 @@
 
 ``BatchRouter`` compiles a float network from its sorted point column
 alone — adjacency as per-row index ranges, midpoints from array
-arithmetic.  ``DistanceHalvingNetwork.adjacency_arrays`` and
-``SegmentMap.midpoints_array`` walk the same definitions server by
-server through ``Arc`` objects and stay as the oracles.  The contract is
+arithmetic.  ``adjacency_arrays`` and ``midpoints_array``
+(:mod:`oracles.adjacency`, :mod:`oracles.segments`) walk the same
+definitions server by server through ``Arc`` objects and stay as the
+oracles.  The contract is
 ``np.array_equal`` on every float point set, so the point sets are the
 adversarial ones of :mod:`oracles.inputs` (clustered ids, adjacent
 floats, dyadic points, 0.0 and ``nextafter(1, 0)``, tiny n — which
@@ -12,14 +13,13 @@ always has a fat segment of length ≥ 1/Δ) plus pinned cases for each
 place the float images can fold.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.adjacency import csr_keys, edge_keys
+from oracles.adjacency import adjacency_arrays, csr_keys, edge_keys
 from oracles.inputs import BELOW_ONE, joined, point_sets, populated
+from oracles.segments import midpoints_array
 
 from repro.core.interval import Arc
 
@@ -28,13 +28,13 @@ DELTAS = (2, 3, 4)
 
 def oracle_keys(net) -> np.ndarray:
     """The edge-key table encoded from the scalar neighbour sets."""
-    return csr_keys(*net.adjacency_arrays())
+    return csr_keys(*adjacency_arrays(net))
 
 
 def assert_compile_equals_oracle(net) -> None:
     router = net.compile_router(with_adjacency=True)
     assert np.array_equal(edge_keys(router), oracle_keys(net))
-    assert np.array_equal(router.midpoints, net.segments.midpoints_array())
+    assert np.array_equal(router.midpoints, midpoints_array(net.segments))
     # segment i is [x_i, x_{i+1}); the last one wraps to x_0
     starts = net.segments.as_array()
     assert np.array_equal(router.points, starts)
@@ -85,15 +85,7 @@ class TestColumnarCompileEqualsOracle:
         assert router.refresh_stats.full_rebuilds == 1
         assert np.array_equal(edge_keys(router), oracle_keys(net))
         assert np.array_equal(router.midpoints,
-                              net.segments.midpoints_array())
-
-    def test_fraction_network_compiles_through_the_oracle(self):
-        """Exact ids: edges and midpoints come from exact comparisons."""
-        ids = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 9),
-               Fraction(1, 3) + Fraction(1, 10**30), Fraction(6, 7)]
-        net = joined(ids, seed=0)
-        assert not net.segments.is_float()
-        assert_compile_equals_oracle(net)
+                              midpoints_array(net.segments))
 
 
 class TestObjectLayerStaysOffTheCompilePath:

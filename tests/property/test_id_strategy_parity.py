@@ -10,7 +10,8 @@ the same rng state afterwards, so every id a network ever chooses is
 bit-identical; the point sets are the adversarial ones of
 :mod:`oracles.inputs` (clustered ids, ``x_0 == 0.0``, tiny n) plus pinned
 cases for the seam segment, exact length ties and n ∈ {1, 2, 3}.  Exact
-(``Fraction``) ids still take the loop.
+(``Fraction``) ids no longer take a loop: ``select`` and ``grow`` refuse
+a map that holds one.
 
 ``grow`` (every strategy) chooses a whole batch of joins in windows; its
 oracle is ``loop_grow``, ``count`` rounds of ``select`` + ``insert``:
@@ -112,15 +113,16 @@ class TestVectorEqualsLoop:
 
 
 class TestExactIdsTakeTheLoop:
-    def test_fraction_ids_never_read_the_column(self, monkeypatch):
-        segments = SegmentMap([Fraction(k, 7) for k in range(7)])
-        segments.insert(0.45)  # one exact id is enough to leave the column
-        monkeypatch.setattr(
-            SegmentMap, "column",
-            property(lambda self: pytest.fail("column read on exact ids")))
-        for strategy in STRATEGIES:
-            for seed in range(10):
-                assert_same_choice(strategy, segments, seed)
+    """Exact ids raise before any draw; float ids read the column."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: f"t{s.t}")
+    def test_exact_ids_raise_before_any_draw(self, strategy):
+        segments = SegmentMap([k / 8 for k in range(8)])
+        segments.insert(Fraction(1, 3))  # one exact id is enough
+        rng, ref = (np.random.default_rng(4) for _ in range(2))
+        with pytest.raises(ValueError, match="float ids only"):
+            strategy.select(segments, rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_float_ids_do_read_the_column(self, monkeypatch):
         reads = []
@@ -251,11 +253,13 @@ class TestGrowEqualsLoop:
         assert walked == [1, 2]
 
     @pytest.mark.parametrize("strategy", GROW_STRATEGIES, ids=_strategy_id)
-    def test_exact_ids(self, strategy):
+    def test_exact_ids_raise(self, strategy):
         segments = SegmentMap([Fraction(k, 7) for k in range(7)])
-        segments.insert(0.45)
-        for seed in range(3):
-            assert_same_growth(strategy, segments, seed, 40)
+        rng, ref = (np.random.default_rng(5) for _ in range(2))
+        with pytest.raises(ValueError, match="float ids only"):
+            strategy.grow(segments, rng, 40)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert len(segments) == 7
 
     def test_duplicates_raise_as_the_loop_does(self):
         """A drawn id already present, or drawn twice within one window."""
@@ -370,16 +374,6 @@ class TestPopulateEqualsTheLoop:
         loop_populate(expect, 500, MultipleChoice())
         assert_same_network(got, expect)
         assert sum(len(s.store) for s in got.servers.values()) == 600
-
-    def test_exact_ids(self):
-        def setup(net):
-            for k in range(9):
-                net.join(Fraction(k, 9))
-
-        got, expect = twin_networks(12, setup)
-        got.populate(60, selector=MultipleChoice())
-        loop_populate(expect, 60, MultipleChoice())
-        assert_same_network(got, expect)
 
     def test_a_duplicate_commits_nothing(self):
         """The loop keeps the joins before a duplicate; populate keeps none."""

@@ -1,6 +1,7 @@
 """Tests for workload generators, churn driver, metrics and rng helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,33 @@ class TestChurn:
         joins = sum(1 for op in trace.ops if op.kind == "join")
         leaves = sum(1 for op in trace.ops if op.kind == "leave")
         assert joins == 100 and leaves == 50
+
+    @pytest.mark.parametrize("kwargs", [
+        {"steps": -3}, {"steps": 2.5}, {"steps": True},
+        {"steps": 10, "warmup": -1}, {"steps": 10, "warmup": 4.0},
+        {"steps": 10, "leave_prob": 1.5}, {"steps": 10, "leave_prob": -0.1},
+        {"steps": 10, "leave_prob": float("nan")},
+    ])
+    def test_generate_refuses_out_of_range_inputs(self, kwargs):
+        rng, ref = (np.random.default_rng(7) for _ in range(2))
+        bad = list(kwargs.values())[-1]
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            ChurnTrace.generate(rng, **kwargs)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n, fraction", [
+        (-1, 0.5), (10.0, 0.5), (10, 2.0), (10, -0.5), (10, float("nan")),
+    ])
+    def test_mass_departure_refuses_out_of_range_inputs(self, n, fraction):
+        with pytest.raises(ValueError, match="n needs a count|fraction must"):
+            ChurnTrace.mass_departure(np.random.default_rng(8), n, fraction)
+
+    def test_the_bounds_themselves_are_valid(self):
+        rng = np.random.default_rng(9)
+        assert len(ChurnTrace.generate(rng, 0, warmup=0).ops) == 0
+        assert all(op.kind == "leave" for op in
+                   ChurnTrace.generate(rng, 20, leave_prob=1.0, warmup=0).ops)
+        assert len(ChurnTrace.mass_departure(rng, 10, fraction=1.0).ops) == 20
 
     def test_run_churn_reports(self):
         rng = np.random.default_rng(6)

@@ -92,7 +92,6 @@ ALLOWLIST = {
     "core/continuous.py:digits_to_point": "Obs 2.3 / Claim 2.4 property "
                                           "API",
     # the only path for a supported input
-    "balance/strategies.py:_grow_per_join": "grow over exact (Fraction) ids",
     "balance/strategies.py:ImprovedSingleChoice._probes": "a window's "
                                                           "probe count; "
                                                           "populate never "
