@@ -213,12 +213,13 @@ class CacheSystem:
 
     def __init__(self, net: DistanceHalvingNetwork, threshold: Optional[int] = None,
                  salts: int = 1):
-        if int(salts) < 1:
-            raise ValueError("salts must be >= 1")
+        from .batch_cache import _positive_int  # batch_cache imports this module
+
+        self.salts = _positive_int(salts, "salts")
+        self.c = (_positive_int(threshold, "threshold c")
+                  if threshold is not None
+                  else int(np.ceil(np.log2(max(2, net.n)))))
         self.net = net
-        n = max(2, net.n)
-        self.c = int(threshold) if threshold is not None else max(1, int(np.ceil(np.log2(n))))
-        self.salts = int(salts)
         self.trees: Dict[Key, ActiveTree] = {}
         # per-server counters for the §3 guarantees
         self.cache_hits: Counter = Counter()       # requests supplied per server

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .interval import Arc, Number, normalize
 
 __all__ = ["ContinuousGraph", "Digits", "binary_digits", "digits_to_point"]
@@ -92,8 +94,11 @@ class ContinuousGraph:
     delta: int = 2
 
     def __post_init__(self) -> None:
-        if self.delta < 2:
-            raise ValueError("delta must be at least 2")
+        delta = self.delta
+        # bool and floats are refused, not truncated; NumPy ints pass
+        if (isinstance(delta, bool) or not isinstance(delta, (int, np.integer))
+                or delta < 2):
+            raise ValueError(f"delta must be an int >= 2, got {delta!r}")
 
     # ------------------------------------------------------------------ maps
     def child(self, y: Number, digit: int) -> Number:

@@ -1,17 +1,16 @@
-"""Baseline batch-router shoot-out: per-topology speedup + parity.
+"""Baseline batch-router shoot-out: per-topology rate + parity.
 
 The measurement helper :func:`measure_baselines` drives every Table 1
 competitor through its compiled
 :class:`~repro.baselines.base.BaselineBatchRouter` — the same workload
 shape as the E1 harness (uniform sources, uniform targets, CSR
-congestion accounting) — and times the scalar per-hop ``lookup_path``
-loop on a subsample of the identical pairs.  Each scheme's subsample is
-additionally *replayed*: batch server paths must equal the scalar paths
-element-for-element and the scalar :class:`CongestionCounter` summary
-must equal the :class:`BatchCongestion` summary bit-for-bit, so the
-reported speedup is for provably identical work.  Every replayed path
-must also end at the node the scheme's ``owner`` makes responsible for
-its target.
+congestion accounting) — and routes a subsample of the identical pairs
+through the scalar per-hop ``lookup_path`` loop.  The batch replay of
+that subsample must equal the scalar paths element-for-element, and the
+scalar :class:`CongestionCounter` summary must equal the
+:class:`BatchCongestion` summary bit-for-bit.  Every replayed path must
+also end at the node the scheme's ``owner`` makes responsible for its
+target.
 
 Run by the ``bench-baselines`` CLI subcommand (the CI smoke +
 regression-gate artifact).
@@ -19,7 +18,6 @@ regression-gate artifact).
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -34,7 +32,6 @@ from ..baselines import (
 )
 from ..core.routing_stats import BatchCongestion, CongestionCounter
 from ..sim.rng import spawn_many
-from ..sim.workload import rate_fields
 
 __all__ = [
     "SCHEME_BUILDERS",
@@ -67,15 +64,14 @@ def measure_baselines(
     schemes: Optional[Sequence[str]] = None,
     chunk: int = 8192,
 ) -> Dict:
-    """Time batch vs scalar routing per scheme on identical workloads.
+    """Time batch routing per scheme and replay a subsample on the scalar loop.
 
     For every scheme: build the overlay, compile its batch router, route
     ``lookups`` uniform pairs chunked through :class:`BatchCongestion`
     (the timed batch leg), route the first ``scalar_sample`` of the same
     pairs through the scalar ``lookup_path`` + ``CongestionCounter``
-    loop (the timed scalar leg), and verify the batch replay of that
-    subsample hop-for-hop and summary-for-summary, each path ending at
-    its target's owner.
+    loop, and verify the batch replay of that subsample hop-for-hop and
+    summary-for-summary, each path ending at its target's owner.
     """
     names = list(schemes) if schemes is not None else list(SCHEME_BUILDERS)
     unknown = [s for s in names if s not in SCHEME_BUILDERS]
@@ -107,7 +103,6 @@ def measure_baselines(
         ids = list(dht.node_ids())
         counter = CongestionCounter()
         scalar_paths: List[List[float]] = []
-        t0 = time.perf_counter()
         for k in range(m):
             path = [
                 float(x)
@@ -115,7 +110,6 @@ def measure_baselines(
             ]
             counter.record_path(path)
             scalar_paths.append(path)
-        scalar_secs = time.perf_counter() - t0
 
         # replay the scalar subsample through the batch spine: paths and
         # congestion summaries must agree exactly, and every path must
@@ -133,28 +127,27 @@ def measure_baselines(
             "scheme": dht.name,
             "build_secs": build_secs,
             "compile_secs": compile_secs,
-            **rate_fields(lookups, batch_secs, m, scalar_secs),
+            "batch_secs": batch_secs,
+            "batch_rate": lookups / batch_secs,
             "parity_ok": bool(parity),
             "mean_path": float(hops.mean()) if lookups else 0.0,
             "max_congestion": cong.max_congestion(),
             "mean_degree": float(dht.mean_degree()),
         }
-    speedups = [row["speedup"] for row in per_scheme.values()]
     return {
         "n": n,
         "lookups": lookups,
         "scalar_sample": min(scalar_sample, lookups),
         "schemes": per_scheme,
         "all_parity_ok": all(row["parity_ok"] for row in per_scheme.values()),
-        "min_speedup_measured": min(speedups) if speedups else math.inf,
     }
 
 
 def format_baselines_report(result: Dict) -> str:
     """Human-readable per-scheme table of one measurement dict."""
     head = (
-        f"{'scheme':<12} {'build(s)':>8} {'batch/s':>12} {'scalar/s':>10} "
-        f"{'speedup':>8} {'mean_path':>9} {'parity':>7}"
+        f"{'scheme':<12} {'build(s)':>8} {'batch/s':>12} "
+        f"{'mean_path':>9} {'parity':>7}"
     )
     lines = [
         f"baseline shoot-out: n={result['n']}  lookups={result['lookups']}  "
@@ -165,12 +158,8 @@ def format_baselines_report(result: Dict) -> str:
     for name, row in result["schemes"].items():
         lines.append(
             f"{name:<12} {row['build_secs']:>8.2f} {row['batch_rate']:>12,.0f} "
-            f"{row['scalar_rate']:>10,.0f} {row['speedup']:>7.1f}x "
             f"{row['mean_path']:>9.2f} "
             f"{'ok' if row['parity_ok'] else 'MISMATCH':>7}"
         )
-    lines.append(
-        f"min speedup: {result['min_speedup_measured']:.1f}x   "
-        f"parity: {'PASS' if result['all_parity_ok'] else 'FAIL'}"
-    )
+    lines.append(f"parity: {'PASS' if result['all_parity_ok'] else 'FAIL'}")
     return "\n".join(lines)

@@ -1,13 +1,12 @@
-"""Batch-vs-scalar caching measurement (§3 protocol at throughput scale).
+"""Batch caching measurement (§3 protocol at throughput scale).
 
 The measurement helper :func:`measure_caching` drives a Zipf hot-key
 request stream through the vectorized
-:class:`~repro.core.batch_cache.BatchCacheEngine` and times it against
-the scalar :class:`~repro.core.caching.CacheSystem.request` loop on the
-same stream, with three verdicts attached:
+:class:`~repro.core.batch_cache.BatchCacheEngine` and times it, with two
+verdicts attached:
 
-* ``speedup`` — cache-served requests/sec, batch over scalar;
-* ``parity_ok`` — on a small side network the two engines replay an
+* ``parity_ok`` — on a ``PARITY_N``-server side network the batch engine
+  and the scalar :class:`~repro.core.caching.CacheSystem` replay an
   identical tau-pinned trace and must agree bit-for-bit (served nodes,
   replication counts, active sets, ``summary()``);
 * ``salted_ok`` — on a single-hotspot stream at the headline size, the
@@ -28,7 +27,7 @@ import numpy as np
 
 from ..core import BatchCacheEngine, CacheSystem
 from ..sim.rng import spawn_many
-from ..sim.workload import (balanced_network, demand_stream, rate_fields,
+from ..sim.workload import (balanced_network, demand_stream,
                             single_hotspot_demands, zipf_demands)
 
 __all__ = ["measure_caching", "format_caching_report", "drive_chunked",
@@ -37,6 +36,11 @@ __all__ = ["measure_caching", "format_caching_report", "drive_chunked",
 #: Requests per serve_batch call: big enough to amortise the fixpoint,
 #: small enough to keep the per-chunk working set in cache-friendly range.
 DEFAULT_CHUNK = 1 << 17
+
+#: The scalar-bound trace replay: its side network's size and its
+#: request count (at most the stream's).
+PARITY_N = 512
+PARITY_REQUESTS = 1200
 
 
 def drive_chunked(engine, item_idx, sources, rng=None, tau=None,
@@ -102,31 +106,28 @@ def measure_caching(
     n: int = 16384,
     requests: int = 1_000_000,
     seed: int = 0,
-    scalar_sample: int = 1500,
     n_items: int = 64,
     salts: int = 4,
     exponent: float = 1.2,
     threshold: Optional[int] = None,
-    parity_n: int = 512,
-    parity_requests: int = 1200,
     hotspot_requests: Optional[int] = None,
     chunk: int = DEFAULT_CHUNK,
 ) -> Dict:
-    """Serve ``requests`` Zipf(``exponent``) cache requests, batch vs scalar.
+    """Serve ``requests`` Zipf(``exponent``) cache requests in batches.
 
     Builds an ``n``-server Multiple-Choice-balanced network,
     expands a Zipf demand over ``n_items`` items into a shuffled arrival
     stream, and times the chunked batch drive (including the end-of-epoch
-    collapse) against the scalar per-request loop on the stream's head.
-    Adds the tau-pinned parity replay on a ``parity_n``-server network
-    and the salted-vs-unsalted hotspot comparison at the headline size.
-    Returns rates, the speedup, cache statistics, and all three verdicts.
+    collapse).  Adds the tau-pinned scalar parity replay on a
+    ``PARITY_N``-server network and the salted-vs-unsalted hotspot
+    comparison at the headline size.  Returns the batch rate, cache
+    statistics, and both verdicts.
     """
     if requests < 1:
         raise ValueError("measure_caching needs at least one request")
-    if parity_n > 1024:
-        raise ValueError("the parity replay is scalar-bound; keep parity_n <= 1024")
-    build_rng, route = spawn_many(seed * 29 + n, 2)
+    # the hotspot comparison draws from its own stream, so no other leg
+    # moves its outcome by drawing more or fewer digits
+    build_rng, route, hot_rng = spawn_many(seed * 29 + n, 3)
     net = balanced_network(n, build_rng)
 
     items = [f"item{i}" for i in range(n_items)]
@@ -144,20 +145,13 @@ def measure_caching(
     engine.advance_epoch()
     batch_secs = time.perf_counter() - t0
 
-    m = min(scalar_sample, requests)
-    scal = CacheSystem(net, threshold=threshold)
-    t0 = time.perf_counter()
-    for i in range(m):
-        scal.request(items[int(stream[i])], float(sources[i]), route)
-    scalar_secs = time.perf_counter() - t0
-
     # bit-parity replay: full trace on a scalar-affordable side network
-    prng, proute = spawn_many(seed * 31 + parity_n, 2)
-    pnet = balanced_network(parity_n, prng)
-    pq = min(parity_requests, requests)
+    prng, proute = spawn_many(seed * 31 + PARITY_N, 2)
+    pnet = balanced_network(PARITY_N, prng)
+    pq = min(PARITY_REQUESTS, requests)
     p_items = items[: min(n_items, 16)]
     p_idx = proute.integers(0, len(p_items), size=pq)
-    p_src = pnet.segments.as_array()[proute.integers(0, parity_n, size=pq)]
+    p_src = pnet.segments.as_array()[proute.integers(0, PARITY_N, size=pq)]
     p_tau = proute.integers(0, 2, size=(pq, 64))
     parity_ok = trace_parity(pnet, p_items, p_idx, p_src, p_tau,
                              threshold=threshold, epochs=2)
@@ -171,9 +165,9 @@ def measure_caching(
     # request scale rather than a small sample.
     hq = hotspot_requests if hotspot_requests is not None else min(
         requests, 1_000_000)
-    hot_stream = demand_stream(single_hotspot_demands(1, hq), route)
-    hot_src = pts[route.integers(0, n, size=hq)]
-    hot_tau = route.integers(0, net.delta, size=(hq, 64))
+    hot_stream = demand_stream(single_hotspot_demands(1, hq), hot_rng)
+    hot_src = pts[hot_rng.integers(0, n, size=hq)]
+    hot_tau = hot_rng.integers(0, net.delta, size=(hq, 64))
     plain = BatchCacheEngine(net, ["hot"], threshold=threshold)
     drive_chunked(plain, hot_stream, hot_src, tau=hot_tau, chunk=chunk)
     salted = BatchCacheEngine(net, ["hot"], threshold=threshold, salts=salts)
@@ -190,10 +184,10 @@ def measure_caching(
         "n_items": n_items,
         "threshold_c": int(engine.c),
         "zipf_exponent": exponent,
-        "scalar_sample": m,
         "compile_secs": compile_secs,
-        **rate_fields(requests, batch_secs, m, scalar_secs),
-        "parity_n": parity_n,
+        "batch_secs": batch_secs,
+        "batch_rate": requests / batch_secs,
+        "parity_n": PARITY_N,
         "parity_ok": bool(parity_ok),
         "salts": salts,
         "hotspot_requests": hq,
@@ -218,10 +212,7 @@ def format_caching_report(result: Dict) -> str:
         f"batch : {result['requests']:>8} requests cache-served in "
         f"{result['batch_secs']:.3f}s  = {result['batch_rate']:>12,.0f} "
         f"requests/sec",
-        f"scalar: {result['scalar_sample']:>8} requests cache-served in "
-        f"{result['scalar_secs']:.3f}s  = {result['scalar_rate']:>12,.0f} "
-        f"requests/sec",
-        f"speedup: {result['speedup']:.1f}x   max_hits: "
+        f"max_hits: "
         f"{result['max_cache_hits']:.0f}   copies: "
         f"{result['total_copies']:.0f}   items/server ≤ "
         f"{result['max_items_cached']:.0f}",

@@ -39,7 +39,7 @@ from ..faults import (
     simple_lookup,
 )
 from ..sim.rng import spawn_many
-from ..sim.workload import random_pairs, rate_fields, survivor_pairs
+from ..sim.workload import random_pairs, survivor_pairs
 from .common import ExperimentResult, register
 
 __all__ = ["measure_faults", "format_faults_report", "FT_CHOICE_DIGITS",
@@ -75,7 +75,7 @@ def measure_faults(
     net: Optional[OverlappingDHNetwork] = None,
     engine: Optional[FTBatchEngine] = None,
 ) -> Dict:
-    """Route one fault-sweep cell, batch vs scalar.
+    """Route one fault-sweep cell, with a scalar replay.
 
     Builds (or reuses) an ``n``-server overlapping network, draws a
     random fail-stop plan at probability ``p_fail``, samples ``pairs``
@@ -85,7 +85,7 @@ def measure_faults(
     driven by the same choice uniforms and must match bit-for-bit
     (success / messages / traversed levels / server walks); pass
     ``scalar_sample=0`` to skip the replay (big sweep cells).  Returns
-    rates, the speedup, the reachability digest and the parity verdict.
+    the batch rate, the reachability digest and the parity verdict.
     """
     if net is None and engine is not None:
         net = engine.net  # a lone engine pins the network it snapshots
@@ -113,13 +113,8 @@ def measure_faults(
     batch_secs = time.perf_counter() - t0
 
     m = min(scalar_sample, pairs)
-    parity = True
-    scalar_secs = 0.0
-    if m:
-        t0 = time.perf_counter()
-        parity = scalar_simple_replay(net, batch, sources[:m], targets[:m],
-                                      choices[:m], plan=plan)
-        scalar_secs = time.perf_counter() - t0
+    parity = scalar_simple_replay(net, batch, sources[:m], targets[:m],
+                                  choices[:m], plan=plan)
 
     return {
         "n": n,
@@ -127,7 +122,8 @@ def measure_faults(
         "pairs": pairs,
         "scalar_sample": m,
         "alive_servers": int(alive.sum()),
-        **rate_fields(pairs, batch_secs, m, scalar_secs),
+        "batch_secs": batch_secs,
+        "batch_rate": pairs / batch_secs,
         "parity_ok": bool(parity),
         "success_rate": batch.success_rate(),
         "failures": int(batch.size - batch.success.sum()),
@@ -146,14 +142,12 @@ def format_faults_report(result: Dict) -> str:
         f"batch : {result['pairs']:>8} FT lookups routed in "
         f"{result['batch_secs']:.3f}s  = {result['batch_rate']:>12,.0f} "
         f"lookups/sec",
-        f"scalar: {result['scalar_sample']:>8} FT lookups replayed in "
-        f"{result['scalar_secs']:.3f}s  = {result['scalar_rate']:>12,.0f} "
-        f"lookups/sec",
-        f"speedup: {result['speedup']:.1f}x   success: "
-        f"{result['success_rate']:.5f} ({result['failures']} failures)   "
+        f"success: {result['success_rate']:.5f} "
+        f"({result['failures']} failures)   "
         f"max parallel time: {result['max_parallel_time']} "
         f"(≤ {result['logn_bound']:.1f})",
-        f"parity (success/messages/levels/paths on scalar replay): "
+        f"parity (success/messages/levels/paths on "
+        f"{result['scalar_sample']} scalar replays): "
         f"{'PASS' if result['parity_ok'] else 'FAIL'}",
     ]
     return "\n".join(lines)

@@ -5,45 +5,31 @@ goal.  The continuous-discrete scheme routes a batch of lookups with one
 closed-form walk evaluation plus one cover-index read per routing
 level (:mod:`repro.core.batch`), so lookups/sec should exceed the scalar
 per-hop Python loop by an order of magnitude while remaining
-*bit-identical* — owners, walk parameters and hop counts are
-parity-checked on a scalar subsample in the same run.
+*bit-identical* — X3 times the scalar engine on a subsample of the same
+workload and parity-checks owners, walk parameters and hop counts on it.
 
-The measurement helper :func:`measure_throughput` is shared by this
-experiment and the ``bench-throughput`` CLI subcommand.
+The batch leg, :func:`measure_throughput`, is shared by this experiment
+and the ``bench-throughput`` CLI subcommand.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
-
+from typing import Dict
 
 from ..core import lookup_many
 from ..sim.rng import spawn_many
-from ..sim.workload import balanced_network, random_pairs, rate_fields
+from ..sim.workload import DH_TAU_DIGITS, balanced_network, random_pairs
 from .common import ExperimentResult, register
 
 __all__ = ["measure_throughput", "format_throughput_report"]
 
 
-def measure_throughput(
-    n: int = 4096,
-    lookups: int = 100_000,
-    seed: int = 0,
-    scalar_sample: int = 2000,
-    algorithm: str = "fast",
-    delta: int = 2,
-) -> Dict:
-    """Route ``lookups`` random pairs in bulk and a scalar subsample.
+def _route(n: int, lookups: int, seed: int, algorithm: str, delta: int):
+    """Build the network, compile its router and route the workload once.
 
-    Builds an ``n``-server Multiple-Choice-balanced network,
-    compiles its :class:`~repro.core.batch.BatchRouter`, times the batch
-    engine on the whole workload and the scalar engine on the first
-    ``scalar_sample`` pairs, and cross-checks owner / walk parameter /
-    hop count on that subsample.  For ``algorithm='dh'`` both engines
-    are driven by the same explicit digit strings so the comparison is
-    bit-for-bit.  Returns a dict of rates, the speedup, and the parity
-    verdict.
+    Returns ``(net, sources, targets, batch, compile_secs, batch_secs)``.
+    For ``algorithm='dh'`` the walks follow explicit digit strings.
     """
     if algorithm not in ("fast", "dh"):
         raise ValueError(f"unknown algorithm {algorithm!r}; use 'fast' or 'dh'")
@@ -55,43 +41,43 @@ def measure_throughput(
     compile_secs = time.perf_counter() - t0
 
     sources, targets = random_pairs(net.segments.as_array(), route, lookups)
-    m = min(scalar_sample, lookups)
-    taus: Optional[List[List[int]]] = None
-    tau_arr = None
+    tau = None
     if algorithm == "dh":
-        # fixed digit strings make batch and scalar bit-comparable; 64
-        # digits is far beyond the Theorem 2.8 walk length at any tested n
-        tau_arr = route.integers(0, net.delta, size=(lookups, 64))
-        taus = [list(tau_arr[i]) for i in range(m)]
+        tau = route.integers(0, net.delta, size=(lookups, DH_TAU_DIGITS))
 
     t0 = time.perf_counter()
     if algorithm == "fast":
         batch = router.lookup_batch(sources, targets)
     else:
-        batch = router.batch_dh_lookup(sources, targets, tau=tau_arr)
+        batch = router.batch_dh_lookup(sources, targets, tau=tau)
     batch_secs = time.perf_counter() - t0
+    return net, sources, targets, batch, compile_secs, batch_secs
 
-    t0 = time.perf_counter()
-    scalar = lookup_many(
-        net, sources[:m], targets[:m], algorithm=algorithm, taus=taus
-    )
-    scalar_secs = time.perf_counter() - t0
 
-    parity = all(
-        r.owner == batch.owner[i]
-        and r.t == batch.t[i]
-        and r.hops == batch.hops[i]
-        for i, r in enumerate(scalar)
-    )
+def measure_throughput(
+    n: int = 4096,
+    lookups: int = 100_000,
+    seed: int = 0,
+    algorithm: str = "fast",
+    delta: int = 2,
+) -> Dict:
+    """Route ``lookups`` random pairs in bulk and time it.
+
+    Builds an ``n``-server Multiple-Choice-balanced network, compiles
+    its :class:`~repro.core.batch.BatchRouter` and times the batch
+    engine on the whole workload.  Returns a dict of the timings, the
+    rate, the mean hop count and the longest walk.
+    """
+    net, _, _, batch, compile_secs, batch_secs = _route(
+        n, lookups, seed, algorithm, delta)
     return {
         "algorithm": algorithm,
         "n": n,
         "rho": float(net.smoothness()),
         "lookups": lookups,
-        "scalar_sample": m,
         "compile_secs": compile_secs,
-        **rate_fields(lookups, batch_secs, m, scalar_secs),
-        "parity_ok": parity,
+        "batch_secs": batch_secs,
+        "batch_rate": lookups / batch_secs,
         "mean_hops": float(batch.hops.mean()),
         "max_t": int(batch.t.max()) if lookups else 0,
     }
@@ -105,13 +91,7 @@ def format_throughput_report(result: Dict) -> str:
         f"(router compiled in {result['compile_secs']:.3f}s)",
         f"batch : {result['lookups']:>8} lookups in {result['batch_secs']:.3f}s"
         f"  = {result['batch_rate']:>12,.0f} lookups/sec",
-        f"scalar: {result['scalar_sample']:>8} lookups in "
-        f"{result['scalar_secs']:.3f}s  = {result['scalar_rate']:>12,.0f} "
-        f"lookups/sec",
-        f"speedup: {result['speedup']:.1f}x   mean hops: "
-        f"{result['mean_hops']:.2f}   max walk t: {result['max_t']}",
-        f"parity (owner/t/hops on scalar sample): "
-        f"{'PASS' if result['parity_ok'] else 'FAIL'}",
+        f"mean hops: {result['mean_hops']:.2f}   max walk t: {result['max_t']}",
     ]
     return "\n".join(lines)
 
@@ -126,20 +106,30 @@ def run(seed: int = 16, quick: bool = False) -> ExperimentResult:
     parity_ok = True
     speedups = []
     for n in sizes:
-        res = measure_throughput(
-            n=n, lookups=lookups, seed=seed, scalar_sample=sample
+        net, sources, targets, batch, _, batch_secs = _route(
+            n, lookups, seed, "fast", 2)
+        t0 = time.perf_counter()
+        scalar = lookup_many(net, sources[:sample], targets[:sample])
+        scalar_secs = time.perf_counter() - t0
+        parity = all(
+            r.owner == batch.owner[i]
+            and r.t == batch.t[i]
+            and r.hops == batch.hops[i]
+            for i, r in enumerate(scalar)
         )
-        parity_ok &= res["parity_ok"]
-        speedups.append(res["speedup"])
+        batch_rate = lookups / batch_secs
+        scalar_rate = sample / scalar_secs
+        parity_ok &= parity
+        speedups.append(batch_rate / scalar_rate)
         rows.append(
             {
                 "n": n,
                 "lookups": lookups,
-                "batch_rate": round(res["batch_rate"]),
-                "scalar_rate": round(res["scalar_rate"]),
-                "speedup": round(res["speedup"], 1),
-                "mean_hops": round(res["mean_hops"], 2),
-                "parity": "ok" if res["parity_ok"] else "MISMATCH",
+                "batch_rate": round(batch_rate),
+                "scalar_rate": round(scalar_rate),
+                "speedup": round(speedups[-1], 1),
+                "mean_hops": round(float(batch.hops.mean()), 2),
+                "parity": "ok" if parity else "MISMATCH",
             }
         )
     checks["batch/scalar parity (owner, t, hops) at every size"] = parity_ok

@@ -63,8 +63,9 @@ class KWiseHash:
     """
 
     def __init__(self, k: int, rng: np.random.Generator):
-        if k < 1:
-            raise ValueError("independence parameter k must be >= 1")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(
+                f"independence parameter k must be an int >= 1, got {k!r}")
         self.k = int(k)
         # rng.integers is limited to 64-bit; compose two draws for safety margin.
         self.coefficients: list[int] = [

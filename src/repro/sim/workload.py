@@ -2,8 +2,7 @@
 
 The experiments' kit: :func:`balanced_network` builds the network every
 §2–§3 experiment measures, :func:`random_pairs` draws Definition 3's
-lookup stream over it, :func:`route_pairs` routes one, and
-:func:`rate_fields` reports a batch-vs-scalar timing of it.
+lookup stream over it, and :func:`route_pairs` routes one.
 
 Each generator is a deterministic function of its RNG, covering the
 demand patterns the paper analyses:
@@ -24,7 +23,7 @@ and E5 route their whole workloads through it.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "demand_stream",
     "pairs_to_arrays",
     "route_pairs",
-    "rate_fields",
     "DH_TAU_DIGITS",
 ]
 
@@ -125,26 +123,6 @@ def route_pairs(
     if congestion is not None:
         congestion.record_batch(res)
     return res
-
-
-def rate_fields(batch_ops: int, batch_secs: float, scalar_ops: int,
-                scalar_secs: float) -> Dict[str, float]:
-    """The five timing keys of a batch-vs-scalar measurement dict.
-
-    ``batch_secs`` / ``scalar_secs`` as given, the two ops-per-second
-    rates and ``speedup`` = batch rate over scalar rate.  A leg that took
-    zero seconds has an infinite rate, so a skipped scalar replay
-    (``scalar_ops = 0`` in zero seconds) reads ``inf`` with speedup 0.0.
-    """
-    batch_rate = batch_ops / batch_secs if batch_secs > 0 else math.inf
-    scalar_rate = scalar_ops / scalar_secs if scalar_secs > 0 else math.inf
-    return {
-        "batch_secs": batch_secs,
-        "scalar_secs": scalar_secs,
-        "batch_rate": batch_rate,
-        "scalar_rate": scalar_rate,
-        "speedup": batch_rate / scalar_rate if scalar_rate > 0 else math.inf,
-    }
 
 
 def balanced_network(n: int, rng: np.random.Generator,

@@ -8,6 +8,7 @@ servers (Figure 3).
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,26 @@ class TestSaltedCacheSystem:
         net, _ = make_net(16, seed=23)
         with pytest.raises(ValueError):
             CacheSystem(net, salts=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"salts": 2.5}, {"salts": True}, {"salts": 2.0},
+        {"threshold": 2.7}, {"threshold": True}, {"threshold": 3.0},
+        {"threshold": 0},
+    ])
+    def test_non_int_salts_and_threshold_refused(self, kwargs):
+        """Truncation built c == 2 from 2.7 and took True as c == 1."""
+        net, _ = make_net(64, seed=24)
+        [(what, value)] = kwargs.items()
+        with pytest.raises(ValueError,
+                           match=f"{what}.*got {re.escape(repr(value))}"):
+            CacheSystem(net, **kwargs)
+
+    def test_numpy_ints_pass(self):
+        net, _ = make_net(64, seed=25)
+        cache = CacheSystem(net, threshold=np.int64(3), salts=np.int32(2))
+        assert (cache.c, cache.salts) == (3, 2)
+        assert type(cache.c) is int and type(cache.salts) is int
+        assert CacheSystem(net).c == 6  # ⌈log₂ 64⌉
 
 
 class TestObservation31:

@@ -195,6 +195,22 @@ class TestJoinLeave:
             assert net.get_item(f"k{i}") == i
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("delta", [2.5, 2.0, True, 1, "2"])
+    def test_non_int_delta_refused(self, delta):
+        """``delta=2.5`` populated and routed with a fractional Δ."""
+        with pytest.raises(ValueError,
+                           match=f"delta must be an int >= 2, got "
+                           f"{re.escape(repr(delta))}"):
+            DistanceHalvingNetwork(delta=delta)
+
+    def test_numpy_int_delta_passes(self):
+        net = DistanceHalvingNetwork(delta=np.int64(3),
+                                     rng=np.random.default_rng(0))
+        net.populate(27)
+        assert net.delta == 3 and net.n == 27
+
+
 class TestNeighbors:
     def test_out_neighbors_cover_images(self, net256):
         pts = list(net256.points())

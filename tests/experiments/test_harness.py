@@ -200,7 +200,7 @@ class TestCli:
         out = tmp_path / "BENCH_baselines.json"
         rc = main(["bench-baselines", "--n", "64", "--lookups", "400",
                    "--scalar-sample", "60", "--schemes", "chord,koorde",
-                   "--min-speedup", "0.01", "--json-out", str(out)])
+                   "--json-out", str(out)])
         assert rc == 0
         assert "parity: PASS" in capsys.readouterr().out
         payload = json.loads(out.read_text())
@@ -228,15 +228,13 @@ class TestCli:
 # ------------------------------------------------- the bench table contract
 #: sizes small enough for tier-1; a new row must add its own (see the test)
 TINY = {
-    "bench-throughput": ["--n", "128", "--lookups", "2000",
-                         "--scalar-sample", "50"],
+    "bench-throughput": ["--n", "128", "--lookups", "2000"],
     "bench-churn": ["--n", "128", "--lookups", "2000", "--churn-ops", "16",
                     "--mass-n", "64"],
     "bench-congestion": ["--n", "128", "--lookups", "2000",
                          "--scalar-sample", "50"],
     "bench-faults": ["--n", "128", "--pairs", "2000", "--scalar-sample", "50"],
     "bench-caching": ["--n", "128", "--requests", "3000",
-                      "--scalar-sample", "100", "--parity-n", "64",
                       "--hotspot-requests", "3000"],
     "bench-baselines": ["--n", "64", "--lookups", "400",
                         "--scalar-sample", "60", "--schemes", "chord,koorde"],
@@ -248,34 +246,31 @@ TINY = {
 
 #: ``{subcommand: {flag: default}}`` read off the parser by argparse
 #: introspection at the commit before the table (PR 17), minus every
-#: ``--workers`` and the ``bench-shard`` row: the sharded backend is
-#: reached only through ``BatchRouter.lookup_batch(workers=)``
+#: ``--workers`` and the ``bench-shard`` row (the sharded backend is
+#: reached only through ``BatchRouter.lookup_batch(workers=)``), every
+#: ``--min-speedup``, and the scalar-sample / parity-n flags of the two
+#: benches whose scalar parity cell tier-1 pins (throughput) or whose
+#: only scalar leg was the timed one (caching)
 FLAG_SURFACE = {
     "bench-throughput": {
-        "--n": 4096, "--lookups": 100000, "--scalar-sample": 1000,
-        "--algorithm": "fast", "--delta": 2, "--seed": 0,
-        "--min-speedup": 10.0, "--json-out": None},
+        "--n": 4096, "--lookups": 100000, "--algorithm": "fast",
+        "--delta": 2, "--seed": 0, "--json-out": None},
     "bench-churn": {
         "--n": 16384, "--lookups": 100000, "--churn-ops": 256, "--phases": 2,
         "--leave-prob": 0.3, "--mass-n": None, "--churn-budget": None,
         "--seed": 0, "--max-refresh-us": 250.0, "--json-out": None},
     "bench-congestion": {
         "--n": 16384, "--lookups": 100000, "--scalar-sample": 1000,
-        "--algorithm": "fast", "--delta": 2, "--seed": 0,
-        "--min-speedup": 10.0, "--json-out": None},
+        "--algorithm": "fast", "--delta": 2, "--seed": 0, "--json-out": None},
     "bench-faults": {
         "--n": 16384, "--pairs": 100000, "--p-fail": 0.2,
-        "--scalar-sample": 200, "--seed": 0, "--min-speedup": 10.0,
-        "--json-out": None},
+        "--scalar-sample": 200, "--seed": 0, "--json-out": None},
     "bench-caching": {
         "--n": 16384, "--requests": 1000000, "--items": 64, "--salts": 4,
-        "--scalar-sample": 1500, "--parity-n": 512,
-        "--hotspot-requests": None, "--seed": 1, "--min-speedup": 10.0,
-        "--json-out": None},
+        "--hotspot-requests": None, "--seed": 1, "--json-out": None},
     "bench-baselines": {
         "--n": 16384, "--lookups": 100000, "--scalar-sample": 400,
-        "--schemes": None, "--chunk": 8192, "--seed": 0, "--min-speedup": 5.0,
-        "--json-out": None},
+        "--schemes": None, "--chunk": 8192, "--seed": 0, "--json-out": None},
     "soak": {
         "--n": 16384, "--lookups": 1000000, "--phases": None, "--chunk": None,
         "--seed": 0, "--items": 24, "--no-invariants": False,
@@ -284,7 +279,7 @@ FLAG_SURFACE = {
         "--n": 16384, "--pairs": 100000, "--isps": 8, "--temperature": 1.0,
         "--scalar-sample": 200, "--core-n": 4096, "--core-pairs": 50000,
         "--seed": 0, "--min-xisp-reduction": 0.3,
-        "--max-stretch": 1.5, "--min-speedup": 10.0, "--json-out": None},
+        "--max-stretch": 1.5, "--json-out": None},
 }
 
 
@@ -363,7 +358,6 @@ class TestBenchTable:
         ("bench-cost", "--scalar-sample", "0"),       # wrote scalar_rate Infinity
         ("bench-caching", "--hotspot-requests", "0"),  # salted_reduction Infinity
         ("bench-caching", "--items", "0"),             # NumPy traceback
-        ("bench-caching", "--parity-n", "4096"),       # measure's ValueError
         ("bench-churn", "--churn-budget", "-1"),       # 0 incremental refreshes
         ("bench-churn", "--mass-n", "-1"),             # passed, no mass departure
         ("soak", "--phases", "churn:0.5"),             # passed after 0 churn ops
@@ -406,7 +400,7 @@ class TestBenchTable:
                    if a.option_strings and a.option_strings[0] != "-h"}
             for name, sp in _subparsers().items() if name in FLAG_SURFACE}
         assert surface == FLAG_SURFACE
-        assert sum(map(len, surface.values())) == 72
+        assert sum(map(len, surface.values())) == 63
 
     def test_top_level_help_names_every_row(self, capsys):
         from repro.cli import BENCHES, main
@@ -428,11 +422,11 @@ class TestBenchTable:
         from repro.experiments import throughput
 
         monkeypatch.setattr(throughput, "measure_throughput", lambda **kw: {
-            "parity_ok": True, "speedup": float("inf"), "rows": [float("nan")]})
+            "batch_rate": float("inf"), "rows": [float("nan")]})
         monkeypatch.setattr(throughput, "format_throughput_report", str)
         path = tmp_path / "BENCH.json"
         assert main(["bench-throughput", "--json-out", str(path)]) == 1
         assert capsys.readouterr().err == (
             "bench-throughput: non-finite value in result "
-            "(result.speedup = inf, result.rows[0] = nan)\n")
+            "(result.batch_rate = inf, result.rows[0] = nan)\n")
         assert not path.exists()

@@ -1,5 +1,7 @@
 """Unit tests for the k-wise independent hash families."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ class TestKWiseHash:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             KWiseHash(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
+    def test_non_int_k_refused(self, k):
+        """``KWiseHash(2.5, rng).k`` was 2: a floored degree."""
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(k))}"):
+            KWiseHash(k, np.random.default_rng(0))
+
+    def test_numpy_int_k_passes(self):
+        h = KWiseHash(np.int64(3), np.random.default_rng(0))
+        assert h.k == 3 and len(h.coefficients) == 3
 
     def test_polynomial_structure(self):
         """Degree-(k-1) polynomial: k collinear constraints determine it."""

@@ -100,7 +100,6 @@ class TestArtifactSchema:
     def test_fresh_throughput_artifact_matches_schema(self, tmp_path):
         path = tmp_path / "BENCH_throughput.json"
         code = main(["bench-throughput", "--n", "128", "--lookups", "2000",
-                     "--scalar-sample", "50", "--min-speedup", "0.1",
                      "--json-out", str(path)])
         assert code == 0
         assert validate_artifact(path)["command"] == "bench-throughput"

@@ -11,17 +11,19 @@ rebuild per example).
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.adjacency import edge_keys
-from oracles.inputs import populated
+from oracles.inputs import joined, point_sets, populated
 from oracles.segments import midpoints_array
 
 from repro.balance import MultipleChoice
 from repro.core import lookup_many
+from repro.core.lookup import MAX_WALK_STEPS
 from repro.core.segments import cover_grid, cover_indices
 
 unit_float = st.floats(min_value=0.0, max_value=1.0, exclude_max=False,
@@ -106,9 +108,44 @@ class TestParityAtScale:
         pts = net.segments.as_array()
         src = pts[route.integers(0, 4096, size=5000)]
         batch = router.batch_fast_lookup(src, route.random(5000))
-        bound = np.log2(net.n) + np.log2(net.smoothness()) + 1
-        assert batch.t.max() <= bound + 1e-9
+        assert batch.t.max() <= corollary_2_5_bound(net)
         assert (batch.hops <= batch.t).all()
+
+    @settings(max_examples=120, deadline=None)
+    @given(points=point_sets(),
+           picks=st.lists(st.tuples(st.integers(0, 2**16), unit_float),
+                          min_size=1, max_size=24))
+    def test_corollary_2_5_on_adversarial_point_sets(self, points, picks):
+        """Cor 2.5 is deterministic: it holds on clustered, bucket-edge
+        and adjacent-float ids down to n = 1, not only on smooth sets."""
+        net = joined(points, seed=0)
+        router = net.compile_router()
+        src = points[[i % points.size for i, _ in picks]]
+        tgt = np.array([y for _, y in picks])
+        try:
+            batch = router.batch_fast_lookup(src, tgt)
+        except RuntimeError:
+            # Two refusals, both shared with the scalar engine: a segment
+            # shorter than 2^-512 needs more levels than the budget, and
+            # a segment one float wide can round its midpoint (the walk's
+            # origin) onto its own end, so no walk point lands in it.
+            width = np.mod(router.seg_end - router.points, 1.0)
+            one_float = width <= np.spacing(router.points)
+            own = np.searchsorted(router.points, src)
+            assert (corollary_2_5_bound(net) > MAX_WALK_STEPS
+                    or one_float[own].any())
+            return
+        assert batch.t.max() <= corollary_2_5_bound(net)
+        assert (batch.hops <= batch.t).all()
+
+
+def corollary_2_5_bound(net) -> float:
+    """``⌈log₂ n + log₂ ρ + 1⌉``: the walk length is an integer, so the
+    ceiling is the guarantee (as in test_protocol_properties.py).  A
+    subnormal segment overflows ρ to ``inf``, and the bound with it."""
+    bound = (math.log2(max(2, net.n)) + math.log2(max(1.0, net.smoothness()))
+             + 1)
+    return math.ceil(bound - 1e-9) if math.isfinite(bound) else math.inf
 
 
 class TestCsrLosslessEncoding:

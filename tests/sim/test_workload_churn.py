@@ -24,7 +24,7 @@ from repro.sim import (
     summarize,
     zipf_demands,
 )
-from repro.sim.workload import balanced_network, pairs_to_arrays, rate_fields
+from repro.sim.workload import balanced_network, pairs_to_arrays
 
 
 class TestWorkloads:
@@ -58,29 +58,11 @@ class TestWorkloads:
         # rng stays the network's own generator: the next join agrees too
         assert net.join().point == ref.join().point
 
-    def test_rate_fields(self):
-        fields = rate_fields(1000, 0.5, 10, 2.0)
-        assert fields == {"batch_secs": 0.5, "scalar_secs": 2.0,
-                          "batch_rate": 2000.0, "scalar_rate": 5.0,
-                          "speedup": 400.0}
-        assert list(fields) == ["batch_secs", "scalar_secs", "batch_rate",
-                                "scalar_rate", "speedup"]
-
-    def test_rate_fields_zero_seconds_and_skipped_scalar_leg(self):
-        instant = rate_fields(1000, 0.0, 10, 2.0)
-        assert instant["batch_rate"] == math.inf
-        assert instant["speedup"] == math.inf
-        # scalar_sample=0: nothing replayed, in zero seconds
-        skipped = rate_fields(1000, 0.5, 0, 0.0)
-        assert skipped["scalar_rate"] == math.inf
-        assert skipped["speedup"] == 0.0
-
     def test_measure_faults_without_a_scalar_replay(self):
         from repro.experiments.faults_exp import measure_faults
 
         res = measure_faults(n=64, pairs=200, scalar_sample=0)
-        assert res["scalar_sample"] == 0 and res["scalar_secs"] == 0.0
-        assert res["scalar_rate"] == math.inf and res["speedup"] == 0.0
+        assert res["scalar_sample"] == 0
         assert res["parity_ok"] is True
 
     def test_random_permutation_is_permutation(self):
