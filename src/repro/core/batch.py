@@ -450,8 +450,9 @@ class BatchRouter(ColumnarSnapshot):
 
         The IEEE ops of :meth:`SegmentMap.midpoints_from_array` on one
         row — ``normalize(start + length / 2)``, the seam row's length
-        ``1 - x_{n-1} + x_0`` — so the row is bit-identical to a fresh
-        compile's, with no ``Arc`` built.
+        ``1 - x_{n-1} + x_0``, the start where that rounds onto the
+        row's end — so the row is bit-identical to a fresh compile's,
+        with no ``Arc`` built.
         """
         ext = self._ext
         start = ext.item(i)
@@ -462,8 +463,10 @@ class BatchRouter(ColumnarSnapshot):
             stop = ext.item(0)
             length = 1.0 - start + stop
         mid = (start + length / 2) % 1.0
+        if mid == 1.0:
+            mid = 0.0
         self._end[i] = stop
-        self._mid[i] = 0.0 if mid == 1.0 else mid
+        self._mid[i] = start if mid == stop else mid
 
     # ------------------------------------------------------------- sharding
     def sharded_executor(self, workers: int):

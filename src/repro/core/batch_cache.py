@@ -353,12 +353,19 @@ class BatchCacheEngine:
 
         res = self._router.batch_dh_lookup(src, targets, tau=tau_arr,
                                            keep_paths=False)
-        t = res.t
+        t, lookup_hops = res.t, res.hops
+        del res, tau  # the walk's other columns and the drawn matrix
         tmax = int(t.max())
         if tmax + 1 > self._depth_cap:
             raise RuntimeError(
                 f"walk of {tmax} digits exceeds the engine's depth cap "
                 f"{self._depth_cap}; fewer trees or larger delta needed")
+        # the descent, the fixpoint and the emission read digits below
+        # t only: keep those columns, in a copy that lets the full
+        # strings go (a shared (L,) row stays a zero-stride view)
+        tau_arr = tau_arr[:, :tmax]
+        if tau_arr.strides[0]:
+            tau_arr = tau_arr.copy()
 
         # serving node: descend the digit prefixes while they stay
         # active — prefix-closure makes the first miss the answer, so a
@@ -421,7 +428,8 @@ class BatchCacheEngine:
             points=points, items=items, trees=trees, t=t,
             serving_depth=depth, serving_node_key=node - trees * self._K,
             serving_server_idx=serving_idx, hops=np.diff(offsets) - 1,
-            lookup_hops=res.hops, path_servers=servers, path_offsets=offsets,
+            lookup_hops=lookup_hops, path_servers=servers,
+            path_offsets=offsets,
             delta=delta)
 
     def _first_child(self, keys):

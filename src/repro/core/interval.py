@@ -102,12 +102,18 @@ class Arc:
 
     @property
     def midpoint(self) -> Number:
-        """The centre point of the arc (on the ring)."""
+        """The centre point of the arc (on the ring).
+
+        A float arc one ulp wide can round its centre onto its own end,
+        which the half-open arc does not hold; its start, the one float
+        it holds, is the midpoint then.
+        """
         if self.start == self.end:
             return normalize(self.start + Fraction(1, 2)
                              if isinstance(self.start, Fraction)
                              else self.start + 0.5)
-        return normalize(self.start + self.length / 2)
+        mid = normalize(self.start + self.length / 2)
+        return self.start if mid == self.end else mid
 
     def pieces(self) -> Iterator[tuple[Number, Number]]:
         """Decompose into at most two non-wrapping intervals ``[a, b)``.

@@ -14,8 +14,8 @@ Two accounting backends share one ``summary()`` schema:
   one :class:`~repro.core.lookup.LookupResult` (or raw baseline-DHT
   path) at a time.  Serves the small cross-check sizes and the baseline
   comparisons.
-* :class:`BatchCongestion` — the vectorized spine: one ``np.bincount``
-  over the flattened CSR ``path_servers`` of a
+* :class:`BatchCongestion` — the vectorized spine: a blocked
+  ``np.bincount`` over the flattened CSR ``path_servers`` of a
   :class:`~repro.core.batch.BatchLookupResult` per batch.  Accumulators
   merge across batches, even batches routed on different snapshots of a
   churning network; for the same routed lookups both backends report
@@ -33,6 +33,16 @@ import numpy as np
 from .lookup import LookupResult, compress_path
 
 __all__ = ["CongestionCounter", "BatchCongestion"]
+
+#: Path entries per ``np.bincount`` call of :meth:`BatchCongestion.record_batch`,
+#: or the server count if that is larger (each call also returns an
+#: ``n``-vector).  ``bincount`` copies its ``int32`` input to ``intp``, so
+#: a block bounds that copy at ``8·max(_BLOCK, n)`` bytes whatever the
+#: batch, as the accountants' ``_BLOCK`` in :mod:`repro.peer.itracker`
+#: does.  Smaller blocks pay the ``n``-vector more often: at n = 16384
+#: a ~1M-entry batch books in about the time of one unblocked call at
+#: this size, and ~1.4x that at 8192.
+_BLOCK = 1 << 16
 
 
 class _CongestionStatsMixin:
@@ -108,8 +118,9 @@ class BatchCongestion(_CongestionStatsMixin):
 
     The batch counterpart of :class:`CongestionCounter`: feeding it a
     :class:`~repro.core.batch.BatchLookupResult` routed with
-    ``keep_paths="csr"`` costs one ``np.bincount`` over the flattened
-    ``path_servers`` array, instead of one dict update per path server.
+    ``keep_paths="csr"`` costs a blocked ``np.bincount`` over the
+    flattened ``path_servers`` array, instead of one dict update per
+    path server.
     Totals are kept as a sorted ``(points, counts)`` pair keyed by
     server id — not by snapshot index — so one accumulator can absorb
     batches routed on *different* snapshots of a churning network
@@ -133,7 +144,11 @@ class BatchCongestion(_CongestionStatsMixin):
         :meth:`~repro.core.batch.BatchLookupResult.to_csr` here.
         """
         servers, _offsets = result.to_csr()
-        counts = np.bincount(servers, minlength=len(result.points))
+        n = len(result.points)
+        block = max(_BLOCK, n)
+        counts = np.zeros(n, dtype=np.int64)
+        for lo in range(0, servers.size, block):
+            counts += np.bincount(servers[lo:lo + block], minlength=n)
         nz = counts > 0
         self._merge_sorted(
             np.asarray(result.points, dtype=np.float64)[nz], counts[nz])
@@ -147,27 +162,30 @@ class BatchCongestion(_CongestionStatsMixin):
         self.total_messages += other.total_messages
 
     def _merge_sorted(self, points: np.ndarray, counts: np.ndarray) -> None:
-        """Add ``counts`` keyed by sorted ``points`` into the totals."""
-        if points.size == 0:
-            return
+        """Add ``counts`` keyed by sorted, distinct ``points`` into the totals.
+
+        Keys already held add their counts in place; only the new keys
+        are inserted, at their sorted positions, so nothing is re-sorted.
+        """
         if self._points.size == 0:
             self._points = points.copy()
             self._counts = counts.astype(np.int64)
             return
         if np.array_equal(points, self._points):
-            # same visited set — a batch routed on the snapshot already
-            # held: the keys stay, the counts add in place
+            # a batch that visited every server of the snapshot held
             self._counts += counts
             return
-        allp = np.concatenate([self._points, points])
-        allc = np.concatenate([self._counts, counts])
-        order = np.argsort(allp, kind="stable")
-        p = allp[order]
-        c = allc[order]
-        first = np.ones(p.size, dtype=bool)
-        first[1:] = p[1:] != p[:-1]
-        self._points = p[first]
-        self._counts = np.add.reduceat(c, np.flatnonzero(first))
+        pos = np.searchsorted(self._points, points)
+        # a key above every held one clips onto the largest: unequal
+        held = self._points.take(pos, mode="clip") == points
+        if held.all():
+            # a subset of the servers held: the keys stay
+            self._counts[pos] += counts
+            return
+        self._counts[pos[held]] += counts[held]
+        new = ~held
+        self._points = np.insert(self._points, pos[new], points[new])
+        self._counts = np.insert(self._counts, pos[new], counts[new])
 
     # ---- same read API / summary schema as the scalar counter ----
     def max_load(self) -> int:

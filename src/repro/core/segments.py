@@ -503,9 +503,12 @@ class SegmentMap:
         ``normalize(start + length / 2)`` per segment — the IEEE-754 ops
         of :attr:`Arc.midpoint` on arrays, so the result is bit-identical
         to each float segment's ``midpoint`` (``n = 1`` included: the
-        full ring's midpoint is ``start + 0.5``).
+        full ring's midpoint is ``start + 0.5``), down to its fallback:
+        a segment one ulp wide whose centre rounds onto its end takes
+        its start.
         """
-        return normalize_array(pts + SegmentMap.lengths_from_array(pts) / 2)
+        mid = normalize_array(pts + SegmentMap.lengths_from_array(pts) / 2)
+        return np.where(mid == np.roll(pts, -1), pts, mid)
 
     def lengths(self) -> np.ndarray:
         """All segment lengths as a float64 array (sums to 1)."""

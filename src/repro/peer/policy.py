@@ -69,11 +69,15 @@ def select_rows(
         u = np.asarray(u, dtype=np.float64)
     if policy == "uniform":
         valid = np.ones(np.shape(costs), dtype=bool) if ok is None else ok
-        # the first row whose running count reaches pick + 1 is valid
-        cum = np.cumsum(valid, axis=0)
-        cnt = cum[-1]
+        # the first row whose running count reaches pick + 1 is valid;
+        # the count never exceeds K, so it is kept in the narrowest
+        # dtype that holds K (one byte a cell up to K = 255)
+        narrow = np.min_scalar_type(np.shape(valid)[0])
+        cum = np.cumsum(valid, axis=0, dtype=narrow)
+        cnt = cum[-1].astype(np.int64)
         pick = np.minimum((u * cnt).astype(np.int64), np.maximum(cnt - 1, 0))
-        return np.argmax(cum == pick + 1, axis=0).astype(np.int64)
+        return np.argmax(cum == (pick + 1).astype(narrow), axis=0).astype(
+            np.int64)
     costs = np.asarray(costs, dtype=np.float64)
     masked = costs if ok is None else np.where(ok, costs, np.inf)
     if policy == "greedy":

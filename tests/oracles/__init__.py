@@ -52,6 +52,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   ring arcs → test_interval, test_overlap, test_segments
 - overlap.parent_cover_table, frozen: §6.2's class table →
   test_cover_class
+- routing_stats.ParentBatchCongestion, frozen: the blocked booking and
+  the in-place key merge → test_congestion_booking
 - baselines.measure_scheme, scalar: ``measure_scheme_batch`` →
   test_baselines, test_batch_baselines
 - inputs: the adversarial ids and the ``populated`` / ``joined``

@@ -16,6 +16,13 @@ def midpoints_array(self: SegmentMap) -> np.ndarray:
     Computed through :attr:`Arc.midpoint` segment by segment so the
     values are bit-identical to what the scalar lookup engine sees —
     the batch fast lookup derives its approach digits from these.
+
+    Deviation from the frozen body's values: it reads
+    :attr:`Arc.midpoint`, which now returns a segment's start where a
+    segment one float wide would round its centre onto its own end (ids
+    ``[0, 0.5, 1 - 2**-53]``: the seam row's midpoint was ``0.0``, the
+    next segment's start, and is ``1 - 2**-53``).  Every other value
+    is unchanged.
     """
     n = len(self._points)
     if n == 0:

@@ -125,18 +125,60 @@ class TestParityAtScale:
         try:
             batch = router.batch_fast_lookup(src, tgt)
         except RuntimeError:
-            # Two refusals, both shared with the scalar engine: a segment
-            # shorter than 2^-512 needs more levels than the budget, and
-            # a segment one float wide can round its midpoint (the walk's
-            # origin) onto its own end, so no walk point lands in it.
-            width = np.mod(router.seg_end - router.points, 1.0)
-            one_float = width <= np.spacing(router.points)
-            own = np.searchsorted(router.points, src)
-            assert (corollary_2_5_bound(net) > MAX_WALK_STEPS
-                    or one_float[own].any())
+            # The one refusal, shared with the scalar engine: a segment
+            # shorter than 2^-512 needs more levels than the budget.
+            assert corollary_2_5_bound(net) > MAX_WALK_STEPS
             return
         assert batch.t.max() <= corollary_2_5_bound(net)
         assert (batch.hops <= batch.t).all()
+
+
+class TestOneUlpSegment:
+    """A segment one float wide whose centre rounds onto its own end
+    walks from its start: the scalar and the batch fast lookup used to
+    find no walk point in it and raise "forward search failed to
+    converge"."""
+
+    # seam segments [1 - 2^-53, 0) and an inner one [0.5 - 2^-54, 0.5);
+    # the refresh needs n >= 4 on both sides of the join to patch
+    SEAM = ([0.0, 0.5, 1 - 2**-53], 2)
+    PATCHED = [([0.0, 0.25, 0.5, 0.75, 1 - 2**-53], 4),
+               ([0.0, 0.25, 0.5 - 2**-54, 0.5, 0.75], 2)]
+    CASES = [SEAM] + PATCHED
+
+    @pytest.mark.parametrize("points, row", CASES)
+    def test_midpoint_falls_back_to_the_start(self, points, row):
+        net = joined(points, seed=0)
+        seg = net.segments.segment(row)
+        assert seg.start + seg.length / 2 in (seg.end, 1.0)  # the rounding
+        assert seg.midpoint == seg.start and seg.midpoint in seg
+        router = net.compile_router()
+        assert router.midpoints[row] == seg.start
+        assert np.array_equal(router.midpoints, midpoints_array(net.segments))
+
+    @pytest.mark.parametrize("points, row", CASES)
+    def test_scalar_and_batch_route_from_it(self, points, row):
+        net = joined(points, seed=0)
+        router = net.compile_router()
+        tgt = np.array([0.3, 0.0, 0.7, points[row], 0.999])
+        src = np.full(tgt.size, points[row])
+        batch = router.batch_fast_lookup(src, tgt, keep_paths=True)
+        for i, r in enumerate(lookup_many(net, src, tgt)):
+            assert r.owner == batch.owner[i]
+            assert r.t == batch.t[i] <= corollary_2_5_bound(net)
+            assert r.server_path == batch.server_path(i)
+
+    @pytest.mark.parametrize("points, row", PATCHED)
+    def test_an_incremental_refresh_settles_it_as_a_compile(self, points,
+                                                            row):
+        net = joined([p for i, p in enumerate(points) if i != row], seed=0)
+        router = net.router(auto_refresh=True)
+        net.join(points[row])
+        router.refresh()
+        assert router.refresh_stats.incremental == 1
+        assert router.midpoints[row] == points[row]
+        assert np.array_equal(router.midpoints,
+                              net.compile_router().midpoints)
 
 
 def corollary_2_5_bound(net) -> float:

@@ -10,6 +10,8 @@ Two invariants, driven by hypothesis:
   same choice uniforms.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -105,3 +107,24 @@ class TestBatchScalarParity:
             assert bool(ref.success) == bool(batch.success[i])
             assert ref.messages == int(batch.messages[i])
             assert ref.parallel_time == int(batch.parallel_time[i])
+
+
+def test_simple_lookup_peak_at_the_soak_chunk():
+    """The soak's fail-stop stream: 32,768 lanes of the Simple Lookup on
+    the 1024-server substrate of an n = 16384 day.  The uniform pick's
+    per-hop running count over the (W, B) cover table is one byte a
+    cell; the parent's ``int64`` count read ~772 B a lane traced, this
+    engine ~667 (the bound is that plus 10 %)."""
+    engine = FTBatchEngine(OverlappingDHNetwork(1024,
+                                                np.random.default_rng(1)))
+    rng = np.random.default_rng(1)
+    src = engine.points[rng.integers(0, engine.n, size=32_768)]
+    tgt = rng.random(src.size)
+    engine.batch_simple_lookup(src[:16], tgt[:16], rng=rng)  # lazy tables
+    tracemalloc.start()
+    try:
+        engine.batch_simple_lookup(src, tgt, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / src.size <= 733, peak / src.size

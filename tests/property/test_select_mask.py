@@ -79,3 +79,21 @@ def test_all_invalid_lane_gets_some_row(policy):
                                                    policy))
     # lane 1: the cheaper row, the ⌊0.9·2⌋-th, and the heavier weight
     assert 0 <= got[0] < 2 and got[1] == 1
+
+
+@pytest.mark.parametrize("k", [1, 255, 256, 257, 70_000])
+def test_uniform_counts_at_the_narrow_dtype_edges(k):
+    """The uniform pick keeps its running count in the smallest dtype
+    that holds K: ``uint8`` up to 255 rows, ``uint16``, ``uint32`` past
+    65,535.  Full columns (count = K), empty ones and uniforms next to
+    1.0 pick what the parent's ``int64`` count picks."""
+    rng = np.random.default_rng(k)
+    ok = rng.random((k, 12)) < 0.5
+    ok[:, :3] = True
+    ok[:, 3] = False
+    u = rng.random(12)
+    u[:2] = np.nextafter(1.0, 0.0)
+    got = select_rows(None, ok, u, "uniform")
+    assert np.array_equal(got, _parent_select_rows(np.zeros(ok.shape), ok, u,
+                                                   "uniform"))
+    assert got[2] == 0 or ok[got[2], 2]
