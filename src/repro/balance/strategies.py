@@ -109,9 +109,19 @@ def _window(n: int, probes: int) -> int:
                       _WINDOW_MAX, (1 << _ceil_log2(n)) - n + 1))
 
 
+def _centre(start: float, length: float, end: float) -> float:
+    """:attr:`~repro.core.interval.Arc.midpoint` of a float piece.
+
+    ``normalize(start + length / 2)``, or ``start`` when a piece one
+    float wide rounds its centre onto its ``end``.
+    """
+    mid = normalize(start + length / 2)
+    return start if mid == end else mid
+
+
 def _piece(col: np.ndarray, g: int, y: float,
-           cut: List[float]) -> Tuple[float, float]:
-    """``(start, length)`` of the piece of segment ``g`` of ``col`` covering ``y``.
+           cut: List[float]) -> Tuple[float, float, float]:
+    """``(start, length, end)`` of the piece of segment ``g`` of ``col`` covering ``y``.
 
     ``cut`` lists (sorted) the ids a window put inside the segment; the
     arithmetic is :meth:`MultipleChoice.select`'s over the union.
@@ -123,15 +133,19 @@ def _piece(col: np.ndarray, g: int, y: float,
     lo = cut[r - 1] if r else -1.0  # the ids beside y the window added
     hi = cut[r] if r < len(cut) else 2.0
     if g < last:  # a segment inside the ring: no piece wraps
-        a = max(s, lo)
-        return a, min(e, hi) - a
+        a, b = max(s, lo), min(e, hi)
+        return a, b - a, b
     if y >= s:  # the seam segment, at or above x_{n-1}
         a = max(s, lo)
-        return a, hi - a if hi < 2.0 else 1.0 - a + min(e, cut[0])
+        if hi < 2.0:
+            return a, hi - a, hi
+        b = min(e, cut[0])
+        return a, 1.0 - a + b, b
     if lo >= 0.0:  # the seam segment, below x_0
-        return lo, min(e, hi) - lo
-    a = max(s, cut[-1])
-    return a, 1.0 - a + min(e, hi)
+        b = min(e, hi)
+        return lo, b - lo, b
+    a, b = max(s, cut[-1]), min(e, hi)
+    return a, 1.0 - a + b, b
 
 
 def _reevaluate(col: np.ndarray, split: np.ndarray, j: int,
@@ -157,19 +171,20 @@ def _reevaluate(col: np.ndarray, split: np.ndarray, j: int,
         full = ls[t]
         k = ks[t]
         if full < best or full == best and k > pick:
-            return normalize(a + best / 2), seg
+            return _centre(a, best, b), seg
         g = gs[t]
         f = split.item(g)
         if f < j:
             cut = cuts.get(g)
             if cut is None:
                 cut = cuts[g] = [got.item(f)]
-            start, length = _piece(col, g, ys[t], cut)
+            start, length, end = _piece(col, g, ys[t], cut)
         else:
             start, length = col.item(g), full
+            end = col.item(g + 1 if g < len(col) - 1 else 0)
         if length > best or length == best and k < pick:
-            best, pick, a, seg = length, k, start, g
-    return (normalize(a + best / 2), seg) if whole else None
+            best, pick, a, b, seg = length, k, start, end, g
+    return (_centre(a, best, b), seg) if whole else None
 
 
 def _probe_lists(lengths: np.ndarray, cover: np.ndarray, z: np.ndarray,
@@ -211,7 +226,9 @@ def _walk(col: np.ndarray, z: np.ndarray, cover: np.ndarray) -> np.ndarray:
     lengths = SegmentMap.lengths_from_array(col)[cover]
     pick = lengths.argmax(axis=1)
     choice = cover[joins, pick]
-    got = normalize_array(col[choice] + lengths[joins, pick] / 2)
+    start = col[choice]
+    got = normalize_array(start + lengths[joins, pick] / 2)
+    got = np.where(got == col.take(choice + 1, mode="wrap"), start, got)
     split = np.full(len(col), w)  # the join that splits each segment first
     np.minimum.at(split, choice, joins)
     rows = np.flatnonzero(split[choice] != joins)
@@ -455,4 +472,5 @@ class MultipleChoice(_Strategy):
         length = col.take(above, mode="wrap") - start
         length[length < 0] = 1.0 - float(col[-1]) + float(col[0])
         k = int(length.argmax())
-        return normalize(float(start[k]) + float(length[k]) / 2)
+        return _centre(float(start[k]), float(length[k]),
+                       float(col.take(above[k], mode="wrap")))

@@ -345,7 +345,8 @@ class BatchCacheEngine:
         trees = items * self.salts + salt_indices(src, self.salts)
         targets = self._roots[trees]
 
-        if tau is None:
+        drawn = tau is None
+        if drawn:
             if rng is None:
                 raise ValueError("serve_batch needs an rng or explicit tau")
             tau = _draw_tau(rng, delta, size)
@@ -361,10 +362,11 @@ class BatchCacheEngine:
                 f"walk of {tmax} digits exceeds the engine's depth cap "
                 f"{self._depth_cap}; fewer trees or larger delta needed")
         # the descent, the fixpoint and the emission read digits below
-        # t only: keep those columns, in a copy that lets the full
-        # strings go (a shared (L,) row stays a zero-stride view)
+        # t only: keep those columns.  Strings the engine drew are
+        # copied so the full matrix can go; a caller's matrix stays a
+        # view (the caller holds it anyway)
         tau_arr = tau_arr[:, :tmax]
-        if tau_arr.strides[0]:
+        if drawn:
             tau_arr = tau_arr.copy()
 
         # serving node: descend the digit prefixes while they stay

@@ -178,10 +178,6 @@ class BatchCongestion(_CongestionStatsMixin):
         pos = np.searchsorted(self._points, points)
         # a key above every held one clips onto the largest: unequal
         held = self._points.take(pos, mode="clip") == points
-        if held.all():
-            # a subset of the servers held: the keys stay
-            self._counts[pos] += counts
-            return
         self._counts[pos[held]] += counts[held]
         new = ~held
         self._points = np.insert(self._points, pos[new], points[new])

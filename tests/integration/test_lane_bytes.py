@@ -13,9 +13,8 @@ ENGINES = ("fast", "dh", "cost-dh", "cache-serve", "ft-simple",
            "ft-resistant")
 
 
-def test_every_engine_row_prints(capsys):
-    assert lane_bytes.main(["--n", "64", "--chunk", "512"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+def test_every_engine_row_prints():
+    lines = lane_bytes.table(64, 512)
     assert lines[0] == "n=64 chunk=512 seed=1"
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert list(rows) == [*ENGINES, "booking"]

@@ -275,6 +275,32 @@ class TestGrowEqualsLoop:
                 SingleChoice().grow(segments, Scripted(script), 40)
             assert segments.as_array().tolist() == (np.arange(80) / 80).tolist()
 
+    U = 2**-53  # one ulp in [0.5, 1)
+
+    @pytest.mark.parametrize("strategy, points, probes, start", [
+        # the seam segment [1 - 2^-53, 0), as the window opened
+        (ImprovedSingleChoice(), [0.0, 0.5, BELOW_ONE], [BELOW_ONE],
+         BELOW_ONE),
+        (MultipleChoice(t=1), [0.0, 0.5, BELOW_ONE], [BELOW_ONE] * 2,
+         BELOW_ONE),
+        # join 0 halves [0.5, 0.5 + 2u); displaced join 1 walks its
+        # upper piece, one ulp wide
+        (MultipleChoice(t=1), [0.0, 0.5, 0.5 + 2 * U], [0.5, 0.5, 0.5 + U, 0.5],
+         0.5 + U),
+    ], ids=["improved-seam", "multiple-seam", "multiple-piece"])
+    def test_a_one_ulp_segment_offers_its_start(self, strategy, points,
+                                                probes, start):
+        """A segment or piece one float wide whose centre rounds onto its
+        end offers its start, as ``Arc.midpoint`` does: that start is
+        already present, and ``grow`` refuses the same point the loop's
+        ``insert`` does."""
+        segments = SegmentMap(points)
+        count = len(probes) // max(1, strategy._probes(3))
+        for run in (loop_grow, lambda *a: a[0].grow(*a[1:])):
+            with pytest.raises(ValueError, match="already present") as err:
+                run(strategy, segments, Scripted(probes), count)
+            assert repr(start) in str(err.value)
+
     def test_probe_count_steps_at_powers_of_two(self):
         for n in range(1, 5000):
             assert strategies_module._ceil_log2(n) == max(

@@ -1,9 +1,8 @@
 """Bytes per lane: the traced peak of one batch, per engine.
 
-Usage, from the repository root (~3 s at the default n = 16384)::
+Usage, from the repository root (~3 s at n = 16384)::
 
     PYTHONPATH=src python tools/lane_bytes.py
-    PYTHONPATH=src python tools/lane_bytes.py --n 64 --chunk 512
 
 It builds the soak's substrates (``ScenarioEngine``: the n-server
 network and its router, the n/16-server §6 fault substrate), routes one
@@ -26,7 +25,6 @@ drawn before tracing starts.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import tracemalloc
 
@@ -39,6 +37,8 @@ from repro.peer import CostAwareBatchRouter, CostMap
 from repro.sim.scenario import DEFAULT_CHUNK, ScenarioEngine
 from repro.sim.workload import demand_stream, zipf_demands
 
+#: The soak's and the spine's network size.
+N = 16384
 #: route_dh_cost's batch size.
 COST_LANES = 4096
 #: The soak's seed and the batches' stream.
@@ -104,19 +104,19 @@ def rows(n: int, chunk: int):
     yield "booking", int(fast.path_servers.size), peak
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n", type=int, default=16384,
-                    help="servers in the soak's network (default 16384)")
-    ap.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
-                    help=f"the soak's chunk (default {DEFAULT_CHUNK})")
-    args = ap.parse_args(argv)
-    print(f"n={args.n} chunk={args.chunk} seed={SEED}")
-    print(f"{'engine':<14}{'lanes':>10}{'peak MB':>10}{'B/lane':>10}")
-    for name, lanes, peak in rows(args.n, args.chunk):
+def table(n: int, chunk: int) -> list:
+    """The printed table's lines: a header, then one line per row."""
+    lines = [f"n={n} chunk={chunk} seed={SEED}",
+             f"{'engine':<14}{'lanes':>10}{'peak MB':>10}{'B/lane':>10}"]
+    for name, lanes, peak in rows(n, chunk):
         unit = "B/entry" if name == "booking" else ""
-        print(f"{name:<14}{lanes:>10}{peak / 2**20:>10.2f}"
-              f"{peak / lanes:>10.1f} {unit}".rstrip())
+        lines.append(f"{name:<14}{lanes:>10}{peak / 2**20:>10.2f}"
+                     f"{peak / lanes:>10.1f} {unit}".rstrip())
+    return lines
+
+
+def main() -> int:
+    print("\n".join(table(N, DEFAULT_CHUNK)))
     return 0
 
 
