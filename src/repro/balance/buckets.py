@@ -23,6 +23,7 @@ from typing import List
 
 import numpy as np
 
+from .. import checks
 from ..core.interval import normalize
 from ..core.segments import SegmentMap
 
@@ -59,11 +60,10 @@ class BucketBalancer:
     hi_factor = 4.0
 
     def __init__(self, rebalance_threshold: float = 4.0) -> None:
-        if rebalance_threshold < 1:
-            raise ValueError("rebalance threshold must be >= 1")
         self.segments = SegmentMap()
         self.buckets: List[Bucket] = []
-        self.rebalance_threshold = rebalance_threshold
+        self.rebalance_threshold = checks.real(
+            rebalance_threshold, "rebalance_threshold", "[1, inf)")
         self.total_id_changes = 0
         self.rebalances = 0
         # Rebalancing relocates servers, so clients address them by a

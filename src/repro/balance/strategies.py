@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import checks
 from ..core.interval import normalize
 from ..core.segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                              normalize_array)
@@ -59,18 +60,7 @@ __all__ = [
     "SingleChoice",
     "ImprovedSingleChoice",
     "MultipleChoice",
-    "check_count",
 ]
-
-
-def check_count(count, what: str) -> None:
-    """Raise ``ValueError`` naming ``count`` unless it is an int ``>= 0``.
-
-    Bool is refused; NumPy integers pass.
-    """
-    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
-            or count < 0):
-        raise ValueError(f"{what} needs a count >= 0, got {count!r}")
 
 
 def _ceil_log2(n: int) -> int:
@@ -381,7 +371,7 @@ class _Strategy:
         duplicate raises that ``ValueError``, and so do a ``count``
         that is not an int ``>= 0`` and a map that holds an exact id.
         """
-        check_count(count, "grow")
+        checks.count(count, "count")
         if not segments.is_float():
             raise ValueError(FLOAT_IDS_ONLY)
         return _grow_windows(segments.column, rng, count, self._probes)
@@ -437,11 +427,7 @@ class MultipleChoice(_Strategy):
     name = "multiple"
 
     def __init__(self, t: int = 4):
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-            raise ValueError(f"probe multiplier t must be an int, got {t!r}")
-        if t < 1:
-            raise ValueError("probe multiplier t must be >= 1")
-        self.t = int(t)
+        self.t = checks.count(t, "t", 1)
 
     def _probes(self, n: int) -> int:
         return self.t * _ceil_log2(n)

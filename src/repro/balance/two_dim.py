@@ -30,6 +30,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .. import checks
+
 __all__ = [
     "fine_grid_side",
     "coarse_grid_side",
@@ -43,12 +45,12 @@ Point2D = Tuple[float, float]
 
 def fine_grid_side(n: int) -> int:
     """Side of the ``r(z)`` grid: ≥ 2n cells of size ~1/√(2n)."""
-    return max(1, math.ceil(math.sqrt(2 * max(1, n))))
+    return max(1, math.ceil(math.sqrt(2 * max(1, checks.count(n, "n")))))
 
 
 def coarse_grid_side(n: int) -> int:
     """Side of the ``R(z)`` grid: ≤ n/2 cells of size ~√(2/n)."""
-    return max(1, math.floor(math.sqrt(max(1, n) / 2)))
+    return max(1, math.floor(math.sqrt(max(1, checks.count(n, "n")) / 2)))
 
 
 def cell_of(p: Point2D, side: int) -> Tuple[int, int]:
@@ -67,12 +69,8 @@ class TwoDimMultipleChoice:
     """
 
     def __init__(self, n_target: int, t: int = 3):
-        if t < 1:
-            raise ValueError("probe multiplier t must be >= 1")
-        if n_target < 1:
-            raise ValueError("target population must be >= 1")
-        self.t = int(t)
-        self.n_target = int(n_target)
+        self.t = checks.count(t, "t", 1)
+        self.n_target = checks.count(n_target, "n_target", 1)
         self.fine = fine_grid_side(n_target)
         self.coarse = coarse_grid_side(n_target)
         self.points: List[Point2D] = []
@@ -109,7 +107,7 @@ class TwoDimMultipleChoice:
     def populate(self, count: Optional[int] = None, rng: Optional[np.random.Generator] = None) -> None:
         """Join ``count`` servers (default: up to the target population)."""
         assert rng is not None, "populate requires an rng"
-        count = self.n_target if count is None else count
+        count = self.n_target if count is None else checks.count(count, "count")
         for _ in range(count):
             self.join(rng)
 
@@ -123,11 +121,10 @@ def is_smooth_2d(points: Sequence[Point2D], rho: float) -> bool:
     for the "≤1" grid) so a True answer certifies the property at the
     stated ρ.
     """
+    checks.real(rho, "rho", "[1, inf)")
     n = len(points)
     if n == 0:
         return False
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
     side_coarse = max(1, math.floor(math.sqrt(n / rho)))
     filled = {cell_of(p, side_coarse) for p in points}
     if len(filled) < side_coarse * side_coarse:

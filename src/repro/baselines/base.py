@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from ..core.routing_stats import BatchCongestion
 from ..core.walk import PathResult, ragged_to_csr
 
@@ -55,13 +56,21 @@ class BaselineDHT(abc.ABC):
     def node_ids(self) -> Sequence:
         """All node identifiers."""
 
-    @abc.abstractmethod
     def owner(self, target: float) -> object:
-        """The node responsible for a point of ``[0, 1)``."""
+        """The node responsible for a finite ring point (folded mod 1)."""
+        return self._owner(checks.finite(target, "target"))
+
+    def lookup_path(self, source, target: float, rng: np.random.Generator) -> List:
+        """Route a lookup to a finite ring point; the visited node sequence."""
+        return self._lookup_path(source, checks.finite(target, "target"), rng)
 
     @abc.abstractmethod
-    def lookup_path(self, source, target: float, rng: np.random.Generator) -> List:
-        """Route a lookup; returns the visited node sequence."""
+    def _owner(self, target: float) -> object:
+        """:meth:`owner` past its entry check."""
+
+    @abc.abstractmethod
+    def _lookup_path(self, source, target: float, rng: np.random.Generator) -> List:
+        """:meth:`lookup_path` past its entry check."""
 
     @abc.abstractmethod
     def degree(self, node) -> int:
@@ -222,11 +231,12 @@ class BaselineBatchRouter(abc.ABC):
         O(chunk · max-path) regardless of the workload size.  Returns
         ``(hops, owner_idx)`` arrays for the whole workload.
         """
+        chunk = checks.count(chunk, "chunk", 1)
         source_idx = np.asarray(source_idx, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.float64)
         hops_parts: List[np.ndarray] = []
         owner_parts: List[np.ndarray] = []
-        for lo in range(0, targets.size, max(1, chunk)):
+        for lo in range(0, targets.size, chunk):
             res = self.route_batch(
                 source_idx[lo:lo + chunk], targets[lo:lo + chunk], rng=rng
             )
@@ -255,6 +265,7 @@ def measure_scheme_batch(
     :class:`~repro.core.routing_stats.BatchCongestion`, which is what
     lets E1/E6 run 10^5-lookup cells at n = 2^16.
     """
+    lookups = checks.count(lookups, "lookups")
     br = router if router is not None else dht.batch_router()
     n = dht.n
     src = rng.integers(0, n, size=lookups)

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from .base import BaselineBatchResult, BaselineBatchRouter, BaselineDHT, _PathRecorder
 
 __all__ = ["CanBatchRouter", "CanNetwork"]
@@ -88,11 +89,7 @@ class CanNetwork(BaselineDHT):
     name = "can"
 
     def __init__(self, n: int, rng: np.random.Generator, d: int = 2):
-        if n < 2:
-            raise ValueError("need at least two zones")
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
-        self.d = d
+        n, self.d = checks.count(n, "n", 2), checks.count(d, "d", 1)
         self.name = f"can(d={d})"
         first = _Box(np.zeros(d), np.ones(d), 0)
         self.boxes: List[_Box] = [first]
@@ -157,7 +154,7 @@ class CanNetwork(BaselineDHT):
     # ------------------------------------------------------------- targets
     def point_to_coords(self, y: float) -> np.ndarray:
         """Spread a 1D point over the torus by interleaving its bits."""
-        return self.coords_of(np.asarray([y], dtype=np.float64))[0]
+        return self.coords_of(np.asarray([checks.finite(y, "y")], dtype=np.float64))[0]
 
     def coords_of(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`point_to_coords` for a whole target array."""
@@ -199,11 +196,11 @@ class CanNetwork(BaselineDHT):
     def node_ids(self) -> Sequence[int]:
         return range(len(self.boxes))
 
-    def owner(self, target: float) -> int:
+    def _owner(self, target: float) -> int:
         return self._zone_of(self.point_to_coords(target))
 
     def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
+        return len(self.neighbors[checks.count(node, "node", 0, self.n)])
 
     def batch_router(self) -> "CanBatchRouter":
         return CanBatchRouter(self)
@@ -236,7 +233,7 @@ class CanNetwork(BaselineDHT):
                 return j
         raise AssertionError("torus faces must tile")  # pragma: no cover
 
-    def lookup_path(self, source: int, target: float, rng: np.random.Generator
+    def _lookup_path(self, source: int, target: float, rng: np.random.Generator
                     ) -> List[int]:
         """Straight-line CAN routing: fix one coordinate at a time.
 

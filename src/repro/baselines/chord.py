@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from .base import BaselineBatchResult, BaselineBatchRouter, BaselineDHT, _PathRecorder
 
 __all__ = ["ChordBatchRouter", "ChordNetwork"]
@@ -31,8 +32,7 @@ class ChordNetwork(BaselineDHT):
     name = "chord"
 
     def __init__(self, n: int, rng: np.random.Generator):
-        if n < 2:
-            raise ValueError("need at least two nodes")
+        n = checks.count(n, "n", 2)
         self._pts: np.ndarray = np.sort(rng.random(n))
         self.points: List[float] = self._pts.tolist()
         self.m = max(1, math.ceil(math.log2(n))) + 1  # finger levels
@@ -71,7 +71,7 @@ class ChordNetwork(BaselineDHT):
     def node_ids(self) -> Sequence[float]:
         return self.points
 
-    def owner(self, target: float) -> float:
+    def _owner(self, target: float) -> float:
         return self._successor(target % 1.0)
 
     def degree(self, node: float) -> int:
@@ -81,7 +81,7 @@ class ChordNetwork(BaselineDHT):
     def batch_router(self) -> "ChordBatchRouter":
         return ChordBatchRouter(self)
 
-    def lookup_path(self, source: float, target: float, rng: np.random.Generator
+    def _lookup_path(self, source: float, target: float, rng: np.random.Generator
                     ) -> List[float]:
         target = target % 1.0
         own = self.owner(target)

@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from ..balance.strategies import MultipleChoice
 from ..core.lookup import dh_lookup, fast_lookup
 from ..core.network import DistanceHalvingNetwork
@@ -38,9 +39,7 @@ class DistanceHalvingAdapter(BaselineDHT):
         mode: str = "dh",
         balanced: bool = True,
     ):
-        if mode not in ("dh", "fast"):
-            raise ValueError("mode must be 'dh' or 'fast'")
-        self.mode = mode
+        self.mode = checks.choice(mode, "mode", ("dh", "fast"))
         self.name = f"distance-halving(d={delta},{mode})"
         self.net = DistanceHalvingNetwork(delta=delta, rng=rng)
         selector = MultipleChoice(t=4) if balanced else None
@@ -53,13 +52,13 @@ class DistanceHalvingAdapter(BaselineDHT):
     def node_ids(self) -> Sequence[float]:
         return self.net.points()
 
-    def owner(self, target: float) -> float:
+    def _owner(self, target: float) -> float:
         return self.net.segments.cover_point(target)
 
     def degree(self, node: float) -> int:
         return self.net.degree(node)
 
-    def lookup_path(self, source: float, target: float, rng: np.random.Generator
+    def _lookup_path(self, source: float, target: float, rng: np.random.Generator
                     ) -> List[float]:
         if self.mode == "fast":
             return fast_lookup(self.net, source, target).server_path

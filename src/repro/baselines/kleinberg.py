@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from .base import BaselineBatchResult, BaselineBatchRouter, BaselineDHT, _PathRecorder
 
 __all__ = ["KleinbergBatchRouter", "KleinbergRing"]
@@ -28,8 +29,7 @@ class KleinbergRing(BaselineDHT):
     name = "small-world"
 
     def __init__(self, n: int, rng: np.random.Generator):
-        if n < 3:
-            raise ValueError("need at least three nodes")
+        n = checks.count(n, "n", 3)
         self.size = n
         # harmonic distribution over ring distance 1..n/2
         dists = np.arange(1, n // 2 + 1, dtype=float)
@@ -60,16 +60,17 @@ class KleinbergRing(BaselineDHT):
     def node_ids(self) -> Sequence[int]:
         return range(self.size)
 
-    def owner(self, target: float) -> int:
+    def _owner(self, target: float) -> int:
         return self._node_of_point(target)
 
     def degree(self, node: int) -> int:
+        node = checks.count(node, "node", 0, self.size)
         return len({(node - 1) % self.size, (node + 1) % self.size, *self.long[node]})
 
     def batch_router(self) -> "KleinbergBatchRouter":
         return KleinbergBatchRouter(self)
 
-    def lookup_path(self, source: int, target: float, rng: np.random.Generator
+    def _lookup_path(self, source: int, target: float, rng: np.random.Generator
                     ) -> List[int]:
         goal = self._node_of_point(target)
         path = [source]

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from .base import BaselineBatchResult, BaselineBatchRouter, BaselineDHT, _PathRecorder
 
 __all__ = ["KoordeBatchRouter", "KoordeNetwork"]
@@ -28,8 +29,7 @@ class KoordeNetwork(BaselineDHT):
     name = "koorde"
 
     def __init__(self, n: int, rng: np.random.Generator):
-        if n < 2:
-            raise ValueError("need at least two nodes")
+        n = checks.count(n, "n", 2)
         self._pts: np.ndarray = np.sort(rng.random(n))
         self.points: List[float] = self._pts.tolist()
         self.bits = max(1, math.ceil(math.log2(n))) + 2
@@ -63,7 +63,7 @@ class KoordeNetwork(BaselineDHT):
     def node_ids(self) -> Sequence[float]:
         return self.points
 
-    def owner(self, target: float) -> float:
+    def _owner(self, target: float) -> float:
         return self._successor(target % 1.0)
 
     def degree(self, node: float) -> int:
@@ -74,7 +74,7 @@ class KoordeNetwork(BaselineDHT):
     def batch_router(self) -> "KoordeBatchRouter":
         return KoordeBatchRouter(self)
 
-    def lookup_path(self, source: float, target: float, rng: np.random.Generator
+    def _lookup_path(self, source: float, target: float, rng: np.random.Generator
                     ) -> List[float]:
         """Koorde's imaginary-node routing.
 

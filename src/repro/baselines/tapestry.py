@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import checks
 from .base import BaselineBatchResult, BaselineBatchRouter, BaselineDHT, _PathRecorder
 
 __all__ = ["TapestryBatchRouter", "TapestryNetwork"]
@@ -33,11 +34,7 @@ class TapestryNetwork(BaselineDHT):
     name = "tapestry"
 
     def __init__(self, n: int, rng: np.random.Generator, base: int = 4):
-        if n < 2:
-            raise ValueError("need at least two nodes")
-        if base < 2:
-            raise ValueError("digit base must be >= 2")
-        self.base = base
+        n, self.base = checks.count(n, "n", 2), checks.count(base, "base", 2)
         self.levels = max(1, math.ceil(math.log(n, base))) + 2
         self._pts: np.ndarray = np.sort(rng.random(n))
         self.points: List[float] = self._pts.tolist()
@@ -130,11 +127,12 @@ class TapestryNetwork(BaselineDHT):
     def node_ids(self) -> Sequence[int]:
         return range(len(self.points))
 
-    def owner(self, target: float) -> int:
+    def _owner(self, target: float) -> int:
         """The Plaxton root: where surrogate routing terminates."""
         return self._route(0, self._digits(target % 1.0))[-1]
 
     def degree(self, node: int) -> int:
+        node = checks.count(node, "node", 0, self.n)
         links = {
             hop
             for rows in self.table[node]
@@ -146,7 +144,7 @@ class TapestryNetwork(BaselineDHT):
     def batch_router(self) -> "TapestryBatchRouter":
         return TapestryBatchRouter(self)
 
-    def lookup_path(self, source: int, target: float, rng: np.random.Generator
+    def _lookup_path(self, source: int, target: float, rng: np.random.Generator
                     ) -> List[int]:
         return self._route(source, self._digits(target % 1.0))
 

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from .base import BaselineBatchResult, BaselineBatchRouter, BaselineDHT, _PathRecorder
 
 __all__ = ["ViceroyBatchRouter", "ViceroyNetwork"]
@@ -37,8 +38,7 @@ class ViceroyNetwork(BaselineDHT):
     name = "viceroy"
 
     def __init__(self, n: int, rng: np.random.Generator):
-        if n < 4:
-            raise ValueError("need at least four nodes")
+        n = checks.count(n, "n", 4)
         self.points: List[float] = sorted(float(p) for p in rng.random(n))
         self.max_level = max(1, round(math.log2(n)))
         # level via the predecessor-gap estimator, clamped to [1, log n]
@@ -101,7 +101,7 @@ class ViceroyNetwork(BaselineDHT):
     def node_ids(self) -> Sequence[float]:
         return self.points
 
-    def owner(self, target: float) -> float:
+    def _owner(self, target: float) -> float:
         return self._ring_succ(target % 1.0)
 
     def degree(self, node: float) -> int:
@@ -110,7 +110,7 @@ class ViceroyNetwork(BaselineDHT):
     def batch_router(self) -> "ViceroyBatchRouter":
         return ViceroyBatchRouter(self)
 
-    def lookup_path(self, source: float, target: float, rng: np.random.Generator
+    def _lookup_path(self, source: float, target: float, rng: np.random.Generator
                     ) -> List[float]:
         target = target % 1.0
         own = self.owner(target)

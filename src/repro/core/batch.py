@@ -58,11 +58,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from .. import checks
 from .lookup import MAX_WALK_STEPS
 from .segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                        arc_cover_ranges, fold_unit, normalize_array)
 from .snapshot import ColumnarSnapshot, StaleSnapshotError
-from .walk import (PathResult, check_keep_paths, descend, forward_levels,
+from .walk import (KEEP_PATHS, PathResult, descend, forward_levels,
                    normalize_pair, per_lane_matrix, replay)
 
 __all__ = ["BatchRouter", "BatchLookupResult"]
@@ -481,8 +482,8 @@ class BatchRouter(ColumnarSnapshot):
         integer ``>= 2`` raises ``ValueError`` before the cached
         executor is touched.
         """
-        from .shard import ShardedExecutor, worker_count
-        workers = worker_count(workers)
+        from .shard import ShardedExecutor
+        workers = checks.count(workers, "workers", 2)
         ex = getattr(self, "_executor", None)
         if ex is not None and ex.workers != workers:
             ex.close()
@@ -509,7 +510,7 @@ class BatchRouter(ColumnarSnapshot):
         — the result is bit-identical either way.  Any other value
         raises ``ValueError``.
         """
-        if workers == 1:
+        if checks.count(workers, "workers", 1) == 1:
             return self.batch_fast_lookup(sources, targets,
                                           keep_paths=keep_paths)
         return self.sharded_executor(workers).batch_fast_lookup(
@@ -566,7 +567,7 @@ class BatchRouter(ColumnarSnapshot):
     # ------------------------------------------------------- shared pieces
     def _enter(self, sources, targets, keep_paths) -> tuple:
         """Entry guard of every batch lookup; the normalized pair."""
-        check_keep_paths(keep_paths)
+        checks.choice(keep_paths, "keep_paths", KEEP_PATHS)
         self.ensure_fresh()
         return normalize_pair(sources, targets)
 
@@ -605,6 +606,7 @@ class BatchRouter(ColumnarSnapshot):
         ``RuntimeError`` rather than silently diverging from the
         (integer-exact) scalar engine.
         """
+        max_levels = checks.count(max_levels, "max_levels")
         src, y = self._enter(sources, targets, keep_paths)
         cover = self.cover_index.cover
         ci = cover(src)
@@ -743,7 +745,7 @@ class BatchRouter(ColumnarSnapshot):
         # it can converge on such walks — segments shorter than Δ^-52 —
         # where we must raise loudly instead of silently diverging);
         # Theorem 2.8 keeps real walks far below that
-        step_cap = min(max_steps, int(52 / math.log2(delta)))
+        step_cap = min(checks.count(max_steps, "max_steps"), int(52 / math.log2(delta)))
         step = 0
         while lanes.size:
             if step > step_cap:  # past max_steps, or beyond Theorem 2.8
@@ -859,9 +861,10 @@ class BatchRouter(ColumnarSnapshot):
         needs neither.  Requires the cost columns of a
         :class:`~repro.peer.routing.CostAwareBatchRouter`.
         """
-        from ..peer.policy import check_policy, select_rows
+        from ..peer.policy import POLICIES, select_rows
 
-        check_policy(policy)
+        checks.choice(policy, "policy", POLICIES)
+        checks.real(temperature, "temperature", "(0, inf]")
         src, y = self._enter(sources, targets, keep_paths)
         self._cost_state()  # fail early on a plain (cost-less) router
         cover = self.cover_index.cover

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import checks
 from ..hashing.kwise import Key
 from .caching import salt_indices, salted_key
 from .continuous import Digits
@@ -101,8 +102,7 @@ def decode_node_key(key: int, delta: int) -> Digits:
     Keys are the bijective base-Δ code of an address: the root ``()`` is
     0 and a child's key is ``key·Δ + d + 1`` for digit ``d``.
     """
-    if key < 0:
-        raise ValueError("node keys are non-negative")
+    key, delta = checks.count(key, "key"), checks.count(delta, "delta", 2)
     digits: List[int] = []
     while key:
         key, d = divmod(key - 1, delta)
@@ -150,19 +150,8 @@ class BatchCacheResult(PathResult):
 
     def serving_node(self, i: int) -> Digits:
         """Digit address of the cache node that served request ``i``."""
+        i = checks.count(i, "i", 0, self.serving_node_key.size)
         return decode_node_key(int(self.serving_node_key[i]), self.delta)
-
-
-def _positive_int(value, what: str) -> int:
-    """``value`` as an int ``>= 1``, else ``ValueError`` naming it.
-
-    Bool and non-int values are refused, not truncated (``2.5`` is not
-    2, ``True`` is not 1); NumPy integers pass.
-    """
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
-        raise ValueError(f"{what} must be an int >= 1, got {value!r}")
-    return int(value)
 
 
 class BatchCacheEngine:
@@ -200,8 +189,8 @@ class BatchCacheEngine:
     ) -> None:
         if len(items) == 0:
             raise ValueError("BatchCacheEngine needs a non-empty item universe")
-        self.salts = _positive_int(salts, "salts")
-        self.c = (_positive_int(threshold, "threshold c")
+        self.salts = checks.count(salts, "salts", 1)
+        self.c = (checks.count(threshold, "threshold", 1)
                   if threshold is not None
                   else int(np.ceil(np.log2(max(2, net.n)))))
         self.net = net
@@ -258,13 +247,11 @@ class BatchCacheEngine:
     # ------------------------------------------------------------ tree views
     def tree_index(self, item_idx: int, salt: int = 0) -> int:
         """Dense tree index of ``(item, salt)``."""
-        if not 0 <= item_idx < self.n_items:
-            raise IndexError(f"item index {item_idx} out of range")
-        if not 0 <= salt < self.salts:
-            raise IndexError(f"salt {salt} out of range")
-        return item_idx * self.salts + salt
+        return (checks.count(item_idx, "item_idx", 0, self.n_items)
+                * self.salts + checks.count(salt, "salt", 0, self.salts))
 
     def _tree_slice(self, tree: int) -> np.ndarray:
+        tree = checks.count(tree, "tree", 0, self.n_trees)
         lo = np.searchsorted(self._keys, tree * self._K)
         hi = np.searchsorted(self._keys, (tree + 1) * self._K)
         return np.arange(lo, hi)
@@ -287,7 +274,7 @@ class BatchCacheEngine:
 
     def tree_replications(self, tree: int) -> int:
         """Children one tree has activated since construction."""
-        return int(self._tree_replications[tree])
+        return int(self._tree_replications[checks.count(tree, "tree", 0, self.n_trees)])
 
     # ------------------------------------------------------- item-level views
 

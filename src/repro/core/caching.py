@@ -40,10 +40,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .. import checks
 from ..hashing.kwise import Key
 from .continuous import Digits
-from .interval import normalize
-from .lookup import LookupResult, compress_path, dh_lookup
+from .lookup import LookupResult, compress_path, dh_lookup, ring_point
 from .network import DistanceHalvingNetwork
 from .pathtree import PathTree
 
@@ -62,8 +62,7 @@ def salt_indices(points: np.ndarray, salts: int) -> np.ndarray:
     function of the float bits — no RNG — so the scalar engine and the
     batch engine route any given source to the same salt tree.
     """
-    if salts < 1:
-        raise ValueError("salts must be >= 1")
+    salts = checks.count(salts, "salts", 1)
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if salts == 1:
         return np.zeros(pts.shape, dtype=np.int64)
@@ -80,7 +79,7 @@ def salted_key(item: Key, salt: int) -> str:
     and feeds the network's :class:`~repro.hashing.kwise.PointHasher`
     like any other string key.
     """
-    return f"{item!r}#salt{int(salt)}"
+    return f"{item!r}#salt{checks.count(salt, 'salt')}"
 
 
 class ActiveTree:
@@ -91,10 +90,8 @@ class ActiveTree:
     """
 
     def __init__(self, tree: PathTree, threshold: int):
-        if threshold < 1:
-            raise ValueError("threshold c must be >= 1")
         self.tree = tree
-        self.c = int(threshold)
+        self.c = checks.count(threshold, "threshold", 1)
         self.active: Set[Digits] = {()}
         self.served: Counter = Counter()          # requests supplied this epoch
         self.supplied_prev: Counter = Counter()   # last epoch's counts (for step 2)
@@ -213,10 +210,8 @@ class CacheSystem:
 
     def __init__(self, net: DistanceHalvingNetwork, threshold: Optional[int] = None,
                  salts: int = 1):
-        from .batch_cache import _positive_int  # batch_cache imports this module
-
-        self.salts = _positive_int(salts, "salts")
-        self.c = (_positive_int(threshold, "threshold c")
+        self.salts = checks.count(salts, "salts", 1)
+        self.c = (checks.count(threshold, "threshold", 1)
                   if threshold is not None
                   else int(np.ceil(np.log2(max(2, net.n)))))
         self.net = net
@@ -234,9 +229,9 @@ class CacheSystem:
 
     def route_key(self, item: Key, source_point: float) -> Key:
         """The key a request actually routes to (its salt copy, if salted)."""
+        src = ring_point(source_point, "source_point")
         if self.salts == 1:
             return item
-        src = normalize(float(source_point))
         salt = int(salt_indices(np.asarray([src]), self.salts)[0])
         return salted_key(item, salt)
 

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
+from .. import checks
 from .interval import Arc, Number, normalize
 
 __all__ = ["ContinuousGraph", "Digits", "binary_digits", "digits_to_point"]
@@ -58,8 +57,7 @@ def binary_digits(y: Number, t: int, delta: int = 2) -> Digits:
     :class:`~fractions.Fraction` inputs; for floats it uses integer scaling
     (``floor(y * Δ**t)``), which is exact while ``Δ**t`` fits the mantissa.
     """
-    if t < 0:
-        raise ValueError("digit count must be non-negative")
+    t, delta = checks.count(t, "t"), checks.count(delta, "delta", 2)
     y = normalize(y)
     if isinstance(y, Fraction):
         scaled = int(y * delta**t)
@@ -73,6 +71,7 @@ def binary_digits(y: Number, t: int, delta: int = 2) -> Digits:
 
 def digits_to_point(digits: Sequence[int], delta: int = 2) -> Fraction:
     """Exact point ``0.d_1 d_2 …`` (base ``Δ``) as a Fraction."""
+    checks.count(delta, "delta", 2)
     acc = Fraction(0)
     for d in digits:
         if not 0 <= d < delta:
@@ -94,11 +93,7 @@ class ContinuousGraph:
     delta: int = 2
 
     def __post_init__(self) -> None:
-        delta = self.delta
-        # bool and floats are refused, not truncated; NumPy ints pass
-        if (isinstance(delta, bool) or not isinstance(delta, (int, np.integer))
-                or delta < 2):
-            raise ValueError(f"delta must be an int >= 2, got {delta!r}")
+        checks.count(self.delta, "delta", 2)
 
     # ------------------------------------------------------------------ maps
     def child(self, y: Number, digit: int) -> Number:
@@ -106,8 +101,7 @@ class ContinuousGraph:
 
         For ``Δ = 2``, ``child(y, 0) = l(y)`` and ``child(y, 1) = r(y)``.
         """
-        if not 0 <= digit < self.delta:
-            raise ValueError(f"digit {digit} out of range for delta={self.delta}")
+        checks.count(digit, "digit", 0, self.delta)
         y = normalize(y)
         if isinstance(y, Fraction):
             return y / self.delta + Fraction(digit, self.delta)

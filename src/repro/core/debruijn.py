@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Tuple
 
+from .. import checks
+
 __all__ = [
     "debruijn_nodes",
     "debruijn_successors",
@@ -41,9 +43,7 @@ def equally_spaced_network(r: int, delta: int = 2, with_ring: bool = False):
 
     from .network import DistanceHalvingNetwork
 
-    if r < 1:
-        raise ValueError("dimension r must be >= 1")
-    n = delta**r
+    n = checks.count(delta, "delta", 2) ** checks.count(r, "r", 1)
     net = DistanceHalvingNetwork(delta=delta, with_ring=with_ring)
     for i in range(n):
         net.join(Fraction(i, n))
@@ -52,9 +52,7 @@ def equally_spaced_network(r: int, delta: int = 2, with_ring: bool = False):
 
 def debruijn_nodes(r: int, delta: int = 2) -> Iterator[Tuple[int, ...]]:
     """All ``Δ^r`` digit strings of length ``r`` (lexicographic order)."""
-    if r < 1:
-        raise ValueError("dimension r must be >= 1")
-    total = delta**r
+    total = checks.count(delta, "delta", 2) ** checks.count(r, "r", 1)
     for value in range(total):
         yield value_to_string(value, r, delta)
 

@@ -30,12 +30,12 @@ path for congestion accounting and the trajectory for the §3 cache.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import checks
 from .continuous import ContinuousGraph, Digits
 from .interval import Arc, normalize
 from .network import DistanceHalvingNetwork
@@ -92,13 +92,10 @@ def compress_path(points: Sequence[float]) -> List[float]:
 def ring_point(value, what: str) -> float:
     """``value`` folded into ``[0, 1)``; the entry check of every scalar lookup.
 
-    A NaN or infinite point has no cover: ``ValueError``, worded as
-    :func:`~repro.core.segments.check_finite` words it for the batch engines.
+    A NaN or infinite point has no cover: :func:`repro.checks.finite`
+    refuses it, as it does for the batch engines.
     """
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{what} is {x!r}: ring points must be finite")
-    return normalize(x)
+    return normalize(float(checks.finite(value, what)))
 
 
 def approach_walk(graph: ContinuousGraph, z: float, y: float,
@@ -162,8 +159,7 @@ def lookup_many(
     strings of the Distance Halving algorithm so a batch run with the
     same strings is bit-comparable.
     """
-    if algorithm not in ("fast", "dh"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; use 'fast' or 'dh'")
+    checks.choice(algorithm, "algorithm", ("fast", "dh"))
     if algorithm == "dh" and rng is None and taus is None:
         raise ValueError("dh lookups need an rng or explicit taus")
     out: List[LookupResult] = []

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from ..hashing.kwise import Key, PointHasher
 from .continuous import ContinuousGraph
 from .interval import Number, normalize
@@ -214,9 +215,9 @@ class DistanceHalvingNetwork:
         before anything is committed; a bad count raises ``ValueError``
         and a ``selector`` that is not a strategy instance ``TypeError``.
         """
-        from ..balance.strategies import SingleChoice, check_count
+        from ..balance.strategies import SingleChoice
 
-        check_count(n, "populate")
+        n = checks.count(n, "n")
         strategy = SingleChoice() if selector is None else selector
         if isinstance(strategy, type):
             raise TypeError(
@@ -226,7 +227,7 @@ class DistanceHalvingNetwork:
             raise TypeError(
                 f"populate needs a §4 strategy with grow(), got {strategy!r}; "
                 "call join(selector=...) per server for a custom selector")
-        ids, at = strategy.grow(self.segments, self._rng, int(n))
+        ids, at = strategy.grow(self.segments, self._rng, n)
         holders = [srv for srv in self.servers.values() if srv.store]
         stored = self.segments.merge(ids)
         # n tracked objects in a row set off the cyclic collector's full

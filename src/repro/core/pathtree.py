@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence, Tuple
 
+from .. import checks
 from .continuous import ContinuousGraph, Digits
 from .interval import Number, normalize
 
@@ -50,8 +51,7 @@ class PathTree:
 
     def layer(self, j: int) -> Iterator[Digits]:
         """All ``Δ^j`` addresses at depth ``j`` (lexicographic)."""
-        if j < 0:
-            raise ValueError("depth must be non-negative")
+        checks.count(j, "j")
 
         def rec(prefix: Tuple[int, ...]) -> Iterator[Digits]:
             if len(prefix) == j:

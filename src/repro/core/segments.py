@@ -43,10 +43,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .. import checks
 from .interval import Arc, Number, normalize
 
-__all__ = ["CoverIndex", "SegmentMap", "arc_cover_ranges", "check_finite",
-           "cover_grid", "cover_indices", "fold_unit", "normalize_array"]
+__all__ = ["CoverIndex", "SegmentMap", "arc_cover_ranges", "cover_grid",
+           "cover_indices", "fold_unit", "normalize_array"]
 
 #: Linear advances a :class:`CoverIndex` query makes past the grid's
 #: answer before the lanes still moving finish with a binary search.  On
@@ -83,22 +84,6 @@ def normalize_array(ys) -> np.ndarray:
     by callers never alias the input.
     """
     return fold_unit(np.atleast_1d(np.mod(np.asarray(ys, dtype=np.float64), 1.0)))
-
-
-def check_finite(values: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` naming the first non-finite lane of ``values``.
-
-    The entry guard of the batch engines: a NaN or infinite ring point
-    has no cover, and past this check it would index the cover grid with
-    garbage instead of failing.
-    """
-    bad = ~np.isfinite(values)
-    if bad.any():
-        lane = int(np.argmax(bad))
-        raise ValueError(
-            f"{what}[{lane}] is {float(values[lane])!r}: ring points must "
-            "be finite"
-        )
 
 
 def cover_indices(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -341,7 +326,7 @@ class SegmentMap:
         """
         p = normalize(point)
         if p != p:  # NaN, which ±inf reduce to as well
-            check_finite(np.array([point], dtype=np.float64), "id")
+            checks.finite(point, "point")
         pts = self._points
         n = len(pts)
         i = bisect_left(pts, p)
@@ -366,8 +351,7 @@ class SegmentMap:
         is already present (here or earlier in ``ids``) raises
         ``ValueError`` before anything changes.
         """
-        ids = np.asarray(ids, dtype=np.float64)
-        check_finite(ids, "id")
+        ids = checks.finite(np.asarray(ids, dtype=np.float64), "ids")
         outside = np.flatnonzero((ids < 0.0) | (ids >= 1.0))
         if outside.size:
             raise ValueError(f"id {float(ids[outside[0]])!r} lies outside [0, 1)")
@@ -401,8 +385,9 @@ class SegmentMap:
 
     # --------------------------------------------------------------- queries
     def point_at(self, i: int) -> Number:
-        """The ``i``-th point in sorted order (O(1), exact coordinates)."""
-        return self._points[i]
+        """The ``i``-th point in sorted order, ``-1`` the last (O(1), exact)."""
+        n = len(self._points)
+        return self._points[checks.count(i, "i", -n, n)]
 
     def index_of(self, point: Number) -> int:
         """Index of an existing point; raises ``KeyError`` if absent."""
@@ -432,9 +417,10 @@ class SegmentMap:
         n = len(self._points)
         if n == 0:
             raise LookupError("empty segment map has no segments")
+        i = checks.count(i, "i", -n, n)
         if n == 1:
             return Arc(self._points[0], self._points[0])
-        return Arc(self._points[i % n], self._points[(i + 1) % n])
+        return Arc(self._points[i], self._points[(i + 1) % n])
 
     def segment_of(self, point: Number) -> Arc:
         """The segment owned by the server whose id point is ``point``."""
@@ -522,7 +508,8 @@ class SegmentMap:
         mn = lens.min()
         if mn <= 0:
             return math.inf
-        return float(lens.max() / mn)
+        # Python floats: a subnormal ``mn`` overflows to inf silently
+        return float(lens.max()) / float(mn)
 
     def min_segment_length(self) -> float:
         """Length of the shortest segment; ``LookupError`` when empty."""

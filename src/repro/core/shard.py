@@ -36,38 +36,25 @@ and the next batch (or :meth:`ShardedExecutor.sync`) starts a new pool.
 from __future__ import annotations
 
 import multiprocessing as mp
-import numbers
 import os
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import checks
 from .batch import BatchLookupResult, BatchRouter
 from .segments import CoverIndex
 from .walk import normalize_pair
 
 __all__ = ["ShardedExecutor", "available_workers", "merge_results",
-           "slice_bounds", "worker_count"]
+           "slice_bounds"]
 
 #: The row arrays a worker routes against, in ``BatchRouter._adopt`` order.
 _EXPORTED = ("points", "seg_end", "midpoints")
 
 #: Scalar attributes a worker needs besides the shared arrays.
 _SCALARS = ("delta", "with_ring", "n")
-
-
-def worker_count(workers) -> int:
-    """``workers`` as an int ``>= 2``; a ``ValueError`` naming it otherwise.
-
-    A float is refused even when integral: ``int(2.5)`` silently
-    truncating is what this check exists to stop.
-    """
-    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
-            or workers < 2):
-        raise ValueError("workers must be 1 (in-process) or an integer >= 2 "
-                         f"(sharded), got {workers!r}")
-    return int(workers)
 
 
 def slice_bounds(size: int, workers: int) -> List[Tuple[int, int]]:
@@ -78,10 +65,7 @@ def slice_bounds(size: int, workers: int) -> List[Tuple[int, int]]:
     non-empty, so a batch smaller than the worker count simply uses
     fewer workers.
     """
-    if size < 0:
-        raise ValueError("size must be >= 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    size, workers = checks.count(size, "size"), checks.count(workers, "workers", 1)
     edges = np.linspace(0, size, min(workers, max(size, 1)) + 1).astype(int)
     return [(int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
@@ -206,7 +190,7 @@ class ShardedExecutor:
 
     def __init__(self, router: BatchRouter, workers: int) -> None:
         self.router = router
-        self.workers = worker_count(workers)
+        self.workers = checks.count(workers, "workers", 2)
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else methods[0])
         self._pool = None

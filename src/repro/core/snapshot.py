@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from .. import checks
+
 __all__ = ["ColumnarSnapshot", "OpJournal", "SnapshotRefreshStats",
            "StaleSnapshotError"]
 
@@ -165,12 +167,10 @@ class ColumnarSnapshot:
         budget: Optional[int] = None,
         stale_error: Optional[str] = None,
     ) -> None:
-        if budget is not None and budget < 0:
-            raise ValueError("refresh budget must be >= 0 pending ops, "
-                             f"got {budget}")
         self._journal = journal
         self.auto_refresh = bool(auto_refresh)
-        self.budget = budget
+        self.budget = (None if budget is None
+                       else checks.count(budget, "churn_budget"))
         self.refresh_stats = SnapshotRefreshStats()
         self._stale_error = stale_error or _DEFAULT_STALE_ERROR
         self._rebuild()

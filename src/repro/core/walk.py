@@ -20,20 +20,18 @@ from typing import List, Optional
 
 import numpy as np
 
-from .segments import check_finite, fold_unit, normalize_array
+from .. import checks
+from .segments import fold_unit, normalize_array
 
-__all__ = ["PathResult", "check_keep_paths", "descend", "forward_levels",
+__all__ = ["PathResult", "descend", "forward_levels",
            "integral_array", "level_points", "normalize_pair",
            "normalize_points", "per_lane_matrix", "ragged_to_csr", "replay"]
 
 
 # ---------------------------------------------------------------- entry checks
-def check_keep_paths(keep_paths) -> None:
-    """Reject anything but the three supported path-recording modes."""
-    if keep_paths not in (False, True, "csr"):
-        raise ValueError(
-            f"keep_paths must be False, True, or 'csr'; got {keep_paths!r}"
-        )
+#: The path-recording modes every batch lookup takes (``True`` and
+#: ``"csr"`` are synonyms).
+KEEP_PATHS = (False, True, "csr")
 
 
 def normalize_points(values, size: Optional[int] = None,
@@ -47,9 +45,7 @@ def normalize_points(values, size: Optional[int] = None,
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(size if size is not None else 1, float(arr))
-    arr = arr.ravel()
-    check_finite(arr, what)
-    return normalize_array(arr)
+    return normalize_array(checks.finite(arr.ravel(), what))
 
 
 def normalize_pair(sources, targets) -> tuple:

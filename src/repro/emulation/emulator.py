@@ -26,6 +26,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 
+from .. import checks
 from ..core.segments import SegmentMap
 from .families import GraphFamily
 
@@ -41,19 +42,19 @@ class GraphEmulator:
             raise ValueError("need at least one server")
         self.segments = segments
         self.family = family
-        self.k = k if k is not None else max(1, math.ceil(math.log2(len(segments))))
+        self.k = (checks.count(k, "k", 1) if k is not None
+                  else max(1, math.ceil(math.log2(len(segments)))))
 
     # ------------------------------------------------------------- mapping
     def host_of(self, guest: int, k: Optional[int] = None) -> float:
         """``Φ_k(u_guest)`` — the server covering ``guest / 2^k``."""
-        k = self.k if k is None else k
-        if not 0 <= guest < (1 << k):
-            raise ValueError(f"guest {guest} out of range for k={k}")
+        k = self.k if k is None else checks.count(k, "k", 1)
+        checks.count(guest, "guest", 0, 1 << k)
         return self.segments.cover_point(guest / (1 << k))
 
     def guests_of(self, server_point: float, k: Optional[int] = None) -> List[int]:
         """All guests mapped to a server — computable locally from its segment."""
-        k = self.k if k is None else k
+        k = self.k if k is None else checks.count(k, "k", 1)
         n = 1 << k
         seg = self.segments.segment_of(server_point)
         out: List[int] = []
@@ -116,6 +117,7 @@ class GraphEmulator:
         """Levels a server opens when ``n`` is unknown (§7's 2·log ρ list)."""
         seg_len = float(self.segments.segment_of(server_point).length)
         n_i = max(2.0, 1.0 / seg_len)
+        checks.real(rho_bound, "rho_bound", "[1, inf)")
         log_rho = max(1.0, math.log2(max(2.0, rho_bound)))
         lo = max(1, math.floor(math.log2(n_i) - log_rho))
         hi = max(lo, math.ceil(math.log2(n_i) + log_rho))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import List, Protocol
 
+from .. import checks
+
 __all__ = [
     "GraphFamily",
     "RingFamily",
@@ -38,13 +40,6 @@ class GraphFamily(Protocol):
         ...  # pragma: no cover
 
 
-def _validate(k: int, u: int) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0 <= u < (1 << k):
-        raise ValueError(f"vertex {u} out of range for k={k}")
-
-
 class RingFamily:
     """The ``2^k``-cycle."""
 
@@ -55,7 +50,7 @@ class RingFamily:
         return 2
 
     def neighbors(self, k: int, u: int) -> List[int]:
-        _validate(k, u)
+        checks.count(u, "u", 0, 1 << checks.count(k, "k", 1))
         n = 1 << k
         return sorted({(u - 1) % n, (u + 1) % n} - {u})
 
@@ -74,7 +69,7 @@ class TorusFamily:
         return 1 << a, 1 << (k - a)
 
     def neighbors(self, k: int, u: int) -> List[int]:
-        _validate(k, u)
+        checks.count(u, "u", 0, 1 << checks.count(k, "k", 1))
         rows, cols = self._dims(k)
         r, c = divmod(u, cols)
         out = {
@@ -97,7 +92,7 @@ class DeBruijnFamily:
         return 4
 
     def neighbors(self, k: int, u: int) -> List[int]:
-        _validate(k, u)
+        checks.count(u, "u", 0, 1 << checks.count(k, "k", 1))
         n = 1 << k
         out = {
             (2 * u) % n,
@@ -119,7 +114,7 @@ class ShuffleExchangeFamily:
         return 3
 
     def neighbors(self, k: int, u: int) -> List[int]:
-        _validate(k, u)
+        checks.count(u, "u", 0, 1 << checks.count(k, "k", 1))
         n = 1 << k
         rot_l = ((u << 1) | (u >> (k - 1))) & (n - 1)
         rot_r = (u >> 1) | ((u & 1) << (k - 1))

@@ -23,6 +23,8 @@ import networkx as nx
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .. import checks
+
 __all__ = [
     "spectral_gap",
     "cheeger_bounds",
@@ -49,6 +51,7 @@ def spectral_gap(graph: nx.Graph) -> float:
 
 def cheeger_bounds(lambda2: float) -> Tuple[float, float]:
     """Conductance bounds ``(λ₂/2, √(2 λ₂))`` from the spectral gap."""
+    checks.real(lambda2, "lambda2", "[0, 2]")
     return lambda2 / 2.0, math.sqrt(max(0.0, 2.0 * lambda2))
 
 
@@ -79,6 +82,7 @@ def sampled_vertex_expansion(
     candidates for sparse cuts, so including them makes the certificate
     much stronger than purely random sampling.
     """
+    trials = checks.count(trials, "trials", 1)
     nodes = list(graph.nodes())
     n = len(nodes)
     half = n // 2

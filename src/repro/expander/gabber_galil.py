@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 import numpy as np
 
+from .. import checks
 from ..balance.two_dim import TwoDimMultipleChoice
 from .voronoi import TorusVoronoi
 
@@ -96,6 +97,7 @@ class GabberGalilNetwork:
         points: Optional[Sequence[Tuple[float, float]]] = None,
         samples_per_cell: int = 24,
     ):
+        self.samples_per_cell = checks.count(samples_per_cell, "samples_per_cell", 1)
         if points is None:
             if n is None or rng is None:
                 raise ValueError("need either explicit points or (n, rng)")
@@ -103,7 +105,6 @@ class GabberGalilNetwork:
             algo.populate(rng=rng)
             points = algo.points
         self.voronoi = TorusVoronoi(points)
-        self.samples_per_cell = int(samples_per_cell)
         self._edges: Optional[Set[Tuple[int, int]]] = None
 
     @property
@@ -162,7 +163,7 @@ class GabberGalilNetwork:
         ``(µ(A), µ(δA))`` where ``δA`` is the set of points outside ``A``
         with a Gabber–Galil neighbour inside ``A``.
         """
-        pts = rng.random((samples, 2))
+        pts = rng.random((checks.count(samples, "samples", 1), 2))
         inside = region(pts)
         boundary = np.zeros(samples, dtype=bool)
         outside = ~inside

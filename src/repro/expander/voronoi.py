@@ -24,6 +24,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
+from .. import checks
+
 __all__ = ["TorusVoronoi"]
 
 Point2D = Tuple[float, float]
@@ -70,7 +72,7 @@ class TorusVoronoi:
 
     def delaunay_neighbors(self, i: int) -> List[int]:
         """Indices of cells adjacent to cell ``i`` in the dual triangulation."""
-        if i not in self._neighbors:
+        if checks.count(i, "i", 0, self.n) not in self._neighbors:
             indptr, indices = self._delaunay.vertex_neighbor_vertices
             raw = indices[indptr[self._center_offset + i]: indptr[self._center_offset + i + 1]]
             self._neighbors[i] = {int(j % self.n) for j in raw} - {i}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
+from .. import checks
 from ..baselines import (
     CanNetwork,
     ChordNetwork,
@@ -74,11 +75,8 @@ def measure_baselines(
     summary-for-summary, each path ending at its target's owner.
     """
     names = list(schemes) if schemes is not None else list(SCHEME_BUILDERS)
-    unknown = [s for s in names if s not in SCHEME_BUILDERS]
-    if unknown:
-        raise ValueError(
-            f"unknown scheme(s) {unknown}; have {sorted(SCHEME_BUILDERS)}"
-        )
+    for s in names:
+        checks.choice(s, "scheme", tuple(SCHEME_BUILDERS))
     per_scheme: Dict[str, Dict] = {}
     for i, name in enumerate(names):
         build_rng, probe = spawn_many(seed * 59 + 7 * i + n, 2)

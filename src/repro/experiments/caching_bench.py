@@ -25,6 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .. import checks
 from ..core import BatchCacheEngine, CacheSystem
 from ..sim.rng import spawn_many
 from ..sim.workload import (balanced_network, demand_stream,
@@ -123,8 +124,7 @@ def measure_caching(
     comparison at the headline size.  Returns the batch rate, cache
     statistics, and both verdicts.
     """
-    if requests < 1:
-        raise ValueError("measure_caching needs at least one request")
+    checks.count(requests, "requests", 1)
     # the hotspot comparison draws from its own stream, so no other leg
     # moves its outcome by drawing more or fewer digits
     build_rng, route, hot_rng = spawn_many(seed * 29 + n, 3)

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .. import checks
 from ..core import BatchCongestion, CongestionCounter, lookup_many
 from ..sim.rng import spawn_many
 from ..sim.workload import (DH_TAU_DIGITS, balanced_network, random_pairs,
@@ -73,11 +74,8 @@ def measure_congestion(
     digit strings.  Returns the batch rate, the congestion stats, and
     the parity verdict.
     """
-    if algorithm not in ("fast", "dh"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; use 'fast' or 'dh'")
-    if n < 2:
-        raise ValueError("measure_congestion needs n >= 2 (cong_norm "
-                         "divides by log2 n)")
+    checks.choice(algorithm, "algorithm", ("fast", "dh"))
+    checks.count(n, "n", 2)  # cong_norm divides by log2 n
     build_rng, route = spawn_many(seed * 29 + n, 2)
     net = balanced_network(n, build_rng, delta=delta)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Dict
 
+from .. import checks
 from ..core import lookup_many
 from ..sim.rng import spawn_many
 from ..sim.workload import DH_TAU_DIGITS, balanced_network, random_pairs
@@ -31,8 +32,7 @@ def _route(n: int, lookups: int, seed: int, algorithm: str, delta: int):
     Returns ``(net, sources, targets, batch, compile_secs, batch_secs)``.
     For ``algorithm='dh'`` the walks follow explicit digit strings.
     """
-    if algorithm not in ("fast", "dh"):
-        raise ValueError(f"unknown algorithm {algorithm!r}; use 'fast' or 'dh'")
+    checks.choice(algorithm, "algorithm", ("fast", "dh"))
     build_rng, route = spawn_many(seed * 17 + n, 2)
     net = balanced_network(n, build_rng, delta=delta)
 

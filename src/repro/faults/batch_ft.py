@@ -46,9 +46,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .. import checks
 from ..core.lookup import MAX_WALK_STEPS
-from ..core.segments import check_finite
-from ..core.walk import (PathResult, check_keep_paths, forward_levels,
+from ..core.walk import (KEEP_PATHS, PathResult, forward_levels,
                          level_points, normalize_points, per_lane_matrix,
                          ragged_to_csr)
 from .models import FaultPlan
@@ -143,6 +143,7 @@ class FTBatchEngine:
 
     def source_indices(self, sources, size: int) -> np.ndarray:
         """Resolve sources (id points or indices) to sorted-vector indices."""
+        size = checks.count(size, "size")
         arr = np.asarray(sources)
         if np.issubdtype(arr.dtype, np.integer):
             idx = np.atleast_1d(arr.astype(np.int64)).ravel()
@@ -154,7 +155,7 @@ class FTBatchEngine:
                 raise ValueError("source index out of range")
             return idx
         pts = np.atleast_1d(arr.astype(np.float64)).ravel()
-        check_finite(pts, "sources")
+        checks.finite(pts, "sources")
         if pts.size == 1 and size != 1:
             pts = np.full(size, pts[0])
         if pts.size != size:
@@ -227,10 +228,11 @@ class FTBatchEngine:
         all); ``policy="uniform"`` ignores the oracle and is
         byte-identical to the cost-less path.
         """
-        from ..peer.policy import check_policy, select_rows
+        from ..peer.policy import POLICIES, select_rows
 
-        check_keep_paths(keep_paths)
-        check_policy(policy)
+        checks.choice(keep_paths, "keep_paths", KEEP_PATHS)
+        checks.choice(policy, "policy", POLICIES)
+        checks.real(temperature, "temperature", "(0, inf]")
         cost_aware = policy != "uniform"
         if cost_aware and oracle is None:
             raise ValueError(f"cost policy {policy!r} needs a CostOracle")

@@ -36,6 +36,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .. import checks
+
 
 __all__ = ["GF256", "ReedSolomonCode", "ErasureStore", "RepairReport"]
 
@@ -152,10 +154,8 @@ class ReedSolomonCode:
     MAX_INVERSES = 64
 
     def __init__(self, k: int, n: int):
-        if not 1 <= k <= n <= 255:
-            raise ValueError("need 1 <= k <= n <= 255")
-        self.k = k
-        self.n = n
+        self.k = k = checks.count(k, "k", 1)
+        self.n = n = checks.count(n, "n", k, 256)
         vand = [[GF256.pow(i + 1, j) for j in range(k)] for i in range(n)]
         #: the ``(n, k)`` generator ``V · (V_top)⁻¹``: identity on top,
         #: parity rows below
@@ -254,10 +254,8 @@ class ErasureStore:
     """Erasure-coded items over an overlapping DHT's replica groups."""
 
     def __init__(self, net, data_fraction: float = 0.5):
-        if not 0 < data_fraction <= 1:
-            raise ValueError("data fraction must be in (0, 1]")
         self.net = net
-        self.data_fraction = data_fraction
+        self.data_fraction = checks.real(data_fraction, "data_fraction", "(0, 1]")
         self._items: Dict[object, _StoredItem] = {}
 
     def keys(self) -> List:

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import checks
 from ..core.lookup import approach_walk, ring_point
 from ..core.walk import per_lane_matrix
 from ..hashing.kwise import Key
@@ -109,13 +110,14 @@ def simple_lookup(
     costs — bit-identical to the batch pick for the same uniforms
     ("greedy" needs neither ``rng`` nor ``choices``).
     """
+    from ..peer.policy import POLICIES, select_index
+
     plan = plan if plan is not None else FaultPlan()
+    checks.choice(policy, "policy", POLICIES)
+    checks.real(temperature, "temperature", "(0, inf]")
     cost_aware = oracle is not None and policy != "uniform"
-    if policy != "uniform":
-        from ..peer.policy import check_policy
-        check_policy(policy)
-        if oracle is None:
-            raise ValueError(f"cost policy {policy!r} needs a CostOracle")
+    if policy != "uniform" and oracle is None:
+        raise ValueError(f"cost policy {policy!r} needs a CostOracle")
     if rng is None and choices is None and not (
             cost_aware and policy == "greedy"):
         raise ValueError("simple_lookup needs an rng or explicit choices")
@@ -135,7 +137,6 @@ def simple_lookup(
         if choices is not None and hop >= len(choices):
             raise ValueError("supplied choices exhausted before lookup finished")
         if cost_aware or choices is not None:
-            from ..peer.policy import select_index
             if choices is not None:
                 u_val = float(choices[hop])
             elif rng is not None:

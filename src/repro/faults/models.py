@@ -19,6 +19,8 @@ from typing import Hashable, Sequence, Set
 
 import numpy as np
 
+from .. import checks
+
 __all__ = ["FaultPlan", "random_failstop", "random_byzantine"]
 
 
@@ -75,8 +77,7 @@ def random_failstop(
     servers: Sequence[float], p: float, rng: np.random.Generator
 ) -> FaultPlan:
     """Each server fails independently with probability ``p`` (Thm 6.4)."""
-    if not 0 <= p < 1:
-        raise ValueError("failure probability must be in [0, 1)")
+    checks.real(p, "p", "[0, 1)")
     mask = rng.random(len(servers)) < p
     return FaultPlan(failed={s for s, m in zip(servers, mask) if m})
 
@@ -85,7 +86,6 @@ def random_byzantine(
     servers: Sequence[float], p: float, rng: np.random.Generator
 ) -> FaultPlan:
     """Each server lies independently with probability ``p`` (Thm 6.6)."""
-    if not 0 <= p < 1:
-        raise ValueError("corruption probability must be in [0, 1)")
+    checks.real(p, "p", "[0, 1)")
     mask = rng.random(len(servers)) < p
     return FaultPlan(liars={s for s, m in zip(servers, mask) if m})

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .. import checks
 from ..core.continuous import ContinuousGraph
 from ..core.interval import normalize
 from ..core.segments import CoverIndex, normalize_array
@@ -61,11 +62,11 @@ class OverlappingDHNetwork:
         rng: np.random.Generator,
         coverage_factor: float = 1.0,
     ):
-        if n < 8:
-            raise ValueError("need at least eight servers")
+        n = checks.count(n, "n", 8)
+        self.coverage_factor = float(
+            checks.real(coverage_factor, "coverage_factor", "(0, inf)"))
         self.graph = ContinuousGraph(2)
         self.points: List[float] = sorted(float(p) for p in rng.random(n))
-        self.coverage_factor = float(coverage_factor)
         self.item_hash = PointHasher(rng)
         # α_i: local log-n estimate from the predecessor gap (§6.2), scaled
         self.alpha: Dict[float, int] = {}
@@ -144,7 +145,7 @@ class OverlappingDHNetwork:
     def covers_point(self, x: float, y: float) -> bool:
         """Does server ``x`` cover point ``y``? (closed segment, cyclic)."""
         a, b = x, self.end[x]
-        return (y - a) % 1.0 <= (b - a) % 1.0
+        return (checks.finite(y, "y") - a) % 1.0 <= (b - a) % 1.0
 
     def covers(self, y: float, alive: Optional[Set[float]] = None) -> List[float]:
         """All servers covering ``y`` (optionally restricted to alive ones).
@@ -152,7 +153,7 @@ class OverlappingDHNetwork:
         A cover's start point is one of the ~``max α`` predecessors of
         ``y``, so the scan is logarithmic.
         """
-        y = normalize(float(y))
+        y = normalize(float(checks.finite(y, "y")))
         n = self.n
         i = bisect_right(self.points, y) - 1
         out = []

@@ -26,6 +26,8 @@ from typing import Union
 
 import numpy as np
 
+from .. import checks
+
 __all__ = ["MERSENNE_P", "KWiseHash", "key_to_int", "PointHasher"]
 
 MERSENNE_P = (1 << 61) - 1
@@ -63,10 +65,7 @@ class KWiseHash:
     """
 
     def __init__(self, k: int, rng: np.random.Generator):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(
-                f"independence parameter k must be an int >= 1, got {k!r}")
-        self.k = int(k)
+        self.k = checks.count(k, "k", 1)
         # rng.integers is limited to 64-bit; compose two draws for safety margin.
         self.coefficients: list[int] = [
             (int(rng.integers(0, 1 << 61)) ^ (int(rng.integers(0, 1 << 61)) << 1))

@@ -18,7 +18,7 @@ from .itracker import (
     cross_isp_counts,
     path_cost_totals,
 )
-from .policy import POLICIES, check_policy, select_index, select_rows
+from .policy import POLICIES, select_index, select_rows
 from .routing import CostAwareBatchRouter
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "CostAwareBatchRouter",
     "CostMap",
     "CostOracle",
-    "check_policy",
     "cross_isp_counts",
     "hash01",
     "pair_costs",

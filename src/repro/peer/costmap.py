@@ -23,6 +23,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .. import checks
+
 # Fixed salts: the labels/coordinates of a given id point are a global
 # constant, not a per-run draw — only the isp_cost matrix is sampled.
 _ISP_SALT = np.uint64(0x243F6A8885A308D3)  # pi digits
@@ -98,6 +100,7 @@ class CostMap:
         mat = np.ascontiguousarray(np.asarray(self.isp_cost, dtype=np.float64))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("isp_cost must be a square k x k matrix, k >= 1")
+        checks.real(self.dist_scale, "dist_scale")
         object.__setattr__(self, "isp_cost", mat)
 
     @property
@@ -120,8 +123,7 @@ class CostMap:
         the greedy policy always prefers an intra-ISP cover when one is
         available.
         """
-        if n_isps < 1:
-            raise ValueError("n_isps must be >= 1")
+        n_isps = checks.count(n_isps, "n_isps", 1)
         rng = rng if rng is not None else np.random.default_rng()
         raw = rng.random((n_isps, n_isps))
         mat = 1.0 + 9.0 * (raw + raw.T) / 2.0

@@ -22,24 +22,9 @@ from typing import Optional
 
 import numpy as np
 
+from .. import checks
+
 POLICIES = ("uniform", "greedy", "weighted")
-
-
-def check_policy(policy: str) -> None:
-    """Raise ValueError on an unknown policy name."""
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown selection policy {policy!r}; expected one of {POLICIES}"
-        )
-
-
-def _check_temperature(temperature: float) -> None:
-    """Refuse a temperature that is not > 0: zero, negatives and NaN.
-
-    ``inf`` passes: every valid weight is then ``exp(-0.0) = 1.0``.
-    """
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be > 0; got {temperature!r}")
 
 
 def select_rows(
@@ -61,8 +46,11 @@ def select_rows(
     shape (B,).
     Lanes with no valid row get an arbitrary index — the caller is
     responsible for masking them out (the FT engine marks them failed).
+    ``temperature`` is a real in ``(0, inf]``: at ``inf`` every valid
+    weight is ``exp(-0.0) = 1.0``, the uniform pick.
     """
-    check_policy(policy)
+    checks.choice(policy, "policy", POLICIES)
+    checks.real(temperature, "temperature", "(0, inf]")
     if policy != "greedy":
         if u is None:
             raise ValueError(f"policy {policy!r} needs per-lane uniforms")
@@ -83,7 +71,6 @@ def select_rows(
     if policy == "greedy":
         return np.argmin(masked, axis=0).astype(np.int64)
     valid = masked < np.inf
-    _check_temperature(temperature)
     lo = masked.min(axis=0)
     lo = np.where(np.isfinite(lo), lo, 0.0)  # all-invalid lanes
     expo = np.where(valid, -(costs - lo[None, :]) / temperature, -np.inf)
@@ -111,9 +98,10 @@ def select_index(
     uniforms the batch engines' ``choices=`` refuse: NaN, ±inf and
     anything outside ``[0, 1)`` raise ``ValueError``.
     """
-    check_policy(policy)
-    if u is not None and not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform {u!r} must be finite and in [0, 1)")
+    checks.choice(policy, "policy", POLICIES)
+    checks.real(temperature, "temperature", "(0, inf]")
+    if u is not None:
+        checks.real(u, "u", "[0, 1)")
     costs = np.asarray(costs, dtype=np.float64)
     cnt = int(costs.size)
     if cnt == 0:
@@ -124,7 +112,6 @@ def select_index(
         raise ValueError(f"policy {policy!r} needs a uniform")
     if policy == "uniform":
         return min(int(u * cnt), cnt - 1)
-    _check_temperature(temperature)
     w = np.exp(-(costs - costs.min()) / temperature)
     cum = np.cumsum(w)
     x = u * cum[-1]

@@ -20,21 +20,12 @@ from typing import Callable, List, Literal, Optional
 
 import numpy as np
 
-from ..balance.strategies import check_count
+from .. import checks
 from ..core.network import DistanceHalvingNetwork
 
 __all__ = ["ChurnOp", "ChurnTrace", "run_churn", "ChurnReport"]
 
 OpKind = Literal["join", "leave"]
-
-
-def _check_share(share: float, what: str) -> None:
-    """Raise ``ValueError`` naming ``share`` unless it lies in ``[0, 1]``.
-
-    NaN fails the compare, so it is refused too.
-    """
-    if not 0.0 <= share <= 1.0:
-        raise ValueError(f"{what} must lie in [0, 1], got {share!r}")
 
 
 @dataclass(frozen=True)
@@ -68,9 +59,8 @@ class ChurnTrace:
         ``steps`` and ``warmup`` must be ints ``>= 0`` and ``leave_prob``
         a probability; anything else raises ``ValueError``.
         """
-        check_count(steps, "ChurnTrace.generate steps")
-        check_count(warmup, "ChurnTrace.generate warmup")
-        _check_share(leave_prob, "leave_prob")
+        steps, warmup = checks.count(steps, "steps"), checks.count(warmup, "warmup")
+        checks.real(leave_prob, "leave_prob", "[0, 1]")
         ops: List[ChurnOp] = [ChurnOp("join") for _ in range(warmup)]
         for _ in range(steps):
             if rng.random() < leave_prob:
@@ -88,8 +78,8 @@ class ChurnTrace:
         (more leaves than the cohort would delete servers outside it);
         anything else raises ``ValueError``.
         """
-        check_count(n, "ChurnTrace.mass_departure n")
-        _check_share(fraction, "fraction")
+        n = checks.count(n, "n")
+        checks.real(fraction, "fraction", "[0, 1]")
         ops: List[ChurnOp] = [ChurnOp("join") for _ in range(n)]
         for _ in range(int(n * fraction)):
             ops.append(ChurnOp("leave", victim=int(rng.integers(1 << 30))))
@@ -137,6 +127,7 @@ def run_churn(
     churn-soak experiment uses it to re-sync an incremental router and
     account its per-op refresh cost.
     """
+    sample_every = checks.count(sample_every, "sample_every", 1)
     report = ChurnReport()
     step = 0
     for op in trace.ops:

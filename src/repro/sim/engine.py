@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional
 
+from .. import checks
+
 __all__ = ["Event", "EventLoop", "Message", "SimNode", "SimNetwork"]
 
 
@@ -46,14 +48,16 @@ class EventLoop:
 
     def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
+        checks.real(delay, "delay", "[0, inf)")
         ev = Event(self.now + delay, next(self._seq), action)
         heapq.heappush(self._heap, ev)
         return ev
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
         """Run events in order until the queue drains (or a limit hits)."""
+        if until is not None:
+            checks.real(until, "until", "[0, inf]")
+        max_events = checks.count(max_events, "max_events")
         while self._heap and self.events_run < max_events:
             if until is not None and self._heap[0].time > until:
                 break

@@ -28,6 +28,7 @@ from typing import Callable, Hashable, List, Optional
 
 import numpy as np
 
+from .. import checks
 from ..core.lookup import DhHeader, LocalView
 from ..core.network import DistanceHalvingNetwork
 from .engine import Message, SimNetwork, SimNode
@@ -132,8 +133,7 @@ def run_protocol_lookup(
     Raises what :func:`~repro.core.lookup.dh_lookup` raises: non-finite
     points before anything is sent, non-convergence out of the loop.
     """
-    if style not in ("recursive", "iterative"):
-        raise ValueError("style must be 'recursive' or 'iterative'")
+    checks.choice(style, "style", ("recursive", "iterative"))
     header = DhHeader.start(source, target)
     first = net.segments.cover_point(header.position)
     outcome = LookupOutcome(request_id, header.target, messages=1)  # the injection

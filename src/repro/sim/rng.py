@@ -12,10 +12,12 @@ from typing import List
 
 import numpy as np
 
+from .. import checks
+
 __all__ = ["spawn_many"]
 
 
 def spawn_many(seed: int, count: int) -> List[np.random.Generator]:
     """``count`` independent generators from one seed (per repetition)."""
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in root.spawn(count)]
+    root = np.random.SeedSequence(checks.count(seed, "seed"))
+    return [np.random.default_rng(s) for s in root.spawn(checks.count(count, "count"))]

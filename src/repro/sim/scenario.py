@@ -47,7 +47,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..balance.strategies import MultipleChoice, check_count
+from .. import checks
+from ..balance.strategies import MultipleChoice
 from ..core import DistanceHalvingNetwork
 from ..core.batch_cache import BatchCacheEngine
 from ..core.routing_stats import BatchCongestion
@@ -188,10 +189,12 @@ class SoakStats:
 
     def record_churn(self, ops: int) -> None:
         """Count ``ops`` membership operations (joins and leaves)."""
-        self.churn_ops += int(ops)
+        self.churn_ops += checks.count(ops, "ops")
 
     def observe_network(self, n: int, smoothness: float) -> None:
         """Fold one membership observation into the extrema."""
+        n = checks.count(n, "n")
+        checks.real(smoothness, "smoothness", "[1, inf]")
         self.n_min = n if self.n_min == 0 else min(self.n_min, n)
         self.n_max = max(self.n_max, n)
         if math.isfinite(smoothness):
@@ -266,6 +269,7 @@ class SoakStats:
 
     def summary(self, n_servers: int) -> Dict[str, float]:
         """Flat JSON-native digest (NumPy-safe scalars only)."""
+        n_servers = checks.count(n_servers, "n_servers", 1)
         out = {f"route_{k}": v
                for k, v in self.route.summary(n_servers).items()}
         out.update({f"cache_{k}": v
@@ -330,10 +334,8 @@ class ScenarioEngine:
     ) -> None:
         for what, count, least in (
                 ("n", n, 16), ("lookups", lookups, 0), ("chunk", chunk, 1),
-                ("items", items, 0), ("payload", payload, 0)):
-            check_count(count, what)
-            if count < least:
-                raise ValueError(f"soak needs {what} >= {least}")
+                ("seed", seed, 0), ("items", items, 0), ("payload", payload, 0)):
+            checks.count(count, what, least)
         self.n0 = int(n)
         self.lookups_total = int(lookups)
         self.chunk = int(chunk)

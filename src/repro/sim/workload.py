@@ -27,6 +27,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .. import checks
 from ..balance import MultipleChoice
 from ..core.network import DistanceHalvingNetwork
 
@@ -106,20 +107,18 @@ def route_pairs(
     ``choices`` supplies the shared per-step uniforms, ``temperature``
     tunes the softmin.
     """
+    checks.choice(algorithm, "algorithm", ("fast", "dh", "cost"))
     sources, targets = pairs_to_arrays(pairs)
     if algorithm == "fast":
         res = router.lookup_batch(sources, targets, keep_paths=keep_paths)
     elif algorithm == "dh":
         res = router.batch_dh_lookup(sources, targets, rng=rng, tau=tau,
                                      keep_paths=keep_paths)
-    elif algorithm == "cost":
+    else:
         res = router.batch_cost_dh_lookup(
             sources, targets, choices=choices, rng=rng,
             policy=policy if policy is not None else "weighted",
             temperature=temperature, keep_paths=keep_paths)
-    else:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; use 'fast', 'dh' or 'cost'")
     if congestion is not None:
         congestion.record_batch(res)
     return res
@@ -149,7 +148,7 @@ def random_pairs(
     :func:`pairs_to_arrays` accepts.
     """
     pts = np.asarray(points, dtype=np.float64)
-    src = pts[rng.integers(0, pts.size, size=count)]
+    src = pts[rng.integers(0, pts.size, size=checks.count(count, "count"))]
     return src, rng.random(count)
 
 
@@ -203,6 +202,7 @@ def bit_reversal_permutation(points: Sequence[float]) -> List[Tuple[float, float
 
 def shift_permutation(points: Sequence[float], shift: float = 0.5) -> List[Tuple[float, float]]:
     """Everyone targets the diametrically shifted point (a cyclic shift)."""
+    checks.finite(shift, "shift")
     return [(p, (p + shift) % 1.0) for p in points]
 
 
@@ -214,8 +214,9 @@ def zipf_demands(
     The §3.4 setting: an arbitrary demand over ``n`` items summing to
     ``n``; Zipf is the canonical skew (a few very hot items).
     """
+    n_items, total = checks.count(n_items, "n_items", 1), checks.count(total, "total")
     ranks = np.arange(1, n_items + 1, dtype=float)
-    weights = ranks**-exponent
+    weights = ranks**-checks.real(exponent, "exponent")
     weights /= weights.sum()
     counts = rng.multinomial(total, weights)
     return counts.tolist()
@@ -223,8 +224,8 @@ def zipf_demands(
 
 def single_hotspot_demands(n_items: int, total: int, hot_index: int = 0) -> List[int]:
     """All demand on one item — the §3.3 single-hotspot stress."""
-    q = [0] * n_items
-    q[hot_index] = total
+    q = [0] * checks.count(n_items, "n_items", 1)
+    q[checks.count(hot_index, "hot_index", 0, n_items)] = checks.count(total, "total")
     return q
 
 

@@ -201,16 +201,20 @@ class TestBatchFastLookup:
         src, tgt = workload(net, 8, seed=3)
         poisoned = tgt.copy()
         poisoned[5] = bad
-        with pytest.raises(ValueError, match=r"targets\[5\] is .*finite"):
+        with pytest.raises(ValueError,
+                           match=rf"targets\[5\] must be a finite real, got {bad!r}"):
             router.batch_fast_lookup(src, poisoned)
-        with pytest.raises(ValueError, match=r"targets\[5\] is .*finite"):
+        with pytest.raises(ValueError,
+                           match=rf"targets\[5\] must be a finite real, got {bad!r}"):
             router.batch_dh_lookup(src, poisoned,
                                    rng=np.random.default_rng(0))
         poisoned = src.copy()
         poisoned[2] = bad
-        with pytest.raises(ValueError, match=r"sources\[2\] is .*finite"):
+        with pytest.raises(ValueError,
+                           match=rf"sources\[2\] must be a finite real, got {bad!r}"):
             router.batch_fast_lookup(poisoned, tgt)
-        with pytest.raises(ValueError, match=r"sources\[2\] is .*finite"):
+        with pytest.raises(ValueError,
+                           match=rf"sources\[2\] must be a finite real, got {bad!r}"):
             router.batch_dh_lookup(poisoned, tgt,
                                    rng=np.random.default_rng(0))
 

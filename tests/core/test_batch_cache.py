@@ -116,9 +116,11 @@ class TestConstruction:
         net = populated(16, 0)
         eng = BatchCacheEngine(net, ["a", "b"], salts=2)
         assert eng.tree_index(1, 1) == 3
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError,
+                           match=r"item_idx must be an int in \[0, 2\), got 2"):
             eng.tree_index(2, 0)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError,
+                           match=r"salt must be an int in \[0, 2\), got 2"):
             eng.tree_index(0, 2)
 
 
@@ -164,7 +166,8 @@ class TestDegenerateBatches:
     def test_non_finite_source_rejected_by_lane(self):
         net = populated(32, 0)
         eng = BatchCacheEngine(net, ["a"])
-        with pytest.raises(ValueError, match=r"sources\[1\] is nan.*finite"):
+        with pytest.raises(ValueError,
+                           match=r"sources\[1\] must be a finite real, got nan"):
             eng.serve_batch([0, 0], [0.25, float("nan")],
                             rng=np.random.default_rng(0))
         assert eng.requests_served == 0

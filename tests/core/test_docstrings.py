@@ -23,9 +23,10 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: scenario engine and workload generators, the ring geometry, the
 #: continuous graph and the De Bruijn isomorphism check, the §4 id
 #: strategies, the membership write path (join / leave, the op
-#: journal, churn traces), and the congestion accounting that books
-#: every routed batch.
+#: journal, churn traces), the congestion accounting that books
+#: every routed batch, and the input checks every entry point calls.
 GATED = [
+    SRC / "checks.py",
     SRC / "core" / "batch.py",
     SRC / "core" / "routing_stats.py",
     SRC / "core" / "snapshot.py",

@@ -6,7 +6,11 @@ asynchronous fabric in :mod:`repro.sim.asyncnet`.  Both load on first
 use, so a process that
 imports everything the spine benchmark imports routes without them.
 Checked in a fresh interpreter: this one has long since imported both.
+:mod:`repro.checks` is a leaf every layer calls: it imports no other
+``repro`` module.
 """
+
+import ast
 
 import os
 import pathlib
@@ -32,6 +36,16 @@ def test_spine_imports_leave_networkx_and_asyncio_unloaded():
             + "".join(f"import {mod}\n" for mod in SPINE_IMPORTS)
             + "print(sorted({'networkx', 'asyncio'} & set(sys.modules)))")
     assert _run(code) == "[]"
+
+
+def test_checks_is_a_leaf():
+    """``repro.checks`` imports the standard library and NumPy only."""
+    tree = ast.parse((SRC / "repro" / "checks.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] if node.level == 0 else "repro"
+                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}
 
 
 def test_expander_graph_still_builds_on_first_use():

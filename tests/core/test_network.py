@@ -65,7 +65,7 @@ class TestJoinLeave:
         net = populated(8, 3)
         version = net.membership_version
         with pytest.raises(ValueError,
-                           match=f"{bad!r}: ring points must be finite"):
+                           match=f"point must be a finite real, got {bad!r}"):
             net.join(bad)
         assert net.n == len(net.servers) == 8
         assert net.membership_version == version

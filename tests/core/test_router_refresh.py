@@ -192,7 +192,8 @@ class TestRefreshModes:
         """A budget below zero used to be accepted and made every refresh
         a full rebuild, so a refresh-cost gate measured nothing."""
         net = populated(32, 26)
-        with pytest.raises(ValueError, match="budget must be >= 0.* got -1"):
+        with pytest.raises(ValueError,
+                           match="churn_budget must be an int >= 0, got -1"):
             net.router(auto_refresh=True, churn_budget=-1)
         assert net.router(auto_refresh=True, churn_budget=0).budget == 0
 

@@ -144,7 +144,8 @@ class TestShardedExecutor:
         src, tgt = make_workload(net, size=64)
         tgt[40] = np.inf
         with ShardedExecutor(router, workers=2) as ex:
-            with pytest.raises(ValueError, match=r"targets\[40\] is inf"):
+            with pytest.raises(ValueError,
+                               match=r"targets\[40\] must be a finite real, got inf"):
                 ex.batch_fast_lookup(src, tgt)
 
     def test_resync_after_churn(self):

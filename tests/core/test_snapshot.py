@@ -150,7 +150,8 @@ class TestBuildAndPatch:
         assert (st.ops_replayed, st.ops_absorbed) == (0, 5)
 
     def test_negative_budget_rejected_zero_always_rebuilds(self):
-        with pytest.raises(ValueError, match="budget must be >= 0.* got -1"):
+        with pytest.raises(ValueError,
+                           match="churn_budget must be an int >= 0, got -1"):
             make(budget=-1)
         source, journal, snap = make(budget=0)
         insert(source, journal, 0.1)

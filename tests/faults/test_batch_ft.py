@@ -348,7 +348,8 @@ class TestNonFiniteInputs:
                              ids=["nan", "inf", "-inf"])
     def test_nonfinite_target_raises_at_entry(self, net, engine, algorithm,
                                               bad):
-        with pytest.raises(ValueError, match=r"targets\[1\] is .*finite"):
+        with pytest.raises(ValueError,
+                           match=rf"targets\[1\] must be a finite real, got {bad!r}"):
             self._lookup(engine, algorithm, net.points_array[:3],
                          [0.1, bad, 0.3])
 
@@ -358,7 +359,8 @@ class TestNonFiniteInputs:
                                                     algorithm, bad):
         src = net.points_array[:3].copy()
         src[2] = bad
-        with pytest.raises(ValueError, match=r"sources\[2\] is .*finite"):
+        with pytest.raises(ValueError,
+                           match=rf"sources\[2\] must be a finite real, got {bad!r}"):
             self._lookup(engine, algorithm, src, [0.1, 0.2, 0.3])
 
     def test_scalar_target_broadcasts(self, net, engine):

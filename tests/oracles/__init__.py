@@ -56,6 +56,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   the in-place key merge → test_congestion_booking
 - baselines.measure_scheme, scalar: ``measure_scheme_batch`` →
   test_baselines, test_batch_baselines
+- exact.exact_fast_lookup, scalar: §2.2.1's Fast Lookup in ``Fraction``
+  arithmetic over float ids → test_exact_fast_lookup
 - inputs: the adversarial ids and the ``populated`` / ``joined``
   builders; compare.assert_same: dtype, shape and bits, field by field
 """

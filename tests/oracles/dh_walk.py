@@ -299,9 +299,10 @@ class AllLanesWalkOracle(CostAwareBatchRouter):
         max_steps: int = MAX_WALK_STEPS,
     ) -> BatchLookupResult:
         """Two-phase dh lookup with cost-aware phase-I digit selection."""
-        from repro.peer.policy import check_policy, select_rows
+        from repro import checks
+        from repro.peer.policy import POLICIES, select_rows
 
-        check_policy(policy)
+        checks.choice(policy, "policy", POLICIES)
         src, y = self._enter(sources, targets, keep_paths)
         self._cost_state()  # fail early on a plain (cost-less) router
         cover = self.cover_index.cover

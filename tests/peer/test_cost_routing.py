@@ -19,7 +19,6 @@ from repro.peer import (
     CostAwareBatchRouter,
     CostMap,
     CostOracle,
-    check_policy,
     cross_isp_counts,
     hash01,
     pair_costs,
@@ -87,10 +86,11 @@ class TestCostMap:
 
 class TestSelection:
     def test_check_policy(self):
-        for p in POLICIES:
-            check_policy(p)
-        with pytest.raises(ValueError):
-            check_policy("cheapest")
+        """Both selection entry points refuse an unknown policy by name."""
+        with pytest.raises(ValueError, match="policy must be one of .*'cheapest'"):
+            select_index(np.zeros(2), 0.5, "cheapest")
+        with pytest.raises(ValueError, match="policy must be one of .*'cheapest'"):
+            select_rows(np.zeros((2, 1)), None, np.zeros(1), "cheapest")
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_rows_match_index(self, policy):
@@ -257,7 +257,8 @@ class TestCoreEngine:
     def test_non_finite_target_rejected_by_lane(self):
         tgt = self.tgt.copy()
         tgt[7] = np.nan
-        with pytest.raises(ValueError, match=r"targets\[7\] is nan.*finite"):
+        with pytest.raises(ValueError,
+                           match=r"targets\[7\] must be a finite real, got nan"):
             self.router.batch_cost_dh_lookup(self.src, tgt, policy="greedy")
 
     def test_weighted_needs_uniform_source(self):

@@ -13,6 +13,7 @@ port, is the oracle for the writer.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -401,7 +402,8 @@ class TestPerLaneMatrix:
         from repro.peer.policy import select_index
 
         for policy in ("uniform", "greedy", "weighted"):
-            with pytest.raises(ValueError, match="must be finite and in"):
+            with pytest.raises(ValueError, match=r"u must be a real in \[0, 1\), "
+                               f"got {re.escape(repr(bad))}"):
                 select_index(np.array([1.0, 2.0]), bad, policy)
         choices = np.full(32, 0.25)
         choices[1] = bad

@@ -269,7 +269,7 @@ class TestInvariantChecker(SmallSoak):
             eng.check_invariants("tampered")
 
     def test_rejects_tiny_network(self):
-        with pytest.raises(ValueError, match="n >= 16"):
+        with pytest.raises(ValueError, match="n must be an int >= 16, got 4"):
             ScenarioEngine(n=4)
 
     @pytest.mark.parametrize("field,value", [

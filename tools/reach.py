@@ -61,8 +61,8 @@ ALLOWLIST = {
     # abstract or protocol stubs
     "baselines/base.py:BaselineDHT.n": "abstract property",
     "baselines/base.py:BaselineDHT.node_ids": "abstract method",
-    "baselines/base.py:BaselineDHT.owner": "abstract method",
-    "baselines/base.py:BaselineDHT.lookup_path": "abstract method",
+    "baselines/base.py:BaselineDHT._owner": "abstract method",
+    "baselines/base.py:BaselineDHT._lookup_path": "abstract method",
     "baselines/base.py:BaselineDHT.degree": "abstract method",
     "baselines/base.py:BaselineDHT.batch_router": "abstract method",
     "baselines/base.py:BaselineBatchRouter.route_batch": "abstract method",
