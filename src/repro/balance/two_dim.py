@@ -106,7 +106,8 @@ class TwoDimMultipleChoice:
 
     def populate(self, count: Optional[int] = None, rng: Optional[np.random.Generator] = None) -> None:
         """Join ``count`` servers (default: up to the target population)."""
-        assert rng is not None, "populate requires an rng"
+        if rng is None:
+            raise ValueError("populate requires an rng")
         count = self.n_target if count is None else checks.count(count, "count")
         for _ in range(count):
             self.join(rng)

@@ -223,18 +223,24 @@ class CoverIndex:
         idx[idx < 0] = len(ext) - 2
         return idx
 
-    def audit(self, points: np.ndarray) -> str:
-        """The grid's consistency with ``points``, as a one-line report."""
+    def audit(self, points: np.ndarray) -> tuple:
+        """``(ok, report)``: the index's consistency with ``points``.
+
+        ``ok`` holds when the grid equals a fresh :func:`cover_grid` of
+        its size and :attr:`ext` carries exactly ``points``; ``report``
+        is one line on the grid either way.
+        """
         n, size = len(points), len(self.grid)
         fresh = cover_grid(points, size)
-        return (
+        differ = int((self.grid != fresh).sum())
+        follows = np.array_equal(self.ext[:-1], points)
+        return differ == 0 and follows, (
             f"cover grid len={size} for n={n} "
             f"(n in [G/8, G/2]: {size // 8 <= n <= size // 2}), "
             f"grid[-1]={int(self.grid[-1])} (fresh: {int(fresh[-1])}), "
             f"monotone={bool((np.diff(self.grid) >= 0).all())}, "
-            f"{int((self.grid != fresh).sum())} buckets differ from a fresh "
-            f"grid, ext follows points: "
-            f"{np.array_equal(self.ext[:-1], points)}"
+            f"{differ} buckets differ from a fresh grid, ext follows "
+            f"points: {follows}"
         )
 
 

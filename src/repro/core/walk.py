@@ -267,13 +267,16 @@ def ragged_to_csr(buf, starts, lens=None) -> tuple:
     tail slot: ``path_servers`` comes back ``int32``, ``path_offsets``
     ``int64`` of length ``lanes + 1``.
 
-    Repeats are rare (220 in 82.7M raw entries of fast routes at
-    n = 16384), so one shifted compare finds them sparsely and
-    everything after it costs O(lanes + dropped slots).  With nothing
-    to drop, ``buf`` itself comes back as ``path_servers`` when it
-    already is ``int32`` — every caller hands over a freshly allocated
-    buffer, so the result aliases nothing anyone else holds.
+    The writer consumes ``buf``: every caller hands over a freshly
+    allocated buffer, and an ``int32`` one comes back as
+    ``path_servers`` itself, or as its leading slice once the dropped
+    slots are compacted away in place (:func:`_compact`).  Repeats are
+    rare (220 in 82.7M raw entries of fast routes at n = 16384), so one
+    shifted compare finds them sparsely and everything after it costs
+    O(lanes + dropped slots) beside the move of the entries past the
+    first drop.
     """
+    buf = buf.astype(np.int32, copy=False)
     starts = np.asarray(starts, dtype=np.int64)
     drop = np.flatnonzero(buf[1:] == buf[:-1]) + 1
     lane = np.searchsorted(starts, drop, side="right") - 1
@@ -292,11 +295,46 @@ def ragged_to_csr(buf, starts, lens=None) -> tuple:
                      + np.arange(spare.sum()))
             drop = np.sort(np.concatenate([drop, tails]))
     if not drop.size:
-        return (buf.astype(np.int32, copy=False),
-                np.append(starts, buf.size))
-    return (np.delete(buf, drop).astype(np.int32, copy=False),
+        return buf, np.append(starts, buf.size)
+    return (buf[:_compact(buf, drop)],
             np.append(starts - np.searchsorted(drop, starts),
                       buf.size - drop.size))
+
+
+#: Entries :func:`_compact` moves per step, which bounds its transient.
+_BLOCK = 1 << 16
+#: Drops in a block up to which its drop-free stretches move one slice
+#: assignment each; a denser block moves through one boolean gather.
+_SPARSE = 16
+
+
+def _compact(buf, drop) -> int:
+    """Move ``buf``'s entries left over the slots ``drop`` (sorted, unique).
+
+    ``np.delete`` without its mask and copy of the whole buffer: the
+    entries before the first drop stay put, and the rest are walked
+    ``_BLOCK`` at a time.  A block with few drops moves each drop-free
+    stretch with one slice assignment — an overlapping copy to a lower
+    address, which NumPy makes in place — and a denser one gathers its
+    survivors through a mask of one block.  Returns the survivor count.
+    """
+    edges = np.append(np.arange(drop[0], buf.size, _BLOCK), buf.size)
+    cut = np.searchsorted(drop, edges)
+    w = int(drop[0])
+    for b, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+        local = drop[cut[b]:cut[b + 1]]
+        if local.size <= _SPARSE:
+            for stop in local.tolist() + [hi]:
+                buf[w:w + stop - lo] = buf[lo:stop]
+                w += stop - lo
+                lo = stop + 1
+        else:
+            keep = np.ones(hi - lo, dtype=bool)
+            keep[local - lo] = False
+            kept = buf[lo:hi][keep]
+            buf[w:w + kept.size] = kept
+            w += kept.size
+    return w
 
 
 # ------------------------------------------------------------- result contract

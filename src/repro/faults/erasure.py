@@ -21,10 +21,10 @@ storage win.  This module supplies that substrate:
   ``(k + m)/k·|item|``.
 
 Implemented from scratch (tables + Gaussian elimination) — no external
-dependency carries GF(256) arithmetic.  The scalar :class:`GF256` calls
-build the generator and invert share matrices (``O(k³)`` per code and
-per distinct share subset); every payload byte goes through one
-256 × 256 product table instead (:func:`_gf_matmul`).
+dependency carries GF(256) arithmetic.  Scalar field arithmetic builds
+the generator and inverts share matrices (``O(k³)`` per code and per
+distinct share subset); every payload byte goes through one 256 × 256
+product table instead (:func:`_gf_matmul`).
 """
 
 from __future__ import annotations
@@ -42,62 +42,69 @@ from .. import checks
 __all__ = ["GF256", "ReedSolomonCode", "ErasureStore", "RepairReport"]
 
 
+def _log_tables() -> Tuple[List[int], List[int]]:
+    """``(exp, log)`` of GF(2^8): ``exp`` runs twice round, so a sum of
+    two logs needs no reduction."""
+    exp = [0] * 512
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = x
+        log[x] = i
+        # multiply by the generator 3 = x+1 (2 is NOT primitive for 0x11B)
+        y = x << 1
+        if y & 0x100:
+            y ^= 0x11B
+        x = y ^ x
+    for i in range(255, 512):
+        exp[i] = exp[i - 255]
+    return exp, log
+
+
+_EXP, _LOG = _log_tables()
+
+
+def _mul(a: int, b: int) -> int:
+    """``a · b`` on elements already known to lie in ``[0, 256)``."""
+    return _EXP[_LOG[a] + _LOG[b]] if a and b else 0
+
+
 class GF256:
-    """Arithmetic in GF(2^8) with the AES polynomial ``x⁸+x⁴+x³+x+1``."""
+    """Arithmetic in GF(2^8) with the AES polynomial ``x⁸+x⁴+x³+x+1``.
 
-    _EXP: List[int] = []
-    _LOG: List[int] = []
+    An element is an int in ``[0, 256)``; anything else, a bool
+    included, is refused with ``ValueError`` naming the argument.  The
+    codec's elimination (:func:`_gf_mat_inv`) makes its ``O(k³)``
+    products on bytes it built itself, unchecked (:func:`_mul`).
+    """
 
-    @classmethod
-    def _init_tables(cls) -> None:
-        if cls._EXP:
-            return
-        exp = [0] * 512
-        log = [0] * 256
-        x = 1
-        for i in range(255):
-            exp[i] = x
-            log[x] = i
-            # multiply by the generator 3 = x+1 (2 is NOT primitive for 0x11B)
-            y = x << 1
-            if y & 0x100:
-                y ^= 0x11B
-            x = y ^ x
-        for i in range(255, 512):
-            exp[i] = exp[i - 255]
-        cls._EXP, cls._LOG = exp, log
+    @staticmethod
+    def mul(a: int, b: int) -> int:
+        return _mul(checks.count(a, "a", 0, 256), checks.count(b, "b", 0, 256))
 
-    @classmethod
-    def mul(cls, a: int, b: int) -> int:
-        cls._init_tables()
-        if a == 0 or b == 0:
-            return 0
-        return cls._EXP[cls._LOG[a] + cls._LOG[b]]
-
-    @classmethod
-    def inv(cls, a: int) -> int:
-        cls._init_tables()
+    @staticmethod
+    def inv(a: int) -> int:
+        a = checks.count(a, "a", 0, 256)
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(256)")
-        return cls._EXP[255 - cls._LOG[a]]
+        return _EXP[255 - _LOG[a]]
 
     @staticmethod
     def add(a: int, b: int) -> int:
-        return a ^ b
+        return checks.count(a, "a", 0, 256) ^ checks.count(b, "b", 0, 256)
 
-    @classmethod
-    def pow(cls, a: int, e: int) -> int:
-        cls._init_tables()
+    @staticmethod
+    def pow(a: int, e: int) -> int:
+        a, e = checks.count(a, "a", 0, 256), checks.count(e, "e")
         if a == 0:
             return 0 if e else 1
-        return cls._EXP[(cls._LOG[a] * e) % 255]
+        return _EXP[(_LOG[a] * e) % 255]
 
 
 def _product_table() -> np.ndarray:
     """``table[a, b] = GF256.mul(a, b)`` for every byte pair (64 KiB)."""
-    GF256._init_tables()
-    exp = np.array(GF256._EXP, dtype=np.uint8)
-    log = np.array(GF256._LOG, dtype=np.intp)
+    exp = np.array(_EXP, dtype=np.uint8)
+    log = np.array(_LOG, dtype=np.intp)
     table = exp[log[:, None] + log[None, :]]
     table[0, :] = table[:, 0] = 0       # log 0 is a placeholder, not a log
     return table
@@ -125,14 +132,12 @@ def _gf_mat_inv(m: List[List[int]]) -> List[List[int]]:
         scale = GF256.inv(a[col][col])
         a[col] = [GF256.mul(scale, v) for v in a[col]]
         inv[col] = [GF256.mul(scale, v) for v in inv[col]]
-        for r in range(k):
+        for r in range(k):  # the O(k³) loop: unchecked products, XOR sums
             if r == col or a[r][col] == 0:
                 continue
             factor = a[r][col]
-            a[r] = [GF256.add(v, GF256.mul(factor, w))
-                    for v, w in zip(a[r], a[col])]
-            inv[r] = [GF256.add(v, GF256.mul(factor, w))
-                      for v, w in zip(inv[r], inv[col])]
+            a[r] = [v ^ _mul(factor, w) for v, w in zip(a[r], a[col])]
+            inv[r] = [v ^ _mul(factor, w) for v, w in zip(inv[r], inv[col])]
     return inv
 
 

@@ -167,7 +167,7 @@ class OverlappingDHNetwork:
     def cover_table(self, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized cover query for a whole batch of points.
 
-        Returns ``(cand, mask)``: ``cand`` is a ``(max_back, B)`` int64
+        Returns ``(cand, mask)``: ``cand`` is a ``(max_back, B)`` int32
         matrix of candidate server indices — row ``k`` holds the ``k``-th
         ring predecessor of each query point, the exact scan order of the
         scalar :meth:`covers` — and ``mask`` flags the candidates that
@@ -180,7 +180,9 @@ class OverlappingDHNetwork:
         """
         ys = np.asarray(ys, dtype=np.float64)
         i = self.cover_index.cover(ys)
-        cand = i[None, :] - np.arange(self.max_back, dtype=np.int64)[:, None]
+        # int32: this matrix is the widest per-hop temporary of §6's engines
+        cand = (i.astype(np.int32)[None, :]
+                - np.arange(self.max_back, dtype=np.int32)[:, None])
         seam = np.flatnonzero(i < self.max_back - 1)
         cand[:, seam] %= self.n
         mask = np.take(self.cover_class, i, axis=1)

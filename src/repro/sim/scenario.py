@@ -41,6 +41,7 @@ seed produce byte-identical ``--json-out`` artifacts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -380,7 +381,12 @@ class ScenarioEngine:
     # Each body takes its phase's explicit argument; _PHASE_KINDS, below
     # the class, names the body, the default and the argument rule.
     def _route_stream(self, stats: SoakStats, count: float) -> None:
-        """Route ``count`` uniform lookups in chunk-sized CSR batches."""
+        """Route ``count`` uniform lookups in chunk-sized CSR batches.
+
+        Each chunk's result is booked and dropped before the next chunk
+        is drawn, as in every chunk loop here: one result is alive at a
+        time.
+        """
         rng = self._route_rng
         done, count = 0, int(count)
         while done < count:
@@ -389,8 +395,8 @@ class ScenarioEngine:
             pts = self.router.refresh().points
             sources = pts[rng.integers(0, pts.size, size=b)]
             targets = rng.random(b)
-            res = self.router.lookup_batch(sources, targets, keep_paths="csr")
-            stats.record_route(res)
+            stats.record_route(
+                self.router.lookup_batch(sources, targets, keep_paths="csr"))
             done += b
 
     def _membership(self, stats: SoakStats, ops: List[ChurnOp],
@@ -437,8 +443,7 @@ class ScenarioEngine:
         for lo in range(0, stream.size, self.chunk):
             idx = stream[lo: lo + self.chunk]
             sources = pts[rng.integers(0, pts.size, size=idx.size)]
-            res = engine.serve_batch(idx, sources, rng=rng)
-            stats.record_cache(res)
+            stats.record_cache(engine.serve_batch(idx, sources, rng=rng))
         engine.advance_epoch()
         self._last_cache_engine = engine
 
@@ -447,18 +452,15 @@ class ScenarioEngine:
         if not self.alive:  # an emptied substrate has no source: 0 pairs
             return
         alive_mask = np.isin(self._ft_points, list(self.alive))
+        route = (functools.partial(self.ft_engine.batch_resistant_lookup,
+                                   plan=plan) if resistant
+                 else functools.partial(self.ft_engine.batch_simple_lookup,
+                                        rng=self._fault_rng, plan=plan))
         done = 0
         while done < count:
             b = min(self.chunk, count - done)
-            pairs = survivor_pairs(self._ft_points, alive_mask,
-                                   self._fault_rng, b)
-            if resistant:
-                res = self.ft_engine.batch_resistant_lookup(
-                    pairs[0], pairs[1], plan=plan)
-            else:
-                res = self.ft_engine.batch_simple_lookup(
-                    pairs[0], pairs[1], rng=self._fault_rng, plan=plan)
-            stats.record_ft(res)
+            stats.record_ft(route(*survivor_pairs(
+                self._ft_points, alive_mask, self._fault_rng, b)))
             done += b
 
     def _failstop(self, stats: SoakStats, p: float) -> None:
@@ -497,9 +499,11 @@ class ScenarioEngine:
           ``compile_router()`` and with the live segment map on sampled
           targets (a stale router cannot hide behind the journal) — the
           router answers through its bucket-grid cover index, the
-          segment map through the ``searchsorted`` oracle, so this is
-          also the grid-vs-oracle audit; a failure reports the grid's
-          own consistency;
+          segment map through the ``searchsorted`` oracle — and its
+          grid equals a fresh one bucket for bucket
+          (:meth:`~repro.core.segments.CoverIndex.audit`), so a wrong
+          bucket the cover walk happens to step past fails too; a
+          failure reports the grid's own consistency;
         * **merge**: re-merging every per-phase :class:`SoakStats`
           snapshot reproduces the running total bit-identically;
         * **erasure**: every stored item that is still recoverable
@@ -517,16 +521,18 @@ class ScenarioEngine:
 
         fresh = self.net.compile_router()
         ys = self._check_rng.random(min(1024, 4 * self.net.n))
+        grid_ok, grid = self.router.cover_index.audit(self.router.points)
         owners_ok = (
             self.router.version == self.net.membership_version
             and np.array_equal(self.router.points, fresh.points)
             and np.array_equal(self.router.cover(ys),
                                self.net.segments.cover_array(ys))
+            and grid_ok
         )
         detail = (f"router v{self.router.version} vs fresh compile, "
                   f"{ys.size} sampled targets")
         if not owners_ok:
-            detail += "; " + self.router.cover_index.audit(self.router.points)
+            detail += "; " + grid
         add("owners", owners_ok, detail)
 
         merged = SoakStats()

@@ -60,6 +60,11 @@ class TestTwoDimMultipleChoice:
         algo.populate(rng=rng)
         assert len(algo.points) == 256
 
+    def test_populate_refuses_a_missing_rng(self):
+        """A real check, not an ``assert`` that ``python -O`` strips."""
+        with pytest.raises(ValueError, match="rng"):
+            TwoDimMultipleChoice(16).populate(4)
+
     def test_lemma_5_3_smoothness(self):
         """After n joins the configuration is 2-smooth w.h.p.
 

@@ -44,9 +44,10 @@ from repro.emulation import (DeBruijnFamily, GraphEmulator, RingFamily,
                              ShuffleExchangeFamily, TorusFamily)
 from repro.expander import (GabberGalilNetwork, TorusVoronoi, cheeger_bounds,
                             sampled_vertex_expansion)
-from repro.faults import (ErasureStore, FTBatchEngine, OverlappingDHNetwork,
-                          ReedSolomonCode, canonical_path, random_byzantine,
-                          random_failstop, resistant_lookup, simple_lookup)
+from repro.faults import (GF256, ErasureStore, FTBatchEngine,
+                          OverlappingDHNetwork, ReedSolomonCode,
+                          canonical_path, random_byzantine, random_failstop,
+                          resistant_lookup, simple_lookup)
 from repro.hashing.kwise import KWiseHash, PointHasher
 from repro.peer import CostMap, select_index, select_rows
 from repro.sim import (ChurnTrace, EventLoop, ScenarioEngine, SimNetwork,
@@ -116,8 +117,6 @@ PLAN = ("a membership test: an id the plan does not hold is alive and "
 RECORD = ("a field of a result record: the engine that fills it measured "
           "it, so the record stores what it is given")
 STUB = "a protocol or abstract stub: the implementations are swept"
-GF = ("GF(256) arithmetic on the codec's own bytes: a check there would "
-      "sit in decode's inner loop")
 REQUEST_ID = "an opaque request id, echoed into the outcome unread"
 DEGREE = "the family's degree bound does not depend on k, which is unread"
 
@@ -224,10 +223,6 @@ ACCEPTS = {
     "emulation.families.TorusFamily.degree_bound:k": (ALL, DEGREE),
     "emulation.families.DeBruijnFamily.degree_bound:k": (ALL, DEGREE),
     "emulation.families.ShuffleExchangeFamily.degree_bound:k": (ALL, DEGREE),
-    "faults.erasure.GF256.mul:*": (ALL, GF),
-    "faults.erasure.GF256.inv:*": (ALL, GF),
-    "faults.erasure.GF256.add:*": (ALL, GF),
-    "faults.erasure.GF256.pow:*": (ALL, GF),
 }
 
 
@@ -436,6 +431,10 @@ FIXTURES = {
         (e := FTBatchEngine(_ft())).batch_simple_lookup,
         dict(sources=e.points[:1], targets=[0.7], rng=_rng(), temperature=1.0)),
     "faults.erasure.ReedSolomonCode": lambda: (ReedSolomonCode, dict(k=2, n=4)),
+    "faults.erasure.GF256.mul": lambda: (GF256.mul, dict(a=3, b=7)),
+    "faults.erasure.GF256.inv": lambda: (GF256.inv, dict(a=3)),
+    "faults.erasure.GF256.add": lambda: (GF256.add, dict(a=3, b=7)),
+    "faults.erasure.GF256.pow": lambda: (GF256.pow, dict(a=3, e=2)),
     "faults.overlap.OverlappingDHNetwork": lambda: (
         OverlappingDHNetwork, dict(n=8, rng=_rng(), coverage_factor=1.0)),
     "faults.overlap.OverlappingDHNetwork.covers_point": lambda: (

@@ -23,6 +23,7 @@ from repro.faults import (
     ReedSolomonCode,
     random_failstop,
 )
+import repro.faults.erasure as erasure
 from repro.faults.erasure import _MUL, _gf_mat_inv
 
 
@@ -132,6 +133,25 @@ class TestProductTable:
         assert _MUL.shape == (256, 256) and _MUL.dtype == np.uint8
         for a in range(256):
             assert _MUL[a].tolist() == [GF256.mul(a, b) for b in range(256)]
+
+
+class TestElementRange:
+    """Every element is an int in [0, 256): Python's negative index once
+    read -1 as 255 (``mul(-1, 3) == 26``, ``inv(-1) == 28``)."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: GF256.mul(-1, 3), lambda: GF256.mul(3, 256),
+        lambda: GF256.inv(-1), lambda: GF256.add(True, 3),
+        lambda: GF256.pow(-1, 2), lambda: GF256.pow(3, -1)])
+    def test_out_of_field_is_refused(self, call):
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
+
+    def test_field_edges_still_compute(self):
+        assert GF256.mul(255, 3) == 26 and GF256.inv(255) == 28
+        assert GF256.add(0, 255) == 255 and GF256.pow(0, 0) == 1
+        with pytest.raises(ZeroDivisionError):
+            GF256.inv(0)
 
 
 class TestCodecParity:
@@ -266,17 +286,18 @@ class TestScalarMultiplicationCount:
         k = item.code.k
         # lose the first data share so the decode has a matrix to invert
         alive = set(net.points) - {next(iter(item.share_at))}
+        item.code._inverses.clear()  # codes are shared: forget other tests'
 
         calls = []
-        scalar_mul = GF256.mul
+        scalar_mul = erasure._mul  # elimination's unchecked product
 
         def counted(a, b):
             calls.append(1)
             return scalar_mul(a, b)
 
-        monkeypatch.setattr(GF256, "mul", staticmethod(counted))
+        monkeypatch.setattr(erasure, "_mul", counted)
         assert store.verify("doc", alive) is True
-        assert len(calls) <= 2 * k ** 3 < k * len(data)
+        assert 0 < len(calls) <= 2 * k ** 3 < k * len(data)
         first = len(calls)
         assert store.verify("doc", alive) is True      # inverse remembered
         assert len(calls) == first

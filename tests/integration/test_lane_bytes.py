@@ -1,4 +1,5 @@
-"""Smoke of ``tools/lane_bytes.py``, the bytes-per-lane table, at tiny n."""
+"""Smoke of ``tools/lane_bytes.py``, the bytes-per-lane and soak-phase
+tables, at tiny n."""
 
 import importlib.util
 import pathlib
@@ -11,12 +12,19 @@ _spec.loader.exec_module(lane_bytes)
 
 ENGINES = ("fast", "dh", "cost-dh", "cache-serve", "ft-simple",
            "ft-resistant")
+PHASES = ("1:lookups", "2:churn", "3:lookups", "4:flash", "5:failstop",
+          "6:byzantine", "7:rebalance", "8:mass")
 
 
-def test_every_engine_row_prints():
-    lines = lane_bytes.table(64, 512)
+def test_every_engine_and_phase_row_prints():
+    lines = lane_bytes.table(64, 512, lookups=2000)
     assert lines[0] == "n=64 chunk=512 seed=1"
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    split = lines.index("soak day: lookups=2000")
+    phases = {line.split()[0]: float(line.split()[1])
+              for line in lines[split + 2:]}
+    assert list(phases) == list(PHASES)
+    assert phases["1:lookups"] > 0 and phases["4:flash"] > 0, phases
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:split]}
     assert list(rows) == [*ENGINES, "booking"]
     lanes = {name: int(cells[0]) for name, cells in rows.items()}
     assert [lanes[e] for e in ENGINES] == [512, 512, 4096, 512, 256, 128]

@@ -157,8 +157,15 @@ class TestFollow:
     def test_audit_reports_a_corrupted_grid(self):
         points = np.arange(16) / 16
         index = CoverIndex(points)
-        assert "0 buckets differ" in index.audit(points)
-        assert "monotone=True" in index.audit(points)
+        ok, report = index.audit(points)
+        assert ok and "0 buckets differ" in report
+        assert "monotone=True" in report
         index.grid[5] += 3
-        report = index.audit(points)
+        ok, report = index.audit(points)
+        assert not ok
         assert "1 buckets differ" in report and "monotone=False" in report
+
+    def test_audit_fails_when_ext_leaves_the_points(self):
+        points = np.arange(16) / 16
+        index = CoverIndex(points)
+        assert not index.audit(points + 2.0 ** -60)[0]

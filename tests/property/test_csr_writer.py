@@ -1,20 +1,24 @@
-"""The sparse CSR writer against the dense one it replaced.
+"""The sparse, in-place CSR writer against the dense one it replaced.
 
-``dense_ragged_to_csr`` (:mod:`oracles.walk`) is the previous
+``dense_ragged_to_csr`` (:mod:`oracles.walk`) is an earlier
 ``ragged_to_csr`` *verbatim*: a bool mask over every slot, a shifted
 compare, an ``arange`` / ``repeat`` slot index for the ``lens=`` form
 and an ``int64`` ``kept`` index of every surviving entry.  The writer now finds
-the rare repeated server with one compare and does O(lanes + dropped)
-work after it, handing the buffer through when nothing merges.  Both
-must agree in dtype and bits on both CSR arrays — on generated ragged
-buffers aimed at the corners (repeats across a lane boundary, runs
-inside a lane, garbage tails equal to their neighbours) and on the real
-buffers every engine emits.  One more test pins what the rewrite is
-*for*: a repeat-free buffer costs the writer at most one byte per entry.
+the rare repeated server with one compare, does O(lanes + dropped)
+work after it and compacts the buffer it consumes in place, handing it
+through when nothing merges.  Both must agree in dtype and bits on both
+CSR arrays — on generated ragged buffers aimed at the corners (repeats
+across a lane boundary, runs inside a lane, garbage tails equal to
+their neighbours) and on the real buffers every engine emits.  The
+in-place move itself is checked against ``np.delete`` with blocks a few
+entries wide.  The byte pins hold what the rewrites are *for*: a
+repeat-free buffer costs the writer at most one byte per entry, and one
+with drops at most that plus one block.
 """
 
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,7 +104,8 @@ class TestGenerated:
     def test_full_lens_equals_no_lens(self, lanes, starts_dtype):
         hole_free = [(runs, 0, joined, fill) for runs, _, joined, fill in lanes]
         buf, starts, lens = build(hole_free, np.int32, starts_dtype)
-        assert_same(check(buf, starts, lens), check(buf, starts))
+        # the writer consumes its buffer: each call gets its own
+        assert_same(check(buf.copy(), starts, lens), check(buf, starts))
 
     @pytest.mark.parametrize("starts_dtype", [np.int32, np.int64])
     def test_repeat_across_every_boundary_never_merges(self, starts_dtype):
@@ -249,3 +254,85 @@ def test_repeat_free_buffer_costs_one_byte_per_entry(full_lens):
         tracemalloc.stop()
     assert servers is buf and offsets.size == lanes + 1
     assert peak <= buf.size + 64 * lanes + 4096, peak
+
+
+@pytest.mark.parametrize("every", [997, 26], ids=["sparse", "dense"])
+def test_buffer_with_drops_costs_one_byte_per_entry_plus_one_block(every):
+    """The surviving entries move left in place: past the compare mask
+    and the drop indices, the writer holds at most one block's mask and
+    its kept entries (``np.delete`` made a mask and a copy of the whole
+    buffer: five bytes an entry).  ``every = 26`` drops about as often
+    as a dh walk does."""
+    lanes = 1000
+    buf = np.arange(1_000_000, dtype=np.int32)
+    buf[every::every] = buf[every - 1:-1:every]  # a repeat every `every`
+    starts = np.arange(0, buf.size, buf.size // lanes)
+    want = dense_ragged_to_csr(buf.copy(), starts)
+    drops = buf.size - want[0].size
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = ragged_to_csr(buf, starts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 5 * (1 << 16)  # one block's bool mask and int32 survivors
+    assert peak <= buf.size + block + 16 * drops + 64 * lanes + 4096, peak
+    assert_same(got, want)
+    assert got[0].base is buf
+
+
+def test_fast_lookup_chunk_peak():
+    """The soak's lookup chunk: 65,536 fast lookups with CSR paths at
+    n = 16384.  With ``np.delete``'s mask and copy the batch read ~244 B
+    a lane traced, compacting in place ~202 (the bound is that plus
+    10 %)."""
+    router = populated(16384, 1).compile_router()
+    rng = np.random.default_rng(1)
+    src = router.points[rng.integers(0, router.points.size, size=65_536)]
+    tgt = rng.random(src.size)
+    router.lookup_batch(src[:16], tgt[:16], keep_paths="csr")  # lazy tables
+    tracemalloc.start()
+    try:
+        router.lookup_batch(src, tgt, keep_paths="csr")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / src.size <= 222, peak / src.size
+
+
+#: ``(_BLOCK, _SPARSE)``: blocks of a few entries, each moved by
+#: stretches, or by stretches or a mask as its drops fall
+BLOCKINGS = [(4, 16), (8, 2)]
+#: drop sets over 200 slots: sparse, dense, and runs as ``lens`` tails make
+DROPS = st.one_of(
+    st.sets(st.integers(0, 199), max_size=12),
+    st.sets(st.integers(0, 199), min_size=60),
+    st.lists(st.tuples(st.integers(0, 199), st.integers(1, 30)),
+             max_size=6).map(
+        lambda runs: {a + k for a, n in runs for k in range(n) if a + k < 200}),
+)
+
+
+@pytest.mark.parametrize("blocking", BLOCKINGS, ids=str)
+class TestCompactInPlace:
+    @given(DROPS, st.integers(1, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_np_delete(self, blocking, drops, size):
+        buf = np.random.default_rng(size).integers(0, 1 << 30, size,
+                                                   dtype=np.int32)
+        drop = np.array(sorted(d for d in drops if d < size), dtype=np.int64)
+        want = np.delete(buf, drop)
+        if not drop.size:
+            return
+        with mock.patch.multiple(walk, _BLOCK=blocking[0],
+                                 _SPARSE=blocking[1]):
+            kept = walk._compact(buf, drop)
+        assert_same(buf[:kept], want)
+
+    @given(st.lists(LANE, min_size=1, max_size=12), DTYPES)
+    @settings(max_examples=100, deadline=None)
+    def test_writer_across_blocks(self, blocking, lanes, starts_dtype):
+        with mock.patch.multiple(walk, _BLOCK=blocking[0],
+                                 _SPARSE=blocking[1]):
+            check(*build(lanes, np.int32, starts_dtype))

@@ -438,7 +438,7 @@ class TestRaggedToCsr:
         lens = np.array([len(r) for r in rows])
         buf = np.concatenate(rows).astype(np.int32)
         starts = np.cumsum(lens) - lens
-        got = ragged_to_csr(buf, starts)
+        got = ragged_to_csr(buf.copy(), starts)  # the writer consumes it
         dense = np.full((lens.max(), len(rows)), -1, dtype=np.int64)
         for i, r in enumerate(rows):
             dense[:len(r), i] = r

@@ -1,6 +1,7 @@
 """The streaming soak scenario engine and its invariant checker."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,21 @@ class TestInvariantChecker(SmallSoak):
         assert "cover grid len=" in detail and "grid[-1]=" in detail
         assert "monotone=False" in detail and "buckets differ" in detail
 
+    def test_one_wrong_bucket_fails_the_owner_audit(self):
+        """A bucket one below its cover still answers every lookup (the
+        walk steps past it), so only the grid audit can see it."""
+        eng = self.make_engine(strict=False)
+        eng.run("lookups,churn:16")
+        grid = eng.router.cover_index.grid
+        grid[int(np.argmax(grid > 0))] -= 1
+        ys = np.random.default_rng(3).random(4096)
+        assert np.array_equal(eng.router.cover(ys),
+                              eng.net.segments.cover_array(ys))
+        owners = [r for r in eng.check_invariants("tampered")
+                  if r["check"] == "owners"]
+        assert not owners[0]["ok"]
+        assert "1 buckets differ from a fresh grid" in owners[0]["detail"]
+
     def test_column_behind_the_maps_back_fails_the_network_audit(self):
         """The auto-refresh router and the audit's fresh compile both
         read ``SegmentMap.column``; the network check ties that column
@@ -332,3 +348,48 @@ class TestPhaseTable(SmallSoak):
                    "--items", "4", "--phases", "failstop:0.99"])
         assert rc == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+
+class TestChunkMemory:
+    """A chunk loop holds one chunk's result at a time."""
+
+    N, CHUNK = 1024, 4096
+
+    def engine(self):
+        eng = ScenarioEngine(n=self.N, lookups=0, chunk=self.CHUNK, seed=1,
+                             invariants=False)
+        eng.run(f"lookups:{self.CHUNK}")  # warm: lazy tables are not the phase's
+        return eng
+
+    def phase_peak(self, count: int) -> int:
+        eng = self.engine()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            eng.run(f"lookups:{count}")
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    def result_bytes(self) -> int:
+        """What one routed chunk's result holds, traced."""
+        router = self.engine().router
+        rng = np.random.default_rng(2)
+        src = router.points[rng.integers(0, router.points.size, self.CHUNK)]
+        tgt = rng.random(self.CHUNK)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            res = router.lookup_batch(src, tgt, keep_paths="csr")
+            assert res.size == self.CHUNK
+            return tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+
+    def test_two_chunk_lookups_phase_peaks_within_one_result(self):
+        """The second chunk routes after the first one's result is
+        booked and dropped, so a two-chunk phase peaks less than half a
+        result above a one-chunk phase; keeping the first result alive
+        through the second chunk cost all of one."""
+        excess = self.phase_peak(2 * self.CHUNK) - self.phase_peak(self.CHUNK)
+        assert excess < self.result_bytes() / 2, excess

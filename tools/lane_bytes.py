@@ -1,6 +1,6 @@
 """Bytes per lane: the traced peak of one batch, per engine.
 
-Usage, from the repository root (~3 s at n = 16384)::
+Usage, from the repository root (~5 s at n = 16384)::
 
     PYTHONPATH=src python tools/lane_bytes.py
 
@@ -16,11 +16,17 @@ by the lanes:
 * ``ft-simple`` / ``ft-resistant`` at half / a quarter of the chunk, as
   the soak's fail-stop and byzantine phases stream them.
 
-The last row is the congestion booking of the fast batch
+The last engine row is the congestion booking of the fast batch
 (``BatchCongestion.record_batch``): its traced peak per CSR path entry.
 NumPy reports its array buffers to ``tracemalloc``, so the peak counts
 every temporary a batch makes and the result it returns; inputs are
 drawn before tracing starts.
+
+A second table runs one soak day as the spine's ``soak_day`` runs it
+(``DEFAULT_PHASES``, 500,000 lookups) and prints each phase's traced
+peak above what was held when the phase began: the phase that sets the
+day's high-water is the one to narrow next.  The audit between phases
+is not part of any phase.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from repro.core.batch_cache import BatchCacheEngine
 from repro.core.routing_stats import BatchCongestion
 from repro.faults.models import FaultPlan
 from repro.peer import CostAwareBatchRouter, CostMap
-from repro.sim.scenario import DEFAULT_CHUNK, ScenarioEngine
+from repro.sim.scenario import DEFAULT_CHUNK, DEFAULT_PHASES, ScenarioEngine
 from repro.sim.workload import demand_stream, zipf_demands
 
 #: The soak's and the spine's network size.
@@ -43,6 +49,8 @@ N = 16384
 COST_LANES = 4096
 #: The soak's seed and the batches' stream.
 SEED = 1
+#: The lookups of the spine's soak day.
+SOAK_LOOKUPS = 500_000
 
 
 def traced_peak(call) -> tuple:
@@ -104,14 +112,46 @@ def rows(n: int, chunk: int):
     yield "booking", int(fast.path_servers.size), peak
 
 
-def table(n: int, chunk: int) -> list:
-    """The printed table's lines: a header, then one line per row."""
+class _PhasePeaks(ScenarioEngine):
+    """A soak whose audit between phases reads each phase's traced peak."""
+
+    def run(self, phases=DEFAULT_PHASES):
+        self.peaks = []
+        tracemalloc.start()
+        try:
+            self._held = tracemalloc.get_traced_memory()[0]
+            return super().run(phases)
+        finally:
+            tracemalloc.stop()
+
+    def check_invariants(self, phase):
+        self.peaks.append((phase, tracemalloc.get_traced_memory()[1]
+                           - self._held))
+        rows = super().check_invariants(phase)
+        tracemalloc.reset_peak()
+        self._held = tracemalloc.get_traced_memory()[0]
+        return rows
+
+
+def phase_rows(n: int, chunk: int, lookups: int) -> list:
+    """``[(phase, peak bytes above the phase's start)]`` of one soak day."""
+    soak = _PhasePeaks(n=n, lookups=lookups, chunk=chunk, seed=SEED)
+    soak.run()
+    return soak.peaks
+
+
+def table(n: int, chunk: int, lookups: int = SOAK_LOOKUPS) -> list:
+    """The printed tables' lines: a header, then one line per row."""
     lines = [f"n={n} chunk={chunk} seed={SEED}",
              f"{'engine':<14}{'lanes':>10}{'peak MB':>10}{'B/lane':>10}"]
     for name, lanes, peak in rows(n, chunk):
         unit = "B/entry" if name == "booking" else ""
         lines.append(f"{name:<14}{lanes:>10}{peak / 2**20:>10.2f}"
                      f"{peak / lanes:>10.1f} {unit}".rstrip())
+    lines += [f"soak day: lookups={lookups}",
+              f"{'phase':<14}{'peak MB':>10}"]
+    for phase, peak in phase_rows(n, chunk, lookups):
+        lines.append(f"{phase:<14}{peak / 2**20:>10.2f}")
     return lines
 
 

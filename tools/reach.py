@@ -91,14 +91,13 @@ ALLOWLIST = {
     "core/interval.py:linear_distance": "Obs 2.3 / Claim 2.4 property API",
     "core/continuous.py:digits_to_point": "Obs 2.3 / Claim 2.4 property "
                                           "API",
+    "faults/erasure.py:GF256.add": "GF(256) field API; the codec adds "
+                                    "its bytes with ^ inline",
     # the only path for a supported input
     "balance/strategies.py:ImprovedSingleChoice._probes": "a window's "
                                                           "probe count; "
                                                           "populate never "
                                                           "picks improved",
-    # ROADMAP item 3 wires it into every pass; wiring it here would move
-    # the soak digests
-    "core/segments.py:CoverIndex.audit": "cover-index invariant check",
 }
 
 
