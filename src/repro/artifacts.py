@@ -1,9 +1,9 @@
-"""Shared NumPy-safe JSON artifact helpers for the bench CLI.
+"""Shared NumPy-safe JSON artifact helpers.
 
-Every ``bench-*``/``soak`` subcommand and every experiment result's
-``to_json`` turns NumPy scalars into Python scalars through this one
-module (:func:`dumps`).  :func:`write_artifact` writes one measurement as
-``{command, ok, result}`` minus the :data:`VOLATILE_KEYS` leaves, so an
+The ``soak`` subcommand's ``--json-out`` and every experiment result's
+``to_json`` (what ``run --out`` writes) turn NumPy scalars into Python
+scalars through this one module (:func:`dumps`), and drop the
+:data:`VOLATILE_KEYS` leaves (:func:`deterministic_dumps`), so an
 artifact is a pure function of its command line: CI byte-diffs the
 files ``benchmarks/ci_smoke.sh`` writes against the committed
 ``benchmarks/baselines/``, and re-baselining is
@@ -18,22 +18,21 @@ import os
 from typing import Dict, Optional
 
 __all__ = ["VOLATILE_KEYS", "to_jsonable", "strip_volatile", "dumps",
-           "unwritable", "write_artifact"]
+           "deterministic_dumps", "unwritable", "write_artifact"]
 
 #: Leaf names whose value reads the clock or the machine — wall-clock
-#: times, rates and speedups derived from them, memory high-water marks.
-#: Everything else a bench or an experiment reports is a function of its
-#: arguments and seed.  A field that differs between same-seed runs for
-#: any other reason is a bug to fix, not a name to add here.
+#: times, rates and speedups derived from them, memory high-water marks —
+#: each one a leaf some result really emits (X3's rows, X4's rows,
+#: ``soak``).  Everything else ``soak`` or an experiment reports is a
+#: function of its arguments and seed.  A field that differs between
+#: same-seed runs for any other reason is a bug to fix, not a name to add
+#: here.
 VOLATILE_KEYS = frozenset({
     # wall clock
-    "seconds", "secs", "wall_seconds", "batch_secs",
-    "build_secs", "compile_secs", "full_compile_secs",
-    "refresh_secs_per_op", "refresh_us_per_op",
+    "wall_seconds", "refresh_us_per_op",
     # rates and ratios of wall-clock times
-    "batch_rate", "scalar_rate", "baseline_rate", "final_rate",
-    "refresh_ops_rate", "klookups_per_sec", "krequests_per_sec", "speedup",
-    "refresh_vs_compile",
+    "batch_rate", "scalar_rate", "speedup", "klookups_per_sec",
+    "krequests_per_sec",
     # the machine
     "peak_rss_mb",
 })
@@ -95,16 +94,32 @@ def dumps(value) -> str:
         raise ValueError(", ".join(_non_finite(doc)) or str(exc)) from None
 
 
-def unwritable(path: str) -> Optional[str]:
+def deterministic_dumps(value) -> str:
+    """:func:`dumps` of ``value`` minus its :data:`VOLATILE_KEYS` leaves.
+
+    The part two same-seed runs agree on.  ``NaN`` / ``Infinity`` are
+    not JSON: a tree holding one — volatile or not — raises
+    ``ValueError`` naming the key path of every such leaf.
+    """
+    doc = to_jsonable(value)
+    if bad := ", ".join(_non_finite(doc)):
+        raise ValueError(bad)
+    return dumps(strip_volatile(doc))
+
+
+def unwritable(path: str, directory: bool = False) -> Optional[str]:
     """Why an artifact cannot be written to ``path``, or ``None``.
 
-    Checked before a bench measures, so a bad ``--json-out`` costs no
-    run; creates nothing.
+    ``path`` names a file, or with ``directory`` the directory that
+    receives one file per result.  Checked before ``soak`` or ``run``
+    measures, so a bad ``--json-out`` / ``--out`` costs no run; creates
+    nothing.
     """
-    if os.path.isdir(path):
-        return "is a directory"
+    if os.path.isdir(path) != directory and os.path.exists(path):
+        return "is not a directory" if directory else "is a directory"
     if os.path.exists(path):
-        return None if os.access(path, os.W_OK) else "is not writable"
+        mode = os.W_OK | os.X_OK if directory else os.W_OK
+        return None if os.access(path, mode) else "is not writable"
     parent = os.path.dirname(os.path.abspath(path))
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
@@ -117,20 +132,17 @@ def unwritable(path: str) -> Optional[str]:
 
 def write_artifact(path: Optional[str], command: str, result: Dict,
                    ok: bool) -> None:
-    """Dump one bench measurement as a JSON artifact (NumPy-safe).
+    """Dump one measurement as a JSON artifact (NumPy-safe).
 
-    No-op without a path.  Writes ``{command, ok, result}`` with the
-    :data:`VOLATILE_KEYS` stripped from ``result``; the parent directory
-    is created on demand and the file ends in a newline.  ``NaN`` /
-    ``Infinity`` are not JSON: a result holding one — volatile or not —
-    raises ``ValueError`` naming the key, before anything is written.
+    No-op without a path.  Writes :func:`deterministic_dumps` of
+    ``{command, ok, result}``; the parent directory is created on demand
+    and the file ends in a newline.  A non-finite value raises
+    ``ValueError`` before anything is written.
     """
     if not path:
         return
-    doc = to_jsonable({"command": command, "ok": bool(ok), "result": result})
-    if bad := ", ".join(_non_finite(doc)):
-        raise ValueError(bad)
-    text = dumps(strip_volatile(doc))
+    text = deterministic_dumps(
+        {"command": command, "ok": bool(ok), "result": result})
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

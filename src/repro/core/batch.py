@@ -30,8 +30,7 @@ order of IEEE-754 operations), so batch results are *bit-identical* to
 hop counts, and (with ``keep_paths``) full server paths — and to
 :func:`repro.core.lookup.dh_lookup` when both are driven by the same
 digit strings ``tau``.  That parity is what the property tests and the
-built-in scalar-subsample cross-check of ``repro.cli bench-throughput``
-assert.
+scalar-subsample cross-checks of experiments X3 and E4 assert.
 
 The router snapshots the decomposition, but it is not doomed to die at
 the first membership change: every network keeps a membership version
@@ -855,7 +854,7 @@ class BatchRouter(ColumnarSnapshot):
         :func:`~repro.core.lookup.dh_lookup`
         (``tau=result.tau_used[i, :result.t[i]]``) reproduces owners,
         hop counts and full server paths bit-for-bit — the parity hook
-        the tests and ``bench-cost`` gate on.  The randomized policies
+        the tests and experiment X6 gate on.  The randomized policies
         consume one uniform per (lookup, step) from ``choices``
         (shape ``(size, L)`` or ``(L,)``) or from ``rng``; "greedy"
         needs neither.  Requires the cost columns of a

@@ -35,8 +35,8 @@ and hit counters, and ``summary()`` are *bit-identical* to a scalar
 stream — the contract the parity test suite asserts.
 
 Salting (the mitigation mode of both engines): with ``salts = s > 1``
-each item is spread over ``s`` deterministic salt points — request
-sources pick a salt via :func:`~repro.core.caching.salt_indices`, the
+each item is spread over ``s`` deterministic salt points — each request
+source picks a salt ``j`` via :func:`~repro.core.caching.salt_indices`,
 and the request routes to the salted tree rooted at
 ``h(salted_key(item, j))``.
 """

@@ -5,8 +5,10 @@ returns an :class:`ExperimentResult` — a set of measured rows plus the
 paper's claim and a pass/fail verdict.  :func:`register` is the one
 shell around all of them: it keys the registry, times the run and hands
 back the timed callable; :meth:`ExperimentResult.to_json` is the one
-JSON form (``python -m repro.cli run all --out DIR``).  A committed,
-regenerated report over this registry is ROADMAP item 7.
+JSON form (``python -m repro.cli run all --out DIR``): the result's
+seed-deterministic part, which CI byte-diffs against
+``benchmarks/baselines/`` for the experiments ``benchmarks/ci_smoke.sh``
+runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
-from ..artifacts import dumps
+from ..artifacts import deterministic_dumps
 
 __all__ = ["ExperimentResult", "register", "get_experiment", "all_experiments",
            "format_rows"]
@@ -39,11 +41,12 @@ class ExperimentResult:
         return all(self.checks.values()) if self.checks else True
 
     def to_json(self) -> str:
-        """The result through :func:`repro.artifacts.dumps`, the writer of
-        the bench artifacts: a ``numpy.bool_`` verdict is written ``true``
-        (not ``"True"``) and a NaN / infinite value raises ``ValueError``
-        naming its key."""
-        return dumps(
+        """The result through :func:`repro.artifacts.deterministic_dumps`:
+        no wall-clock or machine leaf (``seconds`` and the rows' rates
+        stay in :meth:`render`), a ``numpy.bool_`` verdict is written
+        ``true`` (not ``"True"``) and a NaN / infinite value raises
+        ``ValueError`` naming its key."""
+        return deterministic_dumps(
             {
                 "experiment": self.experiment,
                 "title": self.title,
@@ -52,7 +55,6 @@ class ExperimentResult:
                 "checks": self.checks,
                 "passed": self.passed,
                 "notes": self.notes,
-                "seconds": round(self.seconds, 2),
             }
         )
 

@@ -26,13 +26,11 @@ cell replays :meth:`~repro.core.batch.BatchRouter.batch_cost_dh_lookup`
 digits through the plain ``tau=`` hook — the recorded ``tau_used`` must
 reproduce the routed paths bit-for-bit.
 
-The measurement helper :func:`measure_cost_routing` is shared by this
-experiment and the ``bench-cost`` CLI subcommand.
+The three policies and both replays are :func:`measure_cost_routing`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 import numpy as np
@@ -51,7 +49,13 @@ from ..sim.workload import DH_TAU_DIGITS, random_pairs
 from .common import ExperimentResult, register
 from .faults_exp import FT_CHOICE_DIGITS, scalar_simple_replay
 
-__all__ = ["measure_cost_routing", "format_cost_report"]
+__all__ = ["measure_cost_routing"]
+
+#: ISP count of the synthetic cost map.
+ISPS = 8
+
+#: Softmin temperature of the ``weighted`` policy.
+TEMPERATURE = 1.0
 
 
 def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int,
@@ -89,14 +93,10 @@ def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int,
     cross_u = rows["uniform"]["cross_isp"]
     cross_g = rows["greedy"]["cross_isp"]
     return {
-        "core_n": dnet.n,
-        "core_pairs": core_pairs,
         "core_rows": rows,
         "core_replay_ok": bool(replay_ok),
         "core_xisp_reduction": (1.0 - cross_g / cross_u) if cross_u > 0
         else 0.0,
-        "core_stretch": (rows["greedy"]["hops"] / rows["uniform"]["hops"]
-                         if rows["uniform"]["hops"] > 0 else 1.0),
     }
 
 
@@ -104,16 +104,14 @@ def measure_cost_routing(
     n: int = 16384,
     pairs: int = 100_000,
     seed: int = 0,
-    isps: int = 8,
-    temperature: float = 1.0,
     scalar_sample: int = 200,
     core_n: int = 4096,
     core_pairs: int = 50_000,
 ) -> Dict:
     """Route one workload under all three covering-edge policies.
 
-    Builds an ``n``-server overlapping network plus a
-    ``isps``-ISP synthetic :class:`CostMap`, samples ``pairs``
+    Builds an ``n``-server overlapping network plus an
+    :data:`ISPS`-ISP synthetic :class:`CostMap`, samples ``pairs``
     (source, target) pairs with shared per-hop uniforms, and routes the
     same batch under ``uniform`` / ``greedy`` / ``weighted`` selection
     with CSR path emission.  The first ``scalar_sample`` pairs of the
@@ -123,40 +121,30 @@ def measure_cost_routing(
     ``batch_cost_dh_lookup`` and verifies the recorded ``tau_used``
     digits replay bit-identically through the plain ``tau=`` hook.
     Returns per-policy traffic metrics, the greedy cross-ISP reduction
-    and hop stretch vs uniform, the weighted pass's rate and every
-    parity verdict.
+    and hop stretch vs uniform and every parity verdict.
     """
     build_rng, cost_rng, route = spawn_many(seed * 53 + n, 3)
     net = OverlappingDHNetwork(n, build_rng)
     engine = FTBatchEngine(net)
-    cost_map = CostMap.synthetic(n_isps=isps, rng=cost_rng)
+    cost_map = CostMap.synthetic(n_isps=ISPS, rng=cost_rng)
     oracle = CostOracle(net.points_array, cost_map)
 
     sources, targets = random_pairs(net.points_array, route, pairs)
     choices = route.random((pairs, FT_CHOICE_DIGITS))
 
-    # untimed warmup: first-touch page faults say nothing about steady state
-    warm = min(2000, pairs)
-    engine.batch_simple_lookup(sources[:warm], targets[:warm],
-                               choices=choices[:warm], oracle=oracle,
-                               policy="weighted", temperature=temperature)
-
     per_policy: Dict[str, Dict] = {}
     batches: Dict[str, object] = {}
     for policy in ("uniform", "greedy", "weighted"):
-        t0 = time.perf_counter()
         batch = engine.batch_simple_lookup(
             sources, targets, choices=choices, keep_paths="csr",
             oracle=None if policy == "uniform" else oracle,
-            policy=policy, temperature=temperature)
-        secs = time.perf_counter() - t0
+            policy=policy, temperature=TEMPERATURE)
         srv, off = batch.path_servers, batch.path_offsets
         per_policy[policy] = {
             "cross_isp": float(cross_isp_counts(oracle.isp, srv, off).mean()),
             "path_cost": float(path_cost_totals(oracle, srv, off).mean()),
             "hops": float(batch.hops.mean()),
             "max_load": int(np.bincount(srv, minlength=n).max()),
-            "secs": secs,
         }
         batches[policy] = batch
 
@@ -170,64 +158,29 @@ def measure_cost_routing(
     parity = all(
         scalar_simple_replay(
             net, batches[policy], sources[:m], targets[:m], choices[:m],
-            oracle=oracle, policy=policy, temperature=temperature)
+            oracle=oracle, policy=policy, temperature=TEMPERATURE)
         for policy in ("greedy", "weighted"))
 
     out = {
-        "n": n,
-        "pairs": pairs,
-        "isps": isps,
-        "temperature": float(temperature),
-        "scalar_sample": m,
         "policies": per_policy,
         "xisp_reduction": (1.0 - cross_g / cross_u) if cross_u > 0 else 0.0,
         "stretch": hops_g / hops_u if hops_u > 0 else 1.0,
         "weighted_between": bool(cross_g <= cross_w + 1e-12
                                  and cross_w <= cross_u + 1e-12),
         "parity_ok": bool(parity),
-        "batch_rate": pairs / per_policy["weighted"]["secs"],
     }
     out.update(_core_cell(cost_map, core_n, core_pairs, seed))
     return out
 
 
-def format_cost_report(result: Dict) -> str:
-    """Human-readable multi-line summary of one measurement dict."""
-    lines = [
-        f"network: n={result['n']}  isps={result['isps']}  "
-        f"pairs={result['pairs']}  temperature={result['temperature']:g}",
-    ]
-    for policy, row in result["policies"].items():
-        lines.append(
-            f"{policy:>8}: cross-ISP/lookup {row['cross_isp']:.3f}   "
-            f"path cost {row['path_cost']:.3f}   hops {row['hops']:.2f}   "
-            f"max load {row['max_load']}   ({row['secs']:.3f}s)")
-    lines += [
-        f"greedy vs uniform: cross-ISP reduction "
-        f"{result['xisp_reduction']:.1%}  at hop stretch "
-        f"{result['stretch']:.3f}x",
-        f"batch : {result['pairs']:>8} lookups = "
-        f"{result['batch_rate']:>12,.0f} lookups/sec (weighted policy)",
-        f"core cell: n={result['core_n']}  "
-        f"cross-ISP reduction {result['core_xisp_reduction']:.1%}  "
-        f"stretch {result['core_stretch']:.3f}x",
-        f"scalar replay of {result['scalar_sample']} lookups bit-identical "
-        f"(greedy + weighted): "
-        f"{'PASS' if result['parity_ok'] else 'FAIL'}",
-        f"core tau_used replay bit-identical: "
-        f"{'PASS' if result['core_replay_ok'] else 'FAIL'}",
-    ]
-    return "\n".join(lines)
-
-
 @register("X6")
 def run_cost_routing(seed: int = 6, quick: bool = False) -> ExperimentResult:
     """Cost-aware covering-edge routing vs the paper's uniform rule."""
-    n = 256 if quick else 16384
-    pairs = 2000 if quick else 100_000
-    sample = 40 if quick else 200
-    core_n = 64 if quick else 4096
-    core_pairs = 500 if quick else 50_000
+    n = 1024 if quick else 16384
+    pairs = 20_000 if quick else 100_000
+    sample = 100 if quick else 200
+    core_n = 512 if quick else 4096
+    core_pairs = 10_000 if quick else 50_000
     res = measure_cost_routing(
         n=n, pairs=pairs, seed=seed, scalar_sample=sample,
         core_n=core_n, core_pairs=core_pairs)
@@ -269,6 +222,7 @@ def run_cost_routing(seed: int = 6, quick: bool = False) -> ExperimentResult:
         rows=rows,
         checks=checks,
         notes=f"{pairs} pairs per policy over a synthetic "
-        f"{res['isps']}-ISP cost map; shared per-hop uniforms across "
-        "policies; scalar + tau-replay bit-parity cross-checks",
+        f"{ISPS}-ISP cost map; shared per-hop uniforms across "
+        f"policies; scalar replay of {sample} pairs + tau-replay "
+        "bit-parity cross-checks",
     )

@@ -19,14 +19,12 @@ sets (see :meth:`~repro.faults.batch_ft.FTBatchEngine
 .batch_resistant_lookup`), with the cheap Simple Lookup as the contrast
 column and the same scalar bit-parity cross-check at the smallest size.
 
-The measurement helper :func:`measure_faults` is shared by this
-experiment and the ``bench-faults`` CLI subcommand.
+One fail-stop cell of the sweep is :func:`measure_faults`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Optional
 
 from ..core.lookup import compress_path
@@ -42,8 +40,7 @@ from ..sim.rng import spawn_many
 from ..sim.workload import random_pairs, survivor_pairs
 from .common import ExperimentResult, register
 
-__all__ = ["measure_faults", "format_faults_report", "FT_CHOICE_DIGITS",
-           "scalar_simple_replay"]
+__all__ = ["measure_faults", "FT_CHOICE_DIGITS", "scalar_simple_replay"]
 
 #: Per-hop uniforms supplied per lookup for explicit-choice batches —
 #: far beyond the Theorem 6.3 walk length (log n + O(1)) at any tested
@@ -85,7 +82,7 @@ def measure_faults(
     driven by the same choice uniforms and must match bit-for-bit
     (success / messages / traversed levels / server walks); pass
     ``scalar_sample=0`` to skip the replay (big sweep cells).  Returns
-    the batch rate, the reachability digest and the parity verdict.
+    the reachability digest and the parity verdict.
     """
     if net is None and engine is not None:
         net = engine.net  # a lone engine pins the network it snapshots
@@ -102,63 +99,30 @@ def measure_faults(
     sources, targets = survivor_pairs(net.points_array, alive, route, pairs)
     choices = route.random((pairs, FT_CHOICE_DIGITS))
 
-    # untimed warmup: first-touch page faults say nothing about steady state
-    warm = min(2000, pairs)
-    engine.batch_simple_lookup(sources[:warm], targets[:warm],
-                               choices=choices[:warm], plan=plan)
-
-    t0 = time.perf_counter()
     batch = engine.batch_simple_lookup(sources, targets, choices=choices,
                                        plan=plan, keep_paths="csr")
-    batch_secs = time.perf_counter() - t0
 
     m = min(scalar_sample, pairs)
     parity = scalar_simple_replay(net, batch, sources[:m], targets[:m],
                                   choices[:m], plan=plan)
 
     return {
-        "n": n,
-        "p_fail": float(p_fail),
-        "pairs": pairs,
         "scalar_sample": m,
         "alive_servers": int(alive.sum()),
-        "batch_secs": batch_secs,
-        "batch_rate": pairs / batch_secs,
         "parity_ok": bool(parity),
         "success_rate": batch.success_rate(),
         "failures": int(batch.size - batch.success.sum()),
-        "all_reachable": bool(batch.success.all()),
-        "mean_messages": float(batch.messages.mean()),
         "max_parallel_time": int(batch.parallel_time.max()),
         "logn_bound": math.log2(n) + 3,
     }
 
 
-def format_faults_report(result: Dict) -> str:
-    """Human-readable multi-line summary of one measurement dict."""
-    lines = [
-        f"network: n={result['n']}  p_fail={result['p_fail']:g}  "
-        f"alive={result['alive_servers']}",
-        f"batch : {result['pairs']:>8} FT lookups routed in "
-        f"{result['batch_secs']:.3f}s  = {result['batch_rate']:>12,.0f} "
-        f"lookups/sec",
-        f"success: {result['success_rate']:.5f} "
-        f"({result['failures']} failures)   "
-        f"max parallel time: {result['max_parallel_time']} "
-        f"(≤ {result['logn_bound']:.1f})",
-        f"parity (success/messages/levels/paths on "
-        f"{result['scalar_sample']} scalar replays): "
-        f"{'PASS' if result['parity_ok'] else 'FAIL'}",
-    ]
-    return "\n".join(lines)
-
-
 @register("E13")
 def run_failstop(seed: int = 13, quick: bool = False) -> ExperimentResult:
-    sizes = [256] if quick else [4096, 16384]
+    sizes = [1024] if quick else [4096, 16384]
     ps = (0.05, 0.1, 0.2, 0.3, 0.5)
     pairs = 2000 if quick else 100_000
-    sample = 60 if quick else 200
+    sample = 200
     rows: List[Dict] = []
     parity_ok = True
     time_ok = True
@@ -205,7 +169,8 @@ def run_failstop(seed: int = 13, quick: bool = False) -> ExperimentResult:
         rows=rows,
         checks=checks,
         notes=f"{pairs} sampled pairs per cell, batch-routed with CSR "
-        "paths; scalar bit-parity cross-check at the smallest size",
+        f"paths; scalar bit-parity cross-check of {sample} pairs per p at "
+        "the smallest size",
     )
 
 

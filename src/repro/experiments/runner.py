@@ -63,7 +63,7 @@ def run_experiments(
         if out_dir:
             out = pathlib.Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            (out / f"{res.experiment}.json").write_text(res.to_json())
+            (out / f"{res.experiment}.json").write_text(res.to_json() + "\n")
     if echo:
         passed = sum(r.passed for r in results)
         print(f"=== {passed}/{len(results)} experiments passed all checks ===")

@@ -63,8 +63,8 @@ def measure_soak(
 def deterministic_payload(result: Dict) -> Dict:
     """The artifact view: the result minus its wall-clock and memory keys.
 
-    :func:`repro.artifacts.strip_volatile`, the rule ``--json-out`` applies
-    to every bench: NumPy values serialize identically wherever the
+    :func:`repro.artifacts.strip_volatile`, the rule of ``--json-out``
+    and ``run --out``: NumPy values serialize identically wherever the
     payload is dumped, and same-seed runs give the same bytes.
     """
     return strip_volatile(result)

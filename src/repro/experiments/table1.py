@@ -22,15 +22,15 @@ growth exponents across sizes:
 * linkage: constant for small-world/Viceroy/Koorde/DH(Δ=2), log n for
   Chord/Tapestry — so DH(Δ=2) must undercut Chord's degree.
 
-A scalar replay at the smallest size cross-checks that the batch spine
-reproduces per-hop routing bit-for-bit before any large cell is trusted.
+A scalar replay (:func:`baseline_parity`) cross-checks that every
+scheme's batch spine reproduces its per-hop routing bit-for-bit before
+any large cell is trusted.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List
-
 
 from ..baselines import (
     CanNetwork,
@@ -42,10 +42,12 @@ from ..baselines import (
     ViceroyNetwork,
     measure_scheme_batch,
 )
+from ..core.routing_stats import BatchCongestion, CongestionCounter
 from ..sim.metrics import loglog_slope
 from ..sim.rng import spawn_many
-from .baseline_bench import measure_baselines
 from .common import ExperimentResult, register
+
+__all__ = ["SCHEME_BUILDERS", "baseline_parity"]
 
 PAPER_TABLE1 = {
     "chord": ("log n", "(log n)/n", "log n"),
@@ -58,11 +60,24 @@ PAPER_TABLE1 = {
     "distance-halving(d=8,dh)": ("log_d n", "(log_d n)/n", "O(d)"),
 }
 
-#: Schemes whose ``lookup_path`` is deterministic, so the batch spine can
-#: be replayed against it hop-for-hop by ``measure_baselines`` (the DH
-#: rows route with the randomized §2.2.2 algorithm and are parity-tested
-#: elsewhere via tau).
-_PARITY_SCHEMES = ("chord", "tapestry", "can", "small-world", "viceroy", "koorde")
+#: Scheme name → builder of the parity replay.  Every lookup path here
+#: is deterministic given the built topology, so each scheme replays
+#: hop-for-hop (the DH row takes the greedy §2.2.1 mode for exactly that
+#: reason; the randomized §2.2.2 mode replays through explicit tau in
+#: E4 and ``tests/property/test_batch_parity.py``).
+SCHEME_BUILDERS = {
+    "chord": lambda n, rng: ChordNetwork(n, rng),
+    "tapestry": lambda n, rng: TapestryNetwork(n, rng, base=2),
+    "can": lambda n, rng: CanNetwork(n, rng, d=2),
+    "small-world": lambda n, rng: KleinbergRing(n, rng),
+    "viceroy": lambda n, rng: ViceroyNetwork(n, rng),
+    "koorde": lambda n, rng: KoordeNetwork(n, rng),
+    "dh-fast": lambda n, rng: DistanceHalvingAdapter(n, rng, delta=2,
+                                                     mode="fast"),
+}
+
+#: Size and scalar sample of the parity replay, in both runs.
+PARITY_N, PARITY_SAMPLE = 1024, 200
 
 #: Log-path schemes for the absolute ordering checks.  Koorde is in the
 #: same asymptotic class (its exponent check covers it) but pays ≈ 2
@@ -70,6 +85,42 @@ _PARITY_SCHEMES = ("chord", "tapestry", "can", "small-world", "viceroy", "koorde
 #: beyond 2^16 — the class fit, not the absolute ordering, is its check.
 ORDER_LOG_SCHEMES = ("chord", "tapestry", "viceroy",
                      "distance-halving(d=2,dh)", "distance-halving(d=8,dh)")
+
+
+def baseline_parity(n: int, sample: int, seed: int) -> Dict[str, bool]:
+    """Per scheme: does the batch spine replay the scalar routing exactly?
+
+    For every scheme of :data:`SCHEME_BUILDERS`: build the ``n``-server overlay, route ``sample`` uniform (source,
+    target) pairs through the scalar per-hop ``lookup_path`` loop into a
+    :class:`CongestionCounter`, and through the compiled batch router
+    into a :class:`BatchCongestion`.  A scheme passes when every batch
+    path equals its scalar path element-for-element and ends at the node
+    the scheme's ``owner`` makes responsible for the target, and the two
+    congestion summaries are equal.
+    """
+    parity: Dict[str, bool] = {}
+    for i, (name, build) in enumerate(SCHEME_BUILDERS.items()):
+        build_rng, probe = spawn_many(seed * 59 + 7 * i + n, 2)
+        dht = build(n, build_rng)
+        src = probe.integers(0, n, size=sample)
+        tgt = probe.random(sample)
+        ids = list(dht.node_ids())
+        counter = CongestionCounter()
+        scalar_paths: List[List[float]] = []
+        for k in range(sample):
+            path = [float(x) for x in
+                    dht.lookup_path(ids[int(src[k])], float(tgt[k]), probe)]
+            counter.record_path(path)
+            scalar_paths.append(path)
+        replay = dht.batch_router().route_batch(src, tgt, rng=probe)
+        replay_cong = BatchCongestion()
+        replay_cong.record_batch(replay)
+        parity[name] = all(
+            scalar_paths[k] == replay.server_path(k)
+            and scalar_paths[k][-1] == float(dht.owner(float(tgt[k])))
+            for k in range(sample)
+        ) and counter.summary(n) == replay_cong.summary(n)
+    return parity
 
 
 def _schemes(n: int, rng_list) -> List:
@@ -173,9 +224,9 @@ def run(seed: int = 1, quick: bool = False) -> ExperimentResult:
         by_scheme["distance-halving(d=2,dh)"][big]["mean_degree"]
         < by_scheme["chord"][big]["mean_degree"]
     )
-    checks["batch spine replays scalar paths"] = measure_baselines(
-        n=sizes[0] if quick else 128, lookups=120, seed=seed,
-        scalar_sample=120, schemes=_PARITY_SCHEMES)["all_parity_ok"]
+    parity = baseline_parity(PARITY_N, PARITY_SAMPLE, seed)
+    checks[f"batch spine replays scalar paths ({len(parity)} schemes, "
+           f"n={PARITY_N})"] = all(parity.values())
     return ExperimentResult(
         experiment="E1",
         title="Table 1 — comparison of lookup schemes",
@@ -184,7 +235,7 @@ def run(seed: int = 1, quick: bool = False) -> ExperimentResult:
         checks=checks,
         notes=(
             f"sizes {sizes}, {lookups} batch lookups per cell; "
-            "exponents fitted log-log; scalar parity replayed at the "
-            "smallest size"
+            f"exponents fitted log-log; scalar parity replayed on "
+            f"{PARITY_SAMPLE} lookups per scheme at n={PARITY_N}"
         ),
     )

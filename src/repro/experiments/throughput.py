@@ -7,9 +7,6 @@ level (:mod:`repro.core.batch`), so lookups/sec should exceed the scalar
 per-hop Python loop by an order of magnitude while remaining
 *bit-identical* — X3 times the scalar engine on a subsample of the same
 workload and parity-checks owners, walk parameters and hop counts on it.
-
-The batch leg, :func:`measure_throughput`, is shared by this experiment
-and the ``bench-throughput`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -17,83 +14,10 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from .. import checks
 from ..core import lookup_many
 from ..sim.rng import spawn_many
-from ..sim.workload import DH_TAU_DIGITS, balanced_network, random_pairs
+from ..sim.workload import balanced_network, random_pairs
 from .common import ExperimentResult, register
-
-__all__ = ["measure_throughput", "format_throughput_report"]
-
-
-def _route(n: int, lookups: int, seed: int, algorithm: str, delta: int):
-    """Build the network, compile its router and route the workload once.
-
-    Returns ``(net, sources, targets, batch, compile_secs, batch_secs)``.
-    For ``algorithm='dh'`` the walks follow explicit digit strings.
-    """
-    checks.choice(algorithm, "algorithm", ("fast", "dh"))
-    build_rng, route = spawn_many(seed * 17 + n, 2)
-    net = balanced_network(n, build_rng, delta=delta)
-
-    t0 = time.perf_counter()
-    router = net.compile_router(with_adjacency=(algorithm == "dh"))
-    compile_secs = time.perf_counter() - t0
-
-    sources, targets = random_pairs(net.segments.as_array(), route, lookups)
-    tau = None
-    if algorithm == "dh":
-        tau = route.integers(0, net.delta, size=(lookups, DH_TAU_DIGITS))
-
-    t0 = time.perf_counter()
-    if algorithm == "fast":
-        batch = router.lookup_batch(sources, targets)
-    else:
-        batch = router.batch_dh_lookup(sources, targets, tau=tau)
-    batch_secs = time.perf_counter() - t0
-    return net, sources, targets, batch, compile_secs, batch_secs
-
-
-def measure_throughput(
-    n: int = 4096,
-    lookups: int = 100_000,
-    seed: int = 0,
-    algorithm: str = "fast",
-    delta: int = 2,
-) -> Dict:
-    """Route ``lookups`` random pairs in bulk and time it.
-
-    Builds an ``n``-server Multiple-Choice-balanced network, compiles
-    its :class:`~repro.core.batch.BatchRouter` and times the batch
-    engine on the whole workload.  Returns a dict of the timings, the
-    rate, the mean hop count and the longest walk.
-    """
-    net, _, _, batch, compile_secs, batch_secs = _route(
-        n, lookups, seed, algorithm, delta)
-    return {
-        "algorithm": algorithm,
-        "n": n,
-        "rho": float(net.smoothness()),
-        "lookups": lookups,
-        "compile_secs": compile_secs,
-        "batch_secs": batch_secs,
-        "batch_rate": lookups / batch_secs,
-        "mean_hops": float(batch.hops.mean()),
-        "max_t": int(batch.t.max()) if lookups else 0,
-    }
-
-
-def format_throughput_report(result: Dict) -> str:
-    """Human-readable multi-line summary of one measurement dict."""
-    lines = [
-        f"network: n={result['n']}  rho={result['rho']:.2f}  "
-        f"algorithm={result['algorithm']}  "
-        f"(router compiled in {result['compile_secs']:.3f}s)",
-        f"batch : {result['lookups']:>8} lookups in {result['batch_secs']:.3f}s"
-        f"  = {result['batch_rate']:>12,.0f} lookups/sec",
-        f"mean hops: {result['mean_hops']:.2f}   max walk t: {result['max_t']}",
-    ]
-    return "\n".join(lines)
 
 
 @register("X3")
@@ -106,8 +30,14 @@ def run(seed: int = 16, quick: bool = False) -> ExperimentResult:
     parity_ok = True
     speedups = []
     for n in sizes:
-        net, sources, targets, batch, _, batch_secs = _route(
-            n, lookups, seed, "fast", 2)
+        build_rng, route = spawn_many(seed * 17 + n, 2)
+        net = balanced_network(n, build_rng)
+        router = net.compile_router()
+        sources, targets = random_pairs(net.segments.as_array(), route,
+                                        lookups)
+        t0 = time.perf_counter()
+        batch = router.lookup_batch(sources, targets)
+        batch_secs = time.perf_counter() - t0
         t0 = time.perf_counter()
         scalar = lookup_many(net, sources[:sample], targets[:sample])
         scalar_secs = time.perf_counter() - t0

@@ -19,9 +19,10 @@ of :mod:`repro.core.batch`:
   ``(y + ⌊z·2^t⌋ mod 2^j) / 2^j``), so a whole batch shares one walk
   evaluation per level;
 * :class:`~repro.faults.models.FaultPlan` fail-stop/Byzantine sets are
-  encoded as boolean masks keyed by server id, making per-hop survival
-  one boolean reduction per level, and the Theorem 6.6 majority votes
-  counting over covers instead of flooding Python dicts;
+  encoded as one ``uint8`` state per server (bit 0 alive, bit 1 liar),
+  gathered once per level: per-hop survival is one boolean reduction,
+  and the Theorem 6.6 majority votes count over covers instead of
+  flooding Python dicts;
 * Simple-Lookup server choices come from explicit per-hop uniforms (or
   an ``rng``), and the chosen servers are emitted as the same flattened
   CSR path arrays (:func:`~repro.core.walk.ragged_to_csr`) the
@@ -36,7 +37,7 @@ Lookup is **bit-identical** to :func:`~repro.faults.lookup_ft
 traversed levels — and the batch resistant lookup reproduces
 :func:`~repro.faults.lookup_ft.resistant_lookup`'s success/message/
 parallel-time accounting exactly.  The parity tests and the scalar
-cross-check replay of ``repro.cli bench-faults`` assert this.
+cross-check replays of experiments E13 and E14 assert this.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ from .models import FaultPlan
 from .overlap import OverlappingDHNetwork
 
 __all__ = ["FTBatchResult", "FTBatchEngine"]
+
+#: Bits of the per-server fault state (:meth:`FTBatchEngine._state`):
+#: an alive honest server is ``ALIVE``, a liar ``ALIVE | LIAR``.
+ALIVE, LIAR = 1, 2
 
 
 @dataclass
@@ -120,10 +125,9 @@ class FTBatchEngine:
     """Batch driver for the §6.3 lookups over one overlapping network.
 
     The engine holds only references to the network's frozen cover
-    tables (the overlapping membership is static), plus the fault-plan
-    mask cache.  Both batch calls accept either raw target points or a
-    prebuilt plan; sources must be server id points (or integer indices
-    into the sorted id vector).
+    tables (the overlapping membership is static).  Both batch calls
+    accept either raw target points or a prebuilt plan; sources must be
+    server id points (or integer indices into the sorted id vector).
     """
 
     def __init__(self, net: OverlappingDHNetwork):
@@ -134,12 +138,19 @@ class FTBatchEngine:
         self.n = net.n
 
     # ----------------------------------------------------------- helpers
-    def _masks(self, plan: Optional[FaultPlan]) -> Tuple[np.ndarray, np.ndarray]:
-        """(alive, liar) boolean masks aligned with the sorted id vector."""
+    def _state(self, plan: Optional[FaultPlan]) -> np.ndarray:
+        """Per-server ``uint8`` fault state aligned with the sorted id
+        vector: bit :data:`ALIVE` for a live server, :data:`LIAR` for a
+        Byzantine one; no plan leaves every server alive and honest.
+
+        One gather ``state[cand]`` per level then answers both "alive?"
+        (``state & ALIVE``) and "alive and honest?" (``state == ALIVE``).
+        """
         if plan is None:
-            ones = np.ones(self.n, dtype=bool)
-            return ones, np.zeros(self.n, dtype=bool)
-        return plan.alive_mask(self.points), plan.liar_mask(self.points)
+            return np.full(self.n, ALIVE, dtype=np.uint8)
+        state = plan.alive_mask(self.points).astype(np.uint8)
+        state |= plan.liar_mask(self.points).astype(np.uint8) << 1
+        return state
 
     def source_indices(self, sources, size: int) -> np.ndarray:
         """Resolve sources (id points or indices) to sorted-vector indices."""
@@ -238,8 +249,7 @@ class FTBatchEngine:
             raise ValueError(f"cost policy {policy!r} needs a CostOracle")
         if rng is None and choices is None and policy != "greedy":
             raise ValueError("batch_simple_lookup needs an rng or explicit choices")
-        plan = plan if plan is not None else FaultPlan()
-        alive, liar = self._masks(plan)
+        state = self._state(plan)
         src_idx, y = self._enter(sources, targets)
         size = y.size
         t, s_final = self.canonical_walks(src_idx, y)
@@ -274,7 +284,7 @@ class FTBatchEngine:
             scale = np.ldexp(1.0, (t[lanes] - h).astype(np.int32))
             p = level_points(y[lanes], s_final[lanes], scale, 2)
             cand, mask = self.net.cover_table(p)
-            ok = mask & alive[cand]
+            ok = mask & (state[cand] & ALIVE).view(bool)
             dead = ~ok.any(axis=0)
             # uniform picks the (⌊u·cnt⌋+1)-th alive cover, in the scalar
             # scan order, and reads no cost
@@ -295,7 +305,7 @@ class FTBatchEngine:
         servers = offsets = None
         if keep_paths:  # a failed walk's path ends at its last live hop
             servers, offsets = ragged_to_csr(buf, starts, traversed + 1)
-        success = alive[cur] & ~liar[cur] & ~failed
+        success = (state[cur] == ALIVE) & ~failed
         return FTBatchResult(
             algorithm="simple",
             points=self.points,
@@ -331,8 +341,7 @@ class FTBatchEngine:
         (Σ |senders|·|alive receivers|) and traversed levels reproduce
         the scalar accounting exactly.
         """
-        plan = plan if plan is not None else FaultPlan()
-        alive, liar = self._masks(plan)
+        state = self._state(plan)
         src_idx, y = self._enter(sources, targets)
         size = y.size
         t, s_final = self.canonical_walks(src_idx, y)
@@ -347,9 +356,10 @@ class FTBatchEngine:
 
         # layer 0: the replica group (alive covers of y) answers
         cand, mask = self.net.cover_table(y)
-        amask = mask & alive[cand]
+        st = state[cand]
+        amask = mask & (st & ALIVE).view(bool)
         send_cnt = amask.sum(axis=0)                      # |senders| next hop
-        honest_cnt = (amask & ~liar[cand]).sum(axis=0)    # carrying the payload
+        honest_cnt = (mask & (st == ALIVE)).sum(axis=0)   # carrying the payload
         single_srv = cand[np.argmax(amask, axis=0), np.arange(size)]
         value_present = np.zeros(size, dtype=np.int64)    # liar(v) among senders
 
@@ -365,7 +375,8 @@ class FTBatchEngine:
                 break
             p = level_points(y[lanes], s_final[lanes], 2.0 ** level, 2)
             cand, mask = self.net.cover_table(p)
-            amask = mask & alive[cand]
+            st = state[cand]
+            amask = mask & (st & ALIVE).view(bool)
             recv_cnt = amask.sum(axis=0)
             s_cnt = send_cnt[lanes]
             messages[lanes] += s_cnt * recv_cnt
@@ -382,7 +393,7 @@ class FTBatchEngine:
 
             # sender-side state for the next relay level
             send_cnt[lanes] = recv_cnt
-            honest_cnt[lanes] = (amask & ~liar[cand]).sum(axis=0)
+            honest_cnt[lanes] = (mask & (st == ALIVE)).sum(axis=0)
             single_srv[lanes] = cand[np.argmax(amask, axis=0),
                                      np.arange(lanes.size)]
             vp = np.zeros(lanes.size, dtype=np.int64)

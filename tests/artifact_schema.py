@@ -1,6 +1,6 @@
-"""The one ``--json-out`` schema, shared by the artifact and CLI test suites.
+"""The ``--json-out`` schema, shared by the artifact and CLI test suites.
 
-Every ``bench-*`` / ``soak`` payload has the ``{"command": str, "ok": bool,
+The ``soak`` payload has the ``{"command": str, "ok": bool,
 "result": {...}}`` shape with JSON-native, NumPy-free, *finite* leaves
 (``NaN`` / ``Infinity`` are not strict JSON and break downstream parsers),
 validated by a hand-rolled checker (no external jsonschema dependency).
@@ -39,7 +39,7 @@ def _check_leaves(value, where: str, problems: list) -> None:
 
 
 def validate_artifact(path: pathlib.Path) -> dict:
-    """The shared ``--json-out`` schema; returns the parsed payload."""
+    """The ``--json-out`` schema; returns the parsed payload."""
     payload = _strict_parse(path)
     problems: list = []
     if not isinstance(payload, dict):

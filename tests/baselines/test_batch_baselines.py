@@ -23,7 +23,7 @@ from repro.baselines import (
 )
 from repro.baselines.can import _face_adjacent
 from repro.core.routing_stats import BatchCongestion, CongestionCounter
-from repro.experiments.baseline_bench import SCHEME_BUILDERS, measure_baselines
+from repro.experiments.table1 import SCHEME_BUILDERS, baseline_parity
 
 BUILDERS = {
     "chord": lambda n, rng: ChordNetwork(n, rng),
@@ -155,23 +155,19 @@ def test_measure_scheme_batch_matches_row_shape():
 
 
 #: schemes whose routing never consults ``owner`` (Chord and Viceroy
-#: route towards it), so a wrong ``owner`` shows only in the bench check
+#: route towards it), so a wrong ``owner`` shows only in E1's parity check
 ROUTE_BLIND = ["can", "dh-fast", "koorde", "small-world", "tapestry"]
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEME_BUILDERS))
 def test_bench_replay_ends_at_each_owner(scheme):
-    result = measure_baselines(n=64, lookups=200, scalar_sample=40,
-                               schemes=[scheme])
-    assert result["schemes"][scheme]["parity_ok"]
+    assert baseline_parity(64, 40, 0)[scheme]
 
 
 @pytest.mark.parametrize("scheme", ROUTE_BLIND)
 def test_bench_parity_fails_when_the_owner_disagrees(monkeypatch, scheme):
-    """``bench-baselines`` checks where paths end, not only that the batch
+    """E1's parity replay checks where paths end, not only that the batch
     and scalar engines agree on them."""
     cls = type(SCHEME_BUILDERS[scheme](64, np.random.default_rng(0)))
     monkeypatch.setattr(cls, "owner", lambda self, target: -1.0)
-    result = measure_baselines(n=64, lookups=200, scalar_sample=40,
-                               schemes=[scheme])
-    assert not result["all_parity_ok"]
+    assert not baseline_parity(64, 40, 0)[scheme]

@@ -11,8 +11,6 @@ each one to be referenced by at least one of:
   count);
 * an example under ``examples/`` or the spine benchmark under
   ``benchmarks/spine/`` (not its self-test);
-* a ``"module:function"`` string in ``repro/cli.py`` (the bench table
-  names its measure / report / artifact functions that way);
 * a ``@register(...)`` decorator (the experiment registry calls it).
 
 A name none of these reach must be deleted, or sit on the reach gate's
@@ -26,7 +24,6 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
-import re
 
 import pytest
 
@@ -43,9 +40,6 @@ _spec.loader.exec_module(reach)
 ALLOWED = {name: why for key, why in reach.ALLOWLIST.items()
            for name in [key.partition(":")[2]]
            if name.isidentifier() and not name.startswith("_")}
-
-_ENTRY = re.compile(r"^[\w.]+:(\w+)$")
-
 
 def _annotation_names(tree: ast.AST) -> set:
     """Names read inside string annotations (``-> "BatchRouter"``)."""
@@ -91,13 +85,6 @@ def _registered(tree: ast.Module) -> set:
     return names
 
 
-def _cli_entries(tree: ast.Module) -> set:
-    """Function names of the ``"module:function"`` strings in cli.py."""
-    return {m.group(1) for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and (m := _ENTRY.match(node.value))}
-
-
 def public_definitions() -> list:
     """``(name, "file:line")`` for every public top-level def / class."""
     defs = []
@@ -118,8 +105,6 @@ def reached_names() -> set:
         tree = ast.parse(path.read_text())
         reached |= referenced(tree, count_imports=path.name != "__init__.py")
         reached |= _registered(tree)
-        if path == SRC / "cli.py":
-            reached |= _cli_entries(tree)
     for tree_root in CALLER_TREES:
         for path in sorted(tree_root.rglob("*.py")):
             if not path.name.startswith("test_"):
@@ -134,7 +119,7 @@ def test_every_public_name_has_a_caller():
                        for name, where in public_definitions()
                        if name not in reached and name not in ALLOWED)
     assert not unreached, (
-        "public names no src/ module, example, spine file, cli entry or "
+        "public names no src/ module, example, spine file or "
         f"@register reaches — delete them or allowlist them: {unreached}")
 
 
@@ -154,14 +139,11 @@ def test_allowlist_is_not_stale():
     assert not stale, f"drop these from ALLOWED: {stale}"
 
 
-def test_gate_sees_register_and_cli_entries():
+def test_gate_sees_register():
     registered = _registered(ast.parse(
         "@register('E0')\ndef run_e0(ctx): ...\n"
         "@other\ndef helper(): ...\n"))
     assert registered == {"run_e0"}
-    entries = _cli_entries(ast.parse(
-        'ROW = ("soak:format_soak_report", "not an entry", "a:b:c")\n'))
-    assert entries == {"format_soak_report"}
 
 
 def test_definitions_all_entries_and_reexports_are_not_reads():

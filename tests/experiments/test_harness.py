@@ -3,6 +3,7 @@
 import ast
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -194,114 +195,196 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "run: --seed must be >= 0\n"
 
-    def test_bench_baselines_writes_artifact(self, capsys, tmp_path):
+    def test_run_out_writes_no_volatile_leaf(self, tmp_path, capsys):
+        """``run --out`` writes the seed-deterministic result: the rates
+        and ``seconds`` stay in the printed table, out of the file."""
+        from repro.artifacts import VOLATILE_KEYS
         from repro.cli import main
 
-        out = tmp_path / "BENCH_baselines.json"
-        rc = main(["bench-baselines", "--n", "64", "--lookups", "400",
-                   "--scalar-sample", "60", "--schemes", "chord,koorde",
-                   "--json-out", str(out)])
-        assert rc == 0
-        assert "parity: PASS" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        assert payload["ok"] is True
-        assert set(payload["result"]["schemes"]) == {"chord", "koorde"}
-        assert payload["result"]["all_parity_ok"] is True
+        assert main(["run", "X3", "--quick", "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "batch_rate" in printed and re.search(r"\(\d+\.\ds\)", printed)
+        keys = set()  # every key at any depth
+        doc = json.loads((tmp_path / "X3.json").read_text(),
+                         object_hook=lambda obj: keys.update(obj) or obj)
+        assert doc["passed"] is True and {"rows", "checks"} <= keys
+        assert not keys & VOLATILE_KEYS
 
-    def test_bench_baselines_rejects_unknown_scheme(self, capsys):
+    @pytest.mark.parametrize("target, problem", [
+        ("file", "is not a directory"),
+        ("file/sub", "is under {root}/file, which is not a directory")],
+        ids=["file", "under-a-file"])
+    def test_unwritable_out_exits_2_before_measuring(self, target, problem,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        """A file as ``--out`` raised ``FileExistsError`` once the first
+        experiment had run; now the path is refused up front."""
         from repro.cli import main
+        from repro.experiments import runner
 
-        assert main(["bench-baselines", "--schemes", "nope"]) == 2
-
-    @pytest.mark.parametrize("names", [",,,", "", " , "])
-    def test_bench_baselines_refuses_an_empty_scheme_list(self, capsys, names):
-        """No names is not "all seven": exit 2 before anything runs."""
-        from repro.cli import main
-
-        assert main(["bench-baselines", "--schemes", names]) == 2
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(runner, "run_experiments", None)  # never runs
+        out = tmp_path / target
+        assert main(["run", "E2", "--quick", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "bench-baselines: --schemes must name schemes among can, chord, "
-            "dh-fast, koorde, small-world, tapestry, viceroy; got none\n")
+            f"run: --out {out} {problem.format(root=tmp_path)}\n")
 
-# ------------------------------------------------- the bench table contract
-#: sizes small enough for tier-1; a new row must add its own (see the test)
-TINY = {
-    "bench-throughput": ["--n", "128", "--lookups", "2000"],
-    "bench-churn": ["--n", "128", "--lookups", "2000", "--churn-ops", "16",
-                    "--mass-n", "64"],
-    "bench-congestion": ["--n", "128", "--lookups", "2000",
-                         "--scalar-sample", "50"],
-    "bench-faults": ["--n", "128", "--pairs", "2000", "--scalar-sample", "50"],
-    "bench-caching": ["--n", "128", "--requests", "3000",
-                      "--hotspot-requests", "3000"],
-    "bench-baselines": ["--n", "64", "--lookups", "400",
-                        "--scalar-sample", "60", "--schemes", "chord,koorde"],
-    "soak": ["--n", "128", "--lookups", "2000", "--chunk", "1024",
-             "--items", "6"],
-    "bench-cost": ["--n", "128", "--pairs", "2000", "--scalar-sample", "50",
-                   "--core-n", "64", "--core-pairs", "500"],
-}
+    def test_run_out_creates_a_missing_directory(self, tmp_path, capsys):
+        from repro.cli import main
 
-#: ``{subcommand: {flag: default}}`` read off the parser by argparse
-#: introspection at the commit before the table (PR 17), minus every
-#: ``--workers`` and the ``bench-shard`` row (the sharded backend is
-#: reached only through ``BatchRouter.lookup_batch(workers=)``), every
-#: ``--min-speedup``, and the scalar-sample / parity-n flags of the two
-#: benches whose scalar parity cell tier-1 pins (throughput) or whose
-#: only scalar leg was the timed one (caching)
+        out = tmp_path / "a" / "b"
+        assert main(["run", "F2", "--quick", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["F2.json"]
+
+    def test_run_refuses_all_beside_explicit_ids(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "all", "E2", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "run: 'all' cannot be combined with explicit experiment ids\n")
+
+    def test_run_names_an_unknown_id_before_running_any(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "E2", "E999", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # E2 did not run either
+        first, available = captured.err.splitlines()
+        assert first == "unknown experiment id(s): E999"
+        assert available == "available: " + ", ".join(EXPERIMENT_IDS)
+
+
+# ------------------------------------------- the experiments CI byte-diffs
+BASELINES = (pathlib.Path(__file__).resolve().parents[2]
+             / "benchmarks" / "baselines")
+
+#: the experiments ``benchmarks/ci_smoke.sh`` quick-runs, one file each
+SMOKE_IDS = sorted(p.stem for p in BASELINES.glob("[EX]*.json"))
+
+#: ``(gate, experiment, check)``: each gate a retired ``bench-*``
+#: subcommand enforced, as the experiment check that carries it now
+RETIRED_GATES = [
+    ("throughput-parity", "X3",
+     "batch/scalar parity (owner, t, hops) at every size"),
+    ("churn-owners", "X4", "every batch's owners match the live segment map"),
+    ("churn-refresh", "X4",
+     "incremental refresh ≤ 250us per membership op at n=1024"),
+    ("congestion-parity", "E4",
+     "batch CSR accounting bit-identical to scalar counters (n=1024)"),
+    ("faults-parity", "E13",
+     "batch bit-identical to scalar replay (n=1024, all p)"),
+    ("caching-parity", "E7",
+     "batch/scalar bit parity at n=128 (plain + salted)"),
+    ("caching-relief", "E7", "salting (s=4) relieves the hottest server"),
+    ("caching-parity-epochs", "E8",
+     "batch/scalar bit parity at n=512 (plain + salted, 2 epochs)"),
+    ("baselines-parity", "E1",
+     "batch spine replays scalar paths (7 schemes, n=1024)"),
+    ("cost-xisp-cut", "X6",
+     "greedy cuts mean cross-ISP traffic ≥ 30% vs uniform"),
+    ("cost-stretch", "X6",
+     "greedy hop stretch ≤ 1.5x (Obs 2.3: digit choice is free)"),
+    ("cost-weighted-between", "X6", "weighted sits between greedy and uniform"),
+    ("cost-parity", "X6", "batch bit-identical to scalar cost-aware replay"),
+    ("cost-core-replay", "X6",
+     "core engine: recorded tau_used replays bit-identically"),
+    ("cost-core-xisp-cut", "X6",
+     "core engine greedy also reduces cross-ISP traffic"),
+]
+
+
+class TestSmokeExperiments:
+    """The CI smoke's experiments, held to their baselines in tier-1."""
+
+    def test_the_smoke_runs_eight_experiments(self):
+        assert SMOKE_IDS == ["E1", "E13", "E4", "E7", "E8", "X3", "X4", "X6"]
+        assert {name for _, name, _ in RETIRED_GATES} == set(SMOKE_IDS)
+
+    @pytest.mark.parametrize("name", SMOKE_IDS)
+    def test_quick_run_equals_the_committed_baseline(self, name, quick_run):
+        """What ``run --out`` writes, byte for byte: a changed path
+        length, load or fault count fails here before CI's diff."""
+        committed = (BASELINES / f"{name}.json").read_text()
+        assert quick_run(name).to_json() + "\n" == committed
+
+    @pytest.mark.parametrize("name, check",
+                             [gate[1:] for gate in RETIRED_GATES],
+                             ids=[gate[0] for gate in RETIRED_GATES])
+    def test_each_retired_bench_gate_is_a_passing_check(self, name, check,
+                                                        quick_run):
+        checks = quick_run(name).checks
+        assert checks.get(check), sorted(checks)
+
+
+# ------------------------------------------------------ the volatile leaves
+#: where each ``VOLATILE_KEYS`` leaf is emitted: an experiment id (its
+#: quick result's rows) or ``soak`` (its result dict)
+VOLATILE_EMITTERS = {
+    "batch_rate": "X3", "scalar_rate": "X3", "speedup": "X3",
+    "klookups_per_sec": "X4", "refresh_us_per_op": "X4",
+    "wall_seconds": "soak", "krequests_per_sec": "soak",
+    "peak_rss_mb": "soak"}
+
+
+def _keys(tree) -> set:
+    """Every dict key of ``tree``, at any depth."""
+    from repro.artifacts import to_jsonable
+
+    keys = set()
+    json.loads(json.dumps(to_jsonable(tree)),
+               object_hook=lambda obj: keys.update(obj) or obj)
+    return keys
+
+
+@pytest.fixture(scope="module")
+def tiny_soak():
+    from repro.experiments.soak import measure_soak
+
+    return measure_soak(n=128, lookups=2000, chunk=1024, seed=9, items=6)
+
+
+class TestVolatileKeys:
+    def test_every_volatile_key_has_an_emitter(self):
+        from repro.artifacts import VOLATILE_KEYS
+
+        assert set(VOLATILE_EMITTERS) == VOLATILE_KEYS
+
+    @pytest.mark.parametrize("key", sorted(VOLATILE_EMITTERS))
+    def test_volatile_key_is_emitted_and_never_written(self, key, quick_run,
+                                                       tiny_soak):
+        """A name nothing emits is dead weight in ``VOLATILE_KEYS``; a
+        name something emits must not reach the written file."""
+        from repro.artifacts import deterministic_dumps
+
+        emitter = VOLATILE_EMITTERS[key]
+        if emitter == "soak":
+            raw, written = tiny_soak, deterministic_dumps(tiny_soak)
+        else:
+            res = quick_run(emitter)
+            raw, written = res.rows, res.to_json()
+        assert key in _keys(raw)
+        assert key not in _keys(json.loads(written))
+
+
+# ------------------------------------------------------- the soak contract
+#: sizes small enough for tier-1
+TINY = ["--n", "128", "--lookups", "2000", "--chunk", "1024", "--items", "6"]
+
+#: ``{flag: default}`` of ``soak``, read off the parser by argparse
+#: introspection: the one measurement subcommand's whole surface
 FLAG_SURFACE = {
-    "bench-throughput": {
-        "--n": 4096, "--lookups": 100000, "--algorithm": "fast",
-        "--delta": 2, "--seed": 0, "--json-out": None},
-    "bench-churn": {
-        "--n": 16384, "--lookups": 100000, "--churn-ops": 256, "--phases": 2,
-        "--leave-prob": 0.3, "--mass-n": None, "--churn-budget": None,
-        "--seed": 0, "--max-refresh-us": 250.0, "--json-out": None},
-    "bench-congestion": {
-        "--n": 16384, "--lookups": 100000, "--scalar-sample": 1000,
-        "--algorithm": "fast", "--delta": 2, "--seed": 0, "--json-out": None},
-    "bench-faults": {
-        "--n": 16384, "--pairs": 100000, "--p-fail": 0.2,
-        "--scalar-sample": 200, "--seed": 0, "--json-out": None},
-    "bench-caching": {
-        "--n": 16384, "--requests": 1000000, "--items": 64, "--salts": 4,
-        "--hotspot-requests": None, "--seed": 1, "--json-out": None},
-    "bench-baselines": {
-        "--n": 16384, "--lookups": 100000, "--scalar-sample": 400,
-        "--schemes": None, "--chunk": 8192, "--seed": 0, "--json-out": None},
-    "soak": {
-        "--n": 16384, "--lookups": 1000000, "--phases": None, "--chunk": None,
-        "--seed": 0, "--items": 24, "--no-invariants": False,
-        "--min-ft-success": 0.9, "--json-out": None},
-    "bench-cost": {
-        "--n": 16384, "--pairs": 100000, "--isps": 8, "--temperature": 1.0,
-        "--scalar-sample": 200, "--core-n": 4096, "--core-pairs": 50000,
-        "--seed": 0, "--min-xisp-reduction": 0.3,
-        "--max-stretch": 1.5, "--json-out": None},
-}
+    "--n": 16384, "--lookups": 1000000, "--phases": None, "--chunk": None,
+    "--seed": 0, "--items": 24, "--no-invariants": False,
+    "--min-ft-success": 0.9, "--json-out": None}
 
-
-def _bound_violations():
-    """One ``(subcommand, flag, offending text)`` per declared bound."""
-    from repro.cli import BENCHES
-
-    for bench in BENCHES.values():
-        for flag in bench.flags:
-            if flag.bound is None:
-                continue
-            for text in ("-1", "0", "1", "1000000", "bogus", "nan"):
-                try:
-                    value = flag.type(text)
-                except ValueError:
-                    continue
-                if flag.bound(value):
-                    yield bench.name, flag.flag, text
-                    break
-            else:  # pragma: no cover
-                raise AssertionError(f"{bench.name} {flag.flag}: no probe "
-                                     "value violates the declared bound")
+#: one ``(flag, offending text)`` per bounded soak option
+BOUND_VIOLATIONS = [("--n", "-1"), ("--lookups", "-1"), ("--phases", "-1"),
+                    ("--chunk", "-1"), ("--seed", "-1"), ("--items", "-1"),
+                    ("--min-ft-success", "nan")]
 
 
 def _subparsers():
@@ -313,66 +396,53 @@ def _subparsers():
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
-class TestBenchTable:
-    """The CLI contract of every ``bench-*`` / ``soak`` row, off the table."""
+class TestSoakContract:
+    """The CLI contract of ``soak``: bounds, artifact, exit codes, help."""
 
-    def test_every_row_has_a_tiny_case(self):
-        from repro.cli import BENCHES
-
-        assert set(TINY) == set(BENCHES)
-
-    @pytest.mark.parametrize("name", sorted(TINY))
-    def test_tiny_run_passes_and_writes_a_valid_artifact(self, name, tmp_path,
+    def test_tiny_run_passes_and_writes_a_valid_artifact(self, tmp_path,
                                                          capsys):
         from artifact_schema import validate_artifact
 
-        from repro.cli import BENCHES, main
+        from repro.cli import main
 
-        relaxed = [f.flag + ("=1e9" if f.flag.startswith("--max") else "=-1e9")
-                   for f in BENCHES[name].flags if f.gate]
+        relaxed = ["--min-ft-success=-1e9"]
         path, again = tmp_path / "BENCH.json", tmp_path / "again.json"
-        assert main([name, *TINY[name], *relaxed, "--json-out", str(path)]) == 0
+        assert main(["soak", *TINY, *relaxed, "--json-out", str(path)]) == 0
         assert "[PASS]" in capsys.readouterr().out
         payload = validate_artifact(path)
-        assert payload["command"] == name and payload["ok"] is True
+        assert payload["command"] == "soak" and payload["ok"] is True
         # the artifact is the seed-deterministic part: a second run is
         # byte-equal, which is what CI's diff against baselines/ relies on
-        assert main([name, *TINY[name], *relaxed, "--json-out", str(again)]) == 0
+        assert main(["soak", *TINY, *relaxed, "--json-out", str(again)]) == 0
         assert again.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("name,flag,text", list(_bound_violations()),
+    @pytest.mark.parametrize("flag,text", BOUND_VIOLATIONS,
                              ids=lambda v: str(v).lstrip("-"))
-    def test_violated_bound_exits_2_with_one_line(self, name, flag, text,
+    def test_violated_bound_exits_2_with_one_line(self, flag, text,
                                                   tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "BENCH.json"
-        assert main([name, flag, text, "--json-out", str(path)]) == 2
+        assert main(["soak", flag, text, "--json-out", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"{name}: {flag} must ")
+        assert captured.err.startswith(f"soak: {flag} must ")
         assert captured.err.count("\n") == 1
         assert not path.exists()
 
-    @pytest.mark.parametrize("name,flag,text", [
-        ("bench-cost", "--scalar-sample", "0"),       # wrote scalar_rate Infinity
-        ("bench-caching", "--hotspot-requests", "0"),  # salted_reduction Infinity
-        ("bench-caching", "--items", "0"),             # NumPy traceback
-        ("bench-churn", "--churn-budget", "-1"),       # 0 incremental refreshes
-        ("bench-churn", "--mass-n", "-1"),             # passed, no mass departure
-        ("soak", "--phases", "churn:0.5"),             # passed after 0 churn ops
-        ("soak", "--phases", "mass:2"),                # LookupError traceback
-        ("soak", "--phases", "lookups,failstop:1.5"),  # raised after phase 1
-        ("bench-faults", "--seed", "-3"),              # SeedSequence traceback
+    @pytest.mark.parametrize("flag,text", [
+        ("--phases", "churn:0.5"),             # passed after 0 churn ops
+        ("--phases", "mass:2"),                # LookupError traceback
+        ("--phases", "lookups,failstop:1.5"),  # raised after phase 1
     ])
-    def test_bad_inputs_the_hand_copies_let_through(self, name, flag, text,
+    def test_bad_inputs_the_hand_copies_let_through(self, flag, text,
                                                     tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "BENCH.json"
-        assert main([name, *TINY[name], flag, text,
+        assert main(["soak", *TINY, flag, text,
                      "--json-out", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"{name}: {flag} must be")
+        assert capsys.readouterr().err.startswith(f"soak: {flag} must be")
         assert not path.exists()
 
     @pytest.mark.parametrize("target", ["dir", "dir/file/BENCH.json"])
@@ -382,28 +452,27 @@ class TestBenchTable:
         """A directory raised ``IsADirectoryError`` once the whole
         measurement had run; now the path is refused up front."""
         from repro.cli import main
-        from repro.experiments import faults_exp
+        from repro.experiments import soak
 
         (tmp_path / "dir").mkdir()
         (tmp_path / "dir" / "file").write_text("")
-        monkeypatch.setattr(faults_exp, "measure_faults", None)  # never runs
+        monkeypatch.setattr(soak, "measure_soak", None)  # never runs
         path = tmp_path / target
-        assert main(["bench-faults", "--json-out", str(path)]) == 2
+        assert main(["soak", "--json-out", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"bench-faults: --json-out {path} ")
+        assert captured.err.startswith(f"soak: --json-out {path} ")
         assert captured.err.count("\n") == 1
 
     def test_flag_surface_is_pinned(self):
-        surface = {
-            name: {a.option_strings[0]: a.default for a in sp._actions
+        surface = {a.option_strings[0]: a.default
+                   for a in _subparsers()["soak"]._actions
                    if a.option_strings and a.option_strings[0] != "-h"}
-            for name, sp in _subparsers().items() if name in FLAG_SURFACE}
         assert surface == FLAG_SURFACE
-        assert sum(map(len, surface.values())) == 63
+        assert len(surface) == 9
 
-    def test_top_level_help_names_every_row(self, capsys):
-        from repro.cli import BENCHES, main
+    def test_top_level_help_lists_list_run_and_soak(self, capsys):
+        from repro.cli import SOAK_HELP, main
 
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])
@@ -411,22 +480,24 @@ class TestBenchTable:
         # undo argparse's wrapping, which also breaks lines after a hyphen
         text = " ".join(capsys.readouterr().out.split()).replace("- ", "-")
         subparsers = _subparsers()
-        for bench in BENCHES.values():
-            assert bench.name in text
-            assert bench.help in text
-            assert subparsers[bench.name].description == bench.help
+        assert list(subparsers) == ["list", "run", "soak"]
+        assert SOAK_HELP in text
+        assert subparsers["soak"].description == SOAK_HELP
 
     def test_non_finite_result_fails_without_writing(self, tmp_path, capsys,
                                                      monkeypatch):
         from repro.cli import main
-        from repro.experiments import throughput
+        from repro.experiments import soak
 
-        monkeypatch.setattr(throughput, "measure_throughput", lambda **kw: {
-            "batch_rate": float("inf"), "rows": [float("nan")]})
-        monkeypatch.setattr(throughput, "format_throughput_report", str)
+        monkeypatch.setattr(soak, "measure_soak", lambda **kw: {
+            "invariants_ok": True, "healing_ok": True,
+            "stats": {"ft_success_rate": float("nan")},
+            "wall_seconds": float("inf")})
+        monkeypatch.setattr(soak, "format_soak_report", str)
         path = tmp_path / "BENCH.json"
-        assert main(["bench-throughput", "--json-out", str(path)]) == 1
+        assert main(["soak", "--json-out", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "bench-throughput: non-finite value in result "
-            "(result.batch_rate = inf, result.rows[0] = nan)\n")
+            "soak: non-finite value in result "
+            "(result.stats.ft_success_rate = nan, "
+            "result.wall_seconds = inf)\n")
         assert not path.exists()

@@ -1,4 +1,4 @@
-"""Artifact reproducibility + one shared schema for every ``--json-out``.
+"""Artifact reproducibility + the schema of every committed baseline.
 
 Two contracts every machine-readable artifact must honor:
 
@@ -6,13 +6,14 @@ Two contracts every machine-readable artifact must honor:
   byte-identical files across runs (the scenario result is a pure
   function of its arguments; ``repro.artifacts.VOLATILE_KEYS`` —
   wall-clock and machine readings — are stripped).
-* **Schema** — every ``bench-*``/``soak`` payload has the shared
-  ``{"command": str, "ok": bool, "result": {...}}`` shape with
-  JSON-native, NumPy-free, *finite* leaves (``NaN``/``Infinity`` are
-  not strict JSON and break downstream parsers), validated by a
-  hand-rolled checker (no external jsonschema dependency) over both the
-  committed references in ``benchmarks/baselines/`` and freshly
-  generated artifacts.
+* **Schema** — the ``soak`` payload has the ``{"command": str, "ok":
+  bool, "result": {...}}`` shape with JSON-native, NumPy-free, *finite*
+  leaves (``NaN``/``Infinity`` are not strict JSON and break downstream
+  parsers), validated by a hand-rolled checker (no external jsonschema
+  dependency) over both the committed reference in
+  ``benchmarks/baselines/`` and a freshly generated artifact; every
+  committed experiment baseline (what ``run --out`` writes) holds no
+  volatile leaf and passed.
 """
 
 import json
@@ -25,6 +26,8 @@ from repro.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 BASELINES = sorted((REPO / "benchmarks" / "baselines").glob("BENCH_*.json"))
+#: the experiments ``benchmarks/ci_smoke.sh`` runs, one file each
+EXPERIMENTS = sorted((REPO / "benchmarks" / "baselines").glob("[EX]*.json"))
 
 SOAK_ARGS = ["soak", "--n", "128", "--lookups", "2000", "--chunk", "1024",
              "--seed", "9", "--items", "6"]
@@ -81,7 +84,24 @@ class TestSoakReproducibility:
 
 class TestArtifactSchema:
     def test_committed_references_exist(self):
-        assert len(BASELINES) >= 6
+        assert [p.name for p in BASELINES] == ["BENCH_soak.json"]
+        assert [p.stem for p in EXPERIMENTS] == [
+            "E1", "E13", "E4", "E7", "E8", "X3", "X4", "X6"]
+
+    @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.stem)
+    def test_committed_experiment_baseline_is_deterministic_and_green(
+            self, path):
+        from repro.artifacts import VOLATILE_KEYS
+
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token!r}")
+
+        keys = set()  # every key at any depth
+        doc = json.loads(path.read_text(), parse_constant=reject,
+                         object_hook=lambda obj: keys.update(obj) or obj)
+        assert doc["experiment"] == path.stem
+        assert doc["passed"] is True and all(doc["checks"].values())
+        assert not keys & VOLATILE_KEYS
 
     @pytest.mark.parametrize("path", BASELINES, ids=lambda p: p.stem)
     def test_committed_reference_matches_schema(self, path):
@@ -97,33 +117,6 @@ class TestArtifactSchema:
                     "cache_ok", "stats", "rows", "phases"):
             assert key in result
 
-    def test_fresh_throughput_artifact_matches_schema(self, tmp_path):
-        path = tmp_path / "BENCH_throughput.json"
-        code = main(["bench-throughput", "--n", "128", "--lookups", "2000",
-                     "--json-out", str(path)])
-        assert code == 0
-        assert validate_artifact(path)["command"] == "bench-throughput"
-
-    def test_fresh_churn_artifact_gates_an_absolute_refresh_bound(
-            self, tmp_path):
-        """``bench-churn`` gates microseconds per membership op, not a
-        ratio to the full compile; the artifact keeps the refresh counts
-        and none of the timings."""
-        from repro.artifacts import VOLATILE_KEYS
-
-        path = tmp_path / "BENCH_churn.json"
-        args = ["bench-churn", "--n", "128", "--lookups", "2000",
-                "--churn-ops", "16", "--mass-n", "64",
-                "--json-out", str(path)]
-        assert main(args + ["--max-refresh-us", "1e9"]) == 0
-        result = validate_artifact(path)["result"]
-        assert result["incremental_refreshes"] > 0
-        assert not set(result) & (VOLATILE_KEYS | {"refresh_speedup"})
-        assert main(args + ["--max-refresh-us", "0"]) == 1
-        assert validate_artifact(path)["ok"] is False
-        with pytest.raises(SystemExit):  # the ratio flag is gone, not aliased
-            main(args + ["--min-refresh-speedup", "2"])
-
     def test_validator_rejects_malformed_payloads(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"command": "x", "ok": "yes",
@@ -138,3 +131,33 @@ class TestArtifactSchema:
                                    "result": {}}))
         with pytest.raises(AssertionError, match="empty"):
             validate_artifact(bad)
+
+
+#: ``(what exists, path asked for, directory?, problem)``
+UNWRITABLE_CASES = {
+    "file-to-file": ("file", "file", False, None),
+    "dir-to-file": ("dir", "dir", False, "is a directory"),
+    "new-file-in-dir": ("dir", "dir/new.json", False, None),
+    "dir-to-dir": ("dir", "dir", True, None),
+    "file-to-dir": ("file", "file", True, "is not a directory"),
+    "new-dirs-in-dir": ("dir", "dir/a/b", True, None),
+    "dir-under-a-file": ("file", "file/a", True,
+                         "is under {root}/file, which is not a directory"),
+}
+
+
+@pytest.mark.parametrize("made, asked, directory, problem",
+                         UNWRITABLE_CASES.values(), ids=UNWRITABLE_CASES)
+def test_unwritable_names_the_problem_and_creates_nothing(
+        made, asked, directory, problem, tmp_path):
+    """``soak --json-out`` asks for a file, ``run --out`` for a directory."""
+    from repro.artifacts import unwritable
+
+    if made == "dir":
+        (tmp_path / "dir").mkdir()
+    else:
+        (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    expected = problem and problem.format(root=tmp_path)
+    assert unwritable(str(tmp_path / asked), directory=directory) == expected
+    assert sorted(tmp_path.rglob("*")) == before

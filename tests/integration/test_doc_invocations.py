@@ -83,22 +83,22 @@ def test_every_documented_invocation_parses(path):
 
 
 def test_the_scan_is_not_vacuous():
-    """The scan is not vacuous: the smoke script alone has eight calls."""
+    """The scan is not vacuous: the smoke script alone has two calls."""
     calls = list(invocations((ROOT / "benchmarks" / "ci_smoke.sh").read_text()))
-    assert len(calls) == 8
-    assert all("--json-out" in words for _, words in calls)
+    assert [words[0] for _, words in calls] == ["run", "soak"]
+    assert "--out" in calls[0][1] and "--json-out" in calls[1][1]
 
 
 def test_the_scan_catches_stale_invocations():
-    text = ("PYTHONPATH=src python -m repro.cli bench-gone --run-dir x\n"
-            "`python -m repro.cli bench-churn \\\n"
+    text = ("PYTHONPATH=src python -m repro.cli bench-churn --n 1024\n"
+            "`python -m repro.cli soak \\\n"
             "    --min-refresh-speedup 2`  # removed flag\n"
             "python -m repro.cli <cmd> --help | python -m repro.cli --help\n")
     found = [(line, problems(words, build_parser()))
              for line, words in invocations(text)]
     assert found == [
-        (1, ["unknown subcommand bench-gone"]),
-        (2, ["bench-churn has no flag --min-refresh-speedup"]),
+        (1, ["unknown subcommand bench-churn"]),
+        (2, ["soak has no flag --min-refresh-speedup"]),
         (4, []), (4, []),
     ]
 
@@ -282,7 +282,7 @@ def test_the_resolver_catches_stale_references():
             '`core/batch.py:999999` `core/segments.py::CoverIndex.follow`\n'
             '`core/segments.py::CoverIndex.gone` `repro.core.batch.BatchRouter`\n'
             '`repro.core.batch.Gone` ``repro.sim.asyncnet``\n'
-            'docs/BENCHMARKS.md "Which bench do I run?" and "PR 20"\n')
+            'docs/BENCHMARKS.md "Which experiment do I run?" and "PR 20"\n')
     found = [(kind, problem(kind, ref)) for _, kind, ref in references(text)]
     assert found == [
         ("path", None),

@@ -33,17 +33,22 @@ def _src_keys() -> frozenset:
 
 
 class TestCommands:
-    def test_smoke_parse_yields_its_eight_run_python_lines(self):
+    def test_smoke_parse_yields_its_two_run_python_lines(self):
         argvs = reach.smoke_commands(SMOKE, "OUT")
-        assert len(argvs) == 8 == SMOKE.read_text().count("\nrun python ")
-        assert [a[3] for a in argvs] == [
-            "bench-throughput", "bench-churn", "bench-congestion",
-            "bench-faults", "bench-caching", "bench-baselines",
-            "bench-cost", "soak"]
-        for argv in argvs:
-            assert argv[:3] == ["python", "-m", "repro.cli"]
-            out = argv[argv.index("--json-out") + 1]
-            assert out == f"OUT/BENCH_{argv[3].removeprefix('bench-')}.json"
+        assert len(argvs) == 2 == SMOKE.read_text().count("\nrun python ")
+        run, soak = argvs
+        assert run[:4] == ["python", "-m", "repro.cli", "run"]
+        assert run[-3:] == ["--quick", "--out", "OUT"]
+        assert soak[:4] == ["python", "-m", "repro.cli", "soak"]
+        assert soak[soak.index("--json-out") + 1] == "OUT/BENCH_soak.json"
+
+    def test_smoke_runs_exactly_the_experiments_it_has_baselines_for(self):
+        """An experiment run without a committed file would fail the
+        smoke's diff; a file without a run would go stale unseen."""
+        run, _ = reach.smoke_commands(SMOKE, "OUT")
+        baselines = ROOT / "benchmarks" / "baselines"
+        assert sorted(run[4:-3]) == sorted(
+            p.stem for p in baselines.glob("[EX]*.json"))
 
     def test_continuations_join_and_other_lines_drop(self, tmp_path):
         script = tmp_path / "smoke.sh"
@@ -64,8 +69,8 @@ class TestCommands:
         argvs = reach.commands("OUT")
         examples = sorted((ROOT / "examples").glob("*.py"))
         spine = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
-        assert argvs[:8] == reach.smoke_commands(SMOKE, "OUT")
-        assert argvs[8:-2] == [["python", f"examples/{p.name}"]
+        assert argvs[:2] == reach.smoke_commands(SMOKE, "OUT")
+        assert argvs[2:-2] == [["python", f"examples/{p.name}"]
                                for p in examples]
         assert argvs[-2] == ["python", "-m", "repro.cli", "run", "all",
                              "--quick", "--out", "OUT"]
@@ -268,11 +273,15 @@ def test_dunder_entries_are_dunders(key):
 @pytest.mark.parametrize("argv", reach.smoke_commands(SMOKE, "OUT"),
                          ids=lambda argv: argv[3])
 def test_each_smoke_command_is_a_valid_invocation(argv):
-    """Every traced smoke command parses, and each flag value is inside
-    its bench-table bound: the gate never traces an exit-2 run."""
-    from repro.cli import BENCHES, build_parser
+    """Every traced smoke command parses, names registered experiments
+    and keeps each soak flag inside its bound: the gate never traces an
+    exit-2 run."""
+    from repro.cli import _SOAK_BOUNDS, build_parser
+    from repro.experiments.runner import EXPERIMENT_IDS
 
     args = build_parser().parse_args(argv[3:])
-    for flag in BENCHES[args.command].flags:
-        value = getattr(args, flag.dest)
-        assert flag.bound is None or value is None or not flag.bound(value)
+    if args.command == "run":
+        assert set(args.names) <= set(EXPERIMENT_IDS)
+    for flag, bound in _SOAK_BOUNDS if args.command == "soak" else ():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert value is None or not bound(value)

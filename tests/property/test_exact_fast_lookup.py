@@ -35,6 +35,8 @@ from hypothesis import strategies as st
 from oracles.exact import exact_fast_lookup
 from oracles.inputs import joined, populated
 
+from repro.core import fast_lookup
+
 KINDS = ("tiny", "clustered", "smooth")
 #: How near a boundary an exact walk point must lie for a float rounding
 #: to cross it: a few ulps of 1.
@@ -115,3 +117,28 @@ def test_every_deviation_is_a_boundary_rounding(delta, data, record_property):
         f"Fast Lookup away from every boundary: {unexplained[:3]}")
     record_property("deviations", len(deviating))
     record_property("lanes", len(targets))
+
+
+def test_the_float_walk_point_rounding_on_a_recorded_lane():
+    """The named float semantic, pinned on one lane.
+
+    On the clustered n = 16 network (Δ = 2, seed 0) a walk point of this
+    lane lies within a few ulps of a segment boundary, and
+    ``fl(fl(y + offset) / Δ^m)`` rounds it across: both float engines
+    take the neighbouring server on the way, the exact walk does not,
+    and all three reach the same owner.
+    """
+    net = network("clustered", 2, 0)
+    points = net.segments.column
+    source, target = 0.2697867137638703, 0.08724998293084572
+    res = net.compile_router().batch_fast_lookup([source], [target],
+                                                 keep_paths="csr")
+    scalar = fast_lookup(net, source, target)
+    owner, exact_path, _ = exact_fast_lookup(
+        points, 2, int(np.searchsorted(points, source)), target)
+    scalar_path = [int(np.searchsorted(points, float(p)))
+                   for p in scalar.server_path]
+    assert res.path_servers.tolist() == scalar_path == [2, 3, 1]
+    assert exact_path == [2, 1]
+    assert res.owner_idx.tolist() == [owner] == [1]
+    assert float(scalar.owner) == points[1]

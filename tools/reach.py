@@ -7,7 +7,8 @@ Usage, from the repository root (no flags; ~1-2 min on a 2-vCPU box)::
 It runs the repository's own commands, reading them rather than copying
 them:
 
-* each ``run python ...`` line of ``benchmarks/ci_smoke.sh``;
+* each ``run python ...`` line of ``benchmarks/ci_smoke.sh``: the quick
+  run of the experiments it diffs and the ``soak`` smoke;
 * every ``examples/*.py``;
 * ``python -m repro.cli run all --quick``;
 * ``BENCHMARK.json``'s ``command`` with ``--all --seconds 2``.
@@ -80,9 +81,7 @@ ALLOWLIST = {
     "core/network.py:DistanceHalvingNetwork.__len__": "dunder",
     "core/shard.py:ShardedExecutor.__enter__": "dunder",
     "core/shard.py:ShardedExecutor.__exit__": "dunder",
-    # argparse validators that run only when their flag is given
-    "cli.py:_csv": "parses bench-baselines --schemes",
-    "cli.py:_known_schemes": "validates bench-baselines --schemes",
+    # a bound check that runs only when its flag is given
     "cli.py:_scenario_script": "validates soak --phases",
     # the paper's property API and the asyncio entry point, read by tests
     # (the oracles themselves live in tests/oracles/)
