@@ -52,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import checks
-from ..core.interval import normalize
+from ..core.interval import BELOW_ONE, normalize
 from ..core.segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                              normalize_array)
 
@@ -102,10 +102,14 @@ def _window(n: int, probes: int) -> int:
 def _centre(start: float, length: float, end: float) -> float:
     """:attr:`~repro.core.interval.Arc.midpoint` of a float piece.
 
-    ``normalize(start + length / 2)``, or ``start`` when a piece one
-    float wide rounds its centre onto its ``end``.
+    ``normalize(start + length / 2)``, ``BELOW_ONE`` when a seam piece
+    longer below 1.0 rounds its centre onto 1.0, or ``start`` when a
+    piece one float wide rounds its centre onto its ``end``.
     """
-    mid = normalize(start + length / 2)
+    mid = start + length / 2
+    if mid == 1.0 and 1.0 - start > end:
+        mid = BELOW_ONE
+    mid = normalize(mid)
     return start if mid == end else mid
 
 

@@ -58,12 +58,13 @@ from typing import List, Optional
 import numpy as np
 
 from .. import checks
+from .interval import BELOW_ONE
 from .lookup import MAX_WALK_STEPS
 from .segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                        arc_cover_ranges, fold_unit, normalize_array)
 from .snapshot import ColumnarSnapshot, StaleSnapshotError
 from .walk import (KEEP_PATHS, PathResult, descend, forward_levels,
-                   normalize_pair, per_lane_matrix, replay)
+                   normalize_pair, per_lane_matrix, replay, walking_lanes)
 
 __all__ = ["BatchRouter", "BatchLookupResult"]
 
@@ -450,9 +451,10 @@ class BatchRouter(ColumnarSnapshot):
 
         The IEEE ops of :meth:`SegmentMap.midpoints_from_array` on one
         row — ``normalize(start + length / 2)``, the seam row's length
-        ``1 - x_{n-1} + x_0``, the start where that rounds onto the
-        row's end — so the row is bit-identical to a fresh compile's,
-        with no ``Arc`` built.
+        ``1 - x_{n-1} + x_0``, ``BELOW_ONE`` where a seam centre rounds
+        onto 1.0 from the longer piece, the start where it rounds onto
+        the row's end — so the row is bit-identical to a fresh
+        compile's, with no ``Arc`` built.
         """
         ext = self._ext
         start = ext.item(i)
@@ -462,7 +464,10 @@ class BatchRouter(ColumnarSnapshot):
         else:
             stop = ext.item(0)
             length = 1.0 - start + stop
-        mid = (start + length / 2) % 1.0
+        mid = start + length / 2
+        if mid == 1.0 and 1.0 - start > stop:
+            mid = BELOW_ONE
+        mid %= 1.0
         if mid == 1.0:
             mid = 0.0
         self._end[i] = stop
@@ -712,12 +717,13 @@ class BatchRouter(ColumnarSnapshot):
         step it stops at.  Phase II walks ``w(τ[:j], y)`` for
         ``j = t_i … 0``, the images phase I covered, so it covers
         nothing: its hops are the changes between consecutive image
-        covers, counted on the way, and the owner is the step-0
-        image's cover.  Kept
-        paths come from :func:`~repro.core.walk.replay` of each step's
-        ``(lanes, image covers)`` after a head of the source plus, per
-        step, ``(lanes, servers)`` of the lanes that moved (slot
-        ``step + 1``).
+        covers, counted on the way (``uint8``, like phase I's: a walk
+        takes at most 52 steps), and the owner is the step-0 image's
+        cover.  Kept paths come from :func:`~repro.core.walk.replay`:
+        each step records only its walking lanes' moved-to servers and
+        image covers, ``int32`` and lane-free — the walking lanes of
+        step ``s`` are ``flatnonzero(t > s)``, which replay rebuilds —
+        and a lane's stopping hop goes to one per-lane ``int32`` column.
         """
         cover = self.cover_index.cover
         delta, size = self.delta, y.size
@@ -725,19 +731,18 @@ class BatchRouter(ColumnarSnapshot):
         # per-lane results, written once as each lane stops
         t = np.empty(size, dtype=np.int64)
         hops1 = np.empty(size, dtype=np.int64)
-        turns = np.empty(size, dtype=np.int64)  # phase II's hops
-        # the walking lanes' state, compacted as lanes stop; nothing
-        # edits lanes or servers in place, so the records keep their values
-        lanes = every = np.arange(size)
+        turns = np.empty(size, dtype=np.uint8)  # phase II's hops
+        # the walking lanes' state, compacted as lanes stop
+        lanes = np.arange(size)
         w_cur, w_pos = src_idx, src
         holder = owner = cover(y)  # the cover of w(τ[:step], y)
-        # phase I's path head as (slot, lanes, servers) records, and
-        # phase II's covers as (lanes, servers), one record a level
-        moves: List[tuple] = [(0, every, src_idx)]
-        levels: List[tuple] = [(every, owner)]
+        # per step, the walking lanes' (moved-to servers, image covers);
+        # per lane, the neighbour it hopped to when it stopped
+        steps: List[tuple] = []
+        hop = np.full(size, -1, dtype=np.int32) if keep_paths else None
         w_off = np.zeros(size, dtype=np.float64)  # Σ d_k Δ^k, exact in float64
-        w_hops = np.zeros(size, dtype=np.int64)
-        w_turns = np.zeros(size, dtype=np.int64)
+        w_hops = np.zeros(size, dtype=np.uint8)
+        w_turns = np.zeros(size, dtype=np.uint8)
 
         # beyond ~52/log2(Δ) digits the float64 offset accumulator loses
         # exactness (the scalar engine carries exact integer offsets, so
@@ -758,7 +763,7 @@ class BatchRouter(ColumnarSnapshot):
                 stop[via] = True
                 w_hops[via] += 1
                 if keep_paths:
-                    moves.append((step + 1, lanes[via], holder[via]))
+                    hop[lanes[via]] = holder[via]
             if stop.any():
                 done = lanes[stop]
                 t[done] = step
@@ -778,19 +783,14 @@ class BatchRouter(ColumnarSnapshot):
                 w_hops += nxt != w_cur
                 w_turns += image != holder
                 if keep_paths:
-                    moves.append((step + 1, lanes, nxt))
-                    levels.append((lanes, image))
+                    steps.append((nxt.astype(np.int32),
+                                  image.astype(np.int32)))
                 w_cur, holder = nxt, image
             step += 1
 
         servers = offsets = None
         if keep_paths:
-            slots, movers, held = zip(*moves)
-            sizes = [m.size for m in movers]
-            movers = np.concatenate(movers)
-            head = (np.bincount(movers, minlength=size), movers,
-                    np.repeat(slots, sizes), np.concatenate(held))
-            servers, offsets = replay(t + 1, head, levels)
+            servers, offsets = replay(t, src_idx, hop, owner, steps)
         return BatchLookupResult(
             algorithm=algorithm,
             points=self.points,
@@ -878,7 +878,9 @@ class BatchRouter(ColumnarSnapshot):
 
         delta = self.delta
         digs = np.arange(delta, dtype=np.float64)
-        tau_rows: List[np.ndarray] = []
+        # one row a step, the walking lanes' digits at their narrowest
+        tau_rows: List[Optional[np.ndarray]] = []
+        narrow = np.min_scalar_type(delta - 1)
 
         def pick(step, lanes, pos, cur):
             # candidate next position per digit — the same float
@@ -900,17 +902,16 @@ class BatchRouter(ColumnarSnapshot):
             else:
                 u_row = None
             digits = select_rows(costs, None, u_row, policy, temperature)
-            d_step = np.zeros(size, dtype=np.int64)
-            d_step[lanes] = digits
-            tau_rows.append(d_step)
+            tau_rows.append(digits.astype(narrow))
             at = digits * lanes.size + np.arange(lanes.size)
             return (digits.astype(np.float64), cand_pos.ravel().take(at),
                     cand_cov.take(at))
 
         res = self._dh_walk("dh-cost", src, y, keep_paths, max_steps, pick)
-        res.tau_used = (
-            np.ascontiguousarray(np.vstack(tau_rows).T)
-            if tau_rows else np.zeros((size, 0), dtype=np.int64)
-        )
+        # step s's row holds the digits of the lanes walking at step s
+        res.tau_used = tau = np.zeros((size, len(tau_rows)), dtype=np.int64)
+        for s, lanes in enumerate(walking_lanes(res.t)):
+            tau[lanes, s] = tau_rows[s]
+            tau_rows[s] = None
         res.policy = policy
         return res

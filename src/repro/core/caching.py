@@ -289,20 +289,24 @@ class CacheSystem:
         return sum(tree.advance_epoch() for tree in self.trees.values())
 
     # ----------------------------------------------------------------- stats
-    def items_cached_at(self, server_point: float) -> int:
-        """Distinct items with an active copy on this server (Thm 3.8 (i))."""
-        seg = self.net.segments.segment_of(server_point)
-        count = 0
+    def items_cached_per_server(self) -> np.ndarray:
+        """Distinct items with an active copy, per server (Thm 3.8 (i)).
+
+        One pass over every tree's active nodes: each node's position is
+        covered once, and a server counts a tree once however many of
+        its nodes it holds.  Indexed like the network's sorted points.
+        """
+        cover = self.net.segments.cover
+        per = np.zeros(self.net.n, dtype=np.int64)
         for tree in self.trees.values():
-            if any(tree.tree.position(a) in seg for a in tree.active):
-                count += 1
-        return count
+            held = {cover(tree.tree.position(a)) for a in tree.active}
+            per[np.fromiter(held, dtype=np.intp, count=len(held))] += 1
+        return per
 
     def max_items_cached(self) -> int:
         """Max over servers of distinct cached items."""
-        return max(
-            (self.items_cached_at(p) for p in self.net.segments), default=0
-        )
+        per = self.items_cached_per_server()
+        return int(per.max()) if per.size else 0
 
     def total_copies(self) -> int:
         """Total active nodes beyond the roots (extra copies in the network)."""

@@ -26,7 +26,12 @@ from typing import Iterator, Union
 
 Number = Union[int, float, Fraction]
 
+#: The largest float below 1.0: the midpoint of a seam arc whose centre
+#: lies below the seam but rounds onto it (:attr:`Arc.midpoint`).
+BELOW_ONE = 1.0 - 2.0 ** -53
+
 __all__ = [
+    "BELOW_ONE",
     "Number",
     "normalize",
     "linear_distance",
@@ -106,13 +111,21 @@ class Arc:
 
         A float arc one ulp wide can round its centre onto its own end,
         which the half-open arc does not hold; its start, the one float
-        it holds, is the midpoint then.
+        it holds, is the midpoint then.  A seam arc whose piece below
+        1.0 is the longer has its centre there, but a float centre
+        within half an ulp of 1.0 rounds onto 1.0, which folds into the
+        shorter piece at 0.0; :data:`BELOW_ONE`, the last float of the
+        longer piece, is the midpoint then.  Exact arithmetic never
+        meets either case.
         """
         if self.start == self.end:
             return normalize(self.start + Fraction(1, 2)
                              if isinstance(self.start, Fraction)
                              else self.start + 0.5)
-        mid = normalize(self.start + self.length / 2)
+        mid = self.start + self.length / 2
+        if mid == 1 and 1 - self.start > self.end:
+            mid = BELOW_ONE
+        mid = normalize(mid)
         return self.start if mid == self.end else mid
 
     def pieces(self) -> Iterator[tuple[Number, Number]]:

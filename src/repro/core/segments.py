@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .. import checks
-from .interval import Arc, Number, normalize
+from .interval import BELOW_ONE, Arc, Number, normalize
 
 __all__ = ["CoverIndex", "SegmentMap", "arc_cover_ranges", "cover_grid",
            "cover_indices", "fold_unit", "normalize_array"]
@@ -495,12 +495,16 @@ class SegmentMap:
         ``normalize(start + length / 2)`` per segment — the IEEE-754 ops
         of :attr:`Arc.midpoint` on arrays, so the result is bit-identical
         to each float segment's ``midpoint`` (``n = 1`` included: the
-        full ring's midpoint is ``start + 0.5``), down to its fallback:
+        full ring's midpoint is ``start + 0.5``), down to its fallbacks:
         a segment one ulp wide whose centre rounds onto its end takes
-        its start.
+        its start, and a seam segment whose centre rounds onto 1.0 from
+        its longer piece below the seam takes ``BELOW_ONE``.
         """
-        mid = normalize_array(pts + SegmentMap.lengths_from_array(pts) / 2)
-        return np.where(mid == np.roll(pts, -1), pts, mid)
+        nxt = np.roll(pts, -1)
+        mid = pts + SegmentMap.lengths_from_array(pts) / 2
+        mid[(mid == 1.0) & (1.0 - pts > nxt)] = BELOW_ONE
+        mid = normalize_array(mid)
+        return np.where(mid == nxt, pts, mid)
 
     def lengths(self) -> np.ndarray:
         """All segment lengths as a float64 array (sums to 1)."""

@@ -25,7 +25,8 @@ from .segments import fold_unit, normalize_array
 
 __all__ = ["PathResult", "descend", "forward_levels",
            "integral_array", "level_points", "normalize_pair",
-           "normalize_points", "per_lane_matrix", "ragged_to_csr", "replay"]
+           "normalize_points", "per_lane_matrix", "ragged_to_csr", "replay",
+           "walking_lanes"]
 
 
 # ---------------------------------------------------------------- entry checks
@@ -230,18 +231,52 @@ def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
     return ragged_to_csr(buf, starts)
 
 
-def replay(depth, head, levels) -> tuple:
-    """:func:`descend`'s CSR from covers a walk has already taken.
+def replay(t, source, hop, owner, steps) -> tuple:
+    """A dh walk's CSR paths from the servers its two phases covered.
 
-    ``levels[j]`` is ``(lanes, servers)``, level ``j``'s covers for
-    exactly the lanes with ``depth > j``: each lands in the slot
-    :func:`descend` writes at level ``j``, after the same head.
+    Lane ``i``'s raw path is ``2·t_i + 2 + via_i`` slots: its source
+    ``source[i]``, the server phase I moved it to at each of its
+    ``t_i`` steps, the neighbour ``hop[i]`` it hopped to when it stopped
+    (``via`` lanes only: ``hop`` is ``-1`` on the others), then phase
+    II's image covers from level ``t_i`` down to ``owner[i]`` at level
+    0.  ``steps[s]`` is ``(moved, image)``, ``int32``, for exactly the
+    lanes with ``t > s`` in index order — phase I's walking lanes at
+    step ``s``, as its compaction keeps their order — so the records
+    carry no lanes: :func:`walking_lanes` rebuilds them from ``t`` one
+    step at a time, and each record is dropped from ``steps`` once it
+    is written.  The buffer goes to :func:`ragged_to_csr`, like
+    :func:`descend`'s.
     """
-    buf, starts, ends = _head_buffer(depth, head)
-    last = ends - 1
-    for j, (lanes, servers) in enumerate(levels):
-        buf[last[lanes] - j] = servers
+    via = np.flatnonzero(hop >= 0)
+    ends = 2 * t + 2
+    ends[via] += 1
+    np.cumsum(ends, out=ends)
+    starts = np.roll(ends, 1)
+    starts[:1] = 0
+    buf = np.empty(ends[-1] if ends.size else 0, dtype=np.int32)
+    buf[starts] = source
+    buf[starts[via] + t[via] + 1] = hop[via]
+    buf[ends - 1] = owner
+    for s, lanes in enumerate(walking_lanes(t)):
+        moved, image = steps[s]
+        steps[s] = None
+        buf[starts[lanes] + (s + 1)] = moved
+        buf[ends[lanes] - (s + 2)] = image
     return ragged_to_csr(buf, starts)
+
+
+def walking_lanes(t):
+    """Yield phase I's walking lanes per step: ``flatnonzero(t > s)``.
+
+    Step ``s + 1``'s lanes are compacted from step ``s``'s, so the
+    whole sequence costs O(Σ t) and holds one step's lanes at a time.
+    """
+    lanes = np.flatnonzero(t > 0)
+    s = 0
+    while lanes.size:
+        yield lanes
+        s += 1
+        lanes = lanes[t[lanes] > s]
 
 
 def _head_buffer(depth, head) -> tuple:

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles.cache import scalar_item_stats
+from oracles.cache import items_cached_at, scalar_item_stats
 from oracles.inputs import populated
 
 from repro.core import BatchCacheEngine, CacheSystem
@@ -355,10 +355,13 @@ class TestCacheSystem:
         net, rng = make_net(64, seed=8)
         cache = CacheSystem(net, threshold=2)
         drive_requests(cache, net, rng, "hot", 100)
-        total = sum(cache.items_cached_at(p) for p in net.segments)
-        # every active node lives on exactly one server
-        assert total >= 1
-        assert cache.max_items_cached() >= 1
+        drive_requests(cache, net, rng, "warm", 40)
+        per = cache.items_cached_per_server()
+        # the one pass counts what a scan per server counts
+        assert per.tolist() == [items_cached_at(cache, p)
+                                for p in net.segments]
+        assert per.sum() >= 1
+        assert cache.max_items_cached() == per.max() >= 1
 
     def test_requests_counter(self):
         net, rng = make_net(32, seed=9)

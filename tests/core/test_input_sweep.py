@@ -178,7 +178,6 @@ ACCEPTS = {
         "2.5 inf", "a smoothness, any real >= 1; a zero-length segment "
                    "makes it inf, which the extrema skip"),
     # server and node ids
-    "core.caching.CacheSystem.items_cached_at:server_point": (ALL, SERVER),
     "balance.buckets.BucketBalancer.leave:handle": (ALL, SERVER),
     "baselines.chord.ChordNetwork.degree:node": (ALL, SERVER),
     "baselines.dh_adapter.DistanceHalvingAdapter.degree:node": (ALL, SERVER),

@@ -10,8 +10,10 @@ _spec = importlib.util.spec_from_file_location(
 lane_bytes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(lane_bytes)
 
-ENGINES = ("fast", "dh", "cost-dh", "cache-serve", "ft-simple",
-           "ft-resistant")
+ENGINES = ("fast", "dh", "dh (no paths)", "cost-dh", "cache-serve",
+           "ft-simple", "ft-resistant")
+#: the name column's width: a name may hold spaces
+NAME = 14
 PHASES = ("1:lookups", "2:churn", "3:lookups", "4:flash", "5:failstop",
           "6:byzantine", "7:rebalance", "8:mass")
 
@@ -24,10 +26,12 @@ def test_every_engine_and_phase_row_prints():
               for line in lines[split + 2:]}
     assert list(phases) == list(PHASES)
     assert phases["1:lookups"] > 0 and phases["4:flash"] > 0, phases
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:split]}
+    rows = {line[:NAME].strip(): line[NAME:].split()
+            for line in lines[2:split]}
     assert list(rows) == [*ENGINES, "booking"]
     lanes = {name: int(cells[0]) for name, cells in rows.items()}
-    assert [lanes[e] for e in ENGINES] == [512, 512, 4096, 512, 256, 128]
+    assert [lanes[e] for e in ENGINES] == [512, 512, 512, 4096, 512, 256,
+                                           128]
     for name, cells in rows.items():
         assert float(cells[2]) > 0, name  # bytes per lane (or entry)
     assert rows["booking"][-1] == "B/entry"

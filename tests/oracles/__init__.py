@@ -20,6 +20,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
 - walk.head_to_rows / rows_to_head: the compact path head as per-slot rows
 - dh_walk.parent_dh_walk / parent_walk, frozen: ``_dh_walk``'s replayed
   phase II → test_descent_parity, test_dh_walk_live
+- dh_walk.wide_dh_walk / wide_replay / wide_walk, frozen: ``_dh_walk``'s
+  lane-free ``int32`` records and ``replay`` → test_descent_parity
 - dh_walk.AllLanesWalkOracle, frozen: phase I on live lanes, the cost
   rule → test_dh_walk_live
 - lookup.parent_* / Parent*, frozen: the one node step of
@@ -32,6 +34,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   test_tau_storage
 - cache.served_counts / last_epoch_served / *_item_stats: the §3
   counters → test_batch_cache, test_caching, test_cache_parity
+- cache.items_cached_at, scalar: one server's cached items, a scan of
+  every tree → test_caching
 - cost._parent_* accountants, frozen: the chunked ISP accountants →
   test_cost_accounting
 - cost._parent_select_rows, frozen: ``select_rows`` → test_select_mask

@@ -370,3 +370,15 @@ def scalar_item_stats(scal, item) -> tuple:
     trees = [scal.trees[k] for k in keys if k in scal.trees]
     return (sum(t.replications for t in trees),
             sum(t.size() - 1 for t in trees))
+
+
+def items_cached_at(cache, server_point: float) -> int:
+    """Distinct items with an active copy on this server (Thm 3.8 (i)):
+    ``CacheSystem.items_cached_at`` as it was, one scan of every tree's
+    active nodes per server."""
+    seg = cache.net.segments.segment_of(server_point)
+    count = 0
+    for tree in cache.trees.values():
+        if any(tree.tree.position(a) in seg for a in tree.active):
+            count += 1
+    return count

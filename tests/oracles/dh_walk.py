@@ -1,4 +1,4 @@
-"""Oracles of ``BatchRouter._dh_walk``: its two previous forms."""
+"""Oracles of ``BatchRouter._dh_walk``: its three previous forms."""
 
 import math
 import types
@@ -8,12 +8,13 @@ import numpy as np
 
 from oracles.cost import _parent_pair_costs
 from oracles.walk import rows_to_head
+from repro import checks
 from repro.core.batch import (_STALE_ROUTER_ERROR, BatchLookupResult,
                                _last_entries)
 from repro.core.lookup import MAX_WALK_STEPS
 from repro.core.segments import fold_unit
 from repro.core.snapshot import StaleSnapshotError
-from repro.core.walk import per_lane_matrix
+from repro.core.walk import _head_buffer, per_lane_matrix, ragged_to_csr
 from repro.peer import CostAwareBatchRouter
 
 
@@ -132,6 +133,146 @@ def parent_dh_walk(self, algorithm, src, y, keep_paths, max_steps,
 def parent_walk(router, route):
     """``route(router)`` with the router's dh walk swapped for the parent's."""
     router._dh_walk = types.MethodType(parent_dh_walk, router)
+    try:
+        return route(router)
+    finally:
+        del router._dh_walk
+
+
+def wide_dh_walk(self, algorithm, src, y, keep_paths, max_steps,
+                 pick) -> BatchLookupResult:
+    """Both phases of §2.2.2 under one phase-I digit rule.
+
+    ``pick(step, lanes, pos, cur)`` moves the lanes still walking —
+    ``lanes`` their indices into the batch, ``pos`` / ``cur`` their
+    positions and servers — one digit: it returns ``(digits,
+    next_pos, next_cover)`` for exactly those lanes, the one thing
+    the random and the cost-aware lookups differ in, so everything
+    else is trivially bit-comparable between them.  Phase I keeps
+    its state for the walking lanes only and compacts it whenever
+    some stop, so a step costs O(lanes still walking).  Each step
+    covers every walking lane's target image; a lane leaves phase I
+    when that cover is its own server — the half-open test of
+    :meth:`_segment_test`, since the cover is the greatest
+    ``x_i ≤ p``, wrapping to ``n − 1`` — or a neighbour of it.  Then
+    it hops there, which always costs one hop: the holder covers a
+    point outside ``s(cur)``, so it is a distinct server.  A walking
+    lane has taken a digit at every step so far, so its ``t`` is the
+    step it stops at.  Phase II walks ``w(τ[:j], y)`` for
+    ``j = t_i … 0``, the images phase I covered, so it covers
+    nothing: its hops are the changes between consecutive image
+    covers, counted on the way, and the owner is the step-0
+    image's cover.  Kept
+    paths come from :func:`~repro.core.walk.replay` of each step's
+    ``(lanes, image covers)`` after a head of the source plus, per
+    step, ``(lanes, servers)`` of the lanes that moved (slot
+    ``step + 1``).
+    """
+    cover = self.cover_index.cover
+    delta, size = self.delta, y.size
+    src_idx = cover(src)
+    # per-lane results, written once as each lane stops
+    t = np.empty(size, dtype=np.int64)
+    hops1 = np.empty(size, dtype=np.int64)
+    turns = np.empty(size, dtype=np.int64)  # phase II's hops
+    # the walking lanes' state, compacted as lanes stop; nothing
+    # edits lanes or servers in place, so the records keep their values
+    lanes = every = np.arange(size)
+    w_cur, w_pos = src_idx, src
+    holder = owner = cover(y)  # the cover of w(τ[:step], y)
+    # phase I's path head as (slot, lanes, servers) records, and
+    # phase II's covers as (lanes, servers), one record a level
+    moves: List[tuple] = [(0, every, src_idx)]
+    levels: List[tuple] = [(every, owner)]
+    w_off = np.zeros(size, dtype=np.float64)  # Σ d_k Δ^k, exact in float64
+    w_hops = np.zeros(size, dtype=np.int64)
+    w_turns = np.zeros(size, dtype=np.int64)
+
+    # beyond ~52/log2(Δ) digits the float64 offset accumulator loses
+    # exactness (the scalar engine carries exact integer offsets, so
+    # it can converge on such walks — segments shorter than Δ^-52 —
+    # where we must raise loudly instead of silently diverging);
+    # Theorem 2.8 keeps real walks far below that
+    step_cap = min(checks.count(max_steps, "max_steps"), int(52 / math.log2(delta)))
+    step = 0
+    while lanes.size:
+        if step > step_cap:  # past max_steps, or beyond Theorem 2.8
+            raise RuntimeError(
+                f"batch {algorithm} lookup phase I failed to converge")
+        stop = holder == w_cur
+        seek = np.flatnonzero(~stop)
+        if seek.size:
+            near = self._edge_member(w_cur[seek], holder[seek])
+            via = seek[near]
+            stop[via] = True
+            w_hops[via] += 1
+            if keep_paths:
+                moves.append((step + 1, lanes[via], holder[via]))
+        if stop.any():
+            done = lanes[stop]
+            t[done] = step
+            hops1[done] = w_hops[stop]
+            turns[done] = w_turns[stop]
+            go = ~stop
+            lanes, w_cur, w_pos, w_off, w_hops, w_turns, holder = (
+                lanes[go], w_cur[go], w_pos[go], w_off[go], w_hops[go],
+                w_turns[go], holder[go])
+        if lanes.size:
+            digits, w_pos, nxt = pick(step, lanes, w_pos, w_cur)
+            w_off += digits * float(delta) ** step
+            # w(τ[:step + 1], y) in level_points' IEEE operations:
+            # the cover the descent would take at that level
+            image = cover(fold_unit(
+                (y[lanes] + w_off) / float(delta) ** (step + 1)))
+            w_hops += nxt != w_cur
+            w_turns += image != holder
+            if keep_paths:
+                moves.append((step + 1, lanes, nxt))
+                levels.append((lanes, image))
+            w_cur, holder = nxt, image
+        step += 1
+
+    servers = offsets = None
+    if keep_paths:
+        slots, movers, held = zip(*moves)
+        sizes = [m.size for m in movers]
+        movers = np.concatenate(movers)
+        head = (np.bincount(movers, minlength=size), movers,
+                np.repeat(slots, sizes), np.concatenate(held))
+        servers, offsets = wide_replay(t + 1, head, levels)
+    return BatchLookupResult(
+        algorithm=algorithm,
+        points=self.points,
+        targets=y,
+        sources=src,
+        source_idx=src_idx,
+        owner_idx=owner,
+        t=t,
+        hops=hops1 + turns,
+        phase1_hops=hops1,
+        path_servers=servers,
+        path_offsets=offsets,
+    )
+
+
+def wide_replay(depth, head, levels) -> tuple:
+    """:func:`descend`'s CSR from covers a walk has already taken.
+
+    ``levels[j]`` is ``(lanes, servers)``, level ``j``'s covers for
+    exactly the lanes with ``depth > j``: each lands in the slot
+    :func:`descend` writes at level ``j``, after the same head.
+    """
+    buf, starts, ends = _head_buffer(depth, head)
+    last = ends - 1
+    for j, (lanes, servers) in enumerate(levels):
+        buf[last[lanes] - j] = servers
+    return ragged_to_csr(buf, starts)
+
+
+def wide_walk(router, route):
+    """``route(router)`` with the router's dh walk swapped for
+    :func:`wide_dh_walk`."""
+    router._dh_walk = types.MethodType(wide_dh_walk, router)
     try:
         return route(router)
     finally:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles.adjacency import edge_keys
 from oracles.inputs import joined, point_sets, populated
@@ -23,6 +23,7 @@ from oracles.segments import midpoints_array
 
 from repro.balance import MultipleChoice
 from repro.core import lookup_many
+from repro.core.interval import BELOW_ONE
 from repro.core.lookup import MAX_WALK_STEPS
 from repro.core.segments import cover_grid, cover_indices
 
@@ -115,6 +116,8 @@ class TestParityAtScale:
     @given(points=point_sets(),
            picks=st.lists(st.tuples(st.integers(0, 2**16), unit_float),
                           min_size=1, max_size=24))
+    @example(points=np.array([2.0**-126, 0.25, 0.5, 0.75, 1 - 2.0**-53]),
+             picks=[(4, 0.5)])  # TestSeamCentreRoundsOntoOne's lane
     def test_corollary_2_5_on_adversarial_point_sets(self, points, picks):
         """Cor 2.5 is deterministic: it holds on clustered, bucket-edge
         and adjacent-float ids down to n = 1, not only on smooth sets."""
@@ -177,6 +180,54 @@ class TestOneUlpSegment:
         router.refresh()
         assert router.refresh_stats.incremental == 1
         assert router.midpoints[row] == points[row]
+        assert np.array_equal(router.midpoints,
+                              net.compile_router().midpoints)
+
+
+class TestSeamCentreRoundsOntoOne:
+    """A seam segment longer below 1.0 than above 0.0 whose float centre
+    rounds onto 1.0: ``[1 - 2^-53, 2^-126)`` has centre ``1 - 2^-54 +
+    2^-127``, which rounds to 1.0 and folded to 0.0, inside the segment
+    but in its short piece.  Walking from ``z = 0`` reaches the piece
+    ``[0, 2^-126)`` only at ``t = 126``, past Cor 2.5's bound of 55 for
+    the target 0.5; from ``BELOW_ONE``, the longer piece's last float,
+    it takes ``t = 52``."""
+
+    POINTS = [2.0**-126, 0.25, 0.5, 0.75, 1 - 2.0**-53]
+    ROW = 4
+
+    def test_midpoint_is_below_one(self):
+        net = joined(self.POINTS, seed=0)
+        seg = net.segments.segment(self.ROW)
+        assert seg.wraps and seg.start + seg.length / 2 == 1.0
+        assert seg.midpoint == BELOW_ONE and seg.midpoint in seg
+        router = net.compile_router()
+        assert router.midpoints[self.ROW] == BELOW_ONE
+        assert np.array_equal(router.midpoints, midpoints_array(net.segments))
+
+    def test_scalar_and_batch_walk_within_the_bound(self):
+        net = joined(self.POINTS, seed=0)
+        router = net.compile_router()
+        tgt = np.array([0.5, 0.3, 0.0, 0.999, 2.0**-127])
+        src = np.full(tgt.size, self.POINTS[self.ROW])
+        batch = router.batch_fast_lookup(src, tgt, keep_paths=True)
+        assert batch.t[0] == 52 and corollary_2_5_bound(net) == 55
+        assert batch.t.max() <= corollary_2_5_bound(net)
+        for i, r in enumerate(lookup_many(net, src, tgt)):
+            assert r.owner == batch.owner[i]
+            assert r.t == batch.t[i]
+            assert r.server_path == batch.server_path(i)
+
+    @pytest.mark.parametrize("row", [0, 4])
+    def test_an_incremental_refresh_settles_it_as_a_compile(self, row):
+        """Joining either end of the seam segment recomputes its row."""
+        net = joined([p for i, p in enumerate(self.POINTS) if i != row],
+                     seed=0)
+        router = net.router(auto_refresh=True)
+        net.join(self.POINTS[row])
+        router.refresh()
+        assert router.refresh_stats.incremental == 1
+        assert router.midpoints[self.ROW] == BELOW_ONE
         assert np.array_equal(router.midpoints,
                               net.compile_router().midpoints)
 

@@ -282,23 +282,76 @@ def test_buffer_with_drops_costs_one_byte_per_entry_plus_one_block(every):
     assert got[0].base is buf
 
 
+@lru_cache(maxsize=None)
+def soak_router():
+    """The soak's n = 16384 network under a cost-aware router."""
+    return CostAwareBatchRouter(
+        populated(16384, 1),
+        CostMap.synthetic(n_isps=8, rng=np.random.default_rng(1)))
+
+
+def lane_peak(route, lanes: int) -> float:
+    """Traced peak of ``route(src, tgt)`` per lane, after a warm-up."""
+    router = soak_router()
+    rng = np.random.default_rng(1)
+    src = router.points[rng.integers(0, router.points.size, size=lanes)]
+    tgt = rng.random(src.size)
+    route(src[:16], tgt[:16])  # lazy tables are not the batch's
+    tracemalloc.start()
+    try:
+        route(src, tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / lanes
+
+
 def test_fast_lookup_chunk_peak():
     """The soak's lookup chunk: 65,536 fast lookups with CSR paths at
     n = 16384.  With ``np.delete``'s mask and copy the batch read ~244 B
     a lane traced, compacting in place ~202 (the bound is that plus
     10 %)."""
-    router = populated(16384, 1).compile_router()
-    rng = np.random.default_rng(1)
-    src = router.points[rng.integers(0, router.points.size, size=65_536)]
-    tgt = rng.random(src.size)
-    router.lookup_batch(src[:16], tgt[:16], keep_paths="csr")  # lazy tables
-    tracemalloc.start()
-    try:
-        router.lookup_batch(src, tgt, keep_paths="csr")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / src.size <= 222, peak / src.size
+    per_lane = lane_peak(
+        lambda s, t: soak_router().lookup_batch(s, t, keep_paths="csr"),
+        65_536)
+    assert per_lane <= 222, per_lane
+
+
+def test_dh_chunk_peak():
+    """65,536 dh lookups with CSR paths at n = 16384.  Phase I kept
+    ``(slot, lanes, servers)`` and ``(lanes, image)`` records, all
+    ``intp``, a step: ~905 B a lane traced; ``int32`` lane-free records
+    read ~284."""
+    rng = np.random.default_rng(2)
+    per_lane = lane_peak(
+        lambda s, t: soak_router().batch_dh_lookup(s, t, rng=rng,
+                                                   keep_paths="csr"),
+        65_536)
+    assert per_lane <= 400, per_lane
+
+
+def test_cost_dh_peak():
+    """route_dh_cost's 4,096-lane greedy batch at n = 16384: ~1,066 B a
+    lane with the wide records and a full-width ``int64`` ``tau`` row a
+    step (stacked, then transposed); ~363 with narrow rows of the
+    walking lanes written once into ``tau_used``."""
+    per_lane = lane_peak(
+        lambda s, t: soak_router().batch_cost_dh_lookup(
+            s, t, policy="greedy", keep_paths="csr"),
+        4096)
+    assert per_lane <= 480, per_lane
+
+
+def test_pathless_dh_chunk_peak():
+    """The walk ``serve_batch`` runs: 65,536 path-less dh lookups on a
+    ``uint8`` tau.  ``int64`` phase-I counters read ~231 B a lane,
+    ``uint8`` ones ~202."""
+    tau = np.random.default_rng(3).integers(0, 2, (65_536, 64)).astype(
+        np.uint8)
+    per_lane = lane_peak(
+        lambda s, t: soak_router().batch_dh_lookup(s, t, tau=tau[:s.size]),
+        65_536)
+    assert per_lane <= 220, per_lane
 
 
 #: ``(_BLOCK, _SPARSE)``: blocks of a few entries, each moved by

@@ -1,5 +1,6 @@
 """Property tests: the ragged descent equals the masked loop it replaced,
-and the dh walk's replayed phase II equals the descent it replaced.
+the dh walk's replayed phase II equals the descent it replaced, and its
+lane-free records equal the wide ones they replaced.
 
 :meth:`~repro.core.batch.BatchRouter._descend` walks only the lanes
 still that deep (a prefix of the depth-sorted batch), takes the low
@@ -18,7 +19,12 @@ a path-less walk counts phase II's hops on the way.  ``parent_dh_walk``
 (:mod:`oracles.dh_walk`) is the previous ``_dh_walk`` *verbatim*, phase
 II through ``_descend`` included; with the same inputs and generator
 state every digit rule must give the same result fields, dtypes
-included, and leave the generator in the same state.
+included, and leave the generator in the same state.  ``wide_dh_walk``
+is the walk before its records narrowed, *verbatim* with its
+``replay``: each step kept ``(slot, lanes, servers)`` and ``(lanes,
+image)``, all ``intp``, where it now keeps two ``int32`` columns of
+the walking lanes and rebuilds the lanes from ``t``.  The walk must
+equal both.
 """
 
 import math
@@ -30,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.cache import RESULT_FIELDS, STATE_FIELDS
 from oracles.compare import assert_same
-from oracles.dh_walk import parent_dh_walk, parent_walk
+from oracles.dh_walk import parent_dh_walk, parent_walk, wide_walk
 from oracles.inputs import joined, point_sets, populated, unit
 from oracles.walk import head_to_rows, masked_descent, masked_fast_lookup
 
@@ -84,9 +90,11 @@ def dh_three_way(net, src, tgt, tau):
     got, bare = (router.batch_dh_lookup(src, tgt, tau=tau, keep_paths=kp)
                  for kp in ("csr", False))
     for res, kp in ((got, "csr"), (bare, False)):
-        assert_same(res, parent_walk(
-            router, lambda r: r.batch_dh_lookup(src, tgt, tau=tau,
-                                                keep_paths=kp)), WALK_FIELDS)
+        for walk in (parent_walk, wide_walk):
+            assert_same(res, walk(
+                router, lambda r: r.batch_dh_lookup(src, tgt, tau=tau,
+                                                    keep_paths=kp)),
+                WALK_FIELDS)
     assert np.array_equal(got.hops, bare.hops) and bare.path_servers is None
     refs = lookup_many(net, got.sources, got.targets, algorithm="dh",
                        taus=[list(row) for row in tau])
@@ -120,13 +128,14 @@ def route_rule(router, rule, src, tgt, keep_paths, seed=0, **kw):
 
 
 def walk_pair(router, rule, src, tgt, keep_paths, seed=0):
-    """The batch under the walk and under the parent walk, compared."""
-    want, rng_want = parent_walk(router, lambda r: route_rule(
-        r, rule, src, tgt, keep_paths, seed))
+    """The batch under the walk and under both earlier walks, compared."""
     got, rng_got = route_rule(router, rule, src, tgt, keep_paths, seed)
-    assert_same(got, want, WALK_FIELDS)
-    if rng_want is not None:
-        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    for walk in (parent_walk, wide_walk):
+        want, rng_want = walk(router, lambda r: route_rule(
+            r, rule, src, tgt, keep_paths, seed))
+        assert_same(got, want, WALK_FIELDS)
+        if rng_want is not None:
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
     return got
 
 
@@ -360,8 +369,9 @@ class TestEdgeBatches:
 
         with pytest.raises(RuntimeError, match="phase I failed"):
             capped(router)
-        with pytest.raises(RuntimeError, match="phase I failed"):
-            parent_walk(router, capped)
+        for walk in (parent_walk, wide_walk):
+            with pytest.raises(RuntimeError, match="phase I failed"):
+                walk(router, capped)
 
     @pytest.mark.parametrize("kind", [0, 1, "t0"])
     def test_serve_batch(self, kind):

@@ -11,7 +11,9 @@ spine runs it under ``tracemalloc`` and prints the traced peak divided
 by the lanes:
 
 * ``fast``, ``dh`` and ``cache-serve`` at the soak's chunk (the route
-  stream and the flash crowd);
+  stream and the flash crowd), and ``dh (no paths)``: the path-less
+  walk on a ``uint8`` tau that ``serve_batch`` runs inside the flash
+  crowd;
 * ``cost-dh`` (greedy) at route_dh_cost's 4,096 lanes;
 * ``ft-simple`` / ``ft-resistant`` at half / a quarter of the chunk, as
   the soak's fail-stop and byzantine phases stream them.
@@ -79,6 +81,11 @@ def rows(n: int, chunk: int):
     def pairs(points, b):
         return points[rng.integers(0, points.size, size=b)], rng.random(b)
 
+    def with_tau(b):  # serve_batch's digits: 64 a request, one byte each
+        src, tgt = pairs(pts, b)
+        return src, tgt, rng.integers(0, router.delta, (b, 64)).astype(
+            np.min_scalar_type(router.delta - 1))
+
     def flash(b):
         idx = demand_stream(zipf_demands(n_items, b, rng), rng)
         return idx, pts[rng.integers(0, pts.size, size=idx.size)]
@@ -90,6 +97,8 @@ def rows(n: int, chunk: int):
          lambda s, t: router.lookup_batch(s, t, keep_paths="csr")),
         ("dh", chunk, on_net,
          lambda s, t: router.batch_dh_lookup(s, t, rng=rng, keep_paths="csr")),
+        ("dh (no paths)", chunk, with_tau,
+         lambda s, t, tau: router.batch_dh_lookup(s, t, tau=tau)),
         ("cost-dh", COST_LANES, on_net,
          lambda s, t: cost.batch_cost_dh_lookup(s, t, policy="greedy",
                                                 keep_paths="csr")),
