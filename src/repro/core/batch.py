@@ -175,14 +175,21 @@ class BatchRouter(ColumnarSnapshot):
         replay; beyond it the router recompiles from scratch, which is
         cheaper for bulk changes.  ``None`` means ``max(16, n // 16)``;
         a negative budget raises ``ValueError``.
+    cost_map:
+        A :class:`~repro.peer.costmap.CostMap`: the router then keeps
+        per-server costs — ``cost_isp`` (int64), ``cost_x`` / ``cost_y``
+        (float64) and the k×k ``_isp_cost`` — for :meth:`batch_dh_lookup`'s
+        ``policy=`` rules, derived from the points (:meth:`_derive`).
     """
 
     def __init__(self, net, build_adjacency: bool = False,
                  auto_refresh: bool = False,
-                 churn_budget: Optional[int] = None) -> None:
+                 churn_budget: Optional[int] = None,
+                 cost_map=None) -> None:
         if net.n == 0:
             raise LookupError("cannot compile a router over an empty network")
         self._net = net
+        self.cost_map = cost_map
         self.adj_first: Optional[np.ndarray] = None
         self.adj_count: Optional[np.ndarray] = None
         super().__init__(journal=net.membership_log,
@@ -196,9 +203,9 @@ class BatchRouter(ColumnarSnapshot):
     def _rebuild(self) -> None:
         """(Re)build every column from the live network.
 
-        Keeps the neighbour table through full rebuilds (when one was
-        built) so the cost lands in ``refresh_stats``, not in the next
-        dh batch.
+        Keeps the derived columns through full rebuilds (:meth:`_derive`)
+        so their cost lands in ``refresh_stats``, not in the next dh
+        batch.
         """
         net = self._net
         if not net.segments.is_float():
@@ -213,8 +220,7 @@ class BatchRouter(ColumnarSnapshot):
         seg_end[:-1] = points[1:]
         seg_end[-1] = points[0]
         self._adopt(index, seg_end, SegmentMap.midpoints_from_array(points))
-        if self.adj_first is not None:
-            self._build_adjacency()
+        self._derive()
 
     def _adopt(self, index: CoverIndex, seg_end, midpoints) -> None:
         """Take compiled columns as the row buffers, exactly n rows long.
@@ -275,6 +281,25 @@ class BatchRouter(ColumnarSnapshot):
         self.__dict__.update(state)
         self._ext = self.cover_index.ext
         self._shared = False
+
+    def _derive(self) -> None:
+        """Recompute the columns derived from the points, once a refresh.
+
+        The adjacency ranges when built (Δ+1 sorted searches, cheaper
+        than finding the rows an op touched) and the cost columns when a
+        cost map is set: hashes of the id points, so the O(n) rehash is
+        bit-identical to a fresh compile's, with no patch rule to drift.
+        """
+        if self.adj_first is not None:
+            self._build_adjacency()
+        if self.cost_map is not None:
+            # the live rows, read without handing the column out
+            cols = self.cost_map.columns(self._ext[:self.n])
+            self.cost_isp = cols["cost_isp"]
+            self.cost_x = cols["cost_x"]
+            self.cost_y = cols["cost_y"]
+            self._isp_cost = np.ascontiguousarray(self.cost_map.isp_cost,
+                                                  dtype=np.float64)
 
     def _build_adjacency(self) -> None:
         """The neighbour relation as per-row index ranges of the point column.
@@ -388,11 +413,10 @@ class BatchRouter(ColumnarSnapshot):
         first copies them — once, with room for ``max(16, n // 16)``
         more rows — and edits the copy; so does a patch that would
         outgrow them.  ``refresh_stats.copies`` counts those copies.
-        The cover grid and the adjacency ranges (when built) are derived
-        columns of the point column: each is brought up to date once per
-        refresh, whatever the number of pending ops — the ranges are Δ+1
-        sorted searches over the column, cheaper than finding out which
-        rows an op touched.
+        The cover grid, the adjacency ranges and the cost columns are
+        derived columns of the point column: each is brought up to date
+        once per refresh, whatever the number of pending ops
+        (:meth:`_derive`).
         """
         if not self._net.segments.is_float():
             raise ValueError(FLOAT_IDS_ONLY)
@@ -428,8 +452,7 @@ class BatchRouter(ColumnarSnapshot):
         self.cover_index.follow(
             ext[:n + 1], np.array([p for _, p, _ in pending]),
             np.array([1 if kind == "join" else -1 for kind, _, _ in pending]))
-        if self.adj_first is not None:
-            self._build_adjacency()
+        self._derive()
         return True
 
     def _copy(self, rows: int) -> None:
@@ -645,10 +668,13 @@ class BatchRouter(ColumnarSnapshot):
         tau: Optional[np.ndarray] = None,
         keep_paths: "bool | str" = False,
         max_steps: int = MAX_WALK_STEPS,
+        policy: Optional[str] = None,
+        choices: Optional[np.ndarray] = None,
+        temperature: float = 1.0,
     ) -> BatchLookupResult:
         """Vectorized two-phase Distance Halving Lookup (§2.2.2).
 
-        Phase I advances every unresolved lookup one random digit per
+        Phase I advances every unresolved lookup one digit per
         iteration (``pos/Δ + d/Δ``, the same elementwise IEEE ops as the
         scalar ``child``); the stop test "target image covered by me or
         by a neighbour" compares the image's cover with the current
@@ -656,17 +682,54 @@ class BatchRouter(ColumnarSnapshot):
         (:meth:`_edge_member`) on the lanes it does not stop.  Phase II
         is the closed-form backward walk through the images phase I
         covered, so it reuses their covers instead of taking them again.
+        ``keep_paths`` behaves as in :meth:`batch_fast_lookup` (``"csr"``
+        for flattened paths).
 
-        Supply ``tau`` (shape ``(size, L)`` or ``(L,)``, digits in
-        ``[0, Δ)`` of any integer width, read without widening) to fix
-        the random strings — with the same ``tau`` the
-        result is bit-identical to scalar ``dh_lookup``.  With ``rng``
-        the *distribution* matches but digits are drawn batch-wise, so
-        individual paths differ from a scalar replay of the same
-        generator.  ``keep_paths`` behaves as in
-        :meth:`batch_fast_lookup` (``"csr"`` for flattened paths).
+        The rules below differ only in the phase-I digit.  With
+        ``policy=None`` it is the paper's uniform digit: supply ``tau``
+        (shape ``(size, L)`` or ``(L,)``, digits in ``[0, Δ)`` of any
+        integer width, read without widening) to fix the strings — with
+        the same ``tau`` the result is bit-identical to scalar
+        ``dh_lookup`` — or ``rng`` to draw them batch-wise (the same
+        *distribution*, not a scalar replay's paths).
+
+        With ``policy`` one of :data:`~repro.peer.policy.POLICIES`, the
+        digit is a cost-aware covering-edge choice (Observation 2.3
+        halves the distance to the target image whatever digit is
+        taken): each step scores the Δ candidates' edge costs over the
+        cost columns of a router built with ``cost_map=`` and picks with
+        the shared policy (:mod:`repro.peer.policy`; ``temperature``
+        tunes the softmin).  "uniform" and "weighted" read one uniform
+        per (lookup, step) from ``choices`` (shaped as ``tau``) or
+        ``rng``.  The result's ``algorithm`` is ``"dh-cost"``, its
+        ``policy`` the rule and its ``tau_used`` the digits taken,
+        0-padded past each ``t``: replayed with ``tau=`` and no policy,
+        or through scalar ``dh_lookup``, they reproduce owners, hops and
+        paths bit-for-bit.  ``tau`` with a policy, ``choices`` or a
+        ``temperature`` other than 1.0 without one, and a policy without
+        ``cost_map=`` raise ``ValueError``.
         """
+        checks.real(temperature, "temperature", "(0, inf]")
+        if policy is None and choices is not None:
+            raise ValueError("choices must be None when policy is None (the "
+                             "uniform digit comes from rng or tau), got "
+                             f"{type(choices).__name__}")
+        if policy is None and temperature != 1.0:
+            raise ValueError("temperature must be 1.0 when policy is None, "
+                             f"got {temperature!r}")
+        if policy is not None:
+            from ..peer.policy import POLICIES
+
+            checks.choice(policy, "policy", POLICIES)
+            if tau is not None:
+                raise ValueError(
+                    f"tau must be None when policy is set (policy={policy!r} "
+                    "picks the digits; tau= replays them with no policy), "
+                    f"got {type(tau).__name__}")
         src, y = self._enter(sources, targets, keep_paths)
+        if policy is not None:
+            return self._cost_walk(src, y, rng, choices, policy, temperature,
+                                   keep_paths, max_steps)
         if rng is None and tau is None:
             raise ValueError("batch_dh_lookup needs an rng or explicit tau")
         size = y.size
@@ -807,15 +870,14 @@ class BatchRouter(ColumnarSnapshot):
 
     # ------------------------------------------------------- cost-aware dh
     def _cost_state(self):
-        """The cost columns, or an actionable error on a plain router."""
-        isp = getattr(self, "cost_isp", None)
-        if isp is None:
+        """The cost columns, or an actionable error on a cost-less router."""
+        if self.cost_map is None:
             raise ValueError(
-                "cost-aware routing needs cost columns; compile a "
-                "CostAwareBatchRouter (repro.peer.routing) over the network "
-                "instead of a plain BatchRouter"
+                "cost_map must be set to route with a policy, got None: "
+                "build the router as BatchRouter(net, cost_map=...) with a "
+                "repro.peer.CostMap"
             )
-        return isp, self.cost_x, self.cost_y, self._isp_cost
+        return self.cost_isp, self.cost_x, self.cost_y, self._isp_cost
 
     def _edge_cost_matrix(self, i_idx, j_idx) -> np.ndarray:
         """Network cost of edges i→j (point indices; broadcasts to (K, B))."""
@@ -825,47 +887,17 @@ class BatchRouter(ColumnarSnapshot):
         return pair_costs(isp[i_idx], isp[j_idx], cx[i_idx], cy[i_idx],
                           cx[j_idx], cy[j_idx], mat)
 
-    def batch_cost_dh_lookup(
-        self,
-        sources,
-        targets,
-        choices: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
-        policy: str = "weighted",
-        temperature: float = 1.0,
-        keep_paths: "bool | str" = False,
-        max_steps: int = MAX_WALK_STEPS,
-    ) -> BatchLookupResult:
-        """Two-phase dh lookup with cost-aware phase-I digit selection.
+    def _cost_walk(self, src, y, rng, choices, policy, temperature,
+                   keep_paths, max_steps) -> BatchLookupResult:
+        """:meth:`batch_dh_lookup` under a cost policy's digit rule.
 
-        Observation 2.3 halves the distance to the target image every
-        phase-I step *whatever* digit is taken, so the digit choice is a
-        free covering-edge choice: per step this method evaluates all Δ
-        candidate positions ``pos/Δ + d/Δ``, gathers the network cost of
-        hopping to each candidate's covering server (one vectorized
-        gather over the snapshot's cost columns), and picks digits with
-        the shared selection policy ("uniform" / "greedy" /
-        "weighted"; see :mod:`repro.peer.policy`).
-
-        Determinism is **tau-pinned**: the digits actually taken are
-        recorded in ``result.tau_used`` (0-padded past each lookup's
-        ``t``), and replaying them through :meth:`batch_dh_lookup`
-        (``tau=result.tau_used``) or the scalar
-        :func:`~repro.core.lookup.dh_lookup`
-        (``tau=result.tau_used[i, :result.t[i]]``) reproduces owners,
-        hop counts and full server paths bit-for-bit — the parity hook
-        the tests and experiment X6 gate on.  The randomized policies
-        consume one uniform per (lookup, step) from ``choices``
-        (shape ``(size, L)`` or ``(L,)``) or from ``rng``; "greedy"
-        needs neither.  Requires the cost columns of a
-        :class:`~repro.peer.routing.CostAwareBatchRouter`.
+        Each step scores the Δ candidate digits of every walking lane
+        and lets :func:`~repro.peer.policy.select_rows` pick; the digits
+        taken come back as ``tau_used``.
         """
-        from ..peer.policy import POLICIES, select_rows
+        from ..peer.policy import select_rows
 
-        checks.choice(policy, "policy", POLICIES)
-        checks.real(temperature, "temperature", "(0, inf]")
-        src, y = self._enter(sources, targets, keep_paths)
-        self._cost_state()  # fail early on a plain (cost-less) router
+        self._cost_state()  # fail early on a router without a cost map
         cover = self.cover_index.cover
         size = y.size
         u_mat: Optional[np.ndarray] = None
@@ -915,3 +947,13 @@ class BatchRouter(ColumnarSnapshot):
             tau_rows[s] = None
         res.policy = policy
         return res
+
+    def batch_cost_dh_lookup(self, sources, targets, choices=None, rng=None,
+                             policy="weighted", **kw) -> BatchLookupResult:
+        """``batch_dh_lookup(policy=policy)`` under its former name.
+
+        Kept while ``benchmarks/spine/workloads.py`` calls it; ROADMAP
+        item 1 deletes it with that file's next change.
+        """
+        return self.batch_dh_lookup(sources, targets, rng=rng, policy=policy,
+                                    choices=choices, **kw)

@@ -22,8 +22,9 @@ Measured per policy: mean cross-ISP hops per lookup, mean path cost,
 mean hops (the stretch guard) and max server load.  A scalar-replay
 sub-sample (:func:`~repro.faults.lookup_ft.simple_lookup` with the same
 oracle/uniforms) must be bit-identical to the batch, and a core-engine
-cell replays :meth:`~repro.core.batch.BatchRouter.batch_cost_dh_lookup`
-digits through the plain ``tau=`` hook — the recorded ``tau_used`` must
+cell replays the digits
+:meth:`~repro.core.batch.BatchRouter.batch_dh_lookup` took under a
+policy through its plain ``tau=`` hook — the recorded ``tau_used`` must
 reproduce the routed paths bit-for-bit.
 
 The three policies and both replays are :func:`measure_cost_routing`.
@@ -35,10 +36,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..core import DistanceHalvingNetwork
+from ..core import BatchRouter, DistanceHalvingNetwork
 from ..faults import FTBatchEngine, OverlappingDHNetwork
 from ..peer import (
-    CostAwareBatchRouter,
     CostMap,
     CostOracle,
     cross_isp_counts,
@@ -64,14 +64,14 @@ def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int,
     build_rng, route = spawn_many(seed * 59 + core_n, 2)
     dnet = DistanceHalvingNetwork(rng=build_rng)
     dnet.populate(core_n)
-    router = CostAwareBatchRouter(dnet, cost_map, auto_refresh=True)
+    router = BatchRouter(dnet, auto_refresh=True, cost_map=cost_map)
     src, tgt = random_pairs(dnet.segments.as_array(), route, core_pairs)
     u = route.random((core_pairs, DH_TAU_DIGITS))
 
-    greedy = router.batch_cost_dh_lookup(src, tgt, policy="greedy",
-                                         keep_paths="csr")
-    unif = router.batch_cost_dh_lookup(src, tgt, choices=u,
-                                       policy="uniform", keep_paths="csr")
+    greedy = router.batch_dh_lookup(src, tgt, policy="greedy",
+                                    keep_paths="csr")
+    unif = router.batch_dh_lookup(src, tgt, choices=u, policy="uniform",
+                                  keep_paths="csr")
     # the recorded digits through the plain replay hook must reproduce
     # the routed batch bit-for-bit (Observation 2.3: any digit string
     # converges — these are just the ones the cost policy took)
@@ -118,7 +118,7 @@ def measure_cost_routing(
     greedy and weighted batches are replayed through the scalar
     cost-aware walk and must match bit-for-bit.  A separate core-engine
     cell (``core_n`` servers, ``core_pairs`` pairs) runs
-    ``batch_cost_dh_lookup`` and verifies the recorded ``tau_used``
+    ``batch_dh_lookup(policy=)`` and verifies the recorded ``tau_used``
     digits replay bit-identically through the plain ``tau=`` hook.
     Returns per-policy traffic metrics, the greedy cross-ISP reduction
     and hop stretch vs uniform and every parity verdict.

@@ -6,9 +6,10 @@ a deterministic :class:`~repro.peer.costmap.CostMap` (per-server ISP
 labels + coordinates hashed from the id point), an iTracker-like
 :class:`~repro.peer.itracker.CostOracle` scoring candidate covering
 edges, the shared selection policies (uniform / greedy-cheapest /
-temperature-weighted) with bit-parity-proof scalar twins, and
-:class:`~repro.peer.routing.CostAwareBatchRouter`, a BatchRouter whose
-snapshot carries cost columns through churn refresh.  See
+temperature-weighted) with bit-parity-proof scalar twins.  The core
+engine's cost path is a :class:`~repro.core.batch.BatchRouter` built
+with ``cost_map=`` (its snapshot carries the cost columns through churn
+refresh) and routed with ``batch_dh_lookup(policy=)``.  See
 ``docs/COST_MODEL.md`` for the determinism rules.
 """
 

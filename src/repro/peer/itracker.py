@@ -146,9 +146,9 @@ def cross_isp_counts(
 ) -> np.ndarray:
     """Per-lookup count of hops that cross an ISP boundary.
 
-    ``isp_labels`` is the per-server label column (``CostOracle.isp``
-    or ``CostAwareBatchRouter.cost_isp``) aligned with the server
-    indices stored in the CSR path arrays.
+    ``isp_labels`` is the per-server label column (``CostOracle.isp``,
+    or ``cost_isp`` of a ``BatchRouter`` built with ``cost_map=``)
+    aligned with the server indices stored in the CSR path arrays.
     """
     servers, offsets = _csr_block(path_servers, path_offsets)
     counts = np.empty(offsets.size - 1, dtype=np.int64)

@@ -101,24 +101,21 @@ def route_pairs(
     the batch into it.  Returns the
     :class:`~repro.core.batch.BatchLookupResult`.
 
-    ``algorithm="cost"`` routes the cost-aware two-phase lookup
-    (requires a :class:`~repro.peer.routing.CostAwareBatchRouter`):
-    ``policy`` picks the covering-edge rule (default ``"weighted"``),
-    ``choices`` supplies the shared per-step uniforms, ``temperature``
-    tunes the softmin.
+    ``algorithm="dh"`` forwards ``policy`` / ``choices`` /
+    ``temperature`` to
+    :meth:`~repro.core.batch.BatchRouter.batch_dh_lookup`: with a
+    ``policy`` it routes the cost-aware two-phase lookup, which needs a
+    router built with ``cost_map=``; ``choices`` supplies the shared
+    per-step uniforms and ``temperature`` tunes the softmin.
     """
-    checks.choice(algorithm, "algorithm", ("fast", "dh", "cost"))
+    checks.choice(algorithm, "algorithm", ("fast", "dh"))
     sources, targets = pairs_to_arrays(pairs)
     if algorithm == "fast":
         res = router.lookup_batch(sources, targets, keep_paths=keep_paths)
-    elif algorithm == "dh":
-        res = router.batch_dh_lookup(sources, targets, rng=rng, tau=tau,
-                                     keep_paths=keep_paths)
     else:
-        res = router.batch_cost_dh_lookup(
-            sources, targets, choices=choices, rng=rng,
-            policy=policy if policy is not None else "weighted",
-            temperature=temperature, keep_paths=keep_paths)
+        res = router.batch_dh_lookup(sources, targets, rng=rng, tau=tau,
+                                     keep_paths=keep_paths, policy=policy,
+                                     choices=choices, temperature=temperature)
     if congestion is not None:
         congestion.record_batch(res)
     return res

@@ -14,6 +14,7 @@ from oracles.inputs import joined, populated
 
 from repro.balance import MultipleChoice
 from repro.core import (
+    BatchRouter,
     DistanceHalvingNetwork,
     dh_lookup,
     equally_spaced_network,
@@ -159,18 +160,18 @@ class TestBatchFastLookup:
     @pytest.mark.parametrize("scalar_side", ["sources", "targets"])
     def test_scalar_broadcasts_on_either_side(self, entry, scalar_side):
         """A scalar target used to raise 'must have the same length'."""
-        from repro.peer import CostAwareBatchRouter, CostMap
+        from repro.peer import CostMap
 
         net, _ = make_net(32, seed=33)
         cost_map = CostMap.synthetic(n_isps=3, rng=np.random.default_rng(5))
-        router = CostAwareBatchRouter(net, cost_map)
+        router = BatchRouter(net, cost_map=cost_map)
         many = np.random.default_rng(34).random(50)
         one = float(net.segments.as_array()[3])
         call = {
             "fast": router.batch_fast_lookup,
             "dh": lambda s, t, **kw: router.batch_dh_lookup(
                 s, t, tau=np.zeros(64, dtype=np.int64), **kw),
-            "cost": lambda s, t, **kw: router.batch_cost_dh_lookup(
+            "cost": lambda s, t, **kw: router.batch_dh_lookup(
                 s, t, policy="greedy", **kw),
         }[entry]
         pair = (one, many) if scalar_side == "sources" else (many, one)

@@ -161,7 +161,7 @@ ACCEPTS = {
         "2.5 inf", "a softmin temperature, any real > 0; inf is the uniform "
                    "pick, every valid weight exp(-0.0) = 1.0"),
     "peer.policy.select_index:temperature": ("2.5 inf", "as select_rows"),
-    "core.batch.BatchRouter.batch_cost_dh_lookup:temperature": (
+    "core.batch.BatchRouter.batch_dh_lookup:temperature": (
         "2.5 inf", "as select_rows"),
     "faults.batch_ft.FTBatchEngine.batch_simple_lookup:temperature": (
         "2.5 inf", "as select_rows"),
@@ -248,8 +248,7 @@ def _rng() -> np.random.Generator:
 
 
 def _cost_router():
-    from repro.peer import CostAwareBatchRouter
-    return CostAwareBatchRouter(_net(), CostMap.synthetic(2, _rng()))
+    return BatchRouter(_net(), cost_map=CostMap.synthetic(2, _rng()))
 
 
 def _first(net) -> float:
@@ -325,12 +324,9 @@ FIXTURES = {
         _net().compile_router().batch_fast_lookup,
         dict(sources=[0.1], targets=[0.7], max_levels=64)),
     "core.batch.BatchRouter.batch_dh_lookup": lambda: (
-        _net().compile_router().batch_dh_lookup,
-        dict(sources=[0.1], targets=[0.7], rng=_rng(), max_steps=64)),
-    "core.batch.BatchRouter.batch_cost_dh_lookup": lambda: (
-        _cost_router().batch_cost_dh_lookup,
-        dict(sources=[0.1], targets=[0.7], rng=_rng(), temperature=1.0,
-             max_steps=64)),
+        _cost_router().batch_dh_lookup,
+        dict(sources=[0.1], targets=[0.7], rng=_rng(), policy="weighted",
+             temperature=1.0, max_steps=64)),
     "core.pathtree.PathTree.layer": lambda: (_layer, dict(j=2)),
     "core.continuous.binary_digits": lambda: (
         binary_digits, dict(y=0.3, t=3, delta=2)),

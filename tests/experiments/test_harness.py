@@ -101,19 +101,6 @@ class TestResultRendering:
         assert "[FAIL] other" in text
 
 
-@pytest.fixture(scope="module")
-def quick_run():
-    """``quick_run(id)``: the experiment's quick result, run once per module."""
-    results = {}
-
-    def run(name):
-        if name not in results:
-            results[name] = get_experiment(name)(quick=True)
-        return results[name]
-
-    return run
-
-
 def _refuse_constant(token):
     raise AssertionError(f"non-JSON constant {token} in an experiment result")
 

@@ -12,6 +12,7 @@ import pytest
 from oracles.compare import assert_same
 from oracles.inputs import populated
 
+from repro.core import BatchRouter
 from repro.core.lookup import compress_path
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, simple_lookup
 from repro.peer import (
@@ -217,7 +218,7 @@ class TestCoreEngine:
     def setup_class(cls):
         net = populated(128, 2024)
         cls.net = net
-        cls.router = CostAwareBatchRouter(net, _MAP, auto_refresh=True)
+        cls.router = BatchRouter(net, auto_refresh=True, cost_map=_MAP)
         rng = np.random.default_rng(7)
         pts = net.segments.as_array()
         cls.src = pts[rng.integers(net.n, size=400)]
@@ -226,7 +227,7 @@ class TestCoreEngine:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_tau_replay_is_bit_identical(self, policy):
-        res = self.router.batch_cost_dh_lookup(
+        res = self.router.batch_dh_lookup(
             self.src, self.tgt, choices=self.u, policy=policy,
             keep_paths="csr")
         replay = self.router.batch_dh_lookup(self.src, self.tgt,
@@ -239,11 +240,12 @@ class TestCoreEngine:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_route_pairs_drives_the_cost_path(self, policy):
-        """``lookup_batch`` has no cost keywords; ``route_pairs`` is the driver."""
-        direct = self.router.batch_cost_dh_lookup(
+        """``lookup_batch`` has no cost keywords; ``route_pairs`` is the
+        driver, and its ``algorithm="dh"`` forwards the policy."""
+        direct = self.router.batch_dh_lookup(
             self.src, self.tgt, choices=self.u, policy=policy,
             keep_paths="csr")
-        via = route_pairs(self.router, (self.src, self.tgt), algorithm="cost",
+        via = route_pairs(self.router, (self.src, self.tgt), algorithm="dh",
                           policy=policy, choices=self.u)
         assert via.algorithm == direct.algorithm == "dh-cost"
         assert_same(via, direct, ("owner_idx", "tau_used", "path_servers",
@@ -251,20 +253,58 @@ class TestCoreEngine:
 
     def test_plain_router_raises_actionably(self):
         plain = self.net.compile_router()
-        with pytest.raises(ValueError, match="CostAwareBatchRouter"):
-            plain.batch_cost_dh_lookup(self.src, self.tgt, policy="greedy")
+        with pytest.raises(ValueError, match="cost_map="):
+            plain.batch_dh_lookup(self.src, self.tgt, policy="greedy")
 
     def test_non_finite_target_rejected_by_lane(self):
         tgt = self.tgt.copy()
         tgt[7] = np.nan
         with pytest.raises(ValueError,
                            match=r"targets\[7\] must be a finite real, got nan"):
-            self.router.batch_cost_dh_lookup(self.src, tgt, policy="greedy")
+            self.router.batch_dh_lookup(self.src, tgt, policy="greedy")
 
     def test_weighted_needs_uniform_source(self):
         with pytest.raises(ValueError):
-            self.router.batch_cost_dh_lookup(self.src, self.tgt,
-                                             policy="weighted")
+            self.router.batch_dh_lookup(self.src, self.tgt, policy="weighted")
+
+    def test_tau_with_policy_is_refused(self):
+        """The policy picks the digits; ``tau=`` replays them without one."""
+        tau = np.zeros((400, 64), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"^tau must be None when policy "
+                           r"is set .*, got ndarray$"):
+            self.router.batch_dh_lookup(self.src, self.tgt, tau=tau,
+                                        policy="greedy")
+
+    def test_choices_without_policy_is_refused(self):
+        with pytest.raises(ValueError, match=r"^choices must be None when "
+                           r"policy is None .*, got ndarray$"):
+            self.router.batch_dh_lookup(self.src, self.tgt,
+                                        rng=np.random.default_rng(0),
+                                        choices=self.u)
+
+    def test_temperature_without_policy_is_refused(self):
+        with pytest.raises(ValueError, match=r"^temperature must be 1\.0 "
+                           r"when policy is None, got 0\.5$"):
+            self.router.batch_dh_lookup(self.src, self.tgt,
+                                        rng=np.random.default_rng(0),
+                                        temperature=0.5)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_former_spellings_are_the_one_path(self, policy):
+        """``CostAwareBatchRouter`` is ``BatchRouter(cost_map=)`` with its
+        adjacency built, and ``batch_cost_dh_lookup`` is
+        ``batch_dh_lookup(policy=)``: same columns, same bits."""
+        old = CostAwareBatchRouter(self.net, _MAP)
+        assert old.adj_first is not None
+        assert_same(old, self.router,
+                    ("points", "cost_isp", "cost_x", "cost_y", "_isp_cost"))
+        got = old.batch_cost_dh_lookup(self.src, self.tgt, choices=self.u,
+                                       policy=policy, keep_paths="csr")
+        want = self.router.batch_dh_lookup(self.src, self.tgt, choices=self.u,
+                                           policy=policy, keep_paths="csr")
+        assert_same(got, want, ("owner_idx", "t", "hops", "phase1_hops",
+                                "tau_used", "path_servers", "path_offsets",
+                                "algorithm", "policy"))
 
 
 class TestChurnAndShards:
@@ -272,15 +312,15 @@ class TestChurnAndShards:
         """After churn + refresh the columns equal a fresh compile's."""
         rng = np.random.default_rng(31)
         net = populated(96, rng)
-        router = CostAwareBatchRouter(net, _MAP, auto_refresh=True,
-                                      churn_budget=64)
+        router = BatchRouter(net, auto_refresh=True, churn_budget=64,
+                             cost_map=_MAP)
         for _ in range(12):
             net.join(float(rng.random()))
         for p in list(net.points())[::9][:6]:
             net.leave(p)
         router.refresh()
         assert router.refresh_stats.incremental >= 1
-        fresh = CostAwareBatchRouter(net, _MAP)
+        fresh = BatchRouter(net, cost_map=_MAP)
         assert_same(router, fresh,
                     ("cost_isp", "cost_x", "cost_y", "_isp_cost"))
 
@@ -289,7 +329,7 @@ class TestChurnAndShards:
         sharded answer equals the in-process one, and the export leaves
         the cost columns and the cost-dh answers as they were."""
         net = populated(128, 32)
-        router = CostAwareBatchRouter(net, _MAP, auto_refresh=True)
+        router = BatchRouter(net, auto_refresh=True, cost_map=_MAP)
         rng = np.random.default_rng(8)
         pts = net.segments.as_array()
         src = pts[rng.integers(net.n, size=500)]
@@ -297,9 +337,8 @@ class TestChurnAndShards:
         u = rng.random((500, 64))
         cost_fields = ("owner_idx", "hops", "tau_used", "path_servers",
                        "path_offsets")
-        before = router.batch_cost_dh_lookup(src, tgt, choices=u,
-                                             policy="weighted",
-                                             keep_paths="csr")
+        before = router.batch_dh_lookup(src, tgt, choices=u,
+                                        policy="weighted", keep_paths="csr")
         columns = [a.copy() for a in (router.cost_isp, router.cost_x,
                                       router.cost_y)]
         local = router.batch_fast_lookup(src, tgt, keep_paths="csr")
@@ -313,8 +352,7 @@ class TestChurnAndShards:
                                    "path_servers", "path_offsets"))
         assert all(np.array_equal(a, b) for a, b in zip(
             columns, (router.cost_isp, router.cost_x, router.cost_y)))
-        after = router.batch_cost_dh_lookup(src, tgt, choices=u,
-                                            policy="weighted",
-                                            keep_paths="csr")
+        after = router.batch_dh_lookup(src, tgt, choices=u,
+                                       policy="weighted", keep_paths="csr")
         assert_same(after, before, cost_fields)
         assert after.policy == before.policy == "weighted"

@@ -6,7 +6,7 @@ draw, and every lane fell through to its last valid candidate — in
 batch and scalar alike, so the parity suites agreed on the wrong pick.
 Now NaN raises ``ValueError`` naming the value at the selection policy
 and so at each entry point that reaches it: the core
-``batch_cost_dh_lookup``, the fault-tolerant ``batch_simple_lookup``
+``batch_dh_lookup(policy=)``, the fault-tolerant ``batch_simple_lookup``
 and its scalar twin ``simple_lookup``.  ``inf`` stays legal: every
 valid weight is then exactly 1.
 """
@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from oracles.inputs import populated
 
+from repro.core import BatchRouter
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, simple_lookup
-from repro.peer import (CostAwareBatchRouter, CostMap, CostOracle,
-                        select_index, select_rows)
+from repro.peer import CostMap, CostOracle, select_index, select_rows
 
 NAN = pytest.raises(ValueError,
                     match=r"temperature must be a real in \(0, inf\], got nan")
@@ -72,14 +72,15 @@ class TestSelection:
 class TestEntryPoints:
     def test_core_cost_lookup(self):
         net = populated(64, 5)
-        router = CostAwareBatchRouter(
-            net, CostMap.synthetic(n_isps=4, rng=np.random.default_rng(6)))
+        router = BatchRouter(net, cost_map=CostMap.synthetic(
+            n_isps=4, rng=np.random.default_rng(6)))
         rng = np.random.default_rng(8)
         src = router.points[rng.integers(router.n, size=20)]
         with NAN:
-            router.batch_cost_dh_lookup(src, rng.random(20),
-                                        choices=rng.random((20, 64)),
-                                        temperature=float("nan"))
+            router.batch_dh_lookup(src, rng.random(20),
+                                   choices=rng.random((20, 64)),
+                                   policy="weighted",
+                                   temperature=float("nan"))
 
     def test_fault_tolerant_batch_and_scalar(self):
         rng = np.random.default_rng(9)

@@ -18,17 +18,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles.adjacency import edge_keys
+from oracles.compare import assert_same
 from oracles.inputs import joined, point_sets, populated
 from oracles.segments import midpoints_array
 
 from repro.balance import MultipleChoice
-from repro.core import lookup_many
+from repro.core import BatchRouter, lookup_many
 from repro.core.interval import BELOW_ONE
 from repro.core.lookup import MAX_WALK_STEPS
 from repro.core.segments import cover_grid, cover_indices
+from repro.peer import CostMap
 
 unit_float = st.floats(min_value=0.0, max_value=1.0, exclude_max=False,
                        allow_nan=False, allow_infinity=False)
+cost_maps = st.builds(
+    lambda isps, seed: CostMap.synthetic(isps, np.random.default_rng(seed)),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,6 +346,21 @@ def _apply_random_churn(net, rng, steps, leave_prob, refresh=None):
             refresh()
 
 
+def _assert_cost_equals_fresh(net, router, cost_map):
+    """The cost columns, and a greedy cost walk over them, equal a fresh
+    ``BatchRouter(net, cost_map=...)``'s in dtype and every bit."""
+    fresh = BatchRouter(net, cost_map=cost_map)
+    assert_same(router, fresh, ("cost_isp", "cost_x", "cost_y", "_isp_cost"))
+    route = np.random.default_rng(net.n)
+    src = net.segments.as_array()[route.integers(0, net.n, size=32)]
+    tgt = route.random(32)
+    got, want = (r.batch_dh_lookup(src, tgt, policy="greedy",
+                                   keep_paths="csr") for r in (router, fresh))
+    assert_same(got, want, ("source_idx", "owner_idx", "t", "hops",
+                            "phase1_hops", "tau_used", "path_servers",
+                            "path_offsets", "algorithm", "policy"))
+
+
 def _held_result(router, y):
     """A routed batch's arrays, kept: its ``points`` and the owners."""
     res = router.lookup_batch([y], [1.0 - y])
@@ -412,33 +433,40 @@ class TestIncrementalRefreshParity:
     """ISSUE 3: after *any* interleaving of joins and leaves, the
     incrementally maintained auto-refresh router must be bit-identical
     to a from-scratch ``compile_router()`` — sorted arrays, adjacency
-    keys, and the results of both batch lookup algorithms."""
+    keys, the cost columns and the results of both batch lookup
+    algorithms."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
            steps=st.integers(min_value=1, max_value=48),
-           leave_prob=st.floats(min_value=0.0, max_value=0.9))
+           leave_prob=st.floats(min_value=0.0, max_value=0.9),
+           cost_map=cost_maps)
     def test_any_interleaving_matches_fresh_compile(self, seed, steps,
-                                                    leave_prob):
+                                                    leave_prob, cost_map):
         rng = np.random.default_rng(seed)
         net = populated(24, rng)
-        router = net.router(auto_refresh=True, with_adjacency=True,
-                            churn_budget=10**9)
+        router = BatchRouter(net, build_adjacency=True, auto_refresh=True,
+                             churn_budget=10**9, cost_map=cost_map)
         _apply_random_churn(net, rng, steps, leave_prob)
         router.refresh()
         _assert_router_equals_fresh(net, router, seed)
+        _assert_cost_equals_fresh(net, router, cost_map)
 
     @settings(max_examples=60, deadline=None)
     @given(start=st.integers(min_value=1, max_value=9),
            ops=st.lists(st.tuples(st.booleans(), unit_float, st.booleans()),
-                        min_size=1, max_size=40))
-    def test_any_refresh_grouping_matches_fresh_compile(self, start, ops):
+                        min_size=1, max_size=40),
+           cost_map=cost_maps)
+    def test_any_refresh_grouping_matches_fresh_compile(self, start, ops,
+                                                        cost_map):
         """Joins and leaves refreshed in arbitrary groups, from sizes on
         both sides of the n < 4 bail: the adopted column, the replayed
-        midpoints and the followed grid equal a fresh compile's, and the
-        scalar oracles', after every refresh."""
+        midpoints, the followed grid and the rehashed cost columns equal
+        a fresh compile's, and the scalar oracles', after every
+        refresh."""
         net = populated(start, start)
-        router = net.router(auto_refresh=True, churn_budget=10**9)
+        router = BatchRouter(net, auto_refresh=True, churn_budget=10**9,
+                             cost_map=cost_map)
         for leave, value, sync in ops + [(False, 0.5, True)]:
             if leave and net.n > 1:
                 net.leave(net.segments.point_at(int(value * net.n) % net.n))
@@ -463,6 +491,7 @@ class TestIncrementalRefreshParity:
             grid = router.cover_index.grid
             assert np.array_equal(grid, cover_grid(router.points, len(grid)))
             assert not np.shares_memory(router.points, net.segments.column)
+            _assert_cost_equals_fresh(net, router, cost_map)
         stats = router.refresh_stats
         assert stats.ops_synced() == net.membership_version - start
 

@@ -30,7 +30,8 @@ from oracles.cost import (_parent_cross_isp_counts, _parent_edge_costs,
                           _parent_pair_costs, _parent_path_cost_totals)
 from oracles.inputs import populated
 
-from repro.peer import CostAwareBatchRouter, CostMap, CostOracle, itracker
+from repro.core import BatchRouter
+from repro.peer import CostMap, CostOracle, itracker
 from repro.peer.costmap import pair_costs
 from repro.peer.itracker import cross_isp_counts, path_cost_totals
 
@@ -163,7 +164,7 @@ def test_traced_peak_at_most_two_bytes_per_entry(name):
 def _router(delta: int):
     net = populated(256, 100 + delta, delta)
     cost_map = CostMap.synthetic(n_isps=8, rng=np.random.default_rng(delta))
-    router = CostAwareBatchRouter(net, cost_map)
+    router = BatchRouter(net, cost_map=cost_map)
     return router, CostOracle(router.points, cost_map)
 
 
@@ -178,9 +179,9 @@ def test_real_batches_equal_to_parent(delta, kind):
     if kind == "dh":
         res = router.batch_dh_lookup(src, tgt, rng=rng, keep_paths="csr")
     else:
-        res = router.batch_cost_dh_lookup(src, tgt,
-                                          choices=rng.random((size, 64)),
-                                          policy=kind, keep_paths="csr")
+        res = router.batch_dh_lookup(src, tgt,
+                                     choices=rng.random((size, 64)),
+                                     policy=kind, keep_paths="csr")
     assert res.path_servers.dtype == np.int32
     _check_block(oracle, router.cost_isp, res.path_servers, res.path_offsets)
     # the oracle's labels are the router's cost column

@@ -5,8 +5,8 @@ both engines and requires bit-parity everywhere the docs promise it:
 
 * the batch FT Simple Lookup against the scalar per-hop walk with the
   same oracle, policy and choice uniforms;
-* the core ``batch_cost_dh_lookup`` against the plain ``tau=`` replay
-  of its recorded ``tau_used`` digits;
+* the core ``batch_dh_lookup(policy=)`` against the plain ``tau=``
+  replay of its recorded ``tau_used`` digits;
 * the degenerate all-zero map collapsing ``weighted`` onto ``uniform``.
 """
 
@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles.inputs import populated
 
+from repro.core import BatchRouter
 from repro.core.lookup import compress_path
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, simple_lookup
-from repro.peer import CostAwareBatchRouter, CostMap, CostOracle
+from repro.peer import CostMap, CostOracle
 
 seeds = st.integers(min_value=0, max_value=2**31)
 MED = settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow],
@@ -89,14 +90,15 @@ class TestCoreTauParity:
            policy=st.sampled_from(["uniform", "greedy", "weighted"]))
     def test_tau_used_replays(self, seed, policy):
         """The digits a cost policy takes replay through the plain hook."""
-        router = CostAwareBatchRouter(_DNET, _cost_map(seed))
+        router = BatchRouter(_DNET, build_adjacency=True,
+                             cost_map=_cost_map(seed))
         rng = np.random.default_rng(seed + 2)
         pairs = 40
         src = _DPTS[rng.integers(_DNET.n, size=pairs)]
         tgt = rng.random(pairs)
         u = rng.random((pairs, 64))
-        res = router.batch_cost_dh_lookup(src, tgt, choices=u, policy=policy,
-                                          keep_paths="csr")
+        res = router.batch_dh_lookup(src, tgt, choices=u, policy=policy,
+                                     keep_paths="csr")
         replay = router.batch_dh_lookup(src, tgt, tau=res.tau_used,
                                         keep_paths="csr")
         assert np.array_equal(res.owner_idx, replay.owner_idx)

@@ -33,10 +33,10 @@ import repro.core.batch_cache as batch_cache
 import repro.core.walk as walk
 import repro.faults.batch_ft as batch_ft
 from repro.baselines import ChordNetwork
-from repro.core import BatchCacheEngine
+from repro.core import BatchCacheEngine, BatchRouter
 from repro.core.walk import ragged_to_csr
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, random_failstop
-from repro.peer import CostAwareBatchRouter, CostMap
+from repro.peer import CostMap
 
 
 def check(buf, starts, lens=None):
@@ -157,8 +157,8 @@ def oracle_writer(monkeypatch):
 def cost_router(delta, n):
     """``(net, router)``: a populated network and its cost-aware router."""
     net = populated(n, 100 * n + delta, delta)
-    return net, CostAwareBatchRouter(
-        net, CostMap.synthetic(n_isps=4, rng=np.random.default_rng(n)))
+    return net, BatchRouter(net, cost_map=CostMap.synthetic(
+        n_isps=4, rng=np.random.default_rng(n)))
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +200,8 @@ class TestEngineBuffers:
     def test_cost_dh(self, oracle_writer, delta, n, policy):
         _, router = cost_router(delta, n)
         src, tgt, rng = pairs(router, n + delta + 2)
-        router.batch_cost_dh_lookup(src, tgt, rng=rng, policy=policy,
-                                    keep_paths=True)
+        router.batch_dh_lookup(src, tgt, rng=rng, policy=policy,
+                               keep_paths=True)
         assert len(oracle_writer) == 1
 
     def test_serve_batch(self, oracle_writer, delta, n):
@@ -285,9 +285,9 @@ def test_buffer_with_drops_costs_one_byte_per_entry_plus_one_block(every):
 @lru_cache(maxsize=None)
 def soak_router():
     """The soak's n = 16384 network under a cost-aware router."""
-    return CostAwareBatchRouter(
+    return BatchRouter(
         populated(16384, 1),
-        CostMap.synthetic(n_isps=8, rng=np.random.default_rng(1)))
+        cost_map=CostMap.synthetic(n_isps=8, rng=np.random.default_rng(1)))
 
 
 def lane_peak(route, lanes: int) -> float:
@@ -336,7 +336,7 @@ def test_cost_dh_peak():
     step (stacked, then transposed); ~363 with narrow rows of the
     walking lanes written once into ``tau_used``."""
     per_lane = lane_peak(
-        lambda s, t: soak_router().batch_cost_dh_lookup(
+        lambda s, t: soak_router().batch_dh_lookup(
             s, t, policy="greedy", keep_paths="csr"),
         4096)
     assert per_lane <= 480, per_lane

@@ -42,7 +42,7 @@ from oracles.walk import head_to_rows, masked_descent, masked_fast_lookup
 
 from repro.core import BatchCacheEngine, lookup_many
 from repro.core.batch import BatchRouter
-from repro.peer import CostAwareBatchRouter, CostMap
+from repro.peer import CostMap
 
 FIELDS = ("owner_idx", "source_idx", "t", "hops", "path_servers",
           "path_offsets")
@@ -109,8 +109,9 @@ WALK_RULES = ("dh-tau", "dh-rng", "greedy", "weighted")
 
 def cost_router(net, seed=0):
     """A cost-aware router over ``net``: every digit rule can run on it."""
-    return CostAwareBatchRouter(
-        net, CostMap.synthetic(n_isps=4, rng=np.random.default_rng(seed)))
+    return BatchRouter(
+        net, build_adjacency=True,
+        cost_map=CostMap.synthetic(n_isps=4, rng=np.random.default_rng(seed)))
 
 
 def route_rule(router, rule, src, tgt, keep_paths, seed=0, **kw):
@@ -123,8 +124,8 @@ def route_rule(router, rule, src, tgt, keep_paths, seed=0, **kw):
     if rule == "dh-rng":
         return router.batch_dh_lookup(src, tgt, rng=rng,
                                       keep_paths=keep_paths, **kw), rng
-    return router.batch_cost_dh_lookup(src, tgt, rng=rng, policy=rule,
-                                       keep_paths=keep_paths, **kw), rng
+    return router.batch_dh_lookup(src, tgt, rng=rng, policy=rule,
+                                  keep_paths=keep_paths, **kw), rng
 
 
 def walk_pair(router, rule, src, tgt, keep_paths, seed=0):

@@ -2,7 +2,8 @@
 
 ``AllLanesWalkOracle`` (:mod:`oracles.dh_walk`) carries the previous
 ``_dh_walk``, both of its digit rules (``batch_dh_lookup``'s uniform /
-``tau`` rule and ``batch_cost_dh_lookup``'s cost rule),
+``tau`` rule and ``batch_cost_dh_lookup``'s cost rule, which the live
+router runs as ``batch_dh_lookup(policy=)``),
 ``_edge_cost_matrix`` (over the previous ``pair_costs``) and the
 slot-by-slot ``_edge_member`` *verbatim*: every step ran the segment
 test, the ``np.where`` updates and ``cover(pos)`` over all ``size``
@@ -27,7 +28,8 @@ from oracles.compare import assert_same
 from oracles.dh_walk import AllLanesWalkOracle, parent_walk
 from oracles.inputs import populated
 
-from repro.peer import CostAwareBatchRouter, CostMap
+from repro.core import BatchRouter
+from repro.peer import CostMap
 
 FIELDS = ("source_idx", "owner_idx", "t", "hops", "phase1_hops",
           "path_servers", "path_offsets", "tau_used", "algorithm", "policy")
@@ -39,7 +41,7 @@ def _pair(delta: int, n: int, with_ring: bool):
     """The live-lane router and the oracle over one network."""
     net = populated(n, 7 * n + delta, delta, with_ring)
     cost_map = CostMap.synthetic(n_isps=4, rng=np.random.default_rng(n))
-    return (CostAwareBatchRouter(net, cost_map),
+    return (BatchRouter(net, build_adjacency=True, cost_map=cost_map),
             AllLanesWalkOracle(net, cost_map))
 
 
@@ -73,13 +75,16 @@ def _route(router, rule: str, src, tgt, keep_paths, seed: int):
         return router.batch_dh_lookup(src, tgt, rng=rng,
                                       keep_paths=keep_paths), rng
     policy, source = rule.split("-")
+    # the oracle keeps the parent's separate cost entry point
+    cost = (router.batch_cost_dh_lookup
+            if isinstance(router, AllLanesWalkOracle)
+            else router.batch_dh_lookup)
     if source == "choices":
-        res = router.batch_cost_dh_lookup(
-            src, tgt, choices=inputs.random((size, 64)), policy=policy,
-            temperature=0.5, keep_paths=keep_paths)
+        res = cost(src, tgt, choices=inputs.random((size, 64)),
+                   policy=policy, temperature=0.5, keep_paths=keep_paths)
         return res, None
-    res = router.batch_cost_dh_lookup(src, tgt, rng=rng, policy=policy,
-                                      temperature=0.5, keep_paths=keep_paths)
+    res = cost(src, tgt, rng=rng, policy=policy, temperature=0.5,
+               keep_paths=keep_paths)
     return res, rng
 
 
@@ -173,7 +178,7 @@ def test_cost_rule_covers_only_walking_lanes(policy, monkeypatch):
     for keep_paths in (False, "csr"):
         lanes, res = _cover_lanes(
             router, monkeypatch,
-            lambda: router.batch_cost_dh_lookup(src, tgt, choices=u,
-                                                policy=policy,
-                                                keep_paths=keep_paths))
+            lambda: router.batch_dh_lookup(src, tgt, choices=u,
+                                           policy=policy,
+                                           keep_paths=keep_paths))
         assert lanes == int(((delta + 1) * res.t + 1).sum())

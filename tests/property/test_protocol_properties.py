@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from oracles.inputs import populated
 from oracles.lookup import verify_adjacent
 
-from repro.core import CacheSystem, DistanceHalvingNetwork, dh_lookup, fast_lookup
+from repro.core import (BatchRouter, CacheSystem, DistanceHalvingNetwork,
+                        dh_lookup, fast_lookup)
 from repro.core.caching import ActiveTree
 from repro.core.pathtree import PathTree
 from repro.hashing.kwise import KWiseHash
-from repro.peer import CostAwareBatchRouter, CostMap
+from repro.peer import CostMap
 
 net_sizes = st.integers(min_value=2, max_value=48)
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -87,9 +88,9 @@ class TestLookupProperties:
         assert_matches_scalar(router, router.batch_dh_lookup(
             [src], [target], tau=np.array([tau]), keep_paths="csr"))
         # uniform policy: digit ⌊u·Δ⌋, so these uniforms spell the same τ
-        cost_router = CostAwareBatchRouter(
-            net, CostMap.synthetic(n_isps=3, rng=np.random.default_rng(0)))
-        cost = cost_router.batch_cost_dh_lookup(
+        cost_router = BatchRouter(net, cost_map=CostMap.synthetic(
+            n_isps=3, rng=np.random.default_rng(0)))
+        cost = cost_router.batch_dh_lookup(
             [src], [target], choices=(np.array([tau]) + 0.5) / 2,
             policy="uniform", keep_paths="csr")
         assert tuple(cost.tau_used[0]) == tau[:res.t]

@@ -38,6 +38,7 @@ from repro.core import (
     BatchCacheResult,
     BatchCongestion,
     BatchLookupResult,
+    BatchRouter,
 )
 from repro.core.walk import (
     PathResult,
@@ -53,7 +54,7 @@ from repro.faults import (
     canonical_path,
     random_failstop,
 )
-from repro.peer import CostAwareBatchRouter, CostMap
+from repro.peer import CostMap
 
 BASELINES = {
     "chord": lambda n, rng: ChordNetwork(n, rng),
@@ -67,8 +68,9 @@ BASELINES = {
 
 # ------------------------------------------------------------------ producers
 NET = populated(128, 3)
-ROUTER = CostAwareBatchRouter(
-    NET, CostMap.synthetic(n_isps=4, rng=np.random.default_rng(7)))
+ROUTER = BatchRouter(
+    NET, build_adjacency=True,
+    cost_map=CostMap.synthetic(n_isps=4, rng=np.random.default_rng(7)))
 FT_NET = OverlappingDHNetwork(256, np.random.default_rng(5))
 FT_PLAN = random_failstop(FT_NET.points, 0.75, np.random.default_rng(11))
 BASELINE_ROUTERS = {
@@ -98,7 +100,7 @@ def route_dh(size, keep_paths):
 
 def route_cost_dh(size, keep_paths):
     src, tgt, rng = _pairs(size)
-    res = ROUTER.batch_cost_dh_lookup(
+    res = ROUTER.batch_dh_lookup(
         src, tgt, choices=rng.random((size, 64)), policy="weighted",
         keep_paths=keep_paths)
     return res, res.source_idx
@@ -330,8 +332,8 @@ class TestPerLaneMatrix:
     @pytest.mark.parametrize("call", [
         lambda src, tgt: ROUTER.batch_dh_lookup(
             src, tgt, tau=np.zeros((5, 64), np.int64)),
-        lambda src, tgt: ROUTER.batch_cost_dh_lookup(
-            src, tgt, choices=np.zeros((5, 64))),
+        lambda src, tgt: ROUTER.batch_dh_lookup(
+            src, tgt, choices=np.zeros((5, 64)), policy="weighted"),
         lambda src, tgt: FTBatchEngine(FT_NET).batch_simple_lookup(
             np.zeros(6, np.int64), tgt, choices=np.zeros((5, 32))),
         lambda src, tgt: BatchCacheEngine(NET, ["a"]).serve_batch(
@@ -380,9 +382,9 @@ class TestPerLaneMatrix:
 
     @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
     @pytest.mark.parametrize("call", [
-        lambda src, tgt, u: ROUTER.batch_cost_dh_lookup(
+        lambda src, tgt, u: ROUTER.batch_dh_lookup(
             src, tgt, choices=u, policy="weighted"),
-        lambda src, tgt, u: ROUTER.batch_cost_dh_lookup(
+        lambda src, tgt, u: ROUTER.batch_dh_lookup(
             src, tgt, choices=u, policy="uniform"),
         lambda src, tgt, u: FTBatchEngine(FT_NET).batch_simple_lookup(
             np.zeros(6, np.int64), tgt, choices=u[:, :32]),

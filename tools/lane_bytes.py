@@ -22,7 +22,9 @@ The last engine row is the congestion booking of the fast batch
 (``BatchCongestion.record_batch``): its traced peak per CSR path entry.
 NumPy reports its array buffers to ``tracemalloc``, so the peak counts
 every temporary a batch makes and the result it returns; inputs are
-drawn before tracing starts.
+drawn before tracing starts.  Each row draws its inputs and digits from
+its own generator, seeded from ``SEED`` and the row's name, so adding
+or reordering a row leaves every other row's reading alone.
 
 A second table runs one soak day as the spine's ``soak_day`` runs it
 (``DEFAULT_PHASES``, 500,000 lookups) and prints each phase's traced
@@ -35,13 +37,15 @@ from __future__ import annotations
 
 import functools
 import tracemalloc
+import zlib
 
 import numpy as np
 
+from repro.core.batch import BatchRouter
 from repro.core.batch_cache import BatchCacheEngine
 from repro.core.routing_stats import BatchCongestion
 from repro.faults.models import FaultPlan
-from repro.peer import CostAwareBatchRouter, CostMap
+from repro.peer import CostMap
 from repro.sim.scenario import DEFAULT_CHUNK, DEFAULT_PHASES, ScenarioEngine
 from repro.sim.workload import demand_stream, zipf_demands
 
@@ -66,54 +70,63 @@ def traced_peak(call) -> tuple:
     return out, peak
 
 
+def stream(name: str) -> np.random.Generator:
+    """The generator of one row (or the cost map), from ``SEED`` and
+    ``name``: no row's draws move another's."""
+    return np.random.default_rng([SEED, zlib.crc32(name.encode())])
+
+
 def rows(n: int, chunk: int):
     """Yield ``(engine, lanes, peak bytes)`` per engine, then the booking's
     ``("booking", path entries, peak bytes)``."""
     soak = ScenarioEngine(n=n, lookups=0, chunk=chunk, seed=SEED)
-    rng = np.random.default_rng(SEED)
     router, pts = soak.router, soak.router.points
-    cost = CostAwareBatchRouter(soak.net, CostMap.synthetic(8, rng))
+    cost = BatchRouter(soak.net,
+                       cost_map=CostMap.synthetic(8, stream("cost map")))
     n_items = max(8, min(64, n // 64))
     cache = BatchCacheEngine(soak.net, [f"hot-{i}" for i in range(n_items)])
     ft, ft_pts = soak.ft_engine, soak.ft_engine.points
     plan = FaultPlan()
 
-    def pairs(points, b):
+    def pairs(points, rng, b):
         return points[rng.integers(0, points.size, size=b)], rng.random(b)
 
-    def with_tau(b):  # serve_batch's digits: 64 a request, one byte each
-        src, tgt = pairs(pts, b)
+    def with_tau(rng, b):  # serve_batch's digits: 64 a request, one byte each
+        src, tgt = pairs(pts, rng, b)
         return src, tgt, rng.integers(0, router.delta, (b, 64)).astype(
             np.min_scalar_type(router.delta - 1))
 
-    def flash(b):
+    def flash(rng, b):
         idx = demand_stream(zipf_demands(n_items, b, rng), rng)
         return idx, pts[rng.integers(0, pts.size, size=idx.size)]
 
     on_net = functools.partial(pairs, pts)
     on_ft = functools.partial(pairs, ft_pts)
+    # (name, lanes, draw(rng, lanes), route(rng, *drawn))
     engines = [
         ("fast", chunk, on_net,
-         lambda s, t: router.lookup_batch(s, t, keep_paths="csr")),
+         lambda rng, s, t: router.lookup_batch(s, t, keep_paths="csr")),
         ("dh", chunk, on_net,
-         lambda s, t: router.batch_dh_lookup(s, t, rng=rng, keep_paths="csr")),
+         lambda rng, s, t: router.batch_dh_lookup(s, t, rng=rng,
+                                                  keep_paths="csr")),
         ("dh (no paths)", chunk, with_tau,
-         lambda s, t, tau: router.batch_dh_lookup(s, t, tau=tau)),
+         lambda rng, s, t, tau: router.batch_dh_lookup(s, t, tau=tau)),
         ("cost-dh", COST_LANES, on_net,
-         lambda s, t: cost.batch_cost_dh_lookup(s, t, policy="greedy",
+         lambda rng, s, t: cost.batch_dh_lookup(s, t, policy="greedy",
                                                 keep_paths="csr")),
         ("cache-serve", chunk, flash,
-         lambda i, s: cache.serve_batch(i, s, rng=rng)),
+         lambda rng, i, s: cache.serve_batch(i, s, rng=rng)),
         ("ft-simple", max(1, chunk // 2), on_ft,
-         lambda s, t: ft.batch_simple_lookup(s, t, rng=rng, plan=plan)),
+         lambda rng, s, t: ft.batch_simple_lookup(s, t, rng=rng, plan=plan)),
         ("ft-resistant", max(1, chunk // 4), on_ft,
-         lambda s, t: ft.batch_resistant_lookup(s, t, plan=plan)),
+         lambda rng, s, t: ft.batch_resistant_lookup(s, t, plan=plan)),
     ]
     fast = None
     for name, lanes, draw, route in engines:
-        route(*draw(16))  # warm: lazy tables are not the batch's
-        args = draw(lanes)
-        res, peak = traced_peak(lambda: route(*args))
+        rng = stream(name)
+        route(rng, *draw(rng, 16))  # warm: lazy tables are not the batch's
+        args = draw(rng, lanes)
+        res, peak = traced_peak(lambda: route(rng, *args))
         if name == "fast":
             fast = res
         yield name, lanes, peak
