@@ -1,66 +1,51 @@
 #!/usr/bin/env python
-"""Asynchronous message-passing swarm: the DHT under real concurrency.
+"""Asynchronous message-passing swarm: many lookups in flight at once.
 
 The paper's analysis is hop-count-based with "no implied assumption of
-synchrony" (§2.2 fn. 4).  This example runs every server as an asyncio
-task with an inbox and routes a burst of concurrent lookups purely by
-message passing — each node uses only its local segment and neighbour
-table — then cross-checks the asynchronously-routed paths against the
-deterministic reference implementation.
+synchrony" (§2.2 fn. 4).  This example injects a burst of concurrent
+lookups into the discrete-event protocol network, where every message
+takes a random delay, so their messages interleave in arbitrary order;
+each node routes with only its local segment and neighbour table.  It
+then cross-checks every path against the reference implementation run
+on the same digits.
 
 Run:  python examples/async_swarm.py
 """
 
-import asyncio
-
 import numpy as np
 
 from repro.core import dh_lookup
-from repro.sim.asyncnet import AsyncDHNetwork
+from repro.sim.protocol import build_protocol_network, run_protocol_lookups
 from repro.sim.workload import balanced_network
 
+rng = np.random.default_rng(3)
+net = balanced_network(128, rng)
+pts = list(net.points())
+queries = [(pts[int(rng.integers(net.n))], float(rng.random()))
+           for _ in range(200)]
+seeds = rng.integers(2**32, size=200)
 
-async def swarm() -> None:
-    rng = np.random.default_rng(3)
-    net = balanced_network(128, rng)
-    pts = list(net.points())
+delay = np.random.default_rng(4)
+sim = build_protocol_network(
+    net, latency=lambda a, b: float(delay.exponential()))
+outs = run_protocol_lookups(sim, net, queries,
+                            [np.random.default_rng(s) for s in seeds])
+print(f"routed {len(outs)} concurrent lookups over {net.n} servers, "
+      "exponential per-message delays")
 
-    fabric = AsyncDHNetwork(net, rng, latency=0.0)
-    await fabric.start()
-    try:
-        print(f"== {net.n} asyncio server tasks started ==")
-        queries = []
-        taus = []
-        for _ in range(200):
-            src = pts[int(rng.integers(net.n))]
-            tgt = float(rng.random())
-            tau = [int(d) for d in rng.integers(0, 2, size=64)]
-            queries.append((src, tgt))
-            taus.append(tau)
-        paths = await asyncio.gather(
-            *(fabric.lookup(s, t, tau=tau) for (s, t), tau in zip(queries, taus))
-        )
-        print(f"routed {len(paths)} concurrent lookups")
+hops = [o.hops for o in outs]
+print(f"hops: mean {np.mean(hops):.2f}, max {max(hops)}")
+finished = sorted(range(200), key=lambda k: outs[k].completed_at)
+print(f"{sum(k != f for k, f in enumerate(finished))}/200 lookups finished "
+      "out of injection order")
 
-        hops = [len(p) - 1 for p in paths]
-        print(f"hops: mean {np.mean(hops):.2f}, max {max(hops)}")
+# verify against the deterministic reference, digit for digit
+mismatches = sum(
+    o.path != dh_lookup(net, s, t, np.random.default_rng(seed)).server_path
+    for (s, t), seed, o in zip(queries, seeds, outs))
+print(f"asynchrony changed {mismatches}/200 paths "
+      "(0 expected: same digits ⇒ same route)")
 
-        # verify against the deterministic reference, digit for digit
-        mismatches = 0
-        check_rng = np.random.default_rng(0)
-        for (src, tgt), tau, path in zip(queries, taus, paths):
-            ref = dh_lookup(net, src, tgt, check_rng, tau=tau)
-            if ref.server_path != path:
-                mismatches += 1
-        print(f"asynchrony changed {mismatches}/200 paths "
-              f"(0 expected: same τ ⇒ same route)")
-
-        busiest = max(fabric.servers.values(), key=lambda s: s.handled)
-        print(f"busiest server handled {busiest.handled} messages "
-              f"(Θ(log n) per lookup spread over {net.n} servers)")
-    finally:
-        await fabric.stop()
-
-
-if __name__ == "__main__":
-    asyncio.run(swarm())
+busiest = max(node.received for node in sim.nodes.values())
+print(f"busiest server received {busiest} messages "
+      f"(Θ(log n) per lookup spread over {net.n} servers)")

@@ -12,7 +12,7 @@ A full reproduction of the paper's systems:
 * :mod:`repro.emulation` — general graph emulation (§7);
 * :mod:`repro.baselines` — Chord / Tapestry / CAN / small-world /
   Viceroy / Koorde comparators (Table 1);
-* :mod:`repro.sim` — discrete-event and asyncio simulation substrate;
+* :mod:`repro.sim` — discrete-event simulation substrate;
 * :mod:`repro.experiments` — the paper-vs-measured experiment harness.
 
 Quickstart::

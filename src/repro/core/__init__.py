@@ -11,17 +11,13 @@ from .batch_cache import (
     decode_node_key,
 )
 from .caching import ActiveTree, CachedLookup, CacheSystem, salt_indices, salted_key
-from .continuous import ContinuousGraph, binary_digits, digits_to_point
+from .continuous import ContinuousGraph, binary_digits
 from .debruijn import (
     bit_reversal,
     distance_halving_is_debruijn,
     equally_spaced_network,
 )
-from .interval import (
-    Arc,
-    linear_distance,
-    normalize,
-)
+from .interval import Arc, normalize
 from .lookup import (
     MAX_WALK_STEPS,
     LookupResult,
@@ -59,11 +55,9 @@ __all__ = [
     "compress_path",
     "decode_node_key",
     "dh_lookup",
-    "digits_to_point",
     "distance_halving_is_debruijn",
     "equally_spaced_network",
     "fast_lookup",
-    "linear_distance",
     "lookup_many",
     "normalize",
     "salt_indices",

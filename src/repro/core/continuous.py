@@ -44,7 +44,7 @@ from typing import Sequence
 from .. import checks
 from .interval import Arc, Number, normalize
 
-__all__ = ["ContinuousGraph", "Digits", "binary_digits", "digits_to_point"]
+__all__ = ["ContinuousGraph", "Digits", "binary_digits"]
 
 Digits = tuple[int, ...]
 
@@ -67,18 +67,6 @@ def binary_digits(y: Number, t: int, delta: int = 2) -> Digits:
     for k in range(t - 1, -1, -1):
         out.append((scaled // delta**k) % delta)
     return tuple(out)
-
-
-def digits_to_point(digits: Sequence[int], delta: int = 2) -> Fraction:
-    """Exact point ``0.d_1 d_2 …`` (base ``Δ``) as a Fraction."""
-    checks.count(delta, "delta", 2)
-    acc = Fraction(0)
-    for d in digits:
-        if not 0 <= d < delta:
-            raise ValueError(f"digit {d} out of range for delta={delta}")
-    for k, d in enumerate(digits, start=1):
-        acc += Fraction(d, delta**k)
-    return acc
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "BELOW_ONE",
     "Number",
     "normalize",
-    "linear_distance",
     "Arc",
 ]
 
@@ -52,17 +51,6 @@ def normalize(x: Number) -> Number:
     if r == 1:  # float rounding artefact, e.g. (-1e-18) % 1 == 1.0 - eps -> 1.0
         return r - 1
     return r
-
-
-def linear_distance(x: Number, y: Number) -> Number:
-    """Paper metric ``d(x, y) = |x - y|`` on ``[0, 1)`` (no wrap-around).
-
-    Observation 2.3 (the distance-halving property) is stated for this
-    *linear* distance: both ``l`` and ``r`` halve it exactly.  The ring
-    metric would not be halved exactly, which is why the paper uses this
-    one throughout §2.2.
-    """
-    return abs(x - y)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ scalar runtimes share:
   phase II walks back from ``w(τ_t, y)`` to ``y``.  Path length
   ≤ ``2 log n + 2 log ρ`` (Theorem 2.8).
 * :class:`LocalView`: what one server knows, and what it does with a
-  header.  The message transports (:mod:`repro.sim.protocol`,
-  :mod:`repro.sim.asyncnet`) hold nothing else — that is what "routes
-  with purely local state" means here; :func:`dh_lookup` drives the
-  same step over the global cover map.
+  header.  The message transport (:mod:`repro.sim.protocol`) holds
+  nothing else — that is what "routes with purely local state" means
+  here; :func:`dh_lookup` drives the same step over the global cover
+  map.
 
 Backward points are recomputed in closed form from the digit prefix (no
 float error accumulates on the doubling steps); results carry the server

@@ -87,10 +87,10 @@ def iterative_vs_recursive(seed: int = 302, quick: bool = False) -> ExperimentRe
     stats: Dict[str, Dict[str, float]] = {}
     for style in ("recursive", "iterative"):
         msgs, hops, ok = [], [], 0
-        for k in range(lookups):
+        for _ in range(lookups):
             src = pts[int(route.integers(n))]
             out = run_protocol_lookup(sim, net, src, float(route.random()),
-                                      route, style=style, request_id=k)
+                                      route, style=style)
             ok += out.done
             msgs.append(out.messages)
             hops.append(out.hops)

@@ -90,10 +90,6 @@ class GF256:
         return _EXP[255 - _LOG[a]]
 
     @staticmethod
-    def add(a: int, b: int) -> int:
-        return checks.count(a, "a", 0, 256) ^ checks.count(b, "b", 0, 256)
-
-    @staticmethod
     def pow(a: int, e: int) -> int:
         a, e = checks.count(a, "a", 0, 256), checks.count(e, "e")
         if a == 0:

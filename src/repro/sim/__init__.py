@@ -1,8 +1,4 @@
-"""Simulation substrate: event engine, workloads, churn, soak scenarios.
-
-The asyncio runtime lives in :mod:`repro.sim.asyncnet` and is imported
-from there, so importing this package never loads ``asyncio``.
-"""
+"""Simulation substrate: event engine, workloads, churn, soak scenarios."""
 
 from .churn import ChurnOp, ChurnReport, ChurnTrace, run_churn
 from .engine import Event, EventLoop, Message, SimNetwork, SimNode
@@ -11,6 +7,7 @@ from .protocol import (
     LookupOutcome,
     build_protocol_network,
     run_protocol_lookup,
+    run_protocol_lookups,
 )
 from .metrics import Summary, log_slope, loglog_slope, summarize
 from .rng import spawn_many
@@ -43,6 +40,7 @@ __all__ = [
     "LookupOutcome",
     "build_protocol_network",
     "run_protocol_lookup",
+    "run_protocol_lookups",
     "Event",
     "EventLoop",
     "Message",

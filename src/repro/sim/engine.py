@@ -12,8 +12,8 @@ time; the ``seq`` tiebreaker makes runs bit-for-bit reproducible.
 
 Paper footnote 4 ("there is no implied assumption of synchrony") is
 honoured: protocols built on this engine never read global state, only
-messages — :mod:`repro.sim.asyncnet` re-runs the same node logic under
-real asyncio concurrency as a cross-check.
+messages, so a random per-message ``latency`` reorders their deliveries
+without changing what any node decides (:mod:`repro.sim.protocol`).
 """
 
 from __future__ import annotations

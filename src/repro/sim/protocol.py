@@ -18,13 +18,16 @@ Only the transport lives here.  What a node decides is
 :meth:`repro.core.lookup.LocalView.route` — the one §2.2.2 step over
 the node's segment and neighbour-table snapshot — in both styles, and a
 latency function / drop rule can model heterogeneous links.
+
+Footnote 4 ("no implied assumption of synchrony") is many lookups in
+flight under a random latency: each still routes as ``dh_lookup`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,20 +37,19 @@ from ..core.network import DistanceHalvingNetwork
 from .engine import Message, SimNetwork, SimNode
 
 __all__ = ["LookupOutcome", "DHProtocolNode", "build_protocol_network",
-           "run_protocol_lookup"]
+           "run_protocol_lookups", "run_protocol_lookup"]
 
 
 @dataclass
 class LookupOutcome:
     """What the requester learns, plus transport-level accounting."""
 
-    request_id: int
     target: float
     owner: Optional[float] = None
     done: bool = False
     hops: int = 0
     messages: int = 0
-    completed_at: float = math.inf
+    completed_at: float = math.inf      # latency, counted from the injection
     path: List[float] = field(default_factory=list)
 
 
@@ -59,6 +61,7 @@ class _Request:
     outcome: LookupOutcome
     rng: np.random.Generator
     requester: float
+    injected_at: float
     next: Optional[float] = None    # probe-reply: where the probed node points
 
 
@@ -83,7 +86,7 @@ class DHProtocolNode(SimNode):
             nxt = self.view.route(req.header, req.rng)
             outcome.messages += 1
             if nxt is None:
-                self._finish(outcome, self.point)
+                self._finish(req, self.point)
                 self.send(req.requester, req, "reply")
             else:
                 outcome.hops += 1
@@ -95,16 +98,17 @@ class DHProtocolNode(SimNode):
         elif msg.kind == "probe-reply":
             outcome.path.append(msg.sender)
             if req.next is None:
-                self._finish(outcome, msg.sender)
+                self._finish(req, msg.sender)
             else:
                 outcome.hops += 1
                 outcome.messages += 1
                 self.send(req.next, req, "probe")
 
-    def _finish(self, outcome: LookupOutcome, owner: float) -> None:
+    def _finish(self, req: _Request, owner: float) -> None:
+        outcome = req.outcome
         outcome.done = True
         outcome.owner = owner
-        outcome.completed_at = self.network.loop.now
+        outcome.completed_at = self.network.loop.now - req.injected_at
 
 
 def build_protocol_network(
@@ -119,6 +123,37 @@ def build_protocol_network(
     return sim
 
 
+def run_protocol_lookups(
+    sim: SimNetwork,
+    net: DistanceHalvingNetwork,
+    queries: Sequence[Tuple[float, float]],
+    rngs: Sequence[np.random.Generator],
+    style: str = "recursive",
+) -> List[LookupOutcome]:
+    """Inject every ``(source, target)`` lookup at once, then run the loop.
+
+    Lookup ``k`` draws its digits from ``rngs[k]`` alone, so the order
+    its messages interleave with the others' changes nothing it routes.
+    Raises what :func:`~repro.core.lookup.dh_lookup` raises: a non-finite
+    point before anything is sent, the first non-convergence out of the
+    loop.
+    """
+    checks.choice(style, "style", ("recursive", "iterative"))
+    lookups = [(DhHeader.start(source, target), rng)
+               for (source, target), rng in zip(queries, rngs, strict=True)]
+    kind = "lookup" if style == "recursive" else "probe"
+    outcomes = []
+    for header, rng in lookups:
+        first = net.segments.cover_point(header.position)
+        outcome = LookupOutcome(header.target, messages=1)  # the injection
+        # self-delivery: SimNetwork handles same-node messages like any other
+        sim.nodes[first].send(
+            first, _Request(header, outcome, rng, first, sim.loop.now), kind)
+        outcomes.append(outcome)
+    sim.run()
+    return outcomes
+
+
 def run_protocol_lookup(
     sim: SimNetwork,
     net: DistanceHalvingNetwork,
@@ -126,19 +161,6 @@ def run_protocol_lookup(
     target: float,
     rng: np.random.Generator,
     style: str = "recursive",
-    request_id: int = 0,
 ) -> LookupOutcome:
-    """Inject one lookup and run the event loop to completion.
-
-    Raises what :func:`~repro.core.lookup.dh_lookup` raises: non-finite
-    points before anything is sent, non-convergence out of the loop.
-    """
-    checks.choice(style, "style", ("recursive", "iterative"))
-    header = DhHeader.start(source, target)
-    first = net.segments.cover_point(header.position)
-    outcome = LookupOutcome(request_id, header.target, messages=1)  # the injection
-    # self-delivery: SimNetwork handles same-node messages like any other
-    sim.nodes[first].send(first, _Request(header, outcome, rng, first),
-                          "lookup" if style == "recursive" else "probe")
-    sim.run()
-    return outcome
+    """One lookup through :func:`run_protocol_lookups`."""
+    return run_protocol_lookups(sim, net, [(source, target)], [rng], style)[0]

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles.exact import digits_to_point
+from oracles.segments import linear_distance
 
-from repro.core.continuous import ContinuousGraph, binary_digits, digits_to_point
-from repro.core.interval import Arc, linear_distance
+from repro.core.continuous import ContinuousGraph, binary_digits
+from repro.core.interval import Arc
 
 
 @pytest.fixture
@@ -190,8 +192,8 @@ class TestDigits:
             binary_digits(0.5, -1)
 
     def test_rejects_bad_digit(self):
-        with pytest.raises(ValueError):
-            digits_to_point((2,), delta=2)
+        with pytest.raises(ValueError, match="digit 2 out of range for delta=2"):
+            ContinuousGraph(2).walk((1, 2), 0.5)
 
 
 class TestIntervalImages:

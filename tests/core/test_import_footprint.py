@@ -1,10 +1,9 @@
 """Routing processes do not load the heavy optional dependencies.
 
 networkx (~18 MB resident) serves only graph analyses — expander
-spectra, ``to_networkx`` exports — and asyncio (~7 MB) only the
-asynchronous fabric in :mod:`repro.sim.asyncnet`.  Both load on first
-use, so a process that
-imports everything the spine benchmark imports routes without them.
+spectra, ``to_networkx`` exports — and loads on first use; asyncio
+(~7 MB) serves nothing in ``src/``.  A process that imports everything
+the spine benchmark imports routes without either.
 Checked in a fresh interpreter: this one has long since imported both.
 :mod:`repro.checks` is a leaf every layer calls: it imports no other
 ``repro`` module.

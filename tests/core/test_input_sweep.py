@@ -37,7 +37,7 @@ from repro.baselines import (CanNetwork, ChordNetwork, DistanceHalvingAdapter,
 from repro.core import (ActiveTree, BatchCacheEngine, BatchRouter, CacheSystem,
                         ContinuousGraph, DistanceHalvingNetwork, PathTree,
                         SegmentMap, binary_digits, decode_node_key, dh_lookup,
-                        digits_to_point, distance_halving_is_debruijn,
+                        distance_halving_is_debruijn,
                         equally_spaced_network, fast_lookup, salt_indices,
                         salted_key)
 from repro.emulation import (DeBruijnFamily, GraphEmulator, RingFamily,
@@ -117,7 +117,6 @@ PLAN = ("a membership test: an id the plan does not hold is alive and "
 RECORD = ("a field of a result record: the engine that fills it measured "
           "it, so the record stores what it is given")
 STUB = "a protocol or abstract stub: the implementations are swept"
-REQUEST_ID = "an opaque request id, echoed into the outcome unread"
 DEGREE = "the family's degree bound does not depend on k, which is unread"
 
 #: ``"key:parameter"`` (``*`` for every numeric parameter of the key) →
@@ -215,7 +214,6 @@ ACCEPTS = {
     "sim.scenario.Phase:arg": (
         ALL, "a parsed phase: parse_phases checks the argument per kind"),
     "sim.scenario.SoakStats:*": (ALL, RECORD),
-    "sim.protocol.run_protocol_lookup:request_id": (ALL, REQUEST_ID),
     "emulation.families.GraphFamily.degree_bound:k": (ALL, STUB),
     "emulation.families.GraphFamily.neighbors:*": (ALL, STUB),
     "emulation.families.RingFamily.degree_bound:k": (ALL, DEGREE),
@@ -332,8 +330,6 @@ FIXTURES = {
         binary_digits, dict(y=0.3, t=3, delta=2)),
     "core.batch_cache.decode_node_key": lambda: (
         decode_node_key, dict(key=5, delta=2)),
-    "core.continuous.digits_to_point": lambda: (
-        digits_to_point, dict(digits=(1, 0), delta=2)),
     "core.debruijn.distance_halving_is_debruijn": lambda: (
         distance_halving_is_debruijn, dict(r=2, delta=2)),
     "core.debruijn.equally_spaced_network": lambda: (
@@ -428,7 +424,6 @@ FIXTURES = {
     "faults.erasure.ReedSolomonCode": lambda: (ReedSolomonCode, dict(k=2, n=4)),
     "faults.erasure.GF256.mul": lambda: (GF256.mul, dict(a=3, b=7)),
     "faults.erasure.GF256.inv": lambda: (GF256.inv, dict(a=3)),
-    "faults.erasure.GF256.add": lambda: (GF256.add, dict(a=3, b=7)),
     "faults.erasure.GF256.pow": lambda: (GF256.pow, dict(a=3, e=2)),
     "faults.overlap.OverlappingDHNetwork": lambda: (
         OverlappingDHNetwork, dict(n=8, rng=_rng(), coverage_factor=1.0)),
@@ -503,8 +498,9 @@ ENTRIES = sorted(f"{key}:{param}" for key, params in SURFACE.items()
 
 def test_surface_is_walked():
     """The walk finds the surface, and every table row names a part of it."""
-    # a floor, not a pin: 145 callables and 235 parameters when written
-    assert len(SURFACE) >= 140 and len(ENTRIES) >= 230
+    # a floor, not a pin: 145 callables and 235 parameters when written,
+    # 141 and 228 once the test-only names and the request id went
+    assert len(SURFACE) >= 140 and len(ENTRIES) >= 225
     stale = [key for key in FIXTURES if key not in SURFACE]
     stale += [entry for entry in ACCEPTS
               if entry.partition(":")[0] not in SURFACE

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from oracles.segments import arcs_cover_ring, intersection_length
+from oracles.segments import (arcs_cover_ring, intersection_length,
+                              linear_distance)
 
-from repro.core.interval import Arc, linear_distance, normalize
+from repro.core.interval import Arc, normalize
 
 
 class TestNormalize:

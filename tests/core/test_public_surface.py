@@ -123,11 +123,10 @@ def test_every_public_name_has_a_caller():
         f"@register reaches — delete them or allowlist them: {unreached}")
 
 
-def test_allowed_is_the_three_kept_names():
-    """The oracles live in ``tests/oracles/``; two property-API names and
-    the asyncio entry point are all that stay on the list."""
-    assert sorted(ALLOWED) == ["digits_to_point", "linear_distance",
-                               "run_async_lookups"]
+def test_allowed_is_empty():
+    """The oracles and the property API live in ``tests/oracles/``: every
+    public top-level name of ``src/`` has a caller."""
+    assert ALLOWED == {}
 
 
 def test_allowlist_is_not_stale():

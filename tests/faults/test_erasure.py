@@ -9,7 +9,10 @@ from repro.faults.models import random_failstop
 
 class TestGF256:
     def test_addition_is_xor(self):
-        assert GF256.add(0x53, 0xCA) == 0x53 ^ 0xCA
+        """Field addition is ``^``: ``3 = 2 + 1``, and ``a + a = 0``."""
+        for a in range(256):
+            assert GF256.mul(a, 3) == GF256.mul(a, 2) ^ a
+            assert GF256.mul(a, 2 ^ 2) == 0
 
     def test_multiplicative_identity(self):
         for a in (1, 7, 123, 255):
@@ -42,9 +45,7 @@ class TestGF256:
         rng = np.random.default_rng(1)
         for _ in range(50):
             a, b, c = (int(x) for x in rng.integers(0, 256, 3))
-            assert GF256.mul(a, GF256.add(b, c)) == GF256.add(
-                GF256.mul(a, b), GF256.mul(a, c)
-            )
+            assert GF256.mul(a, b ^ c) == GF256.mul(a, b) ^ GF256.mul(a, c)
 
     def test_pow(self):
         assert GF256.pow(2, 0) == 1

@@ -2,7 +2,8 @@
 
 :class:`ScalarReedSolomon` is the codec as it was — one ``GF256.mul``
 call per byte per coefficient, Gaussian elimination over the payloads —
-kept verbatim as the oracle: shares and plaintext must stay
+kept verbatim as the oracle (but its field additions, now spelled ``^``,
+since ``GF256.add`` went): shares and plaintext must stay
 byte-identical, since stored artifacts and put-time digests depend on
 them.  The share digests below were recorded on that code.
 """
@@ -98,10 +99,10 @@ class ScalarReedSolomon:
                 if r == col or m[r][col] == 0:
                     continue
                 factor = m[r][col]
-                m[r] = [GF256.add(v, GF256.mul(factor, w))
+                m[r] = [v ^ GF256.mul(factor, w)
                         for v, w in zip(m[r], m[col])]
                 payloads[r] = bytearray(
-                    GF256.add(b, GF256.mul(factor, c))
+                    b ^ GF256.mul(factor, c)
                     for b, c in zip(payloads[r], payloads[col])
                 )
         framed = b"".join(bytes(p) for p in payloads)
@@ -141,7 +142,7 @@ class TestElementRange:
 
     @pytest.mark.parametrize("call", [
         lambda: GF256.mul(-1, 3), lambda: GF256.mul(3, 256),
-        lambda: GF256.inv(-1), lambda: GF256.add(True, 3),
+        lambda: GF256.inv(-1), lambda: GF256.mul(True, 3),
         lambda: GF256.pow(-1, 2), lambda: GF256.pow(3, -1)])
     def test_out_of_field_is_refused(self, call):
         with pytest.raises(ValueError, match="must be an int"):
@@ -149,7 +150,7 @@ class TestElementRange:
 
     def test_field_edges_still_compute(self):
         assert GF256.mul(255, 3) == 26 and GF256.inv(255) == 28
-        assert GF256.add(0, 255) == 255 and GF256.pow(0, 0) == 1
+        assert GF256.pow(0, 0) == 1
         with pytest.raises(ZeroDivisionError):
             GF256.inv(0)
 

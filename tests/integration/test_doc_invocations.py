@@ -281,7 +281,7 @@ def test_the_resolver_catches_stale_references():
     text = ('`core/batch.py` `core/gone.py` `core/batch.py:1`\n'
             '`core/batch.py:999999` `core/segments.py::CoverIndex.follow`\n'
             '`core/segments.py::CoverIndex.gone` `repro.core.batch.BatchRouter`\n'
-            '`repro.core.batch.Gone` ``repro.sim.asyncnet``\n'
+            '`repro.core.batch.Gone` ``repro.sim.protocol``\n'
             'docs/BENCHMARKS.md "Which experiment do I run?" and "PR 20"\n')
     found = [(kind, problem(kind, ref)) for _, kind, ref in references(text)]
     assert found == [

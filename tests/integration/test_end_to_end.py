@@ -7,7 +7,7 @@ modules, matching the example applications:
 * flash crowd: routing + caching + epochs together;
 * resilient storage: overlapping DHT + fault plans + both lookups;
 * emulation on a live network's decomposition;
-* asyncio fabric equivalence at integration scale.
+* concurrent lookups under random latency at integration scale.
 """
 
 import math
@@ -31,7 +31,7 @@ from repro.faults import (
     resistant_lookup,
     simple_lookup,
 )
-from repro.sim.asyncnet import run_async_lookups
+from repro.sim.protocol import build_protocol_network, run_protocol_lookups
 
 
 class TestDHTLifecycle:
@@ -174,16 +174,22 @@ class TestAsyncIntegration:
         rng = np.random.default_rng(9)
         net = populated(96, rng, selector=MultipleChoice(t=4))
         pts = list(net.points())
-        queries, taus, expected = [], [], []
-        for _ in range(40):
+        queries, expected = [], []
+        for k in range(40):
             src = pts[int(rng.integers(net.n))]
             tgt = float(rng.random())
-            tau = [int(d) for d in rng.integers(0, 2, size=64)]
             queries.append((src, tgt))
-            taus.append(tau)
-            expected.append(dh_lookup(net, src, tgt, rng, tau=tau).server_path)
-        got = run_async_lookups(net, queries, np.random.default_rng(10), taus=taus)
-        assert got == expected
+            expected.append(dh_lookup(net, src, tgt,
+                                      np.random.default_rng(k)).server_path)
+        delay = np.random.default_rng(10)
+        sim = build_protocol_network(
+            net, latency=lambda a, b: float(delay.uniform(0.1, 10.0)))
+        got = run_protocol_lookups(sim, net, queries,
+                                   [np.random.default_rng(k) for k in range(40)])
+        assert [out.path for out in got] == expected
+        # the lookups interleaved: they did not finish in injection order
+        finished = sorted(range(40), key=lambda k: got[k].completed_at)
+        assert finished != list(range(40))
 
 
 class TestBucketBalancedDHT:

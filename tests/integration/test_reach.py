@@ -11,6 +11,7 @@ import functools
 import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 import textwrap
 
@@ -216,6 +217,17 @@ class TestTraceAndVerdict:
         allowlist = {"mod.py:allowed": "kept", "mod.py:planted": "kept",
                      key: "stale"}
         assert reach.verdict(found, entered, allowlist, pkg) == ([], [key])
+
+    def test_every_dump_keeps_a_file_of_its_own(self, tmp_path):
+        """Two dumps of one pid leave two files: a recycled pid cannot
+        overwrite an earlier process's dump."""
+        hook = tmp_path / "hook.py"
+        hook.write_text(reach._HOOK.format(dump_dir=str(tmp_path / "dumps")))
+        (tmp_path / "dumps").mkdir()
+        subprocess.run([sys.executable, "-c",
+                        f"exec(open({str(hook)!r}).read()); _dump(); _dump(); "
+                        "import os; os._exit(0)"], check=True)
+        assert len(list((tmp_path / "dumps").glob("*.json"))) == 2
 
     def test_a_failing_command_is_reported(self, tmp_path):
         entered, failures = reach.trace(

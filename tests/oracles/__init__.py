@@ -54,6 +54,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   → test_id_strategy_parity
 - segments.arcs_cover_ring (Claim 6.5) / intersection_length, scalar:
   ring arcs → test_interval, test_overlap, test_segments
+- segments.linear_distance, scalar: Obs 2.3's metric ``|x − y|``, moved
+  out of ``core/interval.py`` → test_continuous, test_core_properties
 - overlap.parent_cover_table, frozen: §6.2's class table →
   test_cover_class
 - routing_stats.ParentBatchCongestion, frozen: the blocked booking and
@@ -62,6 +64,12 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   test_baselines, test_batch_baselines
 - exact.exact_fast_lookup, scalar: §2.2.1's Fast Lookup in ``Fraction``
   arithmetic over float ids → test_exact_fast_lookup
-- inputs: the adversarial ids and the ``populated`` / ``joined``
-  builders; compare.assert_same: dtype, shape and bits, field by field
+- exact.exact_dh_lookup, scalar: §2.2.2's dh lookup on a pinned ``τ``
+  in ``Fraction`` arithmetic, neighbour sets derived exactly →
+  test_exact_dh_lookup
+- exact.digits_to_point, scalar: ``0.d_1 d_2 …`` as a ``Fraction``, moved
+  out of ``core/continuous.py`` → test_continuous, test_core_properties
+- inputs: the adversarial ids, the ``populated`` / ``joined`` builders
+  and the exact suites' ``boundary_network``; compare.assert_same:
+  dtype, shape and bits, field by field
 """

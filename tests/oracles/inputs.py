@@ -1,4 +1,6 @@
-"""Shared inputs: the adversarial point sets and the two network builders."""
+"""Shared inputs: the adversarial point sets and the network builders."""
+
+import functools
 
 import numpy as np
 from hypothesis import strategies as st
@@ -77,3 +79,25 @@ def joined(points, delta: int = 2, with_ring: bool = True,
     for p in points:
         net.join(p)
     return net
+
+
+#: The networks :func:`boundary_network` builds.
+KINDS = ("tiny", "clustered", "smooth")
+
+
+@functools.lru_cache(maxsize=None)
+def boundary_network(kind: str, delta: int, seed: int) -> DistanceHalvingNetwork:
+    """A network of ``kind`` for the exact-arithmetic suites, built once.
+
+    ``tiny``: one to five random ids; ``clustered``: half the ids inside
+    one interval 1e-9 wide, for deep walks; ``smooth``: ``populated(64)``.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "smooth":
+        return populated(64, rng, delta)
+    if kind == "tiny":
+        pts = rng.random(int(rng.integers(1, 6)))
+    else:
+        base = rng.random()
+        pts = np.concatenate([rng.random(8), base + 1e-9 * rng.random(8)])
+    return joined(np.unique(pts[pts < 1.0]).tolist(), delta, seed=seed)

@@ -1,7 +1,5 @@
 """Oracles of :mod:`repro.core.lookup`: the lookups before the one step."""
 
-import asyncio
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -186,89 +184,6 @@ class ParentProtocolNode:
         return "forward", nxt, st
 
 
-@dataclass
-class ParentAsyncMessage:
-    target: float
-    source_point: float
-    tau: List[int] = field(default_factory=list)
-    t: int = 0
-    phase: int = 1
-    position: float = 0.0          # current w(τ_t, x_i) (phase I)
-    image: float = 0.0             # current w(τ_t, y)  (phase I)
-    path: List[float] = field(default_factory=list)
-    done: "asyncio.Future[List[float]]" = None  # type: ignore[assignment]
-
-
-class ParentAsyncServer:
-    """``sim/asyncnet.py``'s server before the fold (``_route`` verbatim)."""
-
-    def __init__(self, point, net):
-        self.point = point
-        self.segment: Arc = net.segments.segment_of(point)
-        self.neighbors: List[float] = net.neighbor_points(point)
-        self.graph = net.graph
-        self._seg_of: Dict[float, Arc] = {
-            q: net.segments.segment_of(q) for q in self.neighbors
-        }
-
-    def _local_cover(self, y: float) -> Optional[float]:
-        if y in self.segment:
-            return self.point
-        for q, seg in self._seg_of.items():
-            if y in seg:
-                return q
-        return None
-
-    async def _route(self, msg, fabric) -> None:
-        g = self.graph
-        if msg.phase == 1:
-            # phase I termination test: w(τ_t, y) covered here or next door
-            holder = self._local_cover(msg.image)
-            if holder == self.point:
-                msg.phase = 2
-                await self._route(msg, fabric)
-                return
-            if holder is not None:
-                msg.phase = 2
-                await fabric.send(holder, msg)
-                return
-            if msg.t > MAX_WALK_STEPS:  # pragma: no cover - safety valve
-                msg.done.set_exception(RuntimeError("phase I diverged"))
-                return
-            d = int(fabric.rng.integers(0, g.delta)) if msg.t >= len(msg.tau) else msg.tau[msg.t]
-            if msg.t >= len(msg.tau):
-                msg.tau.append(d)
-            msg.t += 1
-            msg.position = g.child(msg.position, d)
-            # closed form, as phase II recomputes it (see core.lookup.dh_lookup)
-            msg.image = g.walk(tuple(msg.tau[: msg.t]), msg.target)
-            nxt = self._local_cover(msg.position)
-            if nxt is None:  # neighbour tables stale — cannot happen when static
-                msg.done.set_exception(RuntimeError("routing hole"))
-                return
-            if nxt == self.point:
-                await self._route(msg, fabric)
-            else:
-                await fabric.send(nxt, msg)
-        else:
-            # phase II: walk backwards deleting the last digit of τ each hop.
-            # Termination only at depth 0 (the cover of y itself) keeps the
-            # path identical to the deterministic reference implementation.
-            if msg.t == 0:
-                msg.done.set_result(msg.path)
-                return
-            msg.t -= 1
-            nxt_point = g.walk(tuple(msg.tau[: msg.t]), msg.target)
-            nxt = self._local_cover(nxt_point)
-            if nxt is None:
-                msg.done.set_exception(RuntimeError("phase II hole"))
-                return
-            if nxt == self.point:
-                await self._route(msg, fabric)
-            else:
-                await fabric.send(nxt, msg)
-
-
 def parent_protocol_path(net, source, target, rng) -> List[float]:
     """Drive ``next_step`` hop by hop; the server path (the parent sent
     hops + 2 messages for it recursively, 2·hops + 2 iteratively)."""
@@ -283,33 +198,6 @@ def parent_protocol_path(net, source, target, rng) -> List[float]:
             assert verdict == "done"
             return path
         path.append(nxt)
-
-
-def parent_async_path(net, source, target, tau, rng) -> List[float]:
-    """Drive ``_route`` with an in-order queue in place of the task inboxes."""
-    servers = {p: ParentAsyncServer(p, net) for p in net.segments}
-
-    class Fabric:
-        def __init__(self):
-            self.rng, self.queue = rng, []
-
-        async def send(self, recipient, msg):
-            self.queue.append((recipient, msg))
-
-    async def main():
-        fabric = Fabric()
-        src, tgt = normalize(float(source)), normalize(float(target))
-        msg = ParentAsyncMessage(
-            target=tgt, source_point=src, tau=list(tau), position=src,
-            image=tgt, done=asyncio.get_running_loop().create_future())
-        await fabric.send(net.segments.cover_point(src), msg)
-        while fabric.queue:
-            recipient, msg = fabric.queue.pop(0)
-            msg.path.append(recipient)
-            await servers[recipient]._route(msg, fabric)
-        return await msg.done
-
-    return asyncio.run(main())
 
 
 def verify_adjacent(self: LookupResult, net: DistanceHalvingNetwork) -> bool:

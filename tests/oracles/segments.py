@@ -1,4 +1,4 @@
-"""Oracles of the segment map, the §4 id rules and ring-arc arithmetic."""
+"""Oracles of the segment map, the §4 id rules and ring arithmetic."""
 
 from typing import Sequence
 
@@ -113,3 +113,14 @@ def intersection_length(self: Arc, other: Arc) -> Number:
     if total is None:
         return 0 if isinstance(self.start, int) else type(self.start)(0)
     return total
+
+
+def linear_distance(x: Number, y: Number) -> Number:
+    """Paper metric ``d(x, y) = |x - y|`` on ``[0, 1)`` (no wrap-around).
+
+    Observation 2.3 (the distance-halving property) is stated for this
+    *linear* distance: both ``l`` and ``r`` halve it exactly.  The ring
+    metric would not be halved exactly, which is why the paper uses this
+    one throughout §2.2.
+    """
+    return abs(x - y)

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles.exact import digits_to_point
+from oracles.segments import linear_distance
 
-from repro.core.continuous import ContinuousGraph, binary_digits, digits_to_point
-from repro.core.interval import Arc, linear_distance, normalize
+from repro.core.continuous import ContinuousGraph, binary_digits
+from repro.core.interval import Arc, normalize
 from repro.core.segments import SegmentMap
 
 # strategies ----------------------------------------------------------------

@@ -25,59 +25,40 @@ properties, which ``pytest --junitxml=out.xml -o junit_family=xunit1``
 writes out per Δ.
 """
 
-import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles.exact import exact_fast_lookup
-from oracles.inputs import joined, populated
+from oracles.exact import exact_fast_lookup, near_a_boundary, preimage
+from oracles.inputs import KINDS, boundary_network
 
 from repro.core import fast_lookup
 
-KINDS = ("tiny", "clustered", "smooth")
-#: How near a boundary an exact walk point must lie for a float rounding
-#: to cross it: a few ulps of 1.
-NEAR = Fraction(1, 2 ** 50)
 
-
-@functools.lru_cache(maxsize=None)
-def network(kind: str, delta: int, seed: int):
-    """A network of ``kind``; its router compiles once per network."""
-    rng = np.random.default_rng(seed)
-    if kind == "smooth":
-        return populated(64, rng, delta)
-    if kind == "tiny":
-        pts = rng.random(int(rng.integers(1, 6)))
-    else:  # half the ids inside one interval 1e-9 wide: deep walks
-        base = rng.random()
-        pts = np.concatenate([rng.random(8), base + 1e-9 * rng.random(8)])
-    return joined(np.unique(pts[pts < 1.0]).tolist(), delta, seed=seed)
-
-
-def preimage(points, delta: int, source: int, level: int, bound: int) -> Fraction:
+def fast_preimage(points, delta: int, source: int, level: int,
+                  bound: int) -> Fraction:
     """``y`` with ``w(σ(z)_level, y) = points[bound]``, exactly, in ``[0, 1)``."""
     n = len(points)
     start = Fraction(points[source])
     length = (Fraction(points[(source + 1) % n]) - start) % 1 if n > 1 else 1
     z = (start + Fraction(length) / 2) % 1
-    scale = delta ** level
-    return (Fraction(points[bound]) * scale - int(z * scale)) % 1
+    return preimage(points[bound], delta, level, int(z * delta ** level))
 
 
 @st.composite
 def boundary_cases(draw, delta: int):
     """``(points, sources, targets)``: lanes aimed at a segment boundary."""
-    net = network(draw(st.sampled_from(KINDS)), delta, draw(st.integers(0, 7)))
+    net = boundary_network(draw(st.sampled_from(KINDS)), delta,
+                           draw(st.integers(0, 7)))
     points = net.segments.column
     n = points.size
     sources, targets = [], []
     for _ in range(draw(st.integers(1, 16))):
         source = draw(st.integers(0, n - 1))
-        y = preimage(points, delta, source, draw(st.integers(0, 40)),
-                     draw(st.integers(0, n - 1)))
+        y = fast_preimage(points, delta, source, draw(st.integers(0, 40)),
+                          draw(st.integers(0, n - 1)))
         for side in (-np.inf, None, np.inf):
             near = float(y) if side is None else float(
                 np.nextafter(float(y), side))
@@ -92,7 +73,6 @@ def deviations(net, sources, targets) -> tuple:
     res = net.compile_router().batch_fast_lookup(sources, targets,
                                                  keep_paths="csr")
     points = net.segments.column
-    bounds = [Fraction(p) for p in points] + [Fraction(1)]
     deviating, unexplained = [], []
     for i, (s, y) in enumerate(zip(sources, targets)):
         owner, path, walk = exact_fast_lookup(
@@ -100,7 +80,7 @@ def deviations(net, sources, targets) -> tuple:
         got = res.path_servers[res.path_offsets[i]:res.path_offsets[i + 1]]
         if owner != res.owner_idx[i] or path != got.tolist():
             deviating.append((s, y))
-            if not any(abs(p - b) <= NEAR for p in walk for b in bounds):
+            if not near_a_boundary(walk, points):
                 unexplained.append((s, y))
     return deviating, unexplained
 
@@ -128,7 +108,7 @@ def test_the_float_walk_point_rounding_on_a_recorded_lane():
     take the neighbouring server on the way, the exact walk does not,
     and all three reach the same owner.
     """
-    net = network("clustered", 2, 0)
+    net = boundary_network("clustered", 2, 0)
     points = net.segments.column
     source, target = 0.2697867137638703, 0.08724998293084572
     res = net.compile_router().batch_fast_lookup([source], [target],

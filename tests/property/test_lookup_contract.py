@@ -1,14 +1,16 @@
-"""One node step, two transports: the scalar runtimes agree, and with their parents.
+"""One node step, one transport: the scalar runtimes agree, and with their parents.
 
 :mod:`repro.core.lookup` is the single home of the forward search
 (:func:`approach_walk`), the §2.2.2 step (:class:`DhHeader`,
-:func:`dh_step`) and the local view (:class:`LocalView`); ``dh_lookup``,
-the discrete-event protocol (recursive and iterative) and the asyncio
-fabric are four drivers of the one step.  This module pins
+:func:`dh_step`) and the local view (:class:`LocalView`); ``dh_lookup``
+and the discrete-event protocol (recursive and iterative) are three
+drivers of the one step.  This module pins
 
-* the four drivers to each other — server path, owner, hops, message
-  counts — for the same digit source, on adversarial point sets, tiny
-  networks, exact ``Fraction`` ids and the float-boundary hand-off;
+* the three drivers to each other — server path, owner, hops, message
+  counts, latency — for the same digit source, on adversarial point
+  sets, tiny networks, exact ``Fraction`` ids and the float-boundary
+  hand-off, and with many lookups in flight under a random latency
+  (§2.2 fn. 4: no implied assumption of synchrony);
 * ``fast_lookup`` / ``dh_lookup`` / ``canonical_path`` / the message
   twins to the functions they replaced, kept **verbatim** as oracles in
   :mod:`oracles.lookup` (``parent_*``: the private copies of the commit
@@ -31,7 +33,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles.inputs import joined, point_sets, populated, unit
 from oracles.lookup import (
-    parent_async_path,
     parent_canonical_path,
     parent_dh_lookup,
     parent_fast_lookup,
@@ -45,11 +46,11 @@ from repro.core.debruijn import equally_spaced_network
 from repro.core.interval import Arc
 from repro.core.lookup import MAX_WALK_STEPS, DhHeader, LocalView, dh_step
 from repro.faults import OverlappingDHNetwork, canonical_path
-from repro.sim.asyncnet import AsyncDHNetwork, AsyncServer, run_async_lookups
 from repro.sim.protocol import (
     DHProtocolNode,
     build_protocol_network,
     run_protocol_lookup,
+    run_protocol_lookups,
 )
 
 
@@ -63,11 +64,12 @@ def outcome_of(call):
 
 
 def assert_runtimes_agree(net, source, target, seed):
-    """dh_lookup ≡ recursive ≡ iterative ≡ asyncio ≡ their parents on one lookup.
+    """dh_lookup ≡ recursive ≡ iterative ≡ their parents on one lookup.
 
-    The digit source is ``default_rng(seed)`` for every rng-driven
-    runtime (each draws one digit per phase-I step, in order) and the
-    digits ``dh_lookup`` took, pinned, for the asyncio fabric.
+    The digit source is ``default_rng(seed)`` for every runtime (each
+    draws one digit per phase-I step, in order).  Each style routes the
+    lookup twice on one network: the second run's latency is its own,
+    not the loop's clock.
     """
     def fresh():
         return np.random.default_rng(seed)
@@ -77,34 +79,28 @@ def assert_runtimes_agree(net, source, target, seed):
         lambda: parent_dh_lookup(net, source, target, fresh()))
     for style in ("recursive", "iterative"):
         sim = build_protocol_network(net)
-        got_kind, out = outcome_of(lambda: run_protocol_lookup(
-            sim, net, source, target, fresh(), style))
-        if kind == "raised":
-            assert (got_kind, out) == (kind, ref), style
-            continue
-        assert out.done and out.path == ref.server_path, style
-        assert (out.owner, out.hops) == (ref.owner, ref.hops), style
-        assert out.target == ref.target
-        # inject + one per hop + reply / inject + (probe, reply) per server
-        # − the reply the last probe-reply stands in for: what X2 reports
-        assert out.messages == (ref.hops + 2 if style == "recursive"
-                                else 2 * ref.hops + 2), style
-        assert out.completed_at == (ref.hops + 1 if style == "recursive"
+        for _ in range(2):
+            got_kind, out = outcome_of(lambda: run_protocol_lookup(
+                sim, net, source, target, fresh(), style))
+            if kind == "raised":
+                assert (got_kind, out) == (kind, ref), style
+                break
+            assert out.done and out.path == ref.server_path, style
+            assert (out.owner, out.hops) == (ref.owner, ref.hops), style
+            assert out.target == ref.target
+            # inject + one per hop + reply / inject + (probe, reply) per
+            # server − the reply the last probe-reply stands in for: what
+            # X2 reports
+            assert out.messages == (ref.hops + 2 if style == "recursive"
                                     else 2 * ref.hops + 2), style
-    got = outcome_of(lambda: run_async_lookups(net, [(source, target)],
-                                               fresh()))
+            assert out.completed_at == (ref.hops + 1 if style == "recursive"
+                                        else 2 * ref.hops + 2), style
     if kind == "raised":
-        assert got == (kind, ref)
         return None
-    assert got == ("ok", [ref.server_path])
     # pinned to exactly the digits taken: nobody asks for one more
     tau = list(ref.phase2_digits)
-    assert run_async_lookups(net, [(source, target)], None,
-                             taus=[tau]) == [ref.server_path]
     assert dh_lookup(net, source, target, None, tau=tau) == ref
     assert parent_protocol_path(net, source, target, fresh()) == ref.server_path
-    assert parent_async_path(net, source, target, tau, None) == ref.server_path
-    assert parent_async_path(net, source, target, [], fresh()) == ref.server_path
     assert ref.server_path[-1] == ref.owner == net.segments.cover_point(target)
     return ref
 
@@ -153,6 +149,35 @@ class TestRuntimesAgree:
             source = points[int(rng.integers(32))]
             target = float(points[k]) if k % 4 == 0 else float(rng.random())
             assert assert_runtimes_agree(net, source, target, k) is not None
+
+
+class TestNoSynchronyAssumed:
+    """§2.2 fn. 4 on the event loop: many lookups in flight at once, each
+    message delayed at random, and every lookup still routes as
+    ``dh_lookup`` does on its own digits."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(points=point_sets(), delta=st.sampled_from([2, 3, 4]),
+           with_ring=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(8, 24), style=st.sampled_from(["recursive",
+                                                        "iterative"]))
+    def test_random_latency_changes_no_route(self, points, delta, with_ring,
+                                             seed, k, style):
+        net = joined(points, delta, with_ring)
+        rng = np.random.default_rng(seed)
+        queries = [(float(points[int(rng.integers(points.size))]),
+                    float(rng.random())) for _ in range(k)]
+        seeds = [int(s) for s in rng.integers(2**32, size=k)]
+        delay = np.random.default_rng(seed + 1)
+        sim = build_protocol_network(
+            net, latency=lambda a, b: float(delay.exponential()))
+        outs = run_protocol_lookups(
+            sim, net, queries, [np.random.default_rng(s) for s in seeds], style)
+        for (source, target), s, out in zip(queries, seeds, outs):
+            ref = dh_lookup(net, source, target, np.random.default_rng(s))
+            assert out.done and out.path == ref.server_path
+            assert (out.owner, out.hops) == (ref.owner, ref.hops)
 
 
 class TestAgainstTheParents:
@@ -226,7 +251,7 @@ class TestOneStepCap:
         assert header.t == MAX_WALK_STEPS + 1 == len(tested)
 
     def test_every_runtime_stops_at_the_one_cap(self, net64, monkeypatch):
-        """Lower the cap: the four runtimes refuse the same lookups alike."""
+        """Lower the cap: the three runtimes refuse the same lookups alike."""
         monkeypatch.setattr(repro.core.lookup, "MAX_WALK_STEPS", 2)
         points = list(net64.points())
         rng = np.random.default_rng(8)
@@ -243,8 +268,6 @@ class TestOneStepCap:
                 "iterative": lambda: run_protocol_lookup(
                     build_protocol_network(net64), net64, source, target,
                     np.random.default_rng(k), "iterative").path,
-                "asyncio": lambda: run_async_lookups(
-                    net64, [(source, target)], np.random.default_rng(k))[0],
             }.items():
                 kind, got = outcome_of(run)
                 assert (kind, got) == (
@@ -278,22 +301,22 @@ class TestSingleHome:
         modules = [p for p in sorted((SRC / "sim").glob("*.py"))
                    if p.name != "workload.py"]
         modules.append(SRC / "faults" / "lookup_ft.py")
-        assert len(modules) >= 9
+        assert len(modules) >= 8
         assert [h for p in modules for h in walk_primitives_used(p)] == []
 
     def test_the_guard_sees_what_it_guards(self):
         hits = walk_primitives_used(SRC / "core" / "lookup.py")
         assert {h.split()[-1] for h in hits} == set(WALK_PRIMITIVES)
 
-    def test_both_transports_hold_one_local_view(self, net64):
+    def test_the_transport_holds_one_local_view(self, net64):
         """"Routes with purely local state", enforced by the one type."""
         point = list(net64.points())[0]
-        for node in (DHProtocolNode(point, net64), AsyncServer(point, net64)):
-            assert type(node.view) is LocalView
-            routing_state = {k for k, v in vars(node).items()
-                             if isinstance(v, (Arc, dict, DistanceHalvingNetwork))}
-            assert routing_state == set(), routing_state
+        node = DHProtocolNode(point, net64)
+        assert type(node.view) is LocalView
+        routing_state = {k for k, v in vars(node).items()
+                         if isinstance(v, (Arc, dict, DistanceHalvingNetwork))}
+        assert routing_state == set(), routing_state
         view = LocalView(net64, point)
         assert set(view.neighbor_segments) == set(net64.neighbor_points(point))
-        fabric = AsyncDHNetwork(net64, np.random.default_rng(0))
-        assert all(type(s.view) is LocalView for s in fabric.servers.values())
+        sim = build_protocol_network(net64)
+        assert all(type(s.view) is LocalView for s in sim.nodes.values())

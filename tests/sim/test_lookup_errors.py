@@ -1,7 +1,7 @@
 """Error rules every scalar runtime shares (they used to differ per copy).
 
-``fast_lookup``, ``dh_lookup``, the discrete-event protocol (both
-styles) and the asyncio fabric enter through one check
+``fast_lookup``, ``dh_lookup`` and the discrete-event protocol (both
+styles, one lookup or a batch) enter through one check
 (:func:`repro.core.lookup.ring_point`) and take digits through one rule
 (:func:`repro.core.lookup.dh_step`): non-finite points raise at entry,
 by the rule the batch engines use (:func:`repro.checks.finite`); a
@@ -17,8 +17,8 @@ from oracles.inputs import populated
 
 from repro.core import dh_lookup, fast_lookup
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, canonical_path
-from repro.sim.asyncnet import run_async_lookups
-from repro.sim.protocol import build_protocol_network, run_protocol_lookup
+from repro.sim.protocol import (build_protocol_network, run_protocol_lookup,
+                                run_protocol_lookups)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,9 @@ RUNTIMES = {
         build_protocol_network(net), net, s, t, rng),
     "iterative": lambda net, s, t, rng: run_protocol_lookup(
         build_protocol_network(net), net, s, t, rng, "iterative"),
-    "asyncio": lambda net, s, t, rng: run_async_lookups(net, [(s, t)], rng),
+    # the bad query injected behind a good one
+    "concurrent": lambda net, s, t, rng: run_protocol_lookups(
+        build_protocol_network(net), net, [(0.5, 0.25), (s, t)], [rng, rng]),
 }
 
 
@@ -119,12 +121,7 @@ class TestPinnedTau:
             if need < 2:
                 continue
             ran_out += 1
-            for lookup in (
-                lambda: dh_lookup(net64, source, target, rng, tau=[1]),
-                # the fabric's rng is live, and must not be drawn from
-                lambda: run_async_lookups(net64, [(source, target)],
-                                          np.random.default_rng(3), taus=[[1]]),
-            ):
-                with pytest.raises(ValueError, match="supplied tau exhausted"):
-                    lookup()
+            # the rng is live, and must not be drawn from
+            with pytest.raises(ValueError, match="supplied tau exhausted"):
+                dh_lookup(net64, source, target, rng, tau=[1])
         assert ran_out >= 10

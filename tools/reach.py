@@ -83,15 +83,6 @@ ALLOWLIST = {
     "core/shard.py:ShardedExecutor.__exit__": "dunder",
     # a bound check that runs only when its flag is given
     "cli.py:_scenario_script": "validates soak --phases",
-    # the paper's property API and the asyncio entry point, read by tests
-    # (the oracles themselves live in tests/oracles/)
-    "sim/asyncnet.py:run_async_lookups": "the asyncio runtime's driver in "
-                                         "the lookup contract suite",
-    "core/interval.py:linear_distance": "Obs 2.3 / Claim 2.4 property API",
-    "core/continuous.py:digits_to_point": "Obs 2.3 / Claim 2.4 property "
-                                          "API",
-    "faults/erasure.py:GF256.add": "GF(256) field API; the codec adds "
-                                    "its bytes with ^ inline",
     # the only path for a supported input
     "balance/strategies.py:ImprovedSingleChoice._probes": "a window's "
                                                           "probe count; "
@@ -149,9 +140,11 @@ def commands(out_dir: str) -> list:
             [*spine, "--all", "--seconds", "2"]]
 
 
-#: written as ``sitecustomize.py``; ``{dump_dir!r}`` is filled in
+#: written as ``sitecustomize.py``; ``{dump_dir!r}`` is filled in.  Each
+#: dump gets a name of its own, opened exclusively: a later process that
+#: reuses a pid must not overwrite an earlier one's dump.
 _HOOK = '''\
-import atexit, json, os, sys, threading
+import atexit, json, os, sys, threading, time
 
 _entered = {{}}
 
@@ -166,7 +159,8 @@ def _dump():
     sys.setprofile(None)
     hits = sorted({{(c.co_filename, c.co_firstlineno)
                    for c in _entered.values()}})
-    with open(os.path.join({dump_dir!r}, f"{{os.getpid()}}.json"), "w") as f:
+    name = f"{{os.getpid()}}-{{time.monotonic_ns()}}.json"
+    with open(os.path.join({dump_dir!r}, name), "x") as f:
         json.dump(hits, f)
 
 
