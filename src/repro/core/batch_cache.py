@@ -55,8 +55,8 @@ from .caching import salt_indices, salted_key
 from .continuous import Digits
 from .network import DistanceHalvingNetwork
 from .segments import fold_unit
-from .walk import (PathResult, integral_array, normalize_points,
-                   per_lane_matrix, ragged_to_csr)
+from .walk import (PathResult, integral_array, lane_blocks,
+                   normalize_points, per_lane_matrix, ragged_to_csr)
 
 __all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key"]
 
@@ -339,9 +339,14 @@ class BatchCacheEngine:
             tau = _draw_tau(rng, delta, size)
         tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
 
-        res = self._router.batch_dh_lookup(src, targets, tau=tau_arr,
-                                           keep_paths=False)
-        t, lookup_hops = res.t, res.hops
+        # the walk, one lane block at a time: only its t and hops stay
+        t = np.empty(size, dtype=np.int64)
+        lookup_hops = np.empty(size, dtype=np.int64)
+        for lo, hi in lane_blocks(size):
+            res = self._router.batch_dh_lookup(
+                src[lo:hi], targets[lo:hi], tau=tau_arr[lo:hi],
+                keep_paths=False)
+            t[lo:hi], lookup_hops[lo:hi] = res.t, res.hops
         del res, tau  # the walk's other columns and the drawn matrix
         tmax = int(t.max())
         if tmax + 1 > self._depth_cap:
@@ -376,12 +381,14 @@ class BatchCacheEngine:
             walking = walking[t[walking] > depth[walking]]
 
         self._replication_fixpoint(node, off, depth, t, tau_arr, trees)
+        del off
 
         # commit epoch counters and per-server hits
         idx = np.searchsorted(self._keys, node)
         np.add.at(self._counts, idx, 1)
         cover = self._router.cover_index.cover
         serving_idx = cover(self._pos[idx]).astype(np.int32)
+        del idx
         np.add.at(self._hits, serving_idx, 1)
         self._touched[np.unique(trees)] = True
         self.requests_served += size
@@ -389,27 +396,30 @@ class BatchCacheEngine:
         # cache-shortened paths: phase-I walk covers j = 0..t, then
         # phase-II covers j = t..serving depth — the exact closed-form
         # trajectory the scalar engine books (not the dh route, so not
-        # the shared descent).  Emitted level by level: by t descending
-        # the lanes live at level j are a prefix, and every cover goes
-        # straight to its slot of one lane-major ragged buffer — phase I
-        # at start + j, phase II at start + 2t + 1 − j.
+        # the shared descent).  Every cover goes straight to its slot of
+        # one lane-major ragged buffer — phase I at start + j, phase II
+        # at start + 2t + 1 − j — emitted a lane block at a time and
+        # level by level inside it: by t descending the block's lanes
+        # live at level j are a prefix.
         raw_len = 2 * t - depth + 2          # (t+1) phase-I + (t-m+1) phase-II
         starts = np.cumsum(raw_len) - raw_len
         buf = np.empty(raw_len.sum(), dtype=np.int32)
-        order = np.argsort(-t, kind="stable")
-        xs, ys, floor = src[order], targets[order], depth[order]
-        fwd = starts[order]
-        back = fwd + 2 * t[order] + 1
-        run = np.zeros(size, dtype=np.float64)   # Σ_{k<j} d_k Δ^k, sorted lanes
-        live = np.bincount(t)[::-1].cumsum()[::-1]    # lanes with t >= j
-        for j, m in enumerate(live):
-            o = run[:m]
-            if j:
-                o += tau_arr[order[:m], j - 1] * scales[j - 1]
-            buf[fwd[:m] + j] = cover(fold_unit((xs[:m] + o) / scales[j]))
-            home = np.flatnonzero(floor[:m] <= j)
-            buf[back[home] - j] = cover(
-                fold_unit((ys[home] + o[home]) / scales[j]))
+        del raw_len
+        for lo, hi in lane_blocks(size):
+            order = lo + np.argsort(-t[lo:hi], kind="stable")
+            xs, ys, floor = src[order], targets[order], depth[order]
+            fwd = starts[order]
+            back = fwd + 2 * t[order] + 1
+            run = np.zeros(hi - lo, dtype=np.float64)  # Σ_{k<j} d_k Δ^k
+            live = np.bincount(t[lo:hi])[::-1].cumsum()[::-1]  # t >= j
+            for j, m in enumerate(live):
+                o = run[:m]
+                if j:
+                    o += tau_arr[order[:m], j - 1] * scales[j - 1]
+                buf[fwd[:m] + j] = cover(fold_unit((xs[:m] + o) / scales[j]))
+                home = np.flatnonzero(floor[:m] <= j)
+                buf[back[home] - j] = cover(
+                    fold_unit((ys[home] + o[home]) / scales[j]))
         servers, offsets = ragged_to_csr(buf, starts)
         np.add.at(self._msgs, servers, 1)
 

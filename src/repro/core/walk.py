@@ -23,8 +23,8 @@ import numpy as np
 from .. import checks
 from .segments import fold_unit, normalize_array
 
-__all__ = ["PathResult", "descend", "forward_levels",
-           "integral_array", "level_points", "normalize_pair",
+__all__ = ["LANE_BLOCK", "PathResult", "descend", "forward_levels",
+           "integral_array", "lane_blocks", "level_points", "normalize_pair",
            "normalize_points", "per_lane_matrix", "ragged_to_csr", "replay",
            "walking_lanes"]
 
@@ -120,6 +120,19 @@ def per_lane_matrix(values, size: int, dtype, what: str) -> np.ndarray:
     if mat.shape[0] != size:
         raise ValueError(f"{what} must have one row per lookup")
     return mat
+
+
+# ------------------------------------------------------------------ lane block
+#: Lanes an engine whose lanes walk independently carries through its
+#: per-level loop at once: the ``(W, B)`` tables and per-level
+#: temporaries of a batch of any size stay one block wide.
+LANE_BLOCK = 1 << 14
+
+
+def lane_blocks(size: int):
+    """Yield ``(lo, hi)`` over ``range(size)``, :data:`LANE_BLOCK` lanes each."""
+    for lo in range(0, size, LANE_BLOCK):
+        yield lo, min(lo + LANE_BLOCK, size)
 
 
 # --------------------------------------------------------------------- kernels

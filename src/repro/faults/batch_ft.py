@@ -50,8 +50,8 @@ import numpy as np
 from .. import checks
 from ..core.lookup import MAX_WALK_STEPS
 from ..core.walk import (KEEP_PATHS, PathResult, forward_levels,
-                         level_points, normalize_points, per_lane_matrix,
-                         ragged_to_csr)
+                         lane_blocks, level_points, normalize_points,
+                         per_lane_matrix, ragged_to_csr)
 from .models import FaultPlan
 from .overlap import OverlappingDHNetwork
 
@@ -275,32 +275,35 @@ class FTBatchEngine:
             buf = np.empty(slots.sum(), dtype=np.int32)
             buf[starts] = src_idx
 
-        for h in range(1, tmax + 1):
-            lanes = np.flatnonzero((t >= h) & ~failed)
-            if not lanes.size:
-                break
-            # int32 exponents: np.ldexp has no int64 loop where C long is
-            # 32-bit (Windows), and t ≤ MAX_WALK_STEPS = 512 anyway
-            scale = np.ldexp(1.0, (t[lanes] - h).astype(np.int32))
-            p = level_points(y[lanes], s_final[lanes], scale, 2)
-            cand, mask = self.net.cover_table(p)
-            ok = mask & (state[cand] & ALIVE).view(bool)
-            dead = ~ok.any(axis=0)
-            # uniform picks the (⌊u·cnt⌋+1)-th alive cover, in the scalar
-            # scan order, and reads no cost
-            costs = (oracle.edge_costs(cur[lanes], cand) if cost_aware
-                     else None)
-            u_row = u[lanes, h - 1] if u is not None else None
-            sel = select_rows(costs, ok, u_row, policy, temperature)
-            nxt = cand[sel, np.arange(lanes.size)]
-            failed[lanes[dead]] = True
-            surv = lanes[~dead]
-            nxt = nxt[~dead]
-            messages[surv] += nxt != cur[surv]
-            cur[surv] = nxt
-            traversed[surv] = h
-            if keep_paths:
-                buf[starts[surv] + h] = nxt
+        # the lanes walk independently, so the hop loop runs one lane
+        # block at a time and its (W, B) cover tables stay a block wide
+        for lo, hi in lane_blocks(size):
+            for h in range(1, tmax + 1):
+                lanes = lo + np.flatnonzero((t[lo:hi] >= h) & ~failed[lo:hi])
+                if not lanes.size:
+                    break
+                # int32 exponents: np.ldexp has no int64 loop where C long
+                # is 32-bit (Windows), and t ≤ MAX_WALK_STEPS = 512 anyway
+                scale = np.ldexp(1.0, (t[lanes] - h).astype(np.int32))
+                p = level_points(y[lanes], s_final[lanes], scale, 2)
+                cand, mask = self.net.cover_table(p)
+                ok = mask & (state[cand] & ALIVE).view(bool)
+                dead = ~ok.any(axis=0)
+                # uniform picks the (⌊u·cnt⌋+1)-th alive cover, in the
+                # scalar scan order, and reads no cost
+                costs = (oracle.edge_costs(cur[lanes], cand) if cost_aware
+                         else None)
+                u_row = u[lanes, h - 1] if u is not None else None
+                sel = select_rows(costs, ok, u_row, policy, temperature)
+                nxt = cand[sel, np.arange(lanes.size)]
+                failed[lanes[dead]] = True
+                surv = lanes[~dead]
+                nxt = nxt[~dead]
+                messages[surv] += nxt != cur[surv]
+                cur[surv] = nxt
+                traversed[surv] = h
+                if keep_paths:
+                    buf[starts[surv] + h] = nxt
 
         servers = offsets = None
         if keep_paths:  # a failed walk's path ends at its last live hop

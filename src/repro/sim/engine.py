@@ -53,6 +53,14 @@ class EventLoop:
         heapq.heappush(self._heap, ev)
         return ev
 
+    def clear(self) -> None:
+        """Drop every pending event; none of them will run.
+
+        The clock and ``events_run`` keep their values: what already ran
+        stays counted.
+        """
+        self._heap.clear()
+
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
         """Run events in order until the queue drains (or a limit hits)."""
         if until is not None:

@@ -136,7 +136,8 @@ def run_protocol_lookups(
     its messages interleave with the others' changes nothing it routes.
     Raises what :func:`~repro.core.lookup.dh_lookup` raises: a non-finite
     point before anything is sent, the first non-convergence out of the
-    loop.
+    loop.  A raise drops the messages still queued, the other lookups'
+    included, so the network's next run delivers only its own.
     """
     checks.choice(style, "style", ("recursive", "iterative"))
     lookups = [(DhHeader.start(source, target), rng)
@@ -150,7 +151,11 @@ def run_protocol_lookups(
         sim.nodes[first].send(
             first, _Request(header, outcome, rng, first, sim.loop.now), kind)
         outcomes.append(outcome)
-    sim.run()
+    try:
+        sim.run()
+    except BaseException:
+        sim.loop.clear()
+        raise
     return outcomes
 
 

@@ -84,7 +84,9 @@ class TestSoakReproducibility:
 
 class TestArtifactSchema:
     def test_committed_references_exist(self):
-        assert [p.name for p in BASELINES] == ["BENCH_soak.json"]
+        assert [p.name for p in BASELINES] == [
+            "BENCH_soak.json", "BENCH_soak_seed1.json",
+            "BENCH_soak_seed11.json", "BENCH_soak_seed7.json"]
         assert [p.stem for p in EXPERIMENTS] == [
             "E1", "E13", "E4", "E7", "E8", "X3", "X4", "X6"]
 

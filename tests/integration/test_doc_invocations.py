@@ -83,10 +83,11 @@ def test_every_documented_invocation_parses(path):
 
 
 def test_the_scan_is_not_vacuous():
-    """The scan is not vacuous: the smoke script alone has two calls."""
+    """The scan is not vacuous: the smoke script alone has five calls."""
     calls = list(invocations((ROOT / "benchmarks" / "ci_smoke.sh").read_text()))
-    assert [words[0] for _, words in calls] == ["run", "soak"]
-    assert "--out" in calls[0][1] and "--json-out" in calls[1][1]
+    assert [words[0] for _, words in calls] == ["run"] + ["soak"] * 4
+    assert "--out" in calls[0][1]
+    assert all("--json-out" in words for _, words in calls[1:])
 
 
 def test_the_scan_catches_stale_invocations():

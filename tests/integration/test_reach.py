@@ -34,22 +34,36 @@ def _src_keys() -> frozenset:
 
 
 class TestCommands:
-    def test_smoke_parse_yields_its_two_run_python_lines(self):
+    def test_smoke_parse_yields_its_five_run_python_lines(self):
         argvs = reach.smoke_commands(SMOKE, "OUT")
-        assert len(argvs) == 2 == SMOKE.read_text().count("\nrun python ")
-        run, soak = argvs
+        assert len(argvs) == 5 == SMOKE.read_text().count("\nrun python ")
+        run, *soaks = argvs
         assert run[:4] == ["python", "-m", "repro.cli", "run"]
         assert run[-3:] == ["--quick", "--out", "OUT"]
-        assert soak[:4] == ["python", "-m", "repro.cli", "soak"]
-        assert soak[soak.index("--json-out") + 1] == "OUT/BENCH_soak.json"
+        for soak in soaks:
+            assert soak[:4] == ["python", "-m", "repro.cli", "soak"]
+            assert soak[soak.index("--json-out") + 1].startswith(
+                "OUT/BENCH_soak")
 
     def test_smoke_runs_exactly_the_experiments_it_has_baselines_for(self):
         """An experiment run without a committed file would fail the
         smoke's diff; a file without a run would go stale unseen."""
-        run, _ = reach.smoke_commands(SMOKE, "OUT")
+        run, *_ = reach.smoke_commands(SMOKE, "OUT")
         baselines = ROOT / "benchmarks" / "baselines"
         assert sorted(run[4:-3]) == sorted(
             p.stem for p in baselines.glob("[EX]*.json"))
+
+    def test_smoke_writes_exactly_the_soaks_it_has_baselines_for(self):
+        """The same tie for the soak runs: the small smoke and the
+        default-size days of seeds 1, 7 and 11, one file each."""
+        _, *soaks = reach.smoke_commands(SMOKE, "OUT")
+        baselines = ROOT / "benchmarks" / "baselines"
+        written = [soak[soak.index("--json-out") + 1] for soak in soaks]
+        assert sorted(written) == sorted(
+            f"OUT/{p.name}" for p in baselines.glob("BENCH_*.json"))
+        days = [soak[soak.index("--seed") + 1] for soak in soaks
+                if "--n" not in soak]
+        assert days == ["1", "7", "11"]
 
     def test_continuations_join_and_other_lines_drop(self, tmp_path):
         script = tmp_path / "smoke.sh"
@@ -70,9 +84,10 @@ class TestCommands:
         argvs = reach.commands("OUT")
         examples = sorted((ROOT / "examples").glob("*.py"))
         spine = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
-        assert argvs[:2] == reach.smoke_commands(SMOKE, "OUT")
-        assert argvs[2:-2] == [["python", f"examples/{p.name}"]
-                               for p in examples]
+        smoke = reach.smoke_commands(SMOKE, "OUT")
+        assert argvs[:len(smoke)] == smoke
+        assert argvs[len(smoke):-2] == [["python", f"examples/{p.name}"]
+                                        for p in examples]
         assert argvs[-2] == ["python", "-m", "repro.cli", "run", "all",
                              "--quick", "--out", "OUT"]
         assert argvs[-1] == [*spine, "--all", "--seconds", "2"]

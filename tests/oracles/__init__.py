@@ -32,6 +32,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   test_cache_ragged
 - cache.OneDrawEngine, frozen: the blocked narrow ``tau`` draw →
   test_tau_storage
+- cache.WholeChunkServeEngine, frozen: ``serve_batch``'s walk and path
+  emission in lane blocks → test_lane_block
 - cache.served_counts / last_epoch_served / *_item_stats: the §3
   counters → test_batch_cache, test_caching, test_cache_parity
 - cache.items_cached_at, scalar: one server's cached items, a scan of
@@ -58,6 +60,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   out of ``core/interval.py`` → test_continuous, test_core_properties
 - overlap.parent_cover_table, frozen: §6.2's class table →
   test_cover_class
+- overlap.WholeChunkFTEngine, frozen: ``batch_simple_lookup``'s hop loop
+  in lane blocks → test_lane_block
 - routing_stats.ParentBatchCongestion, frozen: the blocked booking and
   the in-place key merge → test_congestion_booking
 - baselines.measure_scheme, scalar: ``measure_scheme_batch`` →
@@ -67,6 +71,9 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
 - exact.exact_dh_lookup, scalar: §2.2.2's dh lookup on a pinned ``τ``
   in ``Fraction`` arithmetic, neighbour sets derived exactly →
   test_exact_dh_lookup
+- exact.exact_canonical_path, scalar: §6.3's canonical path on §6.2's
+  closed segments in ``Fraction`` arithmetic →
+  test_exact_canonical_path
 - exact.digits_to_point, scalar: ``0.d_1 d_2 …`` as a ``Fraction``, moved
   out of ``core/continuous.py`` → test_continuous, test_core_properties
 - inputs: the adversarial ids, the ``populated`` / ``joined`` builders

@@ -18,6 +18,11 @@ source ``w(τ_t, x)`` and the image ``w(τ_t, y)`` forward a digit at a
 time until the image is covered by the current server or one of its
 §2.1 neighbours, whose sets it derives exactly from the segments' images
 ``f_d(s(x_i))``; phase II walks the images back to ``y``.
+
+:func:`exact_canonical_path` is §6.3's canonical path on §6.2's
+overlapping segments: the source segment's exact midpoint ``z``, the
+smallest ``t`` whose candidate ``w(σ(z)_t, y)`` passes the closed cyclic
+segment test, and the level points ``(y + (⌊z·2^t⌋ mod 2^j)) / 2^j``.
 """
 
 import functools
@@ -147,3 +152,31 @@ def exact_dh_lookup(points: Sequence[float], delta: int, with_ring: bool,
         t += 1
     path = compress_path(servers + [_cover(pts, p) for p in reversed(images)])
     return _cover(pts, images[0]), path, walk
+
+
+def exact_canonical_path(points: Sequence[float], ends: Sequence[float],
+                         source: int, target: float
+                         ) -> Tuple[int, int, List[Fraction], List[Fraction]]:
+    """``(t, ⌊z·2^t⌋, level points, candidates)`` of one §6.3 canonical path.
+
+    ``points`` are the sorted float ids and ``ends[i]`` the float end of
+    server ``i``'s closed overlapping segment ``[x_i, end_i]`` (it may
+    wrap); ``target`` is a float in ``[0, 1)``.  The segment's exact
+    length is ``(end_i − x_i) mod 1``, its midpoint ``z`` is the exact
+    ``(x_i + length / 2) mod 1``, and a candidate ``p`` passes when
+    ``(p − x_i) mod 1 ≤ length``.  Level point ``j`` (``0 ≤ j ≤ t``) is
+    ``(y + (s mod 2^j)) / 2^j`` with ``s = ⌊z·2^t⌋``, the target end at
+    ``j = 0``; the candidates are the ``t + 1`` points the stop test read.
+    """
+    start, y = Fraction(points[source]), Fraction(target)
+    length = (Fraction(ends[source]) - start) % 1
+    z = (start + length / 2) % 1
+    candidates = []
+    for m in range(MAX_WALK_STEPS + 1):
+        candidates.append((int(z * 2 ** m) + y) / 2 ** m)
+        if (candidates[-1] - start) % 1 <= length:
+            break
+    else:
+        raise RuntimeError("forward search failed to converge")
+    t, s = m, int(z * 2 ** m)
+    return t, s, [(y + s % 2 ** j) / 2 ** j for j in range(t + 1)], candidates

@@ -16,15 +16,19 @@ the same digit strings.  The contract checked on every trace:
   ``q`` requests has ``size ≤ 1 + Δ·q/(c+1)`` (the engine-side shape of
   Observation 3.1's ``4q/c``) and ``depth ≤ q/(c+1)`` (Lemma 3.3's
   bound with the w.h.p. slack removed).
+
+The trace suite runs at n = 64; :class:`TestAdversarialPointSets` runs
+the same per-request, per-tree and digest contract on the adversarial id
+sets of :func:`oracles.inputs.point_sets`, down to one to four servers.
 """
 
 import functools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles.cache import served_counts
-from oracles.inputs import populated
+from oracles.inputs import BELOW_ONE, joined, point_sets, populated
 
 from repro.core import BatchCacheEngine, CacheSystem
 from repro.core.caching import salted_key
@@ -62,6 +66,17 @@ def scalar_tree_state(scal, item, salt, salts):
     return set(tree.active), served, tree.replications
 
 
+def assert_same_trees(eng, scal, salts):
+    """Active sets, epoch counters and replications match, tree by tree."""
+    for k in range(N_ITEMS):
+        for j in range(salts):
+            tree = eng.tree_index(k, j)
+            active, served, reps = scalar_tree_state(scal, ITEMS[k], j, salts)
+            assert eng.active_set(tree) == active
+            assert served_counts(eng, tree) == served
+            assert eng.tree_replications(tree) == reps
+
+
 class TestTraceParity:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -97,14 +112,7 @@ class TestTraceParity:
             np.add.at(served_per_tree, res.trees, 1)
 
             # per-tree state parity before the epoch ends
-            for k in range(N_ITEMS):
-                for j in range(salts):
-                    tree = eng.tree_index(k, j)
-                    active, served, reps = scalar_tree_state(
-                        scal, ITEMS[k], j, salts)
-                    assert eng.active_set(tree) == active
-                    assert served_counts(eng, tree) == served
-                    assert eng.tree_replications(tree) == reps
+            assert_same_trees(eng, scal, salts)
             assert eng.summary() == scal.summary()
 
             # epoch boundary: collapse must match node-for-node
@@ -160,3 +168,40 @@ class TestSaltRoutingParity:
         assert tree // salts == 2
         assert salted_key(ITEMS[2], tree % salts) == scal.route_key(
             ITEMS[2], src)
+
+
+class TestAdversarialPointSets:
+    """The batch serve equals the scalar trace on every id set
+    :func:`oracles.inputs.point_sets` draws, tiny networks included."""
+
+    @settings(deadline=None)
+    @given(points=point_sets(), salts=st.sampled_from([1, 4]),
+           threshold=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @example(points=np.array([0.0]), salts=1, threshold=1, seed=0)
+    @example(points=np.array([0.25, 0.75]), salts=4, threshold=1, seed=1)
+    @example(points=np.array([0.1, 0.5, 0.9]), salts=1, threshold=2, seed=2)
+    @example(points=np.array([0.0, 0.5, 0.5 + 2**-40, BELOW_ONE]), salts=4,
+             threshold=1, seed=3)
+    def test_batch_equals_scalar_trace(self, points, salts, threshold, seed):
+        net = joined(points.tolist(), seed=seed)
+        rng = np.random.default_rng(seed)
+        eng = BatchCacheEngine(net, ITEMS, threshold=threshold, salts=salts)
+        scal = CacheSystem(net, threshold=threshold, salts=salts)
+        dummy = np.random.default_rng(0)
+        for count in (12, 6):
+            item_idx = make_demand("zipf", count, rng)
+            sources = points[rng.integers(0, points.size, size=count)]
+            tau = rng.integers(0, 2, size=(count, 64))
+            res = eng.serve_batch(item_idx, sources, tau=tau)
+            for i in range(count):
+                r = scal.request(ITEMS[int(item_idx[i])], float(sources[i]),
+                                 dummy, tau=tuple(int(d) for d in tau[i]))
+                assert res.serving_node(i) == r.serving_node
+                assert res.server_path(i) == r.server_path
+                assert int(res.hops[i]) == r.hops
+                assert int(res.lookup_hops[i]) == r.lookup.hops
+            assert_same_trees(eng, scal, salts)
+            assert eng.summary() == scal.summary()
+            assert eng.advance_epoch() == scal.advance_epoch()
+            assert eng.summary() == scal.summary()
+        eng.check_well_formed()

@@ -7,6 +7,7 @@ import pytest
 from oracles.inputs import populated
 
 from repro.balance import MultipleChoice
+from repro.core import lookup
 from repro.sim.protocol import (build_protocol_network, run_protocol_lookup,
                                 run_protocol_lookups)
 
@@ -200,8 +201,8 @@ class TestConcurrentLookups:
 
     def test_good_lookups_complete_beside_a_bad_one(self, net, sim):
         """The bad lookup's error stops the loop, not the network: the
-        next batch runs beside the messages the first one left queued,
-        and each of its lookups still reads its own latency."""
+        next batch runs on the same network, and each of its lookups
+        still reads its own latency."""
         good = _queries(net, 20, 16)
         rngs = [np.random.default_rng(k) for k in range(20)]
         with pytest.raises(ValueError, match="got 5"):
@@ -212,6 +213,24 @@ class TestConcurrentLookups:
         for (_, target), out in zip(good, outs):
             assert out.done and out.owner == net.segments.cover_point(target)
             assert out.completed_at == out.hops + 1
+
+    def test_a_raise_leaves_no_message_queued(self, net, sim, monkeypatch):
+        """Two walk steps are too few for most lookups: the batch raises
+        with the other lookups' messages still in flight.  The next
+        lookup on the network delivers its own messages and no other."""
+        monkeypatch.setattr(lookup, "MAX_WALK_STEPS", 2)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            run_protocol_lookups(sim, net, _queries(net, 30, 18),
+                                 [np.random.default_rng(k) for k in range(30)])
+        monkeypatch.undo()
+        delivered = sim.delivered
+        received = {k: node.received for k, node in sim.nodes.items()}
+        out = run_protocol_lookup(sim, net, *_queries(net, 1, 19)[0],
+                                  np.random.default_rng(0))
+        assert out.done and sim.delivered - delivered == out.messages
+        got = {k: node.received - received[k] for k, node in sim.nodes.items()
+               if node.received != received[k]}
+        assert sum(got.values()) == out.messages and set(got) <= set(out.path)
 
     def test_a_dropped_lookup_does_not_stop_the_others(self, net):
         """Messages of one lookup vanish mid-route; that lookup stays
