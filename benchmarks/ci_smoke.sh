@@ -7,14 +7,16 @@
 # Table 1's per-scheme path replay (E1), congestion accounting (E4), §3
 # trace parity and salted relief (E7, E8), the §6.3 fault replay (E13),
 # batch-lookup parity (X3), the churn refresh cost (X4) and the cost
-# policies' traffic bounds and replays (X6).  The others drive the
-# day-in-the-life soak with all between-phase invariants on: a small
-# smoke (n = 1024, chunk 4096), then the default size (n = 16384, chunk
-# 2^16, ~3 s each) for seeds 1, 7 and 11, whose chunks span several
-# lane blocks of the batch engines.  Each exits non-zero when one of its
-# gates fails, and writes the seed-deterministic part of its result (no
-# wall-clock or machine
-# readings) as JSON under $OUT_DIR.  Speed is not gated here: rates are
+# policies' traffic bounds and replays (X6); and those that route their
+# own lookup workloads through the router's batch lookups: path lengths
+# (E3), permutation loads (E5), the degree / path trade-off (E6) and
+# the smoothness and one- vs two-phase ablations (A3, A4).  The others
+# drive the day-in-the-life soak with all between-phase invariants on: a
+# small smoke (n = 1024, chunk 4096), then the default size (n = 16384,
+# chunk 2^16, ~3 s each) for seeds 1, 7 and 11, whose chunks span
+# several lane blocks of the batch engines.  Each exits non-zero when
+# one of its gates fails, and writes the seed-deterministic part of its
+# result (no wall-clock or machine readings) as JSON under $OUT_DIR.  Speed is not gated here: rates are
 # the spine benchmark's (benchmarks/spine/).  The script ends by
 # byte-diffing those files against the committed benchmarks/baselines/:
 # a changed path length, load, congestion or fault count fails the run.
@@ -34,7 +36,7 @@ run() {
   "$@"
 }
 
-run python -m repro.cli run E1 E4 E7 E8 E13 X3 X4 X6 --quick \
+run python -m repro.cli run E1 E3 E4 E5 E6 E7 E8 E13 A3 A4 X3 X4 X6 --quick \
   --out "$OUT_DIR"
 
 run python -m repro.cli soak \

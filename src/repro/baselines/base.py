@@ -36,6 +36,10 @@ __all__ = [
     "measure_scheme_batch",
 ]
 
+#: Lookups per batch of :meth:`BaselineBatchRouter.route_chunked`: a
+#: chunk's CSR arrays are booked and dropped before the next is routed.
+ROUTE_CHUNK = 8192
+
 
 class BaselineDHT(abc.ABC):
     """A static lookup scheme on ``n`` nodes.
@@ -220,28 +224,24 @@ class BaselineBatchRouter(abc.ABC):
         self,
         source_idx: np.ndarray,
         targets: np.ndarray,
-        congestion: Optional[BatchCongestion] = None,
-        chunk: int = 8192,
+        congestion: BatchCongestion,
         rng: Optional[np.random.Generator] = None,
     ) -> tuple:
         """Route a large workload in bounded-memory chunks.
 
-        Books every chunk into ``congestion`` (if given) and discards
-        its CSR arrays before routing the next, so peak memory is
-        O(chunk · max-path) regardless of the workload size.  Returns
-        ``(hops, owner_idx)`` arrays for the whole workload.
+        Books every :data:`ROUTE_CHUNK`-lookup chunk into ``congestion``
+        and discards its CSR arrays before routing the next, so peak
+        memory is O(chunk · max-path) regardless of the workload size.
+        Returns ``(hops, owner_idx)`` arrays for the whole workload.
         """
-        chunk = checks.count(chunk, "chunk", 1)
         source_idx = np.asarray(source_idx, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.float64)
         hops_parts: List[np.ndarray] = []
         owner_parts: List[np.ndarray] = []
-        for lo in range(0, targets.size, chunk):
-            res = self.route_batch(
-                source_idx[lo:lo + chunk], targets[lo:lo + chunk], rng=rng
-            )
-            if congestion is not None:
-                congestion.record_batch(res)
+        for lo in range(0, targets.size, ROUTE_CHUNK):
+            res = self.route_batch(source_idx[lo:lo + ROUTE_CHUNK],
+                                   targets[lo:lo + ROUTE_CHUNK], rng=rng)
+            congestion.record_batch(res)
             hops_parts.append(res.hops)
             owner_parts.append(res.owner_idx)
         return (
@@ -254,8 +254,6 @@ def measure_scheme_batch(
     dht: BaselineDHT,
     rng: np.random.Generator,
     lookups: int = 100_000,
-    chunk: int = 8192,
-    router: Optional[BaselineBatchRouter] = None,
 ) -> MeasuredRow:
     """Definition 3's experiment on the vectorized spine.
 
@@ -266,14 +264,12 @@ def measure_scheme_batch(
     lets E1/E6 run 10^5-lookup cells at n = 2^16.
     """
     lookups = checks.count(lookups, "lookups")
-    br = router if router is not None else dht.batch_router()
     n = dht.n
     src = rng.integers(0, n, size=lookups)
     targets = rng.random(lookups)
     cong = BatchCongestion()
-    hops, _owners = br.route_chunked(
-        src, targets, congestion=cong, chunk=chunk, rng=rng
-    )
+    hops, _owners = dht.batch_router().route_chunked(src, targets, cong,
+                                                     rng=rng)
     return MeasuredRow(
         scheme=dht.name,
         n=n,

@@ -609,7 +609,6 @@ class BatchRouter(ColumnarSnapshot):
         sources,
         targets,
         keep_paths: "bool | str" = False,
-        max_levels: int = MAX_WALK_STEPS,
     ) -> BatchLookupResult:
         """Vectorized Fast (greedy) Lookup (§2.2.1) for a batch of pairs.
 
@@ -633,14 +632,12 @@ class BatchRouter(ColumnarSnapshot):
         ``RuntimeError`` rather than silently diverging from the
         (integer-exact) scalar engine.
         """
-        max_levels = checks.count(max_levels, "max_levels")
         src, y = self._enter(sources, targets, keep_paths)
         cover = self.cover_index.cover
         ci = cover(src)
-        if self.delta & (self.delta - 1) == 0:
-            level_cap = max_levels
-        else:
-            level_cap = min(max_levels, int(52 / math.log2(self.delta)))
+        level_cap = MAX_WALK_STEPS
+        if self.delta & (self.delta - 1):
+            level_cap = min(level_cap, int(52 / math.log2(self.delta)))
         t, s_final, order = forward_levels(
             y, self._mid[ci], self.delta,
             lambda lanes: self._segment_test(ci[lanes]), level_cap)
@@ -667,7 +664,6 @@ class BatchRouter(ColumnarSnapshot):
         rng: Optional[np.random.Generator] = None,
         tau: Optional[np.ndarray] = None,
         keep_paths: "bool | str" = False,
-        max_steps: int = MAX_WALK_STEPS,
         policy: Optional[str] = None,
         choices: Optional[np.ndarray] = None,
         temperature: float = 1.0,
@@ -729,7 +725,7 @@ class BatchRouter(ColumnarSnapshot):
         src, y = self._enter(sources, targets, keep_paths)
         if policy is not None:
             return self._cost_walk(src, y, rng, choices, policy, temperature,
-                                   keep_paths, max_steps)
+                                   keep_paths)
         if rng is None and tau is None:
             raise ValueError("batch_dh_lookup needs an rng or explicit tau")
         size = y.size
@@ -756,7 +752,7 @@ class BatchRouter(ColumnarSnapshot):
             nxt = fold_unit(pos / delta + digits / delta)
             return digits, nxt, cover(nxt)
 
-        return self._dh_walk("dh", src, y, keep_paths, max_steps, pick)
+        return self._dh_walk("dh", src, y, keep_paths, MAX_WALK_STEPS, pick)
 
     def _dh_walk(self, algorithm, src, y, keep_paths, max_steps,
                  pick) -> BatchLookupResult:
@@ -812,10 +808,10 @@ class BatchRouter(ColumnarSnapshot):
         # it can converge on such walks — segments shorter than Δ^-52 —
         # where we must raise loudly instead of silently diverging);
         # Theorem 2.8 keeps real walks far below that
-        step_cap = min(checks.count(max_steps, "max_steps"), int(52 / math.log2(delta)))
+        step_cap = min(max_steps, int(52 / math.log2(delta)))
         step = 0
         while lanes.size:
-            if step > step_cap:  # past max_steps, or beyond Theorem 2.8
+            if step > step_cap:  # past MAX_WALK_STEPS, or beyond Theorem 2.8
                 raise RuntimeError(
                     f"batch {algorithm} lookup phase I failed to converge")
             stop = holder == w_cur
@@ -888,7 +884,7 @@ class BatchRouter(ColumnarSnapshot):
                           cx[j_idx], cy[j_idx], mat)
 
     def _cost_walk(self, src, y, rng, choices, policy, temperature,
-                   keep_paths, max_steps) -> BatchLookupResult:
+                   keep_paths) -> BatchLookupResult:
         """:meth:`batch_dh_lookup` under a cost policy's digit rule.
 
         Each step scores the Δ candidate digits of every walking lane
@@ -939,7 +935,8 @@ class BatchRouter(ColumnarSnapshot):
             return (digits.astype(np.float64), cand_pos.ravel().take(at),
                     cand_cov.take(at))
 
-        res = self._dh_walk("dh-cost", src, y, keep_paths, max_steps, pick)
+        res = self._dh_walk("dh-cost", src, y, keep_paths, MAX_WALK_STEPS,
+                            pick)
         # step s's row holds the digits of the lanes walking at step s
         res.tau_used = tau = np.zeros((size, len(tau_rows)), dtype=np.int64)
         for s, lanes in enumerate(walking_lanes(res.t)):

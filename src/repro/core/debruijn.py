@@ -75,7 +75,7 @@ def string_to_value(s: Iterable[int], delta: int = 2) -> int:
 
 def debruijn_successors(node: Tuple[int, ...], delta: int = 2) -> List[Tuple[int, ...]]:
     """Out-neighbours ``u_2 … u_r v`` for each alphabet digit ``v``."""
-    return [node[1:] + (v,) for v in range(delta)]
+    return [node[1:] + (v,) for v in range(checks.count(delta, "delta", 2))]
 
 
 def bit_reversal(node: Tuple[int, ...]) -> Tuple[int, ...]:

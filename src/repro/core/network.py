@@ -152,19 +152,16 @@ class DistanceHalvingNetwork:
              selector: Optional[IdSelector] = None) -> Server:
         """Algorithm Join (§2.1).
 
-        Step 1 chooses the id point: either the caller supplies it, or a
-        ``selector`` (one of the §4 balancing strategies) picks it.  Step
-        2's lookup is the segment-map cover query.  Step 3 splits the
-        covering segment and moves the data items that now belong to the
-        newcomer.  Step 4 (informing neighbours) is implicit because
-        neighbour sets are always derived from the live decomposition.
-        Returns the new :class:`Server`.
+        Step 1 chooses the id point: either the caller supplies it, or
+        :meth:`choose_point` draws it.  Step 2's lookup is the
+        segment-map cover query.  Step 3 splits the covering segment and
+        moves the data items that now belong to the newcomer.  Step 4
+        (informing neighbours) is implicit because neighbour sets are
+        always derived from the live decomposition.  Returns the new
+        :class:`Server`.
         """
         if point is None:
-            if selector is not None:
-                point = selector(self, self._rng)
-            else:
-                point = float(self._rng.random())
+            point = self.choose_point(selector)
         # Preserve exact (Fraction) coordinates; cast everything else to
         # float.  The map normalizes (and refuses NaN / ±inf by name).
         idx = self.segments.insert(
@@ -184,6 +181,16 @@ class DistanceHalvingNetwork:
                 for k in moved:
                     srv.store[k] = previous_owner.store.pop(k)
         return srv
+
+    def choose_point(self, selector: Optional[IdSelector] = None) -> Number:
+        """Join's step 1: an id point from the network's own generator.
+
+        A ``selector`` (one of the §4 balancing strategies) picks it, or
+        it is uniform on the ring.
+        """
+        if selector is not None:
+            return selector(self, self._rng)
+        return float(self._rng.random())
 
     def leave(self, point: Number) -> None:
         """Simple Leave rule (§2.1): the ring predecessor absorbs the segment.

@@ -107,7 +107,7 @@ def cover_grid(points: np.ndarray, size: int) -> np.ndarray:
     an exact float64.  Entry ``b`` is the cover of the bucket's left
     edge, ``-1`` where the edge lies below ``x_0``.
     """
-    edges = np.arange(size) / size
+    edges = np.arange(checks.count(size, "size", 1)) / size
     return (np.searchsorted(points, edges, side="right") - 1).astype(np.int32)
 
 

@@ -97,7 +97,7 @@ class OpJournal:
     """
 
     def __init__(self, cap: int = 8192) -> None:
-        self.cap = int(cap)
+        self.cap = checks.count(cap, "cap")
         self.version = 0
         self._ops: List[tuple] = []
         self._head = 0  # version just before the first retained entry
@@ -122,7 +122,7 @@ class OpJournal:
 
     def ops_since(self, version: int) -> Optional[List[tuple]]:
         """Ops replaying ``version`` → current, or ``None`` if trimmed."""
-        if version > self.version:
+        if checks.count(version, "version") > self.version:
             raise ValueError(
                 f"version {version} is ahead of the journal ({self.version})"
             )

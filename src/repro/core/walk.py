@@ -418,6 +418,7 @@ class PathResult:
     def path_points(self, i: int) -> np.ndarray:
         """Id points of lookup ``i``'s compressed server path (CSR decode)."""
         servers, offsets = self.to_csr()
+        i = checks.count(i, "i", 0, offsets.size - 1)
         return self.points[servers[offsets[i]:offsets[i + 1]]]
 
     def server_path(self, i: int) -> List[float]:

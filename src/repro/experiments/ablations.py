@@ -24,15 +24,14 @@ import numpy as np
 from ..balance import MultipleChoice
 from ..core import BatchCongestion, CacheSystem, DistanceHalvingNetwork
 from ..sim.workload import (balanced_network, bit_reversal_permutation,
-                            pairs_to_arrays, random_pairs, route_pairs)
+                            random_pairs)
 from ..sim.rng import spawn_many
 from .common import ExperimentResult, register
-from .congestion import scalar_congestion
+from .congestion import routed_tally, scalar_congestion
 
 
-def _scalar_fast_summary(net, pairs) -> Dict:
+def _scalar_fast_summary(net, sources, targets) -> Dict:
     """The reference accounting of a Fast Lookup workload (scalar loop)."""
-    sources, targets = pairs_to_arrays(pairs)
     return scalar_congestion(net, sources, targets, "fast", None).summary(net.n)
 
 
@@ -108,13 +107,15 @@ def smoothness_ablation(seed: int = 203, quick: bool = False) -> ExperimentResul
         net = DistanceHalvingNetwork(rng=rng)
         net.populate(n, selector=selector)
         rho = net.smoothness()
-        pairs = random_pairs(net.segments.as_array(), route, lookups)
+        sources, targets = random_pairs(net.segments.as_array(), route, lookups)
+        res = net.router(auto_refresh=True).batch_fast_lookup(
+            sources, targets, keep_paths="csr")
         counter = BatchCongestion()
-        res = route_pairs(net.router(auto_refresh=True), pairs,
-                          congestion=counter)
+        counter.record_batch(res)
         if selector is None:
             # scalar cross-check: same pairs, bit-identical accounting
-            parity_ok = counter.summary(n) == _scalar_fast_summary(net, pairs)
+            parity_ok = counter.summary(n) == _scalar_fast_summary(
+                net, sources, targets)
         metrics[ids] = {
             "rho": rho,
             "deg": net.max_out_degree(),
@@ -156,15 +157,16 @@ def phase_ablation(seed: int = 204, quick: bool = False) -> ExperimentResult:
         net = DistanceHalvingNetwork()
         for i in range(n):  # i/n is dyadic: exact in float64
             net.join(i / n)
-        pts = list(net.points())
-        pairs = bit_reversal_permutation(pts)
+        sources, targets = bit_reversal_permutation(net.segments.as_array())
         router = net.router(auto_refresh=True, with_adjacency=True)
-        cf, cd = BatchCongestion(), BatchCongestion()
-        route_pairs(router, pairs, congestion=cf)
-        route_pairs(router, pairs, algorithm="dh", rng=route, congestion=cd)
+        cf = routed_tally(router, "fast", sources, targets, None)
+        cd = BatchCongestion()
+        cd.record_batch(router.batch_dh_lookup(sources, targets, rng=route,
+                                               keep_paths="csr"))
         if n == sizes[0]:
             # scalar cross-check: same pairs, bit-identical accounting
-            parity_ok = cf.summary(n) == _scalar_fast_summary(net, pairs)
+            parity_ok = cf.summary(n) == _scalar_fast_summary(
+                net, sources, targets)
         fast_loads.append(cf.max_load())
         dh_loads.append(cd.max_load())
         rows.append({"n": n,

@@ -20,6 +20,7 @@ from typing import Dict
 
 import numpy as np
 
+from .. import checks
 from ..balance import MultipleChoice
 from ..core import DistanceHalvingNetwork
 from ..sim.churn import ChurnTrace, run_churn
@@ -76,7 +77,8 @@ def measure_churn_soak(n: int, lookups: int, churn_ops: int, mass_n: int,
     smoothness, the baseline and final lookup rates, and the per-op
     incremental refresh cost ``refresh_secs_per_op``.
     """
-    build_rng, churn_rng, route_rng = spawn_many(seed * 23 + n, 3)
+    build_rng, churn_rng, route_rng = spawn_many(
+        checks.count(seed, "seed") * 23 + n, 3)
     net = DistanceHalvingNetwork(rng=build_rng)
     selector = MultipleChoice(t=4)
     net.populate(n, selector=selector)
@@ -102,8 +104,8 @@ def measure_churn_soak(n: int, lookups: int, churn_ops: int, mass_n: int,
         """Run one trace, then one batch; the phase's row."""
         ops0 = router.refresh_stats.ops_synced()
         secs0 = router.refresh_stats.seconds
-        report = run_churn(net, trace, churn_rng, selector=selector,
-                           sample_every=32, on_op=on_op)
+        report = run_churn(net, trace, selector=selector, sample_every=32,
+                           on_op=on_op)
         batches.append(_route_batch(router, net, route_rng, lookups))
         return row(phase, batches[-1],
                    router.refresh_stats.ops_synced() - ops0,
@@ -114,7 +116,7 @@ def measure_churn_soak(n: int, lookups: int, churn_ops: int, mass_n: int,
     rows = [row("baseline", batches[0], 0, 0.0, 0.0)]
     for k in range(PHASES):
         rows.append(soak(f"churn{k + 1}", ChurnTrace.generate(
-            churn_rng, steps=churn_ops, leave_prob=LEAVE_PROB, warmup=0)))
+            churn_rng, steps=churn_ops, leave_prob=LEAVE_PROB)))
     # §4.1 stress: a cohort joins, then MASS_FRACTION of the network leaves
     rows.append(soak(f"mass-{int(MASS_FRACTION * 100)}%",
                      ChurnTrace.mass_departure(churn_rng, n=mass_n,

@@ -29,8 +29,7 @@ import numpy as np
 
 from ..core import BatchCongestion, CongestionCounter, lookup_many
 from ..sim.rng import spawn_many
-from ..sim.workload import (DH_TAU_DIGITS, balanced_network, random_pairs,
-                            route_pairs)
+from ..sim.workload import DH_TAU_DIGITS, balanced_network, random_pairs
 from .common import ExperimentResult, register
 
 __all__ = ["scalar_congestion"]
@@ -52,6 +51,20 @@ def scalar_congestion(net, sources, targets, algorithm: str,
     return counter
 
 
+def routed_tally(router, algorithm: str, sources, targets,
+                 tau: np.ndarray) -> BatchCongestion:
+    """One CSR-routed batch of ``algorithm`` (``"dh"`` on the digit
+    strings ``tau``), booked into a fresh tally."""
+    if algorithm == "fast":
+        res = router.batch_fast_lookup(sources, targets, keep_paths="csr")
+    else:
+        res = router.batch_dh_lookup(sources, targets, tau=tau,
+                                     keep_paths="csr")
+    cong = BatchCongestion()
+    cong.record_batch(res)
+    return cong
+
+
 @register("E4")
 def run(seed: int = 4, quick: bool = False) -> ExperimentResult:
     sizes = [256, 1024] if quick else [1024, 4096, 16384]
@@ -67,24 +80,16 @@ def run(seed: int = 4, quick: bool = False) -> ExperimentResult:
         sources, targets = random_pairs(net.segments.as_array(), route,
                                         lookups)
         tau = route.integers(0, net.delta, size=(lookups, DH_TAU_DIGITS))
-        counters: Dict[str, BatchCongestion] = {}
-        for name in ("fast", "dh"):
-            cong = BatchCongestion()
-            route_pairs(router, (sources, targets), algorithm=name,
-                        tau=tau if name == "dh" else None,
-                        congestion=cong)
-            counters[name] = cong
+        counters = {name: routed_tally(router, name, sources, targets, tau)
+                    for name in ("fast", "dh")}
         if n == PARITY_N:
             # scalar cross-check: identical sub-workload, identical stats
             m = min(lookups, cross_check)
             for name, _cong in counters.items():
                 scal = scalar_congestion(net, sources[:m], targets[:m],
                                           name, tau[:m])
-                sub = BatchCongestion()
-                route_pairs(router, (sources[:m], targets[:m]),
-                            algorithm=name,
-                            tau=tau[:m] if name == "dh" else None,
-                            congestion=sub)
+                sub = routed_tally(router, name, sources[:m], targets[:m],
+                                   tau[:m])
                 parity_ok &= sub.summary(n) == scal.summary(n)
         row: Dict = {"n": n, "rho": round(net.smoothness(), 2),
                      "lookups": lookups}

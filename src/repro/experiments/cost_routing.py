@@ -36,6 +36,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .. import checks
 from ..core import BatchRouter, DistanceHalvingNetwork
 from ..faults import FTBatchEngine, OverlappingDHNetwork
 from ..peer import (
@@ -123,7 +124,9 @@ def measure_cost_routing(
     Returns per-policy traffic metrics, the greedy cross-ISP reduction
     and hop stretch vs uniform and every parity verdict.
     """
-    build_rng, cost_rng, route = spawn_many(seed * 53 + n, 3)
+    checks.count(scalar_sample, "scalar_sample")
+    build_rng, cost_rng, route = spawn_many(
+        checks.count(seed, "seed") * 53 + n, 3)
     net = OverlappingDHNetwork(n, build_rng)
     engine = FTBatchEngine(net)
     cost_map = CostMap.synthetic(n_isps=ISPS, rng=cost_rng)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
+from .. import checks
 from ..core.lookup import compress_path
 from ..faults import (
     FTBatchEngine,
@@ -88,7 +89,9 @@ def measure_faults(
         net = engine.net  # a lone engine pins the network it snapshots
     if net is not None:
         n = net.n
-    build_rng, plan_rng, route = spawn_many(seed * 41 + n, 3)
+    checks.count(scalar_sample, "scalar_sample")
+    build_rng, plan_rng, route = spawn_many(
+        checks.count(seed, "seed") * 41 + n, 3)
     if net is None:
         net = OverlappingDHNetwork(n, build_rng)
     if engine is None:

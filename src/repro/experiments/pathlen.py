@@ -27,8 +27,7 @@ from ..baselines import ChordNetwork, KoordeNetwork, measure_scheme_batch
 from ..core import lookup_many
 from ..sim.metrics import log_slope, summarize
 from ..sim.rng import spawn_many
-from ..sim.workload import (DH_TAU_DIGITS, balanced_network, random_pairs,
-                            route_pairs)
+from ..sim.workload import DH_TAU_DIGITS, balanced_network, random_pairs
 from .common import ExperimentResult, register
 
 
@@ -49,10 +48,8 @@ def run(seed: int = 3, quick: bool = False) -> ExperimentResult:
         sources, targets = random_pairs(net.segments.as_array(), route,
                                         lookups)
         tau = route.integers(0, net.delta, size=(lookups, DH_TAU_DIGITS))
-        fast = route_pairs(router, (sources, targets), algorithm="fast",
-                           keep_paths=False)
-        dh = route_pairs(router, (sources, targets), algorithm="dh",
-                         tau=tau, keep_paths=False)
+        fast = router.batch_fast_lookup(sources, targets)
+        dh = router.batch_dh_lookup(sources, targets, tau=tau)
         fast_ok &= bool(
             (fast.t <= math.log2(n) + math.log2(rho) + 1 + 1e-9).all()
         )

@@ -11,9 +11,8 @@ As a contrast column we also route the same permutations with the
 *deterministic* Fast Lookup, where adversarial patterns do hurt.
 
 Every workload is routed as **one batch** through
-``net.router(auto_refresh=True)`` with CSR path accounting
-(:func:`~repro.sim.workload.route_pairs` into a
-:class:`~repro.core.routing_stats.BatchCongestion`), scaling the sweep
+``net.router(auto_refresh=True)`` with CSR path accounting (booked into
+a :class:`~repro.core.routing_stats.BatchCongestion`), scaling the sweep
 from the old 1024-server scalar-loop ceiling to 16384; at the smallest
 size the bit-reversal workload is replayed through the scalar engine
 (same dh digit strings) and the accountings must match bit-for-bit.
@@ -26,30 +25,17 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..core import BatchCongestion
 from ..hashing.kwise import KWiseHash
 from ..sim.workload import (
     DH_TAU_DIGITS,
     balanced_network,
     bit_reversal_permutation,
-    pairs_to_arrays,
     random_permutation,
-    route_pairs,
     shift_permutation,
 )
 from ..sim.rng import spawn_many
 from .common import ExperimentResult, register
-from .congestion import scalar_congestion
-
-
-def _route_all(router, pairs, route, algo: str, delta: int,
-               tau: np.ndarray = None) -> BatchCongestion:
-    """One workload → one routed batch → one CSR-accounted load tally."""
-    c = BatchCongestion()
-    if algo == "dh" and tau is None:
-        tau = route.integers(0, delta, size=(len(pairs), DH_TAU_DIGITS))
-    route_pairs(router, pairs, algorithm=algo, tau=tau, congestion=c)
-    return c
+from .congestion import routed_tally, scalar_congestion
 
 
 @register("E5")
@@ -63,23 +49,23 @@ def run(seed: int = 5, quick: bool = False) -> ExperimentResult:
         rng, route, hrng = spawn_many(seed * 19 + n, 3)
         net = balanced_network(n, rng)
         router = net.router(auto_refresh=True, with_adjacency=True)
-        pts = list(net.points())
+        pts = net.segments.as_array()
         h = KWiseHash(max(8, int(math.log2(n))), hrng)
         workloads = {
             "random-perm": random_permutation(pts, route),
             "bit-reversal": bit_reversal_permutation(pts),
             "shift-half": shift_permutation(pts, 0.5),
-            "hashed-items": [(p, h(f"item-{i}")) for i, p in enumerate(pts)],
+            "hashed-items": (pts, np.array([h(f"item-{i}")
+                                            for i in range(n)])),
         }
         row: Dict = {"n": n, "log2n": round(math.log2(n), 1)}
-        for name, pairs in workloads.items():
-            tally = _route_all(router, pairs, route, "dh", net.delta)
-            load_dh = tally.max_load()
+        for name, (srcs, tgts) in workloads.items():
+            tau = route.integers(0, net.delta, size=(n, DH_TAU_DIGITS))
+            load_dh = routed_tally(router, "dh", srcs, tgts, tau).max_load()
             row[f"{name}_dh"] = load_dh
             norm_dh.append(load_dh / math.log2(n))
             if name == "bit-reversal":
-                fast_tally = _route_all(router, pairs, route, "fast",
-                                        net.delta)
+                fast_tally = routed_tally(router, "fast", srcs, tgts, None)
                 load_fast = fast_tally.max_load()
                 row["bit-reversal_fast"] = load_fast
                 adversarial_gaps.append(load_fast / max(1, load_dh))
@@ -87,9 +73,7 @@ def run(seed: int = 5, quick: bool = False) -> ExperimentResult:
                     # scalar cross-check: same pairs, same digit
                     # strings, bit-identical accounting
                     tau = route.integers(0, net.delta, size=(n, DH_TAU_DIGITS))
-                    batch = _route_all(router, pairs, route, "dh",
-                                       net.delta, tau=tau)
-                    srcs, tgts = pairs_to_arrays(pairs)
+                    batch = routed_tally(router, "dh", srcs, tgts, tau)
                     for tally, algo in ((batch, "dh"), (fast_tally, "fast")):
                         scal = scalar_congestion(net, srcs, tgts, algo, tau)
                         parity_ok &= tally.summary(n) == scal.summary(n)

@@ -6,6 +6,8 @@ import pathlib
 import zlib
 from typing import List, Optional
 
+from .. import checks
+
 # importing the modules populates the registry
 from . import (  # noqa: F401
     ablations,
@@ -44,6 +46,7 @@ def run_experiments(
     echo: bool = True,
 ) -> List[ExperimentResult]:
     """Run selected experiments (all when ``names`` is None/['all'])."""
+    seed = checks.count(seed, "seed")
     if not names or [n.lower() for n in names] == ["all"]:
         names = EXPERIMENT_IDS
     results: List[ExperimentResult] = []

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
+from .. import checks
 from ..baselines import (
     CanNetwork,
     ChordNetwork,
@@ -98,6 +99,7 @@ def baseline_parity(n: int, sample: int, seed: int) -> Dict[str, bool]:
     the scheme's ``owner`` makes responsible for the target, and the two
     congestion summaries are equal.
     """
+    sample, seed = checks.count(sample, "sample"), checks.count(seed, "seed")
     parity: Dict[str, bool] = {}
     for i, (name, build) in enumerate(SCHEME_BUILDERS.items()):
         build_rng, probe = spawn_many(seed * 59 + 7 * i + n, 2)

@@ -7,7 +7,7 @@ Moore-bound-optimal trade-off the paper claims as a headline advantage
 *fall* as Δ grows (§2.3's closing remark).
 
 The sweep routes through the vectorized batch engine
-(``route_pairs`` over ``net.compile_router()``) so the full run measures
+(``batch_fast_lookup`` over ``net.compile_router()``) so the full run measures
 10^5 lookups per Δ at n = 2^14, and a cross-topology frontier section
 places the same-size Chord / small-world / Viceroy rows (measured on
 *their* batch routers) against the DH sweep: constant-degree DH must
@@ -29,7 +29,7 @@ from ..baselines import (
 )
 from ..core import BatchCongestion
 from ..sim.rng import spawn_many
-from ..sim.workload import balanced_network, random_pairs, route_pairs
+from ..sim.workload import balanced_network, random_pairs
 from .common import ExperimentResult, register
 
 
@@ -46,10 +46,11 @@ def run(seed: int = 6, quick: bool = False) -> ExperimentResult:
     for delta in deltas:
         rng, route = spawn_many(seed * 23 + delta, 2)
         net = balanced_network(n, rng, delta=delta)
+        res = net.compile_router().batch_fast_lookup(
+            *random_pairs(net.segments.as_array(), route, lookups),
+            keep_paths="csr")
         cong = BatchCongestion()
-        res = route_pairs(net.compile_router(),
-                          random_pairs(net.segments.as_array(), route, lookups),
-                          congestion=cong)
+        cong.record_batch(res)
         mean_t = float(res.t.mean())
         expected = math.log(n, delta)
         ratios.append(mean_t / expected)

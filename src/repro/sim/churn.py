@@ -52,16 +52,17 @@ class ChurnTrace:
         rng: np.random.Generator,
         steps: int,
         leave_prob: float = 0.3,
-        warmup: int = 16,
     ) -> "ChurnTrace":
-        """``warmup`` joins, then ``steps`` ops each a leave w.p. ``leave_prob``.
+        """``steps`` ops, each a leave w.p. ``leave_prob``, else a join.
 
-        ``steps`` and ``warmup`` must be ints ``>= 0`` and ``leave_prob``
-        a probability; anything else raises ``ValueError``.
+        ``steps`` must be an int ``>= 0`` and ``leave_prob`` a
+        probability; anything else raises ``ValueError``.  A trace that
+        should start with warm-up joins prepends ``ChurnOp("join")``s,
+        which draw nothing.
         """
-        steps, warmup = checks.count(steps, "steps"), checks.count(warmup, "warmup")
+        steps = checks.count(steps, "steps")
         checks.real(leave_prob, "leave_prob", "[0, 1]")
-        ops: List[ChurnOp] = [ChurnOp("join") for _ in range(warmup)]
+        ops: List[ChurnOp] = []
         for _ in range(steps):
             if rng.random() < leave_prob:
                 ops.append(ChurnOp("leave", victim=int(rng.integers(1 << 30))))
@@ -104,7 +105,6 @@ class ChurnReport:
 def run_churn(
     net: DistanceHalvingNetwork,
     trace: ChurnTrace,
-    rng: np.random.Generator,
     selector: Optional[Callable] = None,
     sample_every: int = 8,
     on_op: Optional[Callable[[int, ChurnOp], None]] = None,
@@ -117,11 +117,12 @@ def run_churn(
     ops to keep the driver fast, since neighbourhood recomputation is the
     expensive part.
 
-    On measured joins the id point is chosen *first* (by the
-    ``selector``, or uniformly from ``rng``) so the affected region is
-    computed around the point the join actually lands on — measuring
-    around a throwaway probe while a selector places the server
-    elsewhere would report the wrong neighbourhood's cost.
+    On measured joins the id point is chosen *first*, by
+    :meth:`~repro.core.network.DistanceHalvingNetwork.choose_point` (the
+    ``selector``, or uniform, from the network's own generator — the
+    draw every join makes), so the affected region is computed around
+    the point the join actually lands on, and the sampling rate does
+    not change which ids join.
 
     ``on_op(step, op)`` is invoked after every applied operation; the
     churn-soak experiment uses it to re-sync an incremental router and
@@ -136,10 +137,7 @@ def run_churn(
             if measure:
                 # pick the landing point up front so the measured region
                 # is the neighbourhood the join really touches
-                if selector is not None:
-                    point = float(selector(net, rng))
-                else:
-                    point = float(rng.random())
+                point = net.choose_point(selector)
                 owner = net.segments.cover_point(point)
                 region = [owner] + net.neighbor_points(owner)
                 affected_before = {q: frozenset(net.neighbor_points(q))

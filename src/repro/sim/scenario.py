@@ -404,10 +404,10 @@ class ScenarioEngine:
         """Apply join / leave ops, re-syncing the router after each.
 
         With ``first_rng``, a first op that is a join on n > 2 draws its
-        id from that stream through the selector: churn and mass traces
-        keep the draw ``run_churn`` makes for the step it measures, so
-        their ids, and the soak digests, stay those of that driver.
-        Every other join draws from the network's own stream.
+        id from that stream through the selector: it is the draw the
+        soak digests were recorded with, and it retires with their next
+        re-baseline.  Every other join draws from the network's own
+        stream, as ``run_churn``'s joins all do.
         """
         net = self.net
         for i, op in enumerate(ops):
@@ -423,7 +423,7 @@ class ScenarioEngine:
 
     def _churn(self, stats: SoakStats, ops: float) -> None:
         trace = ChurnTrace.generate(self._churn_rng, steps=int(ops),
-                                    leave_prob=0.3, warmup=0)
+                                    leave_prob=0.3)
         self._membership(stats, trace.ops, self._churn_rng)
 
     def _flash(self, stats: SoakStats, requests: float) -> None:

@@ -83,15 +83,15 @@ def test_congestion_summary_parity(name):
 
 
 @pytest.mark.parametrize("name", ["chord", "can-d2", "viceroy", "dh-fast"])
-def test_chunked_equals_single_shot(name):
+def test_chunked_equals_single_shot(name, monkeypatch):
     n = 128
     dht = BUILDERS[name](n, np.random.default_rng(23))
     src, tgt, probe = _workload(n, 300, 29)
     router = dht.batch_router()
     one = router.route_batch(src, tgt, rng=probe)
     cong = BatchCongestion()
-    hops, owners = router.route_chunked(src, tgt, congestion=cong, chunk=64,
-                                        rng=probe)
+    monkeypatch.setattr("repro.baselines.base.ROUTE_CHUNK", 64)
+    hops, owners = router.route_chunked(src, tgt, cong, rng=probe)
     assert (hops == one.hops).all()
     assert (owners == one.owner_idx).all()
     whole = BatchCongestion()

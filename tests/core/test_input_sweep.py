@@ -1,9 +1,11 @@
 """Generated sweep: every public numeric parameter refuses what it cannot mean.
 
-The sweep walks every public callable reachable from ``repro`` and from
-each subpackage's ``__all__`` — functions, constructors and the public
-methods a class defines itself — and collects each parameter annotated
-``int`` or ``float`` (``Optional`` included).  For every such parameter
+The sweep walks every public callable: every name in the ``__all__`` of
+each module and package under ``src/repro`` (the namespace package
+``repro.hashing`` included) — functions,
+constructors and the public methods a class defines itself (exception
+classes aside) — and collects each parameter annotated ``int`` or
+``float`` (``Optional`` included).  For every such parameter
 it substitutes the probes ``True``, ``2.5``, ``nan``, ``-1`` and ``inf``
 into a tiny valid call from :data:`FIXTURES`.  Each probe must raise
 ``ValueError`` whose message holds ``repr(probe)`` (the shape of
@@ -20,6 +22,7 @@ too, so the table cannot rot.  The CLI's flags are swept separately, by
 import importlib
 import inspect
 import math
+import pathlib
 import typing
 
 import networkx as nx
@@ -40,8 +43,19 @@ from repro.core import (ActiveTree, BatchCacheEngine, BatchRouter, CacheSystem,
                         distance_halving_is_debruijn,
                         equally_spaced_network, fast_lookup, salt_indices,
                         salted_key)
+from repro.core.debruijn import debruijn_nodes, debruijn_successors
+from repro.core.lookup import DhHeader
+from repro.core.segments import cover_grid
+from repro.core.shard import ShardedExecutor, slice_bounds
+from repro.core.snapshot import ColumnarSnapshot, OpJournal
 from repro.emulation import (DeBruijnFamily, GraphEmulator, RingFamily,
                              ShuffleExchangeFamily, TorusFamily)
+from repro.experiments.churn_soak import measure_churn_soak
+from repro.experiments.cost_routing import measure_cost_routing
+from repro.experiments.faults_exp import measure_faults
+from repro.experiments.runner import run_experiments
+from repro.experiments.soak import measure_soak
+from repro.experiments.table1 import baseline_parity
 from repro.expander import (GabberGalilNetwork, TorusVoronoi, cheeger_bounds,
                             sampled_vertex_expansion)
 from repro.faults import (GF256, ErasureStore, FTBatchEngine,
@@ -54,16 +68,11 @@ from repro.sim import (ChurnTrace, EventLoop, ScenarioEngine, SimNetwork,
                        SoakStats, build_protocol_network, random_pairs,
                        run_churn, run_protocol_lookup, shift_permutation,
                        single_hotspot_demands, spawn_many, zipf_demands)
+from repro.sim.workload import balanced_network, survivor_pairs
 
 #: The probes, each an input no numeric parameter of the paper means.
 PROBES = (True, 2.5, math.nan, -1, math.inf)
 ALL = " ".join(map(repr, PROBES))
-
-#: The modules whose ``__all__`` the sweep walks.  ``repro.hashing`` is a
-#: namespace package, so its one module stands in for it.
-PACKAGES = ("core", "balance", "baselines", "emulation", "expander",
-            "experiments", "faults", "hashing.kwise", "peer", "sim")
-
 
 def _numeric(annotation) -> bool:
     """``int`` or ``float``, alone or in an ``Optional`` / ``Union``."""
@@ -83,10 +92,12 @@ def public_parameters() -> dict:
     class itself defines.
     """
     found = {}
-    modules = [repro] + [importlib.import_module(f"repro.{p}")
-                         for p in PACKAGES]
+    root = pathlib.Path(repro.__file__).parent
+    modules = [importlib.import_module(".".join(
+        ("repro",) + f.relative_to(root).with_suffix("").parts
+    ).removesuffix(".__init__")) for f in sorted(root.rglob("*.py"))]
     for module in modules:
-        for name in module.__all__:
+        for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
             calls = [(obj.__qualname__, obj)] if callable(obj) else []
             if inspect.isclass(obj):
@@ -96,6 +107,8 @@ def public_parameters() -> dict:
                           and inspect.isfunction(getattr(v, "__func__", v))]
             for qualname, fn in calls:
                 if not (inspect.isclass(fn) or inspect.isfunction(fn)):
+                    continue
+                if inspect.isclass(fn) and issubclass(fn, BaseException):
                     continue
                 key = f"{obj.__module__.removeprefix('repro.')}.{qualname}"
                 hints = typing.get_type_hints(
@@ -117,6 +130,9 @@ PLAN = ("a membership test: an id the plan does not hold is alive and "
 RECORD = ("a field of a result record: the engine that fills it measured "
           "it, so the record stores what it is given")
 STUB = "a protocol or abstract stub: the implementations are swept"
+KERNEL = ("a kernel's argument: the engine calling it passes its own Δ, lane "
+          "count or level cap, checked when the engine was built or read off "
+          "its arrays, and a kernel checks nothing per call")
 DEGREE = "the family's degree bound does not depend on k, which is unread"
 
 #: ``"key:parameter"`` (``*`` for every numeric parameter of the key) →
@@ -138,6 +154,7 @@ ACCEPTS = {
     "faults.overlap.OverlappingDHNetwork.covers_point:y": ("2.5 -1", RING),
     "sim.protocol.run_protocol_lookup:source": ("2.5 -1", RING),
     "sim.protocol.run_protocol_lookup:target": ("2.5 -1", RING),
+    "core.lookup.DhHeader.start:*": ("2.5 -1", RING),
     "sim.workload.shift_permutation:shift": (
         "2.5 -1", "a ring offset: it folds as a ring point does"),
     # list indexing
@@ -192,6 +209,7 @@ ACCEPTS = {
     "faults.overlap.OverlappingDHNetwork.segment_of:x": (ALL, SERVER),
     "faults.overlap.OverlappingDHNetwork.covers_point:x": (ALL, SERVER),
     "sim.protocol.DHProtocolNode:point": (ALL, SERVER),
+    "core.lookup.LocalView:point": (ALL, SERVER),
     # records, stubs and the rest
     "baselines.base.MeasuredRow:*": (ALL, RECORD),
     "core.batch_cache.BatchCacheResult:delta": (ALL, RECORD),
@@ -201,6 +219,8 @@ ACCEPTS = {
         ALL, "a server object the network builds around an id its segment "
              "map has already checked"),
     "core.routing_stats.BatchCongestion:*": (ALL, RECORD),
+    "core.lookup.DhHeader:*": (ALL, RECORD),
+    "core.snapshot.SnapshotRefreshStats:*": (ALL, RECORD),
     "core.routing_stats.CongestionCounter:*": (ALL, RECORD),
     "experiments.common.ExperimentResult:seconds": (ALL, RECORD),
     "faults.erasure.RepairReport:*": (ALL, RECORD),
@@ -220,6 +240,26 @@ ACCEPTS = {
     "emulation.families.TorusFamily.degree_bound:k": (ALL, DEGREE),
     "emulation.families.DeBruijnFamily.degree_bound:k": (ALL, DEGREE),
     "emulation.families.ShuffleExchangeFamily.degree_bound:k": (ALL, DEGREE),
+    "checks.count:lo": (
+        ALL, "the rule's own bound, written where the check is made, never "
+             "a caller's value"),
+    # kernels under an engine that checked its inputs once
+    "core.walk.descend:delta": (ALL, KERNEL),
+    "core.walk.forward_levels:*": (ALL, KERNEL),
+    "core.walk.level_points:delta": (ALL, KERNEL),
+    "core.walk.lane_blocks:size": (ALL, KERNEL),
+    "core.walk.normalize_points:size": (ALL, KERNEL),
+    "core.walk.per_lane_matrix:size": (ALL, KERNEL),
+    "core.lookup.approach_walk:*": (
+        ALL, "the scalar walk's kernel: fast_lookup and canonical_path check "
+             "and fold both points first"),
+    "core.lookup.LocalView.cover:y": (
+        ALL, "a server's per-hop cover test: DhHeader.start checked the "
+             "message's points, and a point no known segment holds answers "
+             "None"),
+    "balance.two_dim.cell_of:side": (
+        ALL, "a grid side from fine_grid_side / coarse_grid_side, which check "
+             "n; read once per probed point"),
 }
 
 
@@ -260,6 +300,22 @@ def _scenario(**kw) -> dict:
 
 def _layer(j):
     return list(PathTree(0.25).layer(j))
+
+
+def _sharded(**kw):
+    ShardedExecutor(**kw).close()
+
+
+class _Frozen(ColumnarSnapshot):
+    """The snapshot base with no columns, so its own arguments are swept."""
+
+    def _rebuild(self):
+        pass
+
+
+def _routed():
+    return _net().compile_router().batch_fast_lookup([0.1], [0.7],
+                                                     keep_paths="csr")
 
 
 #: key → a zero-argument builder of ``(callable, keyword arguments)``: one
@@ -318,14 +374,31 @@ FIXTURES = {
     "core.batch.BatchRouter.lookup_batch": lambda: (
         _net().compile_router().lookup_batch,
         dict(sources=[0.1], targets=[0.2], workers=1)),
-    "core.batch.BatchRouter.batch_fast_lookup": lambda: (
-        _net().compile_router().batch_fast_lookup,
-        dict(sources=[0.1], targets=[0.7], max_levels=64)),
     "core.batch.BatchRouter.batch_dh_lookup": lambda: (
         _cost_router().batch_dh_lookup,
         dict(sources=[0.1], targets=[0.7], rng=_rng(), policy="weighted",
-             temperature=1.0, max_steps=64)),
+             temperature=1.0)),
     "core.pathtree.PathTree.layer": lambda: (_layer, dict(j=2)),
+    "core.debruijn.debruijn_nodes": lambda: (
+        lambda **kw: list(debruijn_nodes(**kw)), dict(r=2, delta=2)),
+    "core.debruijn.debruijn_successors": lambda: (
+        debruijn_successors, dict(node=(0, 1), delta=2)),
+    "core.segments.cover_grid": lambda: (
+        cover_grid, dict(points=np.array([0.1, 0.6]), size=4)),
+    "core.shard.slice_bounds": lambda: (slice_bounds, dict(size=5, workers=2)),
+    "core.shard.ShardedExecutor": lambda: (
+        _sharded, dict(router=_net().compile_router(), workers=2)),
+    "core.snapshot.OpJournal": lambda: (OpJournal, dict(cap=4)),
+    "core.snapshot.OpJournal.ops_since": lambda: (
+        OpJournal().ops_since, dict(version=0)),
+    "core.snapshot.ColumnarSnapshot": lambda: (
+        _Frozen, dict(journal=OpJournal(), budget=4)),
+    "core.walk.PathResult.path_points": lambda: (
+        _routed().path_points, dict(i=0)),
+    "core.walk.PathResult.server_path": lambda: (
+        _routed().server_path, dict(i=0)),
+    "core.lookup.DhHeader.start": lambda: (
+        DhHeader.start, dict(source_point=0.1, target=0.7)),
     "core.continuous.binary_digits": lambda: (
         binary_digits, dict(y=0.3, t=3, delta=2)),
     "core.batch_cache.decode_node_key": lambda: (
@@ -350,10 +423,6 @@ FIXTURES = {
     "balance.two_dim.is_smooth_2d": lambda: (
         is_smooth_2d, dict(points=[(0.1, 0.1), (0.6, 0.6)], rho=4.0)),
     # baselines
-    "baselines.base.BaselineBatchRouter.route_chunked": lambda: (
-        ChordNetwork(8, _rng()).batch_router().route_chunked,
-        dict(source_idx=np.array([0, 1]), targets=np.array([0.2, 0.9]),
-             chunk=1)),
     "baselines.base.BaselineDHT.owner": lambda: (
         ChordNetwork(8, _rng()).owner, dict(target=0.3)),
     "baselines.base.BaselineDHT.lookup_path": lambda: (
@@ -361,7 +430,7 @@ FIXTURES = {
         dict(source=c.points[0], target=0.3, rng=_rng())),
     "baselines.base.measure_scheme_batch": lambda: (
         measure_scheme_batch,
-        dict(dht=ChordNetwork(8, _rng()), rng=_rng(), lookups=4, chunk=2)),
+        dict(dht=ChordNetwork(8, _rng()), rng=_rng(), lookups=4)),
     "baselines.can.CanNetwork": lambda: (CanNetwork, dict(n=8, rng=_rng(), d=2)),
     "baselines.can.CanNetwork.point_to_coords": lambda: (
         CanNetwork(8, _rng()).point_to_coords, dict(y=0.3)),
@@ -381,6 +450,23 @@ FIXTURES = {
         TapestryNetwork(8, _rng()).degree, dict(node=3)),
     "baselines.viceroy.ViceroyNetwork": lambda: (
         ViceroyNetwork, dict(n=8, rng=_rng())),
+    # experiments
+    "experiments.churn_soak.measure_churn_soak": lambda: (
+        measure_churn_soak,
+        dict(n=16, lookups=4, churn_ops=2, mass_n=2, seed=0)),
+    "experiments.cost_routing.measure_cost_routing": lambda: (
+        measure_cost_routing, dict(n=16, pairs=4, seed=0, scalar_sample=2,
+                                   core_n=16, core_pairs=4)),
+    "experiments.faults_exp.measure_faults": lambda: (
+        measure_faults,
+        dict(n=16, pairs=4, p_fail=0.2, seed=0, scalar_sample=2)),
+    "experiments.soak.measure_soak": lambda: (
+        measure_soak, dict(n=16, lookups=0, chunk=1, seed=0, items=0,
+                           phases="lookups:0")),
+    "experiments.table1.baseline_parity": lambda: (
+        baseline_parity, dict(n=8, sample=2, seed=0)),
+    "experiments.runner.run_experiments": lambda: (
+        run_experiments, dict(names=["F1"], seed=0, echo=False)),
     # emulation
     **{f"emulation.families.{fam.__name__}.neighbors": (
         lambda fam=fam: (fam().neighbors, dict(k=3, u=5)))
@@ -462,12 +548,12 @@ FIXTURES = {
         SoakStats().observe_network, dict(n=8, smoothness=2.0)),
     "sim.scenario.SoakStats.summary": lambda: (SoakStats().summary, dict(n_servers=8)),
     "sim.churn.ChurnTrace.generate": lambda: (
-        ChurnTrace.generate, dict(rng=_rng(), steps=4, leave_prob=0.3, warmup=2)),
+        ChurnTrace.generate, dict(rng=_rng(), steps=4, leave_prob=0.3)),
     "sim.churn.ChurnTrace.mass_departure": lambda: (
         ChurnTrace.mass_departure, dict(rng=_rng(), n=4, fraction=0.5)),
     "sim.churn.run_churn": lambda: (
         run_churn, dict(net=_net(), trace=ChurnTrace.generate(_rng(), 2),
-                        rng=_rng(), sample_every=2)),
+                        sample_every=2)),
     "sim.protocol.run_protocol_lookup": lambda: (
         run_protocol_lookup,
         dict(sim=build_protocol_network(n := _net()), net=n, source=_first(n),
@@ -477,6 +563,11 @@ FIXTURES = {
     "sim.engine.EventLoop.run": lambda: (
         EventLoop().run, dict(until=1.0, max_events=4)),
     "sim.engine.SimNetwork.run": lambda: (SimNetwork().run, dict(until=1.0)),
+    "sim.workload.balanced_network": lambda: (
+        balanced_network, dict(n=4, rng=_rng(), delta=2)),
+    "sim.workload.survivor_pairs": lambda: (
+        survivor_pairs, dict(points=[0.1, 0.5], alive_mask=[True, False],
+                             rng=_rng(), count=2)),
     "sim.workload.random_pairs": lambda: (
         random_pairs, dict(points=[0.1, 0.5], rng=_rng(), count=2)),
     "sim.workload.shift_permutation": lambda: (
@@ -499,8 +590,10 @@ ENTRIES = sorted(f"{key}:{param}" for key, params in SURFACE.items()
 def test_surface_is_walked():
     """The walk finds the surface, and every table row names a part of it."""
     # a floor, not a pin: 145 callables and 235 parameters when written,
-    # 141 and 228 once the test-only names and the request id went
-    assert len(SURFACE) >= 140 and len(ENTRIES) >= 225
+    # 141 and 228 once the test-only names and the request id went, 171
+    # and 290 once every module's __all__ was walked (not only the
+    # packages'), less the options folded into constants
+    assert len(SURFACE) >= 165 and len(ENTRIES) >= 280
     stale = [key for key in FIXTURES if key not in SURFACE]
     stale += [entry for entry in ACCEPTS
               if entry.partition(":")[0] not in SURFACE

@@ -157,7 +157,8 @@ def test_string_annotations_are_reads():
 
 
 #: Options folded into the constant they always held, and the cost
-#: keywords ``lookup_batch`` dropped (``route_pairs`` calls the cost path).
+#: keywords ``lookup_batch`` dropped (``batch_dh_lookup(policy=)`` is the
+#: cost path).
 FOLDED = [
     ("core.network:DistanceHalvingNetwork", "item_hash"),
     ("balance.strategies:MultipleChoice", "estimate"),
@@ -173,6 +174,12 @@ FOLDED = [
     ("hashing.kwise:KWiseHash", "prime"),
     *(("core.batch:BatchRouter.lookup_batch", keyword)
       for keyword in ("policy", "choices", "rng", "temperature")),
+    ("core.batch:BatchRouter.batch_fast_lookup", "max_levels"),
+    ("core.batch:BatchRouter.batch_dh_lookup", "max_steps"),
+    ("sim.churn:ChurnTrace.generate", "warmup"),
+    ("baselines.base:BaselineBatchRouter.route_chunked", "chunk"),
+    ("baselines.base:measure_scheme_batch", "chunk"),
+    ("baselines.base:measure_scheme_batch", "router"),
 ]
 
 

@@ -250,7 +250,7 @@ BASELINES = (pathlib.Path(__file__).resolve().parents[2]
              / "benchmarks" / "baselines")
 
 #: the experiments ``benchmarks/ci_smoke.sh`` quick-runs, one file each
-SMOKE_IDS = sorted(p.stem for p in BASELINES.glob("[EX]*.json"))
+SMOKE_IDS = sorted(p.stem for p in BASELINES.glob("[AEX]*.json"))
 
 #: ``(gate, experiment, check)``: each gate a retired ``bench-*``
 #: subcommand enforced, as the experiment check that carries it now
@@ -287,9 +287,10 @@ RETIRED_GATES = [
 class TestSmokeExperiments:
     """The CI smoke's experiments, held to their baselines in tier-1."""
 
-    def test_the_smoke_runs_eight_experiments(self):
-        assert SMOKE_IDS == ["E1", "E13", "E4", "E7", "E8", "X3", "X4", "X6"]
-        assert {name for _, name, _ in RETIRED_GATES} == set(SMOKE_IDS)
+    def test_the_smoke_runs_thirteen_experiments(self):
+        assert SMOKE_IDS == ["A3", "A4", "E1", "E13", "E3", "E4", "E5", "E6",
+                             "E7", "E8", "X3", "X4", "X6"]
+        assert {name for _, name, _ in RETIRED_GATES} <= set(SMOKE_IDS)
 
     @pytest.mark.parametrize("name", SMOKE_IDS)
     def test_quick_run_equals_the_committed_baseline(self, name, quick_run):

@@ -11,18 +11,17 @@ could never trip would show here.
 import numpy as np
 import pytest
 
-from repro.core import BatchCacheEngine, BatchCongestion
+from repro.core import BatchCacheEngine
 from repro.experiments.caching_single import SALTS, trace_parity
 from repro.experiments.churn_soak import MASS_FRACTION, PHASES, measure_churn_soak
-from repro.experiments.congestion import scalar_congestion
+from repro.experiments.congestion import routed_tally, scalar_congestion
 from repro.experiments.cost_routing import measure_cost_routing
 from repro.experiments.faults_exp import (FT_CHOICE_DIGITS, measure_faults,
                                           scalar_simple_replay)
 from repro.experiments.table1 import SCHEME_BUILDERS, baseline_parity
 from repro.faults import FTBatchEngine, OverlappingDHNetwork, random_failstop
 from repro.sim.rng import spawn_many
-from repro.sim.workload import (DH_TAU_DIGITS, balanced_network, random_pairs,
-                                route_pairs)
+from repro.sim.workload import DH_TAU_DIGITS, balanced_network, random_pairs
 
 
 # ------------------------------------------------------------------- E4
@@ -34,9 +33,7 @@ def test_scalar_congestion_equals_the_batch_booking(algorithm, n):
     router = net.router(auto_refresh=True, with_adjacency=True)
     sources, targets = random_pairs(net.segments.as_array(), route, 150)
     tau = route.integers(0, net.delta, size=(150, DH_TAU_DIGITS))
-    cong = BatchCongestion()
-    route_pairs(router, (sources, targets), algorithm=algorithm,
-                tau=tau if algorithm == "dh" else None, congestion=cong)
+    cong = routed_tally(router, algorithm, sources, targets, tau)
     scalar = scalar_congestion(net, sources, targets, algorithm, tau)
     assert cong.summary(n) == scalar.summary(n)
 

@@ -27,7 +27,7 @@ from repro.cli import main
 REPO = pathlib.Path(__file__).resolve().parents[2]
 BASELINES = sorted((REPO / "benchmarks" / "baselines").glob("BENCH_*.json"))
 #: the experiments ``benchmarks/ci_smoke.sh`` runs, one file each
-EXPERIMENTS = sorted((REPO / "benchmarks" / "baselines").glob("[EX]*.json"))
+EXPERIMENTS = sorted((REPO / "benchmarks" / "baselines").glob("[AEX]*.json"))
 
 SOAK_ARGS = ["soak", "--n", "128", "--lookups", "2000", "--chunk", "1024",
              "--seed", "9", "--items", "6"]
@@ -88,7 +88,8 @@ class TestArtifactSchema:
             "BENCH_soak.json", "BENCH_soak_seed1.json",
             "BENCH_soak_seed11.json", "BENCH_soak_seed7.json"]
         assert [p.stem for p in EXPERIMENTS] == [
-            "E1", "E13", "E4", "E7", "E8", "X3", "X4", "X6"]
+            "A3", "A4", "E1", "E13", "E3", "E4", "E5", "E6", "E7", "E8",
+            "X3", "X4", "X6"]
 
     @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.stem)
     def test_committed_experiment_baseline_is_deterministic_and_green(

@@ -51,7 +51,7 @@ class TestCommands:
         run, *_ = reach.smoke_commands(SMOKE, "OUT")
         baselines = ROOT / "benchmarks" / "baselines"
         assert sorted(run[4:-3]) == sorted(
-            p.stem for p in baselines.glob("[EX]*.json"))
+            p.stem for p in baselines.glob("[AEX]*.json"))
 
     def test_smoke_writes_exactly_the_soaks_it_has_baselines_for(self):
         """The same tie for the soak runs: the small smoke and the

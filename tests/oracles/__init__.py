@@ -74,6 +74,9 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
 - exact.exact_canonical_path, scalar: §6.3's canonical path on §6.2's
   closed segments in ``Fraction`` arithmetic →
   test_exact_canonical_path
+- exact.exact_serve_path, scalar: §3's cache-shortened path (the dh
+  walk's ``t``, phase-I points, phase-II images down to the serving
+  depth) in ``Fraction`` arithmetic → test_exact_serve_path
 - exact.digits_to_point, scalar: ``0.d_1 d_2 …`` as a ``Fraction``, moved
   out of ``core/continuous.py`` → test_continuous, test_core_properties
 - inputs: the adversarial ids, the ``populated`` / ``joined`` builders

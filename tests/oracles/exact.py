@@ -19,6 +19,12 @@ time until the image is covered by the current server or one of its
 §2.1 neighbours, whose sets it derives exactly from the segments' images
 ``f_d(s(x_i))``; phase II walks the images back to ``y``.
 
+:func:`exact_serve_path` is §3's cache-shortened path: the dh walk's
+``t`` on the pinned ``τ``, then the covers of the phase-I points
+``w(τ_j, x)`` for ``j = 0 … t`` and of the target's images
+``w(τ_j, h(i))`` for ``j = t … m``, ``m`` the depth of the path-tree node
+that served the request.
+
 :func:`exact_canonical_path` is §6.3's canonical path on §6.2's
 overlapping segments: the source segment's exact midpoint ``z``, the
 smallest ``t`` whose candidate ``w(σ(z)_t, y)`` passes the closed cyclic
@@ -152,6 +158,32 @@ def exact_dh_lookup(points: Sequence[float], delta: int, with_ring: bool,
         t += 1
     path = compress_path(servers + [_cover(pts, p) for p in reversed(images)])
     return _cover(pts, images[0]), path, walk
+
+
+def exact_serve_path(points: Sequence[float], delta: int, with_ring: bool,
+                     source: float, root: float, tau: Sequence[int],
+                     depth: int) -> Tuple[int, List[int], List[Fraction]]:
+    """``(t, server path, walk points)`` of one §3 cache-shortened path.
+
+    ``source`` is the requester's float point, ``root`` the item's float
+    tree root ``h(i)`` and ``depth`` the serving node's depth ``m``: the
+    path tree's state, which this arithmetic does not model.  ``t`` is
+    :func:`exact_dh_lookup`'s phase-I length on ``τ``; the path is the
+    covers of ``w(τ_j, x) = (x + Σ_{k<j} τ_k Δ^k) / Δ^j`` for
+    ``j = 0 … t``, then of ``w(τ_j, h(i))`` for ``j = t … m``
+    (consecutive repeats compressed).  The walk points are the dh
+    lookup's, then the path's.
+    """
+    _owner, _path, dh_walk = exact_dh_lookup(points, delta, with_ring,
+                                             source, root, tau)
+    t = len(dh_walk) // 2 - 1
+    pts = [Fraction(p) for p in points]
+    offsets = [sum(d * delta ** k for k, d in enumerate(tau[:j]))
+               for j in range(t + 1)]
+    walk = [(Fraction(source) + offsets[j]) / delta ** j for j in range(t + 1)]
+    walk += [(Fraction(root) + offsets[j]) / delta ** j
+             for j in range(t, depth - 1, -1)]
+    return t, compress_path([_cover(pts, p) for p in walk]), dh_walk + walk
 
 
 def exact_canonical_path(points: Sequence[float], ends: Sequence[float],

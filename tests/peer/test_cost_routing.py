@@ -27,7 +27,6 @@ from repro.peer import (
     select_rows,
 )
 from repro.peer.costmap import _ISP_SALT
-from repro.sim.workload import route_pairs
 
 _NET = OverlappingDHNetwork(128, np.random.default_rng(1234))
 _ENGINE = FTBatchEngine(_NET)
@@ -237,19 +236,6 @@ class TestCoreEngine:
         assert np.array_equal(res.hops, replay.hops)
         assert np.array_equal(res.path_servers, replay.path_servers)
         assert np.array_equal(res.path_offsets, replay.path_offsets)
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_route_pairs_drives_the_cost_path(self, policy):
-        """``lookup_batch`` has no cost keywords; ``route_pairs`` is the
-        driver, and its ``algorithm="dh"`` forwards the policy."""
-        direct = self.router.batch_dh_lookup(
-            self.src, self.tgt, choices=self.u, policy=policy,
-            keep_paths="csr")
-        via = route_pairs(self.router, (self.src, self.tgt), algorithm="dh",
-                          policy=policy, choices=self.u)
-        assert via.algorithm == direct.algorithm == "dh-cost"
-        assert_same(via, direct, ("owner_idx", "tau_used", "path_servers",
-                                  "path_offsets"))
 
     def test_plain_router_raises_actionably(self):
         plain = self.net.compile_router()

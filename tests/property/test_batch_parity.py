@@ -553,7 +553,7 @@ class TestIncrementalRefreshParity:
         router = net.router(auto_refresh=True, with_adjacency=True,
                             churn_budget=10**9)
         trace = ChurnTrace.mass_departure(rng, n=64, fraction=0.5)
-        run_churn(net, trace, rng, on_op=lambda s, o: router.refresh())
+        run_churn(net, trace, on_op=lambda s, o: router.refresh())
         assert router.refresh_stats.full_rebuilds == 0
         _assert_router_equals_fresh(net, router, 999)
 

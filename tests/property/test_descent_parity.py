@@ -114,18 +114,18 @@ def cost_router(net, seed=0):
         cost_map=CostMap.synthetic(n_isps=4, rng=np.random.default_rng(seed)))
 
 
-def route_rule(router, rule, src, tgt, keep_paths, seed=0, **kw):
+def route_rule(router, rule, src, tgt, keep_paths, seed=0):
     """One dh batch under ``rule``; the generator it drew from, or None."""
     rng = np.random.default_rng(seed)
     if rule == "dh-tau":
         tau = rng.integers(0, router.delta, (np.size(tgt), 64))
         return router.batch_dh_lookup(src, tgt, tau=tau,
-                                      keep_paths=keep_paths, **kw), None
+                                      keep_paths=keep_paths), None
     if rule == "dh-rng":
         return router.batch_dh_lookup(src, tgt, rng=rng,
-                                      keep_paths=keep_paths, **kw), rng
+                                      keep_paths=keep_paths), rng
     return router.batch_dh_lookup(src, tgt, rng=rng, policy=rule,
-                                  keep_paths=keep_paths, **kw), rng
+                                  keep_paths=keep_paths), rng
 
 
 def walk_pair(router, rule, src, tgt, keep_paths, seed=0):
@@ -287,13 +287,14 @@ class TestPinnedCases:
         got = fast_three_way(net, np.full(6, low), np.linspace(0.3, 0.9, 6))
         assert got.t.max() > 63
 
-    def test_too_few_levels_still_raises(self):
+    def test_too_few_levels_still_raises(self, monkeypatch):
         net = joined(np.random.default_rng(9).random(64))
         src, tgt = pairs(net, np.random.default_rng(10), 50)
         router = net.compile_router()
         assert router.batch_fast_lookup(src, tgt).t.max() > 2
+        monkeypatch.setattr("repro.core.batch.MAX_WALK_STEPS", 2)
         with pytest.raises(RuntimeError, match="failed to converge"):
-            router.batch_fast_lookup(src, tgt, max_levels=2)
+            router.batch_fast_lookup(src, tgt)
 
     def test_after_churn_and_incremental_refresh(self):
         rng = np.random.default_rng(11)
@@ -355,18 +356,20 @@ class TestEdgeBatches:
 
     @pytest.mark.parametrize("keep_paths", [False, "csr"])
     @pytest.mark.parametrize("rule", WALK_RULES)
-    def test_step_cap_raises_before_returning(self, rule, keep_paths):
+    def test_step_cap_raises_before_returning(self, rule, keep_paths,
+                                              monkeypatch):
         net = joined(np.random.default_rng(22).random(300))
         router = cost_router(net)
         src, tgt = pairs(net, np.random.default_rng(23), 200)
         deepest = int(route_rule(router, rule, src, tgt, keep_paths)[0].t.max())
         assert deepest >= 3
-        got, _ = route_rule(router, rule, src, tgt, keep_paths,
-                            max_steps=deepest)
+        monkeypatch.setattr("repro.core.batch.MAX_WALK_STEPS", deepest)
+        got, _ = route_rule(router, rule, src, tgt, keep_paths)
         assert got.t.max() == deepest
+        monkeypatch.setattr("repro.core.batch.MAX_WALK_STEPS", deepest - 1)
+
         def capped(r):
-            return route_rule(r, rule, src, tgt, keep_paths,
-                              max_steps=deepest - 1)
+            return route_rule(r, rule, src, tgt, keep_paths)
 
         with pytest.raises(RuntimeError, match="phase I failed"):
             capped(router)

@@ -59,7 +59,7 @@ def _booked(before, **moved):
 
 
 def _churn(before, ops):
-    trace = ChurnTrace.generate(before.churn_rng, steps=ops, leave_prob=0.3, warmup=0)
+    trace = ChurnTrace.generate(before.churn_rng, steps=ops, leave_prob=0.3)
     leaves = sum(op.kind == "leave" for op in trace.ops)
     return _booked(before, churn_ops=ops, n=before.n + ops - 2 * leaves)
 

@@ -24,7 +24,7 @@ from repro.sim import (
     summarize,
     zipf_demands,
 )
-from repro.sim.workload import balanced_network, pairs_to_arrays
+from repro.sim.workload import balanced_network
 
 
 class TestWorkloads:
@@ -43,11 +43,9 @@ class TestWorkloads:
         ref = np.random.default_rng(7)
         assert np.array_equal(sources, pts[ref.integers(0, 64, size=500)])
         assert np.array_equal(targets, ref.random(500))
-        # the split array form survivor_pairs returns
+        # the split array form every generator returns
         assert sources.dtype == targets.dtype == np.float64
         assert sources.shape == targets.shape == (500,)
-        again = pairs_to_arrays((sources, targets))
-        assert again[0] is sources and again[1] is targets
 
     @pytest.mark.parametrize("delta", [2, 4])
     def test_balanced_network_is_the_two_line_build(self, delta):
@@ -68,20 +66,38 @@ class TestWorkloads:
     def test_random_permutation_is_permutation(self):
         rng = np.random.default_rng(2)
         servers = list(np.random.default_rng(0).random(32))
-        pairs = random_permutation(servers, rng)
-        targets = [t for _, t in pairs]
-        assert sorted(targets) == sorted(servers)
+        sources, targets = random_permutation(servers, rng)
+        assert sources.tolist() == servers
+        assert sorted(targets.tolist()) == sorted(servers)
+        # one permutation(n) draw, as the pair list it replaced made
+        perm = np.random.default_rng(2).permutation(32)
+        assert targets.tolist() == [servers[i] for i in perm]
 
     def test_bit_reversal_structure(self):
         servers = [(i + 0.01) / 16 for i in range(16)]
-        pairs = bit_reversal_permutation(servers)
+        sources, targets = bit_reversal_permutation(servers)
         # server at 0.25 + eps (binary 0100) targets bucket 0010 = 2/16
-        src, tgt = pairs[4]
-        assert abs(tgt - (2 + 0.5) / 16) < 1e-9
+        assert sources[4] == servers[4]
+        assert abs(targets[4] - (2 + 0.5) / 16) < 1e-9
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 1000])
+    def test_bit_reversal_is_the_string_reversal(self, n):
+        """The integer bit reversal equals the per-point string one the
+        pair list was built with, in the same IEEE operations."""
+        servers = np.sort(np.random.default_rng(n).random(n))
+        sources, targets = bit_reversal_permutation(servers)
+        bits = max(1, int(math.ceil(math.log2(max(2, n)))))
+        want = [(int(format(int(p * (1 << bits)) & ((1 << bits) - 1),
+                            f"0{bits}b")[::-1], 2) + 0.5) / (1 << bits)
+                for p in servers.tolist()]
+        assert targets.dtype == np.float64 and targets.tolist() == want
+        assert sources.tolist() == servers.tolist()
 
     def test_shift_permutation_wraps(self):
-        pairs = shift_permutation([0.9], shift=0.2)
-        assert pairs[0][1] == pytest.approx(0.1)
+        sources, targets = shift_permutation([0.9, 0.3, -0.2], shift=0.2)
+        assert sources.tolist() == [0.9, 0.3, -0.2]
+        assert targets.tolist() == [(p + 0.2) % 1.0 for p in (0.9, 0.3, -0.2)]
+        assert targets[0] == pytest.approx(0.1)
 
     def test_zipf_demands_sum(self):
         q = zipf_demands(100, 1000, np.random.default_rng(3))
@@ -91,6 +107,11 @@ class TestWorkloads:
     def test_single_hotspot(self):
         q = single_hotspot_demands(10, 500, hot_index=3)
         assert q[3] == 500 and sum(q) == 500
+
+
+def warmed(joins: int, trace: ChurnTrace) -> ChurnTrace:
+    """``trace`` after ``joins`` warm-up joins (which draw nothing)."""
+    return ChurnTrace([ChurnOp("join")] * joins + trace.ops)
 
 
 class TestChurn:
@@ -106,7 +127,6 @@ class TestChurn:
 
     @pytest.mark.parametrize("kwargs", [
         {"steps": -3}, {"steps": 2.5}, {"steps": True},
-        {"steps": 10, "warmup": -1}, {"steps": 10, "warmup": 4.0},
         {"steps": 10, "leave_prob": 1.5}, {"steps": 10, "leave_prob": -0.1},
         {"steps": 10, "leave_prob": float("nan")},
     ])
@@ -127,16 +147,16 @@ class TestChurn:
 
     def test_the_bounds_themselves_are_valid(self):
         rng = np.random.default_rng(9)
-        assert len(ChurnTrace.generate(rng, 0, warmup=0).ops) == 0
+        assert len(ChurnTrace.generate(rng, 0).ops) == 0
         assert all(op.kind == "leave" for op in
-                   ChurnTrace.generate(rng, 20, leave_prob=1.0, warmup=0).ops)
+                   ChurnTrace.generate(rng, 20, leave_prob=1.0).ops)
         assert len(ChurnTrace.mass_departure(rng, 10, fraction=1.0).ops) == 20
 
     def test_run_churn_reports(self):
         rng = np.random.default_rng(6)
         net = DistanceHalvingNetwork(rng=rng)
-        trace = ChurnTrace.generate(rng, steps=120, leave_prob=0.3)
-        report = run_churn(net, trace, rng, sample_every=4)
+        trace = warmed(16, ChurnTrace.generate(rng, steps=120, leave_prob=0.3))
+        report = run_churn(net, trace, sample_every=4)
         assert report.final_n == net.n
         assert report.final_n > 0
         assert len(report.smoothness_series) > 0
@@ -145,8 +165,8 @@ class TestChurn:
         """§1 'cost of join/leave': only O(degree) servers change state."""
         rng = np.random.default_rng(7)
         net = DistanceHalvingNetwork(rng=rng)
-        trace = ChurnTrace.generate(rng, steps=150, leave_prob=0.3, warmup=64)
-        report = run_churn(net, trace, rng, sample_every=2)
+        trace = warmed(64, ChurnTrace.generate(rng, steps=150, leave_prob=0.3))
+        report = run_churn(net, trace, sample_every=2)
         # the affected set is the neighbourhood of the touched segment:
         # bounded by the degree bound ρ+4 + ⌈2ρ⌉+1 + ring ≈ O(ρ)
         assert max(report.touched_per_op) <= 40
@@ -155,9 +175,9 @@ class TestChurn:
     def test_on_op_hook_sees_every_operation(self):
         rng = np.random.default_rng(8)
         net = DistanceHalvingNetwork(rng=rng)
-        trace = ChurnTrace.generate(rng, steps=40, leave_prob=0.3)
+        trace = warmed(16, ChurnTrace.generate(rng, steps=40, leave_prob=0.3))
         seen = []
-        run_churn(net, trace, rng, on_op=lambda step, op: seen.append((step, op.kind)))
+        run_churn(net, trace, on_op=lambda step, op: seen.append((step, op.kind)))
         assert len(seen) == len(trace.ops)
         assert [s for s, _ in seen] == list(range(len(trace.ops)))
         assert {k for _, k in seen} <= {"join", "leave"}
@@ -187,12 +207,11 @@ class TestMeasuredRegionFollowsSelector:
         net = joined(self.POINTS, seed=0)
         selector = lambda _net, _rng: self.LANDING  # noqa: E731
         trace = ChurnTrace(ops=[ChurnOp("join")])
-        report = run_churn(net, trace, np.random.default_rng(123),
-                           selector=selector, sample_every=1)
+        report = run_churn(net, trace, selector=selector, sample_every=1)
         assert self.LANDING in net.servers  # the selector chose the id
         assert report.touched_per_op == [self._oracle_touched()]
 
-    def test_selector_receives_driver_rng(self):
+    def test_selector_receives_the_network_rng(self):
         net = joined(self.POINTS, seed=0)
         calls = []
 
@@ -201,11 +220,30 @@ class TestMeasuredRegionFollowsSelector:
             return float(rng_arg.random())
 
         trace = ChurnTrace(ops=[ChurnOp("join")])
-        rng = np.random.default_rng(55)
-        expected = float(np.random.default_rng(55).random())
-        run_churn(net, trace, rng, selector=selector, sample_every=1)
-        assert len(calls) == 1 and calls[0][0] is net
+        expected = float(joined(self.POINTS, seed=0).choose_point())
+        run_churn(net, trace, selector=selector, sample_every=1)
+        assert len(calls) == 1
+        assert calls[0][0] is net and calls[0][1] is net._rng
         assert expected in (float(p) for p in net.points())
+
+
+class TestSamplingRateKeepsTheNetwork:
+    """How often ``run_churn`` measures must not decide who joins: a
+    measured join takes its id from the network's generator, as every
+    other join does."""
+
+    @pytest.mark.parametrize("selector", [None, MultipleChoice(t=4)],
+                             ids=["uniform", "multiple-choice"])
+    def test_every_rate_ends_on_the_same_ids(self, selector):
+        trace = ChurnTrace.generate(np.random.default_rng(5), steps=96)
+        ends = []
+        for every in (1, 32):
+            net = balanced_network(256, np.random.default_rng(4))
+            report = run_churn(net, trace, selector=selector,
+                               sample_every=every)
+            assert len(report.touched_per_op) == -(-96 // every)
+            ends.append(net.segments.as_array().tolist())
+        assert ends[0] == ends[1]
 
 
 class TestChurnReproducibility:
@@ -214,12 +252,12 @@ class TestChurnReproducibility:
 
     def test_generate_identical_across_invocations(self):
         a = ChurnTrace.generate(np.random.default_rng(42), steps=300,
-                                leave_prob=0.4, warmup=8)
+                                leave_prob=0.4)
         b = ChurnTrace.generate(np.random.default_rng(42), steps=300,
-                                leave_prob=0.4, warmup=8)
+                                leave_prob=0.4)
         assert a.ops == b.ops
         c = ChurnTrace.generate(np.random.default_rng(43), steps=300,
-                                leave_prob=0.4, warmup=8)
+                                leave_prob=0.4)
         assert a.ops != c.ops
 
     def test_mass_departure_identical_across_invocations(self):
@@ -234,9 +272,9 @@ class TestChurnReproducibility:
     def _pinned_run():
         rng = np.random.default_rng(2026)
         net = DistanceHalvingNetwork(rng=rng)
-        trace = ChurnTrace.generate(rng, steps=200, leave_prob=0.35,
-                                    warmup=32)
-        return run_churn(net, trace, rng, sample_every=4)
+        trace = warmed(32, ChurnTrace.generate(rng, steps=200,
+                                               leave_prob=0.35))
+        return run_churn(net, trace, sample_every=4)
 
     def test_report_statistics_pinned_for_fixed_seed(self):
         report = self._pinned_run()
