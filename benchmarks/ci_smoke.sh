@@ -19,7 +19,8 @@
 # result (no wall-clock or machine readings) as JSON under $OUT_DIR.  Speed is not gated here: rates are
 # the spine benchmark's (benchmarks/spine/).  The script ends by
 # byte-diffing those files against the committed benchmarks/baselines/:
-# a changed path length, load, congestion or fault count fails the run.
+# a changed path length, load, congestion or fault count fails the run,
+# and tools/leafdiff.py then names every moved JSON leaf.
 #
 # Re-baseline after an intentional change of a result:
 #   benchmarks/ci_smoke.sh benchmarks/baselines
@@ -49,5 +50,10 @@ run python -m repro.cli soak --seed 11 --json-out "$OUT_DIR/BENCH_soak_seed11.js
 
 echo
 echo "== diff -ru benchmarks/baselines $OUT_DIR"
-diff -ru benchmarks/baselines "$OUT_DIR"
+if ! diff -ru benchmarks/baselines "$OUT_DIR"; then
+  echo
+  echo "== moved leaves: python tools/leafdiff.py benchmarks/baselines $OUT_DIR"
+  python tools/leafdiff.py benchmarks/baselines "$OUT_DIR" || true
+  exit 1
+fi
 echo "all result gates passed; artifacts in $OUT_DIR/ equal the baselines"

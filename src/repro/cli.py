@@ -118,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario script, e.g. 'lookups,churn:192,flash,failstop:0.08,"
         "byzantine:0.05,rebalance,mass:0.3' (default: the 8-phase "
         "day-in-the-life script)"))
-    soak.add_argument("--chunk", type=int, default=None,
-                      help="peak in-flight requests (default 2^16)")
+    soak.add_argument("--chunk", type=int, default=None, help=(
+        "peak in-flight requests (default 2^16); a memory bound only: "
+        "no phase's results but the flash crowd's depend on it"))
     soak.add_argument("--seed", type=int, default=0,
                       help="seed of the network and the workload")
     soak.add_argument("--items", type=int, default=24,

@@ -63,8 +63,9 @@ from .lookup import MAX_WALK_STEPS
 from .segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                        arc_cover_ranges, fold_unit, normalize_array)
 from .snapshot import ColumnarSnapshot, StaleSnapshotError
-from .walk import (KEEP_PATHS, PathResult, descend, forward_levels,
-                   normalize_pair, per_lane_matrix, replay, walking_lanes)
+from .walk import (KEEP_PATHS, KeyedLanes, PathResult, descend, draw_key,
+                   forward_levels, normalize_pair, per_lane_matrix, replay,
+                   walking_lanes)
 
 __all__ = ["BatchRouter", "BatchLookupResult"]
 
@@ -686,8 +687,10 @@ class BatchRouter(ColumnarSnapshot):
         (shape ``(size, L)`` or ``(L,)``, digits in ``[0, Δ)`` of any
         integer width, read without widening) to fix the strings — with
         the same ``tau`` the result is bit-identical to scalar
-        ``dh_lookup`` — or ``rng`` to draw them batch-wise (the same
-        *distribution*, not a scalar replay's paths).
+        ``dh_lookup`` — or ``rng``, from which the call reads one key
+        (:class:`~repro.core.walk.KeyedLanes`: lookup ``i``'s digits
+        depend on the key and ``i`` alone, so a batch's first ``m``
+        lanes route as a batch of those ``m``).
 
         With ``policy`` one of :data:`~repro.peer.policy.POLICIES`, the
         digit is a cost-aware covering-edge choice (Observation 2.3
@@ -696,8 +699,8 @@ class BatchRouter(ColumnarSnapshot):
         cost columns of a router built with ``cost_map=`` and picks with
         the shared policy (:mod:`repro.peer.policy`; ``temperature``
         tunes the softmin).  "uniform" and "weighted" read one uniform
-        per (lookup, step) from ``choices`` (shaped as ``tau``) or
-        ``rng``.  The result's ``algorithm`` is ``"dh-cost"``, its
+        per (lookup, step) from ``choices`` (shaped as ``tau``) or the
+        key of ``rng``.  The result's ``algorithm`` is ``"dh-cost"``, its
         ``policy`` the rule and its ``tau_used`` the digits taken,
         0-padded past each ``t``: replayed with ``tau=`` and no policy,
         or through scalar ``dh_lookup``, they reproduce owners, hops and
@@ -723,14 +726,17 @@ class BatchRouter(ColumnarSnapshot):
                     "picks the digits; tau= replays them with no policy), "
                     f"got {type(tau).__name__}")
         src, y = self._enter(sources, targets, keep_paths)
+        key = (draw_key(rng) if rng is not None and tau is None
+               and choices is None else None)
         if policy is not None:
-            return self._cost_walk(src, y, rng, choices, policy, temperature,
+            return self._cost_walk(src, y, key, choices, policy, temperature,
                                    keep_paths)
-        if rng is None and tau is None:
+        if key is None and tau is None:
             raise ValueError("batch_dh_lookup needs an rng or explicit tau")
         size = y.size
-        tau_arr: Optional[np.ndarray] = None
-        if tau is not None:
+        if tau is None:  # a keyed stream outlasts every walk
+            tau_arr = KeyedLanes(key, size, MAX_WALK_STEPS + 1, self.delta)
+        else:
             tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
             if tau_arr.size and (tau_arr.min() < 0
                                  or tau_arr.max() >= self.delta):
@@ -740,15 +746,9 @@ class BatchRouter(ColumnarSnapshot):
         delta = self.delta
 
         def pick(step, lanes, pos, cur):
-            if tau_arr is None:
-                # one digit per lane of the batch, walking or not: the
-                # draw every seeded run replays
-                digits = rng.integers(0, delta, size=size)[lanes]
-            elif step >= tau_arr.shape[1]:
+            if step >= tau_arr.shape[1]:
                 raise ValueError("supplied tau exhausted before lookup finished")
-            else:
-                digits = tau_arr[lanes, step]
-            digits = digits.astype(np.float64)
+            digits = tau_arr[lanes, step].astype(np.float64)
             nxt = fold_unit(pos / delta + digits / delta)
             return digits, nxt, cover(nxt)
 
@@ -883,7 +883,7 @@ class BatchRouter(ColumnarSnapshot):
         return pair_costs(isp[i_idx], isp[j_idx], cx[i_idx], cy[i_idx],
                           cx[j_idx], cy[j_idx], mat)
 
-    def _cost_walk(self, src, y, rng, choices, policy, temperature,
+    def _cost_walk(self, src, y, key, choices, policy, temperature,
                    keep_paths) -> BatchLookupResult:
         """:meth:`batch_dh_lookup` under a cost policy's digit rule.
 
@@ -896,13 +896,14 @@ class BatchRouter(ColumnarSnapshot):
         self._cost_state()  # fail early on a router without a cost map
         cover = self.cover_index.cover
         size = y.size
-        u_mat: Optional[np.ndarray] = None
+        u_mat = None
         if choices is not None:
             u_mat = per_lane_matrix(choices, size, np.float64, "choices")
-        elif rng is None and policy != "greedy":
-            raise ValueError(
-                f"policy {policy!r} needs shared uniforms: pass choices= or rng="
-            )
+        elif policy != "greedy":  # greedy reads no uniform
+            if key is None:
+                raise ValueError(f"policy {policy!r} needs shared uniforms: "
+                                 "pass choices= or rng=")
+            u_mat = KeyedLanes(key, size, MAX_WALK_STEPS + 1)
 
         delta = self.delta
         digs = np.arange(delta, dtype=np.float64)
@@ -919,16 +920,13 @@ class BatchRouter(ColumnarSnapshot):
             cand_cov = cover(cand_pos.ravel())
             costs = self._edge_cost_matrix(cur,
                                            cand_cov.reshape(delta, lanes.size))
+            u_row = None
             if u_mat is not None:
                 if step >= u_mat.shape[1]:
                     raise ValueError(
                         "supplied choices exhausted before lookup finished"
                     )
                 u_row = u_mat[lanes, step]
-            elif rng is not None:
-                u_row = rng.random(size)[lanes]
-            else:
-                u_row = None
             digits = select_rows(costs, None, u_row, policy, temperature)
             tau_rows.append(digits.astype(narrow))
             at = digits * lanes.size + np.arange(lanes.size)

@@ -55,36 +55,11 @@ from .caching import salt_indices, salted_key
 from .continuous import Digits
 from .network import DistanceHalvingNetwork
 from .segments import fold_unit
-from .walk import (PathResult, integral_array, lane_blocks,
-                   normalize_points, per_lane_matrix, ragged_to_csr)
+from .walk import (KeyedLanes, PathResult, draw_key, integral_array,
+                   lane_blocks, normalize_points, per_lane_matrix,
+                   ragged_to_csr)
 
 __all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key"]
-
-#: Digits generated per request when ``serve_batch`` draws its own tau —
-#: matches the experiments' ``DH_TAU_DIGITS`` headroom.
-_TAU_DIGITS = 64
-
-#: Rows of tau drawn per ``rng.integers`` call: the call's ``int64``
-#: block is the only wide copy a drawn tau ever has.
-_TAU_BLOCK = 4096
-
-
-def _draw_tau(rng: np.random.Generator, delta: int, size: int) -> np.ndarray:
-    """``rng.integers(0, Δ, size=(size, 64))``, stored narrow.
-
-    The same ``int64`` draw, made ``_TAU_BLOCK`` rows at a time and
-    written into a matrix of the smallest unsigned dtype that holds
-    ``Δ − 1`` (``uint8`` up to ``Δ = 256``).  The bounded-integer
-    generator consumes its bit stream one value at a time, so the blocks
-    yield the same digits, and leave ``rng`` in the same state, as one
-    call would — the seeded stream is unchanged, only its storage is
-    an eighth.
-    """
-    tau = np.empty((size, _TAU_DIGITS), dtype=np.min_scalar_type(delta - 1))
-    for lo in range(0, size, _TAU_BLOCK):
-        hi = min(lo + _TAU_BLOCK, size)
-        tau[lo:hi] = rng.integers(0, delta, size=(hi - lo, _TAU_DIGITS))
-    return tau
 
 
 def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -307,8 +282,12 @@ class BatchCacheEngine:
 
         ``tau`` fixes the per-request digit strings (shape ``(B, L)`` or
         ``(L,)``, any integer width; required for bit-parity against a
-        scalar replay); without it fresh digits are drawn from ``rng``
-        and stored in the narrowest unsigned dtype (:func:`_draw_tau`).
+        scalar replay).  Without it the call reads one key from ``rng``
+        and request ``i``'s digits depend on the key and ``i`` alone
+        (:class:`~repro.core.walk.KeyedLanes`): no digit matrix is drawn,
+        the walk takes one lane block's strings at a time, and the
+        descent, the fixpoint and the path emission read the digits they
+        need from the lanes' seeds.
         """
         items = integral_array(item_idx, "item_idx").ravel()
         src = normalize_points(sources, what="sources")
@@ -332,12 +311,13 @@ class BatchCacheEngine:
         trees = items * self.salts + salt_indices(src, self.salts)
         targets = self._roots[trees]
 
-        drawn = tau is None
-        if drawn:
-            if rng is None:
-                raise ValueError("serve_batch needs an rng or explicit tau")
-            tau = _draw_tau(rng, delta, size)
-        tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
+        if tau is not None:
+            tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
+        elif rng is None:
+            raise ValueError("serve_batch needs an rng or explicit tau")
+        else:  # every digit a dh walk may take: its float64 cap, plus one
+            tau_arr = KeyedLanes(draw_key(rng), size,
+                                 int(52 / math.log2(delta)) + 1, delta)
 
         # the walk, one lane block at a time: only its t and hops stay
         t = np.empty(size, dtype=np.int64)
@@ -347,19 +327,12 @@ class BatchCacheEngine:
                 src[lo:hi], targets[lo:hi], tau=tau_arr[lo:hi],
                 keep_paths=False)
             t[lo:hi], lookup_hops[lo:hi] = res.t, res.hops
-        del res, tau  # the walk's other columns and the drawn matrix
+        del res  # the walk's other columns
         tmax = int(t.max())
         if tmax + 1 > self._depth_cap:
             raise RuntimeError(
                 f"walk of {tmax} digits exceeds the engine's depth cap "
                 f"{self._depth_cap}; fewer trees or larger delta needed")
-        # the descent, the fixpoint and the emission read digits below
-        # t only: keep those columns.  Strings the engine drew are
-        # copied so the full matrix can go; a caller's matrix stays a
-        # view (the caller holds it anyway)
-        tau_arr = tau_arr[:, :tmax]
-        if drawn:
-            tau_arr = tau_arr.copy()
 
         # serving node: descend the digit prefixes while they stay
         # active — prefix-closure makes the first miss the answer, so a

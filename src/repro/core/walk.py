@@ -5,10 +5,11 @@ fault-tolerant canonical path (§6.3) from *one* continuous walk
 ``w(σ, y)`` read through a cover map.  This module is the single home
 of that walk's vectorized pieces — entry checks, the forward search,
 the closed-form level point, the backward descent and its replay, the
-CSR writer and the result base — so the engines (:mod:`~repro.core.batch`,
-:mod:`~repro.core.batch_cache`, :mod:`~repro.faults.batch_ft`,
-:mod:`~repro.baselines.base`) differ only in their policy: which cover,
-which member of a cover set, where a cached copy stops the walk.
+CSR writer, the result base and the lanes' keyed randomness — so the
+engines (:mod:`~repro.core.batch`, :mod:`~repro.core.batch_cache`,
+:mod:`~repro.faults.batch_ft`, :mod:`~repro.baselines.base`) differ
+only in their policy: which cover, which member of a cover set, where a
+cached copy stops the walk.
 
 Every float operation keeps the order of the scalar engines', so
 whatever is built from these pieces stays bit-identical to its oracle.
@@ -23,10 +24,10 @@ import numpy as np
 from .. import checks
 from .segments import fold_unit, normalize_array
 
-__all__ = ["LANE_BLOCK", "PathResult", "descend", "forward_levels",
-           "integral_array", "lane_blocks", "level_points", "normalize_pair",
-           "normalize_points", "per_lane_matrix", "ragged_to_csr", "replay",
-           "walking_lanes"]
+__all__ = ["KeyedLanes", "LANE_BLOCK", "PathResult", "descend", "draw_key",
+           "forward_levels", "integral_array", "lane_blocks", "lane_key",
+           "level_points", "normalize_pair", "normalize_points",
+           "per_lane_matrix", "ragged_to_csr", "replay", "walking_lanes"]
 
 
 # ---------------------------------------------------------------- entry checks
@@ -133,6 +134,75 @@ def lane_blocks(size: int):
     """Yield ``(lo, hi)`` over ``range(size)``, :data:`LANE_BLOCK` lanes each."""
     for lo in range(0, size, LANE_BLOCK):
         yield lo, min(lo + LANE_BLOCK, size)
+
+
+# ------------------------------------------------------------------ randomness
+#: SplitMix64's odd increment ⌊2^64/φ⌋ (Steele, Lea & Flood, OOPSLA 2014).
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z: np.ndarray, w=0) -> np.ndarray:
+    """SplitMix64 output ``w`` (an int, or ``uint64`` per lane) of each
+    ``uint64`` state ``z``: ``mix(z + (w + 1)·γ)``, in wrapping array ops."""
+    z = z + ((w + np.uint64(1)) * np.uint64(_GAMMA) if isinstance(w, np.ndarray)
+             else np.uint64((w + 1) * _GAMMA % (1 << 64)))
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def draw_key(rng: np.random.Generator) -> int:
+    """The one draw a keyed call makes: a uniform key in ``[0, 2^64)``."""
+    return int(rng.integers(0, 1 << 64, dtype=np.uint64))
+
+
+def lane_key(key: int, start: int) -> int:
+    """The key of a stream's lanes from ``start`` on: ``key + start·γ``."""
+    return (key + start * _GAMMA) % (1 << 64)
+
+
+class KeyedLanes:
+    """Lanes ``0 … size − 1`` of ``key``, read as a pinned per-step matrix.
+
+    Lane ``i``'s seed is the key's ``i``-th SplitMix64 output ``mix(key +
+    (i + 1)·γ)``, and word ``w`` of its stream ``mix(seed + (w + 1)·γ)``.
+    ``[lanes, step]`` (one step, or one per lane) is a uniform in
+    ``[0, 1)``, word ``step``'s top 53 bits times 2⁻⁵³ (NumPy's double),
+    or with ``delta`` a digit (``int64``): word ``w`` holds ``per``
+    digits, ``log₂Δ``-bit slices for power-of-two Δ (``per = ⌊64 /
+    log₂Δ⌋``), else ``(word // Δ^k) % Δ`` for the largest ``per`` with
+    ``Δ^per ≤ 2^32`` (each biased by ≤ 2⁻³²).  ``shape`` is ``(size,
+    width)``, ``width`` the steps a reader may take; a slice of lanes
+    gives their ``width`` digits in the narrowest unsigned dtype, the
+    ``tau`` a walk over one lane block takes.
+    """
+
+    def __init__(self, key: int, size: int, width: int,
+                 delta: Optional[int] = None) -> None:
+        self.seeds = _mix(np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
+                          + np.uint64(key))
+        self.delta, self.shape = delta, (size, width)
+
+    def __getitem__(self, at) -> np.ndarray:
+        if isinstance(at, slice):
+            block = np.empty((self.seeds[at].size, self.shape[1]),
+                             dtype=np.min_scalar_type(self.delta - 1))
+            for j in range(self.shape[1]):
+                block[:, j] = self[at, j]
+            return block
+        lanes, step = at
+        seeds, delta = self.seeds[lanes], self.delta
+        if isinstance(step, np.ndarray):
+            step = step.astype(np.uint64)
+        if delta is None:
+            return (_mix(seeds, step) >> 11) * 2.0 ** -53
+        if delta & (delta - 1) == 0:
+            bits = delta.bit_length() - 1
+            w, k = divmod(step, 64 // bits)
+            return (_mix(seeds, w) >> k * bits & delta - 1).astype(np.int64)
+        w, k = divmod(step, next(p for p in range(32, 0, -1)
+                                 if delta ** p <= 1 << 32 or p == 1))
+        return (_mix(seeds, w) // delta ** k % delta).astype(np.int64)
 
 
 # --------------------------------------------------------------------- kernels

@@ -24,11 +24,11 @@ of :mod:`repro.core.batch`:
   and the Theorem 6.6 majority votes count over covers instead of
   flooding Python dicts;
 * Simple-Lookup server choices come from explicit per-hop uniforms (or
-  an ``rng``), and the chosen servers are emitted as the same flattened
-  CSR path arrays (:func:`~repro.core.walk.ragged_to_csr`) the
-  congestion accounting layer consumes — a
-  :class:`~repro.core.routing_stats.BatchCongestion` can book a routed
-  fault batch directly.
+  a ``key`` and the lane's index), and the chosen servers are emitted
+  as the same flattened CSR path arrays
+  (:func:`~repro.core.walk.ragged_to_csr`) the congestion accounting
+  layer consumes: a :class:`~repro.core.routing_stats.BatchCongestion`
+  can book a routed fault batch directly.
 
 Every float operation mirrors the scalar implementation (same order of
 IEEE-754 operations), so with shared choice uniforms the batch Simple
@@ -49,7 +49,7 @@ import numpy as np
 
 from .. import checks
 from ..core.lookup import MAX_WALK_STEPS
-from ..core.walk import (KEEP_PATHS, PathResult, forward_levels,
+from ..core.walk import (KEEP_PATHS, KeyedLanes, PathResult, forward_levels,
                          lane_blocks, level_points, normalize_points,
                          per_lane_matrix, ragged_to_csr)
 from .models import FaultPlan
@@ -209,7 +209,7 @@ class FTBatchEngine:
         self,
         sources,
         targets,
-        rng: Optional[np.random.Generator] = None,
+        key: Optional[int] = None,
         choices: Optional[np.ndarray] = None,
         plan: Optional[FaultPlan] = None,
         keep_paths: "bool | str" = False,
@@ -224,9 +224,12 @@ class FTBatchEngine:
         covers of every pending path point from the cover table and
         picks cover ``⌊u·|alive|⌋`` per lookup, where the uniforms ``u``
         come from ``choices`` (shape ``(size, L)``, ``L ≥ max t``) or
-        are drawn from ``rng`` — replaying the same uniforms through the
-        scalar :func:`~repro.faults.lookup_ft.simple_lookup` reproduces
-        the batch bit-for-bit.  ``keep_paths`` (``True`` or ``"csr"``)
+        from ``key``, an int in ``[0, 2^64)`` (lane ``i``'s uniforms,
+        :class:`~repro.core.walk.KeyedLanes`: a stream cut at ``start``
+        into calls keyed ``lane_key(key, start)`` routes as one call) —
+        replaying the same uniforms through the scalar
+        :func:`~repro.faults.lookup_ft.simple_lookup` reproduces the
+        batch bit-for-bit.  ``keep_paths`` (``True`` or ``"csr"``)
         records the chosen server walks as CSR path arrays.
 
         Passing an ``oracle`` (:class:`~repro.peer.itracker.CostOracle`
@@ -247,8 +250,10 @@ class FTBatchEngine:
         cost_aware = policy != "uniform"
         if cost_aware and oracle is None:
             raise ValueError(f"cost policy {policy!r} needs a CostOracle")
-        if rng is None and choices is None and policy != "greedy":
-            raise ValueError("batch_simple_lookup needs an rng or explicit choices")
+        if key is not None:
+            checks.count(key, "key", 0, 1 << 64)
+        elif choices is None and policy != "greedy":
+            raise ValueError("batch_simple_lookup needs a key or explicit choices")
         state = self._state(plan)
         src_idx, y = self._enter(sources, targets)
         size = y.size
@@ -260,8 +265,8 @@ class FTBatchEngine:
             u = per_lane_matrix(choices, size, np.float64, "choices")
             if u.shape[1] < tmax:
                 raise ValueError("supplied choices exhausted before lookup finished")
-        elif rng is not None and tmax:
-            u = rng.random((size, tmax))
+        elif key is not None and policy != "greedy":
+            u = KeyedLanes(key, size, tmax)
 
         cur = src_idx.copy()
         messages = np.zeros(size, dtype=np.int64)

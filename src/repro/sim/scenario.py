@@ -41,7 +41,6 @@ seed produce byte-identical ``--json-out`` artifacts.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -53,13 +52,14 @@ from ..balance.strategies import MultipleChoice
 from ..core import DistanceHalvingNetwork
 from ..core.batch_cache import BatchCacheEngine
 from ..core.routing_stats import BatchCongestion
+from ..core.walk import KeyedLanes, draw_key, lane_key
 from ..faults.batch_ft import FTBatchEngine
 from ..faults.erasure import ErasureStore, RepairReport
 from ..faults.models import FaultPlan, random_byzantine, random_failstop
 from ..faults.overlap import OverlappingDHNetwork
 from ..sim.churn import ChurnOp, ChurnTrace
 from ..sim.rng import spawn_many
-from ..sim.workload import demand_stream, survivor_pairs, zipf_demands
+from ..sim.workload import demand_stream, zipf_demands
 
 __all__ = ["SoakStats", "ScenarioEngine", "Phase", "parse_phases",
            "DEFAULT_PHASES", "DEFAULT_CHUNK"]
@@ -123,6 +123,14 @@ def parse_phases(spec: str) -> List[Phase]:
     if not phases:
         raise ValueError("scenario script has no phases")
     return phases
+
+
+def _keyed_pairs(points: np.ndarray, key: int, start: int, count: int) -> tuple:
+    """Requests ``start … start + count − 1`` of a phase keyed by ``key``:
+    a source among ``points`` and a ring target from each one's own
+    uniforms, so any cut of a phase into chunks routes the same pairs."""
+    u = KeyedLanes(lane_key(key, start), count, 2)
+    return points[(u[:, 0] * points.size).astype(np.int64)], u[:, 1]
 
 
 def _pad_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -309,10 +317,12 @@ class ScenarioEngine:
         as the §6 fault substrate with ``items`` erasure-coded blobs.
     lookups:
         The lookup budget: ``lookups`` phases without a count split what
-        the explicit ``lookups:COUNT`` phases leave of it, evenly.
+        the explicit ``lookups:COUNT`` phases leave of it, evenly; it
+        sizes the fault waves and the flash crowd too.
     chunk:
         Streaming batch size — the peak number of in-flight requests
-        (and the accumulator memory bound, O(chunk + n)).
+        (and the accumulator memory bound, O(chunk + n)), and nothing
+        else: no phase but the flash crowd's results depend on it.
     seed:
         Every stream (membership, workloads, faults, cache taus) derives
         from this; results are byte-reproducible per seed.
@@ -387,35 +397,24 @@ class ScenarioEngine:
         is drawn, as in every chunk loop here: one result is alive at a
         time.
         """
-        rng = self._route_rng
-        done, count = 0, int(count)
-        while done < count:
-            b = min(self.chunk, count - done)
+        key, count = draw_key(self._route_rng), int(count)
+        for lo in range(0, count, self.chunk):
             # the refreshed snapshot's column is the live point list
             pts = self.router.refresh().points
-            sources = pts[rng.integers(0, pts.size, size=b)]
-            targets = rng.random(b)
-            stats.record_route(
-                self.router.lookup_batch(sources, targets, keep_paths="csr"))
-            done += b
+            stats.record_route(self.router.lookup_batch(*_keyed_pairs(
+                pts, key, lo, min(self.chunk, count - lo)), keep_paths="csr"))
 
-    def _membership(self, stats: SoakStats, ops: List[ChurnOp],
-                    first_rng: Optional[np.random.Generator] = None) -> None:
+    def _membership(self, stats: SoakStats, ops: List[ChurnOp]) -> None:
         """Apply join / leave ops, re-syncing the router after each.
 
-        With ``first_rng``, a first op that is a join on n > 2 draws its
-        id from that stream through the selector: it is the draw the
-        soak digests were recorded with, and it retires with their next
-        re-baseline.  Every other join draws from the network's own
-        stream, as ``run_churn``'s joins all do.
+        Every join draws its id from the network's own stream, as
+        ``run_churn``'s joins do (its locality sampling is not run here:
+        it would add to the phase's peak).
         """
         net = self.net
-        for i, op in enumerate(ops):
+        for op in ops:
             if op.kind == "join" or net.n == 0:
-                if i == 0 and first_rng is not None and net.n > 2:
-                    net.join(point=float(self.selector(net, first_rng)))
-                else:
-                    net.join(selector=self.selector)
+                net.join(selector=self.selector)
             else:
                 net.leave(net.segments.point_at(op.victim % net.n))
             self.router.refresh()
@@ -424,7 +423,7 @@ class ScenarioEngine:
     def _churn(self, stats: SoakStats, ops: float) -> None:
         trace = ChurnTrace.generate(self._churn_rng, steps=int(ops),
                                     leave_prob=0.3)
-        self._membership(stats, trace.ops, self._churn_rng)
+        self._membership(stats, trace.ops)
 
     def _flash(self, stats: SoakStats, requests: float) -> None:
         """Zipf flash crowd through the batch cache, streamed in chunks.
@@ -451,17 +450,15 @@ class ScenarioEngine:
                    resistant: bool) -> None:
         if not self.alive:  # an emptied substrate has no source: 0 pairs
             return
+        pair_key, walk_key = draw_key(self._fault_rng), draw_key(self._fault_rng)
         alive_mask = np.isin(self._ft_points, list(self.alive))
-        route = (functools.partial(self.ft_engine.batch_resistant_lookup,
-                                   plan=plan) if resistant
-                 else functools.partial(self.ft_engine.batch_simple_lookup,
-                                        rng=self._fault_rng, plan=plan))
-        done = 0
-        while done < count:
-            b = min(self.chunk, count - done)
-            stats.record_ft(route(*survivor_pairs(
-                self._ft_points, alive_mask, self._fault_rng, b)))
-            done += b
+        for lo in range(0, count, self.chunk):
+            pairs = _keyed_pairs(self._ft_points[alive_mask], pair_key, lo,
+                                 min(self.chunk, count - lo))
+            stats.record_ft(
+                self.ft_engine.batch_resistant_lookup(*pairs, plan=plan)
+                if resistant else self.ft_engine.batch_simple_lookup(
+                    *pairs, key=lane_key(walk_key, lo), plan=plan))
 
     def _failstop(self, stats: SoakStats, p: float) -> None:
         """Fail-stop wave + simple lookups + read-repair healing."""
@@ -469,16 +466,16 @@ class ScenarioEngine:
         self.alive -= plan.failed
         cumulative = FaultPlan(failed=set(self._ft_points.tolist())
                                - self.alive)
-        self._ft_stream(stats, max(1, self.chunk // 2), cumulative,
-                        resistant=False)
+        self._ft_stream(stats, min(1 << 15, max(1, self.lookups_total // 8)),
+                        cumulative, resistant=False)
         stats.record_repair(self.store.heal(self.alive))
 
     def _byzantine(self, stats: SoakStats, p: float) -> None:
         """Byzantine liars + Theorem 6.6 resistant lookups."""
         plan = random_byzantine(sorted(self.alive), p, self._fault_rng)
         plan.failed |= set(self._ft_points.tolist()) - self.alive
-        self._ft_stream(stats, max(1, self.chunk // 4), plan,
-                        resistant=True)
+        self._ft_stream(stats, min(1 << 14, max(1, self.lookups_total // 16)),
+                        plan, resistant=True)
 
     def _rebalance(self, stats: SoakStats, joins: float) -> None:
         """A Multiple-Choice join cohort drives smoothness back down."""
@@ -489,7 +486,7 @@ class ScenarioEngine:
         m = min(self.net.n, max(64, self.n0 // 8))
         trace = ChurnTrace.mass_departure(self._churn_rng, n=m,
                                           fraction=fraction)
-        self._membership(stats, trace.ops, self._churn_rng)
+        self._membership(stats, trace.ops)
 
     # ------------------------------------------------------------ invariants
     def check_invariants(self, phase: str) -> List[Dict]:
@@ -657,7 +654,7 @@ _PHASE_KINDS = {
                      ScenarioEngine._route_stream),
     "churn": _Kind(*_COUNT, lambda e: 192, ScenarioEngine._churn),
     "flash": _Kind(*_COUNT,
-                   lambda e: min(2 * e.chunk, max(1, e.lookups_total // 8)),
+                   lambda e: min(1 << 17, max(1, e.lookups_total // 8)),
                    ScenarioEngine._flash),
     "failstop": _Kind(*_PROBABILITY, lambda e: 0.08, ScenarioEngine._failstop),
     "byzantine": _Kind(*_PROBABILITY, lambda e: 0.05,

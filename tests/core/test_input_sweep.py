@@ -133,6 +133,10 @@ STUB = "a protocol or abstract stub: the implementations are swept"
 KERNEL = ("a kernel's argument: the engine calling it passes its own Δ, lane "
           "count or level cap, checked when the engine was built or read off "
           "its arrays, and a kernel checks nothing per call")
+KEYED = ("a keyed draw's argument: the engine passes a key it drew or "
+         "checked (batch_simple_lookup refuses one outside [0, 2^64)) and "
+         "lane counts, offsets, widths and Δ of its own, and the helper "
+         "checks nothing per call")
 DEGREE = "the family's degree bound does not depend on k, which is unread"
 
 #: ``"key:parameter"`` (``*`` for every numeric parameter of the key) →
@@ -248,6 +252,8 @@ ACCEPTS = {
     "core.walk.forward_levels:*": (ALL, KERNEL),
     "core.walk.level_points:delta": (ALL, KERNEL),
     "core.walk.lane_blocks:size": (ALL, KERNEL),
+    "core.walk.KeyedLanes:*": (ALL, KEYED),
+    "core.walk.lane_key:*": (ALL, KEYED),
     "core.walk.normalize_points:size": (ALL, KERNEL),
     "core.walk.per_lane_matrix:size": (ALL, KERNEL),
     "core.lookup.approach_walk:*": (
@@ -506,7 +512,8 @@ FIXTURES = {
         dict(sources=e.points[:1], size=2)),
     "faults.batch_ft.FTBatchEngine.batch_simple_lookup": lambda: (
         (e := FTBatchEngine(_ft())).batch_simple_lookup,
-        dict(sources=e.points[:1], targets=[0.7], rng=_rng(), temperature=1.0)),
+        dict(sources=e.points[:1], targets=[0.7], key=2**64 - 1,
+             temperature=1.0)),
     "faults.erasure.ReedSolomonCode": lambda: (ReedSolomonCode, dict(k=2, n=4)),
     "faults.erasure.GF256.mul": lambda: (GF256.mul, dict(a=3, b=7)),
     "faults.erasure.GF256.inv": lambda: (GF256.inv, dict(a=3)),

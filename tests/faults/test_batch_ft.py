@@ -157,13 +157,12 @@ class TestBatchSimpleLookup:
 
     def test_rng_mode_draws_choices(self, net, engine):
         src, tgt, _ = _random_workload(net, np.random.default_rng(17), 50)
-        res = engine.batch_simple_lookup(src, tgt,
-                                         rng=np.random.default_rng(18))
+        res = engine.batch_simple_lookup(src, tgt, key=18)
         assert res.success.all()
         assert res.parallel_time.max() <= math.log2(net.n) + 3
 
     def test_needs_rng_or_choices(self, net, engine):
-        with pytest.raises(ValueError, match="rng or explicit choices"):
+        with pytest.raises(ValueError, match="key or explicit choices"):
             engine.batch_simple_lookup(net.points_array[:2], [0.1, 0.2])
 
     def test_choices_exhausted_raises(self, net, engine):
@@ -175,8 +174,7 @@ class TestBatchSimpleLookup:
     def test_source_must_be_id_point(self, net, engine):
         with pytest.raises(ValueError, match="server id points"):
             engine.batch_simple_lookup(np.array([0.5 * net.points[0]]),
-                                       np.array([0.3]),
-                                       rng=np.random.default_rng(0))
+                                       np.array([0.3]), key=0)
 
     def test_integer_sources_accepted(self, net, engine):
         rng = np.random.default_rng(20)
@@ -339,8 +337,7 @@ class TestNonFiniteInputs:
     @staticmethod
     def _lookup(engine, algorithm, sources, targets):
         if algorithm == "simple":
-            return engine.batch_simple_lookup(
-                sources, targets, rng=np.random.default_rng(0))
+            return engine.batch_simple_lookup(sources, targets, key=0)
         return engine.batch_resistant_lookup(sources, targets)
 
     @pytest.mark.parametrize("algorithm", ["simple", "resistant"])

@@ -336,7 +336,7 @@ class TestCopiesKeepWorking:
             assert np.array_equal(a, b)
         for batch in (
             lambda e: e.batch_simple_lookup(
-                src, tgt, plan=plan, rng=np.random.default_rng(5)),
+                src, tgt, plan=plan, key=5),
             lambda e: e.batch_resistant_lookup(src, tgt, plan=plan),
         ):
             one, two = batch(engine), batch(engine2)

@@ -18,6 +18,9 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   test_descent_parity
 - walk.dense_ragged_to_csr, frozen: ``ragged_to_csr`` → test_csr_writer
 - walk.head_to_rows / rows_to_head: the compact path head as per-slot rows
+- walk.splitmix / keyed_word / keyed_digit, scalar: ``KeyedLanes``'
+  SplitMix64 seeds, words and both digit constructions in Python ints
+  → test_lane_keys
 - dh_walk.parent_dh_walk / parent_walk, frozen: ``_dh_walk``'s replayed
   phase II → test_descent_parity, test_dh_walk_live
 - dh_walk.wide_dh_walk / wide_replay / wide_walk, frozen: ``_dh_walk``'s
@@ -30,10 +33,9 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   test_lookup_contract, test_protocol_properties
 - cache.DenseServeOracle, frozen: the ragged ``serve_batch`` →
   test_cache_ragged
-- cache.OneDrawEngine, frozen: the blocked narrow ``tau`` draw →
-  test_tau_storage
 - cache.WholeChunkServeEngine, frozen: ``serve_batch``'s walk and path
-  emission in lane blocks → test_lane_block
+  emission in lane blocks, on a pinned ``tau`` (the parent's drawn
+  strings went with the lane-keyed draw) → test_lane_block
 - cache.served_counts / last_epoch_served / *_item_stats: the §3
   counters → test_batch_cache, test_caching, test_cache_parity
 - cache.items_cached_at, scalar: one server's cached items, a scan of

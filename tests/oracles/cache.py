@@ -5,8 +5,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core import BatchCacheEngine
-from repro.core.batch_cache import (_TAU_DIGITS, BatchCacheResult,
-                                    _draw_tau, _isin_sorted, decode_node_key)
+from repro.core.batch_cache import (BatchCacheResult, _isin_sorted,
+                                    decode_node_key)
 from repro.core.caching import salt_indices, salted_key
 from repro.core.segments import fold_unit
 from repro.core.walk import (integral_array, normalize_points,
@@ -39,8 +39,8 @@ class DenseServeOracle(BatchCacheEngine):
         exact sequential semantics, and books hit/message counters.
 
         ``tau`` fixes the per-request digit strings (shape ``(B, L)`` or
-        ``(L,)``; required for bit-parity against a scalar replay);
-        without it fresh digits are drawn from ``rng``.
+        ``(L,)``; required for bit-parity against a scalar replay); the
+        parent drew them from ``rng`` without it.
         """
         items = np.asarray(item_idx, dtype=np.int64).ravel()
         src = normalize_points(sources, what="sources")
@@ -67,10 +67,8 @@ class DenseServeOracle(BatchCacheEngine):
             trees = items.copy()
         targets = self._roots[trees]
 
-        if tau is None:
-            if rng is None:
-                raise ValueError("serve_batch needs an rng or explicit tau")
-            tau = rng.integers(0, delta, size=(size, _TAU_DIGITS))
+        if tau is None:  # the parent's drawn strings: compared pinned now
+            raise ValueError("the oracle serves a pinned tau only")
         tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
 
         res = self._router.batch_dh_lookup(src, targets, tau=tau_arr,
@@ -214,129 +212,6 @@ class DenseServeOracle(BatchCacheEngine):
             np.add.at(self._msgs, cover(child_pos), 1)
 
 
-class OneDrawEngine(BatchCacheEngine):
-    """The parent commit's ``serve_batch``, kept as the reference."""
-
-    def serve_batch(
-        self,
-        item_idx,
-        sources,
-        tau: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> BatchCacheResult:
-        """Serve one batch of requests, in array order (= arrival order).
-
-        Routes every request with the vectorized two-phase Distance
-        Halving lookup toward its (salted) root, resolves serving nodes
-        against the active trees, applies step-1 replication with the
-        exact sequential semantics, and books hit/message counters.
-
-        ``tau`` fixes the per-request digit strings (shape ``(B, L)`` or
-        ``(L,)``; required for bit-parity against a scalar replay);
-        without it fresh digits are drawn from ``rng``.
-        """
-        items = integral_array(item_idx, "item_idx").ravel()
-        src = normalize_points(sources, what="sources")
-        if items.size != src.size:
-            raise ValueError("item_idx and sources must have the same length")
-        if items.size and (items.min() < 0 or items.max() >= self.n_items):
-            raise IndexError("item index out of range for the engine's universe")
-        size = int(items.size)
-        delta = self.delta
-        points = self._router.points
-        if size == 0:
-            empty_i = np.zeros(0, np.int64)
-            return BatchCacheResult(
-                points=points, items=empty_i, trees=empty_i, t=empty_i,
-                serving_depth=empty_i, serving_node_key=empty_i,
-                serving_server_idx=empty_i.astype(np.int32), hops=empty_i,
-                lookup_hops=empty_i,
-                path_servers=np.zeros(0, np.int32),
-                path_offsets=np.zeros(1, np.int64), delta=delta)
-
-        trees = items * self.salts + salt_indices(src, self.salts)
-        targets = self._roots[trees]
-
-        if tau is None:
-            if rng is None:
-                raise ValueError("serve_batch needs an rng or explicit tau")
-            tau = rng.integers(0, delta, size=(size, _TAU_DIGITS))
-        tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
-
-        res = self._router.batch_dh_lookup(src, targets, tau=tau_arr,
-                                           keep_paths=False)
-        t = res.t
-        tmax = int(t.max())
-        if tmax + 1 > self._depth_cap:
-            raise RuntimeError(
-                f"walk of {tmax} digits exceeds the engine's depth cap "
-                f"{self._depth_cap}; fewer trees or larger delta needed")
-
-        # serving node: descend the digit prefixes while they stay
-        # active — prefix-closure makes the first miss the answer, so a
-        # level tests only the lanes still walking.  ``off`` is the exact
-        # walk offset Σ d_k Δ^k of the prefix a lane stands on.
-        scales = self._scales
-        node = trees * self._K
-        off = np.zeros(size, dtype=np.float64)
-        depth = np.zeros(size, dtype=np.int64)
-        walking = np.flatnonzero(t > 0)
-        while walking.size:
-            d = tau_arr[walking, depth[walking]]
-            child = self._first_child(node[walking]) + d
-            hit = _isin_sorted(child, self._keys)
-            walking = walking[hit]
-            node[walking] = child[hit]
-            off[walking] += d[hit] * scales[depth[walking]]
-            depth[walking] += 1
-            walking = walking[t[walking] > depth[walking]]
-
-        self._replication_fixpoint(node, off, depth, t, tau_arr, trees)
-
-        # commit epoch counters and per-server hits
-        idx = np.searchsorted(self._keys, node)
-        np.add.at(self._counts, idx, 1)
-        cover = self._router.cover_index.cover
-        serving_idx = cover(self._pos[idx]).astype(np.int32)
-        np.add.at(self._hits, serving_idx, 1)
-        self._touched[np.unique(trees)] = True
-        self.requests_served += size
-
-        # cache-shortened paths: phase-I walk covers j = 0..t, then
-        # phase-II covers j = t..serving depth — the exact closed-form
-        # trajectory the scalar engine books (not the dh route, so not
-        # the shared descent).  Emitted level by level: by t descending
-        # the lanes live at level j are a prefix, and every cover goes
-        # straight to its slot of one lane-major ragged buffer — phase I
-        # at start + j, phase II at start + 2t + 1 − j.
-        raw_len = 2 * t - depth + 2          # (t+1) phase-I + (t-m+1) phase-II
-        starts = np.cumsum(raw_len) - raw_len
-        buf = np.empty(raw_len.sum(), dtype=np.int32)
-        order = np.argsort(-t, kind="stable")
-        xs, ys, floor = src[order], targets[order], depth[order]
-        fwd = starts[order]
-        back = fwd + 2 * t[order] + 1
-        run = np.zeros(size, dtype=np.float64)   # Σ_{k<j} d_k Δ^k, sorted lanes
-        live = np.bincount(t)[::-1].cumsum()[::-1]    # lanes with t >= j
-        for j, m in enumerate(live):
-            o = run[:m]
-            if j:
-                o += tau_arr[order[:m], j - 1] * scales[j - 1]
-            buf[fwd[:m] + j] = cover(fold_unit((xs[:m] + o) / scales[j]))
-            home = np.flatnonzero(floor[:m] <= j)
-            buf[back[home] - j] = cover(
-                fold_unit((ys[home] + o[home]) / scales[j]))
-        servers, offsets = ragged_to_csr(buf, starts)
-        np.add.at(self._msgs, servers, 1)
-
-        return BatchCacheResult(
-            points=points, items=items, trees=trees, t=t,
-            serving_depth=depth, serving_node_key=node - trees * self._K,
-            serving_server_idx=serving_idx, hops=np.diff(offsets) - 1,
-            lookup_hops=res.hops, path_servers=servers, path_offsets=offsets,
-            delta=delta)
-
-
 class WholeChunkServeEngine(BatchCacheEngine):
     """The parent commit's ``serve_batch``, kept as the reference: the
     walk and the path emission over the whole batch at once."""
@@ -357,8 +232,7 @@ class WholeChunkServeEngine(BatchCacheEngine):
 
         ``tau`` fixes the per-request digit strings (shape ``(B, L)`` or
         ``(L,)``, any integer width; required for bit-parity against a
-        scalar replay); without it fresh digits are drawn from ``rng``
-        and stored in the narrowest unsigned dtype (:func:`_draw_tau`).
+        scalar replay); the parent drew them from ``rng`` without it.
         """
         items = integral_array(item_idx, "item_idx").ravel()
         src = normalize_points(sources, what="sources")
@@ -382,29 +256,22 @@ class WholeChunkServeEngine(BatchCacheEngine):
         trees = items * self.salts + salt_indices(src, self.salts)
         targets = self._roots[trees]
 
-        drawn = tau is None
-        if drawn:
-            if rng is None:
-                raise ValueError("serve_batch needs an rng or explicit tau")
-            tau = _draw_tau(rng, delta, size)
+        if tau is None:  # the parent's drawn strings: compared pinned now
+            raise ValueError("the oracle serves a pinned tau only")
         tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
 
         res = self._router.batch_dh_lookup(src, targets, tau=tau_arr,
                                            keep_paths=False)
         t, lookup_hops = res.t, res.hops
-        del res, tau  # the walk's other columns and the drawn matrix
+        del res, tau  # the walk's other columns
         tmax = int(t.max())
         if tmax + 1 > self._depth_cap:
             raise RuntimeError(
                 f"walk of {tmax} digits exceeds the engine's depth cap "
                 f"{self._depth_cap}; fewer trees or larger delta needed")
         # the descent, the fixpoint and the emission read digits below
-        # t only: keep those columns.  Strings the engine drew are
-        # copied so the full matrix can go; a caller's matrix stays a
-        # view (the caller holds it anyway)
+        # t only: keep those columns (a view of the caller's matrix)
         tau_arr = tau_arr[:, :tmax]
-        if drawn:
-            tau_arr = tau_arr.copy()
 
         # serving node: descend the digit prefixes while they stay
         # active — prefix-closure makes the first miss the answer, so a

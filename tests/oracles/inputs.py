@@ -1,4 +1,5 @@
-"""Shared inputs: the adversarial point sets and the network builders."""
+"""Shared inputs: the adversarial point sets, the network builders and
+the keyed digit strings and uniforms a keyed engine call reads."""
 
 import functools
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.network import DistanceHalvingNetwork
 from repro.core.segments import _ADVANCE_CAP
+from repro.core.walk import KeyedLanes
 
 BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -17,6 +19,20 @@ def clip_unit(values) -> np.ndarray:
     """Distinct sorted float64 values of ``values`` inside ``[0, 1)``."""
     arr = np.asarray(values, dtype=np.float64)
     return np.unique(arr[(arr >= 0.0) & (arr < 1.0)])
+
+
+def keyed_tau(key: int, size: int, delta: int, width: int = 64) -> np.ndarray:
+    """The ``(size, width)`` digit strings lanes ``0 … size − 1`` of
+    ``key`` walk on: an engine's keyed draw as a pinned ``tau``."""
+    return KeyedLanes(key, size, width, delta)[0:size]
+
+
+def keyed_choices(key: int, size: int, width: int = 64) -> np.ndarray:
+    """The ``(size, width)`` uniforms lanes ``0 … size − 1`` of ``key``
+    read: an engine's keyed draw as pinned ``choices``."""
+    lanes = KeyedLanes(key, size, width)
+    return np.stack([lanes[:, j] for j in range(width)],
+                    axis=-1).reshape(size, width)
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Oracles of :mod:`repro.core.walk`: the masked descent, the dense writer."""
+"""Oracles of :mod:`repro.core.walk`: the masked descent, the dense
+writer, and the keyed lanes' SplitMix64 in Python ints."""
 
 import math
 
@@ -111,3 +112,31 @@ def rows_to_head(rows) -> tuple:
     held = stacked >= 0
     slot, lane = np.nonzero(held)
     return held.sum(axis=0), lane, slot, stacked[slot, lane]
+
+
+#: SplitMix64's increment and the 64-bit mask, as the construction states them.
+GAMMA = 0x9E3779B97F4A7C15
+M64 = (1 << 64) - 1
+
+
+def splitmix(z: int) -> int:
+    """SplitMix64's finaliser in Python ints (Steele, Lea & Flood 2014)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & M64
+    return z ^ (z >> 31)
+
+
+def keyed_word(key: int, lane: int, w: int) -> int:
+    """Word ``w`` of lane ``lane``'s stream under ``key``."""
+    seed = splitmix((key + (lane + 1) * GAMMA) & M64)
+    return splitmix((seed + (w + 1) * GAMMA) & M64)
+
+
+def keyed_digit(key: int, lane: int, step: int, delta: int) -> int:
+    """Digit ``step`` of lane ``lane``: the construction, spelled out."""
+    if delta & (delta - 1) == 0:
+        bits = delta.bit_length() - 1
+        per = 64 // bits
+        return keyed_word(key, lane, step // per) >> (step % per) * bits & delta - 1
+    per = max(p for p in range(1, 33) if delta ** p <= 1 << 32)
+    return keyed_word(key, lane, step // per) // delta ** (step % per) % delta

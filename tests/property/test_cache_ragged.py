@@ -27,7 +27,7 @@ from oracles.compare import assert_same
 from oracles.inputs import populated
 
 from repro.core import BatchCacheEngine
-from repro.core.batch_cache import _TAU_DIGITS
+from repro.sim.workload import DH_TAU_DIGITS
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,7 +65,7 @@ def drive(net, n_items, batches, **engine_kw):
 
 def random_batch(net, n_items, count, rng, shared_tau=False):
     pts = net.segments.as_array()
-    shape = (_TAU_DIGITS,) if shared_tau else (count, _TAU_DIGITS)
+    shape = (DH_TAU_DIGITS,) if shared_tau else (count, DH_TAU_DIGITS)
     return (zipf_items(n_items, count, rng),
             pts[rng.integers(0, pts.size, size=count)],
             rng.integers(0, net.delta, size=shape))
@@ -148,7 +148,7 @@ class TestArbitraryLanes:
         bits of the drawn integer), split into two batches anywhere."""
         idx = np.array([lane[0] for lane in lanes])
         sources = np.array([lane[1] for lane in lanes])
-        tau = np.array([[lane[2] >> k & 1 for k in range(_TAU_DIGITS)]
+        tau = np.array([[lane[2] >> k & 1 for k in range(DH_TAU_DIGITS)]
                         for lane in lanes])
         batches = [(idx[:cut], sources[:cut], tau[:cut]),
                    (idx[cut:], sources[cut:], tau[cut:]), None,

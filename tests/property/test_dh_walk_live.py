@@ -12,7 +12,10 @@ the walking lanes only, and the rule hands back ``(digits, next_pos,
 next_cover)`` for them — the cost rule reads both off the candidates it
 already covered.  Driven with the same inputs and generator state, both
 must agree in dtype and bits on every result field and leave the
-generator in the same state.  The counting tests pin what the rewrites
+generator in the same state; the oracle predates keyed draws, so an
+``-rng`` rule reaches it as the pinned digits or uniforms
+(:func:`oracles.inputs.keyed_tau`, :func:`oracles.inputs.keyed_choices`)
+of the one key the router reads.  The counting tests pin what the rewrites
 are *for*: phase I hands ``cover`` O(Σ tᵢ) lanes, not ``size × max t``,
 and phase II — which replays the image covers phase I took — hands it
 none, so a walk's covers after the source's are exactly Σ (2·tᵢ + 1)
@@ -26,9 +29,10 @@ import numpy as np
 import pytest
 from oracles.compare import assert_same
 from oracles.dh_walk import AllLanesWalkOracle, parent_walk
-from oracles.inputs import populated
+from oracles.inputs import keyed_choices, keyed_tau, populated
 
 from repro.core import BatchRouter
+from repro.core.walk import draw_key
 from repro.peer import CostMap
 
 FIELDS = ("source_idx", "owner_idx", "t", "hops", "phase1_hops",
@@ -71,20 +75,23 @@ def _route(router, rule: str, src, tgt, keep_paths, seed: int):
             src, tgt, tau=inputs.integers(0, router.delta, 64),
             keep_paths=keep_paths)
         return res, None
+    oracle = isinstance(router, AllLanesWalkOracle)
     if rule == "dh-rng":
-        return router.batch_dh_lookup(src, tgt, rng=rng,
-                                      keep_paths=keep_paths), rng
+        draw = (dict(tau=keyed_tau(draw_key(rng), size, router.delta))
+                if oracle else dict(rng=rng))
+        return router.batch_dh_lookup(src, tgt, keep_paths=keep_paths,
+                                      **draw), rng
     policy, source = rule.split("-")
     # the oracle keeps the parent's separate cost entry point
-    cost = (router.batch_cost_dh_lookup
-            if isinstance(router, AllLanesWalkOracle)
-            else router.batch_dh_lookup)
+    cost = router.batch_cost_dh_lookup if oracle else router.batch_dh_lookup
     if source == "choices":
         res = cost(src, tgt, choices=inputs.random((size, 64)),
                    policy=policy, temperature=0.5, keep_paths=keep_paths)
         return res, None
-    res = cost(src, tgt, rng=rng, policy=policy, temperature=0.5,
-               keep_paths=keep_paths)
+    draw = (dict(choices=keyed_choices(draw_key(rng), size)) if oracle
+            else dict(rng=rng))
+    res = cost(src, tgt, policy=policy, temperature=0.5,
+               keep_paths=keep_paths, **draw)
     return res, rng
 
 

@@ -54,7 +54,7 @@ class TestFaultFreeAgreement:
         rng = np.random.default_rng(seed)
         src = _NET.points_array[rng.integers(0, _NET.n, size=20)]
         tgt = rng.random(20)
-        simple = _ENGINE.batch_simple_lookup(src, tgt, rng=rng)
+        simple = _ENGINE.batch_simple_lookup(src, tgt, key=seed)
         resist = _ENGINE.batch_resistant_lookup(src, tgt)
         assert simple.success.all() and resist.success.all()
         assert (simple.t == resist.t).all()
@@ -116,8 +116,8 @@ def _soak_substrate():
     rng = np.random.default_rng(1)
     src = engine.points[rng.integers(0, engine.n, size=32_768)]
     tgt = rng.random(src.size)
-    engine.batch_simple_lookup(src[:16], tgt[:16], rng=rng)  # lazy tables
-    return engine, src, tgt, rng
+    engine.batch_simple_lookup(src[:16], tgt[:16], key=1)  # lazy tables
+    return engine, src, tgt
 
 
 def _peak_per_lane(call, lanes: int) -> float:
@@ -136,18 +136,20 @@ def test_simple_lookup_peak_at_the_soak_chunk():
     is one byte a cell; the ``int64`` count read ~772 B a lane traced,
     one byte ~667.  ``int32`` cover candidates and a CSR writer that
     compacts in place took it to ~479; the hop loop one lane block
-    (16,384 lanes) at a time, ~308 (the bound is that plus 10 %)."""
-    engine, src, tgt, rng = _soak_substrate()
+    (16,384 lanes) at a time, ~308; each hop's uniforms read from the
+    walking lanes' keys instead of a whole-batch ``(B, tmax)`` draw, ~232
+    (the bound is that plus 10 %)."""
+    engine, src, tgt = _soak_substrate()
     per_lane = _peak_per_lane(
-        lambda: engine.batch_simple_lookup(src, tgt, rng=rng), src.size)
-    assert per_lane <= 339, per_lane
+        lambda: engine.batch_simple_lookup(src, tgt, key=2), src.size)
+    assert per_lane <= 255, per_lane
 
 
 def test_resistant_lookup_peak_at_the_soak_chunk():
     """The soak's byzantine stream: 16,384 lanes of the resistant lookup.
     ``int64`` cover candidates read ~614 B a lane traced, ``int32`` ones
     ~427 (the bound is ~423 plus 10 %)."""
-    engine, src, tgt, _ = _soak_substrate()
+    engine, src, tgt = _soak_substrate()
     src, tgt = src[:16_384], tgt[:16_384]
     per_lane = _peak_per_lane(
         lambda: engine.batch_resistant_lookup(src, tgt), src.size)

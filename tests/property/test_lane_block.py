@@ -3,13 +3,15 @@
 ``BatchCacheEngine.serve_batch`` runs its dh walk and emits its
 cache-shortened paths, and ``FTBatchEngine.batch_simple_lookup`` runs its
 hop loop, one :data:`~repro.core.walk.LANE_BLOCK` of lanes at a time;
-every draw, the serving descent and the replication fixpoint stay
-whole-batch.  Pinned here against the parents frozen verbatim
+the serving descent and the replication fixpoint stay whole-batch.
+Pinned here against the parents frozen verbatim
 (``WholeChunkServeEngine`` in :mod:`oracles.cache`,
 ``WholeChunkFTEngine`` in :mod:`oracles.overlap`), with the block set to
 small odd sizes: batches below one block, exactly one, one lane more and
 several blocks agree on every result field in dtype and bits, on the
-engine state and on the generator state.
+engine state and on the generator state.  A keyed call reaches the
+parents as the pinned digits or uniforms its key gives
+(:func:`oracles.inputs.keyed_tau`, :func:`oracles.inputs.keyed_choices`).
 """
 
 from unittest import mock
@@ -19,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.cache import RESULT_FIELDS, STATE_FIELDS, WholeChunkServeEngine
 from oracles.compare import assert_same
-from oracles.inputs import populated
+from oracles.inputs import keyed_choices, keyed_tau, populated
 from oracles.overlap import WholeChunkFTEngine
 
 from repro.core import BatchCacheEngine
 from repro.core import walk
+from repro.core.walk import draw_key
 from repro.faults import FaultPlan, FTBatchEngine, OverlappingDHNetwork
 from repro.peer import CostMap, CostOracle
 
@@ -71,7 +74,8 @@ def test_serve_batch_equals_the_whole_chunk_parent(block, delta, salts,
             tau = (None if drawn else
                    inputs.integers(0, delta, (size, 64)).astype(np.uint8))
             got = eng.serve_batch(idx, src, tau=tau, rng=mine)
-            want = ref.serve_batch(idx, src, tau=tau, rng=theirs)
+            want = ref.serve_batch(idx, src, rng=theirs, tau=(
+                keyed_tau(draw_key(theirs), size, delta) if drawn else tau))
             assert_same(got, want, RESULT_FIELDS)
             assert_same(eng, ref, STATE_FIELDS)
             assert same_state(mine, theirs)
@@ -86,26 +90,27 @@ def test_serve_batch_equals_the_whole_chunk_parent(block, delta, salts,
 def test_simple_lookup_equals_the_whole_chunk_parent(block, seed, p_fail,
                                                      policy, keep_paths,
                                                      drawn):
-    """Fail-stop plans kill walks mid-block; the uniforms come from the
-    generator (one whole-batch draw) or from a caller's matrix."""
+    """Fail-stop plans kill walks mid-block; the uniforms come from a key
+    or from a caller's matrix."""
     eng, ref = FTBatchEngine(_FT_NET), WholeChunkFTEngine(_FT_NET)
     inputs = np.random.default_rng(seed)
     dead = _FT_NET.points_array[inputs.random(_FT_NET.n) < p_fail]
     plan = FaultPlan(failed={float(x) for x in dead})
-    mine, theirs = (np.random.default_rng(seed + 1) for _ in range(2))
     with mock.patch.object(walk, "LANE_BLOCK", block):
         for size in sizes(block):
             src = inputs.integers(0, _FT_NET.n, size)
             tgt = inputs.random(size)
+            key = draw_key(inputs)
             choices = None if drawn else inputs.random((size, 40))
-            kwargs = dict(choices=choices, plan=plan, keep_paths=keep_paths,
+            kwargs = dict(plan=plan, keep_paths=keep_paths,
                           oracle=_FT_ORACLE, policy=policy)
-            got = eng.batch_simple_lookup(src, tgt, rng=mine, **kwargs)
-            want = ref.batch_simple_lookup(src, tgt, rng=theirs, **kwargs)
+            got = eng.batch_simple_lookup(src, tgt, key=key, choices=choices,
+                                          **kwargs)
+            want = ref.batch_simple_lookup(src, tgt, choices=(
+                keyed_choices(key, size, 40) if drawn else choices), **kwargs)
             assert_same(got, want, FT_RESULT_FIELDS)
             assert (got.algorithm, got.policy) == (want.algorithm,
                                                    want.policy)
-            assert same_state(mine, theirs)
 
 
 def test_blocks_tile_the_batch():

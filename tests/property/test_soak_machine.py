@@ -30,6 +30,9 @@ from repro.sim.scenario import _PHASE_KINDS, Phase, ScenarioEngine
 LOOKUPS = 200
 CHUNK = 64
 ITEMS = 4
+#: the fault waves' lookups, from the budget: never from the chunk
+FAILSTOP_FT = min(1 << 15, max(1, LOOKUPS // 8))
+BYZANTINE_FT = min(1 << 14, max(1, LOOKUPS // 16))
 
 
 class Booked(NamedTuple):
@@ -67,7 +70,7 @@ def _churn(before, ops):
 def _failstop(before, p):
     plan = random_failstop(sorted(before.alive), p, before.fault_rng)
     alive = before.alive - plan.failed
-    return _booked(before, ft=max(1, CHUNK // 2) if alive else 0, alive=len(alive))
+    return _booked(before, ft=FAILSTOP_FT if alive else 0, alive=len(alive))
 
 
 def _mass(before, fraction):
@@ -85,7 +88,7 @@ KINDS = {
     "failstop": (st.floats(0, 0.99), _failstop),
     "byzantine": (
         st.floats(0, 0.99),
-        lambda b, p: _booked(b, ft=max(1, CHUNK // 4) if b.alive else 0),
+        lambda b, p: _booked(b, ft=BYZANTINE_FT if b.alive else 0),
     ),
     "rebalance": (
         st.integers(0, 16),

@@ -86,8 +86,7 @@ LOOKUPS = {
     "batch_dh_lookup": lambda net, bad: net.compile_router().batch_dh_lookup(
         [0.1, 0.1], [bad, 0.5], rng=np.random.default_rng(0)),
     "batch_simple_lookup": lambda net, bad: FTBatchEngine(
-        _FT).batch_simple_lookup(_FT.points_array[:2], [bad, 0.5],
-                                 rng=np.random.default_rng(0)),
+        _FT).batch_simple_lookup(_FT.points_array[:2], [bad, 0.5], key=0),
     "batch_resistant_lookup": lambda net, bad: FTBatchEngine(
         _FT).batch_resistant_lookup(_FT.points_array[:2], [bad, 0.5]),
 }

@@ -15,14 +15,15 @@ by the lanes:
   walk on a ``uint8`` tau that ``serve_batch`` runs inside the flash
   crowd;
 * ``cost-dh`` (greedy) at route_dh_cost's 4,096 lanes;
-* ``ft-simple`` / ``ft-resistant`` at half / a quarter of the chunk, as
-  the soak's fail-stop and byzantine phases stream them.
+* ``ft-simple`` / ``ft-resistant`` at half / a quarter of the chunk: the
+  soak's fail-stop and byzantine batches at the default chunk.
 
 The last engine row is the congestion booking of the fast batch
 (``BatchCongestion.record_batch``): its traced peak per CSR path entry.
 NumPy reports its array buffers to ``tracemalloc``, so the peak counts
 every temporary a batch makes and the result it returns; inputs are
-drawn before tracing starts.  Each row draws its inputs and digits from
+drawn before tracing starts.  Each row draws its inputs (and its key,
+where it reads one) from
 its own generator, seeded from ``SEED`` and the row's name, so adding
 or reordering a row leaves every other row's reading alone.
 
@@ -44,6 +45,7 @@ import numpy as np
 from repro.core.batch import BatchRouter
 from repro.core.batch_cache import BatchCacheEngine
 from repro.core.routing_stats import BatchCongestion
+from repro.core.walk import draw_key
 from repro.faults.models import FaultPlan
 from repro.peer import CostMap
 from repro.sim.scenario import DEFAULT_CHUNK, DEFAULT_PHASES, ScenarioEngine
@@ -117,7 +119,8 @@ def rows(n: int, chunk: int):
         ("cache-serve", chunk, flash,
          lambda rng, i, s: cache.serve_batch(i, s, rng=rng)),
         ("ft-simple", max(1, chunk // 2), on_ft,
-         lambda rng, s, t: ft.batch_simple_lookup(s, t, rng=rng, plan=plan)),
+         lambda rng, s, t: ft.batch_simple_lookup(s, t, key=draw_key(rng),
+                                                  plan=plan)),
         ("ft-resistant", max(1, chunk // 4), on_ft,
          lambda rng, s, t: ft.batch_resistant_lookup(s, t, plan=plan)),
     ]
