@@ -26,7 +26,7 @@ import numpy as np
 
 from .. import checks
 from ..core.routing_stats import BatchCongestion
-from ..core.walk import PathResult, ragged_to_csr
+from ..core.walk import LANE_INT, PathResult, path_hops, ragged_to_csr
 
 __all__ = [
     "BaselineBatchResult",
@@ -150,6 +150,11 @@ class BaselineBatchResult(PathResult):
     path_servers: np.ndarray  # int32 node indices, CSR values
     path_offsets: np.ndarray  # int64 prefix sums, length size + 1
 
+    def __post_init__(self) -> None:
+        # the lane contract, once for every scheme's router
+        self.source_idx = self.source_idx.astype(LANE_INT, copy=False)
+        self.owner_idx = self.owner_idx.astype(LANE_INT, copy=False)
+
     @property
     def size(self) -> int:
         """Number of lookups in the batch."""
@@ -158,7 +163,7 @@ class BaselineBatchResult(PathResult):
     @property
     def hops(self) -> np.ndarray:
         """Per-lookup hop count (compressed path length − 1)."""
-        return np.diff(self.path_offsets) - 1
+        return path_hops(self.path_offsets)
 
 
 class _PathRecorder:
@@ -245,8 +250,8 @@ class BaselineBatchRouter(abc.ABC):
             hops_parts.append(res.hops)
             owner_parts.append(res.owner_idx)
         return (
-            np.concatenate(hops_parts) if hops_parts else np.zeros(0, np.int64),
-            np.concatenate(owner_parts) if owner_parts else np.zeros(0, np.int64),
+            np.concatenate(hops_parts) if hops_parts else np.zeros(0, LANE_INT),
+            np.concatenate(owner_parts) if owner_parts else np.zeros(0, LANE_INT),
         )
 
 

@@ -63,9 +63,9 @@ from .lookup import MAX_WALK_STEPS
 from .segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                        arc_cover_ranges, fold_unit, normalize_array)
 from .snapshot import ColumnarSnapshot, StaleSnapshotError
-from .walk import (KEEP_PATHS, KeyedLanes, PathResult, descend, draw_key,
-                   forward_levels, normalize_pair, per_lane_matrix, replay,
-                   walking_lanes)
+from .walk import (KEEP_PATHS, LANE_INT, KeyedLanes, PathResult, descend,
+                   draw_key, forward_levels, normalize_pair, path_hops,
+                   per_lane_matrix, replay, walking_lanes)
 
 __all__ = ["BatchRouter", "BatchLookupResult"]
 
@@ -80,14 +80,14 @@ _STALE_ROUTER_ERROR = (
 
 
 def _last_entries(servers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each CSR path's last server, as ``intp`` — the lookup's owner.
+    """Each CSR path's last server, ``int32`` as the paths — the owner.
 
     Exact for :func:`~repro.core.walk.descend`'s paths: the j = 0 point
     is ``level_points(y, off, 1.0) = y``, and a lane that descends no
     level (t = 0) holds only its source, which covers ``y``.  It saves
     a second cover read over the batch.
     """
-    return servers[offsets[1:] - 1].astype(np.intp)
+    return servers.take(offsets[1:] - 1)
 
 
 @dataclass
@@ -97,7 +97,9 @@ class BatchLookupResult(PathResult):
     Mirrors :class:`repro.core.lookup.LookupResult` field-for-field, but
     every per-lookup quantity is a NumPy array of length ``size``.
     ``owner_idx``/``source_idx`` index into ``points`` (the router's
-    sorted id vector).
+    sorted id vector).  Its columns keep the
+    :class:`~repro.core.walk.PathResult` lane contract: indices and
+    counts ``int32``, ``tau_used`` one narrow unsigned digit each.
 
     Paths are stored flattened (CSR) whenever the batch call was asked
     to keep them (``keep_paths="csr"``, or ``True``, which means the
@@ -642,8 +644,9 @@ class BatchRouter(ColumnarSnapshot):
         t, s_final, order = forward_levels(
             y, self._mid[ci], self.delta,
             lambda lanes: self._segment_test(ci[lanes]), level_cap)
+        ci = ci.astype(LANE_INT)  # the search's gathers are done
         servers, offsets = self._descend(y, s_final, t, order,
-                                         (1, np.arange(y.size), 0, ci))
+                                         (1, slice(None), 0, ci))
         return BatchLookupResult(
             algorithm="fast",
             points=self.points,
@@ -652,7 +655,7 @@ class BatchRouter(ColumnarSnapshot):
             source_idx=ci,
             owner_idx=_last_entries(servers, offsets),
             t=t,
-            hops=np.diff(offsets) - 1,
+            hops=path_hops(offsets),
             path_servers=servers if keep_paths else None,
             path_offsets=offsets if keep_paths else None,
         )
@@ -788,8 +791,8 @@ class BatchRouter(ColumnarSnapshot):
         delta, size = self.delta, y.size
         src_idx = cover(src)
         # per-lane results, written once as each lane stops
-        t = np.empty(size, dtype=np.int64)
-        hops1 = np.empty(size, dtype=np.int64)
+        t = np.empty(size, dtype=LANE_INT)
+        hops1 = np.empty(size, dtype=LANE_INT)
         turns = np.empty(size, dtype=np.uint8)  # phase II's hops
         # the walking lanes' state, compacted as lanes stop
         lanes = np.arange(size)
@@ -855,8 +858,8 @@ class BatchRouter(ColumnarSnapshot):
             points=self.points,
             targets=y,
             sources=src,
-            source_idx=src_idx,
-            owner_idx=owner,
+            source_idx=src_idx.astype(LANE_INT),
+            owner_idx=owner.astype(LANE_INT),
             t=t,
             hops=hops1 + turns,
             phase1_hops=hops1,
@@ -936,7 +939,7 @@ class BatchRouter(ColumnarSnapshot):
         res = self._dh_walk("dh-cost", src, y, keep_paths, MAX_WALK_STEPS,
                             pick)
         # step s's row holds the digits of the lanes walking at step s
-        res.tau_used = tau = np.zeros((size, len(tau_rows)), dtype=np.int64)
+        res.tau_used = tau = np.zeros((size, len(tau_rows)), dtype=narrow)
         for s, lanes in enumerate(walking_lanes(res.t)):
             tau[lanes, s] = tau_rows[s]
             tau_rows[s] = None

@@ -55,9 +55,9 @@ from .caching import salt_indices, salted_key
 from .continuous import Digits
 from .network import DistanceHalvingNetwork
 from .segments import fold_unit
-from .walk import (KeyedLanes, PathResult, draw_key, integral_array,
-                   lane_blocks, normalize_points, per_lane_matrix,
-                   ragged_to_csr)
+from .walk import (LANE_INT, KeyedLanes, PathResult, draw_key,
+                   integral_array, lane_blocks, normalize_points, path_hops,
+                   per_lane_matrix, ragged_to_csr)
 
 __all__ = ["BatchCacheEngine", "BatchCacheResult", "decode_node_key"]
 
@@ -97,7 +97,8 @@ class BatchCacheResult(PathResult):
     shortened server paths, always kept and read through the
     :class:`~repro.core.walk.PathResult` contract
     :meth:`~repro.core.routing_stats.BatchCongestion.record_batch`
-    consumes.
+    consumes.  Its tree, server and count columns keep the lane
+    contract (``int32``); ``serving_node_key`` stays ``int64``.
     """
 
     points: np.ndarray
@@ -299,16 +300,17 @@ class BatchCacheEngine:
         delta = self.delta
         points = self._router.points
         if size == 0:
-            empty_i = np.zeros(0, np.int64)
+            empty = np.zeros(0, LANE_INT)
             return BatchCacheResult(
-                points=points, items=empty_i, trees=empty_i, t=empty_i,
-                serving_depth=empty_i, serving_node_key=empty_i,
-                serving_server_idx=empty_i.astype(np.int32), hops=empty_i,
-                lookup_hops=empty_i,
-                path_servers=np.zeros(0, np.int32),
-                path_offsets=np.zeros(1, np.int64), delta=delta)
+                points=points, items=items, trees=empty, t=empty,
+                serving_depth=empty, serving_node_key=np.zeros(0, np.int64),
+                serving_server_idx=empty, hops=empty, lookup_hops=empty,
+                path_servers=empty, path_offsets=np.zeros(1, np.int64),
+                delta=delta)
 
-        trees = items * self.salts + salt_indices(src, self.salts)
+        trees = (items * self.salts
+                 + salt_indices(src, self.salts)).astype(LANE_INT)
+        key_base = np.int64(self._K)  # node keys stay int64
         targets = self._roots[trees]
 
         if tau is not None:
@@ -320,8 +322,8 @@ class BatchCacheEngine:
                                  int(52 / math.log2(delta)) + 1, delta)
 
         # the walk, one lane block at a time: only its t and hops stay
-        t = np.empty(size, dtype=np.int64)
-        lookup_hops = np.empty(size, dtype=np.int64)
+        t = np.empty(size, dtype=LANE_INT)
+        lookup_hops = np.empty(size, dtype=LANE_INT)
         for lo, hi in lane_blocks(size):
             res = self._router.batch_dh_lookup(
                 src[lo:hi], targets[lo:hi], tau=tau_arr[lo:hi],
@@ -339,9 +341,9 @@ class BatchCacheEngine:
         # level tests only the lanes still walking.  ``off`` is the exact
         # walk offset Σ d_k Δ^k of the prefix a lane stands on.
         scales = self._scales
-        node = trees * self._K
+        node = trees * key_base
         off = np.zeros(size, dtype=np.float64)
-        depth = np.zeros(size, dtype=np.int64)
+        depth = np.zeros(size, dtype=LANE_INT)
         walking = np.flatnonzero(t > 0)
         while walking.size:
             d = tau_arr[walking, depth[walking]]
@@ -360,7 +362,7 @@ class BatchCacheEngine:
         idx = np.searchsorted(self._keys, node)
         np.add.at(self._counts, idx, 1)
         cover = self._router.cover_index.cover
-        serving_idx = cover(self._pos[idx]).astype(np.int32)
+        serving_idx = cover(self._pos[idx]).astype(LANE_INT)
         del idx
         np.add.at(self._hits, serving_idx, 1)
         self._touched[np.unique(trees)] = True
@@ -375,9 +377,10 @@ class BatchCacheEngine:
         # level by level inside it: by t descending the block's lanes
         # live at level j are a prefix.
         raw_len = 2 * t - depth + 2          # (t+1) phase-I + (t-m+1) phase-II
-        starts = np.cumsum(raw_len) - raw_len
-        buf = np.empty(raw_len.sum(), dtype=np.int32)
-        del raw_len
+        ends = np.cumsum(raw_len, dtype=np.int64)
+        starts = ends - raw_len
+        buf = np.empty(ends[-1], dtype=np.int32)
+        del raw_len, ends
         for lo, hi in lane_blocks(size):
             order = lo + np.argsort(-t[lo:hi], kind="stable")
             xs, ys, floor = src[order], targets[order], depth[order]
@@ -398,8 +401,8 @@ class BatchCacheEngine:
 
         return BatchCacheResult(
             points=points, items=items, trees=trees, t=t,
-            serving_depth=depth, serving_node_key=node - trees * self._K,
-            serving_server_idx=serving_idx, hops=np.diff(offsets) - 1,
+            serving_depth=depth, serving_node_key=node - trees * key_base,
+            serving_server_idx=serving_idx, hops=path_hops(offsets),
             lookup_hops=lookup_hops, path_servers=servers,
             path_offsets=offsets,
             delta=delta)

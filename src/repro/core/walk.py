@@ -24,10 +24,11 @@ import numpy as np
 from .. import checks
 from .segments import fold_unit, normalize_array
 
-__all__ = ["KeyedLanes", "LANE_BLOCK", "PathResult", "descend", "draw_key",
-           "forward_levels", "integral_array", "lane_blocks", "lane_key",
-           "level_points", "normalize_pair", "normalize_points",
-           "per_lane_matrix", "ragged_to_csr", "replay", "walking_lanes"]
+__all__ = ["KeyedLanes", "LANE_BLOCK", "LANE_INT", "PathResult", "descend",
+           "draw_key", "forward_levels", "integral_array", "lane_blocks",
+           "lane_key", "level_points", "normalize_pair", "normalize_points",
+           "path_hops", "per_lane_matrix", "ragged_to_csr", "replay",
+           "walking_lanes"]
 
 
 # ---------------------------------------------------------------- entry checks
@@ -219,14 +220,15 @@ def forward_levels(y, z, delta: int, segment_test, level_cap: int) -> tuple:
     rest are compacted — the work follows ``Σ t_i``, not
     ``size · max t``.
 
-    Returns ``(t, s_final, order)``: the level, ``⌊z·Δ^t⌋`` at that
+    Returns ``(t, s_final, order)``: the level (a :data:`LANE_INT`
+    count), ``⌊z·Δ^t⌋`` at that
     level, and the lanes by ``t`` descending (the levels ran shallow to
     deep, so reversed they are the order :func:`descend` walks prefixes
     of).  Raises ``RuntimeError`` when a lane is still searching past
     ``level_cap``.
     """
     size = y.size
-    t = np.zeros(size, dtype=np.int64)
+    t = np.zeros(size, dtype=LANE_INT)
     s_final = np.zeros(size, dtype=np.float64)
     lanes = np.arange(size)
     yp, zp, in_own = y, z, segment_test(lanes)
@@ -286,7 +288,8 @@ def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
     server)``: lane ``i`` holds ``head_len[i]`` head entries (an int
     serves every lane), and entry ``k`` of the three aligned arrays
     puts ``server[k]`` in slot ``slot[k]`` of lane ``lane[k]`` (a
-    scalar ``slot`` serves every entry).  Every slot below a lane's
+    scalar ``slot`` serves every entry, and ``lane = slice(None)``
+    every lane once, in order).  Every slot below a lane's
     ``head_len`` is given exactly once, so the head is hole-free and
     lands with one scatter.  A fast lookup's head is its source column
     as one slot; a dh lookup's is the source plus the servers phase I
@@ -299,18 +302,33 @@ def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
     by handing the buffer itself through, since consecutive covers
     rarely repeat.  A path's last entry is ``cover(y_i)``: the
     ``j = 0`` point is ``y_i``.
+
+    The level loop holds the buffer, the sorted ``y`` and ``off`` and
+    each lane's last slot, and nothing else a lane wide: the live
+    counts come from one ``bincount`` of ``depth``, a level's slots are
+    shifted in place, and the lane starts are rebuilt from the last
+    slots once the covers are in.
     """
+    live = np.bincount(depth)[:0:-1].cumsum()[::-1]  # lanes deeper than j
     buf, starts, ends = _head_buffer(depth, head)
-    ys, offs, deep = y[order], off[order], depth[order]
-    level0 = ends[order] - 1  # slot of each lane's last (j = 0) cover
-    tmax = int(deep[0]) if deep.size else 0
-    live = np.searchsorted(-deep, -np.arange(tmax))  # lanes deeper than j
+    del starts
+    last = ends.take(order)  # slot of each lane's last (j = 0) cover
+    last -= 1
+    del ends
+    ys, offs = y[order], off[order]
     if delta & (delta - 1):
         offs = offs.astype(np.int64)
-    for j in range(tmax - 1, -1, -1):
-        o = offs[:live[j]]
-        p = level_points(ys[:o.size], o, float(delta) ** j, delta)
-        buf.put(level0[:o.size] - j, cover(p))
+    for j in range(live.size - 1, -1, -1):
+        at = last[:live[j]]
+        at -= j
+        buf.put(at, cover(level_points(ys[:at.size], offs[:at.size],
+                                       float(delta) ** j, delta)))
+        at += j
+    del ys, offs
+    starts = np.empty_like(last)  # lane i starts past lane i − 1's last
+    starts[order] = last
+    starts[1:] = starts[:-1] + 1
+    starts[:1] = 0
     return ragged_to_csr(buf, starts)
 
 
@@ -331,7 +349,7 @@ def replay(t, source, hop, owner, steps) -> tuple:
     :func:`descend`'s.
     """
     via = np.flatnonzero(hop >= 0)
-    ends = 2 * t + 2
+    ends = np.int64(2) * t + 2  # int64 whatever t's width: summed next
     ends[via] += 1
     np.cumsum(ends, out=ends)
     starts = np.roll(ends, 1)
@@ -363,10 +381,13 @@ def walking_lanes(t):
 
 
 def _head_buffer(depth, head) -> tuple:
-    """``(buf, starts, ends)``: ``head_len + depth`` slots a lane, head in."""
+    """``(buf, starts, ends)``: ``head_len + depth`` slots a lane, head in.
+
+    ``depth`` may be ``int32``; the offsets are summed in ``int64``.
+    """
     head_len, lane, slot, server = head
     lens = depth + head_len
-    ends = np.cumsum(lens)
+    ends = np.cumsum(lens, dtype=np.int64)
     starts = ends - lens
     buf = np.empty(ends[-1] if ends.size else 0, dtype=np.int32)
     buf[starts[lane] + slot] = server
@@ -456,8 +477,22 @@ def _compact(buf, drop) -> int:
 
 
 # ------------------------------------------------------------- result contract
+#: The lane contract's integer: the dtype of every server-index column
+#: (an index is below n) and every per-lane count column (a path holds
+#: at most 2·``MAX_WALK_STEPS`` + 2 entries) of a batch result.
+LANE_INT = np.int32
+
+
+def path_hops(offsets) -> np.ndarray:
+    """Each CSR path's hops, its entries less one: one :data:`LANE_INT`
+    subtraction over the ``int64`` offsets, with no wide temporary."""
+    hops = np.subtract(offsets[1:], offsets[:-1], dtype=LANE_INT)
+    hops -= 1
+    return hops
+
+
 class PathResult:
-    """The CSR read contract of every batch result.
+    """The CSR read contract of every batch result, and its lane contract.
 
     A result keeps its paths flattened: ``path_servers`` (``int32``, one
     entry per path segment, indices into ``points``) and
@@ -469,6 +504,26 @@ class PathResult:
     the subclass's ``size`` and ``hops`` this is the duck type
     :meth:`~repro.core.routing_stats.BatchCongestion.record_batch`
     books with one ``np.bincount``.
+
+    The lane contract fixes the dtype of every per-lane column, so a
+    held result costs the same bytes whichever engine built it, and
+    each engine builds a column at its width once:
+
+    * server indices, :data:`LANE_INT`: ``source_idx``, ``owner_idx``,
+      ``holder_idx``, ``serving_server_idx``, ``path_servers``, and the
+      §3 tree index ``trees``;
+    * per-lane counts, :data:`LANE_INT`: ``t``, ``hops``,
+      ``phase1_hops``, ``serving_depth``, ``lookup_hops``,
+      ``messages``, ``parallel_time``;
+    * ``int64``: the CSR ``path_offsets`` and the §3
+      ``serving_node_key`` (every prefix sum over a count widens before
+      it sums);
+    * a digit matrix (``tau_used``): the narrowest unsigned type that
+      holds Δ − 1, as the walks' own step records.
+
+    The kernels gather through ``intp`` indices — NumPy widens an
+    ``int32`` index on every fancy read — and narrow when they build
+    the result.
     """
 
     points: np.ndarray

@@ -49,9 +49,9 @@ import numpy as np
 
 from .. import checks
 from ..core.lookup import MAX_WALK_STEPS
-from ..core.walk import (KEEP_PATHS, KeyedLanes, PathResult, forward_levels,
-                         lane_blocks, level_points, normalize_points,
-                         per_lane_matrix, ragged_to_csr)
+from ..core.walk import (KEEP_PATHS, LANE_INT, KeyedLanes, PathResult,
+                         forward_levels, lane_blocks, level_points,
+                         normalize_points, per_lane_matrix, ragged_to_csr)
 from .models import FaultPlan
 from .overlap import OverlappingDHNetwork
 
@@ -77,7 +77,8 @@ class FTBatchResult(PathResult):
     ``compress_path(FTLookupResult.servers)`` of the scalar engine for
     the same lookup and choice uniforms), so
     :class:`~repro.core.routing_stats.BatchCongestion.record_batch`
-    accepts the result as-is.
+    accepts the result as-is.  Its index and count columns keep the
+    :class:`~repro.core.walk.PathResult` lane contract (``int32``).
     """
 
     algorithm: str
@@ -269,15 +270,17 @@ class FTBatchEngine:
             u = KeyedLanes(key, size, tmax)
 
         cur = src_idx.copy()
-        messages = np.zeros(size, dtype=np.int64)
-        traversed = np.zeros(size, dtype=np.int64)
+        messages = np.zeros(size, dtype=LANE_INT)
+        traversed = np.zeros(size, dtype=LANE_INT)
         failed = np.zeros(size, dtype=bool)
         if keep_paths:
             # lane-major ragged walk buffer: t+1 slots per lane, slot h
             # holds the server chosen at hop h (slot 0 the source)
             slots = t + 1
-            starts = np.cumsum(slots) - slots
-            buf = np.empty(slots.sum(), dtype=np.int32)
+            ends = np.cumsum(slots, dtype=np.int64)
+            starts = ends - slots
+            buf = np.empty(ends[-1] if size else 0, dtype=np.int32)
+            del slots, ends
             buf[starts] = src_idx
 
         # the lanes walk independently, so the hop loop runs one lane
@@ -287,9 +290,9 @@ class FTBatchEngine:
                 lanes = lo + np.flatnonzero((t[lo:hi] >= h) & ~failed[lo:hi])
                 if not lanes.size:
                     break
-                # int32 exponents: np.ldexp has no int64 loop where C long
-                # is 32-bit (Windows), and t ≤ MAX_WALK_STEPS = 512 anyway
-                scale = np.ldexp(1.0, (t[lanes] - h).astype(np.int32))
+                # t is int32, and so its exponents: np.ldexp has no int64
+                # loop where C long is 32-bit (Windows)
+                scale = np.ldexp(1.0, t[lanes] - h)
                 p = level_points(y[lanes], s_final[lanes], scale, 2)
                 cand, mask = self.net.cover_table(p)
                 ok = mask & (state[cand] & ALIVE).view(bool)
@@ -318,12 +321,12 @@ class FTBatchEngine:
             algorithm="simple",
             points=self.points,
             targets=y,
-            source_idx=src_idx,
+            source_idx=src_idx.astype(LANE_INT),
             t=t,
             success=success,
             messages=messages,
             parallel_time=traversed,
-            holder_idx=cur,
+            holder_idx=cur.astype(LANE_INT),
             policy=policy,
             path_servers=servers,
             path_offsets=offsets,
@@ -358,8 +361,8 @@ class FTBatchEngine:
         # in-flight payload per lookup: 0 = the true value, i+1 = the
         # corruption injected by server i
         value = np.zeros(size, dtype=np.int64)
-        messages = np.zeros(size, dtype=np.int64)
-        traversed = np.zeros(size, dtype=np.int64)
+        messages = np.zeros(size, dtype=LANE_INT)
+        traversed = np.zeros(size, dtype=LANE_INT)
         failed = np.zeros(size, dtype=bool)
 
         # layer 0: the replica group (alive covers of y) answers
@@ -418,7 +421,7 @@ class FTBatchEngine:
             algorithm="resistant",
             points=self.points,
             targets=y,
-            source_idx=src_idx,
+            source_idx=src_idx.astype(LANE_INT),
             t=t,
             success=success,
             messages=messages,

@@ -62,8 +62,9 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   out of ``core/interval.py`` → test_continuous, test_core_properties
 - overlap.parent_cover_table, frozen: §6.2's class table →
   test_cover_class
-- overlap.WholeChunkFTEngine, frozen: ``batch_simple_lookup``'s hop loop
-  in lane blocks → test_lane_block
+- overlap.WholeChunkFTEngine, frozen less its unreached ``rng=``
+  branch: ``batch_simple_lookup``'s hop loop in lane blocks →
+  test_lane_block
 - routing_stats.ParentBatchCongestion, frozen: the blocked booking and
   the in-place key merge → test_congestion_booking
 - baselines.measure_scheme, scalar: ``measure_scheme_batch`` →

@@ -7,7 +7,11 @@ def assert_same(got, want, fields=(), what="value") -> None:
     """``got`` equals ``want`` in dtype, shape and every bit.
 
     Floats compare as their unsigned-integer view, so ``-0.0`` differs
-    from ``0.0`` and a NaN equals only its own bit pattern.  ``None``
+    from ``0.0`` and a NaN equals only its own bit pattern.  One width
+    difference passes: a narrow integer ``got`` against an ``int64``
+    ``want`` compares by value — the frozen oracles built their lane
+    columns ``int64``, and the lane contract's widths are pinned by
+    ``test_lane_contract.py``.  ``None``
     passes only against ``None``; tuples and lists compare element by
     element.  With ``fields``, each named attribute (or ``dict`` key) of
     both sides in turn, and a failure names the field.
@@ -25,6 +29,8 @@ def assert_same(got, want, fields=(), what="value") -> None:
             assert_same(a, b, what=f"{what}[{k}]")
         return
     got, want = np.asarray(got), np.asarray(want)
+    if want.dtype == np.int64 and got.dtype.kind in "iu":
+        got = got.astype(np.int64)
     assert got.dtype == want.dtype, (what, got.dtype, want.dtype)
     assert got.shape == want.shape, (what, got.shape, want.shape)
     if got.dtype.kind == "f":

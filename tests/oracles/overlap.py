@@ -26,13 +26,14 @@ def parent_cover_table(net, ys):
 
 class WholeChunkFTEngine(FTBatchEngine):
     """The parent commit's ``batch_simple_lookup``, kept as the
-    reference: the hop loop over the whole batch at once."""
+    reference: the hop loop over the whole batch at once.  Frozen less
+    its ``rng=`` branch, which no suite reached: uniforms come in as
+    ``choices`` only (or none, for greedy)."""
 
     def batch_simple_lookup(
         self,
         sources,
         targets,
-        rng: Optional[np.random.Generator] = None,
         choices: Optional[np.ndarray] = None,
         plan: Optional[FaultPlan] = None,
         keep_paths: "bool | str" = False,
@@ -46,8 +47,8 @@ class WholeChunkFTEngine(FTBatchEngine):
         ring points (scalars broadcast).  Each hop gathers the alive
         covers of every pending path point from the cover table and
         picks cover ``⌊u·|alive|⌋`` per lookup, where the uniforms ``u``
-        come from ``choices`` (shape ``(size, L)``, ``L ≥ max t``) or
-        are drawn from ``rng`` — replaying the same uniforms through the
+        come from ``choices`` (shape ``(size, L)``, ``L ≥ max t``) —
+        replaying the same uniforms through the
         scalar :func:`~repro.faults.lookup_ft.simple_lookup` reproduces
         the batch bit-for-bit.  ``keep_paths`` (``True`` or ``"csr"``)
         records the chosen server walks as CSR path arrays.
@@ -70,8 +71,8 @@ class WholeChunkFTEngine(FTBatchEngine):
         cost_aware = policy != "uniform"
         if cost_aware and oracle is None:
             raise ValueError(f"cost policy {policy!r} needs a CostOracle")
-        if rng is None and choices is None and policy != "greedy":
-            raise ValueError("batch_simple_lookup needs an rng or explicit choices")
+        if choices is None and policy != "greedy":
+            raise ValueError("batch_simple_lookup needs explicit choices")
         state = self._state(plan)
         src_idx, y = self._enter(sources, targets)
         size = y.size
@@ -83,8 +84,6 @@ class WholeChunkFTEngine(FTBatchEngine):
             u = per_lane_matrix(choices, size, np.float64, "choices")
             if u.shape[1] < tmax:
                 raise ValueError("supplied choices exhausted before lookup finished")
-        elif rng is not None and tmax:
-            u = rng.random((size, tmax))
 
         cur = src_idx.copy()
         messages = np.zeros(size, dtype=np.int64)

@@ -97,9 +97,10 @@ def head_to_rows(head, size: int) -> list:
     """The compact head as ``max(head_len)`` rows of ``size`` lanes.
 
     At least one row, even for no lanes: every lane holds its source.
+    ``lane`` may be a slice, as the fast lookup's every-lane head is.
     """
     head_len, lane, slot, server = head
-    lane = np.asarray(lane)
+    lane = np.arange(size)[lane]
     rows = np.full((int(np.max(head_len, initial=1)), size), -1,
                    dtype=np.int64)
     rows[np.broadcast_to(slot, lane.shape), lane] = server

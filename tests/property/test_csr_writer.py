@@ -309,37 +309,41 @@ def lane_peak(route, lanes: int) -> float:
 def test_fast_lookup_chunk_peak():
     """The soak's lookup chunk: 65,536 fast lookups with CSR paths at
     n = 16384.  With ``np.delete``'s mask and copy the batch read ~244 B
-    a lane traced, compacting in place ~202 (the bound is that plus
-    10 %)."""
+    a lane traced, compacting in place ~202; with ``int32`` lane columns
+    and a descent that holds no whole-batch copy it does not need ~154
+    (the bound is that plus 10 %)."""
     per_lane = lane_peak(
         lambda s, t: soak_router().lookup_batch(s, t, keep_paths="csr"),
         65_536)
-    assert per_lane <= 222, per_lane
+    assert per_lane <= 170, per_lane
 
 
 def test_dh_chunk_peak():
     """65,536 dh lookups with CSR paths at n = 16384.  Phase I kept
     ``(slot, lanes, servers)`` and ``(lanes, image)`` records, all
     ``intp``, a step: ~905 B a lane traced; ``int32`` lane-free records
-    read ~284."""
+    read ~292, and ``int32`` lane columns ~284 (the bound is that plus
+    10 %)."""
     rng = np.random.default_rng(2)
     per_lane = lane_peak(
         lambda s, t: soak_router().batch_dh_lookup(s, t, rng=rng,
                                                    keep_paths="csr"),
         65_536)
-    assert per_lane <= 400, per_lane
+    assert per_lane <= 312, per_lane
 
 
 def test_cost_dh_peak():
     """route_dh_cost's 4,096-lane greedy batch at n = 16384: ~1,066 B a
     lane with the wide records and a full-width ``int64`` ``tau`` row a
     step (stacked, then transposed); ~363 with narrow rows of the
-    walking lanes written once into ``tau_used``."""
+    walking lanes written once into an ``int64`` ``tau_used``, ~355 with
+    ``tau_used`` one byte a digit and ``int32`` lane columns (the bound
+    is that plus 10 %)."""
     per_lane = lane_peak(
         lambda s, t: soak_router().batch_dh_lookup(
             s, t, policy="greedy", keep_paths="csr"),
         4096)
-    assert per_lane <= 480, per_lane
+    assert per_lane <= 391, per_lane
 
 
 def test_pathless_dh_chunk_peak():

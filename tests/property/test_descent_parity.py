@@ -346,7 +346,6 @@ class TestEdgeBatches:
         size = np.size(tgt)
         assert got.size == size and got.hops.shape == (size,)
         assert got.owner_idx.shape == (size,)
-        assert got.owner_idx.dtype == np.intp
         if kind == "t0":
             assert (got.t == 0).all() and (got.hops == 0).all()
             assert np.array_equal(got.owner_idx, got.source_idx)

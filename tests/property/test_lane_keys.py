@@ -6,8 +6,9 @@ pure-Python SplitMix64 of :mod:`oracles.walk` (lane seeds, the bit-slice
 and ``Δ^per ≤ 2^32`` digit constructions, the 53-bit uniforms) and its
 digit counts against a fixed χ² bound; then the metamorphic property the key exists for — a
 ``batch_simple_lookup`` stream cut anywhere, the first ``m`` lanes of a
-``batch_dh_lookup`` or ``serve_batch`` call, and a soak at three chunk
-sizes all route every request as one whole call would.
+``batch_dh_lookup``, ``batch_fast_lookup`` or ``serve_batch`` call, and
+a soak at three chunk sizes all route every request as one whole call
+would.
 """
 
 import functools
@@ -197,6 +198,23 @@ def test_dh_lookup_prefix_routes_as_its_own_call(delta, policy):
         ref = np.random.default_rng(8)
         draw_key(ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+FAST_FIELDS = ("source_idx", "owner_idx", "t", "hops")
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+def test_fast_lookup_prefix_routes_as_its_own_call(delta):
+    """The fast lookup reads no randomness: the first ``m`` lanes of a
+    call equal a call on those ``m`` lanes, in values and dtypes."""
+    router = cost_router(delta)
+    inputs = np.random.default_rng(delta)
+    src = router.points[inputs.integers(0, router.n, 700)]
+    tgt = inputs.random(700)
+    whole = router.batch_fast_lookup(src, tgt, keep_paths="csr")
+    for m in (0, 1, 13, 699):
+        part = router.batch_fast_lookup(src[:m], tgt[:m], keep_paths="csr")
+        same_lanes(part, whole, FAST_FIELDS, slice(0, m))
 
 
 SERVE_FIELDS = ("t", "serving_depth", "serving_node_key",

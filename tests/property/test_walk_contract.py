@@ -233,6 +233,13 @@ def sha256(*arrays):
     return h.hexdigest()
 
 
+def wide(*columns):
+    """``columns`` as ``int64``, the width the digests were recorded at
+    (one array for one column)."""
+    out = [np.asarray(c, dtype=np.int64) for c in columns]
+    return out[0] if len(out) == 1 else out
+
+
 def ft_workload(n, lanes, seed, p_fail):
     rng = np.random.default_rng(seed)
     net = OverlappingDHNetwork(n, rng)
@@ -242,15 +249,21 @@ def ft_workload(n, lanes, seed, p_fail):
 
 
 class TestPinnedDigests:
-    """Recorded on the parent commit (each engine's private walk copy)."""
+    """Recorded on the parent commit (each engine's private walk copy).
+
+    The lane columns were ``int64`` then; they are hashed widened
+    (:func:`wide`), so a digest pins their values under the lane
+    contract's ``int32``.
+    """
 
     def test_ft_simple_1024_with_failures(self):
         net, plan, src, tgt, u = ft_workload(1024, 2000, 19, 0.75)
         res = FTBatchEngine(net).batch_simple_lookup(
             src, tgt, choices=u, plan=plan, keep_paths="csr")
         assert (res.parallel_time < res.t).sum() > 100  # died mid-path
-        assert sha256(res.path_servers, res.path_offsets, res.t, res.success,
-                      res.messages, res.parallel_time, res.holder_idx) == (
+        assert sha256(res.path_servers, res.path_offsets, wide(res.t),
+                      res.success, *wide(res.messages, res.parallel_time,
+                                         res.holder_idx)) == (
             "2cb461f187d2b7aa7be8c9ee1b0b2215"
             "5da3f7d6ff2152feda6014d5e0fbebc5")
 
@@ -259,8 +272,8 @@ class TestPinnedDigests:
         plan.liars = set(net.points[::5]) - plan.failed
         res = FTBatchEngine(net).batch_resistant_lookup(src, tgt, plan=plan)
         assert 0 < res.success.sum() < res.size
-        assert sha256(res.t, res.success, res.messages,
-                      res.parallel_time) == (
+        assert sha256(wide(res.t), res.success,
+                      *wide(res.messages, res.parallel_time)) == (
             "93c16eda1bace274c6cac6ef272a9a6d"
             "de91c1b2ca484d797c97514c10e592b0")
 
@@ -276,7 +289,7 @@ class TestPinnedDigests:
             res = eng.serve_batch(items, src,
                                   tau=rng.integers(0, 2, (1500, 64)))
             parts += [res.path_servers, res.path_offsets,
-                      res.serving_server_idx, res.hops]
+                      res.serving_server_idx, wide(res.hops)]
             if batch == 1:
                 parts.append(np.asarray(eng.advance_epoch()))
         assert eng.total_copies() > 0
@@ -308,7 +321,7 @@ class TestPinnedDigests:
         res = dht.batch_router().route_batch(
             rng.integers(0, 256, size=500), rng.random(500), rng=rng)
         assert sha256(res.path_servers, res.path_offsets,
-                      res.owner_idx) == digest
+                      wide(res.owner_idx)) == digest
 
 
 # ---------------------------------------------------------------------- units

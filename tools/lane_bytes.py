@@ -8,7 +8,9 @@ It builds the soak's substrates (``ScenarioEngine``: the n-server
 network and its router, the n/16-server §6 fault substrate), routes one
 warm-up batch per engine, then one batch at the size the soak or the
 spine runs it under ``tracemalloc`` and prints the traced peak divided
-by the lanes:
+by the lanes, and beside it the bytes still held when the call returns
+(the result it keeps: a narrower result column moves this one, a
+shorter-lived temporary only the peak):
 
 * ``fast``, ``dh`` and ``cache-serve`` at the soak's chunk (the route
   stream and the flash crowd), and ``dh (no paths)``: the path-less
@@ -62,14 +64,14 @@ SOAK_LOOKUPS = 500_000
 
 
 def traced_peak(call) -> tuple:
-    """``(result, traced peak in bytes)`` of one call."""
+    """``(result, traced peak, bytes held on return)`` of one call."""
     tracemalloc.start()
     try:
         out = call()
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return out, peak
+    return out, peak, held
 
 
 def stream(name: str) -> np.random.Generator:
@@ -79,8 +81,8 @@ def stream(name: str) -> np.random.Generator:
 
 
 def rows(n: int, chunk: int):
-    """Yield ``(engine, lanes, peak bytes)`` per engine, then the booking's
-    ``("booking", path entries, peak bytes)``."""
+    """Yield ``(engine, lanes, peak bytes, held bytes)`` per engine, then
+    the booking's ``("booking", path entries, peak bytes, held bytes)``."""
     soak = ScenarioEngine(n=n, lookups=0, chunk=chunk, seed=SEED)
     router, pts = soak.router, soak.router.points
     cost = BatchRouter(soak.net,
@@ -129,12 +131,12 @@ def rows(n: int, chunk: int):
         rng = stream(name)
         route(rng, *draw(rng, 16))  # warm: lazy tables are not the batch's
         args = draw(rng, lanes)
-        res, peak = traced_peak(lambda: route(rng, *args))
+        res, peak, held = traced_peak(lambda: route(rng, *args))
         if name == "fast":
             fast = res
-        yield name, lanes, peak
-    _, peak = traced_peak(lambda: BatchCongestion().record_batch(fast))
-    yield "booking", int(fast.path_servers.size), peak
+        yield name, lanes, peak, held
+    _, peak, held = traced_peak(lambda: BatchCongestion().record_batch(fast))
+    yield "booking", int(fast.path_servers.size), peak, held
 
 
 class _PhasePeaks(ScenarioEngine):
@@ -168,11 +170,13 @@ def phase_rows(n: int, chunk: int, lookups: int) -> list:
 def table(n: int, chunk: int, lookups: int = SOAK_LOOKUPS) -> list:
     """The printed tables' lines: a header, then one line per row."""
     lines = [f"n={n} chunk={chunk} seed={SEED}",
-             f"{'engine':<14}{'lanes':>10}{'peak MB':>10}{'B/lane':>10}"]
-    for name, lanes, peak in rows(n, chunk):
+             f"{'engine':<14}{'lanes':>10}{'peak MB':>10}{'B/lane':>10}"
+             f"{'held':>10}"]
+    for name, lanes, peak, held in rows(n, chunk):
         unit = "B/entry" if name == "booking" else ""
         lines.append(f"{name:<14}{lanes:>10}{peak / 2**20:>10.2f}"
-                     f"{peak / lanes:>10.1f} {unit}".rstrip())
+                     f"{peak / lanes:>10.1f}{held / lanes:>10.1f} "
+                     f"{unit}".rstrip())
     lines += [f"soak day: lookups={lookups}",
               f"{'phase':<14}{'peak MB':>10}"]
     for phase, peak in phase_rows(n, chunk, lookups):
