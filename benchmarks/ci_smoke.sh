@@ -2,15 +2,14 @@
 # The result gates CI runs, in one place (CI invokes this script; run it
 # locally from the repo root to reproduce the exact CI check).
 #
-# Two kinds of command.  The first quick-runs the experiments whose
-# checks gate each layer of the batch spine against its scalar twin:
-# Table 1's per-scheme path replay (E1), congestion accounting (E4), §3
-# trace parity and salted relief (E7, E8), the §6.3 fault replay (E13),
-# batch-lookup parity (X3), the churn refresh cost (X4) and the cost
-# policies' traffic bounds and replays (X6); and those that route their
-# own lookup workloads through the router's batch lookups: path lengths
-# (E3), permutation loads (E5), the degree / path trade-off (E6) and
-# the smoothness and one- vs two-phase ablations (A3, A4).  The others
+# Two kinds of command.  The first quick-runs every registered
+# experiment (run all): among them those whose checks gate each layer of
+# the batch spine against its scalar twin — Table 1's per-scheme path
+# replay (E1), congestion accounting (E4), §3 trace parity and salted
+# relief (E7, E8), the §6.3 fault replay (E13), batch-lookup parity
+# (X3), the churn refresh cost (X4) and the cost policies' traffic
+# bounds and replays (X6) — and those that route their own lookup
+# workloads through the router's batch lookups.  The others
 # drive the day-in-the-life soak with all between-phase invariants on: a
 # small smoke (n = 1024, chunk 4096), then the default size (n = 16384,
 # chunk 2^16, ~3 s each) for seeds 1, 7 and 11, whose chunks span
@@ -37,8 +36,7 @@ run() {
   "$@"
 }
 
-run python -m repro.cli run E1 E3 E4 E5 E6 E7 E8 E13 A3 A4 X3 X4 X6 --quick \
-  --out "$OUT_DIR"
+run python -m repro.cli run all --quick --out "$OUT_DIR"
 
 run python -m repro.cli soak \
   --n 1024 --lookups 10000 --chunk 4096 --seed 0 \

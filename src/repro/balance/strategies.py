@@ -52,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import checks
-from ..core.interval import BELOW_ONE, normalize
+from ..core.interval import midpoint, normalize
 from ..core.segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                              normalize_array)
 
@@ -97,20 +97,6 @@ def _window(n: int, probes: int) -> int:
     return max(1, min(max(_WINDOW_MIN, n // _WINDOW_SHARE),
                       _WINDOW_PROBES // max(1, probes),
                       _WINDOW_MAX, (1 << _ceil_log2(n)) - n + 1))
-
-
-def _centre(start: float, length: float, end: float) -> float:
-    """:attr:`~repro.core.interval.Arc.midpoint` of a float piece.
-
-    ``normalize(start + length / 2)``, ``BELOW_ONE`` when a seam piece
-    longer below 1.0 rounds its centre onto 1.0, or ``start`` when a
-    piece one float wide rounds its centre onto its ``end``.
-    """
-    mid = start + length / 2
-    if mid == 1.0 and 1.0 - start > end:
-        mid = BELOW_ONE
-    mid = normalize(mid)
-    return start if mid == end else mid
 
 
 def _piece(col: np.ndarray, g: int, y: float,
@@ -165,7 +151,7 @@ def _reevaluate(col: np.ndarray, split: np.ndarray, j: int,
         full = ls[t]
         k = ks[t]
         if full < best or full == best and k > pick:
-            return _centre(a, best, b), seg
+            return midpoint(a, best, b), seg
         g = gs[t]
         f = split.item(g)
         if f < j:
@@ -178,7 +164,7 @@ def _reevaluate(col: np.ndarray, split: np.ndarray, j: int,
             end = col.item(g + 1 if g < len(col) - 1 else 0)
         if length > best or length == best and k < pick:
             best, pick, a, b, seg = length, k, start, end, g
-    return (_centre(a, best, b), seg) if whole else None
+    return (midpoint(a, best, b), seg) if whole else None
 
 
 def _probe_lists(lengths: np.ndarray, cover: np.ndarray, z: np.ndarray,
@@ -462,5 +448,5 @@ class MultipleChoice(_Strategy):
         length = col.take(above, mode="wrap") - start
         length[length < 0] = 1.0 - float(col[-1]) + float(col[0])
         k = int(length.argmax())
-        return _centre(float(start[k]), float(length[k]),
-                       float(col.take(above[k], mode="wrap")))
+        return midpoint(float(start[k]), float(length[k]),
+                        float(col.take(above[k], mode="wrap")))

@@ -11,8 +11,8 @@ or a hop), and every refusal is a ``ValueError`` of one shape::
 The numeric rules refuse bool and truncate nothing: ``2.5`` is not the
 count 2 and ``True`` is not 1.  This module imports only the
 standard library and NumPy, so every layer may call it.  The inputs the
-public surface takes on purpose (ring points fold, ``temperature=inf``
-is the uniform pick) are listed with their reasons in the ``ACCEPTS``
+public surface takes on purpose (ring points fold, ``until=inf`` runs
+the event queue dry) are listed with their reasons in the ``ACCEPTS``
 table of ``tests/core/test_input_sweep.py``; docs/ARCHITECTURE.md
 "Input checks" states the contract.
 """

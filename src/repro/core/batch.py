@@ -58,7 +58,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import checks
-from .interval import BELOW_ONE
+from .interval import midpoint
 from .lookup import MAX_WALK_STEPS
 from .segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                        arc_cover_ranges, fold_unit, normalize_array)
@@ -180,9 +180,10 @@ class BatchRouter(ColumnarSnapshot):
         a negative budget raises ``ValueError``.
     cost_map:
         A :class:`~repro.peer.costmap.CostMap`: the router then keeps
-        per-server costs — ``cost_isp`` (int64), ``cost_x`` / ``cost_y``
-        (float64) and the k×k ``_isp_cost`` — for :meth:`batch_dh_lookup`'s
-        ``policy=`` rules, derived from the points (:meth:`_derive`).
+        ``cost``, a :class:`~repro.peer.itracker.CostOracle` over its
+        points, for :meth:`batch_dh_lookup`'s ``policy=`` rules, rebuilt
+        from the points every refresh (:meth:`_derive`); ``cost`` is
+        ``None`` without one.
     """
 
     def __init__(self, net, build_adjacency: bool = False,
@@ -193,6 +194,7 @@ class BatchRouter(ColumnarSnapshot):
             raise LookupError("cannot compile a router over an empty network")
         self._net = net
         self.cost_map = cost_map
+        self.cost = None
         self.adj_first: Optional[np.ndarray] = None
         self.adj_count: Optional[np.ndarray] = None
         super().__init__(journal=net.membership_log,
@@ -296,13 +298,15 @@ class BatchRouter(ColumnarSnapshot):
         if self.adj_first is not None:
             self._build_adjacency()
         if self.cost_map is not None:
+            from ..peer.itracker import CostOracle
+
             # the live rows, read without handing the column out
-            cols = self.cost_map.columns(self._ext[:self.n])
-            self.cost_isp = cols["cost_isp"]
-            self.cost_x = cols["cost_x"]
-            self.cost_y = cols["cost_y"]
-            self._isp_cost = np.ascontiguousarray(self.cost_map.isp_cost,
-                                                  dtype=np.float64)
+            self.cost = CostOracle(self._ext[:self.n], self.cost_map)
+
+    @property
+    def cost_isp(self) -> np.ndarray:
+        """The ISP label column, ``cost.isp`` under its former name."""
+        return self.cost.isp
 
     def _build_adjacency(self) -> None:
         """The neighbour relation as per-row index ranges of the point column.
@@ -475,12 +479,10 @@ class BatchRouter(ColumnarSnapshot):
     def _settle(self, i: int, n: int) -> None:
         """Recompute row ``i``'s segment end and midpoint, ``n >= 2`` rows.
 
-        The IEEE ops of :meth:`SegmentMap.midpoints_from_array` on one
-        row — ``normalize(start + length / 2)``, the seam row's length
-        ``1 - x_{n-1} + x_0``, ``BELOW_ONE`` where a seam centre rounds
-        onto 1.0 from the longer piece, the start where it rounds onto
-        the row's end — so the row is bit-identical to a fresh
-        compile's, with no ``Arc`` built.
+        The row's length as :meth:`SegmentMap.lengths_from_array` takes
+        it (the seam row's ``1 - x_{n-1} + x_0``) and its centre by
+        :func:`~repro.core.interval.midpoint`, so the row is
+        bit-identical to a fresh compile's, with no ``Arc`` built.
         """
         ext = self._ext
         start = ext.item(i)
@@ -490,14 +492,8 @@ class BatchRouter(ColumnarSnapshot):
         else:
             stop = ext.item(0)
             length = 1.0 - start + stop
-        mid = start + length / 2
-        if mid == 1.0 and 1.0 - start > stop:
-            mid = BELOW_ONE
-        mid %= 1.0
-        if mid == 1.0:
-            mid = 0.0
         self._end[i] = stop
-        self._mid[i] = start if mid == stop else mid
+        self._mid[i] = midpoint(start, length, stop)
 
     # ------------------------------------------------------------- sharding
     def sharded_executor(self, workers: int):
@@ -670,7 +666,6 @@ class BatchRouter(ColumnarSnapshot):
         keep_paths: "bool | str" = False,
         policy: Optional[str] = None,
         choices: Optional[np.ndarray] = None,
-        temperature: float = 1.0,
     ) -> BatchLookupResult:
         """Vectorized two-phase Distance Halving Lookup (§2.2.2).
 
@@ -698,27 +693,21 @@ class BatchRouter(ColumnarSnapshot):
         With ``policy`` one of :data:`~repro.peer.policy.POLICIES`, the
         digit is a cost-aware covering-edge choice (Observation 2.3
         halves the distance to the target image whatever digit is
-        taken): each step scores the Δ candidates' edge costs over the
-        cost columns of a router built with ``cost_map=`` and picks with
-        the shared policy (:mod:`repro.peer.policy`; ``temperature``
-        tunes the softmin).  "uniform" and "weighted" read one uniform
-        per (lookup, step) from ``choices`` (shaped as ``tau``) or the
-        key of ``rng``.  The result's ``algorithm`` is ``"dh-cost"``, its
+        taken): each step scores the Δ candidates' edge costs through
+        the ``cost`` oracle of a router built with ``cost_map=`` and
+        picks with the shared policy (:mod:`repro.peer.policy`).
+        "uniform" and "weighted" read one uniform per (lookup, step)
+        from ``choices`` (shaped as ``tau``) or the key of ``rng``.  The result's ``algorithm`` is ``"dh-cost"``, its
         ``policy`` the rule and its ``tau_used`` the digits taken,
         0-padded past each ``t``: replayed with ``tau=`` and no policy,
         or through scalar ``dh_lookup``, they reproduce owners, hops and
-        paths bit-for-bit.  ``tau`` with a policy, ``choices`` or a
-        ``temperature`` other than 1.0 without one, and a policy without
-        ``cost_map=`` raise ``ValueError``.
+        paths bit-for-bit.  ``tau`` with a policy, ``choices`` without
+        one, and a policy without ``cost_map=`` raise ``ValueError``.
         """
-        checks.real(temperature, "temperature", "(0, inf]")
         if policy is None and choices is not None:
             raise ValueError("choices must be None when policy is None (the "
                              "uniform digit comes from rng or tau), got "
                              f"{type(choices).__name__}")
-        if policy is None and temperature != 1.0:
-            raise ValueError("temperature must be 1.0 when policy is None, "
-                             f"got {temperature!r}")
         if policy is not None:
             from ..peer.policy import POLICIES
 
@@ -732,8 +721,7 @@ class BatchRouter(ColumnarSnapshot):
         key = (draw_key(rng) if rng is not None and tau is None
                and choices is None else None)
         if policy is not None:
-            return self._cost_walk(src, y, key, choices, policy, temperature,
-                                   keep_paths)
+            return self._cost_walk(src, y, key, choices, policy, keep_paths)
         if key is None and tau is None:
             raise ValueError("batch_dh_lookup needs an rng or explicit tau")
         size = y.size
@@ -868,25 +856,7 @@ class BatchRouter(ColumnarSnapshot):
         )
 
     # ------------------------------------------------------- cost-aware dh
-    def _cost_state(self):
-        """The cost columns, or an actionable error on a cost-less router."""
-        if self.cost_map is None:
-            raise ValueError(
-                "cost_map must be set to route with a policy, got None: "
-                "build the router as BatchRouter(net, cost_map=...) with a "
-                "repro.peer.CostMap"
-            )
-        return self.cost_isp, self.cost_x, self.cost_y, self._isp_cost
-
-    def _edge_cost_matrix(self, i_idx, j_idx) -> np.ndarray:
-        """Network cost of edges i→j (point indices; broadcasts to (K, B))."""
-        from ..peer.costmap import pair_costs
-
-        isp, cx, cy, mat = self._cost_state()
-        return pair_costs(isp[i_idx], isp[j_idx], cx[i_idx], cy[i_idx],
-                          cx[j_idx], cy[j_idx], mat)
-
-    def _cost_walk(self, src, y, key, choices, policy, temperature,
+    def _cost_walk(self, src, y, key, choices, policy,
                    keep_paths) -> BatchLookupResult:
         """:meth:`batch_dh_lookup` under a cost policy's digit rule.
 
@@ -894,9 +864,12 @@ class BatchRouter(ColumnarSnapshot):
         and lets :func:`~repro.peer.policy.select_rows` pick; the digits
         taken come back as ``tau_used``.
         """
+        from ..peer.itracker import NO_COST_MAP
         from ..peer.policy import select_rows
 
-        self._cost_state()  # fail early on a router without a cost map
+        if self.cost is None:
+            raise ValueError(NO_COST_MAP.format(policy=policy,
+                                                engine="BatchRouter"))
         cover = self.cover_index.cover
         size = y.size
         u_mat = None
@@ -921,8 +894,8 @@ class BatchRouter(ColumnarSnapshot):
             # message goes
             cand_pos = fold_unit(pos[None, :] / delta + digs[:, None] / delta)
             cand_cov = cover(cand_pos.ravel())
-            costs = self._edge_cost_matrix(cur,
-                                           cand_cov.reshape(delta, lanes.size))
+            costs = self.cost.edge_costs(cur,
+                                         cand_cov.reshape(delta, lanes.size))
             u_row = None
             if u_mat is not None:
                 if step >= u_mat.shape[1]:
@@ -930,7 +903,7 @@ class BatchRouter(ColumnarSnapshot):
                         "supplied choices exhausted before lookup finished"
                     )
                 u_row = u_mat[lanes, step]
-            digits = select_rows(costs, None, u_row, policy, temperature)
+            digits = select_rows(costs, None, u_row, policy)
             tau_rows.append(digits.astype(narrow))
             at = digits * lanes.size + np.arange(lanes.size)
             return (digits.astype(np.float64), cand_pos.ravel().take(at),

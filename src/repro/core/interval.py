@@ -10,7 +10,8 @@ everything else is built on:
   analysis, Observation 2.3);
 * :class:`Arc` — a half-open arc ``[start, end)`` of the ring, possibly
   wrapping through 1.0, with containment, length, midpoint and its
-  non-wrapping pieces.
+  non-wrapping pieces; :func:`midpoint` is the centre rule on an arc's
+  bare ``(start, length, end)``.
 
 All functions are generic over the numeric type: they work with ``float``
 coordinates (the fast path) and with :class:`fractions.Fraction` (the exact
@@ -27,13 +28,14 @@ from typing import Iterator, Union
 Number = Union[int, float, Fraction]
 
 #: The largest float below 1.0: the midpoint of a seam arc whose centre
-#: lies below the seam but rounds onto it (:attr:`Arc.midpoint`).
+#: lies below the seam but rounds onto it (:func:`midpoint`).
 BELOW_ONE = 1.0 - 2.0 ** -53
 
 __all__ = [
     "BELOW_ONE",
     "Number",
     "normalize",
+    "midpoint",
     "Arc",
 ]
 
@@ -51,6 +53,27 @@ def normalize(x: Number) -> Number:
     if r == 1:  # float rounding artefact, e.g. (-1e-18) % 1 == 1.0 - eps -> 1.0
         return r - 1
     return r
+
+
+def midpoint(start: Number, length: Number, end: Number) -> Number:
+    """Centre point of the arc ``[start, end)`` of ``length`` on the ring.
+
+    ``normalize(start + length / 2)``, with two fallbacks only float
+    arithmetic meets.  A seam arc whose piece below 1.0 is the longer
+    has its centre there, but a float centre within half an ulp of 1.0
+    rounds onto 1.0, which folds into the shorter piece at 0.0;
+    :data:`BELOW_ONE`, the last float of the longer piece, is the
+    midpoint then.  An arc one ulp wide can round its centre onto its
+    own end, which the half-open arc does not hold; its start, the one
+    float it holds, is the midpoint then.  The scalar form of
+    :meth:`~repro.core.segments.SegmentMap.midpoints_from_array`, bit
+    for bit.
+    """
+    mid = start + length / 2
+    if mid == 1 and 1 - start > end:
+        mid = BELOW_ONE
+    mid = normalize(mid)
+    return start if mid == end else mid
 
 
 @dataclass(frozen=True)
@@ -95,26 +118,15 @@ class Arc:
 
     @property
     def midpoint(self) -> Number:
-        """The centre point of the arc (on the ring).
+        """The centre point of the arc (on the ring), by :func:`midpoint`.
 
-        A float arc one ulp wide can round its centre onto its own end,
-        which the half-open arc does not hold; its start, the one float
-        it holds, is the midpoint then.  A seam arc whose piece below
-        1.0 is the longer has its centre there, but a float centre
-        within half an ulp of 1.0 rounds onto 1.0, which folds into the
-        shorter piece at 0.0; :data:`BELOW_ONE`, the last float of the
-        longer piece, is the midpoint then.  Exact arithmetic never
-        meets either case.
+        The full ring's centre is ``start + 1/2`` folded onto the ring;
+        as on any seam arc, one just below 1.0 that rounds onto 1.0 is
+        :data:`BELOW_ONE`, as
+        :meth:`~repro.core.segments.SegmentMap.midpoints_from_array`
+        gives a one-server column.
         """
-        if self.start == self.end:
-            return normalize(self.start + Fraction(1, 2)
-                             if isinstance(self.start, Fraction)
-                             else self.start + 0.5)
-        mid = self.start + self.length / 2
-        if mid == 1 and 1 - self.start > self.end:
-            mid = BELOW_ONE
-        mid = normalize(mid)
-        return self.start if mid == self.end else mid
+        return midpoint(self.start, self.length, self.end)
 
     def pieces(self) -> Iterator[tuple[Number, Number]]:
         """Decompose into at most two non-wrapping intervals ``[a, b)``.

@@ -493,8 +493,9 @@ class SegmentMap:
         """Segment midpoints of a frozen sorted float64 point array.
 
         ``normalize(start + length / 2)`` per segment — the IEEE-754 ops
-        of :attr:`Arc.midpoint` on arrays, so the result is bit-identical
-        to each float segment's ``midpoint`` (``n = 1`` included: the
+        of :func:`~repro.core.interval.midpoint` on arrays, so the result
+        is bit-identical to each float segment's :attr:`Arc.midpoint`
+        (``n = 1`` included: the
         full ring's midpoint is ``start + 0.5``), down to its fallbacks:
         a segment one ulp wide whose centre rounds onto its end takes
         its start, and a seam segment whose centre rounds onto 1.0 from

@@ -15,14 +15,13 @@ uniforms (:mod:`repro.peer.policy`):
 
 * ``uniform`` — the paper's rule, cost-blind (the control column);
 * ``greedy`` — always the cheapest alive cover;
-* ``weighted`` — softmin over costs at a temperature (the tunable
-  middle ground).
+* ``weighted`` — softmin over costs (the middle ground).
 
 Measured per policy: mean cross-ISP hops per lookup, mean path cost,
 mean hops (the stretch guard) and max server load.  A scalar-replay
-sub-sample (:func:`~repro.faults.lookup_ft.simple_lookup` with the same
-oracle/uniforms) must be bit-identical to the batch, and a core-engine
-cell replays the digits
+sub-sample (:func:`~repro.faults.lookup_ft.simple_lookup` with the
+engine's cost oracle and the same uniforms) must be bit-identical to
+the batch, and a core-engine cell replays the digits
 :meth:`~repro.core.batch.BatchRouter.batch_dh_lookup` took under a
 policy through its plain ``tau=`` hook — the recorded ``tau_used`` must
 reproduce the routed paths bit-for-bit.
@@ -39,12 +38,7 @@ import numpy as np
 from .. import checks
 from ..core import BatchRouter, DistanceHalvingNetwork
 from ..faults import FTBatchEngine, OverlappingDHNetwork
-from ..peer import (
-    CostMap,
-    CostOracle,
-    cross_isp_counts,
-    path_cost_totals,
-)
+from ..peer import CostMap, cross_isp_counts, path_cost_totals
 from ..sim.rng import spawn_many
 from ..sim.workload import DH_TAU_DIGITS, random_pairs
 from .common import ExperimentResult, register
@@ -54,9 +48,6 @@ __all__ = ["measure_cost_routing"]
 
 #: ISP count of the synthetic cost map.
 ISPS = 8
-
-#: Softmin temperature of the ``weighted`` policy.
-TEMPERATURE = 1.0
 
 
 def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int,
@@ -87,7 +78,7 @@ def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int,
     for name, res in (("uniform", unif), ("greedy", greedy)):
         srv, off = res.path_servers, res.path_offsets
         rows[name] = {
-            "cross_isp": float(cross_isp_counts(router.cost_isp, srv,
+            "cross_isp": float(cross_isp_counts(router.cost.isp, srv,
                                                 off).mean()),
             "hops": float(res.hops.mean()),
         }
@@ -128,9 +119,9 @@ def measure_cost_routing(
     build_rng, cost_rng, route = spawn_many(
         checks.count(seed, "seed") * 53 + n, 3)
     net = OverlappingDHNetwork(n, build_rng)
-    engine = FTBatchEngine(net)
     cost_map = CostMap.synthetic(n_isps=ISPS, rng=cost_rng)
-    oracle = CostOracle(net.points_array, cost_map)
+    engine = FTBatchEngine(net, cost_map=cost_map)
+    oracle = engine.cost
 
     sources, targets = random_pairs(net.points_array, route, pairs)
     choices = route.random((pairs, FT_CHOICE_DIGITS))
@@ -140,8 +131,7 @@ def measure_cost_routing(
     for policy in ("uniform", "greedy", "weighted"):
         batch = engine.batch_simple_lookup(
             sources, targets, choices=choices, keep_paths="csr",
-            oracle=None if policy == "uniform" else oracle,
-            policy=policy, temperature=TEMPERATURE)
+            policy=policy)
         srv, off = batch.path_servers, batch.path_offsets
         per_policy[policy] = {
             "cross_isp": float(cross_isp_counts(oracle.isp, srv, off).mean()),
@@ -161,7 +151,7 @@ def measure_cost_routing(
     parity = all(
         scalar_simple_replay(
             net, batches[policy], sources[:m], targets[:m], choices[:m],
-            oracle=oracle, policy=policy, temperature=TEMPERATURE)
+            oracle=oracle, policy=policy)
         for policy in ("greedy", "weighted"))
 
     out = {

@@ -52,6 +52,9 @@ from ..core.lookup import MAX_WALK_STEPS
 from ..core.walk import (KEEP_PATHS, LANE_INT, KeyedLanes, PathResult,
                          forward_levels, lane_blocks, level_points,
                          normalize_points, per_lane_matrix, ragged_to_csr)
+from ..peer.costmap import CostMap
+from ..peer.itracker import NO_COST_MAP, CostOracle
+from ..peer.policy import POLICIES, select_rows
 from .models import FaultPlan
 from .overlap import OverlappingDHNetwork
 
@@ -127,16 +130,21 @@ class FTBatchEngine:
 
     The engine holds only references to the network's frozen cover
     tables (the overlapping membership is static).  Both batch calls
-    accept either raw target points or a prebuilt plan; sources must be
-    server id points (or integer indices into the sorted id vector).
+    take server id points as sources and raw ring points as targets.
+    Built with ``cost_map=``, the engine keeps ``cost``, a
+    :class:`~repro.peer.itracker.CostOracle` over its ids, for the
+    Simple Lookup's cost policies; ``cost`` is ``None`` without one.
     """
 
-    def __init__(self, net: OverlappingDHNetwork):
+    def __init__(self, net: OverlappingDHNetwork,
+                 cost_map: Optional[CostMap] = None):
         self.net = net
         self.points = net.points_array
         self.seg_len = net.seg_len_array
         self.mid = net.mid_array
         self.n = net.n
+        self.cost = (CostOracle(self.points, cost_map)
+                     if cost_map is not None else None)
 
     # ----------------------------------------------------------- helpers
     def _state(self, plan: Optional[FaultPlan]) -> np.ndarray:
@@ -153,34 +161,24 @@ class FTBatchEngine:
         state |= plan.liar_mask(self.points).astype(np.uint8) << 1
         return state
 
-    def source_indices(self, sources, size: int) -> np.ndarray:
-        """Resolve sources (id points or indices) to sorted-vector indices."""
-        size = checks.count(size, "size")
-        arr = np.asarray(sources)
-        if np.issubdtype(arr.dtype, np.integer):
-            idx = np.atleast_1d(arr.astype(np.int64)).ravel()
-            if idx.size == 1 and size != 1:
-                idx = np.full(size, idx[0], dtype=np.int64)
-            if idx.size != size:
-                raise ValueError("sources and targets must have the same length")
-            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-                raise ValueError("source index out of range")
-            return idx
-        pts = np.atleast_1d(arr.astype(np.float64)).ravel()
+    def _enter(self, sources, targets) -> Tuple[np.ndarray, np.ndarray]:
+        """Entry check of both lookups: ``(src_idx, y)``, finite and aligned.
+
+        A scalar on either side broadcasts to the other side's length;
+        every source must be one of the network's id points, and its
+        index in the sorted id vector is what the walks read.
+        """
+        y = normalize_points(targets, size=np.size(sources))
+        pts = np.atleast_1d(np.asarray(sources, dtype=np.float64)).ravel()
         checks.finite(pts, "sources")
-        if pts.size == 1 and size != 1:
-            pts = np.full(size, pts[0])
-        if pts.size != size:
+        if pts.size == 1 and y.size != 1:
+            pts = np.full(y.size, pts[0])
+        if pts.size != y.size:
             raise ValueError("sources and targets must have the same length")
         idx = np.clip(np.searchsorted(self.points, pts), 0, self.n - 1)
         if not np.array_equal(self.points[idx], pts):
             raise ValueError("sources must be server id points of the network")
-        return idx
-
-    def _enter(self, sources, targets) -> Tuple[np.ndarray, np.ndarray]:
-        """Entry check of both lookups: ``(src_idx, y)``, finite and aligned."""
-        y = normalize_points(targets, size=np.size(sources))
-        return self.source_indices(sources, y.size), y
+        return idx, y
 
     def canonical_walks(self, src_idx: np.ndarray, y: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,13 +212,11 @@ class FTBatchEngine:
         choices: Optional[np.ndarray] = None,
         plan: Optional[FaultPlan] = None,
         keep_paths: "bool | str" = False,
-        oracle=None,
         policy: str = "uniform",
-        temperature: float = 1.0,
     ) -> FTBatchResult:
         """Theorem 6.3's Simple Lookup for a whole batch of pairs.
 
-        ``sources`` are server id points (or indices), ``targets`` raw
+        ``sources`` are server id points, ``targets`` raw
         ring points (scalars broadcast).  Each hop gathers the alive
         covers of every pending path point from the cover table and
         picks cover ``⌊u·|alive|⌋`` per lookup, where the uniforms ``u``
@@ -233,24 +229,22 @@ class FTBatchEngine:
         batch bit-for-bit.  ``keep_paths`` (``True`` or ``"csr"``)
         records the chosen server walks as CSR path arrays.
 
-        Passing an ``oracle`` (:class:`~repro.peer.itracker.CostOracle`
-        over this network's points) with ``policy="greedy"`` or
+        On an engine built with ``cost_map=``, ``policy="greedy"`` or
         ``"weighted"`` makes the per-hop cover choice cost-aware: the
-        candidate costs are one vectorized gather and the pick follows
-        :func:`~repro.peer.policy.select_rows`.  The same uniforms drive
-        the scalar walk bit-identically through its matching
-        ``oracle``/``policy`` arguments ("greedy" needs no uniforms at
-        all); ``policy="uniform"`` ignores the oracle and is
-        byte-identical to the cost-less path.
+        candidate costs are one gather through the engine's ``cost``
+        oracle and the pick follows :func:`~repro.peer.policy
+        .select_rows`.  The same uniforms drive the scalar walk
+        bit-identically through its matching ``oracle``/``policy``
+        arguments ("greedy" needs no uniforms at all);
+        ``policy="uniform"`` reads no cost and is byte-identical on
+        either engine.
         """
-        from ..peer.policy import POLICIES, select_rows
-
         checks.choice(keep_paths, "keep_paths", KEEP_PATHS)
         checks.choice(policy, "policy", POLICIES)
-        checks.real(temperature, "temperature", "(0, inf]")
         cost_aware = policy != "uniform"
-        if cost_aware and oracle is None:
-            raise ValueError(f"cost policy {policy!r} needs a CostOracle")
+        if cost_aware and self.cost is None:
+            raise ValueError(NO_COST_MAP.format(policy=policy,
+                                                engine="FTBatchEngine"))
         if key is not None:
             checks.count(key, "key", 0, 1 << 64)
         elif choices is None and policy != "greedy":
@@ -299,10 +293,10 @@ class FTBatchEngine:
                 dead = ~ok.any(axis=0)
                 # uniform picks the (⌊u·cnt⌋+1)-th alive cover, in the
                 # scalar scan order, and reads no cost
-                costs = (oracle.edge_costs(cur[lanes], cand) if cost_aware
-                         else None)
+                costs = (self.cost.edge_costs(cur[lanes], cand)
+                         if cost_aware else None)
                 u_row = u[lanes, h - 1] if u is not None else None
-                sel = select_rows(costs, ok, u_row, policy, temperature)
+                sel = select_rows(costs, ok, u_row, policy)
                 nxt = cand[sel, np.arange(lanes.size)]
                 failed[lanes[dead]] = True
                 surv = lanes[~dead]

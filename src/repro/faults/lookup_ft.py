@@ -84,7 +84,6 @@ def simple_lookup(
     choices: Optional[Sequence[float]] = None,
     oracle=None,
     policy: str = "uniform",
-    temperature: float = 1.0,
 ) -> FTLookupResult:
     """Theorem 6.3's Simple Lookup under an optional fault plan.
 
@@ -103,18 +102,19 @@ def simple_lookup(
     uniform or one outside ``[0, 1)`` raises ``ValueError``).  One of
     ``rng`` / ``choices`` is required.
 
-    ``oracle``/``policy``/``temperature`` mirror the batch engine's
-    cost-aware mode: with a :class:`~repro.peer.itracker.CostOracle` and
-    ``policy="greedy"`` or ``"weighted"`` the pick goes through
+    ``oracle``/``policy`` mirror the batch engine's cost-aware mode:
+    with a :class:`~repro.peer.itracker.CostOracle` over
+    ``net.points_array`` (an engine's ``cost``) and ``policy="greedy"``
+    or ``"weighted"`` the pick goes through
     :func:`~repro.peer.policy.select_index` over the alive covers' edge
-    costs — bit-identical to the batch pick for the same uniforms
-    ("greedy" needs neither ``rng`` nor ``choices``).
+    costs, their id points mapped to indices of ``net.points_array`` —
+    bit-identical to the batch pick for the same uniforms ("greedy"
+    needs neither ``rng`` nor ``choices``).
     """
     from ..peer.policy import POLICIES, select_index
 
     plan = plan if plan is not None else FaultPlan()
     checks.choice(policy, "policy", POLICIES)
-    checks.real(temperature, "temperature", "(0, inf]")
     cost_aware = oracle is not None and policy != "uniform"
     if policy != "uniform" and oracle is None:
         raise ValueError(f"cost policy {policy!r} needs a CostOracle")
@@ -144,9 +144,12 @@ def simple_lookup(
             else:
                 u_val = None
             # uniform picks alive cover ⌊u·|alive|⌋ and reads no cost
-            costs = (oracle.cost_between(servers[-1], alive) if cost_aware
-                     else np.zeros(len(alive)))
-            pick = select_index(costs, u_val, policy, temperature)
+            if cost_aware:  # the ids are the sorted id vector's entries
+                idx = np.searchsorted(net.points_array, [servers[-1], *alive])
+                costs = oracle.edge_costs(idx[0], idx[1:])
+            else:
+                costs = np.zeros(len(alive))
+            pick = select_index(costs, u_val, policy)
         else:
             pick = int(rng.integers(len(alive)))
         nxt = alive[pick]

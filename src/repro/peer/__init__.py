@@ -4,12 +4,14 @@ The paper's lookups pick uniformly among covering edges; real
 deployments pick by network cost.  This package supplies the pieces —
 a deterministic :class:`~repro.peer.costmap.CostMap` (per-server ISP
 labels + coordinates hashed from the id point), an iTracker-like
-:class:`~repro.peer.itracker.CostOracle` scoring candidate covering
-edges, the shared selection policies (uniform / greedy-cheapest /
-temperature-weighted) with bit-parity-proof scalar twins.  The core
-engine's cost path is a :class:`~repro.core.batch.BatchRouter` built
-with ``cost_map=`` (its snapshot carries the cost columns through churn
-refresh) and routed with ``batch_dh_lookup(policy=)``.  See
+:class:`~repro.peer.itracker.CostOracle` holding the cost columns and
+scoring candidate covering edges, the shared selection policies
+(uniform / greedy-cheapest / softmin-weighted) with bit-parity-proof
+scalar twins.  Both engines' cost paths are built with ``cost_map=``: a
+:class:`~repro.core.batch.BatchRouter` (its snapshot rebuilds its
+oracle through churn refresh) routed with ``batch_dh_lookup(policy=)``,
+and a :class:`~repro.faults.batch_ft.FTBatchEngine` routed with
+``batch_simple_lookup(policy=)``.  See
 ``docs/COST_MODEL.md`` for the determinism rules.
 """
 

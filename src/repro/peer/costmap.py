@@ -2,7 +2,8 @@
 
 A :class:`CostMap` assigns every server an ISP label and a point in a
 2-d coordinate space, both computed as **pure hashes of the server's id
-point** (a splitmix64 finalizer over the float64 bit pattern).  That
+point** (a splitmix64-style mixer over the float64 bit pattern,
+:func:`_mix64`).  That
 purity is the column invariant the snapshot layer relies on: cost
 columns can be recomputed wholesale after any churn patch or full
 rebuild and are bit-identical to a fresh compile.
@@ -37,7 +38,16 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over uint64 (vectorized, overflow wraps)."""
+    """A splitmix64-style mixer over uint64 (vectorized, overflow wraps).
+
+    Not the reference splitmix64 finalizer that
+    :func:`repro.core.walk._mix` implements: this one multiplies by
+    ``0xBF58…`` before its first shift and again after its second, so
+    it makes three multiplies to the reference's two.  Every cost column
+    is its output, so swapping in ``_mix`` would move every label and
+    coordinate bit, and with them X6's traffic figures and the picks
+    ``route_dh_cost`` times.
+    """
     with np.errstate(over="ignore"):
         z = (z + _GAMMA) * _MIX1
         z ^= z >> np.uint64(30)
@@ -51,9 +61,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def hash01(points, salt: np.uint64) -> np.ndarray:
     """Hash id points to uniform float64 in ``[0, 1)`` (pure, salted).
 
-    The float64 bit pattern is mixed with a splitmix64 finalizer and the
-    top 53 bits become the mantissa, so the result is deterministic in
-    the point alone — churn cannot move a server's hash.
+    The float64 bit pattern, xored with the salt, is mixed by
+    :func:`_mix64` (splitmix64-style, not the reference finalizer) and
+    the top 53 bits become the mantissa, so the result is deterministic
+    in the point alone — churn cannot move a server's hash.
     """
     bits = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     z = _mix64(bits.view(np.uint64) ^ np.uint64(salt))
@@ -143,6 +154,7 @@ class CostMap:
         )
 
     def columns(self, points) -> dict:
-        """The three snapshot cost columns for a sorted point array."""
+        """The three cost columns of a point array, aligned with its
+        indices: what a :class:`~repro.peer.itracker.CostOracle` holds."""
         x, y = self.coords_of(points)
         return {"cost_isp": self.isp_of(points), "cost_x": x, "cost_y": y}

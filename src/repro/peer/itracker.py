@@ -1,14 +1,18 @@
 """iTracker-like cost oracle + cross-ISP traffic accounting over CSR paths.
 
-:class:`CostOracle` is the query side of the P4P picture: built from a
-frozen sorted point array and a :class:`~repro.peer.costmap.CostMap`,
-it precomputes the per-server label/coordinate columns once and answers
-"what does the edge i→j cost?" as a pure array gather — the batch
-engines call :meth:`CostOracle.edge_costs` with a (K, B) candidate
-matrix, the scalar walks call :meth:`CostOracle.cost_between` with the
-alive-cover list, and both evaluate the same float64 expression
-(:func:`~repro.peer.costmap.pair_costs`), which is what makes the
-policy picks bit-comparable.
+:class:`CostOracle` is the query side of the P4P picture and the one
+holder of a point array's cost columns: built from the array and a
+:class:`~repro.peer.costmap.CostMap`, it computes the per-server
+label/coordinate columns once and answers "what does the edge i→j
+cost?" as a pure array gather by index.  Both batch engines score their
+candidates through :meth:`CostOracle.edge_costs` — a
+:class:`~repro.core.batch.BatchRouter` built with ``cost_map=`` keeps
+one as ``cost`` and rebuilds it every refresh, a
+:class:`~repro.faults.batch_ft.FTBatchEngine` built with ``cost_map=``
+keeps one over its frozen ids — and the scalar walk gathers through
+the same method with its id points mapped to indices, so every pick
+evaluates the same float64 expression
+(:func:`~repro.peer.costmap.pair_costs`) and is bit-comparable.
 
 The module-level functions account traffic over the CSR path arrays
 (``path_servers``/``path_offsets``) every batch result emits.  They
@@ -39,34 +43,32 @@ from .costmap import CostMap, pair_costs
 _BLOCK = 8192
 
 
-class CostOracle:
-    """Scores candidate covering edges for a frozen point array.
+#: The one refusal of a policy that reads costs by an engine built
+#: without a cost map, formatted with ``policy`` and ``engine``.
+NO_COST_MAP = ("cost_map must be set to route with policy {policy!r}, got "
+               "None: build the engine as {engine}(net, cost_map=...) with "
+               "a repro.peer.CostMap")
 
-    The point array must be sorted and static for the oracle's lifetime
-    (it is the §6 overlapping network's ``points_array``); points are
-    mapped back to indices by exact binary search, so the oracle can be
-    driven with either indices or raw id points.
+
+class CostOracle:
+    """The cost columns of a point array and the edge-cost gather over them.
+
+    ``isp`` (int64), ``x`` and ``y`` (float64) are the map's columns of
+    ``points`` (:meth:`~repro.peer.costmap.CostMap.columns`), aligned
+    with its indices.  They are pure hashes of the ids, so an oracle
+    over the same ids is bit-identical however it was built.  The
+    oracle keeps no point array, so it never aliases a router's
+    copy-on-write buffers: callers map id points to indices themselves.
     """
 
     def __init__(self, points, cost_map: CostMap) -> None:
-        pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+        pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("CostOracle needs a 1-d non-empty point array")
-        if np.any(np.diff(pts) < 0):
-            raise ValueError("CostOracle needs a sorted point array")
-        self.points = pts
         self.cost_map = cost_map
-        self.isp = cost_map.isp_of(pts)
-        self.x, self.y = cost_map.coords_of(pts)
-
-    def index_of(self, points) -> np.ndarray:
-        """Exact indices of id points in the frozen array (raises if absent)."""
-        pts = np.asarray(points, dtype=np.float64)
-        idx = np.searchsorted(self.points, pts)
-        idx = np.minimum(idx, self.points.size - 1)
-        if not np.all(self.points[idx] == pts):
-            raise ValueError("point not present in the oracle's point array")
-        return idx
+        cols = cost_map.columns(pts)
+        self.isp, self.x, self.y = (cols["cost_isp"], cols["cost_x"],
+                                    cols["cost_y"])
 
     def edge_costs(self, i_idx, j_idx) -> np.ndarray:
         """Cost of edges i→j by index; broadcasts, e.g. (B,) × (K, B)."""
@@ -77,12 +79,6 @@ class CostOracle:
             self.x[i_idx], self.y[i_idx],
             self.x[j_idx], self.y[j_idx],
             self.cost_map.isp_cost,
-        )
-
-    def cost_between(self, p_from, p_to) -> np.ndarray:
-        """Costs from one id point to a list of id points (scalar walks)."""
-        return self.edge_costs(
-            self.index_of(p_from), self.index_of(np.asarray(p_to))
         )
 
 
@@ -147,7 +143,7 @@ def cross_isp_counts(
     """Per-lookup count of hops that cross an ISP boundary.
 
     ``isp_labels`` is the per-server label column (``CostOracle.isp``,
-    or ``cost_isp`` of a ``BatchRouter`` built with ``cost_map=``)
+    e.g. ``cost.isp`` of an engine built with ``cost_map=``)
     aligned with the server indices stored in the CSR path arrays.
     """
     servers, offsets = _csr_block(path_servers, path_offsets)

@@ -5,8 +5,8 @@ Three policies choose among K masked candidates per lane:
 * ``uniform``  — the paper's rule: the ⌊u·cnt⌋-th valid candidate;
 * ``greedy``   — argmin cost among valid candidates (first-minimum
   tie-break, i.e. scan order = ring-predecessor order);
-* ``weighted`` — softmin: weight ``exp(-(cost - min_cost)/temperature)``
-  per valid candidate, sampled by inverse CDF from the same uniform.
+* ``weighted`` — softmin: weight ``exp(-(cost - min_cost))`` per valid
+  candidate, sampled by inverse CDF from the same uniform.
 
 The batch form :func:`select_rows` and the scalar form
 :func:`select_index` are floating-point twins: given the same costs and
@@ -32,7 +32,6 @@ def select_rows(
     ok: Optional[np.ndarray],
     u: Optional[np.ndarray],
     policy: str,
-    temperature: float = 1.0,
 ) -> np.ndarray:
     """Pick one candidate row per lane from (K, B) masked costs.
 
@@ -46,11 +45,8 @@ def select_rows(
     shape (B,).
     Lanes with no valid row get an arbitrary index — the caller is
     responsible for masking them out (the FT engine marks them failed).
-    ``temperature`` is a real in ``(0, inf]``: at ``inf`` every valid
-    weight is ``exp(-0.0) = 1.0``, the uniform pick.
     """
     checks.choice(policy, "policy", POLICIES)
-    checks.real(temperature, "temperature", "(0, inf]")
     if policy != "greedy":
         if u is None:
             raise ValueError(f"policy {policy!r} needs per-lane uniforms")
@@ -73,7 +69,7 @@ def select_rows(
     valid = masked < np.inf
     lo = masked.min(axis=0)
     lo = np.where(np.isfinite(lo), lo, 0.0)  # all-invalid lanes
-    expo = np.where(valid, -(costs - lo[None, :]) / temperature, -np.inf)
+    expo = np.where(valid, -(costs - lo[None, :]), -np.inf)
     w = np.exp(expo)  # exactly 0.0 on masked rows
     cum = np.cumsum(w, axis=0)
     x = u * cum[-1]
@@ -88,7 +84,6 @@ def select_index(
     costs: np.ndarray,
     u: Optional[float],
     policy: str,
-    temperature: float = 1.0,
 ) -> int:
     """Scalar twin of :func:`select_rows` over an already-valid vector.
 
@@ -99,7 +94,6 @@ def select_index(
     anything outside ``[0, 1)`` raise ``ValueError``.
     """
     checks.choice(policy, "policy", POLICIES)
-    checks.real(temperature, "temperature", "(0, inf]")
     if u is not None:
         checks.real(u, "u", "[0, 1)")
     costs = np.asarray(costs, dtype=np.float64)
@@ -112,7 +106,7 @@ def select_index(
         raise ValueError(f"policy {policy!r} needs a uniform")
     if policy == "uniform":
         return min(int(u * cnt), cnt - 1)
-    w = np.exp(-(costs - costs.min()) / temperature)
+    w = np.exp(-(costs - costs.min()))
     cum = np.cumsum(w)
     x = u * cum[-1]
     return min(int(np.searchsorted(cum, x, side="right")), cnt - 1)

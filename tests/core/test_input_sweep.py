@@ -63,7 +63,7 @@ from repro.faults import (GF256, ErasureStore, FTBatchEngine,
                           canonical_path, random_byzantine, random_failstop,
                           resistant_lookup, simple_lookup)
 from repro.hashing.kwise import KWiseHash, PointHasher
-from repro.peer import CostMap, select_index, select_rows
+from repro.peer import CostMap, select_index
 from repro.sim import (ChurnTrace, EventLoop, ScenarioEngine, SimNetwork,
                        SoakStats, build_protocol_network, random_pairs,
                        run_churn, run_protocol_lookup, shift_permutation,
@@ -177,15 +177,6 @@ ACCEPTS = {
         "2.5", "as level_list"),
     "peer.costmap.CostMap:dist_scale": ("2.5", "a distance weight, any real >= 0"),
     "peer.costmap.CostMap.synthetic:dist_scale": ("2.5", "as CostMap"),
-    "peer.policy.select_rows:temperature": (
-        "2.5 inf", "a softmin temperature, any real > 0; inf is the uniform "
-                   "pick, every valid weight exp(-0.0) = 1.0"),
-    "peer.policy.select_index:temperature": ("2.5 inf", "as select_rows"),
-    "core.batch.BatchRouter.batch_dh_lookup:temperature": (
-        "2.5 inf", "as select_rows"),
-    "faults.batch_ft.FTBatchEngine.batch_simple_lookup:temperature": (
-        "2.5 inf", "as select_rows"),
-    "faults.lookup_ft.simple_lookup:temperature": ("2.5 inf", "as select_rows"),
     "faults.overlap.OverlappingDHNetwork:coverage_factor": (
         "2.5", "a segment-length multiplier, any finite real > 0"),
     "sim.engine.EventLoop.schedule:delay": ("2.5", "a delay, any finite real >= 0"),
@@ -291,10 +282,6 @@ def _rng() -> np.random.Generator:
     return np.random.default_rng(3)
 
 
-def _cost_router():
-    return BatchRouter(_net(), cost_map=CostMap.synthetic(2, _rng()))
-
-
 def _first(net) -> float:
     return net.point_at(0) if isinstance(net, SegmentMap) else net.points()[0]
 
@@ -380,10 +367,6 @@ FIXTURES = {
     "core.batch.BatchRouter.lookup_batch": lambda: (
         _net().compile_router().lookup_batch,
         dict(sources=[0.1], targets=[0.2], workers=1)),
-    "core.batch.BatchRouter.batch_dh_lookup": lambda: (
-        _cost_router().batch_dh_lookup,
-        dict(sources=[0.1], targets=[0.7], rng=_rng(), policy="weighted",
-             temperature=1.0)),
     "core.pathtree.PathTree.layer": lambda: (_layer, dict(j=2)),
     "core.debruijn.debruijn_nodes": lambda: (
         lambda **kw: list(debruijn_nodes(**kw)), dict(r=2, delta=2)),
@@ -507,13 +490,9 @@ FIXTURES = {
     # faults
     "faults.erasure.ErasureStore": lambda: (
         ErasureStore, dict(net=_ft(), data_fraction=0.5)),
-    "faults.batch_ft.FTBatchEngine.source_indices": lambda: (
-        (e := FTBatchEngine(_ft())).source_indices,
-        dict(sources=e.points[:1], size=2)),
     "faults.batch_ft.FTBatchEngine.batch_simple_lookup": lambda: (
         (e := FTBatchEngine(_ft())).batch_simple_lookup,
-        dict(sources=e.points[:1], targets=[0.7], key=2**64 - 1,
-             temperature=1.0)),
+        dict(sources=e.points[:1], targets=[0.7], key=2**64 - 1)),
     "faults.erasure.ReedSolomonCode": lambda: (ReedSolomonCode, dict(k=2, n=4)),
     "faults.erasure.GF256.mul": lambda: (GF256.mul, dict(a=3, b=7)),
     "faults.erasure.GF256.inv": lambda: (GF256.inv, dict(a=3)),
@@ -535,18 +514,15 @@ FIXTURES = {
         dict(net=(f := _ft()), source=f.points[0], key="a", target=0.7)),
     "faults.lookup_ft.simple_lookup": lambda: (
         simple_lookup, dict(net=(f := _ft()), source=f.points[0], key="a",
-                            rng=_rng(), target=0.7, temperature=1.0)),
+                            rng=_rng(), target=0.7)),
     # peer
     "peer.costmap.CostMap": lambda: (
         CostMap, dict(isp_cost=np.zeros((1, 1)), dist_scale=0.25)),
     "peer.costmap.CostMap.synthetic": lambda: (
         CostMap.synthetic, dict(n_isps=2, rng=_rng(), dist_scale=0.25)),
     "peer.policy.select_index": lambda: (
-        select_index, dict(costs=np.array([1.0, 2.0]), u=0.5, policy="weighted",
-                           temperature=1.0)),
-    "peer.policy.select_rows": lambda: (
-        select_rows, dict(costs=np.ones((2, 1)), ok=None, u=np.array([0.5]),
-                          policy="weighted", temperature=1.0)),
+        select_index, dict(costs=np.array([1.0, 2.0]), u=0.5,
+                           policy="weighted")),
     # sim
     "sim.scenario.ScenarioEngine": lambda: (ScenarioEngine, _scenario()),
     "sim.scenario.SoakStats.record_churn": lambda: (

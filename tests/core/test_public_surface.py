@@ -176,6 +176,14 @@ FOLDED = [
       for keyword in ("policy", "choices", "rng", "temperature")),
     ("core.batch:BatchRouter.batch_fast_lookup", "max_levels"),
     ("core.batch:BatchRouter.batch_dh_lookup", "max_steps"),
+    # the softmin's temperature is the constant 1: weight exp(-(cost - min))
+    *((where, "temperature") for where in (
+        "peer.policy:select_rows", "peer.policy:select_index",
+        "core.batch:BatchRouter.batch_dh_lookup",
+        "faults.batch_ft:FTBatchEngine.batch_simple_lookup",
+        "faults.lookup_ft:simple_lookup")),
+    # the engine's own cost_map= builds the oracle it scores with
+    ("faults.batch_ft:FTBatchEngine.batch_simple_lookup", "oracle"),
     ("sim.churn:ChurnTrace.generate", "warmup"),
     ("baselines.base:BaselineBatchRouter.route_chunked", "chunk"),
     ("baselines.base:measure_scheme_batch", "chunk"),

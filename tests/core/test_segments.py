@@ -8,6 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from oracles.compare import assert_same
+from oracles.inputs import point_sets
 from oracles.segments import intersection_length, midpoints_array
 
 from repro.core.interval import Arc
@@ -82,13 +85,17 @@ class TestSegments:
         assert sm.lengths().sum() == pytest.approx(1.0)
         assert len(sm.lengths()) == 100
 
-    def test_midpoints_from_array_equals_arc_midpoints(self):
-        rng = np.random.default_rng(3)
-        for pts in ([0.3], [0.0, 0.9999999999999999], rng.random(200)):
-            sm = SegmentMap(pts)
-            assert np.array_equal(
-                SegmentMap.midpoints_from_array(sm.as_array()),
-                midpoints_array(sm))
+    @settings(max_examples=150, deadline=None)
+    @given(pts=point_sets())
+    @example(pts=[0.3])
+    @example(pts=[0.0, 0.9999999999999999])
+    # the full ring whose centre 1 - 2**-54 rounds onto 1.0
+    @example(pts=[0.5 - 2.0 ** -54])
+    @example(pts=np.random.default_rng(3).random(200))
+    def test_midpoints_from_array_equals_arc_midpoints(self, pts):
+        sm = SegmentMap(pts)
+        assert_same(SegmentMap.midpoints_from_array(sm.as_array()),
+                    midpoints_array(sm))
 
     def test_predecessor_successor_ring(self, quarters):
         assert quarters.predecessor(0.0) == 0.75

@@ -249,8 +249,11 @@ class TestCli:
 BASELINES = (pathlib.Path(__file__).resolve().parents[2]
              / "benchmarks" / "baselines")
 
-#: the experiments ``benchmarks/ci_smoke.sh`` quick-runs, one file each
-SMOKE_IDS = sorted(p.stem for p in BASELINES.glob("[AEX]*.json"))
+#: the experiments tier-1 holds to their committed baselines: those
+#: that gate a layer of the batch spine or route through its lookups
+#: (``benchmarks/ci_smoke.sh`` byte-diffs every experiment's file)
+SMOKE_IDS = ["A3", "A4", "E1", "E13", "E3", "E4", "E5", "E6", "E7", "E8",
+             "X3", "X4", "X6"]
 
 #: ``(gate, experiment, check)``: each gate a retired ``bench-*``
 #: subcommand enforced, as the experiment check that carries it now
@@ -288,8 +291,10 @@ class TestSmokeExperiments:
     """The CI smoke's experiments, held to their baselines in tier-1."""
 
     def test_the_smoke_runs_thirteen_experiments(self):
-        assert SMOKE_IDS == ["A3", "A4", "E1", "E13", "E3", "E4", "E5", "E6",
-                             "E7", "E8", "X3", "X4", "X6"]
+        """Thirteen of the smoke's baselines, every retired gate's among
+        them."""
+        assert SMOKE_IDS == sorted(SMOKE_IDS) and len(SMOKE_IDS) == 13
+        assert set(SMOKE_IDS) <= {p.stem for p in BASELINES.glob("*.json")}
         assert {name for _, name, _ in RETIRED_GATES} <= set(SMOKE_IDS)
 
     @pytest.mark.parametrize("name", SMOKE_IDS)

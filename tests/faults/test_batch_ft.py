@@ -176,16 +176,13 @@ class TestBatchSimpleLookup:
             engine.batch_simple_lookup(np.array([0.5 * net.points[0]]),
                                        np.array([0.3]), key=0)
 
-    def test_integer_sources_accepted(self, net, engine):
-        rng = np.random.default_rng(20)
-        idx = rng.integers(0, net.n, size=30)
-        by_idx = engine.batch_simple_lookup(idx, np.full(30, 0.25),
-                                            choices=np.full((30, 32), 0.0))
-        by_pts = engine.batch_simple_lookup(net.points_array[idx],
-                                            np.full(30, 0.25),
-                                            choices=np.full((30, 32), 0.0))
-        assert (by_idx.holder_idx == by_pts.holder_idx).all()
-        assert (by_idx.messages == by_pts.messages).all()
+    def test_integer_sources_refused(self, net, engine):
+        """Sources are id points only, as the router's are: an index
+        array is read as points and refused."""
+        idx = np.random.default_rng(20).integers(1, net.n, size=30)
+        with pytest.raises(ValueError, match="server id points"):
+            engine.batch_simple_lookup(idx, np.full(30, 0.25),
+                                       choices=np.full((30, 32), 0.0))
 
     def test_all_covers_dead_fails_identically(self, net, engine):
         """A path point with zero alive covers kills the walk (both

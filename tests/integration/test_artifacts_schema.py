@@ -23,11 +23,13 @@ import pytest
 from artifact_schema import validate_artifact
 
 from repro.cli import main
+from repro.experiments.runner import EXPERIMENT_IDS
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 BASELINES = sorted((REPO / "benchmarks" / "baselines").glob("BENCH_*.json"))
 #: the experiments ``benchmarks/ci_smoke.sh`` runs, one file each
-EXPERIMENTS = sorted((REPO / "benchmarks" / "baselines").glob("[AEX]*.json"))
+EXPERIMENTS = sorted(p for p in (REPO / "benchmarks" / "baselines").glob("*.json")
+                     if not p.name.startswith("BENCH_"))
 
 SOAK_ARGS = ["soak", "--n", "128", "--lookups", "2000", "--chunk", "1024",
              "--seed", "9", "--items", "6"]
@@ -87,9 +89,7 @@ class TestArtifactSchema:
         assert [p.name for p in BASELINES] == [
             "BENCH_soak.json", "BENCH_soak_seed1.json",
             "BENCH_soak_seed11.json", "BENCH_soak_seed7.json"]
-        assert [p.stem for p in EXPERIMENTS] == [
-            "A3", "A4", "E1", "E13", "E3", "E4", "E5", "E6", "E7", "E8",
-            "X3", "X4", "X6"]
+        assert [p.stem for p in EXPERIMENTS] == sorted(EXPERIMENT_IDS)
 
     @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.stem)
     def test_committed_experiment_baseline_is_deterministic_and_green(

@@ -17,6 +17,8 @@ import textwrap
 
 import pytest
 
+from repro.experiments.runner import EXPERIMENT_IDS
+
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 _spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
 reach = importlib.util.module_from_spec(_spec)
@@ -50,8 +52,10 @@ class TestCommands:
         smoke's diff; a file without a run would go stale unseen."""
         run, *_ = reach.smoke_commands(SMOKE, "OUT")
         baselines = ROOT / "benchmarks" / "baselines"
-        assert sorted(run[4:-3]) == sorted(
-            p.stem for p in baselines.glob("[AEX]*.json"))
+        assert run[4:-3] == ["all"]
+        assert sorted(EXPERIMENT_IDS) == sorted(
+            p.stem for p in baselines.glob("*.json")
+            if not p.name.startswith("BENCH_"))
 
     def test_smoke_writes_exactly_the_soaks_it_has_baselines_for(self):
         """The same tie for the soak runs: the small smoke and the
@@ -86,10 +90,8 @@ class TestCommands:
         spine = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
         smoke = reach.smoke_commands(SMOKE, "OUT")
         assert argvs[:len(smoke)] == smoke
-        assert argvs[len(smoke):-2] == [["python", f"examples/{p.name}"]
+        assert argvs[len(smoke):-1] == [["python", f"examples/{p.name}"]
                                         for p in examples]
-        assert argvs[-2] == ["python", "-m", "repro.cli", "run", "all",
-                             "--quick", "--out", "OUT"]
         assert argvs[-1] == [*spine, "--all", "--seconds", "2"]
 
 
@@ -304,11 +306,10 @@ def test_each_smoke_command_is_a_valid_invocation(argv):
     and keeps each soak flag inside its bound: the gate never traces an
     exit-2 run."""
     from repro.cli import _SOAK_BOUNDS, build_parser
-    from repro.experiments.runner import EXPERIMENT_IDS
 
     args = build_parser().parse_args(argv[3:])
     if args.command == "run":
-        assert set(args.names) <= set(EXPERIMENT_IDS)
+        assert set(args.names) <= {"all", *EXPERIMENT_IDS}
     for flag, bound in _SOAK_BOUNDS if args.command == "soak" else ():
         value = getattr(args, flag[2:].replace("-", "_"))
         assert value is None or not bound(value)

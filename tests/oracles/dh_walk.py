@@ -424,7 +424,8 @@ class AllLanesWalkOracle(CostAwareBatchRouter):
 
     def _edge_cost_matrix(self, i_idx, j_idx) -> np.ndarray:
         """Network cost of edges i→j (point indices; broadcasts to (K, B))."""
-        isp, cx, cy, mat = self._cost_state()
+        cost = self.cost
+        isp, cx, cy, mat = cost.isp, cost.x, cost.y, cost.cost_map.isp_cost
         return _parent_pair_costs(isp[i_idx], isp[j_idx], cx[i_idx], cy[i_idx],
                                   cx[j_idx], cy[j_idx], mat)
 
@@ -435,7 +436,6 @@ class AllLanesWalkOracle(CostAwareBatchRouter):
         choices: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
         policy: str = "weighted",
-        temperature: float = 1.0,
         keep_paths: "bool | str" = False,
         max_steps: int = MAX_WALK_STEPS,
     ) -> BatchLookupResult:
@@ -445,7 +445,6 @@ class AllLanesWalkOracle(CostAwareBatchRouter):
 
         checks.choice(policy, "policy", POLICIES)
         src, y = self._enter(sources, targets, keep_paths)
-        self._cost_state()  # fail early on a plain (cost-less) router
         cover = self.cover_index.cover
         size = y.size
         u_mat: Optional[np.ndarray] = None
@@ -481,7 +480,7 @@ class AllLanesWalkOracle(CostAwareBatchRouter):
                 u_row = None
             ok = np.ones((delta, lanes.size), dtype=bool)
             d_step = np.zeros(size, dtype=np.int64)
-            d_step[lanes] = select_rows(costs, ok, u_row, policy, temperature)
+            d_step[lanes] = select_rows(costs, ok, u_row, policy)
             tau_rows.append(d_step)
             return d_step
 

@@ -39,7 +39,6 @@ class WholeChunkFTEngine(FTBatchEngine):
         keep_paths: "bool | str" = False,
         oracle=None,
         policy: str = "uniform",
-        temperature: float = 1.0,
     ) -> FTBatchResult:
         """Theorem 6.3's Simple Lookup for a whole batch of pairs.
 
@@ -67,7 +66,6 @@ class WholeChunkFTEngine(FTBatchEngine):
 
         checks.choice(keep_paths, "keep_paths", KEEP_PATHS)
         checks.choice(policy, "policy", POLICIES)
-        checks.real(temperature, "temperature", "(0, inf]")
         cost_aware = policy != "uniform"
         if cost_aware and oracle is None:
             raise ValueError(f"cost policy {policy!r} needs a CostOracle")
@@ -113,7 +111,7 @@ class WholeChunkFTEngine(FTBatchEngine):
             costs = (oracle.edge_costs(cur[lanes], cand) if cost_aware
                      else None)
             u_row = u[lanes, h - 1] if u is not None else None
-            sel = select_rows(costs, ok, u_row, policy, temperature)
+            sel = select_rows(costs, ok, u_row, policy)
             nxt = cand[sel, np.arange(lanes.size)]
             failed[lanes[dead]] = True
             surv = lanes[~dead]

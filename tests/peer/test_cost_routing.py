@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from oracles.compare import assert_same
 from oracles.inputs import populated
+from oracles.overlap import WholeChunkFTEngine
 
 from repro.core import BatchRouter
 from repro.core.lookup import compress_path
@@ -29,9 +30,9 @@ from repro.peer import (
 from repro.peer.costmap import _ISP_SALT
 
 _NET = OverlappingDHNetwork(128, np.random.default_rng(1234))
-_ENGINE = FTBatchEngine(_NET)
 _MAP = CostMap.synthetic(n_isps=4, rng=np.random.default_rng(7))
-_ORACLE = CostOracle(_NET.points_array, _MAP)
+_ENGINE = FTBatchEngine(_NET, cost_map=_MAP)
+_ORACLE = _ENGINE.cost
 
 
 class TestCostMap:
@@ -102,11 +103,10 @@ class TestSelection:
             ok = rng.random((K, B)) < 0.7
             ok[rng.integers(0, K), :] = True  # every lane keeps a row
             u = rng.random(B)
-            rows = select_rows(costs, ok, u, policy, temperature=0.7)
+            rows = select_rows(costs, ok, u, policy)
             for b in range(B):
                 valid = np.flatnonzero(ok[:, b])
-                pick = select_index(costs[valid, b], float(u[b]), policy,
-                                    temperature=0.7)
+                pick = select_index(costs[valid, b], float(u[b]), policy)
                 assert valid[pick] == rows[b]
 
     def test_greedy_tie_break_is_scan_order(self):
@@ -133,9 +133,13 @@ class TestSelection:
 
 
 class TestOracle:
-    def test_index_of_rejects_unknown_point(self):
-        with pytest.raises(ValueError):
-            _ORACLE.index_of([0.123456789])
+    def test_columns_are_the_maps(self):
+        """An engine's oracle holds its ids' map columns, and no ids."""
+        cols = _MAP.columns(_NET.points_array)
+        for got, name in ((_ORACLE.isp, "cost_isp"), (_ORACLE.x, "cost_x"),
+                          (_ORACLE.y, "cost_y")):
+            assert_same(got, cols[name], what=name)
+        assert not hasattr(_ORACLE, "points")
 
     def test_edge_costs_symmetry(self):
         i = np.arange(8)
@@ -154,14 +158,14 @@ class TestOracle:
 
 
 class TestFTPolicyParity:
-    def _route(self, policy, plan=None, oracle=_ORACLE, pairs=300):
+    def _route(self, policy, plan=None, engine=_ENGINE, pairs=300):
         rng = np.random.default_rng(99)
         src = _NET.points_array[rng.integers(_NET.n, size=pairs)]
         tgt = rng.random(pairs)
         choices = rng.random((pairs, 32))
-        batch = _ENGINE.batch_simple_lookup(
+        batch = engine.batch_simple_lookup(
             src, tgt, choices=choices, plan=plan, keep_paths="csr",
-            oracle=oracle, policy=policy)
+            policy=policy)
         return src, tgt, choices, batch
 
     @pytest.mark.parametrize("policy", ["greedy", "weighted"])
@@ -179,16 +183,16 @@ class TestFTPolicyParity:
     def test_zero_cost_weighted_equals_uniform(self):
         """The degenerate map collapses weighted onto uniform bit-for-bit."""
         zero_map = CostMap(isp_cost=np.zeros((1, 1)), dist_scale=0.0)
-        zero = CostOracle(_NET.points_array, zero_map)
-        _, _, _, w = self._route("weighted", oracle=zero)
-        _, _, _, u = self._route("uniform", oracle=None)
+        zero = FTBatchEngine(_NET, cost_map=zero_map)
+        _, _, _, w = self._route("weighted", engine=zero)
+        _, _, _, u = self._route("uniform", engine=FTBatchEngine(_NET))
         assert np.array_equal(w.success, u.success)
         assert np.array_equal(w.messages, u.messages)
         assert np.array_equal(w.path_servers, u.path_servers)
         assert np.array_equal(w.path_offsets, u.path_offsets)
 
     def test_greedy_reduces_cross_isp(self):
-        _, _, _, u = self._route("uniform", oracle=None)
+        _, _, _, u = self._route("uniform")
         _, _, _, g = self._route("greedy")
         cross_u = cross_isp_counts(_ORACLE.isp, u.path_servers,
                                    u.path_offsets).mean()
@@ -202,9 +206,34 @@ class TestFTPolicyParity:
                                    w.path_offsets).mean()
         assert cross_g <= cross_w <= cross_u
 
-    def test_policy_needs_oracle(self):
-        with pytest.raises(ValueError, match="CostOracle"):
-            self._route("greedy", oracle=None)
+    def test_policy_needs_cost_map(self):
+        """A cost-less engine refuses a cost policy in BatchRouter's words,
+        and routes the uniform one as the cost engine does."""
+        plain = FTBatchEngine(_NET)
+        with pytest.raises(ValueError) as ft_err:
+            self._route("greedy", engine=plain)
+        with pytest.raises(ValueError) as core_err:
+            populated(64, 3).compile_router().batch_dh_lookup(
+                0.25, 0.5, policy="greedy")
+        assert str(ft_err.value) == str(core_err.value).replace(
+            "BatchRouter(", "FTBatchEngine(")
+        assert str(ft_err.value).startswith(
+            "cost_map must be set to route with policy 'greedy', got None")
+        assert_same(self._route("uniform", engine=plain)[3],
+                    self._route("uniform")[3],
+                    ("success", "messages", "path_servers", "path_offsets"))
+
+    @pytest.mark.parametrize("policy", ["greedy", "weighted"])
+    def test_cost_engine_equals_frozen_oracle_engine(self, policy):
+        """``FTBatchEngine(net, cost_map=)`` routes as the frozen engine
+        driven with ``oracle=CostOracle(points, map)``, bit for bit."""
+        src, tgt, choices, got = self._route(policy)
+        want = WholeChunkFTEngine(_NET).batch_simple_lookup(
+            src, tgt, choices=choices, keep_paths="csr",
+            oracle=CostOracle(_NET.points_array, _MAP), policy=policy)
+        assert_same(got, want, ("source_idx", "t", "success", "messages",
+                                "parallel_time", "holder_idx",
+                                "path_servers", "path_offsets", "policy"))
 
     def test_scalar_policy_needs_oracle(self):
         with pytest.raises(ValueError, match="CostOracle"):
@@ -268,13 +297,6 @@ class TestCoreEngine:
                                         rng=np.random.default_rng(0),
                                         choices=self.u)
 
-    def test_temperature_without_policy_is_refused(self):
-        with pytest.raises(ValueError, match=r"^temperature must be 1\.0 "
-                           r"when policy is None, got 0\.5$"):
-            self.router.batch_dh_lookup(self.src, self.tgt,
-                                        rng=np.random.default_rng(0),
-                                        temperature=0.5)
-
     @pytest.mark.parametrize("policy", POLICIES)
     def test_former_spellings_are_the_one_path(self, policy):
         """``CostAwareBatchRouter`` is ``BatchRouter(cost_map=)`` with its
@@ -282,8 +304,8 @@ class TestCoreEngine:
         ``batch_dh_lookup(policy=)``: same columns, same bits."""
         old = CostAwareBatchRouter(self.net, _MAP)
         assert old.adj_first is not None
-        assert_same(old, self.router,
-                    ("points", "cost_isp", "cost_x", "cost_y", "_isp_cost"))
+        assert_same(old, self.router, ("points", "cost_isp"))
+        assert_same(old.cost, self.router.cost, ("isp", "x", "y"))
         got = old.batch_cost_dh_lookup(self.src, self.tgt, choices=self.u,
                                        policy=policy, keep_paths="csr")
         want = self.router.batch_dh_lookup(self.src, self.tgt, choices=self.u,
@@ -307,8 +329,7 @@ class TestChurnAndShards:
         router.refresh()
         assert router.refresh_stats.incremental >= 1
         fresh = BatchRouter(net, cost_map=_MAP)
-        assert_same(router, fresh,
-                    ("cost_isp", "cost_x", "cost_y", "_isp_cost"))
+        assert_same(router.cost, fresh.cost, ("isp", "x", "y"))
 
     def test_sharded_cost_lookup_parity(self):
         """A cost router shards its fast lookup like any router: the
@@ -325,8 +346,8 @@ class TestChurnAndShards:
                        "path_offsets")
         before = router.batch_dh_lookup(src, tgt, choices=u,
                                         policy="weighted", keep_paths="csr")
-        columns = [a.copy() for a in (router.cost_isp, router.cost_x,
-                                      router.cost_y)]
+        columns = [a.copy() for a in (router.cost.isp, router.cost.x,
+                                      router.cost.y)]
         local = router.batch_fast_lookup(src, tgt, keep_paths="csr")
         try:
             shard = router.lookup_batch(src, tgt, workers=2,
@@ -337,7 +358,7 @@ class TestChurnAndShards:
                                    "owner_idx", "t", "hops", "points",
                                    "path_servers", "path_offsets"))
         assert all(np.array_equal(a, b) for a, b in zip(
-            columns, (router.cost_isp, router.cost_x, router.cost_y)))
+            columns, (router.cost.isp, router.cost.x, router.cost.y)))
         after = router.batch_dh_lookup(src, tgt, choices=u,
                                        policy="weighted", keep_paths="csr")
         assert_same(after, before, cost_fields)

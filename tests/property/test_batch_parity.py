@@ -350,7 +350,7 @@ def _assert_cost_equals_fresh(net, router, cost_map):
     """The cost columns, and a greedy cost walk over them, equal a fresh
     ``BatchRouter(net, cost_map=...)``'s in dtype and every bit."""
     fresh = BatchRouter(net, cost_map=cost_map)
-    assert_same(router, fresh, ("cost_isp", "cost_x", "cost_y", "_isp_cost"))
+    assert_same(router.cost, fresh.cost, ("isp", "x", "y"))
     route = np.random.default_rng(net.n)
     src = net.segments.as_array()[route.integers(0, net.n, size=32)]
     tgt = route.random(32)

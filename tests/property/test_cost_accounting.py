@@ -211,11 +211,10 @@ class TestPairCosts:
         j = rng.integers(64, size=(3, 50))
         assert_same(oracle.edge_costs(i, j), _parent_edge_costs(oracle, i, j))
 
-    def test_cost_between(self):
-        """The scalar walks' one-source, many-covers call."""
+    def test_one_source_many_covers(self):
+        """The scalar walk's call: one source index against its covers'."""
         oracle = _oracle(32, 8, 3)
-        pts = oracle.points
+        covers = np.arange(32)[::3]
         for a in (0, 7, 31):
-            want = _parent_edge_costs(oracle, oracle.index_of(pts[a]),
-                                      oracle.index_of(np.asarray(pts[::3])))
-            assert_same(oracle.cost_between(pts[a], list(pts[::3])), want)
+            assert_same(oracle.edge_costs(np.int64(a), covers),
+                        _parent_edge_costs(oracle, a, covers))

@@ -220,7 +220,7 @@ def test_ft_simple_with_failures(oracle_writer, n):
     rng = np.random.default_rng(n + 19)
     plan = random_failstop(net.points, 0.75, np.random.default_rng(n))
     res = FTBatchEngine(net).batch_simple_lookup(
-        rng.integers(0, n, size=LANES), rng.random(LANES),
+        net.points_array[rng.integers(0, n, size=LANES)], rng.random(LANES),
         choices=rng.random((LANES, 32)), plan=plan, keep_paths=True)
     assert not res.success.all() and len(oracle_writer) == 1
 

@@ -86,12 +86,11 @@ def _route(router, rule: str, src, tgt, keep_paths, seed: int):
     cost = router.batch_cost_dh_lookup if oracle else router.batch_dh_lookup
     if source == "choices":
         res = cost(src, tgt, choices=inputs.random((size, 64)),
-                   policy=policy, temperature=0.5, keep_paths=keep_paths)
+                   policy=policy, keep_paths=keep_paths)
         return res, None
     draw = (dict(choices=keyed_choices(draw_key(rng), size)) if oracle
             else dict(rng=rng))
-    res = cost(src, tgt, policy=policy, temperature=0.5,
-               keep_paths=keep_paths, **draw)
+    res = cost(src, tgt, policy=policy, keep_paths=keep_paths, **draw)
     return res, rng
 
 

@@ -34,9 +34,7 @@ from repro.peer import CostMap, CostOracle
 BLOCKS = st.sampled_from([1, 3, 7, 33])
 
 _FT_NET = OverlappingDHNetwork(128, np.random.default_rng(54))
-_FT_ORACLE = CostOracle(_FT_NET.points_array,
-                        CostMap.synthetic(n_isps=4,
-                                          rng=np.random.default_rng(5)))
+_FT_MAP = CostMap.synthetic(n_isps=4, rng=np.random.default_rng(5))
 FT_RESULT_FIELDS = ("targets", "source_idx", "t", "success", "messages",
                     "parallel_time", "holder_idx", "path_servers",
                     "path_offsets")
@@ -92,22 +90,24 @@ def test_simple_lookup_equals_the_whole_chunk_parent(block, seed, p_fail,
                                                      drawn):
     """Fail-stop plans kill walks mid-block; the uniforms come from a key
     or from a caller's matrix."""
-    eng, ref = FTBatchEngine(_FT_NET), WholeChunkFTEngine(_FT_NET)
+    eng = FTBatchEngine(_FT_NET, cost_map=_FT_MAP)
+    ref = WholeChunkFTEngine(_FT_NET)
+    oracle = CostOracle(_FT_NET.points_array, _FT_MAP)
     inputs = np.random.default_rng(seed)
     dead = _FT_NET.points_array[inputs.random(_FT_NET.n) < p_fail]
     plan = FaultPlan(failed={float(x) for x in dead})
     with mock.patch.object(walk, "LANE_BLOCK", block):
         for size in sizes(block):
-            src = inputs.integers(0, _FT_NET.n, size)
+            src = _FT_NET.points_array[inputs.integers(0, _FT_NET.n, size)]
             tgt = inputs.random(size)
             key = draw_key(inputs)
             choices = None if drawn else inputs.random((size, 40))
-            kwargs = dict(plan=plan, keep_paths=keep_paths,
-                          oracle=_FT_ORACLE, policy=policy)
+            kwargs = dict(plan=plan, keep_paths=keep_paths, policy=policy)
             got = eng.batch_simple_lookup(src, tgt, key=key, choices=choices,
                                           **kwargs)
             want = ref.batch_simple_lookup(src, tgt, choices=(
-                keyed_choices(key, size, 40) if drawn else choices), **kwargs)
+                keyed_choices(key, size, 40) if drawn else choices),
+                oracle=oracle, **kwargs)
             assert_same(got, want, FT_RESULT_FIELDS)
             assert (got.algorithm, got.policy) == (want.algorithm,
                                                    want.policy)

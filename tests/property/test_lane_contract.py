@@ -116,11 +116,11 @@ def route(engine: str, size: int, delta: int = 2):
     plan = random_failstop(net.points, 0.3, np.random.default_rng(11))
     if engine == "ft-simple":
         return (FTBatchEngine(net).batch_simple_lookup(
-            src, tgt, key=7, plan=plan, keep_paths="csr"),
+            net.points_array[src], tgt, key=7, plan=plan, keep_paths="csr"),
             ft + ("holder_idx", "path_servers", "path_offsets"))
     if engine == "ft-resistant":
-        return FTBatchEngine(net).batch_resistant_lookup(src, tgt,
-                                                         plan=plan), ft
+        return FTBatchEngine(net).batch_resistant_lookup(
+            net.points_array[src], tgt, plan=plan), ft
     dht = BASELINES[engine[9:]](128, np.random.default_rng(13))
     return (dht.batch_router().route_batch(src % dht.n, tgt, rng=rng),
             ("source_idx", "owner_idx", "hops", "path_servers",

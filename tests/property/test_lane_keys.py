@@ -25,7 +25,7 @@ from oracles.walk import GAMMA, M64, keyed_digit, keyed_word, splitmix
 from repro.core import BatchCacheEngine, BatchRouter, walk
 from repro.core.walk import KeyedLanes, draw_key, lane_key
 from repro.faults import FaultPlan, FTBatchEngine, OverlappingDHNetwork
-from repro.peer import CostMap, CostOracle
+from repro.peer import CostMap
 from repro.sim.scenario import ScenarioEngine
 
 DELTAS = (2, 3, 4, 5, 7)
@@ -113,9 +113,7 @@ class TestHelper:
 
 # -------------------------------------------------------- the metamorphic gate
 _FT_NET = OverlappingDHNetwork(128, np.random.default_rng(57))
-_FT_ORACLE = CostOracle(_FT_NET.points_array,
-                        CostMap.synthetic(n_isps=4,
-                                          rng=np.random.default_rng(5)))
+_FT_MAP = CostMap.synthetic(n_isps=4, rng=np.random.default_rng(5))
 FT_FIELDS = ("t", "success", "messages", "parallel_time", "holder_idx")
 
 
@@ -141,13 +139,14 @@ def same_lanes(got, want, fields, lanes=slice(None)):
 def test_simple_lookup_stream_cut_anywhere(seed, cuts, policy, p_fail):
     """Each piece routed with ``lane_key(key, start)`` equals the one-call
     stream lane for lane, failed walks and paths included."""
-    engine = FTBatchEngine(_FT_NET)
+    engine = FTBatchEngine(_FT_NET, cost_map=_FT_MAP)
     inputs = np.random.default_rng(seed)
     dead = _FT_NET.points_array[inputs.random(_FT_NET.n) < p_fail]
     plan = FaultPlan(failed={float(x) for x in dead})
-    src, tgt = inputs.integers(0, _FT_NET.n, 300), inputs.random(300)
+    src = _FT_NET.points_array[inputs.integers(0, _FT_NET.n, 300)]
+    tgt = inputs.random(300)
     key = draw_key(inputs)
-    kw = dict(plan=plan, keep_paths="csr", oracle=_FT_ORACLE, policy=policy)
+    kw = dict(plan=plan, keep_paths="csr", policy=policy)
     whole = engine.batch_simple_lookup(src, tgt, key=key, **kw)
     bounds = [0, *sorted(set(cuts)), 300]
     for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -109,7 +109,8 @@ def route_cost_dh(size, keep_paths):
 def route_ft_simple(size, keep_paths):
     rng = np.random.default_rng(size + 19)
     res = FTBatchEngine(FT_NET).batch_simple_lookup(
-        rng.integers(0, FT_NET.n, size=size), rng.random(size),
+        FT_NET.points_array[rng.integers(0, FT_NET.n, size=size)],
+        rng.random(size),
         choices=rng.random((size, 32)), plan=FT_PLAN, keep_paths=keep_paths)
     return res, res.source_idx
 
@@ -244,8 +245,8 @@ def ft_workload(n, lanes, seed, p_fail):
     rng = np.random.default_rng(seed)
     net = OverlappingDHNetwork(n, rng)
     plan = random_failstop(net.points, p_fail, rng)
-    return (net, plan, rng.integers(0, n, size=lanes), rng.random(lanes),
-            rng.random((lanes, 32)))
+    return (net, plan, net.points_array[rng.integers(0, n, size=lanes)],
+            rng.random(lanes), rng.random((lanes, 32)))
 
 
 class TestPinnedDigests:
@@ -350,7 +351,8 @@ class TestPerLaneMatrix:
         lambda src, tgt: ROUTER.batch_dh_lookup(
             src, tgt, choices=np.zeros((5, 64)), policy="weighted"),
         lambda src, tgt: FTBatchEngine(FT_NET).batch_simple_lookup(
-            np.zeros(6, np.int64), tgt, choices=np.zeros((5, 32))),
+            np.full(6, FT_NET.points_array[0]), tgt,
+            choices=np.zeros((5, 32))),
         lambda src, tgt: BatchCacheEngine(NET, ["a"]).serve_batch(
             np.zeros(6, np.int64), src, tau=np.zeros((5, 64), np.int64)),
     ], ids=["dh", "cost-dh", "ft-simple", "cache"])
@@ -402,7 +404,7 @@ class TestPerLaneMatrix:
         lambda src, tgt, u: ROUTER.batch_dh_lookup(
             src, tgt, choices=u, policy="uniform"),
         lambda src, tgt, u: FTBatchEngine(FT_NET).batch_simple_lookup(
-            np.zeros(6, np.int64), tgt, choices=u[:, :32]),
+            np.full(6, FT_NET.points_array[0]), tgt, choices=u[:, :32]),
     ], ids=["cost-weighted", "cost-uniform", "ft-simple"])
     def test_engines_refuse_bad_uniforms(self, call, bad):
         """The parent picked a candidate for each of these; NaN only

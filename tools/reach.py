@@ -8,9 +8,8 @@ It runs the repository's own commands, reading them rather than copying
 them:
 
 * each ``run python ...`` line of ``benchmarks/ci_smoke.sh``: the quick
-  run of the experiments it diffs and the ``soak`` smoke;
+  run of every experiment (``run all --quick``) and the ``soak`` runs;
 * every ``examples/*.py``;
-* ``python -m repro.cli run all --quick``;
 * ``BENCHMARK.json``'s ``command`` with ``--all --seconds 2``.
 
 Each command runs with a generated ``sitecustomize`` first on
@@ -138,8 +137,6 @@ def commands(out_dir: str) -> list:
     return [*smoke_commands(ROOT / "benchmarks" / "ci_smoke.sh", out_dir),
             *(["python", str(path.relative_to(ROOT))]
               for path in sorted((ROOT / "examples").glob("*.py"))),
-            ["python", "-m", "repro.cli", "run", "all", "--quick",
-             "--out", out_dir],
             [*spine, "--all", "--seconds", "2"]]
 
 
