@@ -51,7 +51,6 @@ stale-router error rather than silently serving an outdated snapshot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -64,8 +63,8 @@ from .segments import (FLOAT_IDS_ONLY, CoverIndex, SegmentMap,
                        arc_cover_ranges, fold_unit, normalize_array)
 from .snapshot import ColumnarSnapshot, StaleSnapshotError
 from .walk import (KEEP_PATHS, LANE_INT, KeyedLanes, PathResult, descend,
-                   draw_key, forward_levels, normalize_pair, path_hops,
-                   per_lane_matrix, replay, walking_lanes)
+                   draw_key, exact_digits, forward_levels, normalize_pair,
+                   path_hops, per_lane_matrix, replay, walking_lanes)
 
 __all__ = ["BatchRouter", "BatchLookupResult"]
 
@@ -117,10 +116,11 @@ class BatchLookupResult(PathResult):
     t: np.ndarray
     hops: np.ndarray
     phase1_hops: Optional[np.ndarray] = None
-    #: phase-I digits actually taken (cost-aware dh batches record them,
+    #: phase-I digits actually taken (cost-rule dh batches record them,
     #: 0-padded past each lookup's ``t``) — feeding them back through the
     #: ``tau=`` replay hook of the scalar/batch dh lookups reproduces the
-    #: routed paths bit-for-bit; ``policy`` names the selection rule
+    #: routed paths bit-for-bit; ``policy`` names the cost rule (``None``
+    #: under the uniform one, which records no digits)
     tau_used: Optional[np.ndarray] = None
     policy: Optional[str] = None
     # CSR path representation (None when routed with keep_paths=False)
@@ -181,9 +181,10 @@ class BatchRouter(ColumnarSnapshot):
     cost_map:
         A :class:`~repro.peer.costmap.CostMap`: the router then keeps
         ``cost``, a :class:`~repro.peer.itracker.CostOracle` over its
-        points, for :meth:`batch_dh_lookup`'s ``policy=`` rules, rebuilt
-        from the points every refresh (:meth:`_derive`); ``cost`` is
-        ``None`` without one.
+        points, for :meth:`batch_dh_lookup`'s cost rules ("greedy",
+        "weighted"), rebuilt from the points every refresh
+        (:meth:`_derive`); ``cost`` is ``None`` without one, and the
+        uniform rule, which reads no cost, routes either way.
     """
 
     def __init__(self, net, build_adjacency: bool = False,
@@ -636,7 +637,7 @@ class BatchRouter(ColumnarSnapshot):
         ci = cover(src)
         level_cap = MAX_WALK_STEPS
         if self.delta & (self.delta - 1):
-            level_cap = min(level_cap, int(52 / math.log2(self.delta)))
+            level_cap = min(level_cap, exact_digits(self.delta))
         t, s_final, order = forward_levels(
             y, self._mid[ci], self.delta,
             lambda lanes: self._segment_test(ci[lanes]), level_cap)
@@ -664,7 +665,7 @@ class BatchRouter(ColumnarSnapshot):
         rng: Optional[np.random.Generator] = None,
         tau: Optional[np.ndarray] = None,
         keep_paths: "bool | str" = False,
-        policy: Optional[str] = None,
+        policy: str = "uniform",
         choices: Optional[np.ndarray] = None,
     ) -> BatchLookupResult:
         """Vectorized two-phase Distance Halving Lookup (§2.2.2).
@@ -680,68 +681,65 @@ class BatchRouter(ColumnarSnapshot):
         ``keep_paths`` behaves as in :meth:`batch_fast_lookup` (``"csr"``
         for flattened paths).
 
-        The rules below differ only in the phase-I digit.  With
-        ``policy=None`` it is the paper's uniform digit: supply ``tau``
+        ``policy`` (one of :data:`~repro.peer.policy.POLICIES`) is the
+        phase-I covering-edge rule; Observation 2.3 halves the distance
+        to the target image whatever digit is taken.  The default,
+        ``"uniform"``, is the paper's digit and reads no cost: ``tau``
         (shape ``(size, L)`` or ``(L,)``, digits in ``[0, Δ)`` of any
-        integer width, read without widening) to fix the strings — with
+        integer width, read without widening) fixes the strings — with
         the same ``tau`` the result is bit-identical to scalar
-        ``dh_lookup`` — or ``rng``, from which the call reads one key
-        (:class:`~repro.core.walk.KeyedLanes`: lookup ``i``'s digits
-        depend on the key and ``i`` alone, so a batch's first ``m``
-        lanes route as a batch of those ``m``).
+        ``dh_lookup`` — or ``choices`` (uniforms in ``[0, 1)``, shaped
+        as ``tau``) gives digit ``min(⌊u·Δ⌋, Δ − 1)``, or ``rng``, from
+        which the call reads one key (:class:`~repro.core.walk
+        .KeyedLanes`: lookup ``i``'s digits depend on the key and ``i``
+        alone, so a batch's first ``m`` lanes route as a batch of those
+        ``m``).
 
-        With ``policy`` one of :data:`~repro.peer.policy.POLICIES`, the
-        digit is a cost-aware covering-edge choice (Observation 2.3
-        halves the distance to the target image whatever digit is
-        taken): each step scores the Δ candidates' edge costs through
-        the ``cost`` oracle of a router built with ``cost_map=`` and
-        picks with the shared policy (:mod:`repro.peer.policy`).
-        "uniform" and "weighted" read one uniform per (lookup, step)
-        from ``choices`` (shaped as ``tau``) or the key of ``rng``.  The result's ``algorithm`` is ``"dh-cost"``, its
-        ``policy`` the rule and its ``tau_used`` the digits taken,
-        0-padded past each ``t``: replayed with ``tau=`` and no policy,
-        or through scalar ``dh_lookup``, they reproduce owners, hops and
-        paths bit-for-bit.  ``tau`` with a policy, ``choices`` without
-        one, and a policy without ``cost_map=`` raise ``ValueError``.
+        ``"greedy"`` and ``"weighted"`` are cost rules (:meth:`_cost_walk`)
+        and need a router built with ``cost_map=``.  The result's
+        ``algorithm`` is then ``"dh-cost"``, its ``policy`` the rule and
+        its ``tau_used`` the digits taken, 0-padded past each ``t``:
+        replayed with ``tau=``, or through scalar ``dh_lookup``, they
+        reproduce owners, hops and paths bit-for-bit.  ``tau`` beside
+        ``choices`` or a cost rule, and a cost rule without
+        ``cost_map=``, raise ``ValueError``.
         """
-        if policy is None and choices is not None:
-            raise ValueError("choices must be None when policy is None (the "
-                             "uniform digit comes from rng or tau), got "
-                             f"{type(choices).__name__}")
-        if policy is not None:
-            from ..peer.policy import POLICIES
+        from ..peer.policy import POLICIES
 
-            checks.choice(policy, "policy", POLICIES)
-            if tau is not None:
-                raise ValueError(
-                    f"tau must be None when policy is set (policy={policy!r} "
-                    "picks the digits; tau= replays them with no policy), "
-                    f"got {type(tau).__name__}")
+        checks.choice(policy, "policy", POLICIES)
+        if tau is not None and (choices is not None or policy != "uniform"):
+            by = "choices" if policy == "uniform" else f"policy {policy!r}"
+            raise ValueError(
+                f"tau must be None when {by} picks the digits (tau= replays "
+                f"them under policy 'uniform'), got {type(tau).__name__}")
         src, y = self._enter(sources, targets, keep_paths)
         key = (draw_key(rng) if rng is not None and tau is None
                and choices is None else None)
-        if policy is not None:
+        if policy != "uniform":
             return self._cost_walk(src, y, key, choices, policy, keep_paths)
-        if key is None and tau is None:
-            raise ValueError("batch_dh_lookup needs an rng or explicit tau")
-        size = y.size
-        if tau is None:  # a keyed stream outlasts every walk
-            tau_arr = KeyedLanes(key, size, MAX_WALK_STEPS + 1, self.delta)
+        size, delta = y.size, self.delta
+        if tau is not None:
+            digits = per_lane_matrix(tau, size, np.int64, "tau")
+            if digits.size and (digits.min() < 0 or digits.max() >= delta):
+                raise ValueError(f"tau digits out of range for delta={delta}")
+        elif choices is not None:
+            digits = per_lane_matrix(choices, size, np.float64, "choices")
+        elif key is not None:  # a keyed stream outlasts every walk
+            digits = KeyedLanes(key, size, exact_digits(delta) + 1, delta)
         else:
-            tau_arr = per_lane_matrix(tau, size, np.int64, "tau")
-            if tau_arr.size and (tau_arr.min() < 0
-                                 or tau_arr.max() >= self.delta):
-                raise ValueError(f"tau digits out of range for delta={self.delta}")
-
+            raise ValueError("batch_dh_lookup needs an rng, tau or choices")
+        what = "tau" if choices is None else "choices"
         cover = self.cover_index.cover
-        delta = self.delta
 
         def pick(step, lanes, pos, cur):
-            if step >= tau_arr.shape[1]:
-                raise ValueError("supplied tau exhausted before lookup finished")
-            digits = tau_arr[lanes, step].astype(np.float64)
-            nxt = fold_unit(pos / delta + digits / delta)
-            return digits, nxt, cover(nxt)
+            if step >= digits.shape[1]:
+                raise ValueError(
+                    f"supplied {what} exhausted before lookup finished")
+            d = digits[lanes, step]
+            d = (d.astype(np.float64) if choices is None
+                 else np.minimum(np.trunc(d * delta), delta - 1))
+            nxt = fold_unit(pos / delta + d / delta)
+            return d, nxt, cover(nxt)
 
         return self._dh_walk("dh", src, y, keep_paths, MAX_WALK_STEPS, pick)
 
@@ -799,7 +797,7 @@ class BatchRouter(ColumnarSnapshot):
         # it can converge on such walks — segments shorter than Δ^-52 —
         # where we must raise loudly instead of silently diverging);
         # Theorem 2.8 keeps real walks far below that
-        step_cap = min(max_steps, int(52 / math.log2(delta)))
+        step_cap = min(max_steps, exact_digits(delta))
         step = 0
         while lanes.size:
             if step > step_cap:  # past MAX_WALK_STEPS, or beyond Theorem 2.8
@@ -858,11 +856,11 @@ class BatchRouter(ColumnarSnapshot):
     # ------------------------------------------------------- cost-aware dh
     def _cost_walk(self, src, y, key, choices, policy,
                    keep_paths) -> BatchLookupResult:
-        """:meth:`batch_dh_lookup` under a cost policy's digit rule.
+        """:meth:`batch_dh_lookup` under a cost rule ("greedy", "weighted").
 
         Each step scores the Δ candidate digits of every walking lane
-        and lets :func:`~repro.peer.policy.select_rows` pick; the digits
-        taken come back as ``tau_used``.
+        through ``cost`` and lets :func:`~repro.peer.policy.select_rows`
+        pick; the digits taken come back as ``tau_used``.
         """
         from ..peer.itracker import NO_COST_MAP
         from ..peer.policy import select_rows
@@ -875,11 +873,11 @@ class BatchRouter(ColumnarSnapshot):
         u_mat = None
         if choices is not None:
             u_mat = per_lane_matrix(choices, size, np.float64, "choices")
-        elif policy != "greedy":  # greedy reads no uniform
+        elif policy == "weighted":  # greedy reads no uniform
             if key is None:
                 raise ValueError(f"policy {policy!r} needs shared uniforms: "
                                  "pass choices= or rng=")
-            u_mat = KeyedLanes(key, size, MAX_WALK_STEPS + 1)
+            u_mat = KeyedLanes(key, size, exact_digits(self.delta) + 1)
 
         delta = self.delta
         digs = np.arange(delta, dtype=np.float64)

@@ -55,7 +55,7 @@ from .caching import salt_indices, salted_key
 from .continuous import Digits
 from .network import DistanceHalvingNetwork
 from .segments import fold_unit
-from .walk import (LANE_INT, KeyedLanes, PathResult, draw_key,
+from .walk import (LANE_INT, KeyedLanes, PathResult, draw_key, exact_digits,
                    integral_array, lane_blocks, normalize_points, path_hops,
                    per_lane_matrix, ragged_to_csr)
 
@@ -184,7 +184,7 @@ class BatchCacheEngine:
         log_d = math.log2(self.delta)
         tree_bits = max(1, math.ceil(math.log2(self.n_trees + 1)))
         self._depth_cap = min(int((62 - tree_bits) / log_d) - 2,
-                              int(52 / log_d))
+                              exact_digits(self.delta))
         if self._depth_cap < 4:
             raise ValueError(
                 f"too many trees ({self.n_trees}) for the int64 composite "
@@ -319,7 +319,7 @@ class BatchCacheEngine:
             raise ValueError("serve_batch needs an rng or explicit tau")
         else:  # every digit a dh walk may take: its float64 cap, plus one
             tau_arr = KeyedLanes(draw_key(rng), size,
-                                 int(52 / math.log2(delta)) + 1, delta)
+                                 exact_digits(delta) + 1, delta)
 
         # the walk, one lane block at a time: only its t and hops stay
         t = np.empty(size, dtype=LANE_INT)

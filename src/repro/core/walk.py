@@ -17,6 +17,7 @@ whatever is built from these pieces stays bit-identical to its oracle.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -49,6 +50,17 @@ def normalize_points(values, size: Optional[int] = None,
     if arr.ndim == 0:
         arr = np.full(size if size is not None else 1, float(arr))
     return normalize_array(checks.finite(arr.ravel(), what))
+
+
+def exact_digits(delta: int) -> int:
+    """How many base-``delta`` digits a float64 walk offset holds exactly.
+
+    A walk's offset ``Σ d_k Δ^k`` and its scale ``Δ^t`` are exact in
+    float64 below ``2^53``, so ``⌊52 / log₂Δ⌋`` digits are safe: the cap
+    of the dh walk, of the fast lookup's levels for a non-power-of-two
+    ``Δ``, and of the §3 serve's tree depth and keyed digit strings.
+    """
+    return int(52 / math.log2(delta))
 
 
 def normalize_pair(sources, targets) -> tuple:

@@ -20,10 +20,10 @@ uniforms (:mod:`repro.peer.policy`):
 Measured per policy: mean cross-ISP hops per lookup, mean path cost,
 mean hops (the stretch guard) and max server load.  A scalar-replay
 sub-sample (:func:`~repro.faults.lookup_ft.simple_lookup` with the
-engine's cost oracle and the same uniforms) must be bit-identical to
+engine's cost map and the same uniforms) must be bit-identical to
 the batch, and a core-engine cell replays the digits
 :meth:`~repro.core.batch.BatchRouter.batch_dh_lookup` took under a
-policy through its plain ``tau=`` hook — the recorded ``tau_used`` must
+cost policy through its plain ``tau=`` hook — the recorded ``tau_used`` must
 reproduce the routed paths bit-for-bit.
 
 The three policies and both replays are :func:`measure_cost_routing`.
@@ -62,8 +62,7 @@ def _core_cell(cost_map: CostMap, core_n: int, core_pairs: int,
 
     greedy = router.batch_dh_lookup(src, tgt, policy="greedy",
                                     keep_paths="csr")
-    unif = router.batch_dh_lookup(src, tgt, choices=u, policy="uniform",
-                                  keep_paths="csr")
+    unif = router.batch_dh_lookup(src, tgt, choices=u, keep_paths="csr")
     # the recorded digits through the plain replay hook must reproduce
     # the routed batch bit-for-bit (Observation 2.3: any digit string
     # converges — these are just the ones the cost policy took)
@@ -151,7 +150,7 @@ def measure_cost_routing(
     parity = all(
         scalar_simple_replay(
             net, batches[policy], sources[:m], targets[:m], choices[:m],
-            oracle=oracle, policy=policy)
+            cost_map=cost_map, policy=policy)
         for policy in ("greedy", "weighted"))
 
     out = {

@@ -51,7 +51,7 @@ from .. import checks
 from ..core.lookup import MAX_WALK_STEPS
 from ..core.walk import (KEEP_PATHS, LANE_INT, KeyedLanes, PathResult,
                          forward_levels, lane_blocks, level_points,
-                         normalize_points, per_lane_matrix, ragged_to_csr)
+                         normalize_pair, per_lane_matrix, ragged_to_csr)
 from ..peer.costmap import CostMap
 from ..peer.itracker import NO_COST_MAP, CostOracle
 from ..peer.policy import POLICIES, select_rows
@@ -164,17 +164,11 @@ class FTBatchEngine:
     def _enter(self, sources, targets) -> Tuple[np.ndarray, np.ndarray]:
         """Entry check of both lookups: ``(src_idx, y)``, finite and aligned.
 
-        A scalar on either side broadcasts to the other side's length;
-        every source must be one of the network's id points, and its
-        index in the sorted id vector is what the walks read.
+        :func:`~repro.core.walk.normalize_pair`'s preamble, and every
+        source must be one of the network's id points: its index in the
+        sorted id vector is what the walks read.
         """
-        y = normalize_points(targets, size=np.size(sources))
-        pts = np.atleast_1d(np.asarray(sources, dtype=np.float64)).ravel()
-        checks.finite(pts, "sources")
-        if pts.size == 1 and y.size != 1:
-            pts = np.full(y.size, pts[0])
-        if pts.size != y.size:
-            raise ValueError("sources and targets must have the same length")
+        pts, y = normalize_pair(sources, targets)
         idx = np.clip(np.searchsorted(self.points, pts), 0, self.n - 1)
         if not np.array_equal(self.points[idx], pts):
             raise ValueError("sources must be server id points of the network")
@@ -234,7 +228,7 @@ class FTBatchEngine:
         candidate costs are one gather through the engine's ``cost``
         oracle and the pick follows :func:`~repro.peer.policy
         .select_rows`.  The same uniforms drive the scalar walk
-        bit-identically through its matching ``oracle``/``policy``
+        bit-identically through its matching ``cost_map``/``policy``
         arguments ("greedy" needs no uniforms at all);
         ``policy="uniform"`` reads no cost and is byte-identical on
         either engine.

@@ -30,6 +30,9 @@ from .. import checks
 from ..core.lookup import approach_walk, ring_point
 from ..core.walk import per_lane_matrix
 from ..hashing.kwise import Key
+from ..peer.costmap import CostMap
+from ..peer.itracker import NO_COST_MAP, CostOracle
+from ..peer.policy import POLICIES, select_index
 from .models import FaultPlan
 from .overlap import OverlappingDHNetwork
 
@@ -82,7 +85,7 @@ def simple_lookup(
     *,
     target: Optional[float] = None,
     choices: Optional[Sequence[float]] = None,
-    oracle=None,
+    cost_map: Optional[CostMap] = None,
     policy: str = "uniform",
 ) -> FTLookupResult:
     """Theorem 6.3's Simple Lookup under an optional fault plan.
@@ -93,33 +96,28 @@ def simple_lookup(
     small fail-stop ``p``.
 
     ``target`` overrides the item-hash position (the batch sweeps route
-    raw ring points).  ``choices`` fixes the per-hop random selection:
-    hop ``k`` picks alive cover ``⌊choices[k]·|alive|⌋`` instead of
-    drawing from ``rng`` — with the same uniforms the scalar walk is
+    raw ring points).  Hop ``k`` reads one uniform ``u``: ``choices[k]``
+    when given, else a ``rng.random()`` draw.  Under ``policy`` (one of
+    :data:`~repro.peer.policy.POLICIES`) :func:`~repro.peer.policy
+    .select_index` picks among the alive covers with it: ``"uniform"``,
+    the paper's rule, takes cover ``⌊u·|alive|⌋`` and reads no cost;
+    ``"greedy"`` and ``"weighted"`` score each alive cover's edge from
+    the current server through ``cost_map`` (the columns of the two id
+    points, :class:`~repro.peer.itracker.CostOracle`), and refuse to run
+    without one.  With the same uniforms and map the walk is
     bit-identical to :meth:`repro.faults.batch_ft.FTBatchEngine
-    .batch_simple_lookup`, which is how the parity cross-checks replay
-    sub-workloads, and it refuses what the batch refuses (a non-finite
-    uniform or one outside ``[0, 1)`` raises ``ValueError``).  One of
-    ``rng`` / ``choices`` is required.
-
-    ``oracle``/``policy`` mirror the batch engine's cost-aware mode:
-    with a :class:`~repro.peer.itracker.CostOracle` over
-    ``net.points_array`` (an engine's ``cost``) and ``policy="greedy"``
-    or ``"weighted"`` the pick goes through
-    :func:`~repro.peer.policy.select_index` over the alive covers' edge
-    costs, their id points mapped to indices of ``net.points_array`` —
-    bit-identical to the batch pick for the same uniforms ("greedy"
-    needs neither ``rng`` nor ``choices``).
+    .batch_simple_lookup` on an engine built with that ``cost_map=``,
+    which is how the parity cross-checks replay sub-workloads, and it
+    refuses what the batch refuses (a non-finite uniform or one outside
+    ``[0, 1)`` raises ``ValueError``).  One of ``rng`` / ``choices`` is
+    required, except by "greedy", which reads no uniform.
     """
-    from ..peer.policy import POLICIES, select_index
-
     plan = plan if plan is not None else FaultPlan()
     checks.choice(policy, "policy", POLICIES)
-    cost_aware = oracle is not None and policy != "uniform"
-    if policy != "uniform" and oracle is None:
-        raise ValueError(f"cost policy {policy!r} needs a CostOracle")
-    if rng is None and choices is None and not (
-            cost_aware and policy == "greedy"):
+    if policy != "uniform" and cost_map is None:
+        raise ValueError(NO_COST_MAP.format(policy=policy,
+                                            engine="simple_lookup"))
+    if rng is None and choices is None and policy != "greedy":
         raise ValueError("simple_lookup needs an rng or explicit choices")
     if choices is not None:
         choices = per_lane_matrix(choices, 1, np.float64, "choices")[0]
@@ -136,23 +134,13 @@ def simple_lookup(
                                   messages=messages, parallel_time=len(servers) - 1)
         if choices is not None and hop >= len(choices):
             raise ValueError("supplied choices exhausted before lookup finished")
-        if cost_aware or choices is not None:
-            if choices is not None:
-                u_val = float(choices[hop])
-            elif rng is not None:
-                u_val = float(rng.random())
-            else:
-                u_val = None
-            # uniform picks alive cover ⌊u·|alive|⌋ and reads no cost
-            if cost_aware:  # the ids are the sorted id vector's entries
-                idx = np.searchsorted(net.points_array, [servers[-1], *alive])
-                costs = oracle.edge_costs(idx[0], idx[1:])
-            else:
-                costs = np.zeros(len(alive))
-            pick = select_index(costs, u_val, policy)
-        else:
-            pick = int(rng.integers(len(alive)))
-        nxt = alive[pick]
+        u = (float(choices[hop]) if choices is not None
+             else float(rng.random()) if rng is not None else None)
+        costs = np.zeros(len(alive))  # uniform reads no cost
+        if policy != "uniform":
+            costs = CostOracle([servers[-1], *alive], cost_map).edge_costs(
+                0, np.arange(1, len(alive) + 1))
+        nxt = alive[select_index(costs, u, policy)]
         if nxt != servers[-1]:
             messages += 1
         servers.append(nxt)

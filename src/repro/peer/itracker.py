@@ -10,9 +10,10 @@ candidates through :meth:`CostOracle.edge_costs` — a
 one as ``cost`` and rebuilds it every refresh, a
 :class:`~repro.faults.batch_ft.FTBatchEngine` built with ``cost_map=``
 keeps one over its frozen ids — and the scalar walk gathers through
-the same method with its id points mapped to indices, so every pick
-evaluates the same float64 expression
-(:func:`~repro.peer.costmap.pair_costs`) and is bit-comparable.
+the same method over an oracle of each hop's own id points (the
+columns are pure hashes of the ids), so every pick evaluates the same
+float64 expression (:func:`~repro.peer.costmap.pair_costs`) and is
+bit-comparable.
 
 The module-level functions account traffic over the CSR path arrays
 (``path_servers``/``path_offsets``) every batch result emits.  They
@@ -43,11 +44,12 @@ from .costmap import CostMap, pair_costs
 _BLOCK = 8192
 
 
-#: The one refusal of a policy that reads costs by an engine built
-#: without a cost map, formatted with ``policy`` and ``engine``.
+#: The one refusal of a policy that reads costs by an engine (or the
+#: scalar walk) given no cost map, formatted with ``policy`` and
+#: ``engine``, the callable that takes ``cost_map=``.
 NO_COST_MAP = ("cost_map must be set to route with policy {policy!r}, got "
-               "None: build the engine as {engine}(net, cost_map=...) with "
-               "a repro.peer.CostMap")
+               "None: pass cost_map= (a repro.peer.CostMap) to "
+               "{engine}(...)")
 
 
 class CostOracle:

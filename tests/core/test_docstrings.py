@@ -12,7 +12,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 
 #: The modules whose public surface must stay documented: they state the
 #: snapshot column invariants, the shard export/merge contract, the
@@ -24,7 +25,8 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: continuous graph and the De Bruijn isomorphism check, the §4 id
 #: strategies, the membership write path (join / leave, the op
 #: journal, churn traces), the congestion accounting that books
-#: every routed batch, and the input checks every entry point calls.
+#: every routed batch, the input checks every entry point calls, and
+#: the scalar §6.3 walks the fault engine is bit-compared against.
 GATED = [
     SRC / "checks.py",
     SRC / "core" / "batch.py",
@@ -42,6 +44,7 @@ GATED = [
     SRC / "sim" / "churn.py",
     SRC / "balance" / "strategies.py",
     SRC / "faults" / "batch_ft.py",
+    SRC / "faults" / "lookup_ft.py",
     SRC / "baselines" / "base.py",
     SRC / "peer" / "__init__.py",
     SRC / "peer" / "costmap.py",
@@ -87,3 +90,27 @@ def test_public_surface_is_documented(path):
     assert not gaps, (
         "public names missing docstrings (CI enforces the same set via "
         f"ruff --select D100..D104): {gaps}")
+
+
+def _ci_gate_paths() -> set:
+    """The paths CI's "Docstring gate" step hands ruff, directories
+    expanded to their ``.py`` files."""
+    lines = (ROOT / ".github" / "workflows" / "ci.yml").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.strip().startswith("- name: Docstring gate"))
+    indent = len(lines[at]) - len(lines[at].lstrip())
+    paths = set()
+    for line in lines[at + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break  # the next step
+        for word in line.split():
+            if word.startswith("src/"):
+                path = ROOT / word
+                paths |= (set(path.glob("*.py")) if path.is_dir()
+                          else {path})
+    return paths
+
+
+def test_ci_gate_is_the_gated_list():
+    """CI's ruff step and :data:`GATED` name the same files."""
+    assert _ci_gate_paths() == set(GATED)

@@ -182,8 +182,10 @@ FOLDED = [
         "core.batch:BatchRouter.batch_dh_lookup",
         "faults.batch_ft:FTBatchEngine.batch_simple_lookup",
         "faults.lookup_ft:simple_lookup")),
-    # the engine's own cost_map= builds the oracle it scores with
+    # the engine's own cost_map= builds the oracle it scores with, and
+    # the scalar twin takes cost_map= as the engines do
     ("faults.batch_ft:FTBatchEngine.batch_simple_lookup", "oracle"),
+    ("faults.lookup_ft:simple_lookup", "oracle"),
     ("sim.churn:ChurnTrace.generate", "warmup"),
     ("baselines.base:BaselineBatchRouter.route_chunked", "chunk"),
     ("baselines.base:measure_scheme_batch", "chunk"),

@@ -174,7 +174,7 @@ class TestFTPolicyParity:
         for i in range(60):
             res = simple_lookup(_NET, float(src[i]), "probe",
                                 target=float(tgt[i]),
-                                choices=list(choices[i]), oracle=_ORACLE,
+                                choices=list(choices[i]), cost_map=_MAP,
                                 policy=policy)
             assert bool(res.success) == bool(batch.success[i])
             assert res.messages == int(batch.messages[i])
@@ -235,10 +235,15 @@ class TestFTPolicyParity:
                                 "parallel_time", "holder_idx",
                                 "path_servers", "path_offsets", "policy"))
 
-    def test_scalar_policy_needs_oracle(self):
-        with pytest.raises(ValueError, match="CostOracle"):
+    def test_scalar_policy_needs_cost_map(self):
+        """The scalar walk refuses a cost policy in the engines' words."""
+        with pytest.raises(ValueError) as scalar_err:
             simple_lookup(_NET, _NET.points[0], "probe",
                           rng=np.random.default_rng(0), policy="greedy")
+        with pytest.raises(ValueError) as ft_err:
+            self._route("greedy", engine=FTBatchEngine(_NET))
+        assert str(scalar_err.value) == str(ft_err.value).replace(
+            "FTBatchEngine(", "simple_lookup(")
 
 
 class TestCoreEngine:
@@ -255,11 +260,17 @@ class TestCoreEngine:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_tau_replay_is_bit_identical(self, policy):
+        """A cost rule's ``tau_used`` replays its batch; the uniform rule
+        records none, and its digits are ``min(⌊u·Δ⌋, Δ − 1)``."""
         res = self.router.batch_dh_lookup(
             self.src, self.tgt, choices=self.u, policy=policy,
             keep_paths="csr")
-        replay = self.router.batch_dh_lookup(self.src, self.tgt,
-                                             tau=res.tau_used,
+        tau = res.tau_used
+        if policy == "uniform":
+            assert tau is None and res.algorithm == "dh"
+            delta = self.router.delta
+            tau = np.minimum((self.u * delta).astype(np.int64), delta - 1)
+        replay = self.router.batch_dh_lookup(self.src, self.tgt, tau=tau,
                                              keep_paths="csr")
         assert np.array_equal(res.owner_idx, replay.owner_idx)
         assert np.array_equal(res.hops, replay.hops)
@@ -285,17 +296,21 @@ class TestCoreEngine:
     def test_tau_with_policy_is_refused(self):
         """The policy picks the digits; ``tau=`` replays them without one."""
         tau = np.zeros((400, 64), dtype=np.int64)
-        with pytest.raises(ValueError, match=r"^tau must be None when policy "
-                           r"is set .*, got ndarray$"):
+        with pytest.raises(ValueError, match=r"^tau must be None when "
+                           r"policy 'greedy' picks .*, got ndarray$"):
             self.router.batch_dh_lookup(self.src, self.tgt, tau=tau,
                                         policy="greedy")
+        with pytest.raises(ValueError, match=r"^tau must be None when "
+                           r"choices picks .*, got ndarray$"):
+            self.router.batch_dh_lookup(self.src, self.tgt, tau=tau,
+                                        choices=self.u)
 
-    def test_choices_without_policy_is_refused(self):
-        with pytest.raises(ValueError, match=r"^choices must be None when "
-                           r"policy is None .*, got ndarray$"):
+    def test_policy_none_is_refused(self):
+        """``uniform`` is the default rule; ``None`` names no rule."""
+        with pytest.raises(ValueError, match="policy"):
             self.router.batch_dh_lookup(self.src, self.tgt,
                                         rng=np.random.default_rng(0),
-                                        choices=self.u)
+                                        policy=None)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_former_spellings_are_the_one_path(self, policy):

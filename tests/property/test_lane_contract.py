@@ -127,7 +127,7 @@ def route(engine: str, size: int, delta: int = 2):
              "path_offsets"))
 
 
-ENGINES = ["fast", "dh", "cost-greedy", "cost-uniform", "cost-weighted",
+ENGINES = ["fast", "dh", "cost-greedy", "cost-weighted",
            "serve", "ft-simple", "ft-resistant",
            *(f"baseline-{name}" for name in BASELINES)]
 
