@@ -25,8 +25,9 @@ import numpy as np
 from .. import checks
 from .segments import fold_unit, normalize_array
 
-__all__ = ["KeyedLanes", "LANE_BLOCK", "LANE_INT", "PathResult", "descend",
-           "draw_key", "forward_levels", "integral_array", "lane_blocks",
+__all__ = ["KeyedLanes", "LANE_BLOCK", "LANE_INT", "PathResult", "count_rows",
+           "descend", "draw_key", "first_rows", "forward_levels",
+           "integral_array", "lane_blocks",
            "lane_key", "level_points", "normalize_pair", "normalize_points",
            "path_hops", "per_lane_matrix", "ragged_to_csr", "replay",
            "walking_lanes"]
@@ -149,6 +150,35 @@ def lane_blocks(size: int):
         yield lo, min(lo + LANE_BLOCK, size)
 
 
+# ---------------------------------------------------------------- lane matrix
+# A (K, B) lane matrix holds K candidate rows of B lanes, C-ordered.
+# NumPy runs argmin / argmax / cumsum along its axis 0 as one inner-loop
+# call per lane, so every per-lane pick or count over one is K passes
+# over whole rows instead.
+
+
+def count_rows(hit: np.ndarray) -> np.ndarray:
+    """``hit.sum(axis=0)`` of a (K, B) bool lane matrix, summed as bytes
+    in the narrowest dtype that holds K (a bool sum casts every cell to
+    ``int64`` first)."""
+    return hit.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(len(hit)))
+
+
+def first_rows(hit: np.ndarray) -> np.ndarray:
+    """``argmax(hit, axis=0)`` of a (K, B) bool lane matrix: each lane's
+    first true row, 0 where it has none, in the narrowest dtype that
+    holds K: one pass a row counts the rows with a true row above them,
+    K − 1 − f of them when ``f`` is the first."""
+    seen = hit[0].copy()
+    first = np.zeros(seen.size, dtype=np.min_scalar_type(len(hit)))
+    for row in hit[1:]:
+        first += seen
+        seen |= row
+    np.subtract(len(hit) - 1, first, out=first)
+    first *= seen
+    return first
+
+
 # ------------------------------------------------------------------ randomness
 #: SplitMix64's odd increment ⌊2^64/φ⌋ (Steele, Lea & Flood, OOPSLA 2014).
 _GAMMA = 0x9E3779B97F4A7C15
@@ -156,12 +186,16 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 def _mix(z: np.ndarray, w=0) -> np.ndarray:
     """SplitMix64 output ``w`` (an int, or ``uint64`` per lane) of each
-    ``uint64`` state ``z``: ``mix(z + (w + 1)·γ)``, in wrapping array ops."""
+    ``uint64`` state ``z``: ``mix(z + (w + 1)·γ)``, in wrapping array ops
+    on one fresh array."""
     z = z + ((w + np.uint64(1)) * np.uint64(_GAMMA) if isinstance(w, np.ndarray)
              else np.uint64((w + 1) * _GAMMA % (1 << 64)))
-    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> 31)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
 
 
 def draw_key(rng: np.random.Generator) -> int:
@@ -188,34 +222,59 @@ class KeyedLanes:
     width)``, ``width`` the steps a reader may take; a slice of lanes
     gives their ``width`` digits in the narrowest unsigned dtype, the
     ``tau`` a walk over one lane block takes.
+
+    Uniforms read a fresh word each step, so only the ``seeds`` are
+    held.  Digits hold the ``⌈width / per⌉`` words themselves in their
+    place (``words``, one row a word: a single ``uint64`` a lane at
+    Δ = 2, 4, 8 and 16 for a dh walk's width), so a read is a gather, a
+    shift or division, and a mask.
     """
 
     def __init__(self, key: int, size: int, width: int,
                  delta: Optional[int] = None) -> None:
-        self.seeds = _mix(np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
-                          + np.uint64(key))
+        seeds = _mix(np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
+                     + np.uint64(key))
         self.delta, self.shape = delta, (size, width)
+        if delta is None:
+            self.seeds = seeds
+            return
+        self._bits = (delta.bit_length() - 1 if delta & (delta - 1) == 0
+                      else None)
+        self._per = (64 // self._bits if self._bits else
+                     next(p for p in range(32, 0, -1)
+                          if delta ** p <= 1 << 32 or p == 1))
+        self.words = np.empty((-(-width // self._per), size), dtype=np.uint64)
+        for w in range(len(self.words)):
+            self.words[w] = _mix(seeds, w)
 
     def __getitem__(self, at) -> np.ndarray:
         if isinstance(at, slice):
-            block = np.empty((self.seeds[at].size, self.shape[1]),
+            lanes = range(self.shape[0])[at]
+            block = np.empty((len(lanes), self.shape[1]),
                              dtype=np.min_scalar_type(self.delta - 1))
             for j in range(self.shape[1]):
                 block[:, j] = self[at, j]
             return block
         lanes, step = at
-        seeds, delta = self.seeds[lanes], self.delta
+        delta = self.delta
         if isinstance(step, np.ndarray):
             step = step.astype(np.uint64)
         if delta is None:
-            return (_mix(seeds, step) >> 11) * 2.0 ** -53
-        if delta & (delta - 1) == 0:
-            bits = delta.bit_length() - 1
-            w, k = divmod(step, 64 // bits)
-            return (_mix(seeds, w) >> k * bits & delta - 1).astype(np.int64)
-        w, k = divmod(step, next(p for p in range(32, 0, -1)
-                                 if delta ** p <= 1 << 32 or p == 1))
-        return (_mix(seeds, w) // delta ** k % delta).astype(np.int64)
+            return (_mix(self.seeds[lanes], step) >> 11) * 2.0 ** -53
+        w, k = divmod(step, self._per)
+        if isinstance(step, np.ndarray):  # one word a lane
+            if isinstance(lanes, slice):
+                lanes = np.arange(self.shape[0])[lanes]
+            word = self.words[w, lanes]
+        else:
+            word = self.words[w][lanes]
+        if self._bits:
+            digit = word >> k * self._bits
+            digit &= np.uint64(delta - 1)
+        else:
+            digit = word // delta ** k
+            digit %= np.uint64(delta)
+        return digit.view(np.int64)
 
 
 # --------------------------------------------------------------------- kernels

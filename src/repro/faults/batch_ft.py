@@ -50,8 +50,9 @@ import numpy as np
 from .. import checks
 from ..core.lookup import MAX_WALK_STEPS
 from ..core.walk import (KEEP_PATHS, LANE_INT, KeyedLanes, PathResult,
-                         forward_levels, lane_blocks, level_points,
-                         normalize_pair, per_lane_matrix, ragged_to_csr)
+                         count_rows, first_rows, forward_levels, lane_blocks,
+                         level_points, normalize_pair, per_lane_matrix,
+                         ragged_to_csr)
 from ..peer.costmap import CostMap
 from ..peer.itracker import NO_COST_MAP, CostOracle
 from ..peer.policy import POLICIES, select_rows
@@ -357,9 +358,10 @@ class FTBatchEngine:
         cand, mask = self.net.cover_table(y)
         st = state[cand]
         amask = mask & (st & ALIVE).view(bool)
-        send_cnt = amask.sum(axis=0)                      # |senders| next hop
-        honest_cnt = (mask & (st == ALIVE)).sum(axis=0)   # carrying the payload
-        single_srv = cand[np.argmax(amask, axis=0), np.arange(size)]
+        # |senders| next hop, and those carrying the payload (int64)
+        send_cnt = count_rows(amask).astype(np.int64)
+        honest_cnt = count_rows(mask & (st == ALIVE)).astype(np.int64)
+        single_srv = cand[first_rows(amask), np.arange(size)]
         value_present = np.zeros(size, dtype=np.int64)    # liar(v) among senders
 
         # zero-hop lookups answer straight from the replica group: the
@@ -376,7 +378,7 @@ class FTBatchEngine:
             cand, mask = self.net.cover_table(p)
             st = state[cand]
             amask = mask & (st & ALIVE).view(bool)
-            recv_cnt = amask.sum(axis=0)
+            recv_cnt = count_rows(amask).astype(np.int64)
             s_cnt = send_cnt[lanes]
             messages[lanes] += s_cnt * recv_cnt
             traversed[lanes] = level
@@ -392,9 +394,8 @@ class FTBatchEngine:
 
             # sender-side state for the next relay level
             send_cnt[lanes] = recv_cnt
-            honest_cnt[lanes] = (mask & (st == ALIVE)).sum(axis=0)
-            single_srv[lanes] = cand[np.argmax(amask, axis=0),
-                                     np.arange(lanes.size)]
+            honest_cnt[lanes] = count_rows(mask & (st == ALIVE))
+            single_srv[lanes] = cand[first_rows(amask), np.arange(lanes.size)]
             vp = np.zeros(lanes.size, dtype=np.int64)
             corrupt = np.flatnonzero(value[lanes] > 0)
             if corrupt.size:

@@ -30,6 +30,7 @@ from .. import checks
 from ..core.continuous import ContinuousGraph
 from ..core.interval import normalize
 from ..core.segments import CoverIndex, normalize_array
+from ..core.walk import count_rows
 from ..hashing.kwise import Key, PointHasher
 
 __all__ = ["OverlappingDHNetwork", "COVER_NEVER", "COVER_DEFINITE",
@@ -198,7 +199,7 @@ class OverlappingDHNetwork:
     def coverage_counts(self, probes: np.ndarray) -> np.ndarray:
         """Number of covers of each probe point (Θ(log n) whp)."""
         _cand, mask = self.cover_table(normalize_array(probes))
-        return mask.sum(axis=0)
+        return count_rows(mask).astype(np.int64)
 
     # ------------------------------------------------------------- topology
 

@@ -42,7 +42,9 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   every tree → test_caching
 - cost._parent_* accountants, frozen: the chunked ISP accountants →
   test_cost_accounting
-- cost._parent_select_rows, frozen: ``select_rows`` → test_select_mask
+- cost._parent_select_rows / _axis_select_rows, frozen: ``select_rows``
+  (its mask read up to four times; its picks reduced along axis 0) →
+  test_select_mask
 - adjacency.key_table / isin_sorted, frozen: adjacency as index ranges
   → test_adjacency_ranges
 - adjacency.adjacency_arrays, scalar: the neighbour sets as CSR rows →
@@ -65,6 +67,9 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
 - overlap.WholeChunkFTEngine, frozen less its unreached ``rng=``
   branch: ``batch_simple_lookup``'s hop loop in lane blocks →
   test_lane_block
+- overlap.axis_resistant_lookup / axis_coverage_counts, frozen:
+  ``batch_resistant_lookup`` and ``coverage_counts`` reducing along
+  axis 0 → test_faults_batch
 - routing_stats.ParentBatchCongestion, frozen: the blocked booking and
   the in-place key merge → test_congestion_booking
 - baselines.measure_scheme, scalar: ``measure_scheme_batch`` →

@@ -1,13 +1,14 @@
-"""Oracles of the §6 fault layer: ``cover_table`` (§6.2) and the Simple
-Lookup (§6.3)."""
+"""Oracles of the §6 fault layer: ``cover_table`` (§6.2), the Simple
+Lookup (§6.3), the resistant lookup (§6.6) and the cover counts."""
 
 from typing import Optional
 
 import numpy as np
 
 from repro import checks
-from repro.core.walk import (KEEP_PATHS, level_points, per_lane_matrix,
-                             ragged_to_csr)
+from repro.core.segments import normalize_array
+from repro.core.walk import (KEEP_PATHS, LANE_INT, level_points,
+                             normalize_pair, per_lane_matrix, ragged_to_csr)
 from repro.faults import FTBatchEngine
 from repro.faults.batch_ft import ALIVE, FTBatchResult
 from repro.faults.models import FaultPlan
@@ -140,3 +141,100 @@ class WholeChunkFTEngine(FTBatchEngine):
             path_servers=servers,
             path_offsets=offsets,
         )
+
+
+def axis_resistant_lookup(engine, sources, targets, plan=None):
+    """``FTBatchEngine.batch_resistant_lookup`` with its per-level counts
+    summed from a bool mask and its first-alive picks an ``argmax``,
+    both along axis 0: frozen verbatim as a function of the engine's
+    public columns, with the fault state and entry check it took from
+    the engine's helpers inlined, verbatim too."""
+    if plan is None:
+        state = np.full(engine.n, ALIVE, dtype=np.uint8)
+    else:
+        state = plan.alive_mask(engine.points).astype(np.uint8)
+        state |= plan.liar_mask(engine.points).astype(np.uint8) << 1
+    pts, y = normalize_pair(sources, targets)
+    src_idx = np.clip(np.searchsorted(engine.points, pts), 0, engine.n - 1)
+    if not np.array_equal(engine.points[src_idx], pts):
+        raise ValueError("sources must be server id points of the network")
+    size = y.size
+    t, s_final = engine.canonical_walks(src_idx, y)
+    tmax = int(t.max()) if size else 0
+
+    # in-flight payload per lookup: 0 = the true value, i+1 = the
+    # corruption injected by server i
+    value = np.zeros(size, dtype=np.int64)
+    messages = np.zeros(size, dtype=LANE_INT)
+    traversed = np.zeros(size, dtype=LANE_INT)
+    failed = np.zeros(size, dtype=bool)
+
+    # layer 0: the replica group (alive covers of y) answers
+    cand, mask = engine.net.cover_table(y)
+    st = state[cand]
+    amask = mask & (st & ALIVE).view(bool)
+    send_cnt = amask.sum(axis=0)                      # |senders| next hop
+    honest_cnt = (mask & (st == ALIVE)).sum(axis=0)   # carrying the payload
+    single_srv = cand[np.argmax(amask, axis=0), np.arange(size)]
+    value_present = np.zeros(size, dtype=np.int64)    # liar(v) among senders
+
+    # zero-hop lookups answer straight from the replica group: the
+    # requester takes the majority of the |senders| answers it heard
+    zero_hop = t == 0
+    success = np.zeros(size, dtype=bool)
+    success[zero_hop] = 2 * honest_cnt[zero_hop] > send_cnt[zero_hop]
+
+    for level in range(1, tmax + 1):
+        lanes = np.flatnonzero((t >= level) & ~failed)
+        if not lanes.size:
+            break
+        p = level_points(y[lanes], s_final[lanes], 2.0 ** level, 2)
+        cand, mask = engine.net.cover_table(p)
+        st = state[cand]
+        amask = mask & (st & ALIVE).view(bool)
+        recv_cnt = amask.sum(axis=0)
+        s_cnt = send_cnt[lanes]
+        messages[lanes] += s_cnt * recv_cnt
+        traversed[lanes] = level
+
+        # strict-majority filter (see class docstring for why only
+        # these two candidates can win)
+        cnt_v = honest_cnt[lanes] + value_present[lanes]
+        forwards = 2 * cnt_v > s_cnt
+        lone_liar = (s_cnt == 1) & ~forwards
+        value[lanes[lone_liar]] = single_srv[lanes[lone_liar]] + 1
+        died = (~(forwards | lone_liar)) | (recv_cnt == 0)
+        failed[lanes[died]] = True
+
+        # sender-side state for the next relay level
+        send_cnt[lanes] = recv_cnt
+        honest_cnt[lanes] = (mask & (st == ALIVE)).sum(axis=0)
+        single_srv[lanes] = cand[np.argmax(amask, axis=0),
+                                 np.arange(lanes.size)]
+        vp = np.zeros(lanes.size, dtype=np.int64)
+        corrupt = np.flatnonzero(value[lanes] > 0)
+        if corrupt.size:
+            srv = value[lanes][corrupt] - 1
+            vp[corrupt] = (amask[:, corrupt]
+                           & (cand[:, corrupt] == srv[None, :])).any(axis=0)
+        value_present[lanes] = vp
+
+    multi = ~zero_hop
+    success[multi] = ~failed[multi] & (value[multi] == 0)
+    return FTBatchResult(
+        algorithm="resistant",
+        points=engine.points,
+        targets=y,
+        source_idx=src_idx.astype(LANE_INT),
+        t=t,
+        success=success,
+        messages=messages,
+        parallel_time=traversed,
+    )
+
+
+def axis_coverage_counts(net, probes):
+    """``OverlappingDHNetwork.coverage_counts`` summing its bool mask
+    (every cell cast to ``int64``), frozen verbatim."""
+    _cand, mask = net.cover_table(normalize_array(probes))
+    return mask.sum(axis=0)

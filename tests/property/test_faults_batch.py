@@ -10,11 +10,15 @@ Two invariants, driven by hypothesis:
   same choice uniforms.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.compare import assert_same
+from oracles.overlap import axis_coverage_counts, axis_resistant_lookup
 
 from repro.core.lookup import compress_path
 from repro.faults import (
@@ -107,6 +111,49 @@ class TestBatchScalarParity:
             assert bool(ref.success) == bool(batch.success[i])
             assert ref.messages == int(batch.messages[i])
             assert ref.parallel_time == int(batch.parallel_time[i])
+
+
+RESISTANT_FIELDS = ("source_idx", "t", "success", "messages", "parallel_time")
+
+
+class TestRowPassParity:
+    """The resistant lookup's per-level counts and first-alive picks, and
+    the cover counts, taken in row passes over the ``(W, B)`` cover
+    table equal the axis-0 reductions they replaced
+    (:mod:`oracles.overlap`), bit for bit and dtype for dtype — on the
+    128-server network (W = 14) and the soak's 1024-server one
+    (W = 23)."""
+
+    @MED
+    @given(seed=seeds,
+           p_fail=st.floats(min_value=0.0, max_value=0.8),
+           p_liar=st.floats(min_value=0.0, max_value=0.5),
+           big=st.booleans())
+    def test_resistant_equals_the_axis_body(self, seed, p_fail, p_liar, big):
+        engine = _soak_engine() if big else _ENGINE
+        rng = np.random.default_rng(seed)
+        plan = plan_from_masks(engine.points, rng.random(engine.n) < p_fail,
+                               rng.random(engine.n) < p_liar)
+        src = engine.points[rng.integers(0, engine.n, size=300)]
+        tgt = rng.random(300)
+        got = engine.batch_resistant_lookup(src, tgt, plan=plan)
+        want = axis_resistant_lookup(engine, src, tgt, plan=plan)
+        assert_same(got, want, RESISTANT_FIELDS)
+        assert got.messages.dtype == want.messages.dtype
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_coverage_counts_equal_the_axis_body(self, big):
+        net = _soak_engine().net if big else _NET
+        probes = np.random.default_rng(5).random(5000)
+        got = net.coverage_counts(probes)
+        want = axis_coverage_counts(net, probes)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _soak_engine() -> FTBatchEngine:
+    return FTBatchEngine(OverlappingDHNetwork(1024, np.random.default_rng(1)))
 
 
 def _soak_substrate():

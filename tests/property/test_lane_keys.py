@@ -23,7 +23,7 @@ from oracles.inputs import populated
 from oracles.walk import GAMMA, M64, keyed_digit, keyed_word, splitmix
 
 from repro.core import BatchCacheEngine, BatchRouter, walk
-from repro.core.walk import KeyedLanes, draw_key, lane_key
+from repro.core.walk import KeyedLanes, draw_key, exact_digits, lane_key
 from repro.faults import FaultPlan, FTBatchEngine, OverlappingDHNetwork
 from repro.peer import CostMap
 from repro.sim.scenario import ScenarioEngine
@@ -78,6 +78,39 @@ class TestHelper:
         assert block.dtype == np.min_scalar_type(delta - 1)
         assert np.array_equal(block, np.stack(
             [keyed[4:9, j] for j in range(33)], axis=1))
+
+    @pytest.mark.parametrize("delta", (2, 3, 4, 5, 8, 16))
+    def test_every_read_of_the_held_words_is_the_scalar_digit(self, delta):
+        """At a dh walk's width (one word a lane at Δ = 2, 4, 8, 16; two at
+        Δ = 3, 5): a lane slice, a shared step over lanes, and one step
+        per lane — over a lane array, a lane slice and all lanes — read
+        :func:`oracles.walk.keyed_digit`."""
+        key, size = 2**61 + 17, 40
+        width = exact_digits(delta) + 1
+        keyed = KeyedLanes(key, size, width, delta)
+        want = np.array([[keyed_digit(key, i, j, delta) for j in range(width)]
+                         for i in range(size)])
+        block = keyed[7:31]
+        assert block.dtype == np.min_scalar_type(delta - 1)
+        assert np.array_equal(block, want[7:31])
+        lanes = np.array([3, 0, 39, 3, 22])
+        for j in range(width):
+            got = keyed[lanes, j]
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[lanes, j]), j
+        steps = np.random.default_rng(delta).integers(0, width, size)
+        every = np.arange(size)
+        for at, got in ((every, keyed[:, steps]),
+                        (every[7:31], keyed[7:31, steps[7:31]]),
+                        (lanes, keyed[lanes, steps[lanes]])):
+            assert got.dtype == np.int64 and got.shape == at.shape
+            assert np.array_equal(got, want[at, steps[at]])
+
+    def test_binary_digits_hold_eight_bytes_a_lane(self):
+        """At Δ = 2 the words replace the seeds: one ``uint64`` a lane."""
+        keyed = KeyedLanes(5, 1000, exact_digits(2) + 1, 2)
+        held = [v for v in vars(keyed).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in held) == 8 * 1000
 
     def test_uniforms_are_the_top_53_bits(self):
         key = 12345

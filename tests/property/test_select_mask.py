@@ -1,26 +1,32 @@
-"""``select_rows`` reading its mask once against the body it replaced.
+"""``select_rows`` against the bodies it replaced.
 
-``_parent_select_rows`` (:mod:`oracles.cost`) is the previous
+``_parent_select_rows`` (:mod:`oracles.cost`) is an older
 ``select_rows`` *verbatim*: it read the ``ok`` mask up to four times
 (two ``np.where`` into the costs, a count and a reversed ``argmax``),
 and the core cost walk built an all-true ``np.ones((Δ, lanes))`` mask
-every step to feed it.  The new body reads the mask once, into
-``masked = where(ok, costs, inf)``, and takes ``ok=None`` to mean every
-candidate is valid.  Both must
+every step to feed it.  ``_axis_select_rows`` is its successor
+verbatim: it read the mask once, into ``masked = where(ok, costs,
+inf)``, took ``ok=None`` to mean every candidate is valid, and reduced
+along axis 0 (``argmin`` / ``argmax`` / ``cumsum``, one NumPy inner
+loop a lane).  The live body reduces in row passes.  All three must
 return the same int64 rows on hypothesis ``(K, B)`` finite costs under
-random masks — all-invalid and all-valid lanes included — for every
-policy (the parent's softmin at its default temperature 1.0, the one
-the policy now fixes); and ``ok=None`` must equal an all-true mask bit
-for bit.
+random masks — K up to 32 (§6's cover tables have 21–25 rows),
+all-invalid and all-valid lanes included — for every policy (the
+oldest at its softmin's default temperature 1.0, the one the policy
+now fixes); and ``ok=None`` must equal an all-true mask bit for bit
+under the cost policies, while ``uniform`` refuses it.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles.cost import _parent_select_rows
+from oracles.cost import _axis_select_rows, _parent_select_rows
 
 from repro.peer.policy import POLICIES, select_rows
+
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 @st.composite
 def candidates(draw):
@@ -29,7 +35,7 @@ def candidates(draw):
     Costs come from a few levels, so ties (the greedy tie-break) are
     common; a third of the lanes are forced all-invalid or all-valid.
     """
-    k = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 32))
     b = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = rng.random(draw(st.integers(1, 5))) * draw(
@@ -42,24 +48,47 @@ def candidates(draw):
     return costs, ok, u
 
 
+def _weighted_edge(u) -> tuple:
+    """Three lanes of equal weights (totals 1, 2, 3) and one with no valid
+    row, each at uniform ``u``: the inverse CDF's last step."""
+    ok = np.array([[True, True, True, False],
+                   [False, True, True, False],
+                   [False, False, True, False]])
+    return np.zeros(ok.shape), ok, np.full(4, u)
+
+
 @settings(max_examples=200, deadline=None)
 @given(block=candidates(), policy=st.sampled_from(POLICIES))
+# u just below 1: for u < 1, u·total rounds below total whatever the
+# total, so the inverse CDF stops on the last valid row itself; only a
+# lane with no valid row (total 0) takes the last-valid fallback.
+# u = 1 (outside the engines' [0, 1)) lands u·total on total, so every
+# lane takes it.
+@example(block=_weighted_edge(BELOW_ONE), policy="weighted")
+@example(block=_weighted_edge(1.0), policy="weighted")
 def test_equal_to_parent_under_masks(block, policy):
     costs, ok, u = block
     got = select_rows(costs, ok, u, policy)
-    want = _parent_select_rows(costs, ok, u, policy)
-    assert got.dtype == want.dtype == np.int64
-    assert np.array_equal(got, want)
+    for parent in (_parent_select_rows, _axis_select_rows):
+        want = parent(costs, ok, u, policy)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), parent.__name__
 
 
 @settings(max_examples=100, deadline=None)
-@given(block=candidates(), policy=st.sampled_from(POLICIES))
+@given(block=candidates(), policy=st.sampled_from(["greedy", "weighted"]))
 def test_no_mask_is_the_all_true_mask(block, policy):
     costs, _, u = block
     every = np.ones(costs.shape, dtype=bool)
     got = select_rows(costs, None, u, policy)
     assert np.array_equal(got, select_rows(costs, every, u, policy))
     assert np.array_equal(got, _parent_select_rows(costs, every, u, policy))
+    assert np.array_equal(got, _axis_select_rows(costs, None, u, policy))
+
+
+def test_uniform_needs_its_mask():
+    with pytest.raises(ValueError, match="policy 'uniform' .* needs the mask"):
+        select_rows(None, None, np.zeros(3), "uniform")
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -67,10 +96,10 @@ def test_all_invalid_lane_gets_some_row(policy):
     """The caller masks such lanes out; the pick only has to be a row."""
     costs = np.array([[1.0, 2.0], [3.0, 0.5]])
     ok = np.array([[False, True], [False, True]])
-    got = select_rows(costs, ok, np.array([0.3, 0.9]), policy)
-    assert np.array_equal(got, _parent_select_rows(costs, ok,
-                                                   np.array([0.3, 0.9]),
-                                                   policy))
+    u = np.array([0.3, 0.9])
+    got = select_rows(costs, ok, u, policy)
+    for parent in (_parent_select_rows, _axis_select_rows):
+        assert np.array_equal(got, parent(costs, ok, u, policy))
     # lane 1: the cheaper row, the ⌊0.9·2⌋-th, and the heavier weight
     assert 0 <= got[0] < 2 and got[1] == 1
 
@@ -90,4 +119,5 @@ def test_uniform_counts_at_the_narrow_dtype_edges(k):
     got = select_rows(None, ok, u, "uniform")
     assert np.array_equal(got, _parent_select_rows(np.zeros(ok.shape), ok, u,
                                                    "uniform"))
+    assert np.array_equal(got, _axis_select_rows(None, ok, u, "uniform"))
     assert got[2] == 0 or ok[got[2], 2]
