@@ -576,8 +576,8 @@ class BatchRouter(ColumnarSnapshot):
         """
         if self.n == 1:
             return lambda p: np.ones(p.shape, dtype=bool)
-        start = self._ext[idx]
-        end = self._end[idx]
+        start = self._ext.take(idx)
+        end = self._end.take(idx)
         # only the seam-crossing last segment has start > end; for those
         # lanes the half-open test is a disjunction instead
         wraps = np.flatnonzero(start > end)
@@ -639,7 +639,7 @@ class BatchRouter(ColumnarSnapshot):
         if self.delta & (self.delta - 1):
             level_cap = min(level_cap, exact_digits(self.delta))
         t, s_final, order = forward_levels(
-            y, self._mid[ci], self.delta,
+            y, self._mid.take(ci), self.delta,
             lambda lanes: self._segment_test(ci[lanes]), level_cap)
         ci = ci.astype(LANE_INT)  # the search's gathers are done
         servers, offsets = self._descend(y, s_final, t, order,

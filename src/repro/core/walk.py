@@ -30,7 +30,7 @@ __all__ = ["KeyedLanes", "LANE_BLOCK", "LANE_INT", "PathResult", "count_rows",
            "integral_array", "lane_blocks",
            "lane_key", "level_points", "normalize_pair", "normalize_points",
            "path_hops", "per_lane_matrix", "ragged_to_csr", "replay",
-           "walking_lanes"]
+           "uniform_lanes", "walking_lanes"]
 
 
 # ---------------------------------------------------------------- entry checks
@@ -122,19 +122,30 @@ def per_lane_matrix(values, size: int, dtype, what: str) -> np.ndarray:
         raise ValueError(
             f"{what} must be one row (1-d) or one row per lookup (2-d); "
             f"got a {mat.ndim}-d array")
-    if mat.dtype.kind == "f" and mat.size and not (
-            mat.min() >= 0.0 and mat.max() < 1.0):  # NaN fails both
-        bad = ~((mat >= 0.0) & (mat < 1.0))
-        at = np.unravel_index(int(np.argmax(bad)), mat.shape)
-        lane = int(at[0]) if mat.ndim == 2 else 0
-        raise ValueError(
-            f"{what}: lane {lane} holds {float(mat[at])!r}; uniforms must "
-            "be finite and in [0, 1)")
+    if mat.dtype.kind == "f":  # a shared row is every lane's: lane 0's
+        uniform_lanes(mat if mat.ndim == 2 else mat[None], what)
     if mat.ndim == 1:
         mat = np.broadcast_to(mat, (size, mat.size))
     if mat.shape[0] != size:
         raise ValueError(f"{what} must have one row per lookup")
     return mat
+
+
+def uniform_lanes(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` unchanged if every entry is finite and in ``[0, 1)``.
+
+    The rule of every per-lane uniform: ``values`` holds one entry a
+    lane (1-d) or one row a lane (2-d), and a refusal is a
+    ``ValueError`` naming ``what`` and the first bad entry's lane.
+    """
+    if values.size and not (values.min() >= 0.0
+                            and values.max() < 1.0):  # NaN fails both
+        bad = ~((values >= 0.0) & (values < 1.0))
+        at = np.unravel_index(int(np.argmax(bad)), values.shape)
+        raise ValueError(
+            f"{what}: lane {int(at[0])} holds {float(values[at])!r}; "
+            "uniforms must be finite and in [0, 1)")
+    return values
 
 
 # ------------------------------------------------------------------ lane block
@@ -309,8 +320,14 @@ def forward_levels(y, z, delta: int, segment_test, level_cap: int) -> tuple:
         if retired == lanes.size:
             break
         scale = float(delta) ** level
-        s_level = np.trunc(zp * scale)
-        p = fold_unit((yp + s_level) / scale)
+        s_level = zp * scale
+        np.trunc(s_level, out=s_level)
+        p = yp + s_level
+        if delta & (delta - 1) == 0:
+            p *= 1.0 / scale  # an exact 2^-k: the quotient, bit for bit
+        else:
+            p /= scale
+        fold_unit(p)
         hit = np.flatnonzero(in_own(p))
         if not hit.size:
             continue
@@ -340,12 +357,24 @@ def level_points(y, off, scale, delta: int) -> np.ndarray:
     (offsets pass ``2^63`` on segments shorter than ``2^-63``) — and
     ``int64`` otherwise, which the callers' level caps keep below
     ``2^53``.
+
+    A power-of-two scale divides as a multiply by ``1 / scale``: every
+    finite ``Δ^j`` is at most ``2^1023``, so its reciprocal is an exact
+    power of two (subnormal at ``2^-1023``), and a correctly rounded
+    product by it is the quotient bit for bit.  The chain runs in one
+    array.
     """
-    if delta & (delta - 1) == 0:
-        low = off - scale * np.floor(off / scale)
-    else:
+    if delta & (delta - 1):
         low = (off % np.asarray(scale, dtype=np.int64)).astype(np.float64)
-    return fold_unit((y + low) / scale)
+        return fold_unit((y + low) / scale)
+    inv = 1.0 / scale
+    p = off * inv
+    np.floor(p, out=p)
+    p *= scale
+    np.subtract(off, p, out=p)  # off mod scale
+    p += y
+    p *= inv
+    return fold_unit(p)
 
 
 def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
@@ -386,7 +415,7 @@ def descend(y, off, depth, order, head, delta: int, cover) -> tuple:
     last = ends.take(order)  # slot of each lane's last (j = 0) cover
     last -= 1
     del ends
-    ys, offs = y[order], off[order]
+    ys, offs = y.take(order), off.take(order)
     if delta & (delta - 1):
         offs = offs.astype(np.int64)
     for j in range(live.size - 1, -1, -1):

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .. import checks
-from ..core.walk import count_rows, first_rows
+from ..core.walk import count_rows, first_rows, uniform_lanes
 
 POLICIES = ("uniform", "greedy", "weighted")
 
@@ -41,7 +41,9 @@ def select_rows(
     needs ``ok``; the cost policies read ``ok=None`` as every candidate
     valid (the core walk: all Δ digits are candidates) and otherwise
     read the mask once, into ``masked = where(ok, costs, inf)``.  ``u``
-    is the per-lane uniform in ``[0, 1)`` (unused by ``greedy``).
+    is the per-lane uniform in ``[0, 1)`` (unused by ``greedy``); a ``u``
+    outside it, NaN included, is refused as the engines' ``choices=``
+    are.
     Returns int64 row indices of shape (B,).
     Lanes with no valid row get an arbitrary index — the caller is
     responsible for masking them out (the FT engine marks them failed).
@@ -58,7 +60,7 @@ def select_rows(
     if policy != "greedy":
         if u is None:
             raise ValueError(f"policy {policy!r} needs per-lane uniforms")
-        u = np.asarray(u, dtype=np.float64)
+        u = uniform_lanes(np.asarray(u, dtype=np.float64), "u")
     if policy == "uniform":
         if ok is None:
             raise ValueError("policy 'uniform' picks among the valid rows, "

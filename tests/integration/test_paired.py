@@ -68,10 +68,12 @@ def test_report_reads_every_gated_metric():
 
     runs = [("parent" if k % 2 == 0 else "change", run(p), run(c))
             for k, (p, c) in enumerate(LOGGED_RSS)]
+    staged = pathlib.Path("/tmp/x/parent"), pathlib.Path("/tmp/x/change")
     lines = paired.report(pathlib.Path("a/parent"), pathlib.Path("b/change"),
-                          "soak_day", 1, runs, metrics)
+                          "soak_day", 1, runs, metrics, staged)
     assert lines[0] == "## `soak_day`, seed 1"
     assert "Parent `parent`, change `change`" in lines[2]
+    assert "`/tmp/x/parent` and `/tmp/x/change`" in lines[3]
     rows = [line for line in lines if line.startswith("| ")]
     assert len(rows) == 2 + 10 + 2 + 3
     assert rows[2].startswith("| 1 | parent | 1e+06 / 1e+06 | 0.1 / 0.1 "
@@ -79,3 +81,22 @@ def test_report_reads_every_gated_metric():
     assert rows[3].startswith("| 2 | change |")
     assert rows[-1].endswith("| 10/10 | 0.435 | holds |")
     assert rows[-3].endswith("| 0/10 | 0 | not met |")
+
+
+def test_stage_copies_both_trees_at_one_path_length(tmp_path):
+    """The staging runs no spine: two trees of different path lengths
+    come back as ``parent/`` and ``change/`` of one directory, whole,
+    and the directory is gone on exit."""
+    parent, change = tmp_path / "p", tmp_path / "a-longer-name"
+    for tree, text in ((parent, "old"), (change, "new")):
+        (tree / "src").mkdir(parents=True)
+        (tree / "src" / "mod.py").write_text(text)
+    with paired.stage(parent, change) as staged:
+        assert [p.name for p in staged] == ["parent", "change"]
+        assert staged[0].parent == staged[1].parent
+        assert len(str(staged[0])) == len(str(staged[1]))
+        assert (staged[0] / "src" / "mod.py").read_text() == "old"
+        assert (staged[1] / "src" / "mod.py").read_text() == "new"
+        root = staged[0].parent
+    assert not root.exists()
+    assert (parent / "src" / "mod.py").read_text() == "old"

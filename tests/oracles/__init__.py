@@ -17,6 +17,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
 - walk.masked_descent / masked_fast_lookup, frozen: ``_descend`` →
   test_descent_parity
 - walk.dense_ragged_to_csr, frozen: ``ragged_to_csr`` → test_csr_writer
+- walk.parent_level_points / parent_forward_levels, frozen: the level
+  kernels that divided by the scale → test_level_kernels
 - walk.head_to_rows / rows_to_head: the compact path head as per-slot rows
 - walk.splitmix / keyed_word / keyed_digit, scalar: ``KeyedLanes``'
   SplitMix64 seeds, words and both digit constructions in Python ints
@@ -54,6 +56,9 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   test_router_refresh
 - segments.midpoints_array, scalar: segment midpoints via ``Arc`` →
   test_compile_parity, test_batch_parity, test_segments
+- segments.parent_normalize_array / parent_cover, frozen: the
+  ``np.mod`` ring fold and ``CoverIndex.cover``'s fancy-index gathers →
+  test_level_kernels
 - segments.scalar_select, frozen: ``MultipleChoice.select`` →
   test_id_strategy_parity
 - segments.loop_grow / loop_populate, frozen: ``grow`` and ``populate``

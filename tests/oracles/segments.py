@@ -7,7 +7,10 @@ import numpy as np
 from repro.balance import MultipleChoice
 from repro.core import DistanceHalvingNetwork
 from repro.core.interval import Arc, Number
-from repro.core.segments import SegmentMap
+from repro.core.segments import SegmentMap, cover_indices, fold_unit
+
+#: ``repro.core.segments._ADVANCE_CAP`` when :func:`parent_cover` froze.
+ADVANCE_CAP = 8
 
 
 def midpoints_array(self: SegmentMap) -> np.ndarray:
@@ -30,6 +33,29 @@ def midpoints_array(self: SegmentMap) -> np.ndarray:
     return np.asarray(
         [float(self.segment(i).midpoint) for i in range(n)], dtype=np.float64
     )
+
+
+def parent_normalize_array(ys) -> np.ndarray:
+    """The replaced ``normalize_array``, verbatim: the ``np.mod`` fold."""
+    return fold_unit(np.atleast_1d(np.mod(np.asarray(ys, dtype=np.float64), 1.0)))
+
+
+def parent_cover(index, ys: np.ndarray) -> np.ndarray:
+    """The replaced ``CoverIndex.cover`` on ``index``'s ``ext`` and
+    ``grid``, verbatim: fancy-index gathers and an ``idx + 1`` copy."""
+    ext = index.ext
+    idx = index.grid[(ys * len(index.grid)).astype(np.intp)].astype(np.intp)
+    lanes = np.flatnonzero(ext[idx + 1] <= ys)
+    steps = 0
+    while lanes.size:
+        if steps == ADVANCE_CAP:
+            idx[lanes] = cover_indices(ext[:-1], ys[lanes])
+            break
+        idx[lanes] += 1
+        lanes = lanes[ext[idx[lanes] + 1] <= ys[lanes]]
+        steps += 1
+    idx[idx < 0] = len(ext) - 2
+    return idx
 
 
 def scalar_select(strategy: MultipleChoice, segments: SegmentMap,

@@ -1,5 +1,6 @@
 """Oracles of :mod:`repro.core.walk`: the masked descent, the dense
-writer, and the keyed lanes' SplitMix64 in Python ints."""
+writer, the dividing level kernels, and the keyed lanes' SplitMix64 in
+Python ints."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from repro.core.lookup import MAX_WALK_STEPS
 from repro.core.segments import fold_unit
+from repro.core.walk import LANE_INT
 
 
 def levels_to_csr(size: int, level_mats) -> tuple:
@@ -76,6 +78,50 @@ def masked_fast_lookup(router, src, y, max_levels=MAX_WALK_STEPS):
     return {"owner_idx": router.cover_index.cover(y), "source_idx": ci,
             "t": t, "hops": np.diff(offsets) - 1,
             "path_servers": servers, "path_offsets": offsets}
+
+
+def parent_forward_levels(y, z, delta: int, segment_test,
+                          level_cap: int) -> tuple:
+    """The replaced ``forward_levels``, verbatim: it divided by the scale."""
+    size = y.size
+    t = np.zeros(size, dtype=LANE_INT)
+    s_final = np.zeros(size, dtype=np.float64)
+    lanes = np.arange(size)
+    yp, zp, in_own = y, z, segment_test(lanes)
+    finished = []  # lanes per level, in the order the levels ran
+    retired = 0
+    for level in range(level_cap + 1):
+        if retired == lanes.size:
+            break
+        scale = float(delta) ** level
+        s_level = np.trunc(zp * scale)
+        p = fold_unit((yp + s_level) / scale)
+        hit = np.flatnonzero(in_own(p))
+        if not hit.size:
+            continue
+        newly = lanes[hit]
+        t[newly] = level
+        s_final[newly] = s_level[hit]
+        finished.append(newly)
+        retired += hit.size
+        zp[hit] = np.nan
+        if retired < lanes.size <= 2 * retired:
+            rest = np.flatnonzero(zp == zp)
+            lanes, yp, zp = lanes[rest], yp[rest], zp[rest]
+            in_own = segment_test(lanes)
+            retired = 0
+    if retired < lanes.size:
+        raise RuntimeError("forward search failed to converge")
+    return t, s_final, np.concatenate(finished[::-1] or [lanes])
+
+
+def parent_level_points(y, off, scale, delta: int) -> np.ndarray:
+    """The replaced ``level_points``, verbatim: two true divisions."""
+    if delta & (delta - 1) == 0:
+        low = off - scale * np.floor(off / scale)
+    else:
+        low = (off % np.asarray(scale, dtype=np.int64)).astype(np.float64)
+    return fold_unit((y + low) / scale)
 
 
 def dense_ragged_to_csr(buf, starts, lens=None) -> tuple:

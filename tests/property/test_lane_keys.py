@@ -19,10 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.inputs import populated
+from oracles.compare import assert_same
+from oracles.inputs import keyed_tau, populated
 from oracles.walk import GAMMA, M64, keyed_digit, keyed_word, splitmix
 
 from repro.core import BatchCacheEngine, BatchRouter, walk
+from repro.core.segments import normalize_array
 from repro.core.walk import KeyedLanes, draw_key, exact_digits, lane_key
 from repro.faults import FaultPlan, FTBatchEngine, OverlappingDHNetwork
 from repro.peer import CostMap
@@ -247,6 +249,61 @@ def test_fast_lookup_prefix_routes_as_its_own_call(delta):
     for m in (0, 1, 13, 699):
         part = router.batch_fast_lookup(src[:m], tgt[:m], keep_paths="csr")
         same_lanes(part, whole, FAST_FIELDS, slice(0, m))
+
+
+def unfolded(rng, points: np.ndarray) -> np.ndarray:
+    """``points`` as a caller may give them: ``v + k`` for a small
+    integer ``k``, and some lanes ``−0.0`` or ``1.0``."""
+    raw = points + rng.integers(-3, 4, points.size)
+    raw[rng.random(points.size) < 0.1] = -0.0
+    raw[rng.random(points.size) < 0.1] = 1.0
+    return raw
+
+
+ENGINE_FIELDS = {
+    "fast": ("targets", "sources", "source_idx", "owner_idx", "t", "hops",
+             "path_servers", "path_offsets"),
+    "dh": ("targets", "sources", "source_idx", "owner_idx", "t", "hops",
+           "phase1_hops", "path_servers", "path_offsets"),
+    "ft": ("targets", "source_idx", "t", "success", "messages",
+           "parallel_time", "holder_idx", "path_servers", "path_offsets"),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), delta=st.sampled_from([2, 3]),
+       engine=st.sampled_from(sorted(ENGINE_FIELDS)))
+def test_an_unfolded_batch_routes_as_its_folded_batch(seed, delta, engine):
+    """Targets (and sources) off ``[0, 1)`` route bit for bit as the same
+    batch folded first: the entry fold sends ``v + k`` where the ring
+    does, ``−0.0`` and ``1.0`` to ``+0.0``, and nothing else moves.  A §6
+    source must stay an id point, so there ``v + k`` is taken only where
+    it folds back onto its id."""
+    inputs = np.random.default_rng(seed)
+    tgt = unfolded(inputs, inputs.random(300))
+    if engine == "ft":
+        ids = _FT_NET.points_array[inputs.integers(0, _FT_NET.n, 300)]
+        src = ids + inputs.integers(-3, 4, 300)
+        src = np.where(normalize_array(src) == ids, src, ids)
+        ft = FTBatchEngine(_FT_NET)
+
+        def route(s, t):
+            return ft.batch_simple_lookup(s, t, key=seed, keep_paths="csr")
+    else:
+        router = cost_router(delta)
+        src = unfolded(inputs, router.points[inputs.integers(0, router.n,
+                                                              300)])
+        tau = keyed_tau(seed, 300, delta)
+
+        def route(s, t):
+            if engine == "fast":
+                return router.batch_fast_lookup(s, t, keep_paths="csr")
+            return router.batch_dh_lookup(s, t, tau=tau, keep_paths="csr")
+    assert (tgt < 0.0).any() and (tgt >= 1.0).any()
+    got = route(src, tgt)
+    assert_same(got, route(normalize_array(src), normalize_array(tgt)),
+                fields=ENGINE_FIELDS[engine])
+    assert not np.signbit(got.targets).any()
 
 
 SERVE_FIELDS = ("t", "serving_depth", "serving_node_key",

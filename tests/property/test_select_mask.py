@@ -62,10 +62,7 @@ def _weighted_edge(u) -> tuple:
 # u just below 1: for u < 1, u·total rounds below total whatever the
 # total, so the inverse CDF stops on the last valid row itself; only a
 # lane with no valid row (total 0) takes the last-valid fallback.
-# u = 1 (outside the engines' [0, 1)) lands u·total on total, so every
-# lane takes it.
 @example(block=_weighted_edge(BELOW_ONE), policy="weighted")
-@example(block=_weighted_edge(1.0), policy="weighted")
 def test_equal_to_parent_under_masks(block, policy):
     costs, ok, u = block
     got = select_rows(costs, ok, u, policy)
@@ -84,6 +81,20 @@ def test_no_mask_is_the_all_true_mask(block, policy):
     assert np.array_equal(got, select_rows(costs, every, u, policy))
     assert np.array_equal(got, _parent_select_rows(costs, every, u, policy))
     assert np.array_equal(got, _axis_select_rows(costs, None, u, policy))
+
+
+@pytest.mark.parametrize("policy", ["uniform", "weighted"])
+@pytest.mark.parametrize("bad", [1.0, np.nan, -0.25, np.inf])
+def test_a_uniform_outside_the_unit_interval_is_refused(policy, bad):
+    """u = 1 would land u·total on total and send every lane to its last
+    valid row; like ``select_index`` and the engines' ``choices=``, the
+    batch pick refuses it, naming the first bad lane."""
+    costs, ok, u = _weighted_edge(BELOW_ONE)
+    u[2:] = bad
+    with pytest.raises(ValueError, match=r"^u: lane 2 holds .*; uniforms "
+                       r"must be finite and in \[0, 1\)$"):
+        select_rows(costs, ok, u, policy)
+    assert select_rows(costs, ok, u, "greedy").shape == (4,)  # reads no u
 
 
 def test_uniform_needs_its_mask():

@@ -6,12 +6,15 @@ Usage, from anywhere::
 
 ``PARENT`` and ``CHANGE`` are two source trees, each a clean export
 (``git archive`` or ``git ls-files | tar``) in a directory of its own;
-``SEED`` defaults to 1.  The tool takes no options: it runs
+``SEED`` defaults to 1.  The tool takes no options.  It first copies
+both trees into one temporary directory, as ``parent/`` and ``change/``
+(:func:`stage`): peak RSS moves with the tree's path, so two trees run
+from paths of different lengths differ by it.  It then runs
 ``benchmarks/spine/run.py --workload WORKLOAD --seed SEED`` at its
-default length from each tree ten times, alternating, each run a fresh
-process, odd pairs with the parent first.  The environment passes
-through, so ``NUMPY_MADVISE_HUGEPAGE=0 python tools/paired.py …`` pairs
-runs without huge pages.
+default length from each copy ten times, alternating, each run a fresh
+process, odd pairs with the parent first, and removes the copies.  The
+environment passes through, so ``NUMPY_MADVISE_HUGEPAGE=0 python
+tools/paired.py …`` pairs runs without huge pages.
 
 It prints every reading of the gated end-to-end metrics
 (``BENCHMARK.json``'s ``end_to_end``), each run's failed operations,
@@ -23,10 +26,13 @@ tool with exit code 1.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +81,23 @@ def verdict(parent, change, better: str) -> tuple:
     return "not met", wins, gain
 
 
+@contextlib.contextmanager
+def stage(parent: Path, change: Path):
+    """Yield ``(parent, change)`` copied into one temporary directory.
+
+    The copies are ``parent/`` and ``change/`` beside each other, so
+    their paths have one length; the directory is removed on exit.
+    """
+    root = Path(tempfile.mkdtemp(prefix="paired-"))
+    try:
+        staged = root / "parent", root / "change"
+        for tree, copy in zip((parent, change), staged):
+            shutil.copytree(tree, copy, symlinks=True)
+        yield staged
+    finally:
+        shutil.rmtree(root)
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One fresh spine process in ``tree``: its result line, parsed."""
     cmd = [sys.executable, "benchmarks/spine/run.py", "--workload", workload,
@@ -88,14 +111,20 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 
 def report(parent: Path, change: Path, workload: str, seed: int,
-           runs: list, metrics: list) -> list:
-    """The Markdown lines for ``runs``: ``[(first, parent, change)]``."""
+           runs: list, metrics: list, staged: tuple) -> list:
+    """The Markdown lines for ``runs``: ``[(first, parent, change)]``.
+
+    ``staged`` names the two copies (:func:`stage`) the runs were made
+    from.
+    """
     lines = [f"## `{workload}`, seed {seed}", "",
              f"Parent `{parent.name}`, change `{change.name}`: {len(runs)} "
              "pairs of "
              f"`python3 benchmarks/spine/run.py --workload {workload} "
              f"--seed {seed}`, each run a fresh process, odd pairs with the "
-             "parent first.", ""]
+             "parent first.",
+             f"Run from the copies `{staged[0]}` and `{staged[1]}` (one "
+             "path length), removed since.", ""]
     head = ["pair", "first"] + [f"`{name}` ({unit}) parent / change"
                                 for name, unit, _ in metrics]
     lines += ["| " + " | ".join(head + ["failed parent / change"]) + " |",
@@ -134,18 +163,20 @@ def main(argv) -> int:
             return 2
     runs = []
     try:
-        for k in range(PAIRS):
-            first = "parent" if k % 2 == 0 else "change"
-            sides = {}
-            for side in (first, "change" if first == "parent" else "parent"):
-                tree = parent if side == "parent" else change
-                sides[side] = run_once(tree, workload, seed)
-            runs.append((first, sides["parent"], sides["change"]))
+        with stage(parent, change) as staged:
+            for k in range(PAIRS):
+                first = "parent" if k % 2 == 0 else "change"
+                sides = {}
+                for side in (first,
+                             "change" if first == "parent" else "parent"):
+                    tree = staged[0] if side == "parent" else staged[1]
+                    sides[side] = run_once(tree, workload, seed)
+                runs.append((first, sides["parent"], sides["change"]))
     except RuntimeError as exc:
         print(f"paired: {exc}", file=sys.stderr)
         return 1
     print("\n".join(report(parent, change, workload, seed, runs,
-                           gated_metrics())))
+                           gated_metrics(), staged)))
     return 0
 
 
