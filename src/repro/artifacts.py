@@ -41,8 +41,8 @@ VOLATILE_KEYS = frozenset({
 def to_jsonable(value):
     """Deep-convert a result tree to JSON-native types.
 
-    NumPy scalars go through ``.item()``, arrays through ``.tolist()``,
-    tuples become lists; dict keys are stringified the way ``json.dump``
+    Arrays and NumPy scalars go through ``.tolist()``, tuples become
+    lists; dict keys are stringified the way ``json.dump``
     would.  Shared by :func:`dumps` and :func:`strip_volatile`, so "what
     the artifact holds" has exactly one definition.
     """
@@ -50,10 +50,8 @@ def to_jsonable(value):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):  # ndarray
+    if hasattr(value, "tolist"):  # ndarray or NumPy scalar
         return value.tolist()
-    if hasattr(value, "item"):  # NumPy scalar
-        return value.item()
     return value
 
 

@@ -66,6 +66,7 @@ class BucketBalancer:
             rebalance_threshold, "rebalance_threshold", "[1, inf)")
         self.total_id_changes = 0
         self.rebalances = 0
+        self.merges = 0
         # Rebalancing relocates servers, so clients address them by a
         # stable handle; the balancer tracks each handle's current id.
         self._next_handle = 0
@@ -173,12 +174,11 @@ class BucketBalancer:
         b = self.buckets[i]
         if b.size() < lo:
             j = (i + 1) % len(self.buckets)
-            if j == i:
-                return
             other = self.buckets[j]
             # merge into ring order: i's territory precedes j's, so the
             # merged bucket keeps i's first point as its territory anchor.
             merged = Bucket(b.points + other.points)
+            self.merges += 1
             if j > i:
                 self.buckets[i] = merged
                 del self.buckets[j]

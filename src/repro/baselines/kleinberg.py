@@ -78,13 +78,8 @@ class KleinbergRing(BaselineDHT):
         while current != goal:
             neighbors = [(current - 1) % self.size, (current + 1) % self.size]
             neighbors += self.long[current]
+            # a lattice edge is one step closer, so greedy always progresses
             nxt = min(neighbors, key=lambda v: self._ring_dist(v, goal))
-            # greedy always makes progress via the lattice edges
-            if self._ring_dist(nxt, goal) >= self._ring_dist(current, goal):
-                nxt = (current + 1) % self.size if (
-                    self._ring_dist((current + 1) % self.size, goal)
-                    < self._ring_dist((current - 1) % self.size, goal)
-                ) else (current - 1) % self.size
             path.append(nxt)
             current = nxt
         return path
@@ -137,22 +132,12 @@ class KleinbergBatchRouter(BaselineBatchRouter):
                 break
             rows = self._cand[cur]                       # (k, 2 + L)
             dmat = ring_dist(rows, goal[:, None])
-            bi = np.argmin(dmat, axis=1)
-            ar = np.arange(live.size)
-            nxt = rows[ar, bi]
-            d_cur = ring_dist(cur, goal)
-            stuck = dmat[ar, bi] >= d_cur
-            if stuck.any():
-                fwd, bwd = rows[stuck, 1], rows[stuck, 0]
-                nxt[stuck] = np.where(
-                    ring_dist(fwd, goal[stuck]) < ring_dist(bwd, goal[stuck]),
-                    fwd, bwd,
-                )
+            nxt = rows[np.arange(live.size), np.argmin(dmat, axis=1)]
             rec.append(live, nxt)
             cur = nxt
             keep = cur != goal
             live, cur, goal = live[keep], cur[keep], goal[keep]
-        if live.size:  # pragma: no cover - lattice fallback guarantees progress
+        if live.size:  # pragma: no cover - a lattice edge guarantees progress
             raise RuntimeError("small-world batch lookup failed to converge")
 
         servers, offsets = rec.to_csr()

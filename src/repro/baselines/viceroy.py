@@ -219,8 +219,6 @@ class ViceroyBatchRouter(BaselineBatchRouter):
             ups = rows_lvl < lvl[cur, None]
             has = ups.any(axis=1)
             live = live[has]
-            if live.size == 0:
-                break
             masked = np.where(ups[has], rows_lvl[has], _PAD_LEVEL)
             bi = np.argmin(masked, axis=1)
             nxt = lidx[cur_all[live], bi]
@@ -231,8 +229,6 @@ class ViceroyBatchRouter(BaselineBatchRouter):
         # Phase 2: descend, greedily halving clockwise distance.
         live = np.flatnonzero(cur_all != own)
         for _ in range(4 * self._max_level):
-            if live.size == 0:
-                break
             cur = cur_all[live]
             d_cur = (tgt[live] - pts[cur]) % 1.0
             dn = (tgt[live, None] - pts[lidx[cur]]) % 1.0

@@ -59,10 +59,7 @@ def binary_digits(y: Number, t: int, delta: int = 2) -> Digits:
     """
     t, delta = checks.count(t, "t"), checks.count(delta, "delta", 2)
     y = normalize(y)
-    if isinstance(y, Fraction):
-        scaled = int(y * delta**t)
-    else:
-        scaled = int(y * (delta**t))
+    scaled = int(y * delta**t)
     out = []
     for k in range(t - 1, -1, -1):
         out.append((scaled // delta**k) % delta)
@@ -132,10 +129,8 @@ class ContinuousGraph:
             if not 0 <= d < self.delta:
                 raise ValueError(f"digit {d} out of range for delta={self.delta}")
             offset_num += d * self.delta**k
-        y = normalize(y)
-        if isinstance(y, Fraction):
-            return normalize((y + offset_num) / Fraction(scale))
-        return normalize((y + offset_num) / scale)
+        # an int scale keeps a Fraction y exact
+        return normalize((normalize(y) + offset_num) / scale)
 
     def walk_points(self, digits: Sequence[int], y: Number) -> list[Number]:
         """All intermediate walk points ``[w(σ_0,y), w(σ_1,y), …, w(σ_t,y)]``.

@@ -308,13 +308,13 @@ class DistanceHalvingNetwork:
         return len(self.neighbor_points(point))
 
     # ----------------------------------------------------- theorem quantities
-    def edge_count(self, include_ring: bool = False) -> int:
+    def edge_count(self) -> int:
         """Number of distinct edges of ``G_x`` in the sense of Theorem 2.1.
 
         An (undirected) edge ``{V_i, V_j}`` exists when some continuous
         edge ``(y, z)`` has ``y ∈ s(x_i)`` and ``z ∈ s(x_j)``; self-loops
-        count once.  Theorem 2.1: at most ``3n − 1`` without ring edges
-        for ``Δ = 2`` (each insertion creates at most one new left, right
+        count once; ring edges are not counted.  Theorem 2.1: at most
+        ``3n − 1`` for ``Δ = 2`` (each insertion creates at most one new left, right
         and backward edge).  This is what makes the *average* degree at
         most 6 for every id vector.
         """
@@ -324,10 +324,6 @@ class DistanceHalvingNetwork:
             for img in self.graph.image_arcs(seg):
                 for q in self.segments.covering_points(img):
                     pairs.add((p, q) if p <= q else (q, p))
-        if include_ring and self.n > 1:
-            for p in self.segments:
-                q = self.segments.successor(p)
-                pairs.add((p, q) if p <= q else (q, p))
         return len(pairs)
 
     def max_out_degree(self) -> int:

@@ -468,8 +468,6 @@ class SegmentMap:
             return [0]
         seen: dict[int, None] = {}
         for a, b in arc.pieces():
-            if b <= a:
-                continue
             first = self.cover(a)
             seen.setdefault(first, None)
             # every point strictly inside (a, b) starts another intersecting segment

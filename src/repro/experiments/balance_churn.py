@@ -10,7 +10,9 @@ post-deletion smoothness of
 * Multiple-Choice ids with naive deletions,
 * the bucket balancer,
 
-plus the bucket scheme's amortised id-movement cost.
+plus the bucket scheme's amortised id-movement cost.  A second bucket
+run deletes 15/16 of its servers, so buckets fall below ``½ log2 n``
+and merge (§4.1's repair of the lower size bound).
 """
 
 from __future__ import annotations
@@ -81,6 +83,22 @@ def run(seed: int = 11, quick: bool = False) -> ExperimentResult:
                      bb.segments.max_segment_length() * bb.n / math.log(bb.n), 2),
                  "id_moves/op": round(moves_per_op, 2)})
 
+    # bucket balancer under heavy deletions: undersized buckets merge
+    deep = BucketBalancer(rebalance_threshold=3.0)
+    handles = [deep.join(rng4) for _ in range(2 * n)]
+    rng4.shuffle(handles)
+    for h in handles[:2 * n - n // 8]:
+        deep.leave(h, rng4)
+    deep.check_invariants()
+    deep_rho = deep.smoothness()
+    rows.append({"scheme": "bucket(§4.1), 15/16 deleted", "n_after": deep.n,
+                 "rho": round(deep_rho, 1),
+                 "max_seg*n/logn": round(deep.segments.max_segment_length()
+                                         * deep.n / math.log(deep.n), 2),
+                 "id_moves/op": round(
+                     deep.total_id_changes / (4 * n - n // 8), 2),
+                 "merges": deep.merges})
+
     logn = math.log2(n)
     checks = {
         "naive deletions blow up ρ (≫ polylog)": naive_rho > logn**1.5,
@@ -89,6 +107,9 @@ def run(seed: int = 11, quick: bool = False) -> ExperimentResult:
         "bucket beats naive by ≥ 4x on ρ": naive_rho / bucket_rho >= 4,
         "amortised id moves per op modest (≤ 2 log² n)": moves_per_op
         <= 2 * logn**2,
+        "undersized buckets merge under heavy deletions": deep.merges > 0,
+        "bucket scheme keeps ρ polylog after the merges": deep_rho
+        <= 4 * logn**2,
     }
     return ExperimentResult(
         experiment="E11",

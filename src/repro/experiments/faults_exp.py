@@ -25,7 +25,7 @@ One fail-stop cell of the sweep is :func:`measure_faults`.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .. import checks
 from ..core.lookup import compress_path
@@ -65,17 +65,15 @@ def scalar_simple_replay(net, batch, sources, targets, choices, **how) -> bool:
 
 
 def measure_faults(
-    n: int = 16384,
+    engine: FTBatchEngine,
     pairs: int = 100_000,
     p_fail: float = 0.2,
     seed: int = 0,
     scalar_sample: int = 200,
-    net: Optional[OverlappingDHNetwork] = None,
-    engine: Optional[FTBatchEngine] = None,
 ) -> Dict:
     """Route one fault-sweep cell, with a scalar replay.
 
-    Builds (or reuses) an ``n``-server overlapping network, draws a
+    On the engine's ``n``-server overlapping network, draws a
     random fail-stop plan at probability ``p_fail``, samples ``pairs``
     (surviving source, uniform target) pairs and routes them as **one**
     batch Simple Lookup with CSR path emission.  The first
@@ -85,17 +83,11 @@ def measure_faults(
     ``scalar_sample=0`` to skip the replay (big sweep cells).  Returns
     the reachability digest and the parity verdict.
     """
-    if net is None and engine is not None:
-        net = engine.net  # a lone engine pins the network it snapshots
-    if net is not None:
-        n = net.n
+    net = engine.net
+    n = net.n
     checks.count(scalar_sample, "scalar_sample")
-    build_rng, plan_rng, route = spawn_many(
-        checks.count(seed, "seed") * 41 + n, 3)
-    if net is None:
-        net = OverlappingDHNetwork(n, build_rng)
-    if engine is None:
-        engine = FTBatchEngine(net)
+    # the first stream built the network before the engine was passed in
+    _, plan_rng, route = spawn_many(checks.count(seed, "seed") * 41 + n, 3)
 
     plan = random_failstop(net.points, p_fail, plan_rng)
     alive = plan.alive_mask(net.points_array)
@@ -137,9 +129,8 @@ def run_failstop(seed: int = 13, quick: bool = False) -> ExperimentResult:
         engine = FTBatchEngine(net)
         for p in ps:
             res = measure_faults(
-                n=n, pairs=pairs, p_fail=p, seed=seed,
-                scalar_sample=sample if n == sizes[0] else 0,
-                net=net, engine=engine)
+                engine, pairs=pairs, p_fail=p, seed=seed,
+                scalar_sample=sample if n == sizes[0] else 0)
             parity_ok &= res["parity_ok"]
             time_ok &= res["max_parallel_time"] <= res["logn_bound"]
             rate_at[(n, p)] = res["success_rate"]

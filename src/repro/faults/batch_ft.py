@@ -57,7 +57,7 @@ from ..peer.costmap import CostMap
 from ..peer.itracker import NO_COST_MAP, CostOracle
 from ..peer.policy import POLICIES, select_rows
 from .models import FaultPlan
-from .overlap import OverlappingDHNetwork
+from .overlap import OverlappingDHNetwork, ring_gap
 
 __all__ = ["FTBatchResult", "FTBatchEngine"]
 
@@ -192,7 +192,7 @@ class FTBatchEngine:
 
         def closed_segment(lanes):
             a, length = start[lanes], seg_len[lanes]
-            return lambda p: np.mod(p - a, 1.0) <= length
+            return lambda p: ring_gap(p - a) <= length
 
         t, s_final, _order = forward_levels(
             y, self.mid[src_idx], 2, closed_segment, MAX_WALK_STEPS)

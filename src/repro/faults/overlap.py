@@ -42,6 +42,14 @@ __all__ = ["OverlappingDHNetwork", "COVER_NEVER", "COVER_DEFINITE",
 COVER_NEVER, COVER_DEFINITE, COVER_BOUNDARY = 0, 1, 2
 
 
+def ring_gap(d: np.ndarray) -> np.ndarray:
+    """``np.mod(d, 1.0)`` by floor, ``d − ⌊d⌋``: the same bits on every
+    finite float at a fraction of the cost.  A tiny negative ``d`` gives
+    1.0 in both, kept (no ``fold_unit``): a closed segment test must see
+    it."""
+    return d - np.floor(d)
+
+
 class OverlappingDHNetwork:
     """Static overlapping-segment Distance Halving network.
 
@@ -94,13 +102,13 @@ class OverlappingDHNetwork:
             [self.alpha[x] for x in self.points], dtype=np.int64)
         #: closed-segment length (end_i - x_i) mod 1, same float ops as
         #: ``covers_point`` so the vectorized test cannot drift from it
-        self.seg_len_array = np.mod(
+        self.seg_len_array = ring_gap(
             np.array([self.end[x] for x in self.points], dtype=np.float64)
-            - self.points_array, 1.0)
+            - self.points_array)
         #: §6.3 canonical-path start z_i = segment midpoint, precomputed
         #: with the exact float ops of ``canonical_path``
-        self.mid_array = np.mod(
-            self.points_array + self.seg_len_array / 2.0, 1.0)
+        self.mid_array = ring_gap(
+            self.points_array + self.seg_len_array / 2.0)
         #: how many ring predecessors a cover scan must visit (max α + 2,
         #: the same back-window the scalar ``covers`` walks)
         self.max_back = int(min(n, self.alpha_array.max() + 2))
@@ -112,8 +120,8 @@ class OverlappingDHNetwork:
         Row ``k`` of :attr:`cover_class` is about server ``j = (i − k)
         mod n`` and the points of cell ``i`` (``[x_i, x_{i+1})``; the
         last cell runs through the seam to ``x_0``).  Along the ring
-        from ``x_j`` the test's left side ``f_j(y) = np.mod(y − x_j,
-        1.0)`` never decreases — the subtraction and the negative
+        from ``x_j`` the test's left side ``f_j(y) = ring_gap(y − x_j)``
+        never decreases — the subtraction and the negative
         branch's ``+ 1.0`` both round monotonically — and its right side
         ``seg_len_j`` *is* ``f_j(end_j)``.  So ``k < α_j`` (the cell ends
         at or before ``end_j``) passes every point of the cell, and
@@ -128,7 +136,7 @@ class OverlappingDHNetwork:
         self.cover_class = np.empty((self.max_back, n), dtype=np.uint8)
         for k in range(self.max_back):
             # np.roll(col, k)[i] == col[(i - k) % n]: the columns of server j
-            beyond = (np.mod(pts - np.roll(pts, k), 1.0)
+            beyond = (ring_gap(pts - np.roll(pts, k))
                       > np.roll(self.seg_len_array, k))
             row = np.where(beyond, COVER_NEVER, COVER_BOUNDARY)
             row[k < np.roll(self.alpha_array, k)] = COVER_DEFINITE
@@ -191,7 +199,7 @@ class OverlappingDHNetwork:
         flat = np.flatnonzero(cls == COVER_BOUNDARY)
         srv = cand.reshape(-1)[flat]
         cls[flat] = (
-            np.mod(ys[flat % ys.size] - self.points_array[srv], 1.0)
+            ring_gap(ys[flat % ys.size] - self.points_array[srv])
             <= self.seg_len_array[srv])
         # every entry is now COVER_NEVER (0) or COVER_DEFINITE (1)
         return cand, mask.view(np.bool_)

@@ -6,8 +6,8 @@ simulator whose observable quantities — hop counts, per-server message
 loads, parallel time — coincide with the quantities in the theorems.
 
 :class:`EventLoop` is a classic ``(time, seq)``-ordered heap scheduler;
-:class:`SimNetwork` layers message passing with per-link latency and a
-fail-stop set on top of it.  Handlers run atomically at their scheduled
+:class:`SimNetwork` layers message passing with per-link latency on top
+of it.  Handlers run atomically at their scheduled
 time; the ``seq`` tiebreaker makes runs bit-for-bit reproducible.
 
 Paper footnote 4 ("there is no implied assumption of synchrony") is
@@ -108,23 +108,18 @@ class SimNetwork:
     """Message-passing fabric over an :class:`EventLoop`.
 
     ``latency`` maps ``(sender, recipient)`` to a delay (default 1.0 per
-    hop, matching the paper's hop-count metric).  Nodes in ``failed`` are
-    fail-stop: messages to them vanish (§6 fault model); ``drop_rule``
-    allows custom adversaries (e.g. probabilistic loss).
+    hop, matching the paper's hop-count metric).  Every message arrives:
+    the §6 faults are modelled on the batch engines (:mod:`repro.faults`).
     """
 
     def __init__(
         self,
         latency: Optional[Callable[[Hashable, Hashable], float]] = None,
-        drop_rule: Optional[Callable[[Message], bool]] = None,
     ) -> None:
         self.loop = EventLoop()
         self.nodes: Dict[Hashable, SimNode] = {}
         self.latency = latency or (lambda a, b: 1.0)
-        self.drop_rule = drop_rule
-        self.failed: set = set()
         self.delivered: int = 0
-        self.dropped: int = 0
 
     def add_node(self, node: SimNode) -> SimNode:
         if node.node_id in self.nodes:
@@ -134,25 +129,15 @@ class SimNetwork:
         return node
 
     def deliver(self, msg: Message) -> None:
-        """Schedule delivery of a message (drops to/from failed nodes)."""
-        if msg.sender in self.failed or msg.recipient in self.failed:
-            self.dropped += 1
-            return
-        if self.drop_rule is not None and self.drop_rule(msg):
-            self.dropped += 1
-            return
+        """Schedule delivery of a message to a node of the network."""
         if msg.recipient not in self.nodes:
-            self.dropped += 1
-            return
+            raise KeyError(f"unknown recipient {msg.recipient!r}")
         sender_node = self.nodes.get(msg.sender)
         if sender_node is not None:
             sender_node.sent += 1
         delay = self.latency(msg.sender, msg.recipient)
 
         def _arrive() -> None:
-            if msg.recipient in self.failed:
-                self.dropped += 1
-                return
             node = self.nodes[msg.recipient]
             node.received += 1
             self.delivered += 1

@@ -17,7 +17,7 @@ difference measurable by running the §2.2.2 lookup on the
 Only the transport lives here.  What a node decides is
 :meth:`repro.core.lookup.LocalView.route` — the one §2.2.2 step over
 the node's segment and neighbour-table snapshot — in both styles, and a
-latency function / drop rule can model heterogeneous links.
+latency function can model heterogeneous links.
 
 Footnote 4 ("no implied assumption of synchrony") is many lookups in
 flight under a random latency: each still routes as ``dh_lookup`` does.
@@ -114,10 +114,9 @@ class DHProtocolNode(SimNode):
 def build_protocol_network(
     net: DistanceHalvingNetwork,
     latency: Optional[Callable[[Hashable, Hashable], float]] = None,
-    drop_rule: Optional[Callable[[Message], bool]] = None,
 ) -> SimNetwork:
     """Wrap a DHT snapshot into a SimNetwork of protocol nodes."""
-    sim = SimNetwork(latency=latency, drop_rule=drop_rule)
+    sim = SimNetwork(latency=latency)
     for p in net.segments:
         sim.add_node(DHProtocolNode(p, net))
     return sim

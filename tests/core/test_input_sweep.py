@@ -448,7 +448,8 @@ FIXTURES = {
                                    core_n=16, core_pairs=4)),
     "experiments.faults_exp.measure_faults": lambda: (
         measure_faults,
-        dict(n=16, pairs=4, p_fail=0.2, seed=0, scalar_sample=2)),
+        dict(engine=FTBatchEngine(OverlappingDHNetwork(16, _rng())), pairs=4,
+             p_fail=0.2, seed=0, scalar_sample=2)),
     "experiments.soak.measure_soak": lambda: (
         measure_soak, dict(n=16, lookups=0, chunk=1, seed=0, items=0,
                            phases="lookups:0")),

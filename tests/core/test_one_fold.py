@@ -8,13 +8,16 @@ in the style of ``test_row_passes.py``, fails on any ``np.mod`` /
 ``np.remainder`` / ``np.fmod`` call there, and on any ``%`` (or ``%=``)
 with a float constant operand.  The scalar ``interval.normalize`` keeps
 its ``x % 1``: it serves exact ``Fraction`` ids, and its operand is an
-int.
+int.  ``src/repro/faults`` is held to the NumPy-call half: its array
+folds floor through :func:`~repro.faults.overlap.ring_gap` (which keeps
+1.0, as ``np.mod`` does), and its scalar twins keep their ``% 1.0``.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
+FAULTS = ROOT.parent / "faults"
 FOLDS = {"mod", "remainder", "fmod"}
 
 
@@ -47,6 +50,14 @@ def test_no_float_fold_but_the_floor():
     found = [f"{path.relative_to(ROOT)}:{line}: {what}"
              for path in sorted(ROOT.rglob("*.py"))
              for line, what in float_folds(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_no_numpy_fold_call_in_faults():
+    found = [f"{path.relative_to(FAULTS)}:{line}: {what}"
+             for path in sorted(FAULTS.rglob("*.py"))
+             for line, what in float_folds(ast.parse(path.read_text()))
+             if what in FOLDS]
     assert found == []
 
 

@@ -71,7 +71,8 @@ def test_trace_parity_fails_when_a_served_hop_count_differs(salts,
 # ------------------------------------------------------------------ E13
 @pytest.mark.parametrize("p_fail", [0.0, 0.2, 0.5, 0.8])
 def test_measure_faults_replays_at_every_failure_rate(p_fail):
-    res = measure_faults(n=64, pairs=300, p_fail=p_fail, scalar_sample=120)
+    engine = FTBatchEngine(OverlappingDHNetwork(64, spawn_many(64, 3)[0]))
+    res = measure_faults(engine, pairs=300, p_fail=p_fail, scalar_sample=120)
     assert res["parity_ok"] and res["scalar_sample"] == 120
     assert 0 <= res["failures"] <= 300
     if p_fail == 0.0:

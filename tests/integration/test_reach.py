@@ -1,9 +1,10 @@
 """Self-test of the reach gate, ``tools/reach.py``, without its full trace.
 
-The gate itself runs every command under a profile hook and takes about
+The gate itself runs every command under a trace hook and takes about
 a minute, so it is a CI step of its own.  These tests pin its parts:
-the command list it reads, the inventory key it joins on, the hook in
-a real (tiny) subprocess, and the allowlist against ``src/``.
+the command list it reads, the inventory keys it joins on (functions
+and statements), the hook in a real (tiny) subprocess, and both
+allowlists against ``src/``.
 """
 
 import ast
@@ -11,6 +12,7 @@ import functools
 import importlib.util
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -26,6 +28,13 @@ _spec.loader.exec_module(reach)
 
 SMOKE = ROOT / "benchmarks" / "ci_smoke.sh"
 PACKAGE = (ROOT / "src" / "repro").resolve()
+
+
+@functools.lru_cache(maxsize=None)
+def _src_statements() -> frozenset:
+    """``file:name:first line`` of every statement under ``src/repro``."""
+    return frozenset(f"{s.path.relative_to(PACKAGE).as_posix()}:{s.qualname}:"
+                     f"{s.text}" for s in reach.statements())
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,6 +116,12 @@ def _package(tmp_path) -> pathlib.Path:
         def used():
             def inner():
                 return 1
+            if inner() > 1:
+                return "no command takes this branch"
+            if inner() < 0:
+                if inner() < -1:
+                    inner()
+                raise ValueError("a refusal")
             return inner()
 
 
@@ -182,6 +197,24 @@ class TestInventory:
             "Box.made", "Box.size", "allowed", "allowed.nested",
             "decorated", "in_child", "planted", "used", "used.inner"]
 
+    def test_a_usage_exit_is_exempt(self, tmp_path):
+        """The CLI's refusal: one stderr line, then exit status 2."""
+        (tmp_path / "cli.py").write_text(textwrap.dedent("""\
+            import sys
+
+
+            def main(seed):
+                if seed < 0:
+                    print("bad --seed", file=sys.stderr)
+                    return 2
+                if seed > 9:
+                    print("big --seed")
+                    return 2
+                return 0
+            """))
+        assert [s.text for s in reach.statements(tmp_path) if s.exempt] == [
+            'print("bad --seed", file=sys.stderr)', "return 2"]
+
     def test_src_inventory_has_one_key_per_def(self):
         """No two defs of ``src/`` share a key, so none hides another."""
         defs = sum(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -197,9 +230,19 @@ class TestTraceAndVerdict:
     def traced(self, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("reach")
         pkg = _package(tmp_path)
-        entered, failures = reach.trace([["python", "run.py"]], tmp_path,
-                                        str(tmp_path))
+        entered, ran, failures = reach.trace([["python", "run.py"]],
+                                             tmp_path, str(tmp_path), pkg)
         return reach.inventory(pkg), entered, failures, pkg.resolve()
+
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        """The planted package's statements and the lines that ran."""
+        tmp_path = tmp_path_factory.mktemp("reach")
+        pkg = _package(tmp_path)
+        _, ran, failures = reach.trace([["python", "run.py"]], tmp_path,
+                                       str(tmp_path), pkg)
+        assert failures == []
+        return reach.statements(pkg), ran, pkg.resolve()
 
     def test_entered_functions_include_the_subprocess(self, traced):
         found, entered, failures, _ = traced
@@ -235,11 +278,90 @@ class TestTraceAndVerdict:
                      key: "stale"}
         assert reach.verdict(found, entered, allowlist, pkg) == ([], [key])
 
+    #: what the planted package keeps out of the statement verdicts
+    KEPT = {"mod.py:allowed": "kept", "mod.py:planted": "kept"}
+    BRANCH = 'mod.py:used:return "no command takes this branch"'
+
+    def test_planted_unrun_statement_is_reported(self, lines):
+        """A branch no command takes, inside a function that runs."""
+        stmts, ran, pkg = lines
+        line = next(s.lines[0] for s in stmts
+                    if s.text == 'return "no command takes this branch"')
+        assert reach.statement_verdict(stmts, ran, self.KEPT, {}, pkg) == (
+            [f"{self.BRANCH} @{line}"], [])
+        assert reach.statement_verdict(
+            stmts, ran, self.KEPT, {self.BRANCH: "kept"}, pkg) == ([], [])
+
+    def test_a_raise_ended_block_is_exempt_nested_blocks_included(self, lines):
+        stmts, ran, pkg = lines
+        exempt = {s.text for s in stmts if s.exempt}
+        assert exempt == {"if inner() < -1:", "inner()",
+                          'raise ValueError("a refusal")'}
+        assert not any((s.path, line) in ran
+                       for s in stmts if s.exempt for line in s.lines)
+
+    def test_a_function_key_covers_its_statements(self, lines):
+        stmts, ran, pkg = lines
+        unrun, _ = reach.statement_verdict(stmts, ran, {}, {self.BRANCH: "kept"},
+                                           pkg)
+        assert sorted(k.rpartition(" @")[0] for k in unrun) == [
+            "mod.py:allowed.nested:return 2", "mod.py:allowed:def nested():",
+            "mod.py:allowed:return nested()",
+            'mod.py:planted:return "no command calls me"']
+        assert reach.statement_verdict(
+            stmts, ran, {"mod.py": "whole file"}, {}, pkg) == ([], [])
+
+    def test_a_key_survives_lines_inserted_above_it(self, lines):
+        stmts, ran, pkg = lines
+        moved = pkg.parent / "moved"
+        shutil.copytree(pkg, moved / "pkg")
+        mod = moved / "pkg" / "mod.py"
+        mod.write_text("# a comment\n\n" + mod.read_text())
+        shifted = reach.statements(moved / "pkg")
+        assert ([s.text for s in shifted] == [s.text for s in stmts]
+                and all(a.lines[0] == b.lines[0] + 2
+                        for a, b in zip(shifted, stmts)))
+        ran2 = {(mod.resolve(), line + 2) for _, line in ran}
+        assert reach.statement_verdict(
+            shifted, ran2, self.KEPT, {self.BRANCH: "kept"},
+            (moved / "pkg").resolve()) == ([], [])
+
+    @pytest.mark.parametrize("key", ["mod.py:used:return inner()",
+                                     'mod.py:used:raise ValueError("a refusal")',
+                                     "mod.py:used:gone", "gone.py:f:x = 1"])
+    def test_stale_statement_keys_are_reported(self, lines, key):
+        """A key whose statement ran, is exempt or does not exist."""
+        stmts, ran, pkg = lines
+        kept = {self.BRANCH: "kept", key: "stale"}
+        assert reach.statement_verdict(stmts, ran, self.KEPT, kept, pkg) == (
+            [], [key])
+
+    def test_a_key_keeps_the_unrun_one_of_two_equal_statements(self,
+                                                                tmp_path):
+        """A loop's redraw shares its text with the first draw, which
+        runs: the key keeps the redraw, and is stale once it runs too."""
+        (tmp_path / "draw.py").write_text(textwrap.dedent("""\
+            def draw(taken, rng):
+                z = rng.random()
+                while z in taken:
+                    z = rng.random()
+                return z
+            """))
+        stmts = reach.statements(tmp_path)
+        path = (tmp_path / "draw.py").resolve()
+        key = "draw.py:draw:z = rng.random()"
+        once = {(path, line) for line in (1, 2, 3, 5)}
+        assert reach.statement_verdict(stmts, once, {}, {key: "redraw"},
+                                       tmp_path) == ([], [])
+        assert reach.statement_verdict(stmts, once | {(path, 4)}, {},
+                                       {key: "redraw"}, tmp_path) == ([], [key])
+
     def test_every_dump_keeps_a_file_of_its_own(self, tmp_path):
         """Two dumps of one pid leave two files: a recycled pid cannot
         overwrite an earlier process's dump."""
         hook = tmp_path / "hook.py"
-        hook.write_text(reach._HOOK.format(dump_dir=str(tmp_path / "dumps")))
+        hook.write_text(reach._HOOK.format(dump_dir=str(tmp_path / "dumps"),
+                                           package=str(tmp_path)))
         (tmp_path / "dumps").mkdir()
         subprocess.run([sys.executable, "-c",
                         f"exec(open({str(hook)!r}).read()); _dump(); _dump(); "
@@ -247,9 +369,9 @@ class TestTraceAndVerdict:
         assert len(list((tmp_path / "dumps").glob("*.json"))) == 2
 
     def test_a_failing_command_is_reported(self, tmp_path):
-        entered, failures = reach.trace(
+        _, _, failures = reach.trace(
             [[sys.executable, "-c", "raise SystemExit(3)"]], tmp_path,
-            str(tmp_path))
+            str(tmp_path), tmp_path)
         assert len(failures) == 1 and failures[0].startswith("exit 3:")
 
 
@@ -260,6 +382,14 @@ def test_allowlist_entry_names_a_function_in_src(key):
     files = {k.partition(":")[0] for k in keys}
     assert key in (keys if ":" in key else files)
     reason = reach.ALLOWLIST[key]
+    assert reason.strip() and "\n" not in reason
+
+
+@pytest.mark.parametrize("key", sorted(reach.STATEMENTS))
+def test_statement_entry_names_a_statement_in_src(key):
+    """Each statement entry keeps something that exists, for one reason."""
+    assert key in _src_statements()
+    reason = reach.STATEMENTS[key]
     assert reason.strip() and "\n" not in reason
 
 

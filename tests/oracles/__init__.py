@@ -92,7 +92,8 @@ One line per oracle — *frozen* (replaced code, verbatim) or *scalar*
   depth) in ``Fraction`` arithmetic → test_exact_serve_path
 - exact.digits_to_point, scalar: ``0.d_1 d_2 …`` as a ``Fraction``, moved
   out of ``core/continuous.py`` → test_continuous, test_core_properties
-- inputs: the adversarial ids, the ``populated`` / ``joined`` builders
-  and the exact suites' ``boundary_network``; compare.assert_same:
+- inputs: the adversarial ids, the ``populated`` / ``joined`` builders,
+  ``overlapped`` (a §6 network on given ids) and the exact suites'
+  ``boundary_network``; compare.assert_same:
   dtype, shape and bits, field by field
 """

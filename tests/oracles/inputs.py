@@ -97,6 +97,37 @@ def joined(points, delta: int = 2, with_ring: bool = True,
     return net
 
 
+class _FirstDraw:
+    """A generator whose first ``random(n)`` hands out fixed ids."""
+
+    def __init__(self, ids, seed):
+        self._ids, self._rng = ids, np.random.default_rng(seed)
+
+    def random(self, size=None):
+        ids, self._ids = self._ids, None
+        return self._rng.random(size) if ids is None else ids
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def overlapped(points, seed):
+    """A §6 overlapping network on ``points`` plus 16 uniform ids.
+
+    ``points`` snap down to the ``2^-53`` grid the network's own
+    ``rng.random`` draws from (its overlap estimate reads ``log2`` of a
+    gap), and the uniform ids keep ``n`` at the network's minimum of 8
+    whatever :func:`point_sets` drew; ``seed`` feeds them and the item
+    hash.
+    """
+    from repro.faults import OverlappingDHNetwork
+
+    grid = np.floor(np.asarray(points, float) * 2.0**53) * 2.0**-53
+    fill = np.random.default_rng(seed).random(16)
+    ids = np.unique(np.concatenate([grid, fill]))
+    return OverlappingDHNetwork(ids.size, _FirstDraw(ids, seed))
+
+
 #: The networks :func:`boundary_network` builds.
 KINDS = ("tiny", "clustered", "smooth")
 

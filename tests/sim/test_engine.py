@@ -89,34 +89,6 @@ class TestSimNetwork:
         with pytest.raises(ValueError):
             net.add_node(Echo("a"))
 
-    def test_failed_node_drops_messages(self):
-        net = SimNetwork()
-        net.add_node(Echo("a"))
-        rec = net.add_node(Recorder("b"))
-        net.failed.add("a")
-        net.nodes["b"].send("a", "ping")
-        net.run()
-        assert net.dropped == 1
-        assert rec.log == []
-
-    def test_fail_after_send_drops_in_flight(self):
-        net = SimNetwork()
-        net.add_node(Echo("a"))
-        net.add_node(Recorder("b"))
-        net.nodes["b"].send("a", "ping")
-        net.failed.add("a")  # message already in flight; dropped at arrival
-        net.run()
-        assert net.delivered == 0
-
-    def test_drop_rule(self):
-        net = SimNetwork(drop_rule=lambda m: m.payload == "spam")
-        rec = net.add_node(Recorder("b"))
-        net.add_node(Echo("a"))
-        net.nodes["a"].send("b", "spam")
-        net.nodes["a"].send("b", "ham")
-        net.run()
-        assert [p for _, _, p in rec.log] == ["ham"]
-
     def test_custom_latency(self):
         net = SimNetwork(latency=lambda a, b: 7.0)
         rec = net.add_node(Recorder("b"))
@@ -125,12 +97,11 @@ class TestSimNetwork:
         net.run()
         assert rec.log[0][0] == 7.0
 
-    def test_unknown_recipient_dropped(self):
+    def test_unknown_recipient_refused(self):
         net = SimNetwork()
         net.add_node(Echo("a"))
-        net.nodes["a"].send("ghost", "x")
-        net.run()
-        assert net.dropped == 1
+        with pytest.raises(KeyError, match="ghost"):
+            net.nodes["a"].send("ghost", "x")
 
     def test_counters(self):
         net = SimNetwork()

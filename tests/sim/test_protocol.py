@@ -106,19 +106,6 @@ class TestTransportEffects:
         with pytest.raises(ValueError):
             run_protocol_lookup(sim, net, 0.1, 0.2, rng, style="bogus")
 
-    def test_failed_node_stalls_lookup(self, net):
-        """Fail-stop without the §6 overlap: the lookup simply dies —
-        motivating the overlapping construction."""
-        sim = build_protocol_network(net)
-        rng = np.random.default_rng(9)
-        pts = list(net.points())
-        src = pts[0]
-        # fail the owner of the target
-        tgt = 0.555
-        sim.failed.add(net.segments.cover_point(tgt))
-        out = run_protocol_lookup(sim, net, src, tgt, rng, "recursive")
-        assert not out.done
-
 
 def _queries(net, count, seed):
     rng = np.random.default_rng(seed)
@@ -231,26 +218,6 @@ class TestConcurrentLookups:
         got = {k: node.received - received[k] for k, node in sim.nodes.items()
                if node.received != received[k]}
         assert sum(got.values()) == out.messages and set(got) <= set(out.path)
-
-    def test_a_dropped_lookup_does_not_stop_the_others(self, net):
-        """Messages of one lookup vanish mid-route; that lookup stays
-        undone, every other one completes, and its retry does too."""
-        queries = [(s, t) for s, t in _queries(net, 30, 17)
-                   if net.segments.cover_point(s) != net.segments.cover_point(t)]
-        victim = queries[0][1]
-        sim = build_protocol_network(
-            net, drop_rule=lambda msg: (msg.sender != msg.recipient
-                                        and msg.payload.outcome.target == victim))
-        outs = run_protocol_lookups(
-            sim, net, queries,
-            [np.random.default_rng(k) for k in range(len(queries))])
-        assert not outs[0].done and sim.dropped == 1
-        for (_, target), out in zip(queries[1:], outs[1:]):
-            assert out.done and out.owner == net.segments.cover_point(target)
-        sim.drop_rule = None
-        again = run_protocol_lookup(sim, net, *queries[0],
-                                    np.random.default_rng(0))
-        assert again.done and again.owner == net.segments.cover_point(victim)
 
     def test_an_empty_batch_sends_nothing(self, net, sim):
         assert run_protocol_lookups(sim, net, [], []) == []

@@ -58,8 +58,11 @@ class TestWorkloads:
 
     def test_measure_faults_without_a_scalar_replay(self):
         from repro.experiments.faults_exp import measure_faults
+        from repro.faults import FTBatchEngine, OverlappingDHNetwork
+        from repro.sim.rng import spawn_many
 
-        res = measure_faults(n=64, pairs=200, scalar_sample=0)
+        net = OverlappingDHNetwork(64, spawn_many(64, 3)[0])
+        res = measure_faults(FTBatchEngine(net), pairs=200, scalar_sample=0)
         assert res["scalar_sample"] == 0
         assert res["parity_ok"] is True
 
